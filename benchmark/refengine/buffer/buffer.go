@@ -1,0 +1,425 @@
+// Package buffer implements the no-force/steal buffer manager of the
+// shared-memory database (paper section 2). Pages live in shared-memory
+// frames managed by internal/heap; this package moves them between the
+// frames and the stable database:
+//
+//   - no-force: committing a transaction does not write its pages to disk,
+//     so redo information must survive for committed transactions;
+//   - steal: a dirty page may be written to disk while it still carries
+//     uncommitted updates, provided the write-ahead-log rule holds.
+//
+// WAL enforcement follows section 6: a shared-memory table records, per
+// page, the last update LSN of every node that updated it; a page may go to
+// the stable database only after each such node has forced its log through
+// that LSN. (The table is written only by the local node and is simply
+// re-initialized for a node that crashes.)
+package buffer
+
+import (
+	"errors"
+	"fmt"
+	"sync"
+
+	"smdb/benchmark/refengine/heap"
+	"smdb/benchmark/refengine/machine"
+	"smdb/benchmark/refengine/obs"
+	"smdb/benchmark/refengine/obs/debt"
+	"smdb/benchmark/refengine/obs/waterfall"
+	"smdb/benchmark/refengine/storage"
+	"smdb/benchmark/refengine/wal"
+)
+
+// Stats counts buffer manager activity.
+type Stats struct {
+	// Fetches is the number of Fetch calls; DiskFetches the subset that
+	// performed disk I/O; Formats the subset that created fresh pages.
+	Fetches, DiskFetches, Formats int64
+	// Flushes is pages written to the stable database; Steals the subset
+	// that carried uncommitted updates (an undo tag was present).
+	Flushes, Steals int64
+	// WALForces is log forces performed to satisfy the WAL rule before a
+	// flush.
+	WALForces int64
+	// IORetries is transient disk errors retried (and outlasted) by page
+	// reads and writes.
+	IORetries int64
+}
+
+// Sub returns the per-interval delta s - prev (see machine.Stats.Sub).
+func (s Stats) Sub(prev Stats) Stats {
+	return Stats{
+		Fetches:     s.Fetches - prev.Fetches,
+		DiskFetches: s.DiskFetches - prev.DiskFetches,
+		Formats:     s.Formats - prev.Formats,
+		Flushes:     s.Flushes - prev.Flushes,
+		Steals:      s.Steals - prev.Steals,
+		WALForces:   s.WALForces - prev.WALForces,
+		IORetries:   s.IORetries - prev.IORetries,
+	}
+}
+
+// Manager is the buffer manager. It is safe for concurrent use.
+type Manager struct {
+	Store *heap.Store
+	Disk  *storage.Disk
+	// Logs holds each node's write-ahead log, indexed by node ID, for WAL
+	// enforcement on flush.
+	Logs []*wal.Log
+	// NVRAMLog selects the NVRAM log-force cost instead of rotational
+	// disk (section 7's discussion of making stable logging cheap).
+	NVRAMLog bool
+	// Retry bounds transient-I/O-error retries on page reads and writes;
+	// the zero value means storage.DefaultRetry.
+	Retry storage.RetryPolicy
+
+	mu       sync.Mutex
+	dirty    map[storage.PageID]bool
+	updTable map[storage.PageID]map[machine.NodeID]wal.LSN
+	stats    Stats
+	obs      *obs.Observer
+	wf       *waterfall.Recorder
+	dbt      *debt.Tracker
+	// fetchHook, when non-nil, is called at every Fetch entry with no
+	// manager state held. The chaos schedule recorder uses it as a
+	// scheduling point: a fetch is where a crash-lost page is faulted back
+	// in from disk, i.e. the hazard window of the stale-reinstall race.
+	fetchHook func(machine.NodeID, storage.PageID)
+}
+
+// SetFetchHook attaches (or, with nil, detaches) the Fetch-entry callback.
+// The hook may block (the schedule replayer parks callers on it); it is
+// invoked outside the manager mutex.
+func (b *Manager) SetFetchHook(f func(machine.NodeID, storage.PageID)) {
+	b.mu.Lock()
+	b.fetchHook = f
+	b.mu.Unlock()
+}
+
+// SetObserver attaches the observability layer; disk fetches, flushes, and
+// WAL-rule log forces are reported against the requesting node's clock.
+func (b *Manager) SetObserver(o *obs.Observer) {
+	b.mu.Lock()
+	b.obs = o
+	b.mu.Unlock()
+}
+
+// observer returns the attached observer (possibly nil).
+func (b *Manager) observer() *obs.Observer {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.obs
+}
+
+// SetWaterfall attaches (or, with nil, detaches) the waterfall recorder;
+// disk-read waits during Fetch are attributed to the requesting node's
+// current transaction.
+func (b *Manager) SetWaterfall(w *waterfall.Recorder) {
+	b.mu.Lock()
+	b.wf = w
+	b.mu.Unlock()
+}
+
+// waterfall returns the attached recorder (possibly nil).
+func (b *Manager) waterfall() *waterfall.Recorder {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.wf
+}
+
+// SetDebt attaches (or, with nil, detaches) the recovery-debt tracker;
+// dirty-page transitions feed its redo-working-set accounting.
+func (b *Manager) SetDebt(d *debt.Tracker) {
+	b.mu.Lock()
+	b.dbt = d
+	b.mu.Unlock()
+}
+
+// NewManager creates a buffer manager over the given store, disk, and
+// per-node logs.
+func NewManager(store *heap.Store, disk *storage.Disk, logs []*wal.Log) *Manager {
+	if disk.PageSize() < store.Layout.PageBytes() {
+		panic(fmt.Sprintf("buffer: disk page size %d < heap page size %d", disk.PageSize(), store.Layout.PageBytes()))
+	}
+	return &Manager{
+		Store:    store,
+		Disk:     disk,
+		Logs:     logs,
+		dirty:    make(map[storage.PageID]bool),
+		updTable: make(map[storage.PageID]map[machine.NodeID]wal.LSN),
+	}
+}
+
+// Stats returns a snapshot of the counters.
+func (b *Manager) Stats() Stats {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.stats
+}
+
+// Fetch ensures every line of page p is resident in shared memory, on
+// behalf of node nd. A page never written to disk is formatted fresh; a
+// partially lost page has only its missing lines reinstalled from the disk
+// image, preserving newer surviving cached lines.
+func (b *Manager) Fetch(nd machine.NodeID, p storage.PageID) error {
+	b.mu.Lock()
+	b.stats.Fetches++
+	hook := b.fetchHook
+	b.mu.Unlock()
+	if hook != nil {
+		hook(nd, p)
+	}
+	if b.Store.ResidentPage(p) {
+		return nil
+	}
+	if !b.Disk.Exists(p) {
+		b.mu.Lock()
+		b.stats.Formats++
+		b.mu.Unlock()
+		return b.Store.FormatPage(nd, p)
+	}
+	img, err := b.readPage(nd, p)
+	if err != nil {
+		return err
+	}
+	cost := b.Store.M.Config().Cost.DiskRead
+	b.Store.M.AdvanceClock(nd, cost)
+	b.mu.Lock()
+	b.stats.DiskFetches++
+	b.mu.Unlock()
+	if o := b.observer(); o != nil {
+		o.Instant(obs.KindPageFetch, int32(nd), b.Store.M.Clock(nd), int64(p), 1)
+	}
+	if wf := b.waterfall(); wf != nil {
+		wf.NoteFetch(int32(nd), int(p), b.Store.M.Clock(nd), cost)
+	}
+	return b.Store.InstallImage(nd, p, img[:b.Store.Layout.PageBytes()], true)
+}
+
+// MarkDirty records that page p diverges from its disk image.
+func (b *Manager) MarkDirty(p storage.PageID) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.dirty[p] = true
+	b.dbt.NoteDirty(int64(p))
+}
+
+// Dirty reports whether page p is marked dirty.
+func (b *Manager) Dirty(p storage.PageID) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.dirty[p]
+}
+
+// DirtyPages returns the dirty page set (unordered).
+func (b *Manager) DirtyPages() []storage.PageID {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	out := make([]storage.PageID, 0, len(b.dirty))
+	for p := range b.dirty {
+		out = append(out, p)
+	}
+	return out
+}
+
+// NoteUpdate records, in the shared (page, LSN) table, that node nd's log
+// record lsn updated page p. FlushPage consults it to enforce WAL.
+func (b *Manager) NoteUpdate(p storage.PageID, nd machine.NodeID, lsn wal.LSN) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	t := b.updTable[p]
+	if t == nil {
+		t = make(map[machine.NodeID]wal.LSN)
+		b.updTable[p] = t
+	}
+	if lsn > t[nd] {
+		t[nd] = lsn
+	}
+}
+
+// logForceCost returns the simulated cost of one physical log force.
+func (b *Manager) logForceCost() int64 {
+	c := b.Store.M.Config().Cost
+	if b.NVRAMLog {
+		return c.LogForceNVRAM
+	}
+	return c.LogForce
+}
+
+// FlushPage writes page p to the stable database on behalf of node nd,
+// first enforcing the WAL rule: every node that updated p forces its log
+// through its last update to p. Flushing a page with an undo-tagged record
+// is a steal (an uncommitted update reaches disk); its undo record is made
+// stable by the same WAL forces. FlushPage fails with machine.ErrLineLost
+// if part of the page was destroyed by a crash and not yet recovered.
+func (b *Manager) FlushPage(nd machine.NodeID, p storage.PageID) error {
+	// WAL rule first (the order is the point of the protocol).
+	b.mu.Lock()
+	pending := make(map[machine.NodeID]wal.LSN, len(b.updTable[p]))
+	for n, lsn := range b.updTable[p] {
+		pending[n] = lsn
+	}
+	b.mu.Unlock()
+	for n, lsn := range pending {
+		if int(n) >= len(b.Logs) || b.Logs[n] == nil {
+			continue
+		}
+		if _, forced := b.Logs[n].Force(lsn); forced {
+			cost := b.logForceCost()
+			b.Store.M.AdvanceClock(nd, cost)
+			b.mu.Lock()
+			b.stats.WALForces++
+			b.mu.Unlock()
+			b.observer().ObserveLogForce(cost)
+		}
+	}
+
+	img, err := b.Store.PageImage(nd, p)
+	if err != nil {
+		return fmt.Errorf("buffer: flushing page %d: %w", p, err)
+	}
+	steal := pageHasTag(b.Store.Layout, img)
+	// Tags never reach disk: the WAL forces above made every stolen
+	// update's undo record stable, which is what recovery uses for
+	// on-disk uncommitted data (tags only ever describe cached lines).
+	heap.StripTags(b.Store.Layout, img)
+	if err := b.writePage(nd, p, img); err != nil {
+		return err
+	}
+	b.Store.M.AdvanceClock(nd, b.Store.M.Config().Cost.DiskWrite)
+	b.mu.Lock()
+	b.stats.Flushes++
+	if steal {
+		b.stats.Steals++
+	}
+	delete(b.dirty, p)
+	delete(b.updTable, p)
+	b.dbt.NoteClean(int64(p))
+	o := b.obs
+	b.mu.Unlock()
+	if o != nil {
+		var stole int64
+		if steal {
+			stole = 1
+		}
+		o.Instant(obs.KindPageFlush, int32(nd), b.Store.M.Clock(nd), int64(p), stole)
+	}
+	return nil
+}
+
+// retryPolicy returns the configured retry policy (DefaultRetry when unset).
+func (b *Manager) retryPolicy() storage.RetryPolicy {
+	if b.Retry.MaxAttempts > 0 {
+		return b.Retry
+	}
+	return storage.DefaultRetry
+}
+
+// noteRetry charges simulated backoff to nd and counts one retried attempt.
+func (b *Manager) noteRetry(nd machine.NodeID, p storage.PageID, attempt int, backoff int64) {
+	b.Store.M.AdvanceClock(nd, backoff)
+	b.mu.Lock()
+	b.stats.IORetries++
+	b.mu.Unlock()
+	if o := b.observer(); o != nil {
+		o.Instant(obs.KindIORetry, int32(nd), b.Store.M.Clock(nd), int64(p), int64(attempt))
+	}
+}
+
+// readPage reads page p from the stable database, retrying transient errors
+// under the retry policy with exponential simulated backoff.
+func (b *Manager) readPage(nd machine.NodeID, p storage.PageID) ([]byte, error) {
+	pol := b.retryPolicy()
+	for attempt := 1; ; attempt++ {
+		img, err := b.Disk.ReadPage(p)
+		if err == nil {
+			return img, nil
+		}
+		if !errors.Is(err, storage.ErrTransient) || attempt >= pol.MaxAttempts {
+			return nil, err
+		}
+		b.noteRetry(nd, p, attempt, pol.Backoff(attempt))
+	}
+}
+
+// writePage writes page p to the stable database with the same retry policy.
+func (b *Manager) writePage(nd machine.NodeID, p storage.PageID, img []byte) error {
+	pol := b.retryPolicy()
+	for attempt := 1; ; attempt++ {
+		err := b.Disk.WritePage(p, img)
+		if err == nil {
+			return nil
+		}
+		if !errors.Is(err, storage.ErrTransient) || attempt >= pol.MaxAttempts {
+			return err
+		}
+		b.noteRetry(nd, p, attempt, pol.Backoff(attempt))
+	}
+}
+
+// pageHasTag reports whether any slot in the page image carries an undo tag
+// (i.e. an uncommitted update).
+func pageHasTag(layout heap.Layout, img []byte) bool {
+	for line := 1; line < layout.LinesPerPage; line++ {
+		lineImg := img[line*layout.LineSize : (line+1)*layout.LineSize]
+		for s := 0; s < layout.RecsPerLine; s++ {
+			if sd := heap.DecodeSlotFromLine(layout, lineImg, s); sd.Tag != machine.NoNode {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// EvictPage flushes page p and then discards every cached copy of its
+// lines, freeing the frame contents (the page survives only on disk). This
+// is the steal path under memory pressure.
+func (b *Manager) EvictPage(nd machine.NodeID, p storage.PageID) error {
+	if err := b.FlushPage(nd, p); err != nil {
+		return err
+	}
+	base := b.Store.PageBase(p)
+	for i := 0; i < b.Store.Layout.LinesPerPage; i++ {
+		l := base + machine.LineID(i)
+		for _, h := range b.Store.M.Holders(l) {
+			if err := b.Store.M.Discard(h, l); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// FlushAll flushes every dirty page (checkpoint support).
+func (b *Manager) FlushAll(nd machine.NodeID) error {
+	for _, p := range b.DirtyPages() {
+		if err := b.FlushPage(nd, p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// DropNode re-initializes the crashed node's column of the (page, LSN)
+// table: its volatile log tail is gone, so there is nothing left to force.
+// (Its stable records remain on its log device for recovery.)
+func (b *Manager) DropNode(nd machine.NodeID) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, t := range b.updTable {
+		delete(t, nd)
+	}
+}
+
+// PendingWAL returns the nodes (and LSNs) that would have to force their
+// logs before page p could be flushed. Exposed for tests and experiments.
+func (b *Manager) PendingWAL(p storage.PageID) map[machine.NodeID]wal.LSN {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	out := make(map[machine.NodeID]wal.LSN, len(b.updTable[p]))
+	for n, lsn := range b.updTable[p] {
+		if int(n) < len(b.Logs) && b.Logs[n] != nil && b.Logs[n].ForcedLSN() < lsn {
+			out[n] = lsn
+		}
+	}
+	return out
+}

@@ -1,0 +1,339 @@
+package audit
+
+import (
+	"fmt"
+	"math/bits"
+	"sort"
+)
+
+// The windowed time-series: a fixed-size ring of per-window counter
+// snapshots, bucketed by simulated time, so a long-running workload keeps a
+// bounded, recent view of its own shape — log forces, coherency traffic,
+// lock stalls, commit-latency quantiles, recovery makespan — instead of one
+// unbounded cumulative counter set. An anomaly watchdog evaluates each
+// window as it closes (when events for a later window arrive) against
+// threshold and ratio rules; see evalWindow for the rule table, which
+// DESIGN.md §8 documents.
+
+// watchdog tuning (documented in DESIGN.md §8).
+const (
+	// minCommitSamples gates the commit-latency ratio rule: windows with
+	// fewer commits have meaningless p99s.
+	minCommitSamples = 8
+	// minTrailWindows gates the ratio rules until a trailing baseline
+	// exists.
+	minTrailWindows = 4
+	// trailCap bounds the trailing-history deques.
+	trailCap = 32
+	// migrationSpikeFloor and migrationSpikeFactor gate the coherency-storm
+	// rule: a window must see at least the floor and more than factor x the
+	// trailing median.
+	migrationSpikeFloor  = 32
+	migrationSpikeFactor = 8
+	// maxAnomalies bounds retained anomaly records (the total keeps
+	// counting).
+	maxAnomalies = 64
+)
+
+// windowCounters is one window's live counter set. The commit-latency
+// histogram is log2-bucketed, matching obs.Histogram's resolution.
+type windowCounters struct {
+	Updates           int64
+	Migrations        int64
+	Replications      int64
+	Downgrades        int64
+	Invalidations     int64
+	LogForces         int64
+	LockStalls        int64
+	Commits           int64
+	Aborts            int64
+	Crashes           int64
+	Violations        int64
+	UnloggedExposures int64
+	RecoveryNS        int64
+
+	commitBuckets [65]int64
+	commitCount   int64
+	commitSum     int64
+}
+
+func bucketOf(v int64) int {
+	if v <= 0 {
+		return 0
+	}
+	b := bits.Len64(uint64(v))
+	if b > 62 {
+		b = 62
+	}
+	return b
+}
+
+func (w *windowCounters) observeCommit(ns int64) {
+	w.commitBuckets[bucketOf(ns)]++
+	w.commitCount++
+	w.commitSum += ns
+}
+
+// quantile returns an upper-bound estimate of the q-quantile of the
+// window's commit latencies (the top of the log2 bucket holding the rank).
+func (w *windowCounters) quantile(q float64) int64 {
+	if w.commitCount == 0 {
+		return 0
+	}
+	rank := int64(q * float64(w.commitCount))
+	if rank >= w.commitCount {
+		rank = w.commitCount - 1
+	}
+	var cum int64
+	for i, c := range w.commitBuckets {
+		cum += c
+		if cum > rank {
+			if i == 0 {
+				return 0
+			}
+			return int64(1) << uint(i)
+		}
+	}
+	return int64(1) << 62
+}
+
+// WindowSnapshot is one window's exported view.
+type WindowSnapshot struct {
+	Window            int64 `json:"window"`
+	StartSim          int64 `json:"start_sim"`
+	Updates           int64 `json:"updates"`
+	Migrations        int64 `json:"migrations"`
+	Replications      int64 `json:"replications"`
+	Downgrades        int64 `json:"downgrades"`
+	Invalidations     int64 `json:"invalidations"`
+	LogForces         int64 `json:"log_forces"`
+	LockStalls        int64 `json:"lock_stalls"`
+	Commits           int64 `json:"commits"`
+	Aborts            int64 `json:"aborts"`
+	Crashes           int64 `json:"crashes"`
+	Violations        int64 `json:"violations"`
+	UnloggedExposures int64 `json:"unlogged_exposures"`
+	RecoveryNS        int64 `json:"recovery_ns"`
+	CommitP50         int64 `json:"commit_p50_ns"`
+	CommitP99         int64 `json:"commit_p99_ns"`
+	CommitMean        int64 `json:"commit_mean_ns"`
+}
+
+// Anomaly is one watchdog finding.
+type Anomaly struct {
+	Window int64  `json:"window"`
+	Sim    int64  `json:"sim"` // window start, simulated ns
+	Kind   string `json:"kind"`
+	Detail string `json:"detail"`
+}
+
+// TimeSeries is the exported snapshot of the whole ring.
+type TimeSeries struct {
+	Enabled      bool             `json:"enabled"`
+	WindowNS     int64            `json:"window_ns"`
+	Windows      []WindowSnapshot `json:"windows"`
+	Anomalies    []Anomaly        `json:"anomalies"`
+	AnomalyTotal int              `json:"anomaly_total"`
+}
+
+type winSlot struct {
+	id   int64
+	used bool
+	c    windowCounters
+}
+
+// timeSeries is the ring + watchdog state, guarded by the Auditor's mutex.
+type timeSeries struct {
+	width  int64
+	factor float64
+	wins   []winSlot
+
+	started   bool
+	maxID     int64
+	evaluated int64 // highest window id the watchdog has judged
+
+	p99Trail []int64
+	migTrail []int64
+
+	anomalies []Anomaly
+	anomTotal int
+
+	// scratch absorbs counters for events older than the ring's horizon
+	// (possible because per-node simulated clocks are only loosely aligned).
+	scratch windowCounters
+}
+
+func (t *timeSeries) init(cfg Config) {
+	t.width = cfg.WindowNS
+	t.factor = cfg.P99Factor
+	t.wins = make([]winSlot, cfg.Windows)
+}
+
+// tick returns the live counter set for the window containing sim,
+// evaluating any windows that just closed.
+func (t *timeSeries) tick(sim int64) *windowCounters {
+	if sim < 0 {
+		sim = 0
+	}
+	id := sim / t.width
+	if !t.started {
+		t.started = true
+		t.maxID = id
+		t.evaluated = id - 1
+	} else if id > t.maxID {
+		t.evalThrough(id - 1)
+		t.maxID = id
+	}
+	s := &t.wins[id%int64(len(t.wins))]
+	if s.used && s.id == id {
+		return &s.c
+	}
+	if s.used && s.id > id {
+		// A straggler event for a window the ring already evicted.
+		return &t.scratch
+	}
+	if s.used && s.id > t.evaluated {
+		t.evalWindow(s)
+	}
+	s.id = id
+	s.used = true
+	s.c = windowCounters{}
+	return &s.c
+}
+
+// evalThrough runs the watchdog over every closed, still-resident window up
+// to and including upTo.
+func (t *timeSeries) evalThrough(upTo int64) {
+	lo := t.evaluated + 1
+	if floor := upTo - int64(len(t.wins)) + 1; lo < floor {
+		lo = floor
+	}
+	for id := lo; id <= upTo; id++ {
+		s := &t.wins[id%int64(len(t.wins))]
+		if s.used && s.id == id {
+			t.evalWindow(s)
+		}
+	}
+	if upTo > t.evaluated {
+		t.evaluated = upTo
+	}
+}
+
+func pushTrail(trail []int64, v int64) []int64 {
+	if len(trail) >= trailCap {
+		copy(trail, trail[1:])
+		trail = trail[:trailCap-1]
+	}
+	return append(trail, v)
+}
+
+func median(vs []int64) int64 {
+	s := append([]int64(nil), vs...)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	return s[len(s)/2]
+}
+
+// evalWindow applies the watchdog rules to one closed window:
+//
+//	unlogged-exposure   UnloggedExposures > 0 (threshold; always a bug)
+//	lbm-violation       Violations > 0 (threshold; always a bug)
+//	commit-latency      p99 > P99Factor x trailing median p99, with at
+//	                    least minCommitSamples commits in the window and
+//	                    minTrailWindows qualifying windows of history
+//	migration-spike     Migrations > migrationSpikeFactor x trailing
+//	                    median, above migrationSpikeFloor, same history gate
+func (t *timeSeries) evalWindow(s *winSlot) {
+	c := &s.c
+	if c.UnloggedExposures > 0 {
+		t.anomaly(s, "unlogged-exposure",
+			fmt.Sprintf("%d exposure(s) of unlogged updates left their failure domain", c.UnloggedExposures))
+	}
+	if c.Violations > 0 {
+		t.anomaly(s, "lbm-violation",
+			fmt.Sprintf("%d LBM violation(s) raised in this window", c.Violations))
+	}
+	if c.commitCount >= minCommitSamples {
+		p99 := c.quantile(0.99)
+		if len(t.p99Trail) >= minTrailWindows {
+			if med := median(t.p99Trail); med > 0 && float64(p99) > t.factor*float64(med) {
+				t.anomaly(s, "commit-latency",
+					fmt.Sprintf("commit p99 %dns > %.0fx trailing median %dns", p99, t.factor, med))
+			}
+		}
+		t.p99Trail = pushTrail(t.p99Trail, p99)
+	}
+	if c.Migrations >= migrationSpikeFloor && len(t.migTrail) >= minTrailWindows {
+		if med := median(t.migTrail); med > 0 && c.Migrations > migrationSpikeFactor*med {
+			t.anomaly(s, "migration-spike",
+				fmt.Sprintf("%d migrations > %dx trailing median %d", c.Migrations, migrationSpikeFactor, med))
+		}
+	}
+	if c.Migrations > 0 || c.Updates > 0 {
+		t.migTrail = pushTrail(t.migTrail, c.Migrations)
+	}
+}
+
+func (t *timeSeries) anomaly(s *winSlot, kind, detail string) {
+	t.anomTotal++
+	if len(t.anomalies) < maxAnomalies {
+		t.anomalies = append(t.anomalies, Anomaly{
+			Window: s.id, Sim: s.id * t.width, Kind: kind, Detail: detail,
+		})
+	}
+}
+
+func (t *timeSeries) windowCount() int {
+	n := 0
+	for i := range t.wins {
+		if t.wins[i].used {
+			n++
+		}
+	}
+	return n
+}
+
+// snapshotLocked exports the resident windows in time order plus the
+// anomaly log. Caller holds the Auditor's mutex.
+func (t *timeSeries) snapshotLocked() TimeSeries {
+	out := TimeSeries{
+		Enabled:      true,
+		WindowNS:     t.width,
+		Anomalies:    append([]Anomaly(nil), t.anomalies...),
+		AnomalyTotal: t.anomTotal,
+	}
+	for i := range t.wins {
+		s := &t.wins[i]
+		if !s.used {
+			continue
+		}
+		out.Windows = append(out.Windows, WindowSnapshot{
+			Window:            s.id,
+			StartSim:          s.id * t.width,
+			Updates:           s.c.Updates,
+			Migrations:        s.c.Migrations,
+			Replications:      s.c.Replications,
+			Downgrades:        s.c.Downgrades,
+			Invalidations:     s.c.Invalidations,
+			LogForces:         s.c.LogForces,
+			LockStalls:        s.c.LockStalls,
+			Commits:           s.c.Commits,
+			Aborts:            s.c.Aborts,
+			Crashes:           s.c.Crashes,
+			Violations:        s.c.Violations,
+			UnloggedExposures: s.c.UnloggedExposures,
+			RecoveryNS:        s.c.RecoveryNS,
+			CommitP50:         s.c.quantile(0.50),
+			CommitP99:         s.c.quantile(0.99),
+			CommitMean:        meanOf(s.c.commitSum, s.c.commitCount),
+		})
+	}
+	sort.Slice(out.Windows, func(i, j int) bool { return out.Windows[i].Window < out.Windows[j].Window })
+	return out
+}
+
+func meanOf(sum, n int64) int64 {
+	if n == 0 {
+		return 0
+	}
+	return sum / n
+}

@@ -1,0 +1,447 @@
+package obs
+
+import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"sync"
+	"time"
+)
+
+// The crash flight recorder: on any node crash or IFA-check failure the
+// engine dumps a post-mortem snapshot — the last-N trace events per node,
+// the recovery-dependency graph, and engine stats deltas — into a fresh
+// timestamped directory, so a failed chaos run leaves enough evidence to
+// reconstruct the failure without re-running it.
+
+// GraphWriter renders a dependency graph (deps.Tracker satisfies it; the
+// interface lives here so obs does not import its own subpackage).
+type GraphWriter interface {
+	WriteDOT(io.Writer) error
+	WriteGraphJSON(io.Writer) error
+}
+
+// AuditSource renders the online auditor's three surfaces (audit.Auditor
+// satisfies it; like GraphWriter, the interface lives here so obs does not
+// import its own subpackage). WriteAuditTxn with an empty id writes the
+// full trail listing.
+type AuditSource interface {
+	WriteAuditTxn(w io.Writer, id string) error
+	WriteAuditViolations(w io.Writer) error
+	WriteTimeSeries(w io.Writer) error
+}
+
+// ProfSource renders the contention & cost-attribution profiler's surfaces
+// (prof.Pair satisfies it; like GraphWriter, the interface lives here so
+// obs does not import its own subpackage). WriteProfJSON is the combined
+// document the flight recorder stores as prof.json; WriteProfProm appends
+// Prometheus lines to /metrics.
+type ProfSource interface {
+	WriteProfStripes(w io.Writer) error
+	WriteProfWorkers(w io.Writer) error
+	WriteProfJSON(w io.Writer) error
+	WriteProfProm(w io.Writer) error
+}
+
+// WaterfallSource renders the per-transaction latency waterfall surfaces
+// (waterfall.Recorder satisfies it; like GraphWriter, the interface lives
+// here so obs does not import its own subpackage). WriteWaterfallJSON is the
+// combined document the flight recorder stores as waterfall.json;
+// WriteWaterfallProm appends Prometheus lines to /metrics.
+type WaterfallSource interface {
+	WriteSlowJSON(w io.Writer, max int) error
+	WriteTxnJSON(w io.Writer, txn int64) error
+	WriteWaterfallChrome(w io.Writer) error
+	WriteWaterfallProm(w io.Writer) error
+	WriteWaterfallJSON(w io.Writer) error
+	WriteRecoveryProgress(w io.Writer) error
+}
+
+// DebtSource renders the recovery-debt tracker's surfaces (debt.Tracker
+// satisfies it; like GraphWriter, the interface lives here so obs does not
+// import its own subpackage). WriteDebtJSON is the combined document the
+// flight recorder stores as debt.json and the /recovery/debt endpoint
+// serves; WriteDebtProm appends Prometheus lines to /metrics.
+type DebtSource interface {
+	WriteDebtJSON(w io.Writer) error
+	WriteDebtProm(w io.Writer) error
+}
+
+// DefaultFlightEvents is the per-node event tail retained in a dump.
+const DefaultFlightEvents = 256
+
+// maxDumps is the default dump budget, so a crash loop cannot fill the
+// disk; later dumps are counted but skipped. SetBudget overrides it.
+const maxDumps = 64
+
+// FlightRecorder writes crash dumps. A nil recorder is inert (all methods
+// are nil-receiver safe), so the engine hooks cost one pointer test when
+// disabled.
+type FlightRecorder struct {
+	mu       sync.Mutex
+	dir      string
+	lastN    int
+	seq      int
+	skipped  int
+	rotated  int
+	maxDumps int
+	maxBytes int64
+	rotate   bool
+	bytes    int64
+	obs      *Observer
+	graph    GraphWriter
+	audit    AuditSource
+	prof     ProfSource
+	wfall    WaterfallSource
+	debt     DebtSource
+	stats    func(io.Writer) error
+	aux      map[string]func(io.Writer) error
+	dumps    []string
+	sizes    []int64
+}
+
+// NewFlightRecorder creates a recorder dumping into subdirectories of dir
+// (created on first dump). lastN bounds the per-node event tail; <= 0 uses
+// DefaultFlightEvents.
+func NewFlightRecorder(dir string, lastN int) *FlightRecorder {
+	if lastN <= 0 {
+		lastN = DefaultFlightEvents
+	}
+	return &FlightRecorder{dir: dir, lastN: lastN, maxDumps: maxDumps}
+}
+
+// SetSources wires the recorder's data sources: the observer whose event
+// rings are tailed, an optional dependency-graph renderer, an optional
+// audit source (the online auditor's violations, trails, and time series
+// join every dump), an optional profiler source (the contention profiler's
+// combined document joins as prof.json), an optional waterfall source (the
+// tail-sampled slow-transaction traces and recovery progress join as
+// waterfall.json), an optional recovery-debt source (the live debt
+// accounting joins as debt.json), and an optional stats writer (called once
+// per dump; implementations typically print deltas since the previous
+// dump). Any may be nil.
+func (r *FlightRecorder) SetSources(o *Observer, g GraphWriter, a AuditSource, p ProfSource, wf WaterfallSource, dbt DebtSource, stats func(io.Writer) error) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.obs = o
+	r.graph = g
+	r.audit = a
+	r.prof = p
+	r.wfall = wf
+	r.debt = dbt
+	r.stats = stats
+	r.mu.Unlock()
+}
+
+// SetAux registers (or, with a nil fn, removes) an auxiliary file written
+// into every subsequent dump and listed in its MANIFEST. The chaos harness
+// uses it to attach the recorded schedule (schedule.json) to violation
+// dumps, so a dump carries its own deterministic repro. Aux writers run
+// under the recorder mutex; keep them self-contained.
+func (r *FlightRecorder) SetAux(name string, fn func(io.Writer) error) {
+	if r == nil || name == "" {
+		return
+	}
+	r.mu.Lock()
+	if r.aux == nil {
+		r.aux = make(map[string]func(io.Writer) error)
+	}
+	if fn == nil {
+		delete(r.aux, name)
+	} else {
+		r.aux[name] = fn
+	}
+	r.mu.Unlock()
+}
+
+// SetBudget overrides the recorder's dump budget. dumps bounds how many
+// dump directories may exist (0 = none: every Dump is skipped); bytes, when
+// > 0, bounds the total on-disk size — a dump that would exceed it is
+// written, measured, and removed (so even a lone dump larger than the
+// budget, MANIFEST included, leaves nothing behind). With rotate set, the
+// recorder deletes the oldest dump instead of skipping new ones once the
+// dump budget is full.
+func (r *FlightRecorder) SetBudget(dumps int, bytes int64, rotate bool) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.maxDumps = dumps
+	r.maxBytes = bytes
+	r.rotate = rotate
+	r.mu.Unlock()
+}
+
+// Dumps lists the directories written so far.
+func (r *FlightRecorder) Dumps() []string {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]string(nil), r.dumps...)
+}
+
+// sanitize keeps reason strings path-safe.
+func sanitize(s string) string {
+	var b strings.Builder
+	for _, c := range s {
+		switch {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_':
+			b.WriteRune(c)
+		default:
+			b.WriteByte('-')
+		}
+	}
+	if b.Len() == 0 {
+		return "dump"
+	}
+	return b.String()
+}
+
+// flightEvent is the JSON rendering of one trace event.
+type flightEvent struct {
+	Sim   int64  `json:"sim"`
+	Wall  int64  `json:"wall"`
+	Kind  string `json:"kind"`
+	Phase string `json:"phase,omitempty"`
+	Dur   int64  `json:"dur,omitempty"`
+	A     int64  `json:"a"`
+	B     int64  `json:"b"`
+}
+
+// Dump writes one post-mortem directory named <seq>-<reason>-<stamp> and
+// returns its path. Dumps beyond the recorder's budget are skipped (counted
+// in MANIFEST of later dumps); a nil recorder returns ("", nil).
+func (r *FlightRecorder) Dump(reason string) (string, error) {
+	if r == nil {
+		return "", nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.rotate {
+		for len(r.dumps) > 0 && len(r.dumps) >= r.maxDumps {
+			os.RemoveAll(r.dumps[0])
+			r.bytes -= r.sizes[0]
+			r.dumps = r.dumps[1:]
+			r.sizes = r.sizes[1:]
+			r.rotated++
+		}
+		if r.maxDumps <= 0 {
+			r.skipped++
+			return "", nil
+		}
+	} else if r.seq >= r.maxDumps {
+		r.skipped++
+		return "", nil
+	}
+	r.seq++
+	name := fmt.Sprintf("%03d-%s-%s", r.seq, sanitize(reason),
+		time.Now().UTC().Format("20060102T150405.000000000"))
+	dir := filepath.Join(r.dir, name)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", err
+	}
+
+	// Group the observer's retained events by node and keep each tail.
+	byNode := map[int32][]Event{}
+	var nodes []int32
+	for _, e := range r.obs.Events() {
+		if _, ok := byNode[e.Node]; !ok {
+			nodes = append(nodes, e.Node)
+		}
+		byNode[e.Node] = append(byNode[e.Node], e)
+	}
+	for i := 0; i < len(nodes); i++ {
+		for j := i + 1; j < len(nodes); j++ {
+			if nodes[j] < nodes[i] {
+				nodes[i], nodes[j] = nodes[j], nodes[i]
+			}
+		}
+	}
+	for n, evs := range byNode {
+		if len(evs) > r.lastN {
+			byNode[n] = evs[len(evs)-r.lastN:]
+		}
+	}
+
+	// Aux files are written (and listed) in sorted-name order.
+	auxNames := make([]string, 0, len(r.aux))
+	for name := range r.aux {
+		auxNames = append(auxNames, name)
+	}
+	sort.Strings(auxNames)
+
+	var written int64
+	if err := r.writeFile(dir, "MANIFEST.txt", &written, func(w io.Writer) error {
+		fmt.Fprintf(w, "reason: %s\nwall: %s\nevents-per-node: %d\nskipped-dumps: %d\nrotated-dumps: %d\n",
+			reason, time.Now().UTC().Format(time.RFC3339Nano), r.lastN, r.skipped, r.rotated)
+		fmt.Fprintf(w, "files: MANIFEST.txt events.json events.txt")
+		if r.graph != nil {
+			fmt.Fprintf(w, " deps.dot deps.json")
+		}
+		if r.audit != nil {
+			fmt.Fprintf(w, " violations.json audit_trails.json timeseries.json")
+		}
+		if r.prof != nil {
+			fmt.Fprintf(w, " prof.json")
+		}
+		if r.wfall != nil {
+			fmt.Fprintf(w, " waterfall.json")
+		}
+		if r.debt != nil {
+			fmt.Fprintf(w, " debt.json")
+		}
+		if r.stats != nil {
+			fmt.Fprintf(w, " stats.txt")
+		}
+		for _, name := range auxNames {
+			fmt.Fprintf(w, " %s", name)
+		}
+		fmt.Fprintln(w)
+		if r.obs != nil {
+			fmt.Fprintln(w)
+			return r.obs.MetricsTable(w)
+		}
+		return nil
+	}); err != nil {
+		return "", err
+	}
+
+	if err := r.writeFile(dir, "events.json", &written, func(w io.Writer) error {
+		doc := struct {
+			Reason string                   `json:"reason"`
+			Nodes  map[string][]flightEvent `json:"nodes"`
+		}{Reason: reason, Nodes: map[string][]flightEvent{}}
+		for n, evs := range byNode {
+			key := fmt.Sprintf("node%d", n)
+			if n == SystemNode {
+				key = "system"
+			}
+			out := make([]flightEvent, 0, len(evs))
+			for _, e := range evs {
+				fe := flightEvent{Sim: e.Sim, Wall: e.Wall, Kind: e.Kind.String(), Dur: e.Dur, A: e.A, B: e.B}
+				if e.Phase != PhaseNone {
+					fe.Phase = e.Phase.String()
+				}
+				out = append(out, fe)
+			}
+			doc.Nodes[key] = out
+		}
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(doc)
+	}); err != nil {
+		return "", err
+	}
+
+	if err := r.writeFile(dir, "events.txt", &written, func(w io.Writer) error {
+		for _, n := range nodes {
+			label := fmt.Sprintf("node %d", n)
+			if n == SystemNode {
+				label = "system"
+			}
+			fmt.Fprintf(w, "== %s (last %d events)\n", label, len(byNode[n]))
+			for _, e := range byNode[n] {
+				name := e.Kind.String()
+				if e.Kind == KindPhase {
+					name = "phase:" + e.Phase.String()
+				}
+				fmt.Fprintf(w, "  sim=%-12d %-16s a=%-8d b=%-8d dur=%d\n", e.Sim, name, e.A, e.B, e.Dur)
+			}
+		}
+		return nil
+	}); err != nil {
+		return "", err
+	}
+
+	if r.graph != nil {
+		if err := r.writeFile(dir, "deps.dot", &written, r.graph.WriteDOT); err != nil {
+			return "", err
+		}
+		if err := r.writeFile(dir, "deps.json", &written, r.graph.WriteGraphJSON); err != nil {
+			return "", err
+		}
+	}
+	if r.audit != nil {
+		if err := r.writeFile(dir, "violations.json", &written, r.audit.WriteAuditViolations); err != nil {
+			return "", err
+		}
+		if err := r.writeFile(dir, "audit_trails.json", &written, func(w io.Writer) error {
+			return r.audit.WriteAuditTxn(w, "")
+		}); err != nil {
+			return "", err
+		}
+		if err := r.writeFile(dir, "timeseries.json", &written, r.audit.WriteTimeSeries); err != nil {
+			return "", err
+		}
+	}
+	if r.prof != nil {
+		if err := r.writeFile(dir, "prof.json", &written, r.prof.WriteProfJSON); err != nil {
+			return "", err
+		}
+	}
+	if r.wfall != nil {
+		if err := r.writeFile(dir, "waterfall.json", &written, r.wfall.WriteWaterfallJSON); err != nil {
+			return "", err
+		}
+	}
+	if r.debt != nil {
+		if err := r.writeFile(dir, "debt.json", &written, r.debt.WriteDebtJSON); err != nil {
+			return "", err
+		}
+	}
+	if r.stats != nil {
+		if err := r.writeFile(dir, "stats.txt", &written, r.stats); err != nil {
+			return "", err
+		}
+	}
+	for _, name := range auxNames {
+		if err := r.writeFile(dir, name, &written, r.aux[name]); err != nil {
+			return "", err
+		}
+	}
+	if r.maxBytes > 0 && r.bytes+written > r.maxBytes {
+		// The dump itself blew the byte budget (possibly on its own — even
+		// the MANIFEST counts); leave nothing behind.
+		os.RemoveAll(dir)
+		r.skipped++
+		return "", nil
+	}
+	r.bytes += written
+	r.dumps = append(r.dumps, dir)
+	r.sizes = append(r.sizes, written)
+	return dir, nil
+}
+
+// countWriter tallies bytes for the recorder's byte budget.
+type countWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
+}
+
+func (r *FlightRecorder) writeFile(dir, name string, total *int64, fn func(io.Writer) error) error {
+	f, err := os.Create(filepath.Join(dir, name))
+	if err != nil {
+		return err
+	}
+	cw := &countWriter{w: f}
+	if err := fn(cw); err != nil {
+		f.Close()
+		return err
+	}
+	*total += cw.n
+	return f.Close()
+}

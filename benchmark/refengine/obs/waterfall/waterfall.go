@@ -1,0 +1,682 @@
+// Package waterfall is the per-transaction causal latency decomposition:
+// every transaction accumulates a waterfall of simulated-time segments —
+// line-lock waits (with the holder's txn id, so convoys are explainable),
+// record-lock waits, page-fetch waits, log-append markers, log-force waits,
+// recovery-freeze stalls, undo time, and the pure-compute residue — fed by
+// hooks in internal/machine, internal/wal, internal/buffer, internal/txn and
+// internal/recovery. A bounded tail sampler keeps the K slowest completed
+// waterfalls per sim-time window plus a deterministic 1-in-N reservoir, and
+// links them as exemplars from the commit-latency histogram's log2 buckets.
+//
+// Like the obs/audit/prof layers, the recorder is always compiled and off by
+// default: every hot-path method is nil-receiver safe and allocation-free on
+// the nil path, so callers hold a possibly-nil *Recorder and call it
+// unconditionally. The package imports nothing but the standard library —
+// machine, wal, buffer and recovery all import it, and internal/obs exposes
+// it over HTTP/flight dumps through the obs.WaterfallSource interface, so
+// any inward dependency would cycle.
+package waterfall
+
+import (
+	"math/bits"
+	"sync"
+	"sync/atomic"
+	"time"
+)
+
+// base pins the monotonic epoch used for recovery-progress rates.
+var base = time.Now()
+
+// now returns monotonic host nanoseconds since process start (wall rates for
+// the recovery-progress observer; everything else in this package is sim time).
+func now() int64 { return int64(time.Since(base)) }
+
+// Cause labels one waterfall segment with where the time went.
+type Cause uint8
+
+const (
+	// CauseCompute is the residue of an operation's sim time not explained
+	// by any recorded wait: directory walks, uncontended line acquisitions,
+	// slot reads/writes, log-manager CPU.
+	CauseCompute Cause = iota
+	// CauseLockWait is time blocked on a record/key lock (strict 2PL),
+	// attributed with the blocking holder's txn id when known.
+	CauseLockWait
+	// CauseLineWait is time waiting for a machine line — queued behind the
+	// line's lock or waiting out a migration — with the holder's txn id.
+	CauseLineWait
+	// CauseFetch is disk-read time installing a page absent from every cache.
+	CauseFetch
+	// CauseLogAppend is log-manager append work (LogAppend cost per record).
+	CauseLogAppend
+	// CauseLogForce is time stalled forcing the WAL to stable storage.
+	CauseLogForce
+	// CauseFrozen is time stalled against the recovery freeze window
+	// (ErrBlocked retry loops while a crash is being repaired).
+	CauseFrozen
+	// CauseUndo is rollback time: walking the undo chain and reinstalling
+	// before-images during Abort.
+	CauseUndo
+
+	numCauses = int(CauseUndo) + 1
+)
+
+var causeNames = [numCauses]string{
+	"compute", "lock-wait", "line-wait", "fetch",
+	"log-append", "log-force", "frozen", "undo",
+}
+
+// String returns the cause's label (the Prometheus cause= value).
+func (c Cause) String() string {
+	if int(c) < numCauses {
+		return causeNames[c]
+	}
+	return "unknown"
+}
+
+// Causes lists every cause in declaration order.
+func Causes() []Cause {
+	out := make([]Cause, numCauses)
+	for i := range out {
+		out[i] = Cause(i)
+	}
+	return out
+}
+
+// Outcome is how a transaction's waterfall ended.
+type Outcome uint8
+
+const (
+	OutcomeLive Outcome = iota
+	OutcomeCommitted
+	OutcomeAborted
+	OutcomeCrashed
+)
+
+var outcomeNames = [...]string{"live", "committed", "aborted", "crashed"}
+
+func (o Outcome) String() string {
+	if int(o) < len(outcomeNames) {
+		return outcomeNames[o]
+	}
+	return "unknown"
+}
+
+// Segment is one attributed slice of a transaction's life. Start/Dur are
+// simulated nanoseconds; Detail is the cause-specific subject (line id,
+// page id, LSN, or lock name hash) and Holder the blocking transaction for
+// lock/line waits (0 = unknown).
+type Segment struct {
+	Cause  Cause `json:"cause_id"`
+	Start  int64 `json:"start"`
+	Dur    int64 `json:"dur"`
+	Detail int64 `json:"detail,omitempty"`
+	Holder int64 `json:"holder,omitempty"`
+}
+
+// Waterfall is one transaction's completed (or in-flight) decomposition.
+type Waterfall struct {
+	Txn      int64   `json:"txn"`
+	Node     int32   `json:"node"`
+	Outcome  Outcome `json:"outcome_id"`
+	BeginSim int64   `json:"begin_sim"`
+	EndSim   int64   `json:"end_sim"`
+	// ByCause sums segment durations per cause (compute residue included),
+	// so attribution survives even when Segments overflowed.
+	ByCause [numCauses]int64 `json:"-"`
+	// Segments is the bounded ordered trace; Dropped counts overflow.
+	Segments []Segment `json:"segments"`
+	Dropped  int       `json:"dropped,omitempty"`
+	// Reservoir marks waterfalls retained by the deterministic 1-in-N
+	// sampler rather than (or in addition to) the per-window top-K.
+	Reservoir bool `json:"reservoir,omitempty"`
+}
+
+// Latency is the transaction's total measured sim latency.
+func (w *Waterfall) Latency() int64 { return w.EndSim - w.BeginSim }
+
+// Attributed sums every cause bucket.
+func (w *Waterfall) Attributed() int64 {
+	var t int64
+	for _, v := range w.ByCause {
+		t += v
+	}
+	return t
+}
+
+// Config bounds the recorder and tail sampler. Zero values take defaults.
+type Config struct {
+	// TopK is the number of slowest completed waterfalls kept per window.
+	TopK int
+	// WindowNS is the sampler's sim-time window width.
+	WindowNS int64
+	// SampleN keeps every transaction whose id hashes to 0 mod SampleN in
+	// the reservoir — deterministic across replays by construction.
+	SampleN int
+	// Retain caps the reservoir length (FIFO eviction).
+	Retain int
+	// MaxWindows caps live top-K windows; older windows are evicted whole.
+	MaxWindows int
+	// MaxSegments caps one transaction's recorded segments (ByCause keeps
+	// counting past the cap; Dropped counts the overflow).
+	MaxSegments int
+	// Nodes sizes the per-node current-transaction table (default 64).
+	Nodes int
+}
+
+func (c Config) withDefaults() Config {
+	if c.TopK <= 0 {
+		c.TopK = 8
+	}
+	if c.WindowNS <= 0 {
+		c.WindowNS = 1_000_000 // 1ms of sim time
+	}
+	if c.SampleN <= 0 {
+		c.SampleN = 64
+	}
+	if c.Retain <= 0 {
+		c.Retain = 256
+	}
+	if c.MaxWindows <= 0 {
+		c.MaxWindows = 64
+	}
+	if c.MaxSegments <= 0 {
+		c.MaxSegments = 96
+	}
+	if c.Nodes <= 0 {
+		c.Nodes = 64
+	}
+	return c
+}
+
+// liveTxn is one in-flight transaction's accumulating state.
+type liveTxn struct {
+	wf Waterfall
+	// opStart/opWaits implement the compute residue: OpEnd charges
+	// (sim − opStart) − opWaits to opCause (CauseCompute for ordinary
+	// operations, CauseUndo for rollback), clamped at zero.
+	opStart int64
+	opWaits int64
+	opDepth int32
+	opCause Cause
+}
+
+// window is one sim-time window's K-slowest completed waterfalls, sorted by
+// latency descending (ties broken by ascending txn id, for determinism).
+type window struct {
+	idx  int64
+	slow []*Waterfall
+}
+
+// Recorder accumulates per-transaction waterfalls and tail-samples the
+// completed ones. A nil *Recorder is the disabled recorder: every method
+// no-ops without allocating.
+type Recorder struct {
+	cfg Config
+
+	// cur[node] is the txn currently executing an instrumented operation on
+	// that node — how the machine/buffer hooks, which see only a node id,
+	// resolve their waits onto a transaction.
+	cur []atomic.Int64
+
+	mu      sync.Mutex
+	live    map[int64]*liveTxn
+	windows []*window // ascending window index
+	maxWin  int64
+	reserve []*Waterfall // deterministic 1-in-N reservoir, FIFO-bounded
+
+	// exemplars links the commit-latency histogram's log2 buckets to recent
+	// slow-sampled txn ids (same bucketing as obs.Histogram).
+	exemplars [64][4]int64
+	exemplarN [64]int
+
+	// Totals across every completed transaction, for coverage and the
+	// Prometheus smdb_txn_wait_ns{cause=...} counters.
+	byCause   [numCauses]atomic.Int64
+	completed atomic.Int64
+	totalLat  atomic.Int64
+	totalAttr atomic.Int64
+	dropped   atomic.Int64 // segments dropped past MaxSegments
+
+	progress *Progress
+}
+
+// New allocates an enabled recorder.
+func New(cfg Config) *Recorder {
+	cfg = cfg.withDefaults()
+	return &Recorder{
+		cfg:      cfg,
+		cur:      make([]atomic.Int64, cfg.Nodes),
+		live:     make(map[int64]*liveTxn),
+		progress: newProgress(),
+	}
+}
+
+// Progress returns the recovery-progress observer (nil when disabled).
+func (r *Recorder) Progress() *Progress {
+	if r == nil {
+		return nil
+	}
+	return r.progress
+}
+
+// Begin opens a transaction's waterfall at its begin sim time.
+func (r *Recorder) Begin(txn int64, node int32, sim int64) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.live[txn] = &liveTxn{wf: Waterfall{Txn: txn, Node: node, BeginSim: sim}}
+	r.mu.Unlock()
+}
+
+// OpStart marks the transaction entering an instrumented engine operation on
+// node: sets the node's current-txn register (so machine/buffer hooks resolve
+// onto it) and opens the compute-residue bracket. Reentrant (txn layer over
+// DB layer): only the outermost bracket counts.
+func (r *Recorder) OpStart(txn int64, node int32, sim int64) {
+	r.SpanStart(txn, node, sim, CauseCompute)
+}
+
+// SpanStart is OpStart with an explicit residue cause: the outermost
+// bracket's unexplained sim time is charged to c instead of CauseCompute
+// (Abort brackets with CauseUndo, so the rollback walk's directory and slot
+// work lands under "undo" while its line waits keep their own cause).
+func (r *Recorder) SpanStart(txn int64, node int32, sim int64, c Cause) {
+	if r == nil {
+		return
+	}
+	if int(node) < len(r.cur) {
+		r.cur[node].Store(txn)
+	}
+	r.mu.Lock()
+	if lt := r.live[txn]; lt != nil {
+		if lt.opDepth == 0 {
+			lt.opStart = sim
+			lt.opWaits = 0
+			lt.opCause = c
+		}
+		lt.opDepth++
+	}
+	r.mu.Unlock()
+}
+
+// OpEnd closes the operation bracket, charging the unexplained residue of
+// its sim time to the bracket's cause. The node's current-txn register is
+// cleared only when the outermost bracket closes.
+func (r *Recorder) OpEnd(txn int64, node int32, sim int64) {
+	if r == nil {
+		return
+	}
+	outer := true
+	r.mu.Lock()
+	if lt := r.live[txn]; lt != nil && lt.opDepth > 0 {
+		lt.opDepth--
+		if lt.opDepth == 0 {
+			if residue := sim - lt.opStart - lt.opWaits; residue > 0 {
+				r.addSegmentLocked(lt, Segment{Cause: lt.opCause, Start: lt.opStart, Dur: residue})
+			}
+		} else {
+			outer = false
+		}
+	}
+	r.mu.Unlock()
+	if outer && int(node) < len(r.cur) {
+		r.cur[node].CompareAndSwap(txn, 0)
+	}
+}
+
+// CurrentTxn returns the transaction currently running an instrumented
+// operation on node, 0 when none.
+func (r *Recorder) CurrentTxn(node int32) int64 {
+	if r == nil || int(node) >= len(r.cur) {
+		return 0
+	}
+	return r.cur[node].Load()
+}
+
+// AddWait records one attributed wait segment for txn. start is the sim time
+// the wait began, dur its sim length; detail/holder per Segment. Zero and
+// negative durations are recorded as markers only when dur == 0 and the
+// cause is CauseLogAppend (append markers order the trace); otherwise they
+// are dropped.
+func (r *Recorder) AddWait(txn int64, c Cause, start, dur, detail, holder int64) {
+	if r == nil {
+		return
+	}
+	if dur <= 0 && !(dur == 0 && c == CauseLogAppend) {
+		return
+	}
+	r.mu.Lock()
+	if lt := r.live[txn]; lt != nil {
+		r.addSegmentLocked(lt, Segment{Cause: c, Start: start, Dur: dur, Detail: detail, Holder: holder})
+		if lt.opDepth > 0 {
+			lt.opWaits += dur
+		}
+	}
+	r.mu.Unlock()
+}
+
+// NoteLineWait is the machine hook: node waited dur sim-ns for line,
+// acquiring it at sim time end; holderNode held (or last held) it. The wait
+// is attributed to node's current transaction — and recorded only when that
+// transaction has an operation bracket open, so recovery's own line traffic
+// never pollutes a stalled survivor's waterfall.
+func (r *Recorder) NoteLineWait(node int32, line int, holderTxn, end, dur int64) {
+	if r == nil || dur <= 0 {
+		return
+	}
+	txn := r.CurrentTxn(node)
+	if txn == 0 {
+		return
+	}
+	r.mu.Lock()
+	if lt := r.live[txn]; lt != nil && lt.opDepth > 0 {
+		if holderTxn == txn {
+			holderTxn = 0
+		}
+		r.addSegmentLocked(lt, Segment{Cause: CauseLineWait, Start: end - dur, Dur: dur, Detail: int64(line), Holder: holderTxn})
+		lt.opWaits += dur
+	}
+	r.mu.Unlock()
+}
+
+// NoteFetch is the buffer-manager hook: node spent dur sim-ns reading page
+// from disk, finishing at sim time end. Attributed like NoteLineWait.
+func (r *Recorder) NoteFetch(node int32, page int, end, dur int64) {
+	if r == nil || dur <= 0 {
+		return
+	}
+	txn := r.CurrentTxn(node)
+	if txn == 0 {
+		return
+	}
+	r.mu.Lock()
+	if lt := r.live[txn]; lt != nil && lt.opDepth > 0 {
+		r.addSegmentLocked(lt, Segment{Cause: CauseFetch, Start: end - dur, Dur: dur, Detail: int64(page)})
+		lt.opWaits += dur
+	}
+	r.mu.Unlock()
+}
+
+// NoteAppend is the WAL hook: txn appended the record at lsn at sim time
+// sim, costing dur sim-ns of log-manager work.
+func (r *Recorder) NoteAppend(txn, sim, dur, lsn int64) {
+	r.AddWait(txn, CauseLogAppend, sim-dur, dur, lsn, 0)
+}
+
+// addSegmentLocked appends a segment under r.mu, enforcing the per-txn cap.
+func (r *Recorder) addSegmentLocked(lt *liveTxn, s Segment) {
+	lt.wf.ByCause[s.Cause] += s.Dur
+	if len(lt.wf.Segments) < r.cfg.MaxSegments {
+		lt.wf.Segments = append(lt.wf.Segments, s)
+	} else {
+		lt.wf.Dropped++
+		r.dropped.Add(1)
+	}
+}
+
+// End closes txn's waterfall at sim time sim and feeds it to the tail
+// sampler. Unknown ids (crash-settled transactions, double ends) no-op.
+func (r *Recorder) End(txn int64, sim int64, oc Outcome) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	lt := r.live[txn]
+	if lt == nil {
+		r.mu.Unlock()
+		return
+	}
+	delete(r.live, txn)
+	lt.wf.EndSim = sim
+	lt.wf.Outcome = oc
+	r.mu.Unlock()
+
+	for c, v := range lt.wf.ByCause {
+		if v > 0 {
+			r.byCause[c].Add(v)
+		}
+	}
+	r.completed.Add(1)
+	r.totalLat.Add(lt.wf.Latency())
+	r.totalAttr.Add(lt.wf.Attributed())
+
+	r.mu.Lock()
+	r.sampleLocked(&lt.wf)
+	r.mu.Unlock()
+}
+
+// CrashNode drops every live waterfall on node: the crash destroyed the
+// node's control state, and recovery will settle those transactions without
+// their accumulating goroutines. Runs from the machine's crash path.
+func (r *Recorder) CrashNode(node int32) {
+	if r == nil {
+		return
+	}
+	if int(node) < len(r.cur) {
+		r.cur[node].Store(0)
+	}
+	r.mu.Lock()
+	for id, lt := range r.live {
+		if lt.wf.Node == node {
+			delete(r.live, id)
+		}
+	}
+	r.mu.Unlock()
+}
+
+// reservoirHash is the deterministic 1-in-N membership test: FNV-1a over the
+// txn id's bytes. Pure function of the id, so record and replay runs sample
+// identical transactions.
+func reservoirHash(txn int64) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < 8; i++ {
+		h ^= uint64(byte(txn >> (8 * i)))
+		h *= 1099511628211
+	}
+	return h
+}
+
+// sampleLocked feeds one completed waterfall to the tail sampler.
+func (r *Recorder) sampleLocked(w *Waterfall) {
+	// Deterministic reservoir: membership depends only on the txn id.
+	if reservoirHash(w.Txn)%uint64(r.cfg.SampleN) == 0 {
+		w.Reservoir = true
+		r.reserve = append(r.reserve, w)
+		if len(r.reserve) > r.cfg.Retain {
+			r.reserve = r.reserve[1:]
+		}
+	}
+
+	// Per-window top-K slowest.
+	wi := int64(0)
+	if r.cfg.WindowNS > 0 {
+		wi = w.EndSim / r.cfg.WindowNS
+	}
+	if wi > r.maxWin {
+		r.maxWin = wi
+	}
+	var win *window
+	for _, c := range r.windows {
+		if c.idx == wi {
+			win = c
+			break
+		}
+	}
+	if win == nil {
+		if min := r.maxWin - int64(r.cfg.MaxWindows) + 1; wi < min {
+			return // window already evicted; late completion is dropped
+		}
+		win = &window{idx: wi}
+		// Insert keeping ascending window order.
+		at := len(r.windows)
+		for i, c := range r.windows {
+			if c.idx > wi {
+				at = i
+				break
+			}
+		}
+		r.windows = append(r.windows, nil)
+		copy(r.windows[at+1:], r.windows[at:])
+		r.windows[at] = win
+		for len(r.windows) > r.cfg.MaxWindows {
+			r.windows = r.windows[1:]
+		}
+	}
+	// Insert sorted: latency desc, txn asc (deterministic under replay).
+	lat := w.Latency()
+	at := len(win.slow)
+	for i, s := range win.slow {
+		if lat > s.Latency() || (lat == s.Latency() && w.Txn < s.Txn) {
+			at = i
+			break
+		}
+	}
+	if at >= r.cfg.TopK {
+		return
+	}
+	win.slow = append(win.slow, nil)
+	copy(win.slow[at+1:], win.slow[at:])
+	win.slow[at] = w
+	if len(win.slow) > r.cfg.TopK {
+		win.slow = win.slow[:r.cfg.TopK]
+	}
+	// Exemplar: link this slow sample from its commit-latency log2 bucket
+	// (same bucketing as obs.Histogram: bucket 0 is v <= 1, else
+	// bits.Len64(v-1)).
+	b := 0
+	if lat > 1 {
+		b = bits.Len64(uint64(lat) - 1)
+	}
+	n := r.exemplarN[b] % len(r.exemplars[b])
+	r.exemplars[b][n] = w.Txn
+	r.exemplarN[b]++
+}
+
+// Totals returns the per-cause attributed sim-ns across all completed
+// transactions, in Cause order.
+func (r *Recorder) Totals() [numCauses]int64 {
+	var out [numCauses]int64
+	if r == nil {
+		return out
+	}
+	for i := range out {
+		out[i] = r.byCause[i].Load()
+	}
+	return out
+}
+
+// Coverage returns attributed/total sim latency across completed
+// transactions (1.0 when nothing completed), plus the raw sums.
+func (r *Recorder) Coverage() (cov float64, attributed, total int64) {
+	if r == nil {
+		return 1, 0, 0
+	}
+	attributed = r.totalAttr.Load()
+	total = r.totalLat.Load()
+	if total <= 0 {
+		return 1, attributed, total
+	}
+	cov = float64(attributed) / float64(total)
+	return cov, attributed, total
+}
+
+// Completed returns how many waterfalls have ended.
+func (r *Recorder) Completed() int64 {
+	if r == nil {
+		return 0
+	}
+	return r.completed.Load()
+}
+
+// Live returns how many waterfalls are currently open.
+func (r *Recorder) Live() int {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.live)
+}
+
+// Slow returns every retained waterfall — per-window top-K (ascending
+// window, then latency desc) followed by reservoir-only samples — capped at
+// max entries (0 = no cap). The returned waterfalls are shared, completed
+// (immutable) records.
+func (r *Recorder) Slow(max int) []*Waterfall {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []*Waterfall
+	seen := map[int64]bool{}
+	for _, win := range r.windows {
+		for _, w := range win.slow {
+			if !seen[w.Txn] {
+				seen[w.Txn] = true
+				out = append(out, w)
+			}
+		}
+	}
+	for _, w := range r.reserve {
+		if !seen[w.Txn] {
+			seen[w.Txn] = true
+			out = append(out, w)
+		}
+	}
+	if max > 0 && len(out) > max {
+		out = out[:max]
+	}
+	return out
+}
+
+// Lookup returns the retained waterfall for txn, nil when not sampled.
+func (r *Recorder) Lookup(txn int64) *Waterfall {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, win := range r.windows {
+		for _, w := range win.slow {
+			if w.Txn == txn {
+				return w
+			}
+		}
+	}
+	for _, w := range r.reserve {
+		if w.Txn == txn {
+			return w
+		}
+	}
+	return nil
+}
+
+// Exemplars returns the histogram-bucket → recent slow txn id links, for
+// buckets that have any (bucket i covers latencies in (2^(i-1), 2^i]).
+func (r *Recorder) Exemplars() map[int][]int64 {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := map[int][]int64{}
+	for b := range r.exemplars {
+		n := r.exemplarN[b]
+		if n == 0 {
+			continue
+		}
+		k := n
+		if k > len(r.exemplars[b]) {
+			k = len(r.exemplars[b])
+		}
+		ids := make([]int64, 0, k)
+		for i := 0; i < k; i++ {
+			ids = append(ids, r.exemplars[b][i])
+		}
+		out[b] = ids
+	}
+	return out
+}

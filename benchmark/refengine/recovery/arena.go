@@ -1,0 +1,37 @@
+package recovery
+
+import "smdb/benchmark/refengine/machine"
+
+// recArena is one worker slot's reusable recovery scratch: run boundaries
+// and precomputed undo tags for the batched redo apply, and the dead-check
+// candidate positions of the redo scan. Each slot is owned by exactly one
+// goroutine at a time (fan-out worker w, or the sequential pipeline on slot
+// 0), so no locking; buffers grow to the high-water mark of the workload
+// and are reused across phases and across Recover calls. Explicit reuse
+// instead of sync.Pool is deliberate: pooled buffers migrate between
+// goroutines at GC-dependent times, and while no recovery result may
+// legally depend on buffer identity, keeping placement a pure function of
+// the worker slot makes that property auditable rather than probabilistic.
+type recArena struct {
+	runs       []redoRun
+	tags       []machine.NodeID
+	deadChecks []int
+}
+
+// arena returns worker slot w's scratch arena. Slots were sized at New from
+// RecoveryWorkers; out-of-range callers (defensive — forEachChunk never
+// hands out a slot >= RecoveryWorkers) share slot 0 with the sequential
+// pipeline.
+func (db *DB) arena(w int) *recArena {
+	if w < 0 || w >= len(db.arenas) {
+		w = 0
+	}
+	return &db.arenas[w]
+}
+
+// reset empties the arena's buffers, keeping their capacity.
+func (a *recArena) reset() {
+	a.runs = a.runs[:0]
+	a.tags = a.tags[:0]
+	a.deadChecks = a.deadChecks[:0]
+}

@@ -1,0 +1,145 @@
+package recovery
+
+import (
+	"smdb/benchmark/refengine/heap"
+	"smdb/benchmark/refengine/machine"
+	"smdb/benchmark/refengine/obs"
+	"smdb/benchmark/refengine/wal"
+)
+
+// Batched redo apply. The per-record apply path paid one residency probe,
+// one db.mu round-trip (undo-tag restoration), and one stripe
+// acquire/release per candidate — E20 attributed most of the apply phase's
+// cost to exactly that per-record overhead, not to the slot writes.
+// Candidates arrive grouped (the candidate list sequentially, one page's
+// bucket under the parallel pipeline), and consecutive candidates very often
+// share a cache line, so the batched path carves the list into maximal
+// contiguous same-line runs and pays each overhead once per run: one
+// residency probe and fetch, one db.mu section precomputing every undo tag,
+// one GetLine covering all of the run's version checks and slot writes.
+//
+// Equivalence: candidates are applied in exactly the list order the
+// per-record path used, and every version-check decision reads the same slot
+// state (the line is quiesced during the apply phase — crashes fire only at
+// phase boundaries while recovery runs), so RedoApplied/RedoSkipped and the
+// final images are bit-identical; only machine-level fetch/acquisition
+// counts change, which the equivalence gate deliberately excludes. Undo tags
+// are precomputed *before* the line is taken because db.mu must never be
+// acquired while a stripe is held: machine.Crash holds every stripe when it
+// calls noteCrash, which takes db.mu — the reverse order would deadlock.
+
+// redoRun is one maximal contiguous stretch of redo candidates that share a
+// cache line (hence a page) and a replaying node.
+type redoRun struct {
+	onto   machine.NodeID
+	line   machine.LineID
+	lo, hi int // candidate index range [lo, hi)
+}
+
+// carveRuns splits cands into contiguous same-(line, onto) runs, reusing
+// the arena's run buffer.
+func (db *DB) carveRuns(cands []redoCand, ar *recArena) ([]redoRun, error) {
+	runs := ar.runs[:0]
+	for i, c := range cands {
+		line, _, err := db.Store.LineOf(heap.RID{Page: c.rec.Page, Slot: c.rec.Slot})
+		if err != nil {
+			return nil, err
+		}
+		if n := len(runs); n > 0 && runs[n-1].line == line && runs[n-1].onto == c.onto {
+			runs[n-1].hi = i + 1
+			continue
+		}
+		runs = append(runs, redoRun{onto: c.onto, line: line, lo: i, hi: i + 1})
+	}
+	ar.runs = runs
+	return runs, nil
+}
+
+// applyRedoSlice applies one candidate list (the whole list sequentially;
+// one page's bucket under the parallel pipeline) run by run, in list order.
+func (db *DB) applyRedoSlice(cands []redoCand, rep *RecoveryReport, ar *recArena) error {
+	runs, err := db.carveRuns(cands, ar)
+	if err != nil {
+		return err
+	}
+	for _, r := range runs {
+		if err := db.applyRedoRun(cands[r.lo:r.hi], r.onto, r.line, rep, ar); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// applyRedoRun applies one same-line run under a single stripe acquisition.
+func (db *DB) applyRedoRun(run []redoCand, onto machine.NodeID, line machine.LineID, rep *RecoveryReport, ar *recArena) error {
+	page := run[0].rec.Page
+	// Selective Redo's residency probe (the "cache miss with I/O disabled"
+	// test), once per run: if the line was lost, the page fetch reinstalls
+	// exactly the missing lines from the stable database before any version
+	// check runs against it.
+	if !db.M.Resident(line) || !db.M.Resident(db.Store.HeaderLine(page)) {
+		if err := db.BM.Fetch(onto, page); err != nil {
+			return err
+		}
+	}
+	needTags := db.Cfg.Protocol.UndoTagging()
+	if needTags {
+		// One db.mu section restores every tag decision for the run (see the
+		// lock-order note above: this must precede GetLine). A tag survives
+		// only if the updating transaction is still active on a surviving
+		// node — its update stays uncommitted through recovery.
+		tags := ar.tags[:0]
+		db.mu.Lock()
+		for _, c := range run {
+			tag := machine.NoNode
+			if c.rec.Type == wal.TypeUpdate && c.rec.NTA == 0 {
+				if st, ok := db.txns[c.rec.Txn]; ok && st.status == TxnActive && !st.crashed {
+					tag = c.rec.Txn.Node()
+				}
+			}
+			tags = append(tags, tag)
+		}
+		db.mu.Unlock()
+		ar.tags = tags
+	}
+	if err := db.M.GetLine(onto, line); err != nil {
+		return err
+	}
+	applied, skipped, bytes := 0, 0, 0
+	var werr error
+	for k, c := range run {
+		rid := heap.RID{Page: c.rec.Page, Slot: c.rec.Slot}
+		cur, err := db.Store.ReadSlot(onto, rid)
+		if err != nil {
+			werr = err
+			break
+		}
+		if cur.Version >= c.rec.Version {
+			skipped++
+			continue
+		}
+		flags, data := splitImage(c.rec.After)
+		tag := machine.NoNode
+		if needTags {
+			tag = ar.tags[k]
+		}
+		if err := db.Store.WriteSlot(onto, rid, heap.SlotData{
+			Tag: tag, Flags: flags, Version: c.rec.Version, Data: data,
+		}); err != nil {
+			werr = err
+			break
+		}
+		applied++
+		bytes += len(c.rec.After)
+	}
+	db.mustRelease(onto, line)
+	if applied > 0 {
+		db.BM.MarkDirty(page)
+	}
+	rep.RedoApplied += applied
+	rep.RedoSkipped += skipped
+	// Skips consume planned candidates too: progress counts toward the
+	// Plan() total either way, keeping the ETA honest.
+	db.wfProgress().Note(obs.PhaseRedoApply.String(), applied+skipped, bytes)
+	return werr
+}

@@ -1,0 +1,1324 @@
+package recovery
+
+import (
+	"errors"
+	"fmt"
+	"sort"
+
+	"smdb/benchmark/refengine/heap"
+	"smdb/benchmark/refengine/lock"
+	"smdb/benchmark/refengine/machine"
+	"smdb/benchmark/refengine/obs"
+	"smdb/benchmark/refengine/obs/prof"
+	"smdb/benchmark/refengine/obs/waterfall"
+	"smdb/benchmark/refengine/wal"
+)
+
+// wfProgress returns the attached waterfall recorder's recovery-progress
+// observer; nil (a no-op observer) when no recorder is attached.
+func (db *DB) wfProgress() *waterfall.Progress {
+	return db.wfp.Load().Progress()
+}
+
+// Restart recovery (section 4.1.2 for database objects, 4.2 for support
+// structures). The caller injects failures with Crash and then runs Recover
+// on the survivors. Recovery never reads a crashed node's volatile state:
+// for crashed nodes only the stable log prefix and whatever cache lines
+// migrated to survivors are available.
+
+// RecoveryReport summarizes one restart recovery run.
+type RecoveryReport struct {
+	Protocol Protocol
+	Crashed  []machine.NodeID
+	// RedoApplied / RedoSkipped count redo decisions; UndoApplied counts
+	// undo installations (stable-log undos plus tag-scan undos).
+	RedoApplied, RedoSkipped, UndoApplied int
+	// TagScanLines is the number of cache lines examined by the Selective
+	// Redo undo scan.
+	TagScanLines int
+	// Aborted lists transactions aborted by recovery. Under IFA these are
+	// exactly the crashed nodes' active transactions; under the baseline,
+	// every active transaction in the system.
+	Aborted []wal.TxnID
+	// LCBsReinstalled, LockEntriesReleased, LocksReplayed count lock-space
+	// recovery work; LCBChainsDropped counts chained LCBs discarded whole
+	// (broken chains plus orphaned fragments) for rebuild from the logs.
+	LCBsReinstalled, LockEntriesReleased, LocksReplayed, LCBChainsDropped int
+	// Attempts counts recovery entries: 1 for an undisturbed run, more when
+	// a crash during recovery forced a restartable re-entry.
+	// CoordinatorFailovers counts the subset of re-entries that elected a
+	// new coordinator because the previous one died mid-recovery.
+	Attempts, CoordinatorFailovers int
+	// SimTime is the simulated duration of recovery in nanoseconds
+	// (makespan increase across nodes).
+	SimTime int64
+	// Phases breaks SimTime down into the recovery phases, in execution
+	// order (plus a leading freeze span covering crash-to-recovery time when
+	// known). Durations are simulated nanoseconds.
+	Phases []obs.PhaseSpan
+	// Workers is the parallel fan-out recovery ran with (0 = fully
+	// sequential, the Cfg.RecoveryWorkers <= 1 path).
+	Workers int
+	// ParPhases records, for each phase that actually fanned out, the
+	// worker count used and the host wall-clock time spent. Empty on
+	// sequential runs.
+	ParPhases []ParPhase
+	// Prof is the profiler's view of this recovery — per-phase worker cost
+	// attribution and per-stripe contention deltas across the Recover call.
+	// Nil unless a profiler is attached (AttachProf).
+	Prof *RecoveryProfile
+}
+
+// RecoveryProfile is the delta of the attached profiler's counters across one
+// Recover call: what the parallel pipeline's workers did (busy/wait/tasks/
+// records/bytes per phase) and what the machine's stripes saw (acquisitions,
+// contention, condvar sleeps) while recovery ran.
+type RecoveryProfile struct {
+	Workers prof.WorkerSnapshot
+	Stripes prof.StripeSnapshot
+}
+
+// PhaseTime returns the simulated duration spent in phase p (0 if the phase
+// did not run).
+func (r *RecoveryReport) PhaseTime(p obs.Phase) int64 {
+	var total int64
+	for _, s := range r.Phases {
+		if s.Phase == p {
+			total += s.Dur
+		}
+	}
+	return total
+}
+
+// Crash fails the given nodes: their caches are destroyed (machine), their
+// volatile log tails are lost (wal), and their entries leave the shared
+// WAL-enforcement table (buffer). Active transactions on those nodes become
+// crash victims awaiting recovery. The DB-layer destruction happens inside
+// the machine's crash-notify callback (noteCrash), so injected crashes fired
+// mid-coherency-transition get exactly the same treatment.
+func (db *DB) Crash(nodes ...machine.NodeID) machine.CrashReport {
+	return db.M.Crash(nodes...)
+}
+
+// Recover runs restart recovery after Crash(crashed...). It must be called
+// from a surviving configuration (at least one live node).
+//
+// Recovery is itself crash-tolerant: if a node — including the recovery
+// coordinator — dies while recovery runs, Recover elects a new coordinator
+// from the survivors, folds the fresh victims into the crashed set, and
+// re-enters from the top. Every recovery pass is idempotent (version-checked
+// redo, tombstone LCB reinstalls, duplicate-free lock replay, status-guarded
+// settling), so re-entry repeats no effect; the attempt budget is bounded
+// because each re-entry consumes at least one real node crash and the
+// machine runs out of nodes to lose.
+func (db *DB) Recover(crashed []machine.NodeID) (*RecoveryReport, error) {
+	alive := db.M.AliveNodes()
+	if len(alive) == 0 {
+		return nil, fmt.Errorf("recovery: no surviving nodes")
+	}
+	defer db.frozen.Store(false)
+	// Restart recovery is the one actor allowed through the freeze-window
+	// install gate (see New): open it for the duration of the call.
+	db.recovering.Store(true)
+	defer db.recovering.Store(false)
+	rep := &RecoveryReport{Protocol: db.Cfg.Protocol, Crashed: mergeNodes(crashed, nil), Workers: db.parWorkers()}
+	recovered := false
+	// The debt tracker snapshots the outstanding replay debt its estimate
+	// is judged against, and the closing sample — registered before the
+	// profiler span's defer so it runs after rep.Prof is final — feeds MTTR
+	// accounting and estimator calibration.
+	if dbt := db.Debt(); dbt != nil {
+		dbt.RecoveryStart(len(rep.Crashed))
+		defer func() {
+			var busy int64
+			if rep.Prof != nil {
+				for _, ph := range rep.Prof.Workers.Phases {
+					busy += ph.BusyNS()
+				}
+			}
+			replayed := int64(rep.RedoApplied + rep.RedoSkipped + rep.UndoApplied)
+			dbt.RecoveryEnd(recovered, replayed, busy, rep.Workers, rep.SimTime)
+		}()
+	}
+	// The profiler span covers the whole call, every early return included,
+	// so rep.Prof is the exact counter delta attributable to this recovery.
+	defer db.startProfSpan(rep)()
+	// The live progress observer (/recovery/progress) opens here and closes on
+	// every exit, reporting success only for the normal returns.
+	pg := db.wfProgress()
+	pg.Start(len(rep.Crashed))
+	defer func() { pg.End(recovered) }()
+	startClock := db.M.MaxClock()
+	o := db.Observer()
+
+	// A crash left a flight-recorder dump pending (noteCrash runs under the
+	// machine lock and may not touch files); write the post-mortem now,
+	// before recovery mutates the crash-instant state. Best effort: a dump
+	// I/O failure must not block recovery.
+	if db.flightPending.Swap(false) {
+		_, _ = db.DumpFlight("crash")
+	}
+
+	// The freeze span covers crash-to-recovery-start: transactions that hit
+	// the failed domain stall while the system decides to recover.
+	if cs := db.crashSim.Swap(0); cs > 0 && cs <= startClock {
+		rep.Phases = append(rep.Phases, obs.PhaseSpan{Phase: obs.PhaseFreeze, Start: cs, Dur: startClock - cs})
+		o.Span(obs.KindPhase, obs.PhaseFreeze, obs.SystemNode, cs, startClock-cs)
+	}
+
+	// Workload-time faults (migration/update crashes, torn forces) stay
+	// quiet while recovery runs; in-recovery crashes and transient I/O
+	// errors remain live — they are precisely what this loop survives.
+	if inj := db.injector(); inj != nil {
+		inj.BeginRecovery()
+		defer inj.EndRecovery()
+	}
+
+	if db.Cfg.Protocol == BaselineFA {
+		rep.Attempts = 1
+		pg.Attempt(1)
+		phase := db.phaseTracker(rep, o)
+		if err := db.baselineReboot(rep, phase); err != nil {
+			return nil, err
+		}
+		db.crashSim.Store(0) // baselineReboot crashes the rest internally
+		if db.flightPending.Swap(false) {
+			_, _ = db.DumpFlight("crash")
+		}
+		rep.SimTime = db.M.MaxClock() - startClock
+		o.Span(obs.KindRecovery, obs.PhaseNone, obs.SystemNode, startClock, rep.SimTime)
+		db.noteRecovered(rep)
+		recovered = true
+		return rep, nil
+	}
+
+	maxAttempts := db.M.Nodes() + 3
+	lastCoord := machine.NoNode
+	for {
+		alive = db.M.AliveNodes()
+		if len(alive) == 0 {
+			return nil, fmt.Errorf("recovery: no surviving nodes")
+		}
+		if lastCoord != machine.NoNode && alive[0] != lastCoord {
+			rep.CoordinatorFailovers++
+		}
+		lastCoord = alive[0]
+		rep.Attempts++
+		pg.Attempt(rep.Attempts)
+		err := db.recoverOnce(alive, rep)
+		if err == nil {
+			break
+		}
+		if rep.Attempts >= maxAttempts || !recoverableErr(err) {
+			return nil, err
+		}
+		// A node died under recovery's feet; fold the new victims into the
+		// reported crash set and re-enter with a fresh coordinator.
+		rep.Crashed = mergeNodes(rep.Crashed, db.downNodes())
+		if db.flightPending.Swap(false) {
+			_, _ = db.DumpFlight("crash-in-recovery")
+		}
+	}
+	sortTxns(rep.Aborted)
+	db.bump(func(s *Stats) {
+		s.RedoApplied += int64(rep.RedoApplied)
+		s.RedoSkipped += int64(rep.RedoSkipped)
+		s.UndoApplied += int64(rep.UndoApplied)
+		s.LCBsRebuilt += int64(rep.LCBsReinstalled)
+		s.LockEntriesReleased += int64(rep.LockEntriesReleased)
+	})
+	db.crashSim.Store(0) // mid-recovery crashes were handled in-line
+	rep.SimTime = db.M.MaxClock() - startClock
+	o.Span(obs.KindRecovery, obs.PhaseNone, obs.SystemNode, startClock, rep.SimTime)
+	db.noteRecovered(rep)
+	recovered = true
+	return rep, nil
+}
+
+// startProfSpan snapshots the attached profiler at Recover entry and returns
+// a closure storing the end-minus-start delta in rep.Prof. With no profiler
+// attached both halves are no-ops.
+func (db *DB) startProfSpan(rep *RecoveryReport) func() {
+	p := db.Prof()
+	if p == nil {
+		return func() {}
+	}
+	w0 := p.Workers.Snapshot()
+	s0 := p.Stripes.Snapshot()
+	return func() {
+		rep.Prof = &RecoveryProfile{
+			Workers: p.Workers.Snapshot().Sub(w0),
+			Stripes: p.Stripes.Snapshot().Sub(s0),
+		}
+	}
+}
+
+// noteRecovered tells the dependency tracker and the online auditor which
+// crash victims recovery aborted (the rest settled as stable-committed),
+// closing the crash episode in both.
+func (db *DB) noteRecovered(rep *RecoveryReport) {
+	dt := db.Deps()
+	au := db.Audit()
+	if dt == nil && au == nil {
+		return
+	}
+	aborted := make([]int64, len(rep.Aborted))
+	for i, t := range rep.Aborted {
+		aborted[i] = int64(t)
+	}
+	dt.NoteRecovered(aborted)
+	au.NoteRecovered(aborted, db.M.MaxClock())
+}
+
+// recoverOnce is one attempt at the IFA restart-recovery sequence. Counters
+// accumulate into rep across attempts (each pass is idempotent, so repeated
+// work is skipped, not recounted). At every phase boundary the fault
+// injector may crash a node, in which case recoverOnce stops immediately
+// with ErrRecoveryInterrupted and Recover re-enters.
+func (db *DB) recoverOnce(alive []machine.NodeID, rep *RecoveryReport) error {
+	coord := alive[0]
+	o := db.Observer()
+	phase := db.phaseTracker(rep, o)
+	// step closes the phase span, then gives the injector its shot at
+	// crashing a node (possibly coord) at exactly this boundary.
+	step := func(p obs.Phase) error {
+		phase(p)
+		return db.faultAtPhase(p)
+	}
+
+	// 1. Lock space (section 4.2.2): reinstall destroyed LCB lines as
+	// tombstones, release every crashed transaction's entries from
+	// surviving LCBs, and rebuild lost lock state by replaying the
+	// survivors' logical lock logs for still-active transactions.
+	n, err := db.Locks.ReinstallLost(coord)
+	if err != nil {
+		return err
+	}
+	rep.LCBsReinstalled += n
+	dropped, orphans, err := db.Locks.SweepBrokenChains(coord)
+	if err != nil {
+		return err
+	}
+	rep.LCBChainsDropped += dropped + orphans
+	if err := step(obs.PhaseDirectoryRepair); err != nil {
+		return err
+	}
+	// Release every down node's transactions — the original victims plus
+	// any node lost during an earlier recovery attempt.
+	released, err := db.Locks.ReleaseCrashed(coord, db.downNodes())
+	if err != nil {
+		return err
+	}
+	rep.LockEntriesReleased += released
+	replayed, err := db.replaySurvivorLocks(alive, rep)
+	if err != nil {
+		return err
+	}
+	rep.LocksReplayed += replayed
+	if err := step(obs.PhaseLockRebuild); err != nil {
+		return err
+	}
+
+	// 2. Redo (section 4.1.2), in three phases: scan the available logs for
+	// redo candidates, probe residency (reinstalling lost lines from the
+	// stable database), then apply version-checked redo.
+	if !db.Cfg.Protocol.SelectiveRedo() {
+		// Redo All, step 1: every surviving node discards its cached
+		// database lines, wiping any migrated uncommitted updates of
+		// crashed transactions (and, collaterally, everything else in
+		// memory).
+		db.flushAllCaches(alive, rep)
+	}
+	cands, err := db.collectRedo(alive, rep)
+	if err != nil {
+		return err
+	}
+	// The candidate count is the known total for the probe and apply phases:
+	// from here /recovery/progress can report an ETA.
+	db.wfProgress().Plan(obs.PhaseProbe.String(), len(cands))
+	db.wfProgress().Plan(obs.PhaseRedoApply.String(), len(cands))
+	if err := step(obs.PhaseRedoScan); err != nil {
+		return err
+	}
+	if err := db.probeRedo(cands, rep); err != nil {
+		return err
+	}
+	if err := step(obs.PhaseProbe); err != nil {
+		return err
+	}
+	if err := db.applyRedo(cands, rep); err != nil {
+		return err
+	}
+	if err := step(obs.PhaseRedoApply); err != nil {
+		return err
+	}
+
+	// 3. Undo: down nodes' active transactions. Stolen or stably logged
+	// updates are undone from the stable logs; under undo tagging, updates
+	// that migrated into surviving caches are found by the sequential
+	// cache-line scan and reverted to their last committed values. The
+	// pass covers *every* down node, not just this crash's set: a redo
+	// from the stable database can resurrect a stolen update of a
+	// transaction that died in an earlier failure, and it must be undone
+	// again (the version filter makes repetition harmless).
+	down := db.downNodes()
+	aborted, err := db.undoCrashed(coord, down, rep)
+	if err != nil {
+		return err
+	}
+	if err := step(obs.PhaseUndo); err != nil {
+		return err
+	}
+	if db.Cfg.Protocol.UndoTagging() {
+		if err := db.undoTagScan(alive, down, rep); err != nil {
+			return err
+		}
+		if err := step(obs.PhaseUndoTagScan); err != nil {
+			return err
+		}
+	}
+
+	// Make the repairs durable: the undo passes' compensation records so
+	// far live only in the coordinator's volatile log. If that node later
+	// crashes before the repaired pages are flushed, a fetch from the
+	// stable database would re-instate the very image a compensation
+	// record reverted — with no stable record left to redo the repair. One
+	// force per surviving log closes the window.
+	for _, n := range db.M.AliveNodes() {
+		if _, forced := db.Logs[n].ForceAll(); forced {
+			cost := db.logForceCost()
+			db.M.AdvanceClock(n, cost)
+			db.Observer().ObserveLogForce(cost)
+		}
+	}
+
+	// 4. Settle the victims. A transaction whose node crashed after its
+	// commit record reached stable store *is* committed — the crash
+	// merely ate the acknowledgement — and the redo pass has already
+	// repeated its effects; everyone else is aborted.
+	stableCommitted := make(map[wal.TxnID]bool)
+	for _, n := range db.downNodes() {
+		v, err := db.view(n, true)
+		if err != nil {
+			return err
+		}
+		for t := range v.committed {
+			stableCommitted[t] = true
+		}
+	}
+	db.mu.Lock()
+	for _, st := range db.txns {
+		if st.status != TxnActive || !st.crashed {
+			continue
+		}
+		if stableCommitted[st.id] {
+			st.status = TxnCommitted
+			db.stats.Commits++
+			for _, w := range st.writes {
+				if ci, ok := db.committed[w.rid]; !ok || w.version > ci.version {
+					db.committed[w.rid] = committedImage{img: w.img, version: w.version}
+				}
+			}
+			continue
+		}
+		st.status = TxnAborted
+		db.stats.Aborts++
+		db.stats.TxnsAbortedByRecovery++
+		rep.Aborted = append(rep.Aborted, st.id)
+	}
+	db.mu.Unlock()
+	_ = aborted
+
+	// 5. Parallel transactions (section 9): a crashed branch dooms its
+	// whole family; surviving branches are rolled back from their own
+	// logs.
+	if _, err := db.abortOrphanedBranches(rep); err != nil {
+		return err
+	}
+	return step(obs.PhaseSettle)
+}
+
+// mergeNodes unions two node lists into a sorted, duplicate-free list.
+func mergeNodes(a, b []machine.NodeID) []machine.NodeID {
+	seen := make(map[machine.NodeID]bool, len(a)+len(b))
+	out := make([]machine.NodeID, 0, len(a)+len(b))
+	for _, n := range a {
+		if !seen[n] {
+			seen[n] = true
+			out = append(out, n)
+		}
+	}
+	for _, n := range b {
+		if !seen[n] {
+			seen[n] = true
+			out = append(out, n)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// phaseTracker returns a closure that, on each call, closes the current
+// recovery phase: the span from the previous call (or tracker creation) to
+// now is appended to the report and mirrored to the observer. Phase time is
+// measured on the simulated clock (MaxClock deltas), matching SimTime.
+func (db *DB) phaseTracker(rep *RecoveryReport, o *obs.Observer) func(obs.Phase) {
+	start := db.M.MaxClock()
+	pg := db.wfProgress()
+	return func(p obs.Phase) {
+		now := db.M.MaxClock()
+		rep.Phases = append(rep.Phases, obs.PhaseSpan{Phase: p, Start: start, Dur: now - start})
+		o.Span(obs.KindPhase, p, obs.SystemNode, start, now-start)
+		pg.PhaseDone(p.String(), now-start)
+		start = now
+	}
+}
+
+// downNodes returns every node currently down.
+func (db *DB) downNodes() []machine.NodeID {
+	var out []machine.NodeID
+	for n := machine.NodeID(0); int(n) < db.M.Nodes(); n++ {
+		if !db.M.Alive(n) {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// flushAllCaches discards every cached heap line on every surviving node
+// (Redo All step 1; the lock table is managed separately). Each node's flush
+// is one DiscardAll sweep — a stripe-at-a-time batch instead of a lock
+// round-trip per line.
+func (db *DB) flushAllCaches(alive []machine.NodeID, rep *RecoveryReport) {
+	if w := db.parWorkers(); w > 1 {
+		db.flushAllCachesPar(alive, rep, w)
+		return
+	}
+	for _, nd := range alive {
+		db.M.DiscardAll(nd, db.Store.Contains)
+	}
+}
+
+// logView is the recovery-visible portion of one node's log. Survivor views
+// wrap the live log and iterate it in place under the log mutex (no record
+// copying); crashed-node views hold the decoded stable prefix — the volatile
+// tail died with the node.
+type logView struct {
+	node   machine.NodeID
+	live   *wal.Log     // survivors: scanned in place (nil for crashed views)
+	stable []wal.Record // crashed nodes: decoded stable prefix
+	// ckptLSN is the LSN just past the last visible checkpoint record (1 if
+	// none), the redo scan's starting point.
+	ckptLSN   wal.LSN
+	committed map[wal.TxnID]bool
+	aborted   map[wal.TxnID]bool
+	ntaDone   map[uint64]bool
+}
+
+// scanFrom calls fn for every visible record with LSN >= from, in LSN order,
+// stopping early if fn returns false. Survivor views run fn under the live
+// log's mutex: fn must not call back into that log (appending from inside the
+// scan would self-deadlock).
+func (v *logView) scanFrom(from wal.LSN, fn func(wal.Record) bool) {
+	if v.live != nil {
+		v.live.Scan(from, fn)
+		return
+	}
+	for _, r := range v.stable {
+		if r.LSN < from {
+			continue
+		}
+		if !fn(r) {
+			return
+		}
+	}
+}
+
+// scan visits every visible record (see scanFrom).
+func (v *logView) scan(fn func(wal.Record) bool) { v.scanFrom(1, fn) }
+
+// scanFromCkpt visits the records after the last visible checkpoint.
+func (v *logView) scanFromCkpt(fn func(wal.Record) bool) { v.scanFrom(v.ckptLSN, fn) }
+
+// view builds the recovery-visible log view of node n: survivors expose
+// their full logs (their memory survived); crashed nodes only their stable
+// prefixes.
+func (db *DB) view(n machine.NodeID, isCrashed bool) (*logView, error) {
+	v := &logView{
+		node:      n,
+		ckptLSN:   1,
+		committed: make(map[wal.TxnID]bool),
+		aborted:   make(map[wal.TxnID]bool),
+		ntaDone:   make(map[uint64]bool),
+	}
+	if isCrashed {
+		recs, err := db.Logs[n].StableRecords()
+		if err != nil {
+			return nil, err
+		}
+		v.stable = recs
+	} else {
+		v.live = db.Logs[n]
+	}
+	v.scan(func(r wal.Record) bool {
+		switch r.Type {
+		case wal.TypeCommit:
+			v.committed[r.Txn] = true
+		case wal.TypeAbort:
+			v.aborted[r.Txn] = true
+		case wal.TypeNTAEnd:
+			v.ntaDone[r.NTA] = true
+		case wal.TypeCheckpoint:
+			v.ckptLSN = r.LSN + 1
+		}
+		return true
+	})
+	return v, nil
+}
+
+// txnDead reports whether t is known to the engine as aborted — including
+// settled as aborted by a previous restart recovery after its node crashed.
+// Such a transaction's updates must never be replayed from a log.
+func (db *DB) txnDead(t wal.TxnID) bool {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	st, ok := db.txns[t]
+	if !ok {
+		return false
+	}
+	return st.status == TxnAborted || (st.crashed && st.status != TxnCommitted)
+}
+
+// redoCand is one redo candidate produced by the scan phase: a log record
+// whose effect may be missing, plus the node that will replay it.
+type redoCand struct {
+	onto machine.NodeID
+	rec  wal.Record
+}
+
+// collectRedo is the redo scan phase: it gathers redo candidates from every
+// node's available log. Surviving nodes replay their own full logs from
+// their last checkpoints (everything: committed, active, and compensation
+// records — surviving active transactions' updates are preserved under IFA).
+// Down nodes — whether they crashed just now or in an earlier failure —
+// contribute their stable prefixes only, filtered to logically committed
+// effects (stable commits, completed structural changes, compensations);
+// their uncommitted updates are not repeated, as they are about to be undone
+// anyway. Version comparison in the apply phase makes redo idempotent and
+// order-independent across logs.
+func (db *DB) collectRedo(alive []machine.NodeID, rep *RecoveryReport) ([]redoCand, error) {
+	if w := db.parWorkers(); w > 1 {
+		return db.collectRedoPar(alive, rep, w)
+	}
+	coord := alive[0]
+	var cands []redoCand
+	for n := machine.NodeID(0); int(n) < db.M.Nodes(); n++ {
+		part, err := db.collectRedoNode(n, coord, db.arena(0))
+		if err != nil {
+			return nil, err
+		}
+		cands = append(cands, part...)
+	}
+	return cands, nil
+}
+
+// collectRedoNode gathers one node's redo candidates (the per-log unit the
+// parallel scan fans out over; candidates come back in log order). ar
+// provides the reusable dead-check scratch buffer.
+func (db *DB) collectRedoNode(n, coord machine.NodeID, ar *recArena) ([]redoCand, error) {
+	isDown := !db.M.Alive(n)
+	v, err := db.view(n, isDown)
+	if err != nil {
+		return nil, err
+	}
+	onto := n
+	if isDown {
+		onto = coord
+	}
+	var cands []redoCand
+	// Survivor-log updates of uncommitted transactions need a txnDead check,
+	// which takes db.mu. That must not happen inside a live-log scan
+	// (Checkpoint holds db.mu while calling into the log, so a scan callback
+	// taking db.mu inverts the order); collect the candidate positions here
+	// and filter after the scan releases the log mutex.
+	deadChecks := ar.deadChecks[:0]
+	v.scanFromCkpt(func(rec wal.Record) bool {
+		if rec.Type != wal.TypeUpdate && rec.Type != wal.TypeCLR {
+			return true
+		}
+		if isDown {
+			switch {
+			case rec.Type == wal.TypeCLR:
+			case rec.NTA != 0 && v.ntaDone[rec.NTA]:
+			case v.committed[rec.Txn]:
+			default:
+				return true
+			}
+		} else if rec.Type == wal.TypeUpdate && rec.NTA == 0 && !v.committed[rec.Txn] {
+			deadChecks = append(deadChecks, len(cands))
+		}
+		cands = append(cands, redoCand{onto: onto, rec: rec})
+		return true
+	})
+	db.wfProgress().Note(obs.PhaseRedoScan.String(), len(cands), 0)
+	ar.deadChecks = deadChecks // keep the grown buffer for the next node
+	if len(deadChecks) > 0 {
+		// A restarted node's log can still carry updates of a transaction
+		// that died with an earlier crash. If that crash also destroyed the
+		// only copy of the effect, no compensation record was ever written —
+		// the undo was skipped as moot — so replaying the update here would
+		// resurrect it, and the undo pass (which covers only the
+		// currently-down nodes) would never see it again.
+		drop := make(map[int]bool)
+		for _, i := range deadChecks {
+			if db.txnDead(cands[i].rec.Txn) {
+				drop[i] = true
+			}
+		}
+		if len(drop) > 0 {
+			kept := cands[:0]
+			for i, c := range cands {
+				if !drop[i] {
+					kept = append(kept, c)
+				}
+			}
+			cands = kept
+		}
+	}
+	return cands, nil
+}
+
+// probeRedo is the residency probe phase (the "cache miss with I/O disabled"
+// test of Selective Redo): each candidate's lines are checked for survival
+// in some cache; pages with lost lines are reinstalled from the stable
+// database up front, so the apply phase mostly hits warm lines. The apply
+// path re-checks residency, so the probe is an acceleration, not a
+// correctness requirement.
+func (db *DB) probeRedo(cands []redoCand, rep *RecoveryReport) error {
+	if w := db.parWorkers(); w > 1 {
+		return db.probeRedoPar(cands, rep, w)
+	}
+	return db.probeRedoSlice(cands)
+}
+
+// probeRedoSlice probes one run of candidates (the whole list sequentially;
+// one page's bucket under the parallel pipeline).
+func (db *DB) probeRedoSlice(cands []redoCand) error {
+	pg := db.wfProgress()
+	for _, c := range cands {
+		rid := heap.RID{Page: c.rec.Page, Slot: c.rec.Slot}
+		line, _, err := db.Store.LineOf(rid)
+		if err != nil {
+			return err
+		}
+		if !db.M.Resident(line) || !db.M.Resident(db.Store.HeaderLine(rid.Page)) {
+			if err := db.BM.Fetch(c.onto, rid.Page); err != nil {
+				return err
+			}
+		}
+		pg.Note(obs.PhaseProbe.String(), 1, 0)
+	}
+	return nil
+}
+
+// applyRedo is the redo apply phase: version-checked, idempotent replay of
+// the candidate list, batched into same-line runs (see redobatch.go). The
+// parallel path partitions candidates by page — same-page candidates keep
+// their list order (same-slot version decisions depend only on same-slot
+// order, and a slot lives on exactly one page), cross-page order is free
+// because redo is per-object idempotent — so the Redo counters and final
+// images are identical at every worker count.
+func (db *DB) applyRedo(cands []redoCand, rep *RecoveryReport) error {
+	if w := db.parWorkers(); w > 1 {
+		return db.applyRedoPar(cands, rep, w)
+	}
+	return db.applyRedoSlice(cands, rep, db.arena(0))
+}
+
+// redoLog replays one log view's post-checkpoint records on behalf of node
+// onto (the log owner itself for survivors; the coordinator for crashed
+// nodes).
+func (db *DB) redoLog(onto machine.NodeID, v *logView, isCrashed bool, rep *RecoveryReport) error {
+	var redoErr error
+	v.scanFromCkpt(func(rec wal.Record) bool {
+		if rec.Type != wal.TypeUpdate && rec.Type != wal.TypeCLR {
+			return true
+		}
+		if isCrashed {
+			// Only effects that are logically committed are repeated
+			// from a dead node's log.
+			switch {
+			case rec.Type == wal.TypeCLR:
+			case rec.NTA != 0 && v.ntaDone[rec.NTA]:
+			case v.committed[rec.Txn]:
+			default:
+				return true
+			}
+		}
+		rid := heap.RID{Page: rec.Page, Slot: rec.Slot}
+		if err := db.redoRecord(onto, rec, rid, rep); err != nil {
+			redoErr = err
+			return false
+		}
+		return true
+	})
+	return redoErr
+}
+
+// redoRecord applies one update/CLR record if its effect is missing.
+func (db *DB) redoRecord(nd machine.NodeID, rec wal.Record, rid heap.RID, rep *RecoveryReport) error {
+	line, _, err := db.Store.LineOf(rid)
+	if err != nil {
+		return err
+	}
+	// Selective Redo's residency probe (the "cache miss with I/O disabled"
+	// test): if the line survives in some cache, the update may be there
+	// already; the version check below confirms. If the line was lost, the
+	// page fetch reinstalls exactly the missing lines from the stable
+	// database first.
+	if !db.M.Resident(line) || !db.M.Resident(db.Store.HeaderLine(rid.Page)) {
+		if err := db.BM.Fetch(nd, rid.Page); err != nil {
+			return err
+		}
+	}
+	cur, err := db.Store.ReadSlot(nd, rid)
+	if err != nil {
+		return err
+	}
+	if cur.Version >= rec.Version {
+		rep.RedoSkipped++
+		// A skip still consumes one planned candidate: progress records count
+		// toward the Plan() total either way, keeping the ETA honest.
+		db.wfProgress().Note(obs.PhaseRedoApply.String(), 1, 0)
+		return nil
+	}
+	flags, data := splitImage(rec.After)
+	tag := machine.NoNode
+	if db.Cfg.Protocol.UndoTagging() && rec.Type == wal.TypeUpdate && rec.NTA == 0 {
+		// Restore the undo tag if the updating transaction is still
+		// active on a surviving node (its update stays uncommitted).
+		db.mu.Lock()
+		if st, ok := db.txns[rec.Txn]; ok && st.status == TxnActive && !st.crashed {
+			tag = rec.Txn.Node()
+		}
+		db.mu.Unlock()
+	}
+	if err := db.M.GetLine(nd, line); err != nil {
+		return err
+	}
+	err = db.Store.WriteSlot(nd, rid, heap.SlotData{Tag: tag, Flags: flags, Version: rec.Version, Data: data})
+	db.mustRelease(nd, line)
+	if err != nil {
+		return err
+	}
+	db.BM.MarkDirty(rid.Page)
+	rep.RedoApplied++
+	db.wfProgress().Note(obs.PhaseRedoApply.String(), 1, len(rec.After))
+	return nil
+}
+
+// undoCrashed rolls back the crashed nodes' active transactions using their
+// stable logs: every update whose effect is still present is reverted to
+// the transaction's earliest before image for that slot (the last committed
+// value, by strict 2PL). Incomplete structural changes (an NTA with no
+// stable end record) are undone too. Returns the crashed-active set found.
+func (db *DB) undoCrashed(coord machine.NodeID, crashed []machine.NodeID, rep *RecoveryReport) (map[wal.TxnID]bool, error) {
+	found := make(map[wal.TxnID]bool)
+	for _, n := range crashed {
+		v, err := db.view(n, true)
+		if err != nil {
+			return nil, err
+		}
+		// Active on the crashed node = stable records, no stable
+		// commit/abort.
+		type slotUndo struct {
+			earliest []byte // before image of the earliest update
+			versions map[uint64]bool
+		}
+		undoByTxn := make(map[wal.TxnID]map[heap.RID]*slotUndo)
+		v.scan(func(rec wal.Record) bool {
+			if rec.Type != wal.TypeUpdate {
+				return true
+			}
+			if v.committed[rec.Txn] || v.aborted[rec.Txn] {
+				return true
+			}
+			if rec.NTA != 0 && v.ntaDone[rec.NTA] {
+				return true // early-committed structural change: keep
+			}
+			found[rec.Txn] = true
+			m := undoByTxn[rec.Txn]
+			if m == nil {
+				m = make(map[heap.RID]*slotUndo)
+				undoByTxn[rec.Txn] = m
+			}
+			rid := heap.RID{Page: rec.Page, Slot: rec.Slot}
+			su := m[rid]
+			if su == nil {
+				// First (earliest) update of this slot by this txn:
+				// its before image is the last committed value.
+				su = &slotUndo{earliest: rec.Before, versions: make(map[uint64]bool)}
+				m[rid] = su
+			}
+			su.versions[rec.Version] = true
+			return true
+		})
+		// Install in sorted (txn, rid) order: each installImage draws a
+		// fresh global version for its compensation record, so map-order
+		// iteration would assign versions to slots differently run to run
+		// and break chaos replay's image comparison.
+		txns := make([]wal.TxnID, 0, len(undoByTxn))
+		for txn := range undoByTxn {
+			txns = append(txns, txn)
+		}
+		sortTxns(txns)
+		for _, txn := range txns {
+			m := undoByTxn[txn]
+			rids := make([]heap.RID, 0, len(m))
+			for rid := range m {
+				rids = append(rids, rid)
+			}
+			sort.Slice(rids, func(i, j int) bool {
+				if rids[i].Page != rids[j].Page {
+					return rids[i].Page < rids[j].Page
+				}
+				return rids[i].Slot < rids[j].Slot
+			})
+			for _, rid := range rids {
+				su := m[rid]
+				cur, err := db.Read(coord, rid)
+				if err != nil {
+					return nil, err
+				}
+				if !su.versions[cur.Version] {
+					// The transaction's update is not present (it was
+					// lost with the crash, or never migrated and died
+					// in place); the stable database already holds an
+					// older value.
+					continue
+				}
+				if err := db.installImage(coord, rid, su.earliest, txn); err != nil {
+					return nil, err
+				}
+				rep.UndoApplied++
+				db.wfProgress().Note(obs.PhaseUndo.String(), 1, len(su.earliest))
+			}
+		}
+	}
+	return found, nil
+}
+
+// undoTagScan is the Selective Redo undo phase: every surviving node
+// sequentially scans its cached lines; any record tagged with a crashed
+// node's ID is an uncommitted update of a dead transaction that migrated
+// here, and is reverted to its last committed value taken from stable
+// store (a committed update record in an available log, or failing that the
+// stable database image).
+//
+// The scan also reconciles stale tags pointing at *surviving* nodes. A tag
+// is not versioned: a page stolen to disk while a record was active carries
+// the tag, and if the record's line later dies and is reinstalled from that
+// disk image after the tagging transaction committed, the stale tag
+// resurfaces. A tag naming live node n is legitimate only if n's log — which
+// survived intact — contains an update record for exactly this slot and
+// version belonging to a transaction that is still active; otherwise the
+// record is no longer active and the tag is nulled.
+func (db *DB) undoTagScan(alive, crashed []machine.NodeID, rep *RecoveryReport) error {
+	if w := db.parWorkers(); w > 1 {
+		return db.undoTagScanPar(alive, crashed, rep, w)
+	}
+	down := nodeSet(crashed)
+	// Per-surviving-node index, built lazily on the first surviving tag that
+	// names the node: (rid, version) -> updating transaction.
+	taggers := make(map[machine.NodeID]map[slotVer]wal.TxnID, len(alive))
+	taggerIndex := func(n machine.NodeID) map[slotVer]wal.TxnID {
+		if m, ok := taggers[n]; ok {
+			return m
+		}
+		m := db.buildTaggerIndex(n)
+		taggers[n] = m
+		return m
+	}
+	// Node at a time: scan the node's cached lines (read-only), then apply
+	// its actions before the next node's scan. An applied undo migrates the
+	// line exclusively to the fixer, so later nodes' CachedLines snapshots no
+	// longer include it — each rid is repaired exactly once.
+	for _, nd := range alive {
+		acts, lines, err := db.scanNodeTags(nd, down, taggerIndex)
+		if err != nil {
+			return err
+		}
+		rep.TagScanLines += lines
+		if err := db.applyTagActions(acts, crashed, rep); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// nodeSet builds a membership set from a node list.
+func nodeSet(nodes []machine.NodeID) map[machine.NodeID]bool {
+	s := make(map[machine.NodeID]bool, len(nodes))
+	for _, n := range nodes {
+		s[n] = true
+	}
+	return s
+}
+
+// slotVer keys a tagger index: one logged update version of one slot.
+type slotVer struct {
+	rid heap.RID
+	ver uint64
+}
+
+// buildTaggerIndex indexes node n's log by (rid, version) -> updating
+// transaction, for stale-tag verification. The log is iterated in place
+// (wal.Log.Scan); the callback only fills the map, so it is safe under the
+// log mutex.
+func (db *DB) buildTaggerIndex(n machine.NodeID) map[slotVer]wal.TxnID {
+	m := make(map[slotVer]wal.TxnID)
+	db.Logs[n].Scan(1, func(rec wal.Record) bool {
+		if rec.Type == wal.TypeUpdate && rec.NTA == 0 {
+			m[slotVer{heap.RID{Page: rec.Page, Slot: rec.Slot}, rec.Version}] = rec.Txn
+		}
+		return true
+	})
+	return m
+}
+
+// tagAction is one repair decision produced by a tag scan: either an undo of
+// a dead transaction's migrated update (undo=true; tag is the crashed node
+// the record's tag named) or a stale-tag clear (undo=false).
+type tagAction struct {
+	nd   machine.NodeID // the scanning node, which performs the repair
+	rid  heap.RID
+	tag  machine.NodeID
+	undo bool
+}
+
+// scanNodeTags scans nd's cached database lines read-only and returns the
+// repair actions they call for, plus the number of lines examined. All
+// coherency traffic is read hits on lines nd already caches, so concurrent
+// scans of different nodes do not disturb each other's residency.
+func (db *DB) scanNodeTags(nd machine.NodeID, down map[machine.NodeID]bool, taggerIndex func(machine.NodeID) map[slotVer]wal.TxnID) ([]tagAction, int, error) {
+	var acts []tagAction
+	lines := 0
+	for _, l := range db.M.CachedLines(nd) {
+		p, firstSlot, ok := db.Store.SlotOfLine(l)
+		if !ok {
+			continue
+		}
+		lines++
+		for i := 0; i < db.Store.Layout.RecsPerLine; i++ {
+			rid := heap.RID{Page: p, Slot: uint16(firstSlot + i)}
+			sd, err := db.Store.ReadSlot(nd, rid)
+			if err != nil {
+				return nil, lines, err
+			}
+			switch {
+			case sd.Tag == machine.NoNode:
+			case down[sd.Tag]:
+				acts = append(acts, tagAction{nd: nd, rid: rid, tag: sd.Tag, undo: true})
+			default:
+				// Tag names a surviving node: verify against its log.
+				legit := false
+				if txn, ok := taggerIndex(sd.Tag)[slotVer{rid, sd.Version}]; ok {
+					db.mu.Lock()
+					if st, known := db.txns[txn]; known && st.status == TxnActive && !st.crashed {
+						legit = true
+					}
+					db.mu.Unlock()
+				}
+				if !legit {
+					acts = append(acts, tagAction{nd: nd, rid: rid, tag: sd.Tag})
+				}
+			}
+		}
+	}
+	db.wfProgress().Note(obs.PhaseUndoTagScan.String(), lines, 0)
+	return acts, lines, nil
+}
+
+// applyTagActions performs the repairs a tag scan decided on.
+func (db *DB) applyTagActions(acts []tagAction, crashed []machine.NodeID, rep *RecoveryReport) error {
+	for _, a := range acts {
+		if !a.undo {
+			if err := db.clearStaleTag(a.nd, a.rid); err != nil {
+				return err
+			}
+			continue
+		}
+		img, err := db.lastCommittedFromStable(a.nd, a.rid, crashed)
+		if err != nil {
+			return err
+		}
+		if err := db.installImage(a.nd, a.rid, img, wal.MakeTxnID(a.tag, 0)); err != nil {
+			return err
+		}
+		rep.UndoApplied++
+	}
+	return nil
+}
+
+// clearStaleTag nulls rid's undo tag under a line lock.
+func (db *DB) clearStaleTag(nd machine.NodeID, rid heap.RID) error {
+	line, _, err := db.Store.LineOf(rid)
+	if err != nil {
+		return err
+	}
+	if err := db.M.GetLine(nd, line); err != nil {
+		return err
+	}
+	defer db.mustRelease(nd, line)
+	return db.Store.WriteTag(nd, rid, machine.NoNode)
+}
+
+// lastCommittedFromStable derives rid's last committed image without any
+// crashed node's volatile state: the newest update/CLR for rid that belongs
+// to a committed transaction (or is itself a compensation or committed
+// structural record) in any available log; if none is found, the stable
+// database's image.
+func (db *DB) lastCommittedFromStable(nd machine.NodeID, rid heap.RID, crashed []machine.NodeID) ([]byte, error) {
+	_ = crashed
+	var best []byte
+	var bestVersion uint64
+	for n := machine.NodeID(0); int(n) < len(db.Logs); n++ {
+		v, err := db.view(n, !db.M.Alive(n))
+		if err != nil {
+			return nil, err
+		}
+		v.scan(func(rec wal.Record) bool {
+			if rec.Page != rid.Page || rec.Slot != rid.Slot {
+				return true
+			}
+			committedEffect := false
+			switch {
+			case rec.Type == wal.TypeCLR:
+				committedEffect = true
+			case rec.Type != wal.TypeUpdate:
+				return true
+			case rec.NTA != 0 && v.ntaDone[rec.NTA]:
+				committedEffect = true
+			case v.committed[rec.Txn]:
+				committedEffect = true
+			}
+			if committedEffect && rec.Version > bestVersion {
+				bestVersion = rec.Version
+				best = rec.After
+			}
+			return true
+		})
+	}
+	if best != nil {
+		return best, nil
+	}
+	// Fall back to the stable database image (retrying transient injected
+	// I/O errors — recovery must outlast a flaky disk).
+	if db.Disk.Exists(rid.Page) {
+		img, err := db.readPageRetry(nd, rid.Page)
+		if err != nil {
+			return nil, err
+		}
+		db.M.AdvanceClock(nd, db.M.Config().Cost.DiskRead)
+		layout := db.Store.Layout
+		lineInPage := 1 + int(rid.Slot)/layout.RecsPerLine
+		lineImg := img[lineInPage*layout.LineSize : (lineInPage+1)*layout.LineSize]
+		sd := heap.DecodeSlotFromLine(layout, lineImg, int(rid.Slot)%layout.RecsPerLine)
+		return SlotImage(layout, sd.Flags, sd.Data), nil
+	}
+	// Never committed, never flushed: the record's pre-existence image is
+	// the empty slot.
+	return SlotImage(db.Store.Layout, 0, nil), nil
+}
+
+// replaySurvivorLocks re-requests, for every surviving active transaction,
+// the locks its node's log records as acquired and not released. Acquire is
+// idempotent (a present holder or waiter entry is not duplicated), so
+// surviving LCBs are unaffected while destroyed ones are rebuilt — with
+// read locks included, which is why IFA logs them.
+func (db *DB) replaySurvivorLocks(alive []machine.NodeID, rep *RecoveryReport) (int, error) {
+	db.Locks.SetLogSuppressed(true)
+	defer db.Locks.SetLogSuppressed(false)
+	if w := db.parWorkers(); w > 1 {
+		return db.replaySurvivorLocksPar(alive, rep, w)
+	}
+	replayed := 0
+	for _, n := range alive {
+		nr, err := db.replayNodeLocks(n)
+		replayed += nr
+		if err != nil {
+			return replayed, err
+		}
+	}
+	return replayed, nil
+}
+
+// replayNodeLocks replays one surviving node's logical lock log (the per-node
+// unit the parallel pipeline fans out over; each node's pre-crash holdings
+// were simultaneously granted, hence mutually compatible, so per-node replays
+// re-grant without waiting in any order).
+func (db *DB) replayNodeLocks(n machine.NodeID) (int, error) {
+	type lockKey struct {
+		txn  wal.TxnID
+		name uint64
+	}
+	held := make(map[lockKey]bool)
+	order := []lockKey{}
+	db.Logs[n].Scan(1, func(rec wal.Record) bool {
+		k := lockKey{rec.Txn, rec.Lock}
+		switch rec.Type {
+		case wal.TypeLockAcquire:
+			if _, ok := held[k]; !ok {
+				order = append(order, k)
+			}
+			held[k] = true
+		case wal.TypeLockRelease:
+			delete(held, k)
+		}
+		return true
+	})
+	replayed := 0
+	for _, k := range order {
+		if _, ok := held[k]; !ok {
+			continue
+		}
+		// Re-grant only what the transaction's own bookkeeping confirms it
+		// holds, in the bookkeeping's mode. The log alone over-approximates:
+		// an acquire record is written before the grant decision, so it may
+		// belong to a request that was only ever queued — and possibly
+		// withdrawn during this very recovery, when lock logging is
+		// suppressed and no release record can mark the withdrawal. A
+		// never-granted request is absent from the transaction's held-lock
+		// list, so releaseAll would never free a re-grant built from it: the
+		// entry would outlive the transaction and wedge every later waiter
+		// (no waits-for cycle; the holder is gone). Entries the bookkeeping
+		// does confirm are exactly the ones releaseAll frees at finish, so a
+		// survivor finishing after this point cleans up behind us. Dropping
+		// a genuine waiter here is safe: its retry loop re-queues the
+		// request against the rebuilt table.
+		db.mu.Lock()
+		st, known := db.txns[k.txn]
+		active := known && st.status == TxnActive && !st.crashed
+		var mode lock.Mode
+		noted := false
+		if active {
+			for _, hl := range st.locks {
+				if hl.name == importName(k.name) {
+					mode, noted = hl.mode, true
+					break
+				}
+			}
+		}
+		db.mu.Unlock()
+		if !active || !noted {
+			continue
+		}
+		if _, err := db.Locks.Acquire(n, k.txn, importName(k.name), mode); err != nil {
+			return replayed, err
+		}
+		// The transaction can still commit or abort between the bookkeeping
+		// check above and the grant: its releaseAll then ran against the
+		// half-rebuilt table, found nothing, and tolerated ErrNotHeld — so
+		// the grant would leak. Re-check and take the grant back if the
+		// transaction finished in the window; a finish after this re-check
+		// sees the granted entry (it is in its held-lock list) and releases
+		// it itself.
+		db.mu.Lock()
+		st, known = db.txns[k.txn]
+		active = known && st.status == TxnActive && !st.crashed
+		db.mu.Unlock()
+		if !active {
+			if err := db.Locks.Release(n, k.txn, importName(k.name)); err != nil && !errors.Is(err, lock.ErrNotHeld) {
+				return replayed, err
+			}
+			continue
+		}
+		replayed++
+	}
+	db.wfProgress().Note(obs.PhaseLockRebuild.String(), replayed, 0)
+	return replayed, nil
+}
+
+// baselineReboot implements the conventional recovery story the paper's
+// introduction describes: a single node crash brings down the entire shared
+// memory system. Every node's volatile state — caches, volatile log tails,
+// transaction control blocks, the whole lock space — is lost; recovery
+// replays committed work from the stable logs and aborts every transaction
+// that was active anywhere.
+func (db *DB) baselineReboot(rep *RecoveryReport, phase func(obs.Phase)) error {
+	// The rest of the machine goes down too.
+	rest := db.M.AliveNodes()
+	db.Crash(rest...)
+	for n := machine.NodeID(0); int(n) < db.M.Nodes(); n++ {
+		if err := db.M.Restart(n); err != nil {
+			return err
+		}
+		db.Logs[n].Reopen()
+	}
+	coord := machine.NodeID(0)
+	// The lock table is volatile and gone; reformat it.
+	if _, err := db.Locks.ReinstallLost(coord); err != nil {
+		return err
+	}
+	if _, err := db.Locks.ReleaseCrashed(coord, db.M.AliveNodes()); err != nil {
+		return err
+	}
+	phase(obs.PhaseDirectoryRepair)
+	// Redo committed effects from every node's stable log.
+	for n := machine.NodeID(0); int(n) < db.M.Nodes(); n++ {
+		v, err := db.view(n, true) // stable prefix only: everything volatile died
+		if err != nil {
+			return err
+		}
+		if err := db.redoLog(coord, v, true, rep); err != nil {
+			return err
+		}
+	}
+	phase(obs.PhaseRedoApply)
+	// Undo stolen uncommitted updates from the stable logs.
+	all := make([]machine.NodeID, db.M.Nodes())
+	for i := range all {
+		all[i] = machine.NodeID(i)
+	}
+	if _, err := db.undoCrashed(coord, all, rep); err != nil {
+		return err
+	}
+	phase(obs.PhaseUndo)
+	// Every active transaction aborts: failure atomicity without isolation.
+	db.mu.Lock()
+	for _, st := range db.txns {
+		if st.status == TxnActive {
+			st.status = TxnAborted
+			st.crashed = true
+			db.stats.Aborts++
+			db.stats.TxnsAbortedByRecovery++
+			rep.Aborted = append(rep.Aborted, st.id)
+		}
+	}
+	db.mu.Unlock()
+	phase(obs.PhaseSettle)
+	sortTxns(rep.Aborted)
+	db.bump(func(s *Stats) {
+		s.RedoApplied += int64(rep.RedoApplied)
+		s.RedoSkipped += int64(rep.RedoSkipped)
+		s.UndoApplied += int64(rep.UndoApplied)
+	})
+	return nil
+}
+
+// RestartNode brings a crashed node back into the configuration with a cold
+// cache and a reopened log. Its stable log prefix is intact; its next
+// transactions get fresh sequence numbers.
+func (db *DB) RestartNode(n machine.NodeID) error {
+	if err := db.M.Restart(n); err != nil {
+		return err
+	}
+	db.Logs[n].Reopen()
+	return nil
+}
+
+func sortTxns(ts []wal.TxnID) {
+	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+}
+
+func importName(n uint64) lock.Name { return lock.Name(n) }

@@ -1,0 +1,377 @@
+package recovery
+
+import (
+	"errors"
+	"fmt"
+
+	"smdb/benchmark/refengine/heap"
+	"smdb/benchmark/refengine/machine"
+	"smdb/benchmark/refengine/obs"
+	"smdb/benchmark/refengine/obs/waterfall"
+	"smdb/benchmark/refengine/wal"
+)
+
+// forceThroughTxn is forceThrough with waterfall attribution: the simulated
+// time the force costs t's node is recorded as a log-force wait on t's
+// waterfall (zero — and unrecorded — when a group force already covered the
+// LSN, which is exactly the waterfall's point: only real stalls appear).
+func (db *DB) forceThroughTxn(nd machine.NodeID, t wal.TxnID, lsn wal.LSN, bump func(*Stats)) error {
+	wf := db.wfp.Load()
+	if wf == nil {
+		return db.forceThrough(nd, lsn, bump)
+	}
+	start := db.M.Clock(nd)
+	err := db.forceThrough(nd, lsn, bump)
+	if end := db.M.Clock(nd); end > start {
+		wf.AddWait(int64(t), waterfall.CauseLogForce, start, end-start, int64(lsn), 0)
+	}
+	return err
+}
+
+// forceCommit makes t's commit record at lsn stable. With group commit
+// forces off it is forceThroughTxn; with them on, the force runs through
+// the WAL's epoch/group path: the epoch leader pays the physical force (and
+// the CommitForces stat) while followers and already-covered arrivals ride
+// a shared force, counted as GroupCommitJoins. Torn-force injection applies
+// identically — a group force is still one physical device write a crash
+// can tear. Callers must still re-check ForcedLSN before acknowledging the
+// commit: a down log yields a zero group result, not an error.
+func (db *DB) forceCommit(nd machine.NodeID, t wal.TxnID, lsn wal.LSN) error {
+	if !db.Cfg.GroupCommitForces {
+		return db.forceThroughTxn(nd, t, lsn, func(s *Stats) { s.CommitForces++ })
+	}
+	if inj := db.injector(); inj != nil {
+		if frac, fire := inj.TornForce(nd, db.aliveCount()); fire {
+			db.Logs[nd].ForceTorn(lsn, frac)
+			db.M.Crash(nd)
+			return fmt.Errorf("recovery: log force on node %d torn by crash: %w", nd, machine.ErrNodeDown)
+		}
+	}
+	wf := db.wfp.Load()
+	start := db.M.Clock(nd)
+	res := db.Logs[nd].ForceGroup(lsn)
+	switch {
+	case res.Led:
+		cost := db.logForceCost()
+		db.M.AdvanceClock(nd, cost)
+		db.bump(func(s *Stats) { s.CommitForces++ })
+		db.Observer().ObserveLogForce(cost)
+	case res.Joined:
+		// The follower waited out another commit's physical force: same
+		// simulated latency, no device write of its own.
+		db.M.AdvanceClock(nd, db.logForceCost())
+		db.bump(func(s *Stats) { s.GroupCommitJoins++ })
+	case res.Coalesced:
+		// Already stable on arrival: a free ride, no wait at all.
+		db.bump(func(s *Stats) { s.GroupCommitJoins++ })
+	}
+	if wf != nil {
+		if end := db.M.Clock(nd); end > start {
+			wf.AddWait(int64(t), waterfall.CauseLogForce, start, end-start, int64(lsn), 0)
+		}
+	}
+	return nil
+}
+
+// Commit commits transaction t: its undo tags are cleared (the record is no
+// longer active, so its node ID becomes null), a commit record is appended
+// and the node's log forced through it (durability), and the transaction's
+// final images are captured as the new last-committed values. Lock release
+// is the caller's responsibility, after Commit returns (strict 2PL).
+func (db *DB) Commit(nd machine.NodeID, t wal.TxnID) error {
+	st, err := db.txn(t)
+	if err != nil {
+		return err
+	}
+	if st.status != TxnActive {
+		return fmt.Errorf("recovery: commit of %v transaction %v", st.status, t)
+	}
+	if t.Node() != nd {
+		return fmt.Errorf("recovery: %v cannot commit on node %d", t, nd)
+	}
+	// Commit is an instrumented operation: the force below lands as a
+	// log-force wait and the remainder (deferred flush, tag clears inside
+	// finalizeCommit) as compute. finalizeCommit closes the bracket just
+	// before it ends the waterfall; on the error paths the node is down and
+	// the crash sweep already dropped the open waterfall.
+	db.wfp.Load().OpStart(int64(t), int32(nd), db.M.Clock(nd))
+	db.flushDeferred(nd, st)
+	lsn := db.Logs[nd].Append(wal.Record{Type: wal.TypeCommit, Txn: t})
+	if err := db.forceCommit(nd, t, lsn); err != nil {
+		return fmt.Errorf("recovery: commit of %v: %w", t, err)
+	}
+	// The commit is acknowledged only if its record really reached stable
+	// store — the node may have crashed out from under this goroutine, in
+	// which case restart recovery is the sole arbiter of the outcome.
+	if lsn == 0 || db.Logs[nd].ForcedLSN() < lsn {
+		return fmt.Errorf("recovery: commit of %v interrupted by node failure: %w", t, machine.ErrNodeDown)
+	}
+	return db.finalizeCommit(t)
+}
+
+// flushDeferred appends any commit-deferred update records (AblatedNoLBM
+// only) to the node's log.
+func (db *DB) flushDeferred(nd machine.NodeID, st *txnState) {
+	db.mu.Lock()
+	recs := st.deferred
+	st.deferred = nil
+	db.mu.Unlock()
+	for _, rec := range recs {
+		lsn := db.Logs[nd].Append(rec)
+		db.BM.NoteUpdate(rec.Page, nd, lsn)
+	}
+}
+
+// clearTag nulls rid's undo tag inside a line lock (the record is no longer
+// active once its transaction commits). If the record's line is not cached
+// anywhere — destroyed by a crash racing the commit — there is no tag to
+// clear: tags never reach disk, and restart recovery's tag reconciliation
+// covers any residue.
+func (db *DB) clearTag(nd machine.NodeID, rid heap.RID) error {
+	line, _, err := db.Store.LineOf(rid)
+	if err != nil {
+		return err
+	}
+	if !db.M.Resident(line) {
+		return nil
+	}
+	if err := db.M.GetLine(nd, line); err != nil {
+		if errors.Is(err, machine.ErrLineLost) {
+			return nil // lost between the check and the lock: same story
+		}
+		return err
+	}
+	defer db.mustRelease(nd, line)
+	sd, err := db.Store.ReadSlot(nd, rid)
+	if err != nil {
+		return err
+	}
+	if sd.Tag != machine.NoNode {
+		if err := db.Store.WriteTag(nd, rid, machine.NoNode); err != nil {
+			return err
+		}
+		db.bump(func(s *Stats) { s.TagClears++ })
+	}
+	return nil
+}
+
+// Abort rolls back transaction t using the before images in its node's
+// volatile log, writing a compensation record for every undo, and appends an
+// abort record. Under strict 2PL this simply reinstalls every touched
+// record's prior value. Structural (NTA) updates are not undone — they were
+// committed early precisely so other transactions could use their results.
+func (db *DB) Abort(nd machine.NodeID, t wal.TxnID) error {
+	st, err := db.txn(t)
+	if err != nil {
+		return err
+	}
+	if st.status != TxnActive {
+		return fmt.Errorf("recovery: abort of %v transaction %v", st.status, t)
+	}
+	if t.Node() != nd {
+		return fmt.Errorf("recovery: %v cannot abort on node %d", t, nd)
+	}
+	db.mu.Lock()
+	hasWrites := len(st.writes) > 0
+	db.mu.Unlock()
+	if db.Cfg.Protocol.DeferredLogging() && hasWrites {
+		return fmt.Errorf("recovery: %v cannot abort under %v (no undo information was logged)", t, db.Cfg.Protocol)
+	}
+	// The rollback is a bracket whose residue lands under "undo": the walk's
+	// slot reads, image installs, and directory work are undo time, while
+	// line waits and page fetches inside it keep their own causes.
+	wf := db.wfp.Load()
+	wf.SpanStart(int64(t), int32(nd), db.M.Clock(nd), waterfall.CauseUndo)
+	// Aggregate the undo per slot — the earliest before image plus the set
+	// of versions this transaction wrote — exactly as crashed-transaction
+	// undo does (undoCrashed), and only install where the slot still holds
+	// one of the transaction's own versions. Under strict 2PL the version
+	// check always passes (the X lock kept everyone else out), but after a
+	// crash-and-recover episode a stranded survivor's update can have been
+	// superseded by recovery itself; blindly reinstalling its before image
+	// would then clobber a newer committed value.
+	type slotUndo struct {
+		earliest []byte
+		versions map[uint64]bool
+	}
+	undo := make(map[heap.RID]*slotUndo)
+	var order []heap.RID // reverse log order, first touch per slot
+	for lsn := db.Logs[nd].LastLSNOf(t); lsn != 0; {
+		rec, ok := db.Logs[nd].Get(lsn)
+		if !ok {
+			return fmt.Errorf("recovery: broken log chain for %v at LSN %d", t, lsn)
+		}
+		if rec.Type == wal.TypeUpdate && rec.NTA == 0 {
+			rid := heap.RID{Page: rec.Page, Slot: rec.Slot}
+			su := undo[rid]
+			if su == nil {
+				su = &slotUndo{versions: make(map[uint64]bool)}
+				undo[rid] = su
+				order = append(order, rid)
+			}
+			// Walking backward, the last record seen is the earliest: its
+			// before image is the pre-transaction value.
+			su.earliest = rec.Before
+			su.versions[rec.Version] = true
+		}
+		lsn = rec.PrevLSN
+	}
+	for _, rid := range order {
+		su := undo[rid]
+		cur, err := db.Read(nd, rid)
+		if err != nil {
+			return err
+		}
+		if !su.versions[cur.Version] {
+			// The slot no longer carries this transaction's update (it was
+			// lost with a crash, or recovery already settled the slot to a
+			// committed value): there is nothing of ours to undo.
+			continue
+		}
+		if err := db.installImage(nd, rid, su.earliest, t); err != nil {
+			return err
+		}
+	}
+	db.Logs[nd].Append(wal.Record{Type: wal.TypeAbort, Txn: t})
+	db.mu.Lock()
+	st.status = TxnAborted
+	db.stats.Aborts++
+	o := db.obs
+	db.mu.Unlock()
+	now := db.M.Clock(nd)
+	o.Instant(obs.KindTxnAbort, int32(nd), now, int64(t), 0)
+	wf.OpEnd(int64(t), int32(nd), now)
+	wf.End(int64(t), now, waterfall.OutcomeAborted)
+	return nil
+}
+
+// installImage writes a logged slot image (flags + data) into rid with a
+// fresh version, a null undo tag, and a compensation log record. It is the
+// shared undo mechanism of transaction abort and restart recovery.
+func (db *DB) installImage(nd machine.NodeID, rid heap.RID, img []byte, t wal.TxnID) error {
+	if err := db.BM.Fetch(nd, rid.Page); err != nil {
+		return err
+	}
+	line, _, err := db.Store.LineOf(rid)
+	if err != nil {
+		return err
+	}
+	hdr := db.Store.HeaderLine(rid.Page)
+	if err := db.M.GetLine(nd, hdr); err != nil {
+		return err
+	}
+	if err := db.M.GetLine(nd, line); err != nil {
+		db.mustRelease(nd, hdr)
+		return err
+	}
+	defer db.mustRelease(nd, hdr)
+	defer db.mustRelease(nd, line)
+
+	version := db.NextVersion()
+	flags, data := splitImage(img)
+	lsn := db.Logs[nd].Append(wal.Record{
+		Type: wal.TypeCLR, Txn: t, Page: rid.Page, Slot: rid.Slot,
+		Version: version, After: img,
+	})
+	db.BM.NoteUpdate(rid.Page, nd, lsn)
+	if err := db.Store.WriteSlot(nd, rid, heap.SlotData{
+		Tag: machine.NoNode, Flags: flags, Version: version, Data: data,
+	}); err != nil {
+		return err
+	}
+	if err := db.Store.SetPageVersion(nd, rid.Page, version); err != nil {
+		return err
+	}
+	db.BM.MarkDirty(rid.Page)
+	return nil
+}
+
+// BeginNTA opens a nested top-level action for t (a structural change such
+// as a B-tree split) and returns its id. Updates made with StructuralUpdate
+// under this id survive t's abort.
+func (db *DB) BeginNTA(nd machine.NodeID, t wal.TxnID) (uint64, error) {
+	st, err := db.txn(t)
+	if err != nil {
+		return 0, err
+	}
+	db.mu.Lock()
+	if st.nta != 0 {
+		db.mu.Unlock()
+		return 0, fmt.Errorf("recovery: %v already has NTA %d open", t, st.nta)
+	}
+	id := db.NextVersion()
+	st.nta = id
+	db.mu.Unlock()
+	db.Logs[nd].Append(wal.Record{Type: wal.TypeNTABegin, Txn: t, NTA: id})
+	return id, nil
+}
+
+// EndNTA commits the nested top-level action. Under IFA protocols the
+// structural change is committed early: the node's log is forced through the
+// NTA-end record before any other transaction is allowed to use the changed
+// structure, so no cross-node abort dependency can form on it (section 4.2).
+func (db *DB) EndNTA(nd machine.NodeID, t wal.TxnID, nta uint64) error {
+	st, err := db.txn(t)
+	if err != nil {
+		return err
+	}
+	db.mu.Lock()
+	if st.nta != nta {
+		db.mu.Unlock()
+		return fmt.Errorf("recovery: %v has NTA %d open, not %d", t, st.nta, nta)
+	}
+	st.nta = 0
+	db.mu.Unlock()
+	lsn := db.Logs[nd].Append(wal.Record{Type: wal.TypeNTAEnd, Txn: t, NTA: nta})
+	if db.Cfg.Protocol.EarlyCommitsStructural() {
+		if err := db.forceThroughTxn(nd, t, lsn, func(s *Stats) { s.NTAForces++ }); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Checkpoint flushes every dirty page (with WAL enforcement), writes a
+// forced checkpoint record to every live node's log, and reclaims log
+// space: everything below both the checkpoint record and the earliest
+// record of any still-active transaction on that node is discarded —
+// committed effects below the horizon are in the stable database (the
+// flush above), and active transactions keep their full undo chains.
+// Restart redo scans begin at each node's last checkpoint.
+func (db *DB) Checkpoint(nd machine.NodeID) error {
+	if err := db.BM.FlushAll(nd); err != nil {
+		return err
+	}
+	for _, n := range db.M.AliveNodes() {
+		lsn := db.Logs[n].Append(wal.Record{Type: wal.TypeCheckpoint})
+		if _, forced := db.Logs[n].Force(lsn); forced {
+			cost := db.logForceCost()
+			db.M.AdvanceClock(n, cost)
+			db.Observer().ObserveLogForce(cost)
+		}
+		low := lsn
+		db.mu.Lock()
+		for _, st := range db.txns {
+			if st.status == TxnActive && !st.crashed && st.id.Node() == n {
+				if f := db.Logs[n].FirstLSNOf(st.id); f > 0 && f < low {
+					low = f
+				}
+			}
+		}
+		db.mu.Unlock()
+		db.Logs[n].DiscardThrough(low - 1)
+	}
+	return nil
+}
+
+// CommittedImage returns the oracle's last committed image of rid (for
+// verification). The boolean is false if rid was never committed.
+func (db *DB) CommittedImage(rid heap.RID) ([]byte, uint64, bool) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	ci, ok := db.committed[rid]
+	if !ok {
+		return nil, 0, false
+	}
+	return append([]byte(nil), ci.img...), ci.version, true
+}

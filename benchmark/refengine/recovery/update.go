@@ -1,0 +1,298 @@
+package recovery
+
+import (
+	"fmt"
+
+	"smdb/benchmark/refengine/heap"
+	"smdb/benchmark/refengine/machine"
+	"smdb/benchmark/refengine/obs/waterfall"
+	"smdb/benchmark/refengine/wal"
+)
+
+// The update protocol (sections 5 and 6). Every record update runs inside
+// line-lock critical sections on the page header line (which carries the
+// Page-LSN) and the record's line:
+//
+//	record lock (caller, strict 2PL)
+//	  getline(header); getline(record line)
+//	    read before image
+//	    append undo/redo log record            <- ordered update logging
+//	    apply update in place (+ undo tag)
+//	    update Page-LSN
+//	    [Stable LBM eager: force log]          <- LBM before any migration
+//	    [Stable LBM triggered: set active bit]
+//	  releaseline(record line); releaseline(header)
+//
+// Holding the line lock from the update through the log write is exactly
+// what enforces Volatile LBM: the line cannot migrate, downgrade, or be
+// invalidated in between, so by the time any other node can see the
+// uncommitted data, the volatile log record exists.
+
+// SlotImage packs a slot's logical content (flags byte + record payload)
+// into the form stored in log records' Before/After images. Undo tags and
+// versions are deliberately excluded: tags are reconstructed by recovery and
+// versions are assigned per update.
+func SlotImage(layout heap.Layout, flags byte, data []byte) []byte {
+	img := make([]byte, 1+layout.RecordSize())
+	img[0] = flags
+	copy(img[1:], data)
+	return img
+}
+
+// splitImage undoes SlotImage.
+func splitImage(img []byte) (flags byte, data []byte) {
+	return img[0], img[1:]
+}
+
+// Read returns rid's slot on behalf of node nd, fetching the page if
+// needed. Callers are responsible for holding a shared record lock (unless
+// dirty reads are configured).
+func (db *DB) Read(nd machine.NodeID, rid heap.RID) (heap.SlotData, error) {
+	if err := db.BM.Fetch(nd, rid.Page); err != nil {
+		return heap.SlotData{}, err
+	}
+	return db.Store.ReadSlot(nd, rid)
+}
+
+// Update applies an in-place record update for transaction t. The caller
+// holds an exclusive record lock. newData is zero-padded to the record size.
+func (db *DB) Update(nd machine.NodeID, t wal.TxnID, rid heap.RID, newData []byte) error {
+	err := db.applyChange(nd, t, rid, heap.FlagOccupied, newData, 0)
+	if err == nil {
+		db.bump(func(s *Stats) { s.Updates++ })
+	}
+	return err
+}
+
+// Insert stores a record in a (previously unoccupied) slot for t.
+func (db *DB) Insert(nd machine.NodeID, t wal.TxnID, rid heap.RID, data []byte) error {
+	cur, err := db.Read(nd, rid)
+	if err != nil {
+		return err
+	}
+	if cur.Occupied() && !cur.Deleted() {
+		return fmt.Errorf("recovery: insert into occupied slot %v", rid)
+	}
+	err = db.applyChange(nd, t, rid, heap.FlagOccupied, data, 0)
+	if err == nil {
+		db.bump(func(s *Stats) { s.Inserts++ })
+	}
+	return err
+}
+
+// Delete logically deletes rid for t by setting the deleted mark while
+// keeping the record bytes in place (section 4.2.1): the space is not
+// reusable until t commits, and the undo of an uncommitted delete is a mere
+// unmark (the migrating cache line carries the original record with it).
+func (db *DB) Delete(nd machine.NodeID, t wal.TxnID, rid heap.RID) error {
+	cur, err := db.Read(nd, rid)
+	if err != nil {
+		return err
+	}
+	if !cur.Occupied() || cur.Deleted() {
+		return fmt.Errorf("recovery: delete of absent record %v", rid)
+	}
+	err = db.applyChange(nd, t, rid, heap.FlagOccupied|heap.FlagDeleted, cur.Data, 0)
+	if err == nil {
+		db.bump(func(s *Stats) { s.Deletes++ })
+	}
+	return err
+}
+
+// StructuralUpdate applies an update inside a nested top-level action (NTA):
+// it is never undone by the enclosing transaction's abort and carries no
+// undo tag. The B-tree uses it for page splits and space allocation.
+func (db *DB) StructuralUpdate(nd machine.NodeID, t wal.TxnID, rid heap.RID, flags byte, data []byte, nta uint64) error {
+	if nta == 0 {
+		return fmt.Errorf("recovery: structural update outside an NTA")
+	}
+	return db.applyChange(nd, t, rid, flags, data, nta)
+}
+
+// applyChange is the update protocol proper.
+func (db *DB) applyChange(nd machine.NodeID, t wal.TxnID, rid heap.RID, newFlags byte, newData []byte, nta uint64) error {
+	st, err := db.txn(t)
+	if err != nil {
+		return err
+	}
+	if st.status != TxnActive {
+		return fmt.Errorf("recovery: %v is %v, not active", t, st.status)
+	}
+	if t.Node() != nd {
+		return fmt.Errorf("recovery: %v runs on node %d, not %d", t, t.Node(), nd)
+	}
+	// The update is an instrumented operation: its line waits, fetch waits,
+	// and eager-LBM forces are attributed individually below, and whatever
+	// sim time remains unexplained lands in the compute residue. Reentrant
+	// under the transaction layer's own bracket.
+	if wf := db.wfp.Load(); wf != nil {
+		wf.OpStart(int64(t), int32(nd), db.M.Clock(nd))
+		defer func() { wf.OpEnd(int64(t), int32(nd), db.M.Clock(nd)) }()
+	}
+	if err := db.BM.Fetch(nd, rid.Page); err != nil {
+		return err
+	}
+	line, _, err := db.Store.LineOf(rid)
+	if err != nil {
+		return err
+	}
+	hdr := db.Store.HeaderLine(rid.Page)
+
+	// Critical section: header line first, then the record's line (a fixed
+	// order; both are within one page, so no cross-page nesting occurs).
+	if err := db.M.GetLine(nd, hdr); err != nil {
+		return err
+	}
+	if err := db.M.GetLine(nd, line); err != nil {
+		db.mustRelease(nd, hdr)
+		return err
+	}
+	defer db.mustRelease(nd, hdr)
+	defer db.mustRelease(nd, line)
+
+	cur, err := db.Store.ReadSlot(nd, rid)
+	if err != nil {
+		return err
+	}
+	before := SlotImage(db.Store.Layout, cur.Flags, cur.Data)
+	after := SlotImage(db.Store.Layout, newFlags, newData)
+	version := db.NextVersion()
+
+	// Log before the line can migrate (LBM): the line lock pins it. The
+	// AblatedNoLBM control defers the append to commit time instead,
+	// deliberately breaking the guarantee.
+	rec := wal.Record{
+		Type: wal.TypeUpdate, Txn: t, Page: rid.Page, Slot: rid.Slot,
+		Version: version, Before: before, After: after, NTA: nta,
+	}
+	var lsn wal.LSN
+	if db.Cfg.Protocol.DeferredLogging() && nta == 0 {
+		db.mu.Lock()
+		st.deferred = append(st.deferred, rec)
+		db.mu.Unlock()
+	} else {
+		lsn = db.Logs[nd].Append(rec)
+		db.BM.NoteUpdate(rid.Page, nd, lsn)
+		// Injected fault: the updater dies after its log append but before
+		// its in-place slot write — the logged update never happened in
+		// memory, and recovery's version check must skip it.
+		if inj := db.injector(); inj != nil && inj.CrashAtUpdate(nd, db.aliveCount()) {
+			db.M.Crash(nd)
+			return fmt.Errorf("recovery: node %d crashed between log append and slot write: %w",
+				nd, machine.ErrNodeDown)
+		}
+	}
+
+	tag := machine.NoNode
+	if db.Cfg.Protocol.UndoTagging() && nta == 0 {
+		tag = nd
+		db.bump(func(s *Stats) {
+			s.TagWrites++
+			s.UndoTagBytes++
+		})
+	}
+	flags, data := splitImage(after)
+	if err := db.Store.WriteSlot(nd, rid, heap.SlotData{Tag: tag, Flags: flags, Version: version, Data: data}); err != nil {
+		return err
+	}
+	if err := db.Store.SetPageVersion(nd, rid.Page, version); err != nil {
+		return err
+	}
+	db.BM.MarkDirty(rid.Page)
+
+	switch db.Cfg.Protocol {
+	case StableEager:
+		// Stable LBM, enforced within the critical section: both undo and
+		// redo information are stable before the line can move. The force
+		// can be torn by an injected crash; the update dies with the node.
+		if err := db.forceThroughTxn(nd, t, lsn, func(s *Stats) { s.LBMForces++ }); err != nil {
+			return err
+		}
+	case StableTriggered:
+		// Stable LBM via the section 5.2 extension: mark the line active
+		// and remember how far this node's log must be forced if the line
+		// is about to leave.
+		db.mu.Lock()
+		if lsn > db.pendingLSN[nd] {
+			db.pendingLSN[nd] = lsn
+		}
+		db.mu.Unlock()
+		if err := db.M.SetActive(line, true); err != nil {
+			return err
+		}
+	}
+
+	db.mu.Lock()
+	if nta == 0 {
+		st.writes = append(st.writes, writeRec{rid: rid, img: after, version: version, lsn: lsn})
+	} else {
+		// Structural changes are committed early (their NTA is forced
+		// before anyone depends on them), so the oracle's last-committed
+		// image advances immediately.
+		db.committed[rid] = committedImage{img: after, version: version}
+	}
+	dt := db.deps
+	au := db.audit
+	db.mu.Unlock()
+	if (dt != nil || au != nil) && nta == 0 {
+		// Register the write with the dependency tracker and the online
+		// auditor while the line lock still pins the line: it cannot
+		// migrate, downgrade, or be invalidated before they know about the
+		// uncommitted data.
+		slot := int64(rid.Page)<<16 | int64(rid.Slot)
+		now := db.M.Clock(nd)
+		dt.NoteWrite(int64(t), int32(nd), int32(line), slot, int64(lsn), now)
+		au.NoteWrite(int64(t), int32(nd), int32(line), slot, int64(lsn), now)
+	}
+	return nil
+}
+
+// lbmTrigger is the pre-transition callback installed for StableTriggered.
+// It runs, with the machine lock held, just before an active line migrates,
+// downgrades, or is invalidated: the node losing the line forces its log
+// through its last update, making the undo and redo information stable
+// before the data leaves its failure domain. The machine clears the line's
+// active bit afterwards.
+func (db *DB) lbmTrigger(ev machine.Event) (int64, error) {
+	if ev.From < 0 || int(ev.From) >= len(db.Logs) {
+		return 0, nil
+	}
+	db.mu.Lock()
+	upto := db.pendingLSN[ev.From]
+	db.mu.Unlock()
+	if upto == 0 {
+		return 0, nil
+	}
+	if _, forced := db.Logs[ev.From].Force(upto); forced {
+		db.bump(func(s *Stats) { s.LBMForces++ })
+		cost := db.logForceCost()
+		// Safe with the machine lock held: the observer takes only its own
+		// locks and never calls back into the machine.
+		db.Observer().ObserveLogForce(cost)
+		if wf := db.wfp.Load(); wf != nil {
+			// The machine charges the trigger's cost to the acquiring node
+			// (ev.To), so the force is that node's current transaction's
+			// wait — the price of pulling an active line out of ev.From's
+			// failure domain. Clock and recorder are machine-lock safe.
+			if txn := wf.CurrentTxn(int32(ev.To)); txn != 0 {
+				wf.AddWait(txn, waterfall.CauseLogForce, db.M.Clock(ev.To), cost, int64(upto), 0)
+			}
+		}
+		return cost, nil
+	}
+	return 0, nil
+}
+
+// mustRelease releases a line lock, panicking on protocol violations (they
+// are bugs, not runtime conditions). The one tolerated failure: the node
+// crashed while this goroutine was inside the critical section — the
+// machine already broke its line locks, and a real crashed CPU would simply
+// have stopped executing here.
+func (db *DB) mustRelease(nd machine.NodeID, l machine.LineID) {
+	if err := db.M.ReleaseLine(nd, l); err != nil {
+		if !db.M.Alive(nd) {
+			return
+		}
+		panic(fmt.Sprintf("recovery: releasing line %d on node %d: %v", l, nd, err))
+	}
+}

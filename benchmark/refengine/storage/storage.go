@@ -1,0 +1,224 @@
+// Package storage simulates the stable storage of the shared-memory database
+// system: a set of shared disks holding the stable database (pages) and one
+// stable log device per node. In the paper's system model (figure 1) every
+// node is connected to all disks; stable storage survives any number of node
+// crashes. Latency is charged by the callers (buffer manager, log manager)
+// to the simulated per-node clocks using the machine's cost model; this
+// package only stores bytes and counts I/O.
+package storage
+
+import (
+	"errors"
+	"fmt"
+	"sync"
+)
+
+// PageID identifies a page of the stable database.
+type PageID int32
+
+// NoPage is the null page identifier.
+const NoPage PageID = -1
+
+// ErrNoPage reports a read of a page that has never been written.
+var ErrNoPage = errors.New("storage: page has never been written")
+
+// ErrTransient reports a transient I/O error (injected by the fault engine;
+// on real hardware a recoverable bus/controller fault). Callers should retry
+// with backoff; the fault engine bounds consecutive failures so bounded
+// retries always succeed.
+var ErrTransient = errors.New("storage: transient I/O error")
+
+// FaultFunc is consulted before each storage operation; a non-nil return
+// fails the operation. The op string names the operation ("read", "write",
+// "append"). Installed via SetFault; nil disables injection.
+type FaultFunc func(op string) error
+
+// RetryPolicy bounds and paces retries of transient storage errors.
+type RetryPolicy struct {
+	// MaxAttempts is the total number of tries (first try included).
+	MaxAttempts int
+	// BackoffNanos is the simulated-time delay charged before the first
+	// retry; it doubles on each subsequent one.
+	BackoffNanos int64
+}
+
+// DefaultRetry is the policy used by the buffer and log managers. Its six
+// attempts comfortably exceed the fault engine's default I/O-error burst
+// bound of two, so injected transient errors never become permanent.
+var DefaultRetry = RetryPolicy{MaxAttempts: 6, BackoffNanos: 20_000}
+
+// Backoff returns the simulated delay before retry attempt (1-based count of
+// failures so far), doubling per attempt.
+func (p RetryPolicy) Backoff(attempt int) int64 {
+	d := p.BackoffNanos
+	for i := 1; i < attempt; i++ {
+		d *= 2
+	}
+	return d
+}
+
+// Disk is a simulated shared disk holding fixed-size pages. It is safe for
+// concurrent use.
+type Disk struct {
+	mu       sync.Mutex
+	pageSize int
+	pages    map[PageID][]byte
+	reads    int64
+	writes   int64
+	fault    FaultFunc
+}
+
+// NewDisk returns an empty disk with the given page size.
+func NewDisk(pageSize int) *Disk {
+	if pageSize <= 0 {
+		panic(fmt.Sprintf("storage: page size must be positive, got %d", pageSize))
+	}
+	return &Disk{pageSize: pageSize, pages: make(map[PageID][]byte)}
+}
+
+// PageSize returns the page size in bytes.
+func (d *Disk) PageSize() int { return d.pageSize }
+
+// SetFault installs (or with nil removes) a fault hook consulted before
+// every read and write.
+func (d *Disk) SetFault(f FaultFunc) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.fault = f
+}
+
+// faultCheck calls the installed hook outside d.mu (the hook takes its own
+// lock and must not be invoked under ours).
+func (d *Disk) faultCheck(op string) error {
+	d.mu.Lock()
+	f := d.fault
+	d.mu.Unlock()
+	if f == nil {
+		return nil
+	}
+	return f(op)
+}
+
+// ReadPage returns a copy of page id, or ErrNoPage if it was never written.
+func (d *Disk) ReadPage(id PageID) ([]byte, error) {
+	if err := d.faultCheck("read"); err != nil {
+		return nil, err
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	p, ok := d.pages[id]
+	if !ok {
+		return nil, fmt.Errorf("%w: page %d", ErrNoPage, id)
+	}
+	d.reads++
+	out := make([]byte, d.pageSize)
+	copy(out, p)
+	return out, nil
+}
+
+// WritePage durably stores page id. Short data is zero-padded; long data is
+// rejected.
+func (d *Disk) WritePage(id PageID, data []byte) error {
+	if len(data) > d.pageSize {
+		return fmt.Errorf("storage: page %d write of %d bytes exceeds page size %d", id, len(data), d.pageSize)
+	}
+	if err := d.faultCheck("write"); err != nil {
+		return err
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	p := make([]byte, d.pageSize)
+	copy(p, data)
+	d.pages[id] = p
+	d.writes++
+	return nil
+}
+
+// Exists reports whether page id has ever been written.
+func (d *Disk) Exists(id PageID) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	_, ok := d.pages[id]
+	return ok
+}
+
+// IOCounts returns the cumulative page reads and writes.
+func (d *Disk) IOCounts() (reads, writes int64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.reads, d.writes
+}
+
+// LogDevice is the stable, append-only log device of one node. Forcing a
+// node's volatile log tail appends its encoded records here; the contents
+// survive every crash.
+type LogDevice struct {
+	mu     sync.Mutex
+	buf    []byte
+	forces int64
+	fault  FaultFunc
+}
+
+// NewLogDevice returns an empty stable log device.
+func NewLogDevice() *LogDevice { return &LogDevice{} }
+
+// SetFault installs (or with nil removes) a fault hook consulted before
+// every append.
+func (d *LogDevice) SetFault(f FaultFunc) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.fault = f
+}
+
+// Append durably appends data and returns the byte offset at which it was
+// written. A transient fault fails the append with no bytes written (an
+// injected torn write is modelled one level up, in wal.ForceTorn, which
+// appends only a prefix).
+func (d *LogDevice) Append(data []byte) (int64, error) {
+	d.mu.Lock()
+	f := d.fault
+	d.mu.Unlock()
+	if f != nil {
+		if err := f("append"); err != nil {
+			return 0, err
+		}
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	off := int64(len(d.buf))
+	d.buf = append(d.buf, data...)
+	d.forces++
+	return off, nil
+}
+
+// Size returns the number of stable bytes.
+func (d *LogDevice) Size() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return int64(len(d.buf))
+}
+
+// Forces returns the number of Append calls (physical log forces).
+func (d *LogDevice) Forces() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.forces
+}
+
+// Contents returns a copy of the entire stable log.
+func (d *LogDevice) Contents() []byte {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	out := make([]byte, len(d.buf))
+	copy(out, d.buf)
+	return out
+}
+
+// Truncate replaces the device contents with keep — log-space reclamation
+// after a checkpoint has archived everything older (on real hardware the
+// log is a ring; here the archive is simply dropped).
+func (d *LogDevice) Truncate(keep []byte) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.buf = append(d.buf[:0], keep...)
+}

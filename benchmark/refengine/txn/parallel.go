@@ -1,0 +1,88 @@
+package txn
+
+import (
+	"fmt"
+
+	"smdb/benchmark/refengine/machine"
+	"smdb/benchmark/refengine/recovery"
+)
+
+// ParallelTxn is a transaction parallelized across several nodes (paper
+// section 9): one branch per node, each doing that node's share of the
+// work, committed atomically. If any participating node crashes, restart
+// recovery aborts every branch — the whole transaction is all-or-nothing
+// across the machine.
+type ParallelTxn struct {
+	mgr      *Manager
+	global   recovery.GlobalID
+	branches map[machine.NodeID]*Txn
+	done     bool
+}
+
+// BeginParallel starts a parallel transaction with a branch on each of the
+// given nodes.
+func (m *Manager) BeginParallel(nodes ...machine.NodeID) (*ParallelTxn, error) {
+	if len(nodes) == 0 {
+		return nil, fmt.Errorf("txn: parallel transaction needs at least one node")
+	}
+	g := m.DB.BeginGlobal()
+	p := &ParallelTxn{mgr: m, global: g, branches: make(map[machine.NodeID]*Txn, len(nodes))}
+	for _, nd := range nodes {
+		id, err := m.DB.BeginBranch(g, nd)
+		if err != nil {
+			return nil, err
+		}
+		p.branches[nd] = &Txn{mgr: m, id: id, node: nd}
+	}
+	return p, nil
+}
+
+// Global returns the parallel transaction's identifier.
+func (p *ParallelTxn) Global() recovery.GlobalID { return p.global }
+
+// On returns the branch running on node nd (nil if none).
+func (p *ParallelTxn) On(nd machine.NodeID) *Txn { return p.branches[nd] }
+
+// Nodes returns the participating nodes.
+func (p *ParallelTxn) Nodes() []machine.NodeID {
+	out := make([]machine.NodeID, 0, len(p.branches))
+	for nd := range p.branches {
+		out = append(out, nd)
+	}
+	return out
+}
+
+// Commit commits every branch atomically: all logs are forced through their
+// commit records before any branch is considered committed.
+func (p *ParallelTxn) Commit() error {
+	if p.done {
+		return ErrDone
+	}
+	if err := p.mgr.DB.CommitGlobal(p.global); err != nil {
+		return err
+	}
+	for _, b := range p.branches {
+		b.releaseAll()
+		b.done = true
+	}
+	p.done = true
+	return nil
+}
+
+// Abort rolls back every live branch.
+func (p *ParallelTxn) Abort() error {
+	if p.done {
+		return ErrDone
+	}
+	if err := p.mgr.DB.AbortGlobal(p.global); err != nil {
+		return err
+	}
+	for _, b := range p.branches {
+		if p.mgr.DB.M.Alive(b.node) {
+			b.releaseAll()
+		}
+		b.done = true
+	}
+	p.done = true
+	return nil
+}

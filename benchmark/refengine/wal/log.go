@@ -1,0 +1,538 @@
+package wal
+
+import (
+	"sync"
+
+	"smdb/benchmark/refengine/machine"
+	"smdb/benchmark/refengine/obs"
+	"smdb/benchmark/refengine/obs/debt"
+	"smdb/benchmark/refengine/obs/waterfall"
+	"smdb/benchmark/refengine/storage"
+)
+
+// Log is one node's write-ahead log: a stable prefix on the node's log
+// device and a volatile tail in the node's cache. Appends are volatile;
+// Force moves the tail (up to a chosen LSN) to the device in one physical
+// force. A node crash (Crash) destroys exactly the volatile tail — the
+// paper's section 2 alignment assumption guarantees a node's log lines never
+// migrate, so nothing else is lost and nothing of it survives elsewhere.
+//
+// A Log is safe for concurrent use; in the simulated system only its owning
+// node appends, but recovery on other nodes reads it.
+type Log struct {
+	node machine.NodeID
+	dev  *storage.LogDevice
+
+	mu sync.Mutex
+	// down is set by Crash and cleared by Reopen: a crashed node's CPU has
+	// stopped, so nothing may append to or force its log until restart
+	// (late writes by in-flight goroutines of the dead node are dropped).
+	down bool
+	// recs[i] has LSN first+i; recs[:forced] are stable. first grows when
+	// DiscardThrough reclaims log space.
+	recs      []Record
+	first     LSN // LSN of recs[0]; records below first have been discarded
+	forced    int // count of stable records still retained
+	lastCkpt  LSN // LSN of the most recent checkpoint record, 0 if none
+	lastByTxn map[TxnID]LSN
+	// firstByTxn records each transaction's earliest LSN, the input to the
+	// truncation low-water mark.
+	firstByTxn map[TxnID]LSN
+
+	// gf is the epoch/group-commit force state (groupforce.go); disabled
+	// unless EnableGroupForce was called.
+	gf groupForce
+
+	// tornBytes counts stable-tail bytes discarded because a crash tore a
+	// force mid-write (repaired at NewLog/Reopen by truncating the device
+	// at the last checksum-valid record).
+	tornBytes int
+	// ioRetries counts transient device errors retried inside Force.
+	ioRetries int
+
+	// obs receives append/force events; simNow supplies the owning node's
+	// simulated clock. simNow must be lock-free: Force can run inside a
+	// machine pre-transition callback (triggered Stable LBM), where the
+	// machine lock is already held.
+	obs    *obs.Observer
+	simNow func() int64
+	// wf receives per-transaction append markers for the latency waterfall
+	// (appends cost no simulated time, so the markers carry ordering, not
+	// duration). Same locking constraints as obs.
+	wf *waterfall.Recorder
+	// dbt receives append/force/crash/discard accounting for the live
+	// recovery-debt tracker. Same locking constraints as obs; the tracker
+	// only takes its own mutex and never calls back into the log.
+	dbt *debt.Tracker
+}
+
+// NewLog creates a log for node n backed by stable device dev. If dev
+// already holds records (a restarted node), they are decoded and become the
+// stable prefix; a torn tail — a partial record left by a crash mid-force —
+// is truncated at the last checksum-valid record rather than failing the
+// node open.
+func NewLog(n machine.NodeID, dev *storage.LogDevice) (*Log, error) {
+	l := &Log{node: n, dev: dev, first: 1,
+		lastByTxn: make(map[TxnID]LSN), firstByTxn: make(map[TxnID]LSN)}
+	if dev.Size() > 0 {
+		contents := dev.Contents()
+		recs, torn := DecodeAll(contents)
+		if torn > 0 {
+			dev.Truncate(contents[:len(contents)-torn])
+			l.tornBytes = torn
+		}
+		l.recs = recs
+		l.forced = len(recs)
+		for i := range recs {
+			if recs[i].Type == TypeCheckpoint {
+				l.lastCkpt = recs[i].LSN
+			}
+			l.lastByTxn[recs[i].Txn] = recs[i].LSN
+			if _, ok := l.firstByTxn[recs[i].Txn]; !ok {
+				l.firstByTxn[recs[i].Txn] = recs[i].LSN
+			}
+		}
+	}
+	return l, nil
+}
+
+// Node returns the owning node.
+func (l *Log) Node() machine.NodeID { return l.node }
+
+// SetObserver attaches the observability layer. simNow supplies the owning
+// node's simulated clock for event timestamps and must be safe to call
+// without any engine locks (machine.Clock qualifies).
+func (l *Log) SetObserver(o *obs.Observer, simNow func() int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.obs = o
+	l.simNow = simNow
+}
+
+// SetWaterfall attaches (or, with nil, detaches) the waterfall recorder.
+// simNow has the same contract as in SetObserver; it is shared.
+func (l *Log) SetWaterfall(w *waterfall.Recorder, simNow func() int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.wf = w
+	if simNow != nil {
+		l.simNow = simNow
+	}
+}
+
+// SetDebt attaches (or, with nil, detaches) the recovery-debt tracker.
+// simNow has the same contract as in SetObserver; it is shared.
+func (l *Log) SetDebt(d *debt.Tracker, simNow func() int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.dbt = d
+	if simNow != nil {
+		l.simNow = simNow
+	}
+}
+
+// EncodedSize returns the bytes r occupies on the stable device (header,
+// fixed body, and both images) without marshalling it.
+func EncodedSize(r *Record) int {
+	return recHeaderLen + 52 + len(r.Before) + len(r.After)
+}
+
+// now returns the owning node's simulated clock (0 when unwired).
+func (l *Log) now() int64 {
+	if l.simNow == nil {
+		return 0
+	}
+	return l.simNow()
+}
+
+// Device returns the stable log device backing this log (for force-count
+// accounting in experiments).
+func (l *Log) Device() *storage.LogDevice { return l.dev }
+
+// Append adds r to the volatile tail, assigning and returning its LSN.
+// PrevLSN is filled in automatically from the transaction's previous record
+// in this log (zero for its first).
+// Append returns LSN 0, appending nothing, while the node is down.
+func (l *Log) Append(r Record) LSN {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.down {
+		return 0
+	}
+	r.LSN = l.first + LSN(len(l.recs))
+	if r.Txn != 0 {
+		r.PrevLSN = l.lastByTxn[r.Txn]
+		l.lastByTxn[r.Txn] = r.LSN
+		if _, ok := l.firstByTxn[r.Txn]; !ok {
+			l.firstByTxn[r.Txn] = r.LSN
+		}
+	}
+	if r.Type == TypeCheckpoint {
+		l.lastCkpt = r.LSN
+	}
+	l.recs = append(l.recs, r)
+	if l.obs != nil {
+		l.obs.Instant(obs.KindWALAppend, int32(l.node), l.now(), int64(r.LSN), int64(r.Type))
+	}
+	if l.wf != nil && r.Txn != 0 {
+		l.wf.NoteAppend(int64(r.Txn), l.now(), 0, int64(r.LSN))
+	}
+	l.dbt.NoteAppend(int32(l.node), int64(r.LSN), uint8(r.Type), uint64(r.Txn), EncodedSize(&r), l.now())
+	return r.LSN
+}
+
+// NextLSN returns the LSN the next Append will assign.
+func (l *Log) NextLSN() LSN {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.first + LSN(len(l.recs))
+}
+
+// ForcedLSN returns the highest stable LSN (0 if nothing is stable).
+func (l *Log) ForcedLSN() LSN {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.forced == 0 {
+		return l.first - 1
+	}
+	return l.first + LSN(l.forced) - 1
+}
+
+// Force makes all records up to and including upto stable. It returns the
+// number of records written and whether a physical force (device append)
+// occurred, so the caller can charge simulated log-force latency and count
+// force frequency. Forcing an already-stable LSN is a no-op.
+func (l *Log) Force(upto LSN) (records int, forced bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.forceLocked(upto)
+}
+
+// forceLocked is Force's body, shared with the group-commit path (which
+// holds l.mu across its leader hand-off). Caller holds l.mu.
+func (l *Log) forceLocked(upto LSN) (records int, forced bool) {
+	if l.down {
+		return 0, false
+	}
+	uptoIdx := int(upto-l.first) + 1
+	if uptoIdx > len(l.recs) {
+		uptoIdx = len(l.recs)
+	}
+	if uptoIdx <= l.forced {
+		return 0, false
+	}
+	var buf []byte
+	for i := l.forced; i < uptoIdx; i++ {
+		buf = append(buf, Marshal(&l.recs[i])...)
+	}
+	// The device can fail transiently (injected I/O faults). Retry under
+	// the default policy; no simulated backoff is charged here because
+	// Force may run inside a machine pre-transition callback, where the
+	// machine lock (and so AdvanceClock) is off-limits. On persistent
+	// failure nothing is stable and `forced` does not advance, so the
+	// commit path correctly reports the commit record unforced.
+	var err error
+	for attempt := 1; ; attempt++ {
+		if _, err = l.dev.Append(buf); err == nil {
+			break
+		}
+		if attempt >= storage.DefaultRetry.MaxAttempts {
+			return 0, false
+		}
+		l.ioRetries++
+		if l.obs != nil {
+			l.obs.Instant(obs.KindIORetry, int32(l.node), l.now(), int64(attempt), 0)
+		}
+	}
+	records = uptoIdx - l.forced
+	l.forced = uptoIdx
+	if l.obs != nil {
+		l.obs.Instant(obs.KindWALForce, int32(l.node), l.now(),
+			int64(records), int64(l.first)+int64(l.forced)-1)
+	}
+	l.dbt.NoteForce(int32(l.node), int64(l.first)+int64(l.forced)-1, records, l.now())
+	return records, true
+}
+
+// ForceTorn simulates a crash in the middle of a physical force: of the
+// records that Force(upto) would have written, only a `frac` fraction of the
+// encoded bytes reach the device — every whole record that fits, plus a
+// partial prefix of the next (the torn tail a restart must truncate). The
+// log is marked down, as the forcing node dies at this instant; the caller
+// crashes the node. It returns the whole records made stable and the torn
+// bytes left on the device.
+func (l *Log) ForceTorn(upto LSN, frac float64) (whole, torn int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.down {
+		return 0, 0
+	}
+	uptoIdx := int(upto-l.first) + 1
+	if uptoIdx > len(l.recs) {
+		uptoIdx = len(l.recs)
+	}
+	if uptoIdx <= l.forced {
+		l.down = true
+		l.wakeGroupLocked()
+		return 0, 0
+	}
+	var bufs [][]byte
+	total := 0
+	for i := l.forced; i < uptoIdx; i++ {
+		b := Marshal(&l.recs[i])
+		bufs = append(bufs, b)
+		total += len(b)
+	}
+	limit := int(frac * float64(total))
+	if limit >= total {
+		limit = total - 1 // a torn force never completes
+	}
+	if limit < 0 {
+		limit = 0
+	}
+	var out []byte
+	for _, b := range bufs {
+		if len(out)+len(b) <= limit {
+			out = append(out, b...)
+			whole++
+			continue
+		}
+		torn = limit - len(out)
+		out = append(out, b[:torn]...)
+		break
+	}
+	if len(out) > 0 {
+		// A transient device fault can compound the torn force; retry so
+		// the partial write lands, or fall back to "nothing reached the
+		// device" (an even shorter tear) on persistent failure.
+		landed := false
+		for attempt := 1; attempt <= storage.DefaultRetry.MaxAttempts; attempt++ {
+			if _, err := l.dev.Append(out); err == nil {
+				landed = true
+				break
+			}
+			l.ioRetries++
+		}
+		if !landed {
+			whole, torn = 0, 0
+		}
+	}
+	l.forced += whole
+	l.tornBytes += torn
+	l.down = true
+	l.wakeGroupLocked()
+	if l.obs != nil {
+		l.obs.Instant(obs.KindWALForce, int32(l.node), l.now(),
+			int64(whole), int64(l.first)+int64(l.forced)-1)
+	}
+	if whole > 0 {
+		l.dbt.NoteForce(int32(l.node), int64(l.first)+int64(l.forced)-1, whole, l.now())
+	}
+	return whole, torn
+}
+
+// ForceAll forces the entire log.
+func (l *Log) ForceAll() (records int, forced bool) {
+	return l.Force(LSN(1 << 62))
+}
+
+// Crash destroys the volatile tail, as a node failure would, and returns the
+// number of records lost. The log remains usable (for the node's restarted
+// incarnation); its next LSN continues after the stable prefix.
+func (l *Log) Crash() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.down = true
+	l.wakeGroupLocked()
+	lost := len(l.recs) - l.forced
+	l.recs = l.recs[:l.forced]
+	// Rebuild per-transaction chains and checkpoint marker from what
+	// survived.
+	l.lastByTxn = make(map[TxnID]LSN)
+	l.firstByTxn = make(map[TxnID]LSN)
+	l.lastCkpt = 0
+	for i := range l.recs {
+		if l.recs[i].Txn != 0 {
+			l.lastByTxn[l.recs[i].Txn] = l.recs[i].LSN
+			if _, ok := l.firstByTxn[l.recs[i].Txn]; !ok {
+				l.firstByTxn[l.recs[i].Txn] = l.recs[i].LSN
+			}
+		}
+		if l.recs[i].Type == TypeCheckpoint {
+			l.lastCkpt = l.recs[i].LSN
+		}
+	}
+	l.dbt.NoteCrash(int32(l.node), int64(l.first)+int64(l.forced)-1, lost)
+	return lost
+}
+
+// Reopen re-enables the log for the node's restarted incarnation. If the
+// crash tore a force mid-write, the partial record left on the device is
+// truncated away here (the in-memory state never counted it as stable).
+func (l *Log) Reopen() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.down = false
+	if l.gf.downClosed {
+		// Re-arm the group-force down signal for the restarted incarnation.
+		l.gf.downCh = make(chan struct{})
+		l.gf.downClosed = false
+	}
+	contents := l.dev.Contents()
+	if _, torn := DecodeAll(contents); torn > 0 {
+		l.dev.Truncate(contents[:len(contents)-torn])
+	}
+}
+
+// TornBytes returns the cumulative stable-tail bytes discarded because a
+// crash tore a force mid-write.
+func (l *Log) TornBytes() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.tornBytes
+}
+
+// IORetries returns the number of transient device errors retried by forces.
+func (l *Log) IORetries() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.ioRetries
+}
+
+// LastCheckpoint returns the LSN of the most recent checkpoint record (0 if
+// none). Redo scans start just after it.
+func (l *Log) LastCheckpoint() LSN {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.lastCkpt
+}
+
+// Records returns a copy of the records with LSN >= from (use 1 for all).
+// For a live node this is the whole log; after Crash it is the stable
+// prefix only.
+func (l *Log) Records(from LSN) []Record {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if from < l.first {
+		from = l.first
+	}
+	idx := int(from - l.first)
+	if idx >= len(l.recs) {
+		return nil
+	}
+	out := make([]Record, len(l.recs)-idx)
+	copy(out, l.recs[idx:])
+	return out
+}
+
+// Scan calls fn for every record with LSN >= from (use 1 for all) in LSN
+// order, stopping early if fn returns false. The whole scan runs under the
+// log mutex with no copying, so it is the zero-allocation alternative to
+// Records for recovery's hot read-only passes. Retaining a Record value is
+// safe (records are never mutated in place), but fn must not call back into
+// this Log — an Append/Force from inside fn would self-deadlock.
+func (l *Log) Scan(from LSN, fn func(Record) bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if from < l.first {
+		from = l.first
+	}
+	for i := int(from - l.first); i < len(l.recs); i++ {
+		if !fn(l.recs[i]) {
+			return
+		}
+	}
+}
+
+// Get returns the record at the given LSN.
+func (l *Log) Get(lsn LSN) (Record, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if lsn < l.first || int(lsn-l.first) >= len(l.recs) {
+		return Record{}, false
+	}
+	return l.recs[lsn-l.first], true
+}
+
+// LastLSNOf returns the LSN of the transaction's most recent record in this
+// log (0 if none). Abort walks the PrevLSN chain from here.
+func (l *Log) LastLSNOf(t TxnID) LSN {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.lastByTxn[t]
+}
+
+// Len returns the number of records (stable + volatile).
+func (l *Log) Len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.recs)
+}
+
+// FirstLSNOf returns the LSN of the transaction's earliest retained record
+// (0 if none). It is the per-transaction component of the truncation
+// low-water mark.
+func (l *Log) FirstLSNOf(t TxnID) LSN {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.firstByTxn[t]
+}
+
+// FirstLSN returns the LSN of the oldest retained record.
+func (l *Log) FirstLSN() LSN {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.first
+}
+
+// DiscardThrough reclaims log space by discarding every record with
+// LSN <= upto, from memory and from the stable device (the archive is
+// dropped). The caller — the checkpointer — guarantees upto is stable and
+// below both the last checkpoint record and every active transaction's
+// first LSN, so nothing recovery could ever need is lost. Out-of-range
+// requests are clamped; discarding nothing is a no-op.
+func (l *Log) DiscardThrough(upto LSN) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	maxStable := l.first + LSN(l.forced) - 1
+	if upto > maxStable {
+		upto = maxStable
+	}
+	drop := int(upto-l.first) + 1
+	if drop <= 0 {
+		return 0
+	}
+	l.recs = append([]Record(nil), l.recs[drop:]...)
+	l.first = upto + 1
+	l.forced -= drop
+	// Re-encode the retained stable prefix onto the device.
+	var buf []byte
+	for i := 0; i < l.forced; i++ {
+		buf = append(buf, Marshal(&l.recs[i])...)
+	}
+	l.dev.Truncate(buf)
+	// Forget chains that now point entirely below the horizon.
+	for t, last := range l.lastByTxn {
+		if last < l.first {
+			delete(l.lastByTxn, t)
+			delete(l.firstByTxn, t)
+		}
+	}
+	l.dbt.NoteDiscard(int32(l.node), int64(l.first))
+	return drop
+}
+
+// StableRecords decodes and returns the records on the stable device,
+// re-based to their true LSNs. It is what restart recovery can read for a
+// crashed node. A torn tail is ignored (recovery reads only the
+// checksum-valid prefix; the tail is truncated at Reopen).
+func (l *Log) StableRecords() ([]Record, error) {
+	recs, _ := DecodeAll(l.dev.Contents())
+	l.mu.Lock()
+	base := l.first - 1
+	l.mu.Unlock()
+	for i := range recs {
+		recs[i].LSN += base
+	}
+	return recs, nil
+}
