@@ -29,6 +29,7 @@ func benchSM(b *testing.B, lm LogMode) (*SMManager, *machine.Machine) {
 func BenchmarkSMAcquireReleaseLocal(b *testing.B) {
 	s, _ := benchSM(b, LogNoLocks)
 	txn := wal.MakeTxnID(0, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		name := NameOfKey(uint64(i % 256))
@@ -45,6 +46,7 @@ func BenchmarkSMAcquireReleaseLocal(b *testing.B) {
 // LCB line migrates between caches — the paper's sharing pattern.
 func BenchmarkSMAcquireReleaseMigrating(b *testing.B) {
 	s, _ := benchSM(b, LogAllLocks)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		nd := machine.NodeID(i % 4)
@@ -90,6 +92,7 @@ func BenchmarkWaitsForGraph(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.FindDeadlock(0); err != nil {

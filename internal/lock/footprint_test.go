@@ -1,0 +1,152 @@
+package lock
+
+import (
+	"testing"
+
+	"smdb/internal/machine"
+	"smdb/internal/wal"
+)
+
+// footprint is what one lock call costs the simulated machine: the counters
+// it moves and the simulated time it charges the calling node.
+type footprint struct {
+	st    machine.Stats
+	clock int64
+}
+
+// TestLockOpMachineFootprint pins the simulated-machine operation sequence of
+// every lock call: the codec and bookkeeping under an LCB operation may get
+// cheaper on the host, but the reads, writes, line-lock acquisitions and
+// simulated nanoseconds a call issues are part of the reproduced system (they
+// feed machine.Stats, the E-tables and recorded chaos schedules) and must not
+// move. The expected values were recorded from the allocating codec this
+// package started with.
+func TestLockOpMachineFootprint(t *testing.T) {
+	for _, chained := range []bool{false, true} {
+		name := "one-line"
+		if chained {
+			name = "chained"
+		}
+		t.Run(name, func(t *testing.T) {
+			s, _, m := newSM(t, 2, 64, LogAllLocks)
+			s.Chained = chained
+			key := NameOfKey(7)
+			t1, t2, t3 := wal.MakeTxnID(0, 1), wal.MakeTxnID(0, 2), wal.MakeTxnID(0, 3)
+
+			// measure reports op's footprint on the node its transaction runs on.
+			measureOn := func(nd machine.NodeID, op func()) footprint {
+				t.Helper()
+				st0, c0 := m.Stats(), m.Clock(nd)
+				op()
+				return footprint{st: m.Stats().Sub(st0), clock: m.Clock(nd) - c0}
+			}
+			measure := func(op func()) footprint { return measureOn(0, op) }
+			acquire := func(txn wal.TxnID, n Name, mode Mode, wantGrant bool) func() {
+				return func() {
+					t.Helper()
+					if g, err := s.Acquire(txn.Node(), txn, n, mode); err != nil || g != wantGrant {
+						t.Fatalf("Acquire(%v, %v) = %v, %v; want grant=%v", txn, mode, g, err, wantGrant)
+					}
+				}
+			}
+
+			got := map[string]footprint{}
+			got["acquire-create"] = measure(acquire(t1, key, Shared, true))
+			got["acquire-hit"] = measure(acquire(t2, key, Shared, true))
+			got["holds"] = measure(func() {
+				if _, held, err := s.Holds(0, t1, key); err != nil || !held {
+					t.Fatalf("Holds = %v, %v", held, err)
+				}
+			})
+			got["holds-absent"] = measure(func() {
+				if _, held, err := s.Holds(0, t1, NameOfKey(8)); err != nil || held {
+					t.Fatalf("Holds(absent) = %v, %v", held, err)
+				}
+			})
+			got["acquire-wait"] = measure(acquire(t3, key, Exclusive, false))
+			got["cancel-wait"] = measure(func() {
+				if err := s.CancelWait(0, t3, key); err != nil {
+					t.Fatal(err)
+				}
+			})
+			got["release"] = measure(func() {
+				if err := s.Release(0, t2, key); err != nil {
+					t.Fatal(err)
+				}
+			})
+			got["release-tombstone"] = measure(func() {
+				if err := s.Release(0, t1, key); err != nil {
+					t.Fatal(err)
+				}
+			})
+			got["acquire-reuse-tombstone"] = measure(acquire(t1, key, Exclusive, true))
+			// The same calls from another node migrate the LCB line.
+			r1 := wal.MakeTxnID(1, 1)
+			got["acquire-wait-remote"] = measureOn(1, acquire(r1, key, Shared, false))
+			got["cancel-wait-remote"] = measureOn(1, func() {
+				if err := s.CancelWait(1, r1, key); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if chained {
+				// Fill the head line, then one more holder claims an overflow
+				// line; releasing it gives the line back.
+				big := NameOfKey(9)
+				for i := 0; i < s.entryCap(); i++ {
+					acquire(wal.MakeTxnID(0, uint64(100+i)), big, Shared, true)()
+				}
+				over := wal.MakeTxnID(0, 500)
+				got["acquire-overflow"] = measure(acquire(over, big, Shared, true))
+				got["holds-chained"] = measure(func() {
+					if _, held, err := s.Holds(0, over, big); err != nil || !held {
+						t.Fatalf("Holds(chained) = %v, %v", held, err)
+					}
+				})
+				got["release-shrink"] = measure(func() {
+					if err := s.Release(0, over, big); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+
+			for op, g := range got {
+				w, ok := footprintWant[op]
+				if !ok {
+					t.Errorf("%s: no recorded footprint", op)
+				} else if g != w {
+					t.Errorf("%s:\n got  %+v\n want %+v", op, g, w)
+				}
+			}
+		})
+	}
+}
+
+// local is the footprint of a call whose LCB line is already exclusive in the
+// caller's cache: every access is a local hit.
+func local(reads, writes, lineLocks, clock int64) footprint {
+	return footprint{st: machine.Stats{Reads: reads, Writes: writes, LocalHits: reads + writes,
+		LineLockAcquires: lineLocks}, clock: clock}
+}
+
+// footprintWant is keyed by the operation names of TestLockOpMachineFootprint;
+// the one-line and chained tables agree on every operation both can perform.
+var footprintWant = map[string]footprint{
+	"acquire-create":          local(2, 1, 1, 1350), // peek, GetLine, confirm, Write, ReleaseLine
+	"acquire-hit":             local(3, 1, 1, 1450), // peek, GetLine, confirm, chain head, Write, ReleaseLine
+	"acquire-wait":            local(3, 1, 1, 1450),
+	"acquire-reuse-tombstone": local(3, 1, 1, 1450), // peeks the tombstone and the empty slot after it
+	"holds":                   local(3, 0, 1, 1300),
+	"holds-absent":            local(1, 0, 0, 100),
+	"cancel-wait":             local(3, 1, 1, 1450),
+	"release":                 local(3, 1, 1, 1450),
+	"release-tombstone":       local(3, 1, 1, 1450),
+	// The peek downgrades node 0's exclusive copy, GetLine invalidates it.
+	"acquire-wait-remote": {st: machine.Stats{Reads: 3, Writes: 1, LocalHits: 3, RemoteFetches: 1,
+		Downgrades: 1, Replications: 1, Invalidations: 1, LineLockAcquires: 1}, clock: 22600},
+	"cancel-wait-remote": local(3, 1, 1, 1450),
+	// Chained only: the 13th holder claims an overflow line (scan peek,
+	// TryGetLine, confirm, reserve) and the chain is stored as two lines.
+	"acquire-overflow": local(5, 3, 2, 2950),
+	"holds-chained":    local(4, 0, 1, 1400),
+	"release-shrink":   local(4, 2, 1, 1700), // head rewritten, overflow line tombstoned
+}

@@ -220,7 +220,7 @@ func (s *SDManager) Release(nd machine.NodeID, txn wal.TxnID, name Name) error {
 		return ErrNotHeld
 	}
 	lb := lcb{holders: b.holders, waiters: b.waiters}
-	s.promoteSD(&lb)
+	promoteWaiters(&lb)
 	b.holders, b.waiters = lb.holders, lb.waiters
 	if len(b.holders) == 0 && len(b.waiters) == 0 {
 		delete(tbl, name)
@@ -231,34 +231,6 @@ func (s *SDManager) Release(nd machine.NodeID, txn wal.TxnID, name Name) error {
 	}
 	s.stats.Releases++
 	return nil
-}
-
-// promoteSD applies the SM promotion rules without touching SM stats.
-func (s *SDManager) promoteSD(b *lcb) {
-	for len(b.waiters) > 0 {
-		w := b.waiters[0]
-		isUpgrade := false
-		for i, h := range b.holders {
-			if h.Txn == w.Txn {
-				if len(b.holders) == 1 {
-					b.holders[i].Mode = w.Mode
-					isUpgrade = true
-				}
-				break
-			}
-		}
-		if isUpgrade {
-			b.waiters = b.waiters[1:]
-			continue
-		}
-		for _, h := range b.holders {
-			if !Compatible(h.Mode, w.Mode) {
-				return
-			}
-		}
-		b.holders = append(b.holders, w)
-		b.waiters = b.waiters[1:]
-	}
 }
 
 // Crash marks a node down. If replication is enabled the lock space
@@ -284,7 +256,7 @@ func (s *SDManager) Crash(crashed ...machine.NodeID) {
 				var rel int
 				lb.holders, _ = dropCrashed(lb.holders, down, &rel, false)
 				lb.waiters, _ = dropCrashed(lb.waiters, down, &rel, false)
-				s.promoteSD(&lb)
+				promoteWaiters(&lb)
 				b.holders, b.waiters = lb.holders, lb.waiters
 				if len(b.holders) == 0 && len(b.waiters) == 0 {
 					delete(tbl, name)

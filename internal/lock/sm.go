@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"smdb/internal/machine"
 	"smdb/internal/obs"
@@ -73,7 +74,9 @@ type Entry struct {
 
 // lcb is the decoded form of one lock-control-block line (a head or an
 // overflow fragment), or — after loadChain — a whole chained LCB aggregated
-// into one value.
+// into one value. Operations edit holders and waiters in place (never by
+// re-slicing from the front), so the arrays a scratch lends them keep their
+// capacity from one operation to the next.
 type lcb struct {
 	state byte
 	name  Name
@@ -124,36 +127,26 @@ type SMManager struct {
 	base  machine.LineID
 	nline int
 
-	mu       sync.Mutex
+	// Nothing below is guarded by a manager-wide mutex: the table itself is
+	// serialized by the machine's line locks, the counters are updated with
+	// atomic adds (the machine.Stats pattern), and the two rarely-written
+	// switches are atomics, so lock calls on different LCBs share no host
+	// lock.
 	stats    Stats
-	suppress bool
-	obs      *obs.Observer
+	suppress atomic.Bool
+	obs      atomic.Pointer[obs.Observer]
+	scratch  sync.Pool // of *lcbScratch
 }
 
 // SetObserver attaches the observability layer; grants and queued waits are
 // reported as lock events timestamped with the requesting node's clock.
-func (s *SMManager) SetObserver(o *obs.Observer) {
-	s.mu.Lock()
-	s.obs = o
-	s.mu.Unlock()
-}
-
-// observer returns the attached observer (possibly nil).
-func (s *SMManager) observer() *obs.Observer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.obs
-}
+func (s *SMManager) SetObserver(o *obs.Observer) { s.obs.Store(o) }
 
 // SetLogSuppressed disables (true) or re-enables (false) logical lock
 // logging. Restart recovery suppresses logging while it replays surviving
 // transactions' lock acquisitions, so the rebuild does not re-log what the
 // log already records.
-func (s *SMManager) SetLogSuppressed(b bool) {
-	s.mu.Lock()
-	s.suppress = b
-	s.mu.Unlock()
-}
+func (s *SMManager) SetLogSuppressed(b bool) { s.suppress.Store(b) }
 
 // NewSMManager allocates and initializes a lock table of nLines LCB slots on
 // machine m, formatting it from node 0. logs is indexed by node and may be
@@ -180,32 +173,73 @@ func (s *SMManager) entryCap() int {
 	return (s.M.LineSize() - lcbEntriesOff) / lcbEntryBytes
 }
 
-// Stats returns a snapshot of the counters.
+// Stats returns a snapshot of the counters. Each field is read atomically;
+// like machine.Stats, the snapshot is not a single point in time while lock
+// calls are in flight.
 func (s *SMManager) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
-func (s *SMManager) bump(f func(*Stats)) {
-	s.mu.Lock()
-	f(&s.stats)
-	s.mu.Unlock()
-}
-
-// decodeLCB parses a raw LCB line image.
-func decodeLCB(raw []byte) lcb {
-	var b lcb
-	b.state = raw[lcbStateOff]
-	b.next = int(binary.LittleEndian.Uint32(raw[lcbNextOff:])) - 1
-	if b.state != lcbUsed && b.state != lcbOverflow {
-		return b
+	return Stats{
+		Acquires:   atomic.LoadInt64(&s.stats.Acquires),
+		Grants:     atomic.LoadInt64(&s.stats.Grants),
+		Waits:      atomic.LoadInt64(&s.stats.Waits),
+		Releases:   atomic.LoadInt64(&s.stats.Releases),
+		Promotions: atomic.LoadInt64(&s.stats.Promotions),
+		LockLogs:   atomic.LoadInt64(&s.stats.LockLogs),
+		Probes:     atomic.LoadInt64(&s.stats.Probes),
 	}
+}
+
+// lcbScratch is the working set of one lock-table operation, reused through
+// SMManager.scratch so the operation allocates nothing: every line read lands
+// in raw, every line written is encoded into raw, and b's entry arrays are
+// recycled. The rule this serves: an LCB operation issues exactly the machine
+// operations the paper's protocol calls for (they are simulated, counted and
+// charged), and spends as little of the host as possible around them.
+type lcbScratch struct {
+	raw   []byte // one line image
+	b     lcb    // the decoded LCB an operation works on
+	slots []int  // table slots b occupies, head first (loadChain, storeChain)
+}
+
+// getScratch takes a scratch from the pool (callers Put it back), sized for
+// this manager's line size.
+func (s *SMManager) getScratch() *lcbScratch {
+	if sc, ok := s.scratch.Get().(*lcbScratch); ok {
+		return sc
+	}
+	n := s.entryCap() + 1 // one past capacity: checkCap runs after the append
+	return &lcbScratch{
+		raw:   make([]byte, s.M.LineSize()),
+		b:     lcb{holders: make([]Entry, 0, n), waiters: make([]Entry, 0, n)},
+		slots: make([]int, 0, 4),
+	}
+}
+
+// fresh resets the scratch LCB to an entry-less block in the given state.
+func (sc *lcbScratch) fresh(state byte, name Name) *lcb {
+	sc.b = lcb{state: state, name: name, next: -1, holders: sc.b.holders[:0], waiters: sc.b.waiters[:0]}
+	return &sc.b
+}
+
+// Accessors for the header of a raw line image (see the layout above).
+func rawName(raw []byte) Name { return Name(binary.LittleEndian.Uint64(raw[lcbNameOff:])) }
+func rawNext(raw []byte) int  { return int(binary.LittleEndian.Uint32(raw[lcbNextOff:])) - 1 }
+
+// decodeLCB parses the line image raw into b, reusing b's entry arrays.
+func decodeLCB(raw []byte, b *lcb) {
+	*b = lcb{state: raw[lcbStateOff], next: rawNext(raw), holders: b.holders[:0], waiters: b.waiters[:0]}
+	if b.state != lcbUsed && b.state != lcbOverflow {
+		return
+	}
+	b.name = rawName(raw)
+	appendEntries(raw, b)
+}
+
+// appendEntries appends the holder and waiter entries stored in the line
+// image raw to b's lists (so the fragments of a chain aggregate).
+func appendEntries(raw []byte, b *lcb) {
 	nh := int(raw[lcbNHoldOff])
-	nw := int(raw[lcbNWaitOff])
-	b.name = Name(binary.LittleEndian.Uint64(raw[lcbNameOff:]))
-	for i := 0; i < nh+nw; i++ {
-		off := lcbEntriesOff + i*lcbEntryBytes
+	n := nh + int(raw[lcbNWaitOff])
+	for i, off := 0, lcbEntriesOff; i < n; i, off = i+1, off+lcbEntryBytes {
 		e := Entry{
 			Txn:  wal.TxnID(binary.LittleEndian.Uint64(raw[off:])),
 			Mode: Mode(raw[off+8]),
@@ -216,147 +250,146 @@ func decodeLCB(raw []byte) lcb {
 			b.waiters = append(b.waiters, e)
 		}
 	}
-	return b
 }
 
-// encodeLCB builds a raw line image for b.
-func encodeLCB(lineSize int, b lcb) []byte {
-	raw := make([]byte, lineSize)
+// encodeLCB overwrites the whole line image raw with b's encoding; whatever
+// an earlier, longer LCB left beyond b's last entry is zeroed.
+func encodeLCB(raw []byte, b *lcb) {
 	raw[lcbStateOff] = b.state
+	raw[lcbNHoldOff], raw[lcbNWaitOff], raw[3] = 0, 0, 0
 	binary.LittleEndian.PutUint32(raw[lcbNextOff:], uint32(b.next+1))
-	if b.state != lcbUsed && b.state != lcbOverflow {
-		return raw
-	}
-	raw[lcbNHoldOff] = byte(len(b.holders))
-	raw[lcbNWaitOff] = byte(len(b.waiters))
-	binary.LittleEndian.PutUint64(raw[lcbNameOff:], uint64(b.name))
-	i := 0
-	for _, list := range [][]Entry{b.holders, b.waiters} {
-		for _, e := range list {
-			off := lcbEntriesOff + i*lcbEntryBytes
-			binary.LittleEndian.PutUint64(raw[off:], uint64(e.Txn))
-			raw[off+8] = byte(e.Mode)
-			i++
+	off := lcbNameOff
+	if b.state == lcbUsed || b.state == lcbOverflow {
+		raw[lcbNHoldOff] = byte(len(b.holders))
+		raw[lcbNWaitOff] = byte(len(b.waiters))
+		binary.LittleEndian.PutUint64(raw[lcbNameOff:], uint64(b.name))
+		off = lcbEntriesOff
+		for _, list := range [2][]Entry{b.holders, b.waiters} {
+			for _, e := range list {
+				binary.LittleEndian.PutUint64(raw[off:], uint64(e.Txn))
+				raw[off+8] = byte(e.Mode)
+				off += lcbEntryBytes
+			}
 		}
 	}
-	return raw
+	clear(raw[off:])
 }
 
-// readLCB reads and decodes the LCB at table slot i on behalf of node nd.
-func (s *SMManager) readLCB(nd machine.NodeID, i int) (lcb, error) {
-	raw, err := s.M.Read(nd, s.base+machine.LineID(i), 0, s.M.LineSize())
-	if err != nil {
-		return lcb{}, err
-	}
-	return decodeLCB(raw), nil
+// readSlot reads the line of table slot i into sc.raw on behalf of node nd.
+func (s *SMManager) readSlot(nd machine.NodeID, i int, sc *lcbScratch) error {
+	return s.M.ReadInto(nd, s.base+machine.LineID(i), 0, sc.raw)
 }
 
-// writeLCB encodes and writes b to table slot i on behalf of node nd. The
-// caller holds the slot's line lock.
-func (s *SMManager) writeLCB(nd machine.NodeID, i int, b lcb) error {
-	return s.M.Write(nd, s.base+machine.LineID(i), 0, encodeLCB(s.M.LineSize(), b))
+// writeSlot encodes b (through sc.raw) and writes it to table slot i on
+// behalf of node nd. The caller holds the slot's line lock, or owns the slot
+// through its chain head's.
+func (s *SMManager) writeSlot(nd machine.NodeID, i int, b *lcb, sc *lcbScratch) error {
+	encodeLCB(sc.raw, b)
+	return s.M.Write(nd, s.base+machine.LineID(i), 0, sc.raw)
 }
 
 // loadChain reads the complete LCB headed at table slot head — the head
 // line plus, in chained mode, its overflow continuations — aggregated into
-// one lcb value. The returned slots are the lines occupied, head first.
-// The caller holds the head's line lock. An inconsistent chain is an error
-// (SweepBrokenChains repairs chains after crashes, before any other use).
-func (s *SMManager) loadChain(nd machine.NodeID, head int) (lcb, []int, error) {
-	b, err := s.readLCB(nd, head)
-	if err != nil {
-		return lcb{}, nil, err
+// sc.b, with the lines occupied in sc.slots, head first. The caller holds
+// the head's line lock. An inconsistent chain is an error (SweepBrokenChains
+// repairs chains after crashes, before any other use). With skipIdle, an
+// unchained head with no waiters is read but its entries are left undecoded
+// (WaitsFor has no use for them); a chained head's waiter count is only that
+// line's share, so chains are always decoded.
+func (s *SMManager) loadChain(nd machine.NodeID, head int, sc *lcbScratch, skipIdle bool) error {
+	if err := s.readSlot(nd, head, sc); err != nil {
+		return err
 	}
-	slots := []int{head}
-	cur := b.next
-	for cur >= 0 {
-		if len(slots) > s.nline {
-			return lcb{}, nil, fmt.Errorf("lock: LCB chain at slot %d cycles", head)
-		}
-		ov, err := s.readLCB(nd, cur)
-		if err != nil {
-			return lcb{}, nil, err
-		}
-		if ov.state != lcbOverflow || ov.name != Name(head) {
-			return lcb{}, nil, fmt.Errorf("lock: LCB chain at slot %d broken at %d", head, cur)
-		}
-		b.holders = append(b.holders, ov.holders...)
-		b.waiters = append(b.waiters, ov.waiters...)
-		slots = append(slots, cur)
-		cur = ov.next
+	sc.slots = append(sc.slots[:0], head)
+	if skipIdle && sc.raw[lcbNWaitOff] == 0 && rawNext(sc.raw) < 0 {
+		sc.fresh(sc.raw[lcbStateOff], rawName(sc.raw))
+		return nil
 	}
-	return b, slots, nil
+	b := &sc.b
+	decodeLCB(sc.raw, b)
+	for cur := b.next; cur >= 0; cur = rawNext(sc.raw) {
+		if len(sc.slots) > s.nline {
+			return fmt.Errorf("lock: LCB chain at slot %d cycles", head)
+		}
+		if err := s.readSlot(nd, cur, sc); err != nil {
+			return err
+		}
+		if sc.raw[lcbStateOff] != lcbOverflow || rawName(sc.raw) != Name(head) {
+			return fmt.Errorf("lock: LCB chain at slot %d broken at %d", head, cur)
+		}
+		appendEntries(sc.raw, b)
+		sc.slots = append(sc.slots, cur)
+	}
+	return nil
 }
 
-// storeChain writes the aggregated LCB b back, redistributing its entries
+// storeChain writes the aggregated LCB sc.b back, redistributing its entries
 // across the head line and as many overflow lines as needed (chained mode),
-// reusing the previously occupied slots, claiming new ones, and tombstoning
-// leftovers. The caller holds the head's line lock. An empty b (state
-// tombstone) frees the whole chain.
-func (s *SMManager) storeChain(nd machine.NodeID, head int, b lcb, oldSlots []int) error {
-	cap := s.entryCap()
-	ents := make([]Entry, 0, len(b.holders)+len(b.waiters))
-	ents = append(ents, b.holders...)
-	ents = append(ents, b.waiters...)
+// reusing the previously occupied sc.slots, claiming new ones, and
+// tombstoning leftovers. The caller holds the head's line lock. A b whose
+// state is not lcbUsed frees the whole chain.
+func (s *SMManager) storeChain(nd machine.NodeID, head int, sc *lcbScratch) error {
+	b := &sc.b
+	per := s.entryCap()
+	nh := len(b.holders)
+	n := nh + len(b.waiters)
 	need := 1
-	if len(ents) > 0 {
-		need = (len(ents) + cap - 1) / cap
+	if n > 0 {
+		need = (n + per - 1) / per
 	}
 	if b.state != lcbUsed {
 		need = 0 // tombstoning the whole chain
 	}
-	slots := append([]int(nil), oldSlots...)
-	for len(slots) < need {
-		free, err := s.claimOverflowSlot(nd)
+	for len(sc.slots) < need {
+		free, err := s.claimOverflowSlot(nd, sc)
 		if err != nil {
 			return err
 		}
-		slots = append(slots, free)
+		sc.slots = append(sc.slots, free)
 	}
-	// Write the occupied lines, head first.
+	// Write the occupied lines, head first: line i stores entries
+	// [i*per, (i+1)*per) of holders followed by waiters.
 	for i := 0; i < need; i++ {
-		lo := i * cap
-		hi := lo + cap
-		if hi > len(ents) {
-			hi = len(ents)
-		}
-		chunk := ents[lo:hi]
+		lo, hi := i*per, min((i+1)*per, n)
 		line := lcb{state: lcbOverflow, name: Name(head), next: -1}
 		if i == 0 {
-			line = lcb{state: lcbUsed, name: b.name, next: -1}
+			line.state, line.name = lcbUsed, b.name
 		}
 		if i+1 < need {
-			line.next = slots[i+1]
+			line.next = sc.slots[i+1]
 		}
-		for j, e := range chunk {
-			if lo+j < len(b.holders) {
-				line.holders = append(line.holders, e)
-			} else {
-				line.waiters = append(line.waiters, e)
-			}
-		}
-		if err := s.writeLCB(nd, slots[i], line); err != nil {
+		line.holders = b.holders[min(lo, nh):min(hi, nh)]
+		line.waiters = b.waiters[max(lo, nh)-nh : max(hi, nh)-nh]
+		if err := s.writeSlot(nd, sc.slots[i], &line, sc); err != nil {
 			return err
 		}
 	}
 	// Free what is no longer needed.
-	for i := need; i < len(slots); i++ {
-		if err := s.writeLCB(nd, slots[i], lcb{state: lcbTombstone, next: -1}); err != nil {
+	for _, slot := range sc.slots[need:] {
+		if err := s.writeSlot(nd, slot, &tombstone, sc); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// tombstone is what a freed slot is overwritten with (never modified).
+var tombstone = lcb{state: lcbTombstone, next: -1}
+
+// rawFree reports whether a line image is a slot no LCB occupies.
+func rawFree(raw []byte) bool {
+	return raw[lcbStateOff] == lcbEmpty || raw[lcbStateOff] == lcbTombstone
+}
+
 // claimOverflowSlot finds and claims a free table slot for an overflow
-// line, serializing competing claims through the slot's line lock.
-func (s *SMManager) claimOverflowSlot(nd machine.NodeID) (int, error) {
+// line, serializing competing claims through the slot's line lock. It works
+// through sc.raw only; sc.b and sc.slots are the caller's.
+func (s *SMManager) claimOverflowSlot(nd machine.NodeID, sc *lcbScratch) (int, error) {
 	for i := 0; i < s.nline; i++ {
-		b, err := s.readLCB(nd, i)
-		if err != nil {
+		if err := s.readSlot(nd, i, sc); err != nil {
 			return -1, err
 		}
-		if b.state != lcbEmpty && b.state != lcbTombstone {
+		if !rawFree(sc.raw) {
 			continue
 		}
 		ok, err := s.M.TryGetLine(nd, s.base+machine.LineID(i))
@@ -366,18 +399,19 @@ func (s *SMManager) claimOverflowSlot(nd machine.NodeID) (int, error) {
 		if !ok {
 			continue
 		}
-		b, err = s.readLCB(nd, i)
-		if err == nil && (b.state == lcbEmpty || b.state == lcbTombstone) {
+		err = s.readSlot(nd, i, sc)
+		claimed := err == nil && rawFree(sc.raw)
+		if claimed {
 			// Reserve it; the caller overwrites it with real content
 			// while still holding its head lock (no one follows a chain
 			// without that lock).
-			err = s.writeLCB(nd, i, lcb{state: lcbOverflow, name: Name(i), next: -1})
+			err = s.writeSlot(nd, i, &lcb{state: lcbOverflow, name: Name(i), next: -1}, sc)
 		}
 		s.releaseSlot(nd, i)
 		if err != nil {
 			return -1, err
 		}
-		if b.state == lcbEmpty || b.state == lcbTombstone {
+		if claimed {
 			return i, nil
 		}
 	}
@@ -393,92 +427,76 @@ func (s *SMManager) hashSlot(name Name) int {
 
 // withLCB locates the LCB for name (or the slot where it should be
 // inserted), and calls fn with the slot index and decoded LCB while holding
-// the slot's line lock; fn returns the (possibly modified) LCB and whether
-// to write it back. Linear probing with tombstones: the search continues
-// past tombstones and ends at the first empty slot; insertion reuses the
-// first tombstone seen. If create is false and the name is absent, fn is
-// called with found=false and state lcbEmpty at the would-be slot.
+// the slot's line lock; fn edits the LCB in place and returns whether to
+// write it back. The LCB is lent from a scratch: fn must not retain it or its
+// entry arrays. Linear probing with tombstones: the search continues past
+// tombstones and ends at the first empty slot; insertion reuses the first
+// tombstone seen. If create is false and the name is absent, fn is called
+// with found=false and state lcbEmpty at the would-be slot, no line lock
+// held.
+//
+// A probe compares the 16-byte header of the line image and decodes entries
+// only for the matching slot. The machine operations are fixed: one peek read
+// per probe; on a hit GetLine, a confirming read, the chain's reads, one Write
+// per stored line, ReleaseLine; on an insert GetLine, a confirming read,
+// Write, ReleaseLine.
 func (s *SMManager) withLCB(nd machine.NodeID, name Name, create bool,
 	fn func(slot int, b *lcb, found bool) (write bool, err error)) error {
+	sc := s.getScratch()
+	var probes int64
+	defer func() {
+		atomic.AddInt64(&s.stats.Probes, probes)
+		s.scratch.Put(sc)
+	}()
 retry:
 	firstFree := -1
 	h := s.hashSlot(name)
+probing:
 	for probe := 0; probe < s.nline; probe++ {
 		i := (h + probe) % s.nline
-		s.bump(func(st *Stats) { st.Probes++ })
+		probes++
 		// Peek without the lock first; confirm under the lock.
-		b, err := s.readLCB(nd, i)
-		if err != nil {
+		if err := s.readSlot(nd, i, sc); err != nil {
 			return err
 		}
-		switch {
-		case b.state == lcbUsed && b.name == name:
+		switch state := sc.raw[lcbStateOff]; {
+		case state == lcbUsed && rawName(sc.raw) == name:
 			if err := s.M.GetLine(nd, s.base+machine.LineID(i)); err != nil {
 				return err
 			}
-			b, err = s.readLCB(nd, i)
-			if err != nil {
-				s.releaseSlot(nd, i)
-				return err
-			}
-			if b.state != lcbUsed || b.name != name {
+			err := s.readSlot(nd, i, sc)
+			if err == nil && (sc.raw[lcbStateOff] != lcbUsed || rawName(sc.raw) != name) {
 				// Changed while we were acquiring the line lock.
 				s.releaseSlot(nd, i)
 				goto retry
 			}
-			full, slots, err := s.loadChain(nd, i)
-			if err != nil {
-				s.releaseSlot(nd, i)
-				return err
+			if err == nil {
+				err = s.loadChain(nd, i, sc, false)
 			}
-			write, err := fn(i, &full, true)
-			if err == nil && write {
-				err = s.storeChain(nd, i, full, slots)
+			if err == nil {
+				var write bool
+				write, err = fn(i, &sc.b, true)
+				if err == nil && write {
+					err = s.storeChain(nd, i, sc)
+				}
 			}
 			s.releaseSlot(nd, i)
 			return err
-		case b.state == lcbTombstone:
+		case state == lcbTombstone:
 			if firstFree < 0 {
 				firstFree = i
 			}
-		case b.state == lcbEmpty:
+		case state == lcbEmpty:
 			if firstFree < 0 {
 				firstFree = i
 			}
-			// End of probe chain: the name is not in the table.
-			if !create {
-				var nb lcb
-				_, err := fn(firstFree, &nb, false)
-				return err
-			}
-			if err := s.M.GetLine(nd, s.base+machine.LineID(firstFree)); err != nil {
-				return err
-			}
-			nb, err := s.readLCB(nd, firstFree)
-			if err != nil {
-				s.releaseSlot(nd, firstFree)
-				return err
-			}
-			if nb.state != lcbEmpty && nb.state != lcbTombstone {
-				// Another node claimed the slot meanwhile (as an LCB
-				// head or an overflow line).
-				s.releaseSlot(nd, firstFree)
-				goto retry
-			}
-			nb = lcb{state: lcbUsed, name: name, next: -1}
-			write, err := fn(firstFree, &nb, false)
-			if err == nil && write {
-				err = s.writeLCB(nd, firstFree, nb)
-			}
-			s.releaseSlot(nd, firstFree)
-			return err
+			break probing // end of the probe chain
 		}
 	}
-	// Full scan without hitting an empty slot (a table of used slots and
-	// tombstones). The name is definitively absent.
+	// The name is absent: the probe chain ended at an empty slot, or the
+	// whole table is used slots and tombstones.
 	if !create {
-		var nb lcb
-		_, err := fn(firstFree, &nb, false)
+		_, err := fn(firstFree, sc.fresh(lcbEmpty, 0), false)
 		return err
 	}
 	if firstFree < 0 {
@@ -487,19 +505,20 @@ retry:
 	if err := s.M.GetLine(nd, s.base+machine.LineID(firstFree)); err != nil {
 		return err
 	}
-	nb, err := s.readLCB(nd, firstFree)
-	if err != nil {
-		s.releaseSlot(nd, firstFree)
-		return err
-	}
-	if nb.state != lcbEmpty && nb.state != lcbTombstone {
+	err := s.readSlot(nd, firstFree, sc)
+	if err == nil && !rawFree(sc.raw) {
+		// Another node claimed the slot meanwhile (as an LCB head or an
+		// overflow line).
 		s.releaseSlot(nd, firstFree)
 		goto retry
 	}
-	nb = lcb{state: lcbUsed, name: name, next: -1}
-	write, err := fn(firstFree, &nb, false)
-	if err == nil && write {
-		err = s.writeLCB(nd, firstFree, nb)
+	if err == nil {
+		nb := sc.fresh(lcbUsed, name)
+		var write bool
+		write, err = fn(firstFree, nb, false)
+		if err == nil && write {
+			err = s.writeSlot(nd, firstFree, nb, sc)
+		}
 	}
 	s.releaseSlot(nd, firstFree)
 	return err
@@ -516,10 +535,7 @@ func (s *SMManager) releaseSlot(nd machine.NodeID, i int) {
 // releasing) a lock on node x, a logical log record is written to the log on
 // node x").
 func (s *SMManager) logLock(nd machine.NodeID, typ wal.RecordType, txn wal.TxnID, name Name, mode Mode) {
-	s.mu.Lock()
-	suppressed := s.suppress
-	s.mu.Unlock()
-	if suppressed {
+	if s.suppress.Load() {
 		return
 	}
 	switch s.LogMode {
@@ -534,7 +550,7 @@ func (s *SMManager) logLock(nd machine.NodeID, typ wal.RecordType, txn wal.TxnID
 		return
 	}
 	s.Logs[nd].Append(wal.Record{Type: typ, Txn: txn, Lock: uint64(name), Mode: uint8(mode)})
-	s.bump(func(st *Stats) { st.LockLogs++ })
+	atomic.AddInt64(&s.stats.LockLogs, 1)
 }
 
 // grantable reports whether a request by txn in mode can be granted given
@@ -561,7 +577,7 @@ func grantable(b *lcb, txn wal.TxnID, mode Mode) bool {
 // to Exclusive is granted when txn is the sole holder and queued otherwise.
 func (s *SMManager) Acquire(nd machine.NodeID, txn wal.TxnID, name Name, mode Mode) (bool, error) {
 	s.logLock(nd, wal.TypeLockAcquire, txn, name, mode)
-	s.bump(func(st *Stats) { st.Acquires++ })
+	atomic.AddInt64(&s.stats.Acquires, 1)
 	granted := false
 	err := s.withLCB(nd, name, true, func(_ int, b *lcb, _ bool) (bool, error) {
 		// Already holding?
@@ -614,11 +630,11 @@ func (s *SMManager) Acquire(nd machine.NodeID, txn wal.TxnID, name Name, mode Mo
 		return false, err
 	}
 	if granted {
-		s.bump(func(st *Stats) { st.Grants++ })
+		atomic.AddInt64(&s.stats.Grants, 1)
 	} else {
-		s.bump(func(st *Stats) { st.Waits++ })
+		atomic.AddInt64(&s.stats.Waits, 1)
 	}
-	if o := s.observer(); o != nil {
+	if o := s.obs.Load(); o != nil {
 		k := obs.KindLockAcquire
 		if !granted {
 			k = obs.KindLockWait
@@ -690,7 +706,7 @@ func (s *SMManager) Release(nd machine.NodeID, txn wal.TxnID, name Name) error {
 		}
 		s.promote(b)
 		if len(b.holders) == 0 && len(b.waiters) == 0 {
-			*b = lcb{state: lcbTombstone}
+			b.state = lcbTombstone
 		}
 		return true, nil
 	})
@@ -698,7 +714,7 @@ func (s *SMManager) Release(nd machine.NodeID, txn wal.TxnID, name Name) error {
 		return err
 	}
 	s.logLock(nd, wal.TypeLockRelease, txn, name, mode)
-	s.bump(func(st *Stats) { st.Releases++ })
+	atomic.AddInt64(&s.stats.Releases, 1)
 	return nil
 }
 
@@ -723,7 +739,7 @@ func (s *SMManager) CancelWait(nd machine.NodeID, txn wal.TxnID, name Name) erro
 				b.waiters = append(b.waiters[:i], b.waiters[i+1:]...)
 				s.promote(b)
 				if len(b.holders) == 0 && len(b.waiters) == 0 {
-					*b = lcb{state: lcbTombstone}
+					b.state = lcbTombstone
 				}
 				return true, nil
 			}
@@ -747,10 +763,16 @@ func (s *SMManager) CancelWait(nd machine.NodeID, txn wal.TxnID, name Name) erro
 	return nil
 }
 
-// promote moves waiters to holders while the head of the queue is
-// compatible with all current holders. Upgrade waiters (already holding)
-// are promoted by strengthening their holder entry.
+// promote applies promoteWaiters to b and counts the promotions.
 func (s *SMManager) promote(b *lcb) {
+	atomic.AddInt64(&s.stats.Promotions, promoteWaiters(b))
+}
+
+// promoteWaiters moves waiters to holders while the head of the queue is
+// compatible with all current holders, and returns how many it moved. Upgrade
+// waiters (already holding) are promoted by strengthening their holder entry,
+// which is not counted.
+func promoteWaiters(b *lcb) (promoted int64) {
 	for len(b.waiters) > 0 {
 		w := b.waiters[0]
 		// Upgrade case: the waiter already holds in a weaker mode.
@@ -765,21 +787,23 @@ func (s *SMManager) promote(b *lcb) {
 			}
 		}
 		if isUpgrade {
-			b.waiters = b.waiters[1:]
+			b.waiters = popFront(b.waiters)
 			continue
 		}
-		ok := true
 		for _, h := range b.holders {
 			if !Compatible(h.Mode, w.Mode) {
-				ok = false
-				break
+				return promoted
 			}
 		}
-		if !ok {
-			return
-		}
 		b.holders = append(b.holders, w)
-		b.waiters = b.waiters[1:]
-		s.bump(func(st *Stats) { st.Promotions++ })
+		b.waiters = popFront(b.waiters)
+		promoted++
 	}
+	return promoted
+}
+
+// popFront removes the first entry by shifting the rest down, so the list
+// keeps its backing array (see lcb).
+func popFront(list []Entry) []Entry {
+	return list[:copy(list, list[1:])]
 }

@@ -33,14 +33,16 @@ type LockState struct {
 // in any cache as a tombstone slot, on behalf of node nd. It returns the
 // number of lines reinstalled (the count of destroyed LCB slots).
 func (s *SMManager) ReinstallLost(nd machine.NodeID) (int, error) {
-	img := encodeLCB(s.M.LineSize(), lcb{state: lcbTombstone, next: -1})
+	sc := s.getScratch()
+	defer s.scratch.Put(sc)
+	encodeLCB(sc.raw, &tombstone)
 	n := 0
 	for i := 0; i < s.nline; i++ {
 		l := s.base + machine.LineID(i)
 		if s.M.Resident(l) {
 			continue
 		}
-		if err := s.M.Install(nd, l, img); err != nil {
+		if err := s.M.Install(nd, l, sc.raw); err != nil {
 			return n, err
 		}
 		n++
@@ -57,6 +59,8 @@ func (s *SMManager) ReleaseCrashed(nd machine.NodeID, crashed []machine.NodeID) 
 	for _, c := range crashed {
 		down[c] = true
 	}
+	sc := s.getScratch()
+	defer s.scratch.Put(sc)
 	released := 0
 	for i := 0; i < s.nline; i++ {
 		l := s.base + machine.LineID(i)
@@ -69,38 +73,39 @@ func (s *SMManager) ReleaseCrashed(nd machine.NodeID, crashed []machine.NodeID) 
 			}
 			return released, err
 		}
-		b, err := s.readLCB(nd, i)
-		if err != nil {
-			s.releaseSlot(nd, i)
-			return released, err
-		}
-		if b.state != lcbUsed {
-			// Overflow lines are handled through their heads; empty and
-			// tombstoned slots have nothing to release.
-			s.releaseSlot(nd, i)
-			continue
-		}
-		full, slots, err := s.loadChain(nd, i)
-		if err != nil {
-			s.releaseSlot(nd, i)
-			return released, err
-		}
-		changed := false
-		full.holders, changed = dropCrashed(full.holders, down, &released, changed)
-		full.waiters, changed = dropCrashed(full.waiters, down, &released, changed)
-		if changed {
-			s.promote(&full)
-			if len(full.holders) == 0 && len(full.waiters) == 0 {
-				full.state = lcbTombstone
-			}
-			if err := s.storeChain(nd, i, full, slots); err != nil {
-				s.releaseSlot(nd, i)
-				return released, err
-			}
+		err := s.readSlot(nd, i, sc)
+		// Overflow lines are handled through their heads; empty and
+		// tombstoned slots have nothing to release.
+		if err == nil && sc.raw[lcbStateOff] == lcbUsed {
+			err = s.releaseCrashedLCB(nd, i, sc, down, &released)
 		}
 		s.releaseSlot(nd, i)
+		if err != nil {
+			return released, err
+		}
 	}
 	return released, nil
+}
+
+// releaseCrashedLCB is ReleaseCrashed's step for the LCB headed at slot
+// head, whose line lock the caller holds.
+func (s *SMManager) releaseCrashedLCB(nd machine.NodeID, head int, sc *lcbScratch,
+	down map[machine.NodeID]bool, released *int) error {
+	if err := s.loadChain(nd, head, sc, false); err != nil {
+		return err
+	}
+	b := &sc.b
+	changed := false
+	b.holders, changed = dropCrashed(b.holders, down, released, changed)
+	b.waiters, changed = dropCrashed(b.waiters, down, released, changed)
+	if !changed {
+		return nil
+	}
+	s.promote(b)
+	if len(b.holders) == 0 && len(b.waiters) == 0 {
+		b.state = lcbTombstone
+	}
+	return s.storeChain(nd, head, sc)
 }
 
 // SweepBrokenChains repairs the chained-LCB table after a crash (no-op for
@@ -113,55 +118,54 @@ func (s *SMManager) ReleaseCrashed(nd machine.NodeID, crashed []machine.NodeID) 
 // LCBs dropped and the number of orphaned fragments reclaimed. Run it after
 // ReinstallLost and before ReleaseCrashed.
 func (s *SMManager) SweepBrokenChains(nd machine.NodeID) (int, int, error) {
+	sc := s.getScratch()
+	defer s.scratch.Put(sc)
 	referenced := make(map[int]bool)
 	dropped, orphans := 0, 0
 	for i := 0; i < s.nline; i++ {
-		b, err := s.readLCB(nd, i)
-		if err != nil {
+		if err := s.readSlot(nd, i, sc); err != nil {
 			return dropped, orphans, err
 		}
-		if b.state != lcbUsed {
+		if sc.raw[lcbStateOff] != lcbUsed {
 			continue
 		}
 		// Walk the chain, remembering every fragment reached.
-		parts := []int{i}
+		sc.slots = append(sc.slots[:0], i)
 		intact := true
-		cur := b.next
-		for cur >= 0 && len(parts) <= s.nline {
-			ov, err := s.readLCB(nd, cur)
-			if err != nil {
+		cur := rawNext(sc.raw)
+		for cur >= 0 && len(sc.slots) <= s.nline {
+			if err := s.readSlot(nd, cur, sc); err != nil {
 				return dropped, orphans, err
 			}
-			if ov.state != lcbOverflow || ov.name != Name(i) {
+			if sc.raw[lcbStateOff] != lcbOverflow || rawName(sc.raw) != Name(i) {
 				intact = false
 				break
 			}
-			parts = append(parts, cur)
-			cur = ov.next
+			sc.slots = append(sc.slots, cur)
+			cur = rawNext(sc.raw)
 		}
 		if intact {
-			for _, p := range parts[1:] {
+			for _, p := range sc.slots[1:] {
 				referenced[p] = true
 			}
 			continue
 		}
 		// Broken: drop every surviving fragment; replay will rebuild.
 		dropped++
-		for _, p := range parts {
-			if err := s.writeLCB(nd, p, lcb{state: lcbTombstone, next: -1}); err != nil {
+		for _, p := range sc.slots {
+			if err := s.writeSlot(nd, p, &tombstone, sc); err != nil {
 				return dropped, orphans, err
 			}
 		}
 	}
 	// Reclaim orphaned overflow fragments (their head died or was dropped).
 	for i := 0; i < s.nline; i++ {
-		b, err := s.readLCB(nd, i)
-		if err != nil {
+		if err := s.readSlot(nd, i, sc); err != nil {
 			return dropped, orphans, err
 		}
-		if b.state == lcbOverflow && !referenced[i] {
+		if sc.raw[lcbStateOff] == lcbOverflow && !referenced[i] {
 			orphans++
-			if err := s.writeLCB(nd, i, lcb{state: lcbTombstone, next: -1}); err != nil {
+			if err := s.writeSlot(nd, i, &tombstone, sc); err != nil {
 				return dropped, orphans, err
 			}
 		}
@@ -182,32 +186,53 @@ func dropCrashed(list []Entry, down map[machine.NodeID]bool, released *int, chan
 	return out, changed
 }
 
+// forEachLCB calls fn with every used LCB (whole chains aggregated), read on
+// behalf of node nd without line locks. Non-resident lines and broken chains
+// are skipped. The LCB is lent from a scratch, valid only during the call.
+// With skipIdle, fn sees no entries for an LCB nobody waits on (see
+// loadChain). Each slot costs one read, each used LCB its chain's reads on
+// top.
+func (s *SMManager) forEachLCB(nd machine.NodeID, skipIdle bool, fn func(b *lcb)) error {
+	sc := s.getScratch()
+	defer s.scratch.Put(sc)
+	for i := 0; i < s.nline; i++ {
+		if !s.M.Resident(s.base + machine.LineID(i)) {
+			continue
+		}
+		if err := s.readSlot(nd, i, sc); err != nil {
+			if errors.Is(err, machine.ErrLineLost) {
+				continue
+			}
+			return err
+		}
+		if sc.raw[lcbStateOff] != lcbUsed {
+			continue
+		}
+		if err := s.loadChain(nd, i, sc, skipIdle); err != nil {
+			continue // broken chain mid-crash; the sweep will handle it
+		}
+		if sc.b.state == lcbUsed { // still, on loadChain's own read of the head
+			fn(&sc.b)
+		}
+	}
+	return nil
+}
+
 // Snapshot returns the state of every used LCB (whole chains aggregated),
 // read on behalf of node nd. Non-resident lines and broken chains are
 // skipped. Intended for verification and experiments, not for the
 // transaction path.
 func (s *SMManager) Snapshot(nd machine.NodeID) ([]LockState, error) {
 	var out []LockState
-	for i := 0; i < s.nline; i++ {
-		l := s.base + machine.LineID(i)
-		if !s.M.Resident(l) {
-			continue
-		}
-		b, err := s.readLCB(nd, i)
-		if err != nil {
-			if errors.Is(err, machine.ErrLineLost) {
-				continue
-			}
-			return nil, err
-		}
-		if b.state != lcbUsed {
-			continue
-		}
-		full, _, err := s.loadChain(nd, i)
-		if err != nil {
-			continue // broken chain mid-crash; the sweep will handle it
-		}
-		out = append(out, LockState{Name: full.name, Holders: full.holders, Waiters: full.waiters})
+	err := s.forEachLCB(nd, false, func(b *lcb) {
+		out = append(out, LockState{
+			Name:    b.name,
+			Holders: append([]Entry(nil), b.holders...),
+			Waiters: append([]Entry(nil), b.waiters...),
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -227,26 +252,26 @@ func (s *SMManager) LostLCBCount() int {
 // WaitsFor builds the waits-for relation from the current lock space, read
 // on behalf of node nd: txn A waits for txn B if A is queued (or requesting
 // an upgrade) on an LCB where B holds an incompatible mode, or where B is an
-// earlier incompatible waiter. Used for deadlock detection.
+// earlier incompatible waiter. Used for deadlock detection. It issues exactly
+// Snapshot's reads, but decodes only LCBs somebody waits on.
 func (s *SMManager) WaitsFor(nd machine.NodeID) (map[wal.TxnID][]wal.TxnID, error) {
-	snap, err := s.Snapshot(nd)
-	if err != nil {
-		return nil, err
-	}
 	out := make(map[wal.TxnID][]wal.TxnID)
-	for _, st := range snap {
-		for wi, w := range st.Waiters {
-			for _, h := range st.Holders {
+	err := s.forEachLCB(nd, true, func(b *lcb) {
+		for wi, w := range b.waiters {
+			for _, h := range b.holders {
 				if h.Txn != w.Txn && !Compatible(h.Mode, w.Mode) {
 					out[w.Txn] = append(out[w.Txn], h.Txn)
 				}
 			}
-			for _, earlier := range st.Waiters[:wi] {
+			for _, earlier := range b.waiters[:wi] {
 				if earlier.Txn != w.Txn && !Compatible(earlier.Mode, w.Mode) {
 					out[w.Txn] = append(out[w.Txn], earlier.Txn)
 				}
 			}
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

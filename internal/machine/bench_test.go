@@ -25,6 +25,19 @@ func BenchmarkLocalRead(b *testing.B) {
 	}
 }
 
+// BenchmarkReadInto is BenchmarkLocalRead through a caller-owned buffer.
+func BenchmarkReadInto(b *testing.B) {
+	m, l := benchMachine(b, 2)
+	dst := make([]byte, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.ReadInto(0, l, 0, dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkLocalWrite(b *testing.B) {
 	m, l := benchMachine(b, 2)
 	buf := []byte{1, 2, 3, 4}

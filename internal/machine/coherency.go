@@ -30,27 +30,40 @@ func (m *Machine) Read(nd NodeID, l LineID, off, n int) ([]byte, error) {
 	if err := m.checkRange(l, off, n); err != nil {
 		return nil, err
 	}
-	out, victims, err := m.readLocked(nd, l, off, n)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.applyFault(victims, nd); err != nil {
+	out := make([]byte, n)
+	if err := m.ReadInto(nd, l, off, out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-func (m *Machine) readLocked(nd NodeID, l LineID, off, n int) ([]byte, []NodeID, error) {
+// ReadInto is Read into a caller-supplied buffer: it copies len(dst) bytes
+// starting at byte off of line l into dst, with exactly Read's coherency
+// effects, counters, simulated cost, and fault-injection points. On error
+// the contents of dst are unspecified. Hot paths use it to keep one line
+// image per operation instead of one allocation per read.
+func (m *Machine) ReadInto(nd NodeID, l LineID, off int, dst []byte) error {
+	if err := m.checkRange(l, off, len(dst)); err != nil {
+		return err
+	}
+	victims, err := m.readLocked(nd, l, off, dst)
+	if err != nil {
+		return err
+	}
+	return m.applyFault(victims, nd)
+}
+
+func (m *Machine) readLocked(nd NodeID, l LineID, off int, dst []byte) ([]NodeID, error) {
 	s := m.stripeOf(l)
 	m.lockStripe(s)
 	defer m.unlockStripe(s)
 	if !m.Alive(nd) {
-		return nil, nil, ErrNodeDown
+		return nil, ErrNodeDown
 	}
 	ln := &m.lines[l]
 	atomic.AddInt64(&m.stats.Reads, 1)
 	if !ln.valid {
-		return nil, nil, ErrLineLost
+		return nil, ErrLineLost
 	}
 	var fev *Event
 	switch {
@@ -64,7 +77,7 @@ func (m *Machine) readLocked(nd NodeID, l LineID, off, n int) ([]byte, []NodeID,
 			// H_wr: the exclusive holder is downgraded to shared.
 			from := ln.excl
 			if _, err := m.fire(l, EventDowngrade, ln.excl, nd, nd); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			atomic.AddInt64(&m.stats.Downgrades, 1)
 			ln.excl = NoNode
@@ -92,9 +105,8 @@ func (m *Machine) readLocked(nd NodeID, l LineID, off, n int) ([]byte, []NodeID,
 	if fev != nil {
 		victims = m.consultFault(*fev)
 	}
-	out := make([]byte, n)
-	copy(out, ln.data[off:off+n])
-	return out, victims, nil
+	copy(dst, ln.data[off:off+len(dst)])
+	return victims, nil
 }
 
 // Write stores data at byte off of line l on behalf of node nd. Under

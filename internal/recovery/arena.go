@@ -18,10 +18,10 @@ type recArena struct {
 	deadChecks []int
 }
 
-// arena returns worker slot w's scratch arena. Slots were sized at New from
-// RecoveryWorkers; out-of-range callers (defensive — forEachChunk never
-// hands out a slot >= RecoveryWorkers) share slot 0 with the sequential
-// pipeline.
+// arena returns worker slot w's scratch arena. Slots are sized at New from
+// RecoveryWorkers and topped up at Recover's entry if the caller raised it
+// since; out-of-range callers (defensive — forEachChunk never hands out a
+// slot >= RecoveryWorkers) share slot 0 with the sequential pipeline.
 func (db *DB) arena(w int) *recArena {
 	if w < 0 || w >= len(db.arenas) {
 		w = 0

@@ -288,8 +288,9 @@ type DB struct {
 	dbtp atomic.Pointer[debt.Tracker]
 	// arenas are the per-worker-slot reusable recovery scratch buffers
 	// (see recArena): slot w belongs to fan-out worker slot w, slot 0 to
-	// the sequential paths. Sized once at New from RecoveryWorkers, reused
-	// explicitly across phases and Recover calls — no sync.Pool, so buffer
+	// the sequential paths. Sized at New from RecoveryWorkers (Recover adds
+	// slots if Cfg.RecoveryWorkers was raised since), reused explicitly
+	// across phases and Recover calls — no sync.Pool, so buffer
 	// placement never depends on GC timing and replay stays deterministic.
 	arenas []recArena
 }

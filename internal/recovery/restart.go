@@ -121,6 +121,12 @@ func (db *DB) Recover(crashed []machine.NodeID) (*RecoveryReport, error) {
 	// install gate (see New): open it for the duration of the call.
 	db.recovering.Store(true)
 	defer db.recovering.Store(false)
+	// Cfg is a public field, and callers raise RecoveryWorkers after New:
+	// give every worker slot its own arena before any fan-out starts, or
+	// the extra workers would all scribble on slot 0's scratch.
+	if w := db.parWorkers(); w > len(db.arenas) {
+		db.arenas = append(db.arenas, make([]recArena, w-len(db.arenas))...)
+	}
 	rep := &RecoveryReport{Protocol: db.Cfg.Protocol, Crashed: mergeNodes(crashed, nil), Workers: db.parWorkers()}
 	recovered := false
 	// The debt tracker snapshots the outstanding replay debt its estimate

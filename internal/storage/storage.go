@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // PageID identifies a page of the stable database.
@@ -156,7 +157,10 @@ type LogDevice struct {
 	mu     sync.Mutex
 	buf    []byte
 	forces int64
-	fault  FaultFunc
+	// fault is read on every append and written almost never, and the hook
+	// must run outside mu (it takes its own lock): an atomic pointer lets
+	// Append take mu once.
+	fault atomic.Pointer[FaultFunc]
 }
 
 // NewLogDevice returns an empty stable log device.
@@ -165,9 +169,11 @@ func NewLogDevice() *LogDevice { return &LogDevice{} }
 // SetFault installs (or with nil removes) a fault hook consulted before
 // every append.
 func (d *LogDevice) SetFault(f FaultFunc) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.fault = f
+	if f == nil {
+		d.fault.Store(nil)
+		return
+	}
+	d.fault.Store(&f)
 }
 
 // Append durably appends data and returns the byte offset at which it was
@@ -175,11 +181,8 @@ func (d *LogDevice) SetFault(f FaultFunc) {
 // injected torn write is modelled one level up, in wal.ForceTorn, which
 // appends only a prefix).
 func (d *LogDevice) Append(data []byte) (int64, error) {
-	d.mu.Lock()
-	f := d.fault
-	d.mu.Unlock()
-	if f != nil {
-		if err := f("append"); err != nil {
+	if f := d.fault.Load(); f != nil {
+		if err := (*f)("append"); err != nil {
 			return 0, err
 		}
 	}

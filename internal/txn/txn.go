@@ -15,6 +15,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"runtime"
 
 	"smdb/internal/heap"
 	"smdb/internal/lock"
@@ -321,5 +322,6 @@ func Retry(op func() error) error {
 		if !errors.Is(err, ErrBlocked) {
 			return err
 		}
+		runtime.Gosched()
 	}
 }

@@ -15,9 +15,23 @@ func benchRecord() Record {
 
 func BenchmarkMarshal(b *testing.B) {
 	r := benchRecord()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if buf := Marshal(&r); len(buf) == 0 {
+			b.Fatal("empty")
+		}
+	}
+}
+
+// BenchmarkAppendMarshal encodes into a reused buffer, as a log force does.
+func BenchmarkAppendMarshal(b *testing.B) {
+	r := benchRecord()
+	buf := make([]byte, 0, 2*EncodedSize(&r))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if buf = AppendMarshal(buf[:0], &r); len(buf) == 0 {
 			b.Fatal("empty")
 		}
 	}
@@ -52,6 +66,7 @@ func BenchmarkAppendForce(b *testing.B) {
 		b.Fatal(err)
 	}
 	r := benchRecord()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lsn := l.Append(r)

@@ -38,6 +38,10 @@ type Log struct {
 	// firstByTxn records each transaction's earliest LSN, the input to the
 	// truncation low-water mark.
 	firstByTxn map[TxnID]LSN
+	// enc is the encode buffer every device write is marshalled into; the
+	// device copies what it is handed, so the buffer is reused from one
+	// force to the next.
+	enc []byte
 
 	// gf is the epoch/group-commit force state (groupforce.go); disabled
 	// unless EnableGroupForce was called.
@@ -221,10 +225,7 @@ func (l *Log) forceLocked(upto LSN) (records int, forced bool) {
 	if uptoIdx <= l.forced {
 		return 0, false
 	}
-	var buf []byte
-	for i := l.forced; i < uptoIdx; i++ {
-		buf = append(buf, Marshal(&l.recs[i])...)
-	}
+	buf := l.encodeLocked(l.forced, uptoIdx)
 	// The device can fail transiently (injected I/O faults). Retry under
 	// the default policy; no simulated backoff is charged here because
 	// Force may run inside a machine pre-transition callback, where the
@@ -254,6 +255,18 @@ func (l *Log) forceLocked(upto LSN) (records int, forced bool) {
 	return records, true
 }
 
+// encodeLocked marshals recs[from:to] back to back into the log's reusable
+// encode buffer and returns it; the bytes are valid until the next call.
+// Caller holds l.mu.
+func (l *Log) encodeLocked(from, to int) []byte {
+	buf := l.enc[:0]
+	for i := from; i < to; i++ {
+		buf = AppendMarshal(buf, &l.recs[i])
+	}
+	l.enc = buf
+	return buf
+}
+
 // ForceTorn simulates a crash in the middle of a physical force: of the
 // records that Force(upto) would have written, only a `frac` fraction of the
 // encoded bytes reach the device — every whole record that fits, plus a
@@ -276,30 +289,21 @@ func (l *Log) ForceTorn(upto LSN, frac float64) (whole, torn int) {
 		l.wakeGroupLocked()
 		return 0, 0
 	}
-	var bufs [][]byte
-	total := 0
-	for i := l.forced; i < uptoIdx; i++ {
-		b := Marshal(&l.recs[i])
-		bufs = append(bufs, b)
-		total += len(b)
-	}
-	limit := int(frac * float64(total))
-	if limit >= total {
-		limit = total - 1 // a torn force never completes
+	buf := l.encodeLocked(l.forced, uptoIdx)
+	limit := int(frac * float64(len(buf)))
+	if limit >= len(buf) {
+		limit = len(buf) - 1 // a torn force never completes
 	}
 	if limit < 0 {
 		limit = 0
 	}
-	var out []byte
-	for _, b := range bufs {
-		if len(out)+len(b) <= limit {
-			out = append(out, b...)
-			whole++
-			continue
-		}
-		torn = limit - len(out)
-		out = append(out, b[:torn]...)
-		break
+	// The first limit bytes reach the device: every whole record that fits,
+	// then a torn prefix of the next.
+	out := buf[:limit]
+	torn = limit
+	for i := l.forced; torn >= EncodedSize(&l.recs[i]); i++ {
+		torn -= EncodedSize(&l.recs[i])
+		whole++
 	}
 	if len(out) > 0 {
 		// A transient device fault can compound the torn force; retry so
@@ -506,11 +510,7 @@ func (l *Log) DiscardThrough(upto LSN) int {
 	l.first = upto + 1
 	l.forced -= drop
 	// Re-encode the retained stable prefix onto the device.
-	var buf []byte
-	for i := 0; i < l.forced; i++ {
-		buf = append(buf, Marshal(&l.recs[i])...)
-	}
-	l.dev.Truncate(buf)
+	l.dev.Truncate(l.encodeLocked(0, l.forced))
 	// Forget chains that now point entirely below the horizon.
 	for t, last := range l.lastByTxn {
 		if last < l.first {

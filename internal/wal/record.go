@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"smdb/internal/machine"
 	"smdb/internal/storage"
@@ -139,25 +140,33 @@ var (
 const recHeaderLen = 4 + 4 // total length + crc32
 
 // Marshal encodes r (excluding its LSN, which is positional).
-func Marshal(r *Record) []byte {
-	body := make([]byte, 0, 64+len(r.Before)+len(r.After))
-	body = append(body, byte(r.Type), r.Mode)
-	body = binary.LittleEndian.AppendUint64(body, uint64(r.Txn))
-	body = binary.LittleEndian.AppendUint64(body, uint64(r.PrevLSN))
-	body = binary.LittleEndian.AppendUint32(body, uint32(r.Page))
-	body = binary.LittleEndian.AppendUint16(body, r.Slot)
-	body = binary.LittleEndian.AppendUint64(body, r.Version)
-	body = binary.LittleEndian.AppendUint64(body, r.Lock)
-	body = binary.LittleEndian.AppendUint64(body, r.NTA)
-	body = binary.LittleEndian.AppendUint16(body, uint16(len(r.Before)))
-	body = append(body, r.Before...)
-	body = binary.LittleEndian.AppendUint16(body, uint16(len(r.After)))
-	body = append(body, r.After...)
+func Marshal(r *Record) []byte { return AppendMarshal(nil, r) }
 
-	out := make([]byte, recHeaderLen, recHeaderLen+len(body))
-	binary.LittleEndian.PutUint32(out[0:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(out[4:], crc32.ChecksumIEEE(body))
-	return append(out, body...)
+// AppendMarshal appends r's encoding — byte for byte what Marshal returns —
+// to dst and returns the extended slice. The body is encoded in place behind
+// a header that is back-patched with its length and checksum, so encoding
+// into a buffer with room to spare allocates and copies nothing extra.
+func AppendMarshal(dst []byte, r *Record) []byte {
+	dst = slices.Grow(dst, EncodedSize(r))
+	start := len(dst)
+	dst = append(dst, make([]byte, recHeaderLen)...)
+	dst = append(dst, byte(r.Type), r.Mode)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(r.Txn))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(r.PrevLSN))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(r.Page))
+	dst = binary.LittleEndian.AppendUint16(dst, r.Slot)
+	dst = binary.LittleEndian.AppendUint64(dst, r.Version)
+	dst = binary.LittleEndian.AppendUint64(dst, r.Lock)
+	dst = binary.LittleEndian.AppendUint64(dst, r.NTA)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(r.Before)))
+	dst = append(dst, r.Before...)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(r.After)))
+	dst = append(dst, r.After...)
+
+	body := dst[start+recHeaderLen:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(body))
+	return dst
 }
 
 // Unmarshal decodes one record from the front of buf, returning the record

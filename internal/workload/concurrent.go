@@ -138,11 +138,13 @@ func (r *Runner) runWorker(nd machine.NodeID, stopNow func() bool, opCount *atom
 					runtime.Gosched()
 					continue
 				case errors.Is(err, txn.ErrDeadlock):
+					// The victim's abort is a finalize like any other: a
+					// crash between the verdict and the abort freezes it.
 					res.Deadlocks++
-					res.Aborted++
-					if err := tx.Abort(); err != nil && !errors.Is(err, machine.ErrNodeDown) {
+					if done, err := finish(tx.Abort, stopNow, &res); !done {
 						return res, err
 					}
+					res.Aborted++
 					dead = true
 				case errors.Is(err, machine.ErrNodeDown):
 					return res, nil // crashed mid-transaction: leave it for recovery
@@ -160,39 +162,47 @@ func (r *Runner) runWorker(nd machine.NodeID, stopNow func() bool, opCount *atom
 		if dead {
 			continue
 		}
-		for {
-			var finErr error
-			if willAbort {
-				finErr = tx.Abort()
-			} else {
-				finErr = tx.Commit()
-			}
-			switch {
-			case finErr == nil:
-			case errors.Is(finErr, txn.ErrBlocked), errors.Is(finErr, machine.ErrLineLost):
-				// Same pair as the op loop above: a commit/abort can stall on
-				// the freeze window, or on data a crash destroyed that
-				// recovery has not yet repaired (undo walks read the heap).
-				if stopNow() {
-					return res, nil // left in flight for recovery
-				}
-				res.BlockedRetries++
-				runtime.Gosched()
-				continue
-			case errors.Is(finErr, machine.ErrNodeDown):
-				return res, nil
-			default:
-				return res, finErr
-			}
-			if willAbort {
-				res.Aborted++
-			} else {
-				res.Committed++
-			}
-			break
+		fin := tx.Commit
+		if willAbort {
+			fin = tx.Abort
+		}
+		if done, err := finish(fin, stopNow, &res); !done {
+			return res, err
+		}
+		if willAbort {
+			res.Aborted++
+		} else {
+			res.Committed++
 		}
 	}
 	return res, nil
+}
+
+// finish runs fin — a transaction's Commit or Abort — to completion,
+// retrying the same pair as the op loop: a commit/abort can stall on the
+// freeze window, or on data a crash destroyed that recovery has not yet
+// repaired (undo walks read the heap). It reports done=false when the worker
+// must stop instead: with a nil error if its node went down or the run was
+// stopped (the transaction is left in flight for recovery), with fin's error
+// otherwise.
+func finish(fin func() error, stopNow func() bool, res *Result) (done bool, err error) {
+	for {
+		err = fin()
+		switch {
+		case err == nil:
+			return true, nil
+		case errors.Is(err, txn.ErrBlocked), errors.Is(err, machine.ErrLineLost):
+			if stopNow() {
+				return false, nil
+			}
+			res.BlockedRetries++
+			runtime.Gosched()
+		case errors.Is(err, machine.ErrNodeDown):
+			return false, nil
+		default:
+			return false, err
+		}
+	}
 }
 
 // pickRIDWith is pickRID with an explicit PRNG (per-worker).
