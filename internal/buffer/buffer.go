@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"smdb/internal/heap"
 	"smdb/internal/machine"
@@ -75,56 +76,42 @@ type Manager struct {
 	mu       sync.Mutex
 	dirty    map[storage.PageID]bool
 	updTable map[storage.PageID]map[machine.NodeID]wal.LSN
-	stats    Stats
-	obs      *obs.Observer
-	wf       *waterfall.Recorder
+	stats    Stats // Fetches is kept in fetches
 	dbt      *debt.Tracker
+	// fetches counts Fetch calls outside mu: a Fetch of a resident page —
+	// every record operation starts with one — takes no manager lock.
+	fetches atomic.Int64
+
+	// The attach points every Fetch consults are atomic pointers, read with
+	// no lock held.
+	obs atomic.Pointer[obs.Observer]
+	wf  atomic.Pointer[waterfall.Recorder]
 	// fetchHook, when non-nil, is called at every Fetch entry with no
 	// manager state held. The chaos schedule recorder uses it as a
 	// scheduling point: a fetch is where a crash-lost page is faulted back
 	// in from disk, i.e. the hazard window of the stale-reinstall race.
-	fetchHook func(machine.NodeID, storage.PageID)
+	fetchHook atomic.Pointer[func(machine.NodeID, storage.PageID)]
 }
 
 // SetFetchHook attaches (or, with nil, detaches) the Fetch-entry callback.
 // The hook may block (the schedule replayer parks callers on it); it is
 // invoked outside the manager mutex.
 func (b *Manager) SetFetchHook(f func(machine.NodeID, storage.PageID)) {
-	b.mu.Lock()
-	b.fetchHook = f
-	b.mu.Unlock()
+	if f == nil {
+		b.fetchHook.Store(nil)
+		return
+	}
+	b.fetchHook.Store(&f)
 }
 
 // SetObserver attaches the observability layer; disk fetches, flushes, and
 // WAL-rule log forces are reported against the requesting node's clock.
-func (b *Manager) SetObserver(o *obs.Observer) {
-	b.mu.Lock()
-	b.obs = o
-	b.mu.Unlock()
-}
-
-// observer returns the attached observer (possibly nil).
-func (b *Manager) observer() *obs.Observer {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.obs
-}
+func (b *Manager) SetObserver(o *obs.Observer) { b.obs.Store(o) }
 
 // SetWaterfall attaches (or, with nil, detaches) the waterfall recorder;
 // disk-read waits during Fetch are attributed to the requesting node's
 // current transaction.
-func (b *Manager) SetWaterfall(w *waterfall.Recorder) {
-	b.mu.Lock()
-	b.wf = w
-	b.mu.Unlock()
-}
-
-// waterfall returns the attached recorder (possibly nil).
-func (b *Manager) waterfall() *waterfall.Recorder {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.wf
-}
+func (b *Manager) SetWaterfall(w *waterfall.Recorder) { b.wf.Store(w) }
 
 // SetDebt attaches (or, with nil, detaches) the recovery-debt tracker;
 // dirty-page transitions feed its redo-working-set accounting.
@@ -153,7 +140,9 @@ func NewManager(store *heap.Store, disk *storage.Disk, logs []*wal.Log) *Manager
 func (b *Manager) Stats() Stats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.stats
+	s := b.stats
+	s.Fetches = b.fetches.Load()
+	return s
 }
 
 // Fetch ensures every line of page p is resident in shared memory, on
@@ -161,12 +150,9 @@ func (b *Manager) Stats() Stats {
 // partially lost page has only its missing lines reinstalled from the disk
 // image, preserving newer surviving cached lines.
 func (b *Manager) Fetch(nd machine.NodeID, p storage.PageID) error {
-	b.mu.Lock()
-	b.stats.Fetches++
-	hook := b.fetchHook
-	b.mu.Unlock()
-	if hook != nil {
-		hook(nd, p)
+	b.fetches.Add(1)
+	if hook := b.fetchHook.Load(); hook != nil {
+		(*hook)(nd, p)
 	}
 	if b.Store.ResidentPage(p) {
 		return nil
@@ -186,10 +172,10 @@ func (b *Manager) Fetch(nd machine.NodeID, p storage.PageID) error {
 	b.mu.Lock()
 	b.stats.DiskFetches++
 	b.mu.Unlock()
-	if o := b.observer(); o != nil {
+	if o := b.obs.Load(); o != nil {
 		o.Instant(obs.KindPageFetch, int32(nd), b.Store.M.Clock(nd), int64(p), 1)
 	}
-	if wf := b.waterfall(); wf != nil {
+	if wf := b.wf.Load(); wf != nil {
 		wf.NoteFetch(int32(nd), int(p), b.Store.M.Clock(nd), cost)
 	}
 	return b.Store.InstallImage(nd, p, img[:b.Store.Layout.PageBytes()], true)
@@ -269,7 +255,7 @@ func (b *Manager) FlushPage(nd machine.NodeID, p storage.PageID) error {
 			b.mu.Lock()
 			b.stats.WALForces++
 			b.mu.Unlock()
-			b.observer().ObserveLogForce(cost)
+			b.obs.Load().ObserveLogForce(cost)
 		}
 	}
 
@@ -294,9 +280,8 @@ func (b *Manager) FlushPage(nd machine.NodeID, p storage.PageID) error {
 	delete(b.dirty, p)
 	delete(b.updTable, p)
 	b.dbt.NoteClean(int64(p))
-	o := b.obs
 	b.mu.Unlock()
-	if o != nil {
+	if o := b.obs.Load(); o != nil {
 		var stole int64
 		if steal {
 			stole = 1
@@ -320,7 +305,7 @@ func (b *Manager) noteRetry(nd machine.NodeID, p storage.PageID, attempt int, ba
 	b.mu.Lock()
 	b.stats.IORetries++
 	b.mu.Unlock()
-	if o := b.observer(); o != nil {
+	if o := b.obs.Load(); o != nil {
 		o.Instant(obs.KindIORetry, int32(nd), b.Store.M.Clock(nd), int64(p), int64(attempt))
 	}
 }

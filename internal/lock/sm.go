@@ -129,10 +129,10 @@ type SMManager struct {
 
 	// Nothing below is guarded by a manager-wide mutex: the table itself is
 	// serialized by the machine's line locks, the counters are updated with
-	// atomic adds (the machine.Stats pattern), and the two rarely-written
-	// switches are atomics, so lock calls on different LCBs share no host
-	// lock.
-	stats    Stats
+	// atomic adds on the acting node's block (the machine.Stats pattern), and
+	// the two rarely-written switches are atomics, so lock calls on different
+	// LCBs share no host lock.
+	stats    []nodeStats
 	suppress atomic.Bool
 	obs      atomic.Pointer[obs.Observer]
 	scratch  sync.Pool // of *lcbScratch
@@ -155,7 +155,8 @@ func NewSMManager(m *machine.Machine, nLines int, logs []*wal.Log, lm LogMode) (
 	if nLines < 1 {
 		return nil, fmt.Errorf("lock: table must have at least 1 line, got %d", nLines)
 	}
-	s := &SMManager{M: m, Logs: logs, LogMode: lm, base: m.Alloc(nLines), nline: nLines}
+	s := &SMManager{M: m, Logs: logs, LogMode: lm, base: m.Alloc(nLines), nline: nLines,
+		stats: make([]nodeStats, m.Nodes())}
 	empty := make([]byte, m.LineSize())
 	for i := 0; i < nLines; i++ {
 		if err := m.Install(0, s.base+machine.LineID(i), empty); err != nil {
@@ -173,19 +174,29 @@ func (s *SMManager) entryCap() int {
 	return (s.M.LineSize() - lcbEntriesOff) / lcbEntryBytes
 }
 
-// Stats returns a snapshot of the counters. Each field is read atomically;
-// like machine.Stats, the snapshot is not a single point in time while lock
-// calls are in flight.
+// nodeStats is one node's counter block, padded to a cache line so lock
+// calls by different nodes never write the same line.
+type nodeStats struct {
+	Stats
+	_ [8]byte
+}
+
+// Stats returns a snapshot of the counters, summed over the per-node blocks.
+// Each field is read atomically; like machine.Stats, the snapshot is not a
+// single point in time while lock calls are in flight.
 func (s *SMManager) Stats() Stats {
-	return Stats{
-		Acquires:   atomic.LoadInt64(&s.stats.Acquires),
-		Grants:     atomic.LoadInt64(&s.stats.Grants),
-		Waits:      atomic.LoadInt64(&s.stats.Waits),
-		Releases:   atomic.LoadInt64(&s.stats.Releases),
-		Promotions: atomic.LoadInt64(&s.stats.Promotions),
-		LockLogs:   atomic.LoadInt64(&s.stats.LockLogs),
-		Probes:     atomic.LoadInt64(&s.stats.Probes),
+	var sum Stats
+	for i := range s.stats {
+		b := &s.stats[i]
+		sum.Acquires += atomic.LoadInt64(&b.Acquires)
+		sum.Grants += atomic.LoadInt64(&b.Grants)
+		sum.Waits += atomic.LoadInt64(&b.Waits)
+		sum.Releases += atomic.LoadInt64(&b.Releases)
+		sum.Promotions += atomic.LoadInt64(&b.Promotions)
+		sum.LockLogs += atomic.LoadInt64(&b.LockLogs)
+		sum.Probes += atomic.LoadInt64(&b.Probes)
 	}
+	return sum
 }
 
 // lcbScratch is the working set of one lock-table operation, reused through
@@ -445,7 +456,7 @@ func (s *SMManager) withLCB(nd machine.NodeID, name Name, create bool,
 	sc := s.getScratch()
 	var probes int64
 	defer func() {
-		atomic.AddInt64(&s.stats.Probes, probes)
+		atomic.AddInt64(&s.stats[nd].Probes, probes)
 		s.scratch.Put(sc)
 	}()
 retry:
@@ -550,7 +561,7 @@ func (s *SMManager) logLock(nd machine.NodeID, typ wal.RecordType, txn wal.TxnID
 		return
 	}
 	s.Logs[nd].Append(wal.Record{Type: typ, Txn: txn, Lock: uint64(name), Mode: uint8(mode)})
-	atomic.AddInt64(&s.stats.LockLogs, 1)
+	atomic.AddInt64(&s.stats[nd].LockLogs, 1)
 }
 
 // grantable reports whether a request by txn in mode can be granted given
@@ -577,7 +588,7 @@ func grantable(b *lcb, txn wal.TxnID, mode Mode) bool {
 // to Exclusive is granted when txn is the sole holder and queued otherwise.
 func (s *SMManager) Acquire(nd machine.NodeID, txn wal.TxnID, name Name, mode Mode) (bool, error) {
 	s.logLock(nd, wal.TypeLockAcquire, txn, name, mode)
-	atomic.AddInt64(&s.stats.Acquires, 1)
+	atomic.AddInt64(&s.stats[nd].Acquires, 1)
 	granted := false
 	err := s.withLCB(nd, name, true, func(_ int, b *lcb, _ bool) (bool, error) {
 		// Already holding?
@@ -630,9 +641,9 @@ func (s *SMManager) Acquire(nd machine.NodeID, txn wal.TxnID, name Name, mode Mo
 		return false, err
 	}
 	if granted {
-		atomic.AddInt64(&s.stats.Grants, 1)
+		atomic.AddInt64(&s.stats[nd].Grants, 1)
 	} else {
-		atomic.AddInt64(&s.stats.Waits, 1)
+		atomic.AddInt64(&s.stats[nd].Waits, 1)
 	}
 	if o := s.obs.Load(); o != nil {
 		k := obs.KindLockAcquire
@@ -704,7 +715,7 @@ func (s *SMManager) Release(nd machine.NodeID, txn wal.TxnID, name Name) error {
 		if !found {
 			return false, ErrNotHeld
 		}
-		s.promote(b)
+		s.promote(nd, b)
 		if len(b.holders) == 0 && len(b.waiters) == 0 {
 			b.state = lcbTombstone
 		}
@@ -714,7 +725,7 @@ func (s *SMManager) Release(nd machine.NodeID, txn wal.TxnID, name Name) error {
 		return err
 	}
 	s.logLock(nd, wal.TypeLockRelease, txn, name, mode)
-	atomic.AddInt64(&s.stats.Releases, 1)
+	atomic.AddInt64(&s.stats[nd].Releases, 1)
 	return nil
 }
 
@@ -722,22 +733,32 @@ func (s *SMManager) Release(nd machine.NodeID, txn wal.TxnID, name Name) error {
 // times out or its transaction aborts). It is a no-op if txn is not
 // waiting.
 func (s *SMManager) CancelWait(nd machine.NodeID, txn wal.TxnID, name Name) error {
+	_, err := s.WithdrawWait(nd, txn, name)
+	return err
+}
+
+// WithdrawWait is CancelWait reporting what txn is left with: the mode it
+// holds name in once its queued request, if any, is gone (0 if it holds
+// nothing). A release ahead of the request may have granted it before the
+// caller got round to withdrawing it; then there is no wait to cancel and
+// held is the granted mode, from the same look at the LCB.
+func (s *SMManager) WithdrawWait(nd machine.NodeID, txn wal.TxnID, name Name) (held Mode, err error) {
 	canceled, wasHolder := false, false
 	var mode Mode
-	err := s.withLCB(nd, name, false, func(_ int, b *lcb, ok bool) (bool, error) {
+	err = s.withLCB(nd, name, false, func(_ int, b *lcb, ok bool) (bool, error) {
 		if !ok {
 			return false, nil
+		}
+		for _, h := range b.holders {
+			if h.Txn == txn {
+				held, wasHolder = h.Mode, true // with a wait queued, an upgrade: the grant stays
+			}
 		}
 		for i, w := range b.waiters {
 			if w.Txn == txn {
 				canceled, mode = true, w.Mode
-				for _, h := range b.holders {
-					if h.Txn == txn {
-						wasHolder = true // upgrade wait: the grant stays
-					}
-				}
 				b.waiters = append(b.waiters[:i], b.waiters[i+1:]...)
-				s.promote(b)
+				s.promote(nd, b)
 				if len(b.holders) == 0 && len(b.waiters) == 0 {
 					b.state = lcbTombstone
 				}
@@ -747,7 +768,7 @@ func (s *SMManager) CancelWait(nd machine.NodeID, txn wal.TxnID, name Name) erro
 		return false, nil
 	})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if canceled && !wasHolder {
 		// A withdrawn request that was never granted is absent from the
@@ -760,12 +781,12 @@ func (s *SMManager) CancelWait(nd machine.NodeID, txn wal.TxnID, name Name) erro
 		// release record would erase the held mode from the replay's view.
 		s.logLock(nd, wal.TypeLockRelease, txn, name, mode)
 	}
-	return nil
+	return held, nil
 }
 
-// promote applies promoteWaiters to b and counts the promotions.
-func (s *SMManager) promote(b *lcb) {
-	atomic.AddInt64(&s.stats.Promotions, promoteWaiters(b))
+// promote applies promoteWaiters to b and counts the promotions for nd.
+func (s *SMManager) promote(nd machine.NodeID, b *lcb) {
+	atomic.AddInt64(&s.stats[nd].Promotions, promoteWaiters(b))
 }
 
 // promoteWaiters moves waiters to holders while the head of the queue is

@@ -101,7 +101,7 @@ func (s *SMManager) releaseCrashedLCB(nd machine.NodeID, head int, sc *lcbScratc
 	if !changed {
 		return nil
 	}
-	s.promote(b)
+	s.promote(nd, b)
 	if len(b.holders) == 0 && len(b.waiters) == 0 {
 		b.state = lcbTombstone
 	}

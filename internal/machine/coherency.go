@@ -18,7 +18,7 @@ import (
 // readers (and concurrent charges from parallel recovery workers acting for
 // the same node) compose correctly.
 func (m *Machine) charge(nd NodeID, cost int64) {
-	atomic.AddInt64(&m.clocks[nd], cost)
+	atomic.AddInt64(&m.nodes[nd].clock, cost)
 }
 
 // Read copies n bytes starting at byte off of line l into a fresh slice, on
@@ -61,7 +61,7 @@ func (m *Machine) readLocked(nd NodeID, l LineID, off int, dst []byte) ([]NodeID
 		return nil, ErrNodeDown
 	}
 	ln := &m.lines[l]
-	atomic.AddInt64(&m.stats.Reads, 1)
+	atomic.AddInt64(&m.nodes[nd].stats.Reads, 1)
 	if !ln.valid {
 		return nil, ErrLineLost
 	}
@@ -69,7 +69,7 @@ func (m *Machine) readLocked(nd NodeID, l LineID, off int, dst []byte) ([]NodeID
 	switch {
 	case ln.holders.has(nd):
 		// Local hit.
-		atomic.AddInt64(&m.stats.LocalHits, 1)
+		atomic.AddInt64(&m.nodes[nd].stats.LocalHits, 1)
 		m.charge(nd, m.cfg.Cost.ReadLocal)
 	default:
 		// Remote fetch; replicate into nd's cache.
@@ -79,7 +79,7 @@ func (m *Machine) readLocked(nd NodeID, l LineID, off int, dst []byte) ([]NodeID
 			if _, err := m.fire(l, EventDowngrade, ln.excl, nd, nd); err != nil {
 				return nil, err
 			}
-			atomic.AddInt64(&m.stats.Downgrades, 1)
+			atomic.AddInt64(&m.nodes[nd].stats.Downgrades, 1)
 			ln.excl = NoNode
 			m.trace(obs.KindDowngrade, nd, int64(l), int64(from))
 			fev = &Event{Line: l, Kind: EventDowngrade, From: from, To: nd}
@@ -90,8 +90,8 @@ func (m *Machine) readLocked(nd NodeID, l LineID, off int, dst []byte) ([]NodeID
 			m.trace(obs.KindReplicate, nd, int64(l), int64(ln.holders.lowest()))
 		}
 		ln.holders.add(nd)
-		atomic.AddInt64(&m.stats.RemoteFetches, 1)
-		atomic.AddInt64(&m.stats.Replications, 1)
+		atomic.AddInt64(&m.nodes[nd].stats.RemoteFetches, 1)
+		atomic.AddInt64(&m.nodes[nd].stats.Replications, 1)
 		m.charge(nd, m.cfg.Cost.RemoteFetch)
 	}
 	// Injected fault: the downgraded holder can die at exactly this
@@ -134,7 +134,7 @@ func (m *Machine) writeLocked(nd NodeID, l LineID, off int, data []byte) ([]Node
 		return nil, ErrNodeDown
 	}
 	ln := &m.lines[l]
-	atomic.AddInt64(&m.stats.Writes, 1)
+	atomic.AddInt64(&m.nodes[nd].stats.Writes, 1)
 	if !ln.valid {
 		return nil, ErrLineLost
 	}
@@ -151,12 +151,12 @@ func (m *Machine) writeLocked(nd NodeID, l LineID, off int, data []byte) ([]Node
 	switch {
 	case ln.excl == nd:
 		// Already exclusive locally.
-		atomic.AddInt64(&m.stats.LocalHits, 1)
+		atomic.AddInt64(&m.nodes[nd].stats.LocalHits, 1)
 		m.charge(nd, m.cfg.Cost.WriteLocal)
 	case ln.holders.sole(nd):
 		// Sole sharer: silent upgrade.
 		ln.excl = nd
-		atomic.AddInt64(&m.stats.LocalHits, 1)
+		atomic.AddInt64(&m.nodes[nd].stats.LocalHits, 1)
 		m.charge(nd, m.cfg.Cost.WriteLocal)
 	case ln.excl != NoNode:
 		// Another node holds it exclusively: the line migrates.
@@ -164,8 +164,8 @@ func (m *Machine) writeLocked(nd NodeID, l LineID, off int, data []byte) ([]Node
 		if _, err := m.fire(l, EventMigrate, ln.excl, nd, nd); err != nil {
 			return nil, err
 		}
-		atomic.AddInt64(&m.stats.Migrations, 1)
-		atomic.AddInt64(&m.stats.RemoteFetches, 1)
+		atomic.AddInt64(&m.nodes[nd].stats.Migrations, 1)
+		atomic.AddInt64(&m.nodes[nd].stats.RemoteFetches, 1)
 		ln.holders = 0
 		ln.holders.add(nd)
 		ln.excl = nd
@@ -180,7 +180,7 @@ func (m *Machine) writeLocked(nd NodeID, l LineID, off int, data []byte) ([]Node
 			if _, err := m.fire(l, EventInvalidate, others.lowest(), nd, nd); err != nil {
 				return nil, err
 			}
-			atomic.AddInt64(&m.stats.Invalidations, int64(others.count()))
+			atomic.AddInt64(&m.nodes[nd].stats.Invalidations, int64(others.count()))
 			m.charge(nd, int64(others.count())*m.cfg.Cost.InvalidatePerSharer)
 			m.trace(obs.KindInvalidate, nd, int64(l), int64(others.count()))
 			fev = &Event{Line: l, Kind: EventInvalidate, From: others.lowest(), To: nd}
@@ -188,9 +188,9 @@ func (m *Machine) writeLocked(nd NodeID, l LineID, off int, data []byte) ([]Node
 		cost := m.cfg.Cost.WriteLocal
 		if !ln.holders.has(nd) {
 			cost = m.cfg.Cost.RemoteFetch
-			atomic.AddInt64(&m.stats.RemoteFetches, 1)
+			atomic.AddInt64(&m.nodes[nd].stats.RemoteFetches, 1)
 		} else {
-			atomic.AddInt64(&m.stats.LocalHits, 1)
+			atomic.AddInt64(&m.nodes[nd].stats.LocalHits, 1)
 		}
 		ln.holders = 0
 		ln.holders.add(nd)
@@ -223,16 +223,16 @@ func (m *Machine) writeBroadcastLocked(nd NodeID, ln *line, l LineID, off int, d
 		}
 		m.trace(obs.KindReplicate, nd, int64(l), int64(from))
 		ln.holders.add(nd)
-		atomic.AddInt64(&m.stats.RemoteFetches, 1)
-		atomic.AddInt64(&m.stats.Replications, 1)
+		atomic.AddInt64(&m.nodes[nd].stats.RemoteFetches, 1)
+		atomic.AddInt64(&m.nodes[nd].stats.Replications, 1)
 		m.charge(nd, m.cfg.Cost.RemoteFetch)
 	} else {
-		atomic.AddInt64(&m.stats.LocalHits, 1)
+		atomic.AddInt64(&m.nodes[nd].stats.LocalHits, 1)
 		m.charge(nd, m.cfg.Cost.WriteLocal)
 	}
 	remote := ln.holders.count() - 1
 	if remote > 0 {
-		atomic.AddInt64(&m.stats.Broadcasts, 1)
+		atomic.AddInt64(&m.nodes[nd].stats.Broadcasts, 1)
 		m.charge(nd, int64(remote)*m.cfg.Cost.BroadcastPerSharer)
 	}
 	// The broadcast keeps every copy current; exclusivity is not tracked.
@@ -281,7 +281,7 @@ func (m *Machine) Install(nd NodeID, l LineID, data []byte) error {
 	ln.holders.add(nd)
 	ln.excl = nd
 	ln.active = false
-	atomic.AddInt64(&m.stats.Installs, 1)
+	atomic.AddInt64(&m.nodes[nd].stats.Installs, 1)
 	m.trace(obs.KindInstall, nd, int64(l), 0)
 	m.charge(nd, m.cfg.Cost.WriteLocal)
 	return nil
@@ -304,7 +304,7 @@ func (m *Machine) Discard(nd NodeID, l LineID) error {
 		return ErrLineLockHeld
 	}
 	if m.discardLocked(nd, l, ln) {
-		atomic.AddInt64(&m.stats.Discards, 1)
+		atomic.AddInt64(&m.nodes[nd].stats.Discards, 1)
 	}
 	return nil
 }
@@ -363,7 +363,7 @@ func (m *Machine) DiscardAll(nd NodeID, filter func(LineID) bool) int {
 		m.unlockStripe(s)
 	}
 	if dropped > 0 {
-		atomic.AddInt64(&m.stats.Discards, int64(dropped))
+		atomic.AddInt64(&m.nodes[nd].stats.Discards, int64(dropped))
 	}
 	return dropped
 }

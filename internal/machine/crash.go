@@ -67,7 +67,7 @@ func (m *Machine) crashQuiesced(nodes []NodeID) CrashReport {
 			continue
 		}
 		mask &^= 1 << uint(n)
-		atomic.AddInt64(&m.stats.Crashes, 1)
+		atomic.AddInt64(&m.global.Crashes, 1)
 		down.add(n)
 		rep.Crashed = append(rep.Crashed, n)
 	}
@@ -108,7 +108,7 @@ func (m *Machine) crashQuiesced(nodes []NodeID) CrashReport {
 			for j := range ln.data {
 				ln.data[j] = 0
 			}
-			atomic.AddInt64(&m.stats.LinesLost, 1)
+			atomic.AddInt64(&m.global.LinesLost, 1)
 			rep.LostLines = append(rep.LostLines, i)
 		} else {
 			rep.OrphanedLines = append(rep.OrphanedLines, i)
@@ -185,7 +185,7 @@ func (m *Machine) Restart(n NodeID) error {
 		return nil
 	}
 	m.aliveMask.Store(mask | 1<<uint(n))
-	maxStoreInt64(&m.clocks[n], m.MaxClock())
+	maxStoreInt64(&m.nodes[n].clock, m.MaxClock())
 	return nil
 }
 

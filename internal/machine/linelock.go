@@ -51,8 +51,8 @@ func (m *Machine) getLineLocked(nd NodeID, l LineID) ([]NodeID, error) {
 	if !ln.valid {
 		return nil, ErrLineLost
 	}
-	atomic.AddInt64(&m.stats.LineLockAcquires, 1)
-	entry := atomic.LoadInt64(&m.clocks[nd])
+	atomic.AddInt64(&m.nodes[nd].stats.LineLockAcquires, 1)
+	entry := atomic.LoadInt64(&m.nodes[nd].clock)
 	contended := ln.lock.held
 	// Resolve the blocking transaction while the holder still holds: by the
 	// time the wait ends the holder may have moved on, and the waterfall's
@@ -62,7 +62,7 @@ func (m *Machine) getLineLocked(nd NodeID, l LineID) ([]NodeID, error) {
 		holderTxn = hk.wf.CurrentTxn(int32(ln.lock.owner))
 	}
 	if contended {
-		atomic.AddInt64(&m.stats.LineLockContended, 1)
+		atomic.AddInt64(&m.nodes[nd].stats.LineLockContended, 1)
 	}
 	ln.lock.waiters++
 	for ln.lock.held {
@@ -80,7 +80,7 @@ func (m *Machine) getLineLocked(nd NodeID, l LineID) ([]NodeID, error) {
 
 	// Simulated queueing: we cannot start acquiring before the lock's
 	// simulated free time.
-	start := atomic.LoadInt64(&m.clocks[nd])
+	start := atomic.LoadInt64(&m.nodes[nd].clock)
 	if ln.lock.freeAt > start {
 		start = ln.lock.freeAt
 	}
@@ -99,7 +99,7 @@ func (m *Machine) getLineLocked(nd NodeID, l LineID) ([]NodeID, error) {
 			return nil, err
 		}
 		trig = tc
-		atomic.AddInt64(&m.stats.Migrations, 1)
+		atomic.AddInt64(&m.nodes[nd].stats.Migrations, 1)
 		ln.holders = 0
 		m.trace(obs.KindMigrate, nd, int64(l), int64(from))
 		fev = &Event{Line: l, Kind: EventMigrate, From: from, To: nd}
@@ -112,7 +112,7 @@ func (m *Machine) getLineLocked(nd NodeID, l LineID) ([]NodeID, error) {
 				return nil, err
 			}
 			trig = tc
-			atomic.AddInt64(&m.stats.Invalidations, int64(others.count()))
+			atomic.AddInt64(&m.nodes[nd].stats.Invalidations, int64(others.count()))
 			m.trace(obs.KindInvalidate, nd, int64(l), int64(others.count()))
 			fev = &Event{Line: l, Kind: EventInvalidate, From: others.lowest(), To: nd}
 		}
@@ -130,7 +130,7 @@ func (m *Machine) getLineLocked(nd NodeID, l LineID) ([]NodeID, error) {
 	}
 	ln.lock.held = true
 	ln.lock.owner = nd
-	maxStoreInt64(&m.clocks[nd], start+cost)
+	maxStoreInt64(&m.nodes[nd].clock, start+cost)
 	if hk := m.hooks.Load(); hk.obs != nil || hk.wf != nil {
 		// Acquisition latency is the simulated interval from the caller
 		// issuing GetLine to holding the lock: queueing delay (chained
@@ -196,7 +196,7 @@ func (m *Machine) ReleaseLine(nd NodeID, l LineID) error {
 	ln.lock.owner = NoNode
 	// The lock becomes free, in simulated time, when the releasing node's
 	// clock reaches this instant; waiters chain their start times from it.
-	ln.lock.freeAt = atomic.LoadInt64(&m.clocks[nd])
+	ln.lock.freeAt = atomic.LoadInt64(&m.nodes[nd].clock)
 	m.broadcast(s)
 	return nil
 }

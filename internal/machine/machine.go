@@ -327,12 +327,10 @@ type Machine struct {
 	// Atomic so sweeps (Crash, CachedLines, DiscardAll) read it lock-free.
 	next atomic.Int64
 
-	// clocks are per-node simulated nanoseconds, accessed only atomically:
-	// observability hooks in other layers (wal, buffer) need a node's
-	// clock while a stripe may be held by a pre-transition callback higher
-	// in the stack. Monotonic absolute stores go through maxStoreInt64.
-	clocks []int64
-	stats  Stats // updated and snapshotted atomically (see stats.go)
+	// nodes holds each node's simulated clock and counters on cache lines
+	// of its own (see nodeBlock); global counts the events no node issues.
+	nodes  []nodeBlock
+	global Stats
 
 	// hooks is copy-on-write under hookMu; never nil.
 	hookMu sync.Mutex
@@ -347,9 +345,9 @@ func New(cfg Config) *Machine {
 		panic(err)
 	}
 	m := &Machine{
-		cfg:    cfg,
-		lines:  make([]line, cfg.Lines),
-		clocks: make([]int64, cfg.Nodes),
+		cfg:   cfg,
+		lines: make([]line, cfg.Lines),
+		nodes: make([]nodeBlock, cfg.Nodes),
 	}
 	for i := range m.stripes {
 		m.stripes[i].cond = sync.NewCond(&m.stripes[i].mu)
@@ -492,8 +490,8 @@ func (m *Machine) trace(k obs.Kind, nd NodeID, a, b int64) {
 		return
 	}
 	var sim int64
-	if nd >= 0 && int(nd) < len(m.clocks) {
-		sim = atomic.LoadInt64(&m.clocks[nd])
+	if nd >= 0 && int(nd) < len(m.nodes) {
+		sim = atomic.LoadInt64(&m.nodes[nd].clock)
 	}
 	hk.obs.Instant(k, int32(nd), sim, a, b)
 }
@@ -527,18 +525,18 @@ func (m *Machine) Active(l LineID) bool {
 // so it is safe to call even from code running under a pre-transition
 // callback (which holds the line's stripe lock).
 func (m *Machine) Clock(n NodeID) int64 {
-	if n < 0 || int(n) >= len(m.clocks) {
+	if n < 0 || int(n) >= len(m.nodes) {
 		return 0
 	}
-	return atomic.LoadInt64(&m.clocks[n])
+	return atomic.LoadInt64(&m.nodes[n].clock)
 }
 
 // MaxClock returns the maximum simulated clock across nodes: the simulated
 // makespan of the run so far. Lock-free, like Clock.
 func (m *Machine) MaxClock() int64 {
 	var max int64
-	for i := range m.clocks {
-		if c := atomic.LoadInt64(&m.clocks[i]); c > max {
+	for i := range m.nodes {
+		if c := atomic.LoadInt64(&m.nodes[i].clock); c > max {
 			max = c
 		}
 	}
@@ -552,8 +550,8 @@ func (m *Machine) AdvanceClock(n NodeID, d int64) {
 	if d <= 0 {
 		return
 	}
-	if n >= 0 && int(n) < len(m.clocks) {
-		atomic.AddInt64(&m.clocks[n], d)
+	if n >= 0 && int(n) < len(m.nodes) {
+		atomic.AddInt64(&m.nodes[n].clock, d)
 	}
 }
 
@@ -590,10 +588,10 @@ func (m *Machine) fire(l LineID, kind EventKind, from, to, charge NodeID) (int64
 		return 0, nil
 	}
 	cost, err := hk.preTransition(Event{Line: l, Kind: kind, From: from, To: to})
-	if charge >= 0 && int(charge) < len(m.clocks) {
-		atomic.AddInt64(&m.clocks[charge], cost)
+	if charge >= 0 && int(charge) < len(m.nodes) {
+		atomic.AddInt64(&m.nodes[charge].clock, cost)
 	}
-	atomic.AddInt64(&m.stats.TriggerFires, 1)
+	atomic.AddInt64(&m.global.TriggerFires, 1)
 	m.trace(obs.KindTriggerFire, charge, int64(l), int64(kind))
 	if err == nil {
 		ln.active = false

@@ -4,10 +4,9 @@ import "sync/atomic"
 
 // Stats counts coherency traffic and failure events. The recovery
 // experiments use these to relate protocol overheads to the sharing
-// behaviour that causes them. Inside the Machine every field is updated
-// with atomic adds (line operations hold only their line's stripe, so a
-// single non-atomic counter block would race); Stats() assembles a
-// field-by-field atomic snapshot.
+// behaviour that causes them. Inside the Machine the counters are kept per
+// acting node (nodeBlock) and updated with atomic adds; Stats() sums the
+// blocks.
 type Stats struct {
 	// Reads and Writes are total loads/stores issued.
 	Reads, Writes int64
@@ -69,41 +68,61 @@ func (s Stats) Sub(prev Stats) Stats {
 	}
 }
 
-// Stats returns a snapshot of the machine's counters. Each field is read
-// atomically; the snapshot as a whole is not a single point in time when
-// line operations are in flight (counters of one operation may land across
-// two snapshots), which no consumer depends on.
-func (m *Machine) Stats() Stats {
-	return Stats{
-		Reads:             atomic.LoadInt64(&m.stats.Reads),
-		Writes:            atomic.LoadInt64(&m.stats.Writes),
-		LocalHits:         atomic.LoadInt64(&m.stats.LocalHits),
-		RemoteFetches:     atomic.LoadInt64(&m.stats.RemoteFetches),
-		Migrations:        atomic.LoadInt64(&m.stats.Migrations),
-		Downgrades:        atomic.LoadInt64(&m.stats.Downgrades),
-		Replications:      atomic.LoadInt64(&m.stats.Replications),
-		Invalidations:     atomic.LoadInt64(&m.stats.Invalidations),
-		Broadcasts:        atomic.LoadInt64(&m.stats.Broadcasts),
-		Installs:          atomic.LoadInt64(&m.stats.Installs),
-		Discards:          atomic.LoadInt64(&m.stats.Discards),
-		LineLockAcquires:  atomic.LoadInt64(&m.stats.LineLockAcquires),
-		LineLockContended: atomic.LoadInt64(&m.stats.LineLockContended),
-		TriggerFires:      atomic.LoadInt64(&m.stats.TriggerFires),
-		Crashes:           atomic.LoadInt64(&m.stats.Crashes),
-		LinesLost:         atomic.LoadInt64(&m.stats.LinesLost),
+// nodeBlock is one node's clock and counters. The clock has a cache line to
+// itself and the counters fill the next two, so a node charging its own
+// operations never writes a line another node's operations write: with the
+// clocks packed in one line and one shared counter block, every charge on
+// one CPU invalidated the line under every other.
+type nodeBlock struct {
+	// clock is the node's simulated nanoseconds, accessed only atomically:
+	// observability hooks in other layers (wal, buffer) need a node's
+	// clock while a stripe may be held by a pre-transition callback higher
+	// in the stack. Monotonic absolute stores go through maxStoreInt64.
+	clock int64
+	_     [56]byte
+	// stats counts the operations this node issued, updated with atomic
+	// adds (line operations hold only their line's stripe).
+	stats Stats
+}
+
+// counters lists the address of every counter, in declaration order.
+func (s *Stats) counters() [16]*int64 {
+	return [16]*int64{
+		&s.Reads, &s.Writes, &s.LocalHits, &s.RemoteFetches, &s.Migrations,
+		&s.Downgrades, &s.Replications, &s.Invalidations, &s.Broadcasts,
+		&s.Installs, &s.Discards, &s.LineLockAcquires, &s.LineLockContended,
+		&s.TriggerFires, &s.Crashes, &s.LinesLost,
 	}
+}
+
+// eachBlock calls fn on every counter block: one per node, then the global.
+func (m *Machine) eachBlock(fn func(*Stats)) {
+	for i := range m.nodes {
+		fn(&m.nodes[i].stats)
+	}
+	fn(&m.global)
+}
+
+// Stats returns a snapshot of the machine's counters, summed over the
+// per-node blocks. Each field is read atomically; the snapshot as a whole is
+// not a single point in time when line operations are in flight (counters of
+// one operation may land across two snapshots), which no consumer depends on.
+func (m *Machine) Stats() Stats {
+	var sum Stats
+	dst := sum.counters()
+	m.eachBlock(func(b *Stats) {
+		for i, p := range b.counters() {
+			*dst[i] += atomic.LoadInt64(p)
+		}
+	})
+	return sum
 }
 
 // ResetStats zeroes the counters (the clock and memory state are unchanged).
 func (m *Machine) ResetStats() {
-	for _, p := range []*int64{
-		&m.stats.Reads, &m.stats.Writes, &m.stats.LocalHits,
-		&m.stats.RemoteFetches, &m.stats.Migrations, &m.stats.Downgrades,
-		&m.stats.Replications, &m.stats.Invalidations, &m.stats.Broadcasts,
-		&m.stats.Installs, &m.stats.Discards, &m.stats.LineLockAcquires,
-		&m.stats.LineLockContended, &m.stats.TriggerFires, &m.stats.Crashes,
-		&m.stats.LinesLost,
-	} {
-		atomic.StoreInt64(p, 0)
-	}
+	m.eachBlock(func(b *Stats) {
+		for _, p := range b.counters() {
+			atomic.StoreInt64(p, 0)
+		}
+	})
 }

@@ -3,8 +3,7 @@ package recovery
 import "smdb/internal/machine"
 
 // recArena is one worker slot's reusable recovery scratch: run boundaries
-// and precomputed undo tags for the batched redo apply, and the dead-check
-// candidate positions of the redo scan. Each slot is owned by exactly one
+// and precomputed undo tags for the batched redo apply. Each slot is owned by exactly one
 // goroutine at a time (fan-out worker w, or the sequential pipeline on slot
 // 0), so no locking; buffers grow to the high-water mark of the workload
 // and are reused across phases and across Recover calls. Explicit reuse
@@ -13,9 +12,8 @@ import "smdb/internal/machine"
 // legally depend on buffer identity, keeping placement a pure function of
 // the worker slot makes that property auditable rather than probabilistic.
 type recArena struct {
-	runs       []redoRun
-	tags       []machine.NodeID
-	deadChecks []int
+	runs []redoRun
+	tags []machine.NodeID
 }
 
 // arena returns worker slot w's scratch arena. Slots are sized at New from
@@ -33,5 +31,4 @@ func (db *DB) arena(w int) *recArena {
 func (a *recArena) reset() {
 	a.runs = a.runs[:0]
 	a.tags = a.tags[:0]
-	a.deadChecks = a.deadChecks[:0]
 }

@@ -44,16 +44,14 @@ func (db *DB) CheckIFA(nd machine.NodeID) []string {
 	}
 	expected := make(map[heap.RID]expectation)
 
-	db.mu.Lock()
 	// Start from the last committed images.
-	for rid, ci := range db.committed {
+	for rid, ci := range db.committedImages() {
 		expected[rid] = expectation{img: ci.img, version: ci.version, source: "committed", tag: machine.NoNode}
 	}
 	// Surviving active transactions' newest writes take precedence.
-	survivorWrites := 0
 	crashedWrites := make(map[heap.RID]wal.TxnID)
-	for _, st := range db.txns {
-		if st.status == TxnActive && !st.crashed {
+	db.eachTxn(func(_ *nodeCtl, st *txnState) {
+		if st.live() {
 			for _, w := range st.writes {
 				e, ok := expected[w.rid]
 				if !ok || w.version > e.version {
@@ -62,18 +60,16 @@ func (db *DB) CheckIFA(nd machine.NodeID) []string {
 						tag = st.id.Node()
 					}
 					expected[w.rid] = expectation{img: w.img, version: w.version, source: "survivor-active", tag: tag, txn: st.id, lsn: w.lsn}
-					survivorWrites++
 				}
 			}
 		}
-		if st.crashed {
+		if st.crashed.Load() {
 			for _, w := range st.writes {
 				crashedWrites[w.rid] = st.id
 			}
 		}
-	}
+	})
 	layout := db.Store.Layout
-	db.mu.Unlock()
 
 	// Deterministic iteration order for readable reports.
 	rids := make([]heap.RID, 0, len(expected))
@@ -145,38 +141,34 @@ func (db *DB) CheckIFA(nd machine.NodeID) []string {
 			m[uint64(ls.Name)] = true
 		}
 	}
-	db.mu.Lock()
-	for _, st := range db.txns {
+	db.eachTxn(func(_ *nodeCtl, st *txnState) {
 		switch {
-		case st.status == TxnActive && !st.crashed:
+		case st.live():
 			for _, hl := range st.locks {
 				if !heldIn[st.id][uint64(hl.name)] {
 					add("lock %v of surviving %v lost from lock space", hl.name, st.id)
 				}
 			}
-		case st.crashed:
+		case st.crashed.Load():
 			if n := len(heldIn[st.id]); n > 0 {
 				add("crashed %v still appears in %d LCBs", st.id, n)
 			}
 		}
-	}
-	db.mu.Unlock()
+	})
 	return violations
 }
 
 // writeHistory summarizes which transactions wrote rid (for violation
-// diagnostics). Caller must not hold db.mu.
+// diagnostics). Caller must not hold a node mutex.
 func (db *DB) writeHistory(rid heap.RID) string {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	out := ""
-	for _, st := range db.txns {
+	db.eachTxn(func(_ *nodeCtl, st *txnState) {
 		for _, w := range st.writes {
 			if w.rid == rid {
-				out += fmt.Sprintf(" [%v %v crashed=%v wrote v%d]", st.id, st.status, st.crashed, w.version)
+				out += fmt.Sprintf(" [%v %v crashed=%v wrote v%d]", st.id, st.stat(), st.crashed.Load(), w.version)
 			}
 		}
-	}
+	})
 	return out
 }
 
@@ -185,27 +177,25 @@ func (db *DB) writeHistory(rid heap.RID) string {
 // normal operation).
 func (db *DB) VerifyCommittedDurability(nd machine.NodeID) []string {
 	var violations []string
-	db.mu.Lock()
 	type pair struct {
 		rid heap.RID
 		ci  committedImage
 	}
 	var pairs []pair
 	overwritten := make(map[heap.RID]bool)
-	for _, st := range db.txns {
-		if st.status == TxnActive {
+	db.eachTxn(func(_ *nodeCtl, st *txnState) {
+		if st.stat() == TxnActive {
 			for _, w := range st.writes {
 				overwritten[w.rid] = true
 			}
 		}
-	}
-	for rid, ci := range db.committed {
+	})
+	for rid, ci := range db.committedImages() {
 		if !overwritten[rid] {
 			pairs = append(pairs, pair{rid, ci})
 		}
 	}
 	layout := db.Store.Layout
-	db.mu.Unlock()
 	for _, p := range pairs {
 		sd, err := db.Read(nd, p.rid)
 		if err != nil {

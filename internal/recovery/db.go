@@ -3,7 +3,6 @@ package recovery
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -138,10 +137,14 @@ type writeRec struct {
 // transaction's txnState — it rediscovers what it needs from stable logs and
 // undo tags. The engine keeps crashed entries only for the IFA oracle
 // (verification), clearly separated by the crashed flag.
+//
+// id and beginSim never change. status and crashed are written under the
+// node's mutex and read anywhere; every other field is guarded by the node's
+// mutex (see nodeCtl).
 type txnState struct {
 	id      wal.TxnID
-	status  TxnStatus
-	crashed bool // its node crashed while it was active
+	status  atomic.Int32 // a TxnStatus
+	crashed atomic.Bool  // its node crashed while it was active
 	// beginSim is the node's simulated clock at Begin, for commit-latency
 	// observation.
 	beginSim int64
@@ -156,7 +159,19 @@ type txnState struct {
 	// deferred holds update records not yet appended to the log — only
 	// used by the AblatedNoLBM negative control, which logs at commit.
 	deferred []wal.Record
+	// lockBuf and writeBuf back locks and writes until the transaction
+	// outgrows them, so an ordinary transaction's bookkeeping is the one
+	// txnState allocation instead of two slices doubling their way up.
+	lockBuf  [8]heldLock
+	writeBuf [8]writeRec
 }
+
+// stat returns the transaction's lifecycle state.
+func (st *txnState) stat() TxnStatus { return TxnStatus(st.status.Load()) }
+
+// live reports whether the transaction is active on a node that has not
+// crashed under it.
+func (st *txnState) live() bool { return st.stat() == TxnActive && !st.crashed.Load() }
 
 // Stats aggregates protocol-level counters (beyond machine/buffer/lock
 // stats).
@@ -189,6 +204,9 @@ type Stats struct {
 	// LCBsRebuilt and LockEntriesReleased count lock-space recovery work.
 	LCBsRebuilt, LockEntriesReleased int64
 }
+
+// add returns s + o, field by field.
+func (s Stats) add(o Stats) Stats { return s.Sub(Stats{}.Sub(o)) }
 
 // Sub returns the per-interval delta s - prev (see machine.Stats.Sub).
 func (s Stats) Sub(prev Stats) Stats {
@@ -239,34 +257,35 @@ type DB struct {
 	// committed-value-lost race).
 	recovering atomic.Bool
 
-	mu    sync.Mutex
-	txns  map[wal.TxnID]*txnState
-	seqs  []uint64 // per-node transaction sequence counters
-	stats Stats
-	// committed is the IFA oracle: the last committed image of every slot
-	// ever written (flags byte followed by record data), plus its version.
-	committed map[heap.RID]committedImage
-	// activeLBM tracks, for StableTriggered, the highest unforced LSN per
-	// node so the trigger knows how far to force.
-	pendingLSN []wal.LSN
+	// nodes is the per-node control state (transaction tables, counters,
+	// oracle shards): everything a single-node transaction touches.
+	nodes []nodeCtl
+
+	// mu guards what belongs to no node and is off the forward path:
+	// restart recovery's own counters, and the observer's sink rewiring.
+	mu       sync.Mutex
+	recStats Stats
+
+	// The attach points are atomic pointers: the hot paths consult them
+	// with no lock held, lbmTrigger with a machine stripe held.
 	// obs is the attached observability layer (nil when disabled; all its
 	// methods are nil-safe).
-	obs *obs.Observer
+	obs atomic.Pointer[obs.Observer]
 	// deps is the attached dependency-graph tracker (nil when disabled;
 	// nil-safe); see AttachDeps.
-	deps *deps.Tracker
+	deps atomic.Pointer[deps.Tracker]
 	// audit is the attached online IFA auditor (nil when disabled;
 	// nil-safe); see AttachAudit.
-	audit *audit.Auditor
+	audit atomic.Pointer[audit.Auditor]
 	// flight is the attached crash flight recorder (nil when disabled;
 	// nil-safe); see SetFlightRecorder.
-	flight *obs.FlightRecorder
+	flight atomic.Pointer[obs.FlightRecorder]
 	// prof is the attached contention & cost-attribution profiler pair
 	// (nil when disabled; nil-safe); see AttachProf.
-	prof *prof.Pair
+	prof atomic.Pointer[prof.Pair]
 	// fault is the attached chaos injector (nil when chaos is off); see
 	// AttachFaults.
-	fault *fault.Injector
+	fault atomic.Pointer[fault.Injector]
 	// flightPending is set by noteCrash (no file I/O may run there — the
 	// machine lock is held) and consumed at Recover entry, which writes the
 	// pending crash dump.
@@ -279,12 +298,10 @@ type DB struct {
 	// disabled); see AttachSched.
 	schedp atomic.Pointer[sched.Session]
 	// wfp is the attached per-transaction waterfall recorder (nil when
-	// disabled); see AttachWaterfall. An atomic pointer because the hot
-	// paths (Update, Read, Commit) consult it outside db.mu.
+	// disabled); see AttachWaterfall.
 	wfp atomic.Pointer[waterfall.Recorder]
 	// dbtp is the attached recovery-debt tracker (nil when disabled); see
-	// AttachDebt. Atomic for the same reason as wfp: Recover consults it
-	// outside db.mu.
+	// AttachDebt.
 	dbtp atomic.Pointer[debt.Tracker]
 	// arenas are the per-worker-slot reusable recovery scratch buffers
 	// (see recArena): slot w belongs to fan-out worker slot w, slot 0 to
@@ -328,17 +345,17 @@ func New(cfg Config) (*DB, error) {
 	}
 	locks.Chained = cfg.ChainedLCBs
 	db := &DB{
-		Cfg:        cfg,
-		M:          m,
-		Store:      store,
-		Disk:       disk,
-		BM:         buffer.NewManager(store, disk, logs),
-		Logs:       logs,
-		Locks:      locks,
-		txns:       make(map[wal.TxnID]*txnState),
-		seqs:       make([]uint64, m.Nodes()),
-		committed:  make(map[heap.RID]committedImage),
-		pendingLSN: make([]wal.LSN, m.Nodes()),
+		Cfg:   cfg,
+		M:     m,
+		Store: store,
+		Disk:  disk,
+		BM:    buffer.NewManager(store, disk, logs),
+		Logs:  logs,
+		Locks: locks,
+		nodes: make([]nodeCtl, m.Nodes()),
+	}
+	for i := range db.nodes {
+		db.nodes[i].committed = make(map[heap.RID]committedImage)
 	}
 	db.BM.NVRAMLog = cfg.NVRAMLog
 	slots := cfg.RecoveryWorkers
@@ -445,17 +462,11 @@ func (db *DB) AttachObserver(o *obs.Observer) {
 	}
 	db.Locks.SetObserver(o)
 	db.BM.SetObserver(o)
-	db.mu.Lock()
-	db.obs = o
-	db.mu.Unlock()
+	db.obs.Store(o)
 }
 
 // Observer returns the attached observability layer (nil when disabled).
-func (db *DB) Observer() *obs.Observer {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.obs
-}
+func (db *DB) Observer() *obs.Observer { return db.obs.Load() }
 
 // AttachDeps wires a dependency-graph tracker: it becomes the observer's
 // event sink (so coherency, WAL, and txn-lifecycle events flow into it) and
@@ -464,7 +475,7 @@ func (db *DB) Observer() *obs.Observer {
 // line residency. Passing nil detaches.
 func (db *DB) AttachDeps(t *deps.Tracker) {
 	db.mu.Lock()
-	db.deps = t
+	db.deps.Store(t)
 	db.rewireSinkLocked()
 	db.mu.Unlock()
 }
@@ -477,7 +488,7 @@ func (db *DB) AttachDeps(t *deps.Tracker) {
 // auditor needs the event stream. Passing nil detaches.
 func (db *DB) AttachAudit(a *audit.Auditor) {
 	db.mu.Lock()
-	db.audit = a
+	db.audit.Store(a)
 	db.rewireSinkLocked()
 	db.mu.Unlock()
 }
@@ -486,35 +497,28 @@ func (db *DB) AttachAudit(a *audit.Auditor) {
 // dependency tracker and the auditor are attached (a MultiSink when both
 // are). Caller holds db.mu.
 func (db *DB) rewireSinkLocked() {
-	o := db.obs
+	o := db.obs.Load()
 	if o == nil {
 		return
 	}
+	dt, au := db.deps.Load(), db.audit.Load()
 	switch {
-	case db.deps != nil && db.audit != nil:
-		o.SetSink(obs.MultiSink{db.deps, db.audit})
-	case db.deps != nil:
-		o.SetSink(db.deps)
-	case db.audit != nil:
-		o.SetSink(db.audit)
+	case dt != nil && au != nil:
+		o.SetSink(obs.MultiSink{dt, au})
+	case dt != nil:
+		o.SetSink(dt)
+	case au != nil:
+		o.SetSink(au)
 	default:
 		o.SetSink(nil)
 	}
 }
 
 // Deps returns the attached dependency tracker (nil when disabled).
-func (db *DB) Deps() *deps.Tracker {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.deps
-}
+func (db *DB) Deps() *deps.Tracker { return db.deps.Load() }
 
 // Audit returns the attached online auditor (nil when disabled).
-func (db *DB) Audit() *audit.Auditor {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.audit
-}
+func (db *DB) Audit() *audit.Auditor { return db.audit.Load() }
 
 // AttachProf wires the contention & cost-attribution profiler: the stripe
 // half attaches to the machine's lock helpers (every stripe acquisition,
@@ -529,9 +533,7 @@ func (db *DB) AttachProf(p *prof.Pair) {
 	} else {
 		db.M.SetProfiler(nil)
 	}
-	db.mu.Lock()
-	db.prof = p
-	db.mu.Unlock()
+	db.prof.Store(p)
 }
 
 // AttachWaterfall wires the per-transaction latency waterfall recorder
@@ -589,22 +591,16 @@ func (db *DB) AttachDebt(d *debt.Tracker) {
 func (db *DB) Debt() *debt.Tracker { return db.dbtp.Load() }
 
 // Prof returns the attached profiler pair (nil when disabled).
-func (db *DB) Prof() *prof.Pair {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.prof
-}
+func (db *DB) Prof() *prof.Pair { return db.prof.Load() }
 
 // profWorkers returns the worker-attribution half of the attached profiler,
 // nil when profiling is off (the parallel pipeline tests this once per
 // fan-out).
 func (db *DB) profWorkers() *prof.WorkerProf {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.prof == nil {
-		return nil
+	if p := db.prof.Load(); p != nil {
+		return p.Workers
 	}
-	return db.prof.Workers
+	return nil
 }
 
 // SetFlightRecorder wires a crash flight recorder: on every node crash a
@@ -613,12 +609,8 @@ func (db *DB) profWorkers() *prof.WorkerProf {
 // harnesses call DumpFlight on IFA-check failures. Call after AttachObserver
 // and AttachDeps so the recorder sees both. Passing nil detaches.
 func (db *DB) SetFlightRecorder(r *obs.FlightRecorder) {
-	db.mu.Lock()
-	db.flight = r
-	o := db.obs
-	t := db.deps
-	a := db.audit
-	db.mu.Unlock()
+	db.flight.Store(r)
+	o, t, a := db.Observer(), db.Deps(), db.Audit()
 	if r == nil {
 		return
 	}
@@ -661,11 +653,7 @@ func (db *DB) SetFlightRecorder(r *obs.FlightRecorder) {
 }
 
 // FlightRecorder returns the attached flight recorder (nil when disabled).
-func (db *DB) FlightRecorder() *obs.FlightRecorder {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.flight
-}
+func (db *DB) FlightRecorder() *obs.FlightRecorder { return db.flight.Load() }
 
 // DumpFlight writes a flight-recorder dump with the given reason, returning
 // its directory. A detached recorder returns ("", nil).
@@ -673,18 +661,23 @@ func (db *DB) DumpFlight(reason string) (string, error) {
 	return db.FlightRecorder().Dump(reason)
 }
 
-// Stats returns a snapshot of the protocol counters.
+// Stats returns a snapshot of the protocol counters: the per-node blocks,
+// visited in ascending node order, plus restart recovery's own.
 func (db *DB) Stats() Stats {
 	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.stats
-}
-
-// bump mutates the stats under the lock.
-func (db *DB) bump(f func(*Stats)) {
-	db.mu.Lock()
-	f(&db.stats)
+	sum := db.recStats
 	db.mu.Unlock()
+	for i := range db.nodes {
+		nc := &db.nodes[i]
+		nc.mu.Lock()
+		sum = sum.add(nc.stats)
+		nc.mu.Unlock()
+		sum.CommitForces += nc.commitForces.Load()
+		sum.LBMForces += nc.lbmForces.Load()
+		sum.NTAForces += nc.ntaForces.Load()
+		sum.GroupCommitJoins += nc.groupJoins.Load()
+	}
+	return sum
 }
 
 // NextVersion returns a fresh global update version. (On real hardware this
@@ -723,101 +716,98 @@ func (db *DB) Begin(nd machine.NodeID) (wal.TxnID, error) {
 		return 0, machine.ErrNodeDown
 	}
 	now := db.M.Clock(nd)
-	db.mu.Lock()
-	db.seqs[nd]++
-	id := wal.MakeTxnID(nd, db.seqs[nd])
-	db.txns[id] = &txnState{id: id, status: TxnActive, beginSim: now}
-	o := db.obs
-	db.mu.Unlock()
-	o.Instant(obs.KindTxnBegin, int32(nd), now, int64(id), 0)
-	db.wfp.Load().Begin(int64(id), int32(nd), now)
-	return id, nil
+	nc := &db.nodes[nd]
+	st := &txnState{beginSim: now}
+	st.locks, st.writes = st.lockBuf[:0], st.writeBuf[:0]
+	nc.mu.Lock()
+	st.id = wal.MakeTxnID(nd, nc.seq.Load()+1)
+	nc.add(st)
+	nc.mu.Unlock()
+	db.Observer().Instant(obs.KindTxnBegin, int32(nd), now, int64(st.id), 0)
+	db.wfp.Load().Begin(int64(st.id), int32(nd), now)
+	return st.id, nil
 }
 
 // Status returns a transaction's lifecycle state.
 func (db *DB) Status(t wal.TxnID) (TxnStatus, bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	st, ok := db.txns[t]
-	if !ok {
+	st := db.lookup(t)
+	if st == nil {
 		return 0, false
 	}
-	return st.status, true
+	return st.stat(), true
 }
 
 // ActiveTxns returns the active transactions, optionally filtered to a node,
-// in ascending TxnID order. The order is deterministic (not map order) so
-// callers that mutate state per transaction — like the chaos harness's
-// stranded-transaction rollback — behave identically across runs, which the
-// chaos replay machinery depends on.
+// in ascending TxnID order. The order is deterministic so callers that mutate
+// state per transaction — like the chaos harness's stranded-transaction
+// rollback — behave identically across runs, which the chaos replay machinery
+// depends on.
 func (db *DB) ActiveTxns(node machine.NodeID) []wal.TxnID {
-	db.mu.Lock()
 	var out []wal.TxnID
-	for id, st := range db.txns {
-		if st.status != TxnActive || st.crashed {
-			continue
+	db.eachTxn(func(_ *nodeCtl, st *txnState) {
+		if st.live() && (node == machine.NoNode || st.id.Node() == node) {
+			out = append(out, st.id)
 		}
-		if node == machine.NoNode || id.Node() == node {
-			out = append(out, id)
-		}
-	}
-	db.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	})
 	return out
 }
 
-// txn fetches a transaction's state, failing if unknown.
-func (db *DB) txn(t wal.TxnID) (*txnState, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	st, ok := db.txns[t]
-	if !ok {
-		return nil, fmt.Errorf("recovery: unknown transaction %v", t)
+// txn fetches a transaction's state and its node's control block, failing if
+// the transaction is unknown. Lock-free.
+func (db *DB) txn(t wal.TxnID) (*nodeCtl, *txnState, error) {
+	st := db.lookup(t)
+	if st == nil {
+		return nil, nil, fmt.Errorf("recovery: unknown transaction %v", t)
 	}
-	return st, nil
+	return &db.nodes[t.Node()], st, nil
 }
 
 // NoteLock records a lock held by t (node-local bookkeeping for release at
 // commit/abort).
 func (db *DB) NoteLock(t wal.TxnID, name lock.Name, mode lock.Mode) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if st, ok := db.txns[t]; ok {
-		for i := range st.locks {
-			if st.locks[i].name == name {
-				if mode > st.locks[i].mode {
-					st.locks[i].mode = mode
-				}
-				return
-			}
-		}
-		st.locks = append(st.locks, heldLock{name: name, mode: mode})
+	nc, st, err := db.txn(t)
+	if err != nil {
+		return
 	}
+	nc.mu.Lock()
+	defer nc.mu.Unlock()
+	for i := range st.locks {
+		if st.locks[i].name == name {
+			if mode > st.locks[i].mode {
+				st.locks[i].mode = mode
+			}
+			return
+		}
+	}
+	st.locks = append(st.locks, heldLock{name: name, mode: mode})
 }
 
 // WriteCount returns how many updates a transaction has applied (for
 // lost-work accounting in experiments).
 func (db *DB) WriteCount(t wal.TxnID) int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	st, ok := db.txns[t]
-	if !ok {
+	nc, st, err := db.txn(t)
+	if err != nil {
 		return 0
 	}
+	nc.mu.Lock()
+	defer nc.mu.Unlock()
 	return len(st.writes)
 }
 
 // HeldLocks returns the locks a transaction's node-local state records.
-func (db *DB) HeldLocks(t wal.TxnID) []lock.Name {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	st, ok := db.txns[t]
-	if !ok {
-		return nil
+func (db *DB) HeldLocks(t wal.TxnID) []lock.Name { return db.AppendHeldLocks(nil, t) }
+
+// AppendHeldLocks appends the locks a transaction's node-local state records
+// to dst, in one section of its node's mutex.
+func (db *DB) AppendHeldLocks(dst []lock.Name, t wal.TxnID) []lock.Name {
+	nc, st, err := db.txn(t)
+	if err != nil {
+		return dst
 	}
-	out := make([]lock.Name, len(st.locks))
-	for i, h := range st.locks {
-		out[i] = h.name
+	nc.mu.Lock()
+	defer nc.mu.Unlock()
+	for _, h := range st.locks {
+		dst = append(dst, h.name)
 	}
-	return out
+	return dst
 }

@@ -3,6 +3,7 @@ package recovery
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"smdb/internal/fault"
 	"smdb/internal/machine"
@@ -24,9 +25,7 @@ var ErrRecoveryInterrupted = errors.New("recovery: interrupted by a crash during
 // victim down atomically with the transition, while I/O errors surface as
 // storage.ErrTransient to the callers' bounded retries.
 func (db *DB) AttachFaults(inj *fault.Injector) {
-	db.mu.Lock()
-	db.fault = inj
-	db.mu.Unlock()
+	db.fault.Store(inj)
 	if inj == nil {
 		db.M.SetTransitionFault(nil)
 		db.Disk.SetFault(nil)
@@ -52,11 +51,7 @@ func (db *DB) AttachFaults(inj *fault.Injector) {
 }
 
 // injector returns the attached fault injector (nil when chaos is off).
-func (db *DB) injector() *fault.Injector {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.fault
-}
+func (db *DB) injector() *fault.Injector { return db.fault.Load() }
 
 // aliveCount returns the number of live nodes (the injector's crash-floor
 // input).
@@ -83,25 +78,23 @@ func (db *DB) noteCrash(rep machine.CrashReport) {
 	// Collect the newly crash-victimized transactions while marking them:
 	// the dependency tracker needs the engine's own victim census (see the
 	// verdict-presence barrier in deps.NoteCrash) — its usual registration
-	// path, the KindTxnBegin event, is emitted outside db.mu and can lose
-	// the race against a crash landing right after Begin registered the
-	// transaction here.
+	// path, the KindTxnBegin event, is emitted outside the node's mutex and
+	// can lose the race against a crash landing right after Begin registered
+	// the transaction here. Begin registers under the same mutex, so a
+	// transaction is either in this census or begins on a node already down.
 	var victims []deps.TxnRef
-	db.mu.Lock()
-	for _, st := range db.txns {
-		if st.status == TxnActive && !st.crashed {
-			for _, n := range rep.Crashed {
-				if st.id.Node() == n {
-					st.crashed = true
-					victims = append(victims, deps.TxnRef{ID: int64(st.id), Node: int32(n)})
-				}
+	for _, n := range rep.Crashed {
+		nc := &db.nodes[n]
+		nc.mu.Lock()
+		nc.each(func(st *txnState) {
+			if st.live() {
+				st.crashed.Store(true)
+				victims = append(victims, deps.TxnRef{ID: int64(st.id), Node: int32(n)})
 			}
-		}
+		})
+		nc.mu.Unlock()
 	}
-	dt := db.deps
-	au := db.audit
-	fl := db.flight
-	db.mu.Unlock()
+	dt, au, fl := db.Deps(), db.Audit(), db.FlightRecorder()
 	if dt != nil || au != nil {
 		// The tracker computes IFA-explainer verdicts against the exact
 		// crash-instant state, and the auditor marks its crash victims and
@@ -127,13 +120,13 @@ func (db *DB) noteCrash(rep machine.CrashReport) {
 }
 
 // forceThrough forces node nd's log through lsn, charging simulated force
-// latency and the caller's stat on a physical force. Under an armed injector
+// latency and the caller's counter on a physical force. Under an armed injector
 // the force can be torn mid-write: only a prefix of the buffer reaches the
 // stable device and the forcing node dies at that instant, leaving a partial
 // record for restart to truncate. The returned error wraps
 // machine.ErrNodeDown so commit paths report the interruption exactly like
 // any other crash-out.
-func (db *DB) forceThrough(nd machine.NodeID, lsn wal.LSN, bump func(*Stats)) error {
+func (db *DB) forceThrough(nd machine.NodeID, lsn wal.LSN, count *atomic.Int64) error {
 	if inj := db.injector(); inj != nil {
 		if frac, fire := inj.TornForce(nd, db.aliveCount()); fire {
 			db.Logs[nd].ForceTorn(lsn, frac)
@@ -144,7 +137,7 @@ func (db *DB) forceThrough(nd machine.NodeID, lsn wal.LSN, bump func(*Stats)) er
 	if _, forced := db.Logs[nd].Force(lsn); forced {
 		cost := db.logForceCost()
 		db.M.AdvanceClock(nd, cost)
-		db.bump(bump)
+		count.Add(1)
 		db.Observer().ObserveLogForce(cost)
 	}
 	return nil

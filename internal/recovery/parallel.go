@@ -3,7 +3,6 @@ package recovery
 import (
 	"fmt"
 
-	"smdb/internal/heap"
 	"smdb/internal/machine"
 	"smdb/internal/obs"
 	"smdb/internal/obs/waterfall"
@@ -43,28 +42,27 @@ func (db *DB) BeginBranch(g GlobalID, nd machine.NodeID) (wal.TxnID, error) {
 	if err != nil {
 		return 0, err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for _, st := range db.txns {
-		if st.global == uint64(g) && st.id.Node() == nd && st.id != id {
-			return 0, fmt.Errorf("recovery: global %d already has a branch on node %d", g, nd)
-		}
+	// A family's branches on nd are all in nd's table: one node's section.
+	nc, mine := &db.nodes[nd], db.lookup(id)
+	nc.mu.Lock()
+	defer nc.mu.Unlock()
+	dup := false
+	nc.each(func(st *txnState) { dup = dup || st.global == uint64(g) })
+	if dup {
+		return 0, fmt.Errorf("recovery: global %d already has a branch on node %d", g, nd)
 	}
-	db.txns[id].global = uint64(g)
+	mine.global = uint64(g)
 	return id, nil
 }
 
 // Branches returns the branch transactions of g, in node order.
 func (db *DB) Branches(g GlobalID) []wal.TxnID {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	var out []wal.TxnID
-	for _, st := range db.txns {
+	db.eachTxn(func(_ *nodeCtl, st *txnState) {
 		if st.global == uint64(g) {
 			out = append(out, st.id)
 		}
-	}
-	sortTxns(out)
+	})
 	return out
 }
 
@@ -78,12 +76,12 @@ func (db *DB) CommitGlobal(g GlobalID) error {
 		return fmt.Errorf("recovery: global %d has no branches", g)
 	}
 	for _, t := range branches {
-		st, err := db.txn(t)
+		_, st, err := db.txn(t)
 		if err != nil {
 			return err
 		}
-		if st.status != TxnActive {
-			return fmt.Errorf("recovery: branch %v is %v", t, st.status)
+		if s := st.stat(); s != TxnActive {
+			return fmt.Errorf("recovery: branch %v is %v", t, s)
 		}
 		if !db.M.Alive(t.Node()) {
 			return fmt.Errorf("recovery: branch %v's node is down: %w", t, machine.ErrNodeDown)
@@ -93,11 +91,11 @@ func (db *DB) CommitGlobal(g GlobalID) error {
 	// record ties the branch commits together for any log-based audit).
 	lsns := make(map[wal.TxnID]wal.LSN, len(branches))
 	for _, t := range branches {
-		st, err := db.txn(t)
+		nc, st, err := db.txn(t)
 		if err != nil {
 			return err
 		}
-		db.flushDeferred(t.Node(), st)
+		db.flushDeferred(nc, st)
 		lsns[t] = db.Logs[t.Node()].Append(wal.Record{Type: wal.TypeCommit, Txn: t, NTA: uint64(g)})
 	}
 	// Phase 2: force all logs; a crash of any node before every force
@@ -116,7 +114,11 @@ func (db *DB) CommitGlobal(g GlobalID) error {
 	}
 	// Finalize: tags cleared, oracle updated, status flipped.
 	for _, t := range branches {
-		if err := db.finalizeCommit(t); err != nil {
+		nc, st, err := db.txn(t)
+		if err != nil {
+			return err
+		}
+		if err := db.finalizeCommit(nc, st); err != nil {
 			return err
 		}
 	}
@@ -130,44 +132,41 @@ func (db *DB) CommitGlobal(g GlobalID) error {
 // from re-reading the slots — a commit racing a concurrent node crash could
 // otherwise observe a stale disk reinstall and poison the oracle while the
 // database itself recovers correctly.
-func (db *DB) finalizeCommit(t wal.TxnID) error {
-	st, err := db.txn(t)
-	if err != nil {
-		return err
-	}
-	nd := t.Node()
-	db.mu.Lock()
-	latest := make(map[heap.RID]writeRec, len(st.writes))
-	order := make([]heap.RID, 0, len(st.writes))
-	for _, w := range st.writes {
-		if prev, ok := latest[w.rid]; !ok {
-			order = append(order, w.rid)
-			latest[w.rid] = w
-		} else if w.version > prev.version {
-			latest[w.rid] = w
-		}
-	}
-	db.mu.Unlock()
-	for _, rid := range order {
-		if err := db.clearTag(nd, rid); err != nil {
+//
+// Two sections of the node's mutex bracket the tag clears (machine calls, so
+// no mutex may be held across them): the first folds the write list down to
+// one entry per slot, the second publishes the outcome.
+func (db *DB) finalizeCommit(nc *nodeCtl, st *txnState) error {
+	t, nd := st.id, st.id.Node()
+	nc.mu.Lock()
+	dedupeWrites(st)
+	writes := st.writes
+	nc.mu.Unlock()
+	// The write list is final from here on (only its owner appends, and it
+	// is committing); others read it, which reading it here does not
+	// disturb.
+	var cleared int64
+	for i := range writes {
+		ok, err := db.clearTag(nd, writes[i].rid)
+		if err != nil {
 			return err
 		}
-	}
-	db.mu.Lock()
-	for rid, w := range latest {
-		if ci, ok := db.committed[rid]; !ok || w.version > ci.version {
-			db.committed[rid] = committedImage{img: w.img, version: w.version}
+		if ok {
+			cleared++
 		}
 	}
-	st.status = TxnCommitted
-	db.stats.Commits++
-	o := db.obs
-	beginSim := st.beginSim
-	db.mu.Unlock()
-	if o != nil {
+	nc.mu.Lock()
+	for i := range writes {
+		nc.noteCommitted(&writes[i])
+	}
+	st.status.Store(int32(TxnCommitted))
+	nc.stats.Commits++
+	nc.stats.TagClears += cleared
+	nc.mu.Unlock()
+	if o := db.Observer(); o != nil {
 		now := db.M.Clock(nd)
 		o.Instant(obs.KindTxnCommit, int32(nd), now, int64(t), 0)
-		o.ObserveCommit(now - beginSim)
+		o.ObserveCommit(now - st.beginSim)
 	}
 	if wf := db.wfp.Load(); wf != nil {
 		// Close the Commit bracket (a no-op for global branches, which never
@@ -179,15 +178,37 @@ func (db *DB) finalizeCommit(t wal.TxnID) error {
 	return nil
 }
 
+// dedupeWrites folds st.writes, in place, to one entry per slot: slots keep
+// the order of their first write (the order the tags are cleared in) and
+// each keeps its newest version (what the oracle records). A transaction
+// writes at most a few dozen slots, so the scan is quadratic rather than a
+// map per commit. Caller holds the node's mutex.
+func dedupeWrites(st *txnState) {
+	kept := st.writes[:0]
+next:
+	for _, w := range st.writes {
+		for i := range kept {
+			if kept[i].rid == w.rid {
+				if w.version > kept[i].version {
+					kept[i] = w
+				}
+				continue next
+			}
+		}
+		kept = append(kept, w)
+	}
+	st.writes = kept
+}
+
 // AbortGlobal rolls back every live branch of g. Branches on crashed nodes
 // are left for restart recovery.
 func (db *DB) AbortGlobal(g GlobalID) error {
 	for _, t := range db.Branches(g) {
-		st, err := db.txn(t)
+		_, st, err := db.txn(t)
 		if err != nil {
 			return err
 		}
-		if st.status != TxnActive || st.crashed {
+		if !st.live() {
 			continue
 		}
 		if err := db.Abort(t.Node(), t); err != nil {
@@ -202,37 +223,32 @@ func (db *DB) AbortGlobal(g GlobalID) error {
 // branch to a crash is rolled back (using its own intact log) and its locks
 // are released. Returns the branches aborted.
 func (db *DB) abortOrphanedBranches(rep *RecoveryReport) ([]wal.TxnID, error) {
-	db.mu.Lock()
 	// Globals with a crashed branch.
 	doomed := make(map[uint64]bool)
-	for _, st := range db.txns {
-		if st.global != 0 && st.crashed {
+	db.eachTxn(func(_ *nodeCtl, st *txnState) {
+		if st.global != 0 && st.crashed.Load() {
 			doomed[st.global] = true
 		}
-	}
+	})
 	var victims []wal.TxnID
-	for _, st := range db.txns {
-		if st.global != 0 && doomed[st.global] && st.status == TxnActive && !st.crashed {
+	db.eachTxn(func(_ *nodeCtl, st *txnState) {
+		if st.global != 0 && doomed[st.global] && st.live() {
 			victims = append(victims, st.id)
 		}
-	}
-	db.mu.Unlock()
-	sortTxns(victims)
+	})
 	for _, t := range victims {
 		if err := db.Abort(t.Node(), t); err != nil {
 			return victims, fmt.Errorf("recovery: aborting orphaned branch %v: %w", t, err)
 		}
 		// Release the branch's locks (its transaction layer will never
 		// get the chance).
-		db.mu.Lock()
-		locks := append([]heldLock(nil), db.txns[t].locks...)
-		db.mu.Unlock()
-		for _, hl := range locks {
-			_ = db.Locks.Release(t.Node(), t, hl.name)
+		for _, name := range db.HeldLocks(t) {
+			_ = db.Locks.Release(t.Node(), t, name)
 		}
-		db.mu.Lock()
-		db.stats.TxnsAbortedByRecovery++
-		db.mu.Unlock()
+		nc := &db.nodes[t.Node()]
+		nc.mu.Lock()
+		nc.stats.TxnsAbortedByRecovery++
+		nc.mu.Unlock()
 		rep.Aborted = append(rep.Aborted, t)
 	}
 	return victims, nil

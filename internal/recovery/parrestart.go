@@ -192,7 +192,7 @@ func (db *DB) collectRedoPar(alive []machine.NodeID, rep *RecoveryReport, w int)
 	parts := make([][]redoCand, n)
 	weight := func(i int) int { return db.Logs[i].Len() }
 	err := db.forEachChunk(rep, obs.PhaseRedoScan, n, w, weight, func(i, ws int, tm *prof.TaskMeter) error {
-		part, err := db.collectRedoNode(machine.NodeID(i), coord, db.arena(ws))
+		part, err := db.collectRedoNode(machine.NodeID(i), coord)
 		parts[i] = part
 		if tm != nil {
 			tm.AddRecords(len(part))

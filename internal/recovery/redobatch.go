@@ -8,14 +8,14 @@ import (
 )
 
 // Batched redo apply. The per-record apply path paid one residency probe,
-// one db.mu round-trip (undo-tag restoration), and one stripe
+// one transaction-table lookup (undo-tag restoration), and one stripe
 // acquire/release per candidate — E20 attributed most of the apply phase's
 // cost to exactly that per-record overhead, not to the slot writes.
 // Candidates arrive grouped (the candidate list sequentially, one page's
 // bucket under the parallel pipeline), and consecutive candidates very often
 // share a cache line, so the batched path carves the list into maximal
 // contiguous same-line runs and pays each overhead once per run: one
-// residency probe and fetch, one db.mu section precomputing every undo tag,
+// residency probe and fetch, one pass precomputing every undo tag,
 // one GetLine covering all of the run's version checks and slot writes.
 //
 // Equivalence: candidates are applied in exactly the list order the
@@ -24,9 +24,8 @@ import (
 // phase boundaries while recovery runs), so RedoApplied/RedoSkipped and the
 // final images are bit-identical; only machine-level fetch/acquisition
 // counts change, which the equivalence gate deliberately excludes. Undo tags
-// are precomputed *before* the line is taken because db.mu must never be
-// acquired while a stripe is held: machine.Crash holds every stripe when it
-// calls noteCrash, which takes db.mu — the reverse order would deadlock.
+// are precomputed *before* the line is taken, so every decision of a run is
+// made at one instant, as the per-record path's were made before its GetLine.
 
 // redoRun is one maximal contiguous stretch of redo candidates that share a
 // cache line (hence a page) and a replaying node.
@@ -84,22 +83,17 @@ func (db *DB) applyRedoRun(run []redoCand, onto machine.NodeID, line machine.Lin
 	}
 	needTags := db.Cfg.Protocol.UndoTagging()
 	if needTags {
-		// One db.mu section restores every tag decision for the run (see the
-		// lock-order note above: this must precede GetLine). A tag survives
-		// only if the updating transaction is still active on a surviving
-		// node — its update stays uncommitted through recovery.
+		// Restore every tag decision for the run. A tag survives only if
+		// the updating transaction is still active on a surviving node —
+		// its update stays uncommitted through recovery.
 		tags := ar.tags[:0]
-		db.mu.Lock()
 		for _, c := range run {
 			tag := machine.NoNode
-			if c.rec.Type == wal.TypeUpdate && c.rec.NTA == 0 {
-				if st, ok := db.txns[c.rec.Txn]; ok && st.status == TxnActive && !st.crashed {
-					tag = c.rec.Txn.Node()
-				}
+			if c.rec.Type == wal.TypeUpdate && c.rec.NTA == 0 && db.txnLive(c.rec.Txn) {
+				tag = c.rec.Txn.Node()
 			}
 			tags = append(tags, tag)
 		}
-		db.mu.Unlock()
 		ar.tags = tags
 	}
 	if err := db.M.GetLine(onto, line); err != nil {

@@ -226,13 +226,13 @@ func (db *DB) Recover(crashed []machine.NodeID) (*RecoveryReport, error) {
 		}
 	}
 	sortTxns(rep.Aborted)
-	db.bump(func(s *Stats) {
-		s.RedoApplied += int64(rep.RedoApplied)
-		s.RedoSkipped += int64(rep.RedoSkipped)
-		s.UndoApplied += int64(rep.UndoApplied)
-		s.LCBsRebuilt += int64(rep.LCBsReinstalled)
-		s.LockEntriesReleased += int64(rep.LockEntriesReleased)
-	})
+	db.mu.Lock()
+	db.recStats.RedoApplied += int64(rep.RedoApplied)
+	db.recStats.RedoSkipped += int64(rep.RedoSkipped)
+	db.recStats.UndoApplied += int64(rep.UndoApplied)
+	db.recStats.LCBsRebuilt += int64(rep.LCBsReinstalled)
+	db.recStats.LockEntriesReleased += int64(rep.LockEntriesReleased)
+	db.mu.Unlock()
 	db.crashSim.Store(0) // mid-recovery crashes were handled in-line
 	rep.SimTime = db.M.MaxClock() - startClock
 	o.Span(obs.KindRecovery, obs.PhaseNone, obs.SystemNode, startClock, rep.SimTime)
@@ -412,27 +412,23 @@ func (db *DB) recoverOnce(alive []machine.NodeID, rep *RecoveryReport) error {
 			stableCommitted[t] = true
 		}
 	}
-	db.mu.Lock()
-	for _, st := range db.txns {
-		if st.status != TxnActive || !st.crashed {
-			continue
+	db.eachTxn(func(nc *nodeCtl, st *txnState) {
+		if st.stat() != TxnActive || !st.crashed.Load() {
+			return
 		}
 		if stableCommitted[st.id] {
-			st.status = TxnCommitted
-			db.stats.Commits++
-			for _, w := range st.writes {
-				if ci, ok := db.committed[w.rid]; !ok || w.version > ci.version {
-					db.committed[w.rid] = committedImage{img: w.img, version: w.version}
-				}
+			st.status.Store(int32(TxnCommitted))
+			nc.stats.Commits++
+			for i := range st.writes {
+				nc.noteCommitted(&st.writes[i])
 			}
-			continue
+			return
 		}
-		st.status = TxnAborted
-		db.stats.Aborts++
-		db.stats.TxnsAbortedByRecovery++
+		st.status.Store(int32(TxnAborted))
+		nc.stats.Aborts++
+		nc.stats.TxnsAbortedByRecovery++
 		rep.Aborted = append(rep.Aborted, st.id)
-	}
-	db.mu.Unlock()
+	})
 	_ = aborted
 
 	// 5. Parallel transactions (section 9): a crashed branch dooms its
@@ -586,13 +582,20 @@ func (db *DB) view(n machine.NodeID, isCrashed bool) (*logView, error) {
 // settled as aborted by a previous restart recovery after its node crashed.
 // Such a transaction's updates must never be replayed from a log.
 func (db *DB) txnDead(t wal.TxnID) bool {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	st, ok := db.txns[t]
-	if !ok {
+	st := db.lookup(t)
+	if st == nil {
 		return false
 	}
-	return st.status == TxnAborted || (st.crashed && st.status != TxnCommitted)
+	s := st.stat()
+	return s == TxnAborted || (st.crashed.Load() && s != TxnCommitted)
+}
+
+// txnLive reports whether t is known to the engine as active on a node that
+// has not crashed under it — a transaction whose updates stay uncommitted
+// through recovery.
+func (db *DB) txnLive(t wal.TxnID) bool {
+	st := db.lookup(t)
+	return st != nil && st.live()
 }
 
 // redoCand is one redo candidate produced by the scan phase: a log record
@@ -619,7 +622,7 @@ func (db *DB) collectRedo(alive []machine.NodeID, rep *RecoveryReport) ([]redoCa
 	coord := alive[0]
 	var cands []redoCand
 	for n := machine.NodeID(0); int(n) < db.M.Nodes(); n++ {
-		part, err := db.collectRedoNode(n, coord, db.arena(0))
+		part, err := db.collectRedoNode(n, coord)
 		if err != nil {
 			return nil, err
 		}
@@ -629,9 +632,8 @@ func (db *DB) collectRedo(alive []machine.NodeID, rep *RecoveryReport) ([]redoCa
 }
 
 // collectRedoNode gathers one node's redo candidates (the per-log unit the
-// parallel scan fans out over; candidates come back in log order). ar
-// provides the reusable dead-check scratch buffer.
-func (db *DB) collectRedoNode(n, coord machine.NodeID, ar *recArena) ([]redoCand, error) {
+// parallel scan fans out over; candidates come back in log order).
+func (db *DB) collectRedoNode(n, coord machine.NodeID) ([]redoCand, error) {
 	isDown := !db.M.Alive(n)
 	v, err := db.view(n, isDown)
 	if err != nil {
@@ -642,12 +644,6 @@ func (db *DB) collectRedoNode(n, coord machine.NodeID, ar *recArena) ([]redoCand
 		onto = coord
 	}
 	var cands []redoCand
-	// Survivor-log updates of uncommitted transactions need a txnDead check,
-	// which takes db.mu. That must not happen inside a live-log scan
-	// (Checkpoint holds db.mu while calling into the log, so a scan callback
-	// taking db.mu inverts the order); collect the candidate positions here
-	// and filter after the scan releases the log mutex.
-	deadChecks := ar.deadChecks[:0]
 	v.scanFromCkpt(func(rec wal.Record) bool {
 		if rec.Type != wal.TypeUpdate && rec.Type != wal.TypeCLR {
 			return true
@@ -660,37 +656,20 @@ func (db *DB) collectRedoNode(n, coord machine.NodeID, ar *recArena) ([]redoCand
 			default:
 				return true
 			}
-		} else if rec.Type == wal.TypeUpdate && rec.NTA == 0 && !v.committed[rec.Txn] {
-			deadChecks = append(deadChecks, len(cands))
+		} else if rec.Type == wal.TypeUpdate && rec.NTA == 0 && !v.committed[rec.Txn] && db.txnDead(rec.Txn) {
+			// A restarted node's log can still carry updates of a transaction
+			// that died with an earlier crash. If that crash also destroyed the
+			// only copy of the effect, no compensation record was ever written —
+			// the undo was skipped as moot — so replaying the update here would
+			// resurrect it, and the undo pass (which covers only the
+			// currently-down nodes) would never see it again. (txnDead takes
+			// no lock, so it is safe under the scan's log mutex.)
+			return true
 		}
 		cands = append(cands, redoCand{onto: onto, rec: rec})
 		return true
 	})
 	db.wfProgress().Note(obs.PhaseRedoScan.String(), len(cands), 0)
-	ar.deadChecks = deadChecks // keep the grown buffer for the next node
-	if len(deadChecks) > 0 {
-		// A restarted node's log can still carry updates of a transaction
-		// that died with an earlier crash. If that crash also destroyed the
-		// only copy of the effect, no compensation record was ever written —
-		// the undo was skipped as moot — so replaying the update here would
-		// resurrect it, and the undo pass (which covers only the
-		// currently-down nodes) would never see it again.
-		drop := make(map[int]bool)
-		for _, i := range deadChecks {
-			if db.txnDead(cands[i].rec.Txn) {
-				drop[i] = true
-			}
-		}
-		if len(drop) > 0 {
-			kept := cands[:0]
-			for i, c := range cands {
-				if !drop[i] {
-					kept = append(kept, c)
-				}
-			}
-			cands = kept
-		}
-	}
 	return cands, nil
 }
 
@@ -803,11 +782,9 @@ func (db *DB) redoRecord(nd machine.NodeID, rec wal.Record, rid heap.RID, rep *R
 	if db.Cfg.Protocol.UndoTagging() && rec.Type == wal.TypeUpdate && rec.NTA == 0 {
 		// Restore the undo tag if the updating transaction is still
 		// active on a surviving node (its update stays uncommitted).
-		db.mu.Lock()
-		if st, ok := db.txns[rec.Txn]; ok && st.status == TxnActive && !st.crashed {
+		if db.txnLive(rec.Txn) {
 			tag = rec.Txn.Node()
 		}
-		db.mu.Unlock()
 	}
 	if err := db.M.GetLine(nd, line); err != nil {
 		return err
@@ -1027,15 +1004,8 @@ func (db *DB) scanNodeTags(nd machine.NodeID, down map[machine.NodeID]bool, tagg
 				acts = append(acts, tagAction{nd: nd, rid: rid, tag: sd.Tag, undo: true})
 			default:
 				// Tag names a surviving node: verify against its log.
-				legit := false
-				if txn, ok := taggerIndex(sd.Tag)[slotVer{rid, sd.Version}]; ok {
-					db.mu.Lock()
-					if st, known := db.txns[txn]; known && st.status == TxnActive && !st.crashed {
-						legit = true
-					}
-					db.mu.Unlock()
-				}
-				if !legit {
+				txn, ok := taggerIndex(sd.Tag)[slotVer{rid, sd.Version}]
+				if !ok || !db.txnLive(txn) {
 					acts = append(acts, tagAction{nd: nd, rid: rid, tag: sd.Tag})
 				}
 			}
@@ -1202,21 +1172,20 @@ func (db *DB) replayNodeLocks(n machine.NodeID) (int, error) {
 		// survivor finishing after this point cleans up behind us. Dropping
 		// a genuine waiter here is safe: its retry loop re-queues the
 		// request against the rebuilt table.
-		db.mu.Lock()
-		st, known := db.txns[k.txn]
-		active := known && st.status == TxnActive && !st.crashed
 		var mode lock.Mode
 		noted := false
-		if active {
+		if st := db.lookup(k.txn); st != nil && st.live() {
+			nc := &db.nodes[k.txn.Node()]
+			nc.mu.Lock()
 			for _, hl := range st.locks {
 				if hl.name == importName(k.name) {
 					mode, noted = hl.mode, true
 					break
 				}
 			}
+			nc.mu.Unlock()
 		}
-		db.mu.Unlock()
-		if !active || !noted {
+		if !noted {
 			continue
 		}
 		if _, err := db.Locks.Acquire(n, k.txn, importName(k.name), mode); err != nil {
@@ -1229,11 +1198,7 @@ func (db *DB) replayNodeLocks(n machine.NodeID) (int, error) {
 		// transaction finished in the window; a finish after this re-check
 		// sees the granted entry (it is in its held-lock list) and releases
 		// it itself.
-		db.mu.Lock()
-		st, known = db.txns[k.txn]
-		active = known && st.status == TxnActive && !st.crashed
-		db.mu.Unlock()
-		if !active {
+		if !db.txnLive(k.txn) {
 			if err := db.Locks.Release(n, k.txn, importName(k.name)); err != nil && !errors.Is(err, lock.ErrNotHeld) {
 				return replayed, err
 			}
@@ -1291,24 +1256,22 @@ func (db *DB) baselineReboot(rep *RecoveryReport, phase func(obs.Phase)) error {
 	}
 	phase(obs.PhaseUndo)
 	// Every active transaction aborts: failure atomicity without isolation.
-	db.mu.Lock()
-	for _, st := range db.txns {
-		if st.status == TxnActive {
-			st.status = TxnAborted
-			st.crashed = true
-			db.stats.Aborts++
-			db.stats.TxnsAbortedByRecovery++
+	db.eachTxn(func(nc *nodeCtl, st *txnState) {
+		if st.stat() == TxnActive {
+			st.crashed.Store(true)
+			st.status.Store(int32(TxnAborted))
+			nc.stats.Aborts++
+			nc.stats.TxnsAbortedByRecovery++
 			rep.Aborted = append(rep.Aborted, st.id)
 		}
-	}
-	db.mu.Unlock()
+	})
 	phase(obs.PhaseSettle)
 	sortTxns(rep.Aborted)
-	db.bump(func(s *Stats) {
-		s.RedoApplied += int64(rep.RedoApplied)
-		s.RedoSkipped += int64(rep.RedoSkipped)
-		s.UndoApplied += int64(rep.UndoApplied)
-	})
+	db.mu.Lock()
+	db.recStats.RedoApplied += int64(rep.RedoApplied)
+	db.recStats.RedoSkipped += int64(rep.RedoSkipped)
+	db.recStats.UndoApplied += int64(rep.UndoApplied)
+	db.mu.Unlock()
 	return nil
 }
 

@@ -3,6 +3,7 @@ package recovery
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"smdb/internal/heap"
 	"smdb/internal/machine"
@@ -15,13 +16,13 @@ import (
 // time the force costs t's node is recorded as a log-force wait on t's
 // waterfall (zero — and unrecorded — when a group force already covered the
 // LSN, which is exactly the waterfall's point: only real stalls appear).
-func (db *DB) forceThroughTxn(nd machine.NodeID, t wal.TxnID, lsn wal.LSN, bump func(*Stats)) error {
+func (db *DB) forceThroughTxn(nd machine.NodeID, t wal.TxnID, lsn wal.LSN, count *atomic.Int64) error {
 	wf := db.wfp.Load()
 	if wf == nil {
-		return db.forceThrough(nd, lsn, bump)
+		return db.forceThrough(nd, lsn, count)
 	}
 	start := db.M.Clock(nd)
-	err := db.forceThrough(nd, lsn, bump)
+	err := db.forceThrough(nd, lsn, count)
 	if end := db.M.Clock(nd); end > start {
 		wf.AddWait(int64(t), waterfall.CauseLogForce, start, end-start, int64(lsn), 0)
 	}
@@ -37,8 +38,9 @@ func (db *DB) forceThroughTxn(nd machine.NodeID, t wal.TxnID, lsn wal.LSN, bump 
 // can tear. Callers must still re-check ForcedLSN before acknowledging the
 // commit: a down log yields a zero group result, not an error.
 func (db *DB) forceCommit(nd machine.NodeID, t wal.TxnID, lsn wal.LSN) error {
+	nc := &db.nodes[nd]
 	if !db.Cfg.GroupCommitForces {
-		return db.forceThroughTxn(nd, t, lsn, func(s *Stats) { s.CommitForces++ })
+		return db.forceThroughTxn(nd, t, lsn, &nc.commitForces)
 	}
 	if inj := db.injector(); inj != nil {
 		if frac, fire := inj.TornForce(nd, db.aliveCount()); fire {
@@ -54,16 +56,16 @@ func (db *DB) forceCommit(nd machine.NodeID, t wal.TxnID, lsn wal.LSN) error {
 	case res.Led:
 		cost := db.logForceCost()
 		db.M.AdvanceClock(nd, cost)
-		db.bump(func(s *Stats) { s.CommitForces++ })
+		nc.commitForces.Add(1)
 		db.Observer().ObserveLogForce(cost)
 	case res.Joined:
 		// The follower waited out another commit's physical force: same
 		// simulated latency, no device write of its own.
 		db.M.AdvanceClock(nd, db.logForceCost())
-		db.bump(func(s *Stats) { s.GroupCommitJoins++ })
+		nc.groupJoins.Add(1)
 	case res.Coalesced:
 		// Already stable on arrival: a free ride, no wait at all.
-		db.bump(func(s *Stats) { s.GroupCommitJoins++ })
+		nc.groupJoins.Add(1)
 	}
 	if wf != nil {
 		if end := db.M.Clock(nd); end > start {
@@ -79,12 +81,12 @@ func (db *DB) forceCommit(nd machine.NodeID, t wal.TxnID, lsn wal.LSN) error {
 // final images are captured as the new last-committed values. Lock release
 // is the caller's responsibility, after Commit returns (strict 2PL).
 func (db *DB) Commit(nd machine.NodeID, t wal.TxnID) error {
-	st, err := db.txn(t)
+	nc, st, err := db.txn(t)
 	if err != nil {
 		return err
 	}
-	if st.status != TxnActive {
-		return fmt.Errorf("recovery: commit of %v transaction %v", st.status, t)
+	if s := st.stat(); s != TxnActive {
+		return fmt.Errorf("recovery: commit of %v transaction %v", s, t)
 	}
 	if t.Node() != nd {
 		return fmt.Errorf("recovery: %v cannot commit on node %d", t, nd)
@@ -95,7 +97,7 @@ func (db *DB) Commit(nd machine.NodeID, t wal.TxnID) error {
 	// before it ends the waterfall; on the error paths the node is down and
 	// the crash sweep already dropped the open waterfall.
 	db.wfp.Load().OpStart(int64(t), int32(nd), db.M.Clock(nd))
-	db.flushDeferred(nd, st)
+	db.flushDeferred(nc, st)
 	lsn := db.Logs[nd].Append(wal.Record{Type: wal.TypeCommit, Txn: t})
 	if err := db.forceCommit(nd, t, lsn); err != nil {
 		return fmt.Errorf("recovery: commit of %v: %w", t, err)
@@ -106,16 +108,20 @@ func (db *DB) Commit(nd machine.NodeID, t wal.TxnID) error {
 	if lsn == 0 || db.Logs[nd].ForcedLSN() < lsn {
 		return fmt.Errorf("recovery: commit of %v interrupted by node failure: %w", t, machine.ErrNodeDown)
 	}
-	return db.finalizeCommit(t)
+	return db.finalizeCommit(nc, st)
 }
 
 // flushDeferred appends any commit-deferred update records (AblatedNoLBM
 // only) to the node's log.
-func (db *DB) flushDeferred(nd machine.NodeID, st *txnState) {
-	db.mu.Lock()
+func (db *DB) flushDeferred(nc *nodeCtl, st *txnState) {
+	if !db.Cfg.Protocol.DeferredLogging() {
+		return
+	}
+	nd := st.id.Node()
+	nc.mu.Lock()
 	recs := st.deferred
 	st.deferred = nil
-	db.mu.Unlock()
+	nc.mu.Unlock()
 	for _, rec := range recs {
 		lsn := db.Logs[nd].Append(rec)
 		db.BM.NoteUpdate(rec.Page, nd, lsn)
@@ -126,33 +132,30 @@ func (db *DB) flushDeferred(nd machine.NodeID, st *txnState) {
 // active once its transaction commits). If the record's line is not cached
 // anywhere — destroyed by a crash racing the commit — there is no tag to
 // clear: tags never reach disk, and restart recovery's tag reconciliation
-// covers any residue.
-func (db *DB) clearTag(nd machine.NodeID, rid heap.RID) error {
+// covers any residue. It reports whether a tag was cleared.
+func (db *DB) clearTag(nd machine.NodeID, rid heap.RID) (bool, error) {
 	line, _, err := db.Store.LineOf(rid)
 	if err != nil {
-		return err
+		return false, err
 	}
 	if !db.M.Resident(line) {
-		return nil
+		return false, nil
 	}
 	if err := db.M.GetLine(nd, line); err != nil {
 		if errors.Is(err, machine.ErrLineLost) {
-			return nil // lost between the check and the lock: same story
+			return false, nil // lost between the check and the lock: same story
 		}
-		return err
+		return false, err
 	}
 	defer db.mustRelease(nd, line)
 	sd, err := db.Store.ReadSlot(nd, rid)
-	if err != nil {
-		return err
+	if err != nil || sd.Tag == machine.NoNode {
+		return false, err
 	}
-	if sd.Tag != machine.NoNode {
-		if err := db.Store.WriteTag(nd, rid, machine.NoNode); err != nil {
-			return err
-		}
-		db.bump(func(s *Stats) { s.TagClears++ })
+	if err := db.Store.WriteTag(nd, rid, machine.NoNode); err != nil {
+		return false, err
 	}
-	return nil
+	return true, nil
 }
 
 // Abort rolls back transaction t using the before images in its node's
@@ -161,20 +164,17 @@ func (db *DB) clearTag(nd machine.NodeID, rid heap.RID) error {
 // record's prior value. Structural (NTA) updates are not undone — they were
 // committed early precisely so other transactions could use their results.
 func (db *DB) Abort(nd machine.NodeID, t wal.TxnID) error {
-	st, err := db.txn(t)
+	nc, st, err := db.txn(t)
 	if err != nil {
 		return err
 	}
-	if st.status != TxnActive {
-		return fmt.Errorf("recovery: abort of %v transaction %v", st.status, t)
+	if s := st.stat(); s != TxnActive {
+		return fmt.Errorf("recovery: abort of %v transaction %v", s, t)
 	}
 	if t.Node() != nd {
 		return fmt.Errorf("recovery: %v cannot abort on node %d", t, nd)
 	}
-	db.mu.Lock()
-	hasWrites := len(st.writes) > 0
-	db.mu.Unlock()
-	if db.Cfg.Protocol.DeferredLogging() && hasWrites {
+	if db.Cfg.Protocol.DeferredLogging() && db.WriteCount(t) > 0 {
 		return fmt.Errorf("recovery: %v cannot abort under %v (no undo information was logged)", t, db.Cfg.Protocol)
 	}
 	// The rollback is a bracket whose residue lands under "undo": the walk's
@@ -233,13 +233,12 @@ func (db *DB) Abort(nd machine.NodeID, t wal.TxnID) error {
 		}
 	}
 	db.Logs[nd].Append(wal.Record{Type: wal.TypeAbort, Txn: t})
-	db.mu.Lock()
-	st.status = TxnAborted
-	db.stats.Aborts++
-	o := db.obs
-	db.mu.Unlock()
+	nc.mu.Lock()
+	st.status.Store(int32(TxnAborted))
+	nc.stats.Aborts++
+	nc.mu.Unlock()
 	now := db.M.Clock(nd)
-	o.Instant(obs.KindTxnAbort, int32(nd), now, int64(t), 0)
+	db.Observer().Instant(obs.KindTxnAbort, int32(nd), now, int64(t), 0)
 	wf.OpEnd(int64(t), int32(nd), now)
 	wf.End(int64(t), now, waterfall.OutcomeAborted)
 	return nil
@@ -290,18 +289,18 @@ func (db *DB) installImage(nd machine.NodeID, rid heap.RID, img []byte, t wal.Tx
 // as a B-tree split) and returns its id. Updates made with StructuralUpdate
 // under this id survive t's abort.
 func (db *DB) BeginNTA(nd machine.NodeID, t wal.TxnID) (uint64, error) {
-	st, err := db.txn(t)
+	nc, st, err := db.txn(t)
 	if err != nil {
 		return 0, err
 	}
-	db.mu.Lock()
+	nc.mu.Lock()
 	if st.nta != 0 {
-		db.mu.Unlock()
+		nc.mu.Unlock()
 		return 0, fmt.Errorf("recovery: %v already has NTA %d open", t, st.nta)
 	}
 	id := db.NextVersion()
 	st.nta = id
-	db.mu.Unlock()
+	nc.mu.Unlock()
 	db.Logs[nd].Append(wal.Record{Type: wal.TypeNTABegin, Txn: t, NTA: id})
 	return id, nil
 }
@@ -311,20 +310,20 @@ func (db *DB) BeginNTA(nd machine.NodeID, t wal.TxnID) (uint64, error) {
 // NTA-end record before any other transaction is allowed to use the changed
 // structure, so no cross-node abort dependency can form on it (section 4.2).
 func (db *DB) EndNTA(nd machine.NodeID, t wal.TxnID, nta uint64) error {
-	st, err := db.txn(t)
+	nc, st, err := db.txn(t)
 	if err != nil {
 		return err
 	}
-	db.mu.Lock()
+	nc.mu.Lock()
 	if st.nta != nta {
-		db.mu.Unlock()
+		nc.mu.Unlock()
 		return fmt.Errorf("recovery: %v has NTA %d open, not %d", t, st.nta, nta)
 	}
 	st.nta = 0
-	db.mu.Unlock()
+	nc.mu.Unlock()
 	lsn := db.Logs[nd].Append(wal.Record{Type: wal.TypeNTAEnd, Txn: t, NTA: nta})
 	if db.Cfg.Protocol.EarlyCommitsStructural() {
-		if err := db.forceThroughTxn(nd, t, lsn, func(s *Stats) { s.NTAForces++ }); err != nil {
+		if err := db.forceThroughTxn(nd, t, lsn, &nc.ntaForces); err != nil {
 			return err
 		}
 	}
@@ -350,15 +349,16 @@ func (db *DB) Checkpoint(nd machine.NodeID) error {
 			db.Observer().ObserveLogForce(cost)
 		}
 		low := lsn
-		db.mu.Lock()
-		for _, st := range db.txns {
-			if st.status == TxnActive && !st.crashed && st.id.Node() == n {
+		nc := &db.nodes[n]
+		nc.mu.Lock()
+		nc.each(func(st *txnState) {
+			if st.live() {
 				if f := db.Logs[n].FirstLSNOf(st.id); f > 0 && f < low {
 					low = f
 				}
 			}
-		}
-		db.mu.Unlock()
+		})
+		nc.mu.Unlock()
 		db.Logs[n].DiscardThrough(low - 1)
 	}
 	return nil
@@ -367,11 +367,35 @@ func (db *DB) Checkpoint(nd machine.NodeID) error {
 // CommittedImage returns the oracle's last committed image of rid (for
 // verification). The boolean is false if rid was never committed.
 func (db *DB) CommittedImage(rid heap.RID) ([]byte, uint64, bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	ci, ok := db.committed[rid]
-	if !ok {
+	var best committedImage
+	found := false
+	for i := range db.nodes {
+		nc := &db.nodes[i]
+		nc.mu.Lock()
+		if ci, ok := nc.committed[rid]; ok && (!found || ci.version > best.version) {
+			best, found = ci, true
+		}
+		nc.mu.Unlock()
+	}
+	if !found {
 		return nil, 0, false
 	}
-	return append([]byte(nil), ci.img...), ci.version, true
+	return append([]byte(nil), best.img...), best.version, true
+}
+
+// committedImages merges the oracle's shards, visited in ascending node
+// order, into one map: per slot, the image with the highest version.
+func (db *DB) committedImages() map[heap.RID]committedImage {
+	out := make(map[heap.RID]committedImage)
+	for i := range db.nodes {
+		nc := &db.nodes[i]
+		nc.mu.Lock()
+		for rid, ci := range nc.committed {
+			if cur, ok := out[rid]; !ok || ci.version > cur.version {
+				out[rid] = ci
+			}
+		}
+		nc.mu.Unlock()
+	}
+	return out
 }

@@ -57,11 +57,7 @@ func (db *DB) Read(nd machine.NodeID, rid heap.RID) (heap.SlotData, error) {
 // Update applies an in-place record update for transaction t. The caller
 // holds an exclusive record lock. newData is zero-padded to the record size.
 func (db *DB) Update(nd machine.NodeID, t wal.TxnID, rid heap.RID, newData []byte) error {
-	err := db.applyChange(nd, t, rid, heap.FlagOccupied, newData, 0)
-	if err == nil {
-		db.bump(func(s *Stats) { s.Updates++ })
-	}
-	return err
+	return db.applyChange(nd, t, rid, heap.FlagOccupied, newData, 0, opUpdate)
 }
 
 // Insert stores a record in a (previously unoccupied) slot for t.
@@ -73,11 +69,7 @@ func (db *DB) Insert(nd machine.NodeID, t wal.TxnID, rid heap.RID, data []byte) 
 	if cur.Occupied() && !cur.Deleted() {
 		return fmt.Errorf("recovery: insert into occupied slot %v", rid)
 	}
-	err = db.applyChange(nd, t, rid, heap.FlagOccupied, data, 0)
-	if err == nil {
-		db.bump(func(s *Stats) { s.Inserts++ })
-	}
-	return err
+	return db.applyChange(nd, t, rid, heap.FlagOccupied, data, 0, opInsert)
 }
 
 // Delete logically deletes rid for t by setting the deleted mark while
@@ -92,11 +84,7 @@ func (db *DB) Delete(nd machine.NodeID, t wal.TxnID, rid heap.RID) error {
 	if !cur.Occupied() || cur.Deleted() {
 		return fmt.Errorf("recovery: delete of absent record %v", rid)
 	}
-	err = db.applyChange(nd, t, rid, heap.FlagOccupied|heap.FlagDeleted, cur.Data, 0)
-	if err == nil {
-		db.bump(func(s *Stats) { s.Deletes++ })
-	}
-	return err
+	return db.applyChange(nd, t, rid, heap.FlagOccupied|heap.FlagDeleted, cur.Data, 0, opDelete)
 }
 
 // StructuralUpdate applies an update inside a nested top-level action (NTA):
@@ -106,17 +94,30 @@ func (db *DB) StructuralUpdate(nd machine.NodeID, t wal.TxnID, rid heap.RID, fla
 	if nta == 0 {
 		return fmt.Errorf("recovery: structural update outside an NTA")
 	}
-	return db.applyChange(nd, t, rid, flags, data, nta)
+	return db.applyChange(nd, t, rid, flags, data, nta, opStructural)
 }
 
-// applyChange is the update protocol proper.
-func (db *DB) applyChange(nd machine.NodeID, t wal.TxnID, rid heap.RID, newFlags byte, newData []byte, nta uint64) error {
-	st, err := db.txn(t)
+// changeOp names the record operation an applyChange call performs, for the
+// Stats counter it bumps.
+type changeOp int
+
+const (
+	opUpdate changeOp = iota
+	opInsert
+	opDelete
+	opStructural
+)
+
+// applyChange is the update protocol proper. Its bookkeeping — the write
+// record, the oracle, the counters — is one section of the node's mutex,
+// taken after the last machine call.
+func (db *DB) applyChange(nd machine.NodeID, t wal.TxnID, rid heap.RID, newFlags byte, newData []byte, nta uint64, op changeOp) error {
+	nc, st, err := db.txn(t)
 	if err != nil {
 		return err
 	}
-	if st.status != TxnActive {
-		return fmt.Errorf("recovery: %v is %v, not active", t, st.status)
+	if s := st.stat(); s != TxnActive {
+		return fmt.Errorf("recovery: %v is %v, not active", t, s)
 	}
 	if t.Node() != nd {
 		return fmt.Errorf("recovery: %v runs on node %d, not %d", t, t.Node(), nd)
@@ -154,8 +155,8 @@ func (db *DB) applyChange(nd machine.NodeID, t wal.TxnID, rid heap.RID, newFlags
 	if err != nil {
 		return err
 	}
-	before := SlotImage(db.Store.Layout, cur.Flags, cur.Data)
-	after := SlotImage(db.Store.Layout, newFlags, newData)
+	before := nc.slotImage(db.Store.Layout, cur.Flags, cur.Data)
+	after := nc.slotImage(db.Store.Layout, newFlags, newData)
 	version := db.NextVersion()
 
 	// Log before the line can migrate (LBM): the line lock pins it. The
@@ -167,9 +168,9 @@ func (db *DB) applyChange(nd machine.NodeID, t wal.TxnID, rid heap.RID, newFlags
 	}
 	var lsn wal.LSN
 	if db.Cfg.Protocol.DeferredLogging() && nta == 0 {
-		db.mu.Lock()
+		nc.mu.Lock()
 		st.deferred = append(st.deferred, rec)
-		db.mu.Unlock()
+		nc.mu.Unlock()
 	} else {
 		lsn = db.Logs[nd].Append(rec)
 		db.BM.NoteUpdate(rid.Page, nd, lsn)
@@ -186,10 +187,6 @@ func (db *DB) applyChange(nd machine.NodeID, t wal.TxnID, rid heap.RID, newFlags
 	tag := machine.NoNode
 	if db.Cfg.Protocol.UndoTagging() && nta == 0 {
 		tag = nd
-		db.bump(func(s *Stats) {
-			s.TagWrites++
-			s.UndoTagBytes++
-		})
 	}
 	flags, data := splitImage(after)
 	if err := db.Store.WriteSlot(nd, rid, heap.SlotData{Tag: tag, Flags: flags, Version: version, Data: data}); err != nil {
@@ -205,35 +202,48 @@ func (db *DB) applyChange(nd machine.NodeID, t wal.TxnID, rid heap.RID, newFlags
 		// Stable LBM, enforced within the critical section: both undo and
 		// redo information are stable before the line can move. The force
 		// can be torn by an injected crash; the update dies with the node.
-		if err := db.forceThroughTxn(nd, t, lsn, func(s *Stats) { s.LBMForces++ }); err != nil {
+		if err := db.forceThroughTxn(nd, t, lsn, &nc.lbmForces); err != nil {
 			return err
 		}
 	case StableTriggered:
 		// Stable LBM via the section 5.2 extension: mark the line active
 		// and remember how far this node's log must be forced if the line
 		// is about to leave.
-		db.mu.Lock()
-		if lsn > db.pendingLSN[nd] {
-			db.pendingLSN[nd] = lsn
+		for {
+			cur := nc.pendingLSN.Load()
+			if uint64(lsn) <= cur || nc.pendingLSN.CompareAndSwap(cur, uint64(lsn)) {
+				break
+			}
 		}
-		db.mu.Unlock()
 		if err := db.M.SetActive(line, true); err != nil {
 			return err
 		}
 	}
 
-	db.mu.Lock()
+	w := writeRec{rid: rid, img: after, version: version, lsn: lsn}
+	nc.mu.Lock()
 	if nta == 0 {
-		st.writes = append(st.writes, writeRec{rid: rid, img: after, version: version, lsn: lsn})
+		st.writes = append(st.writes, w)
 	} else {
 		// Structural changes are committed early (their NTA is forced
 		// before anyone depends on them), so the oracle's last-committed
 		// image advances immediately.
-		db.committed[rid] = committedImage{img: after, version: version}
+		nc.noteCommitted(&w)
 	}
-	dt := db.deps
-	au := db.audit
-	db.mu.Unlock()
+	switch op {
+	case opUpdate:
+		nc.stats.Updates++
+	case opInsert:
+		nc.stats.Inserts++
+	case opDelete:
+		nc.stats.Deletes++
+	}
+	if tag != machine.NoNode {
+		nc.stats.TagWrites++
+		nc.stats.UndoTagBytes++
+	}
+	nc.mu.Unlock()
+	dt, au := db.Deps(), db.Audit()
 	if (dt != nil || au != nil) && nta == 0 {
 		// Register the write with the dependency tracker and the online
 		// auditor while the line lock still pins the line: it cannot
@@ -248,26 +258,26 @@ func (db *DB) applyChange(nd machine.NodeID, t wal.TxnID, rid heap.RID, newFlags
 }
 
 // lbmTrigger is the pre-transition callback installed for StableTriggered.
-// It runs, with the machine lock held, just before an active line migrates,
-// downgrades, or is invalidated: the node losing the line forces its log
-// through its last update, making the undo and redo information stable
-// before the data leaves its failure domain. The machine clears the line's
-// active bit afterwards.
+// It runs, with the line's machine stripe held, just before an active line
+// migrates, downgrades, or is invalidated: the node losing the line forces
+// its log through its last update, making the undo and redo information
+// stable before the data leaves its failure domain. The machine clears the
+// line's active bit afterwards. Holding a stripe, it takes no DB-level mutex:
+// a Crash waiting for that stripe may be what the mutex's holder waits for.
 func (db *DB) lbmTrigger(ev machine.Event) (int64, error) {
-	if ev.From < 0 || int(ev.From) >= len(db.Logs) {
+	nc := db.ctl(ev.From)
+	if nc == nil {
 		return 0, nil
 	}
-	db.mu.Lock()
-	upto := db.pendingLSN[ev.From]
-	db.mu.Unlock()
+	upto := wal.LSN(nc.pendingLSN.Load())
 	if upto == 0 {
 		return 0, nil
 	}
 	if _, forced := db.Logs[ev.From].Force(upto); forced {
-		db.bump(func(s *Stats) { s.LBMForces++ })
+		nc.lbmForces.Add(1)
 		cost := db.logForceCost()
-		// Safe with the machine lock held: the observer takes only its own
-		// locks and never calls back into the machine.
+		// Safe with the stripe held: the observer takes only its own locks
+		// and never calls back into the machine.
 		db.Observer().ObserveLogForce(cost)
 		if wf := db.wfp.Load(); wf != nil {
 			// The machine charges the trigger's cost to the acquiring node

@@ -150,12 +150,18 @@ func (d *Disk) IOCounts() (reads, writes int64) {
 	return d.reads, d.writes
 }
 
+// logChunk is the size of one LogDevice chunk.
+const logChunk = 64 << 10
+
 // LogDevice is the stable, append-only log device of one node. Forcing a
 // node's volatile log tail appends its encoded records here; the contents
 // survive every crash.
 type LogDevice struct {
-	mu     sync.Mutex
-	buf    []byte
+	mu sync.Mutex
+	// The contents are the chunks back to back: every chunk but the last
+	// is full (logChunk bytes), so an append never copies earlier bytes.
+	chunks [][]byte
+	size   int64
 	forces int64
 	// fault is read on every append and written almost never, and the hook
 	// must run outside mu (it takes its own lock): an atomic pointer lets
@@ -188,17 +194,33 @@ func (d *LogDevice) Append(data []byte) (int64, error) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	off := int64(len(d.buf))
-	d.buf = append(d.buf, data...)
+	off := d.size
+	d.write(data)
 	d.forces++
 	return off, nil
+}
+
+// write copies data onto the end of the chunk list. Caller holds d.mu.
+func (d *LogDevice) write(data []byte) {
+	d.size += int64(len(data))
+	for len(data) > 0 {
+		last := len(d.chunks) - 1
+		if last < 0 || len(d.chunks[last]) == logChunk {
+			d.chunks = append(d.chunks, make([]byte, 0, logChunk))
+			last++
+		}
+		c := d.chunks[last]
+		n := copy(c[len(c):logChunk], data)
+		d.chunks[last] = c[:len(c)+n]
+		data = data[n:]
+	}
 }
 
 // Size returns the number of stable bytes.
 func (d *LogDevice) Size() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return int64(len(d.buf))
+	return d.size
 }
 
 // Forces returns the number of Append calls (physical log forces).
@@ -212,8 +234,10 @@ func (d *LogDevice) Forces() int64 {
 func (d *LogDevice) Contents() []byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]byte, len(d.buf))
-	copy(out, d.buf)
+	out := make([]byte, 0, d.size)
+	for _, c := range d.chunks {
+		out = append(out, c...)
+	}
 	return out
 }
 
@@ -223,5 +247,6 @@ func (d *LogDevice) Contents() []byte {
 func (d *LogDevice) Truncate(keep []byte) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.buf = append(d.buf[:0], keep...)
+	d.chunks, d.size = nil, 0
+	d.write(keep)
 }

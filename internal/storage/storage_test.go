@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -244,5 +245,53 @@ func TestQuickLogDeviceIsAppendOnly(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLogDeviceChunksMatchSingleBuffer compares the chunked device against
+// the single growing buffer it replaced, across appends that end before, at
+// and past a chunk edge, and across Truncate.
+func TestLogDeviceChunksMatchSingleBuffer(t *testing.T) {
+	d := NewLogDevice()
+	var flat []byte
+	check := func(step string) {
+		t.Helper()
+		if d.Size() != int64(len(flat)) || !bytes.Equal(d.Contents(), flat) {
+			t.Fatalf("%s: device holds %d bytes, want %d (or they differ)", step, d.Size(), len(flat))
+		}
+	}
+	fill := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
+	check("empty")
+	forces := int64(0)
+	for i, n := range []int{1, logChunk - 2, 1, 5, logChunk, 3 * logChunk, 0, logChunk - 9, 7} {
+		data := fill(n, byte(i+1))
+		off, err := d.Append(data)
+		if err != nil || off != int64(len(flat)) {
+			t.Fatalf("append %d (%d bytes): offset %d, %v; want %d", i, n, off, err, len(flat))
+		}
+		flat = append(flat, data...)
+		forces++
+		check(fmt.Sprintf("append %d (%d bytes)", i, n))
+	}
+	if d.Forces() != forces {
+		t.Errorf("Forces = %d, want %d", d.Forces(), forces)
+	}
+	got := d.Contents()
+	got[0] ^= 0xff // Contents is a copy
+	check("after scribbling on a Contents copy")
+	for _, keep := range []int{2*logChunk + 17, logChunk, 5, 0} {
+		flat = append([]byte(nil), flat[:keep]...)
+		d.Truncate(flat)
+		check(fmt.Sprintf("truncate to %d", keep))
+		data := fill(100, 0xab)
+		if off, err := d.Append(data); err != nil || off != int64(keep) {
+			t.Fatalf("append after truncate to %d: offset %d, %v", keep, off, err)
+		}
+		flat = append(flat, data...)
+		forces++
+		check(fmt.Sprintf("append after truncate to %d", keep))
+	}
+	if d.Forces() != forces {
+		t.Errorf("Forces = %d after truncations, want %d (Truncate is not a force)", d.Forces(), forces)
 	}
 }

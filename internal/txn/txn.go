@@ -169,8 +169,18 @@ func (t *Txn) acquire(name lock.Name, mode lock.Mode) (err error) {
 		return err
 	}
 	if victim == t.id {
-		if err := locks.CancelWait(t.node, t.id, name); err != nil {
+		held, err := locks.WithdrawWait(t.node, t.id, name)
+		if err != nil {
 			return err
+		}
+		if held >= mode {
+			// A release granted the request between the check above and the
+			// withdrawal: there was no wait left to cancel, and nobody is
+			// waiting for anybody through this lock any more. The
+			// transaction holds it — unrecorded, it would outlive the
+			// transaction and block every later request for good.
+			t.mgr.DB.NoteLock(t.id, name, mode)
+			return nil
 		}
 		t.mgr.DB.Observer().Instant(obs.KindDeadlock, int32(t.node),
 			t.mgr.DB.M.Clock(t.node), int64(t.id), int64(name))
@@ -300,7 +310,8 @@ func (t *Txn) Abort() error {
 // re-establishes only still-active transactions' locks, which releases ours
 // implicitly), and ErrNodeDown (our own node died mid-release).
 func (t *Txn) releaseAll() {
-	for _, name := range t.mgr.DB.HeldLocks(t.id) {
+	var buf [16]lock.Name
+	for _, name := range t.mgr.DB.AppendHeldLocks(buf[:0], t.id) {
 		err := t.mgr.DB.Locks.Release(t.node, t.id, name)
 		switch {
 		case err == nil:

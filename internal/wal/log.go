@@ -28,10 +28,14 @@ type Log struct {
 	// stopped, so nothing may append to or force its log until restart
 	// (late writes by in-flight goroutines of the dead node are dropped).
 	down bool
-	// recs[i] has LSN first+i; recs[:forced] are stable. first grows when
-	// DiscardThrough reclaims log space.
-	recs      []Record
-	first     LSN // LSN of recs[0]; records below first have been discarded
+	// The n retained records live in fixed-size blocks, allocated as the
+	// tail reaches them, so an append never copies earlier records: record
+	// i has LSN first+i and sits at position off+i of the block list (see
+	// at); the first forced of them are stable. DiscardThrough drops whole
+	// blocks and moves off within the first one that stays.
+	blocks    []*block
+	off, n    int
+	first     LSN // LSN of record 0; records below first have been discarded
 	forced    int // count of stable records still retained
 	lastCkpt  LSN // LSN of the most recent checkpoint record, 0 if none
 	lastByTxn map[TxnID]LSN
@@ -70,6 +74,43 @@ type Log struct {
 	dbt *debt.Tracker
 }
 
+// blockLen is the number of records in one block of a Log (about 60 KiB).
+const blockLen = 512
+
+type block [blockLen]Record
+
+// at returns retained record i. Caller holds l.mu.
+func (l *Log) at(i int) *Record {
+	p := l.off + i
+	return &l.blocks[p/blockLen][p%blockLen]
+}
+
+// push stores r as the next retained record. Caller holds l.mu.
+func (l *Log) push(r *Record) {
+	p := l.off + l.n
+	if p == len(l.blocks)*blockLen {
+		l.blocks = append(l.blocks, new(block))
+	}
+	l.blocks[p/blockLen][p%blockLen] = *r
+	l.n++
+}
+
+// span calls fn on retained records [from, to) one block-contiguous run at
+// a time. Caller holds l.mu.
+func (l *Log) span(from, to int, fn func([]Record) bool) {
+	for from < to {
+		p := l.off + from
+		run := l.blocks[p/blockLen][p%blockLen:]
+		if len(run) > to-from {
+			run = run[:to-from]
+		}
+		if !fn(run) {
+			return
+		}
+		from += len(run)
+	}
+}
+
 // NewLog creates a log for node n backed by stable device dev. If dev
 // already holds records (a restarted node), they are decoded and become the
 // stable prefix; a torn tail — a partial record left by a crash mid-force —
@@ -85,9 +126,9 @@ func NewLog(n machine.NodeID, dev *storage.LogDevice) (*Log, error) {
 			dev.Truncate(contents[:len(contents)-torn])
 			l.tornBytes = torn
 		}
-		l.recs = recs
 		l.forced = len(recs)
 		for i := range recs {
+			l.push(&recs[i])
 			if recs[i].Type == TypeCheckpoint {
 				l.lastCkpt = recs[i].LSN
 			}
@@ -163,7 +204,7 @@ func (l *Log) Append(r Record) LSN {
 	if l.down {
 		return 0
 	}
-	r.LSN = l.first + LSN(len(l.recs))
+	r.LSN = l.first + LSN(l.n)
 	if r.Txn != 0 {
 		r.PrevLSN = l.lastByTxn[r.Txn]
 		l.lastByTxn[r.Txn] = r.LSN
@@ -174,7 +215,7 @@ func (l *Log) Append(r Record) LSN {
 	if r.Type == TypeCheckpoint {
 		l.lastCkpt = r.LSN
 	}
-	l.recs = append(l.recs, r)
+	l.push(&r)
 	if l.obs != nil {
 		l.obs.Instant(obs.KindWALAppend, int32(l.node), l.now(), int64(r.LSN), int64(r.Type))
 	}
@@ -189,7 +230,7 @@ func (l *Log) Append(r Record) LSN {
 func (l *Log) NextLSN() LSN {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.first + LSN(len(l.recs))
+	return l.first + LSN(l.n)
 }
 
 // ForcedLSN returns the highest stable LSN (0 if nothing is stable).
@@ -219,8 +260,8 @@ func (l *Log) forceLocked(upto LSN) (records int, forced bool) {
 		return 0, false
 	}
 	uptoIdx := int(upto-l.first) + 1
-	if uptoIdx > len(l.recs) {
-		uptoIdx = len(l.recs)
+	if uptoIdx > l.n {
+		uptoIdx = l.n
 	}
 	if uptoIdx <= l.forced {
 		return 0, false
@@ -255,14 +296,17 @@ func (l *Log) forceLocked(upto LSN) (records int, forced bool) {
 	return records, true
 }
 
-// encodeLocked marshals recs[from:to] back to back into the log's reusable
+// encodeLocked marshals records [from, to) back to back into the log's reusable
 // encode buffer and returns it; the bytes are valid until the next call.
 // Caller holds l.mu.
 func (l *Log) encodeLocked(from, to int) []byte {
 	buf := l.enc[:0]
-	for i := from; i < to; i++ {
-		buf = AppendMarshal(buf, &l.recs[i])
-	}
+	l.span(from, to, func(run []Record) bool {
+		for i := range run {
+			buf = AppendMarshal(buf, &run[i])
+		}
+		return true
+	})
 	l.enc = buf
 	return buf
 }
@@ -281,8 +325,8 @@ func (l *Log) ForceTorn(upto LSN, frac float64) (whole, torn int) {
 		return 0, 0
 	}
 	uptoIdx := int(upto-l.first) + 1
-	if uptoIdx > len(l.recs) {
-		uptoIdx = len(l.recs)
+	if uptoIdx > l.n {
+		uptoIdx = l.n
 	}
 	if uptoIdx <= l.forced {
 		l.down = true
@@ -301,8 +345,8 @@ func (l *Log) ForceTorn(upto LSN, frac float64) (whole, torn int) {
 	// then a torn prefix of the next.
 	out := buf[:limit]
 	torn = limit
-	for i := l.forced; torn >= EncodedSize(&l.recs[i]); i++ {
-		torn -= EncodedSize(&l.recs[i])
+	for i := l.forced; torn >= EncodedSize(l.at(i)); i++ {
+		torn -= EncodedSize(l.at(i))
 		whole++
 	}
 	if len(out) > 0 {
@@ -348,24 +392,29 @@ func (l *Log) Crash() int {
 	defer l.mu.Unlock()
 	l.down = true
 	l.wakeGroupLocked()
-	lost := len(l.recs) - l.forced
-	l.recs = l.recs[:l.forced]
+	lost := l.n - l.forced
+	l.n = l.forced
+	l.blocks = l.blocks[:(l.off+l.n+blockLen-1)/blockLen]
 	// Rebuild per-transaction chains and checkpoint marker from what
 	// survived.
 	l.lastByTxn = make(map[TxnID]LSN)
 	l.firstByTxn = make(map[TxnID]LSN)
 	l.lastCkpt = 0
-	for i := range l.recs {
-		if l.recs[i].Txn != 0 {
-			l.lastByTxn[l.recs[i].Txn] = l.recs[i].LSN
-			if _, ok := l.firstByTxn[l.recs[i].Txn]; !ok {
-				l.firstByTxn[l.recs[i].Txn] = l.recs[i].LSN
+	l.span(0, l.n, func(run []Record) bool {
+		for i := range run {
+			r := &run[i]
+			if r.Txn != 0 {
+				l.lastByTxn[r.Txn] = r.LSN
+				if _, ok := l.firstByTxn[r.Txn]; !ok {
+					l.firstByTxn[r.Txn] = r.LSN
+				}
+			}
+			if r.Type == TypeCheckpoint {
+				l.lastCkpt = r.LSN
 			}
 		}
-		if l.recs[i].Type == TypeCheckpoint {
-			l.lastCkpt = l.recs[i].LSN
-		}
-	}
+		return true
+	})
 	l.dbt.NoteCrash(int32(l.node), int64(l.first)+int64(l.forced)-1, lost)
 	return lost
 }
@@ -421,11 +470,14 @@ func (l *Log) Records(from LSN) []Record {
 		from = l.first
 	}
 	idx := int(from - l.first)
-	if idx >= len(l.recs) {
+	if idx >= l.n {
 		return nil
 	}
-	out := make([]Record, len(l.recs)-idx)
-	copy(out, l.recs[idx:])
+	out := make([]Record, 0, l.n-idx)
+	l.span(idx, l.n, func(run []Record) bool {
+		out = append(out, run...)
+		return true
+	})
 	return out
 }
 
@@ -441,21 +493,24 @@ func (l *Log) Scan(from LSN, fn func(Record) bool) {
 	if from < l.first {
 		from = l.first
 	}
-	for i := int(from - l.first); i < len(l.recs); i++ {
-		if !fn(l.recs[i]) {
-			return
+	l.span(int(from-l.first), l.n, func(run []Record) bool {
+		for i := range run {
+			if !fn(run[i]) {
+				return false
+			}
 		}
-	}
+		return true
+	})
 }
 
 // Get returns the record at the given LSN.
 func (l *Log) Get(lsn LSN) (Record, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if lsn < l.first || int(lsn-l.first) >= len(l.recs) {
+	if lsn < l.first || int(lsn-l.first) >= l.n {
 		return Record{}, false
 	}
-	return l.recs[lsn-l.first], true
+	return *l.at(int(lsn - l.first)), true
 }
 
 // LastLSNOf returns the LSN of the transaction's most recent record in this
@@ -470,7 +525,7 @@ func (l *Log) LastLSNOf(t TxnID) LSN {
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.recs)
+	return l.n
 }
 
 // FirstLSNOf returns the LSN of the transaction's earliest retained record
@@ -506,7 +561,10 @@ func (l *Log) DiscardThrough(upto LSN) int {
 	if drop <= 0 {
 		return 0
 	}
-	l.recs = append([]Record(nil), l.recs[drop:]...)
+	l.off += drop
+	l.n -= drop
+	l.blocks = append([]*block(nil), l.blocks[l.off/blockLen:]...)
+	l.off %= blockLen
 	l.first = upto + 1
 	l.forced -= drop
 	// Re-encode the retained stable prefix onto the device.

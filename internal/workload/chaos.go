@@ -12,6 +12,7 @@ import (
 	"smdb/internal/obs/deps"
 	"smdb/internal/recovery"
 	"smdb/internal/sched"
+	"smdb/internal/wal"
 )
 
 // RunChaos drives seeded crash/recover episodes: each episode runs the
@@ -83,6 +84,10 @@ func chaosDownNodes(db *recovery.DB) []machine.NodeID {
 	}
 	return out
 }
+
+// wedgeDeadline is how long an episode may run without a crash or completion
+// before the harness calls it wedged.
+const wedgeDeadline = 10 * time.Second
 
 // ErrScheduleDiverged reports that a replayed chaos run's control flow left
 // the recorded schedule (typical for shrink candidates whose dropped
@@ -157,6 +162,10 @@ func RunChaosSession(db *recovery.DB, inj *fault.Injector, spec Spec, episodes i
 	defer inj.Disarm()
 
 	prevAuditViol := 0
+	// abandoned holds the transactions the deferred-logging control could not
+	// roll back: deadlock victims of this episode's workers, and every
+	// earlier episode's stranded transactions. They stay active for good.
+	abandoned := make(map[wal.TxnID]bool)
 	for ep := 0; ep < episodes; ep++ {
 		res.Episodes++
 		// Episodes carry their ORIGINAL index (and thus their derived seed)
@@ -195,7 +204,7 @@ func RunChaosSession(db *recovery.DB, inj *fault.Injector, spec Spec, episodes i
 			close(stop)
 		} else {
 			got := false
-			deadline := time.Now().Add(60 * time.Second)
+			deadline := time.Now().Add(wedgeDeadline)
 			for !got && !db.Frozen() {
 				select {
 				case ro = <-out:
@@ -203,6 +212,16 @@ func RunChaosSession(db *recovery.DB, inj *fault.Injector, spec Spec, episodes i
 				case <-time.After(200 * time.Microsecond):
 					if time.Now().After(deadline) {
 						close(stop)
+						// Stopped workers return within a retry; if one of
+						// them failed, that error — not the timeout it led
+						// to — is the finding.
+						select {
+						case ro = <-out:
+							if ro.err != nil {
+								return res, fmt.Errorf("workload: chaos episode %d (seed %d) wedged after a worker failed: %w", epOrig, epSpec.Seed, ro.err)
+							}
+						case <-time.After(time.Second):
+						}
 						return res, fmt.Errorf("workload: chaos episode %d (seed %d) wedged (no crash, no completion)", epOrig, epSpec.Seed)
 					}
 				}
@@ -225,6 +244,9 @@ func RunChaosSession(db *recovery.DB, inj *fault.Injector, spec Spec, episodes i
 		}
 		res.Committed += ro.res.Committed
 		res.Aborted += ro.res.Aborted
+		for _, t := range runner.Abandoned() {
+			abandoned[t] = true
+		}
 
 		// If the schedule fired no crash this episode, crash a node
 		// ourselves — every episode must exercise recovery.
@@ -258,11 +280,13 @@ func RunChaosSession(db *recovery.DB, inj *fault.Injector, spec Spec, episodes i
 		// every later episode. Roll them back; the deferred-logging negative
 		// control cannot (it logged no undo information), so it only sheds
 		// their locks.
+		stranded := make(map[wal.TxnID]bool)
 		for _, t := range db.ActiveTxns(machine.NoNode) {
 			nd := t.Node()
 			if !db.M.Alive(nd) {
 				continue
 			}
+			stranded[t] = true
 			if err := db.Abort(nd, t); err != nil && !db.Cfg.Protocol.DeferredLogging() {
 				return res, fmt.Errorf("workload: chaos episode %d (seed %d) rollback of stranded %v: %w", epOrig, epSpec.Seed, t, err)
 			}
@@ -270,13 +294,21 @@ func RunChaosSession(db *recovery.DB, inj *fault.Injector, spec Spec, episodes i
 				_ = db.Locks.Release(nd, t, name)
 			}
 		}
+		if err := withdrawRequests(db, stranded); err != nil {
+			return res, fmt.Errorf("workload: chaos episode %d (seed %d) withdrawing stranded lock requests: %w", epOrig, epSpec.Seed, err)
+		}
 
 		coord := db.M.AliveNodes()[0]
 		epViolations := db.CheckIFA(coord)
 		for _, v := range epViolations {
 			res.Violations = append(res.Violations, fmt.Sprintf("episode %d: %s", epOrig, v))
 		}
-		crossCheckExplainer(db, rep, epViolations, epOrig, &res)
+		crossCheckExplainer(db, rep, epViolations, abandoned, epOrig, &res)
+		if db.Cfg.Protocol.DeferredLogging() {
+			for t := range stranded {
+				abandoned[t] = true
+			}
+		}
 		prevAuditViol = crossCheckAuditor(db, epViolations, epOrig, prevAuditViol, &res)
 		if len(epViolations) > 0 {
 			// Stamp the failing episode (and its derived seed) into the
@@ -305,6 +337,36 @@ func RunChaosSession(db *recovery.DB, inj *fault.Injector, spec Spec, episodes i
 		res.AuditAnomalies = sum.Anomalies
 	}
 	return res, nil
+}
+
+// withdrawRequests removes from the lock table whatever the stranded
+// transactions still have there after their held locks were released. A
+// worker stopped while its request was queued leaves that request in the LCB
+// and in nobody's bookkeeping; the first release ahead of it promotes it to
+// a holder no one will ever release, and the next episode's transactions
+// queue behind it for good (no waits-for cycle, so no deadlock victim).
+func withdrawRequests(db *recovery.DB, stranded map[wal.TxnID]bool) error {
+	if len(stranded) == 0 {
+		return nil
+	}
+	snap, err := db.Locks.Snapshot(db.M.AliveNodes()[0])
+	if err != nil {
+		return err
+	}
+	for _, ls := range snap {
+		// Waiters first: releasing a holder promotes the queue behind it.
+		for _, w := range ls.Waiters {
+			if stranded[w.Txn] {
+				_ = db.Locks.CancelWait(w.Txn.Node(), w.Txn, ls.Name)
+			}
+		}
+		for _, h := range ls.Holders {
+			if stranded[h.Txn] {
+				_ = db.Locks.Release(h.Txn.Node(), h.Txn, ls.Name)
+			}
+		}
+	}
+	return nil
 }
 
 // crossCheckAuditor reconciles the online IFA auditor's typed violations —
@@ -357,8 +419,9 @@ func crossCheckAuditor(db *recovery.DB, violations []string, ep, prev int, res *
 // verdicts (computed independently at crash instants, from the coherency
 // event stream) against ground truth: the recovery report's abort set and the
 // IFA checker's violations. A disagreement in either direction is recorded as
-// an ExplainMismatch. No-op when no tracker is attached.
-func crossCheckExplainer(db *recovery.DB, rep *recovery.RecoveryReport, violations []string, ep int, res *ChaosResult) {
+// an ExplainMismatch. abandoned names the transactions rule 3 leaves out. No-op
+// when no tracker is attached.
+func crossCheckExplainer(db *recovery.DB, rep *recovery.RecoveryReport, violations []string, abandoned map[wal.TxnID]bool, ep int, res *ChaosResult) {
 	tr := db.Deps()
 	if tr == nil {
 		return
@@ -407,14 +470,29 @@ func crossCheckExplainer(db *recovery.DB, rep *recovery.RecoveryReport, violatio
 
 	// Rule 3: conversely, when the checker catches a survivor's lost update
 	// (the no-LBM hazard the ablated control exists to exhibit), the explainer
-	// must have predicted at least one doomed survivor this episode.
+	// must have predicted at least one doomed survivor this episode. Losses of
+	// abandoned transactions do not count: the checker keeps reporting what an
+	// earlier crash destroyed, and with their locks shed anyone may overwrite
+	// their updates — neither is crash damage of this episode for the explainer
+	// to predict.
 	lost := 0
 	for _, viol := range violations {
-		if strings.Contains(viol, "update lost") {
+		if strings.Contains(viol, "update lost") && !namesAbandoned(viol, abandoned) {
 			lost++
 		}
 	}
 	if lost > 0 && doomed == 0 {
 		mism("checker found %d lost survivor update(s) but the explainer predicted none", lost)
 	}
+}
+
+// namesAbandoned reports whether a checker violation is about one of the
+// abandoned transactions.
+func namesAbandoned(viol string, abandoned map[wal.TxnID]bool) bool {
+	for t := range abandoned {
+		if strings.Contains(viol, fmt.Sprintf("transaction %v's", t)) {
+			return true
+		}
+	}
+	return false
 }

@@ -19,7 +19,10 @@ import (
 // and wall-clock benchmarks. Workers stop early when the stop channel
 // closes or their node crashes (machine.ErrNodeDown); transactions in
 // flight at that moment are left active, exactly as a crash would leave
-// them, so the caller can proceed to Recover and CheckIFA.
+// them, so the caller can proceed to Recover and CheckIFA. A worker that
+// exits with an error stops its siblings too — nobody is left retrying
+// ErrBlocked against a transaction no goroutine drives any more — and the
+// first such error is the one returned.
 //
 // Unlike Run, interleaving is scheduler-dependent; per-worker PRNGs keep
 // each node's operation stream (though not the global order) reproducible.
@@ -30,10 +33,13 @@ func (r *Runner) RunConcurrent(stop <-chan struct{}) (Result, error) {
 		firstErr error
 		wg       sync.WaitGroup
 		opCount  atomic.Int64
+		failed   = make(chan struct{}) // closed with the first worker error
 	)
 	rawStop := func() bool {
 		select {
 		case <-stop:
+			return true
+		case <-failed:
 			return true
 		default:
 			return false
@@ -82,6 +88,7 @@ func (r *Runner) RunConcurrent(stop <-chan struct{}) (Result, error) {
 			res.Deadlocks += local.Deadlocks
 			if err != nil && firstErr == nil {
 				firstErr = err
+				close(failed)
 			}
 		}()
 	}
@@ -142,6 +149,18 @@ func (r *Runner) runWorker(nd machine.NodeID, stopNow func() bool, opCount *atom
 					// crash between the verdict and the abort freezes it.
 					res.Deadlocks++
 					if done, err := finish(tx.Abort, stopNow, &res); !done {
+						if err != nil && r.DB.Cfg.Protocol.DeferredLogging() {
+							// The negative control logged no undo information
+							// and cannot abort; shed the victim's locks so
+							// nothing waits on a transaction nobody will
+							// finish.
+							for _, name := range r.DB.HeldLocks(tx.ID()) {
+								_ = r.DB.Locks.Release(nd, tx.ID(), name)
+							}
+							r.abandonedMu.Lock()
+							r.abandoned = append(r.abandoned, tx.ID())
+							r.abandonedMu.Unlock()
+						}
 						return res, err
 					}
 					res.Aborted++

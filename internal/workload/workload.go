@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"smdb/internal/heap"
 	"smdb/internal/machine"
@@ -19,6 +20,7 @@ import (
 	"smdb/internal/sched"
 	"smdb/internal/storage"
 	"smdb/internal/txn"
+	"smdb/internal/wal"
 )
 
 // Spec describes a workload.
@@ -145,6 +147,20 @@ type Runner struct {
 
 	sp  space
 	rng *rand.Rand
+
+	// abandoned lists the deadlock victims the deferred-logging negative
+	// control could not abort: still active, their locks shed mid-run (so
+	// others may have overwritten what they wrote). Guarded by abandonedMu.
+	abandonedMu sync.Mutex
+	abandoned   []wal.TxnID
+}
+
+// Abandoned returns the transactions the concurrent driver's workers gave
+// up on without finishing (the deferred-logging control's deadlock victims).
+func (r *Runner) Abandoned() []wal.TxnID {
+	r.abandonedMu.Lock()
+	defer r.abandonedMu.Unlock()
+	return append([]wal.TxnID(nil), r.abandoned...)
 }
 
 // NewRunner builds a deterministic runner. Call Seed first.
