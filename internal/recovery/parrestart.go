@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -185,35 +186,28 @@ func (db *DB) flushAllCachesPar(alive []machine.NodeID, rep *RecoveryReport, w i
 
 // collectRedoPar is the parallel redo scan: one goroutine per node's log,
 // weighted by log length, with the per-node candidate lists concatenated in
-// node order — exactly the sequential scan's output.
-func (db *DB) collectRedoPar(alive []machine.NodeID, rep *RecoveryReport, w int) ([]redoCand, error) {
-	coord := alive[0]
-	n := db.M.Nodes()
-	parts := make([][]redoCand, n)
+// node order — exactly the sequential scan's output. The workers only read
+// the view set; each fills its own slot of parts.
+func (db *DB) collectRedoPar(vs []*logView, coord machine.NodeID, rep *RecoveryReport, w int) []redoCand {
+	parts := make([][]redoCand, len(vs))
 	weight := func(i int) int { return db.Logs[i].Len() }
-	err := db.forEachChunk(rep, obs.PhaseRedoScan, n, w, weight, func(i, ws int, tm *prof.TaskMeter) error {
-		part, err := db.collectRedoNode(machine.NodeID(i), coord)
-		parts[i] = part
+	// collectRedoNode cannot fail; forEachChunk's error is structurally nil.
+	_ = db.forEachChunk(rep, obs.PhaseRedoScan, len(vs), w, weight, func(i, ws int, tm *prof.TaskMeter) error {
+		parts[i] = db.collectRedoNode(vs[i], coord, nil)
 		if tm != nil {
-			tm.AddRecords(len(part))
+			tm.AddRecords(len(parts[i]))
 			b := 0
-			for _, c := range part {
+			for _, c := range parts[i] {
 				b += len(c.rec.Before) + len(c.rec.After)
 			}
 			tm.AddBytes(b)
 		}
-		return err
+		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
 	mergeStart := profMergeStart(db)
-	var cands []redoCand
-	for _, part := range parts {
-		cands = append(cands, part...)
-	}
+	cands := slices.Concat(parts...)
 	profMergeEnd(db, obs.PhaseRedoScan, mergeStart)
-	return cands, nil
+	return cands
 }
 
 // profMergeStart/profMergeEnd bracket a sequential merge step (concatenation,
@@ -305,14 +299,14 @@ func (db *DB) applyRedoPar(cands []redoCand, rep *RecoveryReport, w int) error {
 // the same node, in the same order — so UndoApplied matches exactly.
 // TagScanLines may legitimately differ (shared lines are counted once per
 // holder here), which is why the equivalence gate excludes it.
-func (db *DB) undoTagScanPar(alive, crashed []machine.NodeID, rep *RecoveryReport, w int) error {
+func (db *DB) undoTagScanPar(alive, crashed []machine.NodeID, vs []*logView, rep *RecoveryReport, w int) error {
 	down := nodeSet(crashed)
 	// Tagger indexes for every survivor up front: the scans below read them
 	// concurrently, so the lazy build of the sequential path would race.
 	idx := make([]map[slotVer]wal.TxnID, db.M.Nodes())
 	logWeight := func(i int) int { return db.Logs[alive[i]].Len() }
 	if err := db.forEachChunk(rep, obs.PhaseUndoTagScan, len(alive), w, logWeight, func(i, _ int, tm *prof.TaskMeter) error {
-		idx[alive[i]] = db.buildTaggerIndex(alive[i])
+		idx[alive[i]] = buildTaggerIndex(vs[alive[i]])
 		tm.AddRecords(len(idx[alive[i]]))
 		return nil
 	}); err != nil {
@@ -344,7 +338,7 @@ func (db *DB) undoTagScanPar(alive, crashed []machine.NodeID, rep *RecoveryRepor
 		}
 	}
 	profMergeEnd(db, obs.PhaseUndoTagScan, mergeStart)
-	return db.applyTagActions(merged, crashed, rep)
+	return db.applyTagActions(merged, vs, rep)
 }
 
 // replaySurvivorLocksPar replays lock logs one goroutine per surviving node.
@@ -352,11 +346,11 @@ func (db *DB) undoTagScanPar(alive, crashed []machine.NodeID, rep *RecoveryRepor
 // compatible, so concurrent re-grants never wait on each other; Acquire is
 // idempotent, so the per-node counts are order-independent. The caller holds
 // the log-suppression latch.
-func (db *DB) replaySurvivorLocksPar(alive []machine.NodeID, rep *RecoveryReport, w int) (int, error) {
+func (db *DB) replaySurvivorLocksPar(alive []machine.NodeID, vs []*logView, rep *RecoveryReport, w int) (int, error) {
 	counts := make([]int, len(alive))
 	weight := func(i int) int { return db.Logs[alive[i]].Len() }
 	err := db.forEachChunk(rep, obs.PhaseLockRebuild, len(alive), w, weight, func(i, _ int, tm *prof.TaskMeter) error {
-		n, err := db.replayNodeLocks(alive[i])
+		n, err := db.replayNodeLocks(vs[alive[i]])
 		counts[i] = n
 		tm.AddRecords(n)
 		return err

@@ -3,6 +3,7 @@ package recovery
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"smdb/internal/heap"
@@ -283,6 +284,11 @@ func (db *DB) noteRecovered(rep *RecoveryReport) {
 // with ErrRecoveryInterrupted and Recover re-enters.
 func (db *DB) recoverOnce(alive []machine.NodeID, rep *RecoveryReport) error {
 	coord := alive[0]
+	// Every log is read and summarised once, here, and every phase below
+	// works from this view set. It lives for this attempt only: a node that
+	// dies under the attempt ends it, and the next one reads that node's
+	// stable prefix afresh — its volatile tail, visible until now, is gone.
+	vs, down := db.views(alive)
 	o := db.Observer()
 	phase := db.phaseTracker(rep, o)
 	// step closes the phase span, then gives the injector its shot at
@@ -311,12 +317,12 @@ func (db *DB) recoverOnce(alive []machine.NodeID, rep *RecoveryReport) error {
 	}
 	// Release every down node's transactions — the original victims plus
 	// any node lost during an earlier recovery attempt.
-	released, err := db.Locks.ReleaseCrashed(coord, db.downNodes())
+	released, err := db.Locks.ReleaseCrashed(coord, down)
 	if err != nil {
 		return err
 	}
 	rep.LockEntriesReleased += released
-	replayed, err := db.replaySurvivorLocks(alive, rep)
+	replayed, err := db.replaySurvivorLocks(alive, vs, rep)
 	if err != nil {
 		return err
 	}
@@ -335,10 +341,7 @@ func (db *DB) recoverOnce(alive []machine.NodeID, rep *RecoveryReport) error {
 		// memory).
 		db.flushAllCaches(alive, rep)
 	}
-	cands, err := db.collectRedo(alive, rep)
-	if err != nil {
-		return err
-	}
+	cands := db.collectRedo(vs, coord, rep)
 	// The candidate count is the known total for the probe and apply phases:
 	// from here /recovery/progress can report an ETA.
 	db.wfProgress().Plan(obs.PhaseProbe.String(), len(cands))
@@ -367,16 +370,14 @@ func (db *DB) recoverOnce(alive []machine.NodeID, rep *RecoveryReport) error {
 	// from the stable database can resurrect a stolen update of a
 	// transaction that died in an earlier failure, and it must be undone
 	// again (the version filter makes repetition harmless).
-	down := db.downNodes()
-	aborted, err := db.undoCrashed(coord, down, rep)
-	if err != nil {
+	if err := db.undoCrashed(coord, vs, rep); err != nil {
 		return err
 	}
 	if err := step(obs.PhaseUndo); err != nil {
 		return err
 	}
 	if db.Cfg.Protocol.UndoTagging() {
-		if err := db.undoTagScan(alive, down, rep); err != nil {
+		if err := db.undoTagScan(alive, down, vs, rep); err != nil {
 			return err
 		}
 		if err := step(obs.PhaseUndoTagScan); err != nil {
@@ -402,21 +403,11 @@ func (db *DB) recoverOnce(alive []machine.NodeID, rep *RecoveryReport) error {
 	// commit record reached stable store *is* committed — the crash
 	// merely ate the acknowledgement — and the redo pass has already
 	// repeated its effects; everyone else is aborted.
-	stableCommitted := make(map[wal.TxnID]bool)
-	for _, n := range db.downNodes() {
-		v, err := db.view(n, true)
-		if err != nil {
-			return err
-		}
-		for t := range v.committed {
-			stableCommitted[t] = true
-		}
-	}
 	db.eachTxn(func(nc *nodeCtl, st *txnState) {
 		if st.stat() != TxnActive || !st.crashed.Load() {
 			return
 		}
-		if stableCommitted[st.id] {
+		if v := vs[st.id.Node()]; v.live == nil && v.committed[st.id] {
 			st.status.Store(int32(TxnCommitted))
 			nc.stats.Commits++
 			for i := range st.writes {
@@ -429,7 +420,6 @@ func (db *DB) recoverOnce(alive []machine.NodeID, rep *RecoveryReport) error {
 		nc.stats.TxnsAbortedByRecovery++
 		rep.Aborted = append(rep.Aborted, st.id)
 	})
-	_ = aborted
 
 	// 5. Parallel transactions (section 9): a crashed branch dooms its
 	// whole family; surviving branches are rolled back from their own
@@ -501,14 +491,16 @@ func (db *DB) flushAllCaches(alive []machine.NodeID, rep *RecoveryReport) {
 	}
 }
 
-// logView is the recovery-visible portion of one node's log. Survivor views
-// wrap the live log and iterate it in place under the log mutex (no record
-// copying); crashed-node views hold the decoded stable prefix — the volatile
-// tail died with the node.
+// logView is the recovery-visible portion of one node's log, with the
+// summary every phase consults. Survivor views wrap the live log and iterate
+// it in place under the log mutex (no record copying); a down node's view
+// holds its stable prefix, read from the device once — the volatile tail died
+// with the node. Either way a scan hands out pointers to records that are
+// never rewritten, so a phase may keep them for the rest of the attempt.
 type logView struct {
 	node   machine.NodeID
-	live   *wal.Log     // survivors: scanned in place (nil for crashed views)
-	stable []wal.Record // crashed nodes: decoded stable prefix
+	live   *wal.Log     // survivors: scanned in place (nil for down nodes)
+	stable []wal.Record // down nodes: the stable prefix
 	// ckptLSN is the LSN just past the last visible checkpoint record (1 if
 	// none), the redo scan's starting point.
 	ckptLSN   wal.LSN
@@ -521,31 +513,43 @@ type logView struct {
 // stopping early if fn returns false. Survivor views run fn under the live
 // log's mutex: fn must not call back into that log (appending from inside the
 // scan would self-deadlock).
-func (v *logView) scanFrom(from wal.LSN, fn func(wal.Record) bool) {
+func (v *logView) scanFrom(from wal.LSN, fn func(*wal.Record) bool) {
 	if v.live != nil {
-		v.live.Scan(from, fn)
+		v.live.Each(from, fn)
 		return
 	}
-	for _, r := range v.stable {
-		if r.LSN < from {
-			continue
-		}
-		if !fn(r) {
+	for i := range v.stable {
+		if v.stable[i].LSN >= from && !fn(&v.stable[i]) {
 			return
 		}
 	}
 }
 
 // scan visits every visible record (see scanFrom).
-func (v *logView) scan(fn func(wal.Record) bool) { v.scanFrom(1, fn) }
+func (v *logView) scan(fn func(*wal.Record) bool) { v.scanFrom(1, fn) }
 
 // scanFromCkpt visits the records after the last visible checkpoint.
-func (v *logView) scanFromCkpt(fn func(wal.Record) bool) { v.scanFrom(v.ckptLSN, fn) }
+func (v *logView) scanFromCkpt(fn func(*wal.Record) bool) { v.scanFrom(v.ckptLSN, fn) }
 
-// view builds the recovery-visible log view of node n: survivors expose
-// their full logs (their memory survived); crashed nodes only their stable
-// prefixes.
-func (db *DB) view(n machine.NodeID, isCrashed bool) (*logView, error) {
+// views builds one recovery attempt's view set, indexed by node: survivors
+// (the nodes in alive) expose their full logs — their memory survived — and
+// every other node, listed in down, only its stable prefix. It is filled
+// here, before any fan-out, so the parallel phases only ever read it.
+func (db *DB) views(alive []machine.NodeID) (vs []*logView, down []machine.NodeID) {
+	up := nodeSet(alive)
+	vs = make([]*logView, db.M.Nodes())
+	for i := range vs {
+		n := machine.NodeID(i)
+		vs[i] = db.view(n, !up[n])
+		if !up[n] {
+			down = append(down, n)
+		}
+	}
+	return vs, down
+}
+
+// view reads and summarises node n's log for views.
+func (db *DB) view(n machine.NodeID, isDown bool) *logView {
 	v := &logView{
 		node:      n,
 		ckptLSN:   1,
@@ -553,16 +557,12 @@ func (db *DB) view(n machine.NodeID, isCrashed bool) (*logView, error) {
 		aborted:   make(map[wal.TxnID]bool),
 		ntaDone:   make(map[uint64]bool),
 	}
-	if isCrashed {
-		recs, err := db.Logs[n].StableRecords()
-		if err != nil {
-			return nil, err
-		}
-		v.stable = recs
+	if isDown {
+		v.stable = db.Logs[n].StableRecords()
 	} else {
 		v.live = db.Logs[n]
 	}
-	v.scan(func(r wal.Record) bool {
+	v.scan(func(r *wal.Record) bool {
 		switch r.Type {
 		case wal.TypeCommit:
 			v.committed[r.Txn] = true
@@ -575,7 +575,7 @@ func (db *DB) view(n machine.NodeID, isCrashed bool) (*logView, error) {
 		}
 		return true
 	})
-	return v, nil
+	return v
 }
 
 // txnDead reports whether t is known to the engine as aborted — including
@@ -599,10 +599,11 @@ func (db *DB) txnLive(t wal.TxnID) bool {
 }
 
 // redoCand is one redo candidate produced by the scan phase: a log record
-// whose effect may be missing, plus the node that will replay it.
+// whose effect may be missing, plus the node that will replay it. It refers
+// to the record where the attempt's view holds it (see logView).
 type redoCand struct {
 	onto machine.NodeID
-	rec  wal.Record
+	rec  *wal.Record
 }
 
 // collectRedo is the redo scan phase: it gathers redo candidates from every
@@ -615,36 +616,27 @@ type redoCand struct {
 // their uncommitted updates are not repeated, as they are about to be undone
 // anyway. Version comparison in the apply phase makes redo idempotent and
 // order-independent across logs.
-func (db *DB) collectRedo(alive []machine.NodeID, rep *RecoveryReport) ([]redoCand, error) {
+func (db *DB) collectRedo(vs []*logView, coord machine.NodeID, rep *RecoveryReport) []redoCand {
 	if w := db.parWorkers(); w > 1 {
-		return db.collectRedoPar(alive, rep, w)
+		return db.collectRedoPar(vs, coord, rep, w)
 	}
-	coord := alive[0]
 	var cands []redoCand
-	for n := machine.NodeID(0); int(n) < db.M.Nodes(); n++ {
-		part, err := db.collectRedoNode(n, coord)
-		if err != nil {
-			return nil, err
-		}
-		cands = append(cands, part...)
+	for _, v := range vs {
+		cands = db.collectRedoNode(v, coord, cands)
 	}
-	return cands, nil
+	return cands
 }
 
-// collectRedoNode gathers one node's redo candidates (the per-log unit the
-// parallel scan fans out over; candidates come back in log order).
-func (db *DB) collectRedoNode(n, coord machine.NodeID) ([]redoCand, error) {
-	isDown := !db.M.Alive(n)
-	v, err := db.view(n, isDown)
-	if err != nil {
-		return nil, err
-	}
-	onto := n
+// collectRedoNode appends one node's redo candidates to cands, in log order
+// (the per-log unit the parallel scan fans out over).
+func (db *DB) collectRedoNode(v *logView, coord machine.NodeID, cands []redoCand) []redoCand {
+	isDown := v.live == nil
+	onto := v.node
 	if isDown {
 		onto = coord
 	}
-	var cands []redoCand
-	v.scanFromCkpt(func(rec wal.Record) bool {
+	before := len(cands)
+	v.scanFromCkpt(func(rec *wal.Record) bool {
 		if rec.Type != wal.TypeUpdate && rec.Type != wal.TypeCLR {
 			return true
 		}
@@ -669,8 +661,8 @@ func (db *DB) collectRedoNode(n, coord machine.NodeID) ([]redoCand, error) {
 		cands = append(cands, redoCand{onto: onto, rec: rec})
 		return true
 	})
-	db.wfProgress().Note(obs.PhaseRedoScan.String(), len(cands), 0)
-	return cands, nil
+	db.wfProgress().Note(obs.PhaseRedoScan.String(), len(cands)-before, 0)
+	return cands
 }
 
 // probeRedo is the residency probe phase (the "cache miss with I/O disabled"
@@ -720,25 +712,21 @@ func (db *DB) applyRedo(cands []redoCand, rep *RecoveryReport) error {
 	return db.applyRedoSlice(cands, rep, db.arena(0))
 }
 
-// redoLog replays one log view's post-checkpoint records on behalf of node
-// onto (the log owner itself for survivors; the coordinator for crashed
-// nodes).
-func (db *DB) redoLog(onto machine.NodeID, v *logView, isCrashed bool, rep *RecoveryReport) error {
+// redoLog replays a down node's post-checkpoint stable records on behalf of
+// node onto. Only effects that are logically committed are repeated from a
+// dead node's log.
+func (db *DB) redoLog(onto machine.NodeID, v *logView, rep *RecoveryReport) error {
 	var redoErr error
-	v.scanFromCkpt(func(rec wal.Record) bool {
+	v.scanFromCkpt(func(rec *wal.Record) bool {
 		if rec.Type != wal.TypeUpdate && rec.Type != wal.TypeCLR {
 			return true
 		}
-		if isCrashed {
-			// Only effects that are logically committed are repeated
-			// from a dead node's log.
-			switch {
-			case rec.Type == wal.TypeCLR:
-			case rec.NTA != 0 && v.ntaDone[rec.NTA]:
-			case v.committed[rec.Txn]:
-			default:
-				return true
-			}
+		switch {
+		case rec.Type == wal.TypeCLR:
+		case rec.NTA != 0 && v.ntaDone[rec.NTA]:
+		case v.committed[rec.Txn]:
+		default:
+			return true
 		}
 		rid := heap.RID{Page: rec.Page, Slot: rec.Slot}
 		if err := db.redoRecord(onto, rec, rid, rep); err != nil {
@@ -751,7 +739,7 @@ func (db *DB) redoLog(onto machine.NodeID, v *logView, isCrashed bool, rep *Reco
 }
 
 // redoRecord applies one update/CLR record if its effect is missing.
-func (db *DB) redoRecord(nd machine.NodeID, rec wal.Record, rid heap.RID, rep *RecoveryReport) error {
+func (db *DB) redoRecord(nd machine.NodeID, rec *wal.Record, rid heap.RID, rep *RecoveryReport) error {
 	line, _, err := db.Store.LineOf(rid)
 	if err != nil {
 		return err
@@ -800,17 +788,15 @@ func (db *DB) redoRecord(nd machine.NodeID, rec wal.Record, rid heap.RID, rep *R
 	return nil
 }
 
-// undoCrashed rolls back the crashed nodes' active transactions using their
-// stable logs: every update whose effect is still present is reverted to
-// the transaction's earliest before image for that slot (the last committed
-// value, by strict 2PL). Incomplete structural changes (an NTA with no
-// stable end record) are undone too. Returns the crashed-active set found.
-func (db *DB) undoCrashed(coord machine.NodeID, crashed []machine.NodeID, rep *RecoveryReport) (map[wal.TxnID]bool, error) {
-	found := make(map[wal.TxnID]bool)
-	for _, n := range crashed {
-		v, err := db.view(n, true)
-		if err != nil {
-			return nil, err
+// undoCrashed rolls back the down nodes' active transactions using their
+// stable logs (the down views of vs): every update whose effect is still
+// present is reverted to the transaction's earliest before image for that
+// slot (the last committed value, by strict 2PL). Incomplete structural
+// changes (an NTA with no stable end record) are undone too.
+func (db *DB) undoCrashed(coord machine.NodeID, vs []*logView, rep *RecoveryReport) error {
+	for _, v := range vs {
+		if v.live != nil {
+			continue
 		}
 		// Active on the crashed node = stable records, no stable
 		// commit/abort.
@@ -819,7 +805,7 @@ func (db *DB) undoCrashed(coord machine.NodeID, crashed []machine.NodeID, rep *R
 			versions map[uint64]bool
 		}
 		undoByTxn := make(map[wal.TxnID]map[heap.RID]*slotUndo)
-		v.scan(func(rec wal.Record) bool {
+		v.scan(func(rec *wal.Record) bool {
 			if rec.Type != wal.TypeUpdate {
 				return true
 			}
@@ -829,7 +815,6 @@ func (db *DB) undoCrashed(coord machine.NodeID, crashed []machine.NodeID, rep *R
 			if rec.NTA != 0 && v.ntaDone[rec.NTA] {
 				return true // early-committed structural change: keep
 			}
-			found[rec.Txn] = true
 			m := undoByTxn[rec.Txn]
 			if m == nil {
 				m = make(map[heap.RID]*slotUndo)
@@ -871,7 +856,7 @@ func (db *DB) undoCrashed(coord machine.NodeID, crashed []machine.NodeID, rep *R
 				su := m[rid]
 				cur, err := db.Read(coord, rid)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if !su.versions[cur.Version] {
 					// The transaction's update is not present (it was
@@ -880,15 +865,17 @@ func (db *DB) undoCrashed(coord machine.NodeID, crashed []machine.NodeID, rep *R
 					// older value.
 					continue
 				}
-				if err := db.installImage(coord, rid, su.earliest, txn); err != nil {
-					return nil, err
+				// The compensation record outlives the attempt: it gets its own
+				// copy of the image, not a slice of the view's device bytes.
+				if err := db.installImage(coord, rid, slices.Clone(su.earliest), txn); err != nil {
+					return err
 				}
 				rep.UndoApplied++
 				db.wfProgress().Note(obs.PhaseUndo.String(), 1, len(su.earliest))
 			}
 		}
 	}
-	return found, nil
+	return nil
 }
 
 // undoTagScan is the Selective Redo undo phase: every surviving node
@@ -906,9 +893,9 @@ func (db *DB) undoCrashed(coord machine.NodeID, crashed []machine.NodeID, rep *R
 // survived intact — contains an update record for exactly this slot and
 // version belonging to a transaction that is still active; otherwise the
 // record is no longer active and the tag is nulled.
-func (db *DB) undoTagScan(alive, crashed []machine.NodeID, rep *RecoveryReport) error {
+func (db *DB) undoTagScan(alive, crashed []machine.NodeID, vs []*logView, rep *RecoveryReport) error {
 	if w := db.parWorkers(); w > 1 {
-		return db.undoTagScanPar(alive, crashed, rep, w)
+		return db.undoTagScanPar(alive, crashed, vs, rep, w)
 	}
 	down := nodeSet(crashed)
 	// Per-surviving-node index, built lazily on the first surviving tag that
@@ -918,7 +905,7 @@ func (db *DB) undoTagScan(alive, crashed []machine.NodeID, rep *RecoveryReport) 
 		if m, ok := taggers[n]; ok {
 			return m
 		}
-		m := db.buildTaggerIndex(n)
+		m := buildTaggerIndex(vs[n])
 		taggers[n] = m
 		return m
 	}
@@ -932,7 +919,7 @@ func (db *DB) undoTagScan(alive, crashed []machine.NodeID, rep *RecoveryReport) 
 			return err
 		}
 		rep.TagScanLines += lines
-		if err := db.applyTagActions(acts, crashed, rep); err != nil {
+		if err := db.applyTagActions(acts, vs, rep); err != nil {
 			return err
 		}
 	}
@@ -954,13 +941,12 @@ type slotVer struct {
 	ver uint64
 }
 
-// buildTaggerIndex indexes node n's log by (rid, version) -> updating
-// transaction, for stale-tag verification. The log is iterated in place
-// (wal.Log.Scan); the callback only fills the map, so it is safe under the
-// log mutex.
-func (db *DB) buildTaggerIndex(n machine.NodeID) map[slotVer]wal.TxnID {
+// buildTaggerIndex indexes a survivor's log by (rid, version) -> updating
+// transaction, for stale-tag verification. The log is iterated in place; the
+// callback only fills the map, so it is safe under the log mutex.
+func buildTaggerIndex(v *logView) map[slotVer]wal.TxnID {
 	m := make(map[slotVer]wal.TxnID)
-	db.Logs[n].Scan(1, func(rec wal.Record) bool {
+	v.scan(func(rec *wal.Record) bool {
 		if rec.Type == wal.TypeUpdate && rec.NTA == 0 {
 			m[slotVer{heap.RID{Page: rec.Page, Slot: rec.Slot}, rec.Version}] = rec.Txn
 		}
@@ -1016,7 +1002,7 @@ func (db *DB) scanNodeTags(nd machine.NodeID, down map[machine.NodeID]bool, tagg
 }
 
 // applyTagActions performs the repairs a tag scan decided on.
-func (db *DB) applyTagActions(acts []tagAction, crashed []machine.NodeID, rep *RecoveryReport) error {
+func (db *DB) applyTagActions(acts []tagAction, vs []*logView, rep *RecoveryReport) error {
 	for _, a := range acts {
 		if !a.undo {
 			if err := db.clearStaleTag(a.nd, a.rid); err != nil {
@@ -1024,7 +1010,7 @@ func (db *DB) applyTagActions(acts []tagAction, crashed []machine.NodeID, rep *R
 			}
 			continue
 		}
-		img, err := db.lastCommittedFromStable(a.nd, a.rid, crashed)
+		img, err := db.lastCommittedFromStable(a.nd, a.rid, vs)
 		if err != nil {
 			return err
 		}
@@ -1054,16 +1040,11 @@ func (db *DB) clearStaleTag(nd machine.NodeID, rid heap.RID) error {
 // to a committed transaction (or is itself a compensation or committed
 // structural record) in any available log; if none is found, the stable
 // database's image.
-func (db *DB) lastCommittedFromStable(nd machine.NodeID, rid heap.RID, crashed []machine.NodeID) ([]byte, error) {
-	_ = crashed
+func (db *DB) lastCommittedFromStable(nd machine.NodeID, rid heap.RID, vs []*logView) ([]byte, error) {
 	var best []byte
 	var bestVersion uint64
-	for n := machine.NodeID(0); int(n) < len(db.Logs); n++ {
-		v, err := db.view(n, !db.M.Alive(n))
-		if err != nil {
-			return nil, err
-		}
-		v.scan(func(rec wal.Record) bool {
+	for _, v := range vs {
+		v.scan(func(rec *wal.Record) bool {
 			if rec.Page != rid.Page || rec.Slot != rid.Slot {
 				return true
 			}
@@ -1086,7 +1067,8 @@ func (db *DB) lastCommittedFromStable(nd machine.NodeID, rid heap.RID, crashed [
 		})
 	}
 	if best != nil {
-		return best, nil
+		// The caller logs the image: hand it a copy, not a slice of a view.
+		return slices.Clone(best), nil
 	}
 	// Fall back to the stable database image (retrying transient injected
 	// I/O errors — recovery must outlast a flaky disk).
@@ -1112,15 +1094,15 @@ func (db *DB) lastCommittedFromStable(nd machine.NodeID, rid heap.RID, crashed [
 // idempotent (a present holder or waiter entry is not duplicated), so
 // surviving LCBs are unaffected while destroyed ones are rebuilt — with
 // read locks included, which is why IFA logs them.
-func (db *DB) replaySurvivorLocks(alive []machine.NodeID, rep *RecoveryReport) (int, error) {
+func (db *DB) replaySurvivorLocks(alive []machine.NodeID, vs []*logView, rep *RecoveryReport) (int, error) {
 	db.Locks.SetLogSuppressed(true)
 	defer db.Locks.SetLogSuppressed(false)
 	if w := db.parWorkers(); w > 1 {
-		return db.replaySurvivorLocksPar(alive, rep, w)
+		return db.replaySurvivorLocksPar(alive, vs, rep, w)
 	}
 	replayed := 0
 	for _, n := range alive {
-		nr, err := db.replayNodeLocks(n)
+		nr, err := db.replayNodeLocks(vs[n])
 		replayed += nr
 		if err != nil {
 			return replayed, err
@@ -1133,14 +1115,15 @@ func (db *DB) replaySurvivorLocks(alive []machine.NodeID, rep *RecoveryReport) (
 // unit the parallel pipeline fans out over; each node's pre-crash holdings
 // were simultaneously granted, hence mutually compatible, so per-node replays
 // re-grant without waiting in any order).
-func (db *DB) replayNodeLocks(n machine.NodeID) (int, error) {
+func (db *DB) replayNodeLocks(v *logView) (int, error) {
+	n := v.node
 	type lockKey struct {
 		txn  wal.TxnID
 		name uint64
 	}
 	held := make(map[lockKey]bool)
 	order := []lockKey{}
-	db.Logs[n].Scan(1, func(rec wal.Record) bool {
+	v.scan(func(rec *wal.Record) bool {
 		k := lockKey{rec.Txn, rec.Lock}
 		switch rec.Type {
 		case wal.TypeLockAcquire:
@@ -1236,22 +1219,15 @@ func (db *DB) baselineReboot(rep *RecoveryReport, phase func(obs.Phase)) error {
 	}
 	phase(obs.PhaseDirectoryRepair)
 	// Redo committed effects from every node's stable log.
-	for n := machine.NodeID(0); int(n) < db.M.Nodes(); n++ {
-		v, err := db.view(n, true) // stable prefix only: everything volatile died
-		if err != nil {
-			return err
-		}
-		if err := db.redoLog(coord, v, true, rep); err != nil {
+	vs, _ := db.views(nil) // stable prefixes only: everything volatile died
+	for _, v := range vs {
+		if err := db.redoLog(coord, v, rep); err != nil {
 			return err
 		}
 	}
 	phase(obs.PhaseRedoApply)
 	// Undo stolen uncommitted updates from the stable logs.
-	all := make([]machine.NodeID, db.M.Nodes())
-	for i := range all {
-		all[i] = machine.NodeID(i)
-	}
-	if _, err := db.undoCrashed(coord, all, rep); err != nil {
+	if err := db.undoCrashed(coord, vs, rep); err != nil {
 		return err
 	}
 	phase(obs.PhaseUndo)

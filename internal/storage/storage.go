@@ -8,6 +8,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -163,6 +164,7 @@ type LogDevice struct {
 	chunks [][]byte
 	size   int64
 	forces int64
+	reads  int64
 	// fault is read on every append and written almost never, and the hook
 	// must run outside mu (it takes its own lock): an atomic pointer lets
 	// Append take mu once.
@@ -230,15 +232,20 @@ func (d *LogDevice) Forces() int64 {
 	return d.forces
 }
 
+// Reads returns the number of Contents calls (whole-device reads).
+func (d *LogDevice) Reads() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.reads
+}
+
 // Contents returns a copy of the entire stable log.
 func (d *LogDevice) Contents() []byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]byte, 0, d.size)
-	for _, c := range d.chunks {
-		out = append(out, c...)
-	}
-	return out
+	d.reads++
+	// Join allocates the copy without clearing it first.
+	return bytes.Join(d.chunks, nil)
 }
 
 // Truncate replaces the device contents with keep — log-space reclamation

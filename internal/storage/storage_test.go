@@ -107,6 +107,10 @@ func TestLogDeviceAppend(t *testing.T) {
 	if got := d.Contents(); string(got) != "abcde" {
 		t.Errorf("Contents = %q", got)
 	}
+	// Only Contents is a device read; Size and Forces are not.
+	if d.Reads() != 1 {
+		t.Errorf("Reads = %d, want 1", d.Reads())
+	}
 }
 
 func TestLogDeviceContentsIsCopy(t *testing.T) {

@@ -121,12 +121,8 @@ func NewLog(n machine.NodeID, dev *storage.LogDevice) (*Log, error) {
 		lastByTxn: make(map[TxnID]LSN), firstByTxn: make(map[TxnID]LSN)}
 	if dev.Size() > 0 {
 		contents := dev.Contents()
-		recs, torn := DecodeAll(contents)
-		if torn > 0 {
-			dev.Truncate(contents[:len(contents)-torn])
-			l.tornBytes = torn
-		}
-		l.forced = len(recs)
+		l.forced, l.tornBytes = repairTail(dev, contents)
+		recs := decodePrefix(contents, l.forced, 0)
 		for i := range recs {
 			l.push(&recs[i])
 			if recs[i].Type == TypeCheckpoint {
@@ -431,10 +427,18 @@ func (l *Log) Reopen() {
 		l.gf.downCh = make(chan struct{})
 		l.gf.downClosed = false
 	}
-	contents := l.dev.Contents()
-	if _, torn := DecodeAll(contents); torn > 0 {
-		l.dev.Truncate(contents[:len(contents)-torn])
+	repairTail(l.dev, l.dev.Contents())
+}
+
+// repairTail truncates dev, whose contents were just read, at the end of
+// their valid prefix. It returns the records in that prefix and the torn
+// bytes cut off.
+func repairTail(dev *storage.LogDevice, contents []byte) (n, torn int) {
+	n, size := stablePrefix(contents)
+	if torn = len(contents) - size; torn > 0 {
+		dev.Truncate(contents[:size])
 	}
+	return n, torn
 }
 
 // TornBytes returns the cumulative stable-tail bytes discarded because a
@@ -481,13 +485,14 @@ func (l *Log) Records(from LSN) []Record {
 	return out
 }
 
-// Scan calls fn for every record with LSN >= from (use 1 for all) in LSN
-// order, stopping early if fn returns false. The whole scan runs under the
-// log mutex with no copying, so it is the zero-allocation alternative to
-// Records for recovery's hot read-only passes. Retaining a Record value is
-// safe (records are never mutated in place), but fn must not call back into
-// this Log — an Append/Force from inside fn would self-deadlock.
-func (l *Log) Scan(from LSN, fn func(Record) bool) {
+// Each calls fn with a pointer to every record with LSN >= from (use 1 for
+// all) in LSN order, stopping early if fn returns false. The whole scan runs
+// under the log mutex with no copying, so fn must not call back into this
+// Log — an Append/Force from inside fn would self-deadlock. fn may keep the
+// pointer but not write through it: a retained record is never rewritten or
+// moved. Only the slots of a volatile tail lost in a Crash are used again, by
+// the next incarnation's appends, so every pointer is good until Reopen.
+func (l *Log) Each(from LSN, fn func(*Record) bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if from < l.first {
@@ -495,12 +500,17 @@ func (l *Log) Scan(from LSN, fn func(Record) bool) {
 	}
 	l.span(int(from-l.first), l.n, func(run []Record) bool {
 		for i := range run {
-			if !fn(run[i]) {
+			if !fn(&run[i]) {
 				return false
 			}
 		}
 		return true
 	})
+}
+
+// Scan is Each handing fn a copy of each record.
+func (l *Log) Scan(from LSN, fn func(Record) bool) {
+	l.Each(from, func(r *Record) bool { return fn(*r) })
 }
 
 // Get returns the record at the given LSN.
@@ -580,17 +590,16 @@ func (l *Log) DiscardThrough(upto LSN) int {
 	return drop
 }
 
-// StableRecords decodes and returns the records on the stable device,
-// re-based to their true LSNs. It is what restart recovery can read for a
-// crashed node. A torn tail is ignored (recovery reads only the
-// checksum-valid prefix; the tail is truncated at Reopen).
-func (l *Log) StableRecords() ([]Record, error) {
-	recs, _ := DecodeAll(l.dev.Contents())
+// StableRecords reads the stable device once and returns the records of its
+// checksum-valid prefix, re-based to their true LSNs — what restart recovery
+// can read for a crashed node. A torn tail is ignored (Reopen truncates it).
+// The images alias this call's private copy of the device bytes, never the
+// device: later forces, truncations and appends leave them alone.
+func (l *Log) StableRecords() []Record {
+	buf := l.dev.Contents()
+	n, _ := stablePrefix(buf)
 	l.mu.Lock()
 	base := l.first - 1
 	l.mu.Unlock()
-	for i := range recs {
-		recs[i].LSN += base
-	}
-	return recs, nil
+	return decodePrefix(buf, n, base)
 }

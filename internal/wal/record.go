@@ -244,3 +244,82 @@ func DecodeAll(buf []byte) (recs []Record, tornBytes int) {
 	}
 	return recs, 0
 }
+
+// frameLen checks the frame at the front of buf — a whole header, a whole
+// body, a matching checksum — and returns its length, 0 if it is torn or
+// corrupt.
+func frameLen(buf []byte) int {
+	if len(buf) < recHeaderLen {
+		return 0
+	}
+	n := recHeaderLen + int(binary.LittleEndian.Uint32(buf))
+	if len(buf) < n || crc32.ChecksumIEEE(buf[recHeaderLen:n]) != binary.LittleEndian.Uint32(buf[4:]) {
+		return 0
+	}
+	return n
+}
+
+// parseBody decodes a checksum-verified record body into r under Unmarshal's
+// rules, except that r's images alias body instead of copying it. It reports
+// whether the body is well formed.
+func parseBody(body []byte, r *Record) bool {
+	if len(body) < 52 {
+		return false
+	}
+	nb := int(binary.LittleEndian.Uint16(body[48:]))
+	if 50+nb+2 > len(body) {
+		return false
+	}
+	na := int(binary.LittleEndian.Uint16(body[50+nb:]))
+	if 52+nb+na > len(body) {
+		return false
+	}
+	*r = Record{
+		Type:    RecordType(body[0]),
+		Mode:    body[1],
+		Txn:     TxnID(binary.LittleEndian.Uint64(body[2:])),
+		PrevLSN: LSN(binary.LittleEndian.Uint64(body[10:])),
+		Page:    storage.PageID(binary.LittleEndian.Uint32(body[18:])),
+		Slot:    binary.LittleEndian.Uint16(body[22:]),
+		Version: binary.LittleEndian.Uint64(body[24:]),
+		Lock:    binary.LittleEndian.Uint64(body[32:]),
+		NTA:     binary.LittleEndian.Uint64(body[40:]),
+	}
+	if nb > 0 {
+		r.Before = body[50 : 50+nb : 50+nb]
+	}
+	if na > 0 {
+		r.After = body[52+nb : 52+nb+na : 52+nb+na]
+	}
+	return true
+}
+
+// stablePrefix walks a log device's contents and returns the record count and
+// byte length of their valid prefix: it stops where DecodeAll stops, at the
+// first torn, checksum-corrupt or malformed record, but builds nothing.
+func stablePrefix(buf []byte) (n, size int) {
+	var r Record
+	for size < len(buf) {
+		k := frameLen(buf[size:])
+		if k == 0 || !parseBody(buf[size+recHeaderLen:size+k], &r) {
+			break
+		}
+		n++
+		size += k
+	}
+	return n, size
+}
+
+// decodePrefix decodes the n records stablePrefix counted in buf into one
+// exactly-sized slice, with LSNs base+1..base+n. The images alias buf, so the
+// caller hands over a buffer nothing else will write.
+func decodePrefix(buf []byte, n int, base LSN) []Record {
+	recs := make([]Record, n)
+	for i := range recs {
+		k := recHeaderLen + int(binary.LittleEndian.Uint32(buf))
+		parseBody(buf[recHeaderLen:k], &recs[i])
+		recs[i].LSN = base + LSN(i) + 1
+		buf = buf[k:]
+	}
+	return recs
+}

@@ -93,6 +93,7 @@ func BenchmarkLogScan(b *testing.B) {
 			b.Fatal("empty scan")
 		}
 	}
+	b.ReportMetric(float64(l.Len())*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
 // BenchmarkLogRecords is the baseline Scan replaces: a full-slice copy per
@@ -106,4 +107,5 @@ func BenchmarkLogRecords(b *testing.B) {
 			b.Fatal("empty scan")
 		}
 	}
+	b.ReportMetric(float64(l.Len())*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
