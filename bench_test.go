@@ -132,60 +132,6 @@ func BenchmarkRestartRecovery(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelRecovery regenerates experiment E18: host wall-clock
-// makespan of restart recovery as the worker fan-out grows on a
-// multi-survivor config. Recovery work is worker-invariant (the equivalence
-// gate in internal/recovery); the reported speedup/N metrics are host
-// wall-clock and therefore bounded by GOMAXPROCS — the ≥2x-at-4-workers
-// expectation applies on hosts with GOMAXPROCS >= 4.
-func BenchmarkParallelRecovery(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := harness.RunParRecovery(int64(i+1), []int{0, 1, 2, 4, 8})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			printTable(b, "parrecovery", res.Table())
-			for _, p := range res.Points {
-				if p.Protocol != recovery.VolatileSelectiveRedo || p.Workers == 0 {
-					continue
-				}
-				b.ReportMetric(p.Speedup, metricName("speedup/"+string('0'+byte(p.Workers))+"-workers"))
-			}
-		}
-	}
-}
-
-// BenchmarkRecoveryProfile regenerates experiment E20: the profiled E18
-// recovery, with wall time attributed to worker busy / stripe lock-wait /
-// condvar-wait / fan-out idle / merge buckets. The coverage metrics are the
-// attributed fraction of host wall time per worker count (the acceptance bar
-// is 0.9); like E18's speedups they are host wall-clock quantities, so
-// bucket shapes at 4/8 workers only reflect real parallelism when
-// GOMAXPROCS grants it.
-func BenchmarkRecoveryProfile(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := harness.RunRecoveryProfile(int64(i+1), []int{0, 2, 4, 8})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			printTable(b, "recoveryprofile", res.Report())
-			for _, p := range res.Points {
-				label := "seq"
-				if p.Workers > 0 {
-					label = string('0'+byte(p.Workers)) + "-workers"
-				}
-				b.ReportMetric(p.Coverage, metricName("coverage/"+label))
-				if p.Wall > 0 {
-					b.ReportMetric(float64(p.LockWaitNS+p.CondWaitNS)/float64(p.Wall.Nanoseconds()),
-						metricName("wait-share/"+label))
-				}
-			}
-		}
-	}
-}
-
 // BenchmarkLogForceFrequency regenerates experiment E6: physical log-force
 // frequency of eager vs triggered Stable LBM vs Volatile LBM as inter-node
 // sharing grows.

@@ -222,14 +222,6 @@ var experiments = []experiment{
 			}
 			return res.Report(), nil
 		}},
-	{"workbalance", "E23", "per-worker busy/idle balance: per-item dispatch vs work-stealing chunks", "this implementation's recovery fan-out; the E18 workload A/B'd on the dispatch strategy",
-		func(seed int64, _ *obs.Observer) (string, error) {
-			res, err := harness.RunWorkBalance(seed, obsFlags.RecoverWorkers)
-			if err != nil {
-				return "", err
-			}
-			return res.Table(), nil
-		}},
 	{"waterfall", "E22", "per-transaction latency waterfalls: causal attribution coverage, tail samples, and recorder overhead", "this implementation's observability layer; sections 5-6 (where each transaction's time went)",
 		func(seed int64, _ *obs.Observer) (string, error) {
 			res, err := harness.RunWaterfall(seed)

@@ -306,69 +306,6 @@ func (p PhaseProf) BusyWallNS() int64 {
 	return int64(float64(p.WallNS) * float64(p.BusyNS()) / float64(p.WorkerWallNS))
 }
 
-// PhaseBalance is one phase's worker load-balance summary: how evenly the
-// fan-out's busy time spread across workers, and what fraction of the
-// phase's worker-seconds were spent idle (queue-empty or parked at the end
-// barrier). Experiment E23 reports these before/after the work-stealing
-// chunker to show where the parallel speedup comes from.
-type PhaseBalance struct {
-	Phase      string `json:"phase"`
-	Workers    int    `json:"workers"`
-	Tasks      int64  `json:"tasks"`
-	MeanBusyNS int64  `json:"mean_busy_ns"`
-	MinBusyNS  int64  `json:"min_busy_ns"`
-	MaxBusyNS  int64  `json:"max_busy_ns"`
-	// Imbalance is max/mean worker busy time: 1.0 is a perfectly level
-	// fan-out, W (the worker count) is one worker doing everything.
-	Imbalance float64 `json:"imbalance"`
-	// IdleFraction is Σwait / (Σbusy + Σwait): the share of worker-time the
-	// phase's critical path left on the table.
-	IdleFraction float64 `json:"idle_fraction"`
-}
-
-// Balance summarizes the phase's per-worker busy/idle spread.
-func (p PhaseProf) Balance() PhaseBalance {
-	b := PhaseBalance{Phase: p.Phase, Workers: len(p.Workers)}
-	if len(p.Workers) == 0 {
-		return b
-	}
-	var busy, wait int64
-	b.MinBusyNS = p.Workers[0].BusyNS
-	for i := range p.Workers {
-		c := &p.Workers[i]
-		busy += c.BusyNS
-		wait += c.WaitNS
-		b.Tasks += c.Tasks
-		if c.BusyNS < b.MinBusyNS {
-			b.MinBusyNS = c.BusyNS
-		}
-		if c.BusyNS > b.MaxBusyNS {
-			b.MaxBusyNS = c.BusyNS
-		}
-	}
-	b.MeanBusyNS = busy / int64(len(p.Workers))
-	if b.MeanBusyNS > 0 {
-		b.Imbalance = float64(b.MaxBusyNS) / float64(b.MeanBusyNS)
-	}
-	if busy+wait > 0 {
-		b.IdleFraction = float64(wait) / float64(busy+wait)
-	}
-	return b
-}
-
-// Balances summarizes every phase in the snapshot, skipping phases that
-// recorded no worker activity.
-func (s WorkerSnapshot) Balances() []PhaseBalance {
-	var out []PhaseBalance
-	for _, p := range s.Phases {
-		if len(p.Workers) == 0 {
-			continue
-		}
-		out = append(out, p.Balance())
-	}
-	return out
-}
-
 type phaseAgg struct {
 	prof PhaseProf
 }

@@ -3,10 +3,11 @@ package recovery
 import "smdb/internal/machine"
 
 // recArena is one worker slot's reusable recovery scratch: run boundaries
-// and precomputed undo tags for the batched redo apply. Each slot is owned by exactly one
-// goroutine at a time (fan-out worker w, or the sequential pipeline on slot
-// 0), so no locking; buffers grow to the high-water mark of the workload
-// and are reused across phases and across Recover calls. Explicit reuse
+// and precomputed undo tags for the batched redo apply. Each slot is owned by
+// exactly one goroutine at a time (the executor's worker w; the inline run at
+// one worker or fewer is worker 0), so no locking; buffers grow to the
+// high-water mark of the workload and are reused across phases and across
+// Recover calls. Explicit reuse
 // instead of sync.Pool is deliberate: pooled buffers migrate between
 // goroutines at GC-dependent times, and while no recovery result may
 // legally depend on buffer identity, keeping placement a pure function of
@@ -19,16 +20,10 @@ type recArena struct {
 // arena returns worker slot w's scratch arena. Slots are sized at New from
 // RecoveryWorkers and topped up at Recover's entry if the caller raised it
 // since; out-of-range callers (defensive — forEachChunk never hands out a
-// slot >= RecoveryWorkers) share slot 0 with the sequential pipeline.
+// slot >= RecoveryWorkers) get slot 0.
 func (db *DB) arena(w int) *recArena {
 	if w < 0 || w >= len(db.arenas) {
 		w = 0
 	}
 	return &db.arenas[w]
-}
-
-// reset empties the arena's buffers, keeping their capacity.
-func (a *recArena) reset() {
-	a.runs = a.runs[:0]
-	a.tags = a.tags[:0]
 }

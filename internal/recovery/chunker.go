@@ -11,45 +11,31 @@ package recovery
 // across enough chunk boundaries that no single steal dominates the tail,
 // and small tasks amortize the handout cost.
 //
-// Determinism: the cut points are a pure function of (n, workers, grain,
-// weights) — no scheduling input — and the executor still records results
-// per task index, so which worker ran a chunk never shows in the merge
-// order. The equivalence gate runs identical at every grain.
+// Determinism: the cut points are a pure function of (n, workers, weights) —
+// no scheduling input — and the executor still records results per task
+// index, so which worker ran a chunk never shows in the merge order.
 
 // chunk is one contiguous task-index range [lo, hi).
 type chunk struct{ lo, hi int }
 
-// defaultStealGrain is the target number of chunks per worker when the
-// config does not say otherwise: fine enough to keep the steal queue deep
-// (a worker stuck on a heavy chunk strands at most ~1/grain of the total
-// weight), coarse enough that cursor traffic stays negligible.
-const defaultStealGrain = 4
+// stealGrain is the target number of chunks per worker: fine enough to keep
+// the steal queue deep (a worker stuck on a heavy chunk strands at most
+// ~1/stealGrain of the total weight), coarse enough that cursor traffic
+// stays negligible.
+const stealGrain = 4
 
 // balanceChunks cuts [0, n) into contiguous chunks whose weights are as
-// even as a greedy single pass can make them, targeting about workers*grain
-// chunks. weight(i) is task i's load estimate (nil = unit weights; negative
-// estimates count as zero). grain <= 0 selects defaultStealGrain, except
-// grain == -1 which degrades to one task per chunk — the pre-chunking
-// dispatch, kept selectable so experiment E23 can A/B the two under the
-// same executor.
-func balanceChunks(n, workers, grain int, weight func(int) int) []chunk {
+// even as a greedy single pass can make them, targeting about
+// workers*stealGrain chunks. weight(i) is task i's load estimate (nil = unit
+// weights; negative estimates count as zero).
+func balanceChunks(n, workers int, weight func(int) int) []chunk {
 	if n <= 0 {
 		return nil
-	}
-	if grain == -1 {
-		chunks := make([]chunk, n)
-		for i := range chunks {
-			chunks[i] = chunk{i, i + 1}
-		}
-		return chunks
-	}
-	if grain <= 0 {
-		grain = defaultStealGrain
 	}
 	if workers < 1 {
 		workers = 1
 	}
-	target := workers * grain
+	target := workers * stealGrain
 	if target > n {
 		target = n
 	}

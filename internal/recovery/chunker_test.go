@@ -25,38 +25,27 @@ func checkPartition(t *testing.T, chunks []chunk, n int) {
 	}
 }
 
-// TestBalanceChunksPartition sweeps sizes, worker counts, and grains: every
-// output must be an exact ordered partition of the index space with at most
-// workers*grain (or n) chunks.
+// TestBalanceChunksPartition sweeps sizes and worker counts: every output
+// must be an exact ordered partition of the index space with at most
+// workers*stealGrain (or n) chunks.
 func TestBalanceChunksPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, n := range []int{1, 2, 3, 7, 8, 64, 257} {
 		for _, workers := range []int{1, 2, 4, 13} {
-			for _, grain := range []int{0, 1, 4, 16} {
-				weights := make([]int, n)
-				for i := range weights {
-					weights[i] = rng.Intn(100)
-				}
-				for _, weight := range []func(int) int{nil, func(i int) int { return weights[i] }} {
-					chunks := balanceChunks(n, workers, grain, weight)
-					checkPartition(t, chunks, n)
-					g := grain
-					if g <= 0 {
-						g = defaultStealGrain
-					}
-					max := workers * g
-					if max > n {
-						max = n
-					}
-					if len(chunks) > max {
-						t.Errorf("n=%d workers=%d grain=%d: %d chunks, want <= %d",
-							n, workers, grain, len(chunks), max)
-					}
+			weights := make([]int, n)
+			for i := range weights {
+				weights[i] = rng.Intn(100)
+			}
+			for _, weight := range []func(int) int{nil, func(i int) int { return weights[i] }} {
+				chunks := balanceChunks(n, workers, weight)
+				checkPartition(t, chunks, n)
+				if max := min(workers*stealGrain, n); len(chunks) > max {
+					t.Errorf("n=%d workers=%d: %d chunks, want <= %d", n, workers, len(chunks), max)
 				}
 			}
 		}
 	}
-	if got := balanceChunks(0, 4, 0, nil); got != nil {
+	if got := balanceChunks(0, 4, nil); got != nil {
 		t.Errorf("n=0: got %v, want nil", got)
 	}
 }
@@ -70,25 +59,11 @@ func TestBalanceChunksDeterministic(t *testing.T) {
 		weights[i] = rng.Intn(1000)
 	}
 	w := func(i int) int { return weights[i] }
-	for _, grain := range []int{-1, 0, 2, 8} {
-		a := balanceChunks(len(weights), 4, grain, w)
-		b := balanceChunks(len(weights), 4, grain, w)
+	for _, workers := range []int{1, 2, 4, 8} {
+		a := balanceChunks(len(weights), workers, w)
+		b := balanceChunks(len(weights), workers, w)
 		if !reflect.DeepEqual(a, b) {
-			t.Errorf("grain=%d: two calls disagree:\n  %v\n  %v", grain, a, b)
-		}
-	}
-}
-
-// TestBalanceChunksPerItem: grain == -1 is the legacy one-task-per-chunk
-// dispatch, kept for the E23 A/B — weights must not change it.
-func TestBalanceChunksPerItem(t *testing.T) {
-	chunks := balanceChunks(9, 4, -1, func(i int) int { return i * 50 })
-	if len(chunks) != 9 {
-		t.Fatalf("grain=-1: %d chunks, want 9", len(chunks))
-	}
-	for i, c := range chunks {
-		if c.lo != i || c.hi != i+1 {
-			t.Errorf("chunk %d = %v, want {%d,%d}", i, c, i, i+1)
+			t.Errorf("workers=%d: two calls disagree:\n  %v\n  %v", workers, a, b)
 		}
 	}
 }
@@ -112,9 +87,9 @@ func TestBalanceChunksWeightBalance(t *testing.T) {
 			maxW = w
 		}
 	}
-	chunks := balanceChunks(n, workers, 0, func(i int) int { return weights[i] })
+	chunks := balanceChunks(n, workers, func(i int) int { return weights[i] })
 	checkPartition(t, chunks, n)
-	ideal := total / (workers * defaultStealGrain)
+	ideal := total / (workers * stealGrain)
 	bound := ideal + maxW
 	for _, c := range chunks {
 		cw := 0
@@ -131,7 +106,7 @@ func TestBalanceChunksWeightBalance(t *testing.T) {
 // TestBalanceChunksZeroWeights: an all-zero weight vector must fall back to
 // even index ranges rather than one giant chunk.
 func TestBalanceChunksZeroWeights(t *testing.T) {
-	chunks := balanceChunks(64, 4, 0, func(int) int { return 0 })
+	chunks := balanceChunks(64, 4, func(int) int { return 0 })
 	checkPartition(t, chunks, 64)
 	if len(chunks) < 4 {
 		t.Errorf("all-zero weights collapsed to %d chunks: %v", len(chunks), chunks)

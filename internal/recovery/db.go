@@ -47,17 +47,13 @@ type Config struct {
 	// of [7]); used to demonstrate the H_wr hazard of section 3.2.
 	DirtyReads bool
 	// RecoveryWorkers bounds the goroutine fan-out of restart recovery's
-	// parallel phases (per-survivor log scans, page-partitioned redo, the
-	// undo tag scan, lock replay, cache flush). 0 or 1 keeps the fully
-	// sequential pipeline. Post-recovery database state, abort sets, and
-	// the Redo/Undo counters are identical at every setting; only wall
-	// clock (and the incidental simulated interleaving) changes.
+	// phases (per-survivor log scans, page-partitioned redo, the undo tag
+	// scan, lock replay, cache flush). 0 or 1 runs every phase inline on
+	// the calling goroutine: the sequential pipeline. Post-recovery
+	// database state, abort sets, and the Redo/Undo counters are identical
+	// at every setting; only wall clock (and the incidental simulated
+	// interleaving) changes.
 	RecoveryWorkers int
-	// RecoveryStealGrain tunes the work-stealing chunker of the parallel
-	// phases: the number of chunks per worker the size balancer targets.
-	// 0 means the default (4). -1 restores the pre-chunking one-task-per-
-	// handout dispatch, kept for A/B attribution (experiment E23).
-	RecoveryStealGrain int
 	// GroupCommitForces enables epoch/group log forces: commit records
 	// arriving within one epoch window coalesce into a single physical
 	// Force per log (wal.Log.ForceGroup), with a group-commit leader and
@@ -305,8 +301,9 @@ type DB struct {
 	dbtp atomic.Pointer[debt.Tracker]
 	// arenas are the per-worker-slot reusable recovery scratch buffers
 	// (see recArena): slot w belongs to fan-out worker slot w, slot 0 to
-	// the sequential paths. Sized at New from RecoveryWorkers (Recover adds
-	// slots if Cfg.RecoveryWorkers was raised since), reused explicitly
+	// the inline (at most one worker) run. Sized at New from
+	// RecoveryWorkers (Recover adds slots if Cfg.RecoveryWorkers was raised
+	// since), reused explicitly
 	// across phases and Recover calls — no sync.Pool, so buffer
 	// placement never depends on GC timing and replay stays deterministic.
 	arenas []recArena
@@ -594,8 +591,8 @@ func (db *DB) Debt() *debt.Tracker { return db.dbtp.Load() }
 func (db *DB) Prof() *prof.Pair { return db.prof.Load() }
 
 // profWorkers returns the worker-attribution half of the attached profiler,
-// nil when profiling is off (the parallel pipeline tests this once per
-// fan-out).
+// nil when profiling is off (the restart executor tests this once per
+// phase).
 func (db *DB) profWorkers() *prof.WorkerProf {
 	if p := db.prof.Load(); p != nil {
 		return p.Workers
@@ -691,8 +688,8 @@ func (db *DB) NextVersion() uint64 {
 // of restart recovery, during which transaction processing stalls.
 func (db *DB) Frozen() bool { return db.frozen.Load() }
 
-// parWorkers returns restart recovery's parallel fan-out: Cfg.RecoveryWorkers
-// when it asks for real parallelism, 0 for the fully sequential pipeline
+// parWorkers returns restart recovery's goroutine fan-out: Cfg.RecoveryWorkers
+// when it asks for real parallelism, 0 when every phase runs inline
 // (RecoveryWorkers of 0 or 1).
 func (db *DB) parWorkers() int {
 	if w := db.Cfg.RecoveryWorkers; w > 1 {

@@ -14,11 +14,12 @@ import (
 	"smdb/internal/workload"
 )
 
-// The sequential/parallel equivalence gate: restart recovery must produce
-// identical post-recovery database images, abort sets, and Redo/Undo/lock
-// counters at every worker count. Versions, TagScanLines, SimTime, and the
-// phase spans are deliberately excluded — they depend on allocation order and
-// interleaving, which parallelism legitimately changes (see parrestart.go).
+// The worker-count equivalence gate: restart recovery must produce identical
+// post-recovery database images, abort sets, and Redo/Undo/lock counters at
+// every worker count. Versions, TagScanLines, SimTime, and the phase spans
+// are deliberately excluded — they depend on allocation order and
+// interleaving, which fanning out legitimately changes (see parrestart.go and
+// undoTagScan's two schedules).
 
 // eqProtocols covers every real protocol (the AblatedNoLBM negative control
 // deliberately breaks recovery and is excluded everywhere).
@@ -138,8 +139,8 @@ func runEqScenario(t *testing.T, proto recovery.Protocol, seed int64, workers in
 }
 
 // TestParallelRecoveryEquivalence is the acceptance gate: for every protocol
-// and 8 seeded crash schedules, the parallel pipeline (4 workers) must be
-// outcome-identical to the sequential one.
+// and 8 seeded crash schedules, the fanned-out run (4 workers) must be
+// outcome-identical to the inline one.
 func TestParallelRecoveryEquivalence(t *testing.T) {
 	for _, proto := range eqProtocols {
 		proto := proto
@@ -157,25 +158,17 @@ func TestParallelRecoveryEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelRecoveryEquivalenceVariants re-runs the gate under the PR-9
-// performance machinery: epoch/group commit forces during the workload, and
-// the steal grain at both extremes (per-item dispatch vs. coarse chunks).
-// Each variant compares sequential against parallel under the *same* config —
-// group forces legitimately change which records are stable at the crash, so
-// cross-config fingerprints are not comparable, but seq/par within a config
-// must still be bit-identical.
+// TestParallelRecoveryEquivalenceVariants re-runs the gate under epoch/group
+// commit forces during the workload. The variant compares sequential against
+// parallel under the *same* config — group forces legitimately change which
+// records are stable at the crash, so cross-config fingerprints are not
+// comparable, but seq/par within a config must still be bit-identical.
 func TestParallelRecoveryEquivalenceVariants(t *testing.T) {
 	variants := []struct {
 		name string
 		opt  func(*recovery.Config)
 	}{
 		{"groupforce", func(c *recovery.Config) { c.GroupCommitForces = true }},
-		{"grain-peritem", func(c *recovery.Config) { c.RecoveryStealGrain = -1 }},
-		{"grain-coarse", func(c *recovery.Config) { c.RecoveryStealGrain = 1 }},
-		{"groupforce+grain", func(c *recovery.Config) {
-			c.GroupCommitForces = true
-			c.RecoveryStealGrain = -1
-		}},
 	}
 	for _, v := range variants {
 		v := v
@@ -252,5 +245,139 @@ func TestParallelReportFields(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestOneWorkerIsTheSequentialPipeline: there is one pipeline, and up to one
+// worker it is the sequential one, operation for operation. RecoveryWorkers 0
+// and 1 must agree on every simulated machine operation and every report
+// counter — TagScanLines included — and record no fan-out; the figures are
+// pinned as well, so a change that means to move what an inline recovery
+// costs the simulated machine re-records them. Three workers must reach the
+// same images, abort set and redo/undo counts through real fan-outs.
+//
+// The Selective Redo scenario is built so the two tag-scan schedules
+// disagree on TagScanLines, the one counter they may: a stale tag sits on a
+// line two survivors share. Scanned one survivor at a time, the first clears
+// the tag (taking the line exclusively) and the second never sees the line;
+// scanned side by side, both count it. A one-worker run that took the
+// fanned-out schedule would show up as the larger count.
+func TestOneWorkerIsTheSequentialPipeline(t *testing.T) {
+	lost := heap.RID{Page: 2, Slot: 0}      // committed on the victim, cached nowhere else
+	migrated := heap.RID{Page: 0, Slot: 0}  // the victim's open update, carried off by a survivor
+	neighbour := heap.RID{Page: 0, Slot: 1} // shares migrated's cache line
+	stale := heap.RID{Page: 1, Slot: 0}     // carries a tag naming a survivor that never wrote it
+	type outcome struct {
+		rep    *recovery.RecoveryReport
+		ops    machine.Stats
+		images string
+	}
+	run := func(t *testing.T, proto recovery.Protocol, workers int) outcome {
+		db, mgr := newDB(t, proto, 4)
+		db.Cfg.RecoveryWorkers = workers
+		seed(t, mgr, []heap.RID{lost, migrated, neighbour, stale}, 1)
+
+		done, err := mgr.Begin(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := done.Write(lost, []byte{55}); err != nil {
+			t.Fatal(err)
+		}
+		if err := done.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		dead, err := mgr.Begin(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dead.Write(migrated, []byte{77}); err != nil {
+			t.Fatal(err)
+		}
+		live, err := mgr.Begin(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := live.Write(neighbour, []byte{88}); err != nil {
+			t.Fatal(err)
+		}
+		if proto.UndoTagging() {
+			plantTag(t, db, 0, stale, 1)
+			if _, err := db.Read(2, stale); err != nil { // nodes 0 and 2 now share the line
+				t.Fatal(err)
+			}
+		}
+
+		db.Crash(3)
+		before := db.M.Stats()
+		rep, err := db.Recover([]machine.NodeID{3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := db.M.Stats().Sub(before)
+		mustCheckIFA(t, db, 0)
+		var img strings.Builder
+		for _, rid := range []heap.RID{lost, migrated, neighbour, stale} {
+			sd, err := db.Read(0, rid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&img, "%v tag=%d data=%x\n", rid, sd.Tag, sd.Data)
+		}
+		return outcome{rep, ops, img.String()}
+	}
+	// counters is every report figure the sequential pipeline determines.
+	counters := func(r *recovery.RecoveryReport) string {
+		return fmt.Sprintf("redo=%d/%d undo=%d taglines=%d locks=%d lcb=%d released=%d aborted=%v sim=%d",
+			r.RedoApplied, r.RedoSkipped, r.UndoApplied, r.TagScanLines, r.LocksReplayed,
+			r.LCBsReinstalled, r.LockEntriesReleased, r.Aborted, r.SimTime)
+	}
+	for _, tc := range []struct {
+		proto    recovery.Protocol
+		counters string
+		ops      machine.Stats
+	}{
+		{
+			proto:    recovery.VolatileRedoAll,
+			counters: "redo=2/0 undo=0 taglines=0 locks=1 lcb=1 released=0 aborted=[t3.2] sim=18031500",
+			ops: machine.Stats{Reads: 198, Writes: 2, LocalHits: 197, RemoteFetches: 3, Downgrades: 2,
+				Replications: 3, Invalidations: 4, Installs: 9, Discards: 10, LineLockAcquires: 67},
+		},
+		{
+			proto:    recovery.VolatileSelectiveRedo,
+			counters: "redo=1/1 undo=1 taglines=9 locks=1 lcb=1 released=0 aborted=[t3.2] sim=18033450",
+			ops: machine.Stats{Reads: 234, Writes: 4, LocalHits: 235, RemoteFetches: 3, Downgrades: 2,
+				Replications: 3, Invalidations: 5, Installs: 3, LineLockAcquires: 70},
+		},
+	} {
+		t.Run(tc.proto.String(), func(t *testing.T) {
+			seq, one, three := run(t, tc.proto, 0), run(t, tc.proto, 1), run(t, tc.proto, 3)
+			if got := counters(seq.rep); got != tc.counters {
+				t.Errorf("workers=0 counters = %s\n\twant the sequential pipeline's %s", got, tc.counters)
+			}
+			if seq.ops != tc.ops {
+				t.Errorf("workers=0 machine operations = %+v\n\twant the sequential pipeline's %+v", seq.ops, tc.ops)
+			}
+			if counters(one.rep) != counters(seq.rep) || one.ops != seq.ops || one.images != seq.images {
+				t.Errorf("workers 0 and 1 diverge:\n%s\n%+v\n%s---\n%s\n%+v\n%s",
+					counters(seq.rep), seq.ops, seq.images, counters(one.rep), one.ops, one.images)
+			}
+			if len(seq.rep.ParPhases) != 0 || len(one.rep.ParPhases) != 0 {
+				t.Errorf("an inline run recorded fan-outs: %+v / %+v", seq.rep.ParPhases, one.rep.ParPhases)
+			}
+			if len(three.rep.ParPhases) == 0 {
+				t.Error("workers=3 recorded no fan-out")
+			}
+			if three.images != seq.images || fmt.Sprint(three.rep.Aborted) != fmt.Sprint(seq.rep.Aborted) ||
+				three.rep.RedoApplied != seq.rep.RedoApplied || three.rep.RedoSkipped != seq.rep.RedoSkipped ||
+				three.rep.UndoApplied != seq.rep.UndoApplied {
+				t.Errorf("workers=3 diverges:\n%s\n%s---\n%s\n%s",
+					counters(seq.rep), seq.images, counters(three.rep), three.images)
+			}
+			if tc.proto.UndoTagging() && three.rep.TagScanLines <= seq.rep.TagScanLines {
+				t.Errorf("TagScanLines: %d at three workers, %d inline; the shared stale-tag line should be counted once per holder only when fanned out",
+					three.rep.TagScanLines, seq.rep.TagScanLines)
+			}
+		})
 	}
 }

@@ -11,8 +11,8 @@ import (
 // one transaction-table lookup (undo-tag restoration), and one stripe
 // acquire/release per candidate — E20 attributed most of the apply phase's
 // cost to exactly that per-record overhead, not to the slot writes.
-// Candidates arrive grouped (the candidate list sequentially, one page's
-// bucket under the parallel pipeline), and consecutive candidates very often
+// Candidates arrive grouped (one of redoParts' parts: the whole candidate
+// list, or one page's bucket), and consecutive candidates very often
 // share a cache line, so the batched path carves the list into maximal
 // contiguous same-line runs and pays each overhead once per run: one
 // residency probe and fetch, one pass precomputing every undo tag,
@@ -54,8 +54,8 @@ func (db *DB) carveRuns(cands []redoCand, ar *recArena) ([]redoRun, error) {
 	return runs, nil
 }
 
-// applyRedoSlice applies one candidate list (the whole list sequentially;
-// one page's bucket under the parallel pipeline) run by run, in list order.
+// applyRedoSlice applies one part of the candidate list (see redoParts) run
+// by run, in list order.
 func (db *DB) applyRedoSlice(cands []redoCand, rep *RecoveryReport, ar *recArena) error {
 	runs, err := db.carveRuns(cands, ar)
 	if err != nil {

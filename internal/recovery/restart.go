@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"smdb/internal/heap"
 	"smdb/internal/lock"
@@ -57,12 +58,12 @@ type RecoveryReport struct {
 	// order (plus a leading freeze span covering crash-to-recovery time when
 	// known). Durations are simulated nanoseconds.
 	Phases []obs.PhaseSpan
-	// Workers is the parallel fan-out recovery ran with (0 = fully
-	// sequential, the Cfg.RecoveryWorkers <= 1 path).
+	// Workers is the goroutine fan-out recovery ran with (0 = every phase
+	// inline, Cfg.RecoveryWorkers <= 1).
 	Workers int
 	// ParPhases records, for each phase that actually fanned out, the
 	// worker count used and the host wall-clock time spent. Empty on
-	// sequential runs.
+	// inline runs.
 	ParPhases []ParPhase
 	// Prof is the profiler's view of this recovery — per-phase worker cost
 	// attribution and per-stripe contention deltas across the Recover call.
@@ -71,7 +72,7 @@ type RecoveryReport struct {
 }
 
 // RecoveryProfile is the delta of the attached profiler's counters across one
-// Recover call: what the parallel pipeline's workers did (busy/wait/tasks/
+// Recover call: what the restart executor's workers did (busy/wait/tasks/
 // records/bytes per phase) and what the machine's stripes saw (acquisitions,
 // contention, condvar sleeps) while recovery ran.
 type RecoveryProfile struct {
@@ -346,16 +347,17 @@ func (db *DB) recoverOnce(alive []machine.NodeID, rep *RecoveryReport) error {
 	// from here /recovery/progress can report an ETA.
 	db.wfProgress().Plan(obs.PhaseProbe.String(), len(cands))
 	db.wfProgress().Plan(obs.PhaseRedoApply.String(), len(cands))
+	parts := db.redoParts(cands)
 	if err := step(obs.PhaseRedoScan); err != nil {
 		return err
 	}
-	if err := db.probeRedo(cands, rep); err != nil {
+	if err := db.probeRedo(parts, rep); err != nil {
 		return err
 	}
 	if err := step(obs.PhaseProbe); err != nil {
 		return err
 	}
-	if err := db.applyRedo(cands, rep); err != nil {
+	if err := db.applyRedo(parts, rep); err != nil {
 		return err
 	}
 	if err := step(obs.PhaseRedoApply); err != nil {
@@ -480,15 +482,22 @@ func (db *DB) downNodes() []machine.NodeID {
 // flushAllCaches discards every cached heap line on every surviving node
 // (Redo All step 1; the lock table is managed separately). Each node's flush
 // is one DiscardAll sweep — a stripe-at-a-time batch instead of a lock
-// round-trip per line.
+// round-trip per line; nodes' discard sets are disjoint except for shared
+// lines, which DiscardAll drops per-holder under the line's stripe. Chunks
+// are weighted by cached-line counts so one hot node's sweep does not strand
+// the rest.
 func (db *DB) flushAllCaches(alive []machine.NodeID, rep *RecoveryReport) {
-	if w := db.parWorkers(); w > 1 {
-		db.flushAllCachesPar(alive, rep, w)
-		return
-	}
-	for _, nd := range alive {
-		db.M.DiscardAll(nd, db.Store.Contains)
-	}
+	lineSize := db.M.LineSize()
+	weight := func(i int) int { return db.M.CachedLineCount(alive[i]) }
+	// DiscardAll cannot fail; forEachChunk's error is structurally nil.
+	_ = db.forEachChunk(rep, obs.PhaseRedoScan, len(alive), weight, func(i, _ int, tm *prof.TaskMeter) error {
+		dropped := db.M.DiscardAll(alive[i], db.Store.Contains)
+		if tm != nil {
+			tm.AddRecords(dropped)
+			tm.AddBytes(dropped * lineSize)
+		}
+		return nil
+	})
 }
 
 // logView is the recovery-visible portion of one node's log, with the
@@ -503,7 +512,11 @@ type logView struct {
 	stable []wal.Record // down nodes: the stable prefix
 	// ckptLSN is the LSN just past the last visible checkpoint record (1 if
 	// none), the redo scan's starting point.
-	ckptLSN   wal.LSN
+	ckptLSN wal.LSN
+	// redoRecs counts the update and compensation records at or after
+	// ckptLSN: the most candidates the redo scan can take from this log
+	// (short only if a survivor's log grew since the view was built).
+	redoRecs  int
 	committed map[wal.TxnID]bool
 	aborted   map[wal.TxnID]bool
 	ntaDone   map[uint64]bool
@@ -534,7 +547,7 @@ func (v *logView) scanFromCkpt(fn func(*wal.Record) bool) { v.scanFrom(v.ckptLSN
 // views builds one recovery attempt's view set, indexed by node: survivors
 // (the nodes in alive) expose their full logs — their memory survived — and
 // every other node, listed in down, only its stable prefix. It is filled
-// here, before any fan-out, so the parallel phases only ever read it.
+// here, before any fan-out, so the phases only ever read it.
 func (db *DB) views(alive []machine.NodeID) (vs []*logView, down []machine.NodeID) {
 	up := nodeSet(alive)
 	vs = make([]*logView, db.M.Nodes())
@@ -570,8 +583,10 @@ func (db *DB) view(n machine.NodeID, isDown bool) *logView {
 			v.aborted[r.Txn] = true
 		case wal.TypeNTAEnd:
 			v.ntaDone[r.NTA] = true
+		case wal.TypeUpdate, wal.TypeCLR:
+			v.redoRecs++
 		case wal.TypeCheckpoint:
-			v.ckptLSN = r.LSN + 1
+			v.ckptLSN, v.redoRecs = r.LSN+1, 0
 		}
 		return true
 	})
@@ -616,26 +631,41 @@ type redoCand struct {
 // their uncommitted updates are not repeated, as they are about to be undone
 // anyway. Version comparison in the apply phase makes redo idempotent and
 // order-independent across logs.
+//
+// One task per log, weighted by log length; each fills its own slot of
+// parts, and the per-node lists are concatenated in node order, so the list
+// is the same at every worker count.
 func (db *DB) collectRedo(vs []*logView, coord machine.NodeID, rep *RecoveryReport) []redoCand {
-	if w := db.parWorkers(); w > 1 {
-		return db.collectRedoPar(vs, coord, rep, w)
-	}
-	var cands []redoCand
-	for _, v := range vs {
-		cands = db.collectRedoNode(v, coord, cands)
-	}
+	parts := make([][]redoCand, len(vs))
+	weight := func(i int) int { return db.Logs[i].Len() }
+	// collectRedoNode cannot fail; forEachChunk's error is structurally nil.
+	_ = db.forEachChunk(rep, obs.PhaseRedoScan, len(vs), weight, func(i, _ int, tm *prof.TaskMeter) error {
+		parts[i] = db.collectRedoNode(vs[i], coord)
+		if tm != nil {
+			tm.AddRecords(len(parts[i]))
+			b := 0
+			for _, c := range parts[i] {
+				b += len(c.rec.Before) + len(c.rec.After)
+			}
+			tm.AddBytes(b)
+		}
+		return nil
+	})
+	mergeStart := profMergeStart(db)
+	cands := slices.Concat(parts...)
+	profMergeEnd(db, obs.PhaseRedoScan, mergeStart)
 	return cands
 }
 
-// collectRedoNode appends one node's redo candidates to cands, in log order
-// (the per-log unit the parallel scan fans out over).
-func (db *DB) collectRedoNode(v *logView, coord machine.NodeID, cands []redoCand) []redoCand {
+// collectRedoNode returns one node's redo candidates, in log order (the
+// per-log unit the redo scan fans out over).
+func (db *DB) collectRedoNode(v *logView, coord machine.NodeID) []redoCand {
 	isDown := v.live == nil
 	onto := v.node
 	if isDown {
 		onto = coord
 	}
-	before := len(cands)
+	cands := make([]redoCand, 0, v.redoRecs)
 	v.scanFromCkpt(func(rec *wal.Record) bool {
 		if rec.Type != wal.TypeUpdate && rec.Type != wal.TypeCLR {
 			return true
@@ -661,8 +691,25 @@ func (db *DB) collectRedoNode(v *logView, coord machine.NodeID, cands []redoCand
 		cands = append(cands, redoCand{onto: onto, rec: rec})
 		return true
 	})
-	db.wfProgress().Note(obs.PhaseRedoScan.String(), len(cands)-before, 0)
+	db.wfProgress().Note(obs.PhaseRedoScan.String(), len(cands), 0)
 	return cands
+}
+
+// redoParts cuts the candidate list into the units the probe and apply phases
+// hand to the executor, and is the one place the worker count shapes redo. Up
+// to one worker the whole list is one part, walked in list order. Above, it
+// is cut by page (pageBuckets): all of one page's candidates — hence all of
+// its lines and its one header line — belong to one part, so concurrent
+// workers touch disjoint pages. Same-page candidates keep their list order
+// (same-slot version decisions depend only on same-slot order, and a slot
+// lives on exactly one page) and cross-page order is free because redo is
+// per-object idempotent, so the Redo counters and final images are identical
+// under either shape.
+func (db *DB) redoParts(cands []redoCand) [][]redoCand {
+	if db.parWorkers() <= 1 {
+		return [][]redoCand{cands}
+	}
+	return pageBuckets(cands)
 }
 
 // probeRedo is the residency probe phase (the "cache miss with I/O disabled"
@@ -670,16 +717,16 @@ func (db *DB) collectRedoNode(v *logView, coord machine.NodeID, cands []redoCand
 // in some cache; pages with lost lines are reinstalled from the stable
 // database up front, so the apply phase mostly hits warm lines. The apply
 // path re-checks residency, so the probe is an acceleration, not a
-// correctness requirement.
-func (db *DB) probeRedo(cands []redoCand, rep *RecoveryReport) error {
-	if w := db.parWorkers(); w > 1 {
-		return db.probeRedoPar(cands, rep, w)
-	}
-	return db.probeRedoSlice(cands)
+// correctness requirement. Chunks are weighted by part size.
+func (db *DB) probeRedo(parts [][]redoCand, rep *RecoveryReport) error {
+	weight := func(i int) int { return len(parts[i]) }
+	return db.forEachChunk(rep, obs.PhaseProbe, len(parts), weight, func(i, _ int, tm *prof.TaskMeter) error {
+		tm.AddRecords(len(parts[i]))
+		return db.probeRedoSlice(parts[i])
+	})
 }
 
-// probeRedoSlice probes one run of candidates (the whole list sequentially;
-// one page's bucket under the parallel pipeline).
+// probeRedoSlice probes one part's candidates, in list order.
 func (db *DB) probeRedoSlice(cands []redoCand) error {
 	pg := db.wfProgress()
 	for _, c := range cands {
@@ -699,43 +746,31 @@ func (db *DB) probeRedoSlice(cands []redoCand) error {
 }
 
 // applyRedo is the redo apply phase: version-checked, idempotent replay of
-// the candidate list, batched into same-line runs (see redobatch.go). The
-// parallel path partitions candidates by page — same-page candidates keep
-// their list order (same-slot version decisions depend only on same-slot
-// order, and a slot lives on exactly one page), cross-page order is free
-// because redo is per-object idempotent — so the Redo counters and final
-// images are identical at every worker count.
-func (db *DB) applyRedo(cands []redoCand, rep *RecoveryReport) error {
-	if w := db.parWorkers(); w > 1 {
-		return db.applyRedoPar(cands, rep, w)
-	}
-	return db.applyRedoSlice(cands, rep, db.arena(0))
-}
-
-// redoLog replays a down node's post-checkpoint stable records on behalf of
-// node onto. Only effects that are logically committed are repeated from a
-// dead node's log.
-func (db *DB) redoLog(onto machine.NodeID, v *logView, rep *RecoveryReport) error {
-	var redoErr error
-	v.scanFromCkpt(func(rec *wal.Record) bool {
-		if rec.Type != wal.TypeUpdate && rec.Type != wal.TypeCLR {
-			return true
+// each part, batched into same-line runs (see redobatch.go), with per-part
+// counter shards merged in part order. Each worker slot applies through its
+// own reusable arena (run carving + tag scratch); chunks are weighted by part
+// size.
+func (db *DB) applyRedo(parts [][]redoCand, rep *RecoveryReport) error {
+	shards := make([]RecoveryReport, len(parts))
+	weight := func(i int) int { return len(parts[i]) }
+	err := db.forEachChunk(rep, obs.PhaseRedoApply, len(parts), weight, func(i, ws int, tm *prof.TaskMeter) error {
+		if tm != nil {
+			tm.AddRecords(len(parts[i]))
+			b := 0
+			for _, c := range parts[i] {
+				b += len(c.rec.After)
+			}
+			tm.AddBytes(b)
 		}
-		switch {
-		case rec.Type == wal.TypeCLR:
-		case rec.NTA != 0 && v.ntaDone[rec.NTA]:
-		case v.committed[rec.Txn]:
-		default:
-			return true
-		}
-		rid := heap.RID{Page: rec.Page, Slot: rec.Slot}
-		if err := db.redoRecord(onto, rec, rid, rep); err != nil {
-			redoErr = err
-			return false
-		}
-		return true
+		return db.applyRedoSlice(parts[i], &shards[i], db.arena(ws))
 	})
-	return redoErr
+	mergeStart := profMergeStart(db)
+	for i := range shards {
+		rep.RedoApplied += shards[i].RedoApplied
+		rep.RedoSkipped += shards[i].RedoSkipped
+	}
+	profMergeEnd(db, obs.PhaseRedoApply, mergeStart)
+	return err
 }
 
 // redoRecord applies one update/CLR record if its effect is missing.
@@ -894,32 +929,60 @@ func (db *DB) undoCrashed(coord machine.NodeID, vs []*logView, rep *RecoveryRepo
 // version belonging to a transaction that is still active; otherwise the
 // record is no longer active and the tag is nulled.
 func (db *DB) undoTagScan(alive, crashed []machine.NodeID, vs []*logView, rep *RecoveryReport) error {
-	if w := db.parWorkers(); w > 1 {
-		return db.undoTagScanPar(alive, crashed, vs, rep, w)
-	}
 	down := nodeSet(crashed)
-	// Per-surviving-node index, built lazily on the first surviving tag that
-	// names the node: (rid, version) -> updating transaction.
-	taggers := make(map[machine.NodeID]map[slotVer]wal.TxnID, len(alive))
-	taggerIndex := func(n machine.NodeID) map[slotVer]wal.TxnID {
-		if m, ok := taggers[n]; ok {
-			return m
-		}
-		m := buildTaggerIndex(vs[n])
-		taggers[n] = m
-		return m
+	// Per-survivor index, (rid, version) -> updating transaction, built by
+	// the first surviving tag that names the node; scans running side by
+	// side share the one build.
+	idx := make([]func() map[slotVer]wal.TxnID, len(vs))
+	for _, n := range alive {
+		idx[n] = sync.OnceValue(func() map[slotVer]wal.TxnID { return buildTaggerIndex(vs[n]) })
 	}
-	// Node at a time: scan the node's cached lines (read-only), then apply
-	// its actions before the next node's scan. An applied undo migrates the
-	// line exclusively to the fixer, so later nodes' CachedLines snapshots no
-	// longer include it — each rid is repaired exactly once.
-	for _, nd := range alive {
-		acts, lines, err := db.scanNodeTags(nd, down, taggerIndex)
-		if err != nil {
+	taggerIndex := func(n machine.NodeID) map[slotVer]wal.TxnID { return idx[n]() }
+	// The scan runs in rounds: a round's survivors scan their cached lines
+	// (read-only), then the round's actions are applied before the next
+	// round's scans. This is the one place the worker count shapes the undo
+	// scan. Up to one worker every survivor is a round of its own: an applied
+	// undo migrates the line exclusively to the fixer, so later survivors'
+	// CachedLines snapshots no longer include it and each rid is repaired
+	// exactly once. Above, all survivors share one round and scan side by
+	// side, so every holder of a shared line reports it; keeping only the
+	// first (lowest alive-order) action per rid yields the same repair set,
+	// applied by the same node, in the same order — UndoApplied matches
+	// exactly. TagScanLines is the one counter the two schedules may disagree
+	// on (a shared line is counted once per holder in a shared round), which
+	// is why the equivalence gate excludes it.
+	step := len(alive)
+	if db.parWorkers() <= 1 {
+		step = 1
+	}
+	for lo := 0; lo < len(alive); lo += step {
+		round := alive[lo:min(lo+step, len(alive))]
+		acts := make([][]tagAction, len(round))
+		lines := make([]int, len(round))
+		weight := func(i int) int { return db.M.CachedLineCount(round[i]) }
+		if err := db.forEachChunk(rep, obs.PhaseUndoTagScan, len(round), weight, func(i, _ int, tm *prof.TaskMeter) error {
+			a, l, err := db.scanNodeTags(round[i], down, taggerIndex)
+			acts[i], lines[i] = a, l
+			tm.AddRecords(l)
+			return err
+		}); err != nil {
 			return err
 		}
-		rep.TagScanLines += lines
-		if err := db.applyTagActions(acts, vs, rep); err != nil {
+		mergeStart := profMergeStart(db)
+		seen := make(map[heap.RID]bool)
+		var merged []tagAction
+		for i := range acts {
+			rep.TagScanLines += lines[i]
+			for _, a := range acts[i] {
+				if seen[a.rid] {
+					continue
+				}
+				seen[a.rid] = true
+				merged = append(merged, a)
+			}
+		}
+		profMergeEnd(db, obs.PhaseUndoTagScan, mergeStart)
+		if err := db.applyTagActions(merged, vs, rep); err != nil {
 			return err
 		}
 	}
@@ -1097,24 +1160,26 @@ func (db *DB) lastCommittedFromStable(nd machine.NodeID, rid heap.RID, vs []*log
 func (db *DB) replaySurvivorLocks(alive []machine.NodeID, vs []*logView, rep *RecoveryReport) (int, error) {
 	db.Locks.SetLogSuppressed(true)
 	defer db.Locks.SetLogSuppressed(false)
-	if w := db.parWorkers(); w > 1 {
-		return db.replaySurvivorLocksPar(alive, vs, rep, w)
+	counts := make([]int, len(alive))
+	weight := func(i int) int { return db.Logs[alive[i]].Len() }
+	err := db.forEachChunk(rep, obs.PhaseLockRebuild, len(alive), weight, func(i, _ int, tm *prof.TaskMeter) error {
+		n, err := db.replayNodeLocks(vs[alive[i]])
+		counts[i] = n
+		tm.AddRecords(n)
+		return err
+	})
+	total := 0
+	for _, c := range counts {
+		total += c
 	}
-	replayed := 0
-	for _, n := range alive {
-		nr, err := db.replayNodeLocks(vs[n])
-		replayed += nr
-		if err != nil {
-			return replayed, err
-		}
-	}
-	return replayed, nil
+	return total, err
 }
 
 // replayNodeLocks replays one surviving node's logical lock log (the per-node
-// unit the parallel pipeline fans out over; each node's pre-crash holdings
-// were simultaneously granted, hence mutually compatible, so per-node replays
-// re-grant without waiting in any order).
+// unit the lock replay fans out over; each node's pre-crash holdings were
+// simultaneously granted, hence mutually compatible, so per-node replays
+// re-grant without waiting in any order, and Acquire is idempotent, so the
+// per-node counts are order-independent).
 func (db *DB) replayNodeLocks(v *logView) (int, error) {
 	n := v.node
 	type lockKey struct {
@@ -1220,9 +1285,14 @@ func (db *DB) baselineReboot(rep *RecoveryReport, phase func(obs.Phase)) error {
 	phase(obs.PhaseDirectoryRepair)
 	// Redo committed effects from every node's stable log.
 	vs, _ := db.views(nil) // stable prefixes only: everything volatile died
+	// Only effects that are logically committed are repeated from a dead
+	// node's log — the redo scan's down-node filter — one record at a time.
 	for _, v := range vs {
-		if err := db.redoLog(coord, v, rep); err != nil {
-			return err
+		for _, c := range db.collectRedoNode(v, coord) {
+			rid := heap.RID{Page: c.rec.Page, Slot: c.rec.Slot}
+			if err := db.redoRecord(coord, c.rec, rid, rep); err != nil {
+				return err
+			}
 		}
 	}
 	phase(obs.PhaseRedoApply)
