@@ -166,7 +166,7 @@ func main() {
 	recorded := 0
 	for i := 0; i < *seeds; i++ {
 		s := *seed + int64(i)
-		db, err := newChaosDB(proto, *nodes, recWorkers, obsFlags.GroupForce, *ablateGate)
+		db, err := newChaosDB(proto, *nodes, recWorkers, *ablateGate)
 		if err != nil {
 			fatal(err)
 		}
@@ -276,16 +276,15 @@ func main() {
 }
 
 // newChaosDB builds the standard chaos database configuration.
-func newChaosDB(proto recovery.Protocol, nodes, workers int, groupForce, ablateGate bool) (*recovery.DB, error) {
+func newChaosDB(proto recovery.Protocol, nodes, workers int, ablateGate bool) (*recovery.DB, error) {
 	db, err := recovery.New(recovery.Config{
-		Machine:           machine.Config{Nodes: nodes, Lines: 4096},
-		Protocol:          proto,
-		LinesPerPage:      4,
-		RecsPerLine:       4,
-		Pages:             16,
-		LockTableLines:    128,
-		RecoveryWorkers:   workers,
-		GroupCommitForces: groupForce,
+		Machine:         machine.Config{Nodes: nodes, Lines: 4096},
+		Protocol:        proto,
+		LinesPerPage:    4,
+		RecsPerLine:     4,
+		Pages:           16,
+		LockTableLines:  128,
+		RecoveryWorkers: workers,
 	})
 	if err != nil {
 		return nil, err
@@ -362,10 +361,7 @@ func runReplay(obsFlags *obscli.Flags, stack *obscli.Stack, ablateGate bool) {
 	}
 	fmt.Println()
 
-	// The replay DB must match the recorded configuration — a run recorded
-	// with group forces on coalesces commits at recorded points, and a
-	// plain-force replay would diverge.
-	db, err := newChaosDB(proto, sch.Nodes, 0, sch.Spec.GroupForce, ablateGate)
+	db, err := newChaosDB(proto, sch.Nodes, 0, ablateGate)
 	if err != nil {
 		fatal(err)
 	}
@@ -417,7 +413,7 @@ func runShrink(path, outPath string, ablateGate bool) {
 	}
 	env := workload.ShrinkEnv{
 		NewDB: func() (*recovery.DB, error) {
-			return newChaosDB(proto, sch.Nodes, 0, sch.Spec.GroupForce, ablateGate)
+			return newChaosDB(proto, sch.Nodes, 0, ablateGate)
 		},
 		NewInjector: func() *fault.Injector { return fault.New(plan) },
 		Spec:        spec,

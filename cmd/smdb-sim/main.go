@@ -89,8 +89,6 @@ func main() {
 		Pages:           32,
 		ChainedLCBs:     *chained,
 		RecoveryWorkers: obsFlags.RecoverWorkers,
-
-		GroupCommitForces: obsFlags.GroupForce,
 	})
 	if err != nil {
 		fatal(err)

@@ -24,8 +24,7 @@ import (
 	"smdb/internal/heap"
 	"smdb/internal/machine"
 	"smdb/internal/obs"
-	"smdb/internal/obs/debt"
-	"smdb/internal/obs/waterfall"
+	"smdb/internal/obs/hooks"
 	"smdb/internal/storage"
 	"smdb/internal/wal"
 )
@@ -77,15 +76,13 @@ type Manager struct {
 	dirty    map[storage.PageID]bool
 	updTable map[storage.PageID]map[machine.NodeID]wal.LSN
 	stats    Stats // Fetches is kept in fetches
-	dbt      *debt.Tracker
 	// fetches counts Fetch calls outside mu: a Fetch of a resident page —
 	// every record operation starts with one — takes no manager lock.
 	fetches atomic.Int64
 
-	// The attach points every Fetch consults are atomic pointers, read with
+	// hk is the attached consumer set (never nil; see SetHooks), read with
 	// no lock held.
-	obs atomic.Pointer[obs.Observer]
-	wf  atomic.Pointer[waterfall.Recorder]
+	hk atomic.Pointer[hooks.Set]
 	// fetchHook, when non-nil, is called at every Fetch entry with no
 	// manager state held. The chaos schedule recorder uses it as a
 	// scheduling point: a fetch is where a crash-lost page is faulted back
@@ -104,22 +101,12 @@ func (b *Manager) SetFetchHook(f func(machine.NodeID, storage.PageID)) {
 	b.fetchHook.Store(&f)
 }
 
-// SetObserver attaches the observability layer; disk fetches, flushes, and
-// WAL-rule log forces are reported against the requesting node's clock.
-func (b *Manager) SetObserver(o *obs.Observer) { b.obs.Store(o) }
-
-// SetWaterfall attaches (or, with nil, detaches) the waterfall recorder;
-// disk-read waits during Fetch are attributed to the requesting node's
-// current transaction.
-func (b *Manager) SetWaterfall(w *waterfall.Recorder) { b.wf.Store(w) }
-
-// SetDebt attaches (or, with nil, detaches) the recovery-debt tracker;
-// dirty-page transitions feed its redo-working-set accounting.
-func (b *Manager) SetDebt(d *debt.Tracker) {
-	b.mu.Lock()
-	b.dbt = d
-	b.mu.Unlock()
-}
+// SetHooks publishes the consumers the manager feeds: the observer (disk
+// fetches, flushes and WAL-rule log forces, against the requesting node's
+// clock), the waterfall recorder (disk-read waits during Fetch, attributed
+// to the requesting node's current transaction) and the debt tracker
+// (dirty-page transitions). Pass the zero set to detach.
+func (b *Manager) SetHooks(h *hooks.Set) { b.hk.Store(h) }
 
 // NewManager creates a buffer manager over the given store, disk, and
 // per-node logs.
@@ -127,13 +114,15 @@ func NewManager(store *heap.Store, disk *storage.Disk, logs []*wal.Log) *Manager
 	if disk.PageSize() < store.Layout.PageBytes() {
 		panic(fmt.Sprintf("buffer: disk page size %d < heap page size %d", disk.PageSize(), store.Layout.PageBytes()))
 	}
-	return &Manager{
+	b := &Manager{
 		Store:    store,
 		Disk:     disk,
 		Logs:     logs,
 		dirty:    make(map[storage.PageID]bool),
 		updTable: make(map[storage.PageID]map[machine.NodeID]wal.LSN),
 	}
+	b.hk.Store(new(hooks.Set))
+	return b
 }
 
 // Stats returns a snapshot of the counters.
@@ -172,12 +161,9 @@ func (b *Manager) Fetch(nd machine.NodeID, p storage.PageID) error {
 	b.mu.Lock()
 	b.stats.DiskFetches++
 	b.mu.Unlock()
-	if o := b.obs.Load(); o != nil {
-		o.Instant(obs.KindPageFetch, int32(nd), b.Store.M.Clock(nd), int64(p), 1)
-	}
-	if wf := b.wf.Load(); wf != nil {
-		wf.NoteFetch(int32(nd), int(p), b.Store.M.Clock(nd), cost)
-	}
+	hk, now := b.hk.Load(), b.Store.M.Clock(nd)
+	hk.Observer.Instant(obs.KindPageFetch, int32(nd), now, int64(p), 1)
+	hk.Waterfall.NoteFetch(int32(nd), int(p), now, cost)
 	return b.Store.InstallImage(nd, p, img[:b.Store.Layout.PageBytes()], true)
 }
 
@@ -186,7 +172,7 @@ func (b *Manager) MarkDirty(p storage.PageID) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.dirty[p] = true
-	b.dbt.NoteDirty(int64(p))
+	b.hk.Load().Debt.NoteDirty(int64(p))
 }
 
 // Dirty reports whether page p is marked dirty.
@@ -255,7 +241,7 @@ func (b *Manager) FlushPage(nd machine.NodeID, p storage.PageID) error {
 			b.mu.Lock()
 			b.stats.WALForces++
 			b.mu.Unlock()
-			b.obs.Load().ObserveLogForce(cost)
+			b.hk.Load().Observer.ObserveLogForce(cost)
 		}
 	}
 
@@ -279,9 +265,9 @@ func (b *Manager) FlushPage(nd machine.NodeID, p storage.PageID) error {
 	}
 	delete(b.dirty, p)
 	delete(b.updTable, p)
-	b.dbt.NoteClean(int64(p))
+	b.hk.Load().Debt.NoteClean(int64(p))
 	b.mu.Unlock()
-	if o := b.obs.Load(); o != nil {
+	if o := b.hk.Load().Observer; o != nil {
 		var stole int64
 		if steal {
 			stole = 1
@@ -305,7 +291,7 @@ func (b *Manager) noteRetry(nd machine.NodeID, p storage.PageID, attempt int, ba
 	b.mu.Lock()
 	b.stats.IORetries++
 	b.mu.Unlock()
-	if o := b.obs.Load(); o != nil {
+	if o := b.hk.Load().Observer; o != nil {
 		o.Instant(obs.KindIORetry, int32(nd), b.Store.M.Clock(nd), int64(p), int64(attempt))
 	}
 }

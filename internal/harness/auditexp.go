@@ -7,6 +7,7 @@ import (
 	"smdb/internal/machine"
 	"smdb/internal/obs"
 	"smdb/internal/obs/audit"
+	"smdb/internal/obs/hooks"
 	"smdb/internal/recovery"
 	"smdb/internal/txn"
 )
@@ -88,19 +89,15 @@ func auditOverheadArm(proto recovery.Protocol, audited bool) (AuditOverheadPoint
 	if err != nil {
 		return p, err
 	}
+	// Both arms pay for the observer so the delta isolates the auditor.
 	var a *audit.Auditor
 	if audited {
-		// Both arms pay for the observer so the delta isolates the auditor.
-		o := obs.NewWithCapacity(8192)
-		db.AttachObserver(o)
 		a = audit.New(audit.Config{
 			Stable:   proto.StableLBM() && db.M.Config().Coherency == machine.WriteInvalidate,
 			WindowNS: auditOverheadWindowNS,
 		})
-		db.AttachAudit(a)
-	} else {
-		db.AttachObserver(obs.NewWithCapacity(8192))
 	}
+	db.Attach(hooks.Set{Observer: obs.NewWithCapacity(8192), Audit: a})
 
 	mgr := txn.NewManager(db)
 	start := time.Now()

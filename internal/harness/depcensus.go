@@ -7,6 +7,7 @@ import (
 	"smdb/internal/machine"
 	"smdb/internal/obs"
 	"smdb/internal/obs/deps"
+	"smdb/internal/obs/hooks"
 	"smdb/internal/recovery"
 	"smdb/internal/storage"
 	"smdb/internal/txn"
@@ -99,9 +100,8 @@ func RunDepCensus(seed int64) (*DepCensusResult, error) {
 			return nil, err
 		}
 		o := obs.NewWithCapacity(4096)
-		db.AttachObserver(o)
 		tr := deps.New(o)
-		db.AttachDeps(tr)
+		db.Attach(hooks.Set{Observer: o, Deps: tr})
 
 		mgr := txn.NewManager(db)
 		for round := 0; round < 2; round++ {

@@ -5,6 +5,7 @@ import (
 
 	"smdb/internal/machine"
 	"smdb/internal/obs"
+	"smdb/internal/obs/hooks"
 )
 
 // Experiment E2 reproduces the only measured numbers in the paper (section
@@ -47,7 +48,7 @@ func RunLineLock(contentionLevels []int, rounds int, holdNS int64) (*LineLockRes
 	for _, c := range contentionLevels {
 		m := machine.New(machine.Config{Nodes: 32, Lines: 64})
 		o := obs.New()
-		m.SetObserver(o)
+		m.SetHooks(&hooks.Set{Observer: o})
 		l := m.Alloc(1)
 		if err := m.Install(0, l, make([]byte, m.LineSize())); err != nil {
 			return nil, err

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"smdb/internal/machine"
+	"smdb/internal/obs/hooks"
 	"smdb/internal/obs/prof"
 	"smdb/internal/recovery"
 	"smdb/internal/workload"
@@ -78,7 +79,7 @@ func runRecoveryProfileOnce(proto recovery.Protocol, nodes, pages, workers int, 
 		return RecoveryProfilePoint{}, err
 	}
 	pair := prof.NewPair(machine.StripeCount)
-	db.AttachProf(pair)
+	db.Attach(hooks.Set{Prof: pair})
 	r := workload.NewRunner(db, workload.Spec{
 		TxnsPerNode: 12, OpsPerTxn: 8,
 		ReadFraction: 0.2, SharingFraction: 0.5, Seed: seed,

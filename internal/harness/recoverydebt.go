@@ -8,6 +8,7 @@ import (
 	"smdb/internal/heap"
 	"smdb/internal/machine"
 	"smdb/internal/obs/debt"
+	"smdb/internal/obs/hooks"
 	"smdb/internal/recovery"
 	"smdb/internal/txn"
 )
@@ -126,7 +127,7 @@ func recoveryDebtArm(proto recovery.Protocol) (RecoveryDebtPoint, error) {
 		return p, err
 	}
 	d := debt.New(debt.Config{Nodes: db.M.Nodes(), LinesPerPage: db.Cfg.LinesPerPage})
-	db.AttachDebt(d)
+	db.Attach(hooks.Set{Debt: d})
 	mgr := txn.NewManager(db)
 
 	// Cycle 0: calibrate. The pre-crash snapshot is discarded — the tracker

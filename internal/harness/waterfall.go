@@ -7,6 +7,7 @@ import (
 
 	"smdb/internal/heap"
 	"smdb/internal/machine"
+	"smdb/internal/obs/hooks"
 	"smdb/internal/obs/waterfall"
 	"smdb/internal/recovery"
 	"smdb/internal/storage"
@@ -102,7 +103,7 @@ func waterfallArm(proto recovery.Protocol) (WaterfallPoint, error) {
 		return p, err
 	}
 	wf := waterfall.New(waterfall.Config{Nodes: db.M.Nodes()})
-	db.AttachWaterfall(wf)
+	db.Attach(hooks.Set{Waterfall: wf})
 	mgr := txn.NewManager(db)
 
 	// Committed convoy rounds: line-waits with holders, appends, forces.
@@ -224,7 +225,7 @@ func waterfallOverheadArm(recorded bool) (WaterfallOverheadPoint, error) {
 		return p, err
 	}
 	if recorded {
-		db.AttachWaterfall(waterfall.New(waterfall.Config{Nodes: db.M.Nodes()}))
+		db.Attach(hooks.Set{Waterfall: waterfall.New(waterfall.Config{Nodes: db.M.Nodes()})})
 	}
 	mgr := txn.NewManager(db)
 	start := time.Now()

@@ -8,6 +8,7 @@ import (
 
 	"smdb/internal/machine"
 	"smdb/internal/obs"
+	"smdb/internal/obs/hooks"
 	"smdb/internal/wal"
 )
 
@@ -138,9 +139,10 @@ type SMManager struct {
 	scratch  sync.Pool // of *lcbScratch
 }
 
-// SetObserver attaches the observability layer; grants and queued waits are
-// reported as lock events timestamped with the requesting node's clock.
-func (s *SMManager) SetObserver(o *obs.Observer) { s.obs.Store(o) }
+// SetHooks publishes the consumer the lock manager feeds: the set's
+// observer, to which grants and queued waits are reported as lock events
+// timestamped with the requesting node's clock. Pass the zero set to detach.
+func (s *SMManager) SetHooks(h *hooks.Set) { s.obs.Store(h.Observer) }
 
 // SetLogSuppressed disables (true) or re-enables (false) logical lock
 // logging. Restart recovery suppresses logging while it replays surviving

@@ -57,6 +57,7 @@ import (
 	"sync/atomic"
 
 	"smdb/internal/obs"
+	"smdb/internal/obs/hooks"
 	"smdb/internal/obs/prof"
 	"smdb/internal/obs/waterfall"
 )
@@ -467,19 +468,18 @@ func (m *Machine) schedNote(nd NodeID, site string, l LineID) {
 	}
 }
 
-// SetObserver attaches (or, with nil, detaches) the observability layer.
-// Coherency transitions, line-lock latencies, trigger fires, and crashes are
-// reported to it. The observer must not call back into the Machine.
-func (m *Machine) SetObserver(o *obs.Observer) {
-	m.setHooks(func(hk *hookSet) { hk.obs = o })
-}
-
-// SetWaterfall attaches (or, with nil, detaches) the per-transaction latency
-// waterfall recorder. Line-lock waits (with the holding transaction, when
-// resolvable) are reported to it. The recorder must not call back into the
-// Machine.
-func (m *Machine) SetWaterfall(w *waterfall.Recorder) {
-	m.setHooks(func(hk *hookSet) { hk.wf = w })
+// SetHooks publishes the observability consumers the machine feeds: the
+// observer (coherency transitions, line-lock latencies, trigger fires,
+// crashes), the stripe profiler (every stripe acquisition, hold and condvar
+// sleep; it must be sized with at least StripeCount stripes) and the
+// waterfall recorder (line-lock waits, with the holding transaction when
+// resolvable). Pass the zero set to detach. No consumer may call back into
+// the Machine. Swapping mid-run is safe: a critical section straddling the
+// swap accounts only the half it saw.
+func (m *Machine) SetHooks(h *hooks.Set) {
+	m.setHooks(func(hk *hookSet) {
+		hk.obs, hk.prof, hk.wf = h.Observer, h.Stripes(), h.Waterfall
+	})
 }
 
 // trace records an instant event at node nd's current simulated time. Safe

@@ -16,13 +16,6 @@ import "smdb/internal/obs/prof"
 // callers can size a prof.StripeProf to match (prof.NewPair(machine.StripeCount)).
 const StripeCount = stripeCount
 
-// SetProfiler attaches (or, with nil, detaches) the per-stripe lock
-// profiler. The profiler must be sized with at least StripeCount stripes;
-// it must not call back into the Machine.
-func (m *Machine) SetProfiler(p *prof.StripeProf) {
-	m.setHooks(func(hk *hookSet) { hk.prof = p })
-}
-
 // lockStripe acquires s.mu, recording the acquisition when profiling.
 func (m *Machine) lockStripe(s *stripe) {
 	p := m.hooks.Load().prof

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"smdb/internal/obs/hooks"
 	"smdb/internal/obs/prof"
 )
 
@@ -17,7 +18,7 @@ func profMachine(t testing.TB) (*Machine, *prof.StripeProf) {
 		}
 	}
 	p := prof.NewStripeProf(StripeCount)
-	m.SetProfiler(p)
+	m.SetHooks(&hooks.Set{Prof: &prof.Pair{Stripes: p}})
 	return m, p
 }
 
@@ -93,11 +94,11 @@ func TestProfilerCondWait(t *testing.T) {
 // half of a section saw the profiler.
 func TestProfilerDetachMidSection(t *testing.T) {
 	m, p := profMachine(t)
-	m.SetProfiler(nil)
+	m.SetHooks(&hooks.Set{})
 	if err := m.Write(0, 1, 0, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	m.SetProfiler(p)
+	m.SetHooks(&hooks.Set{Prof: &prof.Pair{Stripes: p}})
 	if err := m.Write(0, 1, 0, []byte{2}); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestNilProfilerDoesNotAllocate(t *testing.T) {
 // reads, and a few atomic adds).
 func BenchmarkLineLockAcquireReleaseProfiled(b *testing.B) {
 	m, l := benchMachine(b, 4)
-	m.SetProfiler(prof.NewStripeProf(StripeCount))
+	m.SetHooks(&hooks.Set{Prof: prof.NewPair(StripeCount)})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -35,13 +35,15 @@ import (
 
 // Defaults for Config's zero values.
 const (
-	DefaultWindowNS      = int64(1e6) // 1ms of simulated time per window
-	DefaultTrailSteps    = 64
-	DefaultTrailRing     = 128
-	DefaultMaxViolations = 64
-	DefaultWindows       = 128
-	DefaultP99Factor     = 8.0
+	DefaultWindowNS   = int64(1e6) // 1ms of simulated time per window
+	DefaultTrailSteps = 64
+	DefaultTrailRing  = 128
+	DefaultWindows    = 128
 )
+
+// maxViolations caps retained Violation records (the total keeps counting
+// beyond it).
+const maxViolations = 64
 
 // Violation kinds.
 const (
@@ -70,13 +72,8 @@ type Config struct {
 	TrailSteps int
 	// TrailRing caps the ring of recently completed trails.
 	TrailRing int
-	// MaxViolations caps retained Violation records (the total keeps
-	// counting beyond it).
-	MaxViolations int
 	// Windows caps the time-series ring (see timeseries.go).
 	Windows int
-	// P99Factor is the watchdog's commit-latency ratio threshold.
-	P99Factor float64
 }
 
 func (c *Config) setDefaults() {
@@ -89,14 +86,8 @@ func (c *Config) setDefaults() {
 	if c.TrailRing <= 0 {
 		c.TrailRing = DefaultTrailRing
 	}
-	if c.MaxViolations <= 0 {
-		c.MaxViolations = DefaultMaxViolations
-	}
 	if c.Windows <= 0 {
 		c.Windows = DefaultWindows
-	}
-	if c.P99Factor <= 0 {
-		c.P99Factor = DefaultP99Factor
 	}
 }
 
@@ -356,7 +347,7 @@ func (a *Auditor) exposeLocked(w *windowCounters, line, to, from int32, kind str
 			w.UnloggedExposures++
 		}
 		a.stepLocked(ts, Step{Sim: sim, Kind: "violation", Line: line, From: from, To: to, Note: vkind})
-		if len(a.viols) < a.cfg.MaxViolations {
+		if len(a.viols) < maxViolations {
 			ev := ts.t
 			ev.Steps = append([]Step(nil), ts.t.Steps...)
 			a.viols = append(a.viols, Violation{
@@ -576,7 +567,7 @@ func (a *Auditor) recentTrailsLocked() []Trail {
 }
 
 // Violations returns a copy of the retained violation records (bounded by
-// Config.MaxViolations; ViolationCount keeps the full total).
+// maxViolations; ViolationCount keeps the full total).
 func (a *Auditor) Violations() []Violation {
 	if a == nil {
 		return nil

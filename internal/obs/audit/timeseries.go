@@ -23,6 +23,8 @@ const (
 	// minTrailWindows gates the ratio rules until a trailing baseline
 	// exists.
 	minTrailWindows = 4
+	// p99Factor is the commit-latency rule's ratio threshold.
+	p99Factor = 8.0
 	// trailCap bounds the trailing-history deques.
 	trailCap = 32
 	// migrationSpikeFloor and migrationSpikeFactor gate the coherency-storm
@@ -144,9 +146,8 @@ type winSlot struct {
 
 // timeSeries is the ring + watchdog state, guarded by the Auditor's mutex.
 type timeSeries struct {
-	width  int64
-	factor float64
-	wins   []winSlot
+	width int64
+	wins  []winSlot
 
 	started   bool
 	maxID     int64
@@ -165,7 +166,6 @@ type timeSeries struct {
 
 func (t *timeSeries) init(cfg Config) {
 	t.width = cfg.WindowNS
-	t.factor = cfg.P99Factor
 	t.wins = make([]winSlot, cfg.Windows)
 }
 
@@ -237,7 +237,7 @@ func median(vs []int64) int64 {
 //
 //	unlogged-exposure   UnloggedExposures > 0 (threshold; always a bug)
 //	lbm-violation       Violations > 0 (threshold; always a bug)
-//	commit-latency      p99 > P99Factor x trailing median p99, with at
+//	commit-latency      p99 > p99Factor x trailing median p99, with at
 //	                    least minCommitSamples commits in the window and
 //	                    minTrailWindows qualifying windows of history
 //	migration-spike     Migrations > migrationSpikeFactor x trailing
@@ -255,9 +255,9 @@ func (t *timeSeries) evalWindow(s *winSlot) {
 	if c.commitCount >= minCommitSamples {
 		p99 := c.quantile(0.99)
 		if len(t.p99Trail) >= minTrailWindows {
-			if med := median(t.p99Trail); med > 0 && float64(p99) > t.factor*float64(med) {
+			if med := median(t.p99Trail); med > 0 && float64(p99) > p99Factor*float64(med) {
 				t.anomaly(s, "commit-latency",
-					fmt.Sprintf("commit p99 %dns > %.0fx trailing median %dns", p99, t.factor, med))
+					fmt.Sprintf("commit p99 %dns > %.0fx trailing median %dns", p99, p99Factor, med))
 			}
 		}
 		t.p99Trail = pushTrail(t.p99Trail, p99)

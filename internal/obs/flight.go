@@ -71,6 +71,24 @@ type DebtSource interface {
 	WriteDebtProm(w io.Writer) error
 }
 
+// Sources is everything the introspection server and the flight recorder
+// render, as one value. Any field may be nil: a nil Observer degrades its
+// endpoints to empty documents, a nil Graph makes /deps explain that no
+// tracker is attached, and a nil Audit/Prof/Waterfall/Debt source reports
+// {"enabled": false} over HTTP and is left out of a flight dump. Stats is the
+// flight recorder's stats.txt writer (called once per dump; implementations
+// typically print deltas since the previous dump); the HTTP server ignores
+// it.
+type Sources struct {
+	Observer  *Observer
+	Graph     GraphWriter
+	Audit     AuditSource
+	Prof      ProfSource
+	Waterfall WaterfallSource
+	Debt      DebtSource
+	Stats     func(io.Writer) error
+}
+
 // DefaultFlightEvents is the per-node event tail retained in a dump.
 const DefaultFlightEvents = 256
 
@@ -92,13 +110,7 @@ type FlightRecorder struct {
 	maxBytes int64
 	rotate   bool
 	bytes    int64
-	obs      *Observer
-	graph    GraphWriter
-	audit    AuditSource
-	prof     ProfSource
-	wfall    WaterfallSource
-	debt     DebtSource
-	stats    func(io.Writer) error
+	src      Sources
 	aux      map[string]func(io.Writer) error
 	dumps    []string
 	sizes    []int64
@@ -114,28 +126,14 @@ func NewFlightRecorder(dir string, lastN int) *FlightRecorder {
 	return &FlightRecorder{dir: dir, lastN: lastN, maxDumps: maxDumps}
 }
 
-// SetSources wires the recorder's data sources: the observer whose event
-// rings are tailed, an optional dependency-graph renderer, an optional
-// audit source (the online auditor's violations, trails, and time series
-// join every dump), an optional profiler source (the contention profiler's
-// combined document joins as prof.json), an optional waterfall source (the
-// tail-sampled slow-transaction traces and recovery progress join as
-// waterfall.json), an optional recovery-debt source (the live debt
-// accounting joins as debt.json), and an optional stats writer (called once
-// per dump; implementations typically print deltas since the previous
-// dump). Any may be nil.
-func (r *FlightRecorder) SetSources(o *Observer, g GraphWriter, a AuditSource, p ProfSource, wf WaterfallSource, dbt DebtSource, stats func(io.Writer) error) {
+// SetSources replaces what the recorder dumps: the observer whose event
+// rings are tailed, and one group of files per non-nil source (see Sources).
+func (r *FlightRecorder) SetSources(src Sources) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.obs = o
-	r.graph = g
-	r.audit = a
-	r.prof = p
-	r.wfall = wf
-	r.debt = dbt
-	r.stats = stats
+	r.src = src
 	r.mu.Unlock()
 }
 
@@ -252,7 +250,7 @@ func (r *FlightRecorder) Dump(reason string) (string, error) {
 	// Group the observer's retained events by node and keep each tail.
 	byNode := map[int32][]Event{}
 	var nodes []int32
-	for _, e := range r.obs.Events() {
+	for _, e := range r.src.Observer.Events() {
 		if _, ok := byNode[e.Node]; !ok {
 			nodes = append(nodes, e.Node)
 		}
@@ -271,139 +269,106 @@ func (r *FlightRecorder) Dump(reason string) (string, error) {
 		}
 	}
 
+	// The dump is one list of files: the MANIFEST names exactly what is
+	// written, in the order it is written.
+	src := r.src
+	type dumpFile struct {
+		name  string
+		write func(io.Writer) error
+	}
+	files := []dumpFile{
+		{"events.json", func(w io.Writer) error {
+			doc := struct {
+				Reason string                   `json:"reason"`
+				Nodes  map[string][]flightEvent `json:"nodes"`
+			}{Reason: reason, Nodes: map[string][]flightEvent{}}
+			for n, evs := range byNode {
+				key := fmt.Sprintf("node%d", n)
+				if n == SystemNode {
+					key = "system"
+				}
+				out := make([]flightEvent, 0, len(evs))
+				for _, e := range evs {
+					fe := flightEvent{Sim: e.Sim, Wall: e.Wall, Kind: e.Kind.String(), Dur: e.Dur, A: e.A, B: e.B}
+					if e.Phase != PhaseNone {
+						fe.Phase = e.Phase.String()
+					}
+					out = append(out, fe)
+				}
+				doc.Nodes[key] = out
+			}
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(doc)
+		}},
+		{"events.txt", func(w io.Writer) error {
+			for _, n := range nodes {
+				label := fmt.Sprintf("node %d", n)
+				if n == SystemNode {
+					label = "system"
+				}
+				fmt.Fprintf(w, "== %s (last %d events)\n", label, len(byNode[n]))
+				for _, e := range byNode[n] {
+					name := e.Kind.String()
+					if e.Kind == KindPhase {
+						name = "phase:" + e.Phase.String()
+					}
+					fmt.Fprintf(w, "  sim=%-12d %-16s a=%-8d b=%-8d dur=%d\n", e.Sim, name, e.A, e.B, e.Dur)
+				}
+			}
+			return nil
+		}},
+	}
+	if g := src.Graph; g != nil {
+		files = append(files, dumpFile{"deps.dot", g.WriteDOT}, dumpFile{"deps.json", g.WriteGraphJSON})
+	}
+	if a := src.Audit; a != nil {
+		files = append(files,
+			dumpFile{"violations.json", a.WriteAuditViolations},
+			dumpFile{"audit_trails.json", func(w io.Writer) error { return a.WriteAuditTxn(w, "") }},
+			dumpFile{"timeseries.json", a.WriteTimeSeries})
+	}
+	if src.Prof != nil {
+		files = append(files, dumpFile{"prof.json", src.Prof.WriteProfJSON})
+	}
+	if src.Waterfall != nil {
+		files = append(files, dumpFile{"waterfall.json", src.Waterfall.WriteWaterfallJSON})
+	}
+	if src.Debt != nil {
+		files = append(files, dumpFile{"debt.json", src.Debt.WriteDebtJSON})
+	}
+	if src.Stats != nil {
+		files = append(files, dumpFile{"stats.txt", src.Stats})
+	}
 	// Aux files are written (and listed) in sorted-name order.
 	auxNames := make([]string, 0, len(r.aux))
 	for name := range r.aux {
 		auxNames = append(auxNames, name)
 	}
 	sort.Strings(auxNames)
+	for _, name := range auxNames {
+		files = append(files, dumpFile{name, r.aux[name]})
+	}
 
 	var written int64
 	if err := r.writeFile(dir, "MANIFEST.txt", &written, func(w io.Writer) error {
 		fmt.Fprintf(w, "reason: %s\nwall: %s\nevents-per-node: %d\nskipped-dumps: %d\nrotated-dumps: %d\n",
 			reason, time.Now().UTC().Format(time.RFC3339Nano), r.lastN, r.skipped, r.rotated)
-		fmt.Fprintf(w, "files: MANIFEST.txt events.json events.txt")
-		if r.graph != nil {
-			fmt.Fprintf(w, " deps.dot deps.json")
-		}
-		if r.audit != nil {
-			fmt.Fprintf(w, " violations.json audit_trails.json timeseries.json")
-		}
-		if r.prof != nil {
-			fmt.Fprintf(w, " prof.json")
-		}
-		if r.wfall != nil {
-			fmt.Fprintf(w, " waterfall.json")
-		}
-		if r.debt != nil {
-			fmt.Fprintf(w, " debt.json")
-		}
-		if r.stats != nil {
-			fmt.Fprintf(w, " stats.txt")
-		}
-		for _, name := range auxNames {
-			fmt.Fprintf(w, " %s", name)
+		fmt.Fprintf(w, "files: MANIFEST.txt")
+		for _, f := range files {
+			fmt.Fprintf(w, " %s", f.name)
 		}
 		fmt.Fprintln(w)
-		if r.obs != nil {
+		if src.Observer != nil {
 			fmt.Fprintln(w)
-			return r.obs.MetricsTable(w)
+			return src.Observer.MetricsTable(w)
 		}
 		return nil
 	}); err != nil {
 		return "", err
 	}
-
-	if err := r.writeFile(dir, "events.json", &written, func(w io.Writer) error {
-		doc := struct {
-			Reason string                   `json:"reason"`
-			Nodes  map[string][]flightEvent `json:"nodes"`
-		}{Reason: reason, Nodes: map[string][]flightEvent{}}
-		for n, evs := range byNode {
-			key := fmt.Sprintf("node%d", n)
-			if n == SystemNode {
-				key = "system"
-			}
-			out := make([]flightEvent, 0, len(evs))
-			for _, e := range evs {
-				fe := flightEvent{Sim: e.Sim, Wall: e.Wall, Kind: e.Kind.String(), Dur: e.Dur, A: e.A, B: e.B}
-				if e.Phase != PhaseNone {
-					fe.Phase = e.Phase.String()
-				}
-				out = append(out, fe)
-			}
-			doc.Nodes[key] = out
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(doc)
-	}); err != nil {
-		return "", err
-	}
-
-	if err := r.writeFile(dir, "events.txt", &written, func(w io.Writer) error {
-		for _, n := range nodes {
-			label := fmt.Sprintf("node %d", n)
-			if n == SystemNode {
-				label = "system"
-			}
-			fmt.Fprintf(w, "== %s (last %d events)\n", label, len(byNode[n]))
-			for _, e := range byNode[n] {
-				name := e.Kind.String()
-				if e.Kind == KindPhase {
-					name = "phase:" + e.Phase.String()
-				}
-				fmt.Fprintf(w, "  sim=%-12d %-16s a=%-8d b=%-8d dur=%d\n", e.Sim, name, e.A, e.B, e.Dur)
-			}
-		}
-		return nil
-	}); err != nil {
-		return "", err
-	}
-
-	if r.graph != nil {
-		if err := r.writeFile(dir, "deps.dot", &written, r.graph.WriteDOT); err != nil {
-			return "", err
-		}
-		if err := r.writeFile(dir, "deps.json", &written, r.graph.WriteGraphJSON); err != nil {
-			return "", err
-		}
-	}
-	if r.audit != nil {
-		if err := r.writeFile(dir, "violations.json", &written, r.audit.WriteAuditViolations); err != nil {
-			return "", err
-		}
-		if err := r.writeFile(dir, "audit_trails.json", &written, func(w io.Writer) error {
-			return r.audit.WriteAuditTxn(w, "")
-		}); err != nil {
-			return "", err
-		}
-		if err := r.writeFile(dir, "timeseries.json", &written, r.audit.WriteTimeSeries); err != nil {
-			return "", err
-		}
-	}
-	if r.prof != nil {
-		if err := r.writeFile(dir, "prof.json", &written, r.prof.WriteProfJSON); err != nil {
-			return "", err
-		}
-	}
-	if r.wfall != nil {
-		if err := r.writeFile(dir, "waterfall.json", &written, r.wfall.WriteWaterfallJSON); err != nil {
-			return "", err
-		}
-	}
-	if r.debt != nil {
-		if err := r.writeFile(dir, "debt.json", &written, r.debt.WriteDebtJSON); err != nil {
-			return "", err
-		}
-	}
-	if r.stats != nil {
-		if err := r.writeFile(dir, "stats.txt", &written, r.stats); err != nil {
-			return "", err
-		}
-	}
-	for _, name := range auxNames {
-		if err := r.writeFile(dir, name, &written, r.aux[name]); err != nil {
+	for _, f := range files {
+		if err := r.writeFile(dir, f.name, &written, f.write); err != nil {
 			return "", err
 		}
 	}

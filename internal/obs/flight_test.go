@@ -68,10 +68,10 @@ func TestFlightRecorderDump(t *testing.T) {
 	o.Instant(KindRecovery, SystemNode, 300, 0, 0)
 
 	r := NewFlightRecorder(t.TempDir(), 16)
-	r.SetSources(o, stubGraph{}, nil, nil, nil, nil, func(w io.Writer) error {
+	r.SetSources(Sources{Observer: o, Graph: stubGraph{}, Stats: func(w io.Writer) error {
 		_, err := io.WriteString(w, "stats delta: {}\n")
 		return err
-	})
+	}})
 	dir, err := r.Dump("ifa violation #1")
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestFlightRecorderLastNTail(t *testing.T) {
 		o.Instant(KindMigrate, 0, int64(i), int64(i), 0)
 	}
 	r := NewFlightRecorder(t.TempDir(), 8)
-	r.SetSources(o, nil, nil, nil, nil, nil, nil)
+	r.SetSources(Sources{Observer: o})
 	dir, err := r.Dump("crash")
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestFlightRecorderBudget(t *testing.T) {
 	o := NewWithCapacity(8)
 	root := t.TempDir()
 	r := NewFlightRecorder(root, 4)
-	r.SetSources(o, nil, nil, nil, nil, nil, nil)
+	r.SetSources(Sources{Observer: o})
 	for i := 0; i < maxDumps+3; i++ {
 		if _, err := r.Dump(fmt.Sprintf("crash-%d", i)); err != nil {
 			t.Fatal(err)
@@ -184,7 +184,7 @@ func TestFlightRecorderAuditFiles(t *testing.T) {
 	o := NewWithCapacity(8)
 	o.Instant(KindCrash, 0, 100, 4, 2)
 	r := NewFlightRecorder(t.TempDir(), 8)
-	r.SetSources(o, nil, stubAudit{}, nil, nil, nil, nil)
+	r.SetSources(Sources{Observer: o, Audit: stubAudit{}})
 	dir, err := r.Dump("crash")
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +212,7 @@ func TestFlightRecorderProfFile(t *testing.T) {
 	o := NewWithCapacity(8)
 	o.Instant(KindCrash, 0, 100, 4, 2)
 	r := NewFlightRecorder(t.TempDir(), 8)
-	r.SetSources(o, nil, nil, stubProf{}, nil, nil, nil)
+	r.SetSources(Sources{Observer: o, Prof: stubProf{}})
 	dir, err := r.Dump("crash")
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +236,7 @@ func TestFlightRecorderProfFile(t *testing.T) {
 func TestFlightRecorderZeroBudget(t *testing.T) {
 	root := t.TempDir()
 	r := NewFlightRecorder(root, 4)
-	r.SetSources(NewWithCapacity(8), nil, nil, nil, nil, nil, nil)
+	r.SetSources(Sources{Observer: NewWithCapacity(8)})
 	r.SetBudget(0, 0, false)
 	dir, err := r.Dump("crash")
 	if err != nil || dir != "" {
@@ -261,7 +261,7 @@ func TestFlightRecorderZeroBudget(t *testing.T) {
 func TestFlightRecorderByteBudgetSmallerThanManifest(t *testing.T) {
 	root := t.TempDir()
 	r := NewFlightRecorder(root, 4)
-	r.SetSources(NewWithCapacity(8), nil, nil, nil, nil, nil, nil)
+	r.SetSources(Sources{Observer: NewWithCapacity(8)})
 	// Even a lone MANIFEST.txt exceeds 10 bytes: the dump must be written,
 	// measured, and removed without leaving a partial directory.
 	r.SetBudget(64, 10, false)
@@ -281,7 +281,7 @@ func TestFlightRecorderByteBudgetSmallerThanManifest(t *testing.T) {
 func TestFlightRecorderRotation(t *testing.T) {
 	root := t.TempDir()
 	r := NewFlightRecorder(root, 4)
-	r.SetSources(NewWithCapacity(8), nil, nil, nil, nil, nil, nil)
+	r.SetSources(Sources{Observer: NewWithCapacity(8)})
 	r.SetBudget(3, 0, true)
 	// Fill the directory to its dump budget, then keep dumping: rotation
 	// must evict the oldest instead of skipping the newest.
@@ -324,7 +324,7 @@ func TestFlightRecorderRotation(t *testing.T) {
 
 func TestFlightRecorderNil(t *testing.T) {
 	var r *FlightRecorder
-	r.SetSources(nil, nil, nil, nil, nil, nil, nil)
+	r.SetSources(Sources{})
 	dir, err := r.Dump("crash")
 	if err != nil || dir != "" {
 		t.Errorf("nil recorder Dump = %q, %v", dir, err)

@@ -1,0 +1,98 @@
+// Package hooks is the one attach point between the engine and its optional
+// observability consumers. A Set names every consumer the engine knows how
+// to feed; recovery.DB.Attach publishes one with a single pointer swap and
+// hands the same pointer to each substrate (machine, wal, buffer, lock)
+// through that substrate's one SetHooks. Every hook site loads the set once
+// and calls the consumers it needs directly: what is an obs.Event stays an
+// event, what is a typed call (NoteLineWait, CurrentTxn, NoteAppend, the
+// stripe counters) stays that call.
+//
+// A Set is immutable once attached. To change one consumer, copy the current
+// set, change the field, and attach the copy.
+package hooks
+
+import (
+	"smdb/internal/obs"
+	"smdb/internal/obs/audit"
+	"smdb/internal/obs/debt"
+	"smdb/internal/obs/deps"
+	"smdb/internal/obs/prof"
+	"smdb/internal/obs/waterfall"
+)
+
+// Set is the consumers attached to one engine. Every field may be nil and
+// every consumer's methods are nil-receiver safe, so the zero Set is the
+// detached engine: a hook site costs one pointer load and one nil test.
+// Nothing depends on the order the fields are assigned in.
+type Set struct {
+	// Observer is the event spine: tracer rings, histograms, counters.
+	Observer *obs.Observer
+	// Deps and Audit are the Observer's event sinks (see Sink); they also
+	// take the recovery layer's direct write/crash/recovered notifications.
+	Deps  *deps.Tracker
+	Audit *audit.Auditor
+	// Prof is the stripe-contention (machine) and worker cost-attribution
+	// (restart recovery) profiler pair.
+	Prof *prof.Pair
+	// Waterfall attributes each transaction's waits; it needs the holder of
+	// a contended line synchronously, which an event cannot carry.
+	Waterfall *waterfall.Recorder
+	// Debt accounts replay debt from WAL appends/forces and dirty pages; it
+	// needs a transaction id and an encoded size on every append.
+	Debt *debt.Tracker
+	// Flight writes a post-mortem dump of everything above on a crash.
+	Flight *obs.FlightRecorder
+}
+
+// Sink is the event fan-out the set asks of its Observer: Deps and Audit in
+// that order, whichever are present, nil when neither is.
+func (s *Set) Sink() obs.Sink {
+	switch {
+	case s.Deps != nil && s.Audit != nil:
+		return obs.MultiSink{s.Deps, s.Audit}
+	case s.Deps != nil:
+		return s.Deps
+	case s.Audit != nil:
+		return s.Audit
+	}
+	return nil
+}
+
+// Stripes is the machine's half of the profiler pair, nil without one.
+func (s *Set) Stripes() *prof.StripeProf {
+	if s.Prof == nil {
+		return nil
+	}
+	return s.Prof.Stripes
+}
+
+// Workers is restart recovery's half of the profiler pair, nil without one.
+func (s *Set) Workers() *prof.WorkerProf {
+	if s.Prof == nil {
+		return nil
+	}
+	return s.Prof.Workers
+}
+
+// Sources is what the introspection server and the flight recorder render
+// for this set. An absent consumer is an absent (nil interface) source, so
+// its endpoints report {"enabled": false} and its dump files are omitted.
+func (s *Set) Sources() obs.Sources {
+	src := obs.Sources{Observer: s.Observer}
+	if s.Deps != nil {
+		src.Graph = s.Deps
+	}
+	if s.Audit != nil {
+		src.Audit = s.Audit
+	}
+	if s.Prof != nil {
+		src.Prof = s.Prof
+	}
+	if s.Waterfall != nil {
+		src.Waterfall = s.Waterfall
+	}
+	if s.Debt != nil {
+		src.Debt = s.Debt
+	}
+	return src
+}

@@ -50,7 +50,7 @@ func (m *indexMux) handle(pattern, display string, h http.HandlerFunc) {
 // Endpoints returns every introspection path the HTTP handler registers, in
 // sorted order — the source of truth the index handler and its test share.
 func Endpoints() []string {
-	m := newHTTPMux(nil, nil, nil, nil, nil, nil)
+	m := newHTTPMux(nil)
 	out := make([]string, 0, len(m.endpoints))
 	for _, e := range m.endpoints {
 		out = append(out, e.pattern)
@@ -81,17 +81,22 @@ func Endpoints() []string {
 //	                    MTTR history, estimated replay time)
 //	/debug/pprof/       the standard Go profiler endpoints
 //
-// o may be nil (endpoints degrade to empty documents), graph may be nil
-// (/deps explains that no tracker is attached), and aud/prf/wf/dbt may be
-// nil (their endpoints report {"enabled": false}).
-func NewHTTPHandler(o *Observer, graph GraphWriter, aud AuditSource, prf ProfSource, wf WaterfallSource, dbt DebtSource) http.Handler {
-	return newHTTPMux(o, graph, aud, prf, wf, dbt).mux
+// current is called once per request and returns what to render right now,
+// so a host that swaps its consumers between runs (one engine per seed)
+// serves the latest ones; see Sources for what a nil field degrades to. A
+// nil current renders the zero Sources.
+func NewHTTPHandler(current func() Sources) http.Handler {
+	return newHTTPMux(current).mux
 }
 
-func newHTTPMux(o *Observer, graph GraphWriter, aud AuditSource, prf ProfSource, wf WaterfallSource, dbt DebtSource) *indexMux {
+func newHTTPMux(current func() Sources) *indexMux {
+	if current == nil {
+		current = func() Sources { return Sources{} }
+	}
 	start := time.Now()
 	m := &indexMux{mux: http.NewServeMux()}
 	m.handle("/healthz", "", func(w http.ResponseWriter, _ *http.Request) {
+		o := current().Observer
 		var events int64
 		for k := Kind(0); k < numKinds; k++ {
 			events += o.Count(k)
@@ -100,36 +105,33 @@ func newHTTPMux(o *Observer, graph GraphWriter, aud AuditSource, prf ProfSource,
 		fmt.Fprintf(w, "ok events=%d uptime=%s\n", events, time.Since(start).Round(time.Millisecond))
 	})
 	m.handle("/metrics", "", func(w http.ResponseWriter, _ *http.Request) {
+		src := current()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := o.WritePrometheus(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+		writers := []func(io.Writer) error{src.Observer.WritePrometheus}
+		if src.Prof != nil {
+			writers = append(writers, src.Prof.WriteProfProm)
 		}
-		if prf != nil {
-			if err := prf.WriteProfProm(w); err != nil {
+		if src.Waterfall != nil {
+			writers = append(writers, src.Waterfall.WriteWaterfallProm)
+		}
+		if src.Debt != nil {
+			writers = append(writers, src.Debt.WriteDebtProm)
+		}
+		for _, write := range writers {
+			if err := write(w); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
-			}
-		}
-		if wf != nil {
-			if err := wf.WriteWaterfallProm(w); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-		}
-		if dbt != nil {
-			if err := dbt.WriteDebtProm(w); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
 			}
 		}
 	})
 	m.handle("/trace", "", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		if err := o.WriteChromeTrace(w); err != nil {
+		if err := current().Observer.WriteChromeTrace(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
 	m.handle("/deps", "/deps[?format=json]", func(w http.ResponseWriter, r *http.Request) {
+		graph := current().Graph
 		if graph == nil {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			fmt.Fprintln(w, "digraph recovery_deps {\n  // no dependency tracker attached\n}")
@@ -147,18 +149,21 @@ func newHTTPMux(o *Observer, graph GraphWriter, aud AuditSource, prf ProfSource,
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	auditJSON := func(w http.ResponseWriter, write func(io.Writer) error) {
+	// optional serves one JSON document of a source that may be absent;
+	// write is only called when present.
+	optional := func(w http.ResponseWriter, present bool, write func() error) {
 		w.Header().Set("Content-Type", "application/json")
-		if aud == nil {
+		if !present {
 			fmt.Fprintln(w, `{"enabled": false}`)
 			return
 		}
-		if err := write(w); err != nil {
+		if err := write(); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	}
 	auditTxn := func(w http.ResponseWriter, id string) {
-		auditJSON(w, func(out io.Writer) error { return aud.WriteAuditTxn(out, id) })
+		aud := current().Audit
+		optional(w, aud != nil, func() error { return aud.WriteAuditTxn(w, id) })
 	}
 	m.handle("/audit/txn", "", func(w http.ResponseWriter, _ *http.Request) {
 		auditTxn(w, "")
@@ -167,43 +172,29 @@ func newHTTPMux(o *Observer, graph GraphWriter, aud AuditSource, prf ProfSource,
 		auditTxn(w, strings.TrimPrefix(r.URL.Path, "/audit/txn/"))
 	})
 	m.handle("/audit/violations", "", func(w http.ResponseWriter, _ *http.Request) {
-		auditJSON(w, func(out io.Writer) error { return aud.WriteAuditViolations(out) })
+		aud := current().Audit
+		optional(w, aud != nil, func() error { return aud.WriteAuditViolations(w) })
 	})
 	m.handle("/timeseries", "", func(w http.ResponseWriter, _ *http.Request) {
-		auditJSON(w, func(out io.Writer) error { return aud.WriteTimeSeries(out) })
+		aud := current().Audit
+		optional(w, aud != nil, func() error { return aud.WriteTimeSeries(w) })
 	})
-	profJSON := func(w http.ResponseWriter, write func(io.Writer) error) {
-		w.Header().Set("Content-Type", "application/json")
-		if prf == nil {
-			fmt.Fprintln(w, `{"enabled": false}`)
-			return
-		}
-		if err := write(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	}
 	m.handle("/prof/stripes", "", func(w http.ResponseWriter, _ *http.Request) {
-		profJSON(w, func(out io.Writer) error { return prf.WriteProfStripes(out) })
+		prf := current().Prof
+		optional(w, prf != nil, func() error { return prf.WriteProfStripes(w) })
 	})
 	m.handle("/prof/workers", "", func(w http.ResponseWriter, _ *http.Request) {
-		profJSON(w, func(out io.Writer) error { return prf.WriteProfWorkers(out) })
+		prf := current().Prof
+		optional(w, prf != nil, func() error { return prf.WriteProfWorkers(w) })
 	})
-	wfJSON := func(w http.ResponseWriter, ct string, write func(io.Writer) error) {
-		w.Header().Set("Content-Type", ct)
-		if wf == nil {
-			fmt.Fprintln(w, `{"enabled": false}`)
-			return
-		}
-		if err := write(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	}
 	m.handle("/slow", "/slow[?max=N]", func(w http.ResponseWriter, r *http.Request) {
 		max, _ := strconv.Atoi(r.URL.Query().Get("max"))
-		wfJSON(w, "application/json", func(out io.Writer) error { return wf.WriteSlowJSON(out, max) })
+		wf := current().Waterfall
+		optional(w, wf != nil, func() error { return wf.WriteSlowJSON(w, max) })
 	})
 	m.handle("/slow/trace", "", func(w http.ResponseWriter, _ *http.Request) {
-		wfJSON(w, "application/json", func(out io.Writer) error { return wf.WriteWaterfallChrome(out) })
+		wf := current().Waterfall
+		optional(w, wf != nil, func() error { return wf.WriteWaterfallChrome(w) })
 	})
 	m.handle("/slow/", "/slow/{txnid}", func(w http.ResponseWriter, r *http.Request) {
 		id, ok := parseTxnID(strings.TrimPrefix(r.URL.Path, "/slow/"))
@@ -211,20 +202,16 @@ func newHTTPMux(o *Observer, graph GraphWriter, aud AuditSource, prf ProfSource,
 			http.Error(w, "bad txn id (want t<node>.<seq> or the packed integer)", http.StatusBadRequest)
 			return
 		}
-		wfJSON(w, "application/json", func(out io.Writer) error { return wf.WriteTxnJSON(out, id) })
+		wf := current().Waterfall
+		optional(w, wf != nil, func() error { return wf.WriteTxnJSON(w, id) })
 	})
 	m.handle("/recovery/progress", "", func(w http.ResponseWriter, _ *http.Request) {
-		wfJSON(w, "application/json", func(out io.Writer) error { return wf.WriteRecoveryProgress(out) })
+		wf := current().Waterfall
+		optional(w, wf != nil, func() error { return wf.WriteRecoveryProgress(w) })
 	})
 	m.handle("/recovery/debt", "", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if dbt == nil {
-			fmt.Fprintln(w, `{"enabled": false}`)
-			return
-		}
-		if err := dbt.WriteDebtJSON(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		dbt := current().Debt
+		optional(w, dbt != nil, func() error { return dbt.WriteDebtJSON(w) })
 	})
 	m.handle("/debug/pprof/", "", pprof.Index)
 	m.handle("/debug/pprof/cmdline", "", pprof.Cmdline)
@@ -285,14 +272,14 @@ type HTTPServer struct {
 // ServeHTTP starts the introspection server on addr (e.g. "127.0.0.1:8321"
 // or "127.0.0.1:0") in a background goroutine and returns once the listener
 // is bound. Close with Shutdown.
-func ServeHTTP(addr string, o *Observer, graph GraphWriter, aud AuditSource, prf ProfSource, wf WaterfallSource, dbt DebtSource) (*HTTPServer, error) {
+func ServeHTTP(addr string, current func() Sources) (*HTTPServer, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	s := &HTTPServer{
 		Addr: lis.Addr().String(),
-		srv:  &http.Server{Handler: NewHTTPHandler(o, graph, aud, prf, wf, dbt)},
+		srv:  &http.Server{Handler: NewHTTPHandler(current)},
 		lis:  lis,
 	}
 	go func() { _ = s.srv.Serve(lis) }()

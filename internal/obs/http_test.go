@@ -9,6 +9,9 @@ import (
 	"testing"
 )
 
+// fixed serves one unchanging set of sources.
+func fixed(src Sources) func() Sources { return func() Sources { return src } }
+
 func get(t *testing.T, h http.Handler, path string) (int, string, string) {
 	t.Helper()
 	req := httptest.NewRequest("GET", path, nil)
@@ -20,7 +23,7 @@ func get(t *testing.T, h http.Handler, path string) (int, string, string) {
 }
 
 func TestHTTPHandlerEndpoints(t *testing.T) {
-	h := NewHTTPHandler(goldenObserver(), stubGraph{}, stubAudit{}, stubProf{}, nil, nil)
+	h := NewHTTPHandler(fixed(Sources{Observer: goldenObserver(), Graph: stubGraph{}, Audit: stubAudit{}, Prof: stubProf{}}))
 
 	code, body, _ := get(t, h, "/healthz")
 	if code != 200 || !strings.HasPrefix(body, "ok events=") {
@@ -95,7 +98,7 @@ func TestHTTPHandlerEndpoints(t *testing.T) {
 }
 
 func TestHTTPHandlerNilSources(t *testing.T) {
-	h := NewHTTPHandler(nil, nil, nil, nil, nil, nil)
+	h := NewHTTPHandler(nil)
 	code, body, _ := get(t, h, "/deps")
 	if code != 200 || !strings.Contains(body, "no dependency tracker attached") {
 		t.Errorf("/deps with nil graph = %d %q", code, body)
@@ -117,7 +120,7 @@ func TestHTTPHandlerNilSources(t *testing.T) {
 }
 
 func TestServeHTTPLive(t *testing.T) {
-	s, err := ServeHTTP("127.0.0.1:0", goldenObserver(), nil, nil, nil, nil, nil)
+	s, err := ServeHTTP("127.0.0.1:0", fixed(Sources{Observer: goldenObserver()}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +191,7 @@ func (stubDebt) WriteDebtProm(w io.Writer) error {
 // every endpoint the mux registers must appear in the "/" body and must not
 // 404 — the drift the hand-maintained index used to accumulate.
 func TestEndpointIndexComplete(t *testing.T) {
-	h := NewHTTPHandler(goldenObserver(), stubGraph{}, stubAudit{}, stubProf{}, stubWf{}, stubDebt{})
+	h := NewHTTPHandler(fixed(Sources{Observer: goldenObserver(), Graph: stubGraph{}, Audit: stubAudit{}, Prof: stubProf{}, Waterfall: stubWf{}, Debt: stubDebt{}}))
 	code, body, _ := get(t, h, "/")
 	if code != 200 {
 		t.Fatalf("index = %d", code)
@@ -214,7 +217,7 @@ func TestEndpointIndexComplete(t *testing.T) {
 }
 
 func TestWaterfallEndpoints(t *testing.T) {
-	h := NewHTTPHandler(goldenObserver(), nil, nil, nil, stubWf{}, nil)
+	h := NewHTTPHandler(fixed(Sources{Observer: goldenObserver(), Waterfall: stubWf{}}))
 
 	code, body, ctype := get(t, h, "/slow?max=5")
 	if code != 200 || !strings.Contains(ctype, "application/json") || !strings.Contains(body, `"max":5`) {
@@ -247,7 +250,7 @@ func TestWaterfallEndpoints(t *testing.T) {
 	}
 
 	// Without a recorder the waterfall endpoints degrade, not 404.
-	h = NewHTTPHandler(nil, nil, nil, nil, nil, nil)
+	h = NewHTTPHandler(nil)
 	for _, path := range []string{"/slow", "/slow/trace", "/slow/t0.1", "/recovery/progress"} {
 		code, body, _ := get(t, h, path)
 		if code != 200 || !strings.Contains(body, `"enabled": false`) {
@@ -257,7 +260,7 @@ func TestWaterfallEndpoints(t *testing.T) {
 }
 
 func TestDebtEndpoint(t *testing.T) {
-	h := NewHTTPHandler(goldenObserver(), nil, nil, nil, nil, stubDebt{})
+	h := NewHTTPHandler(fixed(Sources{Observer: goldenObserver(), Debt: stubDebt{}}))
 
 	code, body, ctype := get(t, h, "/recovery/debt")
 	if code != 200 || !strings.Contains(ctype, "application/json") || !strings.Contains(body, `"debt_records":7`) {
@@ -269,7 +272,7 @@ func TestDebtEndpoint(t *testing.T) {
 	}
 
 	// Without a tracker the endpoint degrades, not 404.
-	h = NewHTTPHandler(nil, nil, nil, nil, nil, nil)
+	h = NewHTTPHandler(nil)
 	code, body, _ = get(t, h, "/recovery/debt")
 	if code != 200 || !strings.Contains(body, `"enabled": false`) {
 		t.Errorf("/recovery/debt with nil tracker = %d %q", code, body)

@@ -244,10 +244,10 @@ type Sink interface {
 	OnEvent(Event)
 }
 
-// MultiSink fans one event stream out to several sinks, in order. The
-// recovery layer uses it when both the dependency tracker and the online
-// auditor are attached; each element must satisfy the Sink contract on its
-// own (the fan-out adds no locking).
+// MultiSink fans one event stream out to several sinks, in order (a hook
+// set with both the dependency tracker and the online auditor asks for
+// one); each element must satisfy the Sink contract on its own (the fan-out
+// adds no locking).
 type MultiSink []Sink
 
 // OnEvent delivers e to every sink in order.

@@ -144,7 +144,18 @@ func (w *Waterfall) Attributed() int64 {
 	return t
 }
 
-// Config bounds the recorder and tail sampler. Zero values take defaults.
+// Fixed bounds of the recorder and tail sampler.
+const (
+	// retain caps the reservoir length (FIFO eviction).
+	retain = 256
+	// maxWindows caps live top-K windows; older windows are evicted whole.
+	maxWindows = 64
+	// maxSegments caps one transaction's recorded segments (ByCause keeps
+	// counting past the cap; Dropped counts the overflow).
+	maxSegments = 96
+)
+
+// Config sizes the recorder and tail sampler. Zero values take defaults.
 type Config struct {
 	// TopK is the number of slowest completed waterfalls kept per window.
 	TopK int
@@ -153,13 +164,6 @@ type Config struct {
 	// SampleN keeps every transaction whose id hashes to 0 mod SampleN in
 	// the reservoir — deterministic across replays by construction.
 	SampleN int
-	// Retain caps the reservoir length (FIFO eviction).
-	Retain int
-	// MaxWindows caps live top-K windows; older windows are evicted whole.
-	MaxWindows int
-	// MaxSegments caps one transaction's recorded segments (ByCause keeps
-	// counting past the cap; Dropped counts the overflow).
-	MaxSegments int
 	// Nodes sizes the per-node current-transaction table (default 64).
 	Nodes int
 }
@@ -173,15 +177,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SampleN <= 0 {
 		c.SampleN = 64
-	}
-	if c.Retain <= 0 {
-		c.Retain = 256
-	}
-	if c.MaxWindows <= 0 {
-		c.MaxWindows = 64
-	}
-	if c.MaxSegments <= 0 {
-		c.MaxSegments = 96
 	}
 	if c.Nodes <= 0 {
 		c.Nodes = 64
@@ -236,7 +231,7 @@ type Recorder struct {
 	completed atomic.Int64
 	totalLat  atomic.Int64
 	totalAttr atomic.Int64
-	dropped   atomic.Int64 // segments dropped past MaxSegments
+	dropped   atomic.Int64 // segments dropped past maxSegments
 
 	progress *Progress
 }
@@ -408,7 +403,7 @@ func (r *Recorder) NoteAppend(txn, sim, dur, lsn int64) {
 // addSegmentLocked appends a segment under r.mu, enforcing the per-txn cap.
 func (r *Recorder) addSegmentLocked(lt *liveTxn, s Segment) {
 	lt.wf.ByCause[s.Cause] += s.Dur
-	if len(lt.wf.Segments) < r.cfg.MaxSegments {
+	if len(lt.wf.Segments) < maxSegments {
 		lt.wf.Segments = append(lt.wf.Segments, s)
 	} else {
 		lt.wf.Dropped++
@@ -484,7 +479,7 @@ func (r *Recorder) sampleLocked(w *Waterfall) {
 	if reservoirHash(w.Txn)%uint64(r.cfg.SampleN) == 0 {
 		w.Reservoir = true
 		r.reserve = append(r.reserve, w)
-		if len(r.reserve) > r.cfg.Retain {
+		if len(r.reserve) > retain {
 			r.reserve = r.reserve[1:]
 		}
 	}
@@ -505,7 +500,7 @@ func (r *Recorder) sampleLocked(w *Waterfall) {
 		}
 	}
 	if win == nil {
-		if min := r.maxWin - int64(r.cfg.MaxWindows) + 1; wi < min {
+		if min := r.maxWin - maxWindows + 1; wi < min {
 			return // window already evicted; late completion is dropped
 		}
 		win = &window{idx: wi}
@@ -520,7 +515,7 @@ func (r *Recorder) sampleLocked(w *Waterfall) {
 		r.windows = append(r.windows, nil)
 		copy(r.windows[at+1:], r.windows[at:])
 		r.windows[at] = win
-		for len(r.windows) > r.cfg.MaxWindows {
+		for len(r.windows) > maxWindows {
 			r.windows = r.windows[1:]
 		}
 	}

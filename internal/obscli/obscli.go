@@ -23,6 +23,7 @@ import (
 	"smdb/internal/obs/audit"
 	"smdb/internal/obs/debt"
 	"smdb/internal/obs/deps"
+	"smdb/internal/obs/hooks"
 	"smdb/internal/obs/prof"
 	"smdb/internal/obs/waterfall"
 	"smdb/internal/recovery"
@@ -52,12 +53,6 @@ type Flags struct {
 	// keeping it here keeps the knob's spelling identical across binaries.
 	RecoverWorkers int
 
-	// GroupForce is -groupforce: epoch/group commit log forces (commits
-	// arriving within one epoch window coalesce into a single physical WAL
-	// force). Copied into recovery.Config.GroupCommitForces by every cmd;
-	// shared here for the same no-drift reason as RecoverWorkers.
-	GroupForce bool
-
 	// Record / Replay are the chaos schedule flags, shared here so the
 	// spelling cannot drift across binaries. Record is a directory recorded
 	// schedules are written under; Replay is one schedule file to re-execute
@@ -86,7 +81,6 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.SlowK, "slowk", 0, "slowest transactions retained per waterfall sampler window (0 = default 8)")
 	fs.BoolVar(&f.Debt, "debt", false, "live recovery-debt tracker: log debt per node, MTTR accounting, and estimated replay time (/recovery/debt)")
 	fs.IntVar(&f.RecoverWorkers, "recoverworkers", 0, "parallel restart-recovery workers (0 = sequential)")
-	fs.BoolVar(&f.GroupForce, "groupforce", false, "epoch/group commit log forces: commits in one epoch window share a single physical WAL force")
 	fs.StringVar(&f.Record, "record", "", "record chaos schedules (one JSON per seed) under this directory")
 	fs.StringVar(&f.Replay, "replay", "", "replay a recorded chaos schedule file deterministically")
 	return f
@@ -142,113 +136,29 @@ func (f *Flags) Enabled() bool {
 // Stack is the assembled observability stack for one command run. The
 // commands that sweep seeds build a fresh recovery.DB per seed; the stack's
 // observer, flight recorder, and HTTP server outlive every DB, while the
-// dependency tracker and auditor are per-DB and swapped in by Attach — the
-// HTTP /deps, /audit/*, and /timeseries endpoints always render the current
-// ones.
+// other consumers are per-DB: Attach builds a fresh hook set for each and
+// keeps the latest, which is what the HTTP endpoints and Finish render.
 type Stack struct {
 	Obs    *obs.Observer
 	Flight *obs.FlightRecorder
 	HTTP   *obs.HTTPServer
 	flags  *Flags
-	cur    atomic.Pointer[deps.Tracker]
-	aud    atomic.Pointer[audit.Auditor]
-	prof   atomic.Pointer[prof.Pair]
-	wf     atomic.Pointer[waterfall.Recorder]
-	dbt    atomic.Pointer[debt.Tracker]
+	cur    atomic.Pointer[hooks.Set]
 
 	holdStop chan struct{}
 	holdOnce sync.Once
 	holding  atomic.Bool
 }
 
-// WriteDOT renders the current DB's dependency graph; before the first
-// Attach it renders the empty graph. Stack is the GraphWriter handed to the
-// HTTP server and flight recorder, so both follow tracker swaps.
-func (s *Stack) WriteDOT(w io.Writer) error { return s.cur.Load().WriteDOT(w) }
-
-// WriteGraphJSON is the JSON twin of WriteDOT.
-func (s *Stack) WriteGraphJSON(w io.Writer) error { return s.cur.Load().WriteGraphJSON(w) }
-
-// WriteAuditTxn, WriteAuditViolations, and WriteTimeSeries make Stack the
-// obs.AuditSource handed to the HTTP server, delegating to the auditor from
-// the most recent Attach (the audit.Auditor writers are nil-receiver safe,
-// reporting {"enabled": false} before the first Attach or with -audit off).
-func (s *Stack) WriteAuditTxn(w io.Writer, id string) error { return s.aud.Load().WriteAuditTxn(w, id) }
-
-// WriteAuditViolations renders the current auditor's typed violations.
-func (s *Stack) WriteAuditViolations(w io.Writer) error { return s.aud.Load().WriteAuditViolations(w) }
-
-// WriteTimeSeries renders the current auditor's windowed metrics.
-func (s *Stack) WriteTimeSeries(w io.Writer) error { return s.aud.Load().WriteTimeSeries(w) }
-
-// WriteProfStripes, WriteProfWorkers, WriteProfJSON, and WriteProfProm make
-// Stack the obs.ProfSource handed to the HTTP server and flight recorder,
-// delegating to the profiler pair from the most recent Attach (the prof.Pair
-// writers are nil-receiver safe, reporting {"enabled": false} before the
-// first Attach or with -prof off).
-func (s *Stack) WriteProfStripes(w io.Writer) error { return s.prof.Load().WriteProfStripes(w) }
-
-// WriteProfWorkers renders the current profiler's worker attribution.
-func (s *Stack) WriteProfWorkers(w io.Writer) error { return s.prof.Load().WriteProfWorkers(w) }
-
-// WriteProfJSON renders the current profiler's combined document.
-func (s *Stack) WriteProfJSON(w io.Writer) error { return s.prof.Load().WriteProfJSON(w) }
-
-// WriteProfProm renders the current profiler's Prometheus lines.
-func (s *Stack) WriteProfProm(w io.Writer) error { return s.prof.Load().WriteProfProm(w) }
-
-// WriteSlowJSON and friends make Stack the obs.WaterfallSource handed to the
-// HTTP server and flight recorder, delegating to the waterfall recorder from
-// the most recent Attach (the waterfall writers are nil-receiver safe,
-// reporting {"enabled": false} before the first Attach or with -waterfall
-// off).
-func (s *Stack) WriteSlowJSON(w io.Writer, max int) error { return s.wf.Load().WriteSlowJSON(w, max) }
-
-// WriteTxnJSON renders one sampled transaction's waterfall.
-func (s *Stack) WriteTxnJSON(w io.Writer, txn int64) error { return s.wf.Load().WriteTxnJSON(w, txn) }
-
-// WriteWaterfallChrome renders the sampled waterfalls as Chrome trace JSON.
-func (s *Stack) WriteWaterfallChrome(w io.Writer) error { return s.wf.Load().WriteWaterfallChrome(w) }
-
-// WriteWaterfallProm renders the waterfall Prometheus counters.
-func (s *Stack) WriteWaterfallProm(w io.Writer) error { return s.wf.Load().WriteWaterfallProm(w) }
-
-// WriteWaterfallJSON renders the flight-recorder waterfall document.
-func (s *Stack) WriteWaterfallJSON(w io.Writer) error { return s.wf.Load().WriteWaterfallJSON(w) }
-
-// WriteRecoveryProgress renders the live recovery-progress document.
-func (s *Stack) WriteRecoveryProgress(w io.Writer) error {
-	return s.wf.Load().WriteRecoveryProgress(w)
+// Hooks returns the consumer set from the most recent Attach, each consumer
+// nil unless its flag is on. Before the first Attach it holds only the
+// stack's own observer and flight recorder; a disabled stack's is empty.
+func (s *Stack) Hooks() *hooks.Set {
+	if h := s.cur.Load(); h != nil {
+		return h
+	}
+	return new(hooks.Set)
 }
-
-// WriteDebtJSON and WriteDebtProm make Stack the obs.DebtSource handed to
-// the HTTP server and flight recorder, delegating to the debt tracker from
-// the most recent Attach (the debt writers are nil-receiver safe, reporting
-// {"enabled": false} before the first Attach or with -debt off).
-func (s *Stack) WriteDebtJSON(w io.Writer) error { return s.dbt.Load().WriteDebtJSON(w) }
-
-// WriteDebtProm renders the current debt tracker's Prometheus lines.
-func (s *Stack) WriteDebtProm(w io.Writer) error { return s.dbt.Load().WriteDebtProm(w) }
-
-// Debt returns the recovery-debt tracker from the most recent Attach (nil
-// before the first, or with -debt off).
-func (s *Stack) Debt() *debt.Tracker { return s.dbt.Load() }
-
-// Waterfall returns the waterfall recorder from the most recent Attach (nil
-// before the first, or with -waterfall off).
-func (s *Stack) Waterfall() *waterfall.Recorder { return s.wf.Load() }
-
-// Prof returns the profiler pair from the most recent Attach (nil before the
-// first, or with -prof off).
-func (s *Stack) Prof() *prof.Pair { return s.prof.Load() }
-
-// Tracker returns the dependency tracker from the most recent Attach (nil
-// before the first).
-func (s *Stack) Tracker() *deps.Tracker { return s.cur.Load() }
-
-// Auditor returns the online auditor from the most recent Attach (nil
-// before the first, or with -audit off).
-func (s *Stack) Auditor() *audit.Auditor { return s.aud.Load() }
 
 // Build assembles the stack the flags ask for. With nothing enabled it
 // returns an inert stack: Obs stays nil, so every engine-side hook keeps its
@@ -266,8 +176,9 @@ func (f *Flags) Build() (*Stack, error) {
 		}
 		s.Flight = obs.NewFlightRecorder(f.FlightDir, f.FlightN)
 	}
+	s.cur.Store(&hooks.Set{Observer: s.Obs, Flight: s.Flight})
 	if f.HTTP != "" {
-		srv, err := obs.ServeHTTP(f.HTTP, s.Obs, s, s, s, s, s)
+		srv, err := obs.ServeHTTP(f.HTTP, func() obs.Sources { return s.Hooks().Sources() })
 		if err != nil {
 			return nil, fmt.Errorf("-http: %w", err)
 		}
@@ -277,23 +188,20 @@ func (f *Flags) Build() (*Stack, error) {
 	return s, nil
 }
 
-// Attach wires the stack into one recovery.DB: observer, a fresh dependency
-// tracker (echoing edges back into the observer's event stream), with -audit
-// a fresh online auditor whose LBM policy matches the DB's protocol and
-// coherency, and the flight recorder. Safe to call once per DB in a sweep;
-// the stack's aggregate surfaces (HTTP, trace file) keep accumulating across
-// them. The returned tracker is nil when the stack is disabled — every call
-// site is nil-safe.
+// Attach builds the hook set the flags ask for — the stack's observer and
+// flight recorder plus a fresh dependency tracker (echoing edges back into
+// the observer's event stream), auditor, profiler pair, waterfall recorder
+// and debt tracker, each sized for db — and attaches it to db in one step.
+// Safe to call once per DB in a sweep; the stack's aggregate surfaces (HTTP,
+// trace file) keep accumulating across them. The returned tracker is nil
+// when the stack is disabled — every call site is nil-safe.
 func (s *Stack) Attach(db *recovery.DB) *deps.Tracker {
 	if s.Obs == nil {
 		return nil
 	}
-	t := deps.New(s.Obs)
-	db.AttachObserver(s.Obs)
-	db.AttachDeps(t)
-	s.cur.Store(t)
+	set := hooks.Set{Observer: s.Obs, Deps: deps.New(s.Obs), Flight: s.Flight}
 	if s.flags.Audit {
-		a := audit.New(audit.Config{
+		set.Audit = audit.New(audit.Config{
 			// Stable protocols promise stable coverage at exposure — but
 			// only write-invalidate coherency funnels every exposure
 			// through the trigger/eager force paths; under write-broadcast
@@ -303,35 +211,21 @@ func (s *Stack) Attach(db *recovery.DB) *deps.Tracker {
 				db.M.Config().Coherency == machine.WriteInvalidate,
 			WindowNS: s.flags.Window.Nanoseconds(),
 		})
-		db.AttachAudit(a)
-		s.aud.Store(a)
 	}
 	if s.flags.Prof {
-		// A fresh pair per DB, like the tracker and auditor; attach before
-		// the flight recorder so prof.json joins its dumps.
-		p := prof.NewPair(machine.StripeCount)
-		db.AttachProf(p)
-		s.prof.Store(p)
+		set.Prof = prof.NewPair(machine.StripeCount)
 	}
 	if s.flags.Waterfall {
-		// A fresh recorder per DB, like the profiler; attach before the
-		// flight recorder so waterfall.json joins its dumps.
-		w := waterfall.New(waterfall.Config{
+		set.Waterfall = waterfall.New(waterfall.Config{
 			TopK:  s.flags.SlowK,
 			Nodes: db.M.Nodes(),
 		})
-		db.AttachWaterfall(w)
-		s.wf.Store(w)
 	}
 	if s.flags.Debt {
-		// A fresh tracker per DB, like the profiler; attach before the
-		// flight recorder so debt.json joins its dumps.
-		d := debt.New(debt.Config{
+		set.Debt = debt.New(debt.Config{
 			Nodes:        db.M.Nodes(),
 			LinesPerPage: db.Cfg.LinesPerPage,
 		})
-		db.AttachDebt(d)
-		s.dbt.Store(d)
 		if s.Flight != nil {
 			// Capture the raw per-node WAL devices in every dump so
 			// smdb-waldump can run offline forensics on the exact log state
@@ -345,10 +239,9 @@ func (s *Stack) Attach(db *recovery.DB) *deps.Tracker {
 			}
 		}
 	}
-	if s.Flight != nil {
-		db.SetFlightRecorder(s.Flight)
-	}
-	return t
+	db.Attach(set)
+	s.cur.Store(db.Hooks())
+	return set.Deps
 }
 
 // StopHold ends an in-progress -httphold grace period early (used by hosts
@@ -399,7 +292,8 @@ func (s *Stack) Finish(out io.Writer) error {
 			return err
 		}
 	}
-	if a := s.aud.Load(); a != nil {
+	cur := s.Hooks()
+	if a := cur.Audit; a != nil {
 		sum := a.Summary()
 		fmt.Fprintf(out, "audit: %d violation(s), %d anomaly(ies) over %d window(s), %d trail(s) completed (%d live)\n",
 			sum.Violations, sum.Anomalies, sum.Windows, sum.Completed, sum.Active)
@@ -407,14 +301,14 @@ func (s *Stack) Finish(out io.Writer) error {
 			fmt.Fprintf(out, "  %s: %d\n", k, n)
 		}
 	}
-	if p := s.prof.Load(); p != nil {
+	if p := cur.Prof; p != nil {
 		fmt.Fprintln(out)
 		fmt.Fprint(out, p.Report(5))
 	}
-	if w := s.wf.Load(); w != nil {
+	if w := cur.Waterfall; w != nil {
 		fmt.Fprintln(out, w.Summary())
 	}
-	if d := s.dbt.Load(); d != nil {
+	if d := cur.Debt; d != nil {
 		fmt.Fprintln(out, d.Summary())
 	}
 	if s.flags.Trace != "" {
@@ -446,7 +340,7 @@ func (s *Stack) Finish(out io.Writer) error {
 // log coverage, survivor loss coverage, doomed unlogged dependencies). A
 // disabled stack prints nothing.
 func (s *Stack) PrintVerdicts(out io.Writer) {
-	t := s.cur.Load()
+	t := s.Hooks().Deps
 	if t == nil {
 		return
 	}

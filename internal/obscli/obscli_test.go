@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"smdb/internal/machine"
+	"smdb/internal/obs/hooks"
 	"smdb/internal/recovery"
 	"smdb/internal/workload"
 )
@@ -54,7 +55,7 @@ func TestDisabledStackIsInert(t *testing.T) {
 	if tr := s.Attach(db); tr != nil {
 		t.Errorf("disabled Attach returned a tracker")
 	}
-	if db.Observer() != nil || db.Deps() != nil {
+	if *db.Hooks() != (hooks.Set{}) {
 		t.Error("disabled Attach wired the DB")
 	}
 	if err := s.Finish(io.Discard); err != nil {
@@ -126,7 +127,7 @@ func TestStackSmoke(t *testing.T) {
 
 	db := newDB(t, recovery.VolatileSelectiveRedo)
 	tr := s.Attach(db)
-	if tr == nil || db.Observer() != s.Obs || db.Deps() != tr || s.Tracker() != tr {
+	if tr == nil || db.Hooks().Observer != s.Obs || db.Hooks().Deps != tr || s.Hooks() != db.Hooks() {
 		t.Fatal("Attach did not wire the DB")
 	}
 	crashedRun(t, db)
@@ -224,7 +225,7 @@ func TestStackSmoke(t *testing.T) {
 }
 
 // TestStackTrackerSwap models the chaos sweep: each per-seed DB gets a fresh
-// tracker, and the stack's GraphWriter (what /deps serves) follows the swap.
+// tracker, and the stack's sources (what /deps serves) follow the swap.
 func TestStackTrackerSwap(t *testing.T) {
 	f := parseFlags(t, "-metrics")
 	s, err := f.Build()
@@ -238,18 +239,19 @@ func TestStackTrackerSwap(t *testing.T) {
 	if tr1 == nil || tr2 == nil || tr1 == tr2 {
 		t.Fatalf("expected two distinct trackers, got %p %p", tr1, tr2)
 	}
-	if s.Tracker() != tr2 {
+	if s.Hooks().Deps != tr2 {
 		t.Error("stack did not swap to the newest tracker")
 	}
+	graph := s.Hooks().Sources().Graph
 	var dot strings.Builder
-	if err := s.WriteDOT(&dot); err != nil {
+	if err := graph.WriteDOT(&dot); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(dot.String(), "digraph recovery_deps") {
 		t.Errorf("stack DOT = %q", dot.String())
 	}
 	var js strings.Builder
-	if err := s.WriteGraphJSON(&js); err != nil {
+	if err := graph.WriteGraphJSON(&js); err != nil {
 		t.Fatal(err)
 	}
 	if !json.Valid([]byte(js.String())) {
@@ -404,16 +406,17 @@ func TestStackAuditWiring(t *testing.T) {
 
 	db := newDB(t, recovery.StableEager)
 	s.Attach(db)
-	if s.Auditor() == nil {
+	a1 := s.Hooks().Audit
+	if a1 == nil {
 		t.Fatal("-audit Attach left no auditor")
 	}
-	if db.Audit() != s.Auditor() {
+	if db.Hooks().Audit != a1 {
 		t.Error("DB and stack disagree on the auditor")
 	}
 	crashedRun(t, db)
 
-	if n := s.Auditor().ViolationCount(); n != 0 {
-		t.Errorf("clean StableEager episode raised %d violations: %+v", n, s.Auditor().Violations())
+	if n := a1.ViolationCount(); n != 0 {
+		t.Errorf("clean StableEager episode raised %d violations: %+v", n, a1.Violations())
 	}
 	body := get("/audit/txn")
 	if !strings.Contains(body, `"enabled": true`) || !strings.Contains(body, `"summary"`) {
@@ -433,9 +436,8 @@ func TestStackAuditWiring(t *testing.T) {
 
 	// A second Attach swaps in a fresh auditor (the sweep shape).
 	db2 := newDB(t, recovery.VolatileSelectiveRedo)
-	a1 := s.Auditor()
 	s.Attach(db2)
-	if s.Auditor() == a1 {
+	if s.Hooks().Audit == a1 {
 		t.Error("Attach did not swap the auditor")
 	}
 

@@ -5,7 +5,6 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"smdb/internal/buffer"
 	"smdb/internal/fault"
@@ -13,11 +12,7 @@ import (
 	"smdb/internal/lock"
 	"smdb/internal/machine"
 	"smdb/internal/obs"
-	"smdb/internal/obs/audit"
-	"smdb/internal/obs/debt"
-	"smdb/internal/obs/deps"
-	"smdb/internal/obs/prof"
-	"smdb/internal/obs/waterfall"
+	"smdb/internal/obs/hooks"
 	"smdb/internal/sched"
 	"smdb/internal/storage"
 	"smdb/internal/wal"
@@ -54,17 +49,6 @@ type Config struct {
 	// at every setting; only wall clock (and the incidental simulated
 	// interleaving) changes.
 	RecoveryWorkers int
-	// GroupCommitForces enables epoch/group log forces: commit records
-	// arriving within one epoch window coalesce into a single physical
-	// Force per log (wal.Log.ForceGroup), with a group-commit leader and
-	// follower wakeup. Durability is unchanged — a commit still only
-	// acknowledges once its own record is stable.
-	GroupCommitForces bool
-	// GroupCommitWindow is the epoch leader's host-time collection wait
-	// (default 200µs when GroupCommitForces is set). Ignored whenever a
-	// chaos record/replay session is attached: the window then collapses
-	// to one deterministic scheduler point per epoch.
-	GroupCommitWindow time.Duration
 }
 
 func (c *Config) setDefaults() {
@@ -79,9 +63,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.LockTableLines == 0 {
 		c.LockTableLines = 512
-	}
-	if c.GroupCommitForces && c.GroupCommitWindow == 0 {
-		c.GroupCommitWindow = 200 * time.Microsecond
 	}
 }
 
@@ -180,11 +161,6 @@ type Stats struct {
 	// counts forces performed to satisfy Stable LBM (eager or triggered);
 	// NTAForces counts early-commit forces of structural changes.
 	CommitForces, LBMForces, NTAForces int64
-	// GroupCommitJoins counts commits whose force was satisfied by another
-	// commit's epoch/group force (waited for a leader, or found their
-	// record already stable on arrival). The physical forces they rode are
-	// in CommitForces, charged to their leaders.
-	GroupCommitJoins int64
 	// TagWrites counts undo-tag stores (Table 1's Undo Tagging overhead);
 	// TagClears counts commit/abort-time tag clears.
 	TagWrites, TagClears int64
@@ -213,7 +189,6 @@ func (s Stats) Sub(prev Stats) Stats {
 		Commits:               s.Commits - prev.Commits,
 		Aborts:                s.Aborts - prev.Aborts,
 		CommitForces:          s.CommitForces - prev.CommitForces,
-		GroupCommitJoins:      s.GroupCommitJoins - prev.GroupCommitJoins,
 		LBMForces:             s.LBMForces - prev.LBMForces,
 		NTAForces:             s.NTAForces - prev.NTAForces,
 		TagWrites:             s.TagWrites - prev.TagWrites,
@@ -258,27 +233,18 @@ type DB struct {
 	nodes []nodeCtl
 
 	// mu guards what belongs to no node and is off the forward path:
-	// restart recovery's own counters, and the observer's sink rewiring.
+	// restart recovery's own counters.
 	mu       sync.Mutex
 	recStats Stats
 
-	// The attach points are atomic pointers: the hot paths consult them
-	// with no lock held, lbmTrigger with a machine stripe held.
-	// obs is the attached observability layer (nil when disabled; all its
-	// methods are nil-safe).
-	obs atomic.Pointer[obs.Observer]
-	// deps is the attached dependency-graph tracker (nil when disabled;
-	// nil-safe); see AttachDeps.
-	deps atomic.Pointer[deps.Tracker]
-	// audit is the attached online IFA auditor (nil when disabled;
-	// nil-safe); see AttachAudit.
-	audit atomic.Pointer[audit.Auditor]
-	// flight is the attached crash flight recorder (nil when disabled;
-	// nil-safe); see SetFlightRecorder.
-	flight atomic.Pointer[obs.FlightRecorder]
-	// prof is the attached contention & cost-attribution profiler pair
-	// (nil when disabled; nil-safe); see AttachProf.
-	prof atomic.Pointer[prof.Pair]
+	// attachMu serializes Attach. It is not mu: a flight dump holds the
+	// recorder's mutex while its stats writer takes mu, and Attach takes the
+	// recorder's mutex to set its sources.
+	attachMu sync.Mutex
+	// hk is the attached observability consumer set (never nil; the zero
+	// set when nothing is attached): see Attach. The hot paths load it once
+	// per operation with no lock held, lbmTrigger with a machine stripe held.
+	hk atomic.Pointer[hooks.Set]
 	// fault is the attached chaos injector (nil when chaos is off); see
 	// AttachFaults.
 	fault atomic.Pointer[fault.Injector]
@@ -293,12 +259,6 @@ type DB struct {
 	// schedp is the attached chaos schedule record/replay session (nil when
 	// disabled); see AttachSched.
 	schedp atomic.Pointer[sched.Session]
-	// wfp is the attached per-transaction waterfall recorder (nil when
-	// disabled); see AttachWaterfall.
-	wfp atomic.Pointer[waterfall.Recorder]
-	// dbtp is the attached recovery-debt tracker (nil when disabled); see
-	// AttachDebt.
-	dbtp atomic.Pointer[debt.Tracker]
 	// arenas are the per-worker-slot reusable recovery scratch buffers
 	// (see recArena): slot w belongs to fan-out worker slot w, slot 0 to
 	// the inline (at most one worker) run. Sized at New from
@@ -327,7 +287,8 @@ func New(cfg Config) (*DB, error) {
 	disk := storage.NewDisk(layout.PageBytes())
 	logs := make([]*wal.Log, m.Nodes())
 	for i := range logs {
-		logs[i], err = wal.NewLog(machine.NodeID(i), storage.NewLogDevice())
+		node := machine.NodeID(i)
+		logs[i], err = wal.NewClockedLog(node, storage.NewLogDevice(), func() int64 { return m.Clock(node) })
 		if err != nil {
 			return nil, err
 		}
@@ -360,11 +321,7 @@ func New(cfg Config) (*DB, error) {
 		slots = 1
 	}
 	db.arenas = make([]recArena, slots)
-	if cfg.GroupCommitForces {
-		for _, l := range logs {
-			l.EnableGroupForce(cfg.GroupCommitWindow, nil)
-		}
-	}
+	db.hk.Store(new(hooks.Set))
 	if cfg.Protocol == StableTriggered {
 		m.SetPreTransition(db.lbmTrigger)
 	}
@@ -398,30 +355,12 @@ func (db *DB) AttachSched(s *sched.Session) {
 		db.schedp.Store(nil)
 		db.BM.SetFetchHook(nil)
 		db.M.SetSchedNote(nil)
-		if db.Cfg.GroupCommitForces {
-			// Back to host-time epoch windows.
-			for _, l := range db.Logs {
-				l.SetGroupYield(nil)
-			}
-		}
 		return
 	}
 	db.schedp.Store(s)
 	db.BM.SetFetchHook(func(nd machine.NodeID, p storage.PageID) {
 		s.Point(int32(nd), sched.SiteFetch, int64(p))
 	})
-	if db.Cfg.GroupCommitForces {
-		// A host-time epoch window would make the set of stable commit
-		// records at a crash instant depend on scheduling; under a session
-		// every group-force wait becomes one recorded point instead, so the
-		// coalescing decisions replay exactly.
-		for _, l := range db.Logs {
-			nd := l.Node()
-			l.SetGroupYield(func() {
-				s.Point(int32(nd), sched.SiteGroupForce, 0)
-			})
-		}
-	}
 	if s.Recording() {
 		db.M.SetSchedNote(func(nd machine.NodeID, site string, l machine.LineID) {
 			s.Note(int32(nd), site, int64(l))
@@ -441,202 +380,61 @@ func (db *DB) SchedPoint(actor int32, site string, arg int64) int64 {
 	return db.schedp.Load().Point(actor, site, arg)
 }
 
-// AttachObserver wires the observability layer through every engine
-// substrate: the machine (coherency, line locks, crashes), each node's WAL,
-// the lock manager, the buffer manager, and the protocol layer itself
-// (transaction lifecycle, recovery phases). Call before running work;
-// passing nil detaches everywhere.
-func (db *DB) AttachObserver(o *obs.Observer) {
-	db.M.SetObserver(o)
+// Attach publishes set as the engine's observability consumers, replacing
+// whatever was attached: one pointer swap for the protocol layer, and the
+// same pointer handed to the machine, each node's WAL, the lock manager and
+// the buffer manager. Everything that depends on several consumers at once
+// is derived here from the set as a whole — the observer's sink fan-out
+// (set.Sink) and the flight recorder's sources (set.Sources plus this
+// engine's stats deltas) — so neither the order the set's fields were
+// assigned in nor the order of Attach against AttachSched/AttachFaults
+// matters. The zero set detaches everything. Safe mid-run: an operation
+// straddling the swap reports to the set it loaded.
+//
+// The observer's sink belongs to the set only while the set has sink
+// consumers (Deps, Audit): a sink the caller installed on the observer
+// itself survives Attach of a set without them.
+func (db *DB) Attach(set hooks.Set) {
+	h := &set
+	db.attachMu.Lock()
+	defer db.attachMu.Unlock()
+	prev := db.hk.Load()
+	if prev.Sink() != nil {
+		prev.Observer.SetSink(nil)
+	}
+	if sink := h.Sink(); sink != nil {
+		h.Observer.SetSink(sink)
+	}
+	if h.Flight != nil {
+		src := h.Sources()
+		src.Stats = db.statsDeltaWriter()
+		h.Flight.SetSources(src)
+	}
+	db.M.SetHooks(h)
 	for _, l := range db.Logs {
-		l := l
-		node := l.Node()
-		var fn func() int64
-		if o != nil {
-			fn = func() int64 { return db.M.Clock(node) }
-		}
-		l.SetObserver(o, fn)
+		l.SetHooks(h)
 	}
-	db.Locks.SetObserver(o)
-	db.BM.SetObserver(o)
-	db.obs.Store(o)
+	db.Locks.SetHooks(h)
+	db.BM.SetHooks(h)
+	db.hk.Store(h)
 }
 
-// Observer returns the attached observability layer (nil when disabled).
-func (db *DB) Observer() *obs.Observer { return db.obs.Load() }
+// AttachObserver is Attach of the set holding only o (nil detaches).
+func (db *DB) AttachObserver(o *obs.Observer) { db.Attach(hooks.Set{Observer: o}) }
 
-// AttachDeps wires a dependency-graph tracker: it becomes the observer's
-// event sink (so coherency, WAL, and txn-lifecycle events flow into it) and
-// receives the recovery layer's direct write/crash/recovered notifications.
-// Call after AttachObserver — the tracker needs the event stream to maintain
-// line residency. Passing nil detaches.
-func (db *DB) AttachDeps(t *deps.Tracker) {
-	db.mu.Lock()
-	db.deps.Store(t)
-	db.rewireSinkLocked()
-	db.mu.Unlock()
-}
+// Hooks returns the attached consumer set, never nil (the zero set when
+// nothing is attached) and never written again: to change one consumer, copy
+// the set, change the copy and Attach it.
+func (db *DB) Hooks() *hooks.Set { return db.hk.Load() }
 
-// AttachAudit wires an online IFA auditor: it joins the observer's event
-// sink (alongside the dependency tracker, if one is attached) and receives
-// the recovery layer's direct write/crash/recovered notifications, so it
-// can check the logging-before-migration invariant on every coherency
-// transition while the workload runs. Call after AttachObserver — the
-// auditor needs the event stream. Passing nil detaches.
-func (db *DB) AttachAudit(a *audit.Auditor) {
-	db.mu.Lock()
-	db.audit.Store(a)
-	db.rewireSinkLocked()
-	db.mu.Unlock()
-}
-
-// rewireSinkLocked points the observer's single sink at whichever of the
-// dependency tracker and the auditor are attached (a MultiSink when both
-// are). Caller holds db.mu.
-func (db *DB) rewireSinkLocked() {
-	o := db.obs.Load()
-	if o == nil {
-		return
-	}
-	dt, au := db.deps.Load(), db.audit.Load()
-	switch {
-	case dt != nil && au != nil:
-		o.SetSink(obs.MultiSink{dt, au})
-	case dt != nil:
-		o.SetSink(dt)
-	case au != nil:
-		o.SetSink(au)
-	default:
-		o.SetSink(nil)
-	}
-}
-
-// Deps returns the attached dependency tracker (nil when disabled).
-func (db *DB) Deps() *deps.Tracker { return db.deps.Load() }
-
-// Audit returns the attached online auditor (nil when disabled).
-func (db *DB) Audit() *audit.Auditor { return db.audit.Load() }
-
-// AttachProf wires the contention & cost-attribution profiler: the stripe
-// half attaches to the machine's lock helpers (every stripe acquisition,
-// contended or not, and every condvar sleep is counted from here on) and the
-// worker half receives per-phase cost attribution from the parallel restart
-// pipeline. Passing nil detaches both. Unlike the observer, the profiler is
-// safe to attach and detach mid-run: open critical sections straddling the
-// switch account only the half they saw.
-func (db *DB) AttachProf(p *prof.Pair) {
-	if p != nil {
-		db.M.SetProfiler(p.Stripes)
-	} else {
-		db.M.SetProfiler(nil)
-	}
-	db.prof.Store(p)
-}
-
-// AttachWaterfall wires the per-transaction latency waterfall recorder
-// through every substrate that attributes waits: the machine (line-lock
-// queueing with holder resolution), each node's WAL (append markers), the
-// buffer manager (disk-fetch waits), and the protocol layer itself (compute
-// residue brackets, log-force and undo time, transaction lifecycle). Passing
-// nil detaches everywhere.
-func (db *DB) AttachWaterfall(w *waterfall.Recorder) {
-	db.M.SetWaterfall(w)
-	for _, l := range db.Logs {
-		node := l.Node()
-		var fn func() int64
-		if w != nil {
-			fn = func() int64 { return db.M.Clock(node) }
-		}
-		l.SetWaterfall(w, fn)
-	}
-	db.BM.SetWaterfall(w)
-	if w == nil {
-		db.wfp.Store(nil)
-		return
-	}
-	db.wfp.Store(w)
-}
-
-// Waterfall returns the attached waterfall recorder (nil when disabled; all
-// its methods are nil-safe).
-func (db *DB) Waterfall() *waterfall.Recorder { return db.wfp.Load() }
-
-// AttachDebt wires the live recovery-debt tracker through the substrates
-// that accumulate (and retire) replay debt: each node's WAL (append, force,
-// crash truncation, discard) and the buffer manager (dirty-page
-// transitions). Recover feeds it MTTR samples and estimator calibration.
-// Passing nil detaches everywhere.
-func (db *DB) AttachDebt(d *debt.Tracker) {
-	for _, l := range db.Logs {
-		node := l.Node()
-		var fn func() int64
-		if d != nil {
-			fn = func() int64 { return db.M.Clock(node) }
-		}
-		l.SetDebt(d, fn)
-	}
-	db.BM.SetDebt(d)
-	if d == nil {
-		db.dbtp.Store(nil)
-		return
-	}
-	db.dbtp.Store(d)
-}
-
-// Debt returns the attached recovery-debt tracker (nil when disabled; all
-// its methods are nil-safe).
-func (db *DB) Debt() *debt.Tracker { return db.dbtp.Load() }
-
-// Prof returns the attached profiler pair (nil when disabled).
-func (db *DB) Prof() *prof.Pair { return db.prof.Load() }
-
-// profWorkers returns the worker-attribution half of the attached profiler,
-// nil when profiling is off (the restart executor tests this once per
-// phase).
-func (db *DB) profWorkers() *prof.WorkerProf {
-	if p := db.prof.Load(); p != nil {
-		return p.Workers
-	}
-	return nil
-}
-
-// SetFlightRecorder wires a crash flight recorder: on every node crash a
-// post-mortem dump (last-N events per node, dependency graph, stats deltas
-// since the previous dump) is written at the next Recover entry, and
-// harnesses call DumpFlight on IFA-check failures. Call after AttachObserver
-// and AttachDeps so the recorder sees both. Passing nil detaches.
-func (db *DB) SetFlightRecorder(r *obs.FlightRecorder) {
-	db.flight.Store(r)
-	o, t, a := db.Observer(), db.Deps(), db.Audit()
-	if r == nil {
-		return
-	}
-	var g obs.GraphWriter
-	if t != nil {
-		g = t
-	}
-	var as obs.AuditSource
-	if a != nil {
-		as = a
-	}
-	var ps obs.ProfSource
-	if p := db.Prof(); p != nil {
-		ps = p
-	}
-	var ws obs.WaterfallSource
-	if wf := db.Waterfall(); wf != nil {
-		ws = wf
-	}
-	var ds obs.DebtSource
-	if d := db.Debt(); d != nil {
-		ds = d
-	}
-	// Stats writer: machine + protocol counters as deltas since the last
-	// dump, so each dump reads as "what happened since the previous one".
+// statsDeltaWriter returns a flight-recorder stats writer: machine and
+// protocol counters as deltas since the writer's previous call, so each dump
+// reads as "what happened since the last one".
+func (db *DB) statsDeltaWriter() func(io.Writer) error {
 	var prevM machine.Stats
 	var prevP Stats
 	var prevMu sync.Mutex
-	r.SetSources(o, g, as, ps, ws, ds, func(w io.Writer) error {
+	return func(w io.Writer) error {
 		curM := db.M.Stats()
 		curP := db.Stats()
 		prevMu.Lock()
@@ -646,16 +444,13 @@ func (db *DB) SetFlightRecorder(r *obs.FlightRecorder) {
 		prevMu.Unlock()
 		fmt.Fprintf(w, "machine stats delta: %+v\n\nprotocol stats delta: %+v\n", dM, dP)
 		return nil
-	})
+	}
 }
 
-// FlightRecorder returns the attached flight recorder (nil when disabled).
-func (db *DB) FlightRecorder() *obs.FlightRecorder { return db.flight.Load() }
-
 // DumpFlight writes a flight-recorder dump with the given reason, returning
-// its directory. A detached recorder returns ("", nil).
+// its directory. Without a recorder attached it returns ("", nil).
 func (db *DB) DumpFlight(reason string) (string, error) {
-	return db.FlightRecorder().Dump(reason)
+	return db.hk.Load().Flight.Dump(reason)
 }
 
 // Stats returns a snapshot of the protocol counters: the per-node blocks,
@@ -672,7 +467,6 @@ func (db *DB) Stats() Stats {
 		sum.CommitForces += nc.commitForces.Load()
 		sum.LBMForces += nc.lbmForces.Load()
 		sum.NTAForces += nc.ntaForces.Load()
-		sum.GroupCommitJoins += nc.groupJoins.Load()
 	}
 	return sum
 }
@@ -720,8 +514,9 @@ func (db *DB) Begin(nd machine.NodeID) (wal.TxnID, error) {
 	st.id = wal.MakeTxnID(nd, nc.seq.Load()+1)
 	nc.add(st)
 	nc.mu.Unlock()
-	db.Observer().Instant(obs.KindTxnBegin, int32(nd), now, int64(st.id), 0)
-	db.wfp.Load().Begin(int64(st.id), int32(nd), now)
+	hk := db.hk.Load()
+	hk.Observer.Instant(obs.KindTxnBegin, int32(nd), now, int64(st.id), 0)
+	hk.Waterfall.Begin(int64(st.id), int32(nd), now)
 	return st.id, nil
 }
 

@@ -94,8 +94,8 @@ func (db *DB) noteCrash(rep machine.CrashReport) {
 		})
 		nc.mu.Unlock()
 	}
-	dt, au, fl := db.Deps(), db.Audit(), db.FlightRecorder()
-	if dt != nil || au != nil {
+	hk := db.hk.Load()
+	if hk.Deps != nil || hk.Audit != nil {
 		// The tracker computes IFA-explainer verdicts against the exact
 		// crash-instant state, and the auditor marks its crash victims and
 		// suspends LBM checks for the recovery window; like everything in
@@ -110,10 +110,10 @@ func (db *DB) noteCrash(rep machine.CrashReport) {
 			lost[i] = int32(l)
 		}
 		now := db.M.MaxClock()
-		dt.NoteCrash(crashed, lost, victims, now)
-		au.NoteCrash(crashed, lost, now)
+		hk.Deps.NoteCrash(crashed, lost, victims, now)
+		hk.Audit.NoteCrash(crashed, lost, now)
 	}
-	if fl != nil {
+	if hk.Flight != nil {
 		// No file I/O under the machine lock: Recover writes the dump.
 		db.flightPending.Store(true)
 	}
@@ -138,7 +138,7 @@ func (db *DB) forceThrough(nd machine.NodeID, lsn wal.LSN, count *atomic.Int64) 
 		cost := db.logForceCost()
 		db.M.AdvanceClock(nd, cost)
 		count.Add(1)
-		db.Observer().ObserveLogForce(cost)
+		db.hk.Load().Observer.ObserveLogForce(cost)
 	}
 	return nil
 }

@@ -30,11 +30,11 @@ type nodeCtl struct {
 	dir atomic.Pointer[[]*txnBlock]
 	seq atomic.Uint64
 	// stats are this node's share of the protocol counters, guarded by mu.
-	// The four force counters are bumped where no section is open — between
+	// The three force counters are bumped where no section is open — between
 	// a commit's sections, and in lbmTrigger under a machine stripe — so
 	// they are atomics.
-	stats                                          Stats
-	commitForces, lbmForces, ntaForces, groupJoins atomic.Int64
+	stats                              Stats
+	commitForces, lbmForces, ntaForces atomic.Int64
 	// committed is the IFA oracle's shard for transactions that committed
 	// on this node: the last committed image of every slot they wrote
 	// (flags byte followed by record data), plus its version. Guarded by
@@ -51,7 +51,7 @@ type nodeCtl struct {
 	// (they hold pointers), so the array need not start on a line boundary,
 	// and with 64 idle bytes between them two nodes' fields still never
 	// share a line.
-	_ [96]byte
+	_ [112]byte
 }
 
 // txnBlockLen is the number of entries in one block of a transaction table.

@@ -302,7 +302,7 @@ func TestLockOrderStripeBeforeNodeMutex(t *testing.T) {
 // for any of them it would deadlock on the spot. Two nodes update
 // neighbouring records of one cache line, so every update migrates the line
 // and fires the trigger on the other node's log, while a third goroutine
-// reads Stats() and Observer().
+// reads Stats() and Hooks().
 func TestTriggerTakesNoDBMutex(t *testing.T) {
 	db := newNodeTestDB(t, StableTriggered, 3)
 	db.AttachObserver(obs.NewWithCapacity(64))
@@ -325,7 +325,7 @@ func TestTriggerTakesNoDBMutex(t *testing.T) {
 		go func() {
 			defer reader.Done()
 			for !stop.Load() {
-				if db.Observer() == nil {
+				if db.Hooks().Observer == nil {
 					t.Error("observer detached")
 					return
 				}

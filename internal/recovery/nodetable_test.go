@@ -24,7 +24,7 @@ wave 1 aborted: [t3.7 t3.14] redo 4/40 undo 2
 active after wave 1: [t0.7 t0.14 t1.4 t1.11 t2.2 t2.9]
 wave 2 aborted: [t1.4 t1.11 t2.2 t2.9 t2.16] redo 64/35 undo 8
 active after wave 2: [t0.7 t0.14 t0.20]
-stats: {Updates:337 Inserts:48 Deletes:0 Commits:51 Aborts:19 CommitForces:51 LBMForces:0 NTAForces:0 GroupCommitJoins:0 TagWrites:385 TagClears:232 UndoTagBytes:385 RedoApplied:68 RedoSkipped:75 UndoApplied:10 TxnsAbortedByRecovery:7 LCBsRebuilt:25 LockEntriesReleased:4}
+stats: {Updates:337 Inserts:48 Deletes:0 Commits:51 Aborts:19 CommitForces:51 LBMForces:0 NTAForces:0 TagWrites:385 TagClears:232 UndoTagBytes:385 RedoApplied:68 RedoSkipped:75 UndoApplied:10 TxnsAbortedByRecovery:7 LCBsRebuilt:25 LockEntriesReleased:4}
 images: c04112cfd5bf03df
 ifa violations: 0 durability violations: 0`
 

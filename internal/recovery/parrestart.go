@@ -66,7 +66,7 @@ type ParPhase struct {
 // tasks that would do extra counting work guard on tm != nil).
 func (db *DB) forEachChunk(rep *RecoveryReport, phase obs.Phase, n int, weight func(int) int, f func(i, w int, tm *prof.TaskMeter) error) error {
 	workers := min(db.parWorkers(), n)
-	wp := db.profWorkers()
+	wp := db.hk.Load().Workers()
 	if workers <= 1 {
 		if wp == nil {
 			for i := 0; i < n; i++ {
@@ -150,7 +150,7 @@ func (db *DB) recordFanout(wp *prof.WorkerProf, phase obs.Phase, workers int, wa
 	for i := range meters {
 		busy += meters[i].BusyNS
 	}
-	db.Observer().Record(obs.Event{
+	db.hk.Load().Observer.Record(obs.Event{
 		Kind: obs.KindProfFanout, Phase: phase, Node: obs.SystemNode,
 		Sim: db.M.MaxClock(), Dur: wall.Nanoseconds(),
 		A: int64(workers), B: busy,
@@ -161,7 +161,7 @@ func (db *DB) recordFanout(wp *prof.WorkerProf, phase obs.Phase, workers int, wa
 // shard roll-up, dedupe) so the profiler can separate merge cost from worker
 // busy time. With no profiler attached both are single branch no-ops.
 func profMergeStart(db *DB) int64 {
-	if db.profWorkers() == nil {
+	if db.hk.Load().Workers() == nil {
 		return -1
 	}
 	return prof.Now()
@@ -171,7 +171,7 @@ func profMergeEnd(db *DB, phase obs.Phase, start int64) {
 	if start < 0 {
 		return
 	}
-	db.profWorkers().AddMerge(phase.String(), prof.Now()-start)
+	db.hk.Load().Workers().AddMerge(phase.String(), prof.Now()-start)
 }
 
 // pageBuckets partitions redo candidates by page, preserving candidate-list

@@ -158,17 +158,18 @@ func TestParallelRecoveryEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelRecoveryEquivalenceVariants re-runs the gate under epoch/group
-// commit forces during the workload. The variant compares sequential against
-// parallel under the *same* config — group forces legitimately change which
-// records are stable at the crash, so cross-config fingerprints are not
-// comparable, but seq/par within a config must still be bit-identical.
+// TestParallelRecoveryEquivalenceVariants re-runs the gate under engine
+// configurations that change what restart recovery has to do. Each variant
+// compares sequential against parallel under the *same* config: chained LCBs
+// make the lock-space phases rebuild whole multi-line LCBs, so cross-config
+// fingerprints are not comparable, but seq/par within a config must still be
+// bit-identical.
 func TestParallelRecoveryEquivalenceVariants(t *testing.T) {
 	variants := []struct {
 		name string
 		opt  func(*recovery.Config)
 	}{
-		{"groupforce", func(c *recovery.Config) { c.GroupCommitForces = true }},
+		{"chained", func(c *recovery.Config) { c.ChainedLCBs = true }},
 	}
 	for _, v := range variants {
 		v := v

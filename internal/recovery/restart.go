@@ -11,6 +11,7 @@ import (
 	"smdb/internal/lock"
 	"smdb/internal/machine"
 	"smdb/internal/obs"
+	"smdb/internal/obs/hooks"
 	"smdb/internal/obs/prof"
 	"smdb/internal/obs/waterfall"
 	"smdb/internal/wal"
@@ -19,7 +20,7 @@ import (
 // wfProgress returns the attached waterfall recorder's recovery-progress
 // observer; nil (a no-op observer) when no recorder is attached.
 func (db *DB) wfProgress() *waterfall.Progress {
-	return db.wfp.Load().Progress()
+	return db.hk.Load().Waterfall.Progress()
 }
 
 // Restart recovery (section 4.1.2 for database objects, 4.2 for support
@@ -67,7 +68,7 @@ type RecoveryReport struct {
 	ParPhases []ParPhase
 	// Prof is the profiler's view of this recovery — per-phase worker cost
 	// attribution and per-stripe contention deltas across the Recover call.
-	// Nil unless a profiler is attached (AttachProf).
+	// Nil unless a profiler is attached (the hook set's Prof).
 	Prof *RecoveryProfile
 }
 
@@ -135,7 +136,8 @@ func (db *DB) Recover(crashed []machine.NodeID) (*RecoveryReport, error) {
 	// is judged against, and the closing sample — registered before the
 	// profiler span's defer so it runs after rep.Prof is final — feeds MTTR
 	// accounting and estimator calibration.
-	if dbt := db.Debt(); dbt != nil {
+	hk := db.hk.Load()
+	if dbt := hk.Debt; dbt != nil {
 		dbt.RecoveryStart(len(rep.Crashed))
 		defer func() {
 			var busy int64
@@ -150,14 +152,14 @@ func (db *DB) Recover(crashed []machine.NodeID) (*RecoveryReport, error) {
 	}
 	// The profiler span covers the whole call, every early return included,
 	// so rep.Prof is the exact counter delta attributable to this recovery.
-	defer db.startProfSpan(rep)()
+	defer startProfSpan(hk.Prof, rep)()
 	// The live progress observer (/recovery/progress) opens here and closes on
 	// every exit, reporting success only for the normal returns.
-	pg := db.wfProgress()
+	pg := hk.Waterfall.Progress()
 	pg.Start(len(rep.Crashed))
 	defer func() { pg.End(recovered) }()
 	startClock := db.M.MaxClock()
-	o := db.Observer()
+	o := hk.Observer
 
 	// A crash left a flight-recorder dump pending (noteCrash runs under the
 	// machine lock and may not touch files); write the post-mortem now,
@@ -195,7 +197,7 @@ func (db *DB) Recover(crashed []machine.NodeID) (*RecoveryReport, error) {
 		}
 		rep.SimTime = db.M.MaxClock() - startClock
 		o.Span(obs.KindRecovery, obs.PhaseNone, obs.SystemNode, startClock, rep.SimTime)
-		db.noteRecovered(rep)
+		db.noteRecovered(hk, rep)
 		recovered = true
 		return rep, nil
 	}
@@ -238,7 +240,7 @@ func (db *DB) Recover(crashed []machine.NodeID) (*RecoveryReport, error) {
 	db.crashSim.Store(0) // mid-recovery crashes were handled in-line
 	rep.SimTime = db.M.MaxClock() - startClock
 	o.Span(obs.KindRecovery, obs.PhaseNone, obs.SystemNode, startClock, rep.SimTime)
-	db.noteRecovered(rep)
+	db.noteRecovered(hk, rep)
 	recovered = true
 	return rep, nil
 }
@@ -246,8 +248,7 @@ func (db *DB) Recover(crashed []machine.NodeID) (*RecoveryReport, error) {
 // startProfSpan snapshots the attached profiler at Recover entry and returns
 // a closure storing the end-minus-start delta in rep.Prof. With no profiler
 // attached both halves are no-ops.
-func (db *DB) startProfSpan(rep *RecoveryReport) func() {
-	p := db.Prof()
+func startProfSpan(p *prof.Pair, rep *RecoveryReport) func() {
 	if p == nil {
 		return func() {}
 	}
@@ -264,9 +265,8 @@ func (db *DB) startProfSpan(rep *RecoveryReport) func() {
 // noteRecovered tells the dependency tracker and the online auditor which
 // crash victims recovery aborted (the rest settled as stable-committed),
 // closing the crash episode in both.
-func (db *DB) noteRecovered(rep *RecoveryReport) {
-	dt := db.Deps()
-	au := db.Audit()
+func (db *DB) noteRecovered(hk *hooks.Set, rep *RecoveryReport) {
+	dt, au := hk.Deps, hk.Audit
 	if dt == nil && au == nil {
 		return
 	}
@@ -290,7 +290,7 @@ func (db *DB) recoverOnce(alive []machine.NodeID, rep *RecoveryReport) error {
 	// dies under the attempt ends it, and the next one reads that node's
 	// stable prefix afresh — its volatile tail, visible until now, is gone.
 	vs, down := db.views(alive)
-	o := db.Observer()
+	o := db.hk.Load().Observer
 	phase := db.phaseTracker(rep, o)
 	// step closes the phase span, then gives the injector its shot at
 	// crashing a node (possibly coord) at exactly this boundary.
@@ -397,7 +397,7 @@ func (db *DB) recoverOnce(alive []machine.NodeID, rep *RecoveryReport) error {
 		if _, forced := db.Logs[n].ForceAll(); forced {
 			cost := db.logForceCost()
 			db.M.AdvanceClock(n, cost)
-			db.Observer().ObserveLogForce(cost)
+			o.ObserveLogForce(cost)
 		}
 	}
 

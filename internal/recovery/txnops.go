@@ -14,10 +14,10 @@ import (
 
 // forceThroughTxn is forceThrough with waterfall attribution: the simulated
 // time the force costs t's node is recorded as a log-force wait on t's
-// waterfall (zero — and unrecorded — when a group force already covered the
-// LSN, which is exactly the waterfall's point: only real stalls appear).
+// waterfall (zero — and unrecorded — when the LSN was already stable, which
+// is exactly the waterfall's point: only real stalls appear).
 func (db *DB) forceThroughTxn(nd machine.NodeID, t wal.TxnID, lsn wal.LSN, count *atomic.Int64) error {
-	wf := db.wfp.Load()
+	wf := db.hk.Load().Waterfall
 	if wf == nil {
 		return db.forceThrough(nd, lsn, count)
 	}
@@ -27,52 +27,6 @@ func (db *DB) forceThroughTxn(nd machine.NodeID, t wal.TxnID, lsn wal.LSN, count
 		wf.AddWait(int64(t), waterfall.CauseLogForce, start, end-start, int64(lsn), 0)
 	}
 	return err
-}
-
-// forceCommit makes t's commit record at lsn stable. With group commit
-// forces off it is forceThroughTxn; with them on, the force runs through
-// the WAL's epoch/group path: the epoch leader pays the physical force (and
-// the CommitForces stat) while followers and already-covered arrivals ride
-// a shared force, counted as GroupCommitJoins. Torn-force injection applies
-// identically — a group force is still one physical device write a crash
-// can tear. Callers must still re-check ForcedLSN before acknowledging the
-// commit: a down log yields a zero group result, not an error.
-func (db *DB) forceCommit(nd machine.NodeID, t wal.TxnID, lsn wal.LSN) error {
-	nc := &db.nodes[nd]
-	if !db.Cfg.GroupCommitForces {
-		return db.forceThroughTxn(nd, t, lsn, &nc.commitForces)
-	}
-	if inj := db.injector(); inj != nil {
-		if frac, fire := inj.TornForce(nd, db.aliveCount()); fire {
-			db.Logs[nd].ForceTorn(lsn, frac)
-			db.M.Crash(nd)
-			return fmt.Errorf("recovery: log force on node %d torn by crash: %w", nd, machine.ErrNodeDown)
-		}
-	}
-	wf := db.wfp.Load()
-	start := db.M.Clock(nd)
-	res := db.Logs[nd].ForceGroup(lsn)
-	switch {
-	case res.Led:
-		cost := db.logForceCost()
-		db.M.AdvanceClock(nd, cost)
-		nc.commitForces.Add(1)
-		db.Observer().ObserveLogForce(cost)
-	case res.Joined:
-		// The follower waited out another commit's physical force: same
-		// simulated latency, no device write of its own.
-		db.M.AdvanceClock(nd, db.logForceCost())
-		nc.groupJoins.Add(1)
-	case res.Coalesced:
-		// Already stable on arrival: a free ride, no wait at all.
-		nc.groupJoins.Add(1)
-	}
-	if wf != nil {
-		if end := db.M.Clock(nd); end > start {
-			wf.AddWait(int64(t), waterfall.CauseLogForce, start, end-start, int64(lsn), 0)
-		}
-	}
-	return nil
 }
 
 // Commit commits transaction t: its undo tags are cleared (the record is no
@@ -96,10 +50,10 @@ func (db *DB) Commit(nd machine.NodeID, t wal.TxnID) error {
 	// finalizeCommit) as compute. finalizeCommit closes the bracket just
 	// before it ends the waterfall; on the error paths the node is down and
 	// the crash sweep already dropped the open waterfall.
-	db.wfp.Load().OpStart(int64(t), int32(nd), db.M.Clock(nd))
+	db.hk.Load().Waterfall.OpStart(int64(t), int32(nd), db.M.Clock(nd))
 	db.flushDeferred(nc, st)
 	lsn := db.Logs[nd].Append(wal.Record{Type: wal.TypeCommit, Txn: t})
-	if err := db.forceCommit(nd, t, lsn); err != nil {
+	if err := db.forceThroughTxn(nd, t, lsn, &nc.commitForces); err != nil {
 		return fmt.Errorf("recovery: commit of %v: %w", t, err)
 	}
 	// The commit is acknowledged only if its record really reached stable
@@ -180,7 +134,8 @@ func (db *DB) Abort(nd machine.NodeID, t wal.TxnID) error {
 	// The rollback is a bracket whose residue lands under "undo": the walk's
 	// slot reads, image installs, and directory work are undo time, while
 	// line waits and page fetches inside it keep their own causes.
-	wf := db.wfp.Load()
+	hk := db.hk.Load()
+	wf := hk.Waterfall
 	wf.SpanStart(int64(t), int32(nd), db.M.Clock(nd), waterfall.CauseUndo)
 	// Aggregate the undo per slot — the earliest before image plus the set
 	// of versions this transaction wrote — exactly as crashed-transaction
@@ -238,7 +193,7 @@ func (db *DB) Abort(nd machine.NodeID, t wal.TxnID) error {
 	nc.stats.Aborts++
 	nc.mu.Unlock()
 	now := db.M.Clock(nd)
-	db.Observer().Instant(obs.KindTxnAbort, int32(nd), now, int64(t), 0)
+	hk.Observer.Instant(obs.KindTxnAbort, int32(nd), now, int64(t), 0)
 	wf.OpEnd(int64(t), int32(nd), now)
 	wf.End(int64(t), now, waterfall.OutcomeAborted)
 	return nil
@@ -346,7 +301,7 @@ func (db *DB) Checkpoint(nd machine.NodeID) error {
 		if _, forced := db.Logs[n].Force(lsn); forced {
 			cost := db.logForceCost()
 			db.M.AdvanceClock(n, cost)
-			db.Observer().ObserveLogForce(cost)
+			db.hk.Load().Observer.ObserveLogForce(cost)
 		}
 		low := lsn
 		nc := &db.nodes[n]

@@ -126,7 +126,8 @@ func (db *DB) applyChange(nd machine.NodeID, t wal.TxnID, rid heap.RID, newFlags
 	// and eager-LBM forces are attributed individually below, and whatever
 	// sim time remains unexplained lands in the compute residue. Reentrant
 	// under the transaction layer's own bracket.
-	if wf := db.wfp.Load(); wf != nil {
+	hk := db.hk.Load()
+	if wf := hk.Waterfall; wf != nil {
 		wf.OpStart(int64(t), int32(nd), db.M.Clock(nd))
 		defer func() { wf.OpEnd(int64(t), int32(nd), db.M.Clock(nd)) }()
 	}
@@ -243,16 +244,15 @@ func (db *DB) applyChange(nd machine.NodeID, t wal.TxnID, rid heap.RID, newFlags
 		nc.stats.UndoTagBytes++
 	}
 	nc.mu.Unlock()
-	dt, au := db.Deps(), db.Audit()
-	if (dt != nil || au != nil) && nta == 0 {
+	if (hk.Deps != nil || hk.Audit != nil) && nta == 0 {
 		// Register the write with the dependency tracker and the online
 		// auditor while the line lock still pins the line: it cannot
 		// migrate, downgrade, or be invalidated before they know about the
 		// uncommitted data.
 		slot := int64(rid.Page)<<16 | int64(rid.Slot)
 		now := db.M.Clock(nd)
-		dt.NoteWrite(int64(t), int32(nd), int32(line), slot, int64(lsn), now)
-		au.NoteWrite(int64(t), int32(nd), int32(line), slot, int64(lsn), now)
+		hk.Deps.NoteWrite(int64(t), int32(nd), int32(line), slot, int64(lsn), now)
+		hk.Audit.NoteWrite(int64(t), int32(nd), int32(line), slot, int64(lsn), now)
 	}
 	return nil
 }
@@ -278,8 +278,9 @@ func (db *DB) lbmTrigger(ev machine.Event) (int64, error) {
 		cost := db.logForceCost()
 		// Safe with the stripe held: the observer takes only its own locks
 		// and never calls back into the machine.
-		db.Observer().ObserveLogForce(cost)
-		if wf := db.wfp.Load(); wf != nil {
+		hk := db.hk.Load()
+		hk.Observer.ObserveLogForce(cost)
+		if wf := hk.Waterfall; wf != nil {
 			// The machine charges the trigger's cost to the acquiring node
 			// (ev.To), so the force is that node's current transaction's
 			// wait — the price of pulling an active line out of ev.From's

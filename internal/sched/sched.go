@@ -35,6 +35,7 @@
 package sched
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -68,11 +69,6 @@ const (
 	// SiteEpisode is the harness marker opening episode Arg (the episode's
 	// ORIGINAL index, so seed derivation survives shrinking).
 	SiteEpisode = "episode"
-	// SiteGroupForce is a group-commit epoch wait on a node's WAL: the
-	// leader's window-open hand-off and each follower wait round are one
-	// point each, so epoch coalescing decisions are functions of log state
-	// at floor-serialized recorded instants.
-	SiteGroupForce = "gforce"
 )
 
 // Point is one awaited scheduling decision: actor reached site, with a
@@ -116,9 +112,6 @@ type RunSpec struct {
 	MinAlive        int     `json:"minAlive,omitempty"`
 	IOErrorBurst    int     `json:"ioErrorBurst,omitempty"`
 	PIOError        float64 `json:"pioError,omitempty"`
-	// GroupForce records whether the run had epoch/group commit forces on,
-	// so a replay rebuilds the same coalescing-capable WAL configuration.
-	GroupForce bool `json:"groupForce,omitempty"`
 }
 
 // Schedule is a serialized chaos run: everything needed to re-execute it
@@ -172,6 +165,12 @@ func ReadFile(path string) (*Schedule, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
+	}
+	// Epoch/group commit forces left the engine; a schedule recorded with
+	// them on (spec key "groupForce", point site "gforce") waits at points
+	// no commit reaches any more.
+	if bytes.Contains(data, []byte(`"groupForce"`)) || bytes.Contains(data, []byte(`"gforce"`)) {
+		return nil, fmt.Errorf("sched: %s was recorded with epoch/group commit forces (-groupforce), which the engine no longer has: every commit now forces its own log, so the replay would diverge at the first group-force point; record the run again", path)
 	}
 	var s Schedule
 	if err := json.Unmarshal(data, &s); err != nil {

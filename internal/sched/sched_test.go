@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -309,5 +311,23 @@ func TestReadFileVersionCheck(t *testing.T) {
 	}
 	if _, err := ReadFile(path); err == nil {
 		t.Fatal("version skew accepted")
+	}
+}
+
+// TestReadFileRefusesGroupForceSchedules checks that a schedule recorded with
+// the removed epoch/group commit forces is refused by name, not replayed into
+// a divergence.
+func TestReadFileRefusesGroupForceSchedules(t *testing.T) {
+	for name, doc := range map[string]string{
+		"spec":  `{"version":1,"failEpisode":-1,"spec":{"txnsPerNode":2,"groupForce":true},"points":[]}`,
+		"point": `{"version":1,"failEpisode":-1,"points":[{"a":0,"s":"check"},{"a":1,"s":"gforce"}]}`,
+	} {
+		path := filepath.Join(t.TempDir(), name+".json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadFile(path); err == nil || !strings.Contains(err.Error(), "group commit forces") {
+			t.Errorf("%s: ReadFile = %v, want a refusal naming group commit forces", name, err)
+		}
 	}
 }

@@ -69,7 +69,7 @@ var wfNop = func() {}
 // included — and returns its closer. The engine's own brackets (applyChange)
 // nest inside harmlessly. With no recorder attached both halves no-op.
 func (t *Txn) wfOp() func() {
-	wf := t.mgr.DB.Waterfall()
+	wf := t.mgr.DB.Hooks().Waterfall
 	if wf == nil {
 		return wfNop
 	}
@@ -112,7 +112,7 @@ func (t *Txn) check() error {
 		// Between a crash and the end of restart recovery, transaction
 		// processing stalls (the hardware has interrupted all CPUs);
 		// callers retry as they do for lock waits.
-		if t.stallSince == 0 && t.mgr.DB.Waterfall() != nil {
+		if t.stallSince == 0 && t.mgr.DB.Hooks().Waterfall != nil {
 			t.stallSince = t.mgr.DB.M.Clock(t.node)
 		}
 		return ErrBlocked
@@ -120,7 +120,7 @@ func (t *Txn) check() error {
 	if t.stallSince != 0 {
 		// The freeze lifted: whatever sim time recovery charged this node in
 		// the meantime is the transaction's frozen stall.
-		if wf := t.mgr.DB.Waterfall(); wf != nil {
+		if wf := t.mgr.DB.Hooks().Waterfall; wf != nil {
 			now := t.mgr.DB.M.Clock(t.node)
 			wf.AddWait(int64(t.id), waterfall.CauseFrozen, t.stallSince, now-t.stallSince, 0, 0)
 		}
@@ -136,7 +136,7 @@ func (t *Txn) check() error {
 // CauseLockWait segment; a granted attempt's cost stays in the enclosing
 // bracket's compute residue.
 func (t *Txn) acquire(name lock.Name, mode lock.Mode) (err error) {
-	if wf := t.mgr.DB.Waterfall(); wf != nil {
+	if wf := t.mgr.DB.Hooks().Waterfall; wf != nil {
 		waitFrom := t.mgr.DB.M.Clock(t.node)
 		defer func() {
 			if !errors.Is(err, ErrBlocked) && !errors.Is(err, ErrDeadlock) {
@@ -182,7 +182,7 @@ func (t *Txn) acquire(name lock.Name, mode lock.Mode) (err error) {
 			t.mgr.DB.NoteLock(t.id, name, mode)
 			return nil
 		}
-		t.mgr.DB.Observer().Instant(obs.KindDeadlock, int32(t.node),
+		t.mgr.DB.Hooks().Observer.Instant(obs.KindDeadlock, int32(t.node),
 			t.mgr.DB.M.Clock(t.node), int64(t.id), int64(name))
 		return ErrDeadlock
 	}

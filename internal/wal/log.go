@@ -5,8 +5,7 @@ import (
 
 	"smdb/internal/machine"
 	"smdb/internal/obs"
-	"smdb/internal/obs/debt"
-	"smdb/internal/obs/waterfall"
+	"smdb/internal/obs/hooks"
 	"smdb/internal/storage"
 )
 
@@ -47,10 +46,6 @@ type Log struct {
 	// force to the next.
 	enc []byte
 
-	// gf is the epoch/group-commit force state (groupforce.go); disabled
-	// unless EnableGroupForce was called.
-	gf groupForce
-
 	// tornBytes counts stable-tail bytes discarded because a crash tore a
 	// force mid-write (repaired at NewLog/Reopen by truncating the device
 	// at the last checksum-valid record).
@@ -58,20 +53,18 @@ type Log struct {
 	// ioRetries counts transient device errors retried inside Force.
 	ioRetries int
 
-	// obs receives append/force events; simNow supplies the owning node's
-	// simulated clock. simNow must be lock-free: Force can run inside a
-	// machine pre-transition callback (triggered Stable LBM), where the
-	// machine lock is already held.
-	obs    *obs.Observer
-	simNow func() int64
-	// wf receives per-transaction append markers for the latency waterfall
-	// (appends cost no simulated time, so the markers carry ordering, not
-	// duration). Same locking constraints as obs.
-	wf *waterfall.Recorder
-	// dbt receives append/force/crash/discard accounting for the live
-	// recovery-debt tracker. Same locking constraints as obs; the tracker
-	// only takes its own mutex and never calls back into the log.
-	dbt *debt.Tracker
+	// clock is the owning node's simulated clock, fixed at construction. It
+	// must be lock-free: Force can run inside a machine pre-transition
+	// callback (triggered Stable LBM), where a machine stripe is already
+	// held.
+	clock func() int64
+	// hk is the attached consumer set, nil while it holds nothing the log
+	// feeds (see SetHooks): the observer takes append/force events, the
+	// waterfall per-transaction append markers (appends cost no simulated
+	// time, so the markers carry ordering, not duration), the debt tracker
+	// append/force/crash/discard accounting. They run under mu and so must
+	// not call back into the log.
+	hk *hooks.Set
 }
 
 // blockLen is the number of records in one block of a Log (about 60 KiB).
@@ -115,9 +108,18 @@ func (l *Log) span(from, to int, fn func([]Record) bool) {
 // already holds records (a restarted node), they are decoded and become the
 // stable prefix; a torn tail — a partial record left by a crash mid-force —
 // is truncated at the last checksum-valid record rather than failing the
-// node open.
+// node open. What the log reports to attached consumers is stamped 0; see
+// NewClockedLog.
 func NewLog(n machine.NodeID, dev *storage.LogDevice) (*Log, error) {
-	l := &Log{node: n, dev: dev, first: 1,
+	return NewClockedLog(n, dev, func() int64 { return 0 })
+}
+
+// NewClockedLog is NewLog for a log that stamps what it reports to attached
+// consumers with clock, the owning node's simulated clock. clock must be
+// safe to call with no engine lock held and from under a machine stripe
+// (machine.Clock qualifies).
+func NewClockedLog(n machine.NodeID, dev *storage.LogDevice, clock func() int64) (*Log, error) {
+	l := &Log{node: n, dev: dev, first: 1, clock: clock,
 		lastByTxn: make(map[TxnID]LSN), firstByTxn: make(map[TxnID]LSN)}
 	if dev.Size() > 0 {
 		contents := dev.Contents()
@@ -140,50 +142,21 @@ func NewLog(n machine.NodeID, dev *storage.LogDevice) (*Log, error) {
 // Node returns the owning node.
 func (l *Log) Node() machine.NodeID { return l.node }
 
-// SetObserver attaches the observability layer. simNow supplies the owning
-// node's simulated clock for event timestamps and must be safe to call
-// without any engine locks (machine.Clock qualifies).
-func (l *Log) SetObserver(o *obs.Observer, simNow func() int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.obs = o
-	l.simNow = simNow
-}
-
-// SetWaterfall attaches (or, with nil, detaches) the waterfall recorder.
-// simNow has the same contract as in SetObserver; it is shared.
-func (l *Log) SetWaterfall(w *waterfall.Recorder, simNow func() int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.wf = w
-	if simNow != nil {
-		l.simNow = simNow
+// SetHooks publishes the consumers the log feeds (observer, waterfall,
+// debt; see Log.hk). Pass the zero set to detach.
+func (l *Log) SetHooks(h *hooks.Set) {
+	if h.Observer == nil && h.Waterfall == nil && h.Debt == nil {
+		h = nil
 	}
-}
-
-// SetDebt attaches (or, with nil, detaches) the recovery-debt tracker.
-// simNow has the same contract as in SetObserver; it is shared.
-func (l *Log) SetDebt(d *debt.Tracker, simNow func() int64) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.dbt = d
-	if simNow != nil {
-		l.simNow = simNow
-	}
+	l.hk = h
+	l.mu.Unlock()
 }
 
 // EncodedSize returns the bytes r occupies on the stable device (header,
 // fixed body, and both images) without marshalling it.
 func EncodedSize(r *Record) int {
 	return recHeaderLen + 52 + len(r.Before) + len(r.After)
-}
-
-// now returns the owning node's simulated clock (0 when unwired).
-func (l *Log) now() int64 {
-	if l.simNow == nil {
-		return 0
-	}
-	return l.simNow()
 }
 
 // Device returns the stable log device backing this log (for force-count
@@ -212,13 +185,14 @@ func (l *Log) Append(r Record) LSN {
 		l.lastCkpt = r.LSN
 	}
 	l.push(&r)
-	if l.obs != nil {
-		l.obs.Instant(obs.KindWALAppend, int32(l.node), l.now(), int64(r.LSN), int64(r.Type))
+	if hk := l.hk; hk != nil {
+		now := l.clock()
+		hk.Observer.Instant(obs.KindWALAppend, int32(l.node), now, int64(r.LSN), int64(r.Type))
+		if r.Txn != 0 {
+			hk.Waterfall.NoteAppend(int64(r.Txn), now, 0, int64(r.LSN))
+		}
+		hk.Debt.NoteAppend(int32(l.node), int64(r.LSN), uint8(r.Type), uint64(r.Txn), EncodedSize(&r), now)
 	}
-	if l.wf != nil && r.Txn != 0 {
-		l.wf.NoteAppend(int64(r.Txn), l.now(), 0, int64(r.LSN))
-	}
-	l.dbt.NoteAppend(int32(l.node), int64(r.LSN), uint8(r.Type), uint64(r.Txn), EncodedSize(&r), l.now())
 	return r.LSN
 }
 
@@ -246,12 +220,6 @@ func (l *Log) ForcedLSN() LSN {
 func (l *Log) Force(upto LSN) (records int, forced bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.forceLocked(upto)
-}
-
-// forceLocked is Force's body, shared with the group-commit path (which
-// holds l.mu across its leader hand-off). Caller holds l.mu.
-func (l *Log) forceLocked(upto LSN) (records int, forced bool) {
 	if l.down {
 		return 0, false
 	}
@@ -278,18 +246,28 @@ func (l *Log) forceLocked(upto LSN) (records int, forced bool) {
 			return 0, false
 		}
 		l.ioRetries++
-		if l.obs != nil {
-			l.obs.Instant(obs.KindIORetry, int32(l.node), l.now(), int64(attempt), 0)
+		if hk := l.hk; hk != nil {
+			hk.Observer.Instant(obs.KindIORetry, int32(l.node), l.clock(), int64(attempt), 0)
 		}
 	}
 	records = uptoIdx - l.forced
 	l.forced = uptoIdx
-	if l.obs != nil {
-		l.obs.Instant(obs.KindWALForce, int32(l.node), l.now(),
-			int64(records), int64(l.first)+int64(l.forced)-1)
-	}
-	l.dbt.NoteForce(int32(l.node), int64(l.first)+int64(l.forced)-1, records, l.now())
+	l.noteForce(records)
 	return records, true
+}
+
+// noteForce reports a physical force that made records more records stable
+// (a torn one may have landed none whole). Caller holds l.mu.
+func (l *Log) noteForce(records int) {
+	hk := l.hk
+	if hk == nil {
+		return
+	}
+	now, stable := l.clock(), int64(l.first)+int64(l.forced)-1
+	hk.Observer.Instant(obs.KindWALForce, int32(l.node), now, int64(records), stable)
+	if records > 0 {
+		hk.Debt.NoteForce(int32(l.node), stable, records, now)
+	}
 }
 
 // encodeLocked marshals records [from, to) back to back into the log's reusable
@@ -326,7 +304,6 @@ func (l *Log) ForceTorn(upto LSN, frac float64) (whole, torn int) {
 	}
 	if uptoIdx <= l.forced {
 		l.down = true
-		l.wakeGroupLocked()
 		return 0, 0
 	}
 	buf := l.encodeLocked(l.forced, uptoIdx)
@@ -364,14 +341,7 @@ func (l *Log) ForceTorn(upto LSN, frac float64) (whole, torn int) {
 	l.forced += whole
 	l.tornBytes += torn
 	l.down = true
-	l.wakeGroupLocked()
-	if l.obs != nil {
-		l.obs.Instant(obs.KindWALForce, int32(l.node), l.now(),
-			int64(whole), int64(l.first)+int64(l.forced)-1)
-	}
-	if whole > 0 {
-		l.dbt.NoteForce(int32(l.node), int64(l.first)+int64(l.forced)-1, whole, l.now())
-	}
+	l.noteForce(whole)
 	return whole, torn
 }
 
@@ -387,7 +357,6 @@ func (l *Log) Crash() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.down = true
-	l.wakeGroupLocked()
 	lost := l.n - l.forced
 	l.n = l.forced
 	l.blocks = l.blocks[:(l.off+l.n+blockLen-1)/blockLen]
@@ -411,7 +380,9 @@ func (l *Log) Crash() int {
 		}
 		return true
 	})
-	l.dbt.NoteCrash(int32(l.node), int64(l.first)+int64(l.forced)-1, lost)
+	if hk := l.hk; hk != nil {
+		hk.Debt.NoteCrash(int32(l.node), int64(l.first)+int64(l.forced)-1, lost)
+	}
 	return lost
 }
 
@@ -422,11 +393,6 @@ func (l *Log) Reopen() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.down = false
-	if l.gf.downClosed {
-		// Re-arm the group-force down signal for the restarted incarnation.
-		l.gf.downCh = make(chan struct{})
-		l.gf.downClosed = false
-	}
 	repairTail(l.dev, l.dev.Contents())
 }
 
@@ -586,7 +552,9 @@ func (l *Log) DiscardThrough(upto LSN) int {
 			delete(l.firstByTxn, t)
 		}
 	}
-	l.dbt.NoteDiscard(int32(l.node), int64(l.first))
+	if hk := l.hk; hk != nil {
+		hk.Debt.NoteDiscard(int32(l.node), int64(l.first))
+	}
 	return drop
 }
 

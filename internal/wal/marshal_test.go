@@ -8,6 +8,9 @@ import (
 	"reflect"
 	"testing"
 
+	"smdb/internal/obs/debt"
+	"smdb/internal/obs/hooks"
+	"smdb/internal/obs/prof"
 	"smdb/internal/storage"
 )
 
@@ -228,5 +231,50 @@ func TestAppendForceSteadyStateDoesNotAllocate(t *testing.T) {
 	dev.Truncate(nil)
 	if n := testing.AllocsPerRun(runs, fill); n != 0 {
 		t.Errorf("Append x%d + Force allocates %.1f/op", batch, n)
+	}
+}
+
+// TestAppendForceWithNothingAttachedDoesNoHookWork: with no consumer the log
+// feeds attached, an append, a force, a crash and a discard are one pointer
+// test each — the node clock is never read (and so no record is sized for the
+// debt tracker). A set holding only consumers the log does not feed counts as
+// nothing attached; attaching the debt tracker turns the clock reads on.
+func TestAppendForceWithNothingAttachedDoesNoHookWork(t *testing.T) {
+	var reads int
+	l, err := NewClockedLog(0, storage.NewLogDevice(), func() int64 { reads++; return 7 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	exercise := func() {
+		r := benchRecord()
+		for i := 0; i < 4; i++ {
+			l.Append(r)
+		}
+		l.ForceAll()
+		l.Append(r)
+		l.Crash()
+		l.Reopen()
+		l.DiscardThrough(2)
+	}
+	exercise()
+	l.SetHooks(&hooks.Set{Prof: prof.NewPair(1)})
+	exercise()
+	if reads != 0 {
+		t.Errorf("node clock read %d times with nothing the log feeds attached", reads)
+	}
+	d := debt.New(debt.Config{Nodes: 1})
+	l.SetHooks(&hooks.Set{Debt: d})
+	exercise()
+	if want := 4 + 1 + 1; reads != want { // appends + force + the lost append
+		t.Errorf("node clock read %d times with a debt tracker attached, want %d", reads, want)
+	}
+	if d.Snapshot().Appends == 0 {
+		t.Error("attached debt tracker saw no append")
+	}
+	l.SetHooks(&hooks.Set{})
+	reads = 0
+	exercise()
+	if reads != 0 {
+		t.Errorf("node clock read %d times after detaching", reads)
 	}
 }

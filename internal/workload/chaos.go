@@ -40,7 +40,7 @@ type ChaosResult struct {
 	// episode (empty = the protocol survived the whole schedule).
 	Violations []string
 	// Explainer cross-check, populated when a dependency tracker is
-	// attached (db.AttachDeps): Verdicts counts IFA-explainer verdicts
+	// attached (the hook set's Deps): Verdicts counts IFA-explainer verdicts
 	// consumed, DoomedVerdicts the survivor verdicts predicting an unlogged
 	// lost update (the no-LBM hazard; structurally impossible under real
 	// protocols), and ExplainMismatches every disagreement between the
@@ -50,7 +50,7 @@ type ChaosResult struct {
 	Verdicts, DoomedVerdicts int
 	ExplainMismatches        []string
 	// Online-auditor census, populated when an auditor is attached
-	// (db.AttachAudit): AuditViolations counts the typed LBM violations the
+	// (the hook set's Audit): AuditViolations counts the typed LBM violations the
 	// auditor raised *during* the workload, AuditAnomalies the time-series
 	// watchdog's findings. Auditor/checker disagreements (a violation under
 	// an IFA protocol, or a checker-confirmed lost update the auditor never
@@ -140,7 +140,6 @@ func RunChaosSession(db *recovery.DB, inj *fault.Injector, spec Spec, episodes i
 			MinAlive:        plan.MinAlive,
 			IOErrorBurst:    plan.IOErrorBurst,
 			PIOError:        plan.PIOError,
-			GroupForce:      db.Cfg.GroupCommitForces,
 		})
 		db.AttachSched(sess)
 		defer db.AttachSched(nil)
@@ -150,7 +149,7 @@ func RunChaosSession(db *recovery.DB, inj *fault.Injector, spec Spec, episodes i
 		// Every flight dump taken during this run (IFA violations above all)
 		// carries the schedule as recorded so far — including the failing
 		// episode's index and derived seed — so the dump is its own repro.
-		if fr := db.FlightRecorder(); fr != nil {
+		if fr := db.Hooks().Flight; fr != nil {
 			fr.SetAux("schedule.json", func(w io.Writer) error {
 				return sess.Schedule().WriteJSON(w)
 			})
@@ -331,7 +330,7 @@ func RunChaosSession(db *recovery.DB, inj *fault.Injector, spec Spec, episodes i
 	res.TornForces = st.TornForces
 	res.RecoveryCrashes = st.RecoveryCrashes
 	res.IOErrors = st.IOErrors
-	if a := db.Audit(); a != nil {
+	if a := db.Hooks().Audit; a != nil {
 		sum := a.Summary()
 		res.AuditViolations = sum.Violations
 		res.AuditAnomalies = sum.Anomalies
@@ -377,7 +376,7 @@ func withdrawRequests(db *recovery.DB, stranded map[wal.TxnID]bool) error {
 // without log coverage), the checker the effect (an update actually lost).
 // No-op when no auditor is attached.
 func crossCheckAuditor(db *recovery.DB, violations []string, ep, prev int, res *ChaosResult) int {
-	a := db.Audit()
+	a := db.Hooks().Audit
 	if a == nil {
 		return prev
 	}
@@ -422,7 +421,7 @@ func crossCheckAuditor(db *recovery.DB, violations []string, ep, prev int, res *
 // an ExplainMismatch. abandoned names the transactions rule 3 leaves out. No-op
 // when no tracker is attached.
 func crossCheckExplainer(db *recovery.DB, rep *recovery.RecoveryReport, violations []string, abandoned map[wal.TxnID]bool, ep int, res *ChaosResult) {
-	tr := db.Deps()
+	tr := db.Hooks().Deps
 	if tr == nil {
 		return
 	}

@@ -28,13 +28,16 @@ func TestChaosProfiledRecovery(t *testing.T) {
 				db := chaosDB(t, proto, 5)
 				db.Cfg.RecoveryWorkers = 4
 				attachTracker(db)
-				pair := prof.NewPair(machine.StripeCount)
-				db.AttachProf(pair)
+				tracked := *db.Hooks()
+				profiled := tracked
+				profiled.Prof = prof.NewPair(machine.StripeCount)
+				pair := profiled.Prof
+				db.Attach(profiled)
 				if seed == 2 {
 					// One seed flips the profiler off and on mid-setup so
 					// detach-with-open-sections sees chaos coverage too.
-					db.AttachProf(nil)
-					db.AttachProf(pair)
+					db.Attach(tracked)
+					db.Attach(profiled)
 				}
 				inj := fault.New(fault.Plan{
 					Seed:              seed,

@@ -9,6 +9,7 @@ import (
 	"smdb/internal/obs"
 	"smdb/internal/obs/audit"
 	"smdb/internal/obs/deps"
+	"smdb/internal/obs/hooks"
 	"smdb/internal/recovery"
 )
 
@@ -32,9 +33,8 @@ func chaosDB(t *testing.T, proto recovery.Protocol, nodes int) *recovery.DB {
 // RunChaos's explainer cross-check.
 func attachTracker(db *recovery.DB) *deps.Tracker {
 	o := obs.NewWithCapacity(4096)
-	db.AttachObserver(o)
 	tr := deps.New(o)
-	db.AttachDeps(tr)
+	db.Attach(hooks.Set{Observer: o, Deps: tr})
 	return tr
 }
 
@@ -44,11 +44,10 @@ func attachTracker(db *recovery.DB) *deps.Tracker {
 // protocol, while the auditor sweep also covers the baseline.
 func attachAuditor(db *recovery.DB) *audit.Auditor {
 	o := obs.NewWithCapacity(4096)
-	db.AttachObserver(o)
 	a := audit.New(audit.Config{
 		Stable: db.Cfg.Protocol.StableLBM() && db.M.Config().Coherency == machine.WriteInvalidate,
 	})
-	db.AttachAudit(a)
+	db.Attach(hooks.Set{Observer: o, Audit: a})
 	return a
 }
 

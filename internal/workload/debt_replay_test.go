@@ -6,6 +6,7 @@ import (
 
 	"smdb/internal/fault"
 	"smdb/internal/obs/debt"
+	"smdb/internal/obs/hooks"
 	"smdb/internal/recovery"
 	"smdb/internal/sched"
 )
@@ -20,7 +21,7 @@ func TestChaosReplayDeterministicWithDebt(t *testing.T) {
 	proto := recovery.VolatileSelectiveRedo
 	attach := func(db *recovery.DB) *debt.Tracker {
 		d := debt.New(debt.Config{Nodes: db.M.Nodes(), LinesPerPage: db.Cfg.LinesPerPage})
-		db.AttachDebt(d)
+		db.Attach(hooks.Set{Debt: d})
 		return d
 	}
 	type accounting struct {

@@ -11,7 +11,6 @@ import (
 
 	"smdb/internal/fault"
 	"smdb/internal/heap"
-	"smdb/internal/machine"
 	"smdb/internal/recovery"
 	"smdb/internal/sched"
 	"smdb/internal/storage"
@@ -116,69 +115,6 @@ func TestChaosRecordReplayDeterminism(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestChaosRecordReplayGroupForce re-runs the replay gate with epoch/group
-// commit forces enabled: under an attached schedule session the leader's
-// epoch window and every follower wait round become recorded scheduling
-// points, so a replay must coalesce the exact same commits into the exact
-// same physical forces. The schedule must also stamp Spec.GroupForce so
-// replay tooling rebuilds the matching DB config.
-func TestChaosRecordReplayGroupForce(t *testing.T) {
-	gfDB := func() *recovery.DB {
-		db, err := recovery.New(recovery.Config{
-			Machine:           machine.Config{Nodes: 4, Lines: 4096},
-			Protocol:          recovery.VolatileSelectiveRedo,
-			LinesPerPage:      4,
-			RecsPerLine:       4,
-			Pages:             16,
-			LockTableLines:    128,
-			GroupCommitForces: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return db
-	}
-	for seed := int64(1); seed <= 2; seed++ {
-		db := gfDB()
-		inj := fault.New(chaosPlan(seed))
-		rec := sched.NewRecorder()
-		res0, err := RunChaosSession(db, inj, chaosSpec(seed), 3, rec)
-		if err != nil {
-			t.Fatalf("record run (seed %d): %v", seed, err)
-		}
-		if len(res0.Violations) != 0 {
-			t.Fatalf("seed %d: recording run violated IFA:\n%s",
-				seed, strings.Join(res0.Violations, "\n"))
-		}
-		schedule := rec.Schedule()
-		if schedule.Spec == nil || !schedule.Spec.GroupForce {
-			t.Fatalf("seed %d: schedule did not record GroupForce (spec %+v)", seed, schedule.Spec)
-		}
-		img0 := imageHash(t, db)
-		replay := func() (ChaosResult, string) {
-			db := gfDB()
-			inj := fault.New(chaosPlan(schedule.FaultSeed))
-			res, err := RunChaosSession(db, inj, chaosSpec(schedule.Seed), 0, sched.NewReplayer(schedule))
-			if err != nil {
-				t.Fatalf("groupforce replay (seed %d): %v", seed, err)
-			}
-			return res, imageHash(t, db)
-		}
-		res1, img1 := replay()
-		res2, img2 := replay()
-		if !reflect.DeepEqual(res1, res2) {
-			t.Errorf("seed %d: two groupforce replays disagree:\n  %+v\n  %+v", seed, res1, res2)
-		}
-		if !reflect.DeepEqual(res0, res1) {
-			t.Errorf("seed %d: groupforce replay diverged from recording:\n  rec %+v\n  rep %+v", seed, res0, res1)
-		}
-		if img0 != img1 || img1 != img2 {
-			t.Errorf("seed %d: groupforce record/replay images differ (%s / %s / %s)",
-				seed, img0[:12], img1[:12], img2[:12])
-		}
 	}
 }
 

@@ -291,4 +291,4 @@ func (db *DB) Stats() Stats {
 
 // Observer returns the attached observability layer (nil if none was
 // configured).
-func (db *DB) Observer() *obs.Observer { return db.Engine.Observer() }
+func (db *DB) Observer() *obs.Observer { return db.Engine.Hooks().Observer }
