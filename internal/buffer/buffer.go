@@ -16,7 +16,6 @@
 package buffer
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -68,9 +67,6 @@ type Manager struct {
 	// NVRAMLog selects the NVRAM log-force cost instead of rotational
 	// disk (section 7's discussion of making stable logging cheap).
 	NVRAMLog bool
-	// Retry bounds transient-I/O-error retries on page reads and writes;
-	// the zero value means storage.DefaultRetry.
-	Retry storage.RetryPolicy
 
 	mu       sync.Mutex
 	dirty    map[storage.PageID]bool
@@ -277,14 +273,6 @@ func (b *Manager) FlushPage(nd machine.NodeID, p storage.PageID) error {
 	return nil
 }
 
-// retryPolicy returns the configured retry policy (DefaultRetry when unset).
-func (b *Manager) retryPolicy() storage.RetryPolicy {
-	if b.Retry.MaxAttempts > 0 {
-		return b.Retry
-	}
-	return storage.DefaultRetry
-}
-
 // noteRetry charges simulated backoff to nd and counts one retried attempt.
 func (b *Manager) noteRetry(nd machine.NodeID, p storage.PageID, attempt int, backoff int64) {
 	b.Store.M.AdvanceClock(nd, backoff)
@@ -297,34 +285,19 @@ func (b *Manager) noteRetry(nd machine.NodeID, p storage.PageID, attempt int, ba
 }
 
 // readPage reads page p from the stable database, retrying transient errors
-// under the retry policy with exponential simulated backoff.
-func (b *Manager) readPage(nd machine.NodeID, p storage.PageID) ([]byte, error) {
-	pol := b.retryPolicy()
-	for attempt := 1; ; attempt++ {
-		img, err := b.Disk.ReadPage(p)
-		if err == nil {
-			return img, nil
-		}
-		if !errors.Is(err, storage.ErrTransient) || attempt >= pol.MaxAttempts {
-			return nil, err
-		}
-		b.noteRetry(nd, p, attempt, pol.Backoff(attempt))
-	}
+// under storage.DefaultRetry with exponential simulated backoff.
+func (b *Manager) readPage(nd machine.NodeID, p storage.PageID) (img []byte, err error) {
+	err = storage.DefaultRetry.Do(func() error {
+		img, err = b.Disk.ReadPage(p)
+		return err
+	}, func(attempt int, backoff int64) { b.noteRetry(nd, p, attempt, backoff) })
+	return img, err
 }
 
 // writePage writes page p to the stable database with the same retry policy.
 func (b *Manager) writePage(nd machine.NodeID, p storage.PageID, img []byte) error {
-	pol := b.retryPolicy()
-	for attempt := 1; ; attempt++ {
-		err := b.Disk.WritePage(p, img)
-		if err == nil {
-			return nil
-		}
-		if !errors.Is(err, storage.ErrTransient) || attempt >= pol.MaxAttempts {
-			return err
-		}
-		b.noteRetry(nd, p, attempt, pol.Backoff(attempt))
-	}
+	return storage.DefaultRetry.Do(func() error { return b.Disk.WritePage(p, img) },
+		func(attempt int, backoff int64) { b.noteRetry(nd, p, attempt, backoff) })
 }
 
 // pageHasTag reports whether any slot in the page image carries an undo tag

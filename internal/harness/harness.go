@@ -11,7 +11,6 @@ import (
 
 	"smdb/internal/machine"
 	"smdb/internal/recovery"
-	"smdb/internal/storage"
 	"smdb/internal/workload"
 )
 
@@ -125,7 +124,5 @@ func mark(b bool) string {
 	return "-"
 }
 
-// pagesFor keeps experiments' heap sizes consistent.
+// defaultPages keeps experiments' heap sizes consistent.
 const defaultPages = 16
-
-var _ = storage.PageID(0)

@@ -65,7 +65,7 @@ func TestLockOpMachineFootprint(t *testing.T) {
 			})
 			got["acquire-wait"] = measure(acquire(t3, key, Exclusive, false))
 			got["cancel-wait"] = measure(func() {
-				if err := s.CancelWait(0, t3, key); err != nil {
+				if _, err := s.WithdrawWait(0, t3, key); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -84,7 +84,7 @@ func TestLockOpMachineFootprint(t *testing.T) {
 			r1 := wal.MakeTxnID(1, 1)
 			got["acquire-wait-remote"] = measureOn(1, acquire(r1, key, Shared, false))
 			got["cancel-wait-remote"] = measureOn(1, func() {
-				if err := s.CancelWait(1, r1, key); err != nil {
+				if _, err := s.WithdrawWait(1, r1, key); err != nil {
 					t.Fatal(err)
 				}
 			})

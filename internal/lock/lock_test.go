@@ -173,7 +173,7 @@ func TestCancelWait(t *testing.T) {
 	s.Acquire(0, t1, name, Exclusive)
 	s.Acquire(1, t2, name, Exclusive) // waits
 	s.Acquire(1, t3, name, Shared)    // waits behind t2
-	if err := s.CancelWait(1, t2, name); err != nil {
+	if _, err := s.WithdrawWait(1, t2, name); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Release(0, t1, name); err != nil {
@@ -183,8 +183,70 @@ func TestCancelWait(t *testing.T) {
 		t.Error("t3 not promoted after cancel + release")
 	}
 	// Cancel of a non-waiter is a no-op.
-	if err := s.CancelWait(1, t2, name); err != nil {
+	if _, err := s.WithdrawWait(1, t2, name); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWithdrawThenRelease is the sequence a transaction's end issues for the
+// request it left queued — WithdrawWait, then Release of whatever that
+// reports held — over the three states the request can be in. No entry of
+// the transaction may remain, and the next in line must get the lock.
+func TestWithdrawThenRelease(t *testing.T) {
+	name := NameOfKey(8)
+	t1, t2, t3 := wal.MakeTxnID(0, 1), wal.MakeTxnID(1, 1), wal.MakeTxnID(1, 2)
+	for _, c := range []struct {
+		name     string
+		prepare  func(s *SMManager) // leaves t2's request in the case's state
+		wantHeld Mode               // what WithdrawWait must report
+	}{
+		{"queued", func(s *SMManager) {
+			s.Acquire(0, t1, name, Exclusive)
+			s.Acquire(1, t2, name, Exclusive)
+		}, 0},
+		{"late grant", func(s *SMManager) {
+			s.Acquire(0, t1, name, Exclusive)
+			s.Acquire(1, t2, name, Exclusive)
+			s.Release(0, t1, name) // promotes t2 before it withdraws
+		}, Exclusive},
+		{"queued upgrade", func(s *SMManager) {
+			s.Acquire(0, t1, name, Shared)
+			s.Acquire(1, t2, name, Shared)
+			s.Acquire(1, t2, name, Exclusive) // waits for t1
+		}, Shared},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, _, _ := newSM(t, 2, 64, LogAllLocks)
+			c.prepare(s)
+			s.Acquire(1, t3, name, Exclusive) // queues behind everybody
+			held, err := s.WithdrawWait(1, t2, name)
+			if err != nil || held != c.wantHeld {
+				t.Fatalf("WithdrawWait = %v, %v; want %v", held, err, c.wantHeld)
+			}
+			if held != 0 {
+				if err := s.Release(1, t2, name); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snap, err := s.Snapshot(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ls := range snap {
+				for _, e := range append(ls.Holders, ls.Waiters...) {
+					if e.Txn == t2 {
+						t.Fatalf("t2 still in the lock space: %+v", ls)
+					}
+				}
+			}
+			// t1, where it still holds, finishes; t3 must then hold alone.
+			if err := s.Release(0, t1, name); err != nil && !errors.Is(err, ErrNotHeld) {
+				t.Fatal(err)
+			}
+			if m, ok, err := s.Holds(1, t3, name); err != nil || !ok || m != Exclusive {
+				t.Fatalf("t3 not granted after t2 ended: %v, %v, %v", m, ok, err)
+			}
+		})
 	}
 }
 
@@ -455,7 +517,7 @@ func TestUpgradeRetryDoesNotDuplicateWaiter(t *testing.T) {
 		t.Fatalf("waiters = %+v, want exactly one upgrade entry", snap)
 	}
 	// t1 gives up (deadlock victim): cancel + release. No trace may remain.
-	if err := s.CancelWait(0, t1, name); err != nil {
+	if _, err := s.WithdrawWait(0, t1, name); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Release(0, t1, name); err != nil {

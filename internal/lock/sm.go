@@ -585,7 +585,7 @@ func grantable(b *lcb, txn wal.TxnID, mode Mode) bool {
 
 // Acquire requests name in mode for txn running on node nd. It returns true
 // if the lock was granted immediately; false if the request was queued (the
-// caller polls with Holds or abandons with CancelWait). Re-acquiring a held
+// caller polls with Holds or abandons with WithdrawWait). Re-acquiring a held
 // lock in the same or weaker mode is a no-op grant; an upgrade from Shared
 // to Exclusive is granted when txn is the sole holder and queued otherwise.
 func (s *SMManager) Acquire(nd machine.NodeID, txn wal.TxnID, name Name, mode Mode) (bool, error) {
@@ -731,19 +731,13 @@ func (s *SMManager) Release(nd machine.NodeID, txn wal.TxnID, name Name) error {
 	return nil
 }
 
-// CancelWait removes txn's queued request for name (used when a waiter
-// times out or its transaction aborts). It is a no-op if txn is not
-// waiting.
-func (s *SMManager) CancelWait(nd machine.NodeID, txn wal.TxnID, name Name) error {
-	_, err := s.WithdrawWait(nd, txn, name)
-	return err
-}
-
-// WithdrawWait is CancelWait reporting what txn is left with: the mode it
-// holds name in once its queued request, if any, is gone (0 if it holds
-// nothing). A release ahead of the request may have granted it before the
-// caller got round to withdrawing it; then there is no wait to cancel and
-// held is the granted mode, from the same look at the LCB.
+// WithdrawWait removes txn's queued request for name (its transaction was
+// chosen as a deadlock victim, or is ending) and reports what txn is left
+// with: the mode it holds name in once the request, if any, is gone (0 if it
+// holds nothing); it is a no-op if txn is not waiting. A release ahead of the
+// request may have granted it before the caller got round to withdrawing it;
+// then there is no wait to cancel and held is the granted mode, from the same
+// look at the LCB.
 func (s *SMManager) WithdrawWait(nd machine.NodeID, txn wal.TxnID, name Name) (held Mode, err error) {
 	canceled, wasHolder := false, false
 	var mode Mode

@@ -124,19 +124,11 @@ func (db *DB) CheckIFA(nd machine.NodeID) []string {
 	}
 	heldIn := make(map[wal.TxnID]map[uint64]bool)
 	for _, ls := range snap {
-		for _, h := range ls.Holders {
-			m := heldIn[h.Txn]
+		for _, e := range append(ls.Holders, ls.Waiters...) {
+			m := heldIn[e.Txn]
 			if m == nil {
 				m = make(map[uint64]bool)
-				heldIn[h.Txn] = m
-			}
-			m[uint64(ls.Name)] = true
-		}
-		for _, w := range ls.Waiters {
-			m := heldIn[w.Txn]
-			if m == nil {
-				m = make(map[uint64]bool)
-				heldIn[w.Txn] = m
+				heldIn[e.Txn] = m
 			}
 			m[uint64(ls.Name)] = true
 		}
@@ -145,8 +137,8 @@ func (db *DB) CheckIFA(nd machine.NodeID) []string {
 		switch {
 		case st.live():
 			for _, hl := range st.locks {
-				if !heldIn[st.id][uint64(hl.name)] {
-					add("lock %v of surviving %v lost from lock space", hl.name, st.id)
+				if !heldIn[st.id][uint64(hl.Name)] {
+					add("lock %v of surviving %v lost from lock space", hl.Name, st.id)
 				}
 			}
 		case st.crashed.Load():

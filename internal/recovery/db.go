@@ -92,13 +92,6 @@ func (s TxnStatus) String() string {
 	}
 }
 
-// heldLock records one lock held by a transaction (node-local bookkeeping;
-// it lives and dies with the transaction's node).
-type heldLock struct {
-	name lock.Name
-	mode lock.Mode
-}
-
 // writeRec records one update a transaction made (node-local bookkeeping
 // plus IFA-oracle input: the after image, version, and log position).
 type writeRec struct {
@@ -125,7 +118,10 @@ type txnState struct {
 	// beginSim is the node's simulated clock at Begin, for commit-latency
 	// observation.
 	beginSim int64
-	locks    []heldLock
+	// locks are the locks the transaction holds, in grant order; wants are
+	// its requests not yet granted (at most one, unless its driver moved on
+	// from a queued request). See locks.go.
+	locks, wants []LockEntry
 	// writes lists the updates the transaction applied (node-local; used
 	// for commit-time tag clearing and by the IFA oracle).
 	writes []writeRec
@@ -136,10 +132,11 @@ type txnState struct {
 	// deferred holds update records not yet appended to the log — only
 	// used by the AblatedNoLBM negative control, which logs at commit.
 	deferred []wal.Record
-	// lockBuf and writeBuf back locks and writes until the transaction
-	// outgrows them, so an ordinary transaction's bookkeeping is the one
-	// txnState allocation instead of two slices doubling their way up.
-	lockBuf  [8]heldLock
+	// lockBuf, wantBuf and writeBuf back locks, wants and writes until the
+	// transaction outgrows them, so an ordinary transaction's bookkeeping is
+	// the one txnState allocation instead of slices doubling their way up.
+	lockBuf  [8]LockEntry
+	wantBuf  [1]LockEntry
 	writeBuf [8]writeRec
 }
 
@@ -509,7 +506,7 @@ func (db *DB) Begin(nd machine.NodeID) (wal.TxnID, error) {
 	now := db.M.Clock(nd)
 	nc := &db.nodes[nd]
 	st := &txnState{beginSim: now}
-	st.locks, st.writes = st.lockBuf[:0], st.writeBuf[:0]
+	st.locks, st.wants, st.writes = st.lockBuf[:0], st.wantBuf[:0], st.writeBuf[:0]
 	nc.mu.Lock()
 	st.id = wal.MakeTxnID(nd, nc.seq.Load()+1)
 	nc.add(st)
@@ -554,26 +551,6 @@ func (db *DB) txn(t wal.TxnID) (*nodeCtl, *txnState, error) {
 	return &db.nodes[t.Node()], st, nil
 }
 
-// NoteLock records a lock held by t (node-local bookkeeping for release at
-// commit/abort).
-func (db *DB) NoteLock(t wal.TxnID, name lock.Name, mode lock.Mode) {
-	nc, st, err := db.txn(t)
-	if err != nil {
-		return
-	}
-	nc.mu.Lock()
-	defer nc.mu.Unlock()
-	for i := range st.locks {
-		if st.locks[i].name == name {
-			if mode > st.locks[i].mode {
-				st.locks[i].mode = mode
-			}
-			return
-		}
-	}
-	st.locks = append(st.locks, heldLock{name: name, mode: mode})
-}
-
 // WriteCount returns how many updates a transaction has applied (for
 // lost-work accounting in experiments).
 func (db *DB) WriteCount(t wal.TxnID) int {
@@ -584,22 +561,4 @@ func (db *DB) WriteCount(t wal.TxnID) int {
 	nc.mu.Lock()
 	defer nc.mu.Unlock()
 	return len(st.writes)
-}
-
-// HeldLocks returns the locks a transaction's node-local state records.
-func (db *DB) HeldLocks(t wal.TxnID) []lock.Name { return db.AppendHeldLocks(nil, t) }
-
-// AppendHeldLocks appends the locks a transaction's node-local state records
-// to dst, in one section of its node's mutex.
-func (db *DB) AppendHeldLocks(dst []lock.Name, t wal.TxnID) []lock.Name {
-	nc, st, err := db.txn(t)
-	if err != nil {
-		return dst
-	}
-	nc.mu.Lock()
-	defer nc.mu.Unlock()
-	for _, h := range st.locks {
-		dst = append(dst, h.name)
-	}
-	return dst
 }

@@ -176,15 +176,10 @@ func recoverableErr(err error) bool {
 
 // readPageRetry reads a stable page on nd's behalf, retrying transient
 // injected I/O errors under the default policy with simulated backoff.
-func (db *DB) readPageRetry(nd machine.NodeID, p storage.PageID) ([]byte, error) {
-	for attempt := 1; ; attempt++ {
-		img, err := db.Disk.ReadPage(p)
-		if err == nil {
-			return img, nil
-		}
-		if !errors.Is(err, storage.ErrTransient) || attempt >= storage.DefaultRetry.MaxAttempts {
-			return nil, err
-		}
-		db.M.AdvanceClock(nd, storage.DefaultRetry.Backoff(attempt))
-	}
+func (db *DB) readPageRetry(nd machine.NodeID, p storage.PageID) (img []byte, err error) {
+	err = storage.DefaultRetry.Do(func() error {
+		img, err = db.Disk.ReadPage(p)
+		return err
+	}, func(_ int, backoff int64) { db.M.AdvanceClock(nd, backoff) })
+	return img, err
 }

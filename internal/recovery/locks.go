@@ -1,0 +1,178 @@
+package recovery
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+
+	"smdb/internal/lock"
+	"smdb/internal/machine"
+	"smdb/internal/obs"
+	"smdb/internal/obs/waterfall"
+	"smdb/internal/wal"
+)
+
+// The engine owns a transaction's locks from request to release: what it
+// holds and what it has asked for live in its node-local state (paper section
+// 3.1), which Lock writes, ReleaseLocks empties and lock-space recovery
+// (replayNodeLocks, CheckIFA) reads. Nothing outside this file releases or
+// withdraws a transaction's lock, so every entry a live transaction has in
+// the lock table can be found without the goroutine that drove it.
+
+// ErrDeadlock reports that a lock request made its transaction the victim of
+// a waits-for cycle: the request is withdrawn and the caller must abort.
+var ErrDeadlock = errors.New("recovery: deadlock victim")
+
+// LockEntry is one lock a transaction holds or has asked for, as its
+// node-local state records it.
+type LockEntry struct {
+	Name lock.Name
+	Mode lock.Mode
+}
+
+// noteLock records name in mode in list, one entry per name; the stronger
+// mode wins.
+func noteLock(list []LockEntry, name lock.Name, mode lock.Mode) []LockEntry {
+	for i := range list {
+		if list[i].Name == name {
+			list[i].Mode = max(list[i].Mode, mode)
+			return list
+		}
+	}
+	return append(list, LockEntry{Name: name, Mode: mode})
+}
+
+// Lock requests name in mode for t on t's node and reports whether t now
+// holds it; false means the request is queued (call Lock again to poll it).
+// The request is recorded before it reaches the LCB and resolved however the
+// grant is discovered — at once, promoted before the re-check, or by a release
+// between the deadlock verdict and the withdrawal: a grant nobody recorded
+// would outlive the transaction and block every later request for good. A
+// request left queued stays recorded, also when the driver moves on to
+// another, for ReleaseLocks to withdraw.
+//
+// A queued or victim attempt's sim cost (queueing and re-probing is how a
+// waiting node's clock advances) becomes a CauseLockWait waterfall segment; a
+// granted attempt's stays in the enclosing bracket's compute residue.
+func (db *DB) Lock(t wal.TxnID, name lock.Name, mode lock.Mode) (granted bool, err error) {
+	nc, st, err := db.txn(t)
+	if err != nil {
+		return false, err
+	}
+	nd := t.Node()
+	hk := db.hk.Load()
+	if wf := hk.Waterfall; wf != nil {
+		waitFrom := db.M.Clock(nd)
+		defer func() {
+			if end := db.M.Clock(nd); !granted && end > waitFrom && (err == nil || err == ErrDeadlock) {
+				wf.AddWait(int64(t), waterfall.CauseLockWait, waitFrom, end-waitFrom, int64(name), 0)
+			}
+		}()
+	}
+	nc.mu.Lock()
+	st.wants = noteLock(st.wants, name, mode)
+	nc.mu.Unlock()
+	if granted, err = db.Locks.Acquire(nd, t, name, mode); err != nil {
+		return false, err
+	}
+	victim := false
+	if !granted {
+		// It may have been promoted between the queueing and now.
+		m, held, err := db.Locks.Holds(nd, t, name)
+		if err != nil {
+			return false, err
+		}
+		if granted = held && m >= mode; !granted {
+			v, err := db.Locks.FindDeadlock(nd)
+			if err != nil || v != t {
+				return false, err
+			}
+			// A release may grant the request between the verdict and the
+			// withdrawal: then no wait is left to cancel, nobody waits for
+			// anybody through this lock any more, and t holds it.
+			m, err := db.Locks.WithdrawWait(nd, t, name)
+			if err != nil {
+				return false, err
+			}
+			granted, victim = m >= mode, m < mode
+		}
+	}
+	nc.mu.Lock()
+	if granted {
+		st.locks = noteLock(st.locks, name, mode)
+	}
+	// The request is out of the table if it was withdrawn, or asked for no
+	// more than was granted.
+	st.wants = slices.DeleteFunc(st.wants, func(w LockEntry) bool {
+		return w.Name == name && (victim || w.Mode <= mode)
+	})
+	nc.mu.Unlock()
+	if victim {
+		hk.Observer.Instant(obs.KindDeadlock, int32(nd), db.M.Clock(nd), int64(t), int64(name))
+		return false, ErrDeadlock
+	}
+	return true, nil
+}
+
+// ReleaseLocks ends t's lock ownership: queued requests are withdrawn first,
+// so no release can promote them, then every held lock is released in grant
+// order (a request found granted after all goes with them). Commit and Abort
+// end with it; a caller that cannot finish a transaction (the
+// deferred-logging control) calls it to shed the locks alone. The held-lock
+// record is kept: nobody reads a finished transaction's, and one left active
+// without its locks is what CheckIFA should go on reporting.
+//
+// Tolerated, each meaning the lock space no longer has the entry:
+// lock.ErrNotHeld (recovery restructured the lock space, or t was ended
+// before), machine.ErrLineLost (the LCB died with a crashed node; the replay
+// rebuilds only still-active transactions' locks) and machine.ErrNodeDown
+// (t's own node died mid-release; ReleaseCrashed sweeps its entries).
+func (db *DB) ReleaseLocks(t wal.TxnID) error {
+	nc, st, err := db.txn(t)
+	if err != nil {
+		return err
+	}
+	gone := func(err error) bool {
+		return errors.Is(err, lock.ErrNotHeld) || errors.Is(err, machine.ErrLineLost) || errors.Is(err, machine.ErrNodeDown)
+	}
+	nd := t.Node()
+	var nbuf [16]lock.Name
+	var wbuf [2]LockEntry
+	names := nbuf[:0]
+	nc.mu.Lock()
+	wants := append(wbuf[:0], st.wants...)
+	for _, h := range st.locks {
+		names = append(names, h.Name)
+	}
+	st.wants = st.wants[:0]
+	nc.mu.Unlock()
+	for _, w := range wants {
+		held, err := db.Locks.WithdrawWait(nd, t, w.Name)
+		if err != nil && !gone(err) {
+			return fmt.Errorf("recovery: withdrawing %v's request for %v: %w", t, w.Name, err)
+		}
+		// What t is left holding is already in names (an upgrade keeps its
+		// prior grant) or is a late grant to release with the rest.
+		if held != 0 && !slices.Contains(names, w.Name) {
+			names = append(names, w.Name)
+		}
+	}
+	for _, name := range names {
+		if err := db.Locks.Release(nd, t, name); err != nil && !gone(err) {
+			return fmt.Errorf("recovery: releasing %v for %v: %w", name, t, err)
+		}
+	}
+	return nil
+}
+
+// TxnLocks returns what t's node-local state records: the locks it holds, in
+// grant order, and the requests it has made that are not yet granted.
+func (db *DB) TxnLocks(t wal.TxnID) (held, queued []LockEntry) {
+	nc, st, err := db.txn(t)
+	if err != nil {
+		return nil, nil
+	}
+	nc.mu.Lock()
+	defer nc.mu.Unlock()
+	return slices.Clone(st.locks), slices.Clone(st.wants)
+}

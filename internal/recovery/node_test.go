@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -107,9 +108,11 @@ func TestTxnTableAcrossBlocks(t *testing.T) {
 		if _, ok := db.Status(id); ok {
 			t.Errorf("Status(%v) knows a transaction nobody began", id)
 		}
-		db.NoteLock(id, lock.NameOfKey(1), lock.Shared) // must not panic
-		if got := db.HeldLocks(id); len(got) != 0 {
-			t.Errorf("HeldLocks(%v) = %v", id, got)
+		if _, err := db.Lock(id, lock.NameOfKey(1), lock.Shared); err == nil { // must not panic
+			t.Errorf("Lock(%v) granted a lock to a transaction nobody began", id)
+		}
+		if held, queued := db.TxnLocks(id); len(held) != 0 || len(queued) != 0 {
+			t.Errorf("TxnLocks(%v) = %v, %v", id, held, queued)
 		}
 	}
 	if err := db.Abort(1, ids[0]); err != nil {
@@ -183,7 +186,7 @@ func TestDedupeWrites(t *testing.T) {
 }
 
 // privateTxn runs one transaction of four updates on node nd's own page,
-// with the lock bookkeeping the transaction layer would do.
+// locking as the transaction layer would; Commit releases.
 func privateTxn(db *DB, nd machine.NodeID, round int) error {
 	id, err := db.Begin(nd)
 	if err != nil {
@@ -191,11 +194,9 @@ func privateTxn(db *DB, nd machine.NodeID, round int) error {
 	}
 	for k := 0; k < 4; k++ {
 		rid := heap.RID{Page: storage.PageID(nd) + 1, Slot: uint16(k)}
-		name := lock.NameOfRID(rid)
-		if ok, err := db.Locks.Acquire(nd, id, name, lock.Exclusive); err != nil || !ok {
-			return fmt.Errorf("acquire %v: granted=%v: %w", rid, ok, err)
+		if ok, err := db.Lock(id, lock.NameOfRID(rid), lock.Exclusive); err != nil || !ok {
+			return fmt.Errorf("lock %v: granted=%v: %w", rid, ok, err)
 		}
-		db.NoteLock(id, name, lock.Exclusive)
 		if err := db.Update(nd, id, rid, []byte{byte(round), byte(k)}); err != nil {
 			return err
 		}
@@ -203,9 +204,10 @@ func privateTxn(db *DB, nd machine.NodeID, round int) error {
 	if err := db.Commit(nd, id); err != nil {
 		return err
 	}
-	for _, name := range db.HeldLocks(id) {
-		if err := db.Locks.Release(nd, id, name); err != nil {
-			return err
+	held, _ := db.TxnLocks(id)
+	for _, h := range held {
+		if _, still, err := db.Locks.Holds(nd, id, h.Name); err != nil || still {
+			return fmt.Errorf("%v still holds %v after Commit (err %v)", id, h.Name, err)
 		}
 	}
 	return nil
@@ -366,5 +368,262 @@ func TestTriggerTakesNoDBMutex(t *testing.T) {
 	}
 	if st.LBMForces > fires.Load() || st.Commits != 2*rounds || st.Updates != 2*rounds*updatesPerTxn {
 		t.Errorf("Stats() = %+v after %d trigger runs and %d commits", st, fires.Load(), 2*rounds)
+	}
+}
+
+// lockRow returns name's row of the lock table (zero if nobody holds or
+// waits for it).
+func lockRow(t *testing.T, db *DB, name lock.Name) lock.LockState {
+	t.Helper()
+	snap, err := db.Locks.Snapshot(db.M.AliveNodes()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ls := range snap {
+		if ls.Name == name {
+			return ls
+		}
+	}
+	return lock.LockState{}
+}
+
+// TestLockOwner: the engine owns a transaction's locks from request to
+// release. Each case leaves a request in some state, has the driver walk
+// away, and ends the transaction; afterwards no LCB row names it — found
+// through its node-local state alone, no sweep of the lock table — and the
+// lock goes to the next requester at once.
+func TestLockOwner(t *testing.T) {
+	name := lock.NameOfKey(7)
+	begin := func(t *testing.T, db *DB, nd machine.NodeID) wal.TxnID {
+		t.Helper()
+		id, err := db.Begin(nd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	want := func(t *testing.T, db *DB, id wal.TxnID, mode lock.Mode, granted bool) {
+		t.Helper()
+		if got, err := db.Lock(id, name, mode); err != nil || got != granted {
+			t.Fatalf("Lock(%v, %v) = %v, %v; want granted=%v", id, mode, got, err, granted)
+		}
+	}
+	cases := []struct {
+		name string
+		// prepare returns the transaction to end (its request in the state
+		// the case is about) and whoever else is left to finish afterwards.
+		prepare func(t *testing.T, db *DB) (ended wal.TxnID, others []wal.TxnID)
+		end     func(db *DB, id wal.TxnID) error
+	}{
+		{
+			// (a) A worker stopped while its request was queued used to leave
+			// it in the LCB and in nobody's bookkeeping.
+			name: "queued request, aborted",
+			prepare: func(t *testing.T, db *DB) (wal.TxnID, []wal.TxnID) {
+				holder, waiter := begin(t, db, 0), begin(t, db, 1)
+				want(t, db, holder, lock.Exclusive, true)
+				want(t, db, waiter, lock.Exclusive, false)
+				if held, queued := db.TxnLocks(waiter); len(held) != 0 || !slices.Equal(queued, []LockEntry{{name, lock.Exclusive}}) {
+					t.Fatalf("waiter records held %v, queued %v", held, queued)
+				}
+				return waiter, []wal.TxnID{holder}
+			},
+			end: func(db *DB, id wal.TxnID) error { return db.Abort(id.Node(), id) },
+		},
+		{
+			name: "queued request, locks shed without finishing",
+			prepare: func(t *testing.T, db *DB) (wal.TxnID, []wal.TxnID) {
+				holder, waiter := begin(t, db, 0), begin(t, db, 1)
+				want(t, db, holder, lock.Shared, true)
+				want(t, db, waiter, lock.Exclusive, false)
+				return waiter, []wal.TxnID{holder}
+			},
+			end: func(db *DB, id wal.TxnID) error { return db.ReleaseLocks(id) },
+		},
+		{
+			// The driver gives up on a queued request and asks for something
+			// else (and is granted it): both are the transaction's to end.
+			name: "queued request the driver moved on from",
+			prepare: func(t *testing.T, db *DB) (wal.TxnID, []wal.TxnID) {
+				holder, waiter := begin(t, db, 0), begin(t, db, 1)
+				want(t, db, holder, lock.Exclusive, true)
+				want(t, db, waiter, lock.Shared, false)
+				if ok, err := db.Lock(waiter, lock.NameOfKey(8), lock.Exclusive); err != nil || !ok {
+					t.Fatalf("second request: %v, %v", ok, err)
+				}
+				if held, queued := db.TxnLocks(waiter); len(held) != 1 || !slices.Equal(queued, []LockEntry{{name, lock.Shared}}) {
+					t.Fatalf("waiter records held %v, queued %v", held, queued)
+				}
+				return waiter, []wal.TxnID{holder}
+			},
+			end: func(db *DB, id wal.TxnID) error { return db.Abort(id.Node(), id) },
+		},
+		{
+			// (b) The holder releases between the queueing and the
+			// withdrawal: the request is a grant nobody polled for.
+			name: "late grant",
+			prepare: func(t *testing.T, db *DB) (wal.TxnID, []wal.TxnID) {
+				holder, waiter := begin(t, db, 0), begin(t, db, 1)
+				want(t, db, holder, lock.Exclusive, true)
+				want(t, db, waiter, lock.Exclusive, false)
+				if err := db.Commit(0, holder); err != nil {
+					t.Fatal(err)
+				}
+				if m, held, err := db.Locks.Holds(1, waiter, name); err != nil || !held || m != lock.Exclusive {
+					t.Fatalf("the holder's commit did not promote the waiter: %v, %v, %v", m, held, err)
+				}
+				if held, queued := db.TxnLocks(waiter); len(held) != 0 || len(queued) != 1 {
+					t.Fatalf("waiter records held %v, queued %v before anyone told it", held, queued)
+				}
+				return waiter, nil
+			},
+			end: func(db *DB, id wal.TxnID) error { return db.Commit(id.Node(), id) },
+		},
+		{
+			// (c) An upgrade waiting behind a co-holder keeps neither mode.
+			name: "queued upgrade",
+			prepare: func(t *testing.T, db *DB) (wal.TxnID, []wal.TxnID) {
+				other, upgrader := begin(t, db, 0), begin(t, db, 1)
+				want(t, db, other, lock.Shared, true)
+				want(t, db, upgrader, lock.Shared, true)
+				want(t, db, upgrader, lock.Exclusive, false)
+				if held, queued := db.TxnLocks(upgrader); !slices.Equal(held, []LockEntry{{name, lock.Shared}}) || !slices.Equal(queued, []LockEntry{{name, lock.Exclusive}}) {
+					t.Fatalf("upgrader records held %v, queued %v", held, queued)
+				}
+				return upgrader, []wal.TxnID{other}
+			},
+			end: func(db *DB, id wal.TxnID) error { return db.Abort(id.Node(), id) },
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			db := newNodeTestDB(t, VolatileSelectiveRedo, 2)
+			ended, others := c.prepare(t, db)
+			if err := c.end(db, ended); err != nil {
+				t.Fatal(err)
+			}
+			row := lockRow(t, db, name)
+			for _, e := range append(row.Holders, row.Waiters...) {
+				if e.Txn == ended {
+					t.Fatalf("%v ended but its row still names it: %+v", ended, row)
+				}
+			}
+			if _, queued := db.TxnLocks(ended); len(queued) != 0 {
+				t.Errorf("%v ended but still records %v queued", ended, queued)
+			}
+			if err := db.ReleaseLocks(ended); err != nil {
+				t.Errorf("ending twice: %v", err)
+			}
+			for _, id := range others {
+				if err := db.Commit(id.Node(), id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if row := lockRow(t, db, name); len(row.Holders)+len(row.Waiters) != 0 {
+				t.Fatalf("everybody finished but the row is %+v", row)
+			}
+			next := begin(t, db, 1)
+			want(t, db, next, lock.Exclusive, true)
+		})
+	}
+}
+
+// TestLockOwnerDeadlockVictim: the victim's request is withdrawn where it was
+// recorded, and what the victim already held stays its own until it aborts.
+func TestLockOwnerDeadlockVictim(t *testing.T) {
+	db := newNodeTestDB(t, VolatileSelectiveRedo, 2)
+	a, b := lock.NameOfKey(1), lock.NameOfKey(2)
+	t1, _ := db.Begin(0)
+	t2, _ := db.Begin(1)
+	for _, step := range []struct {
+		id      wal.TxnID
+		name    lock.Name
+		granted bool
+		err     error
+	}{{t1, a, true, nil}, {t2, b, true, nil}, {t1, b, false, nil}, {t2, a, false, ErrDeadlock}} {
+		if got, err := db.Lock(step.id, step.name, lock.Exclusive); err != step.err || got != step.granted {
+			t.Fatalf("Lock(%v, %v) = %v, %v; want %v, %v", step.id, step.name, got, err, step.granted, step.err)
+		}
+	}
+	if held, queued := db.TxnLocks(t2); len(held) != 1 || held[0].Name != b || len(queued) != 0 {
+		t.Fatalf("victim records held %v, queued %v; want b held and nothing queued", held, queued)
+	}
+	if row := lockRow(t, db, a); len(row.Waiters) != 0 {
+		t.Fatalf("victim's request still queued: %+v", row)
+	}
+	if err := db.Abort(1, t2); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := db.Lock(t1, b, lock.Exclusive); err != nil || !ok {
+		t.Fatalf("survivor's poll after the victim's abort = %v, %v", ok, err)
+	}
+}
+
+// TestLockReplayRegrantsHeldNotQueued is (d): restart recovery's lock replay
+// re-grants what a surviving transaction holds and never a request it merely
+// has queued — the log holds an acquire record for both, only the
+// transaction's own state tells them apart.
+func TestLockReplayRegrantsHeldNotQueued(t *testing.T) {
+	for _, proto := range []Protocol{VolatileSelectiveRedo, VolatileRedoAll, StableEager} {
+		t.Run(proto.String(), func(t *testing.T) {
+			db := newNodeTestDB(t, proto, 2)
+			a, b := lock.NameOfKey(1), lock.NameOfKey(2)
+			s1, _ := db.Begin(1)
+			s2, _ := db.Begin(1)
+			for _, step := range []struct {
+				id      wal.TxnID
+				name    lock.Name
+				granted bool
+			}{{s1, a, true}, {s2, b, true}, {s1, b, false}} {
+				if got, err := db.Lock(step.id, step.name, lock.Exclusive); err != nil || got != step.granted {
+					t.Fatalf("Lock(%v, %v) = %v, %v; want %v", step.id, step.name, got, err, step.granted)
+				}
+			}
+			// Node 0 queues behind both, which leaves both LCB lines cached
+			// on node 0 alone: its crash destroys them.
+			for _, name := range []lock.Name{a, b} {
+				d, _ := db.Begin(0)
+				if got, err := db.Lock(d, name, lock.Exclusive); err != nil || got {
+					t.Fatalf("node 0's Lock(%v) = %v, %v", name, got, err)
+				}
+			}
+			db.Crash(0)
+			if db.Locks.LostLCBCount() == 0 {
+				t.Fatal("choreography failed: the crash destroyed no LCB line")
+			}
+			if _, err := db.Recover([]machine.NodeID{0}); err != nil {
+				t.Fatal(err)
+			}
+			for _, h := range []struct {
+				id   wal.TxnID
+				name lock.Name
+			}{{s1, a}, {s2, b}} {
+				if m, held, err := db.Locks.Holds(1, h.id, h.name); err != nil || !held || m != lock.Exclusive {
+					t.Errorf("replay did not re-grant %v to %v: %v, %v, %v", h.name, h.id, m, held, err)
+				}
+			}
+			if row := lockRow(t, db, b); len(row.Holders) != 1 || len(row.Waiters) != 0 {
+				t.Fatalf("row of the queued request after replay = %+v; want s2 alone", row)
+			}
+			if v := db.CheckIFA(1); len(v) != 0 {
+				t.Fatalf("IFA violations: %v", v)
+			}
+			// The waiter's next poll re-queues it, and it is granted in turn.
+			if got, err := db.Lock(s1, b, lock.Exclusive); err != nil || got {
+				t.Fatalf("s1's poll after recovery = %v, %v", got, err)
+			}
+			if err := db.Commit(1, s2); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := db.Lock(s1, b, lock.Exclusive); err != nil || !got {
+				t.Fatalf("s1's poll after s2's commit = %v, %v", got, err)
+			}
+			if err := db.Commit(1, s1); err != nil {
+				t.Fatal(err)
+			}
+			if snap, _ := db.Locks.Snapshot(1); len(snap) != 0 {
+				t.Fatalf("lock table not empty at the end: %+v", snap)
+			}
+		})
 	}
 }

@@ -112,7 +112,8 @@ func (db *DB) CommitGlobal(g GlobalID) error {
 				g, t, machine.ErrNodeDown)
 		}
 	}
-	// Finalize: tags cleared, oracle updated, status flipped.
+	// Finalize: tags cleared, oracle updated, status flipped, locks released
+	// — branch by branch in node order.
 	for _, t := range branches {
 		nc, st, err := db.txn(t)
 		if err != nil {
@@ -126,12 +127,13 @@ func (db *DB) CommitGlobal(g GlobalID) error {
 }
 
 // finalizeCommit performs the post-force commit work of one transaction
-// (shared by Commit and CommitGlobal): undo tags are cleared and the
-// oracle's last-committed images advance to the transaction's own final
-// write images. The images come from the transaction's write records, never
-// from re-reading the slots — a commit racing a concurrent node crash could
-// otherwise observe a stale disk reinstall and poison the oracle while the
-// database itself recovers correctly.
+// (shared by Commit and CommitGlobal): undo tags are cleared, the oracle's
+// last-committed images advance to the transaction's own final write images,
+// and the transaction's locks are released. The images come from the
+// transaction's write records, never from re-reading the slots — a commit
+// racing a concurrent node crash could otherwise observe a stale disk
+// reinstall and poison the oracle while the database itself recovers
+// correctly.
 //
 // Two sections of the node's mutex bracket the tag clears (machine calls, so
 // no mutex may be held across them): the first folds the write list down to
@@ -172,7 +174,7 @@ func (db *DB) finalizeCommit(nc *nodeCtl, st *txnState) error {
 		hk.Waterfall.OpEnd(int64(t), int32(nd), now)
 		hk.Waterfall.End(int64(t), now, waterfall.OutcomeCommitted)
 	}
-	return nil
+	return db.ReleaseLocks(t)
 }
 
 // dedupeWrites folds st.writes, in place, to one entry per slot: slots keep
@@ -218,7 +220,7 @@ func (db *DB) AbortGlobal(g GlobalID) error {
 // abortOrphanedBranches is the restart-recovery pass for parallel
 // transactions: any surviving active branch whose global family lost a
 // branch to a crash is rolled back (using its own intact log) and its locks
-// are released. Returns the branches aborted.
+// are released with it. Returns the branches aborted.
 func (db *DB) abortOrphanedBranches(rep *RecoveryReport) ([]wal.TxnID, error) {
 	// Globals with a crashed branch.
 	doomed := make(map[uint64]bool)
@@ -236,11 +238,6 @@ func (db *DB) abortOrphanedBranches(rep *RecoveryReport) ([]wal.TxnID, error) {
 	for _, t := range victims {
 		if err := db.Abort(t.Node(), t); err != nil {
 			return victims, fmt.Errorf("recovery: aborting orphaned branch %v: %w", t, err)
-		}
-		// Release the branch's locks (its transaction layer will never
-		// get the chance).
-		for _, name := range db.HeldLocks(t) {
-			_ = db.Locks.Release(t.Node(), t, name)
 		}
 		nc := &db.nodes[t.Node()]
 		nc.mu.Lock()

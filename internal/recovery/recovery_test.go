@@ -432,7 +432,7 @@ func TestLockSpaceAcrossCrash(t *testing.T) {
 }
 
 // TestCanceledWaitNotResurrected: a queued lock request that was withdrawn
-// with CancelWait before a crash must not come back as a grant after
+// with WithdrawWait before a crash must not come back as a grant after
 // recovery. The acquire is logged before the grant decision, so the lock
 // log alone over-approximates what was held; a replay that trusted it
 // would re-grant the lock to a transaction that never knew it held it —
@@ -459,7 +459,7 @@ func TestCanceledWaitNotResurrected(t *testing.T) {
 			if granted {
 				t.Fatal("conflicting acquire granted immediately")
 			}
-			if err := db.Locks.CancelWait(1, ty.ID(), name); err != nil {
+			if _, err := db.Locks.WithdrawWait(1, ty.ID(), name); err != nil {
 				t.Fatal(err)
 			}
 			db.Crash(0)

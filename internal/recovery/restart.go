@@ -835,11 +835,7 @@ func (db *DB) undoCrashed(coord machine.NodeID, vs []*logView, rep *RecoveryRepo
 		}
 		// Active on the crashed node = stable records, no stable
 		// commit/abort.
-		type slotUndo struct {
-			earliest []byte // before image of the earliest update
-			versions map[uint64]bool
-		}
-		undoByTxn := make(map[wal.TxnID]map[heap.RID]*slotUndo)
+		undoByTxn := make(map[wal.TxnID]undoSet)
 		v.scan(func(rec *wal.Record) bool {
 			if rec.Type != wal.TypeUpdate {
 				return true
@@ -852,18 +848,10 @@ func (db *DB) undoCrashed(coord machine.NodeID, vs []*logView, rep *RecoveryRepo
 			}
 			m := undoByTxn[rec.Txn]
 			if m == nil {
-				m = make(map[heap.RID]*slotUndo)
+				m = make(undoSet)
 				undoByTxn[rec.Txn] = m
 			}
-			rid := heap.RID{Page: rec.Page, Slot: rec.Slot}
-			su := m[rid]
-			if su == nil {
-				// First (earliest) update of this slot by this txn:
-				// its before image is the last committed value.
-				su = &slotUndo{earliest: rec.Before, versions: make(map[uint64]bool)}
-				m[rid] = su
-			}
-			su.versions[rec.Version] = true
+			m.add(rec)
 			return true
 		})
 		// Install in sorted (txn, rid) order: each installImage draws a
@@ -889,21 +877,10 @@ func (db *DB) undoCrashed(coord machine.NodeID, vs []*logView, rep *RecoveryRepo
 			})
 			for _, rid := range rids {
 				su := m[rid]
-				cur, err := db.Read(coord, rid)
-				if err != nil {
+				if done, err := db.undoSlot(coord, txn, rid, su, true); err != nil {
 					return err
-				}
-				if !su.versions[cur.Version] {
-					// The transaction's update is not present (it was
-					// lost with the crash, or never migrated and died
-					// in place); the stable database already holds an
-					// older value.
+				} else if !done {
 					continue
-				}
-				// The compensation record outlives the attempt: it gets its own
-				// copy of the image, not a slice of the view's device bytes.
-				if err := db.installImage(coord, rid, slices.Clone(su.earliest), txn); err != nil {
-					return err
 				}
 				rep.UndoApplied++
 				db.wfProgress().Note(obs.PhaseUndo.String(), 1, len(su.earliest))
@@ -1211,23 +1188,21 @@ func (db *DB) replayNodeLocks(v *logView) (int, error) {
 		// an acquire record is written before the grant decision, so it may
 		// belong to a request that was only ever queued — and possibly
 		// withdrawn during this very recovery, when lock logging is
-		// suppressed and no release record can mark the withdrawal. A
-		// never-granted request is absent from the transaction's held-lock
-		// list, so releaseAll would never free a re-grant built from it: the
-		// entry would outlive the transaction and wedge every later waiter
-		// (no waits-for cycle; the holder is gone). Entries the bookkeeping
-		// does confirm are exactly the ones releaseAll frees at finish, so a
-		// survivor finishing after this point cleans up behind us. Dropping
-		// a genuine waiter here is safe: its retry loop re-queues the
-		// request against the rebuilt table.
+		// suppressed and no release record can mark the withdrawal. A queued
+		// request is recorded among the transaction's wants, never among its
+		// held locks, so it is not re-granted here; its owner's next Lock call
+		// re-queues it against the rebuilt table, and ReleaseLocks withdraws
+		// it if the owner never comes back. Entries the bookkeeping does
+		// confirm are exactly the ones ReleaseLocks frees at finish, so a
+		// survivor finishing after this point cleans up behind us.
 		var mode lock.Mode
 		noted := false
 		if st := db.lookup(k.txn); st != nil && st.live() {
 			nc := &db.nodes[k.txn.Node()]
 			nc.mu.Lock()
 			for _, hl := range st.locks {
-				if hl.name == importName(k.name) {
-					mode, noted = hl.mode, true
+				if hl.Name == importName(k.name) {
+					mode, noted = hl.Mode, true
 					break
 				}
 			}
@@ -1240,7 +1215,7 @@ func (db *DB) replayNodeLocks(v *logView) (int, error) {
 			return replayed, err
 		}
 		// The transaction can still commit or abort between the bookkeeping
-		// check above and the grant: its releaseAll then ran against the
+		// check above and the grant: its ReleaseLocks then ran against the
 		// half-rebuilt table, found nothing, and tolerated ErrNotHeld — so
 		// the grant would leak. Re-check and take the grant back if the
 		// transaction finished in the window; a finish after this re-check

@@ -3,6 +3,7 @@ package recovery
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"smdb/internal/heap"
@@ -32,8 +33,9 @@ func (db *DB) forceThroughTxn(nd machine.NodeID, t wal.TxnID, lsn wal.LSN, count
 // Commit commits transaction t: its undo tags are cleared (the record is no
 // longer active, so its node ID becomes null), a commit record is appended
 // and the node's log forced through it (durability), and the transaction's
-// final images are captured as the new last-committed values. Lock release
-// is the caller's responsibility, after Commit returns (strict 2PL).
+// final images are captured as the new last-committed values. Only then —
+// strict 2PL — are the transaction's locks released (ReleaseLocks), so a
+// Commit that returns nil leaves nothing of t in the lock table.
 func (db *DB) Commit(nd machine.NodeID, t wal.TxnID) error {
 	nc, st, err := db.txn(t)
 	if err != nil {
@@ -137,53 +139,24 @@ func (db *DB) Abort(nd machine.NodeID, t wal.TxnID) error {
 	hk := db.hk.Load()
 	wf := hk.Waterfall
 	wf.SpanStart(int64(t), int32(nd), db.M.Clock(nd), waterfall.CauseUndo)
-	// Aggregate the undo per slot — the earliest before image plus the set
-	// of versions this transaction wrote — exactly as crashed-transaction
-	// undo does (undoCrashed), and only install where the slot still holds
-	// one of the transaction's own versions. Under strict 2PL the version
-	// check always passes (the X lock kept everyone else out), but after a
-	// crash-and-recover episode a stranded survivor's update can have been
-	// superseded by recovery itself; blindly reinstalling its before image
-	// would then clobber a newer committed value.
-	type slotUndo struct {
-		earliest []byte
-		versions map[uint64]bool
-	}
-	undo := make(map[heap.RID]*slotUndo)
-	var order []heap.RID // reverse log order, first touch per slot
+	// Walk the log chain into the undo set; install in reverse log order,
+	// first touch per slot.
+	undo := make(undoSet)
+	var order []heap.RID
 	for lsn := db.Logs[nd].LastLSNOf(t); lsn != 0; {
 		rec, ok := db.Logs[nd].Get(lsn)
 		if !ok {
 			return fmt.Errorf("recovery: broken log chain for %v at LSN %d", t, lsn)
 		}
 		if rec.Type == wal.TypeUpdate && rec.NTA == 0 {
-			rid := heap.RID{Page: rec.Page, Slot: rec.Slot}
-			su := undo[rid]
-			if su == nil {
-				su = &slotUndo{versions: make(map[uint64]bool)}
-				undo[rid] = su
+			if rid, fresh := undo.add(&rec); fresh {
 				order = append(order, rid)
 			}
-			// Walking backward, the last record seen is the earliest: its
-			// before image is the pre-transaction value.
-			su.earliest = rec.Before
-			su.versions[rec.Version] = true
 		}
 		lsn = rec.PrevLSN
 	}
 	for _, rid := range order {
-		su := undo[rid]
-		cur, err := db.Read(nd, rid)
-		if err != nil {
-			return err
-		}
-		if !su.versions[cur.Version] {
-			// The slot no longer carries this transaction's update (it was
-			// lost with a crash, or recovery already settled the slot to a
-			// committed value): there is nothing of ours to undo.
-			continue
-		}
-		if err := db.installImage(nd, rid, su.earliest, t); err != nil {
+		if _, err := db.undoSlot(nd, t, rid, undo[rid], false); err != nil {
 			return err
 		}
 	}
@@ -196,7 +169,56 @@ func (db *DB) Abort(nd machine.NodeID, t wal.TxnID) error {
 	hk.Observer.Instant(obs.KindTxnAbort, int32(nd), now, int64(t), 0)
 	wf.OpEnd(int64(t), int32(nd), now)
 	wf.End(int64(t), now, waterfall.OutcomeAborted)
-	return nil
+	return db.ReleaseLocks(t)
+}
+
+// slotUndo is one transaction's rollback of one slot: the before image of
+// its earliest update there (the pre-transaction value — the last committed
+// one, by strict 2PL) and every version it wrote.
+type slotUndo struct {
+	first    uint64 // version of the earliest update seen
+	earliest []byte // that update's before image
+	versions map[uint64]bool
+}
+
+// undoSet is one transaction's rollback. Abort feeds it newest record first
+// (the PrevLSN chain), undoCrashed oldest first (a stable-log scan); versions
+// only grow, so the lowest marks the earliest update either way. Each feeder
+// installs in its own order.
+type undoSet map[heap.RID]*slotUndo
+
+// add folds update record rec in and reports whether it is its slot's first.
+func (u undoSet) add(rec *wal.Record) (rid heap.RID, fresh bool) {
+	rid = heap.RID{Page: rec.Page, Slot: rec.Slot}
+	su := u[rid]
+	if fresh = su == nil; fresh {
+		su = &slotUndo{first: rec.Version, versions: make(map[uint64]bool)}
+		u[rid] = su
+	}
+	if rec.Version <= su.first {
+		su.first, su.earliest = rec.Version, rec.Before
+	}
+	su.versions[rec.Version] = true
+	return rid, fresh
+}
+
+// undoSlot reverts rid to t's pre-transaction image if the slot still holds
+// one of t's versions, and reports whether it did. Under strict 2PL it always
+// does while t runs (the X lock kept everyone else out); after a crash the
+// update may have died with its line, or recovery may have settled the slot
+// to a committed value, which the stale before image must not clobber. clone
+// gives the compensation record its own copy of an image that aliases a
+// recovery attempt's log view.
+func (db *DB) undoSlot(nd machine.NodeID, t wal.TxnID, rid heap.RID, su *slotUndo, clone bool) (bool, error) {
+	cur, err := db.Read(nd, rid)
+	if err != nil || !su.versions[cur.Version] {
+		return false, err
+	}
+	img := su.earliest
+	if clone {
+		img = slices.Clone(img)
+	}
+	return true, db.installImage(nd, rid, img, t)
 }
 
 // installImage writes a logged slot image (flags + data) into rid with a

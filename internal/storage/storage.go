@@ -59,6 +59,22 @@ func (p RetryPolicy) Backoff(attempt int) int64 {
 	return d
 }
 
+// Do runs op until it succeeds, fails with something other than ErrTransient,
+// or has been tried MaxAttempts times, and returns op's last result. Before
+// each retry it calls onRetry with the number of failures so far and the
+// simulated backoff that retry is due — the caller charges it to a node's
+// clock if its context allows (a log force may run under a machine stripe,
+// where it cannot) and does its own counting there.
+func (p RetryPolicy) Do(op func() error, onRetry func(attempt int, backoff int64)) error {
+	for attempt := 1; ; attempt++ {
+		err := op()
+		if !errors.Is(err, ErrTransient) || attempt >= p.MaxAttempts {
+			return err
+		}
+		onRetry(attempt, p.Backoff(attempt))
+	}
+}
+
 // Disk is a simulated shared disk holding fixed-size pages. It is safe for
 // concurrent use.
 type Disk struct {

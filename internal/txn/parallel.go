@@ -2,6 +2,7 @@ package txn
 
 import (
 	"fmt"
+	"slices"
 
 	"smdb/internal/machine"
 	"smdb/internal/recovery"
@@ -43,44 +44,36 @@ func (p *ParallelTxn) Global() recovery.GlobalID { return p.global }
 // On returns the branch running on node nd (nil if none).
 func (p *ParallelTxn) On(nd machine.NodeID) *Txn { return p.branches[nd] }
 
-// Nodes returns the participating nodes.
+// Nodes returns the participating nodes in ascending order.
 func (p *ParallelTxn) Nodes() []machine.NodeID {
 	out := make([]machine.NodeID, 0, len(p.branches))
 	for nd := range p.branches {
 		out = append(out, nd)
 	}
+	slices.Sort(out)
 	return out
 }
 
 // Commit commits every branch atomically: all logs are forced through their
-// commit records before any branch is considered committed.
+// commit records before any branch is considered committed, and the engine
+// then releases the branches' locks in node order.
 func (p *ParallelTxn) Commit() error {
-	if p.done {
-		return ErrDone
-	}
-	if err := p.mgr.DB.CommitGlobal(p.global); err != nil {
-		return err
-	}
-	for _, b := range p.branches {
-		b.releaseAll()
-		b.done = true
-	}
-	p.done = true
-	return nil
+	return p.end(p.mgr.DB.CommitGlobal)
 }
 
-// Abort rolls back every live branch.
+// Abort rolls back every live branch, releasing its locks, in node order.
 func (p *ParallelTxn) Abort() error {
+	return p.end(p.mgr.DB.AbortGlobal)
+}
+
+func (p *ParallelTxn) end(fin func(recovery.GlobalID) error) error {
 	if p.done {
 		return ErrDone
 	}
-	if err := p.mgr.DB.AbortGlobal(p.global); err != nil {
+	if err := fin(p.global); err != nil {
 		return err
 	}
 	for _, b := range p.branches {
-		if p.mgr.DB.M.Alive(b.node) {
-			b.releaseAll()
-		}
 		b.done = true
 	}
 	p.done = true

@@ -2,6 +2,7 @@ package txn_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"smdb/internal/heap"
@@ -34,7 +35,7 @@ func TestParallelWrapper(t *testing.T) {
 	for _, rid := range rids {
 		seedOne(t, mgr, rid, 1)
 	}
-	p, err := mgr.BeginParallel(0, 2)
+	p, err := mgr.BeginParallel(2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +45,8 @@ func TestParallelWrapper(t *testing.T) {
 	if p.On(1) != nil {
 		t.Error("branch on non-participating node")
 	}
-	if got := len(p.Nodes()); got != 2 {
-		t.Errorf("Nodes = %d", got)
+	if got := p.Nodes(); !slices.Equal(got, []machine.NodeID{0, 2}) {
+		t.Errorf("Nodes = %v, want [0 2] whatever order the branches began in", got)
 	}
 	if err := p.On(0).Write(rids[0], []byte{9}); err != nil {
 		t.Fatal(err)
@@ -85,6 +86,51 @@ func TestParallelWrapperAbort(t *testing.T) {
 	check, _ := mgr.Begin(0)
 	if v, err := check.Read(rid); err != nil || v[0] != 1 {
 		t.Errorf("abort not applied: %v, %v", v, err)
+	}
+}
+
+// TestParallelEndReleasesInNodeOrder: the branches share one lock (every
+// branch reads the same record), so the order they release it in decides
+// which node finds the LCB line local and which must migrate it — and with it
+// every node's simulated clock. Released in node order, the clocks repeat run
+// after run; released in map order they did not.
+func TestParallelEndReleasesInNodeOrder(t *testing.T) {
+	rid := heap.RID{Page: 0, Slot: 0}
+	for _, end := range []struct {
+		name string
+		fin  func(*txn.ParallelTxn) error
+	}{{"commit", (*txn.ParallelTxn).Commit}, {"abort", (*txn.ParallelTxn).Abort}} {
+		t.Run(end.name, func(t *testing.T) {
+			var first []int64
+			for run := 0; run < 12; run++ {
+				mgr := newMgr(t, 4)
+				seedOne(t, mgr, rid, 1)
+				p, err := mgr.BeginParallel(3, 1, 0, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, nd := range p.Nodes() {
+					if _, err := p.On(nd).Read(rid); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := end.fin(p); err != nil {
+					t.Fatal(err)
+				}
+				clocks := make([]int64, 4)
+				for nd := range clocks {
+					clocks[nd] = mgr.DB.M.Clock(machine.NodeID(nd))
+				}
+				if first == nil {
+					first = clocks
+				} else if !slices.Equal(clocks, first) {
+					t.Fatalf("run %d ended with node clocks %v, run 0 with %v", run, clocks, first)
+				}
+				if snap, err := mgr.DB.Locks.Snapshot(0); err != nil || len(snap) != 0 {
+					t.Fatalf("lock table after the end: %+v, %v", snap, err)
+				}
+			}
+		})
 	}
 }
 

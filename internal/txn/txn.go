@@ -5,11 +5,18 @@
 // associated with an uncommitted record — the assumption the paper's
 // recovery protocols (and their simple before-image undo) rest on.
 //
+// The engine owns a transaction's locks: every request goes through
+// recovery.DB.Lock, which records it in the transaction's node-local state,
+// and Commit and Abort end with recovery.DB.ReleaseLocks — this package
+// neither records nor releases anything.
+//
 // Lock waits are surfaced as ErrBlocked rather than blocking the goroutine:
-// the workload drivers re-issue the operation until it succeeds, which keeps
+// the caller re-issues the operation until it succeeds, which keeps
 // single-goroutine experiments deterministic. Deadlocks are detected on the
 // waits-for graph in the shared lock space and broken by aborting the
-// requester (ErrDeadlock).
+// requester (ErrDeadlock). The stall contract — which errors mean "re-issue
+// the operation unchanged" (Stalled) and the loop that does so (RetryUntil,
+// Retry) — is defined here, once, for every concurrent driver.
 package txn
 
 import (
@@ -20,7 +27,6 @@ import (
 	"smdb/internal/heap"
 	"smdb/internal/lock"
 	"smdb/internal/machine"
-	"smdb/internal/obs"
 	"smdb/internal/obs/waterfall"
 	"smdb/internal/recovery"
 	"smdb/internal/sched"
@@ -34,7 +40,7 @@ var (
 	ErrBlocked = errors.New("txn: waiting for lock")
 	// ErrDeadlock reports that the transaction was chosen as a deadlock
 	// victim and must be aborted by the caller.
-	ErrDeadlock = errors.New("txn: deadlock victim")
+	ErrDeadlock = recovery.ErrDeadlock
 	// ErrDone reports an operation on a committed or aborted transaction.
 	ErrDone = errors.New("txn: transaction already finished")
 	// ErrNotFound reports a read of an unoccupied or deleted record.
@@ -129,64 +135,15 @@ func (t *Txn) check() error {
 	return nil
 }
 
-// acquire requests a lock, translating a queued request into ErrBlocked and
-// a waits-for cycle into ErrDeadlock (with the wait cancelled). Each blocked
-// attempt's sim cost — the shared-memory lock-manager work of queueing and
-// re-probing, which is how a waiting node's clock advances — is recorded as a
-// CauseLockWait segment; a granted attempt's cost stays in the enclosing
-// bracket's compute residue.
-func (t *Txn) acquire(name lock.Name, mode lock.Mode) (err error) {
-	if wf := t.mgr.DB.Hooks().Waterfall; wf != nil {
-		waitFrom := t.mgr.DB.M.Clock(t.node)
-		defer func() {
-			if !errors.Is(err, ErrBlocked) && !errors.Is(err, ErrDeadlock) {
-				return
-			}
-			if end := t.mgr.DB.M.Clock(t.node); end > waitFrom {
-				wf.AddWait(int64(t.id), waterfall.CauseLockWait, waitFrom, end-waitFrom, int64(name), 0)
-			}
-		}()
+// acquire requests a lock through the engine, which owns it from here to
+// the end of the transaction (recovery.DB.Lock); a queued request is
+// ErrBlocked.
+func (t *Txn) acquire(name lock.Name, mode lock.Mode) error {
+	granted, err := t.mgr.DB.Lock(t.id, name, mode)
+	if err == nil && !granted {
+		err = ErrBlocked
 	}
-	locks := t.mgr.DB.Locks
-	granted, err := locks.Acquire(t.node, t.id, name, mode)
-	if err != nil {
-		return err
-	}
-	if !granted {
-		// It may have been promoted between the queueing and now.
-		if m, held, err := locks.Holds(t.node, t.id, name); err != nil {
-			return err
-		} else if held && m >= mode {
-			granted = true
-		}
-	}
-	if granted {
-		t.mgr.DB.NoteLock(t.id, name, mode)
-		return nil
-	}
-	victim, err := locks.FindDeadlock(t.node)
-	if err != nil {
-		return err
-	}
-	if victim == t.id {
-		held, err := locks.WithdrawWait(t.node, t.id, name)
-		if err != nil {
-			return err
-		}
-		if held >= mode {
-			// A release granted the request between the check above and the
-			// withdrawal: there was no wait left to cancel, and nobody is
-			// waiting for anybody through this lock any more. The
-			// transaction holds it — unrecorded, it would outlive the
-			// transaction and block every later request for good.
-			t.mgr.DB.NoteLock(t.id, name, mode)
-			return nil
-		}
-		t.mgr.DB.Hooks().Observer.Instant(obs.KindDeadlock, int32(t.node),
-			t.mgr.DB.M.Clock(t.node), int64(t.id), int64(name))
-		return ErrDeadlock
-	}
-	return ErrBlocked
+	return err
 }
 
 // LockKey acquires a key lock for the transaction (used by the B-tree,
@@ -209,6 +166,12 @@ func (t *Txn) Read(rid heap.RID) ([]byte, error) {
 	if err := t.acquire(lock.NameOfRID(rid), lock.Shared); err != nil {
 		return nil, err
 	}
+	return t.visible(rid)
+}
+
+// visible returns a copy of the record at rid, ErrNotFound if the slot is
+// unoccupied or the record deleted.
+func (t *Txn) visible(rid heap.RID) ([]byte, error) {
 	sd, err := t.mgr.DB.Read(t.node, rid)
 	if err != nil {
 		return nil, err
@@ -231,14 +194,7 @@ func (t *Txn) ReadDirty(rid heap.RID) ([]byte, error) {
 		return nil, errors.New("txn: dirty reads not enabled")
 	}
 	defer t.wfOp()()
-	sd, err := t.mgr.DB.Read(t.node, rid)
-	if err != nil {
-		return nil, err
-	}
-	if !sd.Occupied() || sd.Deleted() {
-		return nil, fmt.Errorf("%w: %v", ErrNotFound, rid)
-	}
-	return append([]byte(nil), sd.Data...), nil
+	return t.visible(rid)
 }
 
 // Write updates the record at rid under an exclusive lock.
@@ -277,8 +233,8 @@ func (t *Txn) Delete(rid heap.RID) error {
 	return t.mgr.DB.Delete(t.node, t.id, rid)
 }
 
-// Commit commits the transaction and releases its locks (strict 2PL: only
-// after the commit record is stable).
+// Commit commits the transaction; the engine releases its locks once the
+// commit record is stable (strict 2PL).
 func (t *Txn) Commit() error {
 	if err := t.check(); err != nil {
 		return err
@@ -286,12 +242,12 @@ func (t *Txn) Commit() error {
 	if err := t.mgr.DB.Commit(t.node, t.id); err != nil {
 		return err
 	}
-	t.releaseAll()
 	t.done = true
 	return nil
 }
 
-// Abort rolls the transaction back and releases its locks.
+// Abort rolls the transaction back; the engine releases its locks and
+// withdraws a request it left queued.
 func (t *Txn) Abort() error {
 	if err := t.check(); err != nil {
 		return err
@@ -299,40 +255,40 @@ func (t *Txn) Abort() error {
 	if err := t.mgr.DB.Abort(t.node, t.id); err != nil {
 		return err
 	}
-	t.releaseAll()
 	t.done = true
 	return nil
 }
 
-// releaseAll frees every lock the node-local state recorded. Tolerated
-// errors: ErrNotHeld (restart recovery already restructured the lock
-// space), ErrLineLost (the LCB died with a crashed node; recovery's replay
-// re-establishes only still-active transactions' locks, which releases ours
-// implicitly), and ErrNodeDown (our own node died mid-release).
-func (t *Txn) releaseAll() {
-	var buf [16]lock.Name
-	for _, name := range t.mgr.DB.AppendHeldLocks(buf[:0], t.id) {
-		err := t.mgr.DB.Locks.Release(t.node, t.id, name)
-		switch {
-		case err == nil:
-		case errors.Is(err, lock.ErrNotHeld),
-			errors.Is(err, machine.ErrLineLost),
-			errors.Is(err, machine.ErrNodeDown):
-		default:
-			panic(fmt.Sprintf("txn: releasing %v for %v: %v", name, t.id, err))
-		}
-	}
+// Stalled reports whether err is a stall — the operation could not proceed
+// yet and is to be re-issued unchanged: ErrBlocked (a lock wait, or the
+// freeze window between a crash and the end of restart recovery) or
+// machine.ErrLineLost (data a crash destroyed that recovery has not yet
+// repaired). Everything else, machine.ErrNodeDown included, is final.
+func Stalled(err error) bool {
+	return errors.Is(err, ErrBlocked) || errors.Is(err, machine.ErrLineLost)
 }
 
-// Retry re-invokes op until it stops returning ErrBlocked, yielding the
-// node's goroutine between attempts. Deterministic drivers schedule around
-// ErrBlocked themselves; Retry is for concurrent use.
-func Retry(op func() error) error {
+// RetryUntil runs op until it returns something other than a stall, yielding
+// the goroutine between attempts, and returns that result with the number of
+// stalls it sat through. stop, if non-nil, is consulted after every stall and
+// never before the first attempt; once it reports true the stall itself is
+// returned. Deterministic single-goroutine drivers schedule around stalls
+// themselves; this loop is for concurrent use.
+func RetryUntil(op func() error, stop func() bool) (stalls int, err error) {
 	for {
-		err := op()
-		if !errors.Is(err, ErrBlocked) {
-			return err
+		if err = op(); !Stalled(err) {
+			return stalls, err
+		}
+		stalls++
+		if stop != nil && stop() {
+			return stalls, err
 		}
 		runtime.Gosched()
 	}
+}
+
+// Retry is RetryUntil with nothing to stop it.
+func Retry(op func() error) error {
+	_, err := RetryUntil(op, nil)
+	return err
 }

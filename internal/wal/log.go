@@ -237,18 +237,17 @@ func (l *Log) Force(upto LSN) (records int, forced bool) {
 	// machine lock (and so AdvanceClock) is off-limits. On persistent
 	// failure nothing is stable and `forced` does not advance, so the
 	// commit path correctly reports the commit record unforced.
-	var err error
-	for attempt := 1; ; attempt++ {
-		if _, err = l.dev.Append(buf); err == nil {
-			break
-		}
-		if attempt >= storage.DefaultRetry.MaxAttempts {
-			return 0, false
-		}
+	err := storage.DefaultRetry.Do(func() error {
+		_, err := l.dev.Append(buf)
+		return err
+	}, func(attempt int, _ int64) {
 		l.ioRetries++
 		if hk := l.hk; hk != nil {
 			hk.Observer.Instant(obs.KindIORetry, int32(l.node), l.clock(), int64(attempt), 0)
 		}
+	})
+	if err != nil {
+		return 0, false
 	}
 	records = uptoIdx - l.forced
 	l.forced = uptoIdx
@@ -326,15 +325,11 @@ func (l *Log) ForceTorn(upto LSN, frac float64) (whole, torn int) {
 		// A transient device fault can compound the torn force; retry so
 		// the partial write lands, or fall back to "nothing reached the
 		// device" (an even shorter tear) on persistent failure.
-		landed := false
-		for attempt := 1; attempt <= storage.DefaultRetry.MaxAttempts; attempt++ {
-			if _, err := l.dev.Append(out); err == nil {
-				landed = true
-				break
-			}
-			l.ioRetries++
-		}
-		if !landed {
+		err := storage.DefaultRetry.Do(func() error {
+			_, err := l.dev.Append(out)
+			return err
+		}, func(int, int64) { l.ioRetries++ })
+		if err != nil {
 			whole, torn = 0, 0
 		}
 	}

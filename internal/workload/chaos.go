@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"time"
 
@@ -210,18 +211,22 @@ func RunChaosSession(db *recovery.DB, inj *fault.Injector, spec Spec, episodes i
 					got = true
 				case <-time.After(200 * time.Microsecond):
 					if time.Now().After(deadline) {
+						// Gather the evidence while the workers still stand
+						// where they wedged (and without the reads drawing injected
+						// faults); stopped, they return within a retry.
+						inj.Disarm()
+						evidence := wedgeEvidence(db, epOrig, runner.LiveWorkers())
 						close(stop)
-						// Stopped workers return within a retry; if one of
-						// them failed, that error — not the timeout it led
-						// to — is the finding.
+						// If one of them failed, that error — not the timeout
+						// it led to — is the finding.
 						select {
 						case ro = <-out:
 							if ro.err != nil {
-								return res, fmt.Errorf("workload: chaos episode %d (seed %d) wedged after a worker failed: %w", epOrig, epSpec.Seed, ro.err)
+								return res, fmt.Errorf("workload: chaos episode %d (seed %d) wedged after a worker failed: %w\n%s", epOrig, epSpec.Seed, ro.err, evidence)
 							}
 						case <-time.After(time.Second):
 						}
-						return res, fmt.Errorf("workload: chaos episode %d (seed %d) wedged (no crash, no completion)", epOrig, epSpec.Seed)
+						return res, fmt.Errorf("workload: chaos episode %d (seed %d) wedged (no crash, no completion)\n%s", epOrig, epSpec.Seed, evidence)
 					}
 				}
 			}
@@ -278,7 +283,8 @@ func RunChaosSession(db *recovery.DB, inj *fault.Injector, spec Spec, episodes i
 		// ever finish them, and under strict 2PL their locks would starve
 		// every later episode. Roll them back; the deferred-logging negative
 		// control cannot (it logged no undo information), so it only sheds
-		// their locks.
+		// their locks. Either way the engine's end-of-transaction takes every
+		// lock they hold and the request a stopped worker left queued.
 		stranded := make(map[wal.TxnID]bool)
 		for _, t := range db.ActiveTxns(machine.NoNode) {
 			nd := t.Node()
@@ -286,15 +292,13 @@ func RunChaosSession(db *recovery.DB, inj *fault.Injector, spec Spec, episodes i
 				continue
 			}
 			stranded[t] = true
-			if err := db.Abort(nd, t); err != nil && !db.Cfg.Protocol.DeferredLogging() {
+			err := db.Abort(nd, t)
+			if err != nil && db.Cfg.Protocol.DeferredLogging() {
+				err = db.ReleaseLocks(t)
+			}
+			if err != nil {
 				return res, fmt.Errorf("workload: chaos episode %d (seed %d) rollback of stranded %v: %w", epOrig, epSpec.Seed, t, err)
 			}
-			for _, name := range db.HeldLocks(t) {
-				_ = db.Locks.Release(nd, t, name)
-			}
-		}
-		if err := withdrawRequests(db, stranded); err != nil {
-			return res, fmt.Errorf("workload: chaos episode %d (seed %d) withdrawing stranded lock requests: %w", epOrig, epSpec.Seed, err)
 		}
 
 		coord := db.M.AliveNodes()[0]
@@ -338,34 +342,47 @@ func RunChaosSession(db *recovery.DB, inj *fault.Injector, spec Spec, episodes i
 	return res, nil
 }
 
-// withdrawRequests removes from the lock table whatever the stranded
-// transactions still have there after their held locks were released. A
-// worker stopped while its request was queued leaves that request in the LCB
-// and in nobody's bookkeeping; the first release ahead of it promotes it to
-// a holder no one will ever release, and the next episode's transactions
-// queue behind it for good (no waits-for cycle, so no deadlock victim).
-func withdrawRequests(db *recovery.DB, stranded map[wal.TxnID]bool) error {
-	if len(stranded) == 0 {
-		return nil
-	}
-	snap, err := db.Locks.Snapshot(db.M.AliveNodes()[0])
-	if err != nil {
-		return err
-	}
-	for _, ls := range snap {
-		// Waiters first: releasing a holder promotes the queue behind it.
-		for _, w := range ls.Waiters {
-			if stranded[w.Txn] {
-				_ = db.Locks.CancelWait(w.Txn.Node(), w.Txn, ls.Name)
+// wedgeEvidence gathers what diagnosing a wedged episode takes — every
+// lock-table row somebody waits on, the deadlock detector's verdict, what
+// each active transaction holds and has queued, how many workers are still
+// running, and every goroutine's stack — and returns what the wedge error
+// should carry: the report itself, or, with a flight recorder attached, the
+// path of the dump that holds it as wedge.txt.
+func wedgeEvidence(db *recovery.DB, ep, workers int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "live workers: %d\n", workers)
+	if alive := db.M.AliveNodes(); len(alive) > 0 {
+		snap, err := db.Locks.Snapshot(alive[0])
+		if err != nil {
+			fmt.Fprintf(&b, "lock table unreadable: %v\n", err)
+		}
+		for _, ls := range snap {
+			if len(ls.Waiters) > 0 {
+				fmt.Fprintf(&b, "lock %v: holders %v waiters %v\n", ls.Name, ls.Holders, ls.Waiters)
 			}
 		}
-		for _, h := range ls.Holders {
-			if stranded[h.Txn] {
-				_ = db.Locks.Release(h.Txn.Node(), h.Txn, ls.Name)
-			}
+		victim, err := db.Locks.FindDeadlock(alive[0])
+		fmt.Fprintf(&b, "FindDeadlock: victim %v, err %v\n", victim, err)
+	}
+	for _, t := range db.ActiveTxns(machine.NoNode) {
+		held, queued := db.TxnLocks(t)
+		fmt.Fprintf(&b, "%v: holds %v, queued %v\n", t, held, queued)
+	}
+	stacks := make([]byte, 1<<20)
+	b.Write(stacks[:runtime.Stack(stacks, true)])
+	report := b.String()
+	if fr := db.Hooks().Flight; fr != nil {
+		fr.SetAux("wedge.txt", func(w io.Writer) error {
+			_, err := io.WriteString(w, report)
+			return err
+		})
+		dir, err := db.DumpFlight(fmt.Sprintf("wedge-ep%d", ep))
+		fr.SetAux("wedge.txt", nil)
+		if err == nil && dir != "" {
+			return "evidence: " + dir
 		}
 	}
-	return nil
+	return report
 }
 
 // crossCheckAuditor reconciles the online IFA auditor's typed violations —

@@ -1,16 +1,23 @@
 package workload
 
 import (
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"smdb/internal/fault"
+	"smdb/internal/heap"
+	"smdb/internal/lock"
 	"smdb/internal/machine"
 	"smdb/internal/obs"
 	"smdb/internal/obs/audit"
 	"smdb/internal/obs/deps"
 	"smdb/internal/obs/hooks"
 	"smdb/internal/recovery"
+	"smdb/internal/txn"
 )
 
 func chaosDB(t *testing.T, proto recovery.Protocol, nodes int) *recovery.DB {
@@ -394,5 +401,64 @@ func TestAblatedDoomedVerdict(t *testing.T) {
 	if len(mismatches) != 0 {
 		t.Errorf("explainer/checker mismatches under AblatedNoLBM:\n%s",
 			strings.Join(mismatches, "\n"))
+	}
+}
+
+// TestWedgeEvidence: what the harness attaches to a wedged episode's error
+// names the row somebody waits on, the deadlock verdict, every active
+// transaction's held and queued locks, the worker count and the goroutine
+// stacks — in the error itself without a flight recorder, as wedge.txt of
+// one dump with one, and in no dump taken afterwards.
+func TestWedgeEvidence(t *testing.T) {
+	db := chaosDB(t, recovery.VolatileSelectiveRedo, 2)
+	if err := Seed(db, 0); err != nil {
+		t.Fatal(err)
+	}
+	mgr := txn.NewManager(db)
+	rid := heap.RID{Page: 1, Slot: 0}
+	holder, _ := mgr.Begin(0)
+	waiter, _ := mgr.Begin(1)
+	if err := holder.Write(rid, []byte{7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := waiter.Write(rid, []byte{8}); !errors.Is(err, txn.ErrBlocked) {
+		t.Fatalf("conflicting write: %v", err)
+	}
+	name := lock.NameOfRID(rid)
+	check := func(report string) {
+		t.Helper()
+		for _, want := range []string{
+			"live workers: 2",
+			fmt.Sprintf("lock %v: holders [{%v", name, holder.ID()),
+			"FindDeadlock: victim",
+			fmt.Sprintf("%v: holds [{%v", holder.ID(), name),
+			fmt.Sprintf("%v: holds [], queued [{%v", waiter.ID(), name),
+			"goroutine ",
+		} {
+			if !strings.Contains(report, want) {
+				t.Errorf("wedge evidence lacks %q:\n%s", want, report)
+			}
+		}
+	}
+	check(wedgeEvidence(db, 3, 2))
+
+	fr := obs.NewFlightRecorder(t.TempDir(), 16)
+	db.Attach(hooks.Set{Observer: obs.NewWithCapacity(256), Flight: fr})
+	got := wedgeEvidence(db, 3, 2)
+	dumps := fr.Dumps()
+	if len(dumps) != 1 || !strings.Contains(dumps[0], "wedge-ep3") || !strings.Contains(got, dumps[0]) {
+		t.Fatalf("evidence %q, dumps %v; want one wedge-ep3 dump, named in the evidence", got, dumps)
+	}
+	report, err := os.ReadFile(filepath.Join(dumps[0], "wedge.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(string(report))
+	later, err := db.DumpFlight("later")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(later, "wedge.txt")); !os.IsNotExist(err) {
+		t.Errorf("a dump outside the wedge path carries wedge.txt (stat: %v)", err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -70,8 +69,10 @@ func (r *Runner) RunConcurrent(stop <-chan struct{}) (Result, error) {
 	for _, nd := range r.DB.M.AliveNodes() {
 		nd := nd
 		wg.Add(1)
+		r.live.Add(1)
 		go func() {
 			defer wg.Done()
+			defer r.live.Add(-1)
 			if r.Sched != nil {
 				// Release the scheduler floor at every exit path, so the
 				// next scheduled worker can run.
@@ -93,10 +94,7 @@ func (r *Runner) RunConcurrent(stop <-chan struct{}) (Result, error) {
 		}()
 	}
 	wg.Wait()
-	res.SimTime = r.DB.M.MaxClock() - start
-	if ops := res.Reads + res.Writes; ops > 0 {
-		res.SimTimePerOp = res.SimTime / int64(ops)
-	}
+	res.setSimTime(r.DB.M.MaxClock() - start)
 	return res, firstErr
 }
 
@@ -104,6 +102,14 @@ func (r *Runner) RunConcurrent(stop <-chan struct{}) (Result, error) {
 func (r *Runner) runWorker(nd machine.NodeID, stopNow func() bool, opCount *atomic.Int64) (Result, error) {
 	var res Result
 	rng := rand.New(rand.NewSource(r.Spec.Seed + int64(nd)*7919))
+	// retry is the shared stall loop: a stall is a lock wait, the freeze
+	// window, or data destroyed by a crash that recovery has not yet repaired
+	// (a commit/abort can meet the last two as well: undo walks read the heap).
+	retry := func(op func() error) error {
+		stalls, err := txn.RetryUntil(op, stopNow)
+		res.BlockedRetries += stalls
+		return err
+	}
 	for t := 0; t < r.Spec.TxnsPerNode; t++ {
 		if stopNow() {
 			return res, nil
@@ -117,65 +123,55 @@ func (r *Runner) runWorker(nd machine.NodeID, stopNow func() bool, opCount *atom
 		}
 		willAbort := rng.Float64() < r.Spec.AbortFraction
 		dead := false
-		for op := 0; op < r.Spec.OpsPerTxn; op++ {
+		for op := 0; op < r.Spec.OpsPerTxn && !dead; op++ {
 			rid := r.pickRIDWith(rng, nd)
 			read := rng.Float64() < r.Spec.ReadFraction
-			for {
-				if stopNow() {
-					return res, nil // leave the transaction in flight
-				}
-				var err error
-				if read {
-					_, err = tx.Read(rid)
-				} else {
-					err = tx.Write(rid, []byte{byte(rng.Intn(250) + 2), byte(nd)})
-				}
-				switch {
-				case err == nil:
-					if read {
-						res.Reads++
-					} else {
-						res.Writes++
-					}
-					opCount.Add(1)
-				case errors.Is(err, txn.ErrBlocked), errors.Is(err, machine.ErrLineLost):
-					// Lock wait, or a stall on data destroyed by a crash
-					// that recovery has not yet repaired.
-					res.BlockedRetries++
-					runtime.Gosched()
-					continue
-				case errors.Is(err, txn.ErrDeadlock):
-					// The victim's abort is a finalize like any other: a
-					// crash between the verdict and the abort freezes it.
-					res.Deadlocks++
-					if done, err := finish(tx.Abort, stopNow, &res); !done {
-						if err != nil && r.DB.Cfg.Protocol.DeferredLogging() {
-							// The negative control logged no undo information
-							// and cannot abort; shed the victim's locks so
-							// nothing waits on a transaction nobody will
-							// finish.
-							for _, name := range r.DB.HeldLocks(tx.ID()) {
-								_ = r.DB.Locks.Release(nd, tx.ID(), name)
-							}
-							r.abandonedMu.Lock()
-							r.abandoned = append(r.abandoned, tx.ID())
-							r.abandonedMu.Unlock()
-						}
-						return res, err
-					}
-					res.Aborted++
-					dead = true
-				case errors.Is(err, machine.ErrNodeDown):
-					return res, nil // crashed mid-transaction: leave it for recovery
-				case errors.Is(err, txn.ErrNotFound):
-					res.Reads++
-				default:
-					return res, fmt.Errorf("workload: node %d concurrent op on %v: %w", nd, rid, err)
-				}
-				break
+			if stopNow() {
+				return res, nil // leave the transaction in flight
 			}
-			if dead {
-				break
+			err := retry(func() error {
+				if read {
+					_, err := tx.Read(rid)
+					return err
+				}
+				return tx.Write(rid, []byte{byte(rng.Intn(250) + 2), byte(nd)})
+			})
+			switch {
+			case err == nil:
+				if read {
+					res.Reads++
+				} else {
+					res.Writes++
+				}
+				opCount.Add(1)
+			case left(err):
+				return res, nil
+			case errors.Is(err, txn.ErrDeadlock):
+				// The victim's abort is a finalize like any other: a crash
+				// between the verdict and the abort freezes it.
+				res.Deadlocks++
+				err := retry(tx.Abort)
+				if left(err) {
+					return res, nil
+				}
+				if err != nil {
+					if r.DB.Cfg.Protocol.DeferredLogging() {
+						// The negative control logged no undo information and
+						// cannot abort; shed the victim's locks so nothing
+						// waits on a transaction nobody will finish.
+						_ = r.DB.ReleaseLocks(tx.ID())
+						r.abandonedMu.Lock()
+						r.abandoned = append(r.abandoned, tx.ID())
+						r.abandonedMu.Unlock()
+					}
+					return res, err
+				}
+				res.Aborted++
+				dead = true
+			case errors.Is(err, txn.ErrNotFound):
+				res.Reads++
+			default:
+				return res, fmt.Errorf("workload: node %d concurrent op on %v: %w", nd, rid, err)
 			}
 		}
 		if dead {
@@ -185,7 +181,11 @@ func (r *Runner) runWorker(nd machine.NodeID, stopNow func() bool, opCount *atom
 		if willAbort {
 			fin = tx.Abort
 		}
-		if done, err := finish(fin, stopNow, &res); !done {
+		err = retry(fin)
+		if left(err) {
+			return res, nil
+		}
+		if err != nil {
 			return res, err
 		}
 		if willAbort {
@@ -197,32 +197,10 @@ func (r *Runner) runWorker(nd machine.NodeID, stopNow func() bool, opCount *atom
 	return res, nil
 }
 
-// finish runs fin — a transaction's Commit or Abort — to completion,
-// retrying the same pair as the op loop: a commit/abort can stall on the
-// freeze window, or on data a crash destroyed that recovery has not yet
-// repaired (undo walks read the heap). It reports done=false when the worker
-// must stop instead: with a nil error if its node went down or the run was
-// stopped (the transaction is left in flight for recovery), with fin's error
-// otherwise.
-func finish(fin func() error, stopNow func() bool, res *Result) (done bool, err error) {
-	for {
-		err = fin()
-		switch {
-		case err == nil:
-			return true, nil
-		case errors.Is(err, txn.ErrBlocked), errors.Is(err, machine.ErrLineLost):
-			if stopNow() {
-				return false, nil
-			}
-			res.BlockedRetries++
-			runtime.Gosched()
-		case errors.Is(err, machine.ErrNodeDown):
-			return false, nil
-		default:
-			return false, err
-		}
-	}
-}
+// left reports whether a worker's retry loop ended because the worker must
+// leave — the run was stopped mid-stall, or its node went down — with the
+// transaction left in flight for recovery.
+func left(err error) bool { return txn.Stalled(err) || errors.Is(err, machine.ErrNodeDown) }
 
 // pickRIDWith is pickRID with an explicit PRNG (per-worker).
 func (r *Runner) pickRIDWith(rng *rand.Rand, nd machine.NodeID) heap.RID {

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -163,5 +165,65 @@ func TestFinalizeRetriesLineLostAcrossFreeze(t *testing.T) {
 		if !bytes.HasPrefix(got, want.val) { // slots read back zero-padded
 			t.Errorf("post-recovery %v = %v, want prefix %v", want.rid, got, want.val)
 		}
+	}
+}
+
+// TestStallContract pins the one stall loop every concurrent driver shares
+// (txn.RetryUntil): a stall is ErrBlocked or machine.ErrLineLost and is
+// retried; anything else — machine.ErrNodeDown included — is returned; stop
+// is consulted after each stall and never before the first attempt.
+func TestStallContract(t *testing.T) {
+	unknown := errors.New("unknown")
+	for _, c := range []struct {
+		name      string
+		results   []error // op's successive results
+		stopAfter int     // stop reports true from its n-th call on (0 = never)
+		wantErr   error
+		wantCalls int // of op
+		wantStops int // of stop
+	}{
+		{"success first try", []error{nil}, 0, nil, 1, 0},
+		{"blocked then success", []error{txn.ErrBlocked, txn.ErrBlocked, nil}, 0, nil, 3, 2},
+		{"line lost then success", []error{machine.ErrLineLost, nil}, 0, nil, 2, 1},
+		{"wrapped stalls", []error{fmt.Errorf("op: %w", txn.ErrBlocked), fmt.Errorf("op: %w", machine.ErrLineLost), nil}, 0, nil, 3, 2},
+		{"node down is final", []error{txn.ErrBlocked, machine.ErrNodeDown}, 0, machine.ErrNodeDown, 2, 1},
+		{"deadlock is final", []error{txn.ErrDeadlock}, 0, txn.ErrDeadlock, 1, 0},
+		{"unknown is final", []error{machine.ErrLineLost, unknown}, 0, unknown, 2, 1},
+		{"stop already set, success", []error{nil}, 1, nil, 1, 0},
+		{"stop already set, stall", []error{txn.ErrBlocked, nil}, 1, txn.ErrBlocked, 1, 1},
+		{"stopped at the second stall", []error{txn.ErrBlocked, machine.ErrLineLost, nil}, 2, machine.ErrLineLost, 2, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			calls, stops := 0, 0
+			stalls, err := txn.RetryUntil(func() error {
+				calls++
+				return c.results[calls-1]
+			}, func() bool {
+				stops++
+				return c.stopAfter > 0 && stops >= c.stopAfter
+			})
+			if !errors.Is(err, c.wantErr) || (c.wantErr == nil && err != nil) {
+				t.Errorf("err = %v, want %v", err, c.wantErr)
+			}
+			if calls != c.wantCalls || stops != c.wantStops {
+				t.Errorf("op ran %d times and stop %d; want %d and %d", calls, stops, c.wantCalls, c.wantStops)
+			}
+			if stalls != c.wantStops {
+				t.Errorf("stalls = %d, want one per stop call (%d)", stalls, c.wantStops)
+			}
+			if got := txn.Stalled(err); got != (c.wantErr == txn.ErrBlocked || c.wantErr == machine.ErrLineLost) {
+				t.Errorf("Stalled(%v) = %v", err, got)
+			}
+		})
+	}
+	// No stop function: Retry is the same loop.
+	n := 0
+	if err := txn.Retry(func() error {
+		if n++; n < 3 {
+			return machine.ErrLineLost
+		}
+		return machine.ErrNodeDown
+	}); !errors.Is(err, machine.ErrNodeDown) || n != 3 {
+		t.Errorf("Retry = %v after %d attempts", err, n)
 	}
 }

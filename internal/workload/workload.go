@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"smdb/internal/heap"
 	"smdb/internal/machine"
@@ -147,6 +148,8 @@ type Runner struct {
 
 	sp  space
 	rng *rand.Rand
+	// live counts RunConcurrent's workers still running.
+	live atomic.Int32
 
 	// abandoned lists the deadlock victims the deferred-logging negative
 	// control could not abort: still active, their locks shed mid-run (so
@@ -163,6 +166,9 @@ func (r *Runner) Abandoned() []wal.TxnID {
 	return append([]wal.TxnID(nil), r.abandoned...)
 }
 
+// LiveWorkers returns how many of RunConcurrent's workers are still running.
+func (r *Runner) LiveWorkers() int { return int(r.live.Load()) }
+
 // NewRunner builds a deterministic runner. Call Seed first.
 func NewRunner(db *recovery.DB, spec Spec) *Runner {
 	spec.setDefaults()
@@ -175,25 +181,9 @@ func NewRunner(db *recovery.DB, spec Spec) *Runner {
 	}
 }
 
-// pickRID chooses the target record for one operation by node nd.
-func (r *Runner) pickRID(nd machine.NodeID) heap.RID {
-	if r.rng.Float64() < r.Spec.SharingFraction && len(r.sp.shared) > 0 {
-		pool := r.sp.shared
-		if r.Spec.HotSpot > 0 && r.rng.Float64() < r.Spec.HotProb {
-			hot := int(float64(len(pool)) * r.Spec.HotSpot)
-			if hot < 1 {
-				hot = 1
-			}
-			return pool[r.rng.Intn(hot)]
-		}
-		return pool[r.rng.Intn(len(pool))]
-	}
-	part := r.sp.private[nd]
-	if len(part) == 0 {
-		return r.sp.shared[r.rng.Intn(len(r.sp.shared))]
-	}
-	return part[r.rng.Intn(len(part))]
-}
+// pickRID chooses the target record for one operation by node nd, drawing
+// from the runner's own PRNG.
+func (r *Runner) pickRID(nd machine.NodeID) heap.RID { return r.pickRIDWith(r.rng, nd) }
 
 // nodeState tracks one node's progress through its transaction quota.
 type nodeState struct {
@@ -210,7 +200,16 @@ type nodeState struct {
 // Run executes the workload round-robin across all live nodes and returns
 // the aggregate result. Operations that block are retried on the node's
 // next turn; deadlock victims abort and are replaced.
-func (r *Runner) Run() (Result, error) {
+func (r *Runner) Run() (Result, error) { return r.rounds(-1) }
+
+// RunUntilMidFlight runs opsBudget round-robin rounds and stops, leaving
+// whatever transactions are then in flight active (for crash experiments that
+// want victims mid-transaction).
+func (r *Runner) RunUntilMidFlight(opsBudget int) (Result, error) { return r.rounds(opsBudget) }
+
+// rounds steps every live node in turn, budget times over (budget < 0: until
+// every node has finished its quota).
+func (r *Runner) rounds(budget int) (Result, error) {
 	var res Result
 	start := r.DB.M.MaxClock()
 	nodes := r.DB.M.AliveNodes()
@@ -218,26 +217,26 @@ func (r *Runner) Run() (Result, error) {
 	for _, nd := range nodes {
 		states[nd] = &nodeState{txnsLeft: r.Spec.TxnsPerNode}
 	}
-	for {
-		work := false
+	for work := true; work && budget != 0; budget-- {
+		work = false
 		for _, nd := range nodes {
 			st := states[nd]
 			if err := r.stepNode(nd, st, &res); err != nil {
 				return res, err
 			}
-			if st.txnsLeft > 0 || st.tx != nil {
-				work = true
-			}
-		}
-		if !work {
-			break
+			work = work || st.txnsLeft > 0 || st.tx != nil
 		}
 	}
-	res.SimTime = r.DB.M.MaxClock() - start
-	if ops := res.Reads + res.Writes; ops > 0 {
-		res.SimTimePerOp = res.SimTime / int64(ops)
-	}
+	res.setSimTime(r.DB.M.MaxClock() - start)
 	return res, nil
+}
+
+// setSimTime records the run's simulated duration and its per-operation share.
+func (res *Result) setSimTime(d int64) {
+	res.SimTime = d
+	if ops := res.Reads + res.Writes; ops > 0 {
+		res.SimTimePerOp = d / int64(ops)
+	}
 }
 
 // stepNode advances one node by one operation (or txn boundary).
@@ -313,29 +312,4 @@ func (r *Runner) stepNode(nd machine.NodeID, st *nodeState, res *Result) error {
 		return fmt.Errorf("workload: node %d op on %v: %w", nd, rid, err)
 	}
 	return nil
-}
-
-// ActiveTxns returns transactions currently in flight in the runner (used
-// by crash experiments that want victims mid-transaction). The runner can
-// be resumed afterwards only for surviving nodes.
-func (r *Runner) RunUntilMidFlight(opsBudget int) (Result, error) {
-	var res Result
-	start := r.DB.M.MaxClock()
-	nodes := r.DB.M.AliveNodes()
-	states := make(map[machine.NodeID]*nodeState, len(nodes))
-	for _, nd := range nodes {
-		states[nd] = &nodeState{txnsLeft: r.Spec.TxnsPerNode}
-	}
-	for i := 0; i < opsBudget; i++ {
-		for _, nd := range nodes {
-			if err := r.stepNode(nd, states[nd], &res); err != nil {
-				return res, err
-			}
-		}
-	}
-	res.SimTime = r.DB.M.MaxClock() - start
-	if ops := res.Reads + res.Writes; ops > 0 {
-		res.SimTimePerOp = res.SimTime / int64(ops)
-	}
-	return res, nil
 }
