@@ -7,6 +7,7 @@ import (
 	"smdb/internal/machine"
 	"smdb/internal/obs"
 	"smdb/internal/obs/audit"
+	"smdb/internal/obs/deps"
 	"smdb/internal/obs/hooks"
 	"smdb/internal/recovery"
 	"smdb/internal/txn"
@@ -89,15 +90,17 @@ func auditOverheadArm(proto recovery.Protocol, audited bool) (AuditOverheadPoint
 	if err != nil {
 		return p, err
 	}
-	// Both arms pay for the observer so the delta isolates the auditor.
-	var a *audit.Auditor
+	// Both arms pay for the observer and for the residency model the
+	// auditor reads (a tracker echoing nothing), so the delta isolates the
+	// auditor itself.
+	set := hooks.Set{Observer: obs.NewWithCapacity(8192), Deps: deps.New(nil)}
 	if audited {
-		a = audit.New(audit.Config{
+		set.Audit = audit.New(set.Deps, audit.Config{
 			Stable:   proto.StableLBM() && db.M.Config().Coherency == machine.WriteInvalidate,
 			WindowNS: auditOverheadWindowNS,
 		})
 	}
-	db.Attach(hooks.Set{Observer: obs.NewWithCapacity(8192), Audit: a})
+	db.Attach(set)
 
 	mgr := txn.NewManager(db)
 	start := time.Now()
@@ -120,7 +123,7 @@ func auditOverheadArm(proto recovery.Protocol, audited bool) (AuditOverheadPoint
 	}
 
 	if audited {
-		sum := a.Summary()
+		sum := set.Audit.Summary()
 		p.Violations = sum.Violations
 		p.Unlogged = sum.ViolationsByKind[audit.ViolationUnlogged]
 		p.Completed = sum.Completed

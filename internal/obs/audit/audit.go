@@ -1,8 +1,10 @@
 // Package audit turns the engine's IFA guarantee from a post-crash
-// assertion into a continuously monitored invariant. It maintains three
-// surfaces, all bounded in memory and all fed from the existing
-// observability hook set (the obs event stream plus the recovery layer's
-// direct write/crash/recovered notifications):
+// assertion into a continuously monitored invariant. It is the second judge
+// over the residency model of internal/obs/deps: the model folds the engine's
+// events and the recovery layer's write/crash/recovered calls into "which
+// failure domain holds which transaction's uncommitted data" once, and tells
+// the auditor what that did to each transaction. From that narration the
+// auditor maintains three surfaces, all bounded in memory:
 //
 //   - a per-transaction *audit trail*: a bounded span list per transaction
 //     (begin, each update with its line and LSN, every migration /
@@ -21,8 +23,7 @@
 //     watchdog flagging threshold and ratio breaches (see timeseries.go).
 //
 // A nil *Auditor is fully inert: every method is nil-receiver safe and
-// allocation-free, so the engine's hooks cost one pointer test when
-// auditing is off.
+// allocation-free.
 package audit
 
 import (
@@ -31,6 +32,7 @@ import (
 	"sync"
 
 	"smdb/internal/obs"
+	"smdb/internal/obs/deps"
 )
 
 // Defaults for Config's zero values.
@@ -145,39 +147,31 @@ type Summary struct {
 	Anomalies        int            `json:"anomalies"`
 }
 
-// lineCover summarizes one transaction's log coverage on one line.
-type lineCover struct {
-	maxLSN   int64
-	unlogged int
-}
-
 type exposeKey struct {
 	line int32
 	to   int32
 }
 
-// trailState is one live transaction's audit state.
+// trailState is one live transaction's trail and the exposures already
+// flagged on it.
 type trailState struct {
-	t          Trail
-	cover      map[int32]*lineCover
-	flagged    map[exposeKey]bool
-	maxLSN     int64 // highest LSN of any of its updates
-	coveredLSN int64 // highest force step already recorded for it
+	t       Trail
+	flagged map[exposeKey]bool
 }
 
-// Auditor is the online audit engine. Install it as (part of) the
-// Observer's sink and call the direct Note* hooks from the recovery layer;
-// all methods are safe for concurrent use and nil-receiver safe. Like the
-// dependency tracker it may run with emitter locks held, so it never calls
-// back into the engine.
+// Auditor is the online audit engine: a reader of the residency model
+// (deps.Tracker), which tells it, under the model's lock, every engine event
+// and everything that happens to each transaction. It keeps no residency
+// state of its own — only the trails, the LBM check's dedupe and suspension,
+// the violations and the time series. All methods are safe for concurrent
+// use and nil-receiver safe. It runs with the model's and the emitter's
+// locks held, so it never calls back into either.
 type Auditor struct {
-	cfg Config
+	cfg   Config
+	model *deps.Tracker
 
-	mu    sync.Mutex
-	txns  map[int64]*trailState
-	lines map[int32]map[int64]*trailState // line -> live writers
-	// forced tracks each node's highest stable LSN, from WAL-force events.
-	forced map[int32]int64
+	mu   sync.Mutex
+	live map[int64]*trailState
 	// recovering suspends LBM checks between a crash and the end of restart
 	// recovery: the invariant governs normal operation, and recovery's own
 	// repair traffic (reinstalls, redo migrations) is CheckIFA's
@@ -195,44 +189,32 @@ type Auditor struct {
 	ts timeSeries
 }
 
-// New creates an auditor.
-func New(cfg Config) *Auditor {
+// New creates an auditor reading model, which must have no other reader.
+// Feed the model (events through its OnEvent, the recovery layer's
+// write/crash/recovered calls through its Note* hooks); the auditor follows.
+func New(model *deps.Tracker, cfg Config) *Auditor {
 	cfg.setDefaults()
 	a := &Auditor{
 		cfg:        cfg,
-		txns:       make(map[int64]*trailState),
-		lines:      make(map[int32]map[int64]*trailState),
-		forced:     make(map[int32]int64),
+		model:      model,
+		live:       make(map[int64]*trailState),
 		violByKind: make(map[string]int),
 	}
 	a.ts.init(cfg)
+	model.Narrate(a)
 	return a
 }
 
 // Enabled reports whether auditing is live (false for a nil Auditor).
 func (a *Auditor) Enabled() bool { return a != nil }
 
-// tname renders a transaction id as the engine prints it (wal.TxnID packs
-// the home node in the high 16 bits and a per-node sequence below).
-func tname(id int64) string {
-	return fmt.Sprintf("t%d.%d", uint64(id)>>48, uint64(id)&((1<<48)-1))
-}
-
-func (a *Auditor) ensureLocked(id int64, node int32, sim int64) *trailState {
-	ts := a.txns[id]
-	if ts == nil {
-		ts = &trailState{
-			t: Trail{
-				Txn: id, Name: tname(id), Node: node,
-				Outcome: "active", BeginSim: sim,
-			},
-			cover:   make(map[int32]*lineCover),
-			flagged: make(map[exposeKey]bool),
-		}
-		ts.t.Steps = append(ts.t.Steps, Step{Sim: sim, Kind: "begin", Line: -1, From: -1, To: node})
-		a.txns[id] = ts
+// Model returns the residency model the auditor reads (nil for a nil
+// Auditor).
+func (a *Auditor) Model() *deps.Tracker {
+	if a == nil {
+		return nil
 	}
-	return ts
+	return a.model
 }
 
 func (a *Auditor) stepLocked(ts *trailState, s Step) {
@@ -243,272 +225,110 @@ func (a *Auditor) stepLocked(ts *trailState, s Step) {
 	ts.t.Steps = append(ts.t.Steps, s)
 }
 
-// OnEvent is the obs.Sink hook: coherency transitions drive the exposure
-// checks, WAL forces advance stable coverage, lifecycle events open and
-// close trails, and everything feeds the time-series windows.
-func (a *Auditor) OnEvent(e obs.Event) {
+// Event is the deps.Reader hook for raw engine events: all of them feed the
+// time-series windows.
+func (a *Auditor) Event(e obs.Event) {
 	if a == nil {
 		return
 	}
 	a.mu.Lock()
-	w := a.ts.tick(e.Sim)
-	switch e.Kind {
-	case obs.KindTxnBegin:
-		a.ensureLocked(e.A, e.Node, e.Sim)
-	case obs.KindTxnCommit:
-		w.Commits++
-		w.observeCommit(e.B)
-		a.finishLocked(e.A, "committed", e.Sim)
-	case obs.KindTxnAbort:
-		w.Aborts++
-		a.finishLocked(e.A, "aborted", e.Sim)
-	case obs.KindMigrate:
-		w.Migrations++
-		a.exposeLocked(w, int32(e.A), e.Node, int32(e.B), "migrate", e.Sim)
-	case obs.KindReplicate:
-		w.Replications++
-		a.exposeLocked(w, int32(e.A), e.Node, int32(e.B), "replicate", e.Sim)
-	case obs.KindDowngrade:
-		w.Downgrades++
-		a.exposeLocked(w, int32(e.A), e.Node, int32(e.B), "downgrade", e.Sim)
-	case obs.KindInvalidate:
-		w.Invalidations++
-		// Invalidation destroys the *other* copies — data does not enter a
-		// new failure domain, so there is no LBM check; the writers' trails
-		// still record the transition.
-		for _, ts := range a.lines[int32(e.A)] {
-			if ts.t.Outcome == "active" {
-				a.stepLocked(ts, Step{Sim: e.Sim, Kind: "invalidate", Line: int32(e.A), From: -1, To: e.Node})
-			}
-		}
-	case obs.KindWALForce:
-		w.LogForces++
-		a.noteForceLocked(e.Node, e.B, e.Sim)
-	case obs.KindLineLockWait, obs.KindLockWait:
-		w.LockStalls++
-	case obs.KindCrash:
-		w.Crashes++
-	case obs.KindRecovery:
-		w.RecoveryNS += e.Dur
-	}
+	a.ts.tick(e.Sim).count(e)
 	a.mu.Unlock()
 }
 
-// exposeLocked runs the LBM check for one coherency transition that placed
-// line's content in node to's cache: every live writer of the line must
-// have covering log records (stable or volatile per Config.Stable).
-// Violations are deduplicated per (transaction, line, destination).
-func (a *Auditor) exposeLocked(w *windowCounters, line, to, from int32, kind string, sim int64) {
-	writers := a.lines[line]
-	if len(writers) == 0 {
-		return
-	}
-	ids := make([]int64, 0, len(writers))
-	for id := range writers {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return uint64(ids[i]) < uint64(ids[j]) })
-	for _, id := range ids {
-		ts := writers[id]
-		if ts.t.Outcome != "active" || ts.t.Node == to {
-			continue
-		}
-		a.stepLocked(ts, Step{Sim: sim, Kind: kind, Line: line, From: from, To: to})
-		if a.recovering {
-			continue
-		}
-		cov := ts.cover[line]
-		if cov == nil {
-			continue
-		}
-		var vkind, detail string
-		switch {
-		case cov.unlogged > 0:
-			vkind = ViolationUnlogged
-			detail = fmt.Sprintf("%s of line %d to node %d: %d covering update(s) of %s have no log record",
-				kind, line, to, cov.unlogged, ts.t.Name)
-		case a.cfg.Stable && cov.maxLSN > a.forced[ts.t.Node]:
-			vkind = ViolationUnforced
-			detail = fmt.Sprintf("%s of line %d to node %d: %s's update LSN %d exceeds node %d's stable LSN %d",
-				kind, line, to, ts.t.Name, cov.maxLSN, ts.t.Node, a.forced[ts.t.Node])
-		default:
-			continue
-		}
-		k := exposeKey{line: line, to: to}
-		if ts.flagged[k] {
-			continue
-		}
-		ts.flagged[k] = true
-		ts.t.Violations++
-		a.violTotal++
-		a.violByKind[vkind]++
-		w.Violations++
-		if vkind == ViolationUnlogged {
-			w.UnloggedExposures++
-		}
-		a.stepLocked(ts, Step{Sim: sim, Kind: "violation", Line: line, From: from, To: to, Note: vkind})
-		if len(a.viols) < maxViolations {
-			ev := ts.t
-			ev.Steps = append([]Step(nil), ts.t.Steps...)
-			a.viols = append(a.viols, Violation{
-				Kind: vkind, Txn: id, Name: ts.t.Name, Node: ts.t.Node,
-				Line: line, Event: kind, To: to, Sim: sim,
-				LSN: cov.maxLSN, Forced: a.forced[ts.t.Node],
-				Detail: detail, Trail: ev,
-			})
-		}
-	}
-}
-
-// noteForceLocked advances a node's stable LSN and records a log-force step
-// on every live trail homed there whose updates the force newly covered.
-func (a *Auditor) noteForceLocked(node int32, stable, sim int64) {
-	old := a.forced[node]
-	if stable <= old {
-		return
-	}
-	a.forced[node] = stable
-	for _, ts := range a.txns {
-		if ts.t.Node == node && ts.t.Outcome == "active" && ts.maxLSN > old && ts.maxLSN > ts.coveredLSN {
-			a.stepLocked(ts, Step{Sim: sim, Kind: "log-force", Line: -1, From: -1, To: node, LSN: stable})
-			ts.coveredLSN = stable
-		}
-	}
-}
-
-// finishLocked closes a trail on a normal commit/abort event. Crashed
-// trails are closed by NoteRecovered, not by lifecycle events.
-func (a *Auditor) finishLocked(id int64, outcome string, sim int64) {
-	ts := a.txns[id]
-	if ts == nil || ts.t.Outcome != "active" {
-		return
-	}
-	a.closeLocked(ts, outcome, sim)
-}
-
-func (a *Auditor) closeLocked(ts *trailState, outcome string, sim int64) {
-	ts.t.Outcome = outcome
-	ts.t.EndSim = sim
-	a.stepLocked(ts, Step{Sim: sim, Kind: outcome, Line: -1, From: -1, To: ts.t.Node})
-	for line := range ts.cover {
-		if ws := a.lines[line]; ws != nil {
-			delete(ws, ts.t.Txn)
-			if len(ws) == 0 {
-				delete(a.lines, line)
-			}
-		}
-	}
-	delete(a.txns, ts.t.Txn)
-	if len(a.done) < a.cfg.TrailRing {
-		a.done = append(a.done, ts.t)
-	} else {
-		a.done[a.doneNext] = ts.t
-		a.doneNext = (a.doneNext + 1) % a.cfg.TrailRing
-	}
-	a.doneTotal++
-}
-
-// NoteWrite records one update transaction txn applied on its home node.
-// It is called from inside the update critical section — the line lock
-// still pins the line — so the auditor knows about the uncommitted data
-// before the line can move. The slot key is accepted for hook symmetry with
-// the dependency tracker but not retained (the trail records line + LSN).
-func (a *Auditor) NoteWrite(txn int64, node, line int32, slot, lsn, sim int64) {
-	if a == nil {
-		return
-	}
-	_ = slot
-	a.mu.Lock()
-	w := a.ts.tick(sim)
-	w.Updates++
-	ts := a.ensureLocked(txn, node, sim)
-	ts.t.Updates++
-	cov := ts.cover[line]
-	if cov == nil {
-		cov = &lineCover{}
-		ts.cover[line] = cov
-	}
-	if lsn == 0 {
-		cov.unlogged++
-	} else {
-		if lsn > cov.maxLSN {
-			cov.maxLSN = lsn
-		}
-		if lsn > ts.maxLSN {
-			ts.maxLSN = lsn
-		}
-	}
-	ws := a.lines[line]
-	if ws == nil {
-		ws = make(map[int64]*trailState)
-		a.lines[line] = ws
-	}
-	ws[txn] = ts
-	a.stepLocked(ts, Step{Sim: sim, Kind: "update", Line: line, From: -1, To: node, LSN: lsn})
-	a.mu.Unlock()
-}
-
-// NoteCrash folds a node-failure event into the trails: transactions homed
-// on crashed nodes become crash victims (their trails stay open until
-// NoteRecovered settles them), destroyed lines are recorded on their
-// writers' trails, and LBM checks are suspended until recovery completes.
-// It runs under the machine lock and never calls back into the engine.
-func (a *Auditor) NoteCrash(crashed, lost []int32, sim int64) {
+// Note is the deps.Reader hook for what happened to one transaction: a
+// begin opens its trail, every note becomes a step on it, an exposure runs
+// the LBM check, and an outcome closes it into the ring. The two ends of a
+// crash episode, which are about no transaction, switch the check off and
+// on.
+func (a *Auditor) Note(n deps.Note) {
 	if a == nil {
 		return
 	}
 	a.mu.Lock()
-	a.ts.tick(sim)
-	a.recovering = true
-	var cmask uint64
-	for _, n := range crashed {
-		if n >= 0 && n < 64 {
-			cmask |= 1 << uint(n)
-		}
-	}
-	for _, ts := range a.txns {
-		if ts.t.Outcome == "active" && ts.t.Node >= 0 && ts.t.Node < 64 && cmask&(1<<uint(ts.t.Node)) != 0 {
-			ts.t.Outcome = "crashed"
-			a.stepLocked(ts, Step{Sim: sim, Kind: "crash", Line: -1, From: -1, To: ts.t.Node})
-		}
-	}
-	for _, ln := range lost {
-		for _, ts := range a.lines[ln] {
-			a.stepLocked(ts, Step{Sim: sim, Kind: "lost-line", Line: ln, From: -1, To: -1})
-		}
-	}
-	a.mu.Unlock()
-}
-
-// NoteRecovered closes the crash episode: crash victims recovery aborted
-// settle as recovery-aborted, the rest as recovery-committed (their commit
-// records were stable — the crash only ate the acknowledgement), and LBM
-// checking resumes.
-func (a *Auditor) NoteRecovered(aborted []int64, sim int64) {
-	if a == nil {
+	defer a.mu.Unlock()
+	w := a.ts.tick(n.Sim)
+	if n.Class == deps.Episode {
+		a.recovering = n.Kind == deps.NoteCrash
 		return
 	}
-	a.mu.Lock()
-	a.ts.tick(sim)
-	ab := make(map[int64]bool, len(aborted))
-	for _, id := range aborted {
-		ab[id] = true
-	}
-	var crashedIDs []int64
-	for id, ts := range a.txns {
-		if ts.t.Outcome == "crashed" {
-			crashedIDs = append(crashedIDs, id)
+	ts := a.live[n.Txn]
+	if n.Kind == deps.NoteBegin {
+		ts = &trailState{
+			t: Trail{
+				Txn: n.Txn, Name: n.Name(), Node: n.Home,
+				Outcome: "active", BeginSim: n.Sim,
+			},
+			flagged: make(map[exposeKey]bool),
 		}
+		a.live[n.Txn] = ts
 	}
-	for _, id := range crashedIDs {
-		outcome := "recovery-committed"
-		if ab[id] {
-			outcome = "recovery-aborted"
+	if ts == nil {
+		return // began before the auditor was listening
+	}
+	a.stepLocked(ts, Step{Sim: n.Sim, Kind: n.Kind, Line: n.Line, From: n.From, To: n.To, LSN: n.LSN})
+	switch {
+	case n.Kind == deps.NoteUpdate:
+		w.Updates++
+		ts.t.Updates++
+	case n.Kind == deps.NoteCrash:
+		// The trail stays open until recovery settles the victim.
+		ts.t.Outcome = "crashed"
+	case n.Class == deps.Exposure && !a.recovering:
+		a.checkLocked(w, ts, n)
+	case n.Class == deps.Outcome:
+		ts.t.Outcome = n.Kind
+		ts.t.EndSim = n.Sim
+		delete(a.live, n.Txn)
+		if len(a.done) < a.cfg.TrailRing {
+			a.done = append(a.done, ts.t)
+		} else {
+			a.done[a.doneNext] = ts.t
+			a.doneNext = (a.doneNext + 1) % a.cfg.TrailRing
 		}
-		a.closeLocked(a.txns[id], outcome, sim)
+		a.doneTotal++
 	}
-	a.recovering = false
-	a.mu.Unlock()
+}
+
+// checkLocked runs the LBM check for one exposure: the transaction must
+// have covering log records for the line (stable or volatile per
+// Config.Stable). Violations are deduplicated per (transaction, line,
+// destination).
+func (a *Auditor) checkLocked(w *windowCounters, ts *trailState, n deps.Note) {
+	var vkind, detail string
+	switch {
+	case n.Unlogged > 0:
+		vkind = ViolationUnlogged
+		detail = fmt.Sprintf("%s of line %d to node %d: %d covering update(s) of %s have no log record",
+			n.Kind, n.Line, n.To, n.Unlogged, ts.t.Name)
+	case a.cfg.Stable && n.CoverLSN > n.StableLSN:
+		vkind = ViolationUnforced
+		detail = fmt.Sprintf("%s of line %d to node %d: %s's update LSN %d exceeds node %d's stable LSN %d",
+			n.Kind, n.Line, n.To, ts.t.Name, n.CoverLSN, n.Home, n.StableLSN)
+	default:
+		return
+	}
+	k := exposeKey{line: n.Line, to: n.To}
+	if ts.flagged[k] {
+		return
+	}
+	ts.flagged[k] = true
+	ts.t.Violations++
+	a.violTotal++
+	a.violByKind[vkind]++
+	w.Violations++
+	if vkind == ViolationUnlogged {
+		w.UnloggedExposures++
+	}
+	a.stepLocked(ts, Step{Sim: n.Sim, Kind: "violation", Line: n.Line, From: n.From, To: n.To, Note: vkind})
+	if len(a.viols) < maxViolations {
+		a.viols = append(a.viols, Violation{
+			Kind: vkind, Txn: n.Txn, Name: ts.t.Name, Node: n.Home,
+			Line: n.Line, Event: n.Kind, To: n.To, Sim: n.Sim,
+			LSN: n.CoverLSN, Forced: n.StableLSN,
+			Detail: detail, Trail: copyTrail(ts.t),
+		})
+	}
 }
 
 // Trail returns a transaction's trail — live or recently completed — with
@@ -519,18 +339,14 @@ func (a *Auditor) Trail(id int64) (Trail, bool) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if ts := a.txns[id]; ts != nil {
+	if ts := a.live[id]; ts != nil {
 		return copyTrail(ts.t), true
 	}
 	// Scan the completed ring newest-first so re-used ids resolve to the
 	// most recent run.
-	for i := 0; i < len(a.done); i++ {
-		idx := (a.doneNext - 1 - i + 2*len(a.done)) % len(a.done)
-		if len(a.done) < a.cfg.TrailRing {
-			idx = len(a.done) - 1 - i
-		}
-		if a.done[idx].Txn == id {
-			return copyTrail(a.done[idx]), true
+	for i := range a.done {
+		if t := a.doneAt(i); t.Txn == id {
+			return copyTrail(*t), true
 		}
 	}
 	return Trail{}, false
@@ -543,25 +359,27 @@ func copyTrail(t Trail) Trail {
 
 // activeTrailsLocked returns the live trails sorted by transaction id.
 func (a *Auditor) activeTrailsLocked() []Trail {
-	out := make([]Trail, 0, len(a.txns))
-	for _, ts := range a.txns {
+	out := make([]Trail, 0, len(a.live))
+	for _, ts := range a.live {
 		out = append(out, copyTrail(ts.t))
 	}
 	sort.Slice(out, func(i, j int) bool { return uint64(out[i].Txn) < uint64(out[j].Txn) })
 	return out
 }
 
+// doneAt returns the i-th newest completed trail. doneNext, the slot the
+// next completion overwrites, stays 0 until the ring is full, so one formula
+// serves the filling ring and the wrapped one.
+func (a *Auditor) doneAt(i int) *Trail {
+	n := len(a.done)
+	return &a.done[(a.doneNext-1-i+2*n)%n]
+}
+
 // recentTrailsLocked returns the completed ring newest-first.
 func (a *Auditor) recentTrailsLocked() []Trail {
 	out := make([]Trail, 0, len(a.done))
-	for i := 0; i < len(a.done); i++ {
-		var idx int
-		if len(a.done) < a.cfg.TrailRing {
-			idx = len(a.done) - 1 - i
-		} else {
-			idx = (a.doneNext - 1 - i + 2*len(a.done)) % len(a.done)
-		}
-		out = append(out, copyTrail(a.done[idx]))
+	for i := range a.done {
+		out = append(out, copyTrail(*a.doneAt(i)))
 	}
 	return out
 }
@@ -601,7 +419,7 @@ func (a *Auditor) Summary() Summary {
 	}
 	return Summary{
 		Enabled:          true,
-		Active:           len(a.txns),
+		Active:           len(a.live),
 		Completed:        a.doneTotal,
 		Violations:       a.violTotal,
 		ViolationsByKind: byKind,

@@ -5,7 +5,15 @@ import (
 	"testing"
 
 	"smdb/internal/obs"
+	"smdb/internal/obs/deps"
 )
+
+// audited builds an auditor over a fresh residency model. The tests feed the
+// model, as the engine does, and question the auditor.
+func audited(cfg Config) (*deps.Tracker, *Auditor) {
+	m := deps.New(nil)
+	return m, New(m, cfg)
+}
 
 func ev(kind obs.Kind, node int32, sim, a, b int64) obs.Event {
 	return obs.Event{Kind: kind, Node: node, Sim: sim, A: a, B: b}
@@ -14,12 +22,12 @@ func ev(kind obs.Kind, node int32, sim, a, b int64) obs.Event {
 func txnID(node, seq int64) int64 { return node<<48 | seq }
 
 func TestTrailLifecycle(t *testing.T) {
-	a := New(Config{})
+	m, a := audited(Config{})
 	id := txnID(0, 1)
-	a.OnEvent(ev(obs.KindTxnBegin, 0, 10, id, 0))
-	a.NoteWrite(id, 0, 7, 0, 42, 20)
-	a.OnEvent(ev(obs.KindWALForce, 0, 30, 0, 42))
-	a.OnEvent(ev(obs.KindTxnCommit, 0, 40, id, 1000))
+	m.OnEvent(ev(obs.KindTxnBegin, 0, 10, id, 0))
+	m.NoteWrite(id, 0, 7, 0, 42, 20)
+	m.OnEvent(ev(obs.KindWALForce, 0, 30, 0, 42))
+	m.OnEvent(ev(obs.KindTxnCommit, 0, 40, id, 1000))
 
 	tr, ok := a.Trail(id)
 	if !ok {
@@ -49,13 +57,13 @@ func TestTrailLifecycle(t *testing.T) {
 }
 
 func TestUnloggedExposureViolation(t *testing.T) {
-	a := New(Config{})
+	m, a := audited(Config{})
 	id := txnID(0, 1)
-	a.OnEvent(ev(obs.KindTxnBegin, 0, 10, id, 0))
-	a.NoteWrite(id, 0, 5, 0, 0 /* no log record */, 20)
+	m.OnEvent(ev(obs.KindTxnBegin, 0, 10, id, 0))
+	m.NoteWrite(id, 0, 5, 0, 0 /* no log record */, 20)
 
 	// Dirty line 5 migrates to node 1: the deferred-logging hazard.
-	a.OnEvent(ev(obs.KindMigrate, 1, 30, 5, 0))
+	m.OnEvent(ev(obs.KindMigrate, 1, 30, 5, 0))
 	if n := a.ViolationCount(); n != 1 {
 		t.Fatalf("violations = %d, want 1", n)
 	}
@@ -69,12 +77,12 @@ func TestUnloggedExposureViolation(t *testing.T) {
 	}
 
 	// Same (line, destination) again: deduplicated.
-	a.OnEvent(ev(obs.KindMigrate, 1, 40, 5, 0))
+	m.OnEvent(ev(obs.KindMigrate, 1, 40, 5, 0))
 	if n := a.ViolationCount(); n != 1 {
 		t.Errorf("violations after duplicate exposure = %d, want 1", n)
 	}
 	// A different destination is a fresh breach.
-	a.OnEvent(ev(obs.KindReplicate, 2, 50, 5, 1))
+	m.OnEvent(ev(obs.KindReplicate, 2, 50, 5, 1))
 	if n := a.ViolationCount(); n != 2 {
 		t.Errorf("violations after second destination = %d, want 2", n)
 	}
@@ -85,13 +93,13 @@ func TestUnloggedExposureViolation(t *testing.T) {
 }
 
 func TestUnforcedExposureViolation(t *testing.T) {
-	a := New(Config{Stable: true})
+	m, a := audited(Config{Stable: true})
 	id := txnID(0, 1)
-	a.OnEvent(ev(obs.KindTxnBegin, 0, 10, id, 0))
-	a.NoteWrite(id, 0, 5, 0, 42, 20)
+	m.OnEvent(ev(obs.KindTxnBegin, 0, 10, id, 0))
+	m.NoteWrite(id, 0, 5, 0, 42, 20)
 
 	// Exposure before the covering record is stable: unforced.
-	a.OnEvent(ev(obs.KindMigrate, 1, 30, 5, 0))
+	m.OnEvent(ev(obs.KindMigrate, 1, 30, 5, 0))
 	vs := a.Violations()
 	if len(vs) != 1 || vs[0].Kind != ViolationUnforced {
 		t.Fatalf("violations = %+v, want one unforced-exposure", vs)
@@ -101,61 +109,61 @@ func TestUnforcedExposureViolation(t *testing.T) {
 	}
 
 	// After a force covering the update, a fresh dirty line moves cleanly.
-	a.NoteWrite(id, 0, 6, 0, 43, 40)
-	a.OnEvent(ev(obs.KindWALForce, 0, 50, 0, 43))
-	a.OnEvent(ev(obs.KindMigrate, 1, 60, 6, 0))
+	m.NoteWrite(id, 0, 6, 0, 43, 40)
+	m.OnEvent(ev(obs.KindWALForce, 0, 50, 0, 43))
+	m.OnEvent(ev(obs.KindMigrate, 1, 60, 6, 0))
 	if n := a.ViolationCount(); n != 1 {
 		t.Errorf("violations after covered exposure = %d, want still 1", n)
 	}
 }
 
 func TestVolatileCoverageSatisfies(t *testing.T) {
-	a := New(Config{Stable: false})
+	m, a := audited(Config{Stable: false})
 	id := txnID(0, 1)
-	a.OnEvent(ev(obs.KindTxnBegin, 0, 10, id, 0))
-	a.NoteWrite(id, 0, 5, 0, 42, 20)
+	m.OnEvent(ev(obs.KindTxnBegin, 0, 10, id, 0))
+	m.NoteWrite(id, 0, 5, 0, 42, 20)
 	// Volatile policy: an unforced log record is enough.
-	a.OnEvent(ev(obs.KindMigrate, 1, 30, 5, 0))
+	m.OnEvent(ev(obs.KindMigrate, 1, 30, 5, 0))
 	if n := a.ViolationCount(); n != 0 {
 		t.Errorf("violations = %d, want 0 under volatile LBM", n)
 	}
 }
 
 func TestExposureToHomeNodeIgnored(t *testing.T) {
-	a := New(Config{})
+	m, a := audited(Config{})
 	id := txnID(0, 1)
-	a.OnEvent(ev(obs.KindTxnBegin, 0, 10, id, 0))
-	a.NoteWrite(id, 0, 5, 0, 0, 20)
+	m.OnEvent(ev(obs.KindTxnBegin, 0, 10, id, 0))
+	m.NoteWrite(id, 0, 5, 0, 0, 20)
 	// The line comes back home (abort undo fetch): same failure domain.
-	a.OnEvent(ev(obs.KindMigrate, 0, 30, 5, 1))
+	m.OnEvent(ev(obs.KindMigrate, 0, 30, 5, 1))
 	if n := a.ViolationCount(); n != 0 {
 		t.Errorf("violations = %d, want 0 for home-bound transfer", n)
 	}
 }
 
 func TestRecoverySuspendsChecks(t *testing.T) {
-	a := New(Config{})
+	m, a := audited(Config{})
 	survivor := txnID(1, 1)
-	a.OnEvent(ev(obs.KindTxnBegin, 1, 10, survivor, 0))
-	a.NoteWrite(survivor, 1, 9, 0, 0, 20)
+	m.OnEvent(ev(obs.KindTxnBegin, 1, 10, survivor, 0))
+	m.NoteWrite(survivor, 1, 9, 0, 0, 20)
 
 	// Node 0 crashes: recovery repair traffic must not be audited.
-	a.NoteCrash([]int32{0}, []int32{3}, 30)
-	a.OnEvent(ev(obs.KindMigrate, 2, 40, 9, 1))
+	m.NoteCrash([]int32{0}, []int32{3}, nil, 30)
+	m.OnEvent(ev(obs.KindMigrate, 2, 40, 9, 1))
 	if n := a.ViolationCount(); n != 0 {
 		t.Errorf("violations during recovery = %d, want 0 (checks suspended)", n)
 	}
 
 	// Recovery done: checking resumes.
-	a.NoteRecovered(nil, 50)
-	a.OnEvent(ev(obs.KindMigrate, 3, 60, 9, 2))
+	m.NoteRecovered(nil, 50)
+	m.OnEvent(ev(obs.KindMigrate, 3, 60, 9, 2))
 	if n := a.ViolationCount(); n != 1 {
 		t.Errorf("violations after recovery = %d, want 1 (checks resumed)", n)
 	}
 }
 
 func TestCrashVictimOutcomes(t *testing.T) {
-	a := New(Config{})
+	m, a := audited(Config{})
 	loser := txnID(0, 1)
 	winner := txnID(0, 2)
 	bystander := txnID(1, 1)
@@ -163,11 +171,11 @@ func TestCrashVictimOutcomes(t *testing.T) {
 		id   int64
 		node int32
 	}{{loser, 0}, {winner, 0}, {bystander, 1}} {
-		a.OnEvent(ev(obs.KindTxnBegin, tc.node, 10, tc.id, 0))
-		a.NoteWrite(tc.id, tc.node, int32(tc.id%64), 0, int64(tc.id), 20)
+		m.OnEvent(ev(obs.KindTxnBegin, tc.node, 10, tc.id, 0))
+		m.NoteWrite(tc.id, tc.node, int32(tc.id%64), 0, int64(tc.id), 20)
 	}
-	a.NoteCrash([]int32{0}, nil, 30)
-	a.NoteRecovered([]int64{loser}, 40)
+	m.NoteCrash([]int32{0}, nil, nil, 30)
+	m.NoteRecovered([]int64{loser}, 40)
 
 	if tr, ok := a.Trail(loser); !ok || tr.Outcome != "recovery-aborted" {
 		t.Errorf("loser trail = %+v, %v", tr, ok)
@@ -185,12 +193,44 @@ func TestCrashVictimOutcomes(t *testing.T) {
 	}
 }
 
+// TestCrashVictimKnownOnlyFromTheCensus: DB.Begin emits txn-begin after
+// releasing the node's mutex, so a crash can reach the model first. The
+// engine's own victim census, handed to NoteCrash, registers the transaction
+// in the one transaction table — so the auditor opens its trail there too,
+// and recovery's verdict closes it.
+func TestCrashVictimKnownOnlyFromTheCensus(t *testing.T) {
+	m, a := audited(Config{})
+	victim := txnID(2, 7)
+	m.NoteCrash([]int32{2}, nil, []deps.TxnRef{{ID: victim, Node: 2}}, 30)
+	tr, ok := a.Trail(victim)
+	if !ok || tr.Outcome != "crashed" || tr.Node != 2 || tr.BeginSim != 30 {
+		t.Fatalf("census-only victim's trail = %+v, %v; want one opened and crashed at the crash", tr, ok)
+	}
+	// The overtaken begin event finds the transaction known.
+	m.OnEvent(ev(obs.KindTxnBegin, 2, 25, victim, 0))
+	m.NoteRecovered([]int64{victim}, 40)
+	tr, ok = a.Trail(victim)
+	if !ok || tr.Outcome != "recovery-aborted" || tr.EndSim != 40 {
+		t.Fatalf("trail after recovery = %+v, %v; want recovery-aborted", tr, ok)
+	}
+	kinds := make([]string, len(tr.Steps))
+	for i, s := range tr.Steps {
+		kinds[i] = s.Kind
+	}
+	if got := strings.Join(kinds, " "); got != "begin crash recovery-aborted" {
+		t.Errorf("steps = %q", got)
+	}
+	if sum := a.Summary(); sum.Active != 0 || sum.Completed != 1 {
+		t.Errorf("summary = %+v", sum)
+	}
+}
+
 func TestTrailRingBound(t *testing.T) {
-	a := New(Config{TrailRing: 2})
+	m, a := audited(Config{TrailRing: 2})
 	for seq := int64(1); seq <= 3; seq++ {
 		id := txnID(0, seq)
-		a.OnEvent(ev(obs.KindTxnBegin, 0, seq*10, id, 0))
-		a.OnEvent(ev(obs.KindTxnCommit, 0, seq*10+5, id, 100))
+		m.OnEvent(ev(obs.KindTxnBegin, 0, seq*10, id, 0))
+		m.OnEvent(ev(obs.KindTxnCommit, 0, seq*10+5, id, 100))
 	}
 	if _, ok := a.Trail(txnID(0, 1)); ok {
 		t.Error("oldest trail survived a full ring")
@@ -210,13 +250,13 @@ func TestTrailRingBound(t *testing.T) {
 }
 
 func TestTrailStepCap(t *testing.T) {
-	a := New(Config{TrailSteps: 4})
+	m, a := audited(Config{TrailSteps: 4})
 	id := txnID(0, 1)
-	a.OnEvent(ev(obs.KindTxnBegin, 0, 10, id, 0))
+	m.OnEvent(ev(obs.KindTxnBegin, 0, 10, id, 0))
 	for i := 0; i < 6; i++ {
-		a.NoteWrite(id, 0, int32(i), 0, int64(i+1), int64(20+i))
+		m.NoteWrite(id, 0, int32(i), 0, int64(i+1), int64(20+i))
 	}
-	a.OnEvent(ev(obs.KindTxnCommit, 0, 100, id, 50))
+	m.OnEvent(ev(obs.KindTxnCommit, 0, 100, id, 50))
 	tr, ok := a.Trail(id)
 	if !ok {
 		t.Fatal("trail not found")
@@ -254,7 +294,7 @@ func TestParseTxnID(t *testing.T) {
 			t.Errorf("ParseTxnID(%q) accepted", tc.in)
 		}
 	}
-	if name := tname(1<<48 | 2); name != "t1.2" {
+	if name := (deps.Note{Txn: 1<<48 | 2}).Name(); name != "t1.2" {
 		t.Errorf("tname round-trip = %q", name)
 	}
 }
@@ -264,10 +304,13 @@ func TestWritersNilSafe(t *testing.T) {
 	if a.Enabled() {
 		t.Error("nil auditor claims enabled")
 	}
-	a.OnEvent(ev(obs.KindMigrate, 1, 10, 5, 0))
-	a.NoteWrite(1, 0, 5, 0, 1, 10)
-	a.NoteCrash(nil, nil, 0)
-	a.NoteRecovered(nil, 0)
+	a.Event(ev(obs.KindMigrate, 1, 10, 5, 0))
+	a.Note(deps.Note{Kind: deps.NoteUpdate, Txn: 1, Line: 5, LSN: 1, Sim: 10})
+	a.Note(deps.Note{Class: deps.Episode, Kind: deps.NoteCrash})
+	a.Note(deps.Note{Class: deps.Episode, Kind: deps.NoteRecovered})
+	if a.Model() != nil {
+		t.Error("nil auditor names a model")
+	}
 	if _, ok := a.Trail(1); ok {
 		t.Error("nil auditor found a trail")
 	}
@@ -291,11 +334,11 @@ func TestWritersNilSafe(t *testing.T) {
 }
 
 func TestWriteAuditTxnJSON(t *testing.T) {
-	a := New(Config{})
+	m, a := audited(Config{})
 	id := txnID(0, 1)
-	a.OnEvent(ev(obs.KindTxnBegin, 0, 10, id, 0))
-	a.NoteWrite(id, 0, 5, 0, 0, 20)
-	a.OnEvent(ev(obs.KindMigrate, 1, 30, 5, 0))
+	m.OnEvent(ev(obs.KindTxnBegin, 0, 10, id, 0))
+	m.NoteWrite(id, 0, 5, 0, 0, 20)
+	m.OnEvent(ev(obs.KindMigrate, 1, 30, 5, 0))
 
 	var sb strings.Builder
 	if err := a.WriteAuditTxn(&sb, "t0.1"); err != nil {

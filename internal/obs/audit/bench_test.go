@@ -4,40 +4,42 @@ import (
 	"testing"
 
 	"smdb/internal/obs"
+	"smdb/internal/obs/deps"
 )
 
-// The recovery layer calls the auditor's hooks on every update and the
-// observer fans every event into it, almost always with auditing disabled.
-// Like the nil observer and nil tracker, the nil-auditor fast path must cost
-// a pointer test and zero allocations; these benchmarks (with -benchmem) and
-// the allocation test pin that contract.
+// The residency model tells its reader every event and every update, and a
+// hook set without an auditor has a nil one. Like the nil observer and nil
+// tracker, the nil-auditor fast path must cost a pointer test and zero
+// allocations; these benchmarks (with -benchmem) and the allocation test pin
+// that contract.
 
-func BenchmarkNilAuditorNoteWrite(b *testing.B) {
+func BenchmarkNilAuditorNote(b *testing.B) {
 	var a *Auditor
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		a.NoteWrite(1, 0, 5, int64(i), int64(i), int64(i))
+		a.Note(deps.Note{Kind: deps.NoteUpdate, Txn: 1, Line: 5, LSN: int64(i), Sim: int64(i)})
 	}
 }
 
-func BenchmarkNilAuditorOnEvent(b *testing.B) {
+func BenchmarkNilAuditorEvent(b *testing.B) {
 	var a *Auditor
 	e := obs.Event{Kind: obs.KindMigrate, Node: 1, A: 5, B: 0}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.Sim = int64(i)
-		a.OnEvent(e)
+		a.Event(e)
 	}
 }
 
 // BenchmarkEnabledAuditorNoteWrite is the comparison point: the price an
-// update pays once -audit turns the auditor on.
+// update pays once -audit turns the auditor on (model and auditor together;
+// deps.BenchmarkTrackerNoteWrite is the model alone).
 func BenchmarkEnabledAuditorNoteWrite(b *testing.B) {
-	a := New(Config{})
-	a.OnEvent(obs.Event{Kind: obs.KindTxnBegin, Node: 0, Sim: 0, A: 1})
+	m, _ := audited(Config{})
+	m.OnEvent(obs.Event{Kind: obs.KindTxnBegin, Node: 0, Sim: 0, A: 1})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		a.NoteWrite(1, 0, int32(i&7), int64(i), int64(i+1), int64(i))
+		m.NoteWrite(1, 0, int32(i&7), int64(i), int64(i+1), int64(i))
 	}
 }
 
@@ -45,10 +47,11 @@ func TestNilAuditorHooksDoNotAllocate(t *testing.T) {
 	var a *Auditor
 	e := obs.Event{Kind: obs.KindMigrate, Node: 1, A: 5, B: 0}
 	if n := testing.AllocsPerRun(100, func() {
-		a.NoteWrite(1, 0, 5, 0, 1, 10)
-		a.OnEvent(e)
-		a.NoteCrash(nil, nil, 0)
-		a.NoteRecovered(nil, 0)
+		a.Note(deps.Note{Kind: deps.NoteUpdate, Txn: 1, Line: 5, LSN: 1, Sim: 10})
+		a.Event(e)
+		a.Note(deps.Note{Class: deps.Episode, Kind: deps.NoteCrash})
+		a.Note(deps.Note{Class: deps.Episode, Kind: deps.NoteRecovered})
+		_ = a.Model()
 		_ = a.Enabled()
 		_ = a.ViolationCount()
 	}); n != 0 {

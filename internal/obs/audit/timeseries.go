@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+
+	"smdb/internal/obs"
 )
 
 // The windowed time-series: a fixed-size ring of per-window counter
@@ -57,6 +59,34 @@ type windowCounters struct {
 	commitBuckets [65]int64
 	commitCount   int64
 	commitSum     int64
+}
+
+// kindCounter names the window counter an event of each kind adds one to;
+// kinds without an entry only move the window clock.
+var kindCounter = map[obs.Kind]func(*windowCounters) *int64{
+	obs.KindMigrate:      func(w *windowCounters) *int64 { return &w.Migrations },
+	obs.KindReplicate:    func(w *windowCounters) *int64 { return &w.Replications },
+	obs.KindDowngrade:    func(w *windowCounters) *int64 { return &w.Downgrades },
+	obs.KindInvalidate:   func(w *windowCounters) *int64 { return &w.Invalidations },
+	obs.KindWALForce:     func(w *windowCounters) *int64 { return &w.LogForces },
+	obs.KindLineLockWait: func(w *windowCounters) *int64 { return &w.LockStalls },
+	obs.KindLockWait:     func(w *windowCounters) *int64 { return &w.LockStalls },
+	obs.KindTxnCommit:    func(w *windowCounters) *int64 { return &w.Commits },
+	obs.KindTxnAbort:     func(w *windowCounters) *int64 { return &w.Aborts },
+	obs.KindCrash:        func(w *windowCounters) *int64 { return &w.Crashes },
+}
+
+// count adds one raw engine event to the window.
+func (w *windowCounters) count(e obs.Event) {
+	if c := kindCounter[e.Kind]; c != nil {
+		*c(w)++
+	}
+	switch e.Kind {
+	case obs.KindTxnCommit:
+		w.observeCommit(e.B)
+	case obs.KindRecovery:
+		w.RecoveryNS += e.Dur
+	}
 }
 
 func bucketOf(v int64) int {

@@ -8,11 +8,11 @@ import (
 )
 
 func TestTimeSeriesWindowBucketing(t *testing.T) {
-	a := New(Config{WindowNS: 100, Windows: 4})
+	m, a := audited(Config{WindowNS: 100, Windows: 4})
 	// Commits land in windows 0, 0, 2 (unknown txns: only the counters move).
-	a.OnEvent(ev(obs.KindTxnCommit, 0, 10, 900, 50))
-	a.OnEvent(ev(obs.KindTxnCommit, 0, 90, 901, 70))
-	a.OnEvent(ev(obs.KindTxnCommit, 0, 250, 902, 60))
+	m.OnEvent(ev(obs.KindTxnCommit, 0, 10, 900, 50))
+	m.OnEvent(ev(obs.KindTxnCommit, 0, 90, 901, 70))
+	m.OnEvent(ev(obs.KindTxnCommit, 0, 250, 902, 60))
 
 	var sb strings.Builder
 	if err := a.WriteTimeSeries(&sb); err != nil {
@@ -39,9 +39,9 @@ func TestTimeSeriesWindowBucketing(t *testing.T) {
 }
 
 func TestTimeSeriesRingEvictionAndStragglers(t *testing.T) {
-	a := New(Config{WindowNS: 100, Windows: 4})
+	m, a := audited(Config{WindowNS: 100, Windows: 4})
 	for w := int64(0); w <= 5; w++ {
-		a.OnEvent(ev(obs.KindMigrate, 1, w*100+10, 50, 0))
+		m.OnEvent(ev(obs.KindMigrate, 1, w*100+10, 50, 0))
 	}
 	a.mu.Lock()
 	snap := a.ts.snapshotLocked()
@@ -54,7 +54,7 @@ func TestTimeSeriesRingEvictionAndStragglers(t *testing.T) {
 	}
 
 	// A straggler event for the evicted window 0 must not corrupt the ring.
-	a.OnEvent(ev(obs.KindMigrate, 1, 10, 50, 0))
+	m.OnEvent(ev(obs.KindMigrate, 1, 10, 50, 0))
 	a.mu.Lock()
 	scratch := a.ts.scratch.Migrations
 	snap = a.ts.snapshotLocked()

@@ -22,7 +22,7 @@ func TestNilTrackerInert(t *testing.T) {
 	tr.OnEvent(ev(obs.KindMigrate, 1, 10, 5, 0))
 	tr.NoteWrite(txnID(1, 1), 1, 5, 0, 7, 10)
 	tr.NoteCrash([]int32{1}, []int32{5}, nil, 20)
-	tr.NoteRecovered(nil)
+	tr.NoteRecovered(nil, 30)
 	if got := tr.Verdicts(); got != nil {
 		t.Errorf("nil tracker verdicts = %v", got)
 	}
@@ -43,6 +43,8 @@ func TestNilTrackerHooksDoNotAllocate(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		tr.OnEvent(e)
 		tr.NoteWrite(txnID(1, 1), 1, 5, 0, 7, 10)
+		tr.NoteCrash(nil, nil, nil, 20)
+		tr.NoteRecovered(nil, 30)
 	}); n != 0 {
 		t.Errorf("disabled tracker hooks allocate %v times per call", n)
 	}
@@ -205,7 +207,7 @@ func TestNoteRecoveredSettlesVictims(t *testing.T) {
 	tr.NoteWrite(aborted, 1, 5, 1, 3, 10)
 	tr.NoteWrite(committed, 1, 6, 2, 4, 11)
 	tr.NoteCrash([]int32{1}, nil, nil, 20)
-	tr.NoteRecovered([]int64{aborted})
+	tr.NoteRecovered([]int64{aborted}, 30)
 
 	c := tr.Census()
 	if c.Txns != 2 || c.Active != 0 {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/bits"
 	"sort"
 )
 
@@ -142,13 +143,8 @@ func (t *Tracker) Graph() GraphJSON {
 				lj.Holders = append(lj.Holders, n)
 			}
 		}
-		wids := make([]int64, 0, len(l.writers))
-		for id := range l.writers {
-			wids = append(wids, id)
-		}
-		sort.Slice(wids, func(i, j int) bool { return uint64(wids[i]) < uint64(wids[j]) })
-		for _, id := range wids {
-			lj.Writers = append(lj.Writers, tname(id))
+		for _, ts := range t.writersLocked(l) {
+			lj.Writers = append(lj.Writers, tname(ts.id))
 		}
 		g.Lines = append(g.Lines, lj)
 	}
@@ -229,7 +225,7 @@ func (t *Tracker) censusLocked() Census {
 		}
 	}
 	for _, ts := range t.txns {
-		size := popcount(ts.depNodes)
+		size := bits.OnesCount64(ts.depNodes)
 		c.DepSizes[size]++
 		if size > 0 {
 			c.TxnsWithDeps++

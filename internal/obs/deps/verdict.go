@@ -81,15 +81,13 @@ func sortedWrites(ts *txnState) []write {
 }
 
 // explainLocked computes the verdicts for one crash: one per newly-crashed
-// transaction, one per surviving in-flight transaction that has updates or
-// dependencies to account for.
+// transaction (newly, in id order), one per surviving in-flight transaction
+// that has updates or dependencies to account for.
 func (t *Tracker) explainLocked(crash Crash, lostSet map[int32]bool, newly []*txnState) []Verdict {
 	crashedNodes := make(map[int32]bool, len(crash.Nodes))
 	for _, n := range crash.Nodes {
 		crashedNodes[n] = true
 	}
-	sort.Slice(newly, func(i, j int) bool { return uint64(newly[i].id) < uint64(newly[j].id) })
-
 	var out []Verdict
 	for _, ts := range newly {
 		out = append(out, t.explainCrashedLocked(ts, crash, lostSet, crashedNodes))
@@ -101,7 +99,7 @@ func (t *Tracker) explainLocked(crash Crash, lostSet map[int32]bool, newly []*tx
 			survivors = append(survivors, ts)
 		}
 	}
-	sort.Slice(survivors, func(i, j int) bool { return uint64(survivors[i].id) < uint64(survivors[j].id) })
+	sortTxns(survivors)
 	for _, ts := range survivors {
 		out = append(out, t.explainSurvivorLocked(ts, crash, lostSet, crashedNodes))
 	}

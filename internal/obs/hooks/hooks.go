@@ -27,8 +27,11 @@ import (
 type Set struct {
 	// Observer is the event spine: tracer rings, histograms, counters.
 	Observer *obs.Observer
-	// Deps and Audit are the Observer's event sinks (see Sink); they also
-	// take the recovery layer's direct write/crash/recovered notifications.
+	// Deps is the residency model (which failure domain holds which
+	// transaction's uncommitted data) with the dependency explainer on top;
+	// Audit is the online auditor, a reader of such a model. With both set
+	// they must share one model (Audit was built over Deps); Audit alone
+	// brings its own. See Model.
 	Deps  *deps.Tracker
 	Audit *audit.Auditor
 	// Prof is the stripe-contention (machine) and worker cost-attribution
@@ -44,18 +47,16 @@ type Set struct {
 	Flight *obs.FlightRecorder
 }
 
-// Sink is the event fan-out the set asks of its Observer: Deps and Audit in
-// that order, whichever are present, nil when neither is.
-func (s *Set) Sink() obs.Sink {
-	switch {
-	case s.Deps != nil && s.Audit != nil:
-		return obs.MultiSink{s.Deps, s.Audit}
-	case s.Deps != nil:
+// Model is the set's one residency model: Deps, or else the one Audit
+// reads, or nil. Attach makes it the Observer's event sink, and it takes the
+// recovery layer's direct write/crash/recovered notifications; what it
+// tells the auditor it tells it under its own lock, so an event is folded
+// once however many judges are attached.
+func (s *Set) Model() *deps.Tracker {
+	if s.Deps != nil {
 		return s.Deps
-	case s.Audit != nil:
-		return s.Audit
 	}
-	return nil
+	return s.Audit.Model()
 }
 
 // Stripes is the machine's half of the profiler pair, nil without one.

@@ -238,23 +238,11 @@ func (r *ring) snapshot() []Event {
 // event has been placed in its ring. Implementations must be safe for
 // concurrent calls and must not call back into the engine layer that emitted
 // the event (emitters may hold their own locks across Record); calling back
-// into the Observer itself is allowed. The dependency tracker
-// (internal/obs/deps) is the canonical sink.
+// into the Observer itself is allowed. An Observer has one sink; the
+// residency model (internal/obs/deps) is the canonical one, and what else
+// wants its fold of the stream reads the model rather than the stream.
 type Sink interface {
 	OnEvent(Event)
-}
-
-// MultiSink fans one event stream out to several sinks, in order (a hook
-// set with both the dependency tracker and the online auditor asks for
-// one); each element must satisfy the Sink contract on its own (the fan-out
-// adds no locking).
-type MultiSink []Sink
-
-// OnEvent delivers e to every sink in order.
-func (m MultiSink) OnEvent(e Event) {
-	for _, s := range m {
-		s.OnEvent(e)
-	}
 }
 
 // Observer is the engine-wide trace collector. All methods are safe for

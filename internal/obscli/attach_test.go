@@ -32,10 +32,12 @@ import (
 // either way, which is the point — nothing downstream may care.
 func fullSet(db *recovery.DB, dir string, reversed bool) hooks.Set {
 	o := obs.NewWithCapacity(4096)
+	model := deps.New(o)
+	auditor := audit.New(model, audit.Config{})
 	assign := []func(*hooks.Set){
 		func(s *hooks.Set) { s.Observer = o },
-		func(s *hooks.Set) { s.Deps = deps.New(o) },
-		func(s *hooks.Set) { s.Audit = audit.New(audit.Config{}) },
+		func(s *hooks.Set) { s.Deps = model },
+		func(s *hooks.Set) { s.Audit = auditor },
 		func(s *hooks.Set) { s.Prof = prof.NewPair(machine.StripeCount) },
 		func(s *hooks.Set) { s.Waterfall = waterfall.New(waterfall.Config{Nodes: db.M.Nodes()}) },
 		func(s *hooks.Set) {

@@ -201,7 +201,7 @@ func (s *Stack) Attach(db *recovery.DB) *deps.Tracker {
 	}
 	set := hooks.Set{Observer: s.Obs, Deps: deps.New(s.Obs), Flight: s.Flight}
 	if s.flags.Audit {
-		set.Audit = audit.New(audit.Config{
+		set.Audit = audit.New(set.Deps, audit.Config{
 			// Stable protocols promise stable coverage at exposure — but
 			// only write-invalidate coherency funnels every exposure
 			// through the trigger/eager force paths; under write-broadcast

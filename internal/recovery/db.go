@@ -381,26 +381,29 @@ func (db *DB) SchedPoint(actor int32, site string, arg int64) int64 {
 // whatever was attached: one pointer swap for the protocol layer, and the
 // same pointer handed to the machine, each node's WAL, the lock manager and
 // the buffer manager. Everything that depends on several consumers at once
-// is derived here from the set as a whole — the observer's sink fan-out
-// (set.Sink) and the flight recorder's sources (set.Sources plus this
-// engine's stats deltas) — so neither the order the set's fields were
-// assigned in nor the order of Attach against AttachSched/AttachFaults
+// is derived here from the set as a whole — the observer's sink (set.Model,
+// the one residency model) and the flight recorder's sources (set.Sources
+// plus this engine's stats deltas) — so neither the order the set's fields
+// were assigned in nor the order of Attach against AttachSched/AttachFaults
 // matters. The zero set detaches everything. Safe mid-run: an operation
 // straddling the swap reports to the set it loaded.
 //
-// The observer's sink belongs to the set only while the set has sink
-// consumers (Deps, Audit): a sink the caller installed on the observer
-// itself survives Attach of a set without them.
+// The observer's sink belongs to the set only while the set has a model
+// (Deps, or Audit's own): a sink the caller installed on the observer itself
+// survives Attach of a set without one.
 func (db *DB) Attach(set hooks.Set) {
 	h := &set
 	db.attachMu.Lock()
 	defer db.attachMu.Unlock()
 	prev := db.hk.Load()
-	if prev.Sink() != nil {
+	if h.Deps != nil && h.Audit != nil && h.Audit.Model() != h.Deps {
+		panic("recovery: Attach of a set whose Audit does not read its Deps")
+	}
+	if prev.Model() != nil {
 		prev.Observer.SetSink(nil)
 	}
-	if sink := h.Sink(); sink != nil {
-		h.Observer.SetSink(sink)
+	if m := h.Model(); m != nil {
+		h.Observer.SetSink(m)
 	}
 	if h.Flight != nil {
 		src := h.Sources()

@@ -76,7 +76,7 @@ func (db *DB) noteCrash(rep machine.CrashReport) {
 		db.BM.DropNode(n)
 	}
 	// Collect the newly crash-victimized transactions while marking them:
-	// the dependency tracker needs the engine's own victim census (see the
+	// the residency model needs the engine's own victim census (see the
 	// verdict-presence barrier in deps.NoteCrash) — its usual registration
 	// path, the KindTxnBegin event, is emitted outside the node's mutex and
 	// can lose the race against a crash landing right after Begin registered
@@ -95,12 +95,12 @@ func (db *DB) noteCrash(rep machine.CrashReport) {
 		nc.mu.Unlock()
 	}
 	hk := db.hk.Load()
-	if hk.Deps != nil || hk.Audit != nil {
-		// The tracker computes IFA-explainer verdicts against the exact
-		// crash-instant state, and the auditor marks its crash victims and
-		// suspends LBM checks for the recovery window; like everything in
-		// this callback they must not call back into the machine (the
-		// machine lock is held).
+	if m := hk.Model(); m != nil {
+		// The model settles who was caught where at the exact crash
+		// instant: the explainer's verdicts are computed against it and the
+		// auditor suspends LBM checks for the recovery window. Like
+		// everything in this callback it must not call back into the
+		// machine (the machine lock is held).
 		crashed := make([]int32, len(rep.Crashed))
 		for i, n := range rep.Crashed {
 			crashed[i] = int32(n)
@@ -109,9 +109,7 @@ func (db *DB) noteCrash(rep machine.CrashReport) {
 		for i, l := range rep.LostLines {
 			lost[i] = int32(l)
 		}
-		now := db.M.MaxClock()
-		hk.Deps.NoteCrash(crashed, lost, victims, now)
-		hk.Audit.NoteCrash(crashed, lost, now)
+		m.NoteCrash(crashed, lost, victims, db.M.MaxClock())
 	}
 	if hk.Flight != nil {
 		// No file I/O under the machine lock: Recover writes the dump.

@@ -262,20 +262,19 @@ func startProfSpan(p *prof.Pair, rep *RecoveryReport) func() {
 	}
 }
 
-// noteRecovered tells the dependency tracker and the online auditor which
-// crash victims recovery aborted (the rest settled as stable-committed),
-// closing the crash episode in both.
+// noteRecovered tells the residency model which crash victims recovery
+// aborted (the rest settled as stable-committed), closing the crash episode
+// for the explainer and the auditor alike.
 func (db *DB) noteRecovered(hk *hooks.Set, rep *RecoveryReport) {
-	dt, au := hk.Deps, hk.Audit
-	if dt == nil && au == nil {
+	m := hk.Model()
+	if m == nil {
 		return
 	}
 	aborted := make([]int64, len(rep.Aborted))
 	for i, t := range rep.Aborted {
 		aborted[i] = int64(t)
 	}
-	dt.NoteRecovered(aborted)
-	au.NoteRecovered(aborted, db.M.MaxClock())
+	m.NoteRecovered(aborted, db.M.MaxClock())
 }
 
 // recoverOnce is one attempt at the IFA restart-recovery sequence. Counters

@@ -193,35 +193,20 @@ func (db *DB) applyChange(nd machine.NodeID, t wal.TxnID, rid heap.RID, newFlags
 	if err := db.Store.WriteSlot(nd, rid, heap.SlotData{Tag: tag, Flags: flags, Version: version, Data: data}); err != nil {
 		return err
 	}
-	if err := db.Store.SetPageVersion(nd, rid.Page, version); err != nil {
+	// The slot holds the new value from here on, so the write is the
+	// transaction's whatever stops the steps that remain — a torn eager
+	// force takes the node down — or the oracle could not name the writer of
+	// a logged, in-memory update and would report its undo as a lost
+	// committed value.
+	w := writeRec{rid: rid, img: after, version: version, lsn: lsn}
+	if err := db.lbmAfterWrite(nd, nc, t, rid, line, version, lsn); err != nil {
+		if nta == 0 {
+			nc.mu.Lock()
+			st.writes = append(st.writes, w)
+			nc.mu.Unlock()
+		}
 		return err
 	}
-	db.BM.MarkDirty(rid.Page)
-
-	switch db.Cfg.Protocol {
-	case StableEager:
-		// Stable LBM, enforced within the critical section: both undo and
-		// redo information are stable before the line can move. The force
-		// can be torn by an injected crash; the update dies with the node.
-		if err := db.forceThroughTxn(nd, t, lsn, &nc.lbmForces); err != nil {
-			return err
-		}
-	case StableTriggered:
-		// Stable LBM via the section 5.2 extension: mark the line active
-		// and remember how far this node's log must be forced if the line
-		// is about to leave.
-		for {
-			cur := nc.pendingLSN.Load()
-			if uint64(lsn) <= cur || nc.pendingLSN.CompareAndSwap(cur, uint64(lsn)) {
-				break
-			}
-		}
-		if err := db.M.SetActive(line, true); err != nil {
-			return err
-		}
-	}
-
-	w := writeRec{rid: rid, img: after, version: version, lsn: lsn}
 	nc.mu.Lock()
 	if nta == 0 {
 		st.writes = append(st.writes, w)
@@ -244,15 +229,43 @@ func (db *DB) applyChange(nd machine.NodeID, t wal.TxnID, rid heap.RID, newFlags
 		nc.stats.UndoTagBytes++
 	}
 	nc.mu.Unlock()
-	if (hk.Deps != nil || hk.Audit != nil) && nta == 0 {
-		// Register the write with the dependency tracker and the online
-		// auditor while the line lock still pins the line: it cannot
-		// migrate, downgrade, or be invalidated before they know about the
-		// uncommitted data.
+	if m := hk.Model(); m != nil && nta == 0 {
+		// Register the write with the residency model while the line lock
+		// still pins the line: it cannot migrate, downgrade, or be
+		// invalidated before the model — and through it the explainer and
+		// the auditor — knows about the uncommitted data.
 		slot := int64(rid.Page)<<16 | int64(rid.Slot)
-		now := db.M.Clock(nd)
-		hk.Deps.NoteWrite(int64(t), int32(nd), int32(line), slot, int64(lsn), now)
-		hk.Audit.NoteWrite(int64(t), int32(nd), int32(line), slot, int64(lsn), now)
+		m.NoteWrite(int64(t), int32(nd), int32(line), slot, int64(lsn), db.M.Clock(nd))
+	}
+	return nil
+}
+
+// lbmAfterWrite is what applyChange owes a slot it has just written, still
+// inside the critical section: the page version, the dirty mark, and the
+// protocol's logging-before-migration step for the update logged at lsn.
+func (db *DB) lbmAfterWrite(nd machine.NodeID, nc *nodeCtl, t wal.TxnID, rid heap.RID, line machine.LineID, version uint64, lsn wal.LSN) error {
+	if err := db.Store.SetPageVersion(nd, rid.Page, version); err != nil {
+		return err
+	}
+	db.BM.MarkDirty(rid.Page)
+
+	switch db.Cfg.Protocol {
+	case StableEager:
+		// Stable LBM, enforced within the critical section: both undo and
+		// redo information are stable before the line can move. The force
+		// can be torn by an injected crash; the update dies with the node.
+		return db.forceThroughTxn(nd, t, lsn, &nc.lbmForces)
+	case StableTriggered:
+		// Stable LBM via the section 5.2 extension: mark the line active
+		// and remember how far this node's log must be forced if the line
+		// is about to leave.
+		for {
+			cur := nc.pendingLSN.Load()
+			if uint64(lsn) <= cur || nc.pendingLSN.CompareAndSwap(cur, uint64(lsn)) {
+				break
+			}
+		}
+		return db.M.SetActive(line, true)
 	}
 	return nil
 }

@@ -46,12 +46,13 @@ func attachTracker(db *recovery.DB) *deps.Tracker {
 }
 
 // attachAuditor wires an observer plus online IFA auditor into db, enabling
-// RunChaos's auditor cross-check. The dependency tracker is deliberately not
-// attached: the explainer's reconciliation rules assume an IFA or ablated
-// protocol, while the auditor sweep also covers the baseline.
+// RunChaos's auditor cross-check. The auditor reads a residency model of its
+// own, which is deliberately not attached as the set's Deps: the explainer's
+// reconciliation rules assume an IFA or ablated protocol, while the auditor
+// sweep also covers the baseline.
 func attachAuditor(db *recovery.DB) *audit.Auditor {
 	o := obs.NewWithCapacity(4096)
-	a := audit.New(audit.Config{
+	a := audit.New(deps.New(nil), audit.Config{
 		Stable: db.Cfg.Protocol.StableLBM() && db.M.Config().Coherency == machine.WriteInvalidate,
 	})
 	db.Attach(hooks.Set{Observer: o, Audit: a})
