@@ -76,6 +76,11 @@ type Manager struct {
 	// every record operation starts with one — takes no manager lock.
 	fetches atomic.Int64
 
+	// bringIn serializes, per page (striped), the Fetch calls that found the
+	// page not resident. Held across the format or disk read and the
+	// installs; never taken with mu or a machine stripe held.
+	bringIn [64]sync.Mutex
+
 	// hk is the attached consumer set (never nil; see SetHooks), read with
 	// no lock held.
 	hk atomic.Pointer[hooks.Set]
@@ -139,6 +144,16 @@ func (b *Manager) Fetch(nd machine.NodeID, p storage.PageID) error {
 	if hook := b.fetchHook.Load(); hook != nil {
 		(*hook)(nd, p)
 	}
+	if b.Store.ResidentPage(p) {
+		return nil
+	}
+	// One fetcher at a time brings a page in: two nodes formatting or
+	// reinstalling it side by side each take the other's half-done work for
+	// lost lines and install over records the other has meanwhile updated
+	// (or fail on a line the other has line-locked).
+	mu := &b.bringIn[uint(p)%uint(len(b.bringIn))]
+	mu.Lock()
+	defer mu.Unlock()
 	if b.Store.ResidentPage(p) {
 		return nil
 	}

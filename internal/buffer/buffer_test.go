@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"smdb/internal/heap"
@@ -242,5 +243,36 @@ func TestFlushAll(t *testing.T) {
 	}
 	if s := f.bm.Stats(); s.Flushes != 3 {
 		t.Errorf("Flushes = %d, want 3", s.Flushes)
+	}
+}
+
+// TestConcurrentFirstFetchFormatsOnce: nodes that touch a fresh page at the
+// same moment must not each format it. The loser of an unserialized race sees
+// the winner's half-installed page as lost and installs empty lines over it —
+// over records the winner may already have written — or fails on a line the
+// winner has line-locked.
+func TestConcurrentFirstFetchFormatsOnce(t *testing.T) {
+	const nodes, rounds = 4, 50
+	for round := 0; round < rounds; round++ {
+		f := newFixture(t, nodes)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for nd := 0; nd < nodes; nd++ {
+			wg.Add(1)
+			go func(nd machine.NodeID) {
+				defer wg.Done()
+				<-start
+				for p := 0; p < f.bm.Store.NPages; p++ {
+					if err := f.bm.Fetch(nd, storage.PageID(p)); err != nil {
+						t.Errorf("node %d fetching page %d: %v", nd, p, err)
+					}
+				}
+			}(machine.NodeID(nd))
+		}
+		close(start)
+		wg.Wait()
+		if got, want := f.bm.Stats().Formats, int64(f.bm.Store.NPages); got != want {
+			t.Fatalf("round %d: %d pages were formatted %d times", round, want, got)
+		}
 	}
 }

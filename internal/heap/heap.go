@@ -160,14 +160,15 @@ func (sd SlotData) Deleted() bool { return sd.Flags&FlagDeleted != 0 }
 func (sd SlotData) Occupied() bool { return sd.Flags&FlagOccupied != 0 }
 
 // ReadSlot reads rid's slot on behalf of node nd. The read goes through the
-// coherency protocol (and so may replicate the line into nd's cache).
+// coherency protocol (and so may replicate the line into nd's cache). The
+// result's Data is the caller's own.
 func (s *Store) ReadSlot(nd machine.NodeID, rid RID) (SlotData, error) {
 	line, off, err := s.LineOf(rid)
 	if err != nil {
 		return SlotData{}, err
 	}
-	raw, err := s.M.Read(nd, line, off, s.Layout.SlotBytes())
-	if err != nil {
+	raw := make([]byte, s.Layout.SlotBytes())
+	if err := s.M.ReadInto(nd, line, off, raw); err != nil {
 		return SlotData{}, err
 	}
 	return decodeSlot(raw, s.Layout.RecordSize()), nil
@@ -183,15 +184,13 @@ func decodeSlot(raw []byte, recordSize int) SlotData {
 	return sd
 }
 
-// EncodeSlot builds a raw slot image (exported for recovery code that
-// assembles whole-line images).
-func EncodeSlot(layout Layout, sd SlotData) []byte {
-	raw := make([]byte, layout.SlotBytes())
+// EncodeSlot overwrites raw, one slot long, with sd's image; the payload is
+// zero-padded/truncated to the record size.
+func EncodeSlot(raw []byte, sd SlotData) {
 	raw[0] = byte(int(sd.Tag) + 1)
 	raw[1] = sd.Flags
 	putVersion(raw[2:2+versionBytes], sd.Version)
-	copy(raw[slotOverhead:], sd.Data)
-	return raw
+	clear(raw[slotOverhead+copy(raw[slotOverhead:], sd.Data):])
 }
 
 // WriteSlot overwrites rid's entire slot (data, flags, version, tag) on
@@ -202,7 +201,10 @@ func (s *Store) WriteSlot(nd machine.NodeID, rid RID, sd SlotData) error {
 	if err != nil {
 		return err
 	}
-	return s.M.Write(nd, line, off, EncodeSlot(s.Layout, sd))
+	var buf SlotBuf
+	raw := buf.slot(s.Layout)
+	EncodeSlot(raw, sd)
+	return s.M.Write(nd, line, off, raw)
 }
 
 // WriteTag updates only rid's undo tag.
@@ -221,6 +223,67 @@ func (s *Store) WriteFlags(nd machine.NodeID, rid RID, flags byte) error {
 		return err
 	}
 	return s.M.Write(nd, line, off+tagBytes, []byte{flags})
+}
+
+// SlotBuf is room for one raw slot image that can live on the caller's
+// stack: the hot paths' slot I/O goes through one instead of a fresh slice
+// per access. Slots wider than it (lines over 128 bytes holding one or two
+// records) fall back to an allocation.
+type SlotBuf [128]byte
+
+// slot returns a buffer one slot long: buf itself when the slot fits.
+func (buf *SlotBuf) slot(layout Layout) []byte {
+	if n := layout.SlotBytes(); n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]byte, layout.SlotBytes())
+}
+
+// The *In methods are the slot accesses above as steps of an open line
+// section on rid's line (see machine.Section): same simulated reads and
+// writes, under the section's stripe hold instead of one of their own.
+
+// slotIn returns the byte offset of rid's slot in the line sec is on.
+func (s *Store) slotIn(sec *machine.Section, rid RID) (int, error) {
+	line, off, err := s.LineOf(rid)
+	if err == nil && !sec.On(line) {
+		err = fmt.Errorf("%w: %v is not on the section's line", ErrBadSlot, rid)
+	}
+	return off, err
+}
+
+// ReadSlotIn is ReadSlot through buf: the result's Data aliases it.
+func (s *Store) ReadSlotIn(sec *machine.Section, rid RID, buf *SlotBuf) (SlotData, error) {
+	off, err := s.slotIn(sec, rid)
+	if err != nil {
+		return SlotData{}, err
+	}
+	raw := buf.slot(s.Layout)
+	if err := sec.Read(off, raw); err != nil {
+		return SlotData{}, err
+	}
+	return decodeSlot(raw, s.Layout.RecordSize()), nil
+}
+
+// WriteSlotIn is WriteSlot through buf, which it overwrites; sd.Data must
+// not alias buf.
+func (s *Store) WriteSlotIn(sec *machine.Section, rid RID, sd SlotData, buf *SlotBuf) error {
+	off, err := s.slotIn(sec, rid)
+	if err != nil {
+		return err
+	}
+	raw := buf.slot(s.Layout)
+	EncodeSlot(raw, sd)
+	return sec.Write(off, raw)
+}
+
+// WriteTagIn is WriteTag.
+func (s *Store) WriteTagIn(sec *machine.Section, rid RID, tag machine.NodeID) error {
+	off, err := s.slotIn(sec, rid)
+	if err != nil {
+		return err
+	}
+	return sec.Write(off, []byte{byte(int(tag) + 1)})
 }
 
 // Page header layout: pageID(4) | version(8) — the Page-LSN field of
@@ -245,6 +308,17 @@ func (s *Store) SetPageVersion(nd machine.NodeID, p storage.PageID, v uint64) er
 	var raw [8]byte
 	binary.LittleEndian.PutUint64(raw[:], v)
 	return s.M.Write(nd, s.HeaderLine(p), hdrVersion, raw[:])
+}
+
+// SetPageVersionIn is SetPageVersion as a step of sec, an open section on
+// page p's header line.
+func (s *Store) SetPageVersionIn(sec *machine.Section, p storage.PageID, v uint64) error {
+	if !sec.On(s.HeaderLine(p)) {
+		return fmt.Errorf("heap: section is not on page %d's header line", p)
+	}
+	var raw [8]byte
+	binary.LittleEndian.PutUint64(raw[:], v)
+	return sec.Write(hdrVersion, raw[:])
 }
 
 // FormatPage installs a fresh, empty page p into shared memory on node nd

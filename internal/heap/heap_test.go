@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -293,10 +294,8 @@ func TestQuickSlotEncodeDecode(t *testing.T) {
 			data = data[:layout.RecordSize()]
 		}
 		sd.Data = data
-		raw := EncodeSlot(layout, sd)
-		if len(raw) != layout.SlotBytes() {
-			return false
-		}
+		raw := bytes.Repeat([]byte{0xee}, layout.SlotBytes()) // a reused buffer: stale bytes everywhere
+		EncodeSlot(raw, sd)
 		// Embed in a line image at each slot position.
 		for pos := 0; pos < layout.RecsPerLine; pos++ {
 			img := make([]byte, layout.LineSize)
@@ -308,6 +307,11 @@ func TestQuickSlotEncodeDecode(t *testing.T) {
 			for i, b := range data {
 				if got.Data[i] != b {
 					return false
+				}
+			}
+			for _, b := range got.Data[len(data):] {
+				if b != 0 {
+					return false // the payload is zero-padded whatever the buffer held
 				}
 			}
 		}

@@ -211,6 +211,10 @@ type lcbScratch struct {
 	raw   []byte // one line image
 	b     lcb    // the decoded LCB an operation works on
 	slots []int  // table slots b occupies, head first (loadChain, storeChain)
+	// sec is withLCB's line section on the slot it found, closed outside one.
+	// While it is open, readSlot and writeSlot reach that slot through it and
+	// every other slot after yielding it.
+	sec machine.Section
 }
 
 // getScratch takes a scratch from the pool (callers Put it back), sized for
@@ -288,17 +292,32 @@ func encodeLCB(raw []byte, b *lcb) {
 	clear(raw[off:])
 }
 
-// readSlot reads the line of table slot i into sc.raw on behalf of node nd.
+// readSlot reads the line of table slot i into sc.raw on behalf of node nd:
+// as a step of sc.sec when that is a section on the slot, otherwise as a
+// stand-alone read once sc.sec has yielded — a chain's continuation lines
+// hash to other stripes than its head, and a goroutine holds one stripe at a
+// time.
 func (s *SMManager) readSlot(nd machine.NodeID, i int, sc *lcbScratch) error {
-	return s.M.ReadInto(nd, s.base+machine.LineID(i), 0, sc.raw)
+	l := s.base + machine.LineID(i)
+	if sc.sec.On(l) {
+		return sc.sec.Read(0, sc.raw)
+	}
+	sc.sec.Yield()
+	return s.M.ReadInto(nd, l, 0, sc.raw)
 }
 
 // writeSlot encodes b (through sc.raw) and writes it to table slot i on
-// behalf of node nd. The caller holds the slot's line lock, or owns the slot
+// behalf of node nd, choosing between section step and stand-alone write as
+// readSlot does. The caller holds the slot's line lock, or owns the slot
 // through its chain head's.
 func (s *SMManager) writeSlot(nd machine.NodeID, i int, b *lcb, sc *lcbScratch) error {
 	encodeLCB(sc.raw, b)
-	return s.M.Write(nd, s.base+machine.LineID(i), 0, sc.raw)
+	l := s.base + machine.LineID(i)
+	if sc.sec.On(l) {
+		return sc.sec.Write(0, sc.raw)
+	}
+	sc.sec.Yield()
+	return s.M.Write(nd, l, 0, sc.raw)
 }
 
 // loadChain reads the complete LCB headed at table slot head — the head
@@ -405,6 +424,7 @@ func (s *SMManager) claimOverflowSlot(nd machine.NodeID, sc *lcbScratch) (int, e
 		if !rawFree(sc.raw) {
 			continue
 		}
+		sc.sec.Yield() // TryGetLine takes slot i's stripe
 		ok, err := s.M.TryGetLine(nd, s.base+machine.LineID(i))
 		if err != nil {
 			return -1, err
@@ -452,7 +472,9 @@ func (s *SMManager) hashSlot(name Name) int {
 // only for the matching slot. The machine operations are fixed: one peek read
 // per probe; on a hit GetLine, a confirming read, the chain's reads, one Write
 // per stored line, ReleaseLine; on an insert GetLine, a confirming read,
-// Write, ReleaseLine.
+// Write, ReleaseLine. From GetLine to ReleaseLine they are the steps of one
+// line section on the slot, so an unchained LCB costs one stripe hold; a
+// chain's continuation lines are reached with the section yielded (readSlot).
 func (s *SMManager) withLCB(nd machine.NodeID, name Name, create bool,
 	fn func(slot int, b *lcb, found bool) (write bool, err error)) error {
 	sc := s.getScratch()
@@ -474,13 +496,13 @@ probing:
 		}
 		switch state := sc.raw[lcbStateOff]; {
 		case state == lcbUsed && rawName(sc.raw) == name:
-			if err := s.M.GetLine(nd, s.base+machine.LineID(i)); err != nil {
+			if err := s.M.Enter(&sc.sec, nd, s.base+machine.LineID(i)); err != nil {
 				return err
 			}
 			err := s.readSlot(nd, i, sc)
 			if err == nil && (sc.raw[lcbStateOff] != lcbUsed || rawName(sc.raw) != name) {
 				// Changed while we were acquiring the line lock.
-				s.releaseSlot(nd, i)
+				sc.leave()
 				goto retry
 			}
 			if err == nil {
@@ -493,7 +515,7 @@ probing:
 					err = s.storeChain(nd, i, sc)
 				}
 			}
-			s.releaseSlot(nd, i)
+			sc.leave()
 			return err
 		case state == lcbTombstone:
 			if firstFree < 0 {
@@ -515,14 +537,14 @@ probing:
 	if firstFree < 0 {
 		return ErrLockTableFull
 	}
-	if err := s.M.GetLine(nd, s.base+machine.LineID(firstFree)); err != nil {
+	if err := s.M.Enter(&sc.sec, nd, s.base+machine.LineID(firstFree)); err != nil {
 		return err
 	}
 	err := s.readSlot(nd, firstFree, sc)
 	if err == nil && !rawFree(sc.raw) {
 		// Another node claimed the slot meanwhile (as an LCB head or an
 		// overflow line).
-		s.releaseSlot(nd, firstFree)
+		sc.leave()
 		goto retry
 	}
 	if err == nil {
@@ -533,9 +555,12 @@ probing:
 			err = s.writeSlot(nd, firstFree, nb, sc)
 		}
 	}
-	s.releaseSlot(nd, firstFree)
+	sc.leave()
 	return err
 }
+
+// leave ends withLCB's section; best effort, like releaseSlot.
+func (sc *lcbScratch) leave() { _ = sc.sec.Leave() }
 
 func (s *SMManager) releaseSlot(nd machine.NodeID, i int) {
 	// Best effort; the only failure is not holding the lock, which would

@@ -3,9 +3,10 @@ package machine
 // This file implements the coherency protocol proper: reads, writes, and the
 // software-visible residency operations (Install, Discard, Resident) used by
 // the buffer manager and the restart-recovery schemes. Every operation here
-// holds exactly one stripe lock (the one guarding its line); injected
-// transition-fault crashes are collected under the stripe and applied by the
-// exported wrappers after it is released (see consultFault in crash.go).
+// holds exactly one stripe lock (the one guarding its line). Reads and writes
+// are section steps (section.go): injected transition-fault crashes are
+// collected under the stripe and applied once it is released (see
+// consultFault in crash.go).
 
 import (
 	"sort"
@@ -43,70 +44,65 @@ func (m *Machine) Read(nd NodeID, l LineID, off, n int) ([]byte, error) {
 // the contents of dst are unspecified. Hot paths use it to keep one line
 // image per operation instead of one allocation per read.
 func (m *Machine) ReadInto(nd NodeID, l LineID, off int, dst []byte) error {
-	if err := m.checkRange(l, off, len(dst)); err != nil {
+	if err := m.checkLine(l); err != nil {
 		return err
 	}
-	victims, err := m.readLocked(nd, l, off, dst)
-	if err != nil {
-		return err
-	}
-	return m.applyFault(victims, nd)
+	var sec Section
+	sec.at(m, nd, l)
+	err := sec.Read(off, dst)
+	sec.Yield()
+	return err
 }
 
-func (m *Machine) readLocked(nd NodeID, l LineID, off int, dst []byte) ([]NodeID, error) {
-	s := m.stripeOf(l)
-	m.lockStripe(s)
-	defer m.unlockStripe(s)
+// read is the read step. Called with the line's stripe held.
+func (h *Section) read(off int, dst []byte) error {
+	m, nd, l, ln := h.m, h.nd, h.l, h.ln
 	if !m.Alive(nd) {
-		return nil, ErrNodeDown
+		return ErrNodeDown
 	}
-	ln := &m.lines[l]
-	atomic.AddInt64(&m.nodes[nd].stats.Reads, 1)
-	if !ln.valid {
-		return nil, ErrLineLost
+	h.reads++
+	if !ln.valid.Load() {
+		return ErrLineLost
 	}
-	var fev *Event
-	switch {
-	case ln.holders.has(nd):
+	if ln.holders.has(nd) {
 		// Local hit.
-		atomic.AddInt64(&m.nodes[nd].stats.LocalHits, 1)
-		m.charge(nd, m.cfg.Cost.ReadLocal)
-	default:
+		h.hits++
+		h.clock += m.cfg.Cost.ReadLocal
+	} else {
 		// Remote fetch; replicate into nd's cache.
+		var fev *Event
 		if ln.excl != NoNode && ln.excl != nd {
 			// H_wr: the exclusive holder is downgraded to shared.
 			from := ln.excl
-			if _, err := m.fire(l, EventDowngrade, ln.excl, nd, nd); err != nil {
-				return nil, err
+			if _, err := h.fire(EventDowngrade, from); err != nil {
+				return err
 			}
 			atomic.AddInt64(&m.nodes[nd].stats.Downgrades, 1)
 			ln.excl = NoNode
-			m.trace(obs.KindDowngrade, nd, int64(l), int64(from))
+			h.trace(obs.KindDowngrade, nd, int64(l), int64(from))
 			fev = &Event{Line: l, Kind: EventDowngrade, From: from, To: nd}
 		} else {
 			// Shared replication: a copy spreads without any holder losing
 			// state. Traced so residency consumers (the dependency tracker)
 			// see the line enter nd's failure domain.
-			m.trace(obs.KindReplicate, nd, int64(l), int64(ln.holders.lowest()))
+			h.trace(obs.KindReplicate, nd, int64(l), int64(ln.holders.lowest()))
 		}
 		ln.holders.add(nd)
 		atomic.AddInt64(&m.nodes[nd].stats.RemoteFetches, 1)
 		atomic.AddInt64(&m.nodes[nd].stats.Replications, 1)
-		m.charge(nd, m.cfg.Cost.RemoteFetch)
-	}
-	// Injected fault: the downgraded holder can die at exactly this
-	// transition, after its uncommitted data replicated to nd's failure
-	// domain (consulted once nd holds a copy, so the line itself survives
-	// as the hardware guarantees). The crash applies once we release the
-	// stripe; if nd itself is a victim the copied-out data is dropped by
-	// the wrapper, same as the pre-stripe code which returned before the
-	// copy.
-	var victims []NodeID
-	if fev != nil {
-		victims = m.consultFault(*fev)
+		h.clock += m.cfg.Cost.RemoteFetch
+		// Injected fault: the downgraded holder can die at exactly this
+		// transition, after its uncommitted data replicated to nd's failure
+		// domain (consulted once nd holds a copy, so the line itself
+		// survives as the hardware guarantees). The crash applies once the
+		// stripe is released; if nd itself is a victim the step fails and
+		// the copied-out data is the caller's to drop.
+		if fev != nil {
+			h.consultFault(*fev)
+		}
 	}
 	copy(dst, ln.data[off:off+len(dst)])
-	return victims, nil
+	return nil
 }
 
 // Write stores data at byte off of line l on behalf of node nd. Under
@@ -116,129 +112,125 @@ func (m *Machine) readLocked(nd NodeID, l LineID, off int, dst []byte) ([]NodeID
 // propagated to all cached copies instead. Write returns ErrLineLost if the
 // line is valid nowhere.
 func (m *Machine) Write(nd NodeID, l LineID, off int, data []byte) error {
-	if err := m.checkRange(l, off, len(data)); err != nil {
+	if err := m.checkLine(l); err != nil {
 		return err
 	}
-	victims, err := m.writeLocked(nd, l, off, data)
-	if err != nil {
-		return err
-	}
-	return m.applyFault(victims, nd)
+	var sec Section
+	sec.at(m, nd, l)
+	err := sec.Write(off, data)
+	sec.Yield()
+	return err
 }
 
-func (m *Machine) writeLocked(nd NodeID, l LineID, off int, data []byte) ([]NodeID, error) {
-	s := m.stripeOf(l)
-	m.lockStripe(s)
-	defer m.unlockStripe(s)
+// write is the write step. Called with the line's stripe held.
+func (h *Section) write(off int, data []byte) error {
+	m, nd, l, ln := h.m, h.nd, h.l, h.ln
 	if !m.Alive(nd) {
-		return nil, ErrNodeDown
+		return ErrNodeDown
 	}
-	ln := &m.lines[l]
-	atomic.AddInt64(&m.nodes[nd].stats.Writes, 1)
-	if !ln.valid {
-		return nil, ErrLineLost
+	h.writes++
+	if !ln.valid.Load() {
+		return ErrLineLost
 	}
 	if ln.lock.held && ln.lock.owner != nd {
 		// A line lock pins the line: no other node may read or write it.
 		// Callers coordinate through GetLine, so reaching this is a
 		// protocol bug above the machine; report it loudly.
-		return nil, ErrLineLockHeld
+		return ErrLineLockHeld
 	}
 	if m.cfg.Coherency == WriteBroadcast {
-		return nil, m.writeBroadcastLocked(nd, ln, l, off, data)
+		h.writeBroadcast(off, data)
+		return nil
 	}
-	var fev *Event
 	switch {
 	case ln.excl == nd:
 		// Already exclusive locally.
-		atomic.AddInt64(&m.nodes[nd].stats.LocalHits, 1)
-		m.charge(nd, m.cfg.Cost.WriteLocal)
+		h.hits++
+		h.clock += m.cfg.Cost.WriteLocal
 	case ln.holders.sole(nd):
 		// Sole sharer: silent upgrade.
 		ln.excl = nd
-		atomic.AddInt64(&m.nodes[nd].stats.LocalHits, 1)
-		m.charge(nd, m.cfg.Cost.WriteLocal)
+		h.hits++
+		h.clock += m.cfg.Cost.WriteLocal
 	case ln.excl != NoNode:
 		// Another node holds it exclusively: the line migrates.
 		from := ln.excl
-		if _, err := m.fire(l, EventMigrate, ln.excl, nd, nd); err != nil {
-			return nil, err
+		if _, err := h.fire(EventMigrate, from); err != nil {
+			return err
 		}
 		atomic.AddInt64(&m.nodes[nd].stats.Migrations, 1)
 		atomic.AddInt64(&m.nodes[nd].stats.RemoteFetches, 1)
 		ln.holders = 0
 		ln.holders.add(nd)
 		ln.excl = nd
-		m.charge(nd, m.cfg.Cost.RemoteFetch)
-		m.trace(obs.KindMigrate, nd, int64(l), int64(from))
-		fev = &Event{Line: l, Kind: EventMigrate, From: from, To: nd}
+		h.clock += m.cfg.Cost.RemoteFetch
+		h.trace(obs.KindMigrate, nd, int64(l), int64(from))
+		// Injected fault: a node that just lost this line can die at this
+		// transition (H_ww1/H_ww2 — consulted once the transfer is
+		// complete, so nd's fresh copy keeps the line alive). The crash
+		// applies after the stripe is released; if nd itself is a victim,
+		// its written copy dies with it (nd is the sole holder after the
+		// transition).
+		h.consultFault(Event{Line: l, Kind: EventMigrate, From: from, To: nd})
 	default:
 		// Shared in one or more caches: invalidate them all.
 		others := ln.holders
 		others.remove(nd)
+		var fev *Event
 		if !others.empty() {
-			if _, err := m.fire(l, EventInvalidate, others.lowest(), nd, nd); err != nil {
-				return nil, err
+			if _, err := h.fire(EventInvalidate, others.lowest()); err != nil {
+				return err
 			}
 			atomic.AddInt64(&m.nodes[nd].stats.Invalidations, int64(others.count()))
-			m.charge(nd, int64(others.count())*m.cfg.Cost.InvalidatePerSharer)
-			m.trace(obs.KindInvalidate, nd, int64(l), int64(others.count()))
+			h.clock += int64(others.count()) * m.cfg.Cost.InvalidatePerSharer
+			h.trace(obs.KindInvalidate, nd, int64(l), int64(others.count()))
 			fev = &Event{Line: l, Kind: EventInvalidate, From: others.lowest(), To: nd}
 		}
-		cost := m.cfg.Cost.WriteLocal
 		if !ln.holders.has(nd) {
-			cost = m.cfg.Cost.RemoteFetch
+			h.clock += m.cfg.Cost.RemoteFetch
 			atomic.AddInt64(&m.nodes[nd].stats.RemoteFetches, 1)
 		} else {
-			atomic.AddInt64(&m.nodes[nd].stats.LocalHits, 1)
+			h.clock += m.cfg.Cost.WriteLocal
+			h.hits++
 		}
 		ln.holders = 0
 		ln.holders.add(nd)
 		ln.excl = nd
-		m.charge(nd, cost)
-	}
-	// Injected fault: a node that just lost this line can die at this
-	// transition (H_ww1/H_ww2 — consulted once the transfer is complete,
-	// so nd's fresh copy keeps the line alive). The crash applies after
-	// the stripe is released; if nd itself is a victim, its written copy
-	// dies with it (nd is the sole holder after the transition), so the
-	// observable outcome equals the old order of crash-then-skip-write.
-	var victims []NodeID
-	if fev != nil {
-		victims = m.consultFault(*fev)
+		if fev != nil {
+			h.consultFault(*fev) // as for a migration, above
+		}
 	}
 	copy(ln.data[off:], data)
-	return victims, nil
+	return nil
 }
 
-// writeBroadcastLocked implements the write-broadcast protocol of section 7:
-// every cached copy is updated in place, so ww sharing replicates lines
-// instead of migrating them and a crash loses a line only if the crashed
-// node held its sole copy. Called with the line's stripe held.
-func (m *Machine) writeBroadcastLocked(nd NodeID, ln *line, l LineID, off int, data []byte) error {
+// writeBroadcast is the write step under the write-broadcast protocol of
+// section 7: every cached copy is updated in place, so ww sharing replicates
+// lines instead of migrating them and a crash loses a line only if the
+// crashed node held its sole copy.
+func (h *Section) writeBroadcast(off int, data []byte) {
+	m, nd, ln := h.m, h.nd, h.ln
 	if !ln.holders.has(nd) {
 		from := nd
 		if !ln.holders.empty() {
 			from = ln.holders.lowest()
 		}
-		m.trace(obs.KindReplicate, nd, int64(l), int64(from))
+		h.trace(obs.KindReplicate, nd, int64(h.l), int64(from))
 		ln.holders.add(nd)
 		atomic.AddInt64(&m.nodes[nd].stats.RemoteFetches, 1)
 		atomic.AddInt64(&m.nodes[nd].stats.Replications, 1)
-		m.charge(nd, m.cfg.Cost.RemoteFetch)
+		h.clock += m.cfg.Cost.RemoteFetch
 	} else {
-		atomic.AddInt64(&m.nodes[nd].stats.LocalHits, 1)
-		m.charge(nd, m.cfg.Cost.WriteLocal)
+		h.hits++
+		h.clock += m.cfg.Cost.WriteLocal
 	}
-	remote := ln.holders.count() - 1
-	if remote > 0 {
+	if remote := ln.holders.count() - 1; remote > 0 {
 		atomic.AddInt64(&m.nodes[nd].stats.Broadcasts, 1)
-		m.charge(nd, int64(remote)*m.cfg.Cost.BroadcastPerSharer)
+		h.clock += int64(remote) * m.cfg.Cost.BroadcastPerSharer
 	}
 	// The broadcast keeps every copy current; exclusivity is not tracked.
 	ln.excl = NoNode
 	copy(ln.data[off:], data)
-	return nil
 }
 
 // Install loads content into line l and makes node nd its (exclusive) sole
@@ -276,7 +268,7 @@ func (m *Machine) Install(nd NodeID, l LineID, data []byte) error {
 	for i := len(data); i < m.cfg.LineSize; i++ {
 		ln.data[i] = 0
 	}
-	ln.valid = true
+	ln.valid.Store(true)
 	ln.holders = 0
 	ln.holders.add(nd)
 	ln.excl = nd
@@ -313,7 +305,7 @@ func (m *Machine) Discard(nd NodeID, l LineID) error {
 // was the last copy, and reports whether a copy was actually dropped. Called
 // with the line's stripe held; the caller accounts the Discards stat.
 func (m *Machine) discardLocked(nd NodeID, l LineID, ln *line) bool {
-	if !ln.valid || !ln.holders.has(nd) {
+	if !ln.valid.Load() || !ln.holders.has(nd) {
 		return false
 	}
 	ln.holders.remove(nd)
@@ -322,7 +314,7 @@ func (m *Machine) discardLocked(nd NodeID, l LineID, ln *line) bool {
 	}
 	var destroyed int64
 	if ln.holders.empty() {
-		ln.valid = false
+		ln.valid.Store(false)
 		ln.active = false
 		destroyed = 1
 		for i := range ln.data {
@@ -373,13 +365,7 @@ func (m *Machine) DiscardAll(nd NodeID, filter func(LineID) bool) int {
 // section 4.1.2: if a memory reference cannot be satisfied by any surviving
 // node, no copy of the update exists and redo is required.
 func (m *Machine) Resident(l LineID) bool {
-	if l < 0 || int(l) >= len(m.lines) {
-		return false
-	}
-	s := m.stripeOf(l)
-	m.lockStripe(s)
-	defer m.unlockStripe(s)
-	return m.lines[l].valid
+	return l >= 0 && int(l) < len(m.lines) && m.lines[l].valid.Load()
 }
 
 // Holders returns the nodes currently caching line l (empty if lost).
@@ -390,7 +376,7 @@ func (m *Machine) Holders(l LineID) []NodeID {
 	s := m.stripeOf(l)
 	m.lockStripe(s)
 	defer m.unlockStripe(s)
-	if !m.lines[l].valid {
+	if !m.lines[l].valid.Load() {
 		return nil
 	}
 	return m.lines[l].holders.nodes()
@@ -404,7 +390,7 @@ func (m *Machine) ExclusiveHolder(l LineID) NodeID {
 	s := m.stripeOf(l)
 	m.lockStripe(s)
 	defer m.unlockStripe(s)
-	if !m.lines[l].valid {
+	if !m.lines[l].valid.Load() {
 		return NoNode
 	}
 	return m.lines[l].excl
@@ -424,7 +410,7 @@ func (m *Machine) CachedLines(nd NodeID) []LineID {
 		s := &m.stripes[si]
 		m.lockStripe(s)
 		for l := LineID(si); l < frontier; l += stripeCount {
-			if m.lines[l].valid && m.lines[l].holders.has(nd) {
+			if m.lines[l].valid.Load() && m.lines[l].holders.has(nd) {
 				out = append(out, l)
 			}
 		}
@@ -445,7 +431,7 @@ func (m *Machine) CachedLineCount(nd NodeID) int {
 		s := &m.stripes[si]
 		m.lockStripe(s)
 		for l := LineID(si); l < frontier; l += stripeCount {
-			if m.lines[l].valid && m.lines[l].holders.has(nd) {
+			if m.lines[l].valid.Load() && m.lines[l].holders.has(nd) {
 				count++
 			}
 		}

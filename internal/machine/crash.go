@@ -85,7 +85,7 @@ func (m *Machine) crashQuiesced(nodes []NodeID) CrashReport {
 			ln.lock.held = false
 			ln.lock.owner = NoNode
 		}
-		if !ln.valid {
+		if !ln.valid.Load() {
 			continue
 		}
 		touched := false
@@ -103,7 +103,7 @@ func (m *Machine) crashQuiesced(nodes []NodeID) CrashReport {
 		}
 		if ln.holders.empty() {
 			// The only copy was on a crashed node: destroyed.
-			ln.valid = false
+			ln.valid.Store(false)
 			ln.active = false
 			for j := range ln.data {
 				ln.data[j] = 0
@@ -132,8 +132,8 @@ func (m *Machine) crashQuiesced(nodes []NodeID) CrashReport {
 
 // consultFault asks the injected transition-fault hook, with the line's
 // stripe held, which nodes should crash at this transition, and traces the
-// injection instants. The crash itself is applied by applyFault once the
-// caller releases its stripe: executing the sweep from inside a line
+// injection instants. The crash itself is applied by settle once the section
+// has given up its stripe: executing the sweep from inside a line
 // operation would mean taking every stripe while holding one, which
 // deadlocks against a concurrent injector on another stripe. The observable
 // difference from the old in-line crash is only that the triggering
@@ -141,23 +141,18 @@ func (m *Machine) crashQuiesced(nodes []NodeID) CrashReport {
 // migrate/invalidate transition the initiator is the line's sole holder,
 // a crash of the initiator still destroys that effect, while a crash of
 // the old holder was already past influencing it.
-func (m *Machine) consultFault(ev Event) []NodeID {
-	hk := m.hooks.Load()
-	if hk.transitionFault == nil {
-		return nil
+func (h *Section) consultFault(ev Event) {
+	if h.hk.transitionFault == nil {
+		return
 	}
-	victims := hk.transitionFault(ev, m.aliveCount())
-	if len(victims) == 0 {
-		return nil
+	h.victims = h.hk.transitionFault(ev, h.m.aliveCount())
+	for _, v := range h.victims {
+		h.trace(obs.KindFault, v, int64(ev.Line), int64(ev.Kind))
 	}
-	for _, v := range victims {
-		m.trace(obs.KindFault, v, int64(ev.Line), int64(ev.Kind))
-	}
-	return victims
 }
 
-// applyFault crashes the victims collected by consultFault, after the
-// triggering operation has released its stripe. It returns ErrNodeDown if
+// applyFault crashes the victims a step collected, after the triggering
+// operation has released its stripe. It returns ErrNodeDown if
 // the initiating node nd itself was taken down, so the caller reports its
 // operation as lost with the node.
 func (m *Machine) applyFault(victims []NodeID, nd NodeID) error {

@@ -23,123 +23,110 @@ import (
 // resident in nd's cache. The simulated cost is LineLockLocal if the line was
 // already exclusive locally and LineLockRemote otherwise, plus queueing delay
 // chained through earlier holders (which is what produces the paper's
-// contention curve).
+// contention curve). It is Enter with the stripe given back at once; pair it
+// with ReleaseLine.
 func (m *Machine) GetLine(nd NodeID, l LineID) error {
-	if err := m.checkLine(l); err != nil {
+	var sec Section
+	if err := m.Enter(&sec, nd, l); err != nil {
 		return err
 	}
-	victims, err := m.getLineLocked(nd, l)
-	if err != nil {
-		return err
-	}
-	m.schedNote(nd, "getline", l)
-	// If an injected fault named nd itself, the crash sweep below breaks
-	// the lock nd just acquired, so the error return leaves no dangling
-	// ownership — same observable outcome as the old order, which crashed
-	// before recording ownership.
-	return m.applyFault(victims, nd)
+	sec.Yield()
+	return nil
 }
 
-func (m *Machine) getLineLocked(nd NodeID, l LineID) ([]NodeID, error) {
-	s := m.stripeOf(l)
-	m.lockStripe(s)
-	defer m.unlockStripe(s)
+// acquire is the getline step. Called with the line's stripe held, which it
+// gives up while it waits for another holder.
+func (h *Section) acquire() error {
+	m, nd, l, ln := h.m, h.nd, h.l, h.ln
 	if !m.Alive(nd) {
-		return nil, ErrNodeDown
+		return ErrNodeDown
 	}
-	ln := &m.lines[l]
-	if !ln.valid {
-		return nil, ErrLineLost
+	if !ln.valid.Load() {
+		return ErrLineLost
 	}
-	atomic.AddInt64(&m.nodes[nd].stats.LineLockAcquires, 1)
-	entry := atomic.LoadInt64(&m.nodes[nd].clock)
+	h.acquires++
+	entry := h.now()
 	contended := ln.lock.held
 	// Resolve the blocking transaction while the holder still holds: by the
 	// time the wait ends the holder may have moved on, and the waterfall's
 	// convoy explanation wants who was *actually* in the way.
 	var holderTxn int64
-	if hk := m.hooks.Load(); hk.wf != nil && contended && ln.lock.owner != NoNode {
-		holderTxn = hk.wf.CurrentTxn(int32(ln.lock.owner))
+	if h.hk.wf != nil && contended && ln.lock.owner != NoNode {
+		holderTxn = h.hk.wf.CurrentTxn(int32(ln.lock.owner))
 	}
 	if contended {
 		atomic.AddInt64(&m.nodes[nd].stats.LineLockContended, 1)
 	}
 	ln.lock.waiters++
 	for ln.lock.held {
-		m.condWait(s)
+		// The stripe is not held while parked, so the hold ends here: what
+		// it counted becomes visible, and the hooks are read afresh after.
+		h.publish()
+		m.condWait(h.s)
+		h.hk = m.hooks.Load()
 		if !m.Alive(nd) {
 			ln.lock.waiters--
-			return nil, ErrNodeDown
+			return ErrNodeDown
 		}
-		if !ln.valid {
+		if !ln.valid.Load() {
 			ln.lock.waiters--
-			return nil, ErrLineLost
+			return ErrLineLost
 		}
 	}
 	ln.lock.waiters--
 
 	// Simulated queueing: we cannot start acquiring before the lock's
 	// simulated free time.
-	start := atomic.LoadInt64(&m.nodes[nd].clock)
-	if ln.lock.freeAt > start {
-		start = ln.lock.freeAt
-	}
+	start := max(h.now(), ln.lock.freeAt)
 	cost := m.cfg.Cost.LineLockRemote
 	if ln.excl == nd {
 		cost = m.cfg.Cost.LineLockLocal
 	}
 	// Acquiring the lock also acquires the line exclusively, with the same
 	// coherency side effects as a write.
-	var fev *Event
 	var trig int64 // trigger-force cost charged to nd by fire, attributed separately
 	if ln.excl != NoNode && ln.excl != nd {
 		from := ln.excl
-		tc, err := m.fire(l, EventMigrate, ln.excl, nd, nd)
+		tc, err := h.fire(EventMigrate, ln.excl)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		trig = tc
 		atomic.AddInt64(&m.nodes[nd].stats.Migrations, 1)
 		ln.holders = 0
-		m.trace(obs.KindMigrate, nd, int64(l), int64(from))
-		fev = &Event{Line: l, Kind: EventMigrate, From: from, To: nd}
+		h.trace(obs.KindMigrate, nd, int64(l), int64(from))
+		h.consultFault(Event{Line: l, Kind: EventMigrate, From: from, To: nd})
 	} else if !ln.holders.sole(nd) {
 		others := ln.holders
 		others.remove(nd)
 		if !others.empty() {
-			tc, err := m.fire(l, EventInvalidate, others.lowest(), nd, nd)
+			tc, err := h.fire(EventInvalidate, others.lowest())
 			if err != nil {
-				return nil, err
+				return err
 			}
 			trig = tc
 			atomic.AddInt64(&m.nodes[nd].stats.Invalidations, int64(others.count()))
-			m.trace(obs.KindInvalidate, nd, int64(l), int64(others.count()))
-			fev = &Event{Line: l, Kind: EventInvalidate, From: others.lowest(), To: nd}
+			h.trace(obs.KindInvalidate, nd, int64(l), int64(others.count()))
+			h.consultFault(Event{Line: l, Kind: EventInvalidate, From: others.lowest(), To: nd})
 		}
 		ln.holders = 0
 	}
 	ln.holders.add(nd)
 	ln.excl = nd
-	// Injected fault: the previous holder can die at the instant the
-	// line-locked acquisition migrates the line into nd's cache. The crash
-	// applies once the stripe is released (see GetLine above for the
-	// nd-is-a-victim case).
-	var victims []NodeID
-	if fev != nil {
-		victims = m.consultFault(*fev)
-	}
 	ln.lock.held = true
 	ln.lock.owner = nd
-	maxStoreInt64(&m.nodes[nd].clock, start+cost)
-	if hk := m.hooks.Load(); hk.obs != nil || hk.wf != nil {
+	// The clock moves to start+cost, unless a trigger force has already
+	// charged it past that; never backwards.
+	h.clock += max(start+cost-h.now(), 0)
+	if h.hk.obs != nil || h.hk.wf != nil {
 		// Acquisition latency is the simulated interval from the caller
 		// issuing GetLine to holding the lock: queueing delay (chained
 		// through freeAt) plus the acquire cost itself.
 		lat := start + cost - entry
-		if hk.obs != nil {
-			hk.obs.ObserveLineLock(lat)
+		if h.hk.obs != nil {
+			h.hk.obs.ObserveLineLock(lat)
 			if contended {
-				hk.obs.Instant(obs.KindLineLockWait, int32(nd), start+cost, int64(l), lat)
+				h.hk.obs.Instant(obs.KindLineLockWait, int32(nd), start+cost, int64(l), lat)
 			}
 		}
 		// The waterfall counts real waiting only: a contended acquisition,
@@ -147,14 +134,14 @@ func (m *Machine) getLineLocked(nd NodeID, l LineID) ([]NodeID, error) {
 		// uncontended acquire cost itself stays in the compute residue, and a
 		// trigger force charged by fire is already the DB layer's CauseLogForce
 		// segment — subtract it so the causes don't overlap.
-		if hk.wf != nil && (contended || start > entry) {
+		if h.hk.wf != nil && (contended || start > entry) {
 			if holderTxn == 0 {
 				holderTxn = ln.lock.lastTxn
 			}
-			hk.wf.NoteLineWait(int32(nd), int(l), holderTxn, start+cost, lat-trig)
+			h.hk.wf.NoteLineWait(int32(nd), int(l), holderTxn, start+cost, lat-trig)
 		}
 	}
-	return victims, nil
+	return nil
 }
 
 // TryGetLine is GetLine without blocking: it reports false if the lock is
@@ -176,28 +163,33 @@ func (m *Machine) TryGetLine(nd NodeID, l LineID) (bool, error) {
 	return true, nil
 }
 
-// ReleaseLine releases the line lock on l held by node nd.
+// ReleaseLine releases the line lock on l held by node nd: Leave on a
+// section picked up where GetLine left it.
 func (m *Machine) ReleaseLine(nd NodeID, l LineID) error {
 	if err := m.checkLine(l); err != nil {
 		return err
 	}
-	s := m.stripeOf(l)
-	m.lockStripe(s)
-	defer m.unlockStripe(s)
-	ln := &m.lines[l]
-	if !ln.lock.held || ln.lock.owner != nd {
+	var sec Section
+	sec.at(m, nd, l)
+	return sec.Leave()
+}
+
+// release is the releaseline step. Called with the line's stripe held.
+func (h *Section) release() error {
+	ln := h.ln
+	if !ln.lock.held || ln.lock.owner != h.nd {
 		return ErrNotLockHolder
 	}
-	m.charge(nd, m.cfg.Cost.LineLockRelease)
-	if hk := m.hooks.Load(); hk.wf != nil {
-		ln.lock.lastTxn = hk.wf.CurrentTxn(int32(nd))
+	h.clock += h.m.cfg.Cost.LineLockRelease
+	if h.hk.wf != nil {
+		ln.lock.lastTxn = h.hk.wf.CurrentTxn(int32(h.nd))
 	}
 	ln.lock.held = false
 	ln.lock.owner = NoNode
 	// The lock becomes free, in simulated time, when the releasing node's
 	// clock reaches this instant; waiters chain their start times from it.
-	ln.lock.freeAt = atomic.LoadInt64(&m.nodes[nd].clock)
-	m.broadcast(s)
+	ln.lock.freeAt = h.now()
+	h.m.broadcast(h.s)
 	return nil
 }
 

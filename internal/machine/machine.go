@@ -34,7 +34,10 @@
 //
 // The line directory is sharded: all state of line l — its data, directory
 // entry, active bit, and line lock — is guarded by the stripe l hashes to,
-// and a line operation holds exactly one stripe for its duration. Operations
+// and a goroutine holds at most one stripe at a time: a line operation holds
+// its line's stripe for its duration, and a line section (section.go) holds
+// it across the steps of one line-lock critical section, yielding it before
+// it touches anything that may take another. Operations
 // on lines in different stripes run in parallel on real CPUs, which is what
 // lets the parallel restart-recovery pipeline scale with the survivor count.
 // Per-node clocks, counters, and node liveness are atomics readable without
@@ -176,8 +179,10 @@ type lineLock struct {
 
 // line is one cache line plus its directory entry.
 type line struct {
-	data    []byte
-	valid   bool   // resident in at least one cache
+	data []byte
+	// valid: resident in at least one cache. Written under the stripe;
+	// atomic so Resident can read it without one.
+	valid   atomic.Bool
 	holders bitset // nodes with a valid copy
 	excl    NodeID // node with the (sole, writable) copy; NoNode if shared
 	active  bool   // "contains active data" trigger bit (section 5.2)
@@ -305,9 +310,9 @@ type Machine struct {
 
 	// stripes shard the line directory: all state of line l (data,
 	// directory entry, active bit, line lock) is guarded by
-	// stripes[l&stripeMask]. A line operation holds exactly one stripe and
-	// never blocks on a second one, so operations on lines of different
-	// stripes proceed in parallel.
+	// stripes[l&stripeMask]. A line operation or section holds exactly one
+	// stripe and never blocks on a second one, so operations on lines of
+	// different stripes proceed in parallel.
 	stripes [stripeCount]stripe
 	lines   []line
 
@@ -503,10 +508,10 @@ func (m *Machine) SetActive(l LineID, on bool) error {
 	if err := m.checkLine(l); err != nil {
 		return err
 	}
-	s := m.stripeOf(l)
-	m.lockStripe(s)
-	defer m.unlockStripe(s)
-	m.lines[l].active = on
+	var sec Section
+	sec.at(m, NoNode, l)
+	sec.SetActive(on)
+	sec.Yield()
 	return nil
 }
 
@@ -575,26 +580,25 @@ func (m *Machine) checkRange(l LineID, off, n int) error {
 }
 
 // fire invokes the pre-transition callback if the line's active bit is set,
-// charging the returned cost to node charge. On success the active bit is
-// cleared, as the paper's section 5.2 hardware extension specifies ("log
-// forces would clear the bits of all associated cache lines"): the callback
-// has made the line's pending log records stable, so later transitions need
-// no further forces until the line is updated again. Called with the line's
-// stripe held.
-func (m *Machine) fire(l LineID, kind EventKind, from, to, charge NodeID) (int64, error) {
-	ln := &m.lines[l]
-	hk := m.hooks.Load()
-	if !ln.active || hk.preTransition == nil {
+// for a transition that takes the line from node from to the section's node,
+// which is charged the returned cost. On success the active bit is cleared,
+// as the paper's section 5.2 hardware extension specifies ("log forces would
+// clear the bits of all associated cache lines"): the callback has made the
+// line's pending log records stable, so later transitions need no further
+// forces until the line is updated again. Called with the line's stripe held.
+func (h *Section) fire(kind EventKind, from NodeID) (int64, error) {
+	if !h.ln.active || h.hk.preTransition == nil {
 		return 0, nil
 	}
-	cost, err := hk.preTransition(Event{Line: l, Kind: kind, From: from, To: to})
-	if charge >= 0 && int(charge) < len(m.nodes) {
-		atomic.AddInt64(&m.nodes[charge].clock, cost)
-	}
-	atomic.AddInt64(&m.global.TriggerFires, 1)
-	m.trace(obs.KindTriggerFire, charge, int64(l), int64(kind))
+	// The callback reads the acquiring node's clock (lock-free): show it the
+	// charges of the steps before this one.
+	h.publish()
+	cost, err := h.hk.preTransition(Event{Line: h.l, Kind: kind, From: from, To: h.nd})
+	h.clock += cost
+	atomic.AddInt64(&h.m.global.TriggerFires, 1)
+	h.trace(obs.KindTriggerFire, h.nd, int64(h.l), int64(kind))
 	if err == nil {
-		ln.active = false
+		h.ln.active = false
 	}
 	return cost, err
 }

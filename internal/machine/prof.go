@@ -16,12 +16,14 @@ import "smdb/internal/obs/prof"
 // callers can size a prof.StripeProf to match (prof.NewPair(machine.StripeCount)).
 const StripeCount = stripeCount
 
-// lockStripe acquires s.mu, recording the acquisition when profiling.
-func (m *Machine) lockStripe(s *stripe) {
-	p := m.hooks.Load().prof
+// lockStripe acquires s.mu, recording the acquisition when profiling, and
+// returns the hook set it loaded on the way in.
+func (m *Machine) lockStripe(s *stripe) *hookSet {
+	hk := m.hooks.Load()
+	p := hk.prof
 	if p == nil {
 		s.mu.Lock()
-		return
+		return hk
 	}
 	si := int(s.idx)
 	if s.mu.TryLock() {
@@ -35,6 +37,7 @@ func (m *Machine) lockStripe(s *stripe) {
 	// critical section is open, so unlockStripe stays correct if the
 	// profiler is attached or detached mid-section.
 	s.holdStart = prof.Now()
+	return hk
 }
 
 // unlockStripe releases s.mu, charging the hold time when the section was

@@ -62,15 +62,19 @@ type txnBlock [txnBlockLen]*txnState
 // add registers st as the node's next transaction. Caller holds nc.mu.
 func (nc *nodeCtl) add(st *txnState) {
 	i := nc.seq.Load()
-	var dir []*txnBlock
-	if p := nc.dir.Load(); p != nil {
-		dir = *p
-	}
-	if i == uint64(len(dir))*txnBlockLen {
+	p := nc.dir.Load()
+	if p == nil || i == uint64(len(*p))*txnBlockLen {
+		// Only a full table gets a new directory: a header built per call
+		// would escape to the heap through the Store on every Begin.
+		var dir []*txnBlock
+		if p != nil {
+			dir = *p
+		}
 		dir = append(dir[:len(dir):len(dir)], new(txnBlock))
-		nc.dir.Store(&dir)
+		p = &dir
+		nc.dir.Store(p)
 	}
-	dir[i/txnBlockLen][i%txnBlockLen] = st
+	(*p)[i/txnBlockLen][i%txnBlockLen] = st
 	nc.seq.Store(i + 1)
 }
 

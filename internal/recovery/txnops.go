@@ -97,18 +97,20 @@ func (db *DB) clearTag(nd machine.NodeID, rid heap.RID) (bool, error) {
 	if !db.M.Resident(line) {
 		return false, nil
 	}
-	if err := db.M.GetLine(nd, line); err != nil {
+	var sec machine.Section
+	if err := db.M.Enter(&sec, nd, line); err != nil {
 		if errors.Is(err, machine.ErrLineLost) {
 			return false, nil // lost between the check and the lock: same story
 		}
 		return false, err
 	}
-	defer db.mustRelease(nd, line)
-	sd, err := db.Store.ReadSlot(nd, rid)
+	defer db.mustLeave(&sec, nd)
+	var buf heap.SlotBuf
+	sd, err := db.Store.ReadSlotIn(&sec, rid, &buf)
 	if err != nil || sd.Tag == machine.NoNode {
 		return false, err
 	}
-	if err := db.Store.WriteTag(nd, rid, machine.NoNode); err != nil {
+	if err := db.Store.WriteTagIn(&sec, rid, machine.NoNode); err != nil {
 		return false, err
 	}
 	return true, nil

@@ -27,6 +27,13 @@ import (
 // what enforces Volatile LBM: the line cannot migrate, downgrade, or be
 // invalidated in between, so by the time any other node can see the
 // uncommitted data, the volatile log record exists.
+//
+// The two critical sections are two machine.Sections. A section keeps its
+// line's stripe between steps, and a goroutine may hold one stripe at a time,
+// so the two never step back to back: whichever stepped last yields before
+// the other steps, before a crash is injected, and before a log force. The
+// log append, the (page, LSN) note and the deferred-record append run under
+// the record line's stripe (lock order: stripe, node mutex, log mutex).
 
 // SlotImage packs a slot's logical content (flags byte + record payload)
 // into the form stored in log records' Before/After images. Undo tags and
@@ -142,17 +149,23 @@ func (db *DB) applyChange(nd machine.NodeID, t wal.TxnID, rid heap.RID, newFlags
 
 	// Critical section: header line first, then the record's line (a fixed
 	// order; both are within one page, so no cross-page nesting occurs).
-	if err := db.M.GetLine(nd, hdr); err != nil {
+	var hs, ls machine.Section
+	if err := db.M.Enter(&hs, nd, hdr); err != nil {
 		return err
 	}
-	if err := db.M.GetLine(nd, line); err != nil {
-		db.mustRelease(nd, hdr)
+	hs.Yield()
+	if err := db.M.Enter(&ls, nd, line); err != nil {
+		db.mustLeave(&hs, nd)
 		return err
 	}
-	defer db.mustRelease(nd, hdr)
-	defer db.mustRelease(nd, line)
+	defer func() {
+		hs.Yield()
+		db.mustLeave(&ls, nd)
+		db.mustLeave(&hs, nd)
+	}()
 
-	cur, err := db.Store.ReadSlot(nd, rid)
+	var buf heap.SlotBuf
+	cur, err := db.Store.ReadSlotIn(&ls, rid, &buf)
 	if err != nil {
 		return err
 	}
@@ -179,6 +192,7 @@ func (db *DB) applyChange(nd machine.NodeID, t wal.TxnID, rid heap.RID, newFlags
 		// its in-place slot write — the logged update never happened in
 		// memory, and recovery's version check must skip it.
 		if inj := db.injector(); inj != nil && inj.CrashAtUpdate(nd, db.aliveCount()) {
+			ls.Yield()
 			db.M.Crash(nd)
 			return fmt.Errorf("recovery: node %d crashed between log append and slot write: %w",
 				nd, machine.ErrNodeDown)
@@ -190,7 +204,7 @@ func (db *DB) applyChange(nd machine.NodeID, t wal.TxnID, rid heap.RID, newFlags
 		tag = nd
 	}
 	flags, data := splitImage(after)
-	if err := db.Store.WriteSlot(nd, rid, heap.SlotData{Tag: tag, Flags: flags, Version: version, Data: data}); err != nil {
+	if err := db.Store.WriteSlotIn(&ls, rid, heap.SlotData{Tag: tag, Flags: flags, Version: version, Data: data}, &buf); err != nil {
 		return err
 	}
 	// The slot holds the new value from here on, so the write is the
@@ -199,7 +213,7 @@ func (db *DB) applyChange(nd machine.NodeID, t wal.TxnID, rid heap.RID, newFlags
 	// a logged, in-memory update and would report its undo as a lost
 	// committed value.
 	w := writeRec{rid: rid, img: after, version: version, lsn: lsn}
-	if err := db.lbmAfterWrite(nd, nc, t, rid, line, version, lsn); err != nil {
+	if err := db.lbmAfterWrite(nc, t, rid, &hs, &ls, version, lsn); err != nil {
 		if nta == 0 {
 			nc.mu.Lock()
 			st.writes = append(st.writes, w)
@@ -241,12 +255,15 @@ func (db *DB) applyChange(nd machine.NodeID, t wal.TxnID, rid heap.RID, newFlags
 }
 
 // lbmAfterWrite is what applyChange owes a slot it has just written, still
-// inside the critical section: the page version, the dirty mark, and the
-// protocol's logging-before-migration step for the update logged at lsn.
-func (db *DB) lbmAfterWrite(nd machine.NodeID, nc *nodeCtl, t wal.TxnID, rid heap.RID, line machine.LineID, version uint64, lsn wal.LSN) error {
-	if err := db.Store.SetPageVersion(nd, rid.Page, version); err != nil {
+// inside the critical sections hs (the page's header line) and ls (the
+// record's line): the page version, the dirty mark, and the protocol's
+// logging-before-migration step for the update logged at lsn.
+func (db *DB) lbmAfterWrite(nc *nodeCtl, t wal.TxnID, rid heap.RID, hs, ls *machine.Section, version uint64, lsn wal.LSN) error {
+	ls.Yield()
+	if err := db.Store.SetPageVersionIn(hs, rid.Page, version); err != nil {
 		return err
 	}
+	hs.Yield()
 	db.BM.MarkDirty(rid.Page)
 
 	switch db.Cfg.Protocol {
@@ -254,7 +271,7 @@ func (db *DB) lbmAfterWrite(nd machine.NodeID, nc *nodeCtl, t wal.TxnID, rid hea
 		// Stable LBM, enforced within the critical section: both undo and
 		// redo information are stable before the line can move. The force
 		// can be torn by an injected crash; the update dies with the node.
-		return db.forceThroughTxn(nd, t, lsn, &nc.lbmForces)
+		return db.forceThroughTxn(t.Node(), t, lsn, &nc.lbmForces)
 	case StableTriggered:
 		// Stable LBM via the section 5.2 extension: mark the line active
 		// and remember how far this node's log must be forced if the line
@@ -265,7 +282,7 @@ func (db *DB) lbmAfterWrite(nd machine.NodeID, nc *nodeCtl, t wal.TxnID, rid hea
 				break
 			}
 		}
-		return db.M.SetActive(line, true)
+		ls.SetActive(true)
 	}
 	return nil
 }
@@ -318,5 +335,12 @@ func (db *DB) mustRelease(nd machine.NodeID, l machine.LineID) {
 			return
 		}
 		panic(fmt.Sprintf("recovery: releasing line %d on node %d: %v", l, nd, err))
+	}
+}
+
+// mustLeave is mustRelease for node nd's line section sec.
+func (db *DB) mustLeave(sec *machine.Section, nd machine.NodeID) {
+	if err := sec.Leave(); err != nil && db.M.Alive(nd) {
+		panic(fmt.Sprintf("recovery: leaving a line section on node %d: %v", nd, err))
 	}
 }

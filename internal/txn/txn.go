@@ -169,8 +169,9 @@ func (t *Txn) Read(rid heap.RID) ([]byte, error) {
 	return t.visible(rid)
 }
 
-// visible returns a copy of the record at rid, ErrNotFound if the slot is
-// unoccupied or the record deleted.
+// visible returns the record at rid — the caller's own: the engine read the
+// slot into a fresh buffer — or ErrNotFound if the slot is unoccupied or the
+// record deleted.
 func (t *Txn) visible(rid heap.RID) ([]byte, error) {
 	sd, err := t.mgr.DB.Read(t.node, rid)
 	if err != nil {
@@ -179,7 +180,7 @@ func (t *Txn) visible(rid heap.RID) ([]byte, error) {
 	if !sd.Occupied() || sd.Deleted() {
 		return nil, fmt.Errorf("%w: %v", ErrNotFound, rid)
 	}
-	return append([]byte(nil), sd.Data...), nil
+	return sd.Data, nil
 }
 
 // ReadDirty returns the record at rid without any lock — the browse/chaos
