@@ -77,26 +77,3 @@ func BenchmarkSDAcquireRelease(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkWaitsForGraph(b *testing.B) {
-	s, _ := benchSM(b, LogNoLocks)
-	// Build a lock space with holders and waiters.
-	for i := 0; i < 64; i++ {
-		holder := wal.MakeTxnID(machine.NodeID(i%4), uint64(i+1))
-		waiter := wal.MakeTxnID(machine.NodeID((i+1)%4), uint64(i+1000))
-		name := NameOfKey(uint64(i))
-		if _, err := s.Acquire(machine.NodeID(i%4), holder, name, Exclusive); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.Acquire(machine.NodeID((i+1)%4), waiter, name, Exclusive); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.FindDeadlock(0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

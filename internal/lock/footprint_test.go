@@ -1,6 +1,7 @@
 package lock
 
 import (
+	"slices"
 	"testing"
 
 	"smdb/internal/machine"
@@ -88,6 +89,20 @@ func TestLockOpMachineFootprint(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
+			// A waiter's poll: the look at its LCB costs what Holds does,
+			// whatever it finds there.
+			acquire(t3, key, Shared, false)()
+			got["look-queued"] = measure(func() {
+				held, queued, blockers, err := s.Look(0, t3, key, nil)
+				if err != nil || held != 0 || !queued || !slices.Equal(blockers, []wal.TxnID{t1}) {
+					t.Fatalf("Look(waiter) = %v, %v, %v, %v", held, queued, blockers, err)
+				}
+			})
+			got["look-absent"] = measure(func() {
+				if held, queued, _, err := s.Look(0, t3, NameOfKey(8), nil); err != nil || held != 0 || queued {
+					t.Fatalf("Look(absent) = %v, %v, %v", held, queued, err)
+				}
+			})
 			if chained {
 				// Fill the head line, then one more holder claims an overflow
 				// line; releasing it gives the line back.
@@ -102,6 +117,17 @@ func TestLockOpMachineFootprint(t *testing.T) {
 						t.Fatalf("Holds(chained) = %v, %v", held, err)
 					}
 				})
+				waiter := wal.MakeTxnID(0, 501)
+				acquire(waiter, big, Exclusive, false)()
+				got["look-chained"] = measure(func() {
+					_, queued, blockers, err := s.Look(0, waiter, big, nil)
+					if err != nil || !queued || len(blockers) != s.entryCap()+1 {
+						t.Fatalf("Look(chained) = %v, %d blockers, %v", queued, len(blockers), err)
+					}
+				})
+				if _, err := s.WithdrawWait(0, waiter, big); err != nil {
+					t.Fatal(err)
+				}
 				got["release-shrink"] = measure(func() {
 					if err := s.Release(0, over, big); err != nil {
 						t.Fatal(err)
@@ -137,6 +163,8 @@ var footprintWant = map[string]footprint{
 	"acquire-reuse-tombstone": local(3, 1, 1, 1450), // peeks the tombstone and the empty slot after it
 	"holds":                   local(3, 0, 1, 1300),
 	"holds-absent":            local(1, 0, 0, 100),
+	"look-queued":             local(3, 0, 1, 1300),
+	"look-absent":             local(1, 0, 0, 100),
 	"cancel-wait":             local(3, 1, 1, 1450),
 	"release":                 local(3, 1, 1, 1450),
 	"release-tombstone":       local(3, 1, 1, 1450),
@@ -148,5 +176,6 @@ var footprintWant = map[string]footprint{
 	// TryGetLine, confirm, reserve) and the chain is stored as two lines.
 	"acquire-overflow": local(5, 3, 2, 2950),
 	"holds-chained":    local(4, 0, 1, 1400),
+	"look-chained":     local(4, 0, 1, 1400), // one more read per continuation line
 	"release-shrink":   local(4, 2, 1, 1700), // head rewritten, overflow line tombstoned
 }

@@ -610,7 +610,7 @@ func grantable(b *lcb, txn wal.TxnID, mode Mode) bool {
 
 // Acquire requests name in mode for txn running on node nd. It returns true
 // if the lock was granted immediately; false if the request was queued (the
-// caller polls with Holds or abandons with WithdrawWait). Re-acquiring a held
+// caller polls with Look or abandons with WithdrawWait). Re-acquiring a held
 // lock in the same or weaker mode is a no-op grant; an upgrade from Shared
 // to Exclusive is granted when txn is the sole holder and queued otherwise.
 func (s *SMManager) Acquire(nd machine.NodeID, txn wal.TxnID, name Name, mode Mode) (bool, error) {
@@ -692,23 +692,52 @@ func (s *SMManager) checkCap(b *lcb) error {
 	return nil
 }
 
-// Holds reports whether txn currently holds name, and in which mode.
-// Waiters poll this after a queued Acquire.
-func (s *SMManager) Holds(nd machine.NodeID, txn wal.TxnID, name Name) (Mode, bool, error) {
-	var mode Mode
-	var held bool
-	err := s.withLCB(nd, name, false, func(_ int, b *lcb, found bool) (bool, error) {
+// Look reports where txn stands on name, from one visit to the LCB: the mode
+// it holds name in (0 if none), whether a request of its is queued there and,
+// appended to dst, the transactions that request waits for — holders of an
+// incompatible mode and earlier incompatible waiters, the edges WaitsFor
+// draws for it (WaitsFor is written independently: it is the oracle the
+// requester's deadlock chase is tested against). Neither held nor queued means
+// the lock space has no trace of txn's request: never made, or lost to
+// lock-space recovery. This is how a waiter polls: a look logs nothing, counts
+// as no acquisition and writes nothing.
+func (s *SMManager) Look(nd machine.NodeID, txn wal.TxnID, name Name, dst []wal.TxnID) (held Mode, queued bool, blockers []wal.TxnID, err error) {
+	blockers = dst
+	err = s.withLCB(nd, name, false, func(_ int, b *lcb, found bool) (bool, error) {
 		if !found {
 			return false, nil
 		}
 		for _, h := range b.holders {
 			if h.Txn == txn {
-				mode, held = h.Mode, true
+				held = h.Mode
 			}
+		}
+		for wi, w := range b.waiters {
+			if w.Txn != txn {
+				continue
+			}
+			queued = true
+			for _, h := range b.holders {
+				if h.Txn != txn && !Compatible(h.Mode, w.Mode) {
+					blockers = append(blockers, h.Txn)
+				}
+			}
+			for _, earlier := range b.waiters[:wi] {
+				if !Compatible(earlier.Mode, w.Mode) {
+					blockers = append(blockers, earlier.Txn)
+				}
+			}
+			break // a transaction queues at most one request per LCB
 		}
 		return false, nil
 	})
-	return mode, held, err
+	return held, queued, blockers, err
+}
+
+// Holds reports whether txn currently holds name, and in which mode.
+func (s *SMManager) Holds(nd machine.NodeID, txn wal.TxnID, name Name) (Mode, bool, error) {
+	held, _, _, err := s.Look(nd, txn, name, nil)
+	return held, held != 0, err
 }
 
 // Release removes txn's hold on (or wait for) name and promotes newly

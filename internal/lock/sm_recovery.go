@@ -252,8 +252,10 @@ func (s *SMManager) LostLCBCount() int {
 // WaitsFor builds the waits-for relation from the current lock space, read
 // on behalf of node nd: txn A waits for txn B if A is queued (or requesting
 // an upgrade) on an LCB where B holds an incompatible mode, or where B is an
-// earlier incompatible waiter. Used for deadlock detection. It issues exactly
-// Snapshot's reads, but decodes only LCBs somebody waits on.
+// earlier incompatible waiter. A whole-table read like Snapshot (it issues
+// exactly Snapshot's reads, but decodes only LCBs somebody waits on): the
+// diagnostic behind FindDeadlock and the oracle the transaction path's
+// requester-rooted chase (Look, recovery.DB.Lock) is tested against.
 func (s *SMManager) WaitsFor(nd machine.NodeID) (map[wal.TxnID][]wal.TxnID, error) {
 	out := make(map[wal.TxnID][]wal.TxnID)
 	err := s.forEachLCB(nd, true, func(b *lcb) {
@@ -277,9 +279,10 @@ func (s *SMManager) WaitsFor(nd machine.NodeID) (map[wal.TxnID][]wal.TxnID, erro
 }
 
 // FindDeadlock returns the victim of one waits-for cycle, or 0 if the lock
-// space is deadlock-free. Victim selection is deterministic: the youngest
-// (largest-ID) transaction on the first cycle found in sorted traversal
-// order, so every participant that polls reaches the same verdict.
+// space is deadlock-free: the youngest (largest-ID) transaction on the first
+// cycle found in sorted traversal order. It reads the whole lock table and is
+// not on the transaction path — a blocked request finds its own cycle
+// (recovery.DB.Lock); this is what a wedged run prints about itself.
 func (s *SMManager) FindDeadlock(nd machine.NodeID) (wal.TxnID, error) {
 	g, err := s.WaitsFor(nd)
 	if err != nil {

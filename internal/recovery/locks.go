@@ -45,13 +45,20 @@ func noteLock(list []LockEntry, name lock.Name, mode lock.Mode) []LockEntry {
 // Lock requests name in mode for t on t's node and reports whether t now
 // holds it; false means the request is queued (call Lock again to poll it).
 // The request is recorded before it reaches the LCB and resolved however the
-// grant is discovered — at once, promoted before the re-check, or by a release
+// grant is discovered — at once, promoted before a look, or by a release
 // between the deadlock verdict and the withdrawal: a grant nobody recorded
 // would outlive the transaction and block every later request for good. A
 // request left queued stays recorded, also when the driver moves on to
 // another, for ReleaseLocks to withdraw.
 //
-// A queued or victim attempt's sim cost (queueing and re-probing is how a
+// The first attempt is the paper's acquisition: one logical log record, one
+// LCB operation. A request that comes back queued, and every later call for
+// it while it is recorded as queued, is a poll — one look at that LCB and, if
+// it is still blocked, the deadlock chase; no second log record or waiter
+// entry, nothing counted as an acquisition. Only a request the look finds
+// gone (recovery restructured the lock space meanwhile) is acquired afresh.
+//
+// A queued or victim attempt's sim cost (queueing and looking is how a
 // waiting node's clock advances) becomes a CauseLockWait waterfall segment; a
 // granted attempt's stays in the enclosing bracket's compute residue.
 func (db *DB) Lock(t wal.TxnID, name lock.Name, mode lock.Mode) (granted bool, err error) {
@@ -70,21 +77,33 @@ func (db *DB) Lock(t wal.TxnID, name lock.Name, mode lock.Mode) (granted bool, e
 		}()
 	}
 	nc.mu.Lock()
-	st.wants = noteLock(st.wants, name, mode)
+	poll := slices.ContainsFunc(st.wants, func(w LockEntry) bool { return w.Name == name && w.Mode >= mode })
+	if !poll {
+		st.wants = noteLock(st.wants, name, mode)
+	}
 	nc.mu.Unlock()
-	if granted, err = db.Locks.Acquire(nd, t, name, mode); err != nil {
-		return false, err
+	if !poll {
+		if granted, err = db.Locks.Acquire(nd, t, name, mode); err != nil {
+			return false, err
+		}
 	}
 	victim := false
 	if !granted {
-		// It may have been promoted between the queueing and now.
-		m, held, err := db.Locks.Holds(nd, t, name)
+		// It may have been promoted since it was queued.
+		var buf [12]wal.TxnID
+		held, queued, blockers, err := db.Locks.Look(nd, t, name, buf[:0])
 		if err != nil {
 			return false, err
 		}
-		if granted = held && m >= mode; !granted {
-			v, err := db.Locks.FindDeadlock(nd)
-			if err != nil || v != t {
+		switch {
+		case held >= mode:
+			granted = true
+		case !queued:
+			if granted, err = db.Locks.Acquire(nd, t, name, mode); err != nil || !granted {
+				return false, err
+			}
+		default:
+			if victim, err = db.youngestOnCycle(t, name, blockers); err != nil || !victim {
 				return false, err
 			}
 			// A release may grant the request between the verdict and the
@@ -112,6 +131,77 @@ func (db *DB) Lock(t wal.TxnID, name lock.Name, mode lock.Mode) (granted bool, e
 		return false, ErrDeadlock
 	}
 	return true, nil
+}
+
+// youngestOnCycle reports whether t, whose queued request for name waits for
+// blockers, closes a waits-for cycle of which it is the youngest (largest-ID)
+// member — the deadlock victim, so that every cycle is broken by exactly one
+// of its members, whichever of them polls. It chases the request's own wait
+// chain instead of scanning the lock table: each blocker leads, through the
+// queued requests its node-local state records, to the LCBs it waits on, read
+// through the simulated machine on t's node like any other look; a running
+// blocker (no queued request) ends its branch at once, and a blocker younger
+// than t is not followed — a cycle through it is its own poll's to break.
+// Transactions whose node is down have lost their state and wait for nothing,
+// and an LCB the crash destroyed holds nobody up until recovery rebuilds it.
+//
+// The looks happen at different instants, so the chase may assemble a cycle
+// that never existed at any one of them and abort t needlessly; it cannot
+// miss a real one, whose members all stay queued — every edge of it is there
+// for each look of any poll made after it formed. Lock order: one node mutex
+// at a time, released before the next machine call. The work list lives on
+// the stack (blockers is the caller's, reused for every look) and allocates
+// only if a wait chain outgrows it.
+func (db *DB) youngestOnCycle(t wal.TxnID, name lock.Name, blockers []wal.TxnID) (bool, error) {
+	// seen are the transactions older than t it transitively waits for, in
+	// discovery order: the visited set, and from i on the ones not yet
+	// followed. note adds one look's blockers and reports whether t is one.
+	var seenBuf [16]wal.TxnID
+	var wantBuf [2]LockEntry
+	seen := seenBuf[:0]
+	note := func(blockers []wal.TxnID) bool {
+		for _, b := range blockers {
+			if b == t {
+				return true
+			}
+			if b < t && !slices.Contains(seen, b) {
+				seen = append(seen, b)
+			}
+		}
+		return false
+	}
+	if note(blockers) {
+		return true, nil
+	}
+	for i, u := 0, t; ; i++ {
+		wants := wantBuf[:0]
+		if st := db.lookup(u); st != nil && st.live() {
+			nc := &db.nodes[u.Node()]
+			nc.mu.Lock()
+			wants = append(wants, st.wants...)
+			nc.mu.Unlock()
+		}
+		for _, w := range wants {
+			if u == t && w.Name == name {
+				continue // the look that brought us here
+			}
+			var err error
+			_, _, blockers, err = db.Locks.Look(t.Node(), u, w.Name, blockers[:0])
+			if errors.Is(err, machine.ErrLineLost) {
+				continue
+			}
+			if err != nil {
+				return false, err
+			}
+			if note(blockers) {
+				return true, nil
+			}
+		}
+		if i == len(seen) {
+			return false, nil
+		}
+		u = seen[i]
+	}
 }
 
 // ReleaseLocks ends t's lock ownership: queued requests are withdrawn first,

@@ -304,7 +304,11 @@ func TestLockOrderStripeBeforeNodeMutex(t *testing.T) {
 // for any of them it would deadlock on the spot. Two nodes update
 // neighbouring records of one cache line, so every update migrates the line
 // and fires the trigger on the other node's log, while a third goroutine
-// reads Stats() and Hooks().
+// reads Stats() and Hooks(). The two workers start together and meet once per
+// round between their first update and their commit: whichever of the two
+// first updates came second pulled the line while the other's was unforced,
+// so every round has a trigger run that forces — no schedule, one worker
+// finishing before the other starts included, passes without one.
 func TestTriggerTakesNoDBMutex(t *testing.T) {
 	db := newNodeTestDB(t, StableTriggered, 3)
 	db.AttachObserver(obs.NewWithCapacity(64))
@@ -335,17 +339,27 @@ func TestTriggerTakesNoDBMutex(t *testing.T) {
 				runtime.Gosched()
 			}
 		}()
+		start, meet, failed := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		var failOnce sync.Once
 		for n := 0; n < 2; n++ {
 			workers.Add(1)
 			go func(nd machine.NodeID) {
 				defer workers.Done()
 				rid := heap.RID{Page: 1, Slot: uint16(nd)} // same line, own slot
+				<-start
 				for round := 0; round < rounds; round++ {
 					id, err := db.Begin(nd)
-					// Several updates before the commit force, so the other
-					// node usually pulls the line while one is still unforced.
 					for k := 0; k < updatesPerTxn && err == nil; k++ {
 						err = db.Update(nd, id, rid, []byte{byte(round), byte(k)})
+						if k == 0 && err == nil {
+							// Both first updates are in, neither is forced.
+							select {
+							case meet <- struct{}{}:
+							case <-meet:
+							case <-failed:
+								return
+							}
+						}
 						runtime.Gosched() // interleave on one CPU too
 					}
 					if err == nil {
@@ -353,18 +367,20 @@ func TestTriggerTakesNoDBMutex(t *testing.T) {
 					}
 					if err != nil {
 						t.Errorf("node %d round %d: %v", nd, round, err)
+						failOnce.Do(func() { close(failed) })
 						return
 					}
 				}
 			}(machine.NodeID(n))
 		}
+		close(start)
 		workers.Wait()
 		stop.Store(true)
 		reader.Wait()
 	})
 	st := db.Stats()
-	if fires.Load() == 0 || st.LBMForces == 0 {
-		t.Fatalf("trigger ran %d times, LBMForces = %d: the two nodes never pulled an active line from each other", fires.Load(), st.LBMForces)
+	if fires.Load() < rounds || st.LBMForces < rounds {
+		t.Fatalf("trigger ran %d times, LBMForces = %d in %d rounds: a round went by without the two nodes pulling an active line from each other", fires.Load(), st.LBMForces, rounds)
 	}
 	if st.LBMForces > fires.Load() || st.Commits != 2*rounds || st.Updates != 2*rounds*updatesPerTxn {
 		t.Errorf("Stats() = %+v after %d trigger runs and %d commits", st, fires.Load(), 2*rounds)
@@ -394,14 +410,6 @@ func lockRow(t *testing.T, db *DB, name lock.Name) lock.LockState {
 // lock goes to the next requester at once.
 func TestLockOwner(t *testing.T) {
 	name := lock.NameOfKey(7)
-	begin := func(t *testing.T, db *DB, nd machine.NodeID) wal.TxnID {
-		t.Helper()
-		id, err := db.Begin(nd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return id
-	}
 	want := func(t *testing.T, db *DB, id wal.TxnID, mode lock.Mode, granted bool) {
 		t.Helper()
 		if got, err := db.Lock(id, name, mode); err != nil || got != granted {
@@ -420,7 +428,7 @@ func TestLockOwner(t *testing.T) {
 			// it in the LCB and in nobody's bookkeeping.
 			name: "queued request, aborted",
 			prepare: func(t *testing.T, db *DB) (wal.TxnID, []wal.TxnID) {
-				holder, waiter := begin(t, db, 0), begin(t, db, 1)
+				holder, waiter := mustBegin(t, db, 0), mustBegin(t, db, 1)
 				want(t, db, holder, lock.Exclusive, true)
 				want(t, db, waiter, lock.Exclusive, false)
 				if held, queued := db.TxnLocks(waiter); len(held) != 0 || !slices.Equal(queued, []LockEntry{{name, lock.Exclusive}}) {
@@ -433,7 +441,7 @@ func TestLockOwner(t *testing.T) {
 		{
 			name: "queued request, locks shed without finishing",
 			prepare: func(t *testing.T, db *DB) (wal.TxnID, []wal.TxnID) {
-				holder, waiter := begin(t, db, 0), begin(t, db, 1)
+				holder, waiter := mustBegin(t, db, 0), mustBegin(t, db, 1)
 				want(t, db, holder, lock.Shared, true)
 				want(t, db, waiter, lock.Exclusive, false)
 				return waiter, []wal.TxnID{holder}
@@ -445,7 +453,7 @@ func TestLockOwner(t *testing.T) {
 			// else (and is granted it): both are the transaction's to end.
 			name: "queued request the driver moved on from",
 			prepare: func(t *testing.T, db *DB) (wal.TxnID, []wal.TxnID) {
-				holder, waiter := begin(t, db, 0), begin(t, db, 1)
+				holder, waiter := mustBegin(t, db, 0), mustBegin(t, db, 1)
 				want(t, db, holder, lock.Exclusive, true)
 				want(t, db, waiter, lock.Shared, false)
 				if ok, err := db.Lock(waiter, lock.NameOfKey(8), lock.Exclusive); err != nil || !ok {
@@ -463,7 +471,7 @@ func TestLockOwner(t *testing.T) {
 			// withdrawal: the request is a grant nobody polled for.
 			name: "late grant",
 			prepare: func(t *testing.T, db *DB) (wal.TxnID, []wal.TxnID) {
-				holder, waiter := begin(t, db, 0), begin(t, db, 1)
+				holder, waiter := mustBegin(t, db, 0), mustBegin(t, db, 1)
 				want(t, db, holder, lock.Exclusive, true)
 				want(t, db, waiter, lock.Exclusive, false)
 				if err := db.Commit(0, holder); err != nil {
@@ -483,7 +491,7 @@ func TestLockOwner(t *testing.T) {
 			// (c) An upgrade waiting behind a co-holder keeps neither mode.
 			name: "queued upgrade",
 			prepare: func(t *testing.T, db *DB) (wal.TxnID, []wal.TxnID) {
-				other, upgrader := begin(t, db, 0), begin(t, db, 1)
+				other, upgrader := mustBegin(t, db, 0), mustBegin(t, db, 1)
 				want(t, db, other, lock.Shared, true)
 				want(t, db, upgrader, lock.Shared, true)
 				want(t, db, upgrader, lock.Exclusive, false)
@@ -522,7 +530,7 @@ func TestLockOwner(t *testing.T) {
 			if row := lockRow(t, db, name); len(row.Holders)+len(row.Waiters) != 0 {
 				t.Fatalf("everybody finished but the row is %+v", row)
 			}
-			next := begin(t, db, 1)
+			next := mustBegin(t, db, 1)
 			want(t, db, next, lock.Exclusive, true)
 		})
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"smdb/internal/heap"
+	"smdb/internal/lock"
 	"smdb/internal/machine"
 	"smdb/internal/recovery"
 	"smdb/internal/storage"
@@ -141,4 +142,83 @@ func TestForwardPathAllocs(t *testing.T) {
 	if got > bound {
 		t.Errorf("a private commit allocates %.0f times, want <= %d", got, bound)
 	}
+}
+
+// blockedWait sets up the common wait: node 0's transaction holds a record
+// exclusively and goes on running, node 1's has queued a write behind it.
+func blockedWait(tb testing.TB, pb *privateBench) (waiter *txn.Txn, rid heap.RID) {
+	rid = pb.private[0][0]
+	holder, err := pb.mgr.Begin(0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := holder.Write(rid, []byte{1}); err != nil {
+		tb.Fatal(err)
+	}
+	if waiter, err = pb.mgr.Begin(1); err != nil {
+		tb.Fatal(err)
+	}
+	if err := waiter.Write(rid, []byte{2}); err != txn.ErrBlocked {
+		tb.Fatalf("the waiter's first attempt: %v, want ErrBlocked", err)
+	}
+	return waiter, rid
+}
+
+// TestBlockedPollAllocs holds a poll of a queued request whose holder is
+// running — what a waiter repeats until the holder commits — to no allocation
+// at all: the look's LCB is lent from the lock manager's scratch and the
+// chase's work list is on the stack. (The polls stay within the spin budget:
+// past it they would sleep.)
+func TestBlockedPollAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	waiter, rid := blockedWait(t, newPrivateBench(t))
+	val := []byte{2}
+	got := testing.AllocsPerRun(100, func() {
+		if err := waiter.Write(rid, val); err != txn.ErrBlocked {
+			t.Fatalf("poll: %v, want ErrBlocked", err)
+		}
+	})
+	if got != 0 {
+		t.Errorf("a blocked poll allocates %.0f times, want 0", got)
+	}
+}
+
+// BenchmarkBlockedPoll times the engine's poll of a queued request behind a
+// running holder (recovery.DB.Lock directly: the transaction layer would
+// start sleeping between polls) on the 2 048-line lock table, 64 of whose
+// LCBs have a holder and a waiter of their own: what the poll reads is its
+// own LCB, not the table.
+func BenchmarkBlockedPoll(b *testing.B) {
+	pb := newPrivateBench(b)
+	by, err := pb.mgr.Begin(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	queued, err := pb.mgr.Begin(3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, rid := range pb.private[2][:64] {
+		if err := by.Write(rid, []byte{3}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := queued.Read(rid); err != txn.ErrBlocked {
+			b.Fatalf("bystander's request: %v, want ErrBlocked", err)
+		}
+	}
+	waiter, rid := blockedWait(b, pb)
+	name := lock.NameOfRID(rid)
+	before := pb.db.M.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if granted, err := pb.db.Lock(waiter.ID(), name, lock.Exclusive); err != nil || granted {
+			b.Fatalf("poll: %v, %v; want queued", granted, err)
+		}
+	}
+	ops := pb.db.M.Stats().Sub(before)
+	b.ReportMetric(float64(ops.Reads)/float64(b.N), "machine-reads/poll")
+	b.ReportMetric(float64(ops.LineLockAcquires)/float64(b.N), "linelocks/poll")
 }

@@ -12,17 +12,19 @@
 //
 // Lock waits are surfaced as ErrBlocked rather than blocking the goroutine:
 // the caller re-issues the operation until it succeeds, which keeps
-// single-goroutine experiments deterministic. Deadlocks are detected on the
-// waits-for graph in the shared lock space and broken by aborting the
-// requester (ErrDeadlock). The stall contract — which errors mean "re-issue
-// the operation unchanged" (Stalled) and the loop that does so (RetryUntil,
-// Retry) — is defined here, once, for every concurrent driver.
+// single-goroutine experiments deterministic. A blocked request chases its
+// own wait chain through the shared lock space, and the youngest member of a
+// waits-for cycle is aborted when it next polls (ErrDeadlock). The stall
+// contract — which errors mean "re-issue the operation unchanged" (Stalled)
+// and the loop that does so (RetryUntil, Retry) — is defined here, once, for
+// every concurrent driver.
 package txn
 
 import (
 	"errors"
 	"fmt"
 	"runtime"
+	"time"
 
 	"smdb/internal/heap"
 	"smdb/internal/lock"
@@ -65,6 +67,9 @@ type Txn struct {
 	// freeze window (0 = not stalled); when the freeze lifts, the span becomes
 	// a CauseFrozen waterfall segment.
 	stallSince int64
+	// polls counts the blocked lock polls this transaction has made in a row
+	// (see acquire).
+	polls int
 }
 
 // wfNop is the shared no-op bracket closer for the recorder-off path.
@@ -135,15 +140,33 @@ func (t *Txn) check() error {
 	return nil
 }
 
+// A poll of a queued request is a look at one LCB, cheap enough to repeat a
+// few thousand times per millisecond, and a waiter whose driver spins on it
+// finds a running holder gone within a few dozen polls. One still queued after
+// spinPolls polls in a row waits for a holder that has lost its CPU (or for a
+// long chain): from there every blocked poll first sleeps pollBackoff — in
+// practice the host's timer granularity, a millisecond — giving the CPU to
+// whoever must run for the wait to end instead of charging the simulated
+// machine thousands of looks. Deterministic single-goroutine drivers re-poll
+// once per scheduling round and never get that far.
+const (
+	spinPolls   = 256
+	pollBackoff = 50 * time.Microsecond
+)
+
 // acquire requests a lock through the engine, which owns it from here to
 // the end of the transaction (recovery.DB.Lock); a queued request is
 // ErrBlocked.
 func (t *Txn) acquire(name lock.Name, mode lock.Mode) error {
 	granted, err := t.mgr.DB.Lock(t.id, name, mode)
-	if err == nil && !granted {
-		err = ErrBlocked
+	if err != nil || granted {
+		t.polls = 0
+		return err
 	}
-	return err
+	if t.polls++; t.polls > spinPolls {
+		time.Sleep(pollBackoff)
+	}
+	return ErrBlocked
 }
 
 // LockKey acquires a key lock for the transaction (used by the B-tree,
