@@ -37,6 +37,35 @@ func newFixture(t *testing.T, nodes int) *fixture {
 	return &fixture{m: m, disk: disk, logs: logs, bm: NewManager(store, disk, logs)}
 }
 
+// inSlotSection runs step inside a line section of node nd on rid's line:
+// the only form a slot write takes.
+func (f *fixture) inSlotSection(t *testing.T, nd machine.NodeID, rid heap.RID, step func(sec *machine.Section) error) {
+	t.Helper()
+	line, _, err := f.bm.Store.LineOf(rid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sec machine.Section
+	if err := f.m.Enter(&sec, nd, line); err != nil {
+		t.Fatal(err)
+	}
+	err = step(&sec)
+	if lerr := sec.Leave(); err == nil {
+		err = lerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// putSlot overwrites rid's slot with sd on behalf of node nd.
+func (f *fixture) putSlot(t *testing.T, nd machine.NodeID, rid heap.RID, sd heap.SlotData) {
+	t.Helper()
+	f.inSlotSection(t, nd, rid, func(sec *machine.Section) error {
+		return f.bm.Store.WriteSlotIn(sec, rid, sd, new(heap.SlotBuf))
+	})
+}
+
 func TestFetchFormatsFreshPage(t *testing.T) {
 	f := newFixture(t, 2)
 	if err := f.bm.Fetch(0, 3); err != nil {
@@ -65,9 +94,7 @@ func TestFlushAndRefetch(t *testing.T) {
 	}
 	rid := heap.RID{Page: 1, Slot: 2}
 	sd := heap.SlotData{Tag: machine.NoNode, Flags: heap.FlagOccupied, Version: 5, Data: []byte("persist me")}
-	if err := f.bm.Store.WriteSlot(0, rid, sd); err != nil {
-		t.Fatal(err)
-	}
+	f.putSlot(t, 0, rid, sd)
 	f.bm.MarkDirty(1)
 	if !f.bm.Dirty(1) {
 		t.Fatal("page not dirty")
@@ -92,7 +119,7 @@ func TestFlushAndRefetch(t *testing.T) {
 	if err := f.bm.Fetch(1, 1); err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.bm.Store.ReadSlot(1, rid)
+	got, err := f.bm.Store.ReadSlot(1, rid, new(heap.SlotBuf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,9 +168,7 @@ func TestStealDetection(t *testing.T) {
 	}
 	rid := heap.RID{Page: 2, Slot: 0}
 	// An undo-tagged slot marks an uncommitted update: flushing is a steal.
-	if err := f.bm.Store.WriteSlot(0, rid, heap.SlotData{Tag: 0, Flags: heap.FlagOccupied, Version: 1, Data: []byte("uncommitted")}); err != nil {
-		t.Fatal(err)
-	}
+	f.putSlot(t, 0, rid, heap.SlotData{Tag: 0, Flags: heap.FlagOccupied, Version: 1, Data: []byte("uncommitted")})
 	if err := f.bm.FlushPage(0, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -151,9 +176,9 @@ func TestStealDetection(t *testing.T) {
 		t.Errorf("Steals = %d, want 1", s.Steals)
 	}
 	// Clear the tag; the next flush is not a steal.
-	if err := f.bm.Store.WriteTag(0, rid, machine.NoNode); err != nil {
-		t.Fatal(err)
-	}
+	f.inSlotSection(t, 0, rid, func(sec *machine.Section) error {
+		return f.bm.Store.WriteTagIn(sec, rid, machine.NoNode)
+	})
 	if err := f.bm.FlushPage(0, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -182,18 +207,14 @@ func TestPartialReinstallAfterCrash(t *testing.T) {
 	slotA := heap.RID{Page: 0, Slot: 0} // line 1
 	slotB := heap.RID{Page: 0, Slot: 4} // line 2
 	for _, rid := range []heap.RID{slotA, slotB} {
-		if err := f.bm.Store.WriteSlot(0, rid, heap.SlotData{Tag: machine.NoNode, Flags: heap.FlagOccupied, Version: 1, Data: []byte("v1")}); err != nil {
-			t.Fatal(err)
-		}
+		f.putSlot(t, 0, rid, heap.SlotData{Tag: machine.NoNode, Flags: heap.FlagOccupied, Version: 1, Data: []byte("v1")})
 	}
 	if err := f.bm.FlushPage(0, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Node 1 updates slot A (its line migrates to node 1) and keeps v2
 	// only in its cache; the rest of the page stays on node 0.
-	if err := f.bm.Store.WriteSlot(1, slotA, heap.SlotData{Tag: machine.NoNode, Flags: heap.FlagOccupied, Version: 2, Data: []byte("v2")}); err != nil {
-		t.Fatal(err)
-	}
+	f.putSlot(t, 1, slotA, heap.SlotData{Tag: machine.NoNode, Flags: heap.FlagOccupied, Version: 2, Data: []byte("v2")})
 	// Crash node 0: the header, slot B's line, and the unused line die;
 	// slot A's line (on node 1) survives.
 	f.m.Crash(0)
@@ -204,11 +225,11 @@ func TestPartialReinstallAfterCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Slot A must keep v2 (survivor), slot B restored to v1 from disk.
-	a, err := f.bm.Store.ReadSlot(1, slotA)
+	a, err := f.bm.Store.ReadSlot(1, slotA, new(heap.SlotBuf))
 	if err != nil || a.Version != 2 {
 		t.Errorf("slot A = %+v, %v; want v2 preserved", a, err)
 	}
-	bSlot, err := f.bm.Store.ReadSlot(1, slotB)
+	bSlot, err := f.bm.Store.ReadSlot(1, slotB, new(heap.SlotBuf))
 	if err != nil || bSlot.Version != 1 {
 		t.Errorf("slot B = %+v, %v; want v1 from disk", bSlot, err)
 	}

@@ -31,10 +31,20 @@ func TestFigure1SystemModel(t *testing.T) {
 		}
 	}
 	// Coherent shared memory: a write by one node is read by another.
-	if err := db.Store.WriteSlot(0, ridAt(0, db.Store.Layout.SlotsPerPage()), heapSlot(77)); err != nil {
+	rid := ridAt(0, db.Store.Layout.SlotsPerPage())
+	line, _, err := db.Store.LineOf(rid)
+	if err != nil {
 		t.Fatal(err)
 	}
-	sd, err := db.Store.ReadSlot(3, ridAt(0, db.Store.Layout.SlotsPerPage()))
+	var sec machine.Section
+	if err := db.M.Enter(&sec, 0, line); err != nil {
+		t.Fatal(err)
+	}
+	werr := db.Store.WriteSlotIn(&sec, rid, heapSlot(77), new(heap.SlotBuf))
+	if err := sec.Leave(); err != nil || werr != nil {
+		t.Fatal(werr, err)
+	}
+	sd, err := db.Store.ReadSlot(3, rid, new(heap.SlotBuf))
 	if err != nil || sd.Data[0] != 77 {
 		t.Errorf("coherency: got %+v, %v", sd, err)
 	}

@@ -14,8 +14,10 @@
 // and are destroyed exactly with the data they describe, which is what makes
 // Selective Redo's cache scan sound.
 //
-// This package provides layout arithmetic and raw slot access only; line
-// locking, logging, and the LBM policies are composed above it (internal/
+// This package provides layout arithmetic and raw slot access only: a
+// lock-free read by node, and writes as steps of the caller's open line
+// section (machine.Section) — a slot is written only under its line's lock.
+// Locking, logging, and the LBM policies are composed above it (internal/
 // recovery, internal/txn).
 package heap
 
@@ -159,15 +161,15 @@ func (sd SlotData) Deleted() bool { return sd.Flags&FlagDeleted != 0 }
 // Occupied reports whether the slot holds a record.
 func (sd SlotData) Occupied() bool { return sd.Flags&FlagOccupied != 0 }
 
-// ReadSlot reads rid's slot on behalf of node nd. The read goes through the
-// coherency protocol (and so may replicate the line into nd's cache). The
-// result's Data is the caller's own.
-func (s *Store) ReadSlot(nd machine.NodeID, rid RID) (SlotData, error) {
+// ReadSlot reads rid's slot on behalf of node nd without a line lock. The
+// read goes through the coherency protocol (and so may replicate the line
+// into nd's cache). The result's Data aliases buf.
+func (s *Store) ReadSlot(nd machine.NodeID, rid RID, buf *SlotBuf) (SlotData, error) {
 	line, off, err := s.LineOf(rid)
 	if err != nil {
 		return SlotData{}, err
 	}
-	raw := make([]byte, s.Layout.SlotBytes())
+	raw := buf.slot(s.Layout)
 	if err := s.M.ReadInto(nd, line, off, raw); err != nil {
 		return SlotData{}, err
 	}
@@ -193,42 +195,10 @@ func EncodeSlot(raw []byte, sd SlotData) {
 	clear(raw[slotOverhead+copy(raw[slotOverhead:], sd.Data):])
 }
 
-// WriteSlot overwrites rid's entire slot (data, flags, version, tag) on
-// behalf of node nd, without locking or logging: callers compose those. The
-// payload is zero-padded/truncated to the record size.
-func (s *Store) WriteSlot(nd machine.NodeID, rid RID, sd SlotData) error {
-	line, off, err := s.LineOf(rid)
-	if err != nil {
-		return err
-	}
-	var buf SlotBuf
-	raw := buf.slot(s.Layout)
-	EncodeSlot(raw, sd)
-	return s.M.Write(nd, line, off, raw)
-}
-
-// WriteTag updates only rid's undo tag.
-func (s *Store) WriteTag(nd machine.NodeID, rid RID, tag machine.NodeID) error {
-	line, off, err := s.LineOf(rid)
-	if err != nil {
-		return err
-	}
-	return s.M.Write(nd, line, off, []byte{byte(int(tag) + 1)})
-}
-
-// WriteFlags updates only rid's flags byte.
-func (s *Store) WriteFlags(nd machine.NodeID, rid RID, flags byte) error {
-	line, off, err := s.LineOf(rid)
-	if err != nil {
-		return err
-	}
-	return s.M.Write(nd, line, off+tagBytes, []byte{flags})
-}
-
 // SlotBuf is room for one raw slot image that can live on the caller's
-// stack: the hot paths' slot I/O goes through one instead of a fresh slice
-// per access. Slots wider than it (lines over 128 bytes holding one or two
-// records) fall back to an allocation.
+// stack: slot I/O goes through one instead of a fresh slice per access.
+// Slots wider than it (lines over 128 bytes holding one or two records) fall
+// back to an allocation.
 type SlotBuf [128]byte
 
 // slot returns a buffer one slot long: buf itself when the slot fits.
@@ -239,9 +209,10 @@ func (buf *SlotBuf) slot(layout Layout) []byte {
 	return make([]byte, layout.SlotBytes())
 }
 
-// The *In methods are the slot accesses above as steps of an open line
-// section on rid's line (see machine.Section): same simulated reads and
-// writes, under the section's stripe hold instead of one of their own.
+// The *In methods are steps of the caller's open line section on rid's line
+// (see machine.Section): the getline ... releaseline bracket of the update
+// path, transaction undo, restart redo and tag repair. Each is one simulated
+// read or write under the section's stripe hold.
 
 // slotIn returns the byte offset of rid's slot in the line sec is on.
 func (s *Store) slotIn(sec *machine.Section, rid RID) (int, error) {
@@ -252,7 +223,7 @@ func (s *Store) slotIn(sec *machine.Section, rid RID) (int, error) {
 	return off, err
 }
 
-// ReadSlotIn is ReadSlot through buf: the result's Data aliases it.
+// ReadSlotIn reads rid's slot through buf: the result's Data aliases it.
 func (s *Store) ReadSlotIn(sec *machine.Section, rid RID, buf *SlotBuf) (SlotData, error) {
 	off, err := s.slotIn(sec, rid)
 	if err != nil {
@@ -265,8 +236,8 @@ func (s *Store) ReadSlotIn(sec *machine.Section, rid RID, buf *SlotBuf) (SlotDat
 	return decodeSlot(raw, s.Layout.RecordSize()), nil
 }
 
-// WriteSlotIn is WriteSlot through buf, which it overwrites; sd.Data must
-// not alias buf.
+// WriteSlotIn overwrites rid's entire slot with sd (payload zero-padded or
+// truncated to the record size), encoded through buf; sd.Data must not alias it.
 func (s *Store) WriteSlotIn(sec *machine.Section, rid RID, sd SlotData, buf *SlotBuf) error {
 	off, err := s.slotIn(sec, rid)
 	if err != nil {
@@ -277,7 +248,7 @@ func (s *Store) WriteSlotIn(sec *machine.Section, rid RID, sd SlotData, buf *Slo
 	return sec.Write(off, raw)
 }
 
-// WriteTagIn is WriteTag.
+// WriteTagIn updates only rid's undo tag.
 func (s *Store) WriteTagIn(sec *machine.Section, rid RID, tag machine.NodeID) error {
 	off, err := s.slotIn(sec, rid)
 	if err != nil {
@@ -294,24 +265,8 @@ const (
 	hdrVersion = 4
 )
 
-// PageVersion reads page p's header version (Page-LSN analogue).
-func (s *Store) PageVersion(nd machine.NodeID, p storage.PageID) (uint64, error) {
-	raw, err := s.M.Read(nd, s.HeaderLine(p), hdrVersion, 8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(raw), nil
-}
-
-// SetPageVersion writes page p's header version.
-func (s *Store) SetPageVersion(nd machine.NodeID, p storage.PageID, v uint64) error {
-	var raw [8]byte
-	binary.LittleEndian.PutUint64(raw[:], v)
-	return s.M.Write(nd, s.HeaderLine(p), hdrVersion, raw[:])
-}
-
-// SetPageVersionIn is SetPageVersion as a step of sec, an open section on
-// page p's header line.
+// SetPageVersionIn writes page p's header version (the Page-LSN analogue) as
+// a step of sec, an open section on page p's header line.
 func (s *Store) SetPageVersionIn(sec *machine.Section, p storage.PageID, v uint64) error {
 	if !sec.On(s.HeaderLine(p)) {
 		return fmt.Errorf("heap: section is not on page %d's header line", p)

@@ -2,6 +2,7 @@ package heap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -29,6 +30,33 @@ func newStore(t *testing.T, nodes, recsPerLine, npages int) *Store {
 		}
 	}
 	return s
+}
+
+// inSection runs steps inside one line section of node nd on line l: the
+// only form a slot or page-header write takes.
+func inSection(t *testing.T, s *Store, nd machine.NodeID, l machine.LineID, steps func(sec *machine.Section) error) {
+	t.Helper()
+	var sec machine.Section
+	if err := s.M.Enter(&sec, nd, l); err != nil {
+		t.Fatal(err)
+	}
+	err := steps(&sec)
+	if lerr := sec.Leave(); err == nil {
+		err = lerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// putSlot overwrites rid's slot with sd on behalf of node nd.
+func putSlot(t *testing.T, s *Store, nd machine.NodeID, rid RID, sd SlotData) {
+	t.Helper()
+	line, _, err := s.LineOf(rid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inSection(t, s, nd, line, func(sec *machine.Section) error { return s.WriteSlotIn(sec, rid, sd, new(SlotBuf)) })
 }
 
 func TestLayoutArithmetic(t *testing.T) {
@@ -68,10 +96,8 @@ func TestSlotRoundTrip(t *testing.T) {
 		Version: 0x123456789a,
 		Data:    []byte("hello record"),
 	}
-	if err := s.WriteSlot(0, rid, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.ReadSlot(1, rid)
+	putSlot(t, s, 0, rid, want)
+	got, err := s.ReadSlot(1, rid, new(SlotBuf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,67 +148,80 @@ func TestBadSlot(t *testing.T) {
 		{Page: 5, Slot: 0},
 		{Page: 0, Slot: 200},
 	} {
-		if _, err := s.ReadSlot(0, rid); !errors.Is(err, ErrBadSlot) {
+		if _, err := s.ReadSlot(0, rid, new(SlotBuf)); !errors.Is(err, ErrBadSlot) {
 			t.Errorf("ReadSlot(%v): err = %v, want ErrBadSlot", rid, err)
 		}
 	}
 }
 
-func TestWriteTagAndFlagsOnly(t *testing.T) {
+func TestWriteTagOnly(t *testing.T) {
 	s := newStore(t, 2, 4, 1)
 	rid := RID{Page: 0, Slot: 2}
-	if err := s.WriteSlot(0, rid, SlotData{Tag: machine.NoNode, Flags: FlagOccupied, Version: 7, Data: []byte("x")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WriteTag(0, rid, 1); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.ReadSlot(0, rid)
+	putSlot(t, s, 0, rid, SlotData{Tag: machine.NoNode, Flags: FlagOccupied, Version: 7, Data: []byte("x")})
+	line, _, _ := s.LineOf(rid)
+	inSection(t, s, 0, line, func(sec *machine.Section) error { return s.WriteTagIn(sec, rid, 1) })
+	got, err := s.ReadSlot(0, rid, new(SlotBuf))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Tag != 1 || got.Version != 7 || got.Data[0] != 'x' {
+	if got.Tag != 1 || got.Flags != FlagOccupied || got.Version != 7 || got.Data[0] != 'x' {
 		t.Errorf("tag write clobbered slot: %+v", got)
 	}
-	if err := s.WriteFlags(0, rid, FlagOccupied|FlagDeleted); err != nil {
-		t.Fatal(err)
-	}
-	got, _ = s.ReadSlot(0, rid)
-	if !got.Deleted() || got.Tag != 1 {
-		t.Errorf("flags write wrong: %+v", got)
-	}
-	if err := s.WriteTag(0, rid, machine.NoNode); err != nil {
-		t.Fatal(err)
-	}
-	got, _ = s.ReadSlot(0, rid)
+	inSection(t, s, 0, line, func(sec *machine.Section) error { return s.WriteTagIn(sec, rid, machine.NoNode) })
+	got, _ = s.ReadSlot(0, rid, new(SlotBuf))
 	if got.Tag != machine.NoNode {
 		t.Errorf("tag clear wrong: %+v", got)
 	}
+	// A section on another line is refused, not written through.
+	other, _, _ := s.LineOf(RID{Page: 0, Slot: 4})
+	var sec machine.Section
+	if err := s.M.Enter(&sec, 0, other); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteTagIn(&sec, rid, 1); !errors.Is(err, ErrBadSlot) {
+		t.Errorf("WriteTagIn through another line's section: %v, want ErrBadSlot", err)
+	}
+	if err := sec.Leave(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// pageVersion reads page p's header version on behalf of node nd.
+func pageVersion(t *testing.T, s *Store, nd machine.NodeID, p storage.PageID) uint64 {
+	t.Helper()
+	raw, err := s.M.Read(nd, s.HeaderLine(p), hdrVersion, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return binary.LittleEndian.Uint64(raw)
 }
 
 func TestPageVersion(t *testing.T) {
 	s := newStore(t, 2, 2, 2)
-	if v, err := s.PageVersion(0, 1); err != nil || v != 0 {
-		t.Fatalf("initial version = %d, %v", v, err)
+	if v := pageVersion(t, s, 0, 1); v != 0 {
+		t.Fatalf("initial version = %d", v)
 	}
-	if err := s.SetPageVersion(0, 1, 991); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := s.PageVersion(1, 1); v != 991 {
+	inSection(t, s, 0, s.HeaderLine(1), func(sec *machine.Section) error { return s.SetPageVersionIn(sec, 1, 991) })
+	if v := pageVersion(t, s, 1, 1); v != 991 {
 		t.Errorf("version = %d, want 991", v)
 	}
 	// Page 0's version is independent.
-	if v, _ := s.PageVersion(0, 0); v != 0 {
+	if v := pageVersion(t, s, 0, 0); v != 0 {
 		t.Errorf("page 0 version = %d, want 0", v)
 	}
+	// The step belongs to a section on the page's own header line.
+	inSection(t, s, 0, s.HeaderLine(0), func(sec *machine.Section) error {
+		if err := s.SetPageVersionIn(sec, 1, 5); err == nil {
+			t.Error("SetPageVersionIn through another page's header section succeeded")
+		}
+		return nil
+	})
 }
 
 func TestPageImageRoundTrip(t *testing.T) {
 	s := newStore(t, 2, 4, 2)
 	rid := RID{Page: 0, Slot: 1}
-	if err := s.WriteSlot(0, rid, SlotData{Tag: 0, Flags: FlagOccupied, Version: 3, Data: []byte("abc")}); err != nil {
-		t.Fatal(err)
-	}
+	putSlot(t, s, 0, rid, SlotData{Tag: 0, Flags: FlagOccupied, Version: 3, Data: []byte("abc")})
 	img, err := s.PageImage(0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +241,7 @@ func TestPageImageRoundTrip(t *testing.T) {
 	if err := s.InstallImage(1, 0, img, false); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.ReadSlot(1, rid)
+	got, err := s.ReadSlot(1, rid, new(SlotBuf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,20 +255,14 @@ func TestInstallImageOnlyLost(t *testing.T) {
 	// Two slots on different lines; lose one line, keep the other.
 	r0 := RID{Page: 0, Slot: 0} // line 1
 	r4 := RID{Page: 0, Slot: 4} // line 2
-	if err := s.WriteSlot(0, r0, SlotData{Flags: FlagOccupied, Version: 1, Data: []byte("keep"), Tag: machine.NoNode}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WriteSlot(0, r4, SlotData{Flags: FlagOccupied, Version: 1, Data: []byte("lose"), Tag: machine.NoNode}); err != nil {
-		t.Fatal(err)
-	}
+	putSlot(t, s, 0, r0, SlotData{Flags: FlagOccupied, Version: 1, Data: []byte("keep"), Tag: machine.NoNode})
+	putSlot(t, s, 0, r4, SlotData{Flags: FlagOccupied, Version: 1, Data: []byte("lose"), Tag: machine.NoNode})
 	img, err := s.PageImage(0, 0) // disk image with both
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Update r0 in memory after the "flush", then lose r4's line only.
-	if err := s.WriteSlot(0, r0, SlotData{Flags: FlagOccupied, Version: 2, Data: []byte("newer"), Tag: machine.NoNode}); err != nil {
-		t.Fatal(err)
-	}
+	putSlot(t, s, 0, r0, SlotData{Flags: FlagOccupied, Version: 2, Data: []byte("newer"), Tag: machine.NoNode})
 	line4, _, _ := s.LineOf(r4)
 	if err := s.M.Discard(0, line4); err != nil {
 		t.Fatal(err)
@@ -238,11 +271,11 @@ func TestInstallImageOnlyLost(t *testing.T) {
 		t.Fatal(err)
 	}
 	// r4 restored from the image; r0 keeps the newer cached value.
-	got4, err := s.ReadSlot(1, r4)
+	got4, err := s.ReadSlot(1, r4, new(SlotBuf))
 	if err != nil || string(got4.Data[:4]) != "lose" {
 		t.Errorf("lost slot = %+v, %v", got4, err)
 	}
-	got0, err := s.ReadSlot(1, r0)
+	got0, err := s.ReadSlot(1, r0, new(SlotBuf))
 	if err != nil || got0.Version != 2 {
 		t.Errorf("surviving slot overwritten: %+v, %v", got0, err)
 	}

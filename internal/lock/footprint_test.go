@@ -179,3 +179,47 @@ var footprintWant = map[string]footprint{
 	"look-chained":     local(4, 0, 1, 1400), // one more read per continuation line
 	"release-shrink":   local(4, 2, 1, 1700), // head rewritten, overflow line tombstoned
 }
+
+// TestReleaseCrashedMachineFootprint pins what lock-space recovery's sweep
+// costs the coordinator: over a table whose surviving lines hold two crashed
+// transactions' entries (one among other holders, one blocking a survivor,
+// who is promoted), every resident line is locked, read and released, and the
+// two LCBs that change are read again as chains and written back. Recorded
+// when the sweep took its line locks with stand-alone calls; never edited.
+func TestReleaseCrashedMachineFootprint(t *testing.T) {
+	for _, chained := range []bool{false, true} {
+		s, _, m := newSM(t, 3, 16, LogAllLocks)
+		s.Chained = chained
+		shared, blocked := NameOfKey(1), NameOfKey(2)
+		live, dead1, dead2 := wal.MakeTxnID(0, 1), wal.MakeTxnID(1, 1), wal.MakeTxnID(2, 1)
+		for _, a := range []struct {
+			txn   wal.TxnID
+			name  Name
+			mode  Mode
+			grant bool
+		}{{dead1, shared, Shared, true}, {dead2, blocked, Exclusive, true},
+			// The survivor goes last, so both LCB lines end up in its cache.
+			{live, shared, Shared, true}, {live, blocked, Exclusive, false}} {
+			if g, err := s.Acquire(a.txn.Node(), a.txn, a.name, a.mode); err != nil || g != a.grant {
+				t.Fatalf("Acquire(%v, %v) = %v, %v", a.txn, a.name, g, err)
+			}
+		}
+		m.Crash(1, 2)
+		st0, c0 := m.Stats(), m.Clock(0)
+		released, err := s.ReleaseCrashed(0, []machine.NodeID{1, 2})
+		if err != nil || released != 2 {
+			t.Fatalf("ReleaseCrashed = %d, %v; want 2 entries", released, err)
+		}
+		got := footprint{st: m.Stats().Sub(st0), clock: m.Clock(0) - c0}
+		if got != releaseCrashedWant {
+			t.Errorf("chained=%v:\n got  %+v\n want %+v", chained, got, releaseCrashedWant)
+		}
+		if mode, held, err := s.Holds(0, live, blocked); err != nil || !held || mode != Exclusive {
+			t.Errorf("chained=%v: survivor not promoted: %v, %v, %v", chained, mode, held, err)
+		}
+	}
+}
+
+// Sixteen resident lines: GetLine, read, ReleaseLine each; the two LCBs with
+// crashed entries add their chain head's read and one write.
+var releaseCrashedWant = local(18, 2, 16, 18100)

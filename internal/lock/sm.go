@@ -211,9 +211,9 @@ type lcbScratch struct {
 	raw   []byte // one line image
 	b     lcb    // the decoded LCB an operation works on
 	slots []int  // table slots b occupies, head first (loadChain, storeChain)
-	// sec is withLCB's line section on the slot it found, closed outside one.
-	// While it is open, readSlot and writeSlot reach that slot through it and
-	// every other slot after yielding it.
+	// sec is withLCB's (or ReleaseCrashed's) line section on the slot it works
+	// on, closed outside one. While it is open, readSlot and writeSlot reach
+	// that slot through it and every other slot after yielding it.
 	sec machine.Section
 }
 
@@ -440,7 +440,9 @@ func (s *SMManager) claimOverflowSlot(nd machine.NodeID, sc *lcbScratch) (int, e
 			// without that lock).
 			err = s.writeSlot(nd, i, &lcb{state: lcbOverflow, name: Name(i), next: -1}, sc)
 		}
-		s.releaseSlot(nd, i)
+		// Best effort; the only failure is not holding the lock, which would
+		// be a bug upstream.
+		_ = s.M.ReleaseLine(nd, s.base+machine.LineID(i))
 		if err != nil {
 			return -1, err
 		}
@@ -559,14 +561,8 @@ probing:
 	return err
 }
 
-// leave ends withLCB's section; best effort, like releaseSlot.
+// leave ends the scratch's section; best effort (a crash broke the lock).
 func (sc *lcbScratch) leave() { _ = sc.sec.Leave() }
-
-func (s *SMManager) releaseSlot(nd machine.NodeID, i int) {
-	// Best effort; the only failure is not holding the lock, which would
-	// be a bug upstream.
-	_ = s.M.ReleaseLine(nd, s.base+machine.LineID(i))
-}
 
 // logLock writes a logical lock log record (volatile) for the operation, if
 // the logging policy requires it (section 4.2.2: "prior to acquiring (or

@@ -67,7 +67,7 @@ func (s *SMManager) ReleaseCrashed(nd machine.NodeID, crashed []machine.NodeID) 
 		if !s.M.Resident(l) {
 			continue
 		}
-		if err := s.M.GetLine(nd, l); err != nil {
+		if err := s.M.Enter(&sc.sec, nd, l); err != nil {
 			if errors.Is(err, machine.ErrLineLost) {
 				continue
 			}
@@ -79,7 +79,7 @@ func (s *SMManager) ReleaseCrashed(nd machine.NodeID, crashed []machine.NodeID) 
 		if err == nil && sc.raw[lcbStateOff] == lcbUsed {
 			err = s.releaseCrashedLCB(nd, i, sc, down, &released)
 		}
-		s.releaseSlot(nd, i)
+		sc.leave()
 		if err != nil {
 			return released, err
 		}

@@ -241,8 +241,9 @@ func TestAttachPoint(t *testing.T) {
 		var stop atomic.Bool
 		var commits atomic.Int64
 		var wg sync.WaitGroup
-		errs := make(chan error, 2)
-		for nd := machine.NodeID(0); nd < 2; nd++ {
+		const workers = 2
+		errs := make(chan error, workers)
+		for nd := machine.NodeID(0); nd < workers; nd++ {
 			wg.Add(1)
 			go func(nd machine.NodeID) {
 				defer wg.Done()
@@ -273,8 +274,18 @@ func TestAttachPoint(t *testing.T) {
 			}(nd)
 		}
 		for i := 0; i < 200 || (commits.Load() < 200 && len(errs) == 0); i++ {
-			db.Attach(sets[i%len(sets)])
+			set := sets[i%len(sets)]
+			db.Attach(set)
 			runtime.Gosched()
+			if set.Observer != nil {
+				// Hold a set that carries the observer until a commit has run
+				// under it from start to end: each worker may be inside a
+				// commit that read the hooks before this Attach, so the next
+				// one after those is certain to have read them after it.
+				for seen := commits.Load(); commits.Load() <= seen+workers && len(errs) == 0; {
+					runtime.Gosched()
+				}
+			}
 		}
 		stop.Store(true)
 		wg.Wait()

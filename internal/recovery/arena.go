@@ -1,9 +1,7 @@
 package recovery
 
-import "smdb/internal/machine"
-
-// recArena is one worker slot's reusable recovery scratch: run boundaries
-// and precomputed undo tags for the batched redo apply. Each slot is owned by
+// recArena is one worker slot's reusable recovery scratch: the run
+// boundaries of the batched redo apply. Each slot is owned by
 // exactly one goroutine at a time (the executor's worker w; the inline run at
 // one worker or fewer is worker 0), so no locking; buffers grow to the
 // high-water mark of the workload and are reused across phases and across
@@ -14,7 +12,6 @@ import "smdb/internal/machine"
 // the worker slot makes that property auditable rather than probabilistic.
 type recArena struct {
 	runs []redoRun
-	tags []machine.NodeID
 }
 
 // arena returns worker slot w's scratch arena. Slots are sized at New from

@@ -108,9 +108,9 @@ type writeRec struct {
 // undo tags. The engine keeps crashed entries only for the IFA oracle
 // (verification), clearly separated by the crashed flag.
 //
-// id and beginSim never change. status and crashed are written under the
-// node's mutex and read anywhere; every other field is guarded by the node's
-// mutex (see nodeCtl).
+// id, beginSim and logFloor never change. status and crashed are written
+// under the node's mutex and read anywhere; every other field is guarded by
+// the node's mutex (see nodeCtl).
 type txnState struct {
 	id      wal.TxnID
 	status  atomic.Int32 // a TxnStatus
@@ -118,12 +118,17 @@ type txnState struct {
 	// beginSim is the node's simulated clock at Begin, for commit-latency
 	// observation.
 	beginSim int64
+	// logFloor is the node log's next LSN at Begin: a lower bound on the
+	// transaction's first record, for Checkpoint's low-water mark.
+	logFloor wal.LSN
 	// locks are the locks the transaction holds, in grant order; wants are
 	// its requests not yet granted (at most one, unless its driver moved on
 	// from a queued request). See locks.go.
 	locks, wants []LockEntry
-	// writes lists the updates the transaction applied (node-local; used
-	// for commit-time tag clearing and by the IFA oracle).
+	// writes lists the undoable (non-NTA) updates the transaction applied, in
+	// order, with their log positions: the index of its undo chain (an update
+	// record's PrevLSN is the tail's LSN; Abort starts at the tail), the slots
+	// whose tags Commit clears, and the IFA oracle's input.
 	writes []writeRec
 	// nta > 0 while a nested top-level action is open.
 	nta uint64
@@ -138,6 +143,15 @@ type txnState struct {
 	lockBuf  [8]LockEntry
 	wantBuf  [1]LockEntry
 	writeBuf [8]writeRec
+}
+
+// lastUndoable returns the LSN of the transaction's most recent undoable
+// update, 0 if none (or not logged yet: AblatedNoLBM). Caller holds nc.mu.
+func (st *txnState) lastUndoable() wal.LSN {
+	if n := len(st.writes); n > 0 {
+		return st.writes[n-1].lsn
+	}
+	return 0
 }
 
 // stat returns the transaction's lifecycle state.
@@ -508,7 +522,7 @@ func (db *DB) Begin(nd machine.NodeID) (wal.TxnID, error) {
 	}
 	now := db.M.Clock(nd)
 	nc := &db.nodes[nd]
-	st := &txnState{beginSim: now}
+	st := &txnState{beginSim: now, logFloor: db.Logs[nd].NextLSN()}
 	st.locks, st.wants, st.writes = st.lockBuf[:0], st.wantBuf[:0], st.writeBuf[:0]
 	nc.mu.Lock()
 	st.id = wal.MakeTxnID(nd, nc.seq.Load()+1)

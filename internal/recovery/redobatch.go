@@ -4,7 +4,6 @@ import (
 	"smdb/internal/heap"
 	"smdb/internal/machine"
 	"smdb/internal/obs"
-	"smdb/internal/wal"
 )
 
 // Batched redo apply. The per-record apply path paid one residency probe,
@@ -15,17 +14,16 @@ import (
 // list, or one page's bucket), and consecutive candidates very often
 // share a cache line, so the batched path carves the list into maximal
 // contiguous same-line runs and pays each overhead once per run: one
-// residency probe and fetch, one pass precomputing every undo tag,
-// one GetLine covering all of the run's version checks and slot writes.
+// residency probe and fetch, one line section whose steps are all of the
+// run's version checks and slot writes (one line lock, one stripe hold, one
+// slot buffer). An undo tag is looked up, lock-free, only for an apply.
 //
 // Equivalence: candidates are applied in exactly the list order the
 // per-record path used, and every version-check decision reads the same slot
 // state (the line is quiesced during the apply phase — crashes fire only at
 // phase boundaries while recovery runs), so RedoApplied/RedoSkipped and the
 // final images are bit-identical; only machine-level fetch/acquisition
-// counts change, which the equivalence gate deliberately excludes. Undo tags
-// are precomputed *before* the line is taken, so every decision of a run is
-// made at one instant, as the per-record path's were made before its GetLine.
+// counts change, which the equivalence gate deliberately excludes.
 
 // redoRun is one maximal contiguous stretch of redo candidates that share a
 // cache line (hence a page) and a replaying node.
@@ -62,15 +60,15 @@ func (db *DB) applyRedoSlice(cands []redoCand, rep *RecoveryReport, ar *recArena
 		return err
 	}
 	for _, r := range runs {
-		if err := db.applyRedoRun(cands[r.lo:r.hi], r.onto, r.line, rep, ar); err != nil {
+		if err := db.applyRedoRun(cands[r.lo:r.hi], r.onto, r.line, rep); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// applyRedoRun applies one same-line run under a single stripe acquisition.
-func (db *DB) applyRedoRun(run []redoCand, onto machine.NodeID, line machine.LineID, rep *RecoveryReport, ar *recArena) error {
+// applyRedoRun applies one same-line run as the steps of one line section.
+func (db *DB) applyRedoRun(run []redoCand, onto machine.NodeID, line machine.LineID, rep *RecoveryReport) error {
 	page := run[0].rec.Page
 	// Selective Redo's residency probe (the "cache miss with I/O disabled"
 	// test), once per run: if the line was lost, the page fetch reinstalls
@@ -81,29 +79,16 @@ func (db *DB) applyRedoRun(run []redoCand, onto machine.NodeID, line machine.Lin
 			return err
 		}
 	}
-	needTags := db.Cfg.Protocol.UndoTagging()
-	if needTags {
-		// Restore every tag decision for the run. A tag survives only if
-		// the updating transaction is still active on a surviving node —
-		// its update stays uncommitted through recovery.
-		tags := ar.tags[:0]
-		for _, c := range run {
-			tag := machine.NoNode
-			if c.rec.Type == wal.TypeUpdate && c.rec.NTA == 0 && db.txnLive(c.rec.Txn) {
-				tag = c.rec.Txn.Node()
-			}
-			tags = append(tags, tag)
-		}
-		ar.tags = tags
-	}
-	if err := db.M.GetLine(onto, line); err != nil {
+	var sec machine.Section
+	if err := db.M.Enter(&sec, onto, line); err != nil {
 		return err
 	}
 	applied, skipped, bytes := 0, 0, 0
 	var werr error
-	for k, c := range run {
+	var buf heap.SlotBuf
+	for _, c := range run {
 		rid := heap.RID{Page: c.rec.Page, Slot: c.rec.Slot}
-		cur, err := db.Store.ReadSlot(onto, rid)
+		cur, err := db.Store.ReadSlotIn(&sec, rid, &buf)
 		if err != nil {
 			werr = err
 			break
@@ -113,20 +98,16 @@ func (db *DB) applyRedoRun(run []redoCand, onto machine.NodeID, line machine.Lin
 			continue
 		}
 		flags, data := splitImage(c.rec.After)
-		tag := machine.NoNode
-		if needTags {
-			tag = ar.tags[k]
-		}
-		if err := db.Store.WriteSlot(onto, rid, heap.SlotData{
-			Tag: tag, Flags: flags, Version: c.rec.Version, Data: data,
-		}); err != nil {
+		if err := db.Store.WriteSlotIn(&sec, rid, heap.SlotData{
+			Tag: db.redoTag(c.rec), Flags: flags, Version: c.rec.Version, Data: data,
+		}, &buf); err != nil {
 			werr = err
 			break
 		}
 		applied++
 		bytes += len(c.rec.After)
 	}
-	db.mustRelease(onto, line)
+	db.mustLeave(&sec, onto)
 	if applied > 0 {
 		db.BM.MarkDirty(page)
 	}

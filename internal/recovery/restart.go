@@ -612,6 +612,16 @@ func (db *DB) txnLive(t wal.TxnID) bool {
 	return st != nil && st.live()
 }
 
+// redoTag is the undo tag a slot gets when rec is redone into it: the
+// updating node's if rec is an undoable update of a transaction still active
+// on a surviving node (it stays uncommitted through recovery), else none.
+func (db *DB) redoTag(rec *wal.Record) machine.NodeID {
+	if db.Cfg.Protocol.UndoTagging() && rec.Type == wal.TypeUpdate && rec.NTA == 0 && db.txnLive(rec.Txn) {
+		return rec.Txn.Node()
+	}
+	return machine.NoNode
+}
+
 // redoCand is one redo candidate produced by the scan phase: a log record
 // whose effect may be missing, plus the node that will replay it. It refers
 // to the record where the attempt's view holds it (see logView).
@@ -747,7 +757,7 @@ func (db *DB) probeRedoSlice(cands []redoCand) error {
 // applyRedo is the redo apply phase: version-checked, idempotent replay of
 // each part, batched into same-line runs (see redobatch.go), with per-part
 // counter shards merged in part order. Each worker slot applies through its
-// own reusable arena (run carving + tag scratch); chunks are weighted by part
+// own reusable arena (run carving); chunks are weighted by part
 // size.
 func (db *DB) applyRedo(parts [][]redoCand, rep *RecoveryReport) error {
 	shards := make([]RecoveryReport, len(parts))
@@ -788,7 +798,8 @@ func (db *DB) redoRecord(nd machine.NodeID, rec *wal.Record, rid heap.RID, rep *
 			return err
 		}
 	}
-	cur, err := db.Store.ReadSlot(nd, rid)
+	var buf heap.SlotBuf
+	cur, err := db.Store.ReadSlot(nd, rid, &buf)
 	if err != nil {
 		return err
 	}
@@ -800,19 +811,12 @@ func (db *DB) redoRecord(nd machine.NodeID, rec *wal.Record, rid heap.RID, rep *
 		return nil
 	}
 	flags, data := splitImage(rec.After)
-	tag := machine.NoNode
-	if db.Cfg.Protocol.UndoTagging() && rec.Type == wal.TypeUpdate && rec.NTA == 0 {
-		// Restore the undo tag if the updating transaction is still
-		// active on a surviving node (its update stays uncommitted).
-		if db.txnLive(rec.Txn) {
-			tag = rec.Txn.Node()
-		}
-	}
-	if err := db.M.GetLine(nd, line); err != nil {
+	var sec machine.Section
+	if err := db.M.Enter(&sec, nd, line); err != nil {
 		return err
 	}
-	err = db.Store.WriteSlot(nd, rid, heap.SlotData{Tag: tag, Flags: flags, Version: rec.Version, Data: data})
-	db.mustRelease(nd, line)
+	err = db.Store.WriteSlotIn(&sec, rid, heap.SlotData{Tag: db.redoTag(rec), Flags: flags, Version: rec.Version, Data: data}, &buf)
+	db.mustLeave(&sec, nd)
 	if err != nil {
 		return err
 	}
@@ -1011,6 +1015,7 @@ type tagAction struct {
 func (db *DB) scanNodeTags(nd machine.NodeID, down map[machine.NodeID]bool, taggerIndex func(machine.NodeID) map[slotVer]wal.TxnID) ([]tagAction, int, error) {
 	var acts []tagAction
 	lines := 0
+	var buf heap.SlotBuf
 	for _, l := range db.M.CachedLines(nd) {
 		p, firstSlot, ok := db.Store.SlotOfLine(l)
 		if !ok {
@@ -1019,7 +1024,7 @@ func (db *DB) scanNodeTags(nd machine.NodeID, down map[machine.NodeID]bool, tagg
 		lines++
 		for i := 0; i < db.Store.Layout.RecsPerLine; i++ {
 			rid := heap.RID{Page: p, Slot: uint16(firstSlot + i)}
-			sd, err := db.Store.ReadSlot(nd, rid)
+			sd, err := db.Store.ReadSlot(nd, rid, &buf)
 			if err != nil {
 				return nil, lines, err
 			}
@@ -1067,11 +1072,12 @@ func (db *DB) clearStaleTag(nd machine.NodeID, rid heap.RID) error {
 	if err != nil {
 		return err
 	}
-	if err := db.M.GetLine(nd, line); err != nil {
+	var sec machine.Section
+	if err := db.M.Enter(&sec, nd, line); err != nil {
 		return err
 	}
-	defer db.mustRelease(nd, line)
-	return db.Store.WriteTag(nd, rid, machine.NoNode)
+	defer db.mustLeave(&sec, nd)
+	return db.Store.WriteTagIn(&sec, rid, machine.NoNode)
 }
 
 // lastCommittedFromStable derives rid's last committed image without any

@@ -26,14 +26,13 @@ func plantTag(t *testing.T, db *recovery.DB, nd machine.NodeID, rid heap.RID, ta
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.M.GetLine(nd, line); err != nil {
+	var sec machine.Section
+	if err := db.M.Enter(&sec, nd, line); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Store.WriteTag(nd, rid, tag); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.M.ReleaseLine(nd, line); err != nil {
-		t.Fatal(err)
+	werr := db.Store.WriteTagIn(&sec, rid, tag)
+	if err := sec.Leave(); err != nil || werr != nil {
+		t.Fatal(werr, err)
 	}
 }
 

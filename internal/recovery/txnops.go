@@ -141,19 +141,20 @@ func (db *DB) Abort(nd machine.NodeID, t wal.TxnID) error {
 	hk := db.hk.Load()
 	wf := hk.Waterfall
 	wf.SpanStart(int64(t), int32(nd), db.M.Clock(nd), waterfall.CauseUndo)
-	// Walk the log chain into the undo set; install in reverse log order,
-	// first touch per slot.
+	// Walk the undo chain (t's undoable updates, each naming the one before
+	// it) into the undo set; install in reverse log order, first touch per slot.
 	undo := make(undoSet)
 	var order []heap.RID
-	for lsn := db.Logs[nd].LastLSNOf(t); lsn != 0; {
+	nc.mu.Lock()
+	lsn := st.lastUndoable()
+	nc.mu.Unlock()
+	for lsn != 0 {
 		rec, ok := db.Logs[nd].Get(lsn)
-		if !ok {
-			return fmt.Errorf("recovery: broken log chain for %v at LSN %d", t, lsn)
+		if !ok || rec.Txn != t || rec.Type != wal.TypeUpdate {
+			return fmt.Errorf("recovery: broken undo chain for %v at LSN %d", t, lsn)
 		}
-		if rec.Type == wal.TypeUpdate && rec.NTA == 0 {
-			if rid, fresh := undo.add(&rec); fresh {
-				order = append(order, rid)
-			}
+		if rid, fresh := undo.add(&rec); fresh {
+			order = append(order, rid)
 		}
 		lsn = rec.PrevLSN
 	}
@@ -184,7 +185,7 @@ type slotUndo struct {
 }
 
 // undoSet is one transaction's rollback. Abort feeds it newest record first
-// (the PrevLSN chain), undoCrashed oldest first (a stable-log scan); versions
+// (the undo chain), undoCrashed oldest first (a stable-log scan); versions
 // only grow, so the lowest marks the earliest update either way. Each feeder
 // installs in its own order.
 type undoSet map[heap.RID]*slotUndo
@@ -227,23 +228,11 @@ func (db *DB) undoSlot(nd machine.NodeID, t wal.TxnID, rid heap.RID, su *slotUnd
 // fresh version, a null undo tag, and a compensation log record. It is the
 // shared undo mechanism of transaction abort and restart recovery.
 func (db *DB) installImage(nd machine.NodeID, rid heap.RID, img []byte, t wal.TxnID) error {
-	if err := db.BM.Fetch(nd, rid.Page); err != nil {
+	var hs, ls machine.Section
+	if err := db.enterSlot(nd, rid, &hs, &ls); err != nil {
 		return err
 	}
-	line, _, err := db.Store.LineOf(rid)
-	if err != nil {
-		return err
-	}
-	hdr := db.Store.HeaderLine(rid.Page)
-	if err := db.M.GetLine(nd, hdr); err != nil {
-		return err
-	}
-	if err := db.M.GetLine(nd, line); err != nil {
-		db.mustRelease(nd, hdr)
-		return err
-	}
-	defer db.mustRelease(nd, hdr)
-	defer db.mustRelease(nd, line)
+	defer db.leaveSlot(nd, &hs, &ls)
 
 	version := db.NextVersion()
 	flags, data := splitImage(img)
@@ -252,16 +241,13 @@ func (db *DB) installImage(nd machine.NodeID, rid heap.RID, img []byte, t wal.Tx
 		Version: version, After: img,
 	})
 	db.BM.NoteUpdate(rid.Page, nd, lsn)
-	if err := db.Store.WriteSlot(nd, rid, heap.SlotData{
+	var buf heap.SlotBuf
+	if err := db.Store.WriteSlotIn(&ls, rid, heap.SlotData{
 		Tag: machine.NoNode, Flags: flags, Version: version, Data: data,
-	}); err != nil {
+	}, &buf); err != nil {
 		return err
 	}
-	if err := db.Store.SetPageVersion(nd, rid.Page, version); err != nil {
-		return err
-	}
-	db.BM.MarkDirty(rid.Page)
-	return nil
+	return db.stampPage(&hs, &ls, rid, version)
 }
 
 // BeginNTA opens a nested top-level action for t (a structural change such
@@ -311,10 +297,10 @@ func (db *DB) EndNTA(nd machine.NodeID, t wal.TxnID, nta uint64) error {
 
 // Checkpoint flushes every dirty page (with WAL enforcement), writes a
 // forced checkpoint record to every live node's log, and reclaims log
-// space: everything below both the checkpoint record and the earliest
-// record of any still-active transaction on that node is discarded —
-// committed effects below the horizon are in the stable database (the
-// flush above), and active transactions keep their full undo chains.
+// space: everything below both the checkpoint record and the point the
+// node's log had reached when its oldest still-active transaction began is
+// discarded — committed effects below the horizon are in the stable database
+// (the flush above), and active transactions keep their full undo chains.
 // Restart redo scans begin at each node's last checkpoint.
 func (db *DB) Checkpoint(nd machine.NodeID) error {
 	if err := db.BM.FlushAll(nd); err != nil {
@@ -331,10 +317,8 @@ func (db *DB) Checkpoint(nd machine.NodeID) error {
 		nc := &db.nodes[n]
 		nc.mu.Lock()
 		nc.each(func(st *txnState) {
-			if st.live() {
-				if f := db.Logs[n].FirstLSNOf(st.id); f > 0 && f < low {
-					low = f
-				}
+			if st.live() && st.logFloor < low {
+				low = st.logFloor
 			}
 		})
 		nc.mu.Unlock()

@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"fmt"
+	"slices"
 
 	"smdb/internal/heap"
 	"smdb/internal/machine"
@@ -34,6 +35,8 @@ import (
 // the other steps, before a crash is injected, and before a log force. The
 // log append, the (page, LSN) note and the deferred-record append run under
 // the record line's stripe (lock order: stripe, node mutex, log mutex).
+// A forward update (applyChange) and an undo install (installImage) are the
+// same bracket (enterSlot, leaveSlot) and page-stamp tail (stampPage).
 
 // SlotImage packs a slot's logical content (flags byte + record payload)
 // into the form stored in log records' Before/After images. Undo tags and
@@ -53,12 +56,18 @@ func splitImage(img []byte) (flags byte, data []byte) {
 
 // Read returns rid's slot on behalf of node nd, fetching the page if
 // needed. Callers are responsible for holding a shared record lock (unless
-// dirty reads are configured).
+// dirty reads are configured). The result's Data is the caller's own.
 func (db *DB) Read(nd machine.NodeID, rid heap.RID) (heap.SlotData, error) {
 	if err := db.BM.Fetch(nd, rid.Page); err != nil {
 		return heap.SlotData{}, err
 	}
-	return db.Store.ReadSlot(nd, rid)
+	var buf heap.SlotBuf
+	sd, err := db.Store.ReadSlot(nd, rid, &buf)
+	if err != nil {
+		return heap.SlotData{}, err
+	}
+	// Not sd with Data replaced: returning sd would move buf to the heap.
+	return heap.SlotData{Tag: sd.Tag, Flags: sd.Flags, Version: sd.Version, Data: slices.Clone(sd.Data)}, nil
 }
 
 // Update applies an in-place record update for transaction t. The caller
@@ -117,7 +126,8 @@ const (
 
 // applyChange is the update protocol proper. Its bookkeeping — the write
 // record, the oracle, the counters — is one section of the node's mutex,
-// taken after the last machine call.
+// taken after the last machine call; one before the first reads where the
+// transaction's undo chain ends.
 func (db *DB) applyChange(nd machine.NodeID, t wal.TxnID, rid heap.RID, newFlags byte, newData []byte, nta uint64, op changeOp) error {
 	nc, st, err := db.txn(t)
 	if err != nil {
@@ -129,6 +139,9 @@ func (db *DB) applyChange(nd machine.NodeID, t wal.TxnID, rid heap.RID, newFlags
 	if t.Node() != nd {
 		return fmt.Errorf("recovery: %v runs on node %d, not %d", t, t.Node(), nd)
 	}
+	nc.mu.Lock()
+	prev := st.lastUndoable()
+	nc.mu.Unlock()
 	// The update is an instrumented operation: its line waits, fetch waits,
 	// and eager-LBM forces are attributed individually below, and whatever
 	// sim time remains unexplained lands in the compute residue. Reentrant
@@ -138,31 +151,11 @@ func (db *DB) applyChange(nd machine.NodeID, t wal.TxnID, rid heap.RID, newFlags
 		wf.OpStart(int64(t), int32(nd), db.M.Clock(nd))
 		defer func() { wf.OpEnd(int64(t), int32(nd), db.M.Clock(nd)) }()
 	}
-	if err := db.BM.Fetch(nd, rid.Page); err != nil {
-		return err
-	}
-	line, _, err := db.Store.LineOf(rid)
-	if err != nil {
-		return err
-	}
-	hdr := db.Store.HeaderLine(rid.Page)
-
-	// Critical section: header line first, then the record's line (a fixed
-	// order; both are within one page, so no cross-page nesting occurs).
 	var hs, ls machine.Section
-	if err := db.M.Enter(&hs, nd, hdr); err != nil {
+	if err := db.enterSlot(nd, rid, &hs, &ls); err != nil {
 		return err
 	}
-	hs.Yield()
-	if err := db.M.Enter(&ls, nd, line); err != nil {
-		db.mustLeave(&hs, nd)
-		return err
-	}
-	defer func() {
-		hs.Yield()
-		db.mustLeave(&ls, nd)
-		db.mustLeave(&hs, nd)
-	}()
+	defer db.leaveSlot(nd, &hs, &ls)
 
 	var buf heap.SlotBuf
 	cur, err := db.Store.ReadSlotIn(&ls, rid, &buf)
@@ -177,7 +170,7 @@ func (db *DB) applyChange(nd machine.NodeID, t wal.TxnID, rid heap.RID, newFlags
 	// AblatedNoLBM control defers the append to commit time instead,
 	// deliberately breaking the guarantee.
 	rec := wal.Record{
-		Type: wal.TypeUpdate, Txn: t, Page: rid.Page, Slot: rid.Slot,
+		Type: wal.TypeUpdate, Txn: t, PrevLSN: prev, Page: rid.Page, Slot: rid.Slot,
 		Version: version, Before: before, After: after, NTA: nta,
 	}
 	var lsn wal.LSN
@@ -249,22 +242,63 @@ func (db *DB) applyChange(nd machine.NodeID, t wal.TxnID, rid heap.RID, newFlags
 		// invalidated before the model — and through it the explainer and
 		// the auditor — knows about the uncommitted data.
 		slot := int64(rid.Page)<<16 | int64(rid.Slot)
+		line, _, _ := db.Store.LineOf(rid) // valid: ls is a section on it
 		m.NoteWrite(int64(t), int32(nd), int32(line), slot, int64(lsn), db.M.Clock(nd))
 	}
 	return nil
 }
 
-// lbmAfterWrite is what applyChange owes a slot it has just written, still
-// inside the critical sections hs (the page's header line) and ls (the
-// record's line): the page version, the dirty mark, and the protocol's
-// logging-before-migration step for the update logged at lsn.
-func (db *DB) lbmAfterWrite(nc *nodeCtl, t wal.TxnID, rid heap.RID, hs, ls *machine.Section, version uint64, lsn wal.LSN) error {
+// enterSlot opens the critical section a slot write by node nd runs in: the
+// page is fetched, then hs enters its header line and ls the record's line,
+// in that fixed order (one page, so no cross-page nesting). It returns with
+// ls holding its stripe and hs yielded; on error neither section is open.
+func (db *DB) enterSlot(nd machine.NodeID, rid heap.RID, hs, ls *machine.Section) error {
+	if err := db.BM.Fetch(nd, rid.Page); err != nil {
+		return err
+	}
+	line, _, err := db.Store.LineOf(rid)
+	if err != nil {
+		return err
+	}
+	if err := db.M.Enter(hs, nd, db.Store.HeaderLine(rid.Page)); err != nil {
+		return err
+	}
+	hs.Yield()
+	if err := db.M.Enter(ls, nd, line); err != nil {
+		db.mustLeave(hs, nd)
+		return err
+	}
+	return nil
+}
+
+// leaveSlot closes what enterSlot opened: the record's line first, then the
+// header.
+func (db *DB) leaveSlot(nd machine.NodeID, hs, ls *machine.Section) {
+	hs.Yield()
+	db.mustLeave(ls, nd)
+	db.mustLeave(hs, nd)
+}
+
+// stampPage is the tail of a slot write inside enterSlot's sections: page
+// version onto the header line, then the dirty mark. It leaves both yielded.
+func (db *DB) stampPage(hs, ls *machine.Section, rid heap.RID, version uint64) error {
 	ls.Yield()
 	if err := db.Store.SetPageVersionIn(hs, rid.Page, version); err != nil {
 		return err
 	}
 	hs.Yield()
 	db.BM.MarkDirty(rid.Page)
+	return nil
+}
+
+// lbmAfterWrite is what applyChange owes a slot it has just written, still
+// inside the critical sections hs (the page's header line) and ls (the
+// record's line): the page stamp and the protocol's logging-before-migration
+// step for the update logged at lsn.
+func (db *DB) lbmAfterWrite(nc *nodeCtl, t wal.TxnID, rid heap.RID, hs, ls *machine.Section, version uint64, lsn wal.LSN) error {
+	if err := db.stampPage(hs, ls, rid, version); err != nil {
+		return err
+	}
 
 	switch db.Cfg.Protocol {
 	case StableEager:
@@ -324,21 +358,11 @@ func (db *DB) lbmTrigger(ev machine.Event) (int64, error) {
 	return 0, nil
 }
 
-// mustRelease releases a line lock, panicking on protocol violations (they
-// are bugs, not runtime conditions). The one tolerated failure: the node
-// crashed while this goroutine was inside the critical section — the
-// machine already broke its line locks, and a real crashed CPU would simply
-// have stopped executing here.
-func (db *DB) mustRelease(nd machine.NodeID, l machine.LineID) {
-	if err := db.M.ReleaseLine(nd, l); err != nil {
-		if !db.M.Alive(nd) {
-			return
-		}
-		panic(fmt.Sprintf("recovery: releasing line %d on node %d: %v", l, nd, err))
-	}
-}
-
-// mustLeave is mustRelease for node nd's line section sec.
+// mustLeave ends node nd's line section sec, panicking on protocol
+// violations (they are bugs, not runtime conditions). The one tolerated
+// failure: the node crashed while this goroutine was inside the critical
+// section — the machine already broke its line locks, and a real crashed CPU
+// would simply have stopped executing here.
 func (db *DB) mustLeave(sec *machine.Section, nd machine.NodeID) {
 	if err := sec.Leave(); err != nil && db.M.Alive(nd) {
 		panic(fmt.Sprintf("recovery: leaving a line section on node %d: %v", nd, err))

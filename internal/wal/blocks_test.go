@@ -12,37 +12,20 @@ import (
 // blocks: one slice of records, one device buffer. It is kept here only as
 // the oracle the block log is compared against.
 type flatLog struct {
-	recs       []Record
-	first      LSN
-	forced     int
-	down       bool
-	dev        []byte
-	lastByTxn  map[TxnID]LSN
-	firstByTxn map[TxnID]LSN
+	recs   []Record
+	first  LSN
+	forced int
+	down   bool
+	dev    []byte
 }
 
-func newFlatLog() *flatLog {
-	return &flatLog{first: 1, lastByTxn: map[TxnID]LSN{}, firstByTxn: map[TxnID]LSN{}}
-}
-
-func (f *flatLog) index(r *Record) {
-	if r.Txn != 0 {
-		f.lastByTxn[r.Txn] = r.LSN
-		if _, ok := f.firstByTxn[r.Txn]; !ok {
-			f.firstByTxn[r.Txn] = r.LSN
-		}
-	}
-}
+func newFlatLog() *flatLog { return &flatLog{first: 1} }
 
 func (f *flatLog) append(r Record) LSN {
 	if f.down {
 		return 0
 	}
 	r.LSN = f.first + LSN(len(f.recs))
-	if r.Txn != 0 {
-		r.PrevLSN = f.lastByTxn[r.Txn]
-	}
-	f.index(&r)
 	f.recs = append(f.recs, r)
 	return r.LSN
 }
@@ -102,10 +85,6 @@ func (f *flatLog) crash() int {
 	f.down = true
 	lost := len(f.recs) - f.forced
 	f.recs = f.recs[:f.forced]
-	f.lastByTxn, f.firstByTxn = map[TxnID]LSN{}, map[TxnID]LSN{}
-	for i := range f.recs {
-		f.index(&f.recs[i])
-	}
 	return lost
 }
 
@@ -128,12 +107,6 @@ func (f *flatLog) discardThrough(upto LSN) int {
 	f.first = upto + 1
 	f.forced -= drop
 	f.dev = f.encode(0, f.forced)
-	for t, last := range f.lastByTxn {
-		if last < f.first {
-			delete(f.lastByTxn, t)
-			delete(f.firstByTxn, t)
-		}
-	}
 	return drop
 }
 
@@ -154,7 +127,8 @@ func TestBlockLogMatchesFlatLog(t *testing.T) {
 		t.Helper()
 		for i := 0; i < n; i++ {
 			seq++
-			r := Record{Type: TypeUpdate, Txn: txns[seq%len(txns)], Page: 3, Slot: uint16(seq),
+			// PrevLSN is the writer's: the log stores it as handed in.
+			r := Record{Type: TypeUpdate, Txn: txns[seq%len(txns)], PrevLSN: LSN(seq / 2), Page: 3, Slot: uint16(seq),
 				Version: uint64(seq), Before: []byte{byte(seq)}, After: bytes.Repeat([]byte{byte(seq)}, seq%40)}
 			if r.Txn == 0 {
 				r = Record{Type: TypeCheckpoint}
@@ -205,12 +179,6 @@ func TestBlockLogMatchesFlatLog(t *testing.T) {
 			l.Scan(1, func(Record) bool { n++; return n < stopAfter })
 			if want := min(stopAfter, len(f.recs)); n != want {
 				t.Fatalf("%s: Scan stopped after %d records, want %d", step, n, want)
-			}
-		}
-		for _, txn := range txns[:3] {
-			if l.FirstLSNOf(txn) != f.firstByTxn[txn] || l.LastLSNOf(txn) != f.lastByTxn[txn] {
-				t.Fatalf("%s: First/LastLSNOf(%v) = %d/%d, oracle %d/%d", step, txn,
-					l.FirstLSNOf(txn), l.LastLSNOf(txn), f.firstByTxn[txn], f.lastByTxn[txn])
 			}
 		}
 		if !bytes.Equal(dev.Contents(), f.dev) {

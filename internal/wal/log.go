@@ -32,15 +32,11 @@ type Log struct {
 	// i has LSN first+i and sits at position off+i of the block list (see
 	// at); the first forced of them are stable. DiscardThrough drops whole
 	// blocks and moves off within the first one that stays.
-	blocks    []*block
-	off, n    int
-	first     LSN // LSN of record 0; records below first have been discarded
-	forced    int // count of stable records still retained
-	lastCkpt  LSN // LSN of the most recent checkpoint record, 0 if none
-	lastByTxn map[TxnID]LSN
-	// firstByTxn records each transaction's earliest LSN, the input to the
-	// truncation low-water mark.
-	firstByTxn map[TxnID]LSN
+	blocks   []*block
+	off, n   int
+	first    LSN // LSN of record 0; records below first have been discarded
+	forced   int // count of stable records still retained
+	lastCkpt LSN // LSN of the most recent checkpoint record, 0 if none
 	// enc is the encode buffer every device write is marshalled into; the
 	// device copies what it is handed, so the buffer is reused from one
 	// force to the next.
@@ -119,8 +115,7 @@ func NewLog(n machine.NodeID, dev *storage.LogDevice) (*Log, error) {
 // safe to call with no engine lock held and from under a machine stripe
 // (machine.Clock qualifies).
 func NewClockedLog(n machine.NodeID, dev *storage.LogDevice, clock func() int64) (*Log, error) {
-	l := &Log{node: n, dev: dev, first: 1, clock: clock,
-		lastByTxn: make(map[TxnID]LSN), firstByTxn: make(map[TxnID]LSN)}
+	l := &Log{node: n, dev: dev, first: 1, clock: clock}
 	if dev.Size() > 0 {
 		contents := dev.Contents()
 		l.forced, l.tornBytes = repairTail(dev, contents)
@@ -129,10 +124,6 @@ func NewClockedLog(n machine.NodeID, dev *storage.LogDevice, clock func() int64)
 			l.push(&recs[i])
 			if recs[i].Type == TypeCheckpoint {
 				l.lastCkpt = recs[i].LSN
-			}
-			l.lastByTxn[recs[i].Txn] = recs[i].LSN
-			if _, ok := l.firstByTxn[recs[i].Txn]; !ok {
-				l.firstByTxn[recs[i].Txn] = recs[i].LSN
 			}
 		}
 	}
@@ -163,9 +154,8 @@ func EncodedSize(r *Record) int {
 // accounting in experiments).
 func (l *Log) Device() *storage.LogDevice { return l.dev }
 
-// Append adds r to the volatile tail, assigning and returning its LSN.
-// PrevLSN is filled in automatically from the transaction's previous record
-// in this log (zero for its first).
+// Append adds r to the volatile tail, assigning and returning its LSN. The
+// log keeps no per-transaction state: PrevLSN is stored as the caller set it.
 // Append returns LSN 0, appending nothing, while the node is down.
 func (l *Log) Append(r Record) LSN {
 	l.mu.Lock()
@@ -174,13 +164,6 @@ func (l *Log) Append(r Record) LSN {
 		return 0
 	}
 	r.LSN = l.first + LSN(l.n)
-	if r.Txn != 0 {
-		r.PrevLSN = l.lastByTxn[r.Txn]
-		l.lastByTxn[r.Txn] = r.LSN
-		if _, ok := l.firstByTxn[r.Txn]; !ok {
-			l.firstByTxn[r.Txn] = r.LSN
-		}
-	}
 	if r.Type == TypeCheckpoint {
 		l.lastCkpt = r.LSN
 	}
@@ -355,22 +338,12 @@ func (l *Log) Crash() int {
 	lost := l.n - l.forced
 	l.n = l.forced
 	l.blocks = l.blocks[:(l.off+l.n+blockLen-1)/blockLen]
-	// Rebuild per-transaction chains and checkpoint marker from what
-	// survived.
-	l.lastByTxn = make(map[TxnID]LSN)
-	l.firstByTxn = make(map[TxnID]LSN)
+	// Find the checkpoint marker again among what survived.
 	l.lastCkpt = 0
 	l.span(0, l.n, func(run []Record) bool {
 		for i := range run {
-			r := &run[i]
-			if r.Txn != 0 {
-				l.lastByTxn[r.Txn] = r.LSN
-				if _, ok := l.firstByTxn[r.Txn]; !ok {
-					l.firstByTxn[r.Txn] = r.LSN
-				}
-			}
-			if r.Type == TypeCheckpoint {
-				l.lastCkpt = r.LSN
+			if run[i].Type == TypeCheckpoint {
+				l.lastCkpt = run[i].LSN
 			}
 		}
 		return true
@@ -484,28 +457,11 @@ func (l *Log) Get(lsn LSN) (Record, bool) {
 	return *l.at(int(lsn - l.first)), true
 }
 
-// LastLSNOf returns the LSN of the transaction's most recent record in this
-// log (0 if none). Abort walks the PrevLSN chain from here.
-func (l *Log) LastLSNOf(t TxnID) LSN {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lastByTxn[t]
-}
-
 // Len returns the number of records (stable + volatile).
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.n
-}
-
-// FirstLSNOf returns the LSN of the transaction's earliest retained record
-// (0 if none). It is the per-transaction component of the truncation
-// low-water mark.
-func (l *Log) FirstLSNOf(t TxnID) LSN {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.firstByTxn[t]
 }
 
 // FirstLSN returns the LSN of the oldest retained record.
@@ -519,7 +475,7 @@ func (l *Log) FirstLSN() LSN {
 // LSN <= upto, from memory and from the stable device (the archive is
 // dropped). The caller — the checkpointer — guarantees upto is stable and
 // below both the last checkpoint record and every active transaction's
-// first LSN, so nothing recovery could ever need is lost. Out-of-range
+// first record, so nothing recovery could ever need is lost. Out-of-range
 // requests are clamped; discarding nothing is a no-op.
 func (l *Log) DiscardThrough(upto LSN) int {
 	l.mu.Lock()
@@ -540,13 +496,6 @@ func (l *Log) DiscardThrough(upto LSN) int {
 	l.forced -= drop
 	// Re-encode the retained stable prefix onto the device.
 	l.dev.Truncate(l.encodeLocked(0, l.forced))
-	// Forget chains that now point entirely below the horizon.
-	for t, last := range l.lastByTxn {
-		if last < l.first {
-			delete(l.lastByTxn, t)
-			delete(l.firstByTxn, t)
-		}
-	}
 	if hk := l.hk; hk != nil {
 		hk.Debt.NoteDiscard(int32(l.node), int64(l.first))
 	}

@@ -113,7 +113,8 @@ type Record struct {
 	// Txn is the transaction (or, for NTA records, the enclosing
 	// transaction) that wrote the record.
 	Txn TxnID
-	// PrevLSN chains a transaction's records within its node's log.
+	// PrevLSN is, on an update record, the LSN of the transaction's previous
+	// undoable update (0 for its first), set by the writer: the undo chain.
 	PrevLSN LSN
 	// Page and Slot locate the updated record for physical records
 	// (update, CLR).

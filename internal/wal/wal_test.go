@@ -109,19 +109,19 @@ func TestLogAppendAssignsLSNs(t *testing.T) {
 	l := newLog(t)
 	tx := MakeTxnID(0, 1)
 	l1 := l.Append(Record{Type: TypeUpdate, Txn: tx})
-	l2 := l.Append(Record{Type: TypeUpdate, Txn: tx})
-	if l1 != 1 || l2 != 2 {
-		t.Errorf("LSNs = %d, %d; want 1, 2", l1, l2)
+	l2 := l.Append(Record{Type: TypeUpdate, Txn: tx, PrevLSN: l1})
+	l3 := l.Append(Record{Type: TypeCommit, Txn: tx})
+	if l1 != 1 || l2 != 2 || l3 != 3 {
+		t.Errorf("LSNs = %d, %d, %d; want 1, 2, 3", l1, l2, l3)
 	}
-	if l.NextLSN() != 3 {
-		t.Errorf("NextLSN = %d, want 3", l.NextLSN())
+	if l.NextLSN() != 4 {
+		t.Errorf("NextLSN = %d, want 4", l.NextLSN())
 	}
-	r, ok := l.Get(2)
-	if !ok || r.PrevLSN != 1 {
-		t.Errorf("PrevLSN chain: got %+v", r)
-	}
-	if l.LastLSNOf(tx) != 2 {
-		t.Errorf("LastLSNOf = %d, want 2", l.LastLSNOf(tx))
+	// The log keeps no chain of its own: PrevLSN is what the writer set.
+	for lsn, want := range map[LSN]LSN{1: 0, 2: 1, 3: 0} {
+		if r, ok := l.Get(lsn); !ok || r.PrevLSN != want {
+			t.Errorf("record %d: PrevLSN = %d, %v; want %d as appended", lsn, r.PrevLSN, ok, want)
+		}
 	}
 }
 
@@ -176,11 +176,6 @@ func TestLogForceAndCrash(t *testing.T) {
 	if lsn := l.Append(Record{Type: TypeAbort, Txn: tx}); lsn != 4 {
 		t.Errorf("post-restart LSN = %d, want 4", lsn)
 	}
-	// The PrevLSN chain must not point at destroyed records.
-	r, _ := l.Get(4)
-	if r.PrevLSN != 3 {
-		t.Errorf("post-restart PrevLSN = %d, want 3 (last surviving record of txn)", r.PrevLSN)
-	}
 }
 
 func TestLogRecoverFromDevice(t *testing.T) {
@@ -208,9 +203,6 @@ func TestLogRecoverFromDevice(t *testing.T) {
 	}
 	if l2.ForcedLSN() != 3 {
 		t.Errorf("ForcedLSN = %d, want 3", l2.ForcedLSN())
-	}
-	if l2.LastLSNOf(tx) != 3 {
-		t.Errorf("LastLSNOf = %d, want 3", l2.LastLSNOf(tx))
 	}
 	recs := l2.Records(2)
 	if len(recs) != 2 || recs[0].Type != TypeCheckpoint {
@@ -306,7 +298,7 @@ func TestDiscardThrough(t *testing.T) {
 	ck := l.Append(Record{Type: TypeCheckpoint})            // LSN 4
 	l.ForceAll()
 
-	// The low-water mark protects t2's chain: discard through LSN 2.
+	// The caller's low-water mark protects t2's records: discard through LSN 2.
 	if n := l.DiscardThrough(2); n != 2 {
 		t.Fatalf("discarded %d, want 2", n)
 	}
@@ -325,13 +317,6 @@ func TestDiscardThrough(t *testing.T) {
 	}
 	if l.LastCheckpoint() != ck {
 		t.Errorf("LastCheckpoint = %d, want %d", l.LastCheckpoint(), ck)
-	}
-	// t1's chain is forgotten; t2's preserved.
-	if l.LastLSNOf(t1) != 0 || l.FirstLSNOf(t1) != 0 {
-		t.Error("t1's chain survived truncation")
-	}
-	if l.FirstLSNOf(t2) != 3 {
-		t.Errorf("FirstLSNOf(t2) = %d", l.FirstLSNOf(t2))
 	}
 	// The stable device was rewritten and re-bases correctly.
 	stable := l.StableRecords()
