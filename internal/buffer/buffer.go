@@ -23,7 +23,6 @@ import (
 	"smdb/internal/heap"
 	"smdb/internal/machine"
 	"smdb/internal/obs"
-	"smdb/internal/obs/hooks"
 	"smdb/internal/storage"
 	"smdb/internal/wal"
 )
@@ -81,9 +80,8 @@ type Manager struct {
 	// installs; never taken with mu or a machine stripe held.
 	bringIn [64]sync.Mutex
 
-	// hk is the attached consumer set (never nil; see SetHooks), read with
-	// no lock held.
-	hk atomic.Pointer[hooks.Set]
+	// obs is the attached observer (see SetHooks), nil when detached.
+	obs atomic.Pointer[obs.Observer]
 	// fetchHook, when non-nil, is called at every Fetch entry with no
 	// manager state held. The chaos schedule recorder uses it as a
 	// scheduling point: a fetch is where a crash-lost page is faulted back
@@ -102,12 +100,10 @@ func (b *Manager) SetFetchHook(f func(machine.NodeID, storage.PageID)) {
 	b.fetchHook.Store(&f)
 }
 
-// SetHooks publishes the consumers the manager feeds: the observer (disk
-// fetches, flushes and WAL-rule log forces, against the requesting node's
-// clock), the waterfall recorder (disk-read waits during Fetch, attributed
-// to the requesting node's current transaction) and the debt tracker
-// (dirty-page transitions). Pass the zero set to detach.
-func (b *Manager) SetHooks(h *hooks.Set) { b.hk.Store(h) }
+// SetHooks publishes the observer the manager reports to: disk fetches with
+// their cost, flushes and WAL-rule log forces against the requesting node's
+// clock, and each page's clean-to-dirty transition. Pass nil to detach.
+func (b *Manager) SetHooks(o *obs.Observer) { b.obs.Store(o) }
 
 // NewManager creates a buffer manager over the given store, disk, and
 // per-node logs.
@@ -122,7 +118,6 @@ func NewManager(store *heap.Store, disk *storage.Disk, logs []*wal.Log) *Manager
 		dirty:    make(map[storage.PageID]bool),
 		updTable: make(map[storage.PageID]map[machine.NodeID]wal.LSN),
 	}
-	b.hk.Store(new(hooks.Set))
 	return b
 }
 
@@ -172,9 +167,9 @@ func (b *Manager) Fetch(nd machine.NodeID, p storage.PageID) error {
 	b.mu.Lock()
 	b.stats.DiskFetches++
 	b.mu.Unlock()
-	hk, now := b.hk.Load(), b.Store.M.Clock(nd)
-	hk.Observer.Instant(obs.KindPageFetch, int32(nd), now, int64(p), 1)
-	hk.Waterfall.NoteFetch(int32(nd), int(p), now, cost)
+	if o := b.obs.Load(); o != nil {
+		o.Record(obs.Event{Kind: obs.KindPageFetch, Node: int32(nd), Sim: b.Store.M.Clock(nd), A: int64(p), B: 1, Dur: cost})
+	}
 	return b.Store.InstallImage(nd, p, img[:b.Store.Layout.PageBytes()], true)
 }
 
@@ -182,8 +177,13 @@ func (b *Manager) Fetch(nd machine.NodeID, p storage.PageID) error {
 func (b *Manager) MarkDirty(p storage.PageID) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.dirty[p] {
+		return
+	}
 	b.dirty[p] = true
-	b.hk.Load().Debt.NoteDirty(int64(p))
+	if o := b.obs.Load(); o != nil {
+		o.Instant(obs.KindPageDirty, obs.SystemNode, b.Store.M.MaxClock(), int64(p), 0)
+	}
 }
 
 // Dirty reports whether page p is marked dirty.
@@ -252,7 +252,7 @@ func (b *Manager) FlushPage(nd machine.NodeID, p storage.PageID) error {
 			b.mu.Lock()
 			b.stats.WALForces++
 			b.mu.Unlock()
-			b.hk.Load().Observer.ObserveLogForce(cost)
+			b.obs.Load().ObserveLogForce(cost)
 		}
 	}
 
@@ -276,15 +276,15 @@ func (b *Manager) FlushPage(nd machine.NodeID, p storage.PageID) error {
 	}
 	delete(b.dirty, p)
 	delete(b.updTable, p)
-	b.hk.Load().Debt.NoteClean(int64(p))
-	b.mu.Unlock()
-	if o := b.hk.Load().Observer; o != nil {
+	// Under mu: a page turning dirty again right after reports it after this.
+	if o := b.obs.Load(); o != nil {
 		var stole int64
 		if steal {
 			stole = 1
 		}
 		o.Instant(obs.KindPageFlush, int32(nd), b.Store.M.Clock(nd), int64(p), stole)
 	}
+	b.mu.Unlock()
 	return nil
 }
 
@@ -294,7 +294,7 @@ func (b *Manager) noteRetry(nd machine.NodeID, p storage.PageID, attempt int, ba
 	b.mu.Lock()
 	b.stats.IORetries++
 	b.mu.Unlock()
-	if o := b.hk.Load().Observer; o != nil {
+	if o := b.obs.Load(); o != nil {
 		o.Instant(obs.KindIORetry, int32(nd), b.Store.M.Clock(nd), int64(p), int64(attempt))
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"smdb/internal/machine"
 	"smdb/internal/obs"
-	"smdb/internal/obs/hooks"
 )
 
 // Experiment E2 reproduces the only measured numbers in the paper (section
@@ -48,7 +47,7 @@ func RunLineLock(contentionLevels []int, rounds int, holdNS int64) (*LineLockRes
 	for _, c := range contentionLevels {
 		m := machine.New(machine.Config{Nodes: 32, Lines: 64})
 		o := obs.New()
-		m.SetHooks(&hooks.Set{Observer: o})
+		m.SetHooks(o, nil)
 		l := m.Alloc(1)
 		if err := m.Install(0, l, make([]byte, m.LineSize())); err != nil {
 			return nil, err

@@ -7,6 +7,7 @@ import (
 
 	"smdb/internal/heap"
 	"smdb/internal/machine"
+	"smdb/internal/obs"
 	"smdb/internal/obs/debt"
 	"smdb/internal/obs/hooks"
 	"smdb/internal/recovery"
@@ -78,8 +79,10 @@ const recoveryDebtRounds = 4
 
 // recoveryDebtJudged is how many calibrated cycles each arm judges; the
 // accuracy gate takes the best ratio, so a single GC pause or scheduler
-// hiccup inflating one measured recovery cannot fail a sound estimator.
-const recoveryDebtJudged = 3
+// hiccup inflating one measured recovery cannot fail a sound estimator, and
+// the α = 0.5 EWMA halves a calibration stall per cycle: seven judged cycles
+// outlast a calibration recovery up to 65x too slow (three: 5x).
+const recoveryDebtJudged = 7
 
 // RunRecoveryDebt runs E24.
 func RunRecoveryDebt(seed int64) (*RecoveryDebtResult, error) {
@@ -127,7 +130,7 @@ func recoveryDebtArm(proto recovery.Protocol) (RecoveryDebtPoint, error) {
 		return p, err
 	}
 	d := debt.New(debt.Config{Nodes: db.M.Nodes(), LinesPerPage: db.Cfg.LinesPerPage})
-	db.Attach(hooks.Set{Debt: d})
+	db.Attach(hooks.Set{Observer: obs.NewWithCapacity(256), Debt: d})
 	mgr := txn.NewManager(db)
 
 	// Cycle 0: calibrate. The pre-crash snapshot is discarded — the tracker

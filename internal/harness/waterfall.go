@@ -7,6 +7,7 @@ import (
 
 	"smdb/internal/heap"
 	"smdb/internal/machine"
+	"smdb/internal/obs"
 	"smdb/internal/obs/hooks"
 	"smdb/internal/obs/waterfall"
 	"smdb/internal/recovery"
@@ -23,8 +24,8 @@ import (
 // log-append, log-force, frozen, undo) has a chance to appear. The gate is
 // attribution coverage: at least waterfallMinCoverage of every completed
 // transaction's measured sim latency must be explained by some cause. A
-// second sweep times the committed rounds bare vs recorded (E19-style
-// wall-clock ns/update) to report the enabled recorder's overhead.
+// second sweep times the committed rounds observed vs observed and recorded
+// (E19-style wall-clock ns/update) to report the recorder's overhead.
 type WaterfallPoint struct {
 	Protocol recovery.Protocol
 	// Completed counts closed waterfalls; Coverage is attributed/total sim
@@ -103,7 +104,7 @@ func waterfallArm(proto recovery.Protocol) (WaterfallPoint, error) {
 		return p, err
 	}
 	wf := waterfall.New(waterfall.Config{Nodes: db.M.Nodes()})
-	db.Attach(hooks.Set{Waterfall: wf})
+	db.Attach(hooks.Set{Observer: obs.NewWithCapacity(256), Waterfall: wf})
 	mgr := txn.NewManager(db)
 
 	// Committed convoy rounds: line-waits with holders, appends, forces.
@@ -215,18 +216,20 @@ func waterfallArm(proto recovery.Protocol) (WaterfallPoint, error) {
 	return p, nil
 }
 
-// waterfallOverheadArm times the committed convoy rounds with and without the
-// recorder attached (VolatileSelectiveRedo, the busiest real protocol: undo
-// tags plus volatile LBM).
+// waterfallOverheadArm times the committed convoy rounds with an observer, and
+// with or without the recorder folding its events (VolatileSelectiveRedo, the
+// busiest real protocol: undo tags plus volatile LBM).
 func waterfallOverheadArm(recorded bool) (WaterfallOverheadPoint, error) {
 	p := WaterfallOverheadPoint{Recorded: recorded}
 	db, err := seededDB(recovery.VolatileSelectiveRedo, 4, 4, defaultPages, 0)
 	if err != nil {
 		return p, err
 	}
+	set := hooks.Set{Observer: obs.NewWithCapacity(256)}
 	if recorded {
-		db.Attach(hooks.Set{Waterfall: waterfall.New(waterfall.Config{Nodes: db.M.Nodes()})})
+		set.Waterfall = waterfall.New(waterfall.Config{Nodes: db.M.Nodes()})
 	}
+	db.Attach(set)
 	mgr := txn.NewManager(db)
 	start := time.Now()
 	for round := 0; round < waterfallOverheadRounds; round++ {

@@ -8,7 +8,6 @@ import (
 
 	"smdb/internal/machine"
 	"smdb/internal/obs"
-	"smdb/internal/obs/hooks"
 	"smdb/internal/wal"
 )
 
@@ -139,10 +138,10 @@ type SMManager struct {
 	scratch  sync.Pool // of *lcbScratch
 }
 
-// SetHooks publishes the consumer the lock manager feeds: the set's
-// observer, to which grants and queued waits are reported as lock events
-// timestamped with the requesting node's clock. Pass the zero set to detach.
-func (s *SMManager) SetHooks(h *hooks.Set) { s.obs.Store(h.Observer) }
+// SetHooks publishes the observer the lock manager reports to: grants and
+// queued waits, as lock events timestamped with the requesting node's clock.
+// Pass nil to detach.
+func (s *SMManager) SetHooks(o *obs.Observer) { s.obs.Store(o) }
 
 // SetLogSuppressed disables (true) or re-enables (false) logical lock
 // logging. Restart recovery suppresses logging while it replays surviving

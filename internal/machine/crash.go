@@ -117,13 +117,6 @@ func (m *Machine) crashQuiesced(nodes []NodeID) CrashReport {
 	for _, n := range rep.Crashed {
 		m.trace(obs.KindCrash, n, int64(len(rep.LostLines)), int64(len(rep.OrphanedLines)))
 	}
-	if hk := m.hooks.Load(); hk.wf != nil {
-		// The crash destroyed these nodes' control state; their in-flight
-		// waterfalls die with them (recovery settles the transactions).
-		for _, n := range rep.Crashed {
-			hk.wf.CrashNode(int32(n))
-		}
-	}
 	if hk := m.hooks.Load(); hk.crashNotify != nil {
 		hk.crashNotify(rep)
 	}

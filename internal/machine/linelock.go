@@ -47,14 +47,11 @@ func (h *Section) acquire() error {
 	h.acquires++
 	entry := h.now()
 	contended := ln.lock.held
-	// Resolve the blocking transaction while the holder still holds: by the
-	// time the wait ends the holder may have moved on, and the waterfall's
-	// convoy explanation wants who was *actually* in the way.
-	var holderTxn int64
-	if h.hk.wf != nil && contended && ln.lock.owner != NoNode {
-		holderTxn = h.hk.wf.CurrentTxn(int32(ln.lock.owner))
-	}
+	// Name the holder while it still holds: by the time the wait ends it may
+	// have moved on, and a convoy explanation wants who was in the way.
+	holder := ln.lock.lastRel
 	if contended {
+		holder = ln.lock.owner
 		atomic.AddInt64(&m.nodes[nd].stats.LineLockContended, 1)
 	}
 	ln.lock.waiters++
@@ -118,27 +115,23 @@ func (h *Section) acquire() error {
 	// The clock moves to start+cost, unless a trigger force has already
 	// charged it past that; never backwards.
 	h.clock += max(start+cost-h.now(), 0)
-	if h.hk.obs != nil || h.hk.wf != nil {
+	if o := h.hk.obs; o != nil {
 		// Acquisition latency is the simulated interval from the caller
 		// issuing GetLine to holding the lock: queueing delay (chained
 		// through freeAt) plus the acquire cost itself.
 		lat := start + cost - entry
-		if h.hk.obs != nil {
-			h.hk.obs.ObserveLineLock(lat)
-			if contended {
-				h.hk.obs.Instant(obs.KindLineLockWait, int32(nd), start+cost, int64(l), lat)
+		o.ObserveLineLock(lat)
+		// Only real waiting is an event: a contended acquisition, or
+		// simulated queueing chained through freeAt (start > entry), which
+		// names the release it queued behind. A trigger force charged by
+		// fire is a log force, not a wait, so the event's wait leaves it out.
+		if contended || start > entry {
+			var rel int64
+			if !contended {
+				rel = start
 			}
-		}
-		// The waterfall counts real waiting only: a contended acquisition,
-		// or simulated queueing chained through freeAt (start > entry). The
-		// uncontended acquire cost itself stays in the compute residue, and a
-		// trigger force charged by fire is already the DB layer's CauseLogForce
-		// segment — subtract it so the causes don't overlap.
-		if h.hk.wf != nil && (contended || start > entry) {
-			if holderTxn == 0 {
-				holderTxn = ln.lock.lastTxn
-			}
-			h.hk.wf.NoteLineWait(int32(nd), int(l), holderTxn, start+cost, lat-trig)
+			o.Record(obs.Event{Kind: obs.KindLineLockWait, Node: int32(nd), Sim: start + cost,
+				A: int64(l), B: rel, C: int64(holder), Dur: lat - trig})
 		}
 	}
 	return nil
@@ -181,9 +174,7 @@ func (h *Section) release() error {
 		return ErrNotLockHolder
 	}
 	h.clock += h.m.cfg.Cost.LineLockRelease
-	if h.hk.wf != nil {
-		ln.lock.lastTxn = h.hk.wf.CurrentTxn(int32(h.nd))
-	}
+	ln.lock.lastRel = h.nd
 	ln.lock.held = false
 	ln.lock.owner = NoNode
 	// The lock becomes free, in simulated time, when the releasing node's

@@ -60,9 +60,7 @@ import (
 	"sync/atomic"
 
 	"smdb/internal/obs"
-	"smdb/internal/obs/hooks"
 	"smdb/internal/obs/prof"
-	"smdb/internal/obs/waterfall"
 )
 
 // NodeID identifies a processor/memory pair. Nodes are numbered from 0.
@@ -170,11 +168,10 @@ type lineLock struct {
 	// freeAt is the simulated time at which the lock last became (or will
 	// become) free; it chains queueing delay through successive holders.
 	freeAt int64
-	// lastTxn is the transaction that last released the lock (resolved at
-	// release time through the waterfall recorder's current-txn table), so
-	// a queued-but-uncontended acquisition — simulated queueing chained
-	// through freeAt — can still name the convoy it waited behind.
-	lastTxn int64
+	// lastRel is the node that last released the lock, so a queued but
+	// uncontended acquisition — simulated queueing chained through freeAt —
+	// can still name the node it waited behind.
+	lastRel NodeID
 }
 
 // line is one cache line plus its directory entry.
@@ -287,7 +284,6 @@ type hookSet struct {
 	schedNote       SchedNoteFunc
 	obs             *obs.Observer
 	prof            *prof.StripeProf
-	wf              *waterfall.Recorder
 }
 
 // InstallGateFunc is consulted by Install with the line's stripe held,
@@ -364,6 +360,7 @@ func New(cfg Config) *Machine {
 	for i := range m.lines {
 		m.lines[i].excl = NoNode
 		m.lines[i].lock.owner = NoNode
+		m.lines[i].lock.lastRel = NoNode
 	}
 	return m
 }
@@ -474,17 +471,14 @@ func (m *Machine) schedNote(nd NodeID, site string, l LineID) {
 }
 
 // SetHooks publishes the observability consumers the machine feeds: the
-// observer (coherency transitions, line-lock latencies, trigger fires,
-// crashes), the stripe profiler (every stripe acquisition, hold and condvar
-// sleep; it must be sized with at least StripeCount stripes) and the
-// waterfall recorder (line-lock waits, with the holding transaction when
-// resolvable). Pass the zero set to detach. No consumer may call back into
+// observer (coherency transitions, line-lock latencies and waits with their
+// holder node, trigger fires, crashes) and the stripe profiler (every stripe
+// acquisition, hold and condvar sleep; it must be sized with at least
+// StripeCount stripes). Pass nils to detach. No consumer may call back into
 // the Machine. Swapping mid-run is safe: a critical section straddling the
 // swap accounts only the half it saw.
-func (m *Machine) SetHooks(h *hooks.Set) {
-	m.setHooks(func(hk *hookSet) {
-		hk.obs, hk.prof, hk.wf = h.Observer, h.Stripes(), h.Waterfall
-	})
+func (m *Machine) SetHooks(o *obs.Observer, p *prof.StripeProf) {
+	m.setHooks(func(hk *hookSet) { hk.obs, hk.prof = o, p })
 }
 
 // trace records an instant event at node nd's current simulated time. Safe

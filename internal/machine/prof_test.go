@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"testing"
 
-	"smdb/internal/obs/hooks"
 	"smdb/internal/obs/prof"
 )
 
@@ -18,7 +17,7 @@ func profMachine(t testing.TB) (*Machine, *prof.StripeProf) {
 		}
 	}
 	p := prof.NewStripeProf(StripeCount)
-	m.SetHooks(&hooks.Set{Prof: &prof.Pair{Stripes: p}})
+	m.SetHooks(nil, p)
 	return m, p
 }
 
@@ -94,11 +93,11 @@ func TestProfilerCondWait(t *testing.T) {
 // half of a section saw the profiler.
 func TestProfilerDetachMidSection(t *testing.T) {
 	m, p := profMachine(t)
-	m.SetHooks(&hooks.Set{})
+	m.SetHooks(nil, nil)
 	if err := m.Write(0, 1, 0, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	m.SetHooks(&hooks.Set{Prof: &prof.Pair{Stripes: p}})
+	m.SetHooks(nil, p)
 	if err := m.Write(0, 1, 0, []byte{2}); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +137,7 @@ func TestNilProfilerDoesNotAllocate(t *testing.T) {
 // reads, and a few atomic adds).
 func BenchmarkLineLockAcquireReleaseProfiled(b *testing.B) {
 	m, l := benchMachine(b, 4)
-	m.SetHooks(&hooks.Set{Prof: prof.NewPair(StripeCount)})
+	m.SetHooks(nil, prof.NewStripeProf(StripeCount))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"smdb/internal/obs"
-	"smdb/internal/obs/hooks"
 )
 
 // lineCS drives one line-lock critical section. The property below runs the
@@ -81,7 +80,7 @@ func runSectionScript(t *testing.T, seed int64, coh Coherency, mk func(*Machine)
 
 	o := obs.New()
 	o.SetSink(eventLog{&log})
-	m.SetHooks(&hooks.Set{Observer: o})
+	m.SetHooks(o, nil)
 	// victim selects whom the transition-fault hook kills at the next
 	// transition: nobody, the node losing the line, or the node gaining it.
 	const (

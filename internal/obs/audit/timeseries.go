@@ -78,6 +78,9 @@ var kindCounter = map[obs.Kind]func(*windowCounters) *int64{
 
 // count adds one raw engine event to the window.
 func (w *windowCounters) count(e obs.Event) {
+	if e.Kind == obs.KindLineLockWait && e.B != 0 {
+		return // queued behind a release, not contended: no stall
+	}
 	if c := kindCounter[e.Kind]; c != nil {
 		*c(w)++
 	}

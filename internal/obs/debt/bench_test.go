@@ -1,16 +1,20 @@
 package debt
 
-import "testing"
+import (
+	"testing"
+
+	"smdb/internal/obs"
+)
 
 // The nil-receiver guard benchmarks: with the debt surface disabled the
-// engine's hot paths (WAL append above all) pay one pointer test and must
-// not allocate. Same convention as the obs / audit / prof guard benches.
+// event sink pays one pointer test and must not allocate. Same convention as
+// the obs / audit / prof guard benches.
 
 func BenchmarkNilTrackerNoteAppend(b *testing.B) {
 	var t *Tracker
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t.NoteAppend(0, int64(i), 1, 7, 100, int64(i))
+		t.OnEvent(obs.Event{Kind: obs.KindWALAppend, Sim: int64(i), A: int64(i), B: 1, C: 7, Dur: 100})
 	}
 }
 
@@ -18,7 +22,7 @@ func BenchmarkNilTrackerNoteForce(b *testing.B) {
 	var t *Tracker
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t.NoteForce(0, int64(i), 1, int64(i))
+		t.OnEvent(obs.Event{Kind: obs.KindWALForce, Sim: int64(i), A: 1, B: int64(i)})
 	}
 }
 
@@ -26,7 +30,7 @@ func BenchmarkNilTrackerNoteDirty(b *testing.B) {
 	var t *Tracker
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t.NoteDirty(int64(i))
+		t.OnEvent(obs.Event{Kind: obs.KindPageDirty, A: int64(i)})
 	}
 }
 
@@ -34,7 +38,7 @@ func BenchmarkLiveTrackerNoteAppend(b *testing.B) {
 	t := New(Config{Nodes: 1})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t.NoteAppend(0, int64(i+1), 1, 7, 100, int64(i))
+		t.OnEvent(obs.Event{Kind: obs.KindWALAppend, Sim: int64(i), A: int64(i + 1), B: 1, C: 7, Dur: 100})
 	}
 }
 
@@ -43,12 +47,12 @@ func BenchmarkLiveTrackerNoteAppend(b *testing.B) {
 func TestNilTrackerHooksDoNotAllocate(t *testing.T) {
 	var tr *Tracker
 	n := testing.AllocsPerRun(100, func() {
-		tr.NoteAppend(0, 1, 1, 7, 100, 0)
-		tr.NoteForce(0, 1, 1, 0)
-		tr.NoteCrash(0, 1, 0)
-		tr.NoteDiscard(0, 1)
-		tr.NoteDirty(1)
-		tr.NoteClean(1)
+		feedAppend(tr, 0, 1, 1, 7, 100, 0)
+		feedForce(tr, 0, 1, 1, 0)
+		feedCrash(tr, 0)
+		feedDiscard(tr, 0, 1)
+		feedDirty(tr, 1)
+		feedClean(tr, 1)
 		tr.RecoveryStart(1)
 		tr.RecoveryEnd(true, 0, 0, 1, 0)
 	})

@@ -2,14 +2,18 @@
 // maintained answer to "if a node crashed right now, how much replay work —
 // and how much wall time — would restart recovery cost?".
 //
-// The tracker is fed by cheap hooks on the engine's WAL append/force paths
-// and the buffer manager's dirty-page transitions, and keeps, per node and
-// globally:
+// The tracker folds the engine's event stream — it is a sink of the attached
+// hook set, like the residency model: WAL appends, forces and discards, node
+// crashes, and pages turning dirty (page-dirty) and clean again
+// (page-flush). It keeps, per node and globally:
 //
 //   - log records and bytes accumulated since the node's last safe point
-//     (the truncation low-water mark: min of the last checkpoint record and
-//     the oldest active transaction's first LSN — the same anchors
-//     wal.Log's checkpointing uses);
+//     (min of the last checkpoint record and one below the oldest active
+//     transaction's first record). DB.Checkpoint's discard horizon differs
+//     in one anchor: for a live transaction it uses the log position noted at
+//     Begin, which sits at or below the transaction's first record (other
+//     transactions may append in between), so the safe point can lie above
+//     what a checkpoint would discard through, never below it;
 //   - the oldest-active-transaction anchor and the redo/undo spans it
 //     implies (redo scans start at the last checkpoint; undo walks back to
 //     the oldest in-flight transaction's first record);
@@ -26,15 +30,13 @@
 // calibration sample for the estimator.
 //
 // Like the rest of the observability stack the tracker is nil-receiver
-// safe: every hook on a nil *Tracker is a no-op that performs no allocation,
-// so the engine's hot paths pay one pointer test when the surface is off.
-// Hooks may be called with engine locks held (the WAL mutex, the machine
-// lock inside pre-transition callbacks); the tracker only ever takes its own
-// mutex and never calls back out.
+// safe: every method on a nil *Tracker is a no-op that performs no
+// allocation. OnEvent runs under the emitting layer's locks (the WAL mutex,
+// the buffer manager's, a machine stripe inside pre-transition callbacks);
+// the tracker only ever takes its own mutex and never calls back out.
 //
-// Package debt imports only the standard library, so the engine packages
-// (wal, buffer, recovery) can call its hooks directly while obs re-exports
-// its documents — the same leaf-package arrangement as obs/prof.
+// internal/obs serves the tracker's documents through the obs.DebtSource
+// interface and so must not import this package.
 package debt
 
 import (
@@ -45,15 +47,19 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"smdb/internal/obs"
 )
 
-// Record-type codes mirrored from internal/wal (this package cannot import
-// it); only the ones the tracker classifies specially are named.
+// Record-type codes mirrored from internal/wal, so the tracker depends on no
+// engine package; only the ones the tracker classifies specially are named.
 const (
-	typeCommit     = 2
-	typeAbort      = 3
-	typeCheckpoint = 9
-	maxRecordType  = 16
+	typeCommit      = 2
+	typeAbort       = 3
+	typeCLR         = 4
+	typeLockRelease = 6
+	typeCheckpoint  = 9
+	maxRecordType   = 16
 )
 
 // Defaults for Config zero values.
@@ -114,7 +120,7 @@ type nodeState struct {
 	appends, appendBytes   int64
 	forces, crashes, drops int64
 	typeCount, typeBytes   [maxRecordType]int64
-	unattributed, lostTail int64
+	unattributed           int64
 }
 
 // anchorsLocked returns the node's checkpoint anchor, oldest-active anchor,
@@ -339,14 +345,42 @@ func (n *nodeState) syncLocked(lsn int64) {
 	n.cum = n.cum[:0]
 }
 
-// NoteAppend records one WAL append: node appended a record of the given
-// type and encoded size, owned by txn (0 for non-transactional records), at
-// simulated time sim. Called under the WAL mutex.
-func (t *Tracker) NoteAppend(node int32, lsn int64, typ uint8, txn uint64, bytes int, sim int64) {
+// OnEvent folds one engine event; kinds the tracker does not account are
+// ignored.
+func (t *Tracker) OnEvent(e obs.Event) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	switch e.Kind {
+	case obs.KindWALAppend:
+		t.appendLocked(e.Node, e.A, uint8(e.B), uint64(e.C), e.Dur, e.Sim)
+	case obs.KindWALForce:
+		if e.A == 0 { // a torn force may have made nothing stable
+			return
+		}
+		n := t.nodeLocked(e.Node)
+		if e.B > n.forced {
+			n.forced = e.B
+		}
+		n.forces++
+		t.tickLocked(e.Sim).Forces++
+	case obs.KindWALDiscard:
+		t.discardLocked(e.Node, e.A)
+	case obs.KindCrash:
+		t.nodeLocked(e.Node).crashLocked()
+	case obs.KindPageDirty:
+		t.dirty[e.A] = struct{}{}
+	case obs.KindPageFlush:
+		delete(t.dirty, e.A)
+	}
+}
+
+// appendLocked records one WAL append: node appended a record of the given
+// type and encoded size, owned by txn (0 for non-transactional records), at
+// simulated time sim.
+func (t *Tracker) appendLocked(node int32, lsn int64, typ uint8, txn uint64, bytes, sim int64) {
 	n := t.nodeLocked(node)
 	if lsn != n.last+1 {
 		n.syncLocked(lsn)
@@ -356,16 +390,16 @@ func (t *Tracker) NoteAppend(node int32, lsn int64, typ uint8, txn uint64, bytes
 	if len(n.cum) > 0 {
 		prev = n.cum[len(n.cum)-1]
 	}
-	n.cum = append(n.cum, prev+int64(bytes))
+	n.cum = append(n.cum, prev+bytes)
 	n.appends++
-	n.appendBytes += int64(bytes)
+	n.appendBytes += bytes
 	if int(typ) < maxRecordType {
 		n.typeCount[typ]++
-		n.typeBytes[typ] += int64(bytes)
+		n.typeBytes[typ] += bytes
 	}
 	w := t.tickLocked(sim)
 	w.Appends++
-	w.Bytes += int64(bytes)
+	w.Bytes += bytes
 	switch {
 	case typ == typeCheckpoint:
 		n.lastCkpt = lsn
@@ -374,6 +408,12 @@ func (t *Tracker) NoteAppend(node int32, lsn int64, typ uint8, txn uint64, bytes
 		switch typ {
 		case typeCommit, typeAbort:
 			delete(n.active, txn)
+		case typeCLR, typeLockRelease:
+			// Neither opens a transaction: a lock release follows its
+			// transaction's commit or abort record, and a CLR is written by
+			// an abort already open here or by restart recovery for a
+			// transaction that died with another node (or for an undo tag,
+			// under no transaction at all).
 		default:
 			if n.active == nil {
 				n.active = make(map[uint64]int64)
@@ -385,49 +425,21 @@ func (t *Tracker) NoteAppend(node int32, lsn int64, typ uint8, txn uint64, bytes
 	default:
 		n.unattributed++
 	}
-	t.mu.Unlock()
 }
 
-// NoteForce records a physical log force on node through LSN forced,
-// covering `records` records. Called under the WAL mutex (possibly inside a
-// machine pre-transition callback).
-func (t *Tracker) NoteForce(node int32, forced int64, records int, sim int64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	n := t.nodeLocked(node)
-	if forced > n.forced {
-		n.forced = forced
-	}
-	n.forces++
-	t.tickLocked(sim).Forces++
-	t.mu.Unlock()
-}
-
-// NoteCrash records a node crash: the volatile log tail above stable is
-// gone. Debt accounting truncates back to the stable prefix; in-flight
-// transactions whose entire trace was volatile vanish with it.
-func (t *Tracker) NoteCrash(node int32, stable int64, lostRecords int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	n := t.nodeLocked(node)
+// crashLocked records the node's crash: the volatile log tail above its
+// stable LSN is gone, so debt accounting truncates back to the stable prefix.
+// Every transaction the node's log holds open is gone with it — recovery
+// settles it, and nothing it logs reopens the entry.
+func (n *nodeState) crashLocked() {
 	n.crashes++
-	n.lostTail += int64(lostRecords)
-	if stable < n.last {
+	if stable := n.forced; stable < n.last {
 		n.last = stable
 		if keep := stable - n.first + 1; keep >= 0 && keep <= int64(len(n.cum)) {
 			n.cum = n.cum[:keep]
 		} else if keep < 0 {
 			n.cum = n.cum[:0]
 			n.first = stable + 1
-		}
-		for txn, first := range n.active {
-			if first > stable {
-				delete(n.active, txn)
-			}
 		}
 		if n.lastCkpt > stable {
 			n.lastCkpt = 0
@@ -436,17 +448,13 @@ func (t *Tracker) NoteCrash(node int32, stable int64, lostRecords int) {
 			n.safeOverride = stable
 		}
 	}
-	t.mu.Unlock()
+	clear(n.active)
 }
 
-// NoteDiscard records log truncation: node discarded every record with
+// discardLocked records log truncation: node discarded every record with
 // LSN < newFirst (the checkpointer reclaiming space below the low-water
 // mark) — a safe-point advance by construction.
-func (t *Tracker) NoteDiscard(node int32, newFirst int64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
+func (t *Tracker) discardLocked(node int32, newFirst int64) {
 	n := t.nodeLocked(node)
 	if newFirst > n.first {
 		drop := newFirst - n.first
@@ -469,28 +477,6 @@ func (t *Tracker) NoteDiscard(node int32, newFirst int64) {
 			t.win.SafeAdv++
 		}
 	}
-	t.mu.Unlock()
-}
-
-// NoteDirty records that page p now diverges from its disk image.
-func (t *Tracker) NoteDirty(p int64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.dirty[p] = struct{}{}
-	t.mu.Unlock()
-}
-
-// NoteClean records that page p was flushed (or dropped) and matches disk
-// again.
-func (t *Tracker) NoteClean(p int64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	delete(t.dirty, p)
-	t.mu.Unlock()
 }
 
 // RecoveryStart opens a recovery run over `down` crashed nodes, snapshotting
@@ -853,24 +839,9 @@ func (t *Tracker) Summary() string {
 	s := t.Snapshot()
 	est := "uncalibrated"
 	if s.Calibrated {
-		est = fmt.Sprintf("est replay %s (seq %s)", formatNS(s.EstParNS), formatNS(s.EstSeqNS))
+		est = fmt.Sprintf("est replay %s (seq %s)", obs.FormatNS(s.EstParNS), obs.FormatNS(s.EstSeqNS))
 	}
 	return fmt.Sprintf("debt: %d record(s) / %d byte(s) over %d node(s), %d dirty page(s), %s; %d recovery(ies), last MTTR %s, %d anomaly(ies)",
 		s.DebtRecords, s.DebtBytes, len(s.Nodes), s.DirtyPages, est,
-		s.Recoveries, formatNS(s.LastWallNS), s.Anomalies)
-}
-
-// formatNS renders a duration compactly (mirrors obs.FormatNS, which this
-// leaf package cannot import).
-func formatNS(ns int64) string {
-	switch {
-	case ns >= int64(time.Second):
-		return fmt.Sprintf("%.2fs", float64(ns)/1e9)
-	case ns >= int64(time.Millisecond):
-		return fmt.Sprintf("%.2fms", float64(ns)/1e6)
-	case ns >= int64(time.Microsecond):
-		return fmt.Sprintf("%.2fµs", float64(ns)/1e3)
-	default:
-		return fmt.Sprintf("%dns", ns)
-	}
+		s.Recoveries, obs.FormatNS(s.LastWallNS), s.Anomalies)
 }

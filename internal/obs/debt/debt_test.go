@@ -5,14 +5,49 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"smdb/internal/obs"
 )
+
+// The tracker's inputs, fed as the engine's events carry them.
+
+// feedAppend is a WAL append of a record of type typ and encoded size bytes,
+// owned by txn (0 for none), at simulated time sim.
+func feedAppend(t *Tracker, node int32, lsn int64, typ uint8, txn uint64, bytes int, sim int64) {
+	t.OnEvent(obs.Event{Kind: obs.KindWALAppend, Node: node, Sim: sim, A: lsn, B: int64(typ), C: int64(txn), Dur: int64(bytes)})
+}
+
+// feedForce is a physical log force making records records stable through
+// LSN forced.
+func feedForce(t *Tracker, node int32, forced int64, records int, sim int64) {
+	t.OnEvent(obs.Event{Kind: obs.KindWALForce, Node: node, Sim: sim, A: int64(records), B: forced})
+}
+
+// feedCrash is node's crash.
+func feedCrash(t *Tracker, node int32) {
+	t.OnEvent(obs.Event{Kind: obs.KindCrash, Node: node})
+}
+
+// feedDiscard is log truncation: every record below newFirst discarded.
+func feedDiscard(t *Tracker, node int32, newFirst int64) {
+	t.OnEvent(obs.Event{Kind: obs.KindWALDiscard, Node: node, A: newFirst})
+}
+
+// feedDirty and feedClean are page p turning dirty and being flushed.
+func feedDirty(t *Tracker, p int64) {
+	t.OnEvent(obs.Event{Kind: obs.KindPageDirty, Node: obs.SystemNode, A: p})
+}
+
+func feedClean(t *Tracker, p int64) {
+	t.OnEvent(obs.Event{Kind: obs.KindPageFlush, A: p})
+}
 
 // appendN feeds n update appends for txn on node, starting at the node's
 // next LSN, each sized bytes, at simulated time sim.
 func appendN(t *Tracker, node int32, startLSN int64, n int, txn uint64, size int, sim int64) int64 {
 	lsn := startLSN
 	for i := 0; i < n; i++ {
-		t.NoteAppend(node, lsn, 1 /* update */, txn, size, sim)
+		feedAppend(t, node, lsn, 1 /* update */, txn, size, sim)
 		lsn++
 	}
 	return lsn
@@ -23,7 +58,7 @@ func TestDebtAccumulatesAndAnchors(t *testing.T) {
 	// Node 0: txn 7 writes 5 updates then commits; txn 8 writes 3 and stays
 	// in flight.
 	next := appendN(tr, 0, 1, 5, 7, 100, 0)
-	tr.NoteAppend(0, next, typeCommit, 7, 60, 0)
+	feedAppend(tr, 0, next, typeCommit, 7, 60, 0)
 	next++
 	next = appendN(tr, 0, next, 3, 8, 100, 0)
 	s := tr.Snapshot()
@@ -53,7 +88,7 @@ func TestDebtAccumulatesAndAnchors(t *testing.T) {
 func TestCheckpointBoundsSafePointByOldestActive(t *testing.T) {
 	tr := New(Config{Nodes: 1})
 	next := appendN(tr, 0, 1, 4, 5, 100, 0) // txn 5 in flight from LSN 1
-	tr.NoteAppend(0, next, typeCheckpoint, 0, 60, 0)
+	feedAppend(tr, 0, next, typeCheckpoint, 0, 60, 0)
 	next++
 	appendN(tr, 0, next, 2, 6, 100, 0)
 	s := tr.Snapshot()
@@ -66,7 +101,7 @@ func TestCheckpointBoundsSafePointByOldestActive(t *testing.T) {
 		t.Fatalf("safe = %d, want 0 (oldest active txn anchors below the checkpoint)", n.SafeLSN)
 	}
 	// Commit txn 5: safe point advances to the checkpoint.
-	tr.NoteAppend(0, 8, typeCommit, 5, 60, 0)
+	feedAppend(tr, 0, 8, typeCommit, 5, 60, 0)
 	n = tr.Snapshot().Nodes[0]
 	if n.SafeLSN != 5 {
 		t.Fatalf("safe after commit = %d, want 5", n.SafeLSN)
@@ -79,8 +114,8 @@ func TestCheckpointBoundsSafePointByOldestActive(t *testing.T) {
 func TestCrashTruncatesToStablePrefix(t *testing.T) {
 	tr := New(Config{Nodes: 1})
 	next := appendN(tr, 0, 1, 6, 3, 100, 0)
-	tr.NoteForce(0, 4, 4, 0)
-	tr.NoteCrash(0, 4, 2)
+	feedForce(tr, 0, 4, 4, 0)
+	feedCrash(tr, 0)
 	s := tr.Snapshot().Nodes[0]
 	if s.LastLSN != 4 {
 		t.Fatalf("last after crash = %d, want 4", s.LastLSN)
@@ -99,8 +134,8 @@ func TestCrashTruncatesToStablePrefix(t *testing.T) {
 func TestDiscardRebasesBytes(t *testing.T) {
 	tr := New(Config{Nodes: 1})
 	appendN(tr, 0, 1, 10, 3, 100, 0)
-	tr.NoteForce(0, 10, 10, 0)
-	tr.NoteDiscard(0, 6) // records 1..5 reclaimed
+	feedForce(tr, 0, 10, 10, 0)
+	feedDiscard(tr, 0, 6) // records 1..5 reclaimed
 	s := tr.Snapshot().Nodes[0]
 	if s.FirstLSN != 6 || s.Discarded != 5 {
 		t.Fatalf("first=%d discarded=%d, want 6/5", s.FirstLSN, s.Discarded)
@@ -172,7 +207,7 @@ func TestGrowthWatchdogFires(t *testing.T) {
 	// with no force/checkpoint/discard.
 	for w := int64(0); w < growthWindows+3; w++ {
 		for i := 0; i < growthFloor; i++ {
-			tr.NoteAppend(0, lsn, 1, 3, 60, w*1000)
+			feedAppend(tr, 0, lsn, 1, 3, 60, w*1000)
 			lsn++
 		}
 	}
@@ -190,11 +225,11 @@ func TestGrowthWatchdogQuietWhenSafePointAdvances(t *testing.T) {
 	lsn := int64(1)
 	for w := int64(0); w < growthWindows+4; w++ {
 		for i := 0; i < growthFloor; i++ {
-			tr.NoteAppend(0, lsn, 1, 3, 60, w*1000)
+			feedAppend(tr, 0, lsn, 1, 3, 60, w*1000)
 			lsn++
 		}
 		// A checkpoint in every window keeps the safe point moving.
-		tr.NoteAppend(0, lsn, typeCheckpoint, 0, 60, w*1000)
+		feedAppend(tr, 0, lsn, typeCheckpoint, 0, 60, w*1000)
 		lsn++
 	}
 	if an := tr.Anomalies(); len(an) != 0 {
@@ -205,9 +240,9 @@ func TestGrowthWatchdogQuietWhenSafePointAdvances(t *testing.T) {
 func TestWriteDebtJSONShape(t *testing.T) {
 	tr := New(Config{Nodes: 2})
 	appendN(tr, 0, 1, 3, 7, 100, 0)
-	tr.NoteDirty(4)
-	tr.NoteDirty(5)
-	tr.NoteClean(5)
+	feedDirty(tr, 4)
+	feedDirty(tr, 5)
+	feedClean(tr, 5)
 	var buf bytes.Buffer
 	if err := tr.WriteDebtJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -275,9 +310,9 @@ func TestWriteDebtProm(t *testing.T) {
 func TestTypeAttributionAndCoverage(t *testing.T) {
 	tr := New(Config{Nodes: 1})
 	appendN(tr, 0, 1, 4, 3, 100, 0)
-	tr.NoteAppend(0, 5, typeCommit, 3, 60, 0)
-	tr.NoteAppend(0, 6, typeCheckpoint, 0, 60, 0)
-	tr.NoteAppend(0, 7, 5 /* lock-acquire */, 0, 60, 0) // txn 0: unattributed
+	feedAppend(tr, 0, 5, typeCommit, 3, 60, 0)
+	feedAppend(tr, 0, 6, typeCheckpoint, 0, 60, 0)
+	feedAppend(tr, 0, 7, 5 /* lock-acquire */, 0, 60, 0) // txn 0: unattributed
 	tc := tr.TypeAttribution()
 	var updates, commits int64
 	for _, c := range tc {
@@ -313,8 +348,8 @@ func TestSummaryLines(t *testing.T) {
 func TestMidRunAttachResyncs(t *testing.T) {
 	tr := New(Config{Nodes: 1})
 	// First observed append is LSN 100 (the tracker attached mid-run).
-	tr.NoteAppend(0, 100, 1, 3, 100, 0)
-	tr.NoteAppend(0, 101, 1, 3, 100, 0)
+	feedAppend(tr, 0, 100, 1, 3, 100, 0)
+	feedAppend(tr, 0, 101, 1, 3, 100, 0)
 	s := tr.Snapshot().Nodes[0]
 	if s.FirstLSN != 100 || s.LastLSN != 101 || s.DebtRecords != 2 {
 		t.Fatalf("resync wrong: %+v", s)

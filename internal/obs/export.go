@@ -135,7 +135,7 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 		default:
 			ce.Ph = "i"
 			ce.S = "t"
-			ce.Args = map[string]any{"a": e.A, "b": e.B}
+			ce.Args = map[string]any{"a": e.A, "b": e.B, "c": e.C}
 		}
 		trace.TraceEvents = append(trace.TraceEvents, ce)
 	}

@@ -24,7 +24,7 @@ func goldenObserver() *Observer {
 		o.Record(e)
 	}
 	rec(Event{Kind: KindTxnBegin, Node: 0, Sim: 100, A: 1})
-	rec(Event{Kind: KindWALAppend, Node: 0, Sim: 220, A: 7, B: 2})
+	rec(Event{Kind: KindWALAppend, Node: 0, Sim: 220, A: 7, B: 2, C: 1})
 	rec(Event{Kind: KindMigrate, Node: 1, Sim: 340, A: 12})
 	// A dependency edge echoed by the deps tracker: txn 1 (home node 0) now
 	// has uncommitted data on line 12 in node 1's cache (B = to<<32|line).

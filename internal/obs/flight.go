@@ -212,6 +212,7 @@ type flightEvent struct {
 	Dur   int64  `json:"dur,omitempty"`
 	A     int64  `json:"a"`
 	B     int64  `json:"b"`
+	C     int64  `json:"c"`
 }
 
 // Dump writes one post-mortem directory named <seq>-<reason>-<stamp> and
@@ -289,7 +290,7 @@ func (r *FlightRecorder) Dump(reason string) (string, error) {
 				}
 				out := make([]flightEvent, 0, len(evs))
 				for _, e := range evs {
-					fe := flightEvent{Sim: e.Sim, Wall: e.Wall, Kind: e.Kind.String(), Dur: e.Dur, A: e.A, B: e.B}
+					fe := flightEvent{Sim: e.Sim, Wall: e.Wall, Kind: e.Kind.String(), Dur: e.Dur, A: e.A, B: e.B, C: e.C}
 					if e.Phase != PhaseNone {
 						fe.Phase = e.Phase.String()
 					}
@@ -313,7 +314,7 @@ func (r *FlightRecorder) Dump(reason string) (string, error) {
 					if e.Kind == KindPhase {
 						name = "phase:" + e.Phase.String()
 					}
-					fmt.Fprintf(w, "  sim=%-12d %-16s a=%-8d b=%-8d dur=%d\n", e.Sim, name, e.A, e.B, e.Dur)
+					fmt.Fprintf(w, "  sim=%-12d %-16s a=%-8d b=%-8d c=%-8d dur=%d\n", e.Sim, name, e.A, e.B, e.C, e.Dur)
 				}
 			}
 			return nil

@@ -1,11 +1,12 @@
 // Package hooks is the one attach point between the engine and its optional
 // observability consumers. A Set names every consumer the engine knows how
-// to feed; recovery.DB.Attach publishes one with a single pointer swap and
-// hands the same pointer to each substrate (machine, wal, buffer, lock)
-// through that substrate's one SetHooks. Every hook site loads the set once
-// and calls the consumers it needs directly: what is an obs.Event stays an
-// event, what is a typed call (NoteLineWait, CurrentTxn, NoteAppend, the
-// stripe counters) stays that call.
+// to feed; recovery.DB.Attach publishes one with a single pointer swap. The
+// substrates (machine, wal, buffer, lock) report only by recording events on
+// the Observer, which their one SetHooks takes (the machine's also takes the
+// stripe profiler's counters), and the Set is the Observer's one sink. The
+// protocol layer (internal/recovery, internal/txn) calls what is not an
+// engine event directly: the waterfall's transaction brackets, the debt
+// tracker's recovery start/end, the model's write/crash/recovered notes.
 //
 // A Set is immutable once attached. To change one consumer, copy the current
 // set, change the field, and attach the copy.
@@ -37,26 +38,34 @@ type Set struct {
 	// Prof is the stripe-contention (machine) and worker cost-attribution
 	// (restart recovery) profiler pair.
 	Prof *prof.Pair
-	// Waterfall attributes each transaction's waits; it needs the holder of
-	// a contended line synchronously, which an event cannot carry.
+	// Waterfall attributes each transaction's waits and Debt accounts replay
+	// debt; both fold the Observer's events, so a set with either must have
+	// an Observer (Attach panics otherwise).
 	Waterfall *waterfall.Recorder
-	// Debt accounts replay debt from WAL appends/forces and dirty pages; it
-	// needs a transaction id and an encoded size on every append.
-	Debt *debt.Tracker
+	Debt      *debt.Tracker
 	// Flight writes a post-mortem dump of everything above on a crash.
 	Flight *obs.FlightRecorder
 }
 
 // Model is the set's one residency model: Deps, or else the one Audit
-// reads, or nil. Attach makes it the Observer's event sink, and it takes the
-// recovery layer's direct write/crash/recovered notifications; what it
-// tells the auditor it tells it under its own lock, so an event is folded
-// once however many judges are attached.
+// reads, or nil. It folds the events OnEvent hands it and takes the recovery
+// layer's direct write/crash/recovered notifications; what it tells the
+// auditor it tells it under its own lock, so an event is folded once however
+// many judges are attached.
 func (s *Set) Model() *deps.Tracker {
 	if s.Deps != nil {
 		return s.Deps
 	}
 	return s.Audit.Model()
+}
+
+// OnEvent hands one event to the residency model, the waterfall recorder and
+// the debt tracker, in that order (Attach makes the set the Observer's sink
+// only when it has one of them).
+func (s *Set) OnEvent(e obs.Event) {
+	s.Model().OnEvent(e)
+	s.Waterfall.OnEvent(e)
+	s.Debt.OnEvent(e)
 }
 
 // Stripes is the machine's half of the profiler pair, nil without one.

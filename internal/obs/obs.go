@@ -38,12 +38,16 @@ const (
 	KindDowngrade
 	KindInvalidate
 	KindTriggerFire
-	// KindLineLockWait is a contended line-lock acquisition (A = line,
-	// B = acquisition latency in simulated ns). Uncontended acquisitions
-	// feed the line-lock histogram but emit no event.
+	// KindLineLockWait is a line-lock acquisition that waited, contended or
+	// queued behind the line's last release in simulated time (A = line; B = 0
+	// if contended, else that release's instant; C = holder node: the owner
+	// when the wait began, else the last releaser, -1 for none; Dur = latency
+	// less any trigger-force cost, ending at Sim). Acquisitions that did not
+	// wait feed the line-lock histogram but emit no event.
 	KindLineLockWait
-	// Log pipeline (internal/wal): A = LSN, B = record type for appends;
-	// A = records made stable, B = highest stable LSN for forces.
+	// Log pipeline (internal/wal). Appends: A = LSN, B = record type,
+	// C = owning transaction (0 for none), Dur = encoded size in bytes.
+	// Forces: A = records made stable, B = highest stable LSN.
 	KindWALAppend
 	KindWALForce
 	// Lock manager (internal/lock): A = lock name, B = mode.
@@ -57,7 +61,8 @@ const (
 	KindTxnCommit
 	KindTxnAbort
 	// Buffer manager (internal/buffer): A = page; B = 1 for a disk read
-	// (fetch) or a steal (flush), 0 otherwise.
+	// (fetch) or a steal (flush), 0 otherwise; a fetch's Dur is the disk
+	// read's simulated cost.
 	KindPageFetch
 	KindPageFlush
 	// KindCrash is a node failure (A = lines destroyed machine-wide,
@@ -96,6 +101,12 @@ const (
 	// phase, Dur is *host* wall-clock nanoseconds (not simulated time),
 	// A = worker count, B = summed worker busy nanoseconds.
 	KindProfFanout
+	// KindWALDiscard is log truncation (internal/wal): every record below
+	// LSN A was discarded.
+	KindWALDiscard
+	// KindPageDirty is page A turning dirty (internal/buffer; once per
+	// clean-to-dirty transition, on the SystemNode track).
+	KindPageDirty
 
 	numKinds
 )
@@ -106,6 +117,7 @@ var kindNames = [numKinds]string{
 	"txn-begin", "txn-commit", "txn-abort", "page-fetch", "page-flush",
 	"crash", "phase", "recovery", "fault", "io-retry",
 	"replicate", "install", "discard", "dep-edge", "prof-fanout",
+	"wal-discard", "page-dirty",
 }
 
 func (k Kind) String() string {
@@ -169,17 +181,17 @@ const SystemNode int32 = -1
 
 // Event is one trace record. Sim is the simulated-clock timestamp in
 // nanoseconds (span start for span kinds), Wall the wall-clock timestamp
-// (UnixNano), Dur the simulated duration for span kinds, and A/B carry
+// (UnixNano), Dur the simulated duration for span kinds, and A/B/C carry
 // kind-specific arguments (see the Kind constants).
 type Event struct {
-	Kind  Kind
-	Phase Phase
-	Node  int32
-	PID   int32
-	Sim   int64
-	Wall  int64
-	Dur   int64
-	A, B  int64
+	Kind    Kind
+	Phase   Phase
+	Node    int32
+	PID     int32
+	Sim     int64
+	Wall    int64
+	Dur     int64
+	A, B, C int64
 }
 
 // PhaseSpan is one recovery phase's timing (simulated nanoseconds), the
@@ -238,9 +250,9 @@ func (r *ring) snapshot() []Event {
 // event has been placed in its ring. Implementations must be safe for
 // concurrent calls and must not call back into the engine layer that emitted
 // the event (emitters may hold their own locks across Record); calling back
-// into the Observer itself is allowed. An Observer has one sink; the
-// residency model (internal/obs/deps) is the canonical one, and what else
-// wants its fold of the stream reads the model rather than the stream.
+// into the Observer itself is allowed. An Observer has one sink; the engine's
+// hook set (internal/obs/hooks) is the canonical one, and hands each event on
+// to the consumers that fold it.
 type Sink interface {
 	OnEvent(Event)
 }

@@ -1,6 +1,10 @@
 package waterfall
 
-import "testing"
+import (
+	"testing"
+
+	"smdb/internal/obs"
+)
 
 // The recorder is compiled into every hot path unconditionally; when no
 // -waterfall flag attached one, every hook runs against a nil *Recorder (or
@@ -19,11 +23,11 @@ func TestNilSinkZeroAlloc(t *testing.T) {
 		{"OpEnd", func() { r.OpEnd(1, 0, 0) }},
 		{"CurrentTxn", func() { _ = r.CurrentTxn(0) }},
 		{"AddWait", func() { r.AddWait(1, CauseLockWait, 0, 5, 0, 0) }},
-		{"NoteLineWait", func() { r.NoteLineWait(0, 1, 0, 10, 5) }},
-		{"NoteFetch", func() { r.NoteFetch(0, 1, 10, 5) }},
-		{"NoteAppend", func() { r.NoteAppend(1, 10, 0, 1) }},
+		{"OnEvent line-wait", func() { r.OnEvent(obs.Event{Kind: obs.KindLineLockWait, Sim: 10, A: 1, C: -1, Dur: 5}) }},
+		{"OnEvent page-fetch", func() { r.OnEvent(obs.Event{Kind: obs.KindPageFetch, Sim: 10, A: 1, B: 1, Dur: 5}) }},
+		{"OnEvent wal-append", func() { r.OnEvent(obs.Event{Kind: obs.KindWALAppend, Sim: 10, A: 1, C: 1}) }},
 		{"End", func() { r.End(1, 10, OutcomeCommitted) }},
-		{"CrashNode", func() { r.CrashNode(0) }},
+		{"OnEvent crash", func() { r.OnEvent(obs.Event{Kind: obs.KindCrash}) }},
 		{"Totals", func() { _ = r.Totals() }},
 		{"Coverage", func() { _, _, _ = r.Coverage() }},
 		{"Completed", func() { _ = r.Completed() }},
@@ -50,8 +54,8 @@ func BenchmarkNilHooks(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r.OpStart(1, 0, int64(i))
-		r.NoteLineWait(0, 1, 0, int64(i), 5)
-		r.NoteAppend(1, int64(i), 0, int64(i))
+		r.OnEvent(obs.Event{Kind: obs.KindLineLockWait, Sim: int64(i), A: 1, C: -1, Dur: 5})
+		r.OnEvent(obs.Event{Kind: obs.KindWALAppend, Sim: int64(i), A: int64(i), C: 1})
 		r.OpEnd(1, 0, int64(i))
 	}
 }
@@ -73,8 +77,8 @@ func BenchmarkEnabledTxn(b *testing.B) {
 	}
 }
 
-// BenchmarkEnabledHotHook times the single hottest hook (NoteLineWait via the
-// node register) inside an open bracket.
+// BenchmarkEnabledHotHook times the single hottest event (a line-lock wait,
+// resolved through the node registers) inside an open bracket.
 func BenchmarkEnabledHotHook(b *testing.B) {
 	r := New(Config{Nodes: 4})
 	r.Begin(1, 0, 0)
@@ -82,6 +86,6 @@ func BenchmarkEnabledHotHook(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.NoteLineWait(0, 1, 2, int64(i), 1)
+		r.OnEvent(obs.Event{Kind: obs.KindLineLockWait, Sim: int64(i), A: 1, C: 1, Dur: 1})
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"smdb/internal/obs"
 )
 
 // Exporters for the tail-sampled waterfalls: the /slow and /slow/{txnid}
@@ -236,26 +238,11 @@ func (r *Recorder) Summary() string {
 	}
 	cov, _, total := r.Coverage()
 	totals := r.Totals()
-	s := fmt.Sprintf("waterfall: %d txns, coverage %.1f%% of %s", r.Completed(), cov*100, formatNS(total))
+	s := fmt.Sprintf("waterfall: %d txns, coverage %.1f%% of %s", r.Completed(), cov*100, obs.FormatNS(total))
 	for c, v := range totals {
 		if v > 0 {
-			s += fmt.Sprintf(" %s=%s", Cause(c).String(), formatNS(v))
+			s += fmt.Sprintf(" %s=%s", Cause(c).String(), obs.FormatNS(v))
 		}
 	}
 	return s
-}
-
-// formatNS renders sim nanoseconds compactly.
-func formatNS(ns int64) string {
-	f := float64(ns)
-	switch {
-	case ns < 1_000:
-		return fmt.Sprintf("%dns", ns)
-	case ns < 1_000_000:
-		return fmt.Sprintf("%.1fµs", f/1e3)
-	case ns < 1_000_000_000:
-		return fmt.Sprintf("%.1fms", f/1e6)
-	default:
-		return fmt.Sprintf("%.2fs", f/1e9)
-	}
 }

@@ -3,18 +3,17 @@
 // line-lock waits (with the holder's txn id, so convoys are explainable),
 // record-lock waits, page-fetch waits, log-append markers, log-force waits,
 // recovery-freeze stalls, undo time, and the pure-compute residue — fed by
-// hooks in internal/machine, internal/wal, internal/buffer, internal/txn and
-// internal/recovery. A bounded tail sampler keeps the K slowest completed
-// waterfalls per sim-time window plus a deterministic 1-in-N reservoir, and
-// links them as exemplars from the commit-latency histogram's log2 buckets.
+// the engine's events (OnEvent, a sink of the attached hook set) and by the
+// protocol layer's brackets in internal/txn and internal/recovery. A bounded
+// tail sampler keeps the K slowest completed waterfalls per sim-time window
+// plus a deterministic 1-in-N reservoir, and links them as exemplars from the
+// commit-latency histogram's log2 buckets.
 //
 // Like the obs/audit/prof layers, the recorder is always compiled and off by
 // default: every hot-path method is nil-receiver safe and allocation-free on
 // the nil path, so callers hold a possibly-nil *Recorder and call it
-// unconditionally. The package imports nothing but the standard library —
-// machine, wal, buffer and recovery all import it, and internal/obs exposes
-// it over HTTP/flight dumps through the obs.WaterfallSource interface, so
-// any inward dependency would cycle.
+// unconditionally. internal/obs exposes it over HTTP/flight dumps through the
+// obs.WaterfallSource interface and so must not import it.
 package waterfall
 
 import (
@@ -22,6 +21,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"smdb/internal/obs"
 )
 
 // base pins the monotonic epoch used for recovery-progress rates.
@@ -164,7 +165,7 @@ type Config struct {
 	// SampleN keeps every transaction whose id hashes to 0 mod SampleN in
 	// the reservoir — deterministic across replays by construction.
 	SampleN int
-	// Nodes sizes the per-node current-transaction table (default 64).
+	// Nodes sizes the per-node current/last-transaction tables (default 64).
 	Nodes int
 }
 
@@ -196,6 +197,9 @@ type liveTxn struct {
 	opCause Cause
 }
 
+// txnSpan is a transaction's life on a node: Begin to its latest bracket's end.
+type txnSpan struct{ txn, begin, end int64 }
+
 // window is one sim-time window's K-slowest completed waterfalls, sorted by
 // latency descending (ties broken by ascending txn id, for determinism).
 type window struct {
@@ -209,12 +213,12 @@ type window struct {
 type Recorder struct {
 	cfg Config
 
-	// cur[node] is the txn currently executing an instrumented operation on
-	// that node — how the machine/buffer hooks, which see only a node id,
-	// resolve their waits onto a transaction.
-	cur []atomic.Int64
-
-	mu      sync.Mutex
+	mu sync.Mutex
+	// cur[node] is the txn running an instrumented operation on that node —
+	// how events, which carry only a node id, resolve onto a transaction;
+	// last[node] the txn that last closed one there (see holderLocked).
+	cur     []int64
+	last    []txnSpan
 	live    map[int64]*liveTxn
 	windows []*window // ascending window index
 	maxWin  int64
@@ -241,7 +245,8 @@ func New(cfg Config) *Recorder {
 	cfg = cfg.withDefaults()
 	return &Recorder{
 		cfg:      cfg,
-		cur:      make([]atomic.Int64, cfg.Nodes),
+		cur:      make([]int64, cfg.Nodes),
+		last:     make([]txnSpan, cfg.Nodes),
 		live:     make(map[int64]*liveTxn),
 		progress: newProgress(),
 	}
@@ -266,7 +271,7 @@ func (r *Recorder) Begin(txn int64, node int32, sim int64) {
 }
 
 // OpStart marks the transaction entering an instrumented engine operation on
-// node: sets the node's current-txn register (so machine/buffer hooks resolve
+// node: sets the node's current-txn register (so the node's events resolve
 // onto it) and opens the compute-residue bracket. Reentrant (txn layer over
 // DB layer): only the outermost bracket counts.
 func (r *Recorder) OpStart(txn int64, node int32, sim int64) {
@@ -281,10 +286,10 @@ func (r *Recorder) SpanStart(txn int64, node int32, sim int64, c Cause) {
 	if r == nil {
 		return
 	}
-	if int(node) < len(r.cur) {
-		r.cur[node].Store(txn)
-	}
 	r.mu.Lock()
+	if int(node) < len(r.cur) {
+		r.cur[node] = txn
+	}
 	if lt := r.live[txn]; lt != nil {
 		if lt.opDepth == 0 {
 			lt.opStart = sim
@@ -303,21 +308,22 @@ func (r *Recorder) OpEnd(txn int64, node int32, sim int64) {
 	if r == nil {
 		return
 	}
-	outer := true
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if lt := r.live[txn]; lt != nil && lt.opDepth > 0 {
 		lt.opDepth--
-		if lt.opDepth == 0 {
-			if residue := sim - lt.opStart - lt.opWaits; residue > 0 {
-				r.addSegmentLocked(lt, Segment{Cause: lt.opCause, Start: lt.opStart, Dur: residue})
-			}
-		} else {
-			outer = false
+		if lt.opDepth > 0 {
+			return
+		}
+		if residue := sim - lt.opStart - lt.opWaits; residue > 0 {
+			r.addSegmentLocked(lt, Segment{Cause: lt.opCause, Start: lt.opStart, Dur: residue})
+		}
+		if int(node) < len(r.last) {
+			r.last[node] = txnSpan{txn, lt.wf.BeginSim, sim}
 		}
 	}
-	r.mu.Unlock()
-	if outer && int(node) < len(r.cur) {
-		r.cur[node].CompareAndSwap(txn, 0)
+	if int(node) < len(r.cur) && r.cur[node] == txn {
+		r.cur[node] = 0
 	}
 }
 
@@ -327,7 +333,9 @@ func (r *Recorder) CurrentTxn(node int32) int64 {
 	if r == nil || int(node) >= len(r.cur) {
 		return 0
 	}
-	return r.cur[node].Load()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.cur[node]
 }
 
 // AddWait records one attributed wait segment for txn. start is the sim time
@@ -352,52 +360,83 @@ func (r *Recorder) AddWait(txn int64, c Cause, start, dur, detail, holder int64)
 	r.mu.Unlock()
 }
 
-// NoteLineWait is the machine hook: node waited dur sim-ns for line,
-// acquiring it at sim time end; holderNode held (or last held) it. The wait
-// is attributed to node's current transaction — and recorded only when that
-// transaction has an operation bracket open, so recovery's own line traffic
-// never pollutes a stalled survivor's waterfall.
-func (r *Recorder) NoteLineWait(node int32, line int, holderTxn, end, dur int64) {
-	if r == nil || dur <= 0 {
+// OnEvent folds one engine event. A line-lock wait or a disk fetch is a wait
+// of the node's current transaction (see nodeWait); a log append is a
+// zero-length marker on the appending transaction's waterfall (appends cost
+// no simulated time; the markers carry ordering); a crash drops every live
+// waterfall of the crashed node — its control state is gone, and recovery
+// settles those transactions without their accumulating goroutines.
+func (r *Recorder) OnEvent(e obs.Event) {
+	if r == nil {
 		return
 	}
-	txn := r.CurrentTxn(node)
-	if txn == 0 {
-		return
-	}
-	r.mu.Lock()
-	if lt := r.live[txn]; lt != nil && lt.opDepth > 0 {
-		if holderTxn == txn {
-			holderTxn = 0
+	switch e.Kind {
+	case obs.KindLineLockWait:
+		r.nodeWait(e, CauseLineWait)
+	case obs.KindPageFetch:
+		r.nodeWait(e, CauseFetch)
+	case obs.KindWALAppend:
+		if e.C != 0 {
+			r.AddWait(e.C, CauseLogAppend, e.Sim, 0, e.A, 0)
 		}
-		r.addSegmentLocked(lt, Segment{Cause: CauseLineWait, Start: end - dur, Dur: dur, Detail: int64(line), Holder: holderTxn})
-		lt.opWaits += dur
+	case obs.KindCrash:
+		r.mu.Lock()
+		if e.Node >= 0 && int(e.Node) < len(r.cur) {
+			r.cur[e.Node] = 0
+		}
+		for id, lt := range r.live {
+			if lt.wf.Node == e.Node {
+				delete(r.live, id)
+			}
+		}
+		r.mu.Unlock()
 	}
-	r.mu.Unlock()
 }
 
-// NoteFetch is the buffer-manager hook: node spent dur sim-ns reading page
-// from disk, finishing at sim time end. Attributed like NoteLineWait.
-func (r *Recorder) NoteFetch(node int32, page int, end, dur int64) {
-	if r == nil || dur <= 0 {
-		return
-	}
-	txn := r.CurrentTxn(node)
-	if txn == 0 {
+// nodeWait attributes the wait e reports (Dur sim-ns ending at Sim; detail A)
+// to its node's current transaction — only while that transaction has an
+// operation bracket open, so recovery's own line traffic never pollutes a
+// stalled survivor's waterfall.
+func (r *Recorder) nodeWait(e obs.Event, c Cause) {
+	if e.Dur <= 0 || int(e.Node) >= len(r.cur) {
 		return
 	}
 	r.mu.Lock()
-	if lt := r.live[txn]; lt != nil && lt.opDepth > 0 {
-		r.addSegmentLocked(lt, Segment{Cause: CauseFetch, Start: end - dur, Dur: dur, Detail: int64(page)})
-		lt.opWaits += dur
+	defer r.mu.Unlock()
+	if lt := r.live[r.cur[e.Node]]; lt != nil && lt.opDepth > 0 {
+		s := Segment{Cause: c, Start: e.Sim - e.Dur, Dur: e.Dur, Detail: e.A}
+		if c == CauseLineWait {
+			s.Holder = r.holderLocked(e)
+		}
+		if s.Holder == lt.wf.Txn {
+			s.Holder = 0
+		}
+		r.addSegmentLocked(lt, s)
+		lt.opWaits += e.Dur
 	}
-	r.mu.Unlock()
 }
 
-// NoteAppend is the WAL hook: txn appended the record at lsn at sim time
-// sim, costing dur sim-ns of log-manager work.
-func (r *Recorder) NoteAppend(txn, sim, dur, lsn int64) {
-	r.AddWait(txn, CauseLogAppend, sim-dur, dur, lsn, 0)
+// holderLocked names the transaction that held the line of line wait e, on
+// node e.C: the one with an operation open there, else the last to close one
+// there. A contended wait (B = 0) ended the moment its holder released. A
+// wait queued behind a release at sim instant B may come long after it in
+// host order, so it names a transaction whose life there — from Begin to the
+// close of its latest bracket — spanned B. None for the waiter's own node,
+// whose transactions the machine cannot tell apart. Caller holds r.mu.
+func (r *Recorder) holderLocked(e obs.Event) int64 {
+	h, rel := e.C, e.B
+	if h < 0 || h == int64(e.Node) || h >= int64(len(r.cur)) {
+		return 0
+	}
+	if txn := r.cur[h]; txn != 0 {
+		if lt := r.live[txn]; lt != nil && lt.opDepth > 0 && (rel == 0 || lt.wf.BeginSim < rel) {
+			return txn
+		}
+	}
+	if l := r.last[h]; rel == 0 || (l.begin < rel && rel <= l.end) {
+		return l.txn
+	}
+	return 0
 }
 
 // addSegmentLocked appends a segment under r.mu, enforcing the per-txn cap.
@@ -439,25 +478,6 @@ func (r *Recorder) End(txn int64, sim int64, oc Outcome) {
 
 	r.mu.Lock()
 	r.sampleLocked(&lt.wf)
-	r.mu.Unlock()
-}
-
-// CrashNode drops every live waterfall on node: the crash destroyed the
-// node's control state, and recovery will settle those transactions without
-// their accumulating goroutines. Runs from the machine's crash path.
-func (r *Recorder) CrashNode(node int32) {
-	if r == nil {
-		return
-	}
-	if int(node) < len(r.cur) {
-		r.cur[node].Store(0)
-	}
-	r.mu.Lock()
-	for id, lt := range r.live {
-		if lt.wf.Node == node {
-			delete(r.live, id)
-		}
-	}
 	r.mu.Unlock()
 }
 

@@ -4,18 +4,20 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"smdb/internal/obs"
 )
 
-// feedScenario drives a fixed, deterministic sequence of hook calls: three
+// feedScenario drives a fixed, deterministic sequence of brackets and events: three
 // transactions on two nodes — a committed one with a convoy line wait, an
 // aborted one with undo time, and a fast committed one — plus a recovery
 // progress run. Both the golden exports and the determinism tests reuse it.
 func feedScenario(r *Recorder) {
 	r.Begin(1, 0, 100)
 	r.OpStart(1, 0, 100)
-	r.NoteAppend(1, 120, 0, 9)
+	r.OnEvent(obs.Event{Kind: obs.KindWALAppend, Node: 0, Sim: 120, A: 9, C: 1})
 	r.AddWait(1, CauseLineWait, 120, 30, 7, 2)
-	r.NoteFetch(0, 3, 170, 20)
+	r.OnEvent(obs.Event{Kind: obs.KindPageFetch, Node: 0, Sim: 170, A: 3, B: 1, Dur: 20})
 	r.OpEnd(1, 0, 180) // residue 80-50=30 compute
 	r.End(1, 200, OutcomeCommitted)
 
@@ -126,9 +128,9 @@ func TestHookGatingOutsideBracket(t *testing.T) {
 	r.Begin(1, 0, 0)
 	// No bracket open: line/fetch hooks must not attribute (recovery traffic
 	// on a node must never pollute a stalled survivor's waterfall).
-	r.cur[0].Store(1)
-	r.NoteLineWait(0, 7, 0, 100, 50)
-	r.NoteFetch(0, 3, 100, 50)
+	r.cur[0] = 1
+	r.OnEvent(obs.Event{Kind: obs.KindLineLockWait, Node: 0, Sim: 100, A: 7, C: -1, Dur: 50})
+	r.OnEvent(obs.Event{Kind: obs.KindPageFetch, Node: 0, Sim: 100, A: 3, B: 1, Dur: 50})
 	r.End(1, 100, OutcomeCommitted)
 	w := r.Lookup(1)
 	if w != nil && (w.ByCause[CauseLineWait] != 0 || w.ByCause[CauseFetch] != 0) {
@@ -141,7 +143,7 @@ func TestCrashNodeDropsLive(t *testing.T) {
 	r.Begin(1, 0, 0)
 	r.Begin(2, 1, 0)
 	r.OpStart(2, 1, 0)
-	r.CrashNode(1)
+	r.OnEvent(obs.Event{Kind: obs.KindCrash, Node: 1})
 	if got := r.Live(); got != 1 {
 		t.Fatalf("live = %d, want 1 (node 1's txn dropped)", got)
 	}

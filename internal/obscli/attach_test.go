@@ -237,7 +237,7 @@ func TestAttachPoint(t *testing.T) {
 		}
 		mgr := txn.NewManager(db)
 		full := fullSet(db, t.TempDir(), false)
-		sets := []hooks.Set{full, {}, {Prof: full.Prof, Debt: full.Debt}, {Observer: full.Observer, Audit: full.Audit}}
+		sets := []hooks.Set{full, {}, {Observer: full.Observer, Prof: full.Prof, Debt: full.Debt}, {Observer: full.Observer, Audit: full.Audit}}
 		var stop atomic.Bool
 		var commits atomic.Int64
 		var wg sync.WaitGroup
@@ -297,4 +297,90 @@ func TestAttachPoint(t *testing.T) {
 			t.Error("no commit was observed across the attachments of the full set")
 		}
 	})
+}
+
+// TestSpineFanOut: the hook set is the observer's one sink and hands every
+// event on to each consumer that folds the stream. A set of the observer, the
+// waterfall recorder and the debt tracker — no residency model — feeds both,
+// and what each folds on one deterministic crash episode is the same whether
+// it rides alone with an observer, beside the other, or inside the full set.
+func TestSpineFanOut(t *testing.T) {
+	type folds struct {
+		completed int64
+		totals    []int64
+		coverage  float64
+		debt      debt.Snapshot
+	}
+	run := func(set func(db *recovery.DB) hooks.Set) folds {
+		db := newDB(t, recovery.VolatileSelectiveRedo)
+		s := set(db)
+		db.Attach(s)
+		crashedRun(t, db)
+		f := folds{completed: s.Waterfall.Completed(), coverage: -1}
+		if s.Waterfall != nil {
+			totals := s.Waterfall.Totals()
+			f.totals = totals[:]
+			f.coverage, _, _ = s.Waterfall.Coverage()
+		}
+		f.debt = s.Debt.Snapshot()
+		// What the estimator calibrates from wall time is not the fold.
+		f.debt.EstSeqNS, f.debt.EstParNS, f.debt.Speedup = 0, 0, 0
+		f.debt.LastWallNS, f.debt.AvgWallNS, f.debt.EwmaWallNS = 0, 0, 0
+		f.debt.NSPerRecSeq, f.debt.NSPerRecPar = 0, 0
+		return f
+	}
+	newWf := func(db *recovery.DB) *waterfall.Recorder {
+		return waterfall.New(waterfall.Config{Nodes: db.M.Nodes()})
+	}
+	newDebt := func(db *recovery.DB) *debt.Tracker {
+		return debt.New(debt.Config{Nodes: db.M.Nodes(), LinesPerPage: db.Cfg.LinesPerPage})
+	}
+	wfAlone := run(func(db *recovery.DB) hooks.Set {
+		return hooks.Set{Observer: obs.NewWithCapacity(256), Waterfall: newWf(db)}
+	})
+	debtAlone := run(func(db *recovery.DB) hooks.Set {
+		return hooks.Set{Observer: obs.NewWithCapacity(256), Debt: newDebt(db)}
+	})
+	both := run(func(db *recovery.DB) hooks.Set {
+		return hooks.Set{Observer: obs.NewWithCapacity(256), Waterfall: newWf(db), Debt: newDebt(db)}
+	})
+	full := run(func(db *recovery.DB) hooks.Set { return fullSet(db, t.TempDir(), false) })
+
+	if wfAlone.completed == 0 || debtAlone.debt.Appends == 0 || debtAlone.debt.Recoveries == 0 {
+		t.Fatalf("a consumer saw no traffic: %d waterfalls, %d appends, %d recoveries",
+			wfAlone.completed, debtAlone.debt.Appends, debtAlone.debt.Recoveries)
+	}
+	for name, f := range map[string]folds{"observer+waterfall+debt": both, "full set": full} {
+		if f.completed != wfAlone.completed || !reflect.DeepEqual(f.totals, wfAlone.totals) || f.coverage != wfAlone.coverage {
+			t.Errorf("%s: waterfall folded %d txns %v coverage %v; alone %d %v %v", name,
+				f.completed, f.totals, f.coverage, wfAlone.completed, wfAlone.totals, wfAlone.coverage)
+		}
+		if !reflect.DeepEqual(f.debt, debtAlone.debt) {
+			t.Errorf("%s: debt folded\n  %+v\nalone\n  %+v", name, f.debt, debtAlone.debt)
+		}
+	}
+}
+
+// TestAttachFoldersNeedAnObserver: the waterfall recorder and the debt
+// tracker fold the observer's events, so a set that brings either without an
+// observer is refused, as one whose auditor reads another model is.
+func TestAttachFoldersNeedAnObserver(t *testing.T) {
+	db := newDB(t, recovery.VolatileSelectiveRedo)
+	for name, set := range map[string]hooks.Set{
+		"waterfall": {Waterfall: waterfall.New(waterfall.Config{})},
+		"debt":      {Debt: debt.New(debt.Config{})},
+		"audit":     {Deps: deps.New(nil), Audit: audit.New(deps.New(nil), audit.Config{})},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Attach of a %s set without its prerequisite did not panic", name)
+				}
+			}()
+			db.Attach(set)
+		}()
+	}
+	if *db.Hooks() != (hooks.Set{}) {
+		t.Error("a refused Attach left consumers attached")
+	}
 }

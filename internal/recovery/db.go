@@ -393,18 +393,18 @@ func (db *DB) SchedPoint(actor int32, site string, arg int64) int64 {
 
 // Attach publishes set as the engine's observability consumers, replacing
 // whatever was attached: one pointer swap for the protocol layer, and the
-// same pointer handed to the machine, each node's WAL, the lock manager and
-// the buffer manager. Everything that depends on several consumers at once
-// is derived here from the set as a whole — the observer's sink (set.Model,
-// the one residency model) and the flight recorder's sources (set.Sources
-// plus this engine's stats deltas) — so neither the order the set's fields
-// were assigned in nor the order of Attach against AttachSched/AttachFaults
-// matters. The zero set detaches everything. Safe mid-run: an operation
-// straddling the swap reports to the set it loaded.
+// set's observer handed to the machine (with the stripe profiler), each
+// node's WAL, the lock manager and the buffer manager. Everything that
+// depends on several consumers at once is derived here from the set as a
+// whole — the observer's sink (the set itself) and the flight recorder's
+// sources (set.Sources plus this engine's stats deltas) — so neither the
+// order the set's fields were assigned in nor the order of Attach against
+// AttachSched/AttachFaults matters. The zero set detaches everything. Safe
+// mid-run: an operation straddling the swap reports to the set it loaded.
 //
-// The observer's sink belongs to the set only while the set has a model
-// (Deps, or Audit's own): a sink the caller installed on the observer itself
-// survives Attach of a set without one.
+// The observer's sink belongs to the set only while the set folds events (a
+// model, a Waterfall or a Debt): a sink the caller installed on the observer
+// itself survives Attach of a set without one.
 func (db *DB) Attach(set hooks.Set) {
 	h := &set
 	db.attachMu.Lock()
@@ -413,23 +413,27 @@ func (db *DB) Attach(set hooks.Set) {
 	if h.Deps != nil && h.Audit != nil && h.Audit.Model() != h.Deps {
 		panic("recovery: Attach of a set whose Audit does not read its Deps")
 	}
-	if prev.Model() != nil {
+	if h.Observer == nil && (h.Waterfall != nil || h.Debt != nil) {
+		panic("recovery: Attach of a Waterfall or a Debt without the Observer whose events they fold")
+	}
+	folds := func(s *hooks.Set) bool { return s.Model() != nil || s.Waterfall != nil || s.Debt != nil }
+	if folds(prev) {
 		prev.Observer.SetSink(nil)
 	}
-	if m := h.Model(); m != nil {
-		h.Observer.SetSink(m)
+	if folds(h) {
+		h.Observer.SetSink(h)
 	}
 	if h.Flight != nil {
 		src := h.Sources()
 		src.Stats = db.statsDeltaWriter()
 		h.Flight.SetSources(src)
 	}
-	db.M.SetHooks(h)
+	db.M.SetHooks(h.Observer, h.Stripes())
 	for _, l := range db.Logs {
-		l.SetHooks(h)
+		l.SetHooks(h.Observer)
 	}
-	db.Locks.SetHooks(h)
-	db.BM.SetHooks(h)
+	db.Locks.SetHooks(h.Observer)
+	db.BM.SetHooks(h.Observer)
 	db.hk.Store(h)
 }
 

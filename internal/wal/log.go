@@ -5,7 +5,6 @@ import (
 
 	"smdb/internal/machine"
 	"smdb/internal/obs"
-	"smdb/internal/obs/hooks"
 	"smdb/internal/storage"
 )
 
@@ -54,13 +53,10 @@ type Log struct {
 	// callback (triggered Stable LBM), where a machine stripe is already
 	// held.
 	clock func() int64
-	// hk is the attached consumer set, nil while it holds nothing the log
-	// feeds (see SetHooks): the observer takes append/force events, the
-	// waterfall per-transaction append markers (appends cost no simulated
-	// time, so the markers carry ordering, not duration), the debt tracker
-	// append/force/crash/discard accounting. They run under mu and so must
-	// not call back into the log.
-	hk *hooks.Set
+	// obs is the attached observer (see SetHooks), nil when detached. It
+	// takes append, force and discard events under mu, so nothing it feeds
+	// may call back into the log.
+	obs *obs.Observer
 }
 
 // blockLen is the number of records in one block of a Log (about 60 KiB).
@@ -133,14 +129,11 @@ func NewClockedLog(n machine.NodeID, dev *storage.LogDevice, clock func() int64)
 // Node returns the owning node.
 func (l *Log) Node() machine.NodeID { return l.node }
 
-// SetHooks publishes the consumers the log feeds (observer, waterfall,
-// debt; see Log.hk). Pass the zero set to detach.
-func (l *Log) SetHooks(h *hooks.Set) {
-	if h.Observer == nil && h.Waterfall == nil && h.Debt == nil {
-		h = nil
-	}
+// SetHooks publishes the observer the log reports to (see Log.obs). Pass nil
+// to detach.
+func (l *Log) SetHooks(o *obs.Observer) {
 	l.mu.Lock()
-	l.hk = h
+	l.obs = o
 	l.mu.Unlock()
 }
 
@@ -168,13 +161,9 @@ func (l *Log) Append(r Record) LSN {
 		l.lastCkpt = r.LSN
 	}
 	l.push(&r)
-	if hk := l.hk; hk != nil {
-		now := l.clock()
-		hk.Observer.Instant(obs.KindWALAppend, int32(l.node), now, int64(r.LSN), int64(r.Type))
-		if r.Txn != 0 {
-			hk.Waterfall.NoteAppend(int64(r.Txn), now, 0, int64(r.LSN))
-		}
-		hk.Debt.NoteAppend(int32(l.node), int64(r.LSN), uint8(r.Type), uint64(r.Txn), EncodedSize(&r), now)
+	if o := l.obs; o != nil {
+		o.Record(obs.Event{Kind: obs.KindWALAppend, Node: int32(l.node), Sim: l.clock(),
+			A: int64(r.LSN), B: int64(r.Type), C: int64(r.Txn), Dur: int64(EncodedSize(&r))})
 	}
 	return r.LSN
 }
@@ -225,8 +214,8 @@ func (l *Log) Force(upto LSN) (records int, forced bool) {
 		return err
 	}, func(attempt int, _ int64) {
 		l.ioRetries++
-		if hk := l.hk; hk != nil {
-			hk.Observer.Instant(obs.KindIORetry, int32(l.node), l.clock(), int64(attempt), 0)
+		if o := l.obs; o != nil {
+			o.Instant(obs.KindIORetry, int32(l.node), l.clock(), int64(attempt), 0)
 		}
 	})
 	if err != nil {
@@ -241,14 +230,8 @@ func (l *Log) Force(upto LSN) (records int, forced bool) {
 // noteForce reports a physical force that made records more records stable
 // (a torn one may have landed none whole). Caller holds l.mu.
 func (l *Log) noteForce(records int) {
-	hk := l.hk
-	if hk == nil {
-		return
-	}
-	now, stable := l.clock(), int64(l.first)+int64(l.forced)-1
-	hk.Observer.Instant(obs.KindWALForce, int32(l.node), now, int64(records), stable)
-	if records > 0 {
-		hk.Debt.NoteForce(int32(l.node), stable, records, now)
+	if o := l.obs; o != nil {
+		o.Instant(obs.KindWALForce, int32(l.node), l.clock(), int64(records), int64(l.first)+int64(l.forced)-1)
 	}
 }
 
@@ -348,9 +331,6 @@ func (l *Log) Crash() int {
 		}
 		return true
 	})
-	if hk := l.hk; hk != nil {
-		hk.Debt.NoteCrash(int32(l.node), int64(l.first)+int64(l.forced)-1, lost)
-	}
 	return lost
 }
 
@@ -496,8 +476,8 @@ func (l *Log) DiscardThrough(upto LSN) int {
 	l.forced -= drop
 	// Re-encode the retained stable prefix onto the device.
 	l.dev.Truncate(l.encodeLocked(0, l.forced))
-	if hk := l.hk; hk != nil {
-		hk.Debt.NoteDiscard(int32(l.node), int64(l.first))
+	if o := l.obs; o != nil {
+		o.Instant(obs.KindWALDiscard, int32(l.node), l.clock(), int64(l.first), 0)
 	}
 	return drop
 }

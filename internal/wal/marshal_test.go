@@ -8,9 +8,8 @@ import (
 	"reflect"
 	"testing"
 
+	"smdb/internal/obs"
 	"smdb/internal/obs/debt"
-	"smdb/internal/obs/hooks"
-	"smdb/internal/obs/prof"
 	"smdb/internal/storage"
 )
 
@@ -234,11 +233,11 @@ func TestAppendForceSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestAppendForceWithNothingAttachedDoesNoHookWork: with no consumer the log
-// feeds attached, an append, a force, a crash and a discard are one pointer
-// test each — the node clock is never read (and so no record is sized for the
-// debt tracker). A set holding only consumers the log does not feed counts as
-// nothing attached; attaching the debt tracker turns the clock reads on.
+// TestAppendForceWithNothingAttachedDoesNoHookWork: with no observer
+// attached, an append, a force, a crash and a discard are one pointer test
+// each — the node clock is never read (and so no record is sized for an
+// event). Detaching counts as nothing attached; attaching an observer that
+// feeds the debt tracker turns the clock reads on.
 func TestAppendForceWithNothingAttachedDoesNoHookWork(t *testing.T) {
 	var reads int
 	l, err := NewClockedLog(0, storage.NewLogDevice(), func() int64 { reads++; return 7 })
@@ -257,13 +256,15 @@ func TestAppendForceWithNothingAttachedDoesNoHookWork(t *testing.T) {
 		l.DiscardThrough(2)
 	}
 	exercise()
-	l.SetHooks(&hooks.Set{Prof: prof.NewPair(1)})
+	l.SetHooks(nil)
 	exercise()
 	if reads != 0 {
 		t.Errorf("node clock read %d times with nothing the log feeds attached", reads)
 	}
 	d := debt.New(debt.Config{Nodes: 1})
-	l.SetHooks(&hooks.Set{Debt: d})
+	o := obs.New()
+	o.SetSink(d)
+	l.SetHooks(o)
 	exercise()
 	if want := 4 + 1 + 1; reads != want { // appends + force + the lost append
 		t.Errorf("node clock read %d times with a debt tracker attached, want %d", reads, want)
@@ -271,7 +272,7 @@ func TestAppendForceWithNothingAttachedDoesNoHookWork(t *testing.T) {
 	if d.Snapshot().Appends == 0 {
 		t.Error("attached debt tracker saw no append")
 	}
-	l.SetHooks(&hooks.Set{})
+	l.SetHooks(nil)
 	reads = 0
 	exercise()
 	if reads != 0 {

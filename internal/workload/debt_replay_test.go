@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"smdb/internal/fault"
+	"smdb/internal/obs"
 	"smdb/internal/obs/debt"
 	"smdb/internal/obs/hooks"
 	"smdb/internal/recovery"
@@ -21,7 +22,7 @@ func TestChaosReplayDeterministicWithDebt(t *testing.T) {
 	proto := recovery.VolatileSelectiveRedo
 	attach := func(db *recovery.DB) *debt.Tracker {
 		d := debt.New(debt.Config{Nodes: db.M.Nodes(), LinesPerPage: db.Cfg.LinesPerPage})
-		db.Attach(hooks.Set{Debt: d})
+		db.Attach(hooks.Set{Observer: obs.NewWithCapacity(256), Debt: d})
 		return d
 	}
 	type accounting struct {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"smdb/internal/fault"
+	"smdb/internal/obs"
 	"smdb/internal/obs/hooks"
 	"smdb/internal/obs/waterfall"
 	"smdb/internal/recovery"
@@ -38,7 +39,7 @@ func TestWaterfallReplaySelectsIdenticalTxns(t *testing.T) {
 
 	db := chaosDB(t, proto, 4)
 	wf0 := waterfall.New(wfConfig(db.M.Nodes()))
-	db.Attach(hooks.Set{Waterfall: wf0})
+	db.Attach(hooks.Set{Observer: obs.NewWithCapacity(256), Waterfall: wf0})
 	inj := fault.New(chaosPlan(seed))
 	rec := sched.NewRecorder()
 	if _, err := RunChaosSession(db, inj, chaosSpec(seed), 2, rec); err != nil {
@@ -56,7 +57,7 @@ func TestWaterfallReplaySelectsIdenticalTxns(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		db := chaosDB(t, proto, 4)
 		wf := waterfall.New(wfConfig(db.M.Nodes()))
-		db.Attach(hooks.Set{Waterfall: wf})
+		db.Attach(hooks.Set{Observer: obs.NewWithCapacity(256), Waterfall: wf})
 		inj := fault.New(chaosPlan(schedule.FaultSeed))
 		if _, err := RunChaosSession(db, inj, chaosSpec(schedule.Seed), 0, sched.NewReplayer(schedule)); err != nil {
 			t.Fatalf("replay %d: %v", i, err)
