@@ -75,7 +75,21 @@ func (m *Machine) crashQuiesced(nodes []NodeID) CrashReport {
 	if down.empty() {
 		return rep
 	}
+	// The sweep allocates nothing per line: a holder test is one mask, and
+	// a first, read-only pass sizes the report's two line lists exactly.
 	frontier := m.frontier()
+	var nLost, nOrphaned int
+	for i := LineID(0); i < frontier; i++ {
+		if ln := &m.lines[i]; ln.valid.Load() && ln.holders&down != 0 {
+			if ln.holders&^down == 0 {
+				nLost++
+			} else {
+				nOrphaned++
+			}
+		}
+	}
+	rep.LostLines = make([]LineID, 0, nLost)
+	rep.OrphanedLines = make([]LineID, 0, nOrphaned)
 	for i := LineID(0); i < frontier; i++ {
 		ln := &m.lines[i]
 		// Break line locks held by crashed nodes so survivors blocked in
@@ -85,19 +99,10 @@ func (m *Machine) crashQuiesced(nodes []NodeID) CrashReport {
 			ln.lock.held = false
 			ln.lock.owner = NoNode
 		}
-		if !ln.valid.Load() {
+		if !ln.valid.Load() || ln.holders&down == 0 {
 			continue
 		}
-		touched := false
-		for _, n := range down.nodes() {
-			if ln.holders.has(n) {
-				ln.holders.remove(n)
-				touched = true
-			}
-		}
-		if !touched {
-			continue
-		}
+		ln.holders &^= down
 		if ln.excl != NoNode && down.has(ln.excl) {
 			ln.excl = NoNode
 		}

@@ -96,6 +96,48 @@ func TestCrashIdempotentAndWakesWaiters(t *testing.T) {
 	}
 }
 
+// TestCrashSweepAllocs: a Crash allocates a fixed number of times — its
+// report's three lists — however many cached lines its sweep walks. Node 1
+// holds every line, half alone (lost with it) and half shared with node 0
+// (orphaned); each run restarts it and rebuilds that cache without allocating.
+func TestCrashSweepAllocs(t *testing.T) {
+	var allocs []float64
+	for _, lines := range []int{4096, 16384} {
+		m := New(Config{Nodes: 2, LineSize: 128, Lines: lines})
+		first := m.Alloc(lines)
+		img := make([]byte, m.LineSize())
+		var word [8]byte
+		var rep CrashReport
+		crash := func() {
+			if err := m.Restart(1); err != nil {
+				t.Fatal(err)
+			}
+			for l := first; l < first+LineID(lines); l++ {
+				if l%2 == 0 {
+					if err := m.Install(1, l, img); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				if err := m.Install(0, l, img); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.ReadInto(1, l, 0, word[:]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rep = m.Crash(1)
+		}
+		allocs = append(allocs, testing.AllocsPerRun(5, crash))
+		if len(rep.LostLines) != lines/2 || len(rep.OrphanedLines) != lines/2 {
+			t.Fatalf("%d lines: crash lost %d and orphaned %d, want %d each", lines, len(rep.LostLines), len(rep.OrphanedLines), lines/2)
+		}
+	}
+	if allocs[0] > 3 || allocs[1] != allocs[0] {
+		t.Errorf("a Crash over 4096 lines allocates %.0f times and over 16384 %.0f; want the same handful (at most 3)", allocs[0], allocs[1])
+	}
+}
+
 // A transition fault that names an already-dead victim must stay a no-op.
 func TestTransitionFaultOnDeadVictim(t *testing.T) {
 	m := newTestMachine(t, 3)

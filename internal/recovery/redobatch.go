@@ -34,8 +34,12 @@ type redoRun struct {
 }
 
 // carveRuns splits cands into contiguous same-(line, onto) runs, reusing
-// the arena's run buffer.
+// the arena's run buffer. There are at most as many runs as candidates, so a
+// buffer too small for that is replaced once, not grown run by run.
 func (db *DB) carveRuns(cands []redoCand, ar *recArena) ([]redoRun, error) {
+	if cap(ar.runs) < len(cands) {
+		ar.runs = make([]redoRun, 0, len(cands))
+	}
 	runs := ar.runs[:0]
 	for i, c := range cands {
 		line, _, err := db.Store.LineOf(heap.RID{Page: c.rec.Page, Slot: c.rec.Slot})

@@ -408,7 +408,7 @@ func (db *DB) recoverOnce(alive []machine.NodeID, rep *RecoveryReport) error {
 		if st.stat() != TxnActive || !st.crashed.Load() {
 			return
 		}
-		if v := vs[st.id.Node()]; v.live == nil && v.committed[st.id] {
+		if v := vs[st.id.Node()]; v.live == nil && v.committed.has(st.id) {
 			st.status.Store(int32(TxnCommitted))
 			nc.stats.Commits++
 			for i := range st.writes {
@@ -515,10 +515,53 @@ type logView struct {
 	// redoRecs counts the update and compensation records at or after
 	// ckptLSN: the most candidates the redo scan can take from this log
 	// (short only if a survivor's log grew since the view was built).
-	redoRecs  int
-	committed map[wal.TxnID]bool
-	aborted   map[wal.TxnID]bool
-	ntaDone   map[uint64]bool
+	redoRecs int
+	// committed and aborted are the transactions the visible log records as
+	// committed and aborted; ntaDone the structural changes it records as
+	// complete.
+	committed, aborted txnSet
+	ntaDone            map[uint64]bool
+}
+
+// txnSet is a set of transactions, dense for one node's: a bit per sequence
+// number the node had handed out when the set was made (its transaction
+// table's length), and a map, made on first use, for any other transaction —
+// another node's, or one begun since.
+type txnSet struct {
+	node  machine.NodeID
+	bits  []uint64
+	other map[wal.TxnID]bool
+}
+
+func newTxnSet(n machine.NodeID, seqs uint64) txnSet {
+	return txnSet{node: n, bits: make([]uint64, seqs/64+1)}
+}
+
+// word returns the word and bit holding t, nil if t is not a dense member.
+func (s *txnSet) word(t wal.TxnID) (*uint64, uint64) {
+	q := t.Seq()
+	if t.Node() != s.node || q/64 >= uint64(len(s.bits)) {
+		return nil, 0
+	}
+	return &s.bits[q/64], 1 << (q % 64)
+}
+
+func (s *txnSet) add(t wal.TxnID) {
+	if w, bit := s.word(t); w != nil {
+		*w |= bit
+		return
+	}
+	if s.other == nil {
+		s.other = make(map[wal.TxnID]bool)
+	}
+	s.other[t] = true
+}
+
+func (s *txnSet) has(t wal.TxnID) bool {
+	if w, bit := s.word(t); w != nil {
+		return *w&bit != 0
+	}
+	return s.other[t]
 }
 
 // scanFrom calls fn for every visible record with LSN >= from, in LSN order,
@@ -562,11 +605,12 @@ func (db *DB) views(alive []machine.NodeID) (vs []*logView, down []machine.NodeI
 
 // view reads and summarises node n's log for views.
 func (db *DB) view(n machine.NodeID, isDown bool) *logView {
+	seqs := db.nodes[n].seq.Load()
 	v := &logView{
 		node:      n,
 		ckptLSN:   1,
-		committed: make(map[wal.TxnID]bool),
-		aborted:   make(map[wal.TxnID]bool),
+		committed: newTxnSet(n, seqs),
+		aborted:   newTxnSet(n, seqs),
 		ntaDone:   make(map[uint64]bool),
 	}
 	if isDown {
@@ -577,9 +621,9 @@ func (db *DB) view(n machine.NodeID, isDown bool) *logView {
 	v.scan(func(r *wal.Record) bool {
 		switch r.Type {
 		case wal.TypeCommit:
-			v.committed[r.Txn] = true
+			v.committed.add(r.Txn)
 		case wal.TypeAbort:
-			v.aborted[r.Txn] = true
+			v.aborted.add(r.Txn)
 		case wal.TypeNTAEnd:
 			v.ntaDone[r.NTA] = true
 		case wal.TypeUpdate, wal.TypeCLR:
@@ -683,11 +727,11 @@ func (db *DB) collectRedoNode(v *logView, coord machine.NodeID) []redoCand {
 			switch {
 			case rec.Type == wal.TypeCLR:
 			case rec.NTA != 0 && v.ntaDone[rec.NTA]:
-			case v.committed[rec.Txn]:
+			case v.committed.has(rec.Txn):
 			default:
 				return true
 			}
-		} else if rec.Type == wal.TypeUpdate && rec.NTA == 0 && !v.committed[rec.Txn] && db.txnDead(rec.Txn) {
+		} else if rec.Type == wal.TypeUpdate && rec.NTA == 0 && !v.committed.has(rec.Txn) && db.txnDead(rec.Txn) {
 			// A restarted node's log can still carry updates of a transaction
 			// that died with an earlier crash. If that crash also destroyed the
 			// only copy of the effect, no compensation record was ever written —
@@ -755,12 +799,15 @@ func (db *DB) probeRedoSlice(cands []redoCand) error {
 }
 
 // applyRedo is the redo apply phase: version-checked, idempotent replay of
-// each part, batched into same-line runs (see redobatch.go), with per-part
-// counter shards merged in part order. Each worker slot applies through its
-// own reusable arena (run carving); chunks are weighted by part
+// each part, batched into same-line runs (see redobatch.go). Each worker
+// slot applies through its own reusable arena (run carving) and counts into
+// the arena's shard; the shards are summed after the fan-out, so the totals
+// do not depend on which slot ran which part. Chunks are weighted by part
 // size.
 func (db *DB) applyRedo(parts [][]redoCand, rep *RecoveryReport) error {
-	shards := make([]RecoveryReport, len(parts))
+	for i := range db.arenas {
+		db.arenas[i].redo = RecoveryReport{}
+	}
 	weight := func(i int) int { return len(parts[i]) }
 	err := db.forEachChunk(rep, obs.PhaseRedoApply, len(parts), weight, func(i, ws int, tm *prof.TaskMeter) error {
 		if tm != nil {
@@ -771,12 +818,13 @@ func (db *DB) applyRedo(parts [][]redoCand, rep *RecoveryReport) error {
 			}
 			tm.AddBytes(b)
 		}
-		return db.applyRedoSlice(parts[i], &shards[i], db.arena(ws))
+		ar := db.arena(ws)
+		return db.applyRedoSlice(parts[i], &ar.redo, ar)
 	})
 	mergeStart := profMergeStart(db)
-	for i := range shards {
-		rep.RedoApplied += shards[i].RedoApplied
-		rep.RedoSkipped += shards[i].RedoSkipped
+	for i := range db.arenas {
+		rep.RedoApplied += db.arenas[i].redo.RedoApplied
+		rep.RedoSkipped += db.arenas[i].redo.RedoSkipped
 	}
 	profMergeEnd(db, obs.PhaseRedoApply, mergeStart)
 	return err
@@ -843,7 +891,7 @@ func (db *DB) undoCrashed(coord machine.NodeID, vs []*logView, rep *RecoveryRepo
 			if rec.Type != wal.TypeUpdate {
 				return true
 			}
-			if v.committed[rec.Txn] || v.aborted[rec.Txn] {
+			if v.committed.has(rec.Txn) || v.aborted.has(rec.Txn) {
 				return true
 			}
 			if rec.NTA != 0 && v.ntaDone[rec.NTA] {
@@ -1101,7 +1149,7 @@ func (db *DB) lastCommittedFromStable(nd machine.NodeID, rid heap.RID, vs []*log
 				return true
 			case rec.NTA != 0 && v.ntaDone[rec.NTA]:
 				committedEffect = true
-			case v.committed[rec.Txn]:
+			case v.committed.has(rec.Txn):
 				committedEffect = true
 			}
 			if committedEffect && rec.Version > bestVersion {
@@ -1162,30 +1210,48 @@ func (db *DB) replaySurvivorLocks(alive []machine.NodeID, vs []*logView, rep *Re
 // simultaneously granted, hence mutually compatible, so per-node replays
 // re-grant without waiting in any order, and Acquire is idempotent, so the
 // per-node counts are order-independent).
+//
+// Only a transaction still live has locks to rebuild, and one that has
+// finished never becomes live again, so the scan reads the lock records of
+// live transactions alone: it asks txnLive (lock-free, so safe under the log
+// mutex) once per run of one transaction's lock records and skips the
+// records of every transaction that finished — nearly all of a long log. A
+// transaction that finishes after its run was read is caught below, by the
+// bookkeeping check or the re-check after the grant.
 func (db *DB) replayNodeLocks(v *logView) (int, error) {
 	n := v.node
 	type lockKey struct {
 		txn  wal.TxnID
 		name uint64
 	}
-	held := make(map[lockKey]bool)
-	order := []lockKey{}
+	// order lists each live transaction's locks once, by first acquire; held
+	// says whether the last record for one was an acquire. Both start with
+	// room for the handful of transactions in flight on a node.
+	const inFlight = 64
+	held := make(map[lockKey]bool, inFlight)
+	order := make([]lockKey, 0, inFlight)
+	var run wal.TxnID
+	live := false
 	v.scan(func(rec *wal.Record) bool {
-		k := lockKey{rec.Txn, rec.Lock}
-		switch rec.Type {
-		case wal.TypeLockAcquire:
-			if _, ok := held[k]; !ok {
-				order = append(order, k)
-			}
-			held[k] = true
-		case wal.TypeLockRelease:
-			delete(held, k)
+		if rec.Type != wal.TypeLockAcquire && rec.Type != wal.TypeLockRelease {
+			return true
 		}
+		if rec.Txn != run {
+			run, live = rec.Txn, db.txnLive(rec.Txn)
+		}
+		if !live {
+			return true
+		}
+		k := lockKey{rec.Txn, rec.Lock}
+		if _, seen := held[k]; !seen {
+			order = append(order, k)
+		}
+		held[k] = rec.Type == wal.TypeLockAcquire
 		return true
 	})
 	replayed := 0
 	for _, k := range order {
-		if _, ok := held[k]; !ok {
+		if !held[k] {
 			continue
 		}
 		// Re-grant only what the transaction's own bookkeeping confirms it

@@ -113,9 +113,8 @@ func NewLog(n machine.NodeID, dev *storage.LogDevice) (*Log, error) {
 func NewClockedLog(n machine.NodeID, dev *storage.LogDevice, clock func() int64) (*Log, error) {
 	l := &Log{node: n, dev: dev, first: 1, clock: clock}
 	if dev.Size() > 0 {
-		contents := dev.Contents()
-		l.forced, l.tornBytes = repairTail(dev, contents)
-		recs := decodePrefix(contents, l.forced, 0)
+		var recs []Record
+		l.forced, l.tornBytes = repairTail(dev, dev.Contents(), &recs)
 		for i := range recs {
 			l.push(&recs[i])
 			if recs[i].Type == TypeCheckpoint {
@@ -341,14 +340,15 @@ func (l *Log) Reopen() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.down = false
-	repairTail(l.dev, l.dev.Contents())
+	repairTail(l.dev, l.dev.Contents(), nil)
 }
 
 // repairTail truncates dev, whose contents were just read, at the end of
-// their valid prefix. It returns the records in that prefix and the torn
+// their valid prefix, appending its records to *keep unless keep is nil (see
+// walkStable). It returns the number of records in that prefix and the torn
 // bytes cut off.
-func repairTail(dev *storage.LogDevice, contents []byte) (n, torn int) {
-	n, size := stablePrefix(contents)
+func repairTail(dev *storage.LogDevice, contents []byte, keep *[]Record) (n, torn int) {
+	n, size := walkStable(contents, 0, keep)
 	if torn = len(contents) - size; torn > 0 {
 		dev.Truncate(contents[:size])
 	}
@@ -484,14 +484,17 @@ func (l *Log) DiscardThrough(upto LSN) int {
 
 // StableRecords reads the stable device once and returns the records of its
 // checksum-valid prefix, re-based to their true LSNs — what restart recovery
-// can read for a crashed node. A torn tail is ignored (Reopen truncates it).
-// The images alias this call's private copy of the device bytes, never the
-// device: later forces, truncations and appends leave them alone.
+// can read for a crashed node. One walk checks and decodes each record into a
+// slice sized by the log's stable count. A torn tail is ignored (Reopen
+// truncates it). The images alias this call's private copy of the device
+// bytes, never the device: later forces, truncations and appends leave them
+// alone.
 func (l *Log) StableRecords() []Record {
 	buf := l.dev.Contents()
-	n, _ := stablePrefix(buf)
 	l.mu.Lock()
-	base := l.first - 1
+	base, stable := l.first-1, l.forced
 	l.mu.Unlock()
-	return decodePrefix(buf, n, base)
+	recs := make([]Record, 0, stable)
+	walkStable(buf, base, &recs)
+	return recs
 }

@@ -295,10 +295,14 @@ func parseBody(body []byte, r *Record) bool {
 	return true
 }
 
-// stablePrefix walks a log device's contents and returns the record count and
-// byte length of their valid prefix: it stops where DecodeAll stops, at the
-// first torn, checksum-corrupt or malformed record, but builds nothing.
-func stablePrefix(buf []byte) (n, size int) {
+// walkStable is the one reader of a log device's contents: it checks and
+// decodes each frame in a single walk and stops where DecodeAll stops, at the
+// first torn, checksum-corrupt or malformed record. It returns the record
+// count and byte length of that valid prefix. With keep non-nil it also
+// appends the records to *keep, with LSNs base+1..base+n and images aliasing
+// buf, so the caller hands over a buffer nothing else will write; sized to
+// the prefix, *keep does not grow. With keep nil it builds nothing.
+func walkStable(buf []byte, base LSN, keep *[]Record) (n, size int) {
 	var r Record
 	for size < len(buf) {
 		k := frameLen(buf[size:])
@@ -307,20 +311,10 @@ func stablePrefix(buf []byte) (n, size int) {
 		}
 		n++
 		size += k
+		if keep != nil {
+			r.LSN = base + LSN(n)
+			*keep = append(*keep, r)
+		}
 	}
 	return n, size
-}
-
-// decodePrefix decodes the n records stablePrefix counted in buf into one
-// exactly-sized slice, with LSNs base+1..base+n. The images alias buf, so the
-// caller hands over a buffer nothing else will write.
-func decodePrefix(buf []byte, n int, base LSN) []Record {
-	recs := make([]Record, n)
-	for i := range recs {
-		k := recHeaderLen + int(binary.LittleEndian.Uint32(buf))
-		parseBody(buf[recHeaderLen:k], &recs[i])
-		recs[i].LSN = base + LSN(i) + 1
-		buf = buf[k:]
-	}
-	return recs
 }

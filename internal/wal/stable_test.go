@@ -11,8 +11,8 @@ import (
 	"smdb/internal/storage"
 )
 
-// The stable-prefix reader (stablePrefix + decodePrefix, behind StableRecords,
-// NewLog and Reopen) against the copying decoder it replaced on those paths:
+// The stable-prefix reader (walkStable, behind StableRecords, NewLog and
+// Reopen) against the copying decoder it replaced on those paths:
 // DecodeAll/Unmarshal are the oracle throughout.
 
 // stableRecord returns a record whose shape varies with i: every type that
@@ -45,17 +45,22 @@ func encodeRecords(n, img int) []byte {
 	return buf
 }
 
-// checkPrefix compares the reader with the oracle on one device image.
+// checkPrefix compares the reader with the oracle on one device image, both
+// ways of calling it: decoding (at LSN base 0, DecodeAll's) and validating
+// only.
 func checkPrefix(t *testing.T, name string, buf []byte) {
 	t.Helper()
 	want, wantTorn := DecodeAll(buf)
-	n, size := stablePrefix(buf)
+	var got []Record
+	n, size := walkStable(buf, 0, &got)
 	if n != len(want) || len(buf)-size != wantTorn {
-		t.Fatalf("%s: stablePrefix = %d records, %d torn bytes; DecodeAll %d, %d", name, n, len(buf)-size, len(want), wantTorn)
+		t.Fatalf("%s: walkStable = %d records, %d torn bytes; DecodeAll %d, %d", name, n, len(buf)-size, len(want), wantTorn)
 	}
-	got := decodePrefix(buf, n, 0)
 	if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-		t.Fatalf("%s: decodePrefix differs from DecodeAll\n got %+v\nwant %+v", name, got, want)
+		t.Fatalf("%s: walkStable's records differ from DecodeAll's\n got %+v\nwant %+v", name, got, want)
+	}
+	if vn, vsize := walkStable(buf, 0, nil); vn != n || vsize != size {
+		t.Fatalf("%s: validating walk = %d records, %d bytes; decoding walk %d, %d", name, vn, vsize, n, size)
 	}
 }
 
@@ -64,26 +69,18 @@ func TestStablePrefixMatchesDecodeAll(t *testing.T) {
 	whole := encodeRecords(9, 24)
 	checkPrefix(t, "whole records", whole)
 
-	// A tail torn at every byte offset of the last record.
-	lastLen := EncodedSize(&Record{Type: TypeUpdate, Before: make([]byte, 8), After: make([]byte, 24)})
-	last := stableRecord(8, 24)
-	if EncodedSize(&last) != lastLen {
-		t.Fatalf("last record is %d bytes, expected %d", EncodedSize(&last), lastLen)
+	// A tail torn at every byte: every cut of the image, inside a record's
+	// header, body or images, or on a record boundary.
+	for cut := 0; cut < len(whole); cut++ {
+		checkPrefix(t, fmt.Sprintf("torn at byte %d", cut), whole[:cut])
 	}
-	for cut := 1; cut < lastLen; cut++ {
-		checkPrefix(t, fmt.Sprintf("tail torn %d bytes short", cut), whole[:len(whole)-cut])
-	}
-	// A whole but corrupt last record: every byte of it flipped in turn
-	// (length field, checksum, fixed body, image lengths, images).
-	for off := 1; off <= lastLen; off++ {
+	// Corruption at every byte (length fields, checksums, fixed bodies,
+	// image lengths, images): the prefix ends at the record holding it.
+	for off := range whole {
 		c := bytes.Clone(whole)
-		c[len(c)-off] ^= 0x41
-		checkPrefix(t, fmt.Sprintf("last record corrupt at -%d", off), c)
+		c[off] ^= 0x41
+		checkPrefix(t, fmt.Sprintf("corrupt at byte %d", off), c)
 	}
-	// Corruption in the middle hides everything behind it.
-	c := bytes.Clone(whole)
-	c[len(c)/2] ^= 0xff
-	checkPrefix(t, "corrupt in the middle", c)
 
 	// A frame whose checksum holds but whose body is malformed (the after
 	// image's length runs past the body) ends the prefix too.
@@ -246,8 +243,9 @@ func TestStableRecordsSurviveDeviceWrites(t *testing.T) {
 }
 
 // Reading a stable prefix costs a fixed number of allocations — the private
-// copy of the device bytes and the record slice — however many records it
-// holds, and the validate-only walk costs none.
+// copy of the device bytes and the record slice, sized once — however many
+// records it holds; the walk itself costs none, validating or decoding into a
+// slice with room.
 func TestStablePrefixAllocatesO1(t *testing.T) {
 	l := stableLog(t, 10_000, 32, 16)
 	var n int
@@ -258,8 +256,12 @@ func TestStablePrefixAllocatesO1(t *testing.T) {
 		t.Fatalf("StableRecords returned %d records, want 10000", n)
 	}
 	buf := l.Device().Contents()
-	if a := testing.AllocsPerRun(5, func() { n, _ = stablePrefix(buf) }); a != 0 || n != 10_000 {
-		t.Errorf("stablePrefix: %d records, %.0f allocations; want 10000, 0", n, a)
+	if a := testing.AllocsPerRun(5, func() { n, _ = walkStable(buf, 0, nil) }); a != 0 || n != 10_000 {
+		t.Errorf("validating walk: %d records, %.0f allocations; want 10000, 0", n, a)
+	}
+	recs := make([]Record, 0, 10_000)
+	if a := testing.AllocsPerRun(5, func() { recs = recs[:0]; n, _ = walkStable(buf, 0, &recs) }); a != 0 || n != 10_000 {
+		t.Errorf("decoding walk: %d records, %.0f allocations; want 10000, 0", n, a)
 	}
 }
 
