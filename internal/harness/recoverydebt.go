@@ -17,15 +17,15 @@ import (
 // Experiment E24 is the recovery-debt estimator accuracy census: each real
 // protocol runs the deterministic depcensus convoy schedule with the debt
 // tracker attached through structurally identical crash/recover cycles. The
-// first cycle calibrates the estimator (RecoveryEnd feeds the measured
-// ns-per-replayed-record back into the tracker); each later cycle snapshots
-// the calibrated replay-time estimate immediately before the crash, then
-// recovers and compares the estimate against the measured recovery wall
-// time. Gates: the estimate must land within recoveryDebtMaxRatio (2x) of
-// the measurement on the best-agreeing judged cycle (wall-clock jitter on
-// one cycle must not fail a sound estimator), per-record attribution
-// coverage must reach
-// recoveryDebtMinCoverage, debt must collapse to zero right after a
+// first cycle calibrates the estimator (the recovery span that ends each
+// run feeds the measured ns-per-replayed-record back into the tracker); each
+// later cycle snapshots the calibrated replay-time estimate immediately
+// before the crash, then recovers and compares the estimate against the
+// measured recovery wall time. Gates: the estimate must land within
+// recoveryDebtMaxRatio (2x) of the measurement on the best-agreeing judged
+// cycle (wall-clock jitter on one cycle must not fail a sound estimator),
+// per-record attribution coverage must reach recoveryDebtMinCoverage, debt
+// must collapse to zero right after a
 // successful recovery (the fuzzy end-of-restart safe point) and
 // re-accumulate once survivors resume, and a double run of every arm must
 // produce identical sim-deterministic accounting — the property that lets

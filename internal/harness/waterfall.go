@@ -32,7 +32,7 @@ type WaterfallPoint struct {
 	// latency across them (the gated number).
 	Completed int64
 	Coverage  float64
-	// ByCause is the attributed sim-ns per cause, in waterfall.Causes order.
+	// ByCause is the attributed sim-ns per cause, in obs.Cause order.
 	ByCause []int64
 	// Slow counts tail-sampled waterfalls; Convoyed the slow samples carrying
 	// at least one line-wait segment with a holder txn id (the convoy
@@ -76,7 +76,7 @@ func RunWaterfall(seed int64) (*WaterfallResult, error) {
 	_ = seed // the schedule is deterministic; kept for the bench's uniform signature
 	res := &WaterfallResult{}
 	for _, proto := range recovery.Protocols() {
-		p, err := waterfallArm(proto)
+		p, _, err := waterfallArm(proto, hooks.Set{Observer: obs.NewWithCapacity(256), Waterfall: waterfall.New(waterfall.Config{})})
 		if err != nil {
 			return nil, fmt.Errorf("waterfall %v: %w", proto, err)
 		}
@@ -96,21 +96,23 @@ func RunWaterfall(seed int64) (*WaterfallResult, error) {
 	return res, nil
 }
 
-// waterfallArm runs one protocol's census cell.
-func waterfallArm(proto recovery.Protocol) (WaterfallPoint, error) {
+// waterfallArm runs one protocol's census cell with set attached (its
+// Waterfall is the recorder the point reads) and returns the point and its
+// crash's recovery report.
+func waterfallArm(proto recovery.Protocol, set hooks.Set) (WaterfallPoint, *recovery.RecoveryReport, error) {
 	p := WaterfallPoint{Protocol: proto}
 	db, err := seededDB(proto, 4, 4, defaultPages, 0)
 	if err != nil {
-		return p, err
+		return p, nil, err
 	}
-	wf := waterfall.New(waterfall.Config{Nodes: db.M.Nodes()})
-	db.Attach(hooks.Set{Observer: obs.NewWithCapacity(256), Waterfall: wf})
+	wf := set.Waterfall
+	db.Attach(set)
 	mgr := txn.NewManager(db)
 
 	// Committed convoy rounds: line-waits with holders, appends, forces.
 	for round := 0; round < 3; round++ {
 		if _, err := depCensusRound(db, mgr, round, true); err != nil {
-			return p, err
+			return p, nil, err
 		}
 	}
 
@@ -118,47 +120,47 @@ func waterfallArm(proto recovery.Protocol) (WaterfallPoint, error) {
 	// blocked acquire attempts become CauseLockWait segments.
 	ta, err := mgr.Begin(0)
 	if err != nil {
-		return p, err
+		return p, nil, err
 	}
 	tb, err := mgr.Begin(1)
 	if err != nil {
-		return p, err
+		return p, nil, err
 	}
 	rid := heap.RID{Page: storage.PageID(1), Slot: 0}
 	if err := ta.Write(rid, []byte{9, 0}); err != nil {
-		return p, err
+		return p, nil, err
 	}
 	for i := 0; i < 3; i++ {
 		if err := tb.Write(rid, []byte{9, 1}); !errors.Is(err, txn.ErrBlocked) {
-			return p, fmt.Errorf("conflicting write: got %v, want ErrBlocked", err)
+			return p, nil, fmt.Errorf("conflicting write: got %v, want ErrBlocked", err)
 		}
 	}
 	if err := ta.Commit(); err != nil {
-		return p, err
+		return p, nil, err
 	}
 	if err := txn.Retry(func() error { return tb.Write(rid, []byte{9, 1}) }); err != nil {
-		return p, err
+		return p, nil, err
 	}
 	if err := tb.Commit(); err != nil {
-		return p, err
+		return p, nil, err
 	}
 
 	// Rollback: an aborted writer's undo walk lands under CauseUndo.
 	tu, err := mgr.Begin(2)
 	if err != nil {
-		return p, err
+		return p, nil, err
 	}
 	if err := tu.Write(heap.RID{Page: storage.PageID(7), Slot: 2}, []byte{7, 2}); err != nil {
-		return p, err
+		return p, nil, err
 	}
 	if err := tu.Abort(); err != nil {
-		return p, err
+		return p, nil, err
 	}
 
 	// The hazard round: in-flight writes whose latest copies sit on node 3.
 	txs, err := depCensusRound(db, mgr, 3, false)
 	if err != nil {
-		return p, err
+		return p, nil, err
 	}
 	victim := machine.NodeID(3)
 	db.Crash(victim)
@@ -167,11 +169,12 @@ func waterfallArm(proto recovery.Protocol) (WaterfallPoint, error) {
 	// (redo replays onto the survivors) will fill.
 	for n := 0; n < 3; n++ {
 		if err := txs[n].Write(heap.RID{Page: 1, Slot: uint16(n)}, []byte{8, byte(n)}); !errors.Is(err, txn.ErrBlocked) {
-			return p, fmt.Errorf("frozen write node %d: got %v, want ErrBlocked", n, err)
+			return p, nil, fmt.Errorf("frozen write node %d: got %v, want ErrBlocked", n, err)
 		}
 	}
-	if _, err := db.Recover([]machine.NodeID{victim}); err != nil {
-		return p, err
+	rep, err := db.Recover([]machine.NodeID{victim})
+	if err != nil {
+		return p, nil, err
 	}
 	if proto.IFA() {
 		// Survivors resume: the freeze lift closes the CauseFrozen span, then
@@ -181,10 +184,10 @@ func waterfallArm(proto recovery.Protocol) (WaterfallPoint, error) {
 			if err := txn.Retry(func() error {
 				return txs[n].Write(heap.RID{Page: 1, Slot: uint16(n)}, []byte{8, byte(n)})
 			}); err != nil {
-				return p, err
+				return p, nil, err
 			}
 			if err := txs[n].Commit(); err != nil {
-				return p, err
+				return p, nil, err
 			}
 		}
 	}
@@ -197,7 +200,7 @@ func waterfallArm(proto recovery.Protocol) (WaterfallPoint, error) {
 	p.Slow = len(slow)
 	for _, w := range slow {
 		for _, s := range w.Segments {
-			if s.Cause == waterfall.CauseLineWait && s.Holder != 0 {
+			if s.Cause == obs.CauseLineWait && s.Holder != 0 {
 				p.Convoyed++
 				break
 			}
@@ -205,15 +208,15 @@ func waterfallArm(proto recovery.Protocol) (WaterfallPoint, error) {
 	}
 	p.Phases = len(wf.Progress().Snapshot())
 	if p.Completed == 0 {
-		return p, fmt.Errorf("no waterfalls completed")
+		return p, nil, fmt.Errorf("no waterfalls completed")
 	}
 	if p.Slow == 0 {
-		return p, fmt.Errorf("tail sampler retained nothing")
+		return p, nil, fmt.Errorf("tail sampler retained nothing")
 	}
 	if p.Phases == 0 {
-		return p, fmt.Errorf("recovery progress recorded no phases")
+		return p, nil, fmt.Errorf("recovery progress recorded no phases")
 	}
-	return p, nil
+	return p, rep, nil
 }
 
 // waterfallOverheadArm times the committed convoy rounds with an observer, and
@@ -253,7 +256,7 @@ func (r *WaterfallResult) Table() string {
 		for _, v := range p.ByCause {
 			attr += v
 		}
-		share := func(c waterfall.Cause) string {
+		share := func(c obs.Cause) string {
 			if attr == 0 {
 				return "-"
 			}
@@ -263,13 +266,13 @@ func (r *WaterfallResult) Table() string {
 			p.Protocol.String(),
 			fmt.Sprintf("%d", p.Completed),
 			pct(p.Coverage),
-			share(waterfall.CauseCompute),
-			share(waterfall.CauseLockWait),
-			share(waterfall.CauseLineWait),
-			share(waterfall.CauseFetch),
-			share(waterfall.CauseLogForce),
-			share(waterfall.CauseFrozen),
-			share(waterfall.CauseUndo),
+			share(obs.CauseCompute),
+			share(obs.CauseLockWait),
+			share(obs.CauseLineWait),
+			share(obs.CauseFetch),
+			share(obs.CauseLogForce),
+			share(obs.CauseFrozen),
+			share(obs.CauseUndo),
 			fmt.Sprintf("%d", p.Slow),
 			fmt.Sprintf("%d", p.Convoyed),
 			fmt.Sprintf("%d", p.Phases),

@@ -26,10 +26,12 @@ func TestLineWaitNamesItsHolder(t *testing.T) {
 	o.SetSink(wf)
 	m.SetHooks(o, nil)
 	const ta, tb = 1, 2
-	wf.Begin(ta, 0, m.Clock(0))
-	wf.Begin(tb, 1, m.Clock(1))
-	wf.OpStart(ta, 0, m.Clock(0))
-	wf.OpStart(tb, 1, m.Clock(1))
+	// The transactions' brackets are events on the same observer.
+	mark := func(k obs.Kind, nd NodeID, txn int64) { o.Instant(k, int32(nd), m.Clock(nd), txn, 0) }
+	mark(obs.KindTxnBegin, 0, ta)
+	mark(obs.KindTxnBegin, 1, tb)
+	mark(obs.KindOpStart, 0, ta)
+	mark(obs.KindOpStart, 1, tb)
 
 	// waitBehind runs get (a GetLine that must block) on its own goroutine,
 	// releases the line as holder once get is parked, and waits for get to
@@ -75,7 +77,7 @@ func TestLineWaitNamesItsHolder(t *testing.T) {
 	if err := m.ReleaseLine(0, queued); err != nil {
 		t.Fatal(err)
 	}
-	wf.OpEnd(ta, 0, m.Clock(0))
+	mark(obs.KindOpEnd, 0, ta)
 	if err := getRelease(1, queued)(); err != nil {
 		t.Fatal(err)
 	}
@@ -87,9 +89,9 @@ func TestLineWaitNamesItsHolder(t *testing.T) {
 	}
 	waitBehind(1, own, getRelease(1, own))
 
-	wf.OpEnd(tb, 1, m.Clock(1))
-	wf.End(ta, m.Clock(0), waterfall.OutcomeCommitted)
-	wf.End(tb, m.Clock(1), waterfall.OutcomeCommitted)
+	mark(obs.KindOpEnd, 1, tb)
+	mark(obs.KindTxnCommit, 0, ta)
+	mark(obs.KindTxnCommit, 1, tb)
 
 	want := map[LineID]struct {
 		contended bool
@@ -114,7 +116,7 @@ func TestLineWaitNamesItsHolder(t *testing.T) {
 	}
 	named := map[LineID]int64{}
 	for _, s := range w.Segments {
-		if s.Cause == waterfall.CauseLineWait {
+		if s.Cause == obs.CauseLineWait {
 			named[LineID(s.Detail)] = s.Holder
 		}
 	}

@@ -4,8 +4,9 @@
 //
 // The tracker folds the engine's event stream — it is a sink of the attached
 // hook set, like the residency model: WAL appends, forces and discards, node
-// crashes, and pages turning dirty (page-dirty) and clean again
-// (page-flush). It keeps, per node and globally:
+// crashes, pages turning dirty (page-dirty) and clean again (page-flush),
+// and restart recovery's opening progress event and closing recovery span.
+// It keeps, per node and globally:
 //
 //   - log records and bytes accumulated since the node's last safe point
 //     (min of the last checkpoint record and one below the oldest active
@@ -374,6 +375,12 @@ func (t *Tracker) OnEvent(e obs.Event) {
 		t.dirty[e.A] = struct{}{}
 	case obs.KindPageFlush:
 		delete(t.dirty, e.A)
+	case obs.KindProgress:
+		if e.Phase == obs.PhaseNone && e.A == 0 {
+			t.recoveryStartLocked(int(e.B))
+		}
+	case obs.KindRecovery:
+		t.recoveryEndLocked(e.C&1 == 1, e.A, e.B, int(e.C>>1), e.Dur)
 	}
 }
 
@@ -479,33 +486,26 @@ func (t *Tracker) discardLocked(node int32, newFirst int64) {
 	}
 }
 
-// RecoveryStart opens a recovery run over `down` crashed nodes, snapshotting
-// the global debt the estimator is judged against.
-func (t *Tracker) RecoveryStart(down int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
+// recoveryStartLocked opens a recovery run over `down` crashed nodes (the
+// run's opening KindProgress event), snapshotting the global debt the
+// estimator is judged against.
+func (t *Tracker) recoveryStartLocked(down int) {
 	t.recovering = true
 	t.recoveryWall0 = t.now()
 	t.recoveryDebt0 = t.globalDebtLocked()
 	t.recoveryDown = down
-	t.mu.Unlock()
 }
 
-// RecoveryEnd closes a recovery run. A successful recovery contributes one
-// MTTR sample, one estimator calibration sample (ns per debt record, on the
-// sequential/busy and parallel/wall axes), and re-anchors every node's safe
-// point at its current end of log — debt drops to ~zero and re-accumulates.
+// recoveryEndLocked closes a recovery run (its KindRecovery span). A
+// successful recovery contributes one MTTR sample, one estimator calibration
+// sample (ns per debt record, on the sequential/busy and parallel/wall
+// axes), and re-anchors every node's safe point at its current end of log —
+// debt drops to ~zero and re-accumulates.
 // replayed is the records recovery actually processed (redo applied+skipped,
 // undo applied); busyNS the summed worker busy time from the profiler (0
 // when unmetered — wall time stands in); workers the recovery fan-out;
 // simNS the simulated recovery duration.
-func (t *Tracker) RecoveryEnd(ok bool, replayed, busyNS int64, workers int, simNS int64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
+func (t *Tracker) recoveryEndLocked(ok bool, replayed, busyNS int64, workers int, simNS int64) {
 	wall := t.now() - t.recoveryWall0
 	if !t.recovering {
 		wall = 0
@@ -520,7 +520,6 @@ func (t *Tracker) RecoveryEnd(ok bool, replayed, busyNS int64, workers int, simN
 	t.haveRecovery = true
 	if !ok {
 		t.failures++
-		t.mu.Unlock()
 		return
 	}
 	t.recoveries++
@@ -561,7 +560,6 @@ func (t *Tracker) RecoveryEnd(ok bool, replayed, busyNS int64, workers int, simN
 	}
 	t.prevDebt = t.globalDebtLocked()
 	t.streak = 0
-	t.mu.Unlock()
 }
 
 // NodeSnapshot is one node's debt accounting at a Snapshot instant.

@@ -42,6 +42,18 @@ func feedClean(t *Tracker, p int64) {
 	t.OnEvent(obs.Event{Kind: obs.KindPageFlush, A: p})
 }
 
+// feedRecovery is one restart recovery over down nodes: its opening progress
+// event, then its closing span with what it replayed, the workers' busy
+// time, the fan-out and the simulated duration.
+func feedRecovery(t *Tracker, down int, ok bool, replayed, busyNS int64, workers int, simNS int64) {
+	t.OnEvent(obs.Event{Kind: obs.KindProgress, Node: obs.SystemNode, B: int64(down)})
+	c := int64(workers) << 1
+	if ok {
+		c |= 1
+	}
+	t.OnEvent(obs.Event{Kind: obs.KindRecovery, Node: obs.SystemNode, Dur: simNS, A: replayed, B: busyNS, C: c})
+}
+
 // appendN feeds n update appends for txn on node, starting at the node's
 // next LSN, each sized bytes, at simulated time sim.
 func appendN(t *Tracker, node int32, startLSN int64, n int, txn uint64, size int, sim int64) int64 {
@@ -156,8 +168,7 @@ func TestRecoveryResetsDebtAndRecalibrates(t *testing.T) {
 	if s := tr.Snapshot(); s.DebtRecords != 80 {
 		t.Fatalf("pre-recovery debt = %d, want 80", s.DebtRecords)
 	}
-	tr.RecoveryStart(1)
-	tr.RecoveryEnd(true, 60, 0, 1, 5_000_000)
+	feedRecovery(tr, 1, true, 60, 0, 1, 5_000_000)
 	s := tr.Snapshot()
 	if s.DebtRecords != 0 || s.DebtBytes != 0 {
 		t.Fatalf("post-recovery debt = %d records / %d bytes, want 0/0", s.DebtRecords, s.DebtBytes)
@@ -189,8 +200,7 @@ func TestRecoveryResetsDebtAndRecalibrates(t *testing.T) {
 func TestFailedRecoveryDoesNotReset(t *testing.T) {
 	tr := New(Config{Nodes: 1})
 	appendN(tr, 0, 1, 20, 3, 100, 0)
-	tr.RecoveryStart(1)
-	tr.RecoveryEnd(false, 0, 0, 1, 0)
+	feedRecovery(tr, 1, false, 0, 0, 1, 0)
 	s := tr.Snapshot()
 	if s.DebtRecords != 20 {
 		t.Fatalf("debt after failed recovery = %d, want 20 (no reset)", s.DebtRecords)

@@ -365,8 +365,12 @@ func (t *Tracker) echoEdges(pend []pendEdge) {
 // reader calls back into the engine; dep-edge echoes go only to the
 // Observer, after the tracker lock is released.
 func (t *Tracker) OnEvent(e obs.Event) {
-	if t == nil || e.Kind == obs.KindDepEdge {
+	if t == nil {
 		return
+	}
+	switch e.Kind {
+	case obs.KindDepEdge, obs.KindOpStart, obs.KindOpEnd, obs.KindTxnWait, obs.KindProgress:
+		return // its own echoes, and the waterfall's and debt's accounting
 	}
 	var pend []pendEdge
 	t.mu.Lock()

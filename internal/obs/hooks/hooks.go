@@ -1,12 +1,14 @@
 // Package hooks is the one attach point between the engine and its optional
 // observability consumers. A Set names every consumer the engine knows how
 // to feed; recovery.DB.Attach publishes one with a single pointer swap. The
-// substrates (machine, wal, buffer, lock) report only by recording events on
-// the Observer, which their one SetHooks takes (the machine's also takes the
-// stripe profiler's counters), and the Set is the Observer's one sink. The
-// protocol layer (internal/recovery, internal/txn) calls what is not an
-// engine event directly: the waterfall's transaction brackets, the debt
-// tracker's recovery start/end, the model's write/crash/recovered notes.
+// engine reports by recording events on the Observer, and the Set is the
+// Observer's one sink: the substrates (machine, wal, buffer, lock) through
+// their one SetHooks (the machine's also takes the stripe profiler's
+// counters), the protocol layer (internal/recovery, internal/txn) its
+// transaction lifecycle, operation brackets, attributed waits and restart
+// recovery's progress. The protocol layer calls directly only the model's
+// three notes — NoteWrite, NoteCrash, NoteRecovered — whose lists an event
+// cannot hold.
 //
 // A Set is immutable once attached. To change one consumer, copy the current
 // set, change the field, and attach the copy.

@@ -56,7 +56,8 @@ const (
 	// KindDeadlock is a deadlock-victim decision (A = victim transaction).
 	KindDeadlock
 	// Transaction lifecycle (internal/recovery): A = transaction id;
-	// B = commit latency in simulated ns for commits.
+	// B = commit latency in simulated ns for commits. A commit or abort also
+	// closes the transaction's operation bracket, if one is open.
 	KindTxnBegin
 	KindTxnCommit
 	KindTxnAbort
@@ -72,7 +73,9 @@ const (
 	// names it; Sim is the span start; Dur its simulated duration).
 	KindPhase
 	// KindRecovery is the whole restart-recovery run, the parent span
-	// enclosing the phase spans.
+	// enclosing the phase spans, recorded when the run ends, failed or not
+	// (A = records replayed, B = summed worker busy host ns or 0 unmetered,
+	// C = worker fan-out<<1 | 1 if the run recovered).
 	KindRecovery
 	// KindFault is an injected fault firing (internal/fault via the hooked
 	// layer; A = fault-site discriminator, B = victim node or 0).
@@ -107,6 +110,21 @@ const (
 	// KindPageDirty is page A turning dirty (internal/buffer; once per
 	// clean-to-dirty transition, on the SystemNode track).
 	KindPageDirty
+	// KindOpStart and KindOpEnd bracket one transaction operation on the
+	// transaction's node (internal/txn, internal/recovery; A = transaction,
+	// B = the Cause its unexplained time is charged to). Brackets nest; the
+	// outermost counts.
+	KindOpStart
+	KindOpEnd
+	// KindTxnWait is an attributed wait, a span of Dur simulated ns from Sim
+	// (A = transaction, 0 for the node's transaction in an open bracket;
+	// B = Cause; C = its subject: an LSN or a lock name).
+	KindTxnWait
+	// KindProgress is restart-recovery progress (SystemNode track). Without
+	// a Phase it opens the run (A = 0, B = nodes down) or an attempt (A = its
+	// number). With one it reports that phase's work since its last progress
+	// event (A = records, B = bytes) or, with C = 1, its planned total (A).
+	KindProgress
 
 	numKinds
 )
@@ -117,7 +135,8 @@ var kindNames = [numKinds]string{
 	"txn-begin", "txn-commit", "txn-abort", "page-fetch", "page-flush",
 	"crash", "phase", "recovery", "fault", "io-retry",
 	"replicate", "install", "discard", "dep-edge", "prof-fanout",
-	"wal-discard", "page-dirty",
+	"wal-discard", "page-dirty", "op-start", "op-end", "txn-wait",
+	"progress",
 }
 
 func (k Kind) String() string {
@@ -173,6 +192,42 @@ func (p Phase) String() string {
 		return phaseNames[p]
 	}
 	return "phase?"
+}
+
+// Cause labels where a transaction's simulated time went: the cause of a
+// KindTxnWait, or the one a KindOpStart bracket charges its residue to. In
+// order: the residue of an operation's time no wait explains (directory
+// walks, uncontended line acquisitions, slot I/O, log-manager CPU); a
+// record or key lock; a machine line (queued behind its lock or a
+// migration); a disk fetch; a log append; a log force; the recovery freeze
+// window (ErrBlocked stalls while a crash is repaired); rollback (the undo
+// walk and its installs).
+type Cause uint8
+
+const (
+	CauseCompute Cause = iota
+	CauseLockWait
+	CauseLineWait
+	CauseFetch
+	CauseLogAppend
+	CauseLogForce
+	CauseFrozen
+	CauseUndo
+
+	NumCauses = int(CauseUndo) + 1 // how many causes there are
+)
+
+var causeNames = [NumCauses]string{
+	"compute", "lock-wait", "line-wait", "fetch",
+	"log-append", "log-force", "frozen", "undo",
+}
+
+// String returns the cause's label (the Prometheus cause= value).
+func (c Cause) String() string {
+	if int(c) < NumCauses {
+		return causeNames[c]
+	}
+	return "unknown"
 }
 
 // SystemNode is the pseudo-node recovery spans are recorded against: restart

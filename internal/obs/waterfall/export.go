@@ -35,7 +35,7 @@ func entryOf(w *Waterfall) map[string]any {
 	by := map[string]int64{}
 	for c, v := range w.ByCause {
 		if v > 0 {
-			by[Cause(c).String()] = v
+			by[obs.Cause(c).String()] = v
 		}
 	}
 	cov := 1.0
@@ -75,7 +75,7 @@ func (r *Recorder) WriteSlowJSON(w io.Writer, max int) error {
 	by := map[string]int64{}
 	for c, v := range r.Totals() {
 		if v > 0 {
-			by[Cause(c).String()] = v
+			by[obs.Cause(c).String()] = v
 		}
 	}
 	slow := r.Slow(max)
@@ -193,7 +193,7 @@ func (r *Recorder) WriteProm(w io.Writer) error {
 	}
 	totals := r.Totals()
 	for c, v := range totals {
-		if _, err := fmt.Fprintf(w, "smdb_txn_wait_ns{cause=%q} %d\n", Cause(c).String(), v); err != nil {
+		if _, err := fmt.Fprintf(w, "smdb_txn_wait_ns{cause=%q} %d\n", obs.Cause(c).String(), v); err != nil {
 			return err
 		}
 	}
@@ -241,7 +241,7 @@ func (r *Recorder) Summary() string {
 	s := fmt.Sprintf("waterfall: %d txns, coverage %.1f%% of %s", r.Completed(), cov*100, obs.FormatNS(total))
 	for c, v := range totals {
 		if v > 0 {
-			s += fmt.Sprintf(" %s=%s", Cause(c).String(), obs.FormatNS(v))
+			s += fmt.Sprintf(" %s=%s", obs.Cause(c).String(), obs.FormatNS(v))
 		}
 	}
 	return s

@@ -4,25 +4,29 @@ import (
 	"encoding/json"
 	"io"
 	"sync"
+
+	"smdb/internal/obs"
 )
 
 // Progress is the live recovery-progress observer behind /recovery/progress:
 // while Recover runs it reports, per phase, records and bytes done, the
 // wall-clock processing rate, and — once a planned total is known (the redo
-// candidate count) — an ETA. Sim-time phase durations are folded in as each
-// phase closes. A nil *Progress no-ops, like the recorder it belongs to.
+// candidate count) — an ETA. It folds recovery's events: KindProgress opens
+// the run and its attempts and carries plans and batched progress, each
+// KindPhase span (the freeze excepted) closes its phase with its sim
+// duration, and KindRecovery closes the run. A nil *Progress reports
+// {"enabled": false}, like the recorder it belongs to.
 type Progress struct {
-	mu       sync.Mutex
-	active   bool
-	attempt  int
-	down     int
-	startW   int64 // wall ns (monotonic) recovery began
-	lastOK   bool
-	runs     int
-	current  string
-	phases   map[string]*PhaseProgress
-	order    []string
-	lastSimD int64
+	mu      sync.Mutex
+	active  bool
+	attempt int
+	down    int
+	startW  int64 // wall ns (monotonic) recovery began
+	lastOK  bool
+	runs    int
+	current string
+	phases  map[string]*PhaseProgress
+	order   []string
 }
 
 // PhaseProgress is one recovery phase's accumulated progress.
@@ -37,7 +41,7 @@ type PhaseProgress struct {
 	SimNS int64 `json:"sim_ns"`
 	Done  bool  `json:"done"`
 
-	firstW, lastW int64 // wall ns of first/last Note, for the rate
+	firstW, lastW int64 // wall ns of first/last progress event, for the rate
 }
 
 // RatePerSec is the phase's wall-clock record rate (0 until measurable).
@@ -66,47 +70,6 @@ func newProgress() *Progress {
 	return &Progress{phases: map[string]*PhaseProgress{}}
 }
 
-// Start opens a recovery run over `down` crashed nodes, resetting per-run
-// phase state.
-func (p *Progress) Start(down int) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.active = true
-	p.attempt = 0
-	p.down = down
-	p.startW = now()
-	p.current = ""
-	p.phases = map[string]*PhaseProgress{}
-	p.order = nil
-	p.runs++
-	p.mu.Unlock()
-}
-
-// Attempt records the current recovery attempt number (coordinator
-// failovers re-enter recovery with attempt > 1).
-func (p *Progress) Attempt(n int) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.attempt = n
-	p.mu.Unlock()
-}
-
-// End closes the recovery run.
-func (p *Progress) End(ok bool) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.active = false
-	p.lastOK = ok
-	p.current = ""
-	p.mu.Unlock()
-}
-
 func (p *Progress) phaseLocked(name string) *PhaseProgress {
 	ph := p.phases[name]
 	if ph == nil {
@@ -117,52 +80,50 @@ func (p *Progress) phaseLocked(name string) *PhaseProgress {
 	return ph
 }
 
-// Note adds records/bytes of completed work to the named phase and marks it
-// current. Hot during redo apply; one mutex, no allocation after the first
-// Note per phase.
-func (p *Progress) Note(phase string, records, bytes int) {
-	if p == nil {
-		return
-	}
-	w := now()
+// onEvent folds one recovery event (see Progress).
+func (p *Progress) onEvent(e obs.Event) {
 	p.mu.Lock()
-	ph := p.phaseLocked(phase)
-	if ph.firstW == 0 {
-		ph.firstW = w
-	}
-	ph.lastW = w
-	ph.Records += int64(records)
-	ph.Bytes += int64(bytes)
-	p.current = phase
-	p.mu.Unlock()
-}
-
-// Plan sets the named phase's known total work (the redo candidate count),
-// enabling its ETA.
-func (p *Progress) Plan(phase string, planned int) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.phaseLocked(phase).Planned = int64(planned)
-	p.mu.Unlock()
-}
-
-// PhaseDone closes the named phase with its simulated duration (called from
-// the recovery pipeline's phase tracker as each span ends).
-func (p *Progress) PhaseDone(phase string, simNS int64) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	ph := p.phaseLocked(phase)
-	ph.SimNS += simNS
-	ph.Done = true
-	if p.current == phase {
+	defer p.mu.Unlock()
+	name := e.Phase.String()
+	switch {
+	case e.Kind == obs.KindRecovery:
+		p.active = false
+		p.lastOK = e.C&1 == 1
 		p.current = ""
+	case e.Kind == obs.KindPhase:
+		if e.Phase == obs.PhaseFreeze {
+			return // crash to recovery start: no phase of the run
+		}
+		ph := p.phaseLocked(name)
+		ph.SimNS += e.Dur
+		ph.Done = true
+		if p.current == name {
+			p.current = ""
+		}
+	case e.Phase == obs.PhaseNone && e.A == 0:
+		p.active = true
+		p.attempt = 0
+		p.down = int(e.B)
+		p.startW = now()
+		p.current = ""
+		p.phases = map[string]*PhaseProgress{}
+		p.order = nil
+		p.runs++
+	case e.Phase == obs.PhaseNone:
+		p.attempt = int(e.A)
+	case e.C == 1:
+		p.phaseLocked(name).Planned = e.A
+	default:
+		w := now()
+		ph := p.phaseLocked(name)
+		if ph.firstW == 0 {
+			ph.firstW = w
+		}
+		ph.lastW = w
+		ph.Records += e.A
+		ph.Bytes += e.B
+		p.current = name
 	}
-	p.lastSimD += simNS
-	p.mu.Unlock()
 }
 
 // progressDoc is the /recovery/progress JSON body.

@@ -3,11 +3,13 @@
 // line-lock waits (with the holder's txn id, so convoys are explainable),
 // record-lock waits, page-fetch waits, log-append markers, log-force waits,
 // recovery-freeze stalls, undo time, and the pure-compute residue — fed by
-// the engine's events (OnEvent, a sink of the attached hook set) and by the
-// protocol layer's brackets in internal/txn and internal/recovery. A bounded
-// tail sampler keeps the K slowest completed waterfalls per sim-time window
-// plus a deterministic 1-in-N reservoir, and links them as exemplars from the
-// commit-latency histogram's log2 buckets.
+// the engine's events alone (OnEvent, a sink of the attached hook set): the
+// transaction lifecycle instants open and close a waterfall, the operation
+// brackets (KindOpStart/KindOpEnd) delimit the compute residue, and waits
+// arrive as their own events. A bounded tail sampler keeps the K slowest
+// completed waterfalls per sim-time window plus a deterministic 1-in-N
+// reservoir, and links them as exemplars from the commit-latency histogram's
+// log2 buckets.
 //
 // Like the obs/audit/prof layers, the recorder is always compiled and off by
 // default: every hot-path method is nil-receiver safe and allocation-free on
@@ -31,58 +33,6 @@ var base = time.Now()
 // now returns monotonic host nanoseconds since process start (wall rates for
 // the recovery-progress observer; everything else in this package is sim time).
 func now() int64 { return int64(time.Since(base)) }
-
-// Cause labels one waterfall segment with where the time went.
-type Cause uint8
-
-const (
-	// CauseCompute is the residue of an operation's sim time not explained
-	// by any recorded wait: directory walks, uncontended line acquisitions,
-	// slot reads/writes, log-manager CPU.
-	CauseCompute Cause = iota
-	// CauseLockWait is time blocked on a record/key lock (strict 2PL),
-	// attributed with the blocking holder's txn id when known.
-	CauseLockWait
-	// CauseLineWait is time waiting for a machine line — queued behind the
-	// line's lock or waiting out a migration — with the holder's txn id.
-	CauseLineWait
-	// CauseFetch is disk-read time installing a page absent from every cache.
-	CauseFetch
-	// CauseLogAppend is log-manager append work (LogAppend cost per record).
-	CauseLogAppend
-	// CauseLogForce is time stalled forcing the WAL to stable storage.
-	CauseLogForce
-	// CauseFrozen is time stalled against the recovery freeze window
-	// (ErrBlocked retry loops while a crash is being repaired).
-	CauseFrozen
-	// CauseUndo is rollback time: walking the undo chain and reinstalling
-	// before-images during Abort.
-	CauseUndo
-
-	numCauses = int(CauseUndo) + 1
-)
-
-var causeNames = [numCauses]string{
-	"compute", "lock-wait", "line-wait", "fetch",
-	"log-append", "log-force", "frozen", "undo",
-}
-
-// String returns the cause's label (the Prometheus cause= value).
-func (c Cause) String() string {
-	if int(c) < numCauses {
-		return causeNames[c]
-	}
-	return "unknown"
-}
-
-// Causes lists every cause in declaration order.
-func Causes() []Cause {
-	out := make([]Cause, numCauses)
-	for i := range out {
-		out[i] = Cause(i)
-	}
-	return out
-}
 
 // Outcome is how a transaction's waterfall ended.
 type Outcome uint8
@@ -108,11 +58,11 @@ func (o Outcome) String() string {
 // page id, LSN, or lock name hash) and Holder the blocking transaction for
 // lock/line waits (0 = unknown).
 type Segment struct {
-	Cause  Cause `json:"cause_id"`
-	Start  int64 `json:"start"`
-	Dur    int64 `json:"dur"`
-	Detail int64 `json:"detail,omitempty"`
-	Holder int64 `json:"holder,omitempty"`
+	Cause  obs.Cause `json:"cause_id"`
+	Start  int64     `json:"start"`
+	Dur    int64     `json:"dur"`
+	Detail int64     `json:"detail,omitempty"`
+	Holder int64     `json:"holder,omitempty"`
 }
 
 // Waterfall is one transaction's completed (or in-flight) decomposition.
@@ -124,7 +74,7 @@ type Waterfall struct {
 	EndSim   int64   `json:"end_sim"`
 	// ByCause sums segment durations per cause (compute residue included),
 	// so attribution survives even when Segments overflowed.
-	ByCause [numCauses]int64 `json:"-"`
+	ByCause [obs.NumCauses]int64 `json:"-"`
 	// Segments is the bounded ordered trace; Dropped counts overflow.
 	Segments []Segment `json:"segments"`
 	Dropped  int       `json:"dropped,omitempty"`
@@ -188,13 +138,13 @@ func (c Config) withDefaults() Config {
 // liveTxn is one in-flight transaction's accumulating state.
 type liveTxn struct {
 	wf Waterfall
-	// opStart/opWaits implement the compute residue: OpEnd charges
-	// (sim − opStart) − opWaits to opCause (CauseCompute for ordinary
-	// operations, CauseUndo for rollback), clamped at zero.
+	// opStart/opWaits implement the compute residue: closing the outermost
+	// bracket charges (sim − opStart) − opWaits to opCause (CauseCompute for
+	// ordinary operations, CauseUndo for rollback), clamped at zero.
 	opStart int64
 	opWaits int64
 	opDepth int32
-	opCause Cause
+	opCause obs.Cause
 }
 
 // txnSpan is a transaction's life on a node: Begin to its latest bracket's end.
@@ -231,7 +181,7 @@ type Recorder struct {
 
 	// Totals across every completed transaction, for coverage and the
 	// Prometheus smdb_txn_wait_ns{cause=...} counters.
-	byCause   [numCauses]atomic.Int64
+	byCause   [obs.NumCauses]atomic.Int64
 	completed atomic.Int64
 	totalLat  atomic.Int64
 	totalAttr atomic.Int64
@@ -260,32 +210,65 @@ func (r *Recorder) Progress() *Progress {
 	return r.progress
 }
 
-// Begin opens a transaction's waterfall at its begin sim time.
-func (r *Recorder) Begin(txn int64, node int32, sim int64) {
+// OnEvent folds one engine event. A transaction's begin opens its waterfall
+// and its commit or abort closes it (and any bracket still open); operation
+// brackets set the node's current-transaction register, which is how events
+// carrying only a node id resolve onto a transaction. A line-lock wait or a
+// disk fetch is a wait of the node's current transaction (see nodeWait); a
+// log append is a zero-length marker on the appending transaction's
+// waterfall (appends cost no simulated time; the markers carry ordering); a
+// crash drops every live waterfall of the crashed node — its control state
+// is gone, and recovery settles those transactions without their
+// accumulating goroutines. Recovery's events go to the progress observer.
+func (r *Recorder) OnEvent(e obs.Event) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	r.live[txn] = &liveTxn{wf: Waterfall{Txn: txn, Node: node, BeginSim: sim}}
-	r.mu.Unlock()
-}
-
-// OpStart marks the transaction entering an instrumented engine operation on
-// node: sets the node's current-txn register (so the node's events resolve
-// onto it) and opens the compute-residue bracket. Reentrant (txn layer over
-// DB layer): only the outermost bracket counts.
-func (r *Recorder) OpStart(txn int64, node int32, sim int64) {
-	r.SpanStart(txn, node, sim, CauseCompute)
-}
-
-// SpanStart is OpStart with an explicit residue cause: the outermost
-// bracket's unexplained sim time is charged to c instead of CauseCompute
-// (Abort brackets with CauseUndo, so the rollback walk's directory and slot
-// work lands under "undo" while its line waits keep their own cause).
-func (r *Recorder) SpanStart(txn int64, node int32, sim int64, c Cause) {
-	if r == nil {
-		return
+	switch e.Kind {
+	case obs.KindTxnBegin:
+		r.mu.Lock()
+		r.live[e.A] = &liveTxn{wf: Waterfall{Txn: e.A, Node: e.Node, BeginSim: e.Sim}}
+		r.mu.Unlock()
+	case obs.KindOpStart:
+		r.opStart(e.A, e.Node, e.Sim, obs.Cause(e.B))
+	case obs.KindOpEnd:
+		r.mu.Lock()
+		r.opEndLocked(e.A, e.Node, e.Sim)
+		r.mu.Unlock()
+	case obs.KindTxnCommit:
+		r.end(e, OutcomeCommitted)
+	case obs.KindTxnAbort:
+		r.end(e, OutcomeAborted)
+	case obs.KindTxnWait:
+		r.addWait(e.A, e.Node, obs.Cause(e.B), e.Sim, e.Dur, e.C)
+	case obs.KindLineLockWait:
+		r.nodeWait(e, obs.CauseLineWait)
+	case obs.KindPageFetch:
+		r.nodeWait(e, obs.CauseFetch)
+	case obs.KindWALAppend:
+		if e.C != 0 {
+			r.addWait(e.C, e.Node, obs.CauseLogAppend, e.Sim, 0, e.A)
+		}
+	case obs.KindCrash:
+		r.mu.Lock()
+		if e.Node >= 0 && int(e.Node) < len(r.cur) {
+			r.cur[e.Node] = 0
+		}
+		for id, lt := range r.live {
+			if lt.wf.Node == e.Node {
+				delete(r.live, id)
+			}
+		}
+		r.mu.Unlock()
+	case obs.KindProgress, obs.KindPhase, obs.KindRecovery:
+		r.progress.onEvent(e)
 	}
+}
+
+// opStart marks txn entering an instrumented operation on node: sets the
+// node's current-txn register and opens the residue bracket, charged to c.
+// Reentrant (txn layer over DB layer): only the outermost bracket counts.
+func (r *Recorder) opStart(txn int64, node int32, sim int64, c obs.Cause) {
 	r.mu.Lock()
 	if int(node) < len(r.cur) {
 		r.cur[node] = txn
@@ -301,18 +284,12 @@ func (r *Recorder) SpanStart(txn int64, node int32, sim int64, c Cause) {
 	r.mu.Unlock()
 }
 
-// OpEnd closes the operation bracket, charging the unexplained residue of
-// its sim time to the bracket's cause. The node's current-txn register is
-// cleared only when the outermost bracket closes.
-func (r *Recorder) OpEnd(txn int64, node int32, sim int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// opEndLocked closes one level of txn's bracket at sim. The outermost one
+// charges the unexplained residue of its sim time to the bracket's cause and
+// clears the node's current-txn register. Caller holds r.mu.
+func (r *Recorder) opEndLocked(txn int64, node int32, sim int64) {
 	if lt := r.live[txn]; lt != nil && lt.opDepth > 0 {
-		lt.opDepth--
-		if lt.opDepth > 0 {
+		if lt.opDepth--; lt.opDepth > 0 {
 			return
 		}
 		if residue := sim - lt.opStart - lt.opWaits; residue > 0 {
@@ -327,32 +304,20 @@ func (r *Recorder) OpEnd(txn int64, node int32, sim int64) {
 	}
 }
 
-// CurrentTxn returns the transaction currently running an instrumented
-// operation on node, 0 when none.
-func (r *Recorder) CurrentTxn(node int32) int64 {
-	if r == nil || int(node) >= len(r.cur) {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.cur[node]
-}
-
-// AddWait records one attributed wait segment for txn. start is the sim time
-// the wait began, dur its sim length; detail/holder per Segment. Zero and
-// negative durations are recorded as markers only when dur == 0 and the
-// cause is CauseLogAppend (append markers order the trace); otherwise they
-// are dropped.
-func (r *Recorder) AddWait(txn int64, c Cause, start, dur, detail, holder int64) {
-	if r == nil {
-		return
-	}
-	if dur <= 0 && !(dur == 0 && c == CauseLogAppend) {
+// addWait records one attributed wait segment for txn (0: node's current
+// transaction). start is the sim time the wait began, dur its sim length.
+// Zero and negative durations are dropped, except the zero-length
+// CauseLogAppend markers that order the trace.
+func (r *Recorder) addWait(txn int64, node int32, c obs.Cause, start, dur, detail int64) {
+	if dur <= 0 && !(dur == 0 && c == obs.CauseLogAppend) {
 		return
 	}
 	r.mu.Lock()
+	if txn == 0 && node >= 0 && int(node) < len(r.cur) {
+		txn = r.cur[node]
+	}
 	if lt := r.live[txn]; lt != nil {
-		r.addSegmentLocked(lt, Segment{Cause: c, Start: start, Dur: dur, Detail: detail, Holder: holder})
+		r.addSegmentLocked(lt, Segment{Cause: c, Start: start, Dur: dur, Detail: detail})
 		if lt.opDepth > 0 {
 			lt.opWaits += dur
 		}
@@ -360,44 +325,11 @@ func (r *Recorder) AddWait(txn int64, c Cause, start, dur, detail, holder int64)
 	r.mu.Unlock()
 }
 
-// OnEvent folds one engine event. A line-lock wait or a disk fetch is a wait
-// of the node's current transaction (see nodeWait); a log append is a
-// zero-length marker on the appending transaction's waterfall (appends cost
-// no simulated time; the markers carry ordering); a crash drops every live
-// waterfall of the crashed node — its control state is gone, and recovery
-// settles those transactions without their accumulating goroutines.
-func (r *Recorder) OnEvent(e obs.Event) {
-	if r == nil {
-		return
-	}
-	switch e.Kind {
-	case obs.KindLineLockWait:
-		r.nodeWait(e, CauseLineWait)
-	case obs.KindPageFetch:
-		r.nodeWait(e, CauseFetch)
-	case obs.KindWALAppend:
-		if e.C != 0 {
-			r.AddWait(e.C, CauseLogAppend, e.Sim, 0, e.A, 0)
-		}
-	case obs.KindCrash:
-		r.mu.Lock()
-		if e.Node >= 0 && int(e.Node) < len(r.cur) {
-			r.cur[e.Node] = 0
-		}
-		for id, lt := range r.live {
-			if lt.wf.Node == e.Node {
-				delete(r.live, id)
-			}
-		}
-		r.mu.Unlock()
-	}
-}
-
 // nodeWait attributes the wait e reports (Dur sim-ns ending at Sim; detail A)
 // to its node's current transaction — only while that transaction has an
 // operation bracket open, so recovery's own line traffic never pollutes a
 // stalled survivor's waterfall.
-func (r *Recorder) nodeWait(e obs.Event, c Cause) {
+func (r *Recorder) nodeWait(e obs.Event, c obs.Cause) {
 	if e.Dur <= 0 || int(e.Node) >= len(r.cur) {
 		return
 	}
@@ -405,7 +337,7 @@ func (r *Recorder) nodeWait(e obs.Event, c Cause) {
 	defer r.mu.Unlock()
 	if lt := r.live[r.cur[e.Node]]; lt != nil && lt.opDepth > 0 {
 		s := Segment{Cause: c, Start: e.Sim - e.Dur, Dur: e.Dur, Detail: e.A}
-		if c == CauseLineWait {
+		if c == obs.CauseLineWait {
 			s.Holder = r.holderLocked(e)
 		}
 		if s.Holder == lt.wf.Txn {
@@ -450,20 +382,22 @@ func (r *Recorder) addSegmentLocked(lt *liveTxn, s Segment) {
 	}
 }
 
-// End closes txn's waterfall at sim time sim and feeds it to the tail
-// sampler. Unknown ids (crash-settled transactions, double ends) no-op.
-func (r *Recorder) End(txn int64, sim int64, oc Outcome) {
-	if r == nil {
-		return
-	}
+// end closes e's transaction's waterfall at e.Sim with outcome oc (a bracket
+// still open closes there too) and feeds it to the tail sampler. Unknown ids
+// (crash-settled transactions, double ends) no-op.
+func (r *Recorder) end(e obs.Event, oc Outcome) {
 	r.mu.Lock()
-	lt := r.live[txn]
+	lt := r.live[e.A]
+	if lt != nil && lt.opDepth > 1 {
+		lt.opDepth = 1 // the outermost bracket closes here
+	}
+	r.opEndLocked(e.A, e.Node, e.Sim)
 	if lt == nil {
 		r.mu.Unlock()
 		return
 	}
-	delete(r.live, txn)
-	lt.wf.EndSim = sim
+	delete(r.live, e.A)
+	lt.wf.EndSim = e.Sim
 	lt.wf.Outcome = oc
 	r.mu.Unlock()
 
@@ -571,8 +505,8 @@ func (r *Recorder) sampleLocked(w *Waterfall) {
 
 // Totals returns the per-cause attributed sim-ns across all completed
 // transactions, in Cause order.
-func (r *Recorder) Totals() [numCauses]int64 {
-	var out [numCauses]int64
+func (r *Recorder) Totals() [obs.NumCauses]int64 {
+	var out [obs.NumCauses]int64
 	if r == nil {
 		return out
 	}

@@ -8,38 +8,69 @@ import (
 	"smdb/internal/obs"
 )
 
-// feedScenario drives a fixed, deterministic sequence of brackets and events: three
-// transactions on two nodes — a committed one with a convoy line wait, an
-// aborted one with undo time, and a fast committed one — plus a recovery
-// progress run. Both the golden exports and the determinism tests reuse it.
+// Event constructors: the transaction lifecycle, operation brackets and
+// recovery progress, as the engine records them.
+func begin(txn int64, node int32, sim int64) obs.Event {
+	return obs.Event{Kind: obs.KindTxnBegin, Node: node, Sim: sim, A: txn}
+}
+
+func commit(txn int64, node int32, sim int64) obs.Event {
+	return obs.Event{Kind: obs.KindTxnCommit, Node: node, Sim: sim, A: txn}
+}
+
+func abort(txn int64, node int32, sim int64) obs.Event {
+	return obs.Event{Kind: obs.KindTxnAbort, Node: node, Sim: sim, A: txn}
+}
+
+func opStart(txn int64, node int32, sim int64, c obs.Cause) obs.Event {
+	return obs.Event{Kind: obs.KindOpStart, Node: node, Sim: sim, A: txn, B: int64(c)}
+}
+
+func opEnd(txn int64, node int32, sim int64) obs.Event {
+	return obs.Event{Kind: obs.KindOpEnd, Node: node, Sim: sim, A: txn}
+}
+
+func progress(p obs.Phase, a, b, c int64) obs.Event {
+	return obs.Event{Kind: obs.KindProgress, Phase: p, Node: obs.SystemNode, A: a, B: b, C: c}
+}
+
+func feed(r *Recorder, events ...obs.Event) {
+	for _, e := range events {
+		r.OnEvent(e)
+	}
+}
+
+// feedScenario drives a fixed, deterministic event sequence: three
+// transactions on two nodes — a committed one with a convoy line wait behind
+// the second, an aborted one with undo time, and a fast committed one — plus
+// a recovery progress run. Both the golden exports and the determinism tests
+// reuse it.
 func feedScenario(r *Recorder) {
-	r.Begin(1, 0, 100)
-	r.OpStart(1, 0, 100)
-	r.OnEvent(obs.Event{Kind: obs.KindWALAppend, Node: 0, Sim: 120, A: 9, C: 1})
-	r.AddWait(1, CauseLineWait, 120, 30, 7, 2)
-	r.OnEvent(obs.Event{Kind: obs.KindPageFetch, Node: 0, Sim: 170, A: 3, B: 1, Dur: 20})
-	r.OpEnd(1, 0, 180) // residue 80-50=30 compute
-	r.End(1, 200, OutcomeCommitted)
+	feed(r,
+		begin(1, 0, 100), opStart(1, 0, 100, obs.CauseCompute),
+		begin(2, 1, 100), opStart(2, 1, 150, obs.CauseUndo),
+		obs.Event{Kind: obs.KindWALAppend, Node: 0, Sim: 120, A: 9, C: 1},
+		// Txn 1 waits 30 on line 7 held by node 1, where txn 2 is running.
+		obs.Event{Kind: obs.KindLineLockWait, Node: 0, Sim: 150, A: 7, C: 1, Dur: 30},
+		obs.Event{Kind: obs.KindPageFetch, Node: 0, Sim: 170, A: 3, B: 1, Dur: 20},
+		opEnd(1, 0, 180), // residue 80-50=30 compute
+		commit(1, 0, 200),
 
-	r.Begin(2, 1, 100)
-	r.SpanStart(2, 1, 150, CauseUndo)
-	r.AddWait(2, CauseLineWait, 160, 10, 7, 0)
-	r.OpEnd(2, 1, 190) // residue 40-10=30 undo
-	r.End(2, 190, OutcomeAborted)
-	r.End(2, 195, OutcomeAborted) // double end no-ops
+		obs.Event{Kind: obs.KindLineLockWait, Node: 1, Sim: 170, A: 7, C: -1, Dur: 10},
+		opEnd(2, 1, 190), // residue 40-10=30 undo
+		abort(2, 1, 190),
+		abort(2, 1, 195), // double end no-ops
 
-	r.Begin(3, 0, 150)
-	r.OpStart(3, 0, 150)
-	r.OpEnd(3, 0, 160)
-	r.End(3, 170, OutcomeCommitted)
+		begin(3, 0, 150), opStart(3, 0, 150, obs.CauseCompute), opEnd(3, 0, 160),
+		commit(3, 0, 170),
 
-	p := r.Progress()
-	p.Start(1)
-	p.Attempt(1)
-	p.Plan("redo-apply", 4)
-	p.Note("redo-apply", 4, 64)
-	p.PhaseDone("redo-apply", 500)
-	p.End(true)
+		progress(obs.PhaseNone, 0, 1, 0),
+		progress(obs.PhaseNone, 1, 0, 0),
+		progress(obs.PhaseRedoApply, 4, 0, 1),
+		progress(obs.PhaseRedoApply, 4, 64, 0),
+		obs.Event{Kind: obs.KindPhase, Phase: obs.PhaseRedoApply, Node: obs.SystemNode, Dur: 500},
+		obs.Event{Kind: obs.KindRecovery, Node: obs.SystemNode, C: 1},
+	)
 }
 
 func TestWaterfallAttribution(t *testing.T) {
@@ -56,7 +87,7 @@ func TestWaterfallAttribution(t *testing.T) {
 	if w.Latency() != 100 {
 		t.Fatalf("latency = %d, want 100", w.Latency())
 	}
-	want := map[Cause]int64{CauseCompute: 30, CauseLineWait: 30, CauseFetch: 20}
+	want := map[obs.Cause]int64{obs.CauseCompute: 30, obs.CauseLineWait: 30, obs.CauseFetch: 20}
 	for c, v := range want {
 		if w.ByCause[c] != v {
 			t.Errorf("ByCause[%v] = %d, want %d", c, w.ByCause[c], v)
@@ -64,12 +95,12 @@ func TestWaterfallAttribution(t *testing.T) {
 	}
 	// The log-append marker is a zero-duration segment: present in the trace,
 	// absent from the sums.
-	if w.ByCause[CauseLogAppend] != 0 {
-		t.Errorf("append marker added duration %d", w.ByCause[CauseLogAppend])
+	if w.ByCause[obs.CauseLogAppend] != 0 {
+		t.Errorf("append marker added duration %d", w.ByCause[obs.CauseLogAppend])
 	}
 	found := false
 	for _, s := range w.Segments {
-		if s.Cause == CauseLogAppend && s.Dur == 0 && s.Detail == 9 {
+		if s.Cause == obs.CauseLogAppend && s.Dur == 0 && s.Detail == 9 {
 			found = true
 		}
 	}
@@ -77,8 +108,12 @@ func TestWaterfallAttribution(t *testing.T) {
 		t.Error("append marker segment missing")
 	}
 
+	if got := w.Segments[1]; got.Cause != obs.CauseLineWait || got.Holder != 2 || got.Start != 120 {
+		t.Errorf("convoy segment = %+v, want a line wait from 120 behind txn 2", got)
+	}
+
 	u := r.Lookup(2)
-	if u == nil || u.ByCause[CauseUndo] != 30 {
+	if u == nil || u.ByCause[obs.CauseUndo] != 30 {
 		t.Fatalf("undo attribution = %+v", u)
 	}
 }
@@ -100,60 +135,74 @@ func TestCoverage(t *testing.T) {
 	}
 }
 
+// A wait naming no transaction (an LBM trigger's force, charged to the
+// acquiring node) is the node's current transaction's: the one with a
+// bracket open there, nested brackets included, and nobody's once the
+// outermost closes.
 func TestCurrentTxnRegister(t *testing.T) {
-	r := New(Config{Nodes: 2})
-	r.Begin(5, 0, 0)
-	r.OpStart(5, 0, 0)
-	if got := r.CurrentTxn(0); got != 5 {
-		t.Fatalf("CurrentTxn = %d, want 5", got)
+	r := New(Config{Nodes: 2, SampleN: 1})
+	nodeWait := func(sim int64) obs.Event {
+		return obs.Event{Kind: obs.KindTxnWait, Node: 0, Sim: sim, Dur: 1, B: int64(obs.CauseLogForce)}
 	}
-	// Nested bracket: the register survives the inner close.
-	r.OpStart(5, 0, 10)
-	r.OpEnd(5, 0, 20)
-	if got := r.CurrentTxn(0); got != 5 {
-		t.Fatalf("CurrentTxn after inner close = %d, want 5", got)
+	feed(r, begin(5, 0, 0), opStart(5, 0, 0, obs.CauseCompute), nodeWait(1),
+		// Nested bracket: the register survives the inner close.
+		opStart(5, 0, 10, obs.CauseCompute), opEnd(5, 0, 20), nodeWait(21),
+		opEnd(5, 0, 30), nodeWait(31),
+		// Out-of-range nodes never panic.
+		opStart(5, 99, 40, obs.CauseCompute), opEnd(5, 99, 40),
+		commit(5, 0, 50))
+	w := r.Lookup(5)
+	if w == nil || w.ByCause[obs.CauseLogForce] != 2 {
+		t.Fatalf("log-force attribution = %+v, want the two waits inside the bracket", w)
 	}
-	r.OpEnd(5, 0, 30)
-	if got := r.CurrentTxn(0); got != 0 {
-		t.Fatalf("CurrentTxn after outer close = %d, want 0", got)
+	if r.cur[0] != 0 {
+		t.Fatalf("register after the outer close = %d, want 0", r.cur[0])
 	}
-	// Out-of-range nodes never panic.
-	r.OpStart(5, 99, 0)
-	r.OpEnd(5, 99, 0)
-	_ = r.CurrentTxn(99)
 }
 
 func TestHookGatingOutsideBracket(t *testing.T) {
 	r := New(Config{Nodes: 2})
-	r.Begin(1, 0, 0)
+	r.OnEvent(begin(1, 0, 0))
 	// No bracket open: line/fetch hooks must not attribute (recovery traffic
 	// on a node must never pollute a stalled survivor's waterfall).
 	r.cur[0] = 1
 	r.OnEvent(obs.Event{Kind: obs.KindLineLockWait, Node: 0, Sim: 100, A: 7, C: -1, Dur: 50})
 	r.OnEvent(obs.Event{Kind: obs.KindPageFetch, Node: 0, Sim: 100, A: 3, B: 1, Dur: 50})
-	r.End(1, 100, OutcomeCommitted)
+	r.OnEvent(commit(1, 0, 100))
 	w := r.Lookup(1)
-	if w != nil && (w.ByCause[CauseLineWait] != 0 || w.ByCause[CauseFetch] != 0) {
+	if w != nil && (w.ByCause[obs.CauseLineWait] != 0 || w.ByCause[obs.CauseFetch] != 0) {
 		t.Fatalf("hooks attributed outside a bracket: %+v", w.ByCause)
 	}
 }
 
 func TestCrashNodeDropsLive(t *testing.T) {
 	r := New(Config{Nodes: 2})
-	r.Begin(1, 0, 0)
-	r.Begin(2, 1, 0)
-	r.OpStart(2, 1, 0)
-	r.OnEvent(obs.Event{Kind: obs.KindCrash, Node: 1})
+	feed(r, begin(1, 0, 0), begin(2, 1, 0), opStart(2, 1, 0, obs.CauseCompute),
+		obs.Event{Kind: obs.KindCrash, Node: 1})
 	if got := r.Live(); got != 1 {
 		t.Fatalf("live = %d, want 1 (node 1's txn dropped)", got)
 	}
-	if got := r.CurrentTxn(1); got != 0 {
+	if got := r.cur[1]; got != 0 {
 		t.Fatalf("crashed node's register = %d, want 0", got)
 	}
 	// Ending a dropped txn no-ops.
-	r.End(2, 10, OutcomeCommitted)
+	r.OnEvent(commit(2, 1, 10))
 	if got := r.Completed(); got != 0 {
 		t.Fatalf("completed = %d, want 0", got)
+	}
+}
+
+// A commit or abort closes a bracket still open at that instant, charging
+// its residue there, and frees the node's register.
+func TestEndClosesOpenBracket(t *testing.T) {
+	r := New(Config{Nodes: 1, SampleN: 1})
+	feed(r, begin(1, 0, 0), opStart(1, 0, 10, obs.CauseUndo), abort(1, 0, 40), opEnd(1, 0, 60))
+	w := r.Lookup(1)
+	if w == nil || w.ByCause[obs.CauseUndo] != 30 || len(w.Segments) != 1 {
+		t.Fatalf("aborted waterfall = %+v, want one undo segment of 30", w)
+	}
+	if r.cur[0] != 0 {
+		t.Fatalf("register after abort = %d, want 0", r.cur[0])
 	}
 }
 
@@ -177,8 +226,7 @@ func TestTopKTieBreak(t *testing.T) {
 	r := New(Config{TopK: 2, WindowNS: 1_000_000, SampleN: 1 << 30, Nodes: 1})
 	// Three completions with identical latency: the two lowest txn ids win.
 	for _, id := range []int64{30, 10, 20} {
-		r.Begin(id, 0, 0)
-		r.End(id, 50, OutcomeCommitted)
+		feed(r, begin(id, 0, 0), commit(id, 0, 50))
 	}
 	var ids []int64
 	for _, w := range r.Slow(0) {
@@ -191,8 +239,7 @@ func TestTopKTieBreak(t *testing.T) {
 
 func TestExemplars(t *testing.T) {
 	r := New(Config{TopK: 4, SampleN: 1, Nodes: 1})
-	r.Begin(1, 0, 0)
-	r.End(1, 100, OutcomeCommitted) // latency 100 -> bucket 7 (le 128)
+	feed(r, begin(1, 0, 0), commit(1, 0, 100)) // latency 100 -> bucket 7 (le 128)
 	ex := r.Exemplars()
 	ids, ok := ex[7]
 	if !ok || len(ids) != 1 || ids[0] != 1 {

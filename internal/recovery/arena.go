@@ -1,7 +1,8 @@
 package recovery
 
 // recArena is one worker slot's reusable recovery scratch: the run
-// boundaries of the batched redo apply and the apply phase's counter shard.
+// boundaries of the batched redo apply, the apply phase's counter shard and
+// a progress batch.
 // Each slot is owned by exactly one goroutine at a time (the executor's
 // worker w; the inline run at one worker or fewer is worker 0), so no
 // locking; buffers grow to the high-water mark of the workload and are
@@ -15,6 +16,9 @@ type recArena struct {
 	// redo counts the redo decisions of the parts this slot applied in the
 	// current apply phase (applyRedo zeroes it first and sums the slots).
 	redo RecoveryReport
+	// progress gathers the slot's probe or apply progress; the phase reports
+	// every slot's remainder once its fan-out ends (flushArenas).
+	progress progressBatch
 }
 
 // arena returns worker slot w's scratch arena. Slots are sized at New from

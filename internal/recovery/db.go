@@ -532,9 +532,7 @@ func (db *DB) Begin(nd machine.NodeID) (wal.TxnID, error) {
 	st.id = wal.MakeTxnID(nd, nc.seq.Load()+1)
 	nc.add(st)
 	nc.mu.Unlock()
-	hk := db.hk.Load()
-	hk.Observer.Instant(obs.KindTxnBegin, int32(nd), now, int64(st.id), 0)
-	hk.Waterfall.Begin(int64(st.id), int32(nd), now)
+	db.hk.Load().Observer.Instant(obs.KindTxnBegin, int32(nd), now, int64(st.id), 0)
 	return st.id, nil
 }
 

@@ -117,14 +117,16 @@ func (db *DB) noteCrash(rep machine.CrashReport) {
 	}
 }
 
-// forceThrough forces node nd's log through lsn, charging simulated force
-// latency and the caller's counter on a physical force. Under an armed injector
+// forceThrough forces node nd's log through lsn for transaction t, charging
+// simulated force latency and the caller's counter on a physical force; the
+// latency is t's log-force wait (none when the LSN was already stable: only
+// real stalls appear in its waterfall). Under an armed injector
 // the force can be torn mid-write: only a prefix of the buffer reaches the
 // stable device and the forcing node dies at that instant, leaving a partial
 // record for restart to truncate. The returned error wraps
 // machine.ErrNodeDown so commit paths report the interruption exactly like
 // any other crash-out.
-func (db *DB) forceThrough(nd machine.NodeID, lsn wal.LSN, count *atomic.Int64) error {
+func (db *DB) forceThrough(nd machine.NodeID, t wal.TxnID, lsn wal.LSN, count *atomic.Int64) error {
 	if inj := db.injector(); inj != nil {
 		if frac, fire := inj.TornForce(nd, db.aliveCount()); fire {
 			db.Logs[nd].ForceTorn(lsn, frac)
@@ -134,9 +136,11 @@ func (db *DB) forceThrough(nd machine.NodeID, lsn wal.LSN, count *atomic.Int64) 
 	}
 	if _, forced := db.Logs[nd].Force(lsn); forced {
 		cost := db.logForceCost()
+		start := db.M.Clock(nd)
 		db.M.AdvanceClock(nd, cost)
 		count.Add(1)
 		db.hk.Load().Observer.ObserveLogForce(cost)
+		db.Wait(nd, t, obs.CauseLogForce, start, int64(lsn))
 	}
 	return nil
 }

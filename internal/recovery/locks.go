@@ -8,7 +8,6 @@ import (
 	"smdb/internal/lock"
 	"smdb/internal/machine"
 	"smdb/internal/obs"
-	"smdb/internal/obs/waterfall"
 	"smdb/internal/wal"
 )
 
@@ -67,12 +66,12 @@ func (db *DB) Lock(t wal.TxnID, name lock.Name, mode lock.Mode) (granted bool, e
 		return false, err
 	}
 	nd := t.Node()
-	hk := db.hk.Load()
-	if wf := hk.Waterfall; wf != nil {
+	o := db.hk.Load().Observer
+	if o != nil {
 		waitFrom := db.M.Clock(nd)
 		defer func() {
-			if end := db.M.Clock(nd); !granted && end > waitFrom && (err == nil || err == ErrDeadlock) {
-				wf.AddWait(int64(t), waterfall.CauseLockWait, waitFrom, end-waitFrom, int64(name), 0)
+			if !granted && (err == nil || err == ErrDeadlock) {
+				db.Wait(nd, t, obs.CauseLockWait, waitFrom, int64(name))
 			}
 		}()
 	}
@@ -127,7 +126,7 @@ func (db *DB) Lock(t wal.TxnID, name lock.Name, mode lock.Mode) (granted bool, e
 	})
 	nc.mu.Unlock()
 	if victim {
-		hk.Observer.Instant(obs.KindDeadlock, int32(nd), db.M.Clock(nd), int64(t), int64(name))
+		o.Instant(obs.KindDeadlock, int32(nd), db.M.Clock(nd), int64(t), int64(name))
 		return false, ErrDeadlock
 	}
 	return true, nil

@@ -5,7 +5,6 @@ import (
 
 	"smdb/internal/machine"
 	"smdb/internal/obs"
-	"smdb/internal/obs/waterfall"
 	"smdb/internal/wal"
 )
 
@@ -104,7 +103,7 @@ func (db *DB) CommitGlobal(g GlobalID) error {
 	// stable commit record but an aborted sibling is repaired by the
 	// global-abort pass below).
 	for _, t := range branches {
-		if err := db.forceThroughTxn(t.Node(), t, lsns[t], &db.nodes[t.Node()].commitForces); err != nil {
+		if err := db.forceThrough(t.Node(), t, lsns[t], &db.nodes[t.Node()].commitForces); err != nil {
 			return fmt.Errorf("recovery: global commit %d: %w", g, err)
 		}
 		if lsns[t] == 0 || db.Logs[t.Node()].ForcedLSN() < lsns[t] {
@@ -165,14 +164,10 @@ func (db *DB) finalizeCommit(nc *nodeCtl, st *txnState) error {
 	nc.stats.Commits++
 	nc.stats.TagClears += cleared
 	nc.mu.Unlock()
-	if hk := db.hk.Load(); hk.Observer != nil || hk.Waterfall != nil {
+	if o := db.hk.Load().Observer; o != nil {
 		now := db.M.Clock(nd)
-		hk.Observer.Instant(obs.KindTxnCommit, int32(nd), now, int64(t), 0)
-		hk.Observer.ObserveCommit(now - st.beginSim)
-		// Close the Commit bracket (a no-op for global branches, which never
-		// opened one) and complete the waterfall.
-		hk.Waterfall.OpEnd(int64(t), int32(nd), now)
-		hk.Waterfall.End(int64(t), now, waterfall.OutcomeCommitted)
+		o.Instant(obs.KindTxnCommit, int32(nd), now, int64(t), 0)
+		o.ObserveCommit(now - st.beginSim)
 	}
 	return db.ReleaseLocks(t)
 }

@@ -64,7 +64,7 @@ func (db *DB) applyRedoSlice(cands []redoCand, rep *RecoveryReport, ar *recArena
 		return err
 	}
 	for _, r := range runs {
-		if err := db.applyRedoRun(cands[r.lo:r.hi], r.onto, r.line, rep); err != nil {
+		if err := db.applyRedoRun(cands[r.lo:r.hi], r.onto, r.line, rep, &ar.progress); err != nil {
 			return err
 		}
 	}
@@ -72,7 +72,7 @@ func (db *DB) applyRedoSlice(cands []redoCand, rep *RecoveryReport, ar *recArena
 }
 
 // applyRedoRun applies one same-line run as the steps of one line section.
-func (db *DB) applyRedoRun(run []redoCand, onto machine.NodeID, line machine.LineID, rep *RecoveryReport) error {
+func (db *DB) applyRedoRun(run []redoCand, onto machine.NodeID, line machine.LineID, rep *RecoveryReport, pb *progressBatch) error {
 	page := run[0].rec.Page
 	// Selective Redo's residency probe (the "cache miss with I/O disabled"
 	// test), once per run: if the line was lost, the page fetch reinstalls
@@ -118,7 +118,7 @@ func (db *DB) applyRedoRun(run []redoCand, onto machine.NodeID, line machine.Lin
 	rep.RedoApplied += applied
 	rep.RedoSkipped += skipped
 	// Skips consume planned candidates too: progress counts toward the
-	// Plan() total either way, keeping the ETA honest.
-	db.wfProgress().Note(obs.PhaseRedoApply.String(), applied+skipped, bytes)
+	// planned total either way, keeping the ETA honest.
+	db.noteProgress(pb, obs.PhaseRedoApply, applied+skipped, bytes)
 	return werr
 }

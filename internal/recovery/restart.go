@@ -13,15 +13,8 @@ import (
 	"smdb/internal/obs"
 	"smdb/internal/obs/hooks"
 	"smdb/internal/obs/prof"
-	"smdb/internal/obs/waterfall"
 	"smdb/internal/wal"
 )
-
-// wfProgress returns the attached waterfall recorder's recovery-progress
-// observer; nil (a no-op observer) when no recorder is attached.
-func (db *DB) wfProgress() *waterfall.Progress {
-	return db.hk.Load().Waterfall.Progress()
-}
 
 // Restart recovery (section 4.1.2 for database objects, 4.2 for support
 // structures). The caller injects failures with Crash and then runs Recover
@@ -131,35 +124,16 @@ func (db *DB) Recover(crashed []machine.NodeID) (*RecoveryReport, error) {
 		db.arenas = append(db.arenas, make([]recArena, w-len(db.arenas))...)
 	}
 	rep := &RecoveryReport{Protocol: db.Cfg.Protocol, Crashed: mergeNodes(crashed, nil), Workers: db.parWorkers()}
-	recovered := false
-	// The debt tracker snapshots the outstanding replay debt its estimate
-	// is judged against, and the closing sample — registered before the
-	// profiler span's defer so it runs after rep.Prof is final — feeds MTTR
-	// accounting and estimator calibration.
+	// The run opens with a progress event (the progress observer resets, the
+	// debt tracker snapshots the replay debt its estimate is judged against)
+	// and closes on every exit with the recovery span (end), which reports
+	// success only for the normal returns.
+	db.progress(obs.PhaseNone, 0, len(rep.Crashed), 0)
 	hk := db.hk.Load()
-	if dbt := hk.Debt; dbt != nil {
-		dbt.RecoveryStart(len(rep.Crashed))
-		defer func() {
-			var busy int64
-			if rep.Prof != nil {
-				for _, ph := range rep.Prof.Workers.Phases {
-					busy += ph.BusyNS()
-				}
-			}
-			replayed := int64(rep.RedoApplied + rep.RedoSkipped + rep.UndoApplied)
-			dbt.RecoveryEnd(recovered, replayed, busy, rep.Workers, rep.SimTime)
-		}()
-	}
-	// The profiler span covers the whole call, every early return included,
-	// so rep.Prof is the exact counter delta attributable to this recovery.
-	defer startProfSpan(hk.Prof, rep)()
-	// The live progress observer (/recovery/progress) opens here and closes on
-	// every exit, reporting success only for the normal returns.
-	pg := hk.Waterfall.Progress()
-	pg.Start(len(rep.Crashed))
-	defer func() { pg.End(recovered) }()
-	startClock := db.M.MaxClock()
 	o := hk.Observer
+	startClock := db.M.MaxClock()
+	end := db.recoverySpan(hk.Prof, rep, startClock)
+	defer end(false) // a no-op after end(true)
 
 	// A crash left a flight-recorder dump pending (noteCrash runs under the
 	// machine lock and may not touch files); write the post-mortem now,
@@ -186,7 +160,7 @@ func (db *DB) Recover(crashed []machine.NodeID) (*RecoveryReport, error) {
 
 	if db.Cfg.Protocol == BaselineFA {
 		rep.Attempts = 1
-		pg.Attempt(1)
+		db.progress(obs.PhaseNone, 1, 0, 0)
 		phase := db.phaseTracker(rep, o)
 		if err := db.baselineReboot(rep, phase); err != nil {
 			return nil, err
@@ -195,10 +169,8 @@ func (db *DB) Recover(crashed []machine.NodeID) (*RecoveryReport, error) {
 		if db.flightPending.Swap(false) {
 			_, _ = db.DumpFlight("crash")
 		}
-		rep.SimTime = db.M.MaxClock() - startClock
-		o.Span(obs.KindRecovery, obs.PhaseNone, obs.SystemNode, startClock, rep.SimTime)
+		end(true)
 		db.noteRecovered(hk, rep)
-		recovered = true
 		return rep, nil
 	}
 
@@ -214,7 +186,7 @@ func (db *DB) Recover(crashed []machine.NodeID) (*RecoveryReport, error) {
 		}
 		lastCoord = alive[0]
 		rep.Attempts++
-		pg.Attempt(rep.Attempts)
+		db.progress(obs.PhaseNone, rep.Attempts, 0, 0)
 		err := db.recoverOnce(alive, rep)
 		if err == nil {
 			break
@@ -238,27 +210,81 @@ func (db *DB) Recover(crashed []machine.NodeID) (*RecoveryReport, error) {
 	db.recStats.LockEntriesReleased += int64(rep.LockEntriesReleased)
 	db.mu.Unlock()
 	db.crashSim.Store(0) // mid-recovery crashes were handled in-line
-	rep.SimTime = db.M.MaxClock() - startClock
-	o.Span(obs.KindRecovery, obs.PhaseNone, obs.SystemNode, startClock, rep.SimTime)
+	end(true)
 	db.noteRecovered(hk, rep)
-	recovered = true
 	return rep, nil
 }
 
-// startProfSpan snapshots the attached profiler at Recover entry and returns
-// a closure storing the end-minus-start delta in rep.Prof. With no profiler
-// attached both halves are no-ops.
-func startProfSpan(p *prof.Pair, rep *RecoveryReport) func() {
-	if p == nil {
-		return func() {}
+// recoverySpan snapshots the attached profiler at Recover entry and returns
+// the call's closer, which stores the end-minus-start profiler delta in
+// rep.Prof (so it covers every early return too) and records the
+// KindRecovery span from start: the run's end for the progress observer and
+// the debt tracker, with what it replayed and the workers' busy time. A
+// successful run also sets rep.SimTime. Only the first call counts.
+func (db *DB) recoverySpan(p *prof.Pair, rep *RecoveryReport, start int64) func(ok bool) {
+	var w0 prof.WorkerSnapshot
+	var s0 prof.StripeSnapshot
+	if p != nil {
+		w0, s0 = p.Workers.Snapshot(), p.Stripes.Snapshot()
 	}
-	w0 := p.Workers.Snapshot()
-	s0 := p.Stripes.Snapshot()
-	return func() {
-		rep.Prof = &RecoveryProfile{
-			Workers: p.Workers.Snapshot().Sub(w0),
-			Stripes: p.Stripes.Snapshot().Sub(s0),
+	closed := false
+	return func(ok bool) {
+		if closed {
+			return
 		}
+		closed = true
+		var busy int64
+		if p != nil {
+			rep.Prof = &RecoveryProfile{
+				Workers: p.Workers.Snapshot().Sub(w0),
+				Stripes: p.Stripes.Snapshot().Sub(s0),
+			}
+			for _, ph := range rep.Prof.Workers.Phases {
+				busy += ph.BusyNS()
+			}
+		}
+		c := int64(rep.Workers) << 1
+		if ok {
+			rep.SimTime = db.M.MaxClock() - start
+			c |= 1
+		}
+		db.hk.Load().Observer.Record(obs.Event{Kind: obs.KindRecovery, Node: obs.SystemNode,
+			Sim: start, Dur: rep.SimTime, A: int64(rep.RedoApplied + rep.RedoSkipped + rep.UndoApplied), B: busy, C: c})
+	}
+}
+
+// progressEvery is how many records of a phase's work a progressBatch
+// gathers before it becomes one KindProgress event: the probe and apply
+// phases, which both walk every redo candidate, report at most one event per
+// 256 candidates between them (plus one each at the phase's end).
+const progressEvery = 512
+
+// progressBatch gathers one phase's per-record progress (see noteProgress).
+type progressBatch struct{ records, bytes int }
+
+// noteProgress adds records and bytes of phase p's work to b, reporting the
+// batch once it holds progressEvery records.
+func (db *DB) noteProgress(b *progressBatch, p obs.Phase, records, bytes int) {
+	b.records += records
+	b.bytes += bytes
+	if b.records >= progressEvery {
+		db.flushProgress(b, p)
+	}
+}
+
+// flushProgress reports and empties what b gathered of phase p, if anything.
+func (db *DB) flushProgress(b *progressBatch, p obs.Phase) {
+	if b.records > 0 || b.bytes > 0 {
+		db.progress(p, b.records, b.bytes, 0)
+		*b = progressBatch{}
+	}
+}
+
+// progress records a KindProgress event (see obs.KindProgress for a, b, c).
+func (db *DB) progress(p obs.Phase, a, b, c int) {
+	if o := db.hk.Load().Observer; o != nil {
+		o.Record(obs.Event{Kind: obs.KindProgress, Phase: p, Node: obs.SystemNode, Sim: db.M.MaxClock(),
+			A: int64(a), B: int64(b), C: int64(c)})
 	}
 }
 
@@ -344,8 +370,8 @@ func (db *DB) recoverOnce(alive []machine.NodeID, rep *RecoveryReport) error {
 	cands := db.collectRedo(vs, coord, rep)
 	// The candidate count is the known total for the probe and apply phases:
 	// from here /recovery/progress can report an ETA.
-	db.wfProgress().Plan(obs.PhaseProbe.String(), len(cands))
-	db.wfProgress().Plan(obs.PhaseRedoApply.String(), len(cands))
+	db.progress(obs.PhaseProbe, len(cands), 0, 1)
+	db.progress(obs.PhaseRedoApply, len(cands), 0, 1)
 	parts := db.redoParts(cands)
 	if err := step(obs.PhaseRedoScan); err != nil {
 		return err
@@ -457,12 +483,10 @@ func mergeNodes(a, b []machine.NodeID) []machine.NodeID {
 // measured on the simulated clock (MaxClock deltas), matching SimTime.
 func (db *DB) phaseTracker(rep *RecoveryReport, o *obs.Observer) func(obs.Phase) {
 	start := db.M.MaxClock()
-	pg := db.wfProgress()
 	return func(p obs.Phase) {
 		now := db.M.MaxClock()
 		rep.Phases = append(rep.Phases, obs.PhaseSpan{Phase: p, Start: start, Dur: now - start})
 		o.Span(obs.KindPhase, p, obs.SystemNode, start, now-start)
-		pg.PhaseDone(p.String(), now-start)
 		start = now
 	}
 }
@@ -744,7 +768,7 @@ func (db *DB) collectRedoNode(v *logView, coord machine.NodeID) []redoCand {
 		cands = append(cands, redoCand{onto: onto, rec: rec})
 		return true
 	})
-	db.wfProgress().Note(obs.PhaseRedoScan.String(), len(cands), 0)
+	db.progress(obs.PhaseRedoScan, len(cands), 0, 0)
 	return cands
 }
 
@@ -773,15 +797,28 @@ func (db *DB) redoParts(cands []redoCand) [][]redoCand {
 // correctness requirement. Chunks are weighted by part size.
 func (db *DB) probeRedo(parts [][]redoCand, rep *RecoveryReport) error {
 	weight := func(i int) int { return len(parts[i]) }
-	return db.forEachChunk(rep, obs.PhaseProbe, len(parts), weight, func(i, _ int, tm *prof.TaskMeter) error {
+	err := db.forEachChunk(rep, obs.PhaseProbe, len(parts), weight, func(i, ws int, tm *prof.TaskMeter) error {
 		tm.AddRecords(len(parts[i]))
-		return db.probeRedoSlice(parts[i])
+		return db.probeRedoSlice(parts[i], &db.arena(ws).progress)
 	})
+	db.flushArenas(obs.PhaseProbe)
+	return err
+}
+
+// flushArenas reports, as one event, the progress the worker slots gathered
+// in phase p and have not reported yet.
+func (db *DB) flushArenas(p obs.Phase) {
+	var sum progressBatch
+	for i := range db.arenas {
+		sum.records += db.arenas[i].progress.records
+		sum.bytes += db.arenas[i].progress.bytes
+		db.arenas[i].progress = progressBatch{}
+	}
+	db.flushProgress(&sum, p)
 }
 
 // probeRedoSlice probes one part's candidates, in list order.
-func (db *DB) probeRedoSlice(cands []redoCand) error {
-	pg := db.wfProgress()
+func (db *DB) probeRedoSlice(cands []redoCand, pb *progressBatch) error {
 	for _, c := range cands {
 		rid := heap.RID{Page: c.rec.Page, Slot: c.rec.Slot}
 		line, _, err := db.Store.LineOf(rid)
@@ -793,7 +830,7 @@ func (db *DB) probeRedoSlice(cands []redoCand) error {
 				return err
 			}
 		}
-		pg.Note(obs.PhaseProbe.String(), 1, 0)
+		db.noteProgress(pb, obs.PhaseProbe, 1, 0)
 	}
 	return nil
 }
@@ -821,6 +858,7 @@ func (db *DB) applyRedo(parts [][]redoCand, rep *RecoveryReport) error {
 		ar := db.arena(ws)
 		return db.applyRedoSlice(parts[i], &ar.redo, ar)
 	})
+	db.flushArenas(obs.PhaseRedoApply)
 	mergeStart := profMergeStart(db)
 	for i := range db.arenas {
 		rep.RedoApplied += db.arenas[i].redo.RedoApplied
@@ -830,8 +868,25 @@ func (db *DB) applyRedo(parts [][]redoCand, rep *RecoveryReport) error {
 	return err
 }
 
+// redoStable repeats the logically committed effects of vs's stable logs
+// onto coord, one record at a time, in log order (the baseline's redo: the
+// redo scan's down-node filter, no residency probe phase).
+func (db *DB) redoStable(vs []*logView, coord machine.NodeID, rep *RecoveryReport) error {
+	var pb progressBatch
+	defer db.flushProgress(&pb, obs.PhaseRedoApply)
+	for _, v := range vs {
+		for _, c := range db.collectRedoNode(v, coord) {
+			if err := db.redoRecord(coord, c.rec, rep, &pb); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // redoRecord applies one update/CLR record if its effect is missing.
-func (db *DB) redoRecord(nd machine.NodeID, rec *wal.Record, rid heap.RID, rep *RecoveryReport) error {
+func (db *DB) redoRecord(nd machine.NodeID, rec *wal.Record, rep *RecoveryReport, pb *progressBatch) error {
+	rid := heap.RID{Page: rec.Page, Slot: rec.Slot}
 	line, _, err := db.Store.LineOf(rid)
 	if err != nil {
 		return err
@@ -853,9 +908,9 @@ func (db *DB) redoRecord(nd machine.NodeID, rec *wal.Record, rid heap.RID, rep *
 	}
 	if cur.Version >= rec.Version {
 		rep.RedoSkipped++
-		// A skip still consumes one planned candidate: progress records count
-		// toward the Plan() total either way, keeping the ETA honest.
-		db.wfProgress().Note(obs.PhaseRedoApply.String(), 1, 0)
+		// A skip still consumes one candidate: progress records count toward
+		// a planned total either way, keeping the ETA honest.
+		db.noteProgress(pb, obs.PhaseRedoApply, 1, 0)
 		return nil
 	}
 	flags, data := splitImage(rec.After)
@@ -870,7 +925,7 @@ func (db *DB) redoRecord(nd machine.NodeID, rec *wal.Record, rid heap.RID, rep *
 	}
 	db.BM.MarkDirty(rid.Page)
 	rep.RedoApplied++
-	db.wfProgress().Note(obs.PhaseRedoApply.String(), 1, len(rec.After))
+	db.noteProgress(pb, obs.PhaseRedoApply, 1, len(rec.After))
 	return nil
 }
 
@@ -880,6 +935,8 @@ func (db *DB) redoRecord(nd machine.NodeID, rec *wal.Record, rid heap.RID, rep *
 // slot (the last committed value, by strict 2PL). Incomplete structural
 // changes (an NTA with no stable end record) are undone too.
 func (db *DB) undoCrashed(coord machine.NodeID, vs []*logView, rep *RecoveryReport) error {
+	var pb progressBatch
+	defer db.flushProgress(&pb, obs.PhaseUndo)
 	for _, v := range vs {
 		if v.live != nil {
 			continue
@@ -934,7 +991,7 @@ func (db *DB) undoCrashed(coord machine.NodeID, vs []*logView, rep *RecoveryRepo
 					continue
 				}
 				rep.UndoApplied++
-				db.wfProgress().Note(obs.PhaseUndo.String(), 1, len(su.earliest))
+				db.noteProgress(&pb, obs.PhaseUndo, 1, len(su.earliest))
 			}
 		}
 	}
@@ -1089,7 +1146,7 @@ func (db *DB) scanNodeTags(nd machine.NodeID, down map[machine.NodeID]bool, tagg
 			}
 		}
 	}
-	db.wfProgress().Note(obs.PhaseUndoTagScan.String(), lines, 0)
+	db.progress(obs.PhaseUndoTagScan, lines, 0, 0)
 	return acts, lines, nil
 }
 
@@ -1300,7 +1357,7 @@ func (db *DB) replayNodeLocks(v *logView) (int, error) {
 		}
 		replayed++
 	}
-	db.wfProgress().Note(obs.PhaseLockRebuild.String(), replayed, 0)
+	db.progress(obs.PhaseLockRebuild, replayed, 0, 0)
 	return replayed, nil
 }
 
@@ -1331,15 +1388,8 @@ func (db *DB) baselineReboot(rep *RecoveryReport, phase func(obs.Phase)) error {
 	phase(obs.PhaseDirectoryRepair)
 	// Redo committed effects from every node's stable log.
 	vs, _ := db.views(nil) // stable prefixes only: everything volatile died
-	// Only effects that are logically committed are repeated from a dead
-	// node's log — the redo scan's down-node filter — one record at a time.
-	for _, v := range vs {
-		for _, c := range db.collectRedoNode(v, coord) {
-			rid := heap.RID{Page: c.rec.Page, Slot: c.rec.Slot}
-			if err := db.redoRecord(coord, c.rec, rid, rep); err != nil {
-				return err
-			}
-		}
+	if err := db.redoStable(vs, coord, rep); err != nil {
+		return err
 	}
 	phase(obs.PhaseRedoApply)
 	// Undo stolen uncommitted updates from the stable logs.

@@ -110,7 +110,7 @@ func TestRecoveryStepMachineFootprint(t *testing.T) {
 		run, line := redoRunOver(t, db, 0, rids[:3])
 		var rep RecoveryReport
 		got["redo-run"+c.suffix] = measure(c.nd, func() error {
-			return db.applyRedoRun(run, c.nd, line, &rep)
+			return db.applyRedoRun(run, c.nd, line, &rep, new(progressBatch))
 		})
 		if rep.RedoSkipped != 1 || rep.RedoApplied != 2 {
 			t.Fatalf("redo-run%s: %d skipped, %d applied; want 1, 2", c.suffix, rep.RedoSkipped, rep.RedoApplied)
@@ -153,7 +153,7 @@ func TestRedoRunHoldsItsStripeOnce(t *testing.T) {
 	stripe := int(line) % machine.StripeCount
 	before := pair.Stripes.Snapshot().Stripes[stripe].Acquires
 	var rep RecoveryReport
-	if err := db.applyRedoRun(run, 0, line, &rep); err != nil {
+	if err := db.applyRedoRun(run, 0, line, &rep, new(progressBatch)); err != nil {
 		t.Fatal(err)
 	}
 	if rep.RedoSkipped != 1 || rep.RedoApplied != len(run)-1 {
@@ -205,7 +205,7 @@ func TestRecoverySectionsAgainstCrashes(t *testing.T) {
 		"redo-run": func(db *DB, nd machine.NodeID, run []redoCand) error {
 			line, _, _ := db.Store.LineOf(heap.RID{Page: run[0].rec.Page, Slot: run[0].rec.Slot})
 			var rep RecoveryReport
-			return db.applyRedoRun(run, nd, line, &rep)
+			return db.applyRedoRun(run, nd, line, &rep, new(progressBatch))
 		},
 	}
 	for name, step := range steps {

@@ -4,30 +4,35 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"smdb/internal/heap"
 	"smdb/internal/machine"
 	"smdb/internal/obs"
-	"smdb/internal/obs/waterfall"
 	"smdb/internal/wal"
 )
 
-// forceThroughTxn is forceThrough with waterfall attribution: the simulated
-// time the force costs t's node is recorded as a log-force wait on t's
-// waterfall (zero — and unrecorded — when the LSN was already stable, which
-// is exactly the waterfall's point: only real stalls appear).
-func (db *DB) forceThroughTxn(nd machine.NodeID, t wal.TxnID, lsn wal.LSN, count *atomic.Int64) error {
-	wf := db.hk.Load().Waterfall
-	if wf == nil {
-		return db.forceThrough(nd, lsn, count)
+// TxnEvent records a transaction event of kind k for t on node nd at nd's
+// clock, with B = b: the lifecycle instants and the operation brackets
+// (KindOpStart with the obs.Cause its residue is charged to, KindOpEnd).
+// With no observer attached it reads no clock.
+func (db *DB) TxnEvent(k obs.Kind, nd machine.NodeID, t wal.TxnID, b int64) {
+	if o := db.hk.Load().Observer; o != nil {
+		o.Instant(k, int32(nd), db.M.Clock(nd), int64(t), b)
 	}
-	start := db.M.Clock(nd)
-	err := db.forceThrough(nd, lsn, count)
+}
+
+// Wait records t's attributed wait of cause c on node nd, a KindTxnWait span
+// from start to nd's clock now about detail; nothing if the clock did not
+// move or no observer is attached.
+func (db *DB) Wait(nd machine.NodeID, t wal.TxnID, c obs.Cause, start, detail int64) {
+	o := db.hk.Load().Observer
+	if o == nil {
+		return
+	}
 	if end := db.M.Clock(nd); end > start {
-		wf.AddWait(int64(t), waterfall.CauseLogForce, start, end-start, int64(lsn), 0)
+		o.Record(obs.Event{Kind: obs.KindTxnWait, Node: int32(nd), Sim: start, Dur: end - start,
+			A: int64(t), B: int64(c), C: detail})
 	}
-	return err
 }
 
 // Commit commits transaction t: its undo tags are cleared (the record is no
@@ -49,13 +54,13 @@ func (db *DB) Commit(nd machine.NodeID, t wal.TxnID) error {
 	}
 	// Commit is an instrumented operation: the force below lands as a
 	// log-force wait and the remainder (deferred flush, tag clears inside
-	// finalizeCommit) as compute. finalizeCommit closes the bracket just
-	// before it ends the waterfall; on the error paths the node is down and
-	// the crash sweep already dropped the open waterfall.
-	db.hk.Load().Waterfall.OpStart(int64(t), int32(nd), db.M.Clock(nd))
+	// finalizeCommit) as compute. The commit instant closes the bracket;
+	// the deferred close is for every return before it.
+	db.TxnEvent(obs.KindOpStart, nd, t, int64(obs.CauseCompute))
+	defer db.TxnEvent(obs.KindOpEnd, nd, t, 0)
 	db.flushDeferred(nc, st)
 	lsn := db.Logs[nd].Append(wal.Record{Type: wal.TypeCommit, Txn: t})
-	if err := db.forceThroughTxn(nd, t, lsn, &nc.commitForces); err != nil {
+	if err := db.forceThrough(nd, t, lsn, &nc.commitForces); err != nil {
 		return fmt.Errorf("recovery: commit of %v: %w", t, err)
 	}
 	// The commit is acknowledged only if its record really reached stable
@@ -137,10 +142,11 @@ func (db *DB) Abort(nd machine.NodeID, t wal.TxnID) error {
 	}
 	// The rollback is a bracket whose residue lands under "undo": the walk's
 	// slot reads, image installs, and directory work are undo time, while
-	// line waits and page fetches inside it keep their own causes.
-	hk := db.hk.Load()
-	wf := hk.Waterfall
-	wf.SpanStart(int64(t), int32(nd), db.M.Clock(nd), waterfall.CauseUndo)
+	// line waits and page fetches inside it keep their own causes. The abort
+	// instant closes it; the deferred close is for every return before it (a
+	// lost line stalls the walk, and the caller retries the whole Abort).
+	db.TxnEvent(obs.KindOpStart, nd, t, int64(obs.CauseUndo))
+	defer db.TxnEvent(obs.KindOpEnd, nd, t, 0)
 	// Walk the undo chain (t's undoable updates, each naming the one before
 	// it) into the undo set; install in reverse log order, first touch per slot.
 	undo := make(undoSet)
@@ -168,10 +174,7 @@ func (db *DB) Abort(nd machine.NodeID, t wal.TxnID) error {
 	st.status.Store(int32(TxnAborted))
 	nc.stats.Aborts++
 	nc.mu.Unlock()
-	now := db.M.Clock(nd)
-	hk.Observer.Instant(obs.KindTxnAbort, int32(nd), now, int64(t), 0)
-	wf.OpEnd(int64(t), int32(nd), now)
-	wf.End(int64(t), now, waterfall.OutcomeAborted)
+	db.TxnEvent(obs.KindTxnAbort, nd, t, 0)
 	return db.ReleaseLocks(t)
 }
 
@@ -288,7 +291,7 @@ func (db *DB) EndNTA(nd machine.NodeID, t wal.TxnID, nta uint64) error {
 	nc.mu.Unlock()
 	lsn := db.Logs[nd].Append(wal.Record{Type: wal.TypeNTAEnd, Txn: t, NTA: nta})
 	if db.Cfg.Protocol.EarlyCommitsStructural() {
-		if err := db.forceThroughTxn(nd, t, lsn, &nc.ntaForces); err != nil {
+		if err := db.forceThrough(nd, t, lsn, &nc.ntaForces); err != nil {
 			return err
 		}
 	}

@@ -6,7 +6,7 @@ import (
 
 	"smdb/internal/heap"
 	"smdb/internal/machine"
-	"smdb/internal/obs/waterfall"
+	"smdb/internal/obs"
 	"smdb/internal/wal"
 )
 
@@ -146,11 +146,8 @@ func (db *DB) applyChange(nd machine.NodeID, t wal.TxnID, rid heap.RID, newFlags
 	// and eager-LBM forces are attributed individually below, and whatever
 	// sim time remains unexplained lands in the compute residue. Reentrant
 	// under the transaction layer's own bracket.
-	hk := db.hk.Load()
-	if wf := hk.Waterfall; wf != nil {
-		wf.OpStart(int64(t), int32(nd), db.M.Clock(nd))
-		defer func() { wf.OpEnd(int64(t), int32(nd), db.M.Clock(nd)) }()
-	}
+	db.TxnEvent(obs.KindOpStart, nd, t, int64(obs.CauseCompute))
+	defer db.TxnEvent(obs.KindOpEnd, nd, t, 0)
 	var hs, ls machine.Section
 	if err := db.enterSlot(nd, rid, &hs, &ls); err != nil {
 		return err
@@ -236,7 +233,7 @@ func (db *DB) applyChange(nd machine.NodeID, t wal.TxnID, rid heap.RID, newFlags
 		nc.stats.UndoTagBytes++
 	}
 	nc.mu.Unlock()
-	if m := hk.Model(); m != nil && nta == 0 {
+	if m := db.hk.Load().Model(); m != nil && nta == 0 {
 		// Register the write with the residency model while the line lock
 		// still pins the line: it cannot migrate, downgrade, or be
 		// invalidated before the model — and through it the explainer and
@@ -305,7 +302,7 @@ func (db *DB) lbmAfterWrite(nc *nodeCtl, t wal.TxnID, rid heap.RID, hs, ls *mach
 		// Stable LBM, enforced within the critical section: both undo and
 		// redo information are stable before the line can move. The force
 		// can be torn by an injected crash; the update dies with the node.
-		return db.forceThroughTxn(t.Node(), t, lsn, &nc.lbmForces)
+		return db.forceThrough(t.Node(), t, lsn, &nc.lbmForces)
 	case StableTriggered:
 		// Stable LBM via the section 5.2 extension: mark the line active
 		// and remember how far this node's log must be forced if the line
@@ -342,16 +339,14 @@ func (db *DB) lbmTrigger(ev machine.Event) (int64, error) {
 		cost := db.logForceCost()
 		// Safe with the stripe held: the observer takes only its own locks
 		// and never calls back into the machine.
-		hk := db.hk.Load()
-		hk.Observer.ObserveLogForce(cost)
-		if wf := hk.Waterfall; wf != nil {
+		if o := db.hk.Load().Observer; o != nil {
+			o.ObserveLogForce(cost)
 			// The machine charges the trigger's cost to the acquiring node
-			// (ev.To), so the force is that node's current transaction's
-			// wait — the price of pulling an active line out of ev.From's
-			// failure domain. Clock and recorder are machine-lock safe.
-			if txn := wf.CurrentTxn(int32(ev.To)); txn != 0 {
-				wf.AddWait(txn, waterfall.CauseLogForce, db.M.Clock(ev.To), cost, int64(upto), 0)
-			}
+			// (ev.To), so the force is a wait of the transaction running
+			// there (A = 0) — the price of pulling an active line out of
+			// ev.From's failure domain. The clock is machine-lock safe.
+			o.Record(obs.Event{Kind: obs.KindTxnWait, Node: int32(ev.To), Sim: db.M.Clock(ev.To), Dur: cost,
+				B: int64(obs.CauseLogForce), C: int64(upto)})
 		}
 		return cost, nil
 	}

@@ -29,7 +29,7 @@ import (
 	"smdb/internal/heap"
 	"smdb/internal/lock"
 	"smdb/internal/machine"
-	"smdb/internal/obs/waterfall"
+	"smdb/internal/obs"
 	"smdb/internal/recovery"
 	"smdb/internal/sched"
 	"smdb/internal/wal"
@@ -65,30 +65,24 @@ type Txn struct {
 	done bool
 	// stallSince is the sim time this transaction first observed the recovery
 	// freeze window (0 = not stalled); when the freeze lifts, the span becomes
-	// a CauseFrozen waterfall segment.
+	// a CauseFrozen wait.
 	stallSince int64
 	// polls counts the blocked lock polls this transaction has made in a row
 	// (see acquire).
 	polls int
 }
 
-// wfNop is the shared no-op bracket closer for the recorder-off path.
-var wfNop = func() {}
-
-// wfOp opens this operation's waterfall bracket — the compute-residue
-// accounting covers the whole transaction-layer op, lock-manager work
-// included — and returns its closer. The engine's own brackets (applyChange)
-// nest inside harmlessly. With no recorder attached both halves no-op.
-func (t *Txn) wfOp() func() {
-	wf := t.mgr.DB.Hooks().Waterfall
-	if wf == nil {
-		return wfNop
-	}
-	wf.OpStart(int64(t.id), int32(t.node), t.mgr.DB.M.Clock(t.node))
-	return func() {
-		wf.OpEnd(int64(t.id), int32(t.node), t.mgr.DB.M.Clock(t.node))
-	}
+// open opens this operation's bracket (KindOpStart) and returns t, so
+// `defer t.open().close()` brackets the rest of the operation. It covers the
+// whole transaction-layer op, lock-manager work included, so its residue is
+// compute; the engine's own brackets (applyChange) nest inside harmlessly.
+func (t *Txn) open() *Txn {
+	t.mgr.DB.TxnEvent(obs.KindOpStart, t.node, t.id, int64(obs.CauseCompute))
+	return t
 }
+
+// close closes the bracket open opened.
+func (t *Txn) close() { t.mgr.DB.TxnEvent(obs.KindOpEnd, t.node, t.id, 0) }
 
 // Begin starts a transaction on node nd.
 func (m *Manager) Begin(nd machine.NodeID) (*Txn, error) {
@@ -123,7 +117,7 @@ func (t *Txn) check() error {
 		// Between a crash and the end of restart recovery, transaction
 		// processing stalls (the hardware has interrupted all CPUs);
 		// callers retry as they do for lock waits.
-		if t.stallSince == 0 && t.mgr.DB.Hooks().Waterfall != nil {
+		if t.stallSince == 0 {
 			t.stallSince = t.mgr.DB.M.Clock(t.node)
 		}
 		return ErrBlocked
@@ -131,10 +125,7 @@ func (t *Txn) check() error {
 	if t.stallSince != 0 {
 		// The freeze lifted: whatever sim time recovery charged this node in
 		// the meantime is the transaction's frozen stall.
-		if wf := t.mgr.DB.Hooks().Waterfall; wf != nil {
-			now := t.mgr.DB.M.Clock(t.node)
-			wf.AddWait(int64(t.id), waterfall.CauseFrozen, t.stallSince, now-t.stallSince, 0, 0)
-		}
+		t.mgr.DB.Wait(t.node, t.id, obs.CauseFrozen, t.stallSince, 0)
 		t.stallSince = 0
 	}
 	return nil
@@ -176,7 +167,7 @@ func (t *Txn) LockKey(key uint64, mode lock.Mode) error {
 	if err := t.check(); err != nil {
 		return err
 	}
-	defer t.wfOp()()
+	defer t.open().close()
 	return t.acquire(lock.NameOfKey(key), mode)
 }
 
@@ -185,7 +176,7 @@ func (t *Txn) Read(rid heap.RID) ([]byte, error) {
 	if err := t.check(); err != nil {
 		return nil, err
 	}
-	defer t.wfOp()()
+	defer t.open().close()
 	if err := t.acquire(lock.NameOfRID(rid), lock.Shared); err != nil {
 		return nil, err
 	}
@@ -217,7 +208,7 @@ func (t *Txn) ReadDirty(rid heap.RID) ([]byte, error) {
 	if !t.mgr.DB.Cfg.DirtyReads {
 		return nil, errors.New("txn: dirty reads not enabled")
 	}
-	defer t.wfOp()()
+	defer t.open().close()
 	return t.visible(rid)
 }
 
@@ -226,7 +217,7 @@ func (t *Txn) Write(rid heap.RID, data []byte) error {
 	if err := t.check(); err != nil {
 		return err
 	}
-	defer t.wfOp()()
+	defer t.open().close()
 	if err := t.acquire(lock.NameOfRID(rid), lock.Exclusive); err != nil {
 		return err
 	}
@@ -238,7 +229,7 @@ func (t *Txn) Insert(rid heap.RID, data []byte) error {
 	if err := t.check(); err != nil {
 		return err
 	}
-	defer t.wfOp()()
+	defer t.open().close()
 	if err := t.acquire(lock.NameOfRID(rid), lock.Exclusive); err != nil {
 		return err
 	}
@@ -250,7 +241,7 @@ func (t *Txn) Delete(rid heap.RID) error {
 	if err := t.check(); err != nil {
 		return err
 	}
-	defer t.wfOp()()
+	defer t.open().close()
 	if err := t.acquire(lock.NameOfRID(rid), lock.Exclusive); err != nil {
 		return err
 	}
