@@ -152,11 +152,6 @@ func main() {
 			*pMigration = 0.35
 		}
 	}
-	recWorkers := obsFlags.RecoverWorkers
-	if obsFlags.Record != "" && recWorkers > 1 {
-		fmt.Println("chaos: -record forces sequential recovery (-recoverworkers ignored)")
-		recWorkers = 0
-	}
 	fmt.Printf("chaos: protocol=%s nodes=%d seeds=%d..%d episodes=%d (budget %d crashes/episode)\n",
 		proto, *nodes, *seed, *seed+int64(*seeds)-1, *episodes, *maxCrashes)
 
@@ -166,7 +161,7 @@ func main() {
 	recorded := 0
 	for i := 0; i < *seeds; i++ {
 		s := *seed + int64(i)
-		db, err := newChaosDB(proto, *nodes, recWorkers, *ablateGate)
+		db, err := newChaosDB(proto, *nodes, *ablateGate)
 		if err != nil {
 			fatal(err)
 		}
@@ -276,15 +271,14 @@ func main() {
 }
 
 // newChaosDB builds the standard chaos database configuration.
-func newChaosDB(proto recovery.Protocol, nodes, workers int, ablateGate bool) (*recovery.DB, error) {
+func newChaosDB(proto recovery.Protocol, nodes int, ablateGate bool) (*recovery.DB, error) {
 	db, err := recovery.New(recovery.Config{
-		Machine:         machine.Config{Nodes: nodes, Lines: 4096},
-		Protocol:        proto,
-		LinesPerPage:    4,
-		RecsPerLine:     4,
-		Pages:           16,
-		LockTableLines:  128,
-		RecoveryWorkers: workers,
+		Machine:        machine.Config{Nodes: nodes, Lines: 4096},
+		Protocol:       proto,
+		LinesPerPage:   4,
+		RecsPerLine:    4,
+		Pages:          16,
+		LockTableLines: 128,
 	})
 	if err != nil {
 		return nil, err
@@ -361,7 +355,7 @@ func runReplay(obsFlags *obscli.Flags, stack *obscli.Stack, ablateGate bool) {
 	}
 	fmt.Println()
 
-	db, err := newChaosDB(proto, sch.Nodes, 0, ablateGate)
+	db, err := newChaosDB(proto, sch.Nodes, ablateGate)
 	if err != nil {
 		fatal(err)
 	}
@@ -413,7 +407,7 @@ func runShrink(path, outPath string, ablateGate bool) {
 	}
 	env := workload.ShrinkEnv{
 		NewDB: func() (*recovery.DB, error) {
-			return newChaosDB(proto, sch.Nodes, 0, ablateGate)
+			return newChaosDB(proto, sch.Nodes, ablateGate)
 		},
 		NewInjector: func() *fault.Injector { return fault.New(plan) },
 		Spec:        spec,

@@ -83,12 +83,11 @@ func main() {
 	}
 
 	db, err := recovery.New(recovery.Config{
-		Machine:         machine.Config{Nodes: *nodes, Coherency: coh},
-		Protocol:        proto,
-		RecsPerLine:     *recsPerLine,
-		Pages:           32,
-		ChainedLCBs:     *chained,
-		RecoveryWorkers: obsFlags.RecoverWorkers,
+		Machine:     machine.Config{Nodes: *nodes, Coherency: coh},
+		Protocol:    proto,
+		RecsPerLine: *recsPerLine,
+		Pages:       32,
+		ChainedLCBs: *chained,
 	})
 	if err != nil {
 		fatal(err)

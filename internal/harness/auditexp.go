@@ -140,7 +140,7 @@ func (r *AuditOverheadResult) Table() string {
 	t := &tableWriter{header: []string{
 		"protocol", "audit", "updates", "ns/update", "overhead",
 		"violations", "unlogged", "trails", "windows", "anomalies",
-	}}
+	}, host: []string{"ns/update", "overhead"}}
 	bare := map[recovery.Protocol]int64{}
 	for _, p := range r.Points {
 		if !p.Audited {

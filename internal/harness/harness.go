@@ -7,6 +7,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"smdb/internal/machine"
@@ -65,9 +66,11 @@ func totalLogForces(db *recovery.DB) int64 {
 	return n
 }
 
-// tableWriter accumulates an aligned text table.
+// tableWriter accumulates an aligned text table. host names its host-time
+// columns, which are ruled with '~' instead of '-' (see Experiment).
 type tableWriter struct {
 	header []string
+	host   []string
 	rows   [][]string
 }
 
@@ -98,7 +101,11 @@ func (t *tableWriter) String() string {
 	line(t.header)
 	seps := make([]string, len(t.header))
 	for i, w := range width {
-		seps[i] = strings.Repeat("-", w)
+		rule := "-"
+		if slices.Contains(t.host, t.header[i]) {
+			rule = "~"
+		}
+		seps[i] = strings.Repeat(rule, w)
 	}
 	line(seps)
 	for _, r := range t.rows {

@@ -2,104 +2,66 @@ package harness
 
 import (
 	"fmt"
-	"time"
 
 	"smdb/internal/machine"
 	"smdb/internal/recovery"
 	"smdb/internal/workload"
 )
 
-// Experiment E18 measures what the parallel restart pipeline buys: the same
-// multi-survivor crash is recovered sequentially and with increasing worker
-// fan-out, and the host wall-clock makespan of Recover is compared. Recovery
-// work (redo/undo decisions) is identical at every worker count — that is the
-// equivalence gate in internal/recovery — so the only thing moving is the
-// wall clock. Speedup is bounded by GOMAXPROCS: on a single-core host the
-// sweep documents overhead, not gain.
+// Experiment E18 recovers a multi-survivor crash under every IFA protocol:
+// 8 nodes, a heavy committed backlog since the seed checkpoint, and a
+// two-node crash, so every survivor has its own log to scan, its own cache to
+// probe and tag-scan, and its own locks to replay (section 4.1.2's
+// node-parallel restart, in simulated time).
 
-// ParRecoveryPoint is one (protocol, workers) cell of the sweep.
+// ParRecoveryPoint is one protocol's row.
 type ParRecoveryPoint struct {
-	Protocol recovery.Protocol
-	// Workers is Cfg.RecoveryWorkers for this run (0 = sequential pipeline).
-	Workers int
-	// RedoApplied/UndoApplied pin that the work is worker-invariant.
+	Protocol                 recovery.Protocol
 	RedoApplied, UndoApplied int
-	// SimTime is the simulated recovery duration (also worker-invariant up
-	// to interleaving); Wall is the host wall-clock makespan of Recover —
-	// the quantity parallelism shrinks.
+	// SimTime is the simulated recovery duration.
 	SimTime int64
-	Wall    time.Duration
-	// Speedup is sequential Wall over this run's Wall (1.0 for the
-	// sequential row itself).
-	Speedup float64
 }
 
-// ParRecoveryResult is the sweep.
+// ParRecoveryResult is the table.
 type ParRecoveryResult struct {
 	Nodes, Victims int
 	Points         []ParRecoveryPoint
 }
 
-// parDB is newDB plus the RecoveryWorkers knob.
-func parDB(proto recovery.Protocol, nodes, pages, workers int) (*recovery.DB, error) {
+// RunParRecovery recovers the E18 crash once per IFA protocol.
+func RunParRecovery(seed int64) (*ParRecoveryResult, error) {
+	const nodes, pages = 8, 32
+	res := &ParRecoveryResult{Nodes: nodes, Victims: 2}
+	for _, proto := range IFAProtocols() {
+		p, err := runParRecoveryOnce(proto, nodes, pages, seed)
+		if err != nil {
+			return nil, fmt.Errorf("parrecovery %v: %w", proto, err)
+		}
+		res.Points = append(res.Points, p)
+	}
+	return res, nil
+}
+
+func runParRecoveryOnce(proto recovery.Protocol, nodes, pages int, seed int64) (ParRecoveryPoint, error) {
 	lockLines := 1024
 	db, err := recovery.New(recovery.Config{
 		Machine: machine.Config{
 			Nodes: nodes,
 			Lines: pages*4 + lockLines + 128,
 		},
-		Protocol:        proto,
-		LinesPerPage:    4,
-		RecsPerLine:     4,
-		Pages:           pages,
-		LockTableLines:  lockLines,
-		RecoveryWorkers: workers,
+		Protocol:       proto,
+		LinesPerPage:   4,
+		RecsPerLine:    4,
+		Pages:          pages,
+		LockTableLines: lockLines,
 	})
-	if err != nil {
-		return nil, err
-	}
-	if err := workload.Seed(db, 0); err != nil {
-		return nil, err
-	}
-	db.M.ResetStats()
-	return db, nil
-}
-
-// RunParRecovery sweeps worker counts over every IFA protocol on a
-// multi-survivor config: 8 nodes, a heavy committed backlog since the seed
-// checkpoint, and a two-node crash, so every parallel phase (per-survivor log
-// scans, page-partitioned redo, tag scans, lock replay) has real fan-out
-// width. A nil workers slice gets the standard 0/1/2/4/8 sweep.
-func RunParRecovery(seed int64, workers []int) (*ParRecoveryResult, error) {
-	if len(workers) == 0 {
-		workers = []int{0, 1, 2, 4, 8}
-	}
-	const nodes, pages = 8, 32
-	res := &ParRecoveryResult{Nodes: nodes, Victims: 2}
-	for _, proto := range IFAProtocols() {
-		var seqWall time.Duration
-		for _, w := range workers {
-			p, err := runParRecoveryOnce(proto, nodes, pages, w, seed)
-			if err != nil {
-				return nil, fmt.Errorf("parrecovery %v workers=%d: %w", proto, w, err)
-			}
-			if seqWall == 0 {
-				seqWall = p.Wall
-			}
-			if p.Wall > 0 {
-				p.Speedup = float64(seqWall) / float64(p.Wall)
-			}
-			res.Points = append(res.Points, p)
-		}
-	}
-	return res, nil
-}
-
-func runParRecoveryOnce(proto recovery.Protocol, nodes, pages, workers int, seed int64) (ParRecoveryPoint, error) {
-	db, err := parDB(proto, nodes, pages, workers)
 	if err != nil {
 		return ParRecoveryPoint{}, err
 	}
+	if err := workload.Seed(db, 0); err != nil {
+		return ParRecoveryPoint{}, err
+	}
+	db.M.ResetStats()
 	r := workload.NewRunner(db, workload.Spec{
 		TxnsPerNode: 12, OpsPerTxn: 8,
 		ReadFraction: 0.2, SharingFraction: 0.5, Seed: seed,
@@ -109,40 +71,27 @@ func runParRecoveryOnce(proto recovery.Protocol, nodes, pages, workers int, seed
 	}
 	victims := []machine.NodeID{machine.NodeID(nodes - 1), machine.NodeID(nodes - 2)}
 	db.Crash(victims...)
-	start := time.Now()
 	rep, err := db.Recover(victims)
-	wall := time.Since(start)
 	if err != nil {
 		return ParRecoveryPoint{}, err
 	}
 	return ParRecoveryPoint{
 		Protocol:    proto,
-		Workers:     workers,
 		RedoApplied: rep.RedoApplied,
 		UndoApplied: rep.UndoApplied,
 		SimTime:     rep.SimTime,
-		Wall:        wall,
 	}, nil
 }
 
-// Table renders the sweep.
+// Table renders the rows.
 func (r *ParRecoveryResult) Table() string {
-	t := &tableWriter{header: []string{
-		"protocol", "workers", "redo-applied", "undo", "sim-recovery", "host-wall", "speedup",
-	}}
+	t := &tableWriter{header: []string{"protocol", "redo-applied", "undo", "sim-recovery"}}
 	for _, p := range r.Points {
-		w := "seq"
-		if p.Workers > 0 {
-			w = fmt.Sprintf("%d", p.Workers)
-		}
 		t.addRow(
 			p.Protocol.String(),
-			w,
 			fmt.Sprintf("%d", p.RedoApplied),
 			fmt.Sprintf("%d", p.UndoApplied),
 			ms(p.SimTime),
-			fmt.Sprintf("%.3fms", float64(p.Wall.Nanoseconds())/1e6),
-			fmt.Sprintf("%.2fx", p.Speedup),
 		)
 	}
 	return t.String()

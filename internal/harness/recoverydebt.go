@@ -155,7 +155,7 @@ func recoveryDebtArm(proto recovery.Protocol) (RecoveryDebtPoint, error) {
 			return p, fmt.Errorf("cycle %d: debt did not collapse after recovery: %d records above the safe point",
 				cycle, cpost.DebtRecords)
 		}
-		est, wall := pre.EstParNS, wallNS
+		est, wall := pre.EstNS, wallNS
 		if est < recoveryDebtNoiseNS {
 			est = recoveryDebtNoiseNS
 		}
@@ -173,11 +173,11 @@ func recoveryDebtArm(proto recovery.Protocol) (RecoveryDebtPoint, error) {
 			p.Coverage = pre.Coverage
 		}
 		if cycle == 0 || ratio < p.Ratio {
-			p.EstNS = pre.EstParNS
+			p.EstNS = pre.EstNS
 			p.WallNS = wallNS
 			p.Ratio = ratio
 		}
-		if pre.EstParNS <= 0 {
+		if pre.EstNS <= 0 {
 			return p, fmt.Errorf("cycle %d: no calibrated estimate at the crash snapshot", cycle)
 		}
 	}
@@ -259,7 +259,7 @@ func (r *RecoveryDebtResult) Table() string {
 	t := &tableWriter{header: []string{
 		"protocol", "debt-recs", "debt-bytes", "redo-span", "coverage",
 		"est", "measured", "ratio", "residual", "recoveries", "mttr-ewma",
-	}}
+	}, host: []string{"est", "measured", "ratio", "mttr-ewma"}}
 	for _, p := range r.Points {
 		t.addRow(
 			p.Protocol.String(),

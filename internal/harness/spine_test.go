@@ -90,9 +90,9 @@ func TestTraceRebuildsConsumers(t *testing.T) {
 // debtCounts is a debt snapshot less its host-time fields (wall MTTRs, the
 // calibration they feed, and the estimates built on it).
 func debtCounts(s debt.Snapshot) debt.Snapshot {
-	s.Calibrated, s.EstSeqNS, s.EstParNS, s.Speedup = false, 0, 0, 0
+	s.Calibrated, s.EstNS = false, 0
 	s.LastWallNS, s.AvgWallNS, s.EwmaWallNS = 0, 0, 0
-	s.NSPerRecSeq, s.NSPerRecPar, s.Calibrations = 0, 0, 0
+	s.NSPerRec, s.Calibrations = 0, 0
 	return s
 }
 

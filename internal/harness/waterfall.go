@@ -280,7 +280,8 @@ func (r *WaterfallResult) Table() string {
 	}
 	out := t.String()
 
-	ot := &tableWriter{header: []string{"waterfall", "updates", "ns/update", "overhead"}}
+	ot := &tableWriter{header: []string{"waterfall", "updates", "ns/update", "overhead"},
+		host: []string{"ns/update", "overhead"}}
 	var bare int64
 	for _, p := range r.Overhead {
 		if !p.Recorded {

@@ -13,7 +13,7 @@ package machine
 import "smdb/internal/obs/prof"
 
 // StripeCount is the number of line-directory lock stripes, exported so
-// callers can size a prof.StripeProf to match (prof.NewPair(machine.StripeCount)).
+// callers can size a prof.StripeProf to match (prof.NewStripeProf(machine.StripeCount)).
 const StripeCount = stripeCount
 
 // lockStripe acquires s.mu, recording the acquisition when profiling, and

@@ -53,7 +53,7 @@ func TestNilTrackerHooksDoNotAllocate(t *testing.T) {
 		feedDiscard(tr, 0, 1)
 		feedDirty(tr, 1)
 		feedClean(tr, 1)
-		feedRecovery(tr, 1, true, 0, 0, 1, 0)
+		feedRecovery(tr, 1, true, 0, 0)
 	})
 	if n != 0 {
 		t.Fatalf("nil tracker hooks allocated %v times per run, want 0", n)

@@ -21,8 +21,7 @@
 //   - the dirty-page set (pages whose cached lines diverge from disk — the
 //     redo working set a crash would have to reinstall);
 //   - an estimated replay time, calibrated online from completed
-//     recoveries: ns-per-debt-record rates on both the sequential
-//     (worker-busy) and parallel (wall, speedup-adjusted) axes.
+//     recoveries: a wall-clock ns-per-debt-record rate.
 //
 // A completed recovery acts as a fuzzy end-of-restart checkpoint: the
 // tracker re-anchors every node's safe point at its current end of log, so
@@ -204,10 +203,8 @@ type recoverySample struct {
 	OK        bool  `json:"ok"`
 	WallNS    int64 `json:"wall_ns"`
 	SimNS     int64 `json:"sim_ns"`
-	BusyNS    int64 `json:"busy_ns"`
 	DebtStart int64 `json:"debt_records_at_start"`
 	Replayed  int64 `json:"replayed_records"`
-	Workers   int   `json:"workers"`
 	Down      int   `json:"down"`
 }
 
@@ -242,8 +239,7 @@ type Tracker struct {
 	haveRecovery  bool
 
 	// Estimator calibration (ns per debt record).
-	nsPerRecSeq  float64
-	nsPerRecPar  float64
+	nsPerRec     float64
 	calibrations int64
 }
 
@@ -380,7 +376,7 @@ func (t *Tracker) OnEvent(e obs.Event) {
 			t.recoveryStartLocked(int(e.B))
 		}
 	case obs.KindRecovery:
-		t.recoveryEndLocked(e.C&1 == 1, e.A, e.B, int(e.C>>1), e.Dur)
+		t.recoveryEndLocked(e.C == 1, e.A, e.Dur)
 	}
 }
 
@@ -498,23 +494,19 @@ func (t *Tracker) recoveryStartLocked(down int) {
 
 // recoveryEndLocked closes a recovery run (its KindRecovery span). A
 // successful recovery contributes one MTTR sample, one estimator calibration
-// sample (ns per debt record, on the sequential/busy and parallel/wall
-// axes), and re-anchors every node's safe point at its current end of log —
-// debt drops to ~zero and re-accumulates.
+// sample (wall ns per debt record), and re-anchors every node's safe point at
+// its current end of log — debt drops to ~zero and re-accumulates.
 // replayed is the records recovery actually processed (redo applied+skipped,
-// undo applied); busyNS the summed worker busy time from the profiler (0
-// when unmetered — wall time stands in); workers the recovery fan-out;
-// simNS the simulated recovery duration.
-func (t *Tracker) recoveryEndLocked(ok bool, replayed, busyNS int64, workers int, simNS int64) {
+// undo applied); simNS the simulated recovery duration.
+func (t *Tracker) recoveryEndLocked(ok bool, replayed, simNS int64) {
 	wall := t.now() - t.recoveryWall0
 	if !t.recovering {
 		wall = 0
 	}
 	t.recovering = false
 	sample := recoverySample{
-		OK: ok, WallNS: wall, SimNS: simNS, BusyNS: busyNS,
-		DebtStart: t.recoveryDebt0, Replayed: replayed,
-		Workers: workers, Down: t.recoveryDown,
+		OK: ok, WallNS: wall, SimNS: simNS,
+		DebtStart: t.recoveryDebt0, Replayed: replayed, Down: t.recoveryDown,
 	}
 	t.lastRecovery = sample
 	t.haveRecovery = true
@@ -530,21 +522,11 @@ func (t *Tracker) recoveryEndLocked(ok bool, replayed, busyNS int64, workers int
 		t.ewmaMTTRNS += ewmaAlpha * (float64(wall) - t.ewmaMTTRNS)
 	}
 	if t.recoveryDebt0 > 0 && wall > 0 {
-		busy := busyNS
-		if busy <= 0 {
-			busy = wall
-		}
-		par := float64(wall) / float64(t.recoveryDebt0)
-		seq := float64(busy) / float64(t.recoveryDebt0)
-		if seq < par {
-			// Sequential replay can never beat the parallel wall time.
-			seq = par
-		}
+		rate := float64(wall) / float64(t.recoveryDebt0)
 		if t.calibrations == 0 {
-			t.nsPerRecPar, t.nsPerRecSeq = par, seq
+			t.nsPerRec = rate
 		} else {
-			t.nsPerRecPar += ewmaAlpha * (par - t.nsPerRecPar)
-			t.nsPerRecSeq += ewmaAlpha * (seq - t.nsPerRecSeq)
+			t.nsPerRec += ewmaAlpha * (rate - t.nsPerRec)
 		}
 		t.calibrations++
 	}
@@ -595,9 +577,7 @@ type Snapshot struct {
 	UndoSpan    int64          `json:"undo_span"`
 	DirtyPages  int            `json:"dirty_pages"`
 	DirtyLines  int            `json:"dirty_lines"`
-	EstSeqNS    int64          `json:"est_replay_seq_ns"`
-	EstParNS    int64          `json:"est_replay_par_ns"`
-	Speedup     float64        `json:"speedup"`
+	EstNS       int64          `json:"est_replay_ns"`
 	Coverage    float64        `json:"attr_coverage"`
 	Appends     int64          `json:"appends"`
 	AppendBytes int64          `json:"append_bytes"`
@@ -610,8 +590,7 @@ type Snapshot struct {
 	LastSimNS    int64   `json:"last_mttr_sim_ns"`
 	AvgWallNS    int64   `json:"avg_mttr_wall_ns"`
 	EwmaWallNS   int64   `json:"ewma_mttr_wall_ns"`
-	NSPerRecSeq  float64 `json:"ns_per_record_seq"`
-	NSPerRecPar  float64 `json:"ns_per_record_par"`
+	NSPerRec     float64 `json:"ns_per_record"`
 	Calibrations int64   `json:"calibration_samples"`
 	Anomalies    int     `json:"anomalies"`
 }
@@ -634,8 +613,7 @@ func (t *Tracker) snapshotLocked() Snapshot {
 		Recovering:   t.recovering,
 		Recoveries:   t.recoveries,
 		Failures:     t.failures,
-		NSPerRecSeq:  t.nsPerRecSeq,
-		NSPerRecPar:  t.nsPerRecPar,
+		NSPerRec:     t.nsPerRec,
 		Calibrations: t.calibrations,
 		Anomalies:    len(t.anomalies) + int(t.dropped),
 	}
@@ -687,11 +665,7 @@ func (t *Tracker) snapshotLocked() Snapshot {
 		s.Coverage = 1
 	}
 	if t.calibrations > 0 {
-		s.EstSeqNS = int64(float64(s.DebtRecords) * t.nsPerRecSeq)
-		s.EstParNS = int64(float64(s.DebtRecords) * t.nsPerRecPar)
-		if t.nsPerRecPar > 0 {
-			s.Speedup = t.nsPerRecSeq / t.nsPerRecPar
-		}
+		s.EstNS = int64(float64(s.DebtRecords) * t.nsPerRec)
 	}
 	return s
 }
@@ -764,8 +738,7 @@ func (t *Tracker) WriteDebtProm(w io.Writer) error {
 	}
 	fmt.Fprintf(&b, "# HELP smdb_recovery_debt_estimate_ns Estimated replay wall time for the current debt.\n")
 	fmt.Fprintf(&b, "# TYPE smdb_recovery_debt_estimate_ns gauge\n")
-	fmt.Fprintf(&b, "smdb_recovery_debt_estimate_ns{kind=\"sequential\"} %d\n", s.EstSeqNS)
-	fmt.Fprintf(&b, "smdb_recovery_debt_estimate_ns{kind=\"parallel\"} %d\n", s.EstParNS)
+	fmt.Fprintf(&b, "smdb_recovery_debt_estimate_ns %d\n", s.EstNS)
 	fmt.Fprintf(&b, "# HELP smdb_recovery_debt_dirty_pages Pages whose cached lines diverge from disk.\n")
 	fmt.Fprintf(&b, "# TYPE smdb_recovery_debt_dirty_pages gauge\n")
 	fmt.Fprintf(&b, "smdb_recovery_debt_dirty_pages %d\n", s.DirtyPages)
@@ -837,7 +810,7 @@ func (t *Tracker) Summary() string {
 	s := t.Snapshot()
 	est := "uncalibrated"
 	if s.Calibrated {
-		est = fmt.Sprintf("est replay %s (seq %s)", obs.FormatNS(s.EstParNS), obs.FormatNS(s.EstSeqNS))
+		est = "est replay " + obs.FormatNS(s.EstNS)
 	}
 	return fmt.Sprintf("debt: %d record(s) / %d byte(s) over %d node(s), %d dirty page(s), %s; %d recovery(ies), last MTTR %s, %d anomaly(ies)",
 		s.DebtRecords, s.DebtBytes, len(s.Nodes), s.DirtyPages, est,

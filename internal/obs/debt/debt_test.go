@@ -43,15 +43,15 @@ func feedClean(t *Tracker, p int64) {
 }
 
 // feedRecovery is one restart recovery over down nodes: its opening progress
-// event, then its closing span with what it replayed, the workers' busy
-// time, the fan-out and the simulated duration.
-func feedRecovery(t *Tracker, down int, ok bool, replayed, busyNS int64, workers int, simNS int64) {
+// event, then its closing span with what it replayed and the simulated
+// duration.
+func feedRecovery(t *Tracker, down int, ok bool, replayed, simNS int64) {
 	t.OnEvent(obs.Event{Kind: obs.KindProgress, Node: obs.SystemNode, B: int64(down)})
-	c := int64(workers) << 1
+	var c int64
 	if ok {
-		c |= 1
+		c = 1
 	}
-	t.OnEvent(obs.Event{Kind: obs.KindRecovery, Node: obs.SystemNode, Dur: simNS, A: replayed, B: busyNS, C: c})
+	t.OnEvent(obs.Event{Kind: obs.KindRecovery, Node: obs.SystemNode, Dur: simNS, A: replayed, C: c})
 }
 
 // appendN feeds n update appends for txn on node, starting at the node's
@@ -168,7 +168,7 @@ func TestRecoveryResetsDebtAndRecalibrates(t *testing.T) {
 	if s := tr.Snapshot(); s.DebtRecords != 80 {
 		t.Fatalf("pre-recovery debt = %d, want 80", s.DebtRecords)
 	}
-	feedRecovery(tr, 1, true, 60, 0, 1, 5_000_000)
+	feedRecovery(tr, 1, true, 60, 5_000_000)
 	s := tr.Snapshot()
 	if s.DebtRecords != 0 || s.DebtBytes != 0 {
 		t.Fatalf("post-recovery debt = %d records / %d bytes, want 0/0", s.DebtRecords, s.DebtBytes)
@@ -179,8 +179,8 @@ func TestRecoveryResetsDebtAndRecalibrates(t *testing.T) {
 	if s.LastSimNS != 5_000_000 {
 		t.Fatalf("last sim MTTR = %d, want 5ms", s.LastSimNS)
 	}
-	if s.NSPerRecPar <= 0 {
-		t.Fatalf("ns/record not calibrated: %v", s.NSPerRecPar)
+	if s.NSPerRec <= 0 {
+		t.Fatalf("ns/record not calibrated: %v", s.NSPerRec)
 	}
 	// Re-accumulate: estimates scale with the new debt.
 	appendN(tr, 0, 51, 40, 4, 100, 0)
@@ -188,19 +188,16 @@ func TestRecoveryResetsDebtAndRecalibrates(t *testing.T) {
 	if s.DebtRecords != 40 {
 		t.Fatalf("re-accumulated debt = %d, want 40", s.DebtRecords)
 	}
-	if s.EstParNS <= 0 || s.EstSeqNS < s.EstParNS {
-		t.Fatalf("estimates wrong: seq=%d par=%d", s.EstSeqNS, s.EstParNS)
-	}
-	want := int64(float64(40) * s.NSPerRecPar)
-	if s.EstParNS != want {
-		t.Fatalf("par estimate = %d, want %d", s.EstParNS, want)
+	want := int64(float64(40) * s.NSPerRec)
+	if s.EstNS <= 0 || s.EstNS != want {
+		t.Fatalf("estimate = %d, want %d", s.EstNS, want)
 	}
 }
 
 func TestFailedRecoveryDoesNotReset(t *testing.T) {
 	tr := New(Config{Nodes: 1})
 	appendN(tr, 0, 1, 20, 3, 100, 0)
-	feedRecovery(tr, 1, false, 0, 0, 1, 0)
+	feedRecovery(tr, 1, false, 0, 0)
 	s := tr.Snapshot()
 	if s.DebtRecords != 20 {
 		t.Fatalf("debt after failed recovery = %d, want 20 (no reset)", s.DebtRecords)
@@ -298,7 +295,7 @@ func TestWriteDebtProm(t *testing.T) {
 		"smdb_recovery_debt_records{node=\"0\"} 3",
 		"smdb_recovery_debt_records{node=\"1\"} 0",
 		"smdb_recovery_debt_bytes{node=\"0\"} 300",
-		"smdb_recovery_debt_estimate_ns{kind=\"sequential\"} 0",
+		"smdb_recovery_debt_estimate_ns 0",
 		"smdb_recovery_debt_dirty_pages 0",
 		"smdb_recovery_debt_recoveries_total 0",
 		"# TYPE smdb_recovery_debt_records gauge",

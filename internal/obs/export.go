@@ -112,16 +112,6 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 			ce.Ph = "X"
 			ce.Dur = &dur
 			ce.Args = map[string]any{"sim_ns": e.Sim, "dur_ns": e.Dur}
-		case KindProfFanout:
-			// Profiler fan-out spans: one slice per parallel fan-out, named
-			// after the fanned-out phase, with the worker count and summed
-			// worker busy time as args. Dur is host wall-clock ns; the span
-			// is anchored at the recovery's simulated timeline position.
-			ce.Name = "prof:" + e.Phase.String()
-			dur := float64(e.Dur) / 1e3
-			ce.Ph = "X"
-			ce.Dur = &dur
-			ce.Args = map[string]any{"workers": e.A, "busy_ns": e.B, "wall_ns": e.Dur}
 		case KindDepEdge:
 			// Dependency edges decode their packed argument so a trace
 			// viewer shows which node/line the transaction depends on.

@@ -35,14 +35,13 @@ type AuditSource interface {
 	WriteTimeSeries(w io.Writer) error
 }
 
-// ProfSource renders the contention & cost-attribution profiler's surfaces
-// (prof.Pair satisfies it; like GraphWriter, the interface lives here so
-// obs does not import its own subpackage). WriteProfJSON is the combined
-// document the flight recorder stores as prof.json; WriteProfProm appends
-// Prometheus lines to /metrics.
+// ProfSource renders the contention profiler's surfaces (prof.StripeProf
+// satisfies it; like GraphWriter, the interface lives here so obs does not
+// import its own subpackage). WriteProfJSON is the document the flight
+// recorder stores as prof.json; WriteProfProm appends Prometheus lines to
+// /metrics.
 type ProfSource interface {
 	WriteProfStripes(w io.Writer) error
-	WriteProfWorkers(w io.Writer) error
 	WriteProfJSON(w io.Writer) error
 	WriteProfProm(w io.Writer) error
 }

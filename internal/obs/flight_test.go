@@ -48,12 +48,8 @@ func (stubProf) WriteProfStripes(w io.Writer) error {
 	_, err := io.WriteString(w, "{\"enabled\":true,\"stripes\":128}\n")
 	return err
 }
-func (stubProf) WriteProfWorkers(w io.Writer) error {
-	_, err := io.WriteString(w, "{\"enabled\":true,\"phases\":[]}\n")
-	return err
-}
 func (stubProf) WriteProfJSON(w io.Writer) error {
-	_, err := io.WriteString(w, "{\"enabled\":true,\"stripes\":{},\"workers\":[]}\n")
+	_, err := io.WriteString(w, "{\"enabled\":true,\"stripes\":{}}\n")
 	return err
 }
 func (stubProf) WriteProfProm(w io.Writer) error {

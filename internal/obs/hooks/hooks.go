@@ -37,9 +37,8 @@ type Set struct {
 	// brings its own. See Model.
 	Deps  *deps.Tracker
 	Audit *audit.Auditor
-	// Prof is the stripe-contention (machine) and worker cost-attribution
-	// (restart recovery) profiler pair.
-	Prof *prof.Pair
+	// Prof is the machine's stripe-contention profiler.
+	Prof *prof.StripeProf
 	// Waterfall attributes each transaction's waits and Debt accounts replay
 	// debt; both fold the Observer's events, so a set with either must have
 	// an Observer (Attach panics otherwise).
@@ -68,22 +67,6 @@ func (s *Set) OnEvent(e obs.Event) {
 	s.Model().OnEvent(e)
 	s.Waterfall.OnEvent(e)
 	s.Debt.OnEvent(e)
-}
-
-// Stripes is the machine's half of the profiler pair, nil without one.
-func (s *Set) Stripes() *prof.StripeProf {
-	if s.Prof == nil {
-		return nil
-	}
-	return s.Prof.Stripes
-}
-
-// Workers is restart recovery's half of the profiler pair, nil without one.
-func (s *Set) Workers() *prof.WorkerProf {
-	if s.Prof == nil {
-		return nil
-	}
-	return s.Prof.Workers
 }
 
 // Sources is what the introspection server and the flight recorder render

@@ -71,7 +71,6 @@ func Endpoints() []string {
 //	/audit/violations   the online IFA auditor's typed violations
 //	/timeseries         windowed metrics ring + anomaly watchdog findings
 //	/prof/stripes       contention profiler: per-stripe lock counters
-//	/prof/workers       contention profiler: per-phase worker attribution
 //	/slow               tail-sampled slow-transaction waterfalls (?max=N)
 //	/slow/trace         the sampled waterfalls as Chrome trace-event JSON
 //	/slow/{txnid}       one sampled transaction's waterfall ("t0.3" or the
@@ -182,10 +181,6 @@ func newHTTPMux(current func() Sources) *indexMux {
 	m.handle("/prof/stripes", "", func(w http.ResponseWriter, _ *http.Request) {
 		prf := current().Prof
 		optional(w, prf != nil, func() error { return prf.WriteProfStripes(w) })
-	})
-	m.handle("/prof/workers", "", func(w http.ResponseWriter, _ *http.Request) {
-		prf := current().Prof
-		optional(w, prf != nil, func() error { return prf.WriteProfWorkers(w) })
 	})
 	m.handle("/slow", "/slow[?max=N]", func(w http.ResponseWriter, r *http.Request) {
 		max, _ := strconv.Atoi(r.URL.Query().Get("max"))

@@ -73,10 +73,6 @@ func TestHTTPHandlerEndpoints(t *testing.T) {
 	if code != 200 || !strings.Contains(ctype, "application/json") || !strings.Contains(body, `"stripes"`) {
 		t.Errorf("/prof/stripes = %d %q %q", code, ctype, body)
 	}
-	code, body, ctype = get(t, h, "/prof/workers")
-	if code != 200 || !strings.Contains(ctype, "application/json") || !strings.Contains(body, `"phases"`) {
-		t.Errorf("/prof/workers = %d %q %q", code, ctype, body)
-	}
 	code, body, _ = get(t, h, "/metrics")
 	if code != 200 || !strings.Contains(body, "smdb_prof_stripe_acquires_total") {
 		t.Errorf("/metrics does not append profiler lines: %d\n%s", code, body)
@@ -111,7 +107,7 @@ func TestHTTPHandlerNilSources(t *testing.T) {
 	if code != 200 {
 		t.Errorf("/metrics with nil observer = %d", code)
 	}
-	for _, path := range []string{"/audit/txn", "/audit/txn/t0.1", "/audit/violations", "/timeseries", "/prof/stripes", "/prof/workers", "/recovery/debt"} {
+	for _, path := range []string{"/audit/txn", "/audit/txn/t0.1", "/audit/violations", "/timeseries", "/prof/stripes", "/recovery/debt"} {
 		code, body, _ := get(t, h, path)
 		if code != 200 || !strings.Contains(body, `"enabled": false`) {
 			t.Errorf("%s with nil source = %d %q", path, code, body)

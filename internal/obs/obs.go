@@ -74,8 +74,7 @@ const (
 	KindPhase
 	// KindRecovery is the whole restart-recovery run, the parent span
 	// enclosing the phase spans, recorded when the run ends, failed or not
-	// (A = records replayed, B = summed worker busy host ns or 0 unmetered,
-	// C = worker fan-out<<1 | 1 if the run recovered).
+	// (A = records replayed, C = 1 if the run recovered).
 	KindRecovery
 	// KindFault is an injected fault firing (internal/fault via the hooked
 	// layer; A = fault-site discriminator, B = victim node or 0).
@@ -99,11 +98,6 @@ const (
 	// transaction's home node, A = its transaction id, B packs the node now
 	// holding its uncommitted data with the line (to<<32 | line).
 	KindDepEdge
-	// KindProfFanout is one parallel-recovery fan-out recorded by the
-	// contention profiler (internal/obs/prof): Phase names the fanned-out
-	// phase, Dur is *host* wall-clock nanoseconds (not simulated time),
-	// A = worker count, B = summed worker busy nanoseconds.
-	KindProfFanout
 	// KindWALDiscard is log truncation (internal/wal): every record below
 	// LSN A was discarded.
 	KindWALDiscard
@@ -134,7 +128,7 @@ var kindNames = [numKinds]string{
 	"wal-append", "wal-force", "lock-acquire", "lock-wait", "deadlock",
 	"txn-begin", "txn-commit", "txn-abort", "page-fetch", "page-flush",
 	"crash", "phase", "recovery", "fault", "io-retry",
-	"replicate", "install", "discard", "dep-edge", "prof-fanout",
+	"replicate", "install", "discard", "dep-edge",
 	"wal-discard", "page-dirty", "op-start", "op-end", "txn-wait",
 	"progress",
 }

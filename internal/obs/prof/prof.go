@@ -1,15 +1,13 @@
-// Package prof is the contention & cost-attribution profiler: per-stripe
-// lock counters for the simulated machine's striped line directory, and
-// per-worker per-phase cost accounting for the parallel restart-recovery
-// pipeline. It is always compiled and off by default — every hot-path method
-// is nil-receiver safe and allocation-free, so callers hold a possibly-nil
-// pointer and call unconditionally.
+// Package prof is the contention profiler: per-stripe lock counters for the
+// simulated machine's striped line directory. It is always compiled and off
+// by default — every hot-path method is nil-receiver safe and
+// allocation-free, so callers hold a possibly-nil pointer and call
+// unconditionally.
 //
 // The package deliberately imports nothing but the standard library (and no
-// other internal package): internal/machine and internal/recovery both
-// import it, and internal/obs exposes it over HTTP/flight dumps through the
-// obs.ProfSource interface, so any inward dependency would cycle. Phases are
-// keyed by their obs.Phase string form for the same reason.
+// other internal package): internal/machine imports it, and internal/obs
+// exposes it over HTTP/flight dumps through the obs.ProfSource interface, so
+// any inward dependency would cycle.
 package prof
 
 import (
@@ -17,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"text/tabwriter"
 	"time"
@@ -220,247 +217,6 @@ func (s StripeSnapshot) TopContended(k int) []StripeCounters {
 	return touched
 }
 
-// TaskMeter accumulates one worker's costs during a fan-out. The fan-out
-// driver owns BusyNS/Tasks via AddTask; the task body reports its data
-// volume via AddRecords/AddBytes. A nil *TaskMeter (profiler off) no-ops.
-type TaskMeter struct {
-	BusyNS  int64
-	Tasks   int64
-	Records int64
-	Bytes   int64
-}
-
-// AddTask charges one completed task's duration to the worker.
-func (t *TaskMeter) AddTask(busyNS int64) {
-	if t == nil {
-		return
-	}
-	t.BusyNS += busyNS
-	t.Tasks++
-}
-
-// AddRecords counts records (redo log records, lock entries, tag-scan hits)
-// processed by the current task.
-func (t *TaskMeter) AddRecords(n int) {
-	if t == nil {
-		return
-	}
-	t.Records += int64(n)
-}
-
-// AddBytes counts payload bytes moved by the current task.
-func (t *TaskMeter) AddBytes(n int) {
-	if t == nil {
-		return
-	}
-	t.Bytes += int64(n)
-}
-
-// WorkerCell is one worker's accumulated cost within one phase.
-type WorkerCell struct {
-	Worker  int   `json:"worker"`
-	BusyNS  int64 `json:"busy_ns"`
-	WaitNS  int64 `json:"wait_ns"`
-	Tasks   int64 `json:"tasks"`
-	Records int64 `json:"records"`
-	Bytes   int64 `json:"bytes"`
-}
-
-func (c *WorkerCell) sub(prev WorkerCell) {
-	c.BusyNS -= prev.BusyNS
-	c.WaitNS -= prev.WaitNS
-	c.Tasks -= prev.Tasks
-	c.Records -= prev.Records
-	c.Bytes -= prev.Bytes
-}
-
-// PhaseProf is one pipeline phase's accumulated fan-out profile.
-// WorkerWallNS is Σ over fan-outs of (workers × wall): with it, the summed
-// worker busy time can be rescaled to wall-clock terms even when different
-// fan-outs of the same phase ran with different worker counts.
-type PhaseProf struct {
-	Phase        string       `json:"phase"`
-	Fanouts      int64        `json:"fanouts"`
-	WallNS       int64        `json:"wall_ns"`
-	MergeNS      int64        `json:"merge_ns"`
-	WorkerWallNS int64        `json:"worker_wall_ns"`
-	Workers      []WorkerCell `json:"workers"`
-}
-
-// BusyNS sums worker busy time across the phase.
-func (p PhaseProf) BusyNS() int64 {
-	var busy int64
-	for i := range p.Workers {
-		busy += p.Workers[i].BusyNS
-	}
-	return busy
-}
-
-// BusyWallNS rescales the summed worker busy time to the wall-clock axis:
-// WallNS × (Σ busy / WorkerWallNS). The complement (WallNS − BusyWallNS)
-// is the phase's wall-scale idle (load-imbalance) time.
-func (p PhaseProf) BusyWallNS() int64 {
-	if p.WorkerWallNS <= 0 {
-		return p.BusyNS()
-	}
-	return int64(float64(p.WallNS) * float64(p.BusyNS()) / float64(p.WorkerWallNS))
-}
-
-type phaseAgg struct {
-	prof PhaseProf
-}
-
-// WorkerProf accumulates per-worker per-phase cost attribution for the
-// parallel recovery pipeline. A nil *WorkerProf is the disabled profiler.
-type WorkerProf struct {
-	mu     sync.Mutex
-	phases map[string]*phaseAgg
-	order  []string
-}
-
-// NewWorkerProf allocates an empty worker profiler.
-func NewWorkerProf() *WorkerProf {
-	return &WorkerProf{phases: make(map[string]*phaseAgg)}
-}
-
-func (p *WorkerProf) aggLocked(phase string) *phaseAgg {
-	a := p.phases[phase]
-	if a == nil {
-		a = &phaseAgg{prof: PhaseProf{Phase: phase}}
-		p.phases[phase] = a
-		p.order = append(p.order, phase)
-	}
-	return a
-}
-
-// RecordFanout folds one completed fan-out into the phase: wallNS is the
-// fan-out's wall time, meters[w] each worker's accumulated task costs. Each
-// worker's wait is the fan-out wall minus its busy time — time the worker
-// spent idle at the task queue or parked at the end barrier.
-func (p *WorkerProf) RecordFanout(phase string, wallNS int64, meters []TaskMeter) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	a := p.aggLocked(phase)
-	a.prof.Fanouts++
-	a.prof.WallNS += wallNS
-	a.prof.WorkerWallNS += int64(len(meters)) * wallNS
-	for w := range meters {
-		for len(a.prof.Workers) <= w {
-			a.prof.Workers = append(a.prof.Workers, WorkerCell{Worker: len(a.prof.Workers)})
-		}
-		c := &a.prof.Workers[w]
-		m := &meters[w]
-		wait := wallNS - m.BusyNS
-		if wait < 0 {
-			wait = 0
-		}
-		c.BusyNS += m.BusyNS
-		c.WaitNS += wait
-		c.Tasks += m.Tasks
-		c.Records += m.Records
-		c.Bytes += m.Bytes
-	}
-}
-
-// AddMerge charges coordinator-side serial work (result concatenation,
-// shard roll-up, dedupe) to the phase's merge bucket.
-func (p *WorkerProf) AddMerge(phase string, ns int64) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.aggLocked(phase).prof.MergeNS += ns
-}
-
-// WorkerSnapshot is a point-in-time copy of the per-phase attribution, in
-// first-recorded phase order.
-type WorkerSnapshot struct {
-	Phases []PhaseProf `json:"phases"`
-}
-
-// Snapshot deep-copies the accumulated phases.
-func (p *WorkerProf) Snapshot() WorkerSnapshot {
-	if p == nil {
-		return WorkerSnapshot{}
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := WorkerSnapshot{}
-	for _, name := range p.order {
-		ph := p.phases[name].prof
-		ws := make([]WorkerCell, len(ph.Workers))
-		copy(ws, ph.Workers)
-		ph.Workers = ws
-		out.Phases = append(out.Phases, ph)
-	}
-	return out
-}
-
-// Sub returns the per-phase delta s − prev, dropping phases with no
-// activity in the interval.
-func (s WorkerSnapshot) Sub(prev WorkerSnapshot) WorkerSnapshot {
-	idx := make(map[string]PhaseProf, len(prev.Phases))
-	for _, p := range prev.Phases {
-		idx[p.Phase] = p
-	}
-	out := WorkerSnapshot{}
-	for _, p := range s.Phases {
-		ws := make([]WorkerCell, len(p.Workers))
-		copy(ws, p.Workers)
-		p.Workers = ws
-		if q, ok := idx[p.Phase]; ok {
-			p.Fanouts -= q.Fanouts
-			p.WallNS -= q.WallNS
-			p.MergeNS -= q.MergeNS
-			p.WorkerWallNS -= q.WorkerWallNS
-			for i := range p.Workers {
-				if i < len(q.Workers) {
-					p.Workers[i].sub(q.Workers[i])
-				}
-			}
-		}
-		if p.Fanouts != 0 || p.WallNS != 0 || p.MergeNS != 0 {
-			out.Phases = append(out.Phases, p)
-		}
-	}
-	return out
-}
-
-// TotalWallNS sums fan-out wall time across phases.
-func (s WorkerSnapshot) TotalWallNS() int64 {
-	var t int64
-	for _, p := range s.Phases {
-		t += p.WallNS
-	}
-	return t
-}
-
-// TotalMergeNS sums coordinator merge time across phases.
-func (s WorkerSnapshot) TotalMergeNS() int64 {
-	var t int64
-	for _, p := range s.Phases {
-		t += p.MergeNS
-	}
-	return t
-}
-
-// Pair bundles the two profiler halves. A nil *Pair is the disabled
-// profiler; it satisfies obs.ProfSource with "{"enabled": false}" output.
-type Pair struct {
-	Stripes *StripeProf
-	Workers *WorkerProf
-}
-
-// NewPair allocates an enabled profiler pair for the given stripe count
-// (pass machine.StripeCount).
-func NewPair(stripes int) *Pair {
-	return &Pair{Stripes: NewStripeProf(stripes), Workers: NewWorkerProf()}
-}
-
 // StripeDoc is the JSON body served at /prof/stripes (sans enabled flag).
 type StripeDoc struct {
 	Stripes      int              `json:"stripes"`
@@ -487,51 +243,38 @@ func writeDoc(w io.Writer, doc any) error {
 	return enc.Encode(doc)
 }
 
-// WriteProfStripes writes the /prof/stripes JSON document.
-func (p *Pair) WriteProfStripes(w io.Writer) error {
-	if p == nil || p.Stripes == nil {
+// WriteProfStripes writes the /prof/stripes JSON document; a nil *StripeProf
+// (the disabled profiler) writes {"enabled": false}.
+func (p *StripeProf) WriteProfStripes(w io.Writer) error {
+	if p == nil {
 		_, err := io.WriteString(w, disabledJSON)
 		return err
 	}
 	return writeDoc(w, struct {
 		Enabled bool `json:"enabled"`
 		StripeDoc
-	}{true, p.Stripes.Snapshot().Doc(16)})
+	}{true, p.Snapshot().Doc(16)})
 }
 
-// WriteProfWorkers writes the /prof/workers JSON document.
-func (p *Pair) WriteProfWorkers(w io.Writer) error {
-	if p == nil || p.Workers == nil {
+// WriteProfJSON writes the document the flight recorder stores as prof.json.
+func (p *StripeProf) WriteProfJSON(w io.Writer) error {
+	if p == nil {
 		_, err := io.WriteString(w, disabledJSON)
 		return err
 	}
 	return writeDoc(w, struct {
-		Enabled bool        `json:"enabled"`
-		Phases  []PhaseProf `json:"phases"`
-	}{true, p.Workers.Snapshot().Phases})
+		Enabled bool      `json:"enabled"`
+		Stripes StripeDoc `json:"stripes"`
+	}{true, p.Snapshot().Doc(16)})
 }
 
-// WriteProfJSON writes the combined document the flight recorder stores as
-// prof.json.
-func (p *Pair) WriteProfJSON(w io.Writer) error {
-	if p == nil || (p.Stripes == nil && p.Workers == nil) {
-		_, err := io.WriteString(w, disabledJSON)
-		return err
-	}
-	return writeDoc(w, struct {
-		Enabled bool        `json:"enabled"`
-		Stripes StripeDoc   `json:"stripes"`
-		Workers []PhaseProf `json:"workers"`
-	}{true, p.Stripes.Snapshot().Doc(16), p.Workers.Snapshot().Phases})
-}
-
-// WriteProfProm appends the profiler's Prometheus lines (stripe totals plus
-// per-phase worker aggregates) in text exposition format.
-func (p *Pair) WriteProfProm(w io.Writer) error {
-	if p == nil || p.Stripes == nil {
+// WriteProfProm appends the profiler's Prometheus lines (stripe totals) in
+// text exposition format.
+func (p *StripeProf) WriteProfProm(w io.Writer) error {
+	if p == nil {
 		return nil
 	}
-	t := p.Stripes.Snapshot().Totals()
+	t := p.Snapshot().Totals()
 	for _, c := range []struct {
 		name, help string
 		v          int64
@@ -549,126 +292,24 @@ func (p *Pair) WriteProfProm(w io.Writer) error {
 			return err
 		}
 	}
-	snap := p.Workers.Snapshot()
-	if len(snap.Phases) == 0 {
-		return nil
-	}
-	families := []struct {
-		name, help string
-		v          func(PhaseProf) int64
-	}{
-		{"smdb_prof_worker_busy_ns_total", "Worker busy nanoseconds per recovery phase.", PhaseProf.BusyNS},
-		{"smdb_prof_worker_wait_ns_total", "Worker wait nanoseconds per recovery phase.", func(p PhaseProf) int64 {
-			var t int64
-			for i := range p.Workers {
-				t += p.Workers[i].WaitNS
-			}
-			return t
-		}},
-		{"smdb_prof_worker_tasks_total", "Tasks executed per recovery phase.", func(p PhaseProf) int64 {
-			var t int64
-			for i := range p.Workers {
-				t += p.Workers[i].Tasks
-			}
-			return t
-		}},
-		{"smdb_prof_worker_records_total", "Records processed per recovery phase.", func(p PhaseProf) int64 {
-			var t int64
-			for i := range p.Workers {
-				t += p.Workers[i].Records
-			}
-			return t
-		}},
-		{"smdb_prof_worker_bytes_total", "Payload bytes moved per recovery phase.", func(p PhaseProf) int64 {
-			var t int64
-			for i := range p.Workers {
-				t += p.Workers[i].Bytes
-			}
-			return t
-		}},
-		{"smdb_prof_worker_merge_ns_total", "Coordinator merge nanoseconds per recovery phase.", func(p PhaseProf) int64 {
-			return p.MergeNS
-		}},
-	}
-	for _, f := range families {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", f.name, f.help, f.name); err != nil {
-			return err
-		}
-		for _, ph := range snap.Phases {
-			if _, err := fmt.Fprintf(w, "%s{phase=%q} %d\n", f.name, ph.Phase, f.v(ph)); err != nil {
-				return err
-			}
-		}
-	}
 	return nil
 }
 
-// Report renders the human-readable profile: the top-k contended stripes
-// and the per-phase / per-worker cost breakdown.
-func (p *Pair) Report(k int) string {
-	if p == nil || p.Stripes == nil {
+// Report renders the human-readable profile: the top-k contended stripes.
+func (p *StripeProf) Report(k int) string {
+	if p == nil {
 		return "profiler disabled\n"
 	}
-	return RenderReport(p.Stripes.Snapshot(), p.Workers.Snapshot(), k)
-}
-
-// RenderReport formats a stripe + worker snapshot pair (e.g. a recovery
-// interval's deltas) as the text report.
-func RenderReport(ss StripeSnapshot, ws WorkerSnapshot, k int) string {
+	ss := p.Snapshot()
 	var b sb
-	b.printf("contention & cost-attribution profile\n")
-	top := ss.TopContended(k)
+	b.printf("contention profile\n")
 	b.printf("top-%d contended stripes (of %d, %d active):\n", k, len(ss.Stripes), ss.Active())
 	tw := b.table()
 	fmt.Fprintf(tw, "  stripe\tacquires\tcontended\twait\thold\tcond-waits\tcond-wait\twakeups\n")
-	for _, c := range top {
+	for _, c := range ss.TopContended(k) {
 		fmt.Fprintf(tw, "  %d\t%d\t%d\t%s\t%s\t%d\t%s\t%d\n",
 			c.Stripe, c.Acquires, c.Contended, FormatNS(c.WaitNS), FormatNS(c.HoldNS),
 			c.CondWaits, FormatNS(c.CondWaitNS), c.Wakeups)
-	}
-	tw.Flush()
-	if len(ws.Phases) == 0 {
-		b.printf("no parallel fan-outs recorded\n")
-		return b.String()
-	}
-	b.printf("per-phase fan-out profile:\n")
-	tw = b.table()
-	fmt.Fprintf(tw, "  phase\tfanouts\twall\tmerge\tworkers\tbusy\twait\ttasks\trecords\tbytes\n")
-	workers := map[int]*WorkerCell{}
-	var order []int
-	for _, ph := range ws.Phases {
-		var busy, wait, tasks, records, bytes int64
-		for _, c := range ph.Workers {
-			busy += c.BusyNS
-			wait += c.WaitNS
-			tasks += c.Tasks
-			records += c.Records
-			bytes += c.Bytes
-			t := workers[c.Worker]
-			if t == nil {
-				t = &WorkerCell{Worker: c.Worker}
-				workers[c.Worker] = t
-				order = append(order, c.Worker)
-			}
-			t.BusyNS += c.BusyNS
-			t.WaitNS += c.WaitNS
-			t.Tasks += c.Tasks
-			t.Records += c.Records
-			t.Bytes += c.Bytes
-		}
-		fmt.Fprintf(tw, "  %s\t%d\t%s\t%s\t%d\t%s\t%s\t%d\t%d\t%d\n",
-			ph.Phase, ph.Fanouts, FormatNS(ph.WallNS), FormatNS(ph.MergeNS), len(ph.Workers),
-			FormatNS(busy), FormatNS(wait), tasks, records, bytes)
-	}
-	tw.Flush()
-	b.printf("per-worker totals (all phases):\n")
-	tw = b.table()
-	fmt.Fprintf(tw, "  worker\tbusy\twait\ttasks\trecords\tbytes\n")
-	sort.Ints(order)
-	for _, wid := range order {
-		c := workers[wid]
-		fmt.Fprintf(tw, "  w%d\t%s\t%s\t%d\t%d\t%d\n",
-			c.Worker, FormatNS(c.BusyNS), FormatNS(c.WaitNS), c.Tasks, c.Records, c.Bytes)
 	}
 	tw.Flush()
 	return b.String()

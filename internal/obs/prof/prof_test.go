@@ -7,39 +7,28 @@ import (
 	"testing"
 )
 
-// feedPair builds a deterministic profile by calling the same hot-path
-// methods the machine and the recovery pipeline call, with pinned
-// nanosecond values.
-func feedPair() *Pair {
-	p := NewPair(8)
+// feedProf builds a deterministic profile by calling the same hot-path
+// methods the machine calls, with pinned nanosecond values.
+func feedProf() *StripeProf {
+	p := NewStripeProf(8)
 	// Stripe 3: hot and contended. Stripe 5: busy but uncontended.
 	for i := 0; i < 10; i++ {
-		p.Stripes.LockAcquired(3, i%2 == 0, 1000)
-		p.Stripes.LockHeld(3, 500)
+		p.LockAcquired(3, i%2 == 0, 1000)
+		p.LockHeld(3, 500)
 	}
 	for i := 0; i < 20; i++ {
-		p.Stripes.LockAcquired(5, false, 0)
-		p.Stripes.LockHeld(5, 100)
+		p.LockAcquired(5, false, 0)
+		p.LockHeld(5, 100)
 	}
-	p.Stripes.CondWait(3, 7000)
-	p.Stripes.Wakeup(3)
-	p.Stripes.Wakeup(5)
-
-	// One redo-scan fan-out across 2 workers, then its merge.
-	meters := []TaskMeter{
-		{BusyNS: 6000, Tasks: 3, Records: 30, Bytes: 300},
-		{BusyNS: 4000, Tasks: 2, Records: 20, Bytes: 200},
-	}
-	p.Workers.RecordFanout("redo-scan", 8000, meters)
-	p.Workers.AddMerge("redo-scan", 1500)
-	// A second, single-worker fan-out of another phase.
-	p.Workers.RecordFanout("lock-rebuild", 2000, []TaskMeter{{BusyNS: 2000, Tasks: 4, Records: 8}})
+	p.CondWait(3, 7000)
+	p.Wakeup(3)
+	p.Wakeup(5)
 	return p
 }
 
 func TestStripeCountersAccumulate(t *testing.T) {
-	p := feedPair()
-	s := p.Stripes.Snapshot()
+	p := feedProf()
+	s := p.Snapshot()
 	c3 := s.Stripes[3]
 	if c3.Acquires != 10 || c3.Contended != 5 || c3.WaitNS != 5000 || c3.HoldNS != 5000 {
 		t.Errorf("stripe 3 = %+v", c3)
@@ -60,86 +49,43 @@ func TestStripeCountersAccumulate(t *testing.T) {
 		t.Errorf("TopContended = %+v", top)
 	}
 	// Delta across an idle interval is empty.
-	d := p.Stripes.Snapshot().Sub(s)
+	d := p.Snapshot().Sub(s)
 	if d.Totals().Acquires != 0 || d.Active() != 0 {
 		t.Errorf("idle delta = %+v", d.Totals())
 	}
 }
 
-func TestWorkerProfAttribution(t *testing.T) {
-	p := feedPair()
-	ws := p.Workers.Snapshot()
-	if len(ws.Phases) != 2 || ws.Phases[0].Phase != "redo-scan" || ws.Phases[1].Phase != "lock-rebuild" {
-		t.Fatalf("phases = %+v", ws.Phases)
-	}
-	rs := ws.Phases[0]
-	if rs.Fanouts != 1 || rs.WallNS != 8000 || rs.MergeNS != 1500 || rs.WorkerWallNS != 16000 {
-		t.Errorf("redo-scan = %+v", rs)
-	}
-	// Worker 0: busy 6000, wait 8000−6000. Worker 1: busy 4000, wait 4000.
-	if rs.Workers[0].WaitNS != 2000 || rs.Workers[1].WaitNS != 4000 {
-		t.Errorf("worker waits = %+v", rs.Workers)
-	}
-	// busy/workerWall = 10000/16000 → wall-scale busy 5000 of 8000.
-	if got := rs.BusyWallNS(); got != 5000 {
-		t.Errorf("BusyWallNS = %d, want 5000", got)
-	}
-	if ws.TotalWallNS() != 10000 || ws.TotalMergeNS() != 1500 {
-		t.Errorf("totals: wall %d merge %d", ws.TotalWallNS(), ws.TotalMergeNS())
-	}
-
-	// Sub drops idle phases and subtracts active ones.
-	prev := ws
-	p.Workers.RecordFanout("redo-scan", 1000, []TaskMeter{{BusyNS: 1000, Tasks: 1}})
-	d := p.Workers.Snapshot().Sub(prev)
-	if len(d.Phases) != 1 || d.Phases[0].Phase != "redo-scan" || d.Phases[0].WallNS != 1000 {
-		t.Errorf("delta = %+v", d.Phases)
-	}
-}
-
 func TestNilProfilerIsSafeAndFree(t *testing.T) {
 	var sp *StripeProf
-	var wp *WorkerProf
-	var tm *TaskMeter
-	var pair *Pair
 	if n := testing.AllocsPerRun(100, func() {
 		sp.LockAcquired(1, true, 10)
 		sp.LockHeld(1, 10)
 		sp.CondWait(1, 10)
 		sp.Wakeup(1)
-		tm.AddTask(5)
-		tm.AddRecords(1)
-		tm.AddBytes(1)
-		wp.RecordFanout("x", 1, nil)
-		wp.AddMerge("x", 1)
 	}); n != 0 {
 		t.Errorf("nil profiler hot path allocates %.1f/op", n)
 	}
 	if s := sp.Snapshot(); len(s.Stripes) != 0 {
 		t.Error("nil StripeProf snapshot not empty")
 	}
-	if s := wp.Snapshot(); len(s.Phases) != 0 {
-		t.Error("nil WorkerProf snapshot not empty")
-	}
-	for name, fn := range map[string]func(*Pair, *bytes.Buffer) error{
-		"stripes": func(p *Pair, b *bytes.Buffer) error { return p.WriteProfStripes(b) },
-		"workers": func(p *Pair, b *bytes.Buffer) error { return p.WriteProfWorkers(b) },
-		"json":    func(p *Pair, b *bytes.Buffer) error { return p.WriteProfJSON(b) },
+	for name, fn := range map[string]func(*StripeProf, *bytes.Buffer) error{
+		"stripes": func(p *StripeProf, b *bytes.Buffer) error { return p.WriteProfStripes(b) },
+		"json":    func(p *StripeProf, b *bytes.Buffer) error { return p.WriteProfJSON(b) },
 	} {
 		var buf bytes.Buffer
-		if err := fn(pair, &buf); err != nil {
+		if err := fn(sp, &buf); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !strings.Contains(buf.String(), `"enabled": false`) {
-			t.Errorf("nil pair %s = %q", name, buf.String())
+			t.Errorf("nil profiler %s = %q", name, buf.String())
 		}
 	}
 	var buf bytes.Buffer
-	if err := pair.WriteProfProm(&buf); err != nil || buf.Len() != 0 {
-		t.Errorf("nil pair prom = %q, %v", buf.String(), err)
+	if err := sp.WriteProfProm(&buf); err != nil || buf.Len() != 0 {
+		t.Errorf("nil profiler prom = %q, %v", buf.String(), err)
 	}
-	if got := pair.Report(5); got != "profiler disabled\n" {
-		t.Errorf("nil pair report = %q", got)
+	if got := sp.Report(5); got != "profiler disabled\n" {
+		t.Errorf("nil profiler report = %q", got)
 	}
 }
 
@@ -159,7 +105,7 @@ func TestStripeBoundsIgnored(t *testing.T) {
 
 func TestWriteProfStripesJSON(t *testing.T) {
 	var buf bytes.Buffer
-	if err := feedPair().WriteProfStripes(&buf); err != nil {
+	if err := feedProf().WriteProfStripes(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -180,30 +126,13 @@ func TestWriteProfStripesJSON(t *testing.T) {
 	}
 }
 
-func TestWriteProfWorkersJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := feedPair().WriteProfWorkers(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Enabled bool        `json:"enabled"`
-		Phases  []PhaseProf `json:"phases"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
-	}
-	if !doc.Enabled || len(doc.Phases) != 2 {
-		t.Errorf("doc = %+v", doc)
-	}
-}
-
 func TestWriteProfJSONCombined(t *testing.T) {
 	var buf bytes.Buffer
-	if err := feedPair().WriteProfJSON(&buf); err != nil {
+	if err := feedProf().WriteProfJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	s := buf.String()
-	for _, want := range []string{`"enabled": true`, `"stripes"`, `"workers"`, `"top_contended"`, `"redo-scan"`} {
+	for _, want := range []string{`"enabled": true`, `"stripes"`, `"top_contended"`} {
 		if !strings.Contains(s, want) {
 			t.Errorf("prof.json missing %s:\n%s", want, s)
 		}
@@ -212,7 +141,7 @@ func TestWriteProfJSONCombined(t *testing.T) {
 
 func TestWriteProfProm(t *testing.T) {
 	var buf bytes.Buffer
-	if err := feedPair().WriteProfProm(&buf); err != nil {
+	if err := feedProf().WriteProfProm(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -222,10 +151,6 @@ func TestWriteProfProm(t *testing.T) {
 		"smdb_prof_stripe_contended_total 5",
 		"smdb_prof_stripe_wait_ns_total 5000",
 		"smdb_prof_stripe_cond_wait_ns_total 7000",
-		`smdb_prof_worker_busy_ns_total{phase="redo-scan"} 10000`,
-		`smdb_prof_worker_wait_ns_total{phase="redo-scan"} 6000`,
-		`smdb_prof_worker_merge_ns_total{phase="redo-scan"} 1500`,
-		`smdb_prof_worker_tasks_total{phase="lock-rebuild"} 4`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prom output missing %q:\n%s", want, out)
@@ -245,20 +170,12 @@ func TestWriteProfProm(t *testing.T) {
 // The text report is golden-tested inline: the data is hand-fed, so the
 // rendering is byte-stable.
 func TestReportGolden(t *testing.T) {
-	got := feedPair().Report(5)
-	want := `contention & cost-attribution profile
+	got := feedProf().Report(5)
+	want := `contention profile
 top-5 contended stripes (of 8, 2 active):
   stripe  acquires  contended  wait   hold   cond-waits  cond-wait  wakeups
   3       10        5          5.0µs  5.0µs  1           7.0µs      1
   5       20        0          0ns    2.0µs  0           0ns        1
-per-phase fan-out profile:
-  phase         fanouts  wall   merge  workers  busy    wait   tasks  records  bytes
-  redo-scan     1        8.0µs  1.5µs  2        10.0µs  6.0µs  5      50       500
-  lock-rebuild  1        2.0µs  0ns    1        2.0µs   0ns    4      8        0
-per-worker totals (all phases):
-  worker  busy   wait   tasks  records  bytes
-  w0      8.0µs  2.0µs  7      38       300
-  w1      4.0µs  4.0µs  2      20       200
 `
 	if got != want {
 		t.Errorf("report differs:\ngot:\n%s\nwant:\n%s", got, want)

@@ -88,7 +88,7 @@ func (p *Progress) onEvent(e obs.Event) {
 	switch {
 	case e.Kind == obs.KindRecovery:
 		p.active = false
-		p.lastOK = e.C&1 == 1
+		p.lastOK = e.C == 1
 		p.current = ""
 	case e.Kind == obs.KindPhase:
 		if e.Phase == obs.PhaseFreeze {

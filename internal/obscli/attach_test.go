@@ -38,7 +38,7 @@ func fullSet(db *recovery.DB, dir string, reversed bool) hooks.Set {
 		func(s *hooks.Set) { s.Observer = o },
 		func(s *hooks.Set) { s.Deps = model },
 		func(s *hooks.Set) { s.Audit = auditor },
-		func(s *hooks.Set) { s.Prof = prof.NewPair(machine.StripeCount) },
+		func(s *hooks.Set) { s.Prof = prof.NewStripeProf(machine.StripeCount) },
 		func(s *hooks.Set) { s.Waterfall = waterfall.New(waterfall.Config{Nodes: db.M.Nodes()}) },
 		func(s *hooks.Set) {
 			s.Debt = debt.New(debt.Config{Nodes: db.M.Nodes(), LinesPerPage: db.Cfg.LinesPerPage})
@@ -63,14 +63,13 @@ type traffic struct {
 	DepTxns, DepEdges, Verdicts int   // deps (sink + direct calls)
 	Trails, AuditWindows        int   // audit (sink + direct calls)
 	Acquires                    int64 // prof: machine stripes
-	Fanouts                     int   // prof: recovery worker phases
 	Waterfalls                  int64 // waterfall
 	Appends, Recoveries         int64 // debt
 }
 
 func trafficOf(s *hooks.Set) traffic {
 	var tr traffic
-	for k := obs.Kind(0); k <= obs.KindProfFanout; k++ {
+	for k := obs.Kind(0); k <= obs.KindDepEdge; k++ {
 		tr.Events += s.Observer.Count(k)
 	}
 	tr.TxnBegins = s.Observer.Count(obs.KindTxnBegin)
@@ -79,8 +78,7 @@ func trafficOf(s *hooks.Set) traffic {
 	sum := s.Audit.Summary()
 	tr.Trails, tr.AuditWindows = sum.Active+sum.Completed, sum.Windows
 	if s.Prof != nil {
-		tr.Acquires = s.Prof.Stripes.Snapshot().Totals().Acquires
-		tr.Fanouts = len(s.Prof.Workers.Snapshot().Phases)
+		tr.Acquires = s.Prof.Snapshot().Totals().Acquires
 	}
 	tr.Waterfalls = s.Waterfall.Completed()
 	if s.Debt != nil {
@@ -118,9 +116,7 @@ var smokeFiles = []string{
 
 func attachDB(t *testing.T) *recovery.DB {
 	t.Helper()
-	db := newDB(t, recovery.VolatileSelectiveRedo)
-	db.Cfg.RecoveryWorkers = 4
-	return db
+	return newDB(t, recovery.VolatileSelectiveRedo)
 }
 
 // TestAttachPoint covers recovery.DB.Attach, the one way a consumer reaches
@@ -139,8 +135,8 @@ func TestAttachPoint(t *testing.T) {
 			"observer events": refTraffic.Events, "txn-begin events": refTraffic.TxnBegins,
 			"deps txns": int64(refTraffic.DepTxns), "deps edges+verdicts": int64(refTraffic.DepEdges + refTraffic.Verdicts),
 			"audit trails": int64(refTraffic.Trails), "stripe acquisitions": refTraffic.Acquires,
-			"worker fan-outs": int64(refTraffic.Fanouts), "completed waterfalls": refTraffic.Waterfalls,
-			"debt appends": refTraffic.Appends, "MTTR samples": refTraffic.Recoveries,
+			"completed waterfalls": refTraffic.Waterfalls, "debt appends": refTraffic.Appends,
+			"MTTR samples": refTraffic.Recoveries,
 		} {
 			if n <= 0 {
 				t.Errorf("full set: %s = %d, want traffic", name, n)
@@ -176,7 +172,7 @@ func TestAttachPoint(t *testing.T) {
 			got := trafficOf(db.Hooks())
 			// Host-time and scheduler-placement counts are not the sink
 			// fan-out: compare what the event spine and its sinks saw.
-			got.Acquires, got.Fanouts = refTraffic.Acquires, refTraffic.Fanouts
+			got.Acquires = refTraffic.Acquires
 			if got != refTraffic {
 				t.Errorf("%s: consumers saw\n  %+v\nthe reference run\n  %+v", tc.name, got, refTraffic)
 			}
@@ -324,9 +320,9 @@ func TestSpineFanOut(t *testing.T) {
 		}
 		f.debt = s.Debt.Snapshot()
 		// What the estimator calibrates from wall time is not the fold.
-		f.debt.EstSeqNS, f.debt.EstParNS, f.debt.Speedup = 0, 0, 0
+		f.debt.EstNS = 0
 		f.debt.LastWallNS, f.debt.AvgWallNS, f.debt.EwmaWallNS = 0, 0, 0
-		f.debt.NSPerRecSeq, f.debt.NSPerRecPar = 0, 0
+		f.debt.NSPerRec = 0
 		return f
 	}
 	newWf := func(db *recovery.DB) *waterfall.Recorder {

@@ -42,16 +42,10 @@ type Flags struct {
 	FlightN   int           // -flightn: per-node event tail in each dump
 	Audit     bool          // -audit: per-txn trails + online IFA auditor + time series
 	Window    time.Duration // -window: audit time-series window width (simulated time)
-	Prof      bool          // -prof: stripe-contention + worker cost-attribution profiler
+	Prof      bool          // -prof: stripe-contention profiler
 	Waterfall bool          // -waterfall: per-txn latency waterfalls + tail sampler + recovery progress
 	SlowK     int           // -slowk: slowest transactions retained per sampler window
 	Debt      bool          // -debt: live recovery-debt tracker + MTTR accounting (/recovery/debt)
-
-	// RecoverWorkers is -recoverworkers: the restart-recovery fan-out every
-	// cmd copies into recovery.Config.RecoveryWorkers (0 or 1 = sequential).
-	// Not an observability surface, but shared cmd wiring all the same, and
-	// keeping it here keeps the knob's spelling identical across binaries.
-	RecoverWorkers int
 
 	// Record / Replay are the chaos schedule flags, shared here so the
 	// spelling cannot drift across binaries. Record is a directory recorded
@@ -76,11 +70,10 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.FlightN, "flightn", obs.DefaultFlightEvents, "events retained per node in each flight dump")
 	fs.BoolVar(&f.Audit, "audit", false, "per-transaction audit trails, the online IFA auditor, and windowed time-series metrics")
 	fs.DurationVar(&f.Window, "window", time.Millisecond, "audit time-series window width, in simulated time")
-	fs.BoolVar(&f.Prof, "prof", false, "per-stripe lock contention and per-worker recovery cost profiling (/prof/stripes, /prof/workers, end-of-run report)")
+	fs.BoolVar(&f.Prof, "prof", false, "per-stripe lock contention profiling (/prof/stripes, end-of-run report)")
 	fs.BoolVar(&f.Waterfall, "waterfall", false, "per-transaction latency waterfalls with tail-sampled causal traces and live recovery progress (/slow, /recovery/progress)")
 	fs.IntVar(&f.SlowK, "slowk", 0, "slowest transactions retained per waterfall sampler window (0 = default 8)")
 	fs.BoolVar(&f.Debt, "debt", false, "live recovery-debt tracker: log debt per node, MTTR accounting, and estimated replay time (/recovery/debt)")
-	fs.IntVar(&f.RecoverWorkers, "recoverworkers", 0, "parallel restart-recovery workers (0 = sequential)")
 	fs.StringVar(&f.Record, "record", "", "record chaos schedules (one JSON per seed) under this directory")
 	fs.StringVar(&f.Replay, "replay", "", "replay a recorded chaos schedule file deterministically")
 	return f
@@ -213,7 +206,7 @@ func (s *Stack) Attach(db *recovery.DB) *deps.Tracker {
 		})
 	}
 	if s.flags.Prof {
-		set.Prof = prof.NewPair(machine.StripeCount)
+		set.Prof = prof.NewStripeProf(machine.StripeCount)
 	}
 	if s.flags.Waterfall {
 		set.Waterfall = waterfall.New(waterfall.Config{

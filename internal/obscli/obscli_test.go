@@ -32,10 +32,13 @@ func parseFlags(t *testing.T, args ...string) *Flags {
 func TestFlagSetRegistersSharedNames(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	AddFlags(fs)
-	for _, name := range []string{"trace", "metrics", "http", "httphold", "flightdir", "flightn", "audit", "window", "recoverworkers"} {
+	for _, name := range []string{"trace", "metrics", "http", "httphold", "flightdir", "flightn", "audit", "window"} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("shared flag -%s not registered", name)
 		}
+	}
+	if fs.Lookup("recoverworkers") != nil {
+		t.Error("-recoverworkers is registered; restart recovery has no worker count")
 	}
 }
 

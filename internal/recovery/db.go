@@ -41,13 +41,10 @@ type Config struct {
 	// DirtyReads permits reads without shared locks (browse/chaos degrees
 	// of [7]); used to demonstrate the H_wr hazard of section 3.2.
 	DirtyReads bool
-	// RecoveryWorkers bounds the goroutine fan-out of restart recovery's
-	// phases (per-survivor log scans, page-partitioned redo, the undo tag
-	// scan, lock replay, cache flush). 0 or 1 runs every phase inline on
-	// the calling goroutine: the sequential pipeline. Post-recovery
-	// database state, abort sets, and the Redo/Undo counters are identical
-	// at every setting; only wall clock (and the incidental simulated
-	// interleaving) changes.
+	// RecoveryWorkers is ignored: restart recovery runs every phase on the
+	// calling goroutine, and any value is accepted. It remains only because
+	// the benchmark module still sets it; the next change to the benchmark
+	// (ROADMAP item 8b) drops it.
 	RecoveryWorkers int
 }
 
@@ -270,14 +267,9 @@ type DB struct {
 	// schedp is the attached chaos schedule record/replay session (nil when
 	// disabled); see AttachSched.
 	schedp atomic.Pointer[sched.Session]
-	// arenas are the per-worker-slot reusable recovery scratch buffers
-	// (see recArena): slot w belongs to fan-out worker slot w, slot 0 to
-	// the inline (at most one worker) run. Sized at New from
-	// RecoveryWorkers (Recover adds slots if Cfg.RecoveryWorkers was raised
-	// since), reused explicitly
-	// across phases and Recover calls — no sync.Pool, so buffer
-	// placement never depends on GC timing and replay stays deterministic.
-	arenas []recArena
+	// redoRuns is the redo apply phase's run buffer (see carveRuns), grown
+	// to the largest candidate list seen and reused across Recover calls.
+	redoRuns []redoRun
 }
 
 type committedImage struct {
@@ -327,11 +319,6 @@ func New(cfg Config) (*DB, error) {
 		db.nodes[i].committed = make(map[heap.RID]committedImage)
 	}
 	db.BM.NVRAMLog = cfg.NVRAMLog
-	slots := cfg.RecoveryWorkers
-	if slots < 1 {
-		slots = 1
-	}
-	db.arenas = make([]recArena, slots)
 	db.hk.Store(new(hooks.Set))
 	if cfg.Protocol == StableTriggered {
 		m.SetPreTransition(db.lbmTrigger)
@@ -428,7 +415,7 @@ func (db *DB) Attach(set hooks.Set) {
 		src.Stats = db.statsDeltaWriter()
 		h.Flight.SetSources(src)
 	}
-	db.M.SetHooks(h.Observer, h.Stripes())
+	db.M.SetHooks(h.Observer, h.Prof)
 	for _, l := range db.Logs {
 		l.SetHooks(h.Observer)
 	}
@@ -499,16 +486,6 @@ func (db *DB) NextVersion() uint64 {
 // Frozen reports whether the system is between a crash and the completion
 // of restart recovery, during which transaction processing stalls.
 func (db *DB) Frozen() bool { return db.frozen.Load() }
-
-// parWorkers returns restart recovery's goroutine fan-out: Cfg.RecoveryWorkers
-// when it asks for real parallelism, 0 when every phase runs inline
-// (RecoveryWorkers of 0 or 1).
-func (db *DB) parWorkers() int {
-	if w := db.Cfg.RecoveryWorkers; w > 1 {
-		return w
-	}
-	return 0
-}
 
 // logForceCost is the simulated price of one physical log force.
 func (db *DB) logForceCost() int64 {

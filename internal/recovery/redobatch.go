@@ -8,11 +8,10 @@ import (
 
 // Batched redo apply. The per-record apply path paid one residency probe,
 // one transaction-table lookup (undo-tag restoration), and one stripe
-// acquire/release per candidate — E20 attributed most of the apply phase's
-// cost to exactly that per-record overhead, not to the slot writes.
-// Candidates arrive grouped (one of redoParts' parts: the whole candidate
-// list, or one page's bucket), and consecutive candidates very often
-// share a cache line, so the batched path carves the list into maximal
+// acquire/release per candidate — most of the apply phase's cost was
+// exactly that per-record overhead, not the slot writes. Consecutive
+// candidates very often share a cache line, so the batched path carves the
+// candidate list into maximal
 // contiguous same-line runs and pays each overhead once per run: one
 // residency probe and fetch, one line section whose steps are all of the
 // run's version checks and slot writes (one line lock, one stripe hold, one
@@ -34,13 +33,14 @@ type redoRun struct {
 }
 
 // carveRuns splits cands into contiguous same-(line, onto) runs, reusing
-// the arena's run buffer. There are at most as many runs as candidates, so a
-// buffer too small for that is replaced once, not grown run by run.
-func (db *DB) carveRuns(cands []redoCand, ar *recArena) ([]redoRun, error) {
-	if cap(ar.runs) < len(cands) {
-		ar.runs = make([]redoRun, 0, len(cands))
+// db.redoRuns across Recover calls. There are at most as many runs as
+// candidates, so a buffer too small for that is replaced once, not grown run
+// by run.
+func (db *DB) carveRuns(cands []redoCand) ([]redoRun, error) {
+	if cap(db.redoRuns) < len(cands) {
+		db.redoRuns = make([]redoRun, 0, len(cands))
 	}
-	runs := ar.runs[:0]
+	runs := db.redoRuns[:0]
 	for i, c := range cands {
 		line, _, err := db.Store.LineOf(heap.RID{Page: c.rec.Page, Slot: c.rec.Slot})
 		if err != nil {
@@ -52,19 +52,21 @@ func (db *DB) carveRuns(cands []redoCand, ar *recArena) ([]redoRun, error) {
 		}
 		runs = append(runs, redoRun{onto: c.onto, line: line, lo: i, hi: i + 1})
 	}
-	ar.runs = runs
+	db.redoRuns = runs
 	return runs, nil
 }
 
-// applyRedoSlice applies one part of the candidate list (see redoParts) run
-// by run, in list order.
-func (db *DB) applyRedoSlice(cands []redoCand, rep *RecoveryReport, ar *recArena) error {
-	runs, err := db.carveRuns(cands, ar)
+// applyRedo is the redo apply phase: version-checked, idempotent replay of
+// cands, run by run, in list order.
+func (db *DB) applyRedo(cands []redoCand, rep *RecoveryReport) error {
+	runs, err := db.carveRuns(cands)
 	if err != nil {
 		return err
 	}
+	var pb progressBatch
+	defer db.flushProgress(&pb, obs.PhaseRedoApply)
 	for _, r := range runs {
-		if err := db.applyRedoRun(cands[r.lo:r.hi], r.onto, r.line, rep, &ar.progress); err != nil {
+		if err := db.applyRedoRun(cands[r.lo:r.hi], r.onto, r.line, rep, &pb); err != nil {
 			return err
 		}
 	}

@@ -5,14 +5,12 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
 	"smdb/internal/heap"
 	"smdb/internal/lock"
 	"smdb/internal/machine"
 	"smdb/internal/obs"
 	"smdb/internal/obs/hooks"
-	"smdb/internal/obs/prof"
 	"smdb/internal/wal"
 )
 
@@ -52,26 +50,6 @@ type RecoveryReport struct {
 	// order (plus a leading freeze span covering crash-to-recovery time when
 	// known). Durations are simulated nanoseconds.
 	Phases []obs.PhaseSpan
-	// Workers is the goroutine fan-out recovery ran with (0 = every phase
-	// inline, Cfg.RecoveryWorkers <= 1).
-	Workers int
-	// ParPhases records, for each phase that actually fanned out, the
-	// worker count used and the host wall-clock time spent. Empty on
-	// inline runs.
-	ParPhases []ParPhase
-	// Prof is the profiler's view of this recovery — per-phase worker cost
-	// attribution and per-stripe contention deltas across the Recover call.
-	// Nil unless a profiler is attached (the hook set's Prof).
-	Prof *RecoveryProfile
-}
-
-// RecoveryProfile is the delta of the attached profiler's counters across one
-// Recover call: what the restart executor's workers did (busy/wait/tasks/
-// records/bytes per phase) and what the machine's stripes saw (acquisitions,
-// contention, condvar sleeps) while recovery ran.
-type RecoveryProfile struct {
-	Workers prof.WorkerSnapshot
-	Stripes prof.StripeSnapshot
 }
 
 // PhaseTime returns the simulated duration spent in phase p (0 if the phase
@@ -117,13 +95,7 @@ func (db *DB) Recover(crashed []machine.NodeID) (*RecoveryReport, error) {
 	// install gate (see New): open it for the duration of the call.
 	db.recovering.Store(true)
 	defer db.recovering.Store(false)
-	// Cfg is a public field, and callers raise RecoveryWorkers after New:
-	// give every worker slot its own arena before any fan-out starts, or
-	// the extra workers would all scribble on slot 0's scratch.
-	if w := db.parWorkers(); w > len(db.arenas) {
-		db.arenas = append(db.arenas, make([]recArena, w-len(db.arenas))...)
-	}
-	rep := &RecoveryReport{Protocol: db.Cfg.Protocol, Crashed: mergeNodes(crashed, nil), Workers: db.parWorkers()}
+	rep := &RecoveryReport{Protocol: db.Cfg.Protocol, Crashed: mergeNodes(crashed, nil)}
 	// The run opens with a progress event (the progress observer resets, the
 	// debt tracker snapshots the replay debt its estimate is judged against)
 	// and closes on every exit with the recovery span (end), which reports
@@ -132,7 +104,7 @@ func (db *DB) Recover(crashed []machine.NodeID) (*RecoveryReport, error) {
 	hk := db.hk.Load()
 	o := hk.Observer
 	startClock := db.M.MaxClock()
-	end := db.recoverySpan(hk.Prof, rep, startClock)
+	end := db.recoverySpan(rep, startClock)
 	defer end(false) // a no-op after end(true)
 
 	// A crash left a flight-recorder dump pending (noteCrash runs under the
@@ -215,41 +187,24 @@ func (db *DB) Recover(crashed []machine.NodeID) (*RecoveryReport, error) {
 	return rep, nil
 }
 
-// recoverySpan snapshots the attached profiler at Recover entry and returns
-// the call's closer, which stores the end-minus-start profiler delta in
-// rep.Prof (so it covers every early return too) and records the
-// KindRecovery span from start: the run's end for the progress observer and
-// the debt tracker, with what it replayed and the workers' busy time. A
+// recoverySpan returns Recover's closer, which records the KindRecovery span
+// from start (so it covers every early return too): the run's end for the
+// progress observer and the debt tracker, with what it replayed. A
 // successful run also sets rep.SimTime. Only the first call counts.
-func (db *DB) recoverySpan(p *prof.Pair, rep *RecoveryReport, start int64) func(ok bool) {
-	var w0 prof.WorkerSnapshot
-	var s0 prof.StripeSnapshot
-	if p != nil {
-		w0, s0 = p.Workers.Snapshot(), p.Stripes.Snapshot()
-	}
+func (db *DB) recoverySpan(rep *RecoveryReport, start int64) func(ok bool) {
 	closed := false
 	return func(ok bool) {
 		if closed {
 			return
 		}
 		closed = true
-		var busy int64
-		if p != nil {
-			rep.Prof = &RecoveryProfile{
-				Workers: p.Workers.Snapshot().Sub(w0),
-				Stripes: p.Stripes.Snapshot().Sub(s0),
-			}
-			for _, ph := range rep.Prof.Workers.Phases {
-				busy += ph.BusyNS()
-			}
-		}
-		c := int64(rep.Workers) << 1
+		var c int64
 		if ok {
 			rep.SimTime = db.M.MaxClock() - start
-			c |= 1
+			c = 1
 		}
 		db.hk.Load().Observer.Record(obs.Event{Kind: obs.KindRecovery, Node: obs.SystemNode,
-			Sim: start, Dur: rep.SimTime, A: int64(rep.RedoApplied + rep.RedoSkipped + rep.UndoApplied), B: busy, C: c})
+			Sim: start, Dur: rep.SimTime, A: int64(rep.RedoApplied + rep.RedoSkipped + rep.UndoApplied), C: c})
 	}
 }
 
@@ -348,7 +303,7 @@ func (db *DB) recoverOnce(alive []machine.NodeID, rep *RecoveryReport) error {
 		return err
 	}
 	rep.LockEntriesReleased += released
-	replayed, err := db.replaySurvivorLocks(alive, vs, rep)
+	replayed, err := db.replaySurvivorLocks(alive, vs)
 	if err != nil {
 		return err
 	}
@@ -365,24 +320,23 @@ func (db *DB) recoverOnce(alive []machine.NodeID, rep *RecoveryReport) error {
 		// database lines, wiping any migrated uncommitted updates of
 		// crashed transactions (and, collaterally, everything else in
 		// memory).
-		db.flushAllCaches(alive, rep)
+		db.flushAllCaches(alive)
 	}
-	cands := db.collectRedo(vs, coord, rep)
+	cands := db.collectRedo(vs, coord)
 	// The candidate count is the known total for the probe and apply phases:
 	// from here /recovery/progress can report an ETA.
 	db.progress(obs.PhaseProbe, len(cands), 0, 1)
 	db.progress(obs.PhaseRedoApply, len(cands), 0, 1)
-	parts := db.redoParts(cands)
 	if err := step(obs.PhaseRedoScan); err != nil {
 		return err
 	}
-	if err := db.probeRedo(parts, rep); err != nil {
+	if err := db.probeRedo(cands); err != nil {
 		return err
 	}
 	if err := step(obs.PhaseProbe); err != nil {
 		return err
 	}
-	if err := db.applyRedo(parts, rep); err != nil {
+	if err := db.applyRedo(cands, rep); err != nil {
 		return err
 	}
 	if err := step(obs.PhaseRedoApply); err != nil {
@@ -505,22 +459,12 @@ func (db *DB) downNodes() []machine.NodeID {
 // flushAllCaches discards every cached heap line on every surviving node
 // (Redo All step 1; the lock table is managed separately). Each node's flush
 // is one DiscardAll sweep — a stripe-at-a-time batch instead of a lock
-// round-trip per line; nodes' discard sets are disjoint except for shared
-// lines, which DiscardAll drops per-holder under the line's stripe. Chunks
-// are weighted by cached-line counts so one hot node's sweep does not strand
-// the rest.
-func (db *DB) flushAllCaches(alive []machine.NodeID, rep *RecoveryReport) {
-	lineSize := db.M.LineSize()
-	weight := func(i int) int { return db.M.CachedLineCount(alive[i]) }
-	// DiscardAll cannot fail; forEachChunk's error is structurally nil.
-	_ = db.forEachChunk(rep, obs.PhaseRedoScan, len(alive), weight, func(i, _ int, tm *prof.TaskMeter) error {
-		dropped := db.M.DiscardAll(alive[i], db.Store.Contains)
-		if tm != nil {
-			tm.AddRecords(dropped)
-			tm.AddBytes(dropped * lineSize)
-		}
-		return nil
-	})
+// round-trip per line; shared lines are dropped per holder under the line's
+// stripe.
+func (db *DB) flushAllCaches(alive []machine.NodeID) {
+	for _, n := range alive {
+		db.M.DiscardAll(n, db.Store.Contains)
+	}
 }
 
 // logView is the recovery-visible portion of one node's log, with the
@@ -613,7 +557,7 @@ func (v *logView) scanFromCkpt(fn func(*wal.Record) bool) { v.scanFrom(v.ckptLSN
 // views builds one recovery attempt's view set, indexed by node: survivors
 // (the nodes in alive) expose their full logs — their memory survived — and
 // every other node, listed in down, only its stable prefix. It is filled
-// here, before any fan-out, so the phases only ever read it.
+// here, before the first phase, so the phases only ever read it.
 func (db *DB) views(alive []machine.NodeID) (vs []*logView, down []machine.NodeID) {
 	up := nodeSet(alive)
 	vs = make([]*logView, db.M.Nodes())
@@ -707,42 +651,28 @@ type redoCand struct {
 // effects (stable commits, completed structural changes, compensations);
 // their uncommitted updates are not repeated, as they are about to be undone
 // anyway. Version comparison in the apply phase makes redo idempotent and
-// order-independent across logs.
-//
-// One task per log, weighted by log length; each fills its own slot of
-// parts, and the per-node lists are concatenated in node order, so the list
-// is the same at every worker count.
-func (db *DB) collectRedo(vs []*logView, coord machine.NodeID, rep *RecoveryReport) []redoCand {
-	parts := make([][]redoCand, len(vs))
-	weight := func(i int) int { return db.Logs[i].Len() }
-	// collectRedoNode cannot fail; forEachChunk's error is structurally nil.
-	_ = db.forEachChunk(rep, obs.PhaseRedoScan, len(vs), weight, func(i, _ int, tm *prof.TaskMeter) error {
-		parts[i] = db.collectRedoNode(vs[i], coord)
-		if tm != nil {
-			tm.AddRecords(len(parts[i]))
-			b := 0
-			for _, c := range parts[i] {
-				b += len(c.rec.Before) + len(c.rec.After)
-			}
-			tm.AddBytes(b)
-		}
-		return nil
-	})
-	mergeStart := profMergeStart(db)
-	cands := slices.Concat(parts...)
-	profMergeEnd(db, obs.PhaseRedoScan, mergeStart)
+// order-independent across logs. The list is in node order, each node's
+// candidates in log order.
+func (db *DB) collectRedo(vs []*logView, coord machine.NodeID) []redoCand {
+	n := 0
+	for _, v := range vs {
+		n += v.redoRecs
+	}
+	cands := make([]redoCand, 0, n)
+	for _, v := range vs {
+		cands = db.collectRedoNode(cands, v, coord)
+	}
 	return cands
 }
 
-// collectRedoNode returns one node's redo candidates, in log order (the
-// per-log unit the redo scan fans out over).
-func (db *DB) collectRedoNode(v *logView, coord machine.NodeID) []redoCand {
+// collectRedoNode appends one node's redo candidates to cands, in log order.
+func (db *DB) collectRedoNode(cands []redoCand, v *logView, coord machine.NodeID) []redoCand {
 	isDown := v.live == nil
 	onto := v.node
 	if isDown {
 		onto = coord
 	}
-	cands := make([]redoCand, 0, v.redoRecs)
+	first := len(cands)
 	v.scanFromCkpt(func(rec *wal.Record) bool {
 		if rec.Type != wal.TypeUpdate && rec.Type != wal.TypeCLR {
 			return true
@@ -768,57 +698,19 @@ func (db *DB) collectRedoNode(v *logView, coord machine.NodeID) []redoCand {
 		cands = append(cands, redoCand{onto: onto, rec: rec})
 		return true
 	})
-	db.progress(obs.PhaseRedoScan, len(cands), 0, 0)
+	db.progress(obs.PhaseRedoScan, len(cands)-first, 0, 0)
 	return cands
-}
-
-// redoParts cuts the candidate list into the units the probe and apply phases
-// hand to the executor, and is the one place the worker count shapes redo. Up
-// to one worker the whole list is one part, walked in list order. Above, it
-// is cut by page (pageBuckets): all of one page's candidates — hence all of
-// its lines and its one header line — belong to one part, so concurrent
-// workers touch disjoint pages. Same-page candidates keep their list order
-// (same-slot version decisions depend only on same-slot order, and a slot
-// lives on exactly one page) and cross-page order is free because redo is
-// per-object idempotent, so the Redo counters and final images are identical
-// under either shape.
-func (db *DB) redoParts(cands []redoCand) [][]redoCand {
-	if db.parWorkers() <= 1 {
-		return [][]redoCand{cands}
-	}
-	return pageBuckets(cands)
 }
 
 // probeRedo is the residency probe phase (the "cache miss with I/O disabled"
 // test of Selective Redo): each candidate's lines are checked for survival
-// in some cache; pages with lost lines are reinstalled from the stable
-// database up front, so the apply phase mostly hits warm lines. The apply
-// path re-checks residency, so the probe is an acceleration, not a
-// correctness requirement. Chunks are weighted by part size.
-func (db *DB) probeRedo(parts [][]redoCand, rep *RecoveryReport) error {
-	weight := func(i int) int { return len(parts[i]) }
-	err := db.forEachChunk(rep, obs.PhaseProbe, len(parts), weight, func(i, ws int, tm *prof.TaskMeter) error {
-		tm.AddRecords(len(parts[i]))
-		return db.probeRedoSlice(parts[i], &db.arena(ws).progress)
-	})
-	db.flushArenas(obs.PhaseProbe)
-	return err
-}
-
-// flushArenas reports, as one event, the progress the worker slots gathered
-// in phase p and have not reported yet.
-func (db *DB) flushArenas(p obs.Phase) {
-	var sum progressBatch
-	for i := range db.arenas {
-		sum.records += db.arenas[i].progress.records
-		sum.bytes += db.arenas[i].progress.bytes
-		db.arenas[i].progress = progressBatch{}
-	}
-	db.flushProgress(&sum, p)
-}
-
-// probeRedoSlice probes one part's candidates, in list order.
-func (db *DB) probeRedoSlice(cands []redoCand, pb *progressBatch) error {
+// in some cache, in list order; pages with lost lines are reinstalled from
+// the stable database up front, so the apply phase mostly hits warm lines.
+// The apply path re-checks residency, so the probe is an acceleration, not a
+// correctness requirement.
+func (db *DB) probeRedo(cands []redoCand) error {
+	var pb progressBatch
+	defer db.flushProgress(&pb, obs.PhaseProbe)
 	for _, c := range cands {
 		rid := heap.RID{Page: c.rec.Page, Slot: c.rec.Slot}
 		line, _, err := db.Store.LineOf(rid)
@@ -830,42 +722,9 @@ func (db *DB) probeRedoSlice(cands []redoCand, pb *progressBatch) error {
 				return err
 			}
 		}
-		db.noteProgress(pb, obs.PhaseProbe, 1, 0)
+		db.noteProgress(&pb, obs.PhaseProbe, 1, 0)
 	}
 	return nil
-}
-
-// applyRedo is the redo apply phase: version-checked, idempotent replay of
-// each part, batched into same-line runs (see redobatch.go). Each worker
-// slot applies through its own reusable arena (run carving) and counts into
-// the arena's shard; the shards are summed after the fan-out, so the totals
-// do not depend on which slot ran which part. Chunks are weighted by part
-// size.
-func (db *DB) applyRedo(parts [][]redoCand, rep *RecoveryReport) error {
-	for i := range db.arenas {
-		db.arenas[i].redo = RecoveryReport{}
-	}
-	weight := func(i int) int { return len(parts[i]) }
-	err := db.forEachChunk(rep, obs.PhaseRedoApply, len(parts), weight, func(i, ws int, tm *prof.TaskMeter) error {
-		if tm != nil {
-			tm.AddRecords(len(parts[i]))
-			b := 0
-			for _, c := range parts[i] {
-				b += len(c.rec.After)
-			}
-			tm.AddBytes(b)
-		}
-		ar := db.arena(ws)
-		return db.applyRedoSlice(parts[i], &ar.redo, ar)
-	})
-	db.flushArenas(obs.PhaseRedoApply)
-	mergeStart := profMergeStart(db)
-	for i := range db.arenas {
-		rep.RedoApplied += db.arenas[i].redo.RedoApplied
-		rep.RedoSkipped += db.arenas[i].redo.RedoSkipped
-	}
-	profMergeEnd(db, obs.PhaseRedoApply, mergeStart)
-	return err
 }
 
 // redoStable repeats the logically committed effects of vs's stable logs
@@ -875,7 +734,7 @@ func (db *DB) redoStable(vs []*logView, coord machine.NodeID, rep *RecoveryRepor
 	var pb progressBatch
 	defer db.flushProgress(&pb, obs.PhaseRedoApply)
 	for _, v := range vs {
-		for _, c := range db.collectRedoNode(v, coord) {
+		for _, c := range db.collectRedoNode(nil, v, coord) {
 			if err := db.redoRecord(coord, c.rec, rep, &pb); err != nil {
 				return err
 			}
@@ -1013,61 +872,30 @@ func (db *DB) undoCrashed(coord machine.NodeID, vs []*logView, rep *RecoveryRepo
 // survived intact — contains an update record for exactly this slot and
 // version belonging to a transaction that is still active; otherwise the
 // record is no longer active and the tag is nulled.
+//
+// Each survivor in turn scans its cached lines (read-only), then applies the
+// repairs that scan called for before the next survivor scans: an applied
+// repair migrates the line exclusively to the fixer, so later survivors'
+// CachedLines snapshots no longer include it and each rid is repaired (and
+// each line counted in TagScanLines) exactly once.
 func (db *DB) undoTagScan(alive, crashed []machine.NodeID, vs []*logView, rep *RecoveryReport) error {
 	down := nodeSet(crashed)
 	// Per-survivor index, (rid, version) -> updating transaction, built by
-	// the first surviving tag that names the node; scans running side by
-	// side share the one build.
-	idx := make([]func() map[slotVer]wal.TxnID, len(vs))
+	// the first surviving tag that names the node.
+	idx := make([]map[slotVer]wal.TxnID, len(vs))
+	taggerIndex := func(n machine.NodeID) map[slotVer]wal.TxnID {
+		if idx[n] == nil {
+			idx[n] = buildTaggerIndex(vs[n])
+		}
+		return idx[n]
+	}
 	for _, n := range alive {
-		idx[n] = sync.OnceValue(func() map[slotVer]wal.TxnID { return buildTaggerIndex(vs[n]) })
-	}
-	taggerIndex := func(n machine.NodeID) map[slotVer]wal.TxnID { return idx[n]() }
-	// The scan runs in rounds: a round's survivors scan their cached lines
-	// (read-only), then the round's actions are applied before the next
-	// round's scans. This is the one place the worker count shapes the undo
-	// scan. Up to one worker every survivor is a round of its own: an applied
-	// undo migrates the line exclusively to the fixer, so later survivors'
-	// CachedLines snapshots no longer include it and each rid is repaired
-	// exactly once. Above, all survivors share one round and scan side by
-	// side, so every holder of a shared line reports it; keeping only the
-	// first (lowest alive-order) action per rid yields the same repair set,
-	// applied by the same node, in the same order — UndoApplied matches
-	// exactly. TagScanLines is the one counter the two schedules may disagree
-	// on (a shared line is counted once per holder in a shared round), which
-	// is why the equivalence gate excludes it.
-	step := len(alive)
-	if db.parWorkers() <= 1 {
-		step = 1
-	}
-	for lo := 0; lo < len(alive); lo += step {
-		round := alive[lo:min(lo+step, len(alive))]
-		acts := make([][]tagAction, len(round))
-		lines := make([]int, len(round))
-		weight := func(i int) int { return db.M.CachedLineCount(round[i]) }
-		if err := db.forEachChunk(rep, obs.PhaseUndoTagScan, len(round), weight, func(i, _ int, tm *prof.TaskMeter) error {
-			a, l, err := db.scanNodeTags(round[i], down, taggerIndex)
-			acts[i], lines[i] = a, l
-			tm.AddRecords(l)
-			return err
-		}); err != nil {
+		acts, lines, err := db.scanNodeTags(n, down, taggerIndex)
+		if err != nil {
 			return err
 		}
-		mergeStart := profMergeStart(db)
-		seen := make(map[heap.RID]bool)
-		var merged []tagAction
-		for i := range acts {
-			rep.TagScanLines += lines[i]
-			for _, a := range acts[i] {
-				if seen[a.rid] {
-					continue
-				}
-				seen[a.rid] = true
-				merged = append(merged, a)
-			}
-		}
-		profMergeEnd(db, obs.PhaseUndoTagScan, mergeStart)
-		if err := db.applyTagActions(merged, vs, rep); err != nil {
+		rep.TagScanLines += lines
+		if err := db.applyTagActions(acts, vs, rep); err != nil {
 			return err
 		}
 	}
@@ -1115,8 +943,7 @@ type tagAction struct {
 
 // scanNodeTags scans nd's cached database lines read-only and returns the
 // repair actions they call for, plus the number of lines examined. All
-// coherency traffic is read hits on lines nd already caches, so concurrent
-// scans of different nodes do not disturb each other's residency.
+// coherency traffic is read hits on lines nd already caches.
 func (db *DB) scanNodeTags(nd machine.NodeID, down map[machine.NodeID]bool, taggerIndex func(machine.NodeID) map[slotVer]wal.TxnID) ([]tagAction, int, error) {
 	var acts []tagAction
 	lines := 0
@@ -1244,29 +1071,23 @@ func (db *DB) lastCommittedFromStable(nd machine.NodeID, rid heap.RID, vs []*log
 // idempotent (a present holder or waiter entry is not duplicated), so
 // surviving LCBs are unaffected while destroyed ones are rebuilt — with
 // read locks included, which is why IFA logs them.
-func (db *DB) replaySurvivorLocks(alive []machine.NodeID, vs []*logView, rep *RecoveryReport) (int, error) {
+func (db *DB) replaySurvivorLocks(alive []machine.NodeID, vs []*logView) (int, error) {
 	db.Locks.SetLogSuppressed(true)
 	defer db.Locks.SetLogSuppressed(false)
-	counts := make([]int, len(alive))
-	weight := func(i int) int { return db.Logs[alive[i]].Len() }
-	err := db.forEachChunk(rep, obs.PhaseLockRebuild, len(alive), weight, func(i, _ int, tm *prof.TaskMeter) error {
-		n, err := db.replayNodeLocks(vs[alive[i]])
-		counts[i] = n
-		tm.AddRecords(n)
-		return err
-	})
 	total := 0
-	for _, c := range counts {
+	for _, n := range alive {
+		c, err := db.replayNodeLocks(vs[n])
+		if err != nil {
+			return 0, err
+		}
 		total += c
 	}
-	return total, err
+	return total, nil
 }
 
-// replayNodeLocks replays one surviving node's logical lock log (the per-node
-// unit the lock replay fans out over; each node's pre-crash holdings were
-// simultaneously granted, hence mutually compatible, so per-node replays
-// re-grant without waiting in any order, and Acquire is idempotent, so the
-// per-node counts are order-independent).
+// replayNodeLocks replays one surviving node's logical lock log (each node's
+// pre-crash holdings were simultaneously granted, hence mutually compatible,
+// so the replay re-grants without waiting, and Acquire is idempotent).
 //
 // Only a transaction still live has locks to rebuild, and one that has
 // finished never becomes live again, so the scan reads the lock records of

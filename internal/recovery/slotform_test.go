@@ -147,11 +147,11 @@ var stepFootprintWant = map[string]stepFootprint{
 // carries, applying it on resident lines is one hold of the line's stripe.
 func TestRedoRunHoldsItsStripeOnce(t *testing.T) {
 	db := newNodeTestDB(t, VolatileSelectiveRedo, 2)
-	pair := prof.NewPair(machine.StripeCount)
-	db.Attach(hooks.Set{Prof: pair})
+	sp := prof.NewStripeProf(machine.StripeCount)
+	db.Attach(hooks.Set{Prof: sp})
 	run, line := redoRunOver(t, db, 0, seedLine(t, db, 0, 1))
 	stripe := int(line) % machine.StripeCount
-	before := pair.Stripes.Snapshot().Stripes[stripe].Acquires
+	before := sp.Snapshot().Stripes[stripe].Acquires
 	var rep RecoveryReport
 	if err := db.applyRedoRun(run, 0, line, &rep, new(progressBatch)); err != nil {
 		t.Fatal(err)
@@ -159,13 +159,13 @@ func TestRedoRunHoldsItsStripeOnce(t *testing.T) {
 	if rep.RedoSkipped != 1 || rep.RedoApplied != len(run)-1 {
 		t.Fatalf("%d skipped, %d applied over %d candidates", rep.RedoSkipped, rep.RedoApplied, len(run))
 	}
-	if n := pair.Stripes.Snapshot().Stripes[stripe].Acquires - before; n != 1 {
+	if n := sp.Snapshot().Stripes[stripe].Acquires - before; n != 1 {
 		t.Errorf("a %d-candidate run acquired its line's stripe %d times, want 1", len(run), n)
 	}
 }
 
 // TestRedoApplyAllocs: replaying a slice of candidates on resident lines
-// through a warmed arena allocates nothing — no slot buffer per version
+// through a warmed run buffer allocates nothing — no slot buffer per version
 // check, no run list per slice.
 func TestRedoApplyAllocs(t *testing.T) {
 	if raceEnabled {
@@ -179,13 +179,13 @@ func TestRedoApplyAllocs(t *testing.T) {
 	}
 	var rep RecoveryReport
 	apply := func() {
-		if err := db.applyRedoSlice(cands, &rep, db.arena(0)); err != nil {
+		if err := db.applyRedo(cands, &rep); err != nil {
 			t.Fatal(err)
 		}
 	}
-	apply() // warms the arena; every later pass is all version-check skips
+	apply() // warms the run buffer; every later pass is all version-check skips
 	if n := testing.AllocsPerRun(20, apply); n != 0 {
-		t.Errorf("applyRedoSlice over %d candidates: %v allocations per pass, want 0", len(cands), n)
+		t.Errorf("applyRedo over %d candidates: %v allocations per pass, want 0", len(cands), n)
 	}
 }
 

@@ -85,44 +85,41 @@ func TestStalledAbortClosesItsBracket(t *testing.T) {
 // and attempt, two plans, per-node scans, each phase's remainder), and the
 // batches add up to every candidate in both phases.
 func TestRecoveryProgressIsBatched(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		db, mgr := newDB(t, recovery.VolatileRedoAll, 4)
-		db.Cfg.RecoveryWorkers = workers
-		o, wf := obs.New(), waterfall.New(waterfall.Config{Nodes: 4})
-		db.Attach(hooks.Set{Observer: o, Waterfall: wf})
-		for round := 0; round < 200; round++ {
-			for nd := machine.NodeID(0); nd < 4; nd++ {
-				tx, err := mgr.Begin(nd)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < 4; i++ {
-					rid := heap.RID{Page: storage.PageID(4*int(nd) + i), Slot: uint16(round % 12)}
-					if err := tx.Write(rid, []byte{byte(round)}); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := tx.Commit(); err != nil {
+	db, mgr := newDB(t, recovery.VolatileRedoAll, 4)
+	o, wf := obs.New(), waterfall.New(waterfall.Config{Nodes: 4})
+	db.Attach(hooks.Set{Observer: o, Waterfall: wf})
+	for round := 0; round < 200; round++ {
+		for nd := machine.NodeID(0); nd < 4; nd++ {
+			tx, err := mgr.Begin(nd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 4; i++ {
+				rid := heap.RID{Page: storage.PageID(4*int(nd) + i), Slot: uint16(round % 12)}
+				if err := tx.Write(rid, []byte{byte(round)}); err != nil {
 					t.Fatal(err)
 				}
 			}
-		}
-		db.Crash(1)
-		rep, err := db.Recover([]machine.NodeID{1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cands := int64(rep.RedoApplied + rep.RedoSkipped)
-		if cands < 2048 {
-			t.Fatalf("%d redo candidates: too few to batch", cands)
-		}
-		if got, bound := o.Count(obs.KindProgress), cands/256+16; got > bound {
-			t.Errorf("workers %d: %d progress events for %d candidates, want <= %d", workers, got, cands, bound)
-		}
-		for _, ph := range wf.Progress().Snapshot() {
-			if (ph.Phase == "probe" || ph.Phase == "redo-apply") && (ph.Records != cands || ph.Planned != cands) {
-				t.Errorf("workers %d: %s progress %d of %d planned, want %d", workers, ph.Phase, ph.Records, ph.Planned, cands)
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
 			}
+		}
+	}
+	db.Crash(1)
+	rep, err := db.Recover([]machine.NodeID{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands := int64(rep.RedoApplied + rep.RedoSkipped)
+	if cands < 2048 {
+		t.Fatalf("%d redo candidates: too few to batch", cands)
+	}
+	if got, bound := o.Count(obs.KindProgress), cands/256+16; got > bound {
+		t.Errorf("%d progress events for %d candidates, want <= %d", got, cands, bound)
+	}
+	for _, ph := range wf.Progress().Snapshot() {
+		if (ph.Phase == "probe" || ph.Phase == "redo-apply") && (ph.Records != cands || ph.Planned != cands) {
+			t.Errorf("%s progress %d of %d planned, want %d", ph.Phase, ph.Records, ph.Planned, cands)
 		}
 	}
 }

@@ -41,49 +41,46 @@ func plantTag(t *testing.T, db *recovery.DB, nd machine.NodeID, rid heap.RID, ta
 // already committed. Recovery must clear the tag and leave the committed data
 // untouched (no spurious undo).
 func TestUndoTagScanStaleCommittedTag(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		db, mgr := newDB(t, recovery.VolatileSelectiveRedo, 3)
-		db.Cfg.RecoveryWorkers = workers
-		rid := heap.RID{Page: 1, Slot: 0}
-		seed(t, mgr, []heap.RID{rid}, 1)
+	db, mgr := newDB(t, recovery.VolatileSelectiveRedo, 3)
+	rid := heap.RID{Page: 1, Slot: 0}
+	seed(t, mgr, []heap.RID{rid}, 1)
 
-		// Node 1 updates and commits; commit clears the tag normally.
-		tx, err := mgr.Begin(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := []byte{7, 7, 7}
-		if err := tx.Write(rid, want); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-
-		// Re-plant tag=1 from node 0: node 1's log has this (rid, version),
-		// but the transaction is committed, so the tag is stale.
-		plantTag(t, db, 0, rid, 1)
-
-		db.Crash(2)
-		rep, err := db.Recover([]machine.NodeID{2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sd, err := db.Read(0, rid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sd.Tag != machine.NoNode {
-			t.Errorf("workers=%d: stale tag not cleared: tag=%d", workers, sd.Tag)
-		}
-		if !bytes.HasPrefix(sd.Data, want) {
-			t.Errorf("workers=%d: committed data disturbed: got %v want %v", workers, sd.Data, want)
-		}
-		if rep.UndoApplied != 0 {
-			t.Errorf("workers=%d: stale-tag clear must not undo: UndoApplied=%d", workers, rep.UndoApplied)
-		}
-		mustCheckIFA(t, db, 0)
+	// Node 1 updates and commits; commit clears the tag normally.
+	tx, err := mgr.Begin(1)
+	if err != nil {
+		t.Fatal(err)
 	}
+	want := []byte{7, 7, 7}
+	if err := tx.Write(rid, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Re-plant tag=1 from node 0: node 1's log has this (rid, version),
+	// but the transaction is committed, so the tag is stale.
+	plantTag(t, db, 0, rid, 1)
+
+	db.Crash(2)
+	rep, err := db.Recover([]machine.NodeID{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd, err := db.Read(0, rid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sd.Tag != machine.NoNode {
+		t.Errorf("stale tag not cleared: tag=%d", sd.Tag)
+	}
+	if !bytes.HasPrefix(sd.Data, want) {
+		t.Errorf("committed data disturbed: got %v want %v", sd.Data, want)
+	}
+	if rep.UndoApplied != 0 {
+		t.Errorf("stale-tag clear must not undo: UndoApplied=%d", rep.UndoApplied)
+	}
+	mustCheckIFA(t, db, 0)
 }
 
 // TestUndoTagScanUnknownTaggerTag: the tag names a surviving node whose log
@@ -123,50 +120,47 @@ func TestUndoTagScanUnknownTaggerTag(t *testing.T) {
 // the uncommitted update) alone, and the transaction must still be able to
 // commit afterwards.
 func TestUndoTagScanLegitimateTagPreserved(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		db, mgr := newDB(t, recovery.VolatileSelectiveRedo, 3)
-		db.Cfg.RecoveryWorkers = workers
-		rid := heap.RID{Page: 1, Slot: 1}
-		seed(t, mgr, []heap.RID{rid}, 3)
+	db, mgr := newDB(t, recovery.VolatileSelectiveRedo, 3)
+	rid := heap.RID{Page: 1, Slot: 1}
+	seed(t, mgr, []heap.RID{rid}, 3)
 
-		tx, err := mgr.Begin(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := []byte{9, 9, 9}
-		if err := tx.Write(rid, want); err != nil {
-			t.Fatal(err)
-		}
-		// Migrate the tagged line to node 0's cache so a different survivor
-		// is the one that scans it.
-		if _, err := db.Read(0, rid); err != nil {
-			t.Fatal(err)
-		}
-
-		db.Crash(2)
-		if _, err := db.Recover([]machine.NodeID{2}); err != nil {
-			t.Fatal(err)
-		}
-		sd, err := db.Read(0, rid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sd.Tag != 1 {
-			t.Errorf("workers=%d: legitimate tag disturbed: tag=%d", workers, sd.Tag)
-		}
-		if !bytes.HasPrefix(sd.Data, want) {
-			t.Errorf("workers=%d: active update disturbed: got %v want %v", workers, sd.Data, want)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Errorf("workers=%d: surviving txn cannot commit after recovery: %v", workers, err)
-		}
-		sd, err = db.Read(0, rid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sd.Tag != machine.NoNode || !bytes.HasPrefix(sd.Data, want) {
-			t.Errorf("workers=%d: post-commit state wrong: tag=%d data=%v", workers, sd.Tag, sd.Data)
-		}
-		mustCheckIFA(t, db, 0)
+	tx, err := mgr.Begin(1)
+	if err != nil {
+		t.Fatal(err)
 	}
+	want := []byte{9, 9, 9}
+	if err := tx.Write(rid, want); err != nil {
+		t.Fatal(err)
+	}
+	// Migrate the tagged line to node 0's cache so a different survivor
+	// is the one that scans it.
+	if _, err := db.Read(0, rid); err != nil {
+		t.Fatal(err)
+	}
+
+	db.Crash(2)
+	if _, err := db.Recover([]machine.NodeID{2}); err != nil {
+		t.Fatal(err)
+	}
+	sd, err := db.Read(0, rid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sd.Tag != 1 {
+		t.Errorf("legitimate tag disturbed: tag=%d", sd.Tag)
+	}
+	if !bytes.HasPrefix(sd.Data, want) {
+		t.Errorf("active update disturbed: got %v want %v", sd.Data, want)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Errorf("surviving txn cannot commit after recovery: %v", err)
+	}
+	sd, err = db.Read(0, rid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sd.Tag != machine.NoNode || !bytes.HasPrefix(sd.Data, want) {
+		t.Errorf("post-commit state wrong: tag=%d data=%v", sd.Tag, sd.Data)
+	}
+	mustCheckIFA(t, db, 0)
 }

@@ -42,6 +42,9 @@ func readsSince(db *recovery.DB, base []int64) []int64 {
 // costs the simulated machine: the reboot walks the redo scan's down-node
 // candidates one record at a time, so a change to that scan's filter that
 // moves the baseline shows here and not only in the E5 table.
+//
+// Config.RecoveryWorkers is inert; the scenario runs at 0 and 3 workers so a
+// worker count that came to select a different read pattern would show here.
 func TestRecoveryReadsEachStableLogOnce(t *testing.T) {
 	stolen := heap.RID{Page: 1, Slot: 0}
 	migrated := heap.RID{Page: 0, Slot: 0}
@@ -161,106 +164,103 @@ func TestRecoveryReadsEachStableLogOnce(t *testing.T) {
 func TestViewSetIsRebuiltPerAttempt(t *testing.T) {
 	for _, proto := range []recovery.Protocol{recovery.VolatileRedoAll, recovery.VolatileSelectiveRedo} {
 		for _, killCoordinator := range []bool{false, true} {
-			for _, workers := range []int{0, 3} {
-				name := fmt.Sprintf("%v/coordinator=%v/workers=%d", proto, killCoordinator, workers)
-				t.Run(name, func(t *testing.T) {
-					db, mgr := newDB(t, proto, 4)
-					db.Cfg.RecoveryWorkers = workers
-					rids := make([]heap.RID, 4)
-					for n := range rids {
-						rids[n] = heap.RID{Page: storage.PageID(n), Slot: 0}
-					}
-					seed(t, mgr, rids, 1)
-					open := make([]*txn.Txn, 4)
-					for n := range open {
-						tx, err := mgr.Begin(machine.NodeID(n))
-						if err != nil {
-							t.Fatal(err)
-						}
-						if err := tx.Write(rids[n], []byte{byte(50 + n)}); err != nil {
-							t.Fatal(err)
-						}
-						open[n] = tx
-					}
-					for n := 0; n < 3; n++ {
-						db.Logs[n].Append(wal.Record{Type: wal.TypeCommit, Txn: open[n].ID()})
-					}
-					stableBefore := make([]wal.LSN, 4)
-					for n, l := range db.Logs {
-						stableBefore[n] = l.ForcedLSN()
-					}
-
-					pCoord := 0.0
-					if killCoordinator {
-						pCoord = 1
-					}
-					inj := fault.New(fault.Plan{Seed: 7, PCrashInRecovery: 1, PCoordinatorCrash: pCoord, MaxCrashes: 1})
-					db.AttachFaults(inj)
-					defer db.AttachFaults(nil)
-					inj.Arm()
-
-					db.Crash(3)
-					base := deviceReads(db)
-					rep, err := db.Recover([]machine.NodeID{3})
+			name := fmt.Sprintf("%v/coordinator=%v", proto, killCoordinator)
+			t.Run(name, func(t *testing.T) {
+				db, mgr := newDB(t, proto, 4)
+				rids := make([]heap.RID, 4)
+				for n := range rids {
+					rids[n] = heap.RID{Page: storage.PageID(n), Slot: 0}
+				}
+				seed(t, mgr, rids, 1)
+				open := make([]*txn.Txn, 4)
+				for n := range open {
+					tx, err := mgr.Begin(machine.NodeID(n))
 					if err != nil {
 						t.Fatal(err)
 					}
-					if rep.Attempts != 2 || len(rep.Crashed) != 2 {
-						t.Fatalf("attempts = %d, crashed = %v; want 2 attempts over node 3 and one more", rep.Attempts, rep.Crashed)
+					if err := tx.Write(rids[n], []byte{byte(50 + n)}); err != nil {
+						t.Fatal(err)
 					}
-					victim := rep.Crashed[0] // sorted; node 3 is last
-					if killCoordinator && (victim != 0 || rep.CoordinatorFailovers != 1) {
-						t.Fatalf("victim = %d, failovers = %d; want the coordinator (node 0) and one failover", victim, rep.CoordinatorFailovers)
+					open[n] = tx
+				}
+				for n := 0; n < 3; n++ {
+					db.Logs[n].Append(wal.Record{Type: wal.TypeCommit, Txn: open[n].ID()})
+				}
+				stableBefore := make([]wal.LSN, 4)
+				for n, l := range db.Logs {
+					stableBefore[n] = l.ForcedLSN()
+				}
+
+				pCoord := 0.0
+				if killCoordinator {
+					pCoord = 1
+				}
+				inj := fault.New(fault.Plan{Seed: 7, PCrashInRecovery: 1, PCoordinatorCrash: pCoord, MaxCrashes: 1})
+				db.AttachFaults(inj)
+				defer db.AttachFaults(nil)
+				inj.Arm()
+
+				db.Crash(3)
+				base := deviceReads(db)
+				rep, err := db.Recover([]machine.NodeID{3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Attempts != 2 || len(rep.Crashed) != 2 {
+					t.Fatalf("attempts = %d, crashed = %v; want 2 attempts over node 3 and one more", rep.Attempts, rep.Crashed)
+				}
+				victim := rep.Crashed[0] // sorted; node 3 is last
+				if killCoordinator && (victim != 0 || rep.CoordinatorFailovers != 1) {
+					t.Fatalf("victim = %d, failovers = %d; want the coordinator (node 0) and one failover", victim, rep.CoordinatorFailovers)
+				}
+				if !killCoordinator && victim == 0 {
+					t.Fatalf("victim = %d, want a survivor other than the coordinator", victim)
+				}
+				// Attempt 1 read node 3's device; attempt 2 read it again,
+				// and the new victim's for the first time.
+				want := make([]int64, 4)
+				want[3], want[victim] = 2, 1
+				if got := readsSince(db, base); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("device reads = %v, want %v (a view set per attempt)", got, want)
+				}
+				// The victim's tail died with it: nothing it had not forced
+				// is stable, its transaction is aborted, its update undone.
+				if got := db.Logs[victim].ForcedLSN(); got != stableBefore[victim] || db.Logs[victim].Len() != len(db.Logs[victim].StableRecords()) {
+					t.Errorf("node %d: forced LSN %d (was %d), %d records retained; the volatile tail must be gone", victim, got, stableBefore[victim], db.Logs[victim].Len())
+				}
+				aborted := map[wal.TxnID]bool{}
+				for _, id := range rep.Aborted {
+					aborted[id] = true
+				}
+				if len(aborted) != 2 || !aborted[open[3].ID()] || !aborted[open[victim].ID()] {
+					t.Errorf("Aborted = %v, want exactly the open transactions of nodes %d and 3", rep.Aborted, victim)
+				}
+				reader := machine.NodeID(1)
+				if victim == 1 {
+					reader = 2
+				}
+				for _, n := range []machine.NodeID{victim, 3} {
+					if st, _ := db.Status(open[n].ID()); st != recovery.TxnAborted {
+						t.Errorf("node %d's transaction is %v, want aborted", n, st)
 					}
-					if !killCoordinator && victim == 0 {
-						t.Fatalf("victim = %d, want a survivor other than the coordinator", victim)
+					if got, err := db.Read(reader, rids[n]); err != nil || got.Data[0] != 1 {
+						t.Errorf("%v = %v, %v; want the seeded 1 back", rids[n], got.Data, err)
 					}
-					// Attempt 1 read node 3's device; attempt 2 read it again,
-					// and the new victim's for the first time.
-					want := make([]int64, 4)
-					want[3], want[victim] = 2, 1
-					if got := readsSince(db, base); fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Errorf("device reads = %v, want %v (a view set per attempt)", got, want)
+				}
+				// The other survivors' transactions ride through.
+				for n := machine.NodeID(0); n < 3; n++ {
+					if n == victim {
+						continue
 					}
-					// The victim's tail died with it: nothing it had not forced
-					// is stable, its transaction is aborted, its update undone.
-					if got := db.Logs[victim].ForcedLSN(); got != stableBefore[victim] || db.Logs[victim].Len() != len(db.Logs[victim].StableRecords()) {
-						t.Errorf("node %d: forced LSN %d (was %d), %d records retained; the volatile tail must be gone", victim, got, stableBefore[victim], db.Logs[victim].Len())
+					if st, _ := db.Status(open[n].ID()); st != recovery.TxnActive {
+						t.Errorf("survivor %d's transaction is %v, want active", n, st)
 					}
-					aborted := map[wal.TxnID]bool{}
-					for _, id := range rep.Aborted {
-						aborted[id] = true
+					if got, err := db.Read(reader, rids[n]); err != nil || got.Data[0] != byte(50+int(n)) {
+						t.Errorf("%v = %v, %v; want the survivor's own update", rids[n], got.Data, err)
 					}
-					if len(aborted) != 2 || !aborted[open[3].ID()] || !aborted[open[victim].ID()] {
-						t.Errorf("Aborted = %v, want exactly the open transactions of nodes %d and 3", rep.Aborted, victim)
-					}
-					reader := machine.NodeID(1)
-					if victim == 1 {
-						reader = 2
-					}
-					for _, n := range []machine.NodeID{victim, 3} {
-						if st, _ := db.Status(open[n].ID()); st != recovery.TxnAborted {
-							t.Errorf("node %d's transaction is %v, want aborted", n, st)
-						}
-						if got, err := db.Read(reader, rids[n]); err != nil || got.Data[0] != 1 {
-							t.Errorf("%v = %v, %v; want the seeded 1 back", rids[n], got.Data, err)
-						}
-					}
-					// The other survivors' transactions ride through.
-					for n := machine.NodeID(0); n < 3; n++ {
-						if n == victim {
-							continue
-						}
-						if st, _ := db.Status(open[n].ID()); st != recovery.TxnActive {
-							t.Errorf("survivor %d's transaction is %v, want active", n, st)
-						}
-						if got, err := db.Read(reader, rids[n]); err != nil || got.Data[0] != byte(50+int(n)) {
-							t.Errorf("%v = %v, %v; want the survivor's own update", rids[n], got.Data, err)
-						}
-					}
-					mustCheckIFA(t, db, reader)
-				})
-			}
+				}
+				mustCheckIFA(t, db, reader)
+			})
 		}
 	}
 }

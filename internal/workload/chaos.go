@@ -112,11 +112,6 @@ func RunChaos(db *recovery.DB, inj *fault.Injector, spec Spec, episodes int) (Ch
 // episode count argument is ignored). A nil session is plain RunChaos.
 func RunChaosSession(db *recovery.DB, inj *fault.Injector, spec Spec, episodes int, sess *sched.Session) (ChaosResult, error) {
 	res := ChaosResult{Seed: inj.Plan().Seed}
-	if sess != nil && db.Cfg.RecoveryWorkers > 1 {
-		// Parallel recovery assigns versions in worker order; a schedule
-		// recorded (or replayed) over it could never reproduce.
-		return res, fmt.Errorf("workload: chaos record/replay requires sequential recovery (RecoveryWorkers <= 1, have %d)", db.Cfg.RecoveryWorkers)
-	}
 	if sess.Replaying() {
 		episodes = sess.EpisodePoints()
 	}
