@@ -77,8 +77,10 @@ type Manager struct {
 
 	// bringIn serializes, per page (striped), the Fetch calls that found the
 	// page not resident. Held across the format or disk read and the
-	// installs; never taken with mu or a machine stripe held.
+	// installs; never taken with mu or a machine stripe held. A disk read
+	// lands in the stripe's page of scratch, which the installs copy from.
 	bringIn [64]sync.Mutex
+	scratch [64][]byte
 
 	// obs is the attached observer (see SetHooks), nil when detached.
 	obs atomic.Pointer[obs.Observer]
@@ -118,6 +120,9 @@ func NewManager(store *heap.Store, disk *storage.Disk, logs []*wal.Log) *Manager
 		dirty:    make(map[storage.PageID]bool),
 		updTable: make(map[storage.PageID]map[machine.NodeID]wal.LSN),
 	}
+	for i := range b.scratch {
+		b.scratch[i] = make([]byte, disk.PageSize())
+	}
 	return b
 }
 
@@ -146,7 +151,8 @@ func (b *Manager) Fetch(nd machine.NodeID, p storage.PageID) error {
 	// reinstalling it side by side each take the other's half-done work for
 	// lost lines and install over records the other has meanwhile updated
 	// (or fail on a line the other has line-locked).
-	mu := &b.bringIn[uint(p)%uint(len(b.bringIn))]
+	stripe := uint(p) % uint(len(b.bringIn))
+	mu := &b.bringIn[stripe]
 	mu.Lock()
 	defer mu.Unlock()
 	if b.Store.ResidentPage(p) {
@@ -158,8 +164,8 @@ func (b *Manager) Fetch(nd machine.NodeID, p storage.PageID) error {
 		b.mu.Unlock()
 		return b.Store.FormatPage(nd, p)
 	}
-	img, err := b.readPage(nd, p)
-	if err != nil {
+	img := b.scratch[stripe]
+	if err := b.ReadPage(nd, p, img); err != nil {
 		return err
 	}
 	cost := b.Store.M.Config().Cost.DiskRead
@@ -299,14 +305,12 @@ func (b *Manager) noteRetry(nd machine.NodeID, p storage.PageID, attempt int, ba
 	}
 }
 
-// readPage reads page p from the stable database, retrying transient errors
-// under storage.DefaultRetry with exponential simulated backoff.
-func (b *Manager) readPage(nd machine.NodeID, p storage.PageID) (img []byte, err error) {
-	err = storage.DefaultRetry.Do(func() error {
-		img, err = b.Disk.ReadPage(p)
-		return err
-	}, func(attempt int, backoff int64) { b.noteRetry(nd, p, attempt, backoff) })
-	return img, err
+// ReadPage copies page p from the stable database into dst (see
+// storage.Disk.ReadPage) on nd's behalf, retrying transient errors under
+// storage.DefaultRetry with exponential simulated backoff.
+func (b *Manager) ReadPage(nd machine.NodeID, p storage.PageID, dst []byte) error {
+	return storage.DefaultRetry.Do(func() error { return b.Disk.ReadPage(p, dst) },
+		func(attempt int, backoff int64) { b.noteRetry(nd, p, attempt, backoff) })
 }
 
 // writePage writes page p to the stable database with the same retry policy.

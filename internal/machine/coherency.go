@@ -16,8 +16,7 @@ import (
 )
 
 // charge adds simulated cost to node nd's clock. Atomic, so lock-free clock
-// readers (and concurrent charges from parallel recovery workers acting for
-// the same node) compose correctly.
+// readers compose correctly.
 func (m *Machine) charge(nd NodeID, cost int64) {
 	atomic.AddInt64(&m.nodes[nd].clock, cost)
 }
@@ -418,24 +417,4 @@ func (m *Machine) CachedLines(nd NodeID) []LineID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// CachedLineCount counts node nd's valid cached lines without materializing
-// the CachedLines slice. The parallel recovery pipeline uses it as a cheap
-// load estimate when weight-balancing per-node fan-out chunks; like
-// CachedLines it is stripe-consistent, which on a quiesced machine is exact.
-func (m *Machine) CachedLineCount(nd NodeID) int {
-	frontier := m.frontier()
-	count := 0
-	for si := range m.stripes {
-		s := &m.stripes[si]
-		m.lockStripe(s)
-		for l := LineID(si); l < frontier; l += stripeCount {
-			if m.lines[l].valid.Load() && m.lines[l].holders.has(nd) {
-				count++
-			}
-		}
-		m.unlockStripe(s)
-	}
-	return count
 }

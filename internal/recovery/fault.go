@@ -9,7 +9,6 @@ import (
 	"smdb/internal/machine"
 	"smdb/internal/obs"
 	"smdb/internal/obs/deps"
-	"smdb/internal/storage"
 	"smdb/internal/wal"
 )
 
@@ -174,14 +173,4 @@ func recoverableErr(err error) bool {
 	return errors.Is(err, ErrRecoveryInterrupted) ||
 		errors.Is(err, machine.ErrNodeDown) ||
 		errors.Is(err, machine.ErrLineLost)
-}
-
-// readPageRetry reads a stable page on nd's behalf, retrying transient
-// injected I/O errors under the default policy with simulated backoff.
-func (db *DB) readPageRetry(nd machine.NodeID, p storage.PageID) (img []byte, err error) {
-	err = storage.DefaultRetry.Do(func() error {
-		img, err = db.Disk.ReadPage(p)
-		return err
-	}, func(_ int, backoff int64) { db.M.AdvanceClock(nd, backoff) })
-	return img, err
 }

@@ -388,7 +388,7 @@ func (db *DB) recoverOnce(alive []machine.NodeID, rep *RecoveryReport) error {
 		if st.stat() != TxnActive || !st.crashed.Load() {
 			return
 		}
-		if v := vs[st.id.Node()]; v.live == nil && v.committed.has(st.id) {
+		if v := vs[st.id.Node()]; v.log == nil && v.committed.has(st.id) {
 			st.status.Store(int32(TxnCommitted))
 			nc.stats.Commits++
 			for i := range st.writes {
@@ -467,23 +467,26 @@ func (db *DB) flushAllCaches(alive []machine.NodeID) {
 	}
 }
 
-// logView is the recovery-visible portion of one node's log, with the
-// summary every phase consults. Survivor views wrap the live log and iterate
-// it in place under the log mutex (no record copying); a down node's view
-// holds its stable prefix, read from the device once — the volatile tail died
-// with the node. Either way a scan hands out pointers to records that are
-// never rewritten, so a phase may keep them for the rest of the attempt.
+// logView is what one recovery attempt's walk of one node's log found: a
+// summary every phase consults, and the records the later phases read in
+// place of the log. A survivor's view is its live log as of the walk — what
+// the log gains after it is the view's tail (see tail) — and a down node's is
+// its stable prefix, read from the device once; the volatile tail died with
+// the node. The lists point at records that are never rewritten, so a phase
+// may keep them for the rest of the attempt.
 type logView struct {
-	node   machine.NodeID
-	live   *wal.Log     // survivors: scanned in place (nil for down nodes)
-	stable []wal.Record // down nodes: the stable prefix
-	// ckptLSN is the LSN just past the last visible checkpoint record (1 if
-	// none), the redo scan's starting point.
-	ckptLSN wal.LSN
-	// redoRecs counts the update and compensation records at or after
-	// ckptLSN: the most candidates the redo scan can take from this log
-	// (short only if a survivor's log grew since the view was built).
-	redoRecs int
+	node machine.NodeID
+	log  *wal.Log // survivors: the live log, read again only for its tail (nil for down nodes)
+	// end is the LSN just past the last record the walk read (survivors).
+	end wal.LSN
+	// redo lists the update and compensation records in log order; ckpt is
+	// the index of the first one after the last visible checkpoint record,
+	// the redo scan's starting point.
+	redo []*wal.Record
+	ckpt int
+	// held lists a survivor's lock records and non-NTA update records of the
+	// transactions live when the walk read them, in log order.
+	held []*wal.Record
 	// committed and aborted are the transactions the visible log records as
 	// committed and aborted; ntaDone the structural changes it records as
 	// complete.
@@ -532,28 +535,6 @@ func (s *txnSet) has(t wal.TxnID) bool {
 	return s.other[t]
 }
 
-// scanFrom calls fn for every visible record with LSN >= from, in LSN order,
-// stopping early if fn returns false. Survivor views run fn under the live
-// log's mutex: fn must not call back into that log (appending from inside the
-// scan would self-deadlock).
-func (v *logView) scanFrom(from wal.LSN, fn func(*wal.Record) bool) {
-	if v.live != nil {
-		v.live.Each(from, fn)
-		return
-	}
-	for i := range v.stable {
-		if v.stable[i].LSN >= from && !fn(&v.stable[i]) {
-			return
-		}
-	}
-}
-
-// scan visits every visible record (see scanFrom).
-func (v *logView) scan(fn func(*wal.Record) bool) { v.scanFrom(1, fn) }
-
-// scanFromCkpt visits the records after the last visible checkpoint.
-func (v *logView) scanFromCkpt(fn func(*wal.Record) bool) { v.scanFrom(v.ckptLSN, fn) }
-
 // views builds one recovery attempt's view set, indexed by node: survivors
 // (the nodes in alive) expose their full logs — their memory survived — and
 // every other node, listed in down, only its stable prefix. It is filled
@@ -571,22 +552,24 @@ func (db *DB) views(alive []machine.NodeID) (vs []*logView, down []machine.NodeI
 	return vs, down
 }
 
-// view reads and summarises node n's log for views.
+// view walks node n's log for views, the attempt's one read of it. Each list
+// is sized once, from the record count the walk reads: a survivor's walk reads
+// the records its log held when it began, and leaves what the log gains after
+// to the tail.
 func (db *DB) view(n machine.NodeID, isDown bool) *logView {
 	seqs := db.nodes[n].seq.Load()
 	v := &logView{
 		node:      n,
-		ckptLSN:   1,
 		committed: newTxnSet(n, seqs),
 		aborted:   newTxnSet(n, seqs),
 		ntaDone:   make(map[uint64]bool),
 	}
-	if isDown {
-		v.stable = db.Logs[n].StableRecords()
-	} else {
-		v.live = db.Logs[n]
-	}
-	v.scan(func(r *wal.Record) bool {
+	// A transaction that has finished never becomes live again, so the walk
+	// asks txnLive (lock-free, so safe under the log mutex) once per run of
+	// one transaction's lock and update records.
+	var run wal.TxnID
+	live := false
+	note := func(r *wal.Record) {
 		switch r.Type {
 		case wal.TypeCommit:
 			v.committed.add(r.Txn)
@@ -595,13 +578,63 @@ func (db *DB) view(n machine.NodeID, isDown bool) *logView {
 		case wal.TypeNTAEnd:
 			v.ntaDone[r.NTA] = true
 		case wal.TypeUpdate, wal.TypeCLR:
-			v.redoRecs++
+			v.redo = append(v.redo, r)
 		case wal.TypeCheckpoint:
-			v.ckptLSN, v.redoRecs = r.LSN+1, 0
+			v.ckpt = len(v.redo)
 		}
+		if v.log == nil || !(isLockRecord(r) || r.Type == wal.TypeUpdate && r.NTA == 0) {
+			return
+		}
+		if r.Txn != run {
+			run, live = r.Txn, db.txnLive(r.Txn)
+		}
+		if live {
+			v.held = append(v.held, r)
+		}
+	}
+	if isDown {
+		stable := db.Logs[n].StableRecords()
+		v.redo = make([]*wal.Record, 0, len(stable))
+		for i := range stable {
+			note(&stable[i])
+		}
+		return v
+	}
+	v.log = db.Logs[n]
+	left := v.log.Len()
+	v.redo = make([]*wal.Record, 0, left)
+	v.held = make([]*wal.Record, 0, left)
+	v.log.Each(1, func(r *wal.Record) bool {
+		if left == 0 {
+			return false
+		}
+		left--
+		v.end = r.LSN + 1
+		note(r)
 		return true
 	})
 	return v
+}
+
+// tail returns a copy of the records a survivor's log gained after the
+// attempt's walk of it, normally none (nil for a down node).
+func (v *logView) tail() []wal.Record {
+	if v.log == nil {
+		return nil
+	}
+	return v.log.Records(v.end)
+}
+
+// isLockRecord reports whether r is a logical lock-log record.
+func isLockRecord(r *wal.Record) bool {
+	return r.Type == wal.TypeLockAcquire || r.Type == wal.TypeLockRelease
+}
+
+// committedEffect reports whether rec, an update or compensation record of
+// v's log, is a logically committed effect: a compensation, a completed
+// structural change, or an update of a committed transaction.
+func (v *logView) committedEffect(rec *wal.Record) bool {
+	return rec.Type == wal.TypeCLR || rec.NTA != 0 && v.ntaDone[rec.NTA] || v.committed.has(rec.Txn)
 }
 
 // txnDead reports whether t is known to the engine as aborted — including
@@ -643,63 +676,57 @@ type redoCand struct {
 }
 
 // collectRedo is the redo scan phase: it gathers redo candidates from every
-// node's available log. Surviving nodes replay their own full logs from
-// their last checkpoints (everything: committed, active, and compensation
-// records — surviving active transactions' updates are preserved under IFA).
-// Down nodes — whether they crashed just now or in an earlier failure —
-// contribute their stable prefixes only, filtered to logically committed
-// effects (stable commits, completed structural changes, compensations);
-// their uncommitted updates are not repeated, as they are about to be undone
-// anyway. Version comparison in the apply phase makes redo idempotent and
-// order-independent across logs. The list is in node order, each node's
-// candidates in log order.
+// node's view. Surviving nodes replay their own full logs from their last
+// checkpoints (everything: committed, active, and compensation records —
+// surviving active transactions' updates are preserved under IFA), tails
+// included: under Redo All an update a survivor logged after the walk may
+// have been in the caches flushAllCaches just discarded. Down nodes — whether
+// they crashed just now or in an earlier failure — contribute their stable
+// prefixes only, filtered to logically committed effects; their uncommitted
+// updates are not repeated, as they are about to be undone anyway. Version
+// comparison in the apply phase makes redo idempotent and order-independent
+// across logs. The list is in node order, each node's candidates in log
+// order.
 func (db *DB) collectRedo(vs []*logView, coord machine.NodeID) []redoCand {
 	n := 0
 	for _, v := range vs {
-		n += v.redoRecs
+		n += len(v.redo) - v.ckpt
 	}
 	cands := make([]redoCand, 0, n)
 	for _, v := range vs {
-		cands = db.collectRedoNode(cands, v, coord)
+		onto, first := v.node, len(cands)
+		if v.log == nil {
+			onto = coord
+		}
+		for _, rec := range v.redo[v.ckpt:] {
+			if db.redoable(v, rec) {
+				cands = append(cands, redoCand{onto: onto, rec: rec})
+			}
+		}
+		tail := v.tail()
+		for i := range tail {
+			if rec := &tail[i]; (rec.Type == wal.TypeUpdate || rec.Type == wal.TypeCLR) && db.redoable(v, rec) {
+				cands = append(cands, redoCand{onto: onto, rec: rec})
+			}
+		}
+		db.progress(obs.PhaseRedoScan, len(cands)-first, 0, 0)
 	}
 	return cands
 }
 
-// collectRedoNode appends one node's redo candidates to cands, in log order.
-func (db *DB) collectRedoNode(cands []redoCand, v *logView, coord machine.NodeID) []redoCand {
-	isDown := v.live == nil
-	onto := v.node
-	if isDown {
-		onto = coord
+// redoable reports whether rec, an update or compensation record of v's log,
+// is a redo candidate.
+func (db *DB) redoable(v *logView, rec *wal.Record) bool {
+	if v.log == nil {
+		return v.committedEffect(rec)
 	}
-	first := len(cands)
-	v.scanFromCkpt(func(rec *wal.Record) bool {
-		if rec.Type != wal.TypeUpdate && rec.Type != wal.TypeCLR {
-			return true
-		}
-		if isDown {
-			switch {
-			case rec.Type == wal.TypeCLR:
-			case rec.NTA != 0 && v.ntaDone[rec.NTA]:
-			case v.committed.has(rec.Txn):
-			default:
-				return true
-			}
-		} else if rec.Type == wal.TypeUpdate && rec.NTA == 0 && !v.committed.has(rec.Txn) && db.txnDead(rec.Txn) {
-			// A restarted node's log can still carry updates of a transaction
-			// that died with an earlier crash. If that crash also destroyed the
-			// only copy of the effect, no compensation record was ever written —
-			// the undo was skipped as moot — so replaying the update here would
-			// resurrect it, and the undo pass (which covers only the
-			// currently-down nodes) would never see it again. (txnDead takes
-			// no lock, so it is safe under the scan's log mutex.)
-			return true
-		}
-		cands = append(cands, redoCand{onto: onto, rec: rec})
-		return true
-	})
-	db.progress(obs.PhaseRedoScan, len(cands)-first, 0, 0)
-	return cands
+	// A restarted node's log can still carry updates of a transaction that
+	// died with an earlier crash. If that crash also destroyed the only copy
+	// of the effect, no compensation record was ever written — the undo was
+	// skipped as moot — so replaying the update here would resurrect it, and
+	// the undo pass (which covers only the currently-down nodes) would never
+	// see it again.
+	return rec.Type != wal.TypeUpdate || rec.NTA != 0 || v.committed.has(rec.Txn) || !db.txnDead(rec.Txn)
 }
 
 // probeRedo is the residency probe phase (the "cache miss with I/O disabled"
@@ -727,67 +754,6 @@ func (db *DB) probeRedo(cands []redoCand) error {
 	return nil
 }
 
-// redoStable repeats the logically committed effects of vs's stable logs
-// onto coord, one record at a time, in log order (the baseline's redo: the
-// redo scan's down-node filter, no residency probe phase).
-func (db *DB) redoStable(vs []*logView, coord machine.NodeID, rep *RecoveryReport) error {
-	var pb progressBatch
-	defer db.flushProgress(&pb, obs.PhaseRedoApply)
-	for _, v := range vs {
-		for _, c := range db.collectRedoNode(nil, v, coord) {
-			if err := db.redoRecord(coord, c.rec, rep, &pb); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// redoRecord applies one update/CLR record if its effect is missing.
-func (db *DB) redoRecord(nd machine.NodeID, rec *wal.Record, rep *RecoveryReport, pb *progressBatch) error {
-	rid := heap.RID{Page: rec.Page, Slot: rec.Slot}
-	line, _, err := db.Store.LineOf(rid)
-	if err != nil {
-		return err
-	}
-	// Selective Redo's residency probe (the "cache miss with I/O disabled"
-	// test): if the line survives in some cache, the update may be there
-	// already; the version check below confirms. If the line was lost, the
-	// page fetch reinstalls exactly the missing lines from the stable
-	// database first.
-	if !db.M.Resident(line) || !db.M.Resident(db.Store.HeaderLine(rid.Page)) {
-		if err := db.BM.Fetch(nd, rid.Page); err != nil {
-			return err
-		}
-	}
-	var buf heap.SlotBuf
-	cur, err := db.Store.ReadSlot(nd, rid, &buf)
-	if err != nil {
-		return err
-	}
-	if cur.Version >= rec.Version {
-		rep.RedoSkipped++
-		// A skip still consumes one candidate: progress records count toward
-		// a planned total either way, keeping the ETA honest.
-		db.noteProgress(pb, obs.PhaseRedoApply, 1, 0)
-		return nil
-	}
-	flags, data := splitImage(rec.After)
-	var sec machine.Section
-	if err := db.M.Enter(&sec, nd, line); err != nil {
-		return err
-	}
-	err = db.Store.WriteSlotIn(&sec, rid, heap.SlotData{Tag: db.redoTag(rec), Flags: flags, Version: rec.Version, Data: data}, &buf)
-	db.mustLeave(&sec, nd)
-	if err != nil {
-		return err
-	}
-	db.BM.MarkDirty(rid.Page)
-	rep.RedoApplied++
-	db.noteProgress(pb, obs.PhaseRedoApply, 1, len(rec.After))
-	return nil
-}
-
 // undoCrashed rolls back the down nodes' active transactions using their
 // stable logs (the down views of vs): every update whose effect is still
 // present is reverted to the transaction's earliest before image for that
@@ -797,21 +763,18 @@ func (db *DB) undoCrashed(coord machine.NodeID, vs []*logView, rep *RecoveryRepo
 	var pb progressBatch
 	defer db.flushProgress(&pb, obs.PhaseUndo)
 	for _, v := range vs {
-		if v.live != nil {
+		if v.log != nil {
 			continue
 		}
 		// Active on the crashed node = stable records, no stable
 		// commit/abort.
 		undoByTxn := make(map[wal.TxnID]undoSet)
-		v.scan(func(rec *wal.Record) bool {
-			if rec.Type != wal.TypeUpdate {
-				return true
-			}
-			if v.committed.has(rec.Txn) || v.aborted.has(rec.Txn) {
-				return true
+		for _, rec := range v.redo {
+			if rec.Type != wal.TypeUpdate || v.committed.has(rec.Txn) || v.aborted.has(rec.Txn) {
+				continue
 			}
 			if rec.NTA != 0 && v.ntaDone[rec.NTA] {
-				return true // early-committed structural change: keep
+				continue // early-committed structural change: keep
 			}
 			m := undoByTxn[rec.Txn]
 			if m == nil {
@@ -819,8 +782,7 @@ func (db *DB) undoCrashed(coord machine.NodeID, vs []*logView, rep *RecoveryRepo
 				undoByTxn[rec.Txn] = m
 			}
 			m.add(rec)
-			return true
-		})
+		}
 		// Install in sorted (txn, rid) order: each installImage draws a
 		// fresh global version for its compensation record, so map-order
 		// iteration would assign versions to slots differently run to run
@@ -871,7 +833,9 @@ func (db *DB) undoCrashed(coord machine.NodeID, vs []*logView, rep *RecoveryRepo
 // resurfaces. A tag naming live node n is legitimate only if n's log — which
 // survived intact — contains an update record for exactly this slot and
 // version belonging to a transaction that is still active; otherwise the
-// record is no longer active and the tag is nulled.
+// record is no longer active and the tag is nulled. Such a transaction was
+// live during the attempt's walk of n's log or began after it, so the check
+// reads only n's view's live updates and its tail (see logView.tagger).
 //
 // Each survivor in turn scans its cached lines (read-only), then applies the
 // repairs that scan called for before the next survivor scans: an applied
@@ -880,17 +844,8 @@ func (db *DB) undoCrashed(coord machine.NodeID, vs []*logView, rep *RecoveryRepo
 // each line counted in TagScanLines) exactly once.
 func (db *DB) undoTagScan(alive, crashed []machine.NodeID, vs []*logView, rep *RecoveryReport) error {
 	down := nodeSet(crashed)
-	// Per-survivor index, (rid, version) -> updating transaction, built by
-	// the first surviving tag that names the node.
-	idx := make([]map[slotVer]wal.TxnID, len(vs))
-	taggerIndex := func(n machine.NodeID) map[slotVer]wal.TxnID {
-		if idx[n] == nil {
-			idx[n] = buildTaggerIndex(vs[n])
-		}
-		return idx[n]
-	}
 	for _, n := range alive {
-		acts, lines, err := db.scanNodeTags(n, down, taggerIndex)
+		acts, lines, err := db.scanNodeTags(n, down, vs)
 		if err != nil {
 			return err
 		}
@@ -911,24 +866,26 @@ func nodeSet(nodes []machine.NodeID) map[machine.NodeID]bool {
 	return s
 }
 
-// slotVer keys a tagger index: one logged update version of one slot.
-type slotVer struct {
-	rid heap.RID
-	ver uint64
-}
-
-// buildTaggerIndex indexes a survivor's log by (rid, version) -> updating
-// transaction, for stale-tag verification. The log is iterated in place; the
-// callback only fills the map, so it is safe under the log mutex.
-func buildTaggerIndex(v *logView) map[slotVer]wal.TxnID {
-	m := make(map[slotVer]wal.TxnID)
-	v.scan(func(rec *wal.Record) bool {
-		if rec.Type == wal.TypeUpdate && rec.NTA == 0 {
-			m[slotVer{heap.RID{Page: rec.Page, Slot: rec.Slot}, rec.Version}] = rec.Txn
+// tagger returns the transaction whose update record in survivor v's log
+// wrote version ver of rid, looking among the updates of the transactions
+// live during the walk and then in the tail; ok is false if neither holds
+// one.
+func (v *logView) tagger(rid heap.RID, ver uint64) (txn wal.TxnID, ok bool) {
+	wrote := func(r *wal.Record) bool {
+		return r.Type == wal.TypeUpdate && r.NTA == 0 && r.Page == rid.Page && r.Slot == rid.Slot && r.Version == ver
+	}
+	for _, r := range v.held {
+		if wrote(r) {
+			return r.Txn, true
 		}
-		return true
-	})
-	return m
+	}
+	tail := v.tail()
+	for i := range tail {
+		if wrote(&tail[i]) {
+			return tail[i].Txn, true
+		}
+	}
+	return 0, false
 }
 
 // tagAction is one repair decision produced by a tag scan: either an undo of
@@ -944,7 +901,7 @@ type tagAction struct {
 // scanNodeTags scans nd's cached database lines read-only and returns the
 // repair actions they call for, plus the number of lines examined. All
 // coherency traffic is read hits on lines nd already caches.
-func (db *DB) scanNodeTags(nd machine.NodeID, down map[machine.NodeID]bool, taggerIndex func(machine.NodeID) map[slotVer]wal.TxnID) ([]tagAction, int, error) {
+func (db *DB) scanNodeTags(nd machine.NodeID, down map[machine.NodeID]bool, vs []*logView) ([]tagAction, int, error) {
 	var acts []tagAction
 	lines := 0
 	var buf heap.SlotBuf
@@ -966,7 +923,7 @@ func (db *DB) scanNodeTags(nd machine.NodeID, down map[machine.NodeID]bool, tagg
 				acts = append(acts, tagAction{nd: nd, rid: rid, tag: sd.Tag, undo: true})
 			default:
 				// Tag names a surviving node: verify against its log.
-				txn, ok := taggerIndex(sd.Tag)[slotVer{rid, sd.Version}]
+				txn, ok := vs[sd.Tag].tagger(rid, sd.Version)
 				if !ok || !db.txnLive(txn) {
 					acts = append(acts, tagAction{nd: nd, rid: rid, tag: sd.Tag})
 				}
@@ -1015,43 +972,27 @@ func (db *DB) clearStaleTag(nd machine.NodeID, rid heap.RID) error {
 // lastCommittedFromStable derives rid's last committed image without any
 // crashed node's volatile state: the newest update/CLR for rid that belongs
 // to a committed transaction (or is itself a compensation or committed
-// structural record) in any available log; if none is found, the stable
-// database's image.
+// structural record) in any view; if none is found, the stable database's
+// image. Like every summary, a survivor's view is as of the attempt's walk.
 func (db *DB) lastCommittedFromStable(nd machine.NodeID, rid heap.RID, vs []*logView) ([]byte, error) {
 	var best []byte
 	var bestVersion uint64
 	for _, v := range vs {
-		v.scan(func(rec *wal.Record) bool {
-			if rec.Page != rid.Page || rec.Slot != rid.Slot {
-				return true
+		for _, rec := range v.redo {
+			if rec.Page == rid.Page && rec.Slot == rid.Slot && rec.Version > bestVersion && v.committedEffect(rec) {
+				bestVersion, best = rec.Version, rec.After
 			}
-			committedEffect := false
-			switch {
-			case rec.Type == wal.TypeCLR:
-				committedEffect = true
-			case rec.Type != wal.TypeUpdate:
-				return true
-			case rec.NTA != 0 && v.ntaDone[rec.NTA]:
-				committedEffect = true
-			case v.committed.has(rec.Txn):
-				committedEffect = true
-			}
-			if committedEffect && rec.Version > bestVersion {
-				bestVersion = rec.Version
-				best = rec.After
-			}
-			return true
-		})
+		}
 	}
 	if best != nil {
 		// The caller logs the image: hand it a copy, not a slice of a view.
 		return slices.Clone(best), nil
 	}
-	// Fall back to the stable database image (retrying transient injected
-	// I/O errors — recovery must outlast a flaky disk).
+	// Fall back to the stable database image, read through the buffer
+	// manager's retrying reader: recovery must outlast a flaky disk.
 	if db.Disk.Exists(rid.Page) {
-		img, err := db.readPageRetry(nd, rid.Page)
-		if err != nil {
+		img := make([]byte, db.Disk.PageSize())
+		if err := db.BM.ReadPage(nd, rid.Page, img); err != nil {
 			return nil, err
 		}
 		db.M.AdvanceClock(nd, db.M.Config().Cost.DiskRead)
@@ -1089,13 +1030,12 @@ func (db *DB) replaySurvivorLocks(alive []machine.NodeID, vs []*logView) (int, e
 // pre-crash holdings were simultaneously granted, hence mutually compatible,
 // so the replay re-grants without waiting, and Acquire is idempotent).
 //
-// Only a transaction still live has locks to rebuild, and one that has
-// finished never becomes live again, so the scan reads the lock records of
-// live transactions alone: it asks txnLive (lock-free, so safe under the log
-// mutex) once per run of one transaction's lock records and skips the
-// records of every transaction that finished — nearly all of a long log. A
-// transaction that finishes after its run was read is caught below, by the
-// bookkeeping check or the re-check after the grant.
+// Only a transaction still live has locks to rebuild, so the replay reads the
+// lock records the view kept for the transactions live during the walk, then
+// those of live transactions in the tail — never the records of the
+// transactions that finished, nearly all of a long log. A transaction that
+// finishes after the walk is caught below, by the bookkeeping check or the
+// re-check after the grant.
 func (db *DB) replayNodeLocks(v *logView) (int, error) {
 	n := v.node
 	type lockKey struct {
@@ -1108,25 +1048,24 @@ func (db *DB) replayNodeLocks(v *logView) (int, error) {
 	const inFlight = 64
 	held := make(map[lockKey]bool, inFlight)
 	order := make([]lockKey, 0, inFlight)
-	var run wal.TxnID
-	live := false
-	v.scan(func(rec *wal.Record) bool {
-		if rec.Type != wal.TypeLockAcquire && rec.Type != wal.TypeLockRelease {
-			return true
-		}
-		if rec.Txn != run {
-			run, live = rec.Txn, db.txnLive(rec.Txn)
-		}
-		if !live {
-			return true
-		}
+	note := func(rec *wal.Record) {
 		k := lockKey{rec.Txn, rec.Lock}
 		if _, seen := held[k]; !seen {
 			order = append(order, k)
 		}
 		held[k] = rec.Type == wal.TypeLockAcquire
-		return true
-	})
+	}
+	for _, rec := range v.held {
+		if isLockRecord(rec) {
+			note(rec)
+		}
+	}
+	tail := v.tail()
+	for i := range tail {
+		if rec := &tail[i]; isLockRecord(rec) && db.txnLive(rec.Txn) {
+			note(rec)
+		}
+	}
 	replayed := 0
 	for _, k := range order {
 		if !held[k] {
@@ -1209,7 +1148,7 @@ func (db *DB) baselineReboot(rep *RecoveryReport, phase func(obs.Phase)) error {
 	phase(obs.PhaseDirectoryRepair)
 	// Redo committed effects from every node's stable log.
 	vs, _ := db.views(nil) // stable prefixes only: everything volatile died
-	if err := db.redoStable(vs, coord, rep); err != nil {
+	if err := db.applyRedo(db.collectRedo(vs, coord), rep); err != nil {
 		return err
 	}
 	phase(obs.PhaseRedoApply)

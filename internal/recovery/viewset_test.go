@@ -39,9 +39,11 @@ func readsSince(db *recovery.DB, base []int64) []int64 {
 // survivor and is found by the tag scan.
 //
 // The baseline case also pins what a whole-machine reboot replays and what it
-// costs the simulated machine: the reboot walks the redo scan's down-node
-// candidates one record at a time, so a change to that scan's filter that
-// moves the baseline shows here and not only in the E5 table.
+// costs the simulated machine: the reboot redoes the redo scan's down-node
+// candidates through the batched apply every IFA protocol uses, one line
+// section per same-line run (a skipped candidate that forms its own run takes
+// its line's lock too), so a change to that scan's filter or to the apply
+// that moves the baseline shows here and not only in the E5 table.
 //
 // Config.RecoveryWorkers is inert; the scenario runs at 0 and 3 workers so a
 // worker count that came to select a different read pattern would show here.
@@ -119,7 +121,7 @@ func TestRecoveryReadsEachStableLogOnce(t *testing.T) {
 						t.Errorf("the reboot replayed %s, want redo=1/1 undo=1", got)
 					}
 					wantOps := machine.Stats{Reads: 68, Writes: 3, LocalHits: 71, Installs: 80,
-						LineLockAcquires: 67, Crashes: 3, LinesLost: 76}
+						LineLockAcquires: 68, Crashes: 3, LinesLost: 76}
 					if ops != wantOps {
 						t.Errorf("the reboot's machine operations = %+v, want %+v", ops, wantOps)
 					}

@@ -48,8 +48,8 @@ func TestQuickWALInvariant(t *testing.T) {
 			if !db.Disk.Exists(storage.PageID(p)) {
 				continue
 			}
-			img, err := db.Disk.ReadPage(storage.PageID(p))
-			if err != nil {
+			img := make([]byte, db.Disk.PageSize())
+			if err := db.Disk.ReadPage(storage.PageID(p), img); err != nil {
 				t.Fatal(err)
 			}
 			for line := 1; line < layout.LinesPerPage; line++ {

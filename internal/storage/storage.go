@@ -117,21 +117,21 @@ func (d *Disk) faultCheck(op string) error {
 	return f(op)
 }
 
-// ReadPage returns a copy of page id, or ErrNoPage if it was never written.
-func (d *Disk) ReadPage(id PageID) ([]byte, error) {
+// ReadPage copies page id into dst, which the caller owns and which must
+// hold PageSize bytes, or fails with ErrNoPage if the page was never written.
+func (d *Disk) ReadPage(id PageID, dst []byte) error {
 	if err := d.faultCheck("read"); err != nil {
-		return nil, err
+		return err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	p, ok := d.pages[id]
 	if !ok {
-		return nil, fmt.Errorf("%w: page %d", ErrNoPage, id)
+		return fmt.Errorf("%w: page %d", ErrNoPage, id)
 	}
 	d.reads++
-	out := make([]byte, d.pageSize)
-	copy(out, p)
-	return out, nil
+	copy(dst[:d.pageSize], p)
+	return nil
 }
 
 // WritePage durably stores page id. Short data is zero-padded; long data is

@@ -9,12 +9,18 @@ import (
 	"testing/quick"
 )
 
+// readPage reads page id into a fresh buffer.
+func readPage(d *Disk, id PageID) ([]byte, error) {
+	buf := make([]byte, d.PageSize())
+	return buf, d.ReadPage(id, buf)
+}
+
 func TestDiskRoundTrip(t *testing.T) {
 	d := NewDisk(256)
 	if d.PageSize() != 256 {
 		t.Fatalf("PageSize = %d", d.PageSize())
 	}
-	if _, err := d.ReadPage(3); !errors.Is(err, ErrNoPage) {
+	if _, err := readPage(d, 3); !errors.Is(err, ErrNoPage) {
 		t.Errorf("read of missing page: err = %v, want ErrNoPage", err)
 	}
 	if d.Exists(3) {
@@ -24,7 +30,7 @@ func TestDiskRoundTrip(t *testing.T) {
 	if err := d.WritePage(3, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.ReadPage(3)
+	got, err := readPage(d, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +51,7 @@ func TestDiskShortWriteZeroPads(t *testing.T) {
 	if err := d.WritePage(0, []byte{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.ReadPage(0)
+	got, err := readPage(d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,9 +74,9 @@ func TestDiskReadReturnsCopy(t *testing.T) {
 	if err := d.WritePage(0, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := d.ReadPage(0)
+	got, _ := readPage(d, 0)
 	got[0] = 99
-	again, _ := d.ReadPage(0)
+	again, _ := readPage(d, 0)
 	if again[0] != 1 {
 		t.Error("ReadPage exposed internal buffer")
 	}
@@ -136,14 +142,14 @@ func TestFaultHooks(t *testing.T) {
 		return nil
 	}
 	d.SetFault(fault)
-	if _, err := d.ReadPage(0); !errors.Is(err, ErrTransient) {
+	if _, err := readPage(d, 0); !errors.Is(err, ErrTransient) {
 		t.Errorf("read under fault: err = %v, want ErrTransient", err)
 	}
 	if err := d.WritePage(0, []byte{2}); !errors.Is(err, ErrTransient) {
 		t.Errorf("write under fault: err = %v, want ErrTransient", err)
 	}
 	fail = false
-	if _, err := d.ReadPage(0); err != nil {
+	if _, err := readPage(d, 0); err != nil {
 		t.Errorf("read after fault cleared: %v", err)
 	}
 	d.SetFault(nil)
@@ -182,7 +188,7 @@ func TestDiskConcurrent(t *testing.T) {
 			for j := 0; j < 100; j++ {
 				id := PageID(j % 10)
 				_ = d.WritePage(id, []byte{byte(i), byte(j)})
-				if b, err := d.ReadPage(id); err == nil && len(b) != 64 {
+				if b, err := readPage(d, id); err == nil && len(b) != 64 {
 					t.Errorf("short page: %d", len(b))
 				}
 			}
@@ -215,7 +221,7 @@ func TestQuickDiskLastWriteWins(t *testing.T) {
 			last[id] = p
 		}
 		for id, want := range last {
-			got, err := d.ReadPage(id)
+			got, err := readPage(d, id)
 			if err != nil || !bytes.Equal(got, want) {
 				return false
 			}
