@@ -1,6 +1,7 @@
 package lock
 
 import (
+	"math/rand"
 	"testing"
 
 	"smdb/internal/machine"
@@ -59,6 +60,34 @@ func BenchmarkSMAcquireReleaseMigrating(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSMAcquireReleaseAged is an exclusive Acquire+Release of a random
+// benchmark record name on node 0 of the benchmark's 2 048-line table after
+// 12 000 eight-lock transactions have aged it (TestProbesPerAcquireStayFlat's
+// workload). Besides ns/op it reports the lock-table probes (both calls') and
+// the simulated machine reads per op: the figures table age used to inflate.
+func BenchmarkSMAcquireReleaseAged(b *testing.B) {
+	s, m := benchSM(b, LogNoLocks)
+	names := benchRecordNames()
+	rng := rand.New(rand.NewSource(1))
+	ageTable(b, s, names, rng, 12000, 12000, func(float64) {})
+	txn := wal.MakeTxnID(0, 1<<20)
+	p0, r0 := s.Stats().Probes, m.Stats().Reads
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		name := names[rng.Intn(len(names))]
+		if _, err := s.Acquire(0, txn, name, Exclusive); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Release(0, txn, name); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(s.Stats().Probes-p0)/float64(b.N), "probes/op")
+	b.ReportMetric(float64(m.Stats().Reads-r0)/float64(b.N), "reads/op")
 }
 
 func BenchmarkSDAcquireRelease(b *testing.B) {

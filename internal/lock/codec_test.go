@@ -14,11 +14,14 @@ import (
 // lock table was first written with, kept verbatim as the reference the
 // in-place codec is compared against: the line image is the on-"disk" format
 // of the lock space (recovery reads what a crashed node's peers wrote), so it
-// must not move by a byte.
+// must not move by a byte. Tombstones alone were extended since: a freeing
+// write stamps bytes 1-7 of the header and keeps a name (a named tombstone
+// its LCB's, an anonymous one 0).
 type oracleLCB struct {
 	state   byte
 	name    Name
 	next    int
+	stamp   uint64
 	holders []Entry
 	waiters []Entry
 }
@@ -26,6 +29,12 @@ type oracleLCB struct {
 func oracleDecodeLCB(raw []byte) oracleLCB {
 	var b oracleLCB
 	b.state = raw[lcbStateOff]
+	if b.state == lcbTombstone || b.state == lcbNamedTombstone {
+		b.next = -1
+		b.stamp = binary.LittleEndian.Uint64(raw) >> 8
+		b.name = Name(binary.LittleEndian.Uint64(raw[lcbNameOff:]))
+		return b
+	}
 	b.next = int(binary.LittleEndian.Uint32(raw[lcbNextOff:])) - 1
 	if b.state != lcbUsed && b.state != lcbOverflow {
 		return b
@@ -50,6 +59,11 @@ func oracleDecodeLCB(raw []byte) oracleLCB {
 
 func oracleEncodeLCB(lineSize int, b oracleLCB) []byte {
 	raw := make([]byte, lineSize)
+	if b.state == lcbTombstone || b.state == lcbNamedTombstone {
+		binary.LittleEndian.PutUint64(raw, b.stamp<<8|uint64(b.state))
+		binary.LittleEndian.PutUint64(raw[lcbNameOff:], uint64(b.name))
+		return raw
+	}
 	raw[lcbStateOff] = b.state
 	binary.LittleEndian.PutUint32(raw[lcbNextOff:], uint32(b.next+1))
 	if b.state != lcbUsed && b.state != lcbOverflow {
@@ -70,10 +84,11 @@ func oracleEncodeLCB(lineSize int, b oracleLCB) []byte {
 	return raw
 }
 
-// randomLCB draws an LCB in any of the four states with 0..capacity entries
-// split anywhere between holders and waiters, next set or unset.
+// randomLCB draws an LCB in any of the five states with 0..capacity entries
+// split anywhere between holders and waiters, next set or unset, and a
+// 56-bit stamp.
 func randomLCB(rng *rand.Rand, capacity int) oracleLCB {
-	b := oracleLCB{state: byte(rng.Intn(4)), name: Name(rng.Uint64()), next: -1}
+	b := oracleLCB{state: byte(rng.Intn(5)), name: Name(rng.Uint64()), next: -1, stamp: rng.Uint64() >> 8}
 	if rng.Intn(2) == 0 {
 		b.next = rng.Intn(1 << 20)
 	}
@@ -108,14 +123,14 @@ func TestCodecMatchesOracle(t *testing.T) {
 			rng.Read(raw)
 		}
 		want := oracleEncodeLCB(lineSize, o)
-		encodeLCB(raw, &lcb{state: o.state, name: o.name, next: o.next, holders: o.holders, waiters: o.waiters})
+		encodeLCB(raw, &lcb{state: o.state, name: o.name, next: o.next, stamp: o.stamp, holders: o.holders, waiters: o.waiters})
 		if !bytes.Equal(raw, want) {
 			t.Fatalf("LCB %d %+v:\n encoded %x\n oracle  %x", i, o, raw, want)
 		}
 
 		decodeLCB(raw, &dec)
 		od := oracleDecodeLCB(want)
-		got := oracleLCB{state: dec.state, name: dec.name, next: dec.next}
+		got := oracleLCB{state: dec.state, name: dec.name, next: dec.next, stamp: dec.stamp}
 		// The oracle leaves empty lists nil; compare contents.
 		got.holders = append(got.holders, dec.holders...)
 		got.waiters = append(got.waiters, dec.waiters...)

@@ -1,6 +1,7 @@
 package lock
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -13,14 +14,16 @@ import (
 
 // LCB line layout:
 //
-//	off 0   state: empty / used / tombstone / overflow
-//	off 1   holder count (this line's share)
+//	off 0   state: empty / used / tombstone / overflow / named tombstone
+//	off 1   holder count (this line's share); in a tombstone, offsets 1-7
+//	        are the stamp of the write that freed the slot (see freed)
 //	off 2   waiter count (this line's share)
 //	off 3   reserved
 //	off 4   next line: table-slot index + 1 of the overflow continuation,
 //	        0 if none (only meaningful in chained mode)
 //	off 8   lock name (8 bytes); for an overflow line, the head's table
-//	        slot index (for orphan detection)
+//	        slot index (for orphan detection); for a named tombstone, the
+//	        name of the LCB it replaced (0 in an anonymous one)
 //	off 16  entries: holders first, then waiters, 9 bytes each
 //	        (txn id 8 bytes + mode 1 byte)
 //
@@ -45,8 +48,11 @@ const (
 const (
 	lcbEmpty     = 0 // never used; probe chains end here
 	lcbUsed      = 1
-	lcbTombstone = 2 // reusable, but probe chains continue past it
+	lcbTombstone = 2 // reusable, name unknown: every probe chain continues past it
 	lcbOverflow  = 3 // continuation of a chained LCB; skipped by probing
+	// lcbNamedTombstone is a reusable freed LCB head that keeps its LCB's
+	// name: the search for that name ends here, every other continues.
+	lcbNamedTombstone = 4
 )
 
 // LogMode selects which lock operations are logged.
@@ -82,6 +88,7 @@ type lcb struct {
 	name  Name
 	// next is the table slot of the overflow continuation, -1 if none.
 	next    int
+	stamp   uint64 // a tombstone's (see freed)
 	holders []Entry
 	waiters []Entry
 }
@@ -179,7 +186,7 @@ func (s *SMManager) entryCap() int {
 // calls by different nodes never write the same line.
 type nodeStats struct {
 	Stats
-	_ [8]byte
+	stamps atomic.Int64 // tombstone stamps issued (freed)
 }
 
 // Stats returns a snapshot of the counters, summed over the per-node blocks.
@@ -213,7 +220,9 @@ type lcbScratch struct {
 	// sec is withLCB's (or ReleaseCrashed's) line section on the slot it works
 	// on, closed outside one. While it is open, readSlot and writeSlot reach
 	// that slot through it and every other slot after yielding it.
-	sec machine.Section
+	sec   machine.Section
+	home  [lcbEntriesOff]byte // the home slot's header, as search peeked it
+	guard machine.Section     // insertAway's, on the line keeping home occupied
 }
 
 // getScratch takes a scratch from the pool (callers Put it back), sized for
@@ -243,11 +252,13 @@ func rawNext(raw []byte) int  { return int(binary.LittleEndian.Uint32(raw[lcbNex
 // decodeLCB parses the line image raw into b, reusing b's entry arrays.
 func decodeLCB(raw []byte, b *lcb) {
 	*b = lcb{state: raw[lcbStateOff], next: rawNext(raw), holders: b.holders[:0], waiters: b.waiters[:0]}
-	if b.state != lcbUsed && b.state != lcbOverflow {
-		return
+	switch b.state {
+	case lcbTombstone, lcbNamedTombstone:
+		b.name, b.next, b.stamp = rawName(raw), -1, binary.LittleEndian.Uint64(raw)>>8
+	case lcbUsed, lcbOverflow:
+		b.name = rawName(raw)
+		appendEntries(raw, b)
 	}
-	b.name = rawName(raw)
-	appendEntries(raw, b)
 }
 
 // appendEntries appends the holder and waiter entries stored in the line
@@ -271,6 +282,12 @@ func appendEntries(raw []byte, b *lcb) {
 // encodeLCB overwrites the whole line image raw with b's encoding; whatever
 // an earlier, longer LCB left beyond b's last entry is zeroed.
 func encodeLCB(raw []byte, b *lcb) {
+	if b.state == lcbTombstone || b.state == lcbNamedTombstone {
+		binary.LittleEndian.PutUint64(raw, b.stamp<<8|uint64(b.state))
+		binary.LittleEndian.PutUint64(raw[lcbNameOff:], uint64(b.name))
+		clear(raw[lcbEntriesOff:])
+		return
+	}
 	raw[lcbStateOff] = b.state
 	raw[lcbNHoldOff], raw[lcbNWaitOff], raw[3] = 0, 0, 0
 	binary.LittleEndian.PutUint32(raw[lcbNextOff:], uint32(b.next+1))
@@ -358,7 +375,8 @@ func (s *SMManager) loadChain(nd machine.NodeID, head int, sc *lcbScratch, skipI
 // across the head line and as many overflow lines as needed (chained mode),
 // reusing the previously occupied sc.slots, claiming new ones, and
 // tombstoning leftovers. The caller holds the head's line lock. A b whose
-// state is not lcbUsed frees the whole chain.
+// state is not lcbUsed frees the whole chain: the head becomes a tombstone
+// named b.name, the overflow lines anonymous ones.
 func (s *SMManager) storeChain(nd machine.NodeID, head int, sc *lcbScratch) error {
 	b := &sc.b
 	per := s.entryCap()
@@ -396,20 +414,31 @@ func (s *SMManager) storeChain(nd machine.NodeID, head int, sc *lcbScratch) erro
 		}
 	}
 	// Free what is no longer needed.
-	for _, slot := range sc.slots[need:] {
-		if err := s.writeSlot(nd, slot, &tombstone, sc); err != nil {
+	for k, slot := range sc.slots[need:] {
+		free := s.freed(nd, lcbTombstone, 0)
+		if need == 0 && k == 0 {
+			free.state, free.name = lcbNamedTombstone, b.name
+		}
+		if err := s.writeSlot(nd, slot, &free, sc); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// tombstone is what a freed slot is overwritten with (never modified).
-var tombstone = lcb{state: lcbTombstone, next: -1}
+// freed returns the tombstone node nd overwrites a slot it frees with, in
+// state lcbTombstone (name 0) or lcbNamedTombstone. Its stamp — the node and
+// its count of stamps — was never used before, so a slot freed again never
+// shows a header it showed before (withLCB's insert at home relies on it).
+func (s *SMManager) freed(nd machine.NodeID, state byte, name Name) lcb {
+	n := s.stats[nd].stamps.Add(1)
+	return lcb{state: state, name: name, next: -1, stamp: uint64(nd)<<48 | uint64(n)&(1<<48-1)}
+}
 
 // rawFree reports whether a line image is a slot no LCB occupies.
 func rawFree(raw []byte) bool {
-	return raw[lcbStateOff] == lcbEmpty || raw[lcbStateOff] == lcbTombstone
+	st := raw[lcbStateOff]
+	return st == lcbEmpty || st == lcbTombstone || st == lcbNamedTombstone
 }
 
 // claimOverflowSlot finds and claims a free table slot for an overflow
@@ -463,101 +492,175 @@ func (s *SMManager) hashSlot(name Name) int {
 // inserted), and calls fn with the slot index and decoded LCB while holding
 // the slot's line lock; fn edits the LCB in place and returns whether to
 // write it back. The LCB is lent from a scratch: fn must not retain it or its
-// entry arrays. Linear probing with tombstones: the search continues past
-// tombstones and ends at the first empty slot; insertion reuses the first
-// tombstone seen. If create is false and the name is absent, fn is called
-// with found=false and state lcbEmpty at the would-be slot, no line lock
-// held.
+// entry arrays. If create is false and the name is absent, fn is called with
+// found=false and state lcbEmpty at the would-be slot, no line lock held.
 //
-// A probe compares the 16-byte header of the line image and decodes entries
-// only for the matching slot. The machine operations are fixed: one peek read
-// per probe; on a hit GetLine, a confirming read, the chain's reads, one Write
-// per stored line, ReleaseLine; on an insert GetLine, a confirming read,
-// Write, ReleaseLine. From GetLine to ReleaseLine they are the steps of one
-// line section on the slot, so an unchained LCB costs one stripe hold; a
+// Linear probing with tombstones (search); insertion goes to the first free
+// slot the search saw, so along a name's probe sequence its used LCB comes
+// before every tombstone with its name. An insert at the home slot h is
+// confirmed by finding h's header as the search peeked it: a freed slot is
+// stamped anew (freed), so h stayed free, and an insert of the name away from
+// home, which needs h occupied (insertAway), cannot have happened meanwhile.
+// DESIGN.md §5 ("Lock table") has the argument.
+//
+// The machine operations are fixed: one peek read per probe; on a hit
+// GetLine, a confirming read, the chain's reads, one Write per stored line,
+// ReleaseLine; on an insert at home GetLine, a confirming read, Write,
+// ReleaseLine. From GetLine to ReleaseLine they are the steps of one line
+// section on the slot, and GetLine continues the stripe hold of the peek
+// that decided on the slot if that was the search's last (machine.Peek); a
 // chain's continuation lines are reached with the section yielded (readSlot).
 func (s *SMManager) withLCB(nd machine.NodeID, name Name, create bool,
 	fn func(slot int, b *lcb, found bool) (write bool, err error)) error {
 	sc := s.getScratch()
 	var probes int64
 	defer func() {
+		sc.sec.Yield()
 		atomic.AddInt64(&s.stats[nd].Probes, probes)
 		s.scratch.Put(sc)
 	}()
-retry:
-	firstFree := -1
 	h := s.hashSlot(name)
-probing:
-	for probe := 0; probe < s.nline; probe++ {
-		i := (h + probe) % s.nline
-		probes++
-		// Peek without the lock first; confirm under the lock.
-		if err := s.readSlot(nd, i, sc); err != nil {
+retry:
+	hit, free, err := s.search(nd, name, h, sc, &probes)
+	switch {
+	case err != nil:
+		return err
+	case hit >= 0:
+		if err := s.M.Enter(&sc.sec, nd, s.base+machine.LineID(hit)); err != nil {
 			return err
 		}
-		switch state := sc.raw[lcbStateOff]; {
-		case state == lcbUsed && rawName(sc.raw) == name:
-			if err := s.M.Enter(&sc.sec, nd, s.base+machine.LineID(i)); err != nil {
-				return err
-			}
-			err := s.readSlot(nd, i, sc)
-			if err == nil && (sc.raw[lcbStateOff] != lcbUsed || rawName(sc.raw) != name) {
-				// Changed while we were acquiring the line lock.
-				sc.leave()
-				goto retry
-			}
-			if err == nil {
-				err = s.loadChain(nd, i, sc, false)
-			}
-			if err == nil {
-				var write bool
-				write, err = fn(i, &sc.b, true)
-				if err == nil && write {
-					err = s.storeChain(nd, i, sc)
-				}
-			}
+		err := s.readSlot(nd, hit, sc)
+		if err == nil && (sc.raw[lcbStateOff] != lcbUsed || rawName(sc.raw) != name) {
+			// Changed while we were acquiring the line lock.
 			sc.leave()
-			return err
-		case state == lcbTombstone:
-			if firstFree < 0 {
-				firstFree = i
-			}
-		case state == lcbEmpty:
-			if firstFree < 0 {
-				firstFree = i
-			}
-			break probing // end of the probe chain
+			goto retry
 		}
-	}
-	// The name is absent: the probe chain ended at an empty slot, or the
-	// whole table is used slots and tombstones.
-	if !create {
-		_, err := fn(firstFree, sc.fresh(lcbEmpty, 0), false)
+		if err == nil {
+			err = s.loadChain(nd, hit, sc, false)
+		}
+		if err == nil {
+			var write bool
+			write, err = fn(hit, &sc.b, true)
+			if err == nil && write {
+				err = s.storeChain(nd, hit, sc)
+			}
+		}
+		sc.leave()
 		return err
-	}
-	if firstFree < 0 {
+	case !create:
+		sc.sec.Yield()
+		_, err := fn(free, sc.fresh(lcbEmpty, 0), false)
+		return err
+	case free < 0:
 		return ErrLockTableFull
-	}
-	if err := s.M.Enter(&sc.sec, nd, s.base+machine.LineID(firstFree)); err != nil {
+	case free != h:
+		again, err := s.insertAway(nd, name, h, sc, &probes, fn)
+		if again {
+			goto retry
+		}
 		return err
 	}
-	err := s.readSlot(nd, firstFree, sc)
-	if err == nil && !rawFree(sc.raw) {
-		// Another node claimed the slot meanwhile (as an LCB head or an
-		// overflow line).
+	if err := s.M.Enter(&sc.sec, nd, s.base+machine.LineID(h)); err != nil {
+		return err
+	}
+	err = s.readSlot(nd, h, sc)
+	if err == nil && !bytes.Equal(sc.raw[:lcbEntriesOff], sc.home[:]) {
+		// Taken, or taken and freed again, since the peek.
 		sc.leave()
 		goto retry
 	}
 	if err == nil {
-		nb := sc.fresh(lcbUsed, name)
-		var write bool
-		write, err = fn(firstFree, nb, false)
-		if err == nil && write {
-			err = s.writeSlot(nd, firstFree, nb, sc)
-		}
+		err = s.insert(nd, h, name, sc, fn)
 	}
 	sc.leave()
 	return err
+}
+
+// search peeks the 16-byte headers along name's probe sequence from its home
+// slot h, lock-free, until a used LCB for name (hit), an empty slot or a
+// tombstone named name; it returns hit (-1 if none) and the first free slot
+// seen (-1 if none), keeps h's header in sc.home and counts its probes. The
+// stripe of the last slot peeked stays held in sc.sec for an Enter on it.
+func (s *SMManager) search(nd machine.NodeID, name Name, h int, sc *lcbScratch, probes *int64) (hit, free int, err error) {
+	hdr := sc.raw[:lcbEntriesOff]
+	free = -1
+	for probe := 0; probe < s.nline; probe++ {
+		i := (h + probe) % s.nline
+		*probes++
+		if err := s.M.Peek(&sc.sec, nd, s.base+machine.LineID(i), 0, hdr); err != nil {
+			return -1, -1, err
+		}
+		if probe == 0 {
+			copy(sc.home[:], hdr)
+		}
+		state := hdr[lcbStateOff]
+		if state == lcbUsed && rawName(hdr) == name {
+			return i, free, nil
+		}
+		if rawFree(hdr) && free < 0 {
+			free = i
+		}
+		if state == lcbEmpty || state == lcbNamedTombstone && rawName(hdr) == name {
+			break
+		}
+	}
+	return -1, free, nil
+}
+
+// insert fills a fresh LCB for name through fn and writes it to slot i,
+// whose line lock the caller holds, if fn says so.
+func (s *SMManager) insert(nd machine.NodeID, i int, name Name, sc *lcbScratch,
+	fn func(slot int, b *lcb, found bool) (write bool, err error)) error {
+	nb := sc.fresh(lcbUsed, name)
+	write, err := fn(i, nb, false)
+	if err == nil && write {
+		err = s.writeSlot(nd, i, nb, sc)
+	}
+	return err
+}
+
+// insertAway inserts name at a free slot away from its home slot h, which the
+// search found occupied. It holds the line lock that keeps h occupied — h's
+// own, or its chain head's if h is an overflow line — so inserts of the name
+// are serialized; checks h, searches again, and claims the free slot with
+// TryGetLine (waiting with that lock held could deadlock). again reports that
+// withLCB must search afresh. On top of an insert it costs a GetLine and
+// ReleaseLine, a read of h and a second search.
+func (s *SMManager) insertAway(nd machine.NodeID, name Name, h int, sc *lcbScratch, probes *int64,
+	fn func(slot int, b *lcb, found bool) (write bool, err error)) (again bool, err error) {
+	sc.sec.Yield()
+	state, guard := sc.home[lcbStateOff], h
+	if state == lcbOverflow {
+		guard = int(rawName(sc.home[:]))
+	}
+	if err := s.M.Enter(&sc.guard, nd, s.base+machine.LineID(guard)); err != nil {
+		return false, err
+	}
+	defer func() { _ = sc.guard.Leave() }()
+	sc.guard.Yield()
+	if err := s.readSlot(nd, h, sc); err != nil {
+		return false, err
+	}
+	if sc.raw[lcbStateOff] != state || state == lcbUsed && rawName(sc.raw) == name ||
+		state == lcbOverflow && rawName(sc.raw) != Name(guard) {
+		return true, nil
+	}
+	hit, free, err := s.search(nd, name, h, sc, probes)
+	sc.sec.Yield()
+	if err != nil || hit >= 0 || free < 0 || free == h {
+		return err == nil, err
+	}
+	l := s.base + machine.LineID(free)
+	if ok, err := s.M.TryGetLine(nd, l); err != nil || !ok {
+		return err == nil, err
+	}
+	if err = s.readSlot(nd, free, sc); err == nil && rawFree(sc.raw) {
+		err = s.insert(nd, free, name, sc, fn)
+	} else if err == nil {
+		again = true
+	}
+	_ = s.M.ReleaseLine(nd, l)
+	return again, err
 }
 
 // leave ends the scratch's section; best effort (a crash broke the lock).

@@ -35,7 +35,8 @@ type LockState struct {
 func (s *SMManager) ReinstallLost(nd machine.NodeID) (int, error) {
 	sc := s.getScratch()
 	defer s.scratch.Put(sc)
-	encodeLCB(sc.raw, &tombstone)
+	t := s.freed(nd, lcbTombstone, 0)
+	encodeLCB(sc.raw, &t)
 	n := 0
 	for i := 0; i < s.nline; i++ {
 		l := s.base + machine.LineID(i)
@@ -153,7 +154,8 @@ func (s *SMManager) SweepBrokenChains(nd machine.NodeID) (int, int, error) {
 		// Broken: drop every surviving fragment; replay will rebuild.
 		dropped++
 		for _, p := range sc.slots {
-			if err := s.writeSlot(nd, p, &tombstone, sc); err != nil {
+			t := s.freed(nd, lcbTombstone, 0)
+			if err := s.writeSlot(nd, p, &t, sc); err != nil {
 				return dropped, orphans, err
 			}
 		}
@@ -165,7 +167,8 @@ func (s *SMManager) SweepBrokenChains(nd machine.NodeID) (int, int, error) {
 		}
 		if sc.raw[lcbStateOff] == lcbOverflow && !referenced[i] {
 			orphans++
-			if err := s.writeSlot(nd, i, &tombstone, sc); err != nil {
+			t := s.freed(nd, lcbTombstone, 0)
+			if err := s.writeSlot(nd, i, &t, sc); err != nil {
 				return dropped, orphans, err
 			}
 		}

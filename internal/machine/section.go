@@ -131,11 +131,18 @@ func (h *Section) settle() error {
 // on l for node nd, blocking while another node holds it, and on success
 // leaves sec open with the line's stripe held. On error sec stays closed and
 // nothing is held.
+//
+// After Peek(sec, nd, l, ...) Enter(sec, nd, l) is the next step of the peek's
+// hold: the stripe is not given up between the read and the getline. A
+// stripe sec holds from a Peek of another line is yielded first.
 func (m *Machine) Enter(sec *Section, nd NodeID, l LineID) error {
 	if err := m.checkLine(l); err != nil {
 		return err
 	}
-	sec.at(m, nd, l)
+	if !sec.held || sec.open || sec.m != m || sec.nd != nd || sec.l != l {
+		sec.Yield()
+		sec.at(m, nd, l)
+	}
 	sec.lock()
 	err := sec.acquire()
 	if err == nil {
@@ -153,6 +160,23 @@ func (m *Machine) Enter(sec *Section, nd NodeID, l LineID) error {
 	}
 	sec.open = true
 	return nil
+}
+
+// Peek is ReadInto that keeps l's stripe: it leaves sec closed, pointed at l
+// with the stripe held, so that Enter(sec, nd, l) can follow in the same hold.
+// A goroutine holds one stripe at a time: anything else must Yield first. sec
+// must not be open; a stripe it still holds from an earlier Peek is yielded.
+func (m *Machine) Peek(sec *Section, nd NodeID, l LineID, off int, dst []byte) error {
+	if err := m.checkLine(l); err != nil {
+		return err
+	}
+	sec.Yield()
+	sec.at(m, nd, l)
+	err := sec.Read(off, dst)
+	if err != nil {
+		sec.Yield()
+	}
+	return err
 }
 
 // On reports whether sec is an open section on line l.

@@ -17,6 +17,7 @@ import (
 // lineCS drives one line-lock critical section. The property below runs the
 // same script through both implementations and requires the same machine.
 type lineCS interface {
+	peek(nd NodeID, l LineID, dst []byte) error // a read of l an enter of l may follow
 	enter(nd NodeID, l LineID) error
 	read(off int, dst []byte) error
 	write(off int, data []byte) error
@@ -31,6 +32,9 @@ type viaSection struct {
 	sec Section
 }
 
+func (v *viaSection) peek(nd NodeID, l LineID, dst []byte) error {
+	return v.m.Peek(&v.sec, nd, l, 0, dst)
+}
 func (v *viaSection) enter(nd NodeID, l LineID) error  { return v.m.Enter(&v.sec, nd, l) }
 func (v *viaSection) read(off int, dst []byte) error   { return v.sec.Read(off, dst) }
 func (v *viaSection) write(off int, data []byte) error { return v.sec.Write(off, data) }
@@ -45,6 +49,7 @@ type viaCalls struct {
 	l  LineID
 }
 
+func (v *viaCalls) peek(nd NodeID, l LineID, dst []byte) error { return v.m.ReadInto(nd, l, 0, dst) }
 func (v *viaCalls) enter(nd NodeID, l LineID) error {
 	v.nd, v.l = nd, l
 	return v.m.GetLine(nd, l)
@@ -144,6 +149,12 @@ func runSectionScript(t *testing.T, seed int64, coh Coherency, mk func(*Machine)
 				logf("release by holder %d: %v", holder, rerr)
 			} else {
 				victim = []int{nobody, nobody, loser, gainer}[r.Intn(4)]
+				if r.Intn(2) == 0 {
+					// The peek's stripe hold carries on into the enter.
+					dst := make([]byte, 1+r.Intn(lineSize))
+					perr := cs.peek(nd, l, dst)
+					logf("peek %d by %d: %v %x", l, nd, perr, dst)
+				}
 				err = cs.enter(nd, l)
 			}
 			logf("enter %d on %d: %v", l, nd, err)
@@ -197,7 +208,9 @@ func runSectionScript(t *testing.T, seed int64, coh Coherency, mk func(*Machine)
 // counters and clock charge published per hold, leaves exactly the machine —
 // and returns exactly the errors and bytes, and emits exactly the trace
 // events, at the same simulated times — as the same steps issued as
-// GetLine/ReadInto/Write/SetActive/ReleaseLine. The script covers local hits,
+// GetLine/ReadInto/Write/SetActive/ReleaseLine — and a Peek whose hold an
+// Enter continues, exactly as ReadInto followed by GetLine. The script covers
+// local hits,
 // remote first touches (migrate, invalidate), contended enters, another
 // node's read landing inside the section, a
 // transition-fault hook that kills the previous holder or the enterer itself,

@@ -16,7 +16,11 @@ import (
 // perNodeTableView is what TestPerNodeTablesMatchGlobalTable's scenario
 // printed at the commit before the transaction table, the protocol counters
 // and the oracle were split per node: everything below came out of one
-// global table under one mutex.
+// global table under one mutex. The lock-space counts were re-recorded when
+// lock-table searches began to stop at a name's own tombstone: fewer peeks
+// leave fewer shared copies of LCB lines on survivors, so the crashes destroy
+// more of them (LCBsRebuilt 25 -> 29) and leave fewer crashed transactions'
+// entries in surviving ones (LockEntriesReleased 4 -> 2).
 const perNodeTableView = `active before ckpt: [t0.7 t1.4 t1.11 t2.2 t2.9 t3.7]
 active on node 2: [t2.2 t2.9]
 first LSN after ckpt: [226 52 19 92]
@@ -24,7 +28,7 @@ wave 1 aborted: [t3.7 t3.14] redo 4/40 undo 2
 active after wave 1: [t0.7 t0.14 t1.4 t1.11 t2.2 t2.9]
 wave 2 aborted: [t1.4 t1.11 t2.2 t2.9 t2.16] redo 64/35 undo 8
 active after wave 2: [t0.7 t0.14 t0.20]
-stats: {Updates:337 Inserts:48 Deletes:0 Commits:51 Aborts:19 CommitForces:51 LBMForces:0 NTAForces:0 TagWrites:385 TagClears:232 UndoTagBytes:385 RedoApplied:68 RedoSkipped:75 UndoApplied:10 TxnsAbortedByRecovery:7 LCBsRebuilt:25 LockEntriesReleased:4}
+stats: {Updates:337 Inserts:48 Deletes:0 Commits:51 Aborts:19 CommitForces:51 LBMForces:0 NTAForces:0 TagWrites:385 TagClears:232 UndoTagBytes:385 RedoApplied:68 RedoSkipped:75 UndoApplied:10 TxnsAbortedByRecovery:7 LCBsRebuilt:29 LockEntriesReleased:2}
 images: c04112cfd5bf03df
 ifa violations: 0 durability violations: 0`
 
