@@ -89,21 +89,20 @@ func (s TxnStatus) String() string {
 	}
 }
 
-// writeRec records one update a transaction made (node-local bookkeeping
-// plus IFA-oracle input: the after image, version, and log position).
+// writeRec records one update a transaction made: the slot and the update
+// record's log position (0 while AblatedNoLBM defers the record).
 type writeRec struct {
-	rid     heap.RID
-	img     []byte
-	version uint64
-	lsn     wal.LSN
+	rid heap.RID
+	lsn wal.LSN
 }
 
 // txnState is the node-local control state of one transaction. A node crash
 // destroys the txnState of its transactions (the "control state (registers,
-// stack, etc.)" of section 3.1); recovery must never read a crashed
-// transaction's txnState — it rediscovers what it needs from stable logs and
-// undo tags. The engine keeps crashed entries only for the IFA oracle
-// (verification), clearly separated by the crashed flag.
+// stack, etc.)" of section 3.1); the engine keeps their entries, marked by
+// the crashed flag. Restart recovery reads only their outcome (status and
+// crashed flag: txnDead, settling the victims, dooming a parallel family)
+// and rediscovers the rest from stable logs and undo tags; the IFA checker
+// also reads their write lists.
 //
 // id, beginSim and logFloor never change. status and crashed are written
 // under the node's mutex and read anywhere; every other field is guarded by
@@ -125,14 +124,14 @@ type txnState struct {
 	// writes lists the undoable (non-NTA) updates the transaction applied, in
 	// order, with their log positions: the index of its undo chain (an update
 	// record's PrevLSN is the tail's LSN; Abort starts at the tail), the slots
-	// whose tags Commit clears, and the IFA oracle's input.
+	// whose tags Commit clears, and the IFA checker's index of its updates.
 	writes []writeRec
 	// nta > 0 while a nested top-level action is open.
 	nta uint64
 	// global > 0 marks a branch of a parallel (multi-node) transaction.
 	global uint64
-	// deferred holds update records not yet appended to the log — only
-	// used by the AblatedNoLBM negative control, which logs at commit.
+	// deferred holds the transaction's update records until it commits —
+	// only used by the AblatedNoLBM negative control, which logs at commit.
 	deferred []wal.Record
 	// lockBuf, wantBuf and writeBuf back locks, wants and writes until the
 	// transaction outgrows them, so an ordinary transaction's bookkeeping is
@@ -236,8 +235,8 @@ type DB struct {
 	// committed-value-lost race).
 	recovering atomic.Bool
 
-	// nodes is the per-node control state (transaction tables, counters,
-	// oracle shards): everything a single-node transaction touches.
+	// nodes is the per-node control state (transaction tables, counters):
+	// everything a single-node transaction touches.
 	nodes []nodeCtl
 
 	// mu guards what belongs to no node and is off the forward path:
@@ -270,11 +269,6 @@ type DB struct {
 	// redoRuns is the redo apply phase's run buffer (see carveRuns), grown
 	// to the largest candidate list seen and reused across Recover calls.
 	redoRuns []redoRun
-}
-
-type committedImage struct {
-	img     []byte
-	version uint64
 }
 
 // New builds a database instance. It panics on invalid configuration
@@ -314,9 +308,6 @@ func New(cfg Config) (*DB, error) {
 		Logs:  logs,
 		Locks: locks,
 		nodes: make([]nodeCtl, m.Nodes()),
-	}
-	for i := range db.nodes {
-		db.nodes[i].committed = make(map[heap.RID]committedImage)
 	}
 	db.BM.NVRAMLog = cfg.NVRAMLog
 	db.hk.Store(new(hooks.Set))

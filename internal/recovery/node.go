@@ -10,7 +10,7 @@ import (
 )
 
 // nodeCtl is one node's control state: its transaction table, sequence
-// counter, protocol counters, pending-LSN mark, oracle shard and image arena.
+// counter, protocol counters, pending-LSN mark and image arena.
 // The paper's model (sections 2 and 3.1) gives every node its own control
 // state, and nothing a transaction on private data does reads or writes
 // another node's block — so the blocks are padded apart and a forward-path
@@ -35,11 +35,6 @@ type nodeCtl struct {
 	// they are atomics.
 	stats                              Stats
 	commitForces, lbmForces, ntaForces atomic.Int64
-	// committed is the IFA oracle's shard for transactions that committed
-	// on this node: the last committed image of every slot they wrote
-	// (flags byte followed by record data), plus its version. Guarded by
-	// mu; readers merge the shards by highest version.
-	committed map[heap.RID]committedImage
 	// pendingLSN is, for StableTriggered, the highest LSN an update on this
 	// node left unforced, so the trigger knows how far to force. Atomic:
 	// lbmTrigger reads it with a machine stripe held.
@@ -51,7 +46,7 @@ type nodeCtl struct {
 	// (they hold pointers), so the array need not start on a line boundary,
 	// and with 64 idle bytes between them two nodes' fields still never
 	// share a line.
-	_ [112]byte
+	_ [120]byte
 }
 
 // txnBlockLen is the number of entries in one block of a transaction table.
@@ -95,20 +90,12 @@ func (nc *nodeCtl) each(fn func(*txnState)) {
 	}
 }
 
-// noteCommitted advances the shard's last-committed image of rid to w unless
-// it already holds a newer one. Caller holds nc.mu.
-func (nc *nodeCtl) noteCommitted(w *writeRec) {
-	if ci, ok := nc.committed[w.rid]; !ok || w.version > ci.version {
-		nc.committed[w.rid] = committedImage{img: w.img, version: w.version}
-	}
-}
-
 // imgChunkBytes is the size of one image-arena chunk.
 const imgChunkBytes = 64 << 10
 
 // imgChunk is one chunk of a node's image arena: a zeroed buffer handed out
-// front to back and never reused, so the images the log and the oracle
-// retain stay valid for as long as anything points into the chunk.
+// front to back and never reused, so the images the log retains stay valid
+// for as long as anything points into the chunk.
 type imgChunk struct {
 	buf  []byte
 	used atomic.Int64

@@ -161,21 +161,16 @@ func TestSlotImageArena(t *testing.T) {
 	}
 }
 
-// TestDedupeWrites: slots keep first-write order, each keeps its newest
-// version.
+// TestDedupeWrites: each slot keeps its first write, in first-write order.
 func TestDedupeWrites(t *testing.T) {
 	r := func(p, s int) heap.RID { return heap.RID{Page: storage.PageID(p), Slot: uint16(s)} }
 	st := &txnState{}
 	st.writes = st.writeBuf[:0]
-	for i, w := range []writeRec{
-		{rid: r(1, 1), version: 10}, {rid: r(2, 2), version: 11}, {rid: r(1, 1), version: 12},
-		{rid: r(3, 3), version: 13}, {rid: r(2, 2), version: 9}, {rid: r(1, 1), version: 14},
-	} {
-		w.lsn = wal.LSN(i + 1)
-		st.writes = append(st.writes, w)
+	for i, rid := range []heap.RID{r(1, 1), r(2, 2), r(1, 1), r(3, 3), r(2, 2), r(1, 1)} {
+		st.writes = append(st.writes, writeRec{rid: rid, lsn: wal.LSN(i + 1)})
 	}
 	dedupeWrites(st)
-	want := []writeRec{{rid: r(1, 1), version: 14, lsn: 6}, {rid: r(2, 2), version: 11, lsn: 2}, {rid: r(3, 3), version: 13, lsn: 4}}
+	want := []writeRec{{rid: r(1, 1), lsn: 1}, {rid: r(2, 2), lsn: 2}, {rid: r(3, 3), lsn: 4}}
 	if fmt.Sprint(st.writes) != fmt.Sprint(want) {
 		t.Errorf("dedupeWrites = %v, want %v", st.writes, want)
 	}
@@ -242,7 +237,6 @@ func TestLockOrderStripeBeforeNodeMutex(t *testing.T) {
 			for !stop.Load() {
 				db.ActiveTxns(machine.NoNode)
 				db.Stats()
-				db.CommittedImage(heap.RID{Page: 1})
 				db.Branches(1)
 				runtime.Gosched()
 			}

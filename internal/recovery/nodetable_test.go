@@ -140,9 +140,6 @@ func TestPerNodeTablesMatchGlobalTable(t *testing.T) {
 			t.Fatal(err)
 		}
 		fmt.Fprintf(h, "%v %x %x|", rid, sd.Flags, sd.Data)
-		if img, _, ok := db.CommittedImage(rid); !ok || len(img) == 0 {
-			t.Errorf("oracle has no committed image of %v", rid)
-		}
 	}
 	say("images: %x", h.Sum(nil)[:8])
 	say("ifa violations: %d durability violations: %d", len(db.CheckIFA(0)), len(db.VerifyCommittedDurability(0)))

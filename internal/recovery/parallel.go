@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"fmt"
+	"slices"
 
 	"smdb/internal/machine"
 	"smdb/internal/obs"
@@ -111,7 +112,7 @@ func (db *DB) CommitGlobal(g GlobalID) error {
 				g, t, machine.ErrNodeDown)
 		}
 	}
-	// Finalize: tags cleared, oracle updated, status flipped, locks released
+	// Finalize: tags cleared, status flipped, locks released
 	// — branch by branch in node order.
 	for _, t := range branches {
 		nc, st, err := db.txn(t)
@@ -126,13 +127,8 @@ func (db *DB) CommitGlobal(g GlobalID) error {
 }
 
 // finalizeCommit performs the post-force commit work of one transaction
-// (shared by Commit and CommitGlobal): undo tags are cleared, the oracle's
-// last-committed images advance to the transaction's own final write images,
-// and the transaction's locks are released. The images come from the
-// transaction's write records, never from re-reading the slots — a commit
-// racing a concurrent node crash could otherwise observe a stale disk
-// reinstall and poison the oracle while the database itself recovers
-// correctly.
+// (shared by Commit and CommitGlobal): undo tags are cleared, the
+// transaction is marked committed, and its locks are released.
 //
 // Two sections of the node's mutex bracket the tag clears (machine calls, so
 // no mutex may be held across them): the first folds the write list down to
@@ -157,9 +153,7 @@ func (db *DB) finalizeCommit(nc *nodeCtl, st *txnState) error {
 		}
 	}
 	nc.mu.Lock()
-	for i := range writes {
-		nc.noteCommitted(&writes[i])
-	}
+	st.deferred = nil
 	st.status.Store(int32(TxnCommitted))
 	nc.stats.Commits++
 	nc.stats.TagClears += cleared
@@ -172,24 +166,16 @@ func (db *DB) finalizeCommit(nc *nodeCtl, st *txnState) error {
 	return db.ReleaseLocks(t)
 }
 
-// dedupeWrites folds st.writes, in place, to one entry per slot: slots keep
-// the order of their first write (the order the tags are cleared in) and
-// each keeps its newest version (what the oracle records). A transaction
-// writes at most a few dozen slots, so the scan is quadratic rather than a
-// map per commit. Caller holds the node's mutex.
+// dedupeWrites folds st.writes, in place, to the first write per slot, in
+// the order the tags are cleared in. A transaction writes at most a few
+// dozen slots, so the scan is quadratic rather than a map per commit. Caller
+// holds the node's mutex.
 func dedupeWrites(st *txnState) {
 	kept := st.writes[:0]
-next:
 	for _, w := range st.writes {
-		for i := range kept {
-			if kept[i].rid == w.rid {
-				if w.version > kept[i].version {
-					kept[i] = w
-				}
-				continue next
-			}
+		if !slices.ContainsFunc(kept, func(k writeRec) bool { return k.rid == w.rid }) {
+			kept = append(kept, w)
 		}
-		kept = append(kept, w)
 	}
 	st.writes = kept
 }

@@ -391,9 +391,6 @@ func (db *DB) recoverOnce(alive []machine.NodeID, rep *RecoveryReport) error {
 		if v := vs[st.id.Node()]; v.log == nil && v.committed.has(st.id) {
 			st.status.Store(int32(TxnCommitted))
 			nc.stats.Commits++
-			for i := range st.writes {
-				nc.noteCommitted(&st.writes[i])
-			}
 			return
 		}
 		st.status.Store(int32(TxnAborted))

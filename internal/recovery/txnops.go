@@ -37,10 +37,10 @@ func (db *DB) Wait(nd machine.NodeID, t wal.TxnID, c obs.Cause, start, detail in
 
 // Commit commits transaction t: its undo tags are cleared (the record is no
 // longer active, so its node ID becomes null), a commit record is appended
-// and the node's log forced through it (durability), and the transaction's
-// final images are captured as the new last-committed values. Only then —
-// strict 2PL — are the transaction's locks released (ReleaseLocks), so a
-// Commit that returns nil leaves nothing of t in the lock table.
+// and the node's log forced through it (durability), and the transaction is
+// marked committed. Only then — strict 2PL — are the transaction's locks
+// released (ReleaseLocks), so a Commit that returns nil leaves nothing of t
+// in the lock table.
 func (db *DB) Commit(nd machine.NodeID, t wal.TxnID) error {
 	nc, st, err := db.txn(t)
 	if err != nil {
@@ -73,7 +73,7 @@ func (db *DB) Commit(nd machine.NodeID, t wal.TxnID) error {
 }
 
 // flushDeferred appends any commit-deferred update records (AblatedNoLBM
-// only) to the node's log.
+// only) to the node's log; the transaction keeps them until it commits.
 func (db *DB) flushDeferred(nc *nodeCtl, st *txnState) {
 	if !db.Cfg.Protocol.DeferredLogging() {
 		return
@@ -81,7 +81,6 @@ func (db *DB) flushDeferred(nc *nodeCtl, st *txnState) {
 	nd := st.id.Node()
 	nc.mu.Lock()
 	recs := st.deferred
-	st.deferred = nil
 	nc.mu.Unlock()
 	for _, rec := range recs {
 		lsn := db.Logs[nd].Append(rec)
@@ -328,40 +327,4 @@ func (db *DB) Checkpoint(nd machine.NodeID) error {
 		db.Logs[n].DiscardThrough(low - 1)
 	}
 	return nil
-}
-
-// CommittedImage returns the oracle's last committed image of rid (for
-// verification). The boolean is false if rid was never committed.
-func (db *DB) CommittedImage(rid heap.RID) ([]byte, uint64, bool) {
-	var best committedImage
-	found := false
-	for i := range db.nodes {
-		nc := &db.nodes[i]
-		nc.mu.Lock()
-		if ci, ok := nc.committed[rid]; ok && (!found || ci.version > best.version) {
-			best, found = ci, true
-		}
-		nc.mu.Unlock()
-	}
-	if !found {
-		return nil, 0, false
-	}
-	return append([]byte(nil), best.img...), best.version, true
-}
-
-// committedImages merges the oracle's shards, visited in ascending node
-// order, into one map: per slot, the image with the highest version.
-func (db *DB) committedImages() map[heap.RID]committedImage {
-	out := make(map[heap.RID]committedImage)
-	for i := range db.nodes {
-		nc := &db.nodes[i]
-		nc.mu.Lock()
-		for rid, ci := range nc.committed {
-			if cur, ok := out[rid]; !ok || ci.version > cur.version {
-				out[rid] = ci
-			}
-		}
-		nc.mu.Unlock()
-	}
-	return out
 }

@@ -125,9 +125,9 @@ const (
 )
 
 // applyChange is the update protocol proper. Its bookkeeping — the write
-// record, the oracle, the counters — is one section of the node's mutex,
-// taken after the last machine call; one before the first reads where the
-// transaction's undo chain ends.
+// record, the counters — is one section of the node's mutex, taken after the
+// last machine call; one before the first reads where the transaction's undo
+// chain ends.
 func (db *DB) applyChange(nd machine.NodeID, t wal.TxnID, rid heap.RID, newFlags byte, newData []byte, nta uint64, op changeOp) error {
 	nc, st, err := db.txn(t)
 	if err != nil {
@@ -199,26 +199,17 @@ func (db *DB) applyChange(nd machine.NodeID, t wal.TxnID, rid heap.RID, newFlags
 	}
 	// The slot holds the new value from here on, so the write is the
 	// transaction's whatever stops the steps that remain — a torn eager
-	// force takes the node down — or the oracle could not name the writer of
-	// a logged, in-memory update and would report its undo as a lost
+	// force takes the node down — or the checker could not name the writer
+	// of a logged, in-memory update and would report its undo as a lost
 	// committed value.
-	w := writeRec{rid: rid, img: after, version: version, lsn: lsn}
-	if err := db.lbmAfterWrite(nc, t, rid, &hs, &ls, version, lsn); err != nil {
-		if nta == 0 {
-			nc.mu.Lock()
-			st.writes = append(st.writes, w)
-			nc.mu.Unlock()
-		}
-		return err
-	}
+	err = db.lbmAfterWrite(nc, t, rid, &hs, &ls, version, lsn)
 	nc.mu.Lock()
 	if nta == 0 {
-		st.writes = append(st.writes, w)
-	} else {
-		// Structural changes are committed early (their NTA is forced
-		// before anyone depends on them), so the oracle's last-committed
-		// image advances immediately.
-		nc.noteCommitted(&w)
+		st.writes = append(st.writes, writeRec{rid: rid, lsn: lsn})
+	}
+	if err != nil {
+		nc.mu.Unlock()
+		return err
 	}
 	switch op {
 	case opUpdate:

@@ -152,6 +152,19 @@ func (d *Disk) WritePage(id PageID, data []byte) error {
 	return nil
 }
 
+// Peek returns a copy of the n bytes at offset off of page id, nil if the
+// page was never written. It is for verification, which observes the disk
+// without using it: unlike ReadPage it counts no read and consults no fault
+// hook.
+func (d *Disk) Peek(id PageID, off, n int) []byte {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if p, ok := d.pages[id]; ok {
+		return bytes.Clone(p[off : off+n])
+	}
+	return nil
+}
+
 // Exists reports whether page id has ever been written.
 func (d *Disk) Exists(id PageID) bool {
 	d.mu.Lock()

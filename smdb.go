@@ -242,8 +242,10 @@ func (db *DB) RestartNode(n NodeID) error { return db.Engine.RestartNode(n) }
 // checkpoint records, bounding future redo scans.
 func (db *DB) Checkpoint() error { return db.Engine.Checkpoint(0) }
 
-// CheckIFA verifies the isolated-failure-atomicity invariants against the
-// engine's oracle and returns any violations (empty means IFA holds).
+// CheckIFA verifies the isolated-failure-atomicity invariants and returns any
+// violations (empty means IFA holds). It works out what each record must
+// hold from the logs, the stable database and the transactions' own write
+// and lock lists, independently of restart recovery.
 func (db *DB) CheckIFA() []string {
 	alive := db.Engine.M.AliveNodes()
 	if len(alive) == 0 {
