@@ -12,7 +12,10 @@
 // page, the last update LSN of every node that updated it; a page may go to
 // the stable database only after each such node has forced its log through
 // that LSN. (The table is written only by the local node and is simply
-// re-initialized for a node that crashes.)
+// re-initialized for a node that crashes.) Each node's column of it lives on
+// cache lines of its own, as the node's fetch counter does, so a node
+// updating its own pages writes nothing another node writes: the update
+// path (NoteUpdate, then MarkDirty on an already-dirty page) takes no lock.
 package buffer
 
 import (
@@ -67,13 +70,18 @@ type Manager struct {
 	// disk (section 7's discussion of making stable logging cheap).
 	NVRAMLog bool
 
-	mu       sync.Mutex
-	dirty    map[storage.PageID]bool
-	updTable map[storage.PageID]map[machine.NodeID]wal.LSN
-	stats    Stats // Fetches is kept in fetches
-	// fetches counts Fetch calls outside mu: a Fetch of a resident page —
-	// every record operation starts with one — takes no manager lock.
-	fetches atomic.Int64
+	// mu guards stats and serializes each page's clean-to-dirty and
+	// dirty-to-clean transitions with their observer events, so a page
+	// turning dirty right after a flush reports it after the flush.
+	mu    sync.Mutex
+	stats Stats // Fetches is kept in cols
+	// dirty holds one bit per page, set while the page diverges from its
+	// disk image: once a page is dirty, MarkDirty is one atomic load.
+	dirty []atomic.Bool
+	// cols is, by node, every word the update path writes: the node's
+	// Fetch count and its column of the (page, LSN) table (see newCols).
+	// The slice itself is read-only after NewManager.
+	cols []nodeCol
 
 	// bringIn serializes, per page (striped), the Fetch calls that found the
 	// page not resident. Held across the format or disk read and the
@@ -89,6 +97,39 @@ type Manager struct {
 	// scheduling point: a fetch is where a crash-lost page is faulted back
 	// in from disk, i.e. the hazard window of the stale-reinstall race.
 	fetchHook atomic.Pointer[func(machine.NodeID, storage.PageID)]
+}
+
+// nodeCol is one node's share of the manager's per-update state: its Fetch
+// count and its column of the (page, LSN) table, both in the node's segment
+// of one allocation (see newCols). Only node nd writes them on the forward
+// path (FlushPage clears column entries by compare-and-swap, DropNode while
+// nd is down).
+type nodeCol struct {
+	// fetches counts the node's Fetch calls: every record operation starts
+	// with one.
+	fetches *atomic.Uint64
+	// lsn[p] is the LSN of nd's last logged update to page p, 0 if none
+	// since p was last flushed. Raised by an atomic max.
+	lsn []atomic.Uint64
+}
+
+// linePad is a 64-byte cache line's worth of state words.
+const linePad = 64 / 8
+
+// newCols lays out the per-node state of nodes nodes over pages pages in
+// one allocation: each node's segment (its fetch count, then one LSN per
+// page) is fenced from the next, and the first and last from whatever the
+// allocator puts beside them, by a line of unused words. No two nodes'
+// words can then share a cache line, whatever the allocation's alignment.
+func newCols(nodes, pages int) []nodeCol {
+	seg := 1 + pages + linePad
+	state := make([]atomic.Uint64, linePad+nodes*seg)
+	cols := make([]nodeCol, nodes)
+	for nd := range cols {
+		base := linePad + nd*seg
+		cols[nd] = nodeCol{fetches: &state[base], lsn: state[base+1 : base+1+pages : base+1+pages]}
+	}
+	return cols
 }
 
 // SetFetchHook attaches (or, with nil, detaches) the Fetch-entry callback.
@@ -114,11 +155,11 @@ func NewManager(store *heap.Store, disk *storage.Disk, logs []*wal.Log) *Manager
 		panic(fmt.Sprintf("buffer: disk page size %d < heap page size %d", disk.PageSize(), store.Layout.PageBytes()))
 	}
 	b := &Manager{
-		Store:    store,
-		Disk:     disk,
-		Logs:     logs,
-		dirty:    make(map[storage.PageID]bool),
-		updTable: make(map[storage.PageID]map[machine.NodeID]wal.LSN),
+		Store: store,
+		Disk:  disk,
+		Logs:  logs,
+		dirty: make([]atomic.Bool, store.NPages),
+		cols:  newCols(store.M.Nodes(), store.NPages),
 	}
 	for i := range b.scratch {
 		b.scratch[i] = make([]byte, disk.PageSize())
@@ -131,7 +172,9 @@ func (b *Manager) Stats() Stats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	s := b.stats
-	s.Fetches = b.fetches.Load()
+	for i := range b.cols {
+		s.Fetches += int64(b.cols[i].fetches.Load())
+	}
 	return s
 }
 
@@ -140,7 +183,7 @@ func (b *Manager) Stats() Stats {
 // partially lost page has only its missing lines reinstalled from the disk
 // image, preserving newer surviving cached lines.
 func (b *Manager) Fetch(nd machine.NodeID, p storage.PageID) error {
-	b.fetches.Add(1)
+	b.cols[nd].fetches.Add(1)
 	if hook := b.fetchHook.Load(); hook != nil {
 		(*hook)(nd, p)
 	}
@@ -179,14 +222,17 @@ func (b *Manager) Fetch(nd machine.NodeID, p storage.PageID) error {
 	return b.Store.InstallImage(nd, p, img[:b.Store.Layout.PageBytes()], true)
 }
 
-// MarkDirty records that page p diverges from its disk image.
+// MarkDirty records that page p diverges from its disk image. On a page
+// already dirty it only reads its bit.
 func (b *Manager) MarkDirty(p storage.PageID) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.dirty[p] {
+	if b.dirty[p].Load() {
 		return
 	}
-	b.dirty[p] = true
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.dirty[p].Swap(true) {
+		return
+	}
 	if o := b.obs.Load(); o != nil {
 		o.Instant(obs.KindPageDirty, obs.SystemNode, b.Store.M.MaxClock(), int64(p), 0)
 	}
@@ -194,34 +240,39 @@ func (b *Manager) MarkDirty(p storage.PageID) {
 
 // Dirty reports whether page p is marked dirty.
 func (b *Manager) Dirty(p storage.PageID) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dirty[p]
+	return b.dirty[p].Load()
 }
 
-// DirtyPages returns the dirty page set (unordered).
+// DirtyPages returns the dirty page set in ascending page order.
 func (b *Manager) DirtyPages() []storage.PageID {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]storage.PageID, 0, len(b.dirty))
+	n := 0
 	for p := range b.dirty {
-		out = append(out, p)
+		if b.dirty[p].Load() {
+			n++
+		}
+	}
+	out := make([]storage.PageID, 0, n)
+	for p := range b.dirty {
+		if b.dirty[p].Load() {
+			out = append(out, storage.PageID(p))
+		}
 	}
 	return out
 }
 
-// NoteUpdate records, in the shared (page, LSN) table, that node nd's log
-// record lsn updated page p. FlushPage consults it to enforce WAL.
+// NoteUpdate records, in node nd's column of the (page, LSN) table, that
+// nd's log record lsn updated page p. FlushPage consults it to enforce WAL.
+// It takes no lock: only nd raises its own entries.
 func (b *Manager) NoteUpdate(p storage.PageID, nd machine.NodeID, lsn wal.LSN) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	t := b.updTable[p]
-	if t == nil {
-		t = make(map[machine.NodeID]wal.LSN)
-		b.updTable[p] = t
+	if int(nd) >= len(b.Logs) || b.Logs[nd] == nil {
+		return // no log to force: FlushPage has nothing to enforce for nd
 	}
-	if lsn > t[nd] {
-		t[nd] = lsn
+	e := &b.cols[nd].lsn[p]
+	for {
+		cur := e.Load()
+		if uint64(lsn) <= cur || e.CompareAndSwap(cur, uint64(lsn)) {
+			return
+		}
 	}
 }
 
@@ -241,18 +292,16 @@ func (b *Manager) logForceCost() int64 {
 // stable by the same WAL forces. FlushPage fails with machine.ErrLineLost
 // if part of the page was destroyed by a crash and not yet recovered.
 func (b *Manager) FlushPage(nd machine.NodeID, p storage.PageID) error {
-	// WAL rule first (the order is the point of the protocol).
-	b.mu.Lock()
-	pending := make(map[machine.NodeID]wal.LSN, len(b.updTable[p]))
-	for n, lsn := range b.updTable[p] {
-		pending[n] = lsn
-	}
-	b.mu.Unlock()
-	for n, lsn := range pending {
-		if int(n) >= len(b.Logs) || b.Logs[n] == nil {
+	// WAL rule first (the order is the point of the protocol). pending is
+	// the snapshot the forces cover; the clear below removes exactly it.
+	var pending [64]uint64 // machine.Config allows at most 64 nodes
+	for n := range b.cols {
+		lsn := b.cols[n].lsn[p].Load()
+		if lsn == 0 {
 			continue
 		}
-		if _, forced := b.Logs[n].Force(lsn); forced {
+		pending[n] = lsn
+		if _, forced := b.Logs[n].Force(wal.LSN(lsn)); forced {
 			cost := b.logForceCost()
 			b.Store.M.AdvanceClock(nd, cost)
 			b.mu.Lock()
@@ -275,13 +324,27 @@ func (b *Manager) FlushPage(nd machine.NodeID, p storage.PageID) error {
 		return err
 	}
 	b.Store.M.AdvanceClock(nd, b.Store.M.Config().Cost.DiskWrite)
+	// Clear what the forces covered. An entry that moved since the
+	// snapshot is an update noted meanwhile: its LSN survives, and so does
+	// the page's dirty bit, for the next flush to enforce and write.
+	newer := false
+	for n := range b.cols {
+		e := &b.cols[n].lsn[p]
+		if pending[n] != 0 && e.CompareAndSwap(pending[n], 0) {
+			continue
+		}
+		if e.Load() != 0 {
+			newer = true
+		}
+	}
 	b.mu.Lock()
 	b.stats.Flushes++
 	if steal {
 		b.stats.Steals++
 	}
-	delete(b.dirty, p)
-	delete(b.updTable, p)
+	if !newer {
+		b.dirty[p].Store(false)
+	}
 	// Under mu: a page turning dirty again right after reports it after this.
 	if o := b.obs.Load(); o != nil {
 		var stole int64
@@ -366,22 +429,20 @@ func (b *Manager) FlushAll(nd machine.NodeID) error {
 // table: its volatile log tail is gone, so there is nothing left to force.
 // (Its stable records remain on its log device for recovery.)
 func (b *Manager) DropNode(nd machine.NodeID) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, t := range b.updTable {
-		delete(t, nd)
+	col := b.cols[nd].lsn
+	for p := range col {
+		col[p].Store(0)
 	}
 }
 
 // PendingWAL returns the nodes (and LSNs) that would have to force their
 // logs before page p could be flushed. Exposed for tests and experiments.
 func (b *Manager) PendingWAL(p storage.PageID) map[machine.NodeID]wal.LSN {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make(map[machine.NodeID]wal.LSN, len(b.updTable[p]))
-	for n, lsn := range b.updTable[p] {
-		if int(n) < len(b.Logs) && b.Logs[n] != nil && b.Logs[n].ForcedLSN() < lsn {
-			out[n] = lsn
+	out := make(map[machine.NodeID]wal.LSN)
+	for n := range b.cols {
+		lsn := wal.LSN(b.cols[n].lsn[p].Load())
+		if lsn != 0 && b.Logs[n].ForcedLSN() < lsn {
+			out[machine.NodeID(n)] = lsn
 		}
 	}
 	return out

@@ -3,7 +3,9 @@ package buffer
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"smdb/internal/heap"
 	"smdb/internal/machine"
@@ -242,9 +244,105 @@ func TestDropNode(t *testing.T) {
 	}
 	lsn := f.logs[0].Append(wal.Record{Type: wal.TypeUpdate, Txn: wal.MakeTxnID(0, 1), Page: 0})
 	f.bm.NoteUpdate(0, 0, lsn)
+	lsn1 := f.logs[1].Append(wal.Record{Type: wal.TypeUpdate, Txn: wal.MakeTxnID(1, 1), Page: 0})
+	f.bm.NoteUpdate(0, 1, lsn1)
 	f.bm.DropNode(0)
-	if len(f.bm.PendingWAL(0)) != 0 {
-		t.Error("crashed node's WAL entries should be dropped")
+	if got := f.bm.PendingWAL(0); len(got) != 1 || got[1] != lsn1 {
+		t.Errorf("PendingWAL after dropping node 0 = %v, want only node 1's LSN %d", got, lsn1)
+	}
+	// A column clear is the whole column: a page node 0 never touched stays
+	// clean, and node 0 notes afresh after its restart.
+	if len(f.bm.PendingWAL(1)) != 0 {
+		t.Error("an untouched page has pending WAL")
+	}
+	f.bm.NoteUpdate(0, 0, lsn)
+	if got := f.bm.PendingWAL(0); len(got) != 2 || got[0] != lsn {
+		t.Errorf("PendingWAL after a fresh note = %v, want both nodes", got)
+	}
+}
+
+// TestNoteUpdateSurvivesFlushClear lands updates between FlushPage's WAL
+// snapshot and its clear (from the disk write in between): the flush clears
+// only the entries its forces covered, so a newer LSN — the same node's or
+// another's — stays pending, and the page stays dirty for the next flush.
+func TestNoteUpdateSurvivesFlushClear(t *testing.T) {
+	f := newFixture(t, 3)
+	if err := f.bm.Fetch(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	logUpdate := func(nd machine.NodeID) wal.LSN {
+		return f.logs[nd].Append(wal.Record{Type: wal.TypeUpdate, Txn: wal.MakeTxnID(nd, 1), Page: 0})
+	}
+	covered := logUpdate(0)
+	f.bm.NoteUpdate(0, 0, covered)
+	gone := logUpdate(2)
+	f.bm.NoteUpdate(0, 2, gone)
+	f.bm.MarkDirty(0)
+	var raced0, raced1 wal.LSN
+	f.disk.SetFault(func(op string) error {
+		if op == "write" && raced0 == 0 {
+			raced0, raced1 = logUpdate(0), logUpdate(1)
+			f.bm.NoteUpdate(0, 0, raced0)
+			f.bm.NoteUpdate(0, 1, raced1)
+			f.bm.MarkDirty(0)
+		}
+		return nil
+	})
+	if err := f.bm.FlushPage(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	f.disk.SetFault(nil)
+	if got := f.bm.PendingWAL(0); len(got) != 2 || got[0] != raced0 || got[1] != raced1 {
+		t.Errorf("PendingWAL after the flush = %v, want node 0 at %d and node 1 at %d", got, raced0, raced1)
+	}
+	if !f.bm.Dirty(0) {
+		t.Error("the flush cleaned a page updated after its image was taken")
+	}
+	// The next flush enforces and clears what the first left.
+	if err := f.bm.FlushPage(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if f.logs[0].ForcedLSN() < raced0 || f.logs[1].ForcedLSN() < raced1 {
+		t.Errorf("WAL not enforced on the second flush: forced %d, %d", f.logs[0].ForcedLSN(), f.logs[1].ForcedLSN())
+	}
+	if len(f.bm.PendingWAL(0)) != 0 || f.bm.Dirty(0) {
+		t.Error("the second flush left the page pending or dirty")
+	}
+}
+
+// TestUpdatePathLayout pins what keeps one node's updates off every other
+// node's cache lines: each node's fetch counter and column of the (page,
+// LSN) table sit on lines no other node's words touch.
+func TestUpdatePathLayout(t *testing.T) {
+	line := func(w *atomic.Uint64) uintptr { return uintptr(unsafe.Pointer(w)) / 64 }
+	for _, nodes := range []int{1, 2, 3, 4, 5, 64} {
+		m := machine.New(machine.Config{Nodes: nodes, Lines: 1024})
+		layout, err := heap.NewLayout(m.LineSize(), 4, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pages := range []int{1, 7, 8, 64} {
+			bm := NewManager(heap.NewStore(m, layout, pages), storage.NewDisk(layout.PageBytes()), make([]*wal.Log, nodes))
+			if len(bm.cols) != nodes {
+				t.Fatalf("%d nodes: %d columns", nodes, len(bm.cols))
+			}
+			owner := map[uintptr]int{} // cache line -> the node whose words are on it
+			claim := func(w *atomic.Uint64, nd int, what string) {
+				if o, ok := owner[line(w)]; ok && o != nd {
+					t.Errorf("%d nodes, %d pages: node %d's %s shares a line with node %d's", nodes, pages, nd, what, o)
+				}
+				owner[line(w)] = nd
+			}
+			for nd, c := range bm.cols {
+				if len(c.lsn) != pages {
+					t.Fatalf("%d pages: node %d's column has %d entries", pages, nd, len(c.lsn))
+				}
+				claim(c.fetches, nd, "fetch counter")
+				for p := range c.lsn {
+					claim(&c.lsn[p], nd, "LSN column")
+				}
+			}
+		}
 	}
 }
 

@@ -336,8 +336,9 @@ func (m *Machine) discardLocked(nd NodeID, l LineID, ln *line) bool {
 func (m *Machine) DiscardAll(nd NodeID, filter func(LineID) bool) int {
 	frontier := m.frontier()
 	dropped := 0
-	for si := range m.stripes {
-		s := &m.stripes[si]
+	stripes := m.stripesOver(int(frontier))
+	for si := range stripes {
+		s := &stripes[si]
 		m.lockStripe(s)
 		for l := LineID(si); l < frontier; l += stripeCount {
 			ln := &m.lines[l]
@@ -405,8 +406,9 @@ func (m *Machine) ExclusiveHolder(l LineID) NodeID {
 func (m *Machine) CachedLines(nd NodeID) []LineID {
 	frontier := m.frontier()
 	var out []LineID
-	for si := range m.stripes {
-		s := &m.stripes[si]
+	stripes := m.stripesOver(int(frontier))
+	for si := range stripes {
+		s := &stripes[si]
 		m.lockStripe(s)
 		for l := LineID(si); l < frontier; l += stripeCount {
 			if m.lines[l].valid.Load() && m.lines[l].holders.has(nd) {

@@ -9,9 +9,10 @@ package machine
 //
 // Under the striped line directory, Crash quiesces the whole machine: it
 // takes liveMu (ordering it against Restart and other Crash calls) and then
-// every stripe in ascending index order, so the liveness flip, the directory
-// sweep, and the crashNotify callback are a single atomic step with respect
-// to all line operations — the guarantee the old global mutex provided.
+// every stripe that guards a line in ascending index order, so the liveness
+// flip, the directory sweep, and the crashNotify callback are a single
+// atomic step with respect to all line operations — the guarantee the old
+// global mutex provided.
 
 import (
 	"sync/atomic"
@@ -40,18 +41,19 @@ type CrashReport struct {
 func (m *Machine) Crash(nodes ...NodeID) CrashReport {
 	m.liveMu.Lock()
 	defer m.liveMu.Unlock()
-	for i := range m.stripes {
-		m.lockStripe(&m.stripes[i])
+	stripes := m.stripesOver(len(m.lines))
+	for i := range stripes {
+		m.lockStripe(&stripes[i])
 	}
 	defer func() {
 		// Even an idempotent re-crash must wake line-lock waiters: a waiter
 		// may be blocked on a lock whose owner died in the *first* crash of
 		// this node, and the wake-up is how it learns to re-check liveness.
-		for i := range m.stripes {
-			m.broadcast(&m.stripes[i])
+		for i := range stripes {
+			m.broadcast(&stripes[i])
 		}
-		for i := len(m.stripes) - 1; i >= 0; i-- {
-			m.unlockStripe(&m.stripes[i])
+		for i := len(stripes) - 1; i >= 0; i-- {
+			m.unlockStripe(&stripes[i])
 		}
 	}()
 	return m.crashQuiesced(nodes)

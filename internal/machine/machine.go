@@ -42,9 +42,9 @@
 // lets the parallel restart-recovery pipeline scale with the survivor count.
 // Per-node clocks, counters, and node liveness are atomics readable without
 // any lock. Whole-machine transitions (Crash) quiesce the machine by taking
-// every stripe in ascending order, so a crash and its notification callback
-// remain atomic with respect to all line traffic, exactly as under the old
-// single global mutex. What is *no longer* globally ordered: operations on
+// every stripe that guards a line in ascending order, so a crash and its
+// notification callback remain atomic with respect to all line traffic,
+// exactly as under the old single global mutex. What is *no longer* globally ordered: operations on
 // lines in different stripes have no defined mutual order, and an injected
 // transition fault (SetTransitionFault) crashes its victims immediately
 // *after* the triggering operation completes and releases its stripe rather
@@ -187,29 +187,40 @@ type line struct {
 }
 
 // stripeCount is the number of lock stripes sharding the line directory.
-// A power of two, so the stripe of a line is a mask of its LineID. 128
-// stripes keep contention negligible up to the 64-node machine maximum
-// while keeping Crash's take-all-stripes quiesce cheap.
-const stripeCount = 128
+// A power of two, so the stripe of a line is a mask of its LineID. It is the
+// benchmark machine's line count (4 096), so none of its lines share a
+// stripe, and a transaction on its own node's lines takes no mutex another
+// node's transactions take. At 128 stripes "contention negligible" held for
+// waiting but not for the host's cache: every node's private heap and
+// lock-table lines landed on all 128 mutexes, and lockStripe was the
+// largest growth in a fwd-private transaction's CPU from one client to two
+// (+1.6 of +6.2 µs per transaction over 44 s profiles on 2 vCPUs). The
+// price is paid per machine, not per operation: New zeroes 512 KiB of
+// stripes (89 -> 289 µs for a 4-node, 4 096-line machine) and Crash takes
+// and releases every stripe that guards a line (a Crash/Restart pair of
+// that machine 21 -> 140 µs).
+const stripeCount = 4096
 
 // stripeMask extracts a LineID's stripe index.
 const stripeMask = stripeCount - 1
 
 // stripe is one shard of the line-directory lock. The cond wakes GetLine
-// waiters queued on lines of this stripe (on release and on crash).
+// waiters queued on lines of this stripe (on release and on crash); it is
+// embedded, with its L set by New, so a machine's stripes are one
+// allocation with the Machine rather than one cond object each.
 type stripe struct {
 	mu   sync.Mutex
-	cond *sync.Cond
+	cond sync.Cond
 	// holdStart is the profiler's open hold-span start (prof.Now ns).
 	// Guarded by mu itself: nonzero exactly while a profiled critical
 	// section is open (see lockStripe/unlockStripe in prof.go).
 	holdStart int64
 	// idx is this stripe's own index, for profiler attribution.
 	idx int32
-	// pad the struct to a cache line so neighbouring stripes do not false-
-	// share on real hardware (the simulator's own scalability matters to
-	// the parallel-recovery experiments).
-	_ [36]byte
+	// pad the struct to two cache lines so neighbouring stripes — which
+	// guard neighbouring lines, often of different nodes — do not false-
+	// share on real hardware.
+	_ [52]byte
 }
 
 // EventKind classifies coherency-protocol transitions that can expose
@@ -302,15 +313,17 @@ type SchedNoteFunc func(nd NodeID, site string, l LineID)
 // Machine is a simulated cache-coherent shared-memory multiprocessor.
 // All methods are safe for concurrent use by multiple goroutines.
 type Machine struct {
-	cfg Config
-
 	// stripes shard the line directory: all state of line l (data,
 	// directory entry, active bit, line lock) is guarded by
 	// stripes[l&stripeMask]. A line operation or section holds exactly one
 	// stripe and never blocks on a second one, so operations on lines of
-	// different stripes proceed in parallel.
+	// different stripes proceed in parallel. First in the struct, so the
+	// stripes start where the (page-aligned) Machine does and each keeps
+	// its own cache lines.
 	stripes [stripeCount]stripe
-	lines   []line
+
+	cfg   Config
+	lines []line
 
 	// liveMu orders whole-machine liveness transitions (Crash, Restart).
 	// Crash additionally acquires every stripe in ascending order, so the
@@ -352,7 +365,7 @@ func New(cfg Config) *Machine {
 		nodes: make([]nodeBlock, cfg.Nodes),
 	}
 	for i := range m.stripes {
-		m.stripes[i].cond = sync.NewCond(&m.stripes[i].mu)
+		m.stripes[i].cond.L = &m.stripes[i].mu
 		m.stripes[i].idx = int32(i)
 	}
 	m.aliveMask.Store(^uint64(0) >> (64 - uint(cfg.Nodes)))
@@ -368,6 +381,13 @@ func New(cfg Config) *Machine {
 // stripeOf returns the stripe guarding line l.
 func (m *Machine) stripeOf(l LineID) *stripe {
 	return &m.stripes[int(l)&stripeMask]
+}
+
+// stripesOver returns the stripes that guard at least one of lines 0..n-1,
+// in ascending order: all of them once n reaches stripeCount. A sweep over
+// those lines (or, with n the line count, the crash quiesce) needs no other.
+func (m *Machine) stripesOver(n int) []stripe {
+	return m.stripes[:min(n, stripeCount)]
 }
 
 // frontier returns the bump-allocator frontier: every allocated line id is

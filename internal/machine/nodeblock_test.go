@@ -103,3 +103,32 @@ func TestShardedStats(t *testing.T) {
 		t.Errorf("Sub = %+v", got)
 	}
 }
+
+// TestStripeLayout pins what keeps one node's line operations off every
+// other node's stripe mutexes: no two lines of the benchmark's machine
+// (benchmark/spec.go: 4 096 lines) share a stripe, and each stripe is a
+// whole number of 64-byte lines starting on a line boundary. It also holds
+// New to its four allocations (the Machine with its stripes and conds, the
+// lines, the node blocks, the hook set): a stripe's cond is embedded, not
+// one object per stripe.
+func TestStripeLayout(t *testing.T) {
+	const benchmarkLines = 4096
+	m := New(Config{Nodes: 4, Lines: benchmarkLines})
+	seen := make(map[*stripe]LineID, benchmarkLines)
+	for l := LineID(0); l < benchmarkLines; l++ {
+		s := m.stripeOf(l)
+		if o, ok := seen[s]; ok {
+			t.Fatalf("lines %d and %d share a stripe", o, l)
+		}
+		seen[s] = l
+	}
+	if sz := unsafe.Sizeof(stripe{}); sz%64 != 0 {
+		t.Errorf("stripe is %d bytes, not a multiple of 64", sz)
+	}
+	if a := uintptr(unsafe.Pointer(&m.stripes[0])); a%64 != 0 {
+		t.Errorf("first stripe at %#x, not on a 64-byte boundary", a)
+	}
+	if got := testing.AllocsPerRun(50, func() { New(Config{Nodes: 4, Lines: benchmarkLines}) }); got > 4 {
+		t.Errorf("New allocates %.0f objects, want <= 4", got)
+	}
+}

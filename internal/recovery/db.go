@@ -221,7 +221,14 @@ type DB struct {
 	Logs  []*wal.Log
 	Locks *lock.SMManager
 
+	// versions is the global update-version counter (NextVersion). Every
+	// update adds to it, while every operation reads the fields around it,
+	// so it has a cache line to itself: 56 bytes of padding either side
+	// keep any other field off its line wherever the allocator puts the DB.
+	_        [56]byte
 	versions atomic.Uint64
+	_        [56]byte
+
 	// frozen is set between Crash and the end of Recover: the low-level
 	// machinery has interrupted all CPUs (section 2), and transaction
 	// processing stalls until restart recovery completes. The transaction

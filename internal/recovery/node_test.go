@@ -62,6 +62,27 @@ func TestNodeCtlLayout(t *testing.T) {
 	}
 }
 
+// TestVersionsOwnsItsLine: the global version counter, added to on every
+// update, sits alone on its 64-byte line — the struct layout guarantees it
+// wherever the allocator starts the DB, and a live DB shows it — so no
+// field every operation reads (BM, Logs, Locks, frozen, hk) shares it.
+func TestVersionsOwnsItsLine(t *testing.T) {
+	var db DB
+	before := unsafe.Offsetof(db.versions) - (unsafe.Offsetof(db.Locks) + unsafe.Sizeof(db.Locks))
+	after := unsafe.Offsetof(db.frozen) - (unsafe.Offsetof(db.versions) + unsafe.Sizeof(db.versions))
+	if before < 56 || after < 56 {
+		t.Errorf("versions has %d bytes of padding before it and %d after, want at least 56 each", before, after)
+	}
+	live := newNodeTestDB(t, VolatileSelectiveRedo, 2)
+	line := uintptr(unsafe.Pointer(&live.versions)) &^ 63
+	if end := uintptr(unsafe.Pointer(&live.Locks)) + unsafe.Sizeof(live.Locks); end > line {
+		t.Errorf("Locks ends at %#x, inside versions' line at %#x", end, line)
+	}
+	if next := uintptr(unsafe.Pointer(&live.frozen)); next < line+64 {
+		t.Errorf("frozen starts at %#x, inside versions' line at %#x", next, line)
+	}
+}
+
 // TestTxnTableAcrossBlocks grows one node's transaction table past two block
 // edges while another goroutine looks transactions up without a lock, then
 // checks every lookup the engine makes of it.

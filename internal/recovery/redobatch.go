@@ -9,13 +9,18 @@ import (
 // Batched redo apply. The per-record apply path paid one residency probe,
 // one transaction-table lookup (undo-tag restoration), and one stripe
 // acquire/release per candidate — most of the apply phase's cost was
-// exactly that per-record overhead, not the slot writes. Consecutive
-// candidates very often share a cache line, so the batched path carves the
-// candidate list into maximal
-// contiguous same-line runs and pays each overhead once per run: one
-// residency probe and fetch, one line section whose steps are all of the
-// run's version checks and slot writes (one line lock, one stripe hold, one
-// slot buffer). An undo tag is looked up, lock-free, only for an apply.
+// exactly that per-record overhead, not the slot writes. The batched path
+// carves the candidate list into maximal contiguous same-line runs and pays
+// each overhead once per run: one residency probe and fetch, one line
+// section whose steps are all of the run's version checks and slot writes
+// (one line lock, one stripe hold, one slot buffer). An undo tag is looked
+// up, lock-free, only for an apply.
+//
+// Consecutive candidates seldom share a line: in log order a line recurs
+// far apart, and recover-redoall's 28 136 candidates carve into 27 848 runs
+// over 448 lines. Regrouping them by line was measured and lost (DESIGN.md
+// §6b): sections fell about 60x, but the apply then read records and
+// images scattered over ~12 MB, and recovery got slower.
 //
 // Equivalence: candidates are applied in exactly the list order the
 // per-record path used, and every version-check decision reads the same slot

@@ -57,6 +57,11 @@ type Log struct {
 	// takes append, force and discard events under mu, so nothing it feeds
 	// may call back into the log.
 	obs *obs.Observer
+
+	// pad the struct to whole 64-byte lines: the allocator then starts each
+	// node's Log on a line boundary, so one node's appends (mu, n, the
+	// block list) never write a line another node's Log sits on.
+	_ [40]byte
 }
 
 // blockLen is the number of records in one block of a Log (about 60 KiB).

@@ -14,8 +14,10 @@ import (
 )
 
 // oracleMarshal is the two-buffer encoder the log was first written with,
-// kept verbatim as the reference for the in-place one: the encoding is what
-// sits on the stable device, so it must not move by a byte.
+// kept as the reference for the in-place one: the encoding is what sits on
+// the stable device, so it must not move by a byte. Its one change since is
+// the frame checksum's polynomial, IEEE to CRC32-C, computed here from a
+// table of its own.
 func oracleMarshal(r *Record) []byte {
 	body := make([]byte, 0, 64+len(r.Before)+len(r.After))
 	body = append(body, byte(r.Type), r.Mode)
@@ -33,7 +35,7 @@ func oracleMarshal(r *Record) []byte {
 
 	out := make([]byte, recHeaderLen, recHeaderLen+len(body))
 	binary.LittleEndian.PutUint32(out[0:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(out[4:], crc32.ChecksumIEEE(body))
+	binary.LittleEndian.PutUint32(out[4:], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
 	return append(out, body...)
 }
 

@@ -87,8 +87,11 @@ func TestStablePrefixMatchesDecodeAll(t *testing.T) {
 	body := Marshal(&Record{Type: TypeUpdate, After: []byte{1, 2, 3}})[recHeaderLen:]
 	body = body[:len(body)-2]
 	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(body))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
 	frame = append(frame, body...)
+	if frameLen(frame) != len(frame) {
+		t.Fatal("the malformed frame's checksum does not hold; the case tests the checksum, not the body")
+	}
 	if _, _, err := Unmarshal(frame); err == nil {
 		t.Fatal("the malformed frame decodes; the case tests nothing")
 	}

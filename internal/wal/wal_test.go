@@ -5,7 +5,9 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
+	"smdb/internal/machine"
 	"smdb/internal/storage"
 )
 
@@ -103,6 +105,24 @@ func newLog(t *testing.T) *Log {
 		t.Fatal(err)
 	}
 	return l
+}
+
+// TestLogLayout pins what keeps one node's appends off the lines of every
+// other node's Log: a Log is a whole number of 64-byte lines, so the
+// allocator starts each one on a line boundary.
+func TestLogLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(Log{}); sz%64 != 0 {
+		t.Errorf("Log is %d bytes, not a multiple of 64", sz)
+	}
+	for n := machine.NodeID(0); n < 8; n++ {
+		l, err := NewLog(n, storage.NewLogDevice())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a := uintptr(unsafe.Pointer(l)); a%64 != 0 {
+			t.Errorf("node %d's Log at %#x, not on a 64-byte boundary", n, a)
+		}
+	}
 }
 
 func TestLogAppendAssignsLSNs(t *testing.T) {
