@@ -29,7 +29,7 @@ func TestDebtForgetsFinishedTxns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d := debt.New(debt.Config{Nodes: db.M.Nodes(), LinesPerPage: db.Cfg.LinesPerPage})
+			d := debt.New(debt.Config{DiskReadNS: db.M.Config().Cost.DiskRead, LogForceNS: db.LogForceCost()})
 			db.Attach(hooks.Set{Observer: obs.NewWithCapacity(256), Debt: d})
 			mgr := txn.NewManager(db)
 			check := func(when string) {

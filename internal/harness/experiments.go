@@ -177,7 +177,7 @@ var Experiments = []Experiment{
 			}
 			return res.Table(), nil
 		}},
-	{"recoverydebt", "E24", "recovery-debt estimator: calibrated replay-time estimates vs measured recovery, MTTR accounting, attribution coverage", "this implementation's observability layer; section 5 (how much recovery a crash would cost right now)",
+	{"recoverydebt", "E24", "recovery-debt estimator: simulated recovery-time estimates vs measured recovery, MTTR accounting, attribution coverage", "this implementation's observability layer; section 5 (how much recovery a crash would cost right now)",
 		func(seed int64, _ *obs.Observer) (string, error) {
 			res, err := RunRecoveryDebt(seed)
 			if err != nil {

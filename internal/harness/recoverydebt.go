@@ -3,7 +3,6 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"smdb/internal/heap"
 	"smdb/internal/machine"
@@ -16,41 +15,36 @@ import (
 
 // Experiment E24 is the recovery-debt estimator accuracy census: each real
 // protocol runs the deterministic depcensus convoy schedule with the debt
-// tracker attached through structurally identical crash/recover cycles. The
-// first cycle calibrates the estimator (the recovery span that ends each
-// run feeds the measured ns-per-replayed-record back into the tracker); each
-// later cycle snapshots the calibrated replay-time estimate immediately
-// before the crash, then recovers and compares the estimate against the
-// measured recovery wall time. Gates: the estimate must land within
-// recoveryDebtMaxRatio (2x) of the measurement on the best-agreeing judged
-// cycle (wall-clock jitter on one cycle must not fail a sound estimator),
-// per-record attribution coverage must reach recoveryDebtMinCoverage, debt
-// must collapse to zero right after a
-// successful recovery (the fuzzy end-of-restart safe point) and
-// re-accumulate once survivors resume, and a double run of every arm must
-// produce identical sim-deterministic accounting — the property that lets
-// the tracker ride under the chaos record/replay harness.
+// tracker attached through recoveryDebtCycles identical crash/recover
+// cycles. Every cycle reads node 3's estimate immediately before crashing it
+// and compares it with the simulated duration of the recovery that follows
+// (RecoveryReport.SimTime). Gates: every cycle's estimate lands within
+// recoveryDebtMaxRatio of its measurement, per-record attribution coverage
+// reaches recoveryDebtMinCoverage, debt collapses to zero right after a
+// successful recovery (the tracker's re-anchored safe point) and
+// re-accumulates once survivors resume, and a double run of every arm gives
+// the same point, estimate and measurement included, but for the wall MTTR —
+// the property that lets the tracker ride under the chaos record/replay
+// harness.
 type RecoveryDebtPoint struct {
 	Protocol recovery.Protocol
-	// Pre-crash accounting of the first judged cycle (the shape the
-	// double-run determinism gate compares).
+	// Pre-crash accounting of the last cycle.
 	DebtRecords int64
 	DebtBytes   int64
 	RedoSpan    int64
 	Coverage    float64
-	// EstNS is the calibrated parallel-adjusted replay estimate at the
-	// snapshot and WallNS the measured recovery wall time, from the
-	// best-agreeing judged cycle; Ratio is the larger over the smaller
-	// after both are clamped up to recoveryDebtNoiseNS.
-	EstNS  int64
-	WallNS int64
-	Ratio  float64
-	// ResidualDebt is the debt immediately after the judged recovery (the
+	// EstNS is node 3's estimated recovery time before the crash and SimNS
+	// the recovery's simulated duration, from the cycle where the two agree
+	// least; Ratio is the larger over the smaller.
+	EstNS int64
+	SimNS int64
+	Ratio float64
+	// ResidualDebt is the debt immediately after the last recovery (the
 	// safe point should have swallowed everything); ResumedDebt the debt
 	// after survivors resumed (it must re-accumulate).
 	ResidualDebt int64
 	ResumedDebt  int64
-	// MTTR accounting after both cycles.
+	// MTTR accounting after every cycle; EwmaMTTRNS is wall time.
 	Recoveries int64
 	EwmaMTTRNS int64
 }
@@ -65,24 +59,20 @@ type RecoveryDebtResult struct {
 const recoveryDebtMinCoverage = 0.9
 
 // recoveryDebtMaxRatio gates estimate-vs-actual accuracy.
-const recoveryDebtMaxRatio = 2.0
-
-// recoveryDebtNoiseNS clamps both sides of the accuracy ratio: recoveries
-// this short are dominated by scheduler noise, not replay work, and the
-// estimator is not pretending to resolve them.
-const recoveryDebtNoiseNS = 200_000
+const recoveryDebtMaxRatio = 1.25
 
 // recoveryDebtRounds is the committed convoy rounds per cycle (plus one
-// round left in flight); enough that recovery replays a multi-hundred-record
-// debt and the wall measurement rises above the noise clamp.
+// round left in flight).
 const recoveryDebtRounds = 4
 
-// recoveryDebtJudged is how many calibrated cycles each arm judges; the
-// accuracy gate takes the best ratio, so a single GC pause or scheduler
-// hiccup inflating one measured recovery cannot fail a sound estimator, and
-// the α = 0.5 EWMA halves a calibration stall per cycle: seven judged cycles
-// outlast a calibration recovery up to 65x too slow (three: 5x).
-const recoveryDebtJudged = 7
+// recoveryDebtCycles is how many crash/recover cycles each arm runs, every
+// one judged. Recover writes no checkpoint, so each cycle's recovery replays
+// the earlier cycles' records again and takes a little longer.
+const recoveryDebtCycles = 3
+
+// recoveryDebtVictim is the node every cycle crashes: the holder of every
+// hopped line.
+const recoveryDebtVictim = machine.NodeID(3)
 
 // RunRecoveryDebt runs E24.
 func RunRecoveryDebt(seed int64) (*RecoveryDebtResult, error) {
@@ -93,60 +83,40 @@ func RunRecoveryDebt(seed int64) (*RecoveryDebtResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("recoverydebt %v: %w", proto, err)
 		}
-		// Determinism gate: a second, identical run must produce the same
-		// sim-deterministic accounting (wall-clock fields are excluded — the
-		// estimator calibrates from real time by design).
+		// Determinism gate: a second, identical run must give the same
+		// point but for the wall MTTR.
 		q, err := recoveryDebtArm(proto)
 		if err != nil {
 			return nil, fmt.Errorf("recoverydebt %v (rerun): %w", proto, err)
 		}
-		if p.DebtRecords != q.DebtRecords || p.DebtBytes != q.DebtBytes ||
-			p.RedoSpan != q.RedoSpan || p.Coverage != q.Coverage ||
-			p.ResidualDebt != q.ResidualDebt || p.Recoveries != q.Recoveries {
+		q.EwmaMTTRNS = p.EwmaMTTRNS
+		if p != q {
 			return nil, fmt.Errorf("recoverydebt %v: nondeterministic accounting: %+v vs %+v", proto, p, q)
 		}
 		if p.Coverage < recoveryDebtMinCoverage {
 			return nil, fmt.Errorf("recoverydebt %v: attribution coverage %.3f < %.2f",
 				proto, p.Coverage, recoveryDebtMinCoverage)
 		}
-		if p.EstNS <= 0 {
-			return nil, fmt.Errorf("recoverydebt %v: no calibrated estimate at the crash snapshot", proto)
-		}
-		if p.Ratio > recoveryDebtMaxRatio {
-			return nil, fmt.Errorf("recoverydebt %v: estimate %s vs measured %s — ratio %.2f > %.1fx",
-				proto, us(p.EstNS), us(p.WallNS), p.Ratio, recoveryDebtMaxRatio)
-		}
 		res.Points = append(res.Points, p)
 	}
 	return res, nil
 }
 
-// recoveryDebtArm runs one protocol's cell: a calibration cycle followed by
-// recoveryDebtJudged judged cycles.
+// recoveryDebtArm runs one protocol's cell: recoveryDebtCycles judged
+// cycles, then a resumed round.
 func recoveryDebtArm(proto recovery.Protocol) (RecoveryDebtPoint, error) {
 	p := RecoveryDebtPoint{Protocol: proto}
 	db, err := seededDB(proto, 4, 4, defaultPages, 0)
 	if err != nil {
 		return p, err
 	}
-	d := debt.New(debt.Config{Nodes: db.M.Nodes(), LinesPerPage: db.Cfg.LinesPerPage})
+	d := debt.New(debt.Config{DiskReadNS: db.M.Config().Cost.DiskRead, LogForceNS: db.LogForceCost()})
 	db.Attach(hooks.Set{Observer: obs.NewWithCapacity(256), Debt: d})
 	mgr := txn.NewManager(db)
 
-	// Cycle 0: calibrate. The pre-crash snapshot is discarded — the tracker
-	// has no replay-rate sample yet.
-	if _, _, _, err := recoveryDebtCycle(db, mgr, d, proto, 0); err != nil {
-		return p, err
-	}
-
-	// Judged cycles: snapshot the calibrated estimate just before each
-	// crash, measure the recovery it predicts, and keep the best ratio (the
-	// accounting fields come from the first judged cycle — the one whose
-	// sim-deterministic shape the double-run gate compares).
 	var post debt.Snapshot
-	for cycle := 0; cycle < recoveryDebtJudged; cycle++ {
-		base := (cycle + 1) * (recoveryDebtRounds + 1)
-		pre, cpost, wallNS, err := recoveryDebtCycle(db, mgr, d, proto, base)
+	for cycle := 0; cycle < recoveryDebtCycles; cycle++ {
+		pre, cpost, simNS, err := recoveryDebtCycle(db, mgr, d, proto, cycle*(recoveryDebtRounds+1))
 		if err != nil {
 			return p, err
 		}
@@ -155,31 +125,22 @@ func recoveryDebtArm(proto recovery.Protocol) (RecoveryDebtPoint, error) {
 			return p, fmt.Errorf("cycle %d: debt did not collapse after recovery: %d records above the safe point",
 				cycle, cpost.DebtRecords)
 		}
-		est, wall := pre.EstNS, wallNS
-		if est < recoveryDebtNoiseNS {
-			est = recoveryDebtNoiseNS
-		}
-		if wall < recoveryDebtNoiseNS {
-			wall = recoveryDebtNoiseNS
-		}
-		ratio := float64(est) / float64(wall)
+		est := pre.Nodes[recoveryDebtVictim].EstNS
+		ratio := float64(est) / float64(simNS)
 		if ratio < 1 {
 			ratio = 1 / ratio
 		}
-		if cycle == 0 {
-			p.DebtRecords = pre.DebtRecords
-			p.DebtBytes = pre.DebtBytes
-			p.RedoSpan = pre.RedoSpan
-			p.Coverage = pre.Coverage
+		if ratio > recoveryDebtMaxRatio {
+			return p, fmt.Errorf("cycle %d: estimate %s vs measured %s — ratio %.2f > %.2fx",
+				cycle, ms(est), ms(simNS), ratio, recoveryDebtMaxRatio)
 		}
-		if cycle == 0 || ratio < p.Ratio {
-			p.EstNS = pre.EstNS
-			p.WallNS = wallNS
-			p.Ratio = ratio
+		if ratio > p.Ratio {
+			p.EstNS, p.SimNS, p.Ratio = est, simNS, ratio
 		}
-		if pre.EstNS <= 0 {
-			return p, fmt.Errorf("cycle %d: no calibrated estimate at the crash snapshot", cycle)
-		}
+		p.DebtRecords = pre.DebtRecords
+		p.DebtBytes = pre.DebtBytes
+		p.RedoSpan = pre.RedoSpan
+		p.Coverage = pre.Coverage
 	}
 
 	p.ResidualDebt = post.DebtRecords
@@ -188,12 +149,12 @@ func recoveryDebtArm(proto recovery.Protocol) (RecoveryDebtPoint, error) {
 	if post.Failures != 0 {
 		return p, fmt.Errorf("%d failed recoveries", post.Failures)
 	}
-	if want := int64(recoveryDebtJudged + 1); p.Recoveries != want {
-		return p, fmt.Errorf("recoveries = %d, want %d", p.Recoveries, want)
+	if p.Recoveries != recoveryDebtCycles {
+		return p, fmt.Errorf("recoveries = %d, want %d", p.Recoveries, recoveryDebtCycles)
 	}
 
 	// Debt must re-accumulate once the system resumes work.
-	if _, err := depCensusRound(db, mgr, (recoveryDebtJudged+1)*(recoveryDebtRounds+1), true); err != nil {
+	if _, err := depCensusRound(db, mgr, recoveryDebtCycles*(recoveryDebtRounds+1), true); err != nil {
 		return p, err
 	}
 	p.ResumedDebt = d.Snapshot().DebtRecords
@@ -204,11 +165,11 @@ func recoveryDebtArm(proto recovery.Protocol) (RecoveryDebtPoint, error) {
 }
 
 // recoveryDebtCycle drives committed convoy rounds plus one in-flight round,
-// snapshots the tracker, crashes node 3 (the holder of every hopped line),
-// recovers under wall timing, snapshots again (the residual-debt probe,
-// before anything resumes), and settles the surviving transactions. base
-// offsets the round payloads so the two cycles write distinct values.
-func recoveryDebtCycle(db *recovery.DB, mgr *txn.Manager, d *debt.Tracker, proto recovery.Protocol, base int) (pre, post debt.Snapshot, wallNS int64, err error) {
+// snapshots the tracker, crashes the victim, recovers, snapshots again (the
+// residual-debt probe, before anything resumes), and settles the surviving
+// transactions. It returns both snapshots and the recovery's simulated
+// duration. base offsets the round payloads so cycles write distinct values.
+func recoveryDebtCycle(db *recovery.DB, mgr *txn.Manager, d *debt.Tracker, proto recovery.Protocol, base int) (pre, post debt.Snapshot, simNS int64, err error) {
 	for round := 0; round < recoveryDebtRounds; round++ {
 		if _, err := depCensusRound(db, mgr, base+round, true); err != nil {
 			return pre, post, 0, err
@@ -220,17 +181,15 @@ func recoveryDebtCycle(db *recovery.DB, mgr *txn.Manager, d *debt.Tracker, proto
 	}
 	pre = d.Snapshot()
 
-	victim := machine.NodeID(3)
-	db.Crash(victim)
-	start := time.Now()
-	if _, err := db.Recover([]machine.NodeID{victim}); err != nil {
+	db.Crash(recoveryDebtVictim)
+	rep, err := db.Recover([]machine.NodeID{recoveryDebtVictim})
+	if err != nil {
 		return pre, post, 0, err
 	}
-	wallNS = time.Since(start).Nanoseconds()
 	post = d.Snapshot()
-	if !db.M.Alive(victim) { // the baseline reboot restarts every node itself
-		if err := db.RestartNode(victim); err != nil {
-			return pre, post, wallNS, err
+	if !db.M.Alive(recoveryDebtVictim) { // the baseline reboot restarts every node itself
+		if err := db.RestartNode(recoveryDebtVictim); err != nil {
+			return pre, post, rep.SimTime, err
 		}
 	}
 
@@ -244,14 +203,14 @@ func recoveryDebtCycle(db *recovery.DB, mgr *txn.Manager, d *debt.Tracker, proto
 				if errors.Is(err, txn.ErrDone) {
 					continue
 				}
-				return pre, post, wallNS, err
+				return pre, post, rep.SimTime, err
 			}
 			if err := txs[n].Commit(); err != nil {
-				return pre, post, wallNS, err
+				return pre, post, rep.SimTime, err
 			}
 		}
 	}
-	return pre, post, wallNS, nil
+	return pre, post, rep.SimTime, nil
 }
 
 // Table renders the census.
@@ -259,7 +218,7 @@ func (r *RecoveryDebtResult) Table() string {
 	t := &tableWriter{header: []string{
 		"protocol", "debt-recs", "debt-bytes", "redo-span", "coverage",
 		"est", "measured", "ratio", "residual", "recoveries", "mttr-ewma",
-	}, host: []string{"est", "measured", "ratio", "mttr-ewma"}}
+	}, host: []string{"mttr-ewma"}}
 	for _, p := range r.Points {
 		t.addRow(
 			p.Protocol.String(),
@@ -267,8 +226,8 @@ func (r *RecoveryDebtResult) Table() string {
 			fmt.Sprintf("%d", p.DebtBytes),
 			fmt.Sprintf("%d", p.RedoSpan),
 			pct(p.Coverage),
-			us(p.EstNS),
-			us(p.WallNS),
+			ms(p.EstNS),
+			ms(p.SimNS),
 			fmt.Sprintf("%.2fx", p.Ratio),
 			fmt.Sprintf("%d", p.ResidualDebt),
 			fmt.Sprintf("%d", p.Recoveries),

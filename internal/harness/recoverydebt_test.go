@@ -36,7 +36,7 @@ func TestRunRecoveryDebt(t *testing.T) {
 		if p.ResumedDebt == 0 {
 			t.Errorf("%v: debt did not re-accumulate after recovery", p.Protocol)
 		}
-		if want := int64(recoveryDebtJudged + 1); p.Recoveries != want {
+		if want := int64(recoveryDebtCycles); p.Recoveries != want {
 			t.Errorf("%v: recoveries = %d, want %d", p.Protocol, p.Recoveries, want)
 		}
 	}

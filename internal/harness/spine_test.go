@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"smdb/internal/machine"
 	"smdb/internal/obs"
 	"smdb/internal/obs/debt"
 	"smdb/internal/obs/hooks"
@@ -25,7 +26,8 @@ type spineRun struct {
 }
 
 func newSpineConsumers() (*waterfall.Recorder, *debt.Tracker) {
-	return waterfall.New(waterfall.Config{}), debt.New(debt.Config{LinesPerPage: 4})
+	c := machine.DefaultCostModel()
+	return waterfall.New(waterfall.Config{}), debt.New(debt.Config{DiskReadNS: c.DiskRead, LogForceNS: c.LogForce})
 }
 
 func runSpine(t *testing.T, proto recovery.Protocol) spineRun {
@@ -87,12 +89,9 @@ func TestTraceRebuildsConsumers(t *testing.T) {
 	}
 }
 
-// debtCounts is a debt snapshot less its host-time fields (wall MTTRs, the
-// calibration they feed, and the estimates built on it).
+// debtCounts is a debt snapshot less its host-time fields, the wall MTTRs.
 func debtCounts(s debt.Snapshot) debt.Snapshot {
-	s.Calibrated, s.EstNS = false, 0
 	s.LastWallNS, s.AvgWallNS, s.EwmaWallNS = 0, 0, 0
-	s.NSPerRec, s.Calibrations = 0, 0
 	return s
 }
 

@@ -174,9 +174,6 @@ func NewSMManager(m *machine.Machine, nLines int, logs []*wal.Log, lm LogMode) (
 	return s, nil
 }
 
-// TableLines returns the LCB table's line range (for recovery scans).
-func (s *SMManager) TableLines() (base machine.LineID, n int) { return s.base, s.nline }
-
 // entryCap is the number of holder+waiter entries one LCB line can store.
 func (s *SMManager) entryCap() int {
 	return (s.M.LineSize() - lcbEntriesOff) / lcbEntryBytes

@@ -35,7 +35,7 @@ func BenchmarkNilTrackerNoteDirty(b *testing.B) {
 }
 
 func BenchmarkLiveTrackerNoteAppend(b *testing.B) {
-	t := New(Config{Nodes: 1})
+	t := New(Config{})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		t.OnEvent(obs.Event{Kind: obs.KindWALAppend, Sim: int64(i), A: int64(i + 1), B: 1, C: 7, Dur: 100})

@@ -1,6 +1,6 @@
 // Package debt implements the live recovery-debt tracker: a continuously
 // maintained answer to "if a node crashed right now, how much replay work —
-// and how much wall time — would restart recovery cost?".
+// and how much simulated time — would restart recovery cost?".
 //
 // The tracker folds the engine's event stream — it is a sink of the attached
 // hook set, like the residency model: WAL appends, forces and discards, node
@@ -20,14 +20,18 @@
 //     the oldest in-flight transaction's first record);
 //   - the dirty-page set (pages whose cached lines diverge from disk — the
 //     redo working set a crash would have to reinstall);
-//   - an estimated replay time, calibrated online from completed
-//     recoveries: a wall-clock ns-per-debt-record rate.
+//   - each node's estimated recovery time: the simulated time restart
+//     recovery would take if that node crashed now (see Config and
+//     NodeSnapshot.EstNS), and globally the largest of them.
 //
-// A completed recovery acts as a fuzzy end-of-restart checkpoint: the
-// tracker re-anchors every node's safe point at its current end of log, so
-// debt drops to ~zero and re-accumulates from there. Each completed
-// recovery also contributes one MTTR sample (wall and simulated) and one
-// calibration sample for the estimator.
+// A completed recovery re-anchors every node's safe point at its current end
+// of log, so debt drops to zero and re-accumulates from there, and
+// contributes one MTTR sample (wall and simulated). The re-anchor is the
+// tracker's view, not the engine's: Recover writes no checkpoint record, so
+// the next recovery still replays from the last checkpoint, every earlier
+// recovery's records included (on E24's schedule under Redo All, redo
+// applied goes 114, 231, 348 over three cycles), while the tracker reports
+// the debt as zero.
 //
 // Like the rest of the observability stack the tracker is nil-receiver
 // safe: every method on a nil *Tracker is a no-op that performs no
@@ -66,9 +70,6 @@ const (
 const (
 	// DefaultWindowNS is the windowed time-series width in simulated time.
 	DefaultWindowNS = int64(time.Millisecond)
-	// defaultLinesPerPage scales dirty pages to dirty lines when the caller
-	// does not say.
-	defaultLinesPerPage = 4
 	// maxWindows bounds the closed-window ring retained for the JSON doc.
 	maxWindows = 64
 	// maxAnomalies bounds the watchdog's anomaly log.
@@ -80,21 +81,25 @@ const (
 	// growthFloor is the minimum global debt (records) before the growth
 	// watchdog may fire, so tiny idle systems do not alarm.
 	growthFloor = 256
-	// ewmaAlpha weights new calibration and MTTR samples.
+	// ewmaAlpha weights new MTTR samples.
 	ewmaAlpha = 0.5
 )
 
-// Config sizes a Tracker.
+// Config sizes a Tracker and prices its recovery-time estimate in the
+// engine's simulated costs (a zero price prices nothing). Recovery's probe
+// reads every dirty page back and its settle step forces the survivors'
+// unforced logs, in parallel; the rest costs microseconds against those
+// milliseconds and is left out (DESIGN.md §13, E24).
 type Config struct {
-	// Nodes is the node count (per-node accounting slots). Hooks for nodes
-	// beyond it grow the table on demand.
-	Nodes int
 	// WindowNS is the time-series window width in simulated nanoseconds
 	// (<= 0 uses DefaultWindowNS).
 	WindowNS int64
-	// LinesPerPage scales the dirty-page count to dirty lines (<= 0 uses
-	// defaultLinesPerPage).
-	LinesPerPage int
+	// DiskReadNS is the price of reading one page from the stable database
+	// (machine.CostModel.DiskRead).
+	DiskReadNS int64
+	// LogForceNS is the price of one log force (machine.CostModel.LogForce,
+	// or LogForceNVRAM when the engine's log is NVRAM).
+	LogForceNS int64
 }
 
 // nodeState is one node's debt accounting.
@@ -237,10 +242,6 @@ type Tracker struct {
 	ewmaMTTRNS    float64
 	lastRecovery  recoverySample
 	haveRecovery  bool
-
-	// Estimator calibration (ns per debt record).
-	nsPerRec     float64
-	calibrations int64
 }
 
 // New creates a tracker.
@@ -248,18 +249,7 @@ func New(cfg Config) *Tracker {
 	if cfg.WindowNS <= 0 {
 		cfg.WindowNS = DefaultWindowNS
 	}
-	if cfg.LinesPerPage <= 0 {
-		cfg.LinesPerPage = defaultLinesPerPage
-	}
-	if cfg.Nodes < 0 {
-		cfg.Nodes = 0
-	}
-	t := &Tracker{cfg: cfg, start: time.Now(), dirty: make(map[int64]struct{})}
-	t.nodes = make([]nodeState, cfg.Nodes)
-	for i := range t.nodes {
-		t.nodes[i].first = 1
-	}
-	return t
+	return &Tracker{cfg: cfg, start: time.Now(), dirty: make(map[int64]struct{})}
 }
 
 // now returns monotonic wall nanoseconds since New.
@@ -483,8 +473,8 @@ func (t *Tracker) discardLocked(node int32, newFirst int64) {
 }
 
 // recoveryStartLocked opens a recovery run over `down` crashed nodes (the
-// run's opening KindProgress event), snapshotting the global debt the
-// estimator is judged against.
+// run's opening KindProgress event), snapshotting the global debt the run
+// starts from.
 func (t *Tracker) recoveryStartLocked(down int) {
 	t.recovering = true
 	t.recoveryWall0 = t.now()
@@ -493,9 +483,9 @@ func (t *Tracker) recoveryStartLocked(down int) {
 }
 
 // recoveryEndLocked closes a recovery run (its KindRecovery span). A
-// successful recovery contributes one MTTR sample, one estimator calibration
-// sample (wall ns per debt record), and re-anchors every node's safe point at
-// its current end of log — debt drops to ~zero and re-accumulates.
+// successful recovery contributes one MTTR sample and re-anchors every
+// node's safe point at its current end of log — debt drops to zero and
+// re-accumulates.
 // replayed is the records recovery actually processed (redo applied+skipped,
 // undo applied); simNS the simulated recovery duration.
 func (t *Tracker) recoveryEndLocked(ok bool, replayed, simNS int64) {
@@ -521,16 +511,7 @@ func (t *Tracker) recoveryEndLocked(ok bool, replayed, simNS int64) {
 	} else {
 		t.ewmaMTTRNS += ewmaAlpha * (float64(wall) - t.ewmaMTTRNS)
 	}
-	if t.recoveryDebt0 > 0 && wall > 0 {
-		rate := float64(wall) / float64(t.recoveryDebt0)
-		if t.calibrations == 0 {
-			t.nsPerRec = rate
-		} else {
-			t.nsPerRec += ewmaAlpha * (rate - t.nsPerRec)
-		}
-		t.calibrations++
-	}
-	// The fuzzy end-of-restart checkpoint: re-anchor every node.
+	// Re-anchor every node (the tracker's view; see the package doc).
 	for i := range t.nodes {
 		n := &t.nodes[i]
 		if n.last > n.safeOverride {
@@ -565,34 +546,35 @@ type NodeSnapshot struct {
 	Crashes      int64 `json:"crashes"`
 	Discarded    int64 `json:"discarded_records"`
 	Unattributed int64 `json:"unattributed_records"`
+	// EstNS is the simulated recovery time if this node crashed now: the
+	// dirty pages' reads plus, if another node holds unforced records, one
+	// log force (see Config).
+	EstNS int64 `json:"est_recovery_ns"`
 }
 
 // Snapshot is the tracker's full state at an instant; the harness gates on
 // its sim-deterministic fields and the JSON/Prom writers render it.
 type Snapshot struct {
-	Calibrated  bool           `json:"calibrated"`
-	DebtRecords int64          `json:"debt_records"`
-	DebtBytes   int64          `json:"debt_bytes"`
-	RedoSpan    int64          `json:"redo_span"`
-	UndoSpan    int64          `json:"undo_span"`
-	DirtyPages  int            `json:"dirty_pages"`
-	DirtyLines  int            `json:"dirty_lines"`
-	EstNS       int64          `json:"est_replay_ns"`
+	DebtRecords int64 `json:"debt_records"`
+	DebtBytes   int64 `json:"debt_bytes"`
+	RedoSpan    int64 `json:"redo_span"`
+	UndoSpan    int64 `json:"undo_span"`
+	DirtyPages  int   `json:"dirty_pages"`
+	// EstNS is the largest node's estimated recovery time.
+	EstNS       int64          `json:"est_recovery_ns"`
 	Coverage    float64        `json:"attr_coverage"`
 	Appends     int64          `json:"appends"`
 	AppendBytes int64          `json:"append_bytes"`
 	Nodes       []NodeSnapshot `json:"nodes"`
 
-	Recovering   bool    `json:"recovering"`
-	Recoveries   int64   `json:"recoveries"`
-	Failures     int64   `json:"failed_recoveries"`
-	LastWallNS   int64   `json:"last_mttr_wall_ns"`
-	LastSimNS    int64   `json:"last_mttr_sim_ns"`
-	AvgWallNS    int64   `json:"avg_mttr_wall_ns"`
-	EwmaWallNS   int64   `json:"ewma_mttr_wall_ns"`
-	NSPerRec     float64 `json:"ns_per_record"`
-	Calibrations int64   `json:"calibration_samples"`
-	Anomalies    int     `json:"anomalies"`
+	Recovering bool  `json:"recovering"`
+	Recoveries int64 `json:"recoveries"`
+	Failures   int64 `json:"failed_recoveries"`
+	LastWallNS int64 `json:"last_mttr_wall_ns"`
+	LastSimNS  int64 `json:"last_mttr_sim_ns"`
+	AvgWallNS  int64 `json:"avg_mttr_wall_ns"`
+	EwmaWallNS int64 `json:"ewma_mttr_wall_ns"`
+	Anomalies  int   `json:"anomalies"`
 }
 
 // Snapshot copies the tracker's current accounting.
@@ -607,15 +589,11 @@ func (t *Tracker) Snapshot() Snapshot {
 
 func (t *Tracker) snapshotLocked() Snapshot {
 	s := Snapshot{
-		Calibrated:   t.calibrations > 0,
-		DirtyPages:   len(t.dirty),
-		DirtyLines:   len(t.dirty) * t.cfg.LinesPerPage,
-		Recovering:   t.recovering,
-		Recoveries:   t.recoveries,
-		Failures:     t.failures,
-		NSPerRec:     t.nsPerRec,
-		Calibrations: t.calibrations,
-		Anomalies:    len(t.anomalies) + int(t.dropped),
+		DirtyPages: len(t.dirty),
+		Recovering: t.recovering,
+		Recoveries: t.recoveries,
+		Failures:   t.failures,
+		Anomalies:  len(t.anomalies) + int(t.dropped),
 	}
 	if t.haveRecovery {
 		s.LastWallNS = t.lastRecovery.WallNS
@@ -664,8 +642,23 @@ func (t *Tracker) snapshotLocked() Snapshot {
 	} else {
 		s.Coverage = 1
 	}
-	if t.calibrations > 0 {
-		s.EstNS = int64(float64(s.DebtRecords) * t.nsPerRec)
+	holders := 0 // nodes with unforced records
+	for _, n := range s.Nodes {
+		if n.UnforcedRecs > 0 {
+			holders++
+		}
+	}
+	for i := range s.Nodes {
+		n := &s.Nodes[i]
+		n.EstNS = int64(len(t.dirty)) * t.cfg.DiskReadNS
+		others := holders
+		if n.UnforcedRecs > 0 {
+			others--
+		}
+		if others > 0 {
+			n.EstNS += t.cfg.LogForceNS
+		}
+		s.EstNS = max(s.EstNS, n.EstNS)
 	}
 	return s
 }
@@ -736,7 +729,7 @@ func (t *Tracker) WriteDebtProm(w io.Writer) error {
 	for _, n := range s.Nodes {
 		fmt.Fprintf(&b, "smdb_recovery_debt_safe_lsn{node=\"%d\"} %d\n", n.Node, n.SafeLSN)
 	}
-	fmt.Fprintf(&b, "# HELP smdb_recovery_debt_estimate_ns Estimated replay wall time for the current debt.\n")
+	fmt.Fprintf(&b, "# HELP smdb_recovery_debt_estimate_ns Estimated simulated recovery time if the costliest node crashed now.\n")
 	fmt.Fprintf(&b, "# TYPE smdb_recovery_debt_estimate_ns gauge\n")
 	fmt.Fprintf(&b, "smdb_recovery_debt_estimate_ns %d\n", s.EstNS)
 	fmt.Fprintf(&b, "# HELP smdb_recovery_debt_dirty_pages Pages whose cached lines diverge from disk.\n")
@@ -808,11 +801,7 @@ func (t *Tracker) Summary() string {
 		return "debt: disabled"
 	}
 	s := t.Snapshot()
-	est := "uncalibrated"
-	if s.Calibrated {
-		est = "est replay " + obs.FormatNS(s.EstNS)
-	}
-	return fmt.Sprintf("debt: %d record(s) / %d byte(s) over %d node(s), %d dirty page(s), %s; %d recovery(ies), last MTTR %s, %d anomaly(ies)",
-		s.DebtRecords, s.DebtBytes, len(s.Nodes), s.DirtyPages, est,
+	return fmt.Sprintf("debt: %d record(s) / %d byte(s) over %d node(s), %d dirty page(s), est recovery %s sim; %d recovery(ies), last MTTR %s wall, %d anomaly(ies)",
+		s.DebtRecords, s.DebtBytes, len(s.Nodes), s.DirtyPages, obs.FormatNS(s.EstNS),
 		s.Recoveries, obs.FormatNS(s.LastWallNS), s.Anomalies)
 }

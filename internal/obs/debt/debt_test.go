@@ -3,6 +3,7 @@ package debt
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -66,7 +67,7 @@ func appendN(t *Tracker, node int32, startLSN int64, n int, txn uint64, size int
 }
 
 func TestDebtAccumulatesAndAnchors(t *testing.T) {
-	tr := New(Config{Nodes: 2})
+	tr := New(Config{})
 	// Node 0: txn 7 writes 5 updates then commits; txn 8 writes 3 and stays
 	// in flight.
 	next := appendN(tr, 0, 1, 5, 7, 100, 0)
@@ -98,7 +99,7 @@ func TestDebtAccumulatesAndAnchors(t *testing.T) {
 }
 
 func TestCheckpointBoundsSafePointByOldestActive(t *testing.T) {
-	tr := New(Config{Nodes: 1})
+	tr := New(Config{})
 	next := appendN(tr, 0, 1, 4, 5, 100, 0) // txn 5 in flight from LSN 1
 	feedAppend(tr, 0, next, typeCheckpoint, 0, 60, 0)
 	next++
@@ -124,7 +125,7 @@ func TestCheckpointBoundsSafePointByOldestActive(t *testing.T) {
 }
 
 func TestCrashTruncatesToStablePrefix(t *testing.T) {
-	tr := New(Config{Nodes: 1})
+	tr := New(Config{})
 	next := appendN(tr, 0, 1, 6, 3, 100, 0)
 	feedForce(tr, 0, 4, 4, 0)
 	feedCrash(tr, 0)
@@ -144,7 +145,7 @@ func TestCrashTruncatesToStablePrefix(t *testing.T) {
 }
 
 func TestDiscardRebasesBytes(t *testing.T) {
-	tr := New(Config{Nodes: 1})
+	tr := New(Config{})
 	appendN(tr, 0, 1, 10, 3, 100, 0)
 	feedForce(tr, 0, 10, 10, 0)
 	feedDiscard(tr, 0, 6) // records 1..5 reclaimed
@@ -158,11 +159,10 @@ func TestDiscardRebasesBytes(t *testing.T) {
 	}
 }
 
-// TestRecoveryResetsDebtAndRecalibrates is the satellite unit test: debt
-// drops to ~zero immediately after a completed recovery, re-accumulates
-// from there, and the estimator produces calibrated estimates.
-func TestRecoveryResetsDebtAndRecalibrates(t *testing.T) {
-	tr := New(Config{Nodes: 2})
+// TestRecoveryResetsDebt: debt drops to zero immediately after a completed
+// recovery, which records its simulated MTTR, and re-accumulates from there.
+func TestRecoveryResetsDebt(t *testing.T) {
+	tr := New(Config{})
 	appendN(tr, 0, 1, 50, 3, 100, 0)
 	appendN(tr, 1, 1, 30, 1<<48|9, 100, 0)
 	if s := tr.Snapshot(); s.DebtRecords != 80 {
@@ -173,42 +173,93 @@ func TestRecoveryResetsDebtAndRecalibrates(t *testing.T) {
 	if s.DebtRecords != 0 || s.DebtBytes != 0 {
 		t.Fatalf("post-recovery debt = %d records / %d bytes, want 0/0", s.DebtRecords, s.DebtBytes)
 	}
-	if !s.Calibrated || s.Recoveries != 1 || s.Calibrations != 1 {
-		t.Fatalf("calibration missing: %+v", s)
+	if s.Recoveries != 1 || s.LastSimNS != 5_000_000 {
+		t.Fatalf("recoveries = %d, last sim MTTR = %d, want 1 and 5ms", s.Recoveries, s.LastSimNS)
 	}
-	if s.LastSimNS != 5_000_000 {
-		t.Fatalf("last sim MTTR = %d, want 5ms", s.LastSimNS)
-	}
-	if s.NSPerRec <= 0 {
-		t.Fatalf("ns/record not calibrated: %v", s.NSPerRec)
-	}
-	// Re-accumulate: estimates scale with the new debt.
 	appendN(tr, 0, 51, 40, 4, 100, 0)
-	s = tr.Snapshot()
-	if s.DebtRecords != 40 {
+	if s := tr.Snapshot(); s.DebtRecords != 40 {
 		t.Fatalf("re-accumulated debt = %d, want 40", s.DebtRecords)
-	}
-	want := int64(float64(40) * s.NSPerRec)
-	if s.EstNS <= 0 || s.EstNS != want {
-		t.Fatalf("estimate = %d, want %d", s.EstNS, want)
 	}
 }
 
+// TestEstimateIsSimulatedRecoveryTime: with no recovery ever seen, each
+// node's estimate is the dirty pages' reads plus one log force exactly when
+// another node holds unforced records, the global estimate is the largest,
+// and two folds of one stream give identical snapshots.
+func TestEstimateIsSimulatedRecoveryTime(t *testing.T) {
+	const read, force = 10_000_000, 8_000_000
+	cfg := Config{DiskReadNS: read, LogForceNS: force}
+	// Nodes 0 and 2 force what they log, node 1 does not; pages 4 and 5
+	// stay dirty.
+	stream := func(tr *Tracker) {
+		appendN(tr, 0, 1, 3, 7, 100, 10)
+		feedForce(tr, 0, 3, 3, 20)
+		appendN(tr, 1, 1, 2, 1<<48|8, 100, 30)
+		appendN(tr, 2, 1, 1, 2<<48|9, 100, 40)
+		feedForce(tr, 2, 1, 1, 50)
+		feedDirty(tr, 4)
+		feedDirty(tr, 5)
+		feedDirty(tr, 6)
+		feedClean(tr, 6)
+	}
+	check := func(when string, s Snapshot, want ...int64) {
+		t.Helper()
+		if len(s.Nodes) != len(want) {
+			t.Fatalf("%s: %d nodes, want %d", when, len(s.Nodes), len(want))
+		}
+		var global int64
+		for i, n := range s.Nodes {
+			if n.EstNS != want[i] {
+				t.Errorf("%s: node %d estimate %d, want %d", when, i, n.EstNS, want[i])
+			}
+			global = max(global, want[i])
+		}
+		if s.EstNS != global {
+			t.Errorf("%s: global estimate %d, want %d", when, s.EstNS, global)
+		}
+	}
+	a, b := New(cfg), New(cfg)
+	stream(a)
+	stream(b)
+	s := a.Snapshot()
+	if s.Recoveries != 0 || s.DirtyPages != 2 {
+		t.Fatalf("recoveries %d, dirty pages %d, want 0 and 2", s.Recoveries, s.DirtyPages)
+	}
+	// Only node 1 holds unforced records: its own crash loses them, any
+	// other node's crash leaves them for recovery to force.
+	check("node 1 unforced", s, 2*read+force, 2*read, 2*read+force)
+	if sb := b.Snapshot(); !reflect.DeepEqual(s, sb) {
+		t.Errorf("two folds of one stream differ:\n%+v\n%+v", s, sb)
+	}
+
+	feedForce(a, 1, 2, 2, 60)
+	check("all forced", a.Snapshot(), 2*read, 2*read, 2*read)
+
+	appendN(a, 0, 4, 1, 7, 100, 70)
+	appendN(a, 2, 2, 1, 2<<48|9, 100, 80)
+	check("nodes 0 and 2 unforced", a.Snapshot(), 2*read+force, 2*read+force, 2*read+force)
+
+	feedClean(a, 4)
+	feedClean(a, 5)
+	feedForce(a, 0, 4, 1, 90)
+	check("clean, node 2 unforced", a.Snapshot(), force, force, 0)
+}
+
 func TestFailedRecoveryDoesNotReset(t *testing.T) {
-	tr := New(Config{Nodes: 1})
+	tr := New(Config{})
 	appendN(tr, 0, 1, 20, 3, 100, 0)
 	feedRecovery(tr, 1, false, 0, 0)
 	s := tr.Snapshot()
 	if s.DebtRecords != 20 {
 		t.Fatalf("debt after failed recovery = %d, want 20 (no reset)", s.DebtRecords)
 	}
-	if s.Failures != 1 || s.Recoveries != 0 || s.Calibrated {
+	if s.Failures != 1 || s.Recoveries != 0 {
 		t.Fatalf("failure accounting wrong: %+v", s)
 	}
 }
 
 func TestGrowthWatchdogFires(t *testing.T) {
-	tr := New(Config{Nodes: 1, WindowNS: 1000})
+	tr := New(Config{WindowNS: 1000})
 	lsn := int64(1)
 	// Seed enough debt to clear the floor, then keep growing across windows
 	// with no force/checkpoint/discard.
@@ -228,7 +279,7 @@ func TestGrowthWatchdogFires(t *testing.T) {
 }
 
 func TestGrowthWatchdogQuietWhenSafePointAdvances(t *testing.T) {
-	tr := New(Config{Nodes: 1, WindowNS: 1000})
+	tr := New(Config{WindowNS: 1000})
 	lsn := int64(1)
 	for w := int64(0); w < growthWindows+4; w++ {
 		for i := 0; i < growthFloor; i++ {
@@ -245,8 +296,9 @@ func TestGrowthWatchdogQuietWhenSafePointAdvances(t *testing.T) {
 }
 
 func TestWriteDebtJSONShape(t *testing.T) {
-	tr := New(Config{Nodes: 2})
+	tr := New(Config{})
 	appendN(tr, 0, 1, 3, 7, 100, 0)
+	feedCrash(tr, 1) // node 1 logged nothing
 	feedDirty(tr, 4)
 	feedDirty(tr, 5)
 	feedClean(tr, 5)
@@ -284,8 +336,9 @@ func TestWriteDebtJSONShape(t *testing.T) {
 }
 
 func TestWriteDebtProm(t *testing.T) {
-	tr := New(Config{Nodes: 2})
+	tr := New(Config{})
 	appendN(tr, 0, 1, 3, 7, 100, 0)
+	feedCrash(tr, 1) // node 1 logged nothing
 	var buf bytes.Buffer
 	if err := tr.WriteDebtProm(&buf); err != nil {
 		t.Fatal(err)
@@ -315,7 +368,7 @@ func TestWriteDebtProm(t *testing.T) {
 }
 
 func TestTypeAttributionAndCoverage(t *testing.T) {
-	tr := New(Config{Nodes: 1})
+	tr := New(Config{})
 	appendN(tr, 0, 1, 4, 3, 100, 0)
 	feedAppend(tr, 0, 5, typeCommit, 3, 60, 0)
 	feedAppend(tr, 0, 6, typeCheckpoint, 0, 60, 0)
@@ -345,15 +398,15 @@ func TestSummaryLines(t *testing.T) {
 	if got := nilTr.Summary(); got != "debt: disabled" {
 		t.Fatalf("nil summary = %q", got)
 	}
-	tr := New(Config{Nodes: 1})
+	tr := New(Config{})
 	appendN(tr, 0, 1, 2, 3, 100, 0)
-	if got := tr.Summary(); !strings.Contains(got, "2 record(s)") || !strings.Contains(got, "uncalibrated") {
+	if got := tr.Summary(); !strings.Contains(got, "2 record(s)") || !strings.Contains(got, "est recovery 0") {
 		t.Fatalf("summary = %q", got)
 	}
 }
 
 func TestMidRunAttachResyncs(t *testing.T) {
-	tr := New(Config{Nodes: 1})
+	tr := New(Config{})
 	// First observed append is LSN 100 (the tracker attached mid-run).
 	feedAppend(tr, 0, 100, 1, 3, 100, 0)
 	feedAppend(tr, 0, 101, 1, 3, 100, 0)

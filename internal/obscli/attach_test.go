@@ -41,7 +41,7 @@ func fullSet(db *recovery.DB, dir string, reversed bool) hooks.Set {
 		func(s *hooks.Set) { s.Prof = prof.NewStripeProf(machine.StripeCount) },
 		func(s *hooks.Set) { s.Waterfall = waterfall.New(waterfall.Config{Nodes: db.M.Nodes()}) },
 		func(s *hooks.Set) {
-			s.Debt = debt.New(debt.Config{Nodes: db.M.Nodes(), LinesPerPage: db.Cfg.LinesPerPage})
+			s.Debt = debt.New(debt.Config{DiskReadNS: db.M.Config().Cost.DiskRead, LogForceNS: db.LogForceCost()})
 		},
 		func(s *hooks.Set) { s.Flight = obs.NewFlightRecorder(dir, 64) },
 	}
@@ -319,17 +319,15 @@ func TestSpineFanOut(t *testing.T) {
 			f.coverage, _, _ = s.Waterfall.Coverage()
 		}
 		f.debt = s.Debt.Snapshot()
-		// What the estimator calibrates from wall time is not the fold.
-		f.debt.EstNS = 0
+		// Wall MTTRs are host time, not the fold.
 		f.debt.LastWallNS, f.debt.AvgWallNS, f.debt.EwmaWallNS = 0, 0, 0
-		f.debt.NSPerRec = 0
 		return f
 	}
 	newWf := func(db *recovery.DB) *waterfall.Recorder {
 		return waterfall.New(waterfall.Config{Nodes: db.M.Nodes()})
 	}
 	newDebt := func(db *recovery.DB) *debt.Tracker {
-		return debt.New(debt.Config{Nodes: db.M.Nodes(), LinesPerPage: db.Cfg.LinesPerPage})
+		return debt.New(debt.Config{DiskReadNS: db.M.Config().Cost.DiskRead, LogForceNS: db.LogForceCost()})
 	}
 	wfAlone := run(func(db *recovery.DB) hooks.Set {
 		return hooks.Set{Observer: obs.NewWithCapacity(256), Waterfall: newWf(db)}

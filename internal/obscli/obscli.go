@@ -216,8 +216,8 @@ func (s *Stack) Attach(db *recovery.DB) *deps.Tracker {
 	}
 	if s.flags.Debt {
 		set.Debt = debt.New(debt.Config{
-			Nodes:        db.M.Nodes(),
-			LinesPerPage: db.Cfg.LinesPerPage,
+			DiskReadNS: db.M.Config().Cost.DiskRead,
+			LogForceNS: db.LogForceCost(),
 		})
 		if s.Flight != nil {
 			// Capture the raw per-node WAL devices in every dump so

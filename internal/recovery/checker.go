@@ -247,15 +247,19 @@ func (db *DB) CheckIFA(nd machine.NodeID) []string {
 }
 
 // writeHistory summarizes which transactions wrote rid (for violation
-// diagnostics); v0 is a write whose record is gone. Caller must not hold a
-// node mutex.
+// diagnostics), naming the version each write's record carries or that a
+// crash or a checkpoint took the record. Caller must not hold a node mutex.
 func (db *DB) writeHistory(rid heap.RID) (out string) {
 	db.eachTxn(func(_ *nodeCtl, st *txnState) {
 		for i, w := range st.writes {
-			if w.rid == rid {
-				rec, _ := db.updateOf(st, i)
-				out += fmt.Sprintf(" [%v %v crashed=%v wrote v%d]", st.id, st.stat(), st.crashed.Load(), rec.Version)
+			if w.rid != rid {
+				continue
 			}
+			wrote := "record gone"
+			if rec, ok := db.updateOf(st, i); ok {
+				wrote = fmt.Sprintf("wrote v%d", rec.Version)
+			}
+			out += fmt.Sprintf(" [%v %v crashed=%v %s]", st.id, st.stat(), st.crashed.Load(), wrote)
 		}
 	})
 	return out

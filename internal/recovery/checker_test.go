@@ -183,8 +183,11 @@ func TestCheckerAcrossCheckpoint(t *testing.T) {
 		t.Errorf("VerifyCommittedDurability after the checkpoint: %q", v)
 	}
 	overwrite(t, db, b, 7, machine.NoNode)
-	if v := db.CheckIFA(0); len(v) != 1 || !strings.HasPrefix(v[0], "r1.1: committed value lost") {
-		t.Errorf("CheckIFA of a slot changed with no record = %q, want r1.1's committed value lost", v)
+	// The write history names the inserting transaction, whose record the
+	// checkpoint took.
+	if v := db.CheckIFA(0); len(v) != 1 || !strings.HasPrefix(v[0], "r1.1: committed value lost") ||
+		!strings.HasSuffix(v[0], " committed crashed=false record gone]") {
+		t.Errorf("CheckIFA of a slot changed with no record = %q, want r1.1's committed value lost, its record gone", v)
 	}
 	if v := db.VerifyCommittedDurability(0); len(v) != 1 || v[0] != "r1.1: committed image mismatch" {
 		t.Errorf("VerifyCommittedDurability = %q, want r1.1's committed image mismatch", v)

@@ -366,9 +366,6 @@ func (db *DB) AttachSched(s *sched.Session) {
 	}
 }
 
-// Sched returns the attached schedule session (possibly nil).
-func (db *DB) Sched() *sched.Session { return db.schedp.Load() }
-
 // SchedPoint forwards a scheduling decision to the attached session. With
 // none attached (or outside an episode's armed window) it returns arg
 // unchanged at the cost of one atomic load.
@@ -485,8 +482,9 @@ func (db *DB) NextVersion() uint64 {
 // of restart recovery, during which transaction processing stalls.
 func (db *DB) Frozen() bool { return db.frozen.Load() }
 
-// logForceCost is the simulated price of one physical log force.
-func (db *DB) logForceCost() int64 {
+// LogForceCost is the simulated price of one physical log force on this
+// engine: the cost model's LogForceNVRAM under NVRAMLog, LogForce otherwise.
+func (db *DB) LogForceCost() int64 {
 	c := db.M.Config().Cost
 	if db.Cfg.NVRAMLog {
 		return c.LogForceNVRAM

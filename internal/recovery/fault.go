@@ -134,7 +134,7 @@ func (db *DB) forceThrough(nd machine.NodeID, t wal.TxnID, lsn wal.LSN, count *a
 		}
 	}
 	if _, forced := db.Logs[nd].Force(lsn); forced {
-		cost := db.logForceCost()
+		cost := db.LogForceCost()
 		start := db.M.Clock(nd)
 		db.M.AdvanceClock(nd, cost)
 		count.Add(1)

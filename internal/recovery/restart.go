@@ -52,18 +52,6 @@ type RecoveryReport struct {
 	Phases []obs.PhaseSpan
 }
 
-// PhaseTime returns the simulated duration spent in phase p (0 if the phase
-// did not run).
-func (r *RecoveryReport) PhaseTime(p obs.Phase) int64 {
-	var total int64
-	for _, s := range r.Phases {
-		if s.Phase == p {
-			total += s.Dur
-		}
-	}
-	return total
-}
-
 // Crash fails the given nodes: their caches are destroyed (machine), their
 // volatile log tails are lost (wal), and their entries leave the shared
 // WAL-enforcement table (buffer). Active transactions on those nodes become
@@ -374,7 +362,7 @@ func (db *DB) recoverOnce(alive []machine.NodeID, rep *RecoveryReport) error {
 	// force per surviving log closes the window.
 	for _, n := range db.M.AliveNodes() {
 		if _, forced := db.Logs[n].ForceAll(); forced {
-			cost := db.logForceCost()
+			cost := db.LogForceCost()
 			db.M.AdvanceClock(n, cost)
 			o.ObserveLogForce(cost)
 		}

@@ -311,7 +311,7 @@ func (db *DB) Checkpoint(nd machine.NodeID) error {
 	for _, n := range db.M.AliveNodes() {
 		lsn := db.Logs[n].Append(wal.Record{Type: wal.TypeCheckpoint})
 		if _, forced := db.Logs[n].Force(lsn); forced {
-			cost := db.logForceCost()
+			cost := db.LogForceCost()
 			db.M.AdvanceClock(n, cost)
 			db.hk.Load().Observer.ObserveLogForce(cost)
 		}

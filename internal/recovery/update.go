@@ -327,7 +327,7 @@ func (db *DB) lbmTrigger(ev machine.Event) (int64, error) {
 	}
 	if _, forced := db.Logs[ev.From].Force(upto); forced {
 		nc.lbmForces.Add(1)
-		cost := db.logForceCost()
+		cost := db.LogForceCost()
 		// Safe with the stripe held: the observer takes only its own locks
 		// and never calls back into the machine.
 		if o := db.hk.Load().Observer; o != nil {

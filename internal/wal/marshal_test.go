@@ -263,7 +263,7 @@ func TestAppendForceWithNothingAttachedDoesNoHookWork(t *testing.T) {
 	if reads != 0 {
 		t.Errorf("node clock read %d times with nothing the log feeds attached", reads)
 	}
-	d := debt.New(debt.Config{Nodes: 1})
+	d := debt.New(debt.Config{})
 	o := obs.New()
 	o.SetSink(d)
 	l.SetHooks(o)

@@ -16,12 +16,12 @@ import (
 // recovery-debt tracker attached: the tracker rides every WAL append, force,
 // dirty-line transition, and recovery, and must neither perturb the recorded
 // interleaving nor drift itself — a replay has to reproduce the recording's
-// sim-deterministic debt accounting exactly (wall-clock-derived estimator
-// fields are excluded by design; the estimator calibrates from real time).
+// sim-deterministic debt accounting exactly, the simulated recovery-time
+// estimate included (the wall MTTRs are host time and left out).
 func TestChaosReplayDeterministicWithDebt(t *testing.T) {
 	proto := recovery.VolatileSelectiveRedo
 	attach := func(db *recovery.DB) *debt.Tracker {
-		d := debt.New(debt.Config{Nodes: db.M.Nodes(), LinesPerPage: db.Cfg.LinesPerPage})
+		d := debt.New(debt.Config{DiskReadNS: db.M.Config().Cost.DiskRead, LogForceNS: db.LogForceCost()})
 		db.Attach(hooks.Set{Observer: obs.NewWithCapacity(256), Debt: d})
 		return d
 	}
@@ -29,10 +29,11 @@ func TestChaosReplayDeterministicWithDebt(t *testing.T) {
 		records, bytes, span int64
 		coverage             float64
 		recoveries, failures int64
+		est                  int64
 	}
 	account := func(d *debt.Tracker) accounting {
 		s := d.Snapshot()
-		return accounting{s.DebtRecords, s.DebtBytes, s.RedoSpan, s.Coverage, s.Recoveries, s.Failures}
+		return accounting{s.DebtRecords, s.DebtBytes, s.RedoSpan, s.Coverage, s.Recoveries, s.Failures, s.EstNS}
 	}
 
 	for seed := int64(1); seed <= 2; seed++ {
