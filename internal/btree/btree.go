@@ -13,7 +13,8 @@
 //     removed, so a migrating cache line carries the original record and
 //     the undo of an uncommitted delete is a mere unmark. The space of a
 //     deleted entry becomes reusable only after the deleting transaction
-//     commits (the slot's undo tag is null).
+//     commits (the slot's undo tag is null); an insert that reuses it
+//     first frees it in an early-committed NTA of its own.
 //
 //   - Structural changes — page allocation, splits, separator insertion —
 //     run as nested top-level actions, committed early (log forced at NTA
@@ -266,12 +267,29 @@ func (tr *Tree) Insert(t *txn.Txn, key, val uint64) error {
 	} else if ok {
 		return fmt.Errorf("%w: %d", ErrKeyExists, key)
 	}
-	slot, ok, err := tr.freeSlot(t.Node(), leaf)
+	slot, prev, ok, err := tr.freeSlot(t.Node(), leaf)
 	if err != nil {
 		return err
 	}
 	if !ok {
 		return fmt.Errorf("btree: leaf %d full after preventive split", leaf)
+	}
+	if prev.Occupied() {
+		// A committed tombstone is cleared in an early-committed NTA of
+		// its own, so the insert's before-image is an empty slot.
+		// Otherwise a split could move the tombstone's key out of this
+		// leaf's range while the insert is in flight, and the insert's
+		// physical undo would put the key back here.
+		nta, err := tr.DB.BeginNTA(t.Node(), t.ID())
+		if err != nil {
+			return err
+		}
+		if err := tr.clearSlot(t, nta, leaf, slot); err != nil {
+			return err
+		}
+		if err := tr.DB.EndNTA(t.Node(), t.ID(), nta); err != nil {
+			return err
+		}
 	}
 	return tr.DB.Insert(t.Node(), t.ID(), heap.RID{Page: leaf, Slot: slot}, encodeEntry(key, val))
 }
@@ -371,18 +389,18 @@ func (tr *Tree) Scan(t *txn.Txn, from, to uint64) ([][2]uint64, error) {
 	return found, nil
 }
 
-// freeSlot finds a slot usable for insertion: unoccupied, or a committed
-// tombstone (deleted with a null tag — the deleting transaction committed,
-// so the space is reusable per section 4.2.1).
-func (tr *Tree) freeSlot(nd machine.NodeID, p storage.PageID) (uint16, bool, error) {
+// freeSlot finds a slot usable for insertion, and returns what it holds:
+// nothing, or a committed tombstone (deleted with a null tag — the deleting
+// transaction committed, so the space is reusable per section 4.2.1).
+func (tr *Tree) freeSlot(nd machine.NodeID, p storage.PageID) (uint16, heap.SlotData, bool, error) {
 	for s := 1; s <= tr.capacity(); s++ {
 		sd, err := tr.DB.Read(nd, heap.RID{Page: p, Slot: uint16(s)})
 		if err != nil {
-			return 0, false, err
+			return 0, heap.SlotData{}, false, err
 		}
 		if !sd.Occupied() || (sd.Deleted() && sd.Tag == machine.NoNode) {
-			return uint16(s), true, nil
+			return uint16(s), sd, true, nil
 		}
 	}
-	return 0, false, nil
+	return 0, heap.SlotData{}, false, nil
 }

@@ -438,110 +438,131 @@ func TestQuickTreeMatchesMap(t *testing.T) {
 // with in-flight operations; after recovery the tree must validate and
 // contain exactly the committed keys plus surviving in-flight inserts.
 func TestQuickTreeCrashRecovery(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		tr, mgr := newTree(t, recovery.VolatileSelectiveRedo, 3)
-		db := mgr.DB
-		committed := make(map[uint64]uint64)
-		for i := 0; i < 60; i++ {
-			tx, err := mgr.Begin(machine.NodeID(i % 3))
-			if err != nil {
-				t.Log(err)
-				return false
-			}
-			key := uint64(r.Intn(240) + 1)
-			var opErr error
-			switch r.Intn(3) {
-			case 0:
-				opErr = tr.Insert(tx, key, key*2)
-				if opErr == nil {
-					committed[key] = key * 2
-				}
-			case 1:
-				opErr = tr.Delete(tx, key)
-				if opErr == nil {
-					delete(committed, key)
-				}
-			default:
-				opErr = tr.Update(tx, key, key*3)
-				if opErr == nil {
-					committed[key] = key * 3
-				}
-			}
-			if opErr != nil && !errors.Is(opErr, btree.ErrKeyExists) && !errors.Is(opErr, btree.ErrKeyNotFound) {
-				t.Logf("seed %d: %v", seed, opErr)
-				return false
-			}
-			if err := tx.Commit(); err != nil {
-				t.Log(err)
-				return false
-			}
+	f := func(seed int64) bool { return treeCrashRecovers(t, recovery.VolatileSelectiveRedo, seed) }
+	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestTreeCrashRecoveryReusedTombstone pins a seed of the quick check above.
+// Node 0's in-flight insert reuses a committed tombstone of another key; a
+// later split on node 1 moves that key's range to a new leaf; node 0 then
+// crashes. The insert's undo must not put the tombstone back into a leaf
+// whose range no longer holds its key. Every IFA protocol must recover it.
+func TestTreeCrashRecoveryReusedTombstone(t *testing.T) {
+	for _, proto := range []recovery.Protocol{recovery.VolatileRedoAll,
+		recovery.VolatileSelectiveRedo, recovery.StableEager, recovery.StableTriggered} {
+		if !treeCrashRecovers(t, proto, -4700328024382449815) {
+			t.Errorf("%v: tree did not recover", proto)
 		}
-		// In-flight ops on each node: interior keys absent from the tree,
-		// spread across distinct leaves (several uncommitted inserts in one
-		// leaf would block its split by design).
-		pick := func(lo uint64) uint64 {
-			for k := lo; ; k++ {
-				if _, ok := committed[k]; !ok {
-					return k
-				}
-			}
-		}
-		inflight := map[machine.NodeID]uint64{}
-		for n := machine.NodeID(0); n < 3; n++ {
-			key := pick(uint64(20 + int(n)*80))
-			tx, err := mgr.Begin(n)
-			if err != nil {
-				t.Log(err)
-				return false
-			}
-			if err := tr.Insert(tx, key, 1); err != nil {
-				t.Logf("seed %d: inflight: %v", seed, err)
-				return false
-			}
-			inflight[n] = key
-		}
-		victim := machine.NodeID(r.Intn(3))
-		db.Crash(victim)
-		if _, err := db.Recover([]machine.NodeID{victim}); err != nil {
-			t.Log(err)
-			return false
-		}
-		if v := tr.Validate(db.M.AliveNodes()[0]); len(v) != 0 {
-			t.Logf("seed %d: %v", seed, v)
-			return false
-		}
-		if v := db.CheckIFA(db.M.AliveNodes()[0]); len(v) != 0 {
-			t.Logf("seed %d: IFA: %v", seed, v)
-			return false
-		}
-		live, err := tr.LiveKeys(db.M.AliveNodes()[0])
+	}
+}
+
+// treeCrashRecovers runs one seeded committed workload, starts an insert on
+// every node, crashes one of them, recovers, and reports whether the tree
+// validates and holds exactly the committed keys plus the survivors'
+// inserts.
+func treeCrashRecovers(t *testing.T, proto recovery.Protocol, seed int64) bool {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	tr, mgr := newTree(t, proto, 3)
+	db := mgr.DB
+	committed := make(map[uint64]uint64)
+	for i := 0; i < 60; i++ {
+		tx, err := mgr.Begin(machine.NodeID(i % 3))
 		if err != nil {
 			t.Log(err)
 			return false
 		}
-		// Committed keys all present with right values.
-		for k, v := range committed {
-			if live[k] != v {
-				t.Logf("seed %d: committed key %d = %d, want %d", seed, k, live[k], v)
-				return false
+		key := uint64(r.Intn(240) + 1)
+		var opErr error
+		switch r.Intn(3) {
+		case 0:
+			opErr = tr.Insert(tx, key, key*2)
+			if opErr == nil {
+				committed[key] = key * 2
+			}
+		case 1:
+			opErr = tr.Delete(tx, key)
+			if opErr == nil {
+				delete(committed, key)
+			}
+		default:
+			opErr = tr.Update(tx, key, key*3)
+			if opErr == nil {
+				committed[key] = key * 3
 			}
 		}
-		// Crashed node's in-flight insert gone; survivors' present.
-		for n, k := range inflight {
-			_, present := live[k]
-			if n == victim && present {
-				t.Logf("seed %d: crashed insert %d visible", seed, k)
-				return false
-			}
-			if n != victim && !present {
-				t.Logf("seed %d: surviving insert %d lost", seed, k)
-				return false
+		if opErr != nil && !errors.Is(opErr, btree.ErrKeyExists) && !errors.Is(opErr, btree.ErrKeyNotFound) {
+			t.Logf("seed %d: %v", seed, opErr)
+			return false
+		}
+		if err := tx.Commit(); err != nil {
+			t.Log(err)
+			return false
+		}
+	}
+	// In-flight ops on each node: interior keys absent from the tree,
+	// spread across distinct leaves (several uncommitted inserts in one
+	// leaf would block its split by design).
+	pick := func(lo uint64) uint64 {
+		for k := lo; ; k++ {
+			if _, ok := committed[k]; !ok {
+				return k
 			}
 		}
-		return len(live) == len(committed)+2
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
-		t.Error(err)
+	inflight := map[machine.NodeID]uint64{}
+	for n := machine.NodeID(0); n < 3; n++ {
+		key := pick(uint64(20 + int(n)*80))
+		tx, err := mgr.Begin(n)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		if err := tr.Insert(tx, key, 1); err != nil {
+			t.Logf("seed %d: inflight: %v", seed, err)
+			return false
+		}
+		inflight[n] = key
 	}
+	victim := machine.NodeID(r.Intn(3))
+	db.Crash(victim)
+	if _, err := db.Recover([]machine.NodeID{victim}); err != nil {
+		t.Log(err)
+		return false
+	}
+	if v := tr.Validate(db.M.AliveNodes()[0]); len(v) != 0 {
+		t.Logf("seed %d: %v", seed, v)
+		return false
+	}
+	if v := db.CheckIFA(db.M.AliveNodes()[0]); len(v) != 0 {
+		t.Logf("seed %d: IFA: %v", seed, v)
+		return false
+	}
+	live, err := tr.LiveKeys(db.M.AliveNodes()[0])
+	if err != nil {
+		t.Log(err)
+		return false
+	}
+	// Committed keys all present with right values.
+	for k, v := range committed {
+		if live[k] != v {
+			t.Logf("seed %d: committed key %d = %d, want %d", seed, k, live[k], v)
+			return false
+		}
+	}
+	// Crashed node's in-flight insert gone; survivors' present.
+	for n, k := range inflight {
+		_, present := live[k]
+		if n == victim && present {
+			t.Logf("seed %d: crashed insert %d visible", seed, k)
+			return false
+		}
+		if n != victim && !present {
+			t.Logf("seed %d: surviving insert %d lost", seed, k)
+			return false
+		}
+	}
+	return len(live) == len(committed)+2
 }

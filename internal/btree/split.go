@@ -18,7 +18,7 @@ import (
 
 // isFull reports whether page p has no usable entry slot.
 func (tr *Tree) isFull(nd machine.NodeID, p storage.PageID) (bool, error) {
-	_, ok, err := tr.freeSlot(nd, p)
+	_, _, ok, err := tr.freeSlot(nd, p)
 	return !ok, err
 }
 
@@ -232,7 +232,7 @@ func (tr *Tree) splitNonRoot(t *txn.Txn, p, parent storage.PageID) error {
 	}
 	// Publish the separator in the parent (non-full by invariant; entries
 	// are unsorted in storage, so any free slot works).
-	slot, ok, err := tr.freeSlot(nd, parent)
+	slot, _, ok, err := tr.freeSlot(nd, parent)
 	if err != nil {
 		return err
 	}

@@ -149,20 +149,3 @@ func BenchmarkLineLockAcquireReleaseProfiled(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkLineLockAcquireReleaseNilProfiler pins the disabled path's cost
-// (and, via -benchmem, its zero allocations) for comparison against the
-// pre-profiler BenchmarkLineLockAcquireRelease numbers.
-func BenchmarkLineLockAcquireReleaseNilProfiler(b *testing.B) {
-	m, l := benchMachine(b, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.GetLine(0, l); err != nil {
-			b.Fatal(err)
-		}
-		if err := m.ReleaseLine(0, l); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

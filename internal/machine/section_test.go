@@ -238,6 +238,47 @@ func TestSectionIsTheStandAloneCalls(t *testing.T) {
 	}
 }
 
+// TestSectionHoldsItsStripeBetweenSteps: an open section keeps its line's
+// stripe from one step to the next, so a run of steps is one stripe hold; it
+// drops the stripe at Yield, and Leave gives it back.
+func TestSectionHoldsItsStripeBetweenSteps(t *testing.T) {
+	m := New(Config{Nodes: 2, Lines: 64})
+	l := m.Alloc(1)
+	if err := m.Install(0, l, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	s := m.stripeOf(l)
+	held := func(when string, want bool) {
+		t.Helper()
+		free := s.mu.TryLock()
+		if free {
+			s.mu.Unlock()
+		}
+		if free == want {
+			t.Errorf("%s: stripe held = %v, want %v", when, !free, want)
+		}
+	}
+	var sec Section
+	if err := m.Enter(&sec, 0, l); err != nil {
+		t.Fatal(err)
+	}
+	held("after Enter", true)
+	if err := sec.Write(0, []byte{2}); err != nil {
+		t.Fatal(err)
+	}
+	held("between steps", true)
+	sec.Yield()
+	held("after Yield", false)
+	if err := sec.Read(0, make([]byte, 1)); err != nil {
+		t.Fatal(err)
+	}
+	held("after the step that follows a Yield", true)
+	if err := sec.Leave(); err != nil {
+		t.Fatal(err)
+	}
+	held("after Leave", false)
+}
+
 // TestSectionsAgainstCrashes runs whole-machine transitions against
 // goroutines that live inside sections, for a fixed number of crash rounds
 // with a wedge timeout. Each worker nests a second section inside its first
