@@ -59,13 +59,13 @@ func (h *Section) read(off int, dst []byte) error {
 	if !m.Alive(nd) {
 		return ErrNodeDown
 	}
-	h.reads++
+	h.s.counts.reads++
 	if !ln.valid.Load() {
 		return ErrLineLost
 	}
 	if ln.holders.has(nd) {
 		// Local hit.
-		h.hits++
+		h.s.counts.localHits++
 		h.clock += m.cfg.Cost.ReadLocal
 	} else {
 		// Remote fetch; replicate into nd's cache.
@@ -127,7 +127,7 @@ func (h *Section) write(off int, data []byte) error {
 	if !m.Alive(nd) {
 		return ErrNodeDown
 	}
-	h.writes++
+	h.s.counts.writes++
 	if !ln.valid.Load() {
 		return ErrLineLost
 	}
@@ -144,12 +144,12 @@ func (h *Section) write(off int, data []byte) error {
 	switch {
 	case ln.excl == nd:
 		// Already exclusive locally.
-		h.hits++
+		h.s.counts.localHits++
 		h.clock += m.cfg.Cost.WriteLocal
 	case ln.holders.sole(nd):
 		// Sole sharer: silent upgrade.
 		ln.excl = nd
-		h.hits++
+		h.s.counts.localHits++
 		h.clock += m.cfg.Cost.WriteLocal
 	case ln.excl != NoNode:
 		// Another node holds it exclusively: the line migrates.
@@ -190,7 +190,7 @@ func (h *Section) write(off int, data []byte) error {
 			atomic.AddInt64(&m.nodes[nd].stats.RemoteFetches, 1)
 		} else {
 			h.clock += m.cfg.Cost.WriteLocal
-			h.hits++
+			h.s.counts.localHits++
 		}
 		ln.holders = 0
 		ln.holders.add(nd)
@@ -220,7 +220,7 @@ func (h *Section) writeBroadcast(off int, data []byte) {
 		atomic.AddInt64(&m.nodes[nd].stats.Replications, 1)
 		h.clock += m.cfg.Cost.RemoteFetch
 	} else {
-		h.hits++
+		h.s.counts.localHits++
 		h.clock += m.cfg.Cost.WriteLocal
 	}
 	if remote := ln.holders.count() - 1; remote > 0 {

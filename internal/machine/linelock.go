@@ -44,7 +44,7 @@ func (h *Section) acquire() error {
 	if !ln.valid.Load() {
 		return ErrLineLost
 	}
-	h.acquires++
+	h.s.counts.lineLockAcquires++
 	entry := h.now()
 	contended := ln.lock.held
 	// Name the holder while it still holds: by the time the wait ends it may
@@ -57,7 +57,7 @@ func (h *Section) acquire() error {
 	ln.lock.waiters++
 	for ln.lock.held {
 		// The stripe is not held while parked, so the hold ends here: what
-		// it counted becomes visible, and the hooks are read afresh after.
+		// it charged is published, and the hooks are read afresh after.
 		h.publish()
 		m.condWait(h.s)
 		h.hk = m.hooks.Load()

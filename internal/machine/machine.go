@@ -40,8 +40,9 @@
 // it touches anything that may take another. Operations
 // on lines in different stripes run in parallel on real CPUs, which is what
 // lets the parallel restart-recovery pipeline scale with the survivor count.
-// Per-node clocks, counters, and node liveness are atomics readable without
-// any lock. Whole-machine transitions (Crash) quiesce the machine by taking
+// Per-node clocks, transition counters and node liveness are atomics
+// readable without any lock; the counters every line hold bumps live in the
+// line's stripe, under its mutex. Whole-machine transitions (Crash) quiesce the machine by taking
 // every stripe that guards a line in ascending order, so a crash and its
 // notification callback remain atomic with respect to all line traffic,
 // exactly as under the old single global mutex. What is *no longer* globally ordered: operations on
@@ -217,10 +218,14 @@ type stripe struct {
 	holdStart int64
 	// idx is this stripe's own index, for profiler attribution.
 	idx int32
+	// counts are the hot counters of the steps on this stripe's lines,
+	// guarded by mu like the lines themselves: the step that counts already
+	// holds it, so a count is a plain add (see Stats).
+	counts stripeCounts
 	// pad the struct to two cache lines so neighbouring stripes — which
 	// guard neighbouring lines, often of different nodes — do not false-
 	// share on real hardware.
-	_ [52]byte
+	_ [16]byte
 }
 
 // EventKind classifies coherency-protocol transitions that can expose
@@ -342,8 +347,9 @@ type Machine struct {
 	// Atomic so sweeps (Crash, CachedLines, DiscardAll) read it lock-free.
 	next atomic.Int64
 
-	// nodes holds each node's simulated clock and counters on cache lines
-	// of its own (see nodeBlock); global counts the events no node issues.
+	// nodes holds each node's simulated clock and transition counters on
+	// cache lines of its own (see nodeBlock); global counts the events no
+	// node issues.
 	nodes  []nodeBlock
 	global Stats
 

@@ -8,8 +8,13 @@ package machine
 // A Section is that critical section as one value: Enter is getline, Read,
 // Write and SetActive are accesses to the pinned line, Leave is releaseline.
 // What it saves is host work only. Consecutive steps run under ONE hold of
-// the line's stripe, and the clock charge and counters they accumulate are
-// published to the node's block once per hold instead of once per step.
+// the line's stripe, and the clock charge they accumulate is published to the
+// node's block once per hold instead of once per step. The hot counters
+// (reads, writes, local hits, line-lock acquisitions) cost no publication at
+// all: each step adds to its stripe's counts under the mutex it already
+// holds (Stats sums them), so a hold that fires no trigger and moves no line
+// between nodes costs the stripe lock, the stripe unlock and at most one
+// atomic add, the clock's.
 // Every step is the simulated operation itself — same liveness, validity and
 // line-lock checks, same cost, counters, trace events and fault-injection
 // point — because the stand-alone calls (GetLine, ReadInto, Write,
@@ -46,10 +51,9 @@ type Section struct {
 	// open: Enter succeeded and Leave has not run, so nd holds l's line lock
 	// (unless a crash of nd broke it). held: this goroutine holds s.mu.
 	open, held bool
-	// What the steps under the current hold charged and counted for nd;
-	// unlock publishes it.
-	clock                         int64
-	reads, writes, hits, acquires int64
+	// clock is what the steps under the current hold charged nd; unlock
+	// publishes it. (What they counted is already in s.counts.)
+	clock int64
 	// victims are the nodes a transition-fault hook named at the step that
 	// just ran; settle crashes them.
 	victims []NodeID
@@ -69,33 +73,20 @@ func (h *Section) lock() {
 	}
 }
 
-// unlock publishes what the hold accumulated and releases the stripe.
+// unlock publishes what the hold charged and releases the stripe.
 func (h *Section) unlock() {
 	h.publish()
 	h.m.unlockStripe(h.s)
 	h.held = false
 }
 
-// publish adds the accumulated charge and counts to nd's block. Nothing
-// accumulates for a node that failed a step's liveness check, so an invalid
-// nd never indexes the blocks.
+// publish adds the accumulated charge to nd's clock: the hold's one atomic.
+// Nothing is charged to a node that failed a step's liveness check, so an
+// invalid nd never indexes the blocks.
 func (h *Section) publish() {
-	if h.clock|h.reads|h.writes|h.hits|h.acquires == 0 {
-		return
-	}
-	nb := &h.m.nodes[h.nd]
-	flush(&nb.clock, &h.clock)
-	flush(&nb.stats.Reads, &h.reads)
-	flush(&nb.stats.Writes, &h.writes)
-	flush(&nb.stats.LocalHits, &h.hits)
-	flush(&nb.stats.LineLockAcquires, &h.acquires)
-}
-
-// flush moves a nonzero accumulated count into its shared counter.
-func flush(dst, n *int64) {
-	if *n != 0 {
-		atomic.AddInt64(dst, *n)
-		*n = 0
+	if h.clock != 0 {
+		atomic.AddInt64(&h.m.nodes[h.nd].clock, h.clock)
+		h.clock = 0
 	}
 }
 

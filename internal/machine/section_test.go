@@ -205,7 +205,7 @@ func runSectionScript(t *testing.T, seed int64, coh Coherency, mk func(*Machine)
 
 // TestSectionIsTheStandAloneCalls is the equivalence the section rests on: a
 // critical section run as Enter/steps/Leave under one stripe hold, with its
-// counters and clock charge published per hold, leaves exactly the machine —
+// clock charge published per hold, leaves exactly the machine —
 // and returns exactly the errors and bytes, and emits exactly the trace
 // events, at the same simulated times — as the same steps issued as
 // GetLine/ReadInto/Write/SetActive/ReleaseLine — and a Peek whose hold an

@@ -152,21 +152,40 @@ const privateRound = 4096
 // benchmark. What is left: the Txn, the engine's transaction state, and one
 // buffer per Txn.Read (three), plus the amortized share of log blocks, image
 // arena chunks and transaction-table blocks.
+//
+// It also pins what those commits count: a fixed run of private commits on
+// one goroutine issues exactly the machine reads, writes, local hits and
+// line-lock acquisitions below, so a step that stops counting, or counts
+// twice, fails here whatever the host-side bookkeeping of the counters.
 func TestForwardPathAllocs(t *testing.T) {
+	pb := newPrivateBench(t)
+	const counted = 64 // commits in the counted run: 31 line locks and writes each
+	before := pb.db.M.Stats()
+	for i := 0; i < counted; i++ {
+		if err := pb.commit(1, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := pb.db.M.Stats().Sub(before)
+	got := machine.Stats{Reads: d.Reads, Writes: d.Writes, LocalHits: d.LocalHits, LineLockAcquires: d.LineLockAcquires}
+	want := machine.Stats{Reads: 3405, Writes: 1984, LocalHits: 5259, LineLockAcquires: 1984}
+	if got != want {
+		t.Errorf("%d private commits counted %+v, want %+v", counted, got, want)
+	}
+
 	if raceEnabled {
 		t.Skip("allocation counts mean nothing under the race detector")
 	}
-	pb := newPrivateBench(t)
-	i := 0
-	got := testing.AllocsPerRun(500, func() {
+	i := counted
+	allocs := testing.AllocsPerRun(500, func() {
 		if err := pb.commit(1, i); err != nil {
 			t.Fatal(err)
 		}
 		i++
 	})
 	const bound = 5 + 1 // measured + 1
-	if got > bound {
-		t.Errorf("a private commit allocates %.0f times, want <= %d", got, bound)
+	if allocs > bound {
+		t.Errorf("a private commit allocates %.0f times, want <= %d", allocs, bound)
 	}
 }
 
