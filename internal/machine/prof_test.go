@@ -149,3 +149,15 @@ func BenchmarkLineLockAcquireReleaseProfiled(b *testing.B) {
 		}
 	}
 }
+
+// TestProfilerIgnoresStatsReads: Stats and ResetStats take every stripe to
+// read or zero its counts, but that is bookkeeping, not line traffic, so an
+// attached profiler records none of it.
+func TestProfilerIgnoresStatsReads(t *testing.T) {
+	m, p := profMachine(t)
+	m.Stats()
+	m.ResetStats()
+	if got := p.Snapshot().Totals(); got.Acquires != 0 || got.HoldNS != 0 {
+		t.Errorf("after Stats and ResetStats the profiler counts %d acquires, %d ns held; want none", got.Acquires, got.HoldNS)
+	}
+}
