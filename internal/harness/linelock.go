@@ -47,7 +47,7 @@ func RunLineLock(contentionLevels []int, rounds int, holdNS int64) (*LineLockRes
 	for _, c := range contentionLevels {
 		m := machine.New(machine.Config{Nodes: 32, Lines: 64})
 		o := obs.New()
-		m.SetHooks(o, nil)
+		m.SetHooks(o)
 		l := m.Alloc(1)
 		if err := m.Install(0, l, make([]byte, m.LineSize())); err != nil {
 			return nil, err

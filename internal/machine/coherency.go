@@ -242,8 +242,8 @@ func (m *Machine) Install(nd NodeID, l LineID, data []byte) error {
 		return err
 	}
 	s := m.stripeOf(l)
-	m.lockStripe(s)
-	defer m.unlockStripe(s)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if !m.Alive(nd) {
 		return ErrNodeDown
 	}
@@ -288,8 +288,8 @@ func (m *Machine) Discard(nd NodeID, l LineID) error {
 		return err
 	}
 	s := m.stripeOf(l)
-	m.lockStripe(s)
-	defer m.unlockStripe(s)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	ln := &m.lines[l]
 	if ln.lock.held {
 		return ErrLineLockHeld
@@ -339,7 +339,7 @@ func (m *Machine) DiscardAll(nd NodeID, filter func(LineID) bool) int {
 	stripes := m.stripesOver(int(frontier))
 	for si := range stripes {
 		s := &stripes[si]
-		m.lockStripe(s)
+		s.mu.Lock()
 		for l := LineID(si); l < frontier; l += stripeCount {
 			ln := &m.lines[l]
 			if ln.lock.held {
@@ -352,7 +352,7 @@ func (m *Machine) DiscardAll(nd NodeID, filter func(LineID) bool) int {
 				dropped++
 			}
 		}
-		m.unlockStripe(s)
+		s.mu.Unlock()
 	}
 	if dropped > 0 {
 		atomic.AddInt64(&m.nodes[nd].stats.Discards, int64(dropped))
@@ -374,8 +374,8 @@ func (m *Machine) Holders(l LineID) []NodeID {
 		return nil
 	}
 	s := m.stripeOf(l)
-	m.lockStripe(s)
-	defer m.unlockStripe(s)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if !m.lines[l].valid.Load() {
 		return nil
 	}
@@ -388,8 +388,8 @@ func (m *Machine) ExclusiveHolder(l LineID) NodeID {
 		return NoNode
 	}
 	s := m.stripeOf(l)
-	m.lockStripe(s)
-	defer m.unlockStripe(s)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if !m.lines[l].valid.Load() {
 		return NoNode
 	}
@@ -409,13 +409,13 @@ func (m *Machine) CachedLines(nd NodeID) []LineID {
 	stripes := m.stripesOver(int(frontier))
 	for si := range stripes {
 		s := &stripes[si]
-		m.lockStripe(s)
+		s.mu.Lock()
 		for l := LineID(si); l < frontier; l += stripeCount {
 			if m.lines[l].valid.Load() && m.lines[l].holders.has(nd) {
 				out = append(out, l)
 			}
 		}
-		m.unlockStripe(s)
+		s.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out

@@ -43,17 +43,17 @@ func (m *Machine) Crash(nodes ...NodeID) CrashReport {
 	defer m.liveMu.Unlock()
 	stripes := m.stripesOver(len(m.lines))
 	for i := range stripes {
-		m.lockStripe(&stripes[i])
+		stripes[i].mu.Lock()
 	}
 	defer func() {
 		// Even an idempotent re-crash must wake line-lock waiters: a waiter
 		// may be blocked on a lock whose owner died in the *first* crash of
 		// this node, and the wake-up is how it learns to re-check liveness.
 		for i := range stripes {
-			m.broadcast(&stripes[i])
+			stripes[i].cond.Broadcast()
 		}
 		for i := len(stripes) - 1; i >= 0; i-- {
-			m.unlockStripe(&stripes[i])
+			stripes[i].mu.Unlock()
 		}
 	}()
 	return m.crashQuiesced(nodes)

@@ -59,7 +59,7 @@ func (h *Section) acquire() error {
 		// The stripe is not held while parked, so the hold ends here: what
 		// it charged is published, and the hooks are read afresh after.
 		h.publish()
-		m.condWait(h.s)
+		h.s.cond.Wait()
 		h.hk = m.hooks.Load()
 		if !m.Alive(nd) {
 			ln.lock.waiters--
@@ -144,9 +144,9 @@ func (m *Machine) TryGetLine(nd NodeID, l LineID) (bool, error) {
 		return false, err
 	}
 	s := m.stripeOf(l)
-	m.lockStripe(s)
+	s.mu.Lock()
 	locked := m.lines[l].lock.held && m.lines[l].lock.owner != nd
-	m.unlockStripe(s)
+	s.mu.Unlock()
 	if locked {
 		return false, nil
 	}
@@ -180,7 +180,7 @@ func (h *Section) release() error {
 	// The lock becomes free, in simulated time, when the releasing node's
 	// clock reaches this instant; waiters chain their start times from it.
 	ln.lock.freeAt = h.now()
-	h.m.broadcast(h.s)
+	h.s.cond.Broadcast()
 	return nil
 }
 
@@ -190,8 +190,8 @@ func (m *Machine) LineLockHeldBy(l LineID) NodeID {
 		return NoNode
 	}
 	s := m.stripeOf(l)
-	m.lockStripe(s)
-	defer m.unlockStripe(s)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if !m.lines[l].lock.held {
 		return NoNode
 	}

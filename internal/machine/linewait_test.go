@@ -24,7 +24,7 @@ func TestLineWaitNamesItsHolder(t *testing.T) {
 	o := obs.New()
 	wf := waterfall.New(waterfall.Config{SampleN: 1, Nodes: 2})
 	o.SetSink(wf)
-	m.SetHooks(o, nil)
+	m.SetHooks(o)
 	const ta, tb = 1, 2
 	// The transactions' brackets are events on the same observer.
 	mark := func(k obs.Kind, nd NodeID, txn int64) { o.Instant(k, int32(nd), m.Clock(nd), txn, 0) }

@@ -61,7 +61,6 @@ import (
 	"sync/atomic"
 
 	"smdb/internal/obs"
-	"smdb/internal/obs/prof"
 )
 
 // NodeID identifies a processor/memory pair. Nodes are numbered from 0.
@@ -193,10 +192,10 @@ type line struct {
 // stripe, and a transaction on its own node's lines takes no mutex another
 // node's transactions take. At 128 stripes "contention negligible" held for
 // waiting but not for the host's cache: every node's private heap and
-// lock-table lines landed on all 128 mutexes, and lockStripe was the
-// largest growth in a fwd-private transaction's CPU from one client to two
-// (+1.6 of +6.2 µs per transaction over 44 s profiles on 2 vCPUs). The
-// price is paid per machine, not per operation: New zeroes 512 KiB of
+// lock-table lines landed on all 128 mutexes, and taking the stripe mutex
+// was the largest growth in a fwd-private transaction's CPU from one client
+// to two (+1.6 of +6.2 µs per transaction over 44 s profiles on 2 vCPUs).
+// The price is paid per machine, not per operation: New zeroes 512 KiB of
 // stripes (89 -> 289 µs for a 4-node, 4 096-line machine) and Crash takes
 // and releases every stripe that guards a line (a Crash/Restart pair of
 // that machine 21 -> 140 µs).
@@ -212,12 +211,6 @@ const stripeMask = stripeCount - 1
 type stripe struct {
 	mu   sync.Mutex
 	cond sync.Cond
-	// holdStart is the profiler's open hold-span start (prof.Now ns).
-	// Guarded by mu itself: nonzero exactly while a profiled critical
-	// section is open (see lockStripe/unlockStripe in prof.go).
-	holdStart int64
-	// idx is this stripe's own index, for profiler attribution.
-	idx int32
 	// counts are the hot counters of the steps on this stripe's lines,
 	// guarded by mu like the lines themselves: the step that counts already
 	// holds it, so a count is a plain add (see Stats).
@@ -225,7 +218,7 @@ type stripe struct {
 	// pad the struct to two cache lines so neighbouring stripes — which
 	// guard neighbouring lines, often of different nodes — do not false-
 	// share on real hardware.
-	_ [16]byte
+	_ [32]byte
 }
 
 // EventKind classifies coherency-protocol transitions that can expose
@@ -299,7 +292,6 @@ type hookSet struct {
 	installGate     InstallGateFunc
 	schedNote       SchedNoteFunc
 	obs             *obs.Observer
-	prof            *prof.StripeProf
 }
 
 // InstallGateFunc is consulted by Install with the line's stripe held,
@@ -372,7 +364,6 @@ func New(cfg Config) *Machine {
 	}
 	for i := range m.stripes {
 		m.stripes[i].cond.L = &m.stripes[i].mu
-		m.stripes[i].idx = int32(i)
 	}
 	m.aliveMask.Store(^uint64(0) >> (64 - uint(cfg.Nodes)))
 	m.hooks.Store(&hookSet{})
@@ -496,15 +487,13 @@ func (m *Machine) schedNote(nd NodeID, site string, l LineID) {
 	}
 }
 
-// SetHooks publishes the observability consumers the machine feeds: the
-// observer (coherency transitions, line-lock latencies and waits with their
-// holder node, trigger fires, crashes) and the stripe profiler (every stripe
-// acquisition, hold and condvar sleep; it must be sized with at least
-// StripeCount stripes). Pass nils to detach. No consumer may call back into
-// the Machine. Swapping mid-run is safe: a critical section straddling the
-// swap accounts only the half it saw.
-func (m *Machine) SetHooks(o *obs.Observer, p *prof.StripeProf) {
-	m.setHooks(func(hk *hookSet) { hk.obs, hk.prof = o, p })
+// SetHooks publishes the observer the machine feeds (coherency transitions,
+// line-lock latencies and waits with their holder node, trigger fires,
+// crashes). Pass nil to detach. The observer may not call back into the
+// Machine. Swapping mid-run is safe: a section reads the hooks once per hold
+// of its stripe.
+func (m *Machine) SetHooks(o *obs.Observer) {
+	m.setHooks(func(hk *hookSet) { hk.obs = o })
 }
 
 // trace records an instant event at node nd's current simulated time. Safe
@@ -541,8 +530,8 @@ func (m *Machine) Active(l LineID) bool {
 		return false
 	}
 	s := m.stripeOf(l)
-	m.lockStripe(s)
-	defer m.unlockStripe(s)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return m.lines[l].active
 }
 

@@ -68,7 +68,8 @@ func (h *Section) at(m *Machine, nd NodeID, l LineID) {
 // lock takes the line's stripe unless this section already holds it.
 func (h *Section) lock() {
 	if !h.held {
-		h.hk = h.m.lockStripe(h.s)
+		h.hk = h.m.hooks.Load()
+		h.s.mu.Lock()
 		h.held = true
 	}
 }
@@ -76,7 +77,7 @@ func (h *Section) lock() {
 // unlock publishes what the hold charged and releases the stripe.
 func (h *Section) unlock() {
 	h.publish()
-	h.m.unlockStripe(h.s)
+	h.s.mu.Unlock()
 	h.held = false
 }
 

@@ -85,7 +85,7 @@ func runSectionScript(t *testing.T, seed int64, coh Coherency, mk func(*Machine)
 
 	o := obs.New()
 	o.SetSink(eventLog{&log})
-	m.SetHooks(o, nil)
+	m.SetHooks(o)
 	// victim selects whom the transition-fault hook kills at the next
 	// transition: nobody, the node losing the line, or the node gaining it.
 	const (
@@ -394,5 +394,30 @@ func TestSectionsAgainstCrashes(t *testing.T) {
 		if done[w].Load() < crashRounds {
 			t.Errorf("worker %d completed %d critical sections over %d crash rounds", w, done[w].Load(), crashRounds)
 		}
+	}
+}
+
+// TestLineLockPathDoesNotAllocate: with no observer attached, a line lock,
+// a write under it and the release allocate nothing — each is a hold of
+// the line's bare stripe mutex.
+func TestLineLockPathDoesNotAllocate(t *testing.T) {
+	m := New(Config{Nodes: 2, Lines: 256})
+	l := m.Alloc(1)
+	if err := m.Install(0, l, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	buf := []byte{42}
+	if n := testing.AllocsPerRun(200, func() {
+		if err := m.GetLine(0, l); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Write(0, l, 0, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.ReleaseLine(0, l); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("lock/write/release path allocates %.1f/op", n)
 	}
 }

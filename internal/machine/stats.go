@@ -117,9 +117,7 @@ func (m *Machine) eachBlock(fn func(*Stats)) {
 }
 
 // eachStripe calls fn on the counts of every stripe that guards a line of
-// the machine, holding that stripe's mutex and no other. It takes the mutex
-// directly, not through lockStripe, so an attached stripe profiler records
-// only line operations, not these reads of the counters.
+// the machine, holding that stripe's mutex and no other.
 func (m *Machine) eachStripe(fn func(*stripeCounts)) {
 	stripes := m.stripesOver(len(m.lines))
 	for i := range stripes {

@@ -8,7 +8,7 @@ import (
 
 // The nil-receiver guard benchmarks: with the debt surface disabled the
 // event sink pays one pointer test and must not allocate. Same convention as
-// the obs / audit / prof guard benches.
+// the obs / audit guard benches.
 
 func BenchmarkNilTrackerNoteAppend(b *testing.B) {
 	var t *Tracker

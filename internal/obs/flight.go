@@ -35,17 +35,6 @@ type AuditSource interface {
 	WriteTimeSeries(w io.Writer) error
 }
 
-// ProfSource renders the contention profiler's surfaces (prof.StripeProf
-// satisfies it; like GraphWriter, the interface lives here so obs does not
-// import its own subpackage). WriteProfJSON is the document the flight
-// recorder stores as prof.json; WriteProfProm appends Prometheus lines to
-// /metrics.
-type ProfSource interface {
-	WriteProfStripes(w io.Writer) error
-	WriteProfJSON(w io.Writer) error
-	WriteProfProm(w io.Writer) error
-}
-
 // WaterfallSource renders the per-transaction latency waterfall surfaces
 // (waterfall.Recorder satisfies it; like GraphWriter, the interface lives
 // here so obs does not import its own subpackage). WriteWaterfallJSON is the
@@ -73,7 +62,7 @@ type DebtSource interface {
 // Sources is everything the introspection server and the flight recorder
 // render, as one value. Any field may be nil: a nil Observer degrades its
 // endpoints to empty documents, a nil Graph makes /deps explain that no
-// tracker is attached, and a nil Audit/Prof/Waterfall/Debt source reports
+// tracker is attached, and a nil Audit/Waterfall/Debt source reports
 // {"enabled": false} over HTTP and is left out of a flight dump. Stats is the
 // flight recorder's stats.txt writer (called once per dump; implementations
 // typically print deltas since the previous dump); the HTTP server ignores
@@ -82,7 +71,6 @@ type Sources struct {
 	Observer  *Observer
 	Graph     GraphWriter
 	Audit     AuditSource
-	Prof      ProfSource
 	Waterfall WaterfallSource
 	Debt      DebtSource
 	Stats     func(io.Writer) error
@@ -327,9 +315,6 @@ func (r *FlightRecorder) Dump(reason string) (string, error) {
 			dumpFile{"violations.json", a.WriteAuditViolations},
 			dumpFile{"audit_trails.json", func(w io.Writer) error { return a.WriteAuditTxn(w, "") }},
 			dumpFile{"timeseries.json", a.WriteTimeSeries})
-	}
-	if src.Prof != nil {
-		files = append(files, dumpFile{"prof.json", src.Prof.WriteProfJSON})
 	}
 	if src.Waterfall != nil {
 		files = append(files, dumpFile{"waterfall.json", src.Waterfall.WriteWaterfallJSON})

@@ -40,23 +40,6 @@ func (stubAudit) WriteTimeSeries(w io.Writer) error {
 	return err
 }
 
-// stubProf is a ProfSource standing in for the contention profiler (same
-// import constraint as stubGraph).
-type stubProf struct{}
-
-func (stubProf) WriteProfStripes(w io.Writer) error {
-	_, err := io.WriteString(w, "{\"enabled\":true,\"stripes\":128}\n")
-	return err
-}
-func (stubProf) WriteProfJSON(w io.Writer) error {
-	_, err := io.WriteString(w, "{\"enabled\":true,\"stripes\":{}}\n")
-	return err
-}
-func (stubProf) WriteProfProm(w io.Writer) error {
-	_, err := io.WriteString(w, "# TYPE smdb_prof_stripe_acquires_total counter\nsmdb_prof_stripe_acquires_total 0\n")
-	return err
-}
-
 func TestFlightRecorderDump(t *testing.T) {
 	o := NewWithCapacity(64)
 	o.Instant(KindMigrate, 0, 100, 12, 1)
@@ -201,31 +184,6 @@ func TestFlightRecorderAuditFiles(t *testing.T) {
 	}
 	if !strings.Contains(string(manifest), "violations.json audit_trails.json timeseries.json") {
 		t.Errorf("MANIFEST does not list the audit files:\n%s", manifest)
-	}
-}
-
-func TestFlightRecorderProfFile(t *testing.T) {
-	o := NewWithCapacity(8)
-	o.Instant(KindCrash, 0, 100, 4, 2)
-	r := NewFlightRecorder(t.TempDir(), 8)
-	r.SetSources(Sources{Observer: o, Prof: stubProf{}})
-	dir, err := r.Dump("crash")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, "prof.json"))
-	if err != nil {
-		t.Fatalf("dump missing prof.json: %v", err)
-	}
-	if !strings.Contains(string(raw), `"enabled":true`) {
-		t.Errorf("prof.json = %q", raw)
-	}
-	manifest, err := os.ReadFile(filepath.Join(dir, "MANIFEST.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(manifest), "prof.json") {
-		t.Errorf("MANIFEST does not list prof.json:\n%s", manifest)
 	}
 }
 

@@ -3,8 +3,7 @@
 // to feed; recovery.DB.Attach publishes one with a single pointer swap. The
 // engine reports by recording events on the Observer, and the Set is the
 // Observer's one sink: the substrates (machine, wal, buffer, lock) through
-// their one SetHooks (the machine's also takes the stripe profiler's
-// counters), the protocol layer (internal/recovery, internal/txn) its
+// their one SetHooks, the protocol layer (internal/recovery, internal/txn) its
 // transaction lifecycle, operation brackets, attributed waits and restart
 // recovery's progress. The protocol layer calls directly only the model's
 // three notes — NoteWrite, NoteCrash, NoteRecovered — whose lists an event
@@ -19,7 +18,6 @@ import (
 	"smdb/internal/obs/audit"
 	"smdb/internal/obs/debt"
 	"smdb/internal/obs/deps"
-	"smdb/internal/obs/prof"
 	"smdb/internal/obs/waterfall"
 )
 
@@ -37,8 +35,6 @@ type Set struct {
 	// brings its own. See Model.
 	Deps  *deps.Tracker
 	Audit *audit.Auditor
-	// Prof is the machine's stripe-contention profiler.
-	Prof *prof.StripeProf
 	// Waterfall attributes each transaction's waits and Debt accounts replay
 	// debt; both fold the Observer's events, so a set with either must have
 	// an Observer (Attach panics otherwise).
@@ -79,9 +75,6 @@ func (s *Set) Sources() obs.Sources {
 	}
 	if s.Audit != nil {
 		src.Audit = s.Audit
-	}
-	if s.Prof != nil {
-		src.Prof = s.Prof
 	}
 	if s.Waterfall != nil {
 		src.Waterfall = s.Waterfall

@@ -70,7 +70,6 @@ func Endpoints() []string {
 //	                    integer id); bare /audit/txn lists all trails
 //	/audit/violations   the online IFA auditor's typed violations
 //	/timeseries         windowed metrics ring + anomaly watchdog findings
-//	/prof/stripes       contention profiler: per-stripe lock counters
 //	/slow               tail-sampled slow-transaction waterfalls (?max=N)
 //	/slow/trace         the sampled waterfalls as Chrome trace-event JSON
 //	/slow/{txnid}       one sampled transaction's waterfall ("t0.3" or the
@@ -78,7 +77,8 @@ func Endpoints() []string {
 //	/recovery/progress  live restart-recovery progress (rates, ETA)
 //	/recovery/debt      live recovery-debt accounting (log debt per node,
 //	                    MTTR history, estimated replay time)
-//	/debug/pprof/       the standard Go profiler endpoints
+//	/debug/pprof/       the standard Go profiler endpoints (mutex and block
+//	                    record only once the host arms their sampling)
 //
 // current is called once per request and returns what to render right now,
 // so a host that swaps its consumers between runs (one engine per seed)
@@ -107,9 +107,6 @@ func newHTTPMux(current func() Sources) *indexMux {
 		src := current()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		writers := []func(io.Writer) error{src.Observer.WritePrometheus}
-		if src.Prof != nil {
-			writers = append(writers, src.Prof.WriteProfProm)
-		}
 		if src.Waterfall != nil {
 			writers = append(writers, src.Waterfall.WriteWaterfallProm)
 		}
@@ -177,10 +174,6 @@ func newHTTPMux(current func() Sources) *indexMux {
 	m.handle("/timeseries", "", func(w http.ResponseWriter, _ *http.Request) {
 		aud := current().Audit
 		optional(w, aud != nil, func() error { return aud.WriteTimeSeries(w) })
-	})
-	m.handle("/prof/stripes", "", func(w http.ResponseWriter, _ *http.Request) {
-		prf := current().Prof
-		optional(w, prf != nil, func() error { return prf.WriteProfStripes(w) })
 	})
 	m.handle("/slow", "/slow[?max=N]", func(w http.ResponseWriter, r *http.Request) {
 		max, _ := strconv.Atoi(r.URL.Query().Get("max"))

@@ -23,7 +23,7 @@ func get(t *testing.T, h http.Handler, path string) (int, string, string) {
 }
 
 func TestHTTPHandlerEndpoints(t *testing.T) {
-	h := NewHTTPHandler(fixed(Sources{Observer: goldenObserver(), Graph: stubGraph{}, Audit: stubAudit{}, Prof: stubProf{}}))
+	h := NewHTTPHandler(fixed(Sources{Observer: goldenObserver(), Graph: stubGraph{}, Audit: stubAudit{}}))
 
 	code, body, _ := get(t, h, "/healthz")
 	if code != 200 || !strings.HasPrefix(body, "ok events=") {
@@ -69,18 +69,15 @@ func TestHTTPHandlerEndpoints(t *testing.T) {
 		t.Errorf("/timeseries = %d %q %q", code, ctype, body)
 	}
 
-	code, body, ctype = get(t, h, "/prof/stripes")
-	if code != 200 || !strings.Contains(ctype, "application/json") || !strings.Contains(body, `"stripes"`) {
-		t.Errorf("/prof/stripes = %d %q %q", code, ctype, body)
-	}
-	code, body, _ = get(t, h, "/metrics")
-	if code != 200 || !strings.Contains(body, "smdb_prof_stripe_acquires_total") {
-		t.Errorf("/metrics does not append profiler lines: %d\n%s", code, body)
-	}
-
 	code, _, _ = get(t, h, "/debug/pprof/cmdline")
 	if code != 200 {
 		t.Errorf("/debug/pprof/cmdline = %d", code)
+	}
+	// The runtime's contention profiles, which -prof arms, are served by name.
+	for _, path := range []string{"/debug/pprof/mutex?debug=1", "/debug/pprof/block?debug=1"} {
+		if code, body, _ := get(t, h, path); code != 200 || !strings.Contains(body, "cycles/second=") {
+			t.Errorf("%s = %d %q", path, code, body[:min(len(body), 80)])
+		}
 	}
 
 	code, body, _ = get(t, h, "/")
@@ -107,7 +104,7 @@ func TestHTTPHandlerNilSources(t *testing.T) {
 	if code != 200 {
 		t.Errorf("/metrics with nil observer = %d", code)
 	}
-	for _, path := range []string{"/audit/txn", "/audit/txn/t0.1", "/audit/violations", "/timeseries", "/prof/stripes", "/recovery/debt"} {
+	for _, path := range []string{"/audit/txn", "/audit/txn/t0.1", "/audit/violations", "/timeseries", "/recovery/debt"} {
 		code, body, _ := get(t, h, path)
 		if code != 200 || !strings.Contains(body, `"enabled": false`) {
 			t.Errorf("%s with nil source = %d %q", path, code, body)
@@ -187,7 +184,7 @@ func (stubDebt) WriteDebtProm(w io.Writer) error {
 // every endpoint the mux registers must appear in the "/" body and must not
 // 404 — the drift the hand-maintained index used to accumulate.
 func TestEndpointIndexComplete(t *testing.T) {
-	h := NewHTTPHandler(fixed(Sources{Observer: goldenObserver(), Graph: stubGraph{}, Audit: stubAudit{}, Prof: stubProf{}, Waterfall: stubWf{}, Debt: stubDebt{}}))
+	h := NewHTTPHandler(fixed(Sources{Observer: goldenObserver(), Graph: stubGraph{}, Audit: stubAudit{}, Waterfall: stubWf{}, Debt: stubDebt{}}))
 	code, body, _ := get(t, h, "/")
 	if code != 200 {
 		t.Fatalf("index = %d", code)

@@ -9,7 +9,7 @@ import (
 // The recorder is compiled into every hot path unconditionally; when no
 // -waterfall flag attached one, every hook runs against a nil *Recorder and
 // must cost nothing: no allocation, a nil check and out.
-// This is the guard the obs/audit/prof layers carry too.
+// This is the guard the obs/audit layers carry too.
 func TestNilSinkZeroAlloc(t *testing.T) {
 	var r *Recorder
 	cases := []struct {

@@ -11,7 +11,7 @@ import (
 // Exporters for the tail-sampled waterfalls: the /slow and /slow/{txnid}
 // JSON documents, Chrome trace-event spans, the Prometheus
 // smdb_txn_wait_ns{cause=...} counters, and the flight-recorder body. All
-// nil-receiver safe, emitting {"enabled": false} like the prof writers.
+// nil-receiver safe, emitting {"enabled": false} like the audit writers.
 
 const disabledJSON = "{\"enabled\": false}\n"
 

@@ -11,7 +11,7 @@
 // reservoir, and links them as exemplars from the commit-latency histogram's
 // log2 buckets.
 //
-// Like the obs/audit/prof layers, the recorder is always compiled and off by
+// Like the obs/audit layers, the recorder is always compiled and off by
 // default: every hot-path method is nil-receiver safe and allocation-free on
 // the nil path, so callers hold a possibly-nil *Recorder and call it
 // unconditionally. internal/obs exposes it over HTTP/flight dumps through the

@@ -18,7 +18,6 @@ import (
 	"smdb/internal/obs/debt"
 	"smdb/internal/obs/deps"
 	"smdb/internal/obs/hooks"
-	"smdb/internal/obs/prof"
 	"smdb/internal/obs/waterfall"
 	"smdb/internal/recovery"
 	"smdb/internal/sched"
@@ -38,7 +37,6 @@ func fullSet(db *recovery.DB, dir string, reversed bool) hooks.Set {
 		func(s *hooks.Set) { s.Observer = o },
 		func(s *hooks.Set) { s.Deps = model },
 		func(s *hooks.Set) { s.Audit = auditor },
-		func(s *hooks.Set) { s.Prof = prof.NewStripeProf(machine.StripeCount) },
 		func(s *hooks.Set) { s.Waterfall = waterfall.New(waterfall.Config{Nodes: db.M.Nodes()}) },
 		func(s *hooks.Set) {
 			s.Debt = debt.New(debt.Config{DiskReadNS: db.M.Config().Cost.DiskRead, LogForceNS: db.LogForceCost()})
@@ -62,7 +60,7 @@ type traffic struct {
 	Events, TxnBegins           int64 // observer
 	DepTxns, DepEdges, Verdicts int   // deps (sink + direct calls)
 	Trails, AuditWindows        int   // audit (sink + direct calls)
-	Acquires                    int64 // prof: machine stripes
+	Acquires                    int64 // observer: line-lock latencies observed
 	Waterfalls                  int64 // waterfall
 	Appends, Recoveries         int64 // debt
 }
@@ -77,8 +75,8 @@ func trafficOf(s *hooks.Set) traffic {
 	tr.DepTxns, tr.DepEdges, tr.Verdicts = c.Txns, c.Edges, len(s.Deps.Verdicts())
 	sum := s.Audit.Summary()
 	tr.Trails, tr.AuditWindows = sum.Active+sum.Completed, sum.Windows
-	if s.Prof != nil {
-		tr.Acquires = s.Prof.Snapshot().Totals().Acquires
+	if s.Observer != nil {
+		tr.Acquires = s.Observer.LineLockHist().Snapshot().Count
 	}
 	tr.Waterfalls = s.Waterfall.Completed()
 	if s.Debt != nil {
@@ -111,7 +109,7 @@ func dumpFiles(t *testing.T, fr *obs.FlightRecorder) []string {
 // run has no auditor; one adds its three files).
 var smokeFiles = []string{
 	"MANIFEST.txt", "debt.json", "deps.dot", "deps.json", "events.json",
-	"events.txt", "prof.json", "stats.txt", "waterfall.json",
+	"events.txt", "stats.txt", "waterfall.json",
 }
 
 func attachDB(t *testing.T) *recovery.DB {
@@ -134,7 +132,7 @@ func TestAttachPoint(t *testing.T) {
 		for name, n := range map[string]int64{
 			"observer events": refTraffic.Events, "txn-begin events": refTraffic.TxnBegins,
 			"deps txns": int64(refTraffic.DepTxns), "deps edges+verdicts": int64(refTraffic.DepEdges + refTraffic.Verdicts),
-			"audit trails": int64(refTraffic.Trails), "stripe acquisitions": refTraffic.Acquires,
+			"audit trails": int64(refTraffic.Trails), "line-lock acquisitions": refTraffic.Acquires,
 			"completed waterfalls": refTraffic.Waterfalls, "debt appends": refTraffic.Appends,
 			"MTTR samples": refTraffic.Recoveries,
 		} {
@@ -170,9 +168,6 @@ func TestAttachPoint(t *testing.T) {
 			}
 			crashedRun(t, db)
 			got := trafficOf(db.Hooks())
-			// Host-time and scheduler-placement counts are not the sink
-			// fan-out: compare what the event spine and its sinks saw.
-			got.Acquires = refTraffic.Acquires
 			if got != refTraffic {
 				t.Errorf("%s: consumers saw\n  %+v\nthe reference run\n  %+v", tc.name, got, refTraffic)
 			}
@@ -233,7 +228,7 @@ func TestAttachPoint(t *testing.T) {
 		}
 		mgr := txn.NewManager(db)
 		full := fullSet(db, t.TempDir(), false)
-		sets := []hooks.Set{full, {}, {Observer: full.Observer, Prof: full.Prof, Debt: full.Debt}, {Observer: full.Observer, Audit: full.Audit}}
+		sets := []hooks.Set{full, {}, {Observer: full.Observer, Debt: full.Debt}, {Observer: full.Observer, Audit: full.Audit}}
 		var stop atomic.Bool
 		var commits atomic.Int64
 		var wg sync.WaitGroup

@@ -13,6 +13,8 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -24,7 +26,6 @@ import (
 	"smdb/internal/obs/debt"
 	"smdb/internal/obs/deps"
 	"smdb/internal/obs/hooks"
-	"smdb/internal/obs/prof"
 	"smdb/internal/obs/waterfall"
 	"smdb/internal/recovery"
 	"smdb/internal/sched"
@@ -42,7 +43,7 @@ type Flags struct {
 	FlightN   int           // -flightn: per-node event tail in each dump
 	Audit     bool          // -audit: per-txn trails + online IFA auditor + time series
 	Window    time.Duration // -window: audit time-series window width (simulated time)
-	Prof      bool          // -prof: stripe-contention profiler
+	Prof      bool          // -prof: the Go runtime's mutex and block profiles
 	Waterfall bool          // -waterfall: per-txn latency waterfalls + tail sampler + recovery progress
 	SlowK     int           // -slowk: slowest transactions retained per sampler window
 	Debt      bool          // -debt: live recovery-debt tracker + MTTR accounting (/recovery/debt)
@@ -70,7 +71,7 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.FlightN, "flightn", obs.DefaultFlightEvents, "events retained per node in each flight dump")
 	fs.BoolVar(&f.Audit, "audit", false, "per-transaction audit trails, the online IFA auditor, and windowed time-series metrics")
 	fs.DurationVar(&f.Window, "window", time.Millisecond, "audit time-series window width, in simulated time")
-	fs.BoolVar(&f.Prof, "prof", false, "per-stripe lock contention profiling (/prof/stripes, end-of-run report)")
+	fs.BoolVar(&f.Prof, "prof", false, "host lock contention: arm the Go runtime's mutex and block profiles (/debug/pprof/mutex, /debug/pprof/block) and write mutex.pprof and block.pprof at exit")
 	fs.BoolVar(&f.Waterfall, "waterfall", false, "per-transaction latency waterfalls with tail-sampled causal traces and live recovery progress (/slow, /recovery/progress)")
 	fs.IntVar(&f.SlowK, "slowk", 0, "slowest transactions retained per waterfall sampler window (0 = default 8)")
 	fs.BoolVar(&f.Debt, "debt", false, "live recovery-debt tracker: log debt per node, MTTR accounting, and estimated replay time (/recovery/debt)")
@@ -163,6 +164,10 @@ func (f *Flags) Build() (*Stack, error) {
 		return s, nil
 	}
 	s.Obs = obs.New()
+	if f.Prof {
+		runtime.SetMutexProfileFraction(1)
+		runtime.SetBlockProfileRate(1)
+	}
 	if f.FlightDir != "" {
 		if err := os.MkdirAll(f.FlightDir, 0o755); err != nil {
 			return nil, fmt.Errorf("-flightdir: %w", err)
@@ -176,15 +181,15 @@ func (f *Flags) Build() (*Stack, error) {
 			return nil, fmt.Errorf("-http: %w", err)
 		}
 		s.HTTP = srv
-		fmt.Fprintf(os.Stderr, "introspection: http://%s/ (metrics, trace, deps, audit, timeseries, prof, healthz, pprof)\n", srv.Addr)
+		fmt.Fprintf(os.Stderr, "introspection: http://%s/ (metrics, trace, deps, audit, timeseries, healthz, pprof)\n", srv.Addr)
 	}
 	return s, nil
 }
 
 // Attach builds the hook set the flags ask for — the stack's observer and
 // flight recorder plus a fresh dependency tracker (echoing edges back into
-// the observer's event stream), auditor, profiler pair, waterfall recorder
-// and debt tracker, each sized for db — and attaches it to db in one step.
+// the observer's event stream), auditor, waterfall recorder and debt
+// tracker, each sized for db — and attaches it to db in one step.
 // Safe to call once per DB in a sweep; the stack's aggregate surfaces (HTTP,
 // trace file) keep accumulating across them. The returned tracker is nil
 // when the stack is disabled — every call site is nil-safe.
@@ -204,9 +209,6 @@ func (s *Stack) Attach(db *recovery.DB) *deps.Tracker {
 				db.M.Config().Coherency == machine.WriteInvalidate,
 			WindowNS: s.flags.Window.Nanoseconds(),
 		})
-	}
-	if s.flags.Prof {
-		set.Prof = prof.NewStripeProf(machine.StripeCount)
 	}
 	if s.flags.Waterfall {
 		set.Waterfall = waterfall.New(waterfall.Config{
@@ -272,9 +274,10 @@ func (s *Stack) holdWait(d time.Duration) {
 }
 
 // Finish emits the end-of-run surfaces: the metrics table when -metrics, the
-// audit summary when -audit, the Chrome trace file when -trace, and an
-// -httphold grace period — interruptible by SIGINT/SIGTERM — before the
-// introspection server shuts down. Call exactly once, after the workload.
+// audit summary when -audit, mutex.pprof and block.pprof when -prof, the
+// Chrome trace file when -trace, and an -httphold grace period —
+// interruptible by SIGINT/SIGTERM — before the introspection server shuts
+// down. Call exactly once, after the workload.
 func (s *Stack) Finish(out io.Writer) error {
 	if s.Obs == nil {
 		return nil
@@ -294,9 +297,10 @@ func (s *Stack) Finish(out io.Writer) error {
 			fmt.Fprintf(out, "  %s: %d\n", k, n)
 		}
 	}
-	if p := cur.Prof; p != nil {
-		fmt.Fprintln(out)
-		fmt.Fprint(out, p.Report(5))
+	if s.flags.Prof {
+		if err := writeContentionProfiles(); err != nil {
+			return err
+		}
 	}
 	if w := cur.Waterfall; w != nil {
 		fmt.Fprintln(out, w.Summary())
@@ -325,6 +329,27 @@ func (s *Stack) Finish(out io.Writer) error {
 		}
 		s.HTTP.Shutdown()
 	}
+	return nil
+}
+
+// writeContentionProfiles writes the runtime's mutex and block profiles to
+// the working directory: where host goroutines waited on each other, by call
+// site. -prof armed both at Build.
+func writeContentionProfiles() error {
+	for _, name := range []string{"mutex", "block"} {
+		f, err := os.Create(name + ".pprof")
+		if err != nil {
+			return err
+		}
+		if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+	}
+	fmt.Fprintln(os.Stderr, "prof: wrote mutex.pprof block.pprof (go tool pprof -top -cum mutex.pprof)")
 	return nil
 }
 

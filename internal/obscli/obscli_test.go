@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -39,6 +40,37 @@ func TestFlagSetRegistersSharedNames(t *testing.T) {
 	}
 	if fs.Lookup("recoverworkers") != nil {
 		t.Error("-recoverworkers is registered; restart recovery has no worker count")
+	}
+}
+
+// TestProfWritesContentionProfiles: -prof arms the runtime's mutex profile
+// (and the block profile beside it) at Build, and Finish writes both to the
+// working directory.
+func TestProfWritesContentionProfiles(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+	defer runtime.SetMutexProfileFraction(runtime.SetMutexProfileFraction(-1))
+	defer runtime.SetBlockProfileRate(0)
+	s, err := parseFlags(t, "-prof").Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rate := runtime.SetMutexProfileFraction(-1); rate != 1 {
+		t.Errorf("-prof left the mutex profile fraction at %d, want 1", rate)
+	}
+	if err := s.Finish(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"mutex.pprof", "block.pprof"} {
+		if st, err := os.Stat(name); err != nil || st.Size() == 0 {
+			t.Errorf("-prof wrote no %s: %v", name, err)
+		}
 	}
 }
 

@@ -375,13 +375,13 @@ func (db *DB) SchedPoint(actor int32, site string, arg int64) int64 {
 
 // Attach publishes set as the engine's observability consumers, replacing
 // whatever was attached: one pointer swap for the protocol layer, and the
-// set's observer handed to the machine (with the stripe profiler), each
-// node's WAL, the lock manager and the buffer manager. Everything that
-// depends on several consumers at once is derived here from the set as a
-// whole — the observer's sink (the set itself) and the flight recorder's
-// sources (set.Sources plus this engine's stats deltas) — so neither the
-// order the set's fields were assigned in nor the order of Attach against
-// AttachSched/AttachFaults matters. The zero set detaches everything. Safe
+// set's observer handed to the machine, each node's WAL, the lock manager
+// and the buffer manager. Everything that depends on several consumers at
+// once is derived here from the set as a whole — the observer's sink (the
+// set itself) and the flight recorder's sources (set.Sources plus this
+// engine's stats deltas) — so neither the order the set's fields were
+// assigned in nor the order of Attach against AttachSched/AttachFaults
+// matters. The zero set detaches everything. Safe
 // mid-run: an operation straddling the swap reports to the set it loaded.
 //
 // The observer's sink belongs to the set only while the set folds events (a
@@ -410,7 +410,7 @@ func (db *DB) Attach(set hooks.Set) {
 		src.Stats = db.statsDeltaWriter()
 		h.Flight.SetSources(src)
 	}
-	db.M.SetHooks(h.Observer, h.Prof)
+	db.M.SetHooks(h.Observer)
 	for _, l := range db.Logs {
 		l.SetHooks(h.Observer)
 	}

@@ -7,8 +7,6 @@ import (
 
 	"smdb/internal/heap"
 	"smdb/internal/machine"
-	"smdb/internal/obs/hooks"
-	"smdb/internal/obs/prof"
 	"smdb/internal/storage"
 	"smdb/internal/wal"
 )
@@ -144,14 +142,15 @@ var stepFootprintWant = map[string]stepFootprint{
 }
 
 // TestRedoRunHoldsItsStripeOnce: however many candidates a same-line run
-// carries, applying it on resident lines is one hold of the line's stripe.
+// carries, applying it on resident lines is one section — one line-lock
+// acquisition, a version check per candidate, a write per apply — and
+// applyRedoRun never yields it, so the run is one hold of the line's stripe
+// (a section keeps its stripe from step to step until it yields:
+// machine.TestSectionHoldsItsStripeBetweenSteps).
 func TestRedoRunHoldsItsStripeOnce(t *testing.T) {
 	db := newNodeTestDB(t, VolatileSelectiveRedo, 2)
-	sp := prof.NewStripeProf(machine.StripeCount)
-	db.Attach(hooks.Set{Prof: sp})
 	run, line := redoRunOver(t, db, 0, seedLine(t, db, 0, 1))
-	stripe := int(line) % machine.StripeCount
-	before := sp.Snapshot().Stripes[stripe].Acquires
+	before := db.M.Stats()
 	var rep RecoveryReport
 	if err := db.applyRedoRun(run, 0, line, &rep, new(progressBatch)); err != nil {
 		t.Fatal(err)
@@ -159,8 +158,10 @@ func TestRedoRunHoldsItsStripeOnce(t *testing.T) {
 	if rep.RedoSkipped != 1 || rep.RedoApplied != len(run)-1 {
 		t.Fatalf("%d skipped, %d applied over %d candidates", rep.RedoSkipped, rep.RedoApplied, len(run))
 	}
-	if n := sp.Snapshot().Stripes[stripe].Acquires - before; n != 1 {
-		t.Errorf("a %d-candidate run acquired its line's stripe %d times, want 1", len(run), n)
+	st := db.M.Stats().Sub(before)
+	if st.LineLockAcquires != 1 || st.Reads != int64(len(run)) || st.Writes != int64(len(run)-1) {
+		t.Errorf("a %d-candidate run took %d line locks, %d reads, %d writes; want 1, %d, %d",
+			len(run), st.LineLockAcquires, st.Reads, st.Writes, len(run), len(run)-1)
 	}
 }
 
