@@ -24,6 +24,7 @@ package fault
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 
 	"smdb/internal/machine"
@@ -207,6 +208,17 @@ func (in *Injector) crashBudgetLocked(alive int) bool {
 	return in.crashes < in.plan.MaxCrashes && alive > in.plan.MinAlive
 }
 
+// drawAt makes the decision draw at the site named site followed by node
+// nd. The site's name is a schedule key, so it is built only when a session
+// records or replays the draw; without one, a draw formats nothing and
+// allocates nothing. Called with in.mu held.
+func (in *Injector) drawAt(site string, nd machine.NodeID, draw func() sched.Draw) sched.Draw {
+	if in.sched == nil {
+		return draw()
+	}
+	return in.sched.Draw(site+strconv.Itoa(int(nd)), draw)
+}
+
 // CrashAtMigration decides whether the coherency transition ev crashes the
 // node losing the line (ev.From), at exactly that instant. It is wired into
 // the machine's transition-fault hook and runs with the machine lock held.
@@ -216,7 +228,7 @@ func (in *Injector) CrashAtMigration(ev machine.Event, alive int) []machine.Node
 	if !in.armed || in.inRecovery || ev.From < 0 || !in.crashBudgetLocked(alive) {
 		return nil
 	}
-	d := in.sched.Draw(fmt.Sprintf("migrate:%d", ev.From), func() sched.Draw {
+	d := in.drawAt("migrate:", ev.From, func() sched.Draw {
 		return sched.Draw{Fire: in.rng.Float64() < in.plan.PCrashAtMigration}
 	})
 	if !d.Fire {
@@ -236,7 +248,7 @@ func (in *Injector) CrashAtUpdate(nd machine.NodeID, alive int) bool {
 	if !in.armed || in.inRecovery || !in.crashBudgetLocked(alive) {
 		return false
 	}
-	d := in.sched.Draw(fmt.Sprintf("update:%d", nd), func() sched.Draw {
+	d := in.drawAt("update:", nd, func() sched.Draw {
 		return sched.Draw{Fire: in.rng.Float64() < in.plan.PCrashAtUpdate}
 	})
 	if !d.Fire {
@@ -257,7 +269,7 @@ func (in *Injector) TornForce(nd machine.NodeID, alive int) (frac float64, fire 
 	if !in.armed || in.inRecovery || !in.crashBudgetLocked(alive) {
 		return 0, false
 	}
-	d := in.sched.Draw(fmt.Sprintf("torn:%d", nd), func() sched.Draw {
+	d := in.drawAt("torn:", nd, func() sched.Draw {
 		if in.rng.Float64() >= in.plan.PTornForce {
 			return sched.Draw{}
 		}

@@ -154,6 +154,12 @@ func (s *Stack) Hooks() *hooks.Set {
 	return new(hooks.Set)
 }
 
+// BlockProfileRate is the block profile's sampling rate under -prof: on
+// average one blocking event is recorded per this many nanoseconds spent
+// blocked, and every event at least this long, so the profile does not take a
+// stack for each of the many short waits one by one (DESIGN.md §9).
+const BlockProfileRate = 100_000
+
 // Build assembles the stack the flags ask for. With nothing enabled it
 // returns an inert stack: Obs stays nil, so every engine-side hook keeps its
 // nil-receiver fast path. Build fails only on unusable -http / -flightdir
@@ -166,7 +172,7 @@ func (f *Flags) Build() (*Stack, error) {
 	s.Obs = obs.New()
 	if f.Prof {
 		runtime.SetMutexProfileFraction(1)
-		runtime.SetBlockProfileRate(1)
+		runtime.SetBlockProfileRate(BlockProfileRate)
 	}
 	if f.FlightDir != "" {
 		if err := os.MkdirAll(f.FlightDir, 0o755); err != nil {

@@ -44,8 +44,9 @@ func TestFlagSetRegistersSharedNames(t *testing.T) {
 }
 
 // TestProfWritesContentionProfiles: -prof arms the runtime's mutex profile
-// (and the block profile beside it) at Build, and Finish writes both to the
-// working directory.
+// at every contended unlock and the block profile beside it at a sampling
+// rate (the runtime reads no rate back, so the constant is checked) at Build,
+// and Finish writes both to the working directory.
 func TestProfWritesContentionProfiles(t *testing.T) {
 	wd, err := os.Getwd()
 	if err != nil {
@@ -63,6 +64,9 @@ func TestProfWritesContentionProfiles(t *testing.T) {
 	}
 	if rate := runtime.SetMutexProfileFraction(-1); rate != 1 {
 		t.Errorf("-prof left the mutex profile fraction at %d, want 1", rate)
+	}
+	if BlockProfileRate <= 1 {
+		t.Errorf("-prof arms the block profile at rate %d, recording every blocking event; want a sampling rate", BlockProfileRate)
 	}
 	if err := s.Finish(io.Discard); err != nil {
 		t.Fatal(err)

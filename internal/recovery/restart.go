@@ -537,10 +537,13 @@ func (db *DB) views(alive []machine.NodeID) (vs []*logView, down []machine.NodeI
 	return vs, down
 }
 
-// view walks node n's log for views, the attempt's one read of it. Each list
-// is sized once, from the record count the walk reads: a survivor's walk reads
-// the records its log held when it began, and leaves what the log gains after
-// to the tail.
+// view walks node n's log for views, the attempt's one read of it. A list is
+// sized once, by what it keeps: redo by the log's count of update and
+// compensation records, held by the few live transactions' records it takes
+// (a longer list grows; the records it points at never move). A survivor's
+// walk reads the records its log held when it began, and leaves what the log
+// gains after to the tail. A down node's walk reads its device in place and
+// copies out only the redo records; the rest fill the summary sets.
 func (db *DB) view(n machine.NodeID, isDown bool) *logView {
 	seqs := db.nodes[n].seq.Load()
 	v := &logView{
@@ -549,12 +552,11 @@ func (db *DB) view(n machine.NodeID, isDown bool) *logView {
 		aborted:   newTxnSet(n, seqs),
 		ntaDone:   make(map[uint64]bool),
 	}
-	// A transaction that has finished never becomes live again, so the walk
-	// asks txnLive (lock-free, so safe under the log mutex) once per run of
-	// one transaction's lock and update records.
-	var run wal.TxnID
-	live := false
-	note := func(r *wal.Record) {
+	// note files r in the summary sets and reports whether it is a redo
+	// record; a checkpoint record starts the redo scan after the redo
+	// records noted so far.
+	redos := 0
+	note := func(r *wal.Record) bool {
 		switch r.Type {
 		case wal.TypeCommit:
 			v.committed.add(r.Txn)
@@ -562,13 +564,39 @@ func (db *DB) view(n machine.NodeID, isDown bool) *logView {
 			v.aborted.add(r.Txn)
 		case wal.TypeNTAEnd:
 			v.ntaDone[r.NTA] = true
-		case wal.TypeUpdate, wal.TypeCLR:
-			v.redo = append(v.redo, r)
 		case wal.TypeCheckpoint:
-			v.ckpt = len(v.redo)
+			v.ckpt = redos
+		case wal.TypeUpdate, wal.TypeCLR:
+			redos++
+			return true
 		}
-		if v.log == nil || !(isLockRecord(r) || r.Type == wal.TypeUpdate && r.NTA == 0) {
-			return
+		return false
+	}
+	l := db.Logs[n]
+	if isDown {
+		v.redo = l.StableRecords(l.RedoLen(), note)
+		return v
+	}
+	v.log = l
+	left := l.Len()
+	v.redo = make([]*wal.Record, 0, l.RedoLen())
+	v.held = make([]*wal.Record, 0, min(left, heldRoom))
+	// A transaction that has finished never becomes live again, so the walk
+	// asks txnLive (lock-free, so safe under the log mutex) once per run of
+	// one transaction's lock and update records.
+	var run wal.TxnID
+	live := false
+	l.Each(1, func(r *wal.Record) bool {
+		if left == 0 {
+			return false
+		}
+		left--
+		v.end = r.LSN + 1
+		if note(r) {
+			v.redo = append(v.redo, r)
+		}
+		if !(isLockRecord(r) || r.Type == wal.TypeUpdate && r.NTA == 0) {
+			return true
 		}
 		if r.Txn != run {
 			run, live = r.Txn, db.txnLive(r.Txn)
@@ -576,30 +604,14 @@ func (db *DB) view(n machine.NodeID, isDown bool) *logView {
 		if live {
 			v.held = append(v.held, r)
 		}
-	}
-	if isDown {
-		stable := db.Logs[n].StableRecords()
-		v.redo = make([]*wal.Record, 0, len(stable))
-		for i := range stable {
-			note(&stable[i])
-		}
-		return v
-	}
-	v.log = db.Logs[n]
-	left := v.log.Len()
-	v.redo = make([]*wal.Record, 0, left)
-	v.held = make([]*wal.Record, 0, left)
-	v.log.Each(1, func(r *wal.Record) bool {
-		if left == 0 {
-			return false
-		}
-		left--
-		v.end = r.LSN + 1
-		note(r)
 		return true
 	})
 	return v
 }
+
+// heldRoom is the room a survivor's held list starts with: the lock and
+// update records of the handful of transactions in flight on a node.
+const heldRoom = 256
 
 // tail returns a copy of the records a survivor's log gained after the
 // attempt's walk of it, normally none (nil for a down node).

@@ -185,3 +185,63 @@ func TestStableImageFallbackCountsRetries(t *testing.T) {
 		t.Errorf("%v = %+v, %v; want the empty slot of the stable image back", migrated, got, err)
 	}
 }
+
+// TestRecoveryAllocationVolume pins how many bytes one recovery allocates
+// per record the logs retain. The crashed node's stable log is read where it
+// lies on its device and only its update and compensation records are copied
+// out, and every list a view builds is sized by what it keeps, so the volume
+// is a fraction of the logs' own size. The backlog — over 10⁵ records on four
+// nodes, built on one goroutine so it repeats exactly — ends with a live
+// transaction on node 1 and an unfinished one on node 3, which then crashes.
+func TestRecoveryAllocationVolume(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation volumes mean nothing under the race detector")
+	}
+	const minRetained = 100_000
+	db := newNodeTestDB(t, VolatileSelectiveRedo, 4)
+	retained := func() int {
+		n := 0
+		for _, l := range db.Logs {
+			n += l.Len()
+		}
+		return n
+	}
+	rid := func(nd machine.NodeID, i int) heap.RID {
+		return heap.RID{Page: storage.PageID(4*int(nd) + i/4%4), Slot: uint16(i / 16 % 8)}
+	}
+	for i := 0; retained() < minRetained; i++ {
+		nd := machine.NodeID(i % 4)
+		id := mustBegin(t, db, nd)
+		mustUpdate(t, db, nd, id, rid(nd, i), byte(i))
+		if err := db.Commit(nd, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := mustBegin(t, db, 1)
+	mustUpdate(t, db, 1, live, rid(1, 0), 0xaa)
+	dead := mustBegin(t, db, 3)
+	mustUpdate(t, db, 3, dead, rid(3, 0), 0xdd)
+	records := retained()
+	db.Crash(3)
+
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := db.Recover([]machine.NodeID{3})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Aborted) != 1 || rep.Aborted[0] != dead || rep.RedoApplied+rep.RedoSkipped == 0 {
+		t.Fatalf("report %+v: the scene needs the dead transaction aborted and the backlog's redo", rep)
+	}
+	perRecord := float64(after.TotalAlloc-before.TotalAlloc) / float64(records)
+	t.Logf("%d records retained, %d B allocated by Recover, %.2f B per record", records, after.TotalAlloc-before.TotalAlloc, perRecord)
+	// 39.8 B when this was written; 86.1 B when the crashed log was copied
+	// off its device and decoded whole, and survivors' lists were sized by
+	// their logs' length.
+	const bound = 44.0
+	if perRecord > bound {
+		t.Errorf("Recover allocates %.2f B per retained record, want at most %v", perRecord, bound)
+	}
+}

@@ -32,12 +32,12 @@ func TestQuickWALInvariant(t *testing.T) {
 	accumulate := func(t *testing.T, db *recovery.DB, everStable map[key]bool) {
 		t.Helper()
 		for _, l := range db.Logs {
-			recs := l.StableRecords()
-			for _, r := range recs {
+			l.StableRecords(0, func(r *wal.Record) bool {
 				if r.Type == wal.TypeUpdate || r.Type == wal.TypeCLR {
 					everStable[key{r.Page, r.Slot, r.Version}] = true
 				}
-			}
+				return false
+			})
 		}
 	}
 	check := func(t *testing.T, db *recovery.DB, seed int64, stable map[key]bool) bool {

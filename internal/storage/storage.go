@@ -180,7 +180,7 @@ func (d *Disk) IOCounts() (reads, writes int64) {
 	return d.reads, d.writes
 }
 
-// logChunk is the size of one LogDevice chunk.
+// logChunk is the size of a LogDevice chunk, unless one append is larger.
 const logChunk = 64 << 10
 
 // LogDevice is the stable, append-only log device of one node. Forcing a
@@ -188,8 +188,15 @@ const logChunk = 64 << 10
 // survive every crash.
 type LogDevice struct {
 	mu sync.Mutex
-	// The contents are the chunks back to back: every chunk but the last
-	// is full (logChunk bytes), so an append never copies earlier bytes.
+	// The contents are the chunks back to back. An append is never split: it
+	// goes on the end of the last chunk if all of it fits, else into a new
+	// chunk of max(logChunk, its length) bytes, and the last one is left
+	// short. So a force never copies earlier bytes, and a frame it wrote never
+	// straddles two chunks.
+	//
+	// Bytes below a chunk's length are never written again: an append writes
+	// past it, Truncate replaces the chunk list and Cut only shortens (and
+	// seals the chunk it cuts). So a reader may keep slices of them (Walk).
 	chunks [][]byte
 	size   int64
 	forces int64
@@ -231,20 +238,19 @@ func (d *LogDevice) Append(data []byte) (int64, error) {
 	return off, nil
 }
 
-// write copies data onto the end of the chunk list. Caller holds d.mu.
+// write copies data, in one piece, onto the end of the chunk list. Caller
+// holds d.mu.
 func (d *LogDevice) write(data []byte) {
-	d.size += int64(len(data))
-	for len(data) > 0 {
-		last := len(d.chunks) - 1
-		if last < 0 || len(d.chunks[last]) == logChunk {
-			d.chunks = append(d.chunks, make([]byte, 0, logChunk))
-			last++
-		}
-		c := d.chunks[last]
-		n := copy(c[len(c):logChunk], data)
-		d.chunks[last] = c[:len(c)+n]
-		data = data[n:]
+	if len(data) == 0 {
+		return
 	}
+	d.size += int64(len(data))
+	last := len(d.chunks) - 1
+	if last < 0 || cap(d.chunks[last])-len(d.chunks[last]) < len(data) {
+		d.chunks = append(d.chunks, make([]byte, 0, max(logChunk, len(data))))
+		last++
+	}
+	d.chunks[last] = append(d.chunks[last], data...)
 }
 
 // Size returns the number of stable bytes.
@@ -261,7 +267,7 @@ func (d *LogDevice) Forces() int64 {
 	return d.forces
 }
 
-// Reads returns the number of Contents calls (whole-device reads).
+// Reads returns the number of whole-device reads (Contents and Walk calls).
 func (d *LogDevice) Reads() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -277,6 +283,18 @@ func (d *LogDevice) Contents() []byte {
 	return bytes.Join(d.chunks, nil)
 }
 
+// Walk reads the entire stable log in place: it calls fn once with the
+// chunks, whose contents back to back are the log, and counts one read. fn
+// runs under the device mutex, so it must not call into d; it must not write
+// to the chunks or keep the list, but it may keep slices of the chunks'
+// bytes, which are never written again.
+func (d *LogDevice) Walk(fn func(chunks [][]byte)) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.reads++
+	fn(d.chunks)
+}
+
 // Truncate replaces the device contents with keep — log-space reclamation
 // after a checkpoint has archived everything older (on real hardware the
 // log is a ring; here the archive is simply dropped).
@@ -285,4 +303,27 @@ func (d *LogDevice) Truncate(keep []byte) {
 	defer d.mu.Unlock()
 	d.chunks, d.size = nil, 0
 	d.write(keep)
+}
+
+// Cut shortens the contents to their first size bytes in place, copying
+// nothing; a size at or past the end leaves them as they are. The chunk the
+// cut falls in is sealed at its new length, so the next append begins a new
+// chunk and no byte a reader may hold a slice of is written again.
+func (d *LogDevice) Cut(size int64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if size >= d.size {
+		return
+	}
+	d.size = max(size, 0)
+	left := d.size
+	for i, c := range d.chunks {
+		if int64(len(c)) >= left {
+			d.chunks[i] = c[:left:left]
+			clear(d.chunks[i+1:])
+			d.chunks = d.chunks[:i+1]
+			return
+		}
+		left -= int64(len(c))
+	}
 }

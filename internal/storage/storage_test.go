@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -303,5 +304,88 @@ func TestLogDeviceChunksMatchSingleBuffer(t *testing.T) {
 	}
 	if d.Forces() != forces {
 		t.Errorf("Forces = %d after truncations, want %d (Truncate is not a force)", d.Forces(), forces)
+	}
+}
+
+// TestLogDeviceKeepsAppendsWhole: an append goes into one chunk — on the end
+// of the last if it fits, else into a new one of at least logChunk bytes —
+// so every chunk edge is an append edge.
+func TestLogDeviceKeepsAppendsWhole(t *testing.T) {
+	d := NewLogDevice()
+	edges := map[int64]bool{0: true}
+	var flat []byte
+	for i, n := range []int{100, logChunk - 150, 60, 40, 3 * logChunk, 1, logChunk, 7} {
+		data := bytes.Repeat([]byte{byte(i + 1)}, n)
+		if _, err := d.Append(data); err != nil {
+			t.Fatal(err)
+		}
+		flat = append(flat, data...)
+		edges[int64(len(flat))] = true
+	}
+	var lens []int
+	d.Walk(func(chunks [][]byte) {
+		var off int64
+		for _, c := range chunks {
+			lens = append(lens, len(c))
+			off += int64(len(c))
+			if !edges[off] {
+				t.Errorf("a chunk ends at byte %d, inside an append", off)
+			}
+		}
+	})
+	// 100 and 65386 fill the first chunk but for 50 bytes; 60 begins the
+	// second, 40 joins it; the 192 KiB append takes a chunk of its own; 1
+	// begins another, which the 64 KiB append does not fit; that one fills
+	// its chunk, so 7 begins the last.
+	if want := []int{logChunk - 50, 100, 3 * logChunk, 1, logChunk, 7}; !reflect.DeepEqual(lens, want) {
+		t.Errorf("chunk lengths %v, want %v", lens, want)
+	}
+	if d.Size() != int64(len(flat)) || !bytes.Equal(d.Contents(), flat) {
+		t.Error("the chunks do not hold the appends back to back")
+	}
+	if d.Reads() != 2 {
+		t.Errorf("Reads = %d after one Walk and one Contents, want 2", d.Reads())
+	}
+}
+
+// TestLogDeviceCutAndTruncateLeaveReadBytesAlone: bytes a Walk handed out
+// keep their values through every later write — appends, a Cut and the
+// appends after it, Truncate — and Cut shortens the contents in place.
+func TestLogDeviceCutAndTruncateLeaveReadBytesAlone(t *testing.T) {
+	d := NewLogDevice()
+	d.Append(bytes.Repeat([]byte{1}, 1000))
+	d.Append(bytes.Repeat([]byte{2}, 500))
+	var held []byte
+	d.Walk(func(chunks [][]byte) { held = chunks[0][:1200] })
+	want := bytes.Clone(held)
+	check := func(step string) {
+		t.Helper()
+		if !bytes.Equal(held, want) {
+			t.Fatalf("after %s: bytes a Walk handed out changed", step)
+		}
+	}
+	d.Append(bytes.Repeat([]byte{3}, 100))
+	check("an append")
+	for _, size := range []int64{5000, 1600, 1300, 1200} {
+		d.Cut(size)
+		if got := min(size, 1600); d.Size() != got || int64(len(d.Contents())) != got {
+			t.Fatalf("Cut(%d): %d bytes left, want %d", size, d.Size(), got)
+		}
+	}
+	d.Append(bytes.Repeat([]byte{4}, 300))
+	check("a Cut and an append behind it")
+	if c := d.Contents(); len(c) != 1500 || c[1199] != 2 || c[1200] != 4 {
+		t.Fatalf("after Cut(1200) and a 300-byte append: %d bytes, [1199]=%d [1200]=%d", len(c), c[1199], c[1200])
+	}
+	d.Cut(0)
+	if d.Size() != 0 || len(d.Contents()) != 0 {
+		t.Fatalf("Cut(0) left %d bytes", d.Size())
+	}
+	d.Append(bytes.Repeat([]byte{5}, 2000))
+	check("Cut(0) and an append")
+	d.Truncate(bytes.Repeat([]byte{6}, 3000))
+	check("Truncate")
+	if d.Forces() != 5 {
+		t.Errorf("Forces = %d, want 5 (Cut and Truncate are not forces)", d.Forces())
 	}
 }

@@ -184,7 +184,16 @@ func TestBlockLogMatchesFlatLog(t *testing.T) {
 		if !bytes.Equal(dev.Contents(), f.dev) {
 			t.Fatalf("%s: device holds %d bytes, oracle %d (or they differ)", step, dev.Size(), len(f.dev))
 		}
-		recs := l.StableRecords()
+		redo := 0
+		for i := range f.recs {
+			if isRedo(&f.recs[i]) {
+				redo++
+			}
+		}
+		if l.RedoLen() != redo {
+			t.Fatalf("%s: RedoLen = %d, oracle %d", step, l.RedoLen(), redo)
+		}
+		recs := stableAll(l)
 		if len(recs) != f.forced {
 			t.Fatalf("%s: StableRecords = %d records; oracle %d", step, len(recs), f.forced)
 		}

@@ -35,6 +35,7 @@ type Log struct {
 	off, n   int
 	first    LSN // LSN of record 0; records below first have been discarded
 	forced   int // count of stable records still retained
+	redo     int // count of retained update and compensation records
 	lastCkpt LSN // LSN of the most recent checkpoint record, 0 if none
 	// enc is the encode buffer every device write is marshalled into; the
 	// device copies what it is handed, so the buffer is reused from one
@@ -61,7 +62,7 @@ type Log struct {
 	// pad the struct to whole 64-byte lines: the allocator then starts each
 	// node's Log on a line boundary, so one node's appends (mu, n, the
 	// block list) never write a line another node's Log sits on.
-	_ [40]byte
+	_ [32]byte
 }
 
 // blockLen is the number of records in one block of a Log (about 60 KiB).
@@ -83,6 +84,28 @@ func (l *Log) push(r *Record) {
 	}
 	l.blocks[p/blockLen][p%blockLen] = *r
 	l.n++
+	if isRedo(r) {
+		l.redo++
+	}
+}
+
+// isRedo reports whether r is a record a redo scan reads: an update or a
+// compensation record.
+func isRedo(r *Record) bool { return r.Type == TypeUpdate || r.Type == TypeCLR }
+
+// redoIn counts the update and compensation records among retained records
+// [from, to). Caller holds l.mu.
+func (l *Log) redoIn(from, to int) int {
+	k := 0
+	l.span(from, to, func(run []Record) bool {
+		for i := range run {
+			if isRedo(&run[i]) {
+				k++
+			}
+		}
+		return true
+	})
+	return k
 }
 
 // span calls fn on retained records [from, to) one block-contiguous run at
@@ -118,14 +141,7 @@ func NewLog(n machine.NodeID, dev *storage.LogDevice) (*Log, error) {
 func NewClockedLog(n machine.NodeID, dev *storage.LogDevice, clock func() int64) (*Log, error) {
 	l := &Log{node: n, dev: dev, first: 1, clock: clock}
 	if dev.Size() > 0 {
-		var recs []Record
-		l.forced, l.tornBytes = repairTail(dev, dev.Contents(), &recs)
-		for i := range recs {
-			l.push(&recs[i])
-			if recs[i].Type == TypeCheckpoint {
-				l.lastCkpt = recs[i].LSN
-			}
-		}
+		l.forced, l.tornBytes = repairTail(dev, l)
 	}
 	return l, nil
 }
@@ -323,6 +339,7 @@ func (l *Log) Crash() int {
 	defer l.mu.Unlock()
 	l.down = true
 	lost := l.n - l.forced
+	l.redo -= l.redoIn(l.forced, l.n)
 	l.n = l.forced
 	l.blocks = l.blocks[:(l.off+l.n+blockLen-1)/blockLen]
 	// Find the checkpoint marker again among what survived.
@@ -339,25 +356,38 @@ func (l *Log) Crash() int {
 }
 
 // Reopen re-enables the log for the node's restarted incarnation. If the
-// crash tore a force mid-write, the partial record left on the device is
-// truncated away here (the in-memory state never counted it as stable).
+// crash tore a force mid-write, the partial record left on the device is cut
+// away here (the in-memory state never counted it as stable).
 func (l *Log) Reopen() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.down = false
-	repairTail(l.dev, l.dev.Contents(), nil)
+	repairTail(l.dev, nil)
 }
 
-// repairTail truncates dev, whose contents were just read, at the end of
-// their valid prefix, appending its records to *keep unless keep is nil (see
-// walkStable). It returns the number of records in that prefix and the torn
-// bytes cut off.
-func repairTail(dev *storage.LogDevice, contents []byte, keep *[]Record) (n, torn int) {
-	n, size := walkStable(contents, 0, keep)
-	if torn = len(contents) - size; torn > 0 {
-		dev.Truncate(contents[:size])
+// repairTail reads dev in place (see stableWalk) and cuts it where its valid
+// prefix ends, copying nothing. With into non-nil — a log being opened on dev
+// — it also stores the prefix's records in into, LSNs from 1. It returns the
+// number of records in the prefix and the torn bytes cut off.
+func repairTail(dev *storage.LogDevice, into *Log) (n, torn int) {
+	var w stableWalk
+	dev.Walk(func(chunks [][]byte) {
+		w = newStableWalk(chunks, 0)
+		var r Record
+		for w.next(&r) {
+			if into == nil {
+				continue
+			}
+			into.push(&r)
+			if r.Type == TypeCheckpoint {
+				into.lastCkpt = r.LSN
+			}
+		}
+	})
+	if w.left > 0 {
+		dev.Cut(w.size)
 	}
-	return n, torn
+	return w.n, int(w.left)
 }
 
 // TornBytes returns the cumulative stable-tail bytes discarded because a
@@ -449,6 +479,14 @@ func (l *Log) Len() int {
 	return l.n
 }
 
+// RedoLen returns the number of update and compensation records among the
+// retained ones — after Crash, among the stable prefix.
+func (l *Log) RedoLen() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.redo
+}
+
 // FirstLSN returns the LSN of the oldest retained record.
 func (l *Log) FirstLSN() LSN {
 	l.mu.Lock()
@@ -473,6 +511,7 @@ func (l *Log) DiscardThrough(upto LSN) int {
 	if drop <= 0 {
 		return 0
 	}
+	l.redo -= l.redoIn(0, drop)
 	l.off += drop
 	l.n -= drop
 	l.blocks = append([]*block(nil), l.blocks[l.off/blockLen:]...)
@@ -487,19 +526,40 @@ func (l *Log) DiscardThrough(upto LSN) int {
 	return drop
 }
 
-// StableRecords reads the stable device once and returns the records of its
-// checksum-valid prefix, re-based to their true LSNs — what restart recovery
-// can read for a crashed node. One walk checks and decodes each record into a
-// slice sized by the log's stable count. A torn tail is ignored (Reopen
-// truncates it). The images alias this call's private copy of the device
-// bytes, never the device: later forces, truncations and appends leave them
-// alone.
-func (l *Log) StableRecords() []Record {
-	buf := l.dev.Contents()
+// StableRecords reads the stable device once, in place — what restart
+// recovery can read of a crashed node — and hands each record of its
+// checksum-valid prefix, re-based to its true LSN, to keep in LSN order. A
+// torn tail is ignored (Reopen cuts it). It returns the records keep reports
+// true for, in LSN order, copied into a slab with room for hint of them (a
+// new slab is begun should it fill, so a listed record never moves); only
+// those are materialised. The record keep is handed is good for the call
+// only, but its images — and a kept record's — alias the device's bytes,
+// which are never written again (storage.LogDevice), so they stay valid
+// whatever the log and the device do later. keep runs under the log and
+// device mutexes and must not call back into either.
+func (l *Log) StableRecords(hint int, keep func(*Record) bool) []*Record {
 	l.mu.Lock()
-	base, stable := l.first-1, l.forced
-	l.mu.Unlock()
-	recs := make([]Record, 0, stable)
-	walkStable(buf, base, &recs)
-	return recs
+	defer l.mu.Unlock()
+	out := make([]*Record, 0, hint)
+	l.dev.Walk(func(chunks [][]byte) {
+		w := newStableWalk(chunks, l.first-1)
+		// Each record is decoded into the slab's next free slot, which a
+		// kept record then takes: one slot past hint is the scratch of the
+		// records that follow the last kept one.
+		slab := make([]Record, 0, hint+1)
+		for {
+			if len(slab) == cap(slab) {
+				slab = make([]Record, 0, max(len(out), 64))
+			}
+			r := &slab[:len(slab)+1][len(slab)]
+			if !w.next(r) {
+				return
+			}
+			if keep(r) {
+				slab = slab[:len(slab)+1]
+				out = append(out, r)
+			}
+		}
+	})
+	return out
 }

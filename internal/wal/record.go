@@ -255,20 +255,6 @@ func DecodeAll(buf []byte) (recs []Record, tornBytes int) {
 	return recs, 0
 }
 
-// frameLen checks the frame at the front of buf — a whole header, a whole
-// body, a matching checksum — and returns its length, 0 if it is torn or
-// corrupt.
-func frameLen(buf []byte) int {
-	if len(buf) < recHeaderLen {
-		return 0
-	}
-	n := recHeaderLen + int(binary.LittleEndian.Uint32(buf))
-	if len(buf) < n || checksum(buf[recHeaderLen:n]) != binary.LittleEndian.Uint32(buf[4:]) {
-		return 0
-	}
-	return n
-}
-
 // parseBody decodes a checksum-verified record body into r under Unmarshal's
 // rules, except that r's images alias body instead of copying it. It reports
 // whether the body is well formed.
@@ -304,26 +290,84 @@ func parseBody(body []byte, r *Record) bool {
 	return true
 }
 
-// walkStable is the one reader of a log device's contents: it checks and
-// decodes each frame in a single walk and stops where DecodeAll stops, at the
-// first torn, checksum-corrupt or malformed record. It returns the record
-// count and byte length of that valid prefix. With keep non-nil it also
-// appends the records to *keep, with LSNs base+1..base+n and images aliasing
-// buf, so the caller hands over a buffer nothing else will write; sized to
-// the prefix, *keep does not grow. With keep nil it builds nothing.
-func walkStable(buf []byte, base LSN, keep *[]Record) (n, size int) {
-	var r Record
-	for size < len(buf) {
-		k := frameLen(buf[size:])
-		if k == 0 || !parseBody(buf[size+recHeaderLen:size+k], &r) {
+// stableWalk is the one reader of a log device's contents, given as the
+// device's chunks back to back (storage.LogDevice.Walk). Each next checks one
+// frame — a whole header, a whole body, a matching CRC32-C, a well-formed body
+// — and decodes it; the walk stops where DecodeAll stops, at the first torn,
+// checksum-corrupt or malformed record. It reads the chunks in place: a
+// record's images alias them, and nothing is allocated, except for a frame
+// split across chunks, which only raw device appends make (a force appends
+// in one piece and a device never splits an append). That frame is joined in
+// a buffer of its own.
+type stableWalk struct {
+	chunks [][]byte
+	base   LSN   // LSN of the record before the first
+	ci     int   // chunk holding the next frame
+	off    int   // the next frame's offset in chunks[ci]
+	left   int64 // bytes from the next frame to the end of the chunks
+	// n and size are the record count and byte length of the valid prefix
+	// read so far.
+	n    int
+	size int64
+}
+
+func newStableWalk(chunks [][]byte, base LSN) stableWalk {
+	w := stableWalk{chunks: chunks, base: base}
+	for _, c := range chunks {
+		w.left += int64(len(c))
+	}
+	return w
+}
+
+// next decodes the next record of the valid prefix into r, with LSN base+n,
+// and reports whether there was one.
+func (w *stableWalk) next(r *Record) bool {
+	if w.left < recHeaderLen {
+		return false
+	}
+	for w.off == len(w.chunks[w.ci]) {
+		w.ci, w.off = w.ci+1, 0
+	}
+	frame := w.chunks[w.ci][w.off:]
+	hdr := frame
+	if len(hdr) < recHeaderLen {
+		hdr = w.join(recHeaderLen)
+	}
+	k := recHeaderLen + int64(binary.LittleEndian.Uint32(hdr))
+	if k > w.left {
+		return false
+	}
+	if int64(len(frame)) < k {
+		frame = w.join(int(k))
+	}
+	frame = frame[:k:k]
+	body := frame[recHeaderLen:]
+	if checksum(body) != binary.LittleEndian.Uint32(frame[4:]) || !parseBody(body, r) {
+		return false
+	}
+	w.n++
+	r.LSN = w.base + LSN(w.n)
+	w.size += k
+	w.left -= k
+	for k > 0 {
+		in := int64(len(w.chunks[w.ci]) - w.off)
+		if k < in {
+			w.off += int(k)
 			break
 		}
-		n++
-		size += k
-		if keep != nil {
-			r.LSN = base + LSN(n)
-			*keep = append(*keep, r)
-		}
+		k -= in
+		w.ci, w.off = w.ci+1, 0
 	}
-	return n, size
+	return true
+}
+
+// join copies the k bytes at the walk's position, which run past their
+// chunk, into a new buffer. k is at most w.left.
+func (w *stableWalk) join(k int) []byte {
+	buf := make([]byte, 0, k)
+	for ci, off := w.ci, w.off; len(buf) < k; ci, off = ci+1, 0 {
+		c := w.chunks[ci][off:]
+		buf = append(buf, c[:min(len(c), k-len(buf))]...)
+	}
+	return buf
 }

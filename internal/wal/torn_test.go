@@ -100,7 +100,7 @@ func TestForceTornLeavesRecoverableTail(t *testing.T) {
 		t.Errorf("append on downed log returned LSN %d", lsn)
 	}
 	// Recovery reads only the checksum-valid prefix.
-	recs := l.StableRecords()
+	recs := stableAll(l)
 	if len(recs) != whole {
 		t.Errorf("StableRecords = %d records, want %d", len(recs), whole)
 	}

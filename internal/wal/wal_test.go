@@ -178,7 +178,7 @@ func TestLogForceAndCrash(t *testing.T) {
 		t.Errorf("Len after crash = %d, want 3", l.Len())
 	}
 	// The stable device still decodes to the surviving prefix.
-	stable := l.StableRecords()
+	stable := stableAll(l)
 	if len(stable) != 3 {
 		t.Errorf("stable records = %d, want 3", len(stable))
 	}
@@ -284,7 +284,7 @@ func TestQuickLogForcePrefix(t *testing.T) {
 			case 4:
 				l.DiscardThrough(LSN(int(op) / 2)) // arbitrary horizon
 			}
-			stable := l.StableRecords()
+			stable := stableAll(l)
 			if l.FirstLSN()+LSN(len(stable))-1 != l.ForcedLSN() {
 				return false
 			}
@@ -339,7 +339,7 @@ func TestDiscardThrough(t *testing.T) {
 		t.Errorf("LastCheckpoint = %d, want %d", l.LastCheckpoint(), ck)
 	}
 	// The stable device was rewritten and re-bases correctly.
-	stable := l.StableRecords()
+	stable := stableAll(l)
 	if len(stable) != 2 || stable[0].LSN != 3 || stable[1].LSN != 4 {
 		t.Errorf("stable after truncation = %+v", stable)
 	}
