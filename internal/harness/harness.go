@@ -9,8 +9,11 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"smdb/internal/machine"
+	"smdb/internal/obs"
+	"smdb/internal/obs/hooks"
 	"smdb/internal/recovery"
 	"smdb/internal/workload"
 )
@@ -55,6 +58,34 @@ func seededDB(proto recovery.Protocol, nodes, recsPerLine, pages int, coherency 
 	// Seeding noise should not pollute experiment counters.
 	db.M.ResetStats()
 	return db, nil
+}
+
+// lcbMigrations counts the machine's migrations of a database's lock-table
+// lines, from the migrate events of an observer it is the sink of. E7 and
+// E14 report coherency migrations of data lines, which is what their claims
+// are about, and these beside them: a lock call's getline migrates its LCB
+// line whenever another node held it last.
+type lcbMigrations struct {
+	first, end machine.LineID
+	n          atomic.Int64
+}
+
+// countLCBMigrations attaches an observer to db whose only consumer is the
+// returned counter.
+func countLCBMigrations(db *recovery.DB) *lcbMigrations {
+	first, n := db.Locks.Lines()
+	c := &lcbMigrations{first: first, end: first + machine.LineID(n)}
+	o := obs.NewWithCapacity(1)
+	o.SetSink(c)
+	db.Attach(hooks.Set{Observer: o})
+	return c
+}
+
+// OnEvent implements obs.Sink.
+func (c *lcbMigrations) OnEvent(e obs.Event) {
+	if l := machine.LineID(e.A); e.Kind == obs.KindMigrate && l >= c.first && l < c.end {
+		c.n.Add(1)
+	}
 }
 
 // totalLogForces sums physical stable-log forces across all nodes' devices.

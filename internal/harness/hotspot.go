@@ -21,8 +21,10 @@ type HotspotPoint struct {
 	// HotProb is the fraction of shared accesses hitting the hottest 5%
 	// of the shared pool.
 	HotProb float64
-	// MigrationsPerUpdate is coherency migrations per update performed.
-	MigrationsPerUpdate float64
+	// MigrationsPerUpdate is coherency migrations of data lines per update
+	// performed; LCBMigrationsPerUpdate those of lock-table lines (see
+	// lcbMigrations).
+	MigrationsPerUpdate, LCBMigrationsPerUpdate float64
 	// ForcesPerKUpdate is physical log forces per 1000 updates.
 	ForcesPerKUpdate float64
 	// SimTimePerOp is mean simulated time per operation.
@@ -50,6 +52,7 @@ func RunHotspot(hotProbs []float64, seed int64) (*HotspotResult, error) {
 				return nil, err
 			}
 			forces0 := totalLogForces(db)
+			lcb := countLCBMigrations(db)
 			r := workload.NewRunner(db, workload.Spec{
 				TxnsPerNode: 6, OpsPerTxn: 10,
 				ReadFraction: 0.2, SharingFraction: 0.8,
@@ -68,7 +71,8 @@ func RunHotspot(hotProbs []float64, seed int64) (*HotspotResult, error) {
 				Deadlocks:    wres.Deadlocks,
 			}
 			if wres.Writes > 0 {
-				p.MigrationsPerUpdate = float64(mst.Migrations) / float64(wres.Writes)
+				p.MigrationsPerUpdate = float64(mst.Migrations-lcb.n.Load()) / float64(wres.Writes)
+				p.LCBMigrationsPerUpdate = float64(lcb.n.Load()) / float64(wres.Writes)
 				p.ForcesPerKUpdate = 1000 * float64(totalLogForces(db)-forces0) / float64(wres.Writes)
 			}
 			res.Points = append(res.Points, p)
@@ -80,13 +84,14 @@ func RunHotspot(hotProbs []float64, seed int64) (*HotspotResult, error) {
 // Table renders the sweep.
 func (r *HotspotResult) Table() string {
 	t := &tableWriter{header: []string{
-		"protocol", "hot-prob", "migrations/update", "forces/1k-updates", "deadlocks", "sim-time/op",
+		"protocol", "hot-prob", "migrations/update", "lcb-migrations/update", "forces/1k-updates", "deadlocks", "sim-time/op",
 	}}
 	for _, p := range r.Points {
 		t.addRow(
 			p.Protocol.String(),
 			pct(p.HotProb),
 			fmt.Sprintf("%.2f", p.MigrationsPerUpdate),
+			fmt.Sprintf("%.2f", p.LCBMigrationsPerUpdate),
 			fmt.Sprintf("%.1f", p.ForcesPerKUpdate),
 			fmt.Sprintf("%d", p.Deadlocks),
 			us(p.SimTimePerOp),

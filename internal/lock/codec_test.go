@@ -15,13 +15,12 @@ import (
 // in-place codec is compared against: the line image is the on-"disk" format
 // of the lock space (recovery reads what a crashed node's peers wrote), so it
 // must not move by a byte. Tombstones alone were extended since: a freeing
-// write stamps bytes 1-7 of the header and keeps a name (a named tombstone
-// its LCB's, an anonymous one 0).
+// write keeps a name at offset 8 (a named tombstone its LCB's, an anonymous
+// one 0).
 type oracleLCB struct {
 	state   byte
 	name    Name
 	next    int
-	stamp   uint64
 	holders []Entry
 	waiters []Entry
 }
@@ -31,7 +30,6 @@ func oracleDecodeLCB(raw []byte) oracleLCB {
 	b.state = raw[lcbStateOff]
 	if b.state == lcbTombstone || b.state == lcbNamedTombstone {
 		b.next = -1
-		b.stamp = binary.LittleEndian.Uint64(raw) >> 8
 		b.name = Name(binary.LittleEndian.Uint64(raw[lcbNameOff:]))
 		return b
 	}
@@ -60,7 +58,7 @@ func oracleDecodeLCB(raw []byte) oracleLCB {
 func oracleEncodeLCB(lineSize int, b oracleLCB) []byte {
 	raw := make([]byte, lineSize)
 	if b.state == lcbTombstone || b.state == lcbNamedTombstone {
-		binary.LittleEndian.PutUint64(raw, b.stamp<<8|uint64(b.state))
+		raw[lcbStateOff] = b.state
 		binary.LittleEndian.PutUint64(raw[lcbNameOff:], uint64(b.name))
 		return raw
 	}
@@ -85,10 +83,9 @@ func oracleEncodeLCB(lineSize int, b oracleLCB) []byte {
 }
 
 // randomLCB draws an LCB in any of the five states with 0..capacity entries
-// split anywhere between holders and waiters, next set or unset, and a
-// 56-bit stamp.
+// split anywhere between holders and waiters, and next set or unset.
 func randomLCB(rng *rand.Rand, capacity int) oracleLCB {
-	b := oracleLCB{state: byte(rng.Intn(5)), name: Name(rng.Uint64()), next: -1, stamp: rng.Uint64() >> 8}
+	b := oracleLCB{state: byte(rng.Intn(5)), name: Name(rng.Uint64()), next: -1}
 	if rng.Intn(2) == 0 {
 		b.next = rng.Intn(1 << 20)
 	}
@@ -123,14 +120,14 @@ func TestCodecMatchesOracle(t *testing.T) {
 			rng.Read(raw)
 		}
 		want := oracleEncodeLCB(lineSize, o)
-		encodeLCB(raw, &lcb{state: o.state, name: o.name, next: o.next, stamp: o.stamp, holders: o.holders, waiters: o.waiters})
+		encodeLCB(raw, &lcb{state: o.state, name: o.name, next: o.next, holders: o.holders, waiters: o.waiters})
 		if !bytes.Equal(raw, want) {
 			t.Fatalf("LCB %d %+v:\n encoded %x\n oracle  %x", i, o, raw, want)
 		}
 
 		decodeLCB(raw, &dec)
 		od := oracleDecodeLCB(want)
-		got := oracleLCB{state: dec.state, name: dec.name, next: dec.next, stamp: dec.stamp}
+		got := oracleLCB{state: dec.state, name: dec.name, next: dec.next}
 		// The oracle leaves empty lists nil; compare contents.
 		got.holders = append(got.holders, dec.holders...)
 		got.waiters = append(got.waiters, dec.waiters...)

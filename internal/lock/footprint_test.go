@@ -20,12 +20,11 @@ type footprint struct {
 // cheaper on the host, but the reads, writes, line-lock acquisitions and
 // simulated nanoseconds a call issues are part of the reproduced system (they
 // feed machine.Stats, the E-tables and recorded chaos schedules) and must not
-// move. The expected values were recorded from the allocating codec this
-// package started with, except where a search began to end at its name's own
-// tombstone: acquire-own-tombstone (one peek, not two; the row that used to
-// be acquire-reuse-tombstone, which now measures another name passing the
-// tombstone) and, through the earlier release of node 0, acquire-wait-remote
-// (100 ns less queueing behind it).
+// move unless the protocol does. Recorded when every call began with the home
+// slot's line lock and one read under it: a call that resolves at home costs
+// one read (the peek, the confirming read and the chain's re-read of the head
+// went), an absent name a line lock (it used to cost a peek alone), and a
+// chained LCB's overflow line is written under its own line lock.
 func TestLockOpMachineFootprint(t *testing.T) {
 	for _, chained := range []bool{false, true} {
 		name := "one-line"
@@ -177,28 +176,29 @@ func local(reads, writes, lineLocks, clock int64) footprint {
 // footprintWant is keyed by the operation names of TestLockOpMachineFootprint;
 // the one-line and chained tables agree on every operation both can perform.
 var footprintWant = map[string]footprint{
-	"acquire-create":          local(2, 1, 1, 1350), // peek, GetLine, confirm, Write, ReleaseLine
-	"acquire-hit":             local(3, 1, 1, 1450), // peek, GetLine, confirm, chain head, Write, ReleaseLine
-	"acquire-wait":            local(3, 1, 1, 1450),
-	"acquire-reuse-tombstone": local(3, 1, 1, 1450), // peeks another name's tombstone and the empty slot after it
-	"acquire-own-tombstone":   local(2, 1, 1, 1350), // peeks its own tombstone, where the search ends
-	"holds":                   local(3, 0, 1, 1300),
-	"holds-absent":            local(1, 0, 0, 100),
-	"look-queued":             local(3, 0, 1, 1300),
-	"look-absent":             local(1, 0, 0, 100),
-	"cancel-wait":             local(3, 1, 1, 1450),
-	"release":                 local(3, 1, 1, 1450),
-	"release-tombstone":       local(3, 1, 1, 1450),
-	// The peek downgrades node 0's exclusive copy, GetLine invalidates it.
-	"acquire-wait-remote": {st: machine.Stats{Reads: 3, Writes: 1, LocalHits: 3, RemoteFetches: 1,
-		Downgrades: 1, Replications: 1, Invalidations: 1, LineLockAcquires: 1}, clock: 22500},
-	"cancel-wait-remote": local(3, 1, 1, 1450),
-	// Chained only: the 13th holder claims an overflow line (scan peek,
-	// TryGetLine, confirm, reserve) and the chain is stored as two lines.
-	"acquire-overflow": local(5, 3, 2, 2950),
-	"holds-chained":    local(4, 0, 1, 1400),
-	"look-chained":     local(4, 0, 1, 1400), // one more read per continuation line
-	"release-shrink":   local(4, 2, 1, 1700), // head rewritten, overflow line tombstoned
+	"acquire-create":          local(1, 1, 1, 1250), // GetLine on the home slot, read, Write, ReleaseLine
+	"acquire-hit":             local(1, 1, 1, 1250),
+	"acquire-wait":            local(1, 1, 1, 1250),
+	"acquire-reuse-tombstone": local(2, 1, 1, 1350), // another name's tombstone at home: one peek past it, to the empty slot
+	"acquire-own-tombstone":   local(1, 1, 1, 1250), // its own tombstone at home, where the search ends
+	"holds":                   local(1, 0, 1, 1100),
+	"holds-absent":            local(1, 0, 1, 1100), // the empty home slot, read under its lock
+	"look-queued":             local(1, 0, 1, 1100),
+	"look-absent":             local(1, 0, 1, 1100),
+	"cancel-wait":             local(1, 1, 1, 1250),
+	"release":                 local(1, 1, 1, 1250),
+	"release-tombstone":       local(1, 1, 1, 1250),
+	// GetLine migrates node 0's exclusive copy.
+	"acquire-wait-remote": {st: machine.Stats{Reads: 1, Writes: 1, LocalHits: 2, Migrations: 1,
+		LineLockAcquires: 1}, clock: 22000},
+	"cancel-wait-remote": local(1, 1, 1, 1250),
+	// Chained only: the 13th holder claims an overflow line (scan read,
+	// TryEnter, confirm, reserve, ReleaseLine) and the chain is stored as two
+	// lines, the overflow line under its own line lock.
+	"acquire-overflow": local(3, 3, 3, 3750),
+	"holds-chained":    local(2, 0, 1, 1200),
+	"look-chained":     local(2, 0, 1, 1200), // one more read per continuation line
+	"release-shrink":   local(2, 2, 2, 2500), // head rewritten, overflow line entered and tombstoned
 }
 
 // TestReleaseCrashedMachineFootprint pins what lock-space recovery's sweep

@@ -35,8 +35,7 @@ type LockState struct {
 func (s *SMManager) ReinstallLost(nd machine.NodeID) (int, error) {
 	sc := s.getScratch()
 	defer s.scratch.Put(sc)
-	t := s.freed(nd, lcbTombstone, 0)
-	encodeLCB(sc.raw, &t)
+	encodeLCB(sc.raw, &lcb{state: lcbTombstone, next: -1})
 	n := 0
 	for i := 0; i < s.nline; i++ {
 		l := s.base + machine.LineID(i)
@@ -154,8 +153,7 @@ func (s *SMManager) SweepBrokenChains(nd machine.NodeID) (int, int, error) {
 		// Broken: drop every surviving fragment; replay will rebuild.
 		dropped++
 		for _, p := range sc.slots {
-			t := s.freed(nd, lcbTombstone, 0)
-			if err := s.writeSlot(nd, p, &t, sc); err != nil {
+			if err := s.writeSlot(nd, p, &lcb{state: lcbTombstone, next: -1}, sc); err != nil {
 				return dropped, orphans, err
 			}
 		}
@@ -167,8 +165,7 @@ func (s *SMManager) SweepBrokenChains(nd machine.NodeID) (int, int, error) {
 		}
 		if sc.raw[lcbStateOff] == lcbOverflow && !referenced[i] {
 			orphans++
-			t := s.freed(nd, lcbTombstone, 0)
-			if err := s.writeSlot(nd, i, &t, sc); err != nil {
+			if err := s.writeSlot(nd, i, &lcb{state: lcbTombstone, next: -1}, sc); err != nil {
 				return dropped, orphans, err
 			}
 		}

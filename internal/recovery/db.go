@@ -273,9 +273,6 @@ type DB struct {
 	// schedp is the attached chaos schedule record/replay session (nil when
 	// disabled); see AttachSched.
 	schedp atomic.Pointer[sched.Session]
-	// redoRuns is the redo apply phase's run buffer (see carveRuns), grown
-	// to the largest candidate list seen and reused across Recover calls.
-	redoRuns []redoRun
 }
 
 // New builds a database instance. It panics on invalid configuration

@@ -35,6 +35,9 @@ type nodeCtl struct {
 	// they are atomics.
 	stats                              Stats
 	commitForces, lbmForces, ntaForces atomic.Int64
+	// branches are the node's parallel-transaction branches, in the order
+	// BeginBranch made them; guarded by mu.
+	branches []*txnState
 	// pendingLSN is, for StableTriggered, the highest LSN an update on this
 	// node left unforced, so the trigger knows how far to force. Atomic:
 	// lbmTrigger reads it with a machine stripe held.
@@ -46,7 +49,7 @@ type nodeCtl struct {
 	// (they hold pointers), so the array need not start on a line boundary,
 	// and with 64 idle bytes between them two nodes' fields still never
 	// share a line.
-	_ [120]byte
+	_ [96]byte
 }
 
 // txnBlockLen is the number of entries in one block of a transaction table.

@@ -42,23 +42,35 @@ func (db *DB) BeginBranch(g GlobalID, nd machine.NodeID) (wal.TxnID, error) {
 	if err != nil {
 		return 0, err
 	}
-	// A family's branches on nd are all in nd's table: one node's section.
+	// A family's branches on nd are all in nd's list: one node's section.
 	nc, mine := &db.nodes[nd], db.lookup(id)
 	nc.mu.Lock()
 	defer nc.mu.Unlock()
-	dup := false
-	nc.each(func(st *txnState) { dup = dup || st.global == uint64(g) })
-	if dup {
+	if slices.ContainsFunc(nc.branches, func(st *txnState) bool { return st.global == uint64(g) }) {
 		return 0, fmt.Errorf("recovery: global %d already has a branch on node %d", g, nd)
 	}
 	mine.global = uint64(g)
+	nc.branches = append(nc.branches, mine)
 	return id, nil
+}
+
+// eachBranch calls fn with every parallel-transaction branch, node by node
+// under each node's mutex.
+func (db *DB) eachBranch(fn func(st *txnState)) {
+	for i := range db.nodes {
+		nc := &db.nodes[i]
+		nc.mu.Lock()
+		for _, st := range nc.branches {
+			fn(st)
+		}
+		nc.mu.Unlock()
+	}
 }
 
 // Branches returns the branch transactions of g, in node order.
 func (db *DB) Branches(g GlobalID) []wal.TxnID {
 	var out []wal.TxnID
-	db.eachTxn(func(_ *nodeCtl, st *txnState) {
+	db.eachBranch(func(st *txnState) {
 		if st.global == uint64(g) {
 			out = append(out, st.id)
 		}
@@ -205,14 +217,14 @@ func (db *DB) AbortGlobal(g GlobalID) error {
 func (db *DB) abortOrphanedBranches(rep *RecoveryReport) ([]wal.TxnID, error) {
 	// Globals with a crashed branch.
 	doomed := make(map[uint64]bool)
-	db.eachTxn(func(_ *nodeCtl, st *txnState) {
-		if st.global != 0 && st.crashed.Load() {
+	db.eachBranch(func(st *txnState) {
+		if st.crashed.Load() {
 			doomed[st.global] = true
 		}
 	})
 	var victims []wal.TxnID
-	db.eachTxn(func(_ *nodeCtl, st *txnState) {
-		if st.global != 0 && doomed[st.global] && st.live() {
+	db.eachBranch(func(st *txnState) {
+		if doomed[st.global] && st.live() {
 			victims = append(victims, st.id)
 		}
 	})

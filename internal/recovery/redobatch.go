@@ -10,7 +10,7 @@ import (
 // one transaction-table lookup (undo-tag restoration), and one stripe
 // acquire/release per candidate — most of the apply phase's cost was
 // exactly that per-record overhead, not the slot writes. The batched path
-// carves the candidate list into maximal contiguous same-line runs and pays
+// walks the candidate list in maximal contiguous same-line runs and pays
 // each overhead once per run: one residency probe and fetch, one line
 // section whose steps are all of the run's version checks and slot writes
 // (one line lock, one stripe hold, one slot buffer). An undo tag is looked
@@ -29,53 +29,32 @@ import (
 // final images are bit-identical; only machine-level fetch/acquisition
 // counts change, which the equivalence gate deliberately excludes.
 
-// redoRun is one maximal contiguous stretch of redo candidates that share a
-// cache line (hence a page) and a replaying node.
-type redoRun struct {
-	onto   machine.NodeID
-	line   machine.LineID
-	lo, hi int // candidate index range [lo, hi)
-}
-
-// carveRuns splits cands into contiguous same-(line, onto) runs, reusing
-// db.redoRuns across Recover calls. There are at most as many runs as
-// candidates, so a buffer too small for that is replaced once, not grown run
-// by run.
-func (db *DB) carveRuns(cands []redoCand) ([]redoRun, error) {
-	if cap(db.redoRuns) < len(cands) {
-		db.redoRuns = make([]redoRun, 0, len(cands))
-	}
-	runs := db.redoRuns[:0]
-	for i, c := range cands {
-		line, _, err := db.Store.LineOf(heap.RID{Page: c.rec.Page, Slot: c.rec.Slot})
-		if err != nil {
-			return nil, err
-		}
-		if n := len(runs); n > 0 && runs[n-1].line == line && runs[n-1].onto == c.onto {
-			runs[n-1].hi = i + 1
-			continue
-		}
-		runs = append(runs, redoRun{onto: c.onto, line: line, lo: i, hi: i + 1})
-	}
-	db.redoRuns = runs
-	return runs, nil
-}
-
 // applyRedo is the redo apply phase: version-checked, idempotent replay of
-// cands, run by run, in list order.
+// cands in list order, one maximal contiguous stretch of candidates that
+// share a cache line (hence a page) and a replaying node at a time, each
+// stretch applied as soon as the walk reaches its end.
 func (db *DB) applyRedo(cands []redoCand, rep *RecoveryReport) error {
-	runs, err := db.carveRuns(cands)
-	if err != nil {
-		return err
-	}
 	var pb progressBatch
 	defer db.flushProgress(&pb, obs.PhaseRedoApply)
-	for _, r := range runs {
-		if err := db.applyRedoRun(cands[r.lo:r.hi], r.onto, r.line, rep, &pb); err != nil {
+	lo := 0
+	var line machine.LineID
+	for i, c := range cands {
+		l, _, err := db.Store.LineOf(heap.RID{Page: c.rec.Page, Slot: c.rec.Slot})
+		if err != nil {
 			return err
 		}
+		if i > lo && (l != line || c.onto != cands[lo].onto) {
+			if err := db.applyRedoRun(cands[lo:i], cands[lo].onto, line, rep, &pb); err != nil {
+				return err
+			}
+			lo = i
+		}
+		line = l
 	}
-	return nil
+	if lo == len(cands) {
+		return nil
+	}
+	return db.applyRedoRun(cands[lo:], cands[lo].onto, line, rep, &pb)
 }
 
 // applyRedoRun applies one same-line run as the steps of one line section.

@@ -168,7 +168,7 @@ func TestForwardPathAllocs(t *testing.T) {
 	}
 	d := pb.db.M.Stats().Sub(before)
 	got := machine.Stats{Reads: d.Reads, Writes: d.Writes, LocalHits: d.LocalHits, LineLockAcquires: d.LineLockAcquires}
-	want := machine.Stats{Reads: 3405, Writes: 1984, LocalHits: 5259, LineLockAcquires: 1984}
+	want := machine.Stats{Reads: 1869, Writes: 1984, LocalHits: 3835, LineLockAcquires: 1984}
 	if got != want {
 		t.Errorf("%d private commits counted %+v, want %+v", counted, got, want)
 	}
