@@ -343,7 +343,7 @@ type Machine struct {
 	// cache lines of its own (see nodeBlock); global counts the events no
 	// node issues.
 	nodes  []nodeBlock
-	global Stats
+	global transitions
 
 	// hooks is copy-on-write under hookMu; never nil.
 	hookMu sync.Mutex

@@ -22,7 +22,7 @@ func TestNodeBlockLayout(t *testing.T) {
 		t.Errorf("stats at offset %d, want 64 (the clock alone on its line)", off)
 	}
 	if got, want := len(b.stats.counters()), int(unsafe.Sizeof(b.stats)/8); got != want {
-		t.Errorf("counters() lists %d of the %d counters of Stats", got, want)
+		t.Errorf("counters() lists %d of the %d transition counters", got, want)
 	}
 	for _, nodes := range []int{1, 2, 4, 5, 64} {
 		m := New(Config{Nodes: nodes, Lines: 8})
@@ -173,9 +173,6 @@ func TestShardedStats(t *testing.T) {
 		if got := m.stripeOf(l).counts; got != (stripeCounts{reads: 2 * ops, writes: 2 * ops, localHits: 4 * ops, lineLockAcquires: 2 * ops}) {
 			t.Errorf("node %d's line's stripe counts %+v, want its own %d rounds", n, got, 2*ops)
 		}
-		if got := hot(m.nodes[n].stats); got != (Stats{}) {
-			t.Errorf("node %d block counts %+v: the hot counters belong to the stripes", n, got)
-		}
 	}
 	if got := m.stripeOf(r.shared).counts.reads; got != nodes*ops {
 		t.Errorf("shared line's stripe counts %d reads, want %d", got, nodes*ops)
@@ -201,8 +198,8 @@ func TestShardedStats(t *testing.T) {
 			t.Errorf("ResetStats left stripe %d at %+v", i, c)
 		}
 	}
-	m.eachBlock(func(b *Stats) {
-		if *b != (Stats{}) {
+	m.eachBlock(func(b *transitions) {
+		if *b != (transitions{}) {
 			t.Errorf("ResetStats left a block at %+v", *b)
 		}
 	})
