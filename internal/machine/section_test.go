@@ -17,7 +17,6 @@ import (
 // lineCS drives one line-lock critical section. The property below runs the
 // same script through both implementations and requires the same machine.
 type lineCS interface {
-	peek(nd NodeID, l LineID, dst []byte) error // a read of l an enter of l may follow
 	enter(nd NodeID, l LineID) error
 	read(off int, dst []byte) error
 	write(off int, data []byte) error
@@ -32,9 +31,6 @@ type viaSection struct {
 	sec Section
 }
 
-func (v *viaSection) peek(nd NodeID, l LineID, dst []byte) error {
-	return v.m.Peek(&v.sec, nd, l, 0, dst)
-}
 func (v *viaSection) enter(nd NodeID, l LineID) error  { return v.m.Enter(&v.sec, nd, l) }
 func (v *viaSection) read(off int, dst []byte) error   { return v.sec.Read(off, dst) }
 func (v *viaSection) write(off int, data []byte) error { return v.sec.Write(off, data) }
@@ -49,7 +45,6 @@ type viaCalls struct {
 	l  LineID
 }
 
-func (v *viaCalls) peek(nd NodeID, l LineID, dst []byte) error { return v.m.ReadInto(nd, l, 0, dst) }
 func (v *viaCalls) enter(nd NodeID, l LineID) error {
 	v.nd, v.l = nd, l
 	return v.m.GetLine(nd, l)
@@ -149,12 +144,6 @@ func runSectionScript(t *testing.T, seed int64, coh Coherency, mk func(*Machine)
 				logf("release by holder %d: %v", holder, rerr)
 			} else {
 				victim = []int{nobody, nobody, loser, gainer}[r.Intn(4)]
-				if r.Intn(2) == 0 {
-					// The peek's stripe hold carries on into the enter.
-					dst := make([]byte, 1+r.Intn(lineSize))
-					perr := cs.peek(nd, l, dst)
-					logf("peek %d by %d: %v %x", l, nd, perr, dst)
-				}
 				err = cs.enter(nd, l)
 			}
 			logf("enter %d on %d: %v", l, nd, err)
