@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"smdb/internal/storage"
 	"smdb/internal/wal"
 )
 
@@ -31,6 +32,58 @@ func goldenLog() []byte {
 		buf = append(buf, wal.Marshal(&recs[i])...)
 	}
 	return append(buf, 0xde, 0xad, 0xbe) // torn tail
+}
+
+// TestByteAccountingMatchesDevice: analyze sizes records with
+// wal.EncodedSize, apart from the encoder that wrote them, so on a device
+// written by real forces — private commits of the engine's record shapes,
+// then a force torn by a crash — the bytes it attributes to records plus the
+// torn tail must be the device's length, and its per-type table must show
+// each type's frame size.
+func TestByteAccountingMatchesDevice(t *testing.T) {
+	dev := storage.NewLogDevice()
+	l, err := wal.NewLog(2, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := bytes.Repeat([]byte{0x5a}, 33)
+	l.Append(wal.Record{Type: wal.TypeCheckpoint})
+	const commits = 6
+	for c := 1; c <= commits+1; c++ {
+		txn := wal.MakeTxnID(2, uint64(c))
+		var prev wal.LSN
+		for i := 0; i < 3; i++ {
+			l.Append(wal.Record{Type: wal.TypeLockAcquire, Txn: txn, Lock: uint64(100*c + i), Mode: uint8(1 + i%2)})
+			prev = l.Append(wal.Record{Type: wal.TypeUpdate, Txn: txn, PrevLSN: prev, Page: 3, Slot: uint16(i),
+				Version: uint64(10*c + i), Before: img[:i], After: img})
+		}
+		commit := l.Append(wal.Record{Type: wal.TypeCommit, Txn: txn})
+		for i := 0; i < 3; i++ {
+			l.Append(wal.Record{Type: wal.TypeLockRelease, Txn: txn, Lock: uint64(100*c + i), Mode: uint8(1 + i%2)})
+		}
+		if c <= commits {
+			l.Force(commit)
+		}
+	}
+	if _, torn := l.ForceTorn(l.NextLSN()-1, 0.6); torn == 0 {
+		t.Fatal("the torn force left no torn bytes; the case tests nothing")
+	}
+	buf := dev.Contents()
+	rep := analyze("wal-node2.wal", buf)
+	if rep.TornBytes == 0 || rep.Bytes+int64(rep.TornBytes) != int64(len(buf)) {
+		t.Errorf("%d record bytes + %d torn bytes, device holds %d", rep.Bytes, rep.TornBytes, len(buf))
+	}
+	var typed int64
+	frame := map[string]int64{"lock-acquire": 28, "lock-release": 28, "commit": 19, "checkpoint": 11}
+	for _, tr := range rep.Types {
+		typed += tr.Bytes
+		if want, ok := frame[tr.Type]; ok && tr.Bytes != want*int64(tr.Records) {
+			t.Errorf("%s: %d records in %d bytes, want %d each", tr.Type, tr.Records, tr.Bytes, want)
+		}
+	}
+	if typed != rep.Bytes {
+		t.Errorf("per-type bytes sum to %d, records hold %d", typed, rep.Bytes)
+	}
 }
 
 func TestAnalyzeGoldenText(t *testing.T) {

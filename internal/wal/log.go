@@ -157,10 +157,11 @@ func (l *Log) SetHooks(o *obs.Observer) {
 	l.mu.Unlock()
 }
 
-// EncodedSize returns the bytes r occupies on the stable device (header,
-// fixed body, and both images) without marshalling it.
+// EncodedSize returns the bytes r's frame occupies on the stable device —
+// header, type and presence mask, the non-zero fields and the non-empty
+// images — without marshalling it.
 func EncodedSize(r *Record) int {
-	return recHeaderLen + 52 + len(r.Before) + len(r.After)
+	return recHeaderLen + bodyLen(r)
 }
 
 // Device returns the stable log device backing this log (for force-count
@@ -169,8 +170,10 @@ func (l *Log) Device() *storage.LogDevice { return l.dev }
 
 // Append adds r to the volatile tail, assigning and returning its LSN. The
 // log keeps no per-transaction state: PrevLSN is stored as the caller set it.
-// Append returns LSN 0, appending nothing, while the node is down.
+// Append returns LSN 0, appending nothing, while the node is down. It panics
+// if an image of r is longer than MaxImage.
 func (l *Log) Append(r Record) LSN {
+	checkImages(&r)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.down {

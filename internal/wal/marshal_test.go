@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math/rand"
 	"reflect"
@@ -13,29 +14,64 @@ import (
 	"smdb/internal/storage"
 )
 
-// oracleMarshal is the two-buffer encoder the log was first written with,
-// kept as the reference for the in-place one: the encoding is what sits on
-// the stable device, so it must not move by a byte. Its one change since is
-// the frame checksum's polynomial, IEEE to CRC32-C, computed here from a
-// table of its own.
+// oracleMarshal writes a frame out field by field into two buffers, apart
+// from AppendMarshal's table-driven encoder, as the reference for it: the
+// body is the type byte, the presence mask (bit i for the i-th of Mode, Txn,
+// PrevLSN, Page, Slot, Version, Lock, NTA, Before, After), then each
+// non-zero field little-endian at its width and each non-empty image behind
+// its 16-bit length; the header is the body's length and its CRC32-C,
+// computed here from a table of its own.
 func oracleMarshal(r *Record) []byte {
-	body := make([]byte, 0, 64+len(r.Before)+len(r.After))
-	body = append(body, byte(r.Type), r.Mode)
-	body = binary.LittleEndian.AppendUint64(body, uint64(r.Txn))
-	body = binary.LittleEndian.AppendUint64(body, uint64(r.PrevLSN))
-	body = binary.LittleEndian.AppendUint32(body, uint32(r.Page))
-	body = binary.LittleEndian.AppendUint16(body, r.Slot)
-	body = binary.LittleEndian.AppendUint64(body, r.Version)
-	body = binary.LittleEndian.AppendUint64(body, r.Lock)
-	body = binary.LittleEndian.AppendUint64(body, r.NTA)
-	body = binary.LittleEndian.AppendUint16(body, uint16(len(r.Before)))
-	body = append(body, r.Before...)
-	body = binary.LittleEndian.AppendUint16(body, uint16(len(r.After)))
-	body = append(body, r.After...)
+	le := binary.LittleEndian
+	var mask uint16
+	body := []byte{byte(r.Type), 0, 0}
+	if r.Mode != 0 {
+		mask |= 1 << 0
+		body = append(body, r.Mode)
+	}
+	if r.Txn != 0 {
+		mask |= 1 << 1
+		body = le.AppendUint64(body, uint64(r.Txn))
+	}
+	if r.PrevLSN != 0 {
+		mask |= 1 << 2
+		body = le.AppendUint64(body, uint64(r.PrevLSN))
+	}
+	if r.Page != 0 {
+		mask |= 1 << 3
+		body = le.AppendUint32(body, uint32(r.Page))
+	}
+	if r.Slot != 0 {
+		mask |= 1 << 4
+		body = le.AppendUint16(body, r.Slot)
+	}
+	if r.Version != 0 {
+		mask |= 1 << 5
+		body = le.AppendUint64(body, r.Version)
+	}
+	if r.Lock != 0 {
+		mask |= 1 << 6
+		body = le.AppendUint64(body, r.Lock)
+	}
+	if r.NTA != 0 {
+		mask |= 1 << 7
+		body = le.AppendUint64(body, r.NTA)
+	}
+	if len(r.Before) > 0 {
+		mask |= 1 << 8
+		body = le.AppendUint16(body, uint16(len(r.Before)))
+		body = append(body, r.Before...)
+	}
+	if len(r.After) > 0 {
+		mask |= 1 << 9
+		body = le.AppendUint16(body, uint16(len(r.After)))
+		body = append(body, r.After...)
+	}
+	le.PutUint16(body[1:], mask)
 
 	out := make([]byte, recHeaderLen, recHeaderLen+len(body))
-	binary.LittleEndian.PutUint32(out[0:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(out[4:], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	le.PutUint32(out[0:], uint32(len(body)))
+	le.PutUint32(out[4:], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
 	return append(out, body...)
 }
 
@@ -49,7 +85,7 @@ func randomImage(rng *rand.Rand) []byte {
 	case 1:
 		n = 1
 	case 2:
-		n = 1<<16 - 1
+		n = MaxImage
 	default:
 		n = 1 + rng.Intn(200)
 	}
@@ -58,21 +94,29 @@ func randomImage(rng *rand.Rand) []byte {
 	return img
 }
 
+// randomRecord draws a record whose every field is zero a third of the time,
+// so the draws cover the presence mask's combinations.
 func randomRecord(rng *rand.Rand) Record {
+	u := func(v uint64) uint64 {
+		if rng.Intn(3) == 0 {
+			return 0
+		}
+		return v
+	}
 	return Record{
-		Type: RecordType(1 + rng.Intn(9)), Mode: uint8(rng.Intn(3)),
-		Txn: TxnID(rng.Uint64()), PrevLSN: LSN(rng.Uint64()),
-		Page: storage.PageID(rng.Int31()), Slot: uint16(rng.Intn(1 << 16)),
-		Version: rng.Uint64(), Lock: rng.Uint64(), NTA: rng.Uint64(),
+		Type: RecordType(1 + rng.Intn(9)), Mode: uint8(u(uint64(1 + rng.Intn(2)))),
+		Txn: TxnID(u(rng.Uint64())), PrevLSN: LSN(u(rng.Uint64())),
+		Page: storage.PageID(u(uint64(rng.Int31()))), Slot: uint16(u(uint64(rng.Intn(1 << 16)))),
+		Version: u(rng.Uint64()), Lock: u(rng.Uint64()), NTA: u(rng.Uint64()),
 		Before: randomImage(rng), After: randomImage(rng),
 	}
 }
 
-// TestAppendMarshalMatchesOracle: for random records, empty and maximal
-// images included, AppendMarshal produces the oracle's bytes — onto nil, onto
-// a non-empty buffer with room to spare, and onto one it must grow — leaves
-// what was already in the buffer alone, sizes as EncodedSize predicts, and
-// round-trips through Unmarshal.
+// TestAppendMarshalMatchesOracle: for random records, zero fields and empty
+// and maximal images included, AppendMarshal produces the oracle's bytes —
+// onto nil, onto a non-empty buffer with room to spare, and onto one it must
+// grow — leaves what was already in the buffer alone, sizes as EncodedSize
+// predicts, and round-trips through Unmarshal.
 func TestAppendMarshalMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 400; i++ {
@@ -101,6 +145,184 @@ func TestAppendMarshalMatchesOracle(t *testing.T) {
 			t.Fatalf("record %d: Unmarshal = %+v, %d, %v; want the record back", i, back, n, err)
 		}
 	}
+}
+
+// TestFrameSizes pins what the engine's records cost on the device: a lock
+// record carries its transaction, name and mode (28 bytes), a plain commit
+// its transaction alone (19), and an update at most 45 bytes besides its
+// images, less each of PrevLSN, Page and Slot that is zero.
+func TestFrameSizes(t *testing.T) {
+	txn := MakeTxnID(3, 42)
+	img := func(n int) []byte { return bytes.Repeat([]byte{7}, n) }
+	for _, c := range []struct {
+		name string
+		r    Record
+		want int
+	}{
+		{"lock acquire", Record{Type: TypeLockAcquire, Txn: txn, Lock: 0x9e3779b97f4a7c15, Mode: 2}, 28},
+		{"lock release", Record{Type: TypeLockRelease, Txn: txn, Lock: 1, Mode: 1}, 28},
+		{"commit", Record{Type: TypeCommit, Txn: txn}, 19},
+		{"abort", Record{Type: TypeAbort, Txn: txn}, 19},
+		{"checkpoint", Record{Type: TypeCheckpoint}, 11},
+		{"update", Record{Type: TypeUpdate, Txn: txn, PrevLSN: 9, Page: 7, Slot: 11, Version: 12345, Before: img(32), After: img(40)}, 45 + 32 + 40},
+		{"first update", Record{Type: TypeUpdate, Txn: txn, Page: 7, Slot: 11, Version: 1, Before: img(32), After: img(32)}, 37 + 64},
+		{"update of page 0", Record{Type: TypeUpdate, Txn: txn, PrevLSN: 9, Slot: 11, Version: 1, Before: img(1), After: img(1)}, 41 + 2},
+		{"update of slot 0", Record{Type: TypeUpdate, Txn: txn, PrevLSN: 9, Page: 7, Version: 1, Before: img(1), After: img(1)}, 43 + 2},
+		{"insert (no before image)", Record{Type: TypeUpdate, Txn: txn, PrevLSN: 9, Page: 7, Slot: 11, Version: 1, After: img(8)}, 43 + 8},
+	} {
+		if got := len(Marshal(&c.r)); got != c.want {
+			t.Errorf("%s: frame of %d bytes, want %d", c.name, got, c.want)
+		}
+		if got := EncodedSize(&c.r); got != c.want {
+			t.Errorf("%s: EncodedSize = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+// TestOversizedImagePanics: an image longer than a frame's 16-bit length can
+// say is refused where it enters, by Append and by AppendMarshal, instead of
+// being written with a wrapped length that reads back as a torn tail.
+func TestOversizedImagePanics(t *testing.T) {
+	l, err := NewLog(0, storage.NewLogDevice())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if got := recover(); got != errImageTooLong {
+				t.Errorf("%s: panic %v, want %v", name, got, errImageTooLong)
+			}
+		}()
+		f()
+	}
+	big := make([]byte, MaxImage+1)
+	for _, r := range []Record{
+		{Type: TypeUpdate, Txn: 1, Before: big},
+		{Type: TypeCLR, Txn: 1, After: big},
+	} {
+		mustPanic("Append", func() { l.Append(r) })
+		mustPanic("AppendMarshal", func() { AppendMarshal(nil, &r) })
+	}
+	if l.Len() != 0 {
+		t.Errorf("the refused records left %d records in the log", l.Len())
+	}
+	// The largest image the frame carries goes through whole.
+	r := Record{Type: TypeUpdate, Txn: 1, Before: big[:MaxImage], After: big[:MaxImage]}
+	l.Append(r)
+	l.ForceAll()
+	recs, torn := DecodeAll(l.Device().Contents())
+	if len(recs) != 1 || torn != 0 || len(recs[0].Before) != MaxImage || len(recs[0].After) != MaxImage {
+		t.Errorf("a record with two %d-byte images decodes to %d records, %d torn bytes", MaxImage, len(recs), torn)
+	}
+}
+
+type namedBody struct {
+	name string
+	body []byte
+}
+
+// malformedBodies returns bodies parseBody must refuse, by what is wrong
+// with each: a missing mask, an unknown mask bit, a field cut short, an image
+// that runs past the body, a byte after the last field.
+func malformedBodies() []namedBody {
+	commit := Marshal(&Record{Type: TypeCommit, Txn: 9})[recHeaderLen:]
+	update := Marshal(&Record{Type: TypeUpdate, Txn: 9, Page: 2, Before: []byte{1}, After: []byte{2, 3}})[recHeaderLen:]
+	return []namedBody{
+		{"empty", nil},
+		{"no mask", []byte{byte(TypeCommit), 2}},
+		{"unknown mask bit", []byte{byte(TypeCommit), 0, 1 << 2}},
+		{"field cut short", commit[:len(commit)-1]},
+		{"byte after the last field", append(bytes.Clone(commit), 0)},
+		{"image length cut short", append(bytes.Clone(update[:len(update)-4]), 2)},
+		{"image past the body", update[:len(update)-1]},
+		{"byte after the last image", append(bytes.Clone(update), 0)},
+	}
+}
+
+// TestParseBodyRejectsMalformed: a malformed body is refused by parseBody
+// and reported as ErrCorrupt by Unmarshal, so the torn-tail rule ends the
+// log's valid prefix there; the well-formed bodies they were cut from parse.
+func TestParseBodyRejectsMalformed(t *testing.T) {
+	for _, c := range malformedBodies() {
+		var r Record
+		if parseBody(c.body, &r) {
+			t.Errorf("%s: body %x parses", c.name, c.body)
+		}
+		if _, _, err := Unmarshal(frameOf(c.body)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Unmarshal = %v, want ErrCorrupt", c.name, err)
+		}
+	}
+	for _, r := range []Record{
+		{Type: TypeCommit, Txn: 9},
+		{Type: TypeUpdate, Txn: 9, Page: 2, Before: []byte{1}, After: []byte{2, 3}},
+		{Type: TypeCheckpoint},
+	} {
+		var back Record
+		if body := Marshal(&r)[recHeaderLen:]; !parseBody(body, &back) {
+			t.Errorf("well-formed body %x refused", body)
+		}
+	}
+}
+
+// frameOf wraps body in a frame with a valid header: its length and CRC32-C.
+func frameOf(body []byte) []byte {
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	return append(frame, body...)
+}
+
+// FuzzParseBody feeds parseBody arbitrary bodies behind a valid header. It
+// must never panic; a body it accepts decodes to a record whose own frame is
+// no longer and decodes to the same record (a marked field may be zero, and
+// is then left out); and on a device holding a good record, the frame and
+// another good record, the copying reader (DecodeAll) and the in-place one
+// (StableRecords) stop at the same record.
+func FuzzParseBody(f *testing.F) {
+	for i := 0; i < 8; i++ {
+		r := stableRecord(i, 5)
+		f.Add(Marshal(&r)[recHeaderLen:])
+	}
+	for _, c := range malformedBodies() {
+		f.Add(c.body)
+	}
+	f.Add([]byte{byte(TypeCommit), 2, 0, 0, 0, 0, 0, 0, 0, 0, 0}) // a marked field that is zero
+	f.Add([]byte{byte(TypeUpdate), 0, 1, 0, 0})                   // a marked image that is empty
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var r Record
+		ok := parseBody(body, &r)
+		if ok {
+			enc := Marshal(&r)
+			back, n, err := Unmarshal(enc)
+			if err != nil || n != EncodedSize(&r) || n > recHeaderLen+len(body) || !sameRecords([]Record{back}, []Record{r}) {
+				t.Fatalf("body %x decodes to %+v, whose %d-byte frame decodes to %+v, %v", body, r, len(enc), back, err)
+			}
+		}
+		first, last := Record{Type: TypeCheckpoint}, Record{Type: TypeCommit, Txn: 5}
+		buf := append(append(Marshal(&first), frameOf(body)...), Marshal(&last)...)
+		want, _ := DecodeAll(buf)
+		if wantN := map[bool]int{false: 1, true: 3}[ok]; len(want) != wantN {
+			t.Fatalf("body %x: parseBody says %v, DecodeAll reads %d records", body, ok, len(want))
+		}
+
+		dev := storage.NewLogDevice()
+		l, err := NewLog(0, dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dev.Append(buf); err != nil {
+			t.Fatal(err)
+		}
+		got := l.StableRecords(0, keepAll)
+		if len(got) != len(want) {
+			t.Fatalf("body %x: StableRecords reads %d records, DecodeAll %d", body, len(got), len(want))
+		}
+		for i := range got {
+			if !reflect.DeepEqual(*got[i], want[i]) {
+				t.Fatalf("body %x: record %d is %+v in place, %+v decoded", body, i, *got[i], want[i])
+			}
+		}
+	})
 }
 
 // filledLog returns a log over a fresh device holding n random records (small

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -105,7 +104,7 @@ func TestStablePrefixMatchesDecodeAll(t *testing.T) {
 	for cut := 0; cut < len(whole); cut++ {
 		checkPrefix(t, fmt.Sprintf("torn at byte %d", cut), whole[:cut])
 	}
-	// Corruption at every byte (length fields, checksums, fixed bodies,
+	// Corruption at every byte (length fields, checksums, masks, fields,
 	// image lengths, images): the prefix ends at the record holding it.
 	for off := range whole {
 		c := bytes.Clone(whole)
@@ -117,9 +116,7 @@ func TestStablePrefixMatchesDecodeAll(t *testing.T) {
 	// image's length runs past the body) ends the prefix too.
 	body := Marshal(&Record{Type: TypeUpdate, After: []byte{1, 2, 3}})[recHeaderLen:]
 	body = body[:len(body)-2]
-	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
-	frame = append(frame, body...)
+	frame := frameOf(body)
 	if checksum(frame[recHeaderLen:]) != binary.LittleEndian.Uint32(frame[4:]) {
 		t.Fatal("the malformed frame's checksum does not hold; the case tests the checksum, not the body")
 	}
@@ -276,9 +273,9 @@ func frameEdges(recs []Record) map[int]bool {
 }
 
 // Forced records come back whole across the device's chunks: 2 000 records
-// of 60 to 860 bytes fill several 64 KiB chunks, and one force of 160 KiB
-// takes a chunk of its own. A force is never split, so every chunk edge is a
-// record edge and the walk never joins a frame.
+// of 35 to 845 bytes fill several 64 KiB chunks, and one force of more than
+// 64 KiB takes a chunk of its own. A force is never split, so every chunk
+// edge is a record edge and the walk never joins a frame.
 func TestStableRecordsAcrossDeviceChunks(t *testing.T) {
 	l := stableLog(t, 2000, 400, 11)
 	for i := 0; i < 400; i++ {
