@@ -184,8 +184,9 @@ func (db *DB) CheckIFA(nd machine.NodeID) []string {
 	}
 	expected, crashedWrites, _ := db.expectations()
 	layout := db.Store.Layout
+	var buf heap.SlotBuf
 	for _, e := range expected {
-		sd, err := db.Read(nd, e.rid)
+		sd, err := db.readSlot(nd, e.rid, &buf)
 		if err != nil {
 			add("%v: unreadable after recovery: %v", e.rid, err)
 			continue
@@ -272,11 +273,12 @@ func (db *DB) VerifyCommittedDurability(nd machine.NodeID) []string {
 	var violations []string
 	expected, _, active := db.expectations()
 	layout := db.Store.Layout
+	var buf heap.SlotBuf
 	for _, e := range expected {
 		if e.source != "committed" || active[e.rid] {
 			continue
 		}
-		sd, err := db.Read(nd, e.rid)
+		sd, err := db.readSlot(nd, e.rid, &buf)
 		if err != nil {
 			violations = append(violations, fmt.Sprintf("%v: unreadable: %v", e.rid, err))
 			continue

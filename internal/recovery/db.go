@@ -134,8 +134,8 @@ type txnState struct {
 	// only used by the AblatedNoLBM negative control, which logs at commit.
 	deferred []wal.Record
 	// lockBuf, wantBuf and writeBuf back locks, wants and writes until the
-	// transaction outgrows them, so an ordinary transaction's bookkeeping is
-	// the one txnState allocation instead of slices doubling their way up.
+	// transaction outgrows them, so an ordinary transaction's bookkeeping
+	// lives in its table entry instead of slices doubling their way up.
 	lockBuf  [8]LockEntry
 	wantBuf  [1]LockEntry
 	writeBuf [8]writeRec
@@ -154,7 +154,8 @@ func (st *txnState) lastUndoable() wal.LSN {
 func (st *txnState) stat() TxnStatus { return TxnStatus(st.status.Load()) }
 
 // live reports whether the transaction is active on a node that has not
-// crashed under it.
+// crashed under it. It only ever goes from true to false: status leaves
+// TxnActive once and never returns, and crashed is only ever set.
 func (st *txnState) live() bool { return st.stat() == TxnActive && !st.crashed.Load() }
 
 // Stats aggregates protocol-level counters (beyond machine/buffer/lock
@@ -495,12 +496,13 @@ func (db *DB) Begin(nd machine.NodeID) (wal.TxnID, error) {
 		return 0, machine.ErrNodeDown
 	}
 	now := db.M.Clock(nd)
+	floor := db.Logs[nd].NextLSN()
 	nc := &db.nodes[nd]
-	st := &txnState{beginSim: now, logFloor: db.Logs[nd].NextLSN()}
-	st.locks, st.wants, st.writes = st.lockBuf[:0], st.wantBuf[:0], st.writeBuf[:0]
 	nc.mu.Lock()
-	st.id = wal.MakeTxnID(nd, nc.seq.Load()+1)
-	nc.add(st)
+	st, seq := nc.add()
+	st.id, st.beginSim, st.logFloor = wal.MakeTxnID(nd, seq), now, floor
+	st.locks, st.wants, st.writes = st.lockBuf[:0], st.wantBuf[:0], st.writeBuf[:0]
+	nc.seq.Store(seq)
 	nc.mu.Unlock()
 	db.hk.Load().Observer.Instant(obs.KindTxnBegin, int32(nd), now, int64(st.id), 0)
 	return st.id, nil

@@ -10,7 +10,7 @@ import (
 )
 
 // nodeCtl is one node's control state: its transaction table, sequence
-// counter, protocol counters, pending-LSN mark and image arena.
+// counter, protocol counters, pending-LSN mark and arena.
 // The paper's model (sections 2 and 3.1) gives every node its own control
 // state, and nothing a transaction on private data does reads or writes
 // another node's block — so the blocks are padded apart and a forward-path
@@ -29,6 +29,9 @@ type nodeCtl struct {
 	// that sees seq >= k sees entry k).
 	dir atomic.Pointer[[]*txnBlock]
 	seq atomic.Uint64
+	// settled is the length of the table's prefix that is no longer live,
+	// as far as Checkpoint's low-water scan has found; guarded by mu.
+	settled uint64
 	// stats are this node's share of the protocol counters, guarded by mu.
 	// The three force counters are bumped where no section is open — between
 	// a commit's sections, and in lbmTrigger under a machine stripe — so
@@ -42,23 +45,30 @@ type nodeCtl struct {
 	// node left unforced, so the trigger knows how far to force. Atomic:
 	// lbmTrigger reads it with a machine stripe held.
 	pendingLSN atomic.Uint64
-	// imgs is the chunk the node's updates carve their slot images from.
+	// imgs is the arena chunk the node's updates carve their slot images
+	// from, and its reads their copies.
 	imgs atomic.Pointer[imgChunk]
 	// The pad rounds the block up to whole cache lines and is itself wider
 	// than one: the allocator puts a header in front of an array of blocks
 	// (they hold pointers), so the array need not start on a line boundary,
 	// and with 64 idle bytes between them two nodes' fields still never
 	// share a line.
-	_ [96]byte
+	_ [88]byte
 }
 
 // txnBlockLen is the number of entries in one block of a transaction table.
 const txnBlockLen = 256
 
-type txnBlock [txnBlockLen]*txnState
+// txnBlock is one block of a transaction table, holding its entries by
+// value: a node's Begins fill it front to back, one make per txnBlockLen
+// transactions instead of one per Begin. An entry is never reused, and the
+// block lives as long as anything points into it.
+type txnBlock [txnBlockLen]txnState
 
-// add registers st as the node's next transaction. Caller holds nc.mu.
-func (nc *nodeCtl) add(st *txnState) {
+// add returns the entry of the node's next transaction, zeroed, and its
+// sequence number. The caller holds nc.mu, fills the entry in and then
+// publishes it with nc.seq.Store(seq): lookups do not see it before.
+func (nc *nodeCtl) add() (st *txnState, seq uint64) {
 	i := nc.seq.Load()
 	p := nc.dir.Load()
 	if p == nil || i == uint64(len(*p))*txnBlockLen {
@@ -72,8 +82,7 @@ func (nc *nodeCtl) add(st *txnState) {
 		p = &dir
 		nc.dir.Store(p)
 	}
-	(*p)[i/txnBlockLen][i%txnBlockLen] = st
-	nc.seq.Store(i + 1)
+	return &(*p)[i/txnBlockLen][i%txnBlockLen], i + 1
 }
 
 // lookup returns the transaction with the given sequence number, nil if the
@@ -83,7 +92,7 @@ func (nc *nodeCtl) lookup(seq uint64) *txnState {
 	if i >= nc.seq.Load() {
 		return nil
 	}
-	return (*nc.dir.Load())[i/txnBlockLen][i%txnBlockLen]
+	return &(*nc.dir.Load())[i/txnBlockLen][i%txnBlockLen]
 }
 
 // each calls fn on every transaction of the node in sequence order.
@@ -93,12 +102,30 @@ func (nc *nodeCtl) each(fn func(*txnState)) {
 	}
 }
 
+// liveFloor returns the lowest log floor of the node's live transactions, or
+// low if none is lower. Caller holds nc.mu. The scan starts past the settled
+// prefix and extends it: live only ever goes from true to false, so a
+// transaction found finished stays finished.
+func (nc *nodeCtl) liveFloor(low wal.LSN) wal.LSN {
+	n := nc.seq.Load()
+	for nc.settled < n && !nc.lookup(nc.settled+1).live() {
+		nc.settled++
+	}
+	for seq := nc.settled + 1; seq <= n; seq++ {
+		if st := nc.lookup(seq); st.live() && st.logFloor < low {
+			low = st.logFloor
+		}
+	}
+	return low
+}
+
 // imgChunkBytes is the size of one image-arena chunk.
 const imgChunkBytes = 64 << 10
 
-// imgChunk is one chunk of a node's image arena: a zeroed buffer handed out
-// front to back and never reused, so the images the log retains stay valid
-// for as long as anything points into the chunk.
+// imgChunk is one chunk of a node's arena: a zeroed buffer handed out front
+// to back and never reused. It backs the slot images of the node's log
+// records and the copies Read returns, and lives as long as anything points
+// into it: a log image, or a read copy a caller still holds.
 type imgChunk struct {
 	buf  []byte
 	used atomic.Int64
@@ -113,9 +140,10 @@ func (nc *nodeCtl) slotImage(layout heap.Layout, flags byte, data []byte) []byte
 	return img
 }
 
-// carve hands out the next n bytes of the arena, capped so that an append to
-// them cannot reach their neighbour. Lock-free: the offset is an atomic bump,
-// and whoever finds the chunk full swaps a fresh one in.
+// carve hands out the next n bytes of the arena, which nothing else is ever
+// handed: the caller's to write once and keep. They are capped so that an
+// append to them cannot reach their neighbour. Lock-free: the offset is an
+// atomic bump, and whoever finds the chunk full swaps a fresh one in.
 func (nc *nodeCtl) carve(n int64) []byte {
 	for {
 		c := nc.imgs.Load()

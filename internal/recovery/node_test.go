@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
@@ -179,6 +180,132 @@ func TestSlotImageArena(t *testing.T) {
 				t.Fatalf("image has capacity %d beyond its %d bytes: an append would write into its neighbour", cap(img), len(img))
 			}
 		}
+	}
+}
+
+// TestTxnEntriesKeepTheirAddress: the table holds its entries by value in
+// blocks that never move, so an entry's address is its transaction's for
+// good — the branch list, which keeps pointers to entries, and lookup agree
+// after 600 Begins with BeginBranch interleaved, across block edges.
+func TestTxnEntriesKeepTheirAddress(t *testing.T) {
+	db := newNodeTestDB(t, VolatileSelectiveRedo, 2)
+	at := make(map[wal.TxnID]*txnState)
+	var branches []wal.TxnID
+	for i := 0; i < 600; i++ {
+		id, err := db.Begin(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%7 == 0 {
+			g := db.BeginGlobal()
+			if id, err = db.BeginBranch(g, 1); err != nil {
+				t.Fatal(err)
+			}
+			branches = append(branches, id)
+		}
+		at[id] = db.lookup(id)
+	}
+	nc := &db.nodes[1]
+	if len(nc.branches) != len(branches) {
+		t.Fatalf("node 1 lists %d branches, want %d", len(nc.branches), len(branches))
+	}
+	for i, st := range nc.branches {
+		if st.id != branches[i] || st.global == 0 || db.lookup(st.id) != st {
+			t.Fatalf("branch %d: the list holds %v (global %d), lookup gives %p, want %v at %p",
+				i, st.id, st.global, db.lookup(st.id), branches[i], st)
+		}
+	}
+	for id, st := range at {
+		if got := db.lookup(id); got != st || got.id != id {
+			t.Fatalf("lookup(%v) moved from %p to %p", id, st, got)
+		}
+	}
+}
+
+// TestLiveFloorMatchesFullScan: Checkpoint's low-water scan starts past the
+// node's settled prefix, and picks the same mark as a scan of every
+// transaction the node ever ran, over committed, aborted, open and crashed
+// transactions spanning several table blocks and a restart of the node.
+func TestLiveFloorMatchesFullScan(t *testing.T) {
+	db := newNodeTestDB(t, VolatileSelectiveRedo, 2)
+	nc := &db.nodes[1]
+	check := func(when string) {
+		t.Helper()
+		for _, low := range []wal.LSN{db.Logs[1].NextLSN(), ^wal.LSN(0)} {
+			nc.mu.Lock()
+			want := low
+			nc.each(func(st *txnState) {
+				if st.live() && st.logFloor < want {
+					want = st.logFloor
+				}
+			})
+			got := nc.liveFloor(low)
+			for seq := uint64(1); seq <= nc.settled; seq++ {
+				if nc.lookup(seq).live() {
+					t.Fatalf("%s: %v is live inside the settled prefix of %d", when, nc.lookup(seq).id, nc.settled)
+				}
+			}
+			nc.mu.Unlock()
+			if got != want {
+				t.Fatalf("%s: liveFloor(%d) = %d, the full scan gives %d", when, low, got, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(47))
+	var open []wal.TxnID
+	finish := func(id wal.TxnID) {
+		t.Helper()
+		end := db.Commit
+		if rng.Intn(3) == 0 {
+			end = db.Abort
+		}
+		if err := end(1, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i <= 3*txnBlockLen; i++ {
+		id, err := db.Begin(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rng.Intn(10) < 6 {
+			finish(id)
+		} else {
+			open = append(open, id)
+		}
+		if len(open) > 0 && rng.Intn(4) == 0 {
+			k := rng.Intn(len(open))
+			finish(open[k])
+			open = slices.Delete(open, k, k+1)
+		}
+		if i%40 == 0 {
+			check(fmt.Sprintf("after %d Begins", i))
+		}
+		if i%150 == 0 {
+			if err := db.Checkpoint(0); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("after the checkpoint at %d", i))
+		}
+		if i == txnBlockLen+10 {
+			db.Crash(1)
+			check("after the crash")
+			if _, err := db.Recover([]machine.NodeID{1}); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.RestartNode(1); err != nil {
+				t.Fatal(err)
+			}
+			open = nil
+			check("after the restart")
+		}
+	}
+	for _, id := range open {
+		finish(id)
+	}
+	check("at the end")
+	if nc.settled != nc.seq.Load() {
+		t.Errorf("settled prefix %d of %d with every transaction finished", nc.settled, nc.seq.Load())
 	}
 }
 

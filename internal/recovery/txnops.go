@@ -215,7 +215,8 @@ func (u undoSet) add(rec *wal.Record) (rid heap.RID, fresh bool) {
 // gives the compensation record its own copy of an image that aliases a
 // recovery attempt's log view.
 func (db *DB) undoSlot(nd machine.NodeID, t wal.TxnID, rid heap.RID, su *slotUndo, clone bool) (bool, error) {
-	cur, err := db.Read(nd, rid)
+	var buf heap.SlotBuf
+	cur, err := db.readSlot(nd, rid, &buf)
 	if err != nil || !su.versions[cur.Version] {
 		return false, err
 	}
@@ -315,14 +316,9 @@ func (db *DB) Checkpoint(nd machine.NodeID) error {
 			db.M.AdvanceClock(n, cost)
 			db.hk.Load().Observer.ObserveLogForce(cost)
 		}
-		low := lsn
 		nc := &db.nodes[n]
 		nc.mu.Lock()
-		nc.each(func(st *txnState) {
-			if st.live() && st.logFloor < low {
-				low = st.logFloor
-			}
-		})
+		low := nc.liveFloor(lsn)
 		nc.mu.Unlock()
 		db.Logs[n].DiscardThrough(low - 1)
 	}

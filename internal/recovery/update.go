@@ -2,7 +2,6 @@ package recovery
 
 import (
 	"fmt"
-	"slices"
 
 	"smdb/internal/heap"
 	"smdb/internal/machine"
@@ -54,20 +53,30 @@ func splitImage(img []byte) (flags byte, data []byte) {
 	return img[0], img[1:]
 }
 
-// Read returns rid's slot on behalf of node nd, fetching the page if
-// needed. Callers are responsible for holding a shared record lock (unless
-// dirty reads are configured). The result's Data is the caller's own.
-func (db *DB) Read(nd machine.NodeID, rid heap.RID) (heap.SlotData, error) {
+// readSlot reads rid's slot into buf on behalf of node nd, fetching the page
+// if needed: for a caller that only inspects the slot, or copies what it
+// keeps. The result's Data aliases buf.
+func (db *DB) readSlot(nd machine.NodeID, rid heap.RID, buf *heap.SlotBuf) (heap.SlotData, error) {
 	if err := db.BM.Fetch(nd, rid.Page); err != nil {
 		return heap.SlotData{}, err
 	}
+	return db.Store.ReadSlot(nd, rid, buf)
+}
+
+// Read returns rid's slot on behalf of node nd, fetching the page if
+// needed. Callers are responsible for holding a shared record lock (unless
+// dirty reads are configured). The result's Data is the caller's own: a copy
+// carved from nd's arena, which the engine never writes again.
+func (db *DB) Read(nd machine.NodeID, rid heap.RID) (heap.SlotData, error) {
 	var buf heap.SlotBuf
-	sd, err := db.Store.ReadSlot(nd, rid, &buf)
+	sd, err := db.readSlot(nd, rid, &buf)
 	if err != nil {
 		return heap.SlotData{}, err
 	}
+	data := db.nodes[nd].carve(int64(len(sd.Data)))
+	copy(data, sd.Data)
 	// Not sd with Data replaced: returning sd would move buf to the heap.
-	return heap.SlotData{Tag: sd.Tag, Flags: sd.Flags, Version: sd.Version, Data: slices.Clone(sd.Data)}, nil
+	return heap.SlotData{Tag: sd.Tag, Flags: sd.Flags, Version: sd.Version, Data: data}, nil
 }
 
 // Update applies an in-place record update for transaction t. The caller
@@ -78,7 +87,8 @@ func (db *DB) Update(nd machine.NodeID, t wal.TxnID, rid heap.RID, newData []byt
 
 // Insert stores a record in a (previously unoccupied) slot for t.
 func (db *DB) Insert(nd machine.NodeID, t wal.TxnID, rid heap.RID, data []byte) error {
-	cur, err := db.Read(nd, rid)
+	var buf heap.SlotBuf
+	cur, err := db.readSlot(nd, rid, &buf)
 	if err != nil {
 		return err
 	}
@@ -93,7 +103,8 @@ func (db *DB) Insert(nd machine.NodeID, t wal.TxnID, rid heap.RID, data []byte) 
 // reusable until t commits, and the undo of an uncommitted delete is a mere
 // unmark (the migrating cache line carries the original record with it).
 func (db *DB) Delete(nd machine.NodeID, t wal.TxnID, rid heap.RID) error {
-	cur, err := db.Read(nd, rid)
+	var buf heap.SlotBuf
+	cur, err := db.readSlot(nd, rid, &buf)
 	if err != nil {
 		return err
 	}

@@ -33,7 +33,7 @@ func (m *Manager) BeginParallel(nodes ...machine.NodeID) (*ParallelTxn, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.branches[nd] = &Txn{mgr: m, id: id, node: nd}
+		p.branches[nd] = m.newTxn(id, nd)
 	}
 	return p, nil
 }

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"smdb/internal/heap"
@@ -49,13 +50,54 @@ var (
 	ErrNotFound = errors.New("txn: record not found")
 )
 
-// Manager creates and runs transactions against a recovery.DB.
+// Manager creates and runs transactions against a recovery.DB. Make one
+// with NewManager.
 type Manager struct {
 	DB *recovery.DB
+	// slabs holds each node's current Txn slab, by node.
+	slabs []atomic.Pointer[txnSlab]
 }
 
 // NewManager returns a transaction manager over db.
-func NewManager(db *recovery.DB) *Manager { return &Manager{DB: db} }
+func NewManager(db *recovery.DB) *Manager {
+	return &Manager{DB: db, slabs: make([]atomic.Pointer[txnSlab], db.M.Nodes())}
+}
+
+// txnSlabLen is the number of Txns in one slab.
+const txnSlabLen = 64
+
+// txnSlab is a block of Txns a node's Begins take front to back. A Txn is
+// never reused, so a handle stays its transaction's for as long as anyone
+// holds it (a stale one still answers ErrDone), and the slab lives while
+// anything points into it.
+type txnSlab struct {
+	txns [txnSlabLen]Txn
+	used atomic.Int64
+}
+
+// newTxn returns the handle of transaction id on node nd, taken from nd's
+// slab. Lock-free: the index is an atomic bump, and whoever finds the slab
+// full swaps a fresh one in.
+func (m *Manager) newTxn(id wal.TxnID, nd machine.NodeID) *Txn {
+	ref := &m.slabs[nd]
+	var t *Txn
+	for t == nil {
+		s := ref.Load()
+		if s != nil {
+			if i := s.used.Add(1); i <= txnSlabLen {
+				t = &s.txns[i-1]
+				break
+			}
+		}
+		fresh := new(txnSlab)
+		fresh.used.Store(1)
+		if ref.CompareAndSwap(s, fresh) {
+			t = &fresh.txns[0]
+		}
+	}
+	t.mgr, t.id, t.node = m, id, nd
+	return t
+}
 
 // Txn is one transaction, bound to the node it runs on.
 type Txn struct {
@@ -90,7 +132,7 @@ func (m *Manager) Begin(nd machine.NodeID) (*Txn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Txn{mgr: m, id: id, node: nd}, nil
+	return m.newTxn(id, nd), nil
 }
 
 // ID returns the transaction identifier.
@@ -171,7 +213,8 @@ func (t *Txn) LockKey(key uint64, mode lock.Mode) error {
 	return t.acquire(lock.NameOfKey(key), mode)
 }
 
-// Read returns the record at rid under a shared lock (serializable).
+// Read returns the record at rid under a shared lock (serializable). The
+// bytes are the caller's own: no later write, read or abort changes them.
 func (t *Txn) Read(rid heap.RID) ([]byte, error) {
 	if err := t.check(); err != nil {
 		return nil, err
@@ -183,9 +226,9 @@ func (t *Txn) Read(rid heap.RID) ([]byte, error) {
 	return t.visible(rid)
 }
 
-// visible returns the record at rid — the caller's own: the engine read the
-// slot into a fresh buffer — or ErrNotFound if the slot is unoccupied or the
-// record deleted.
+// visible returns the record at rid — the caller's own: a copy the engine
+// carved from the node's arena and never writes again — or ErrNotFound if
+// the slot is unoccupied or the record deleted.
 func (t *Txn) visible(rid heap.RID) ([]byte, error) {
 	sd, err := t.mgr.DB.Read(t.node, rid)
 	if err != nil {
