@@ -45,7 +45,9 @@
 //     reintroducing the committed-value-lost race the gate fixed; use it to
 //     capture or validate repro schedules for that bug (the committed
 //     regression schedule in internal/workload/testdata was captured this
-//     way).
+//     way). A schedule recorded with it says so in its spec
+//     (ablateInstallGate), and -replay and -shrink of it ablate the gate
+//     without the flag.
 //
 // Exit codes: 0 — the sweep passed (or, under -broken, the negative control
 // was caught; under -replay, the recorded outcome reproduced); 1 — harness
@@ -355,7 +357,7 @@ func runReplay(obsFlags *obscli.Flags, stack *obscli.Stack, ablateGate bool) {
 	}
 	fmt.Println()
 
-	db, err := newChaosDB(proto, sch.Nodes, ablateGate)
+	db, err := newChaosDB(proto, sch.Nodes, ablateGate || sch.Spec.AblateInstallGate)
 	if err != nil {
 		fatal(err)
 	}
@@ -405,6 +407,7 @@ func runShrink(path, outPath string, ablateGate bool) {
 	if outPath == "" {
 		outPath = strings.TrimSuffix(path, ".json") + ".min.json"
 	}
+	ablateGate = ablateGate || sch.Spec.AblateInstallGate
 	env := workload.ShrinkEnv{
 		NewDB: func() (*recovery.DB, error) {
 			return newChaosDB(proto, sch.Nodes, ablateGate)
@@ -422,7 +425,9 @@ func runShrink(path, outPath string, ablateGate bool) {
 	if err != nil {
 		fmt.Printf("FAIL: %v\n", err)
 		fmt.Println("      (-shrink needs a schedule whose replay still violates IFA;")
-		fmt.Println("       capture one with -record, with -ablate-install-gate if minimizing the fixed lost-write race)")
+		fmt.Println("       capture one with -record, with -ablate-install-gate if minimizing the fixed lost-write race;")
+		fmt.Println("       a schedule that does not say ablateInstallGate in its spec was recorded with the gate")
+		fmt.Println("       in place, or by an older build: give -ablate-install-gate again if it was ablated)")
 		os.Exit(1)
 	}
 	if err := min.WriteFile(outPath); err != nil {

@@ -181,8 +181,12 @@ func (b *Manager) Stats() Stats {
 // Fetch ensures every line of page p is resident in shared memory, on
 // behalf of node nd. A page never written to disk is formatted fresh; a
 // partially lost page has only its missing lines reinstalled from the disk
-// image, preserving newer surviving cached lines.
+// image, preserving newer surviving cached lines. A node outside the machine
+// is down to it, as to machine.Machine.Alive.
 func (b *Manager) Fetch(nd machine.NodeID, p storage.PageID) error {
+	if nd < 0 || int(nd) >= len(b.cols) {
+		return fmt.Errorf("buffer: fetch of page %d by node %d: %w", p, nd, machine.ErrNodeDown)
+	}
 	b.cols[nd].fetches.Add(1)
 	if hook := b.fetchHook.Load(); hook != nil {
 		(*hook)(nd, p)

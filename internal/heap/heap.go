@@ -134,12 +134,30 @@ func (s *Store) HeaderLine(p storage.PageID) machine.LineID { return s.PageBase(
 // LineOf returns the line holding rid's slot and the slot's byte offset in
 // that line.
 func (s *Store) LineOf(rid RID) (machine.LineID, int, error) {
-	if int(rid.Page) < 0 || int(rid.Page) >= s.NPages || int(rid.Slot) >= s.Layout.SlotsPerPage() {
-		return 0, 0, fmt.Errorf("%w: %v", ErrBadSlot, rid)
+	if err := s.check(rid); err != nil {
+		return 0, 0, err
 	}
 	dataLine := 1 + int(rid.Slot)/s.Layout.RecsPerLine
 	off := (int(rid.Slot) % s.Layout.RecsPerLine) * s.Layout.SlotBytes()
 	return s.PageBase(rid.Page) + machine.LineID(dataLine), off, nil
+}
+
+// SlotIndex numbers rid's slot densely across the store,
+// page*SlotsPerPage+slot, so that the slots of one line are consecutive: an
+// index into a per-slot table.
+func (s *Store) SlotIndex(rid RID) (int, error) {
+	if err := s.check(rid); err != nil {
+		return 0, err
+	}
+	return int(rid.Page)*s.Layout.SlotsPerPage() + int(rid.Slot), nil
+}
+
+// check reports ErrBadSlot unless rid's page and slot are in the store.
+func (s *Store) check(rid RID) error {
+	if int(rid.Page) < 0 || int(rid.Page) >= s.NPages || int(rid.Slot) >= s.Layout.SlotsPerPage() {
+		return fmt.Errorf("%w: %v", ErrBadSlot, rid)
+	}
+	return nil
 }
 
 // SlotData is the decoded contents of one record slot.
@@ -198,15 +216,19 @@ func EncodeSlot(raw []byte, sd SlotData) {
 // SlotBuf is room for one raw slot image that can live on the caller's
 // stack: slot I/O goes through one instead of a fresh slice per access.
 // Slots wider than it (lines over 128 bytes holding one or two records) fall
-// back to an allocation.
+// back to an allocation. ReadLineIn reads a whole line through one, with the
+// same fallback for lines over 128 bytes.
 type SlotBuf [128]byte
 
 // slot returns a buffer one slot long: buf itself when the slot fits.
-func (buf *SlotBuf) slot(layout Layout) []byte {
-	if n := layout.SlotBytes(); n <= len(buf) {
+func (buf *SlotBuf) slot(layout Layout) []byte { return buf.bytes(layout.SlotBytes()) }
+
+// bytes returns a buffer n bytes long: buf itself when n fits.
+func (buf *SlotBuf) bytes(n int) []byte {
+	if n <= len(buf) {
 		return buf[:n]
 	}
-	return make([]byte, layout.SlotBytes())
+	return make([]byte, n)
 }
 
 // The *In methods are steps of the caller's open line section on rid's line
@@ -234,6 +256,17 @@ func (s *Store) ReadSlotIn(sec *machine.Section, rid RID, buf *SlotBuf) (SlotDat
 		return SlotData{}, err
 	}
 	return decodeSlot(raw, s.Layout.RecordSize()), nil
+}
+
+// ReadLineIn reads the whole line sec is on, every slot of it, through buf
+// (wide enough for a line of up to 128 bytes): the result aliases it. Decode
+// a slot of it with DecodeSlotFromLine.
+func (s *Store) ReadLineIn(sec *machine.Section, buf *SlotBuf) ([]byte, error) {
+	raw := buf.bytes(s.Layout.LineSize)
+	if err := sec.Read(0, raw); err != nil {
+		return nil, err
+	}
+	return raw, nil
 }
 
 // WriteSlotIn overwrites rid's entire slot with sd (payload zero-padded or

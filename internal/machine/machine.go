@@ -474,6 +474,9 @@ func (m *Machine) SetInstallGate(f InstallGateFunc) {
 	m.setHooks(func(hk *hookSet) { hk.installGate = f })
 }
 
+// InstallGated reports whether an install veto hook is installed.
+func (m *Machine) InstallGated() bool { return m.hooks.Load().installGate != nil }
+
 // SetSchedNote installs (or, with nil, removes) the schedule-recorder
 // annotation hook. See SchedNoteFunc for the concurrency contract.
 func (m *Machine) SetSchedNote(f SchedNoteFunc) {

@@ -247,6 +247,12 @@ type DB struct {
 	// everything a single-node transaction touches.
 	nodes []nodeCtl
 
+	// redo and redoLines are restart redo's per-slot table and line list
+	// (see applyRedo), sized with the store so that an apply pass allocates
+	// nothing; Recover calls must not overlap.
+	redo      []redoSlot
+	redoLines []int
+
 	// mu guards what belongs to no node and is off the forward path:
 	// restart recovery's own counters.
 	mu       sync.Mutex
@@ -313,7 +319,9 @@ func New(cfg Config) (*DB, error) {
 		Logs:  logs,
 		Locks: locks,
 		nodes: make([]nodeCtl, m.Nodes()),
+		redo:  make([]redoSlot, cfg.Pages*layout.SlotsPerPage()),
 	}
+	db.redoLines = make([]int, 0, cfg.Pages*(layout.LinesPerPage-1))
 	db.BM.NVRAMLog = cfg.NVRAMLog
 	db.hk.Store(new(hooks.Set))
 	if cfg.Protocol == StableTriggered {

@@ -99,15 +99,15 @@ func TestOneWorkerIsTheSequentialPipeline(t *testing.T) {
 	}{
 		{
 			proto:    recovery.VolatileRedoAll,
-			counters: "redo=2/0 undo=0 taglines=0 locks=1 lcb=2 released=0 aborted=[t3.2] sim=18029450",
+			counters: "redo=2/0 undo=0 taglines=0 locks=1 lcb=2 released=0 aborted=[t3.2] sim=18030450",
 			ops: machine.Stats{Reads: 196, Writes: 2, LocalHits: 197, RemoteFetches: 1, Migrations: 1, Downgrades: 1,
-				Replications: 1, Invalidations: 1, Installs: 10, Discards: 10, LineLockAcquires: 67},
+				Replications: 1, Invalidations: 1, Installs: 10, Discards: 10, LineLockAcquires: 69},
 		},
 		{
 			proto:    recovery.VolatileSelectiveRedo,
 			counters: "redo=1/1 undo=1 taglines=9 locks=1 lcb=2 released=0 aborted=[t3.2] sim=18031400",
 			ops: machine.Stats{Reads: 232, Writes: 4, LocalHits: 235, RemoteFetches: 1, Migrations: 1, Downgrades: 1,
-				Replications: 1, Invalidations: 2, Installs: 4, LineLockAcquires: 70},
+				Replications: 1, Invalidations: 2, Installs: 4, LineLockAcquires: 71},
 		},
 	} {
 		t.Run(tc.proto.String(), func(t *testing.T) {

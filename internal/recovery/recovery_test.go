@@ -814,3 +814,15 @@ func TestChainedLCBRecovery(t *testing.T) {
 		}
 	}
 }
+
+// TestReadByNodeOutsideMachine: a read on behalf of a node the machine does
+// not have fails as a read by a down node does, not with a panic in the
+// page fetch.
+func TestReadByNodeOutsideMachine(t *testing.T) {
+	db, _ := newDB(t, recovery.VolatileSelectiveRedo, 2)
+	for _, nd := range []machine.NodeID{5, machine.NoNode} {
+		if _, err := db.Read(nd, heap.RID{Page: 1, Slot: 0}); !errors.Is(err, machine.ErrNodeDown) {
+			t.Errorf("Read by node %d of a two-node DB: %v, want ErrNodeDown", nd, err)
+		}
+	}
+}

@@ -6,105 +6,173 @@ import (
 	"smdb/internal/obs"
 )
 
-// Batched redo apply. The per-record apply path paid one residency probe,
-// one transaction-table lookup (undo-tag restoration), and one stripe
-// acquire/release per candidate — most of the apply phase's cost was
-// exactly that per-record overhead, not the slot writes. The batched path
-// walks the candidate list in maximal contiguous same-line runs and pays
-// each overhead once per run: one residency probe and fetch, one line
-// section whose steps are all of the run's version checks and slot writes
-// (one line lock, one stripe hold, one slot buffer). An undo tag is looked
-// up, lock-free, only for an apply.
+// Redo apply in two passes. Version-checked redo (section 4.1.2) leaves each
+// slot with the image of its winner: the last candidate, in list order, whose
+// version beats the slot's and every earlier winner's. So the apply phase
+// decides first and writes once, and enters each line at most twice however
+// many candidates it carries.
 //
-// Consecutive candidates seldom share a line: in log order a line recurs
-// far apart, and recover-redoall's 28 136 candidates carve into 27 848 runs
-// over 448 lines. Regrouping them by line was measured and lost (DESIGN.md
-// §6b): sections fell about 60x, but the apply then read records and
-// images scattered over ~12 MB, and recovery got slower.
+// Pass 1 decides and writes nothing. It walks the list in list order (log
+// order, so the records are read sequentially), and at a line's first
+// candidate runs the residency probe (fetching the page if the line or its
+// header was lost) and reads the whole line in one section, entered by that
+// candidate's replaying node. From there each of the line's slots has a
+// running version, starting at the one on the line: a candidate applies iff
+// its version is higher, the per-record rule, and becomes the slot's winner.
+// Pass 2 goes through the lines pass 1 read, in the order it read them, and
+// gives each line with a winner one section, entered by the node of its last
+// winner in list order: it writes every winning slot's after image with its
+// undo tag and marks the page dirty. Only the winners' images are read.
 //
-// Equivalence: candidates are applied in exactly the list order the
-// per-record path used, and every version-check decision reads the same slot
-// state (the line is quiesced during the apply phase — crashes fire only at
-// phase boundaries while recovery runs), so RedoApplied/RedoSkipped and the
-// final images are bit-identical; only machine-level fetch/acquisition
-// counts change, which the equivalence gate deliberately excludes.
+// Applying the candidates one at a time instead reads the same versions (the
+// line is quiesced during the apply phase: crashes fire only at phase
+// boundaries while recovery runs), so RedoApplied, RedoSkipped, progress and
+// the final images, tags and versions are the same
+// (TestTwoPassApplyMatchesPerRecord). The simulated machine does less: a
+// line costs one read, a write per winning slot and two line locks (one if
+// nothing on it applies), where each same-line run of the list cost a line
+// lock, a read per candidate and a write per apply, and after redo the last
+// winner's node holds each written line exclusively. In log order a line seldom recurs at once:
+// recover-selective's 28 136 candidates made 27 848 runs over 448 lines, and
+// 22 400 of them were skipped. An earlier regrouping of the list by line cut
+// the sections as far but lost (DESIGN.md §6b): it read every candidate's
+// image, scattered over ~12 MB. The two passes took the traced redo-apply
+// phase there from 4.9-6.9 ms to 1.0-1.2 ms a recovery, and
+// recover_time_rel from 0.177 to 0.110 (medians of ten alternating 22 s
+// pairs on a 2-vCPU host).
+
+// redoSlot is one slot's entry in the apply phase's table, DB.redo, indexed
+// by heap.Store.SlotIndex and all zero outside applyRedo. DB.redoLines lists
+// the table index of each line's first slot as pass 1 reads the line; its
+// capacity is the store's data line count, so it never grows.
+type redoSlot struct {
+	// ver is the slot's running version: the one on the line, then each
+	// applied candidate's.
+	ver uint64
+	// win is the slot's winner, as its list index + 1; 0 while none applied.
+	win int32
+	// read is set once pass 1 has read the slot's line.
+	read bool
+}
 
 // applyRedo is the redo apply phase: version-checked, idempotent replay of
-// cands in list order, one maximal contiguous stretch of candidates that
-// share a cache line (hence a page) and a replaying node at a time, each
-// stretch applied as soon as the walk reaches its end.
+// cands, decided in list order by pass 1 and written by pass 2, one section
+// per line each.
 func (db *DB) applyRedo(cands []redoCand, rep *RecoveryReport) error {
+	err := db.decideRedo(cands, rep)
+	if err == nil {
+		err = db.writeRedo(cands)
+	}
+	for _, first := range db.redoLines {
+		clear(db.redo[first : first+db.Store.Layout.RecsPerLine])
+	}
+	db.redoLines = db.redoLines[:0]
+	return err
+}
+
+// decideRedo is pass 1.
+func (db *DB) decideRedo(cands []redoCand, rep *RecoveryReport) error {
 	var pb progressBatch
 	defer db.flushProgress(&pb, obs.PhaseRedoApply)
-	lo := 0
-	var line machine.LineID
 	for i, c := range cands {
-		l, _, err := db.Store.LineOf(heap.RID{Page: c.rec.Page, Slot: c.rec.Slot})
+		slot, err := db.Store.SlotIndex(heap.RID{Page: c.rec.Page, Slot: c.rec.Slot})
 		if err != nil {
 			return err
 		}
-		if i > lo && (l != line || c.onto != cands[lo].onto) {
-			if err := db.applyRedoRun(cands[lo:i], cands[lo].onto, line, rep, &pb); err != nil {
+		e := &db.redo[slot]
+		if !e.read {
+			if err := db.readRedoLine(c, slot); err != nil {
 				return err
 			}
-			lo = i
 		}
-		line = l
+		// Skips consume planned candidates too: progress counts toward the
+		// planned total either way, keeping the ETA honest.
+		if c.rec.Version > e.ver {
+			e.ver, e.win = c.rec.Version, int32(i+1)
+			rep.RedoApplied++
+			db.noteProgress(&pb, obs.PhaseRedoApply, 1, len(c.rec.After))
+		} else {
+			rep.RedoSkipped++
+			db.noteProgress(&pb, obs.PhaseRedoApply, 1, 0)
+		}
 	}
-	if lo == len(cands) {
-		return nil
-	}
-	return db.applyRedoRun(cands[lo:], cands[lo].onto, line, rep, &pb)
+	return nil
 }
 
-// applyRedoRun applies one same-line run as the steps of one line section.
-func (db *DB) applyRedoRun(run []redoCand, onto machine.NodeID, line machine.LineID, rep *RecoveryReport, pb *progressBatch) error {
-	page := run[0].rec.Page
-	// Selective Redo's residency probe (the "cache miss with I/O disabled"
-	// test), once per run: if the line was lost, the page fetch reinstalls
-	// exactly the missing lines from the stable database before any version
-	// check runs against it.
-	if !db.M.Resident(line) || !db.M.Resident(db.Store.HeaderLine(page)) {
-		if err := db.BM.Fetch(onto, page); err != nil {
+// readRedoLine is pass 1's one visit to a line, at its first candidate c,
+// whose slot is at table index slot: Selective Redo's residency probe (the
+// "cache miss with I/O disabled" test) — if the line was lost, the page
+// fetch reinstalls exactly the missing lines from the stable database — and
+// one read of the whole line, whose slot versions start the running
+// versions.
+func (db *DB) readRedoLine(c redoCand, slot int) error {
+	line, _, err := db.Store.LineOf(heap.RID{Page: c.rec.Page, Slot: c.rec.Slot})
+	if err != nil {
+		return err
+	}
+	if !db.M.Resident(line) || !db.M.Resident(db.Store.HeaderLine(c.rec.Page)) {
+		if err := db.BM.Fetch(c.onto, c.rec.Page); err != nil {
 			return err
 		}
 	}
 	var sec machine.Section
-	if err := db.M.Enter(&sec, onto, line); err != nil {
+	if err := db.M.Enter(&sec, c.onto, line); err != nil {
 		return err
 	}
-	applied, skipped, bytes := 0, 0, 0
-	var werr error
 	var buf heap.SlotBuf
-	for _, c := range run {
-		rid := heap.RID{Page: c.rec.Page, Slot: c.rec.Slot}
-		cur, err := db.Store.ReadSlotIn(&sec, rid, &buf)
-		if err != nil {
-			werr = err
-			break
+	img, err := db.Store.ReadLineIn(&sec, &buf)
+	db.mustLeave(&sec, c.onto)
+	if err != nil {
+		return err
+	}
+	first := slot - int(c.rec.Slot)%db.Store.Layout.RecsPerLine
+	for j := range db.Store.Layout.RecsPerLine {
+		db.redo[first+j] = redoSlot{ver: heap.DecodeSlotFromLine(db.Store.Layout, img, j).Version, read: true}
+	}
+	db.redoLines = append(db.redoLines, first)
+	return nil
+}
+
+// writeRedo is pass 2: each line pass 1 read that has a winner, in the order
+// pass 1 read them, written in one section entered by the node of the
+// line's last winner in list order.
+func (db *DB) writeRedo(cands []redoCand) error {
+	for _, first := range db.redoLines {
+		slots := db.redo[first : first+db.Store.Layout.RecsPerLine]
+		var last int32
+		for _, e := range slots {
+			last = max(last, e.win)
 		}
-		if cur.Version >= c.rec.Version {
-			skipped++
+		if last == 0 {
 			continue
 		}
-		flags, data := splitImage(c.rec.After)
-		if err := db.Store.WriteSlotIn(&sec, rid, heap.SlotData{
-			Tag: db.redoTag(c.rec), Flags: flags, Version: c.rec.Version, Data: data,
-		}, &buf); err != nil {
-			werr = err
-			break
+		onto, rec := cands[last-1].onto, cands[last-1].rec
+		line, _, err := db.Store.LineOf(heap.RID{Page: rec.Page, Slot: rec.Slot})
+		if err != nil {
+			return err
 		}
-		applied++
-		bytes += len(c.rec.After)
+		var sec machine.Section
+		if err := db.M.Enter(&sec, onto, line); err != nil {
+			return err
+		}
+		var buf heap.SlotBuf
+		for _, e := range slots {
+			if e.win == 0 {
+				continue
+			}
+			w := cands[e.win-1].rec
+			flags, data := splitImage(w.After)
+			if err = db.Store.WriteSlotIn(&sec, heap.RID{Page: w.Page, Slot: w.Slot}, heap.SlotData{
+				Tag: db.redoTag(w), Flags: flags, Version: w.Version, Data: data,
+			}, &buf); err != nil {
+				break
+			}
+		}
+		db.mustLeave(&sec, onto)
+		db.BM.MarkDirty(rec.Page)
+		if err != nil {
+			return err
+		}
 	}
-	db.mustLeave(&sec, onto)
-	if applied > 0 {
-		db.BM.MarkDirty(page)
-	}
-	rep.RedoApplied += applied
-	rep.RedoSkipped += skipped
-	// Skips consume planned candidates too: progress counts toward the
-	// planned total either way, keeping the ETA honest.
-	db.noteProgress(pb, obs.PhaseRedoApply, applied+skipped, bytes)
-	return werr
+	return nil
 }

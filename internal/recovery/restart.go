@@ -63,7 +63,8 @@ func (db *DB) Crash(nodes ...machine.NodeID) machine.CrashReport {
 }
 
 // Recover runs restart recovery after Crash(crashed...). It must be called
-// from a surviving configuration (at least one live node).
+// from a surviving configuration (at least one live node), and one call at a
+// time.
 //
 // Recovery is itself crash-tolerant: if a node — including the recovery
 // coordinator — dies while recovery runs, Recover elects a new coordinator

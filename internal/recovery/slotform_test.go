@@ -13,9 +13,9 @@ import (
 
 // Restart recovery's and undo's slot I/O are line sections like the update
 // path's. These tests pin what must not move with the form — the simulated
-// operations each step issues — and what the form is for: one stripe hold and
-// no allocation per same-line redo run, and a section that a crash of its own
-// node ends cleanly.
+// operations each step issues — and what the form is for: two sections and
+// no allocation per redo line, and a section that a crash of its own node
+// ends cleanly.
 
 // seedLine commits one insert into each slot of page's first data line from
 // node nd and returns the slots; the line ends up exclusive in nd's cache.
@@ -40,7 +40,8 @@ func seedLine(t *testing.T, db *DB, nd machine.NodeID, page storage.PageID) []he
 
 // redoRunOver builds a same-line redo run over rids for node onto: the first
 // candidate carries its slot's current version (a skip), the rest fresh ones
-// (applies). It returns the run and the line.
+// (applies). It returns the run and the line. (The reads it makes to find
+// the versions are onto's.)
 func redoRunOver(t *testing.T, db *DB, onto machine.NodeID, rids []heap.RID) ([]redoCand, machine.LineID) {
 	t.Helper()
 	line, _, err := db.Store.LineOf(rids[0])
@@ -77,7 +78,9 @@ type stepFootprint struct {
 // their line locks is host business, the reads, writes, acquisitions and
 // simulated nanoseconds are the reproduced system. The expected values were
 // recorded when these steps used stand-alone GetLine/ReleaseLine calls and
-// the by-node slot writers, and are never edited.
+// the by-node slot writers, and are never edited; "redo-line" was recorded
+// when redo apply became two passes, a change of the simulated operations
+// themselves.
 func TestRecoveryStepMachineFootprint(t *testing.T) {
 	db := newNodeTestDB(t, VolatileSelectiveRedo, 3)
 	measure := func(nd machine.NodeID, op func() error) stepFootprint {
@@ -105,13 +108,14 @@ func TestRecoveryStepMachineFootprint(t *testing.T) {
 			return db.installImage(c.nd, rids[3], img, wal.MakeTxnID(2, 0))
 		})
 		rids = seedLine(t, db, 0, c.page+2)
-		run, line := redoRunOver(t, db, 0, rids[:3])
+		run, _ := redoRunOver(t, db, 0, rids[:3])
+		for i := range run {
+			run[i].onto = c.nd
+		}
 		var rep RecoveryReport
-		got["redo-run"+c.suffix] = measure(c.nd, func() error {
-			return db.applyRedoRun(run, c.nd, line, &rep, new(progressBatch))
-		})
+		got["redo-line"+c.suffix] = measure(c.nd, func() error { return db.applyRedo(run, &rep) })
 		if rep.RedoSkipped != 1 || rep.RedoApplied != 2 {
-			t.Fatalf("redo-run%s: %d skipped, %d applied; want 1, 2", c.suffix, rep.RedoSkipped, rep.RedoApplied)
+			t.Fatalf("redo-line%s: %d skipped, %d applied; want 1, 2", c.suffix, rep.RedoSkipped, rep.RedoApplied)
 		}
 		rids = seedLine(t, db, 0, c.page+4)
 		got["clear-stale-tag"+c.suffix] = measure(c.nd, func() error { return db.clearStaleTag(c.nd, rids[0]) })
@@ -135,39 +139,49 @@ func stepCost(reads, writes, lineLocks, migrations, clock int64) stepFootprint {
 var stepFootprintWant = map[string]stepFootprint{
 	"install-image":          stepCost(0, 2, 2, 0, 2300), // header and record line locks, slot write, page version
 	"install-image-remote":   stepCost(0, 2, 2, 2, 2700),
-	"redo-run":               stepCost(3, 2, 1, 0, 1600), // one line lock, a version check per candidate, a write per apply
-	"redo-run-remote":        stepCost(3, 2, 1, 1, 1800),
+	"redo-line":              stepCost(1, 2, 2, 0, 2400), // two line locks: one read of the line, a write per winning slot
+	"redo-line-remote":       stepCost(1, 2, 2, 1, 2600),
 	"clear-stale-tag":        stepCost(0, 1, 1, 0, 1150),
 	"clear-stale-tag-remote": stepCost(0, 1, 1, 1, 1350),
 }
 
-// TestRedoRunHoldsItsStripeOnce: however many candidates a same-line run
-// carries, applying it on resident lines is one section — one line-lock
-// acquisition, a version check per candidate, a write per apply — and
-// applyRedoRun never yields it, so the run is one hold of the line's stripe
-// (a section keeps its stripe from step to step until it yields:
-// machine.TestSectionHoldsItsStripeBetweenSteps).
-func TestRedoRunHoldsItsStripeOnce(t *testing.T) {
+// TestRedoLineIsTwoSections: however many candidates a line carries, and
+// however they interleave with another line's, applying them on resident
+// lines enters the line twice — one section reads it whole, one writes each
+// winning slot once — and neither section yields, so each is one hold of the
+// line's stripe (a section keeps its stripe from step to step until it
+// yields: machine.TestSectionHoldsItsStripeBetweenSteps).
+func TestRedoLineIsTwoSections(t *testing.T) {
 	db := newNodeTestDB(t, VolatileSelectiveRedo, 2)
-	run, line := redoRunOver(t, db, 0, seedLine(t, db, 0, 1))
+	rids := seedLine(t, db, 0, 1)
+	first, _ := redoRunOver(t, db, 0, rids)
+	second, _ := redoRunOver(t, db, 0, rids) // the same slots again, newer versions but the first
+	other, _ := redoRunOver(t, db, 0, seedLine(t, db, 0, 2))
+	var cands []redoCand
+	for i := range rids {
+		cands = append(cands, first[i], other[i], second[i])
+	}
 	before := db.M.Stats()
 	var rep RecoveryReport
-	if err := db.applyRedoRun(run, 0, line, &rep, new(progressBatch)); err != nil {
+	if err := db.applyRedo(cands, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.RedoSkipped != 1 || rep.RedoApplied != len(run)-1 {
-		t.Fatalf("%d skipped, %d applied over %d candidates", rep.RedoSkipped, rep.RedoApplied, len(run))
+	// Slot 0's two candidates carry its own version; the others' later
+	// candidates win.
+	if rep.RedoSkipped != 3 || rep.RedoApplied != len(cands)-3 {
+		t.Fatalf("%d skipped, %d applied over %d candidates", rep.RedoSkipped, rep.RedoApplied, len(cands))
 	}
+	winners := 2 * (len(rids) - 1)
 	st := db.M.Stats().Sub(before)
-	if st.LineLockAcquires != 1 || st.Reads != int64(len(run)) || st.Writes != int64(len(run)-1) {
-		t.Errorf("a %d-candidate run took %d line locks, %d reads, %d writes; want 1, %d, %d",
-			len(run), st.LineLockAcquires, st.Reads, st.Writes, len(run), len(run)-1)
+	if st.LineLockAcquires != 4 || st.Reads != 2 || st.Writes != int64(winners) {
+		t.Errorf("%d candidates on two lines took %d line locks, %d reads, %d writes; want 4, 2, %d",
+			len(cands), st.LineLockAcquires, st.Reads, st.Writes, winners)
 	}
 }
 
 // TestRedoApplyAllocs: replaying a slice of candidates on resident lines
-// through a warmed run buffer allocates nothing — no slot buffer per version
-// check, no run list per slice.
+// allocates nothing — the per-slot table is the DB's, the line and slot
+// buffers are on the stack, and no list of lines or winners is built.
 func TestRedoApplyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts mean nothing under the race detector")
@@ -184,13 +198,13 @@ func TestRedoApplyAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	apply() // warms the run buffer; every later pass is all version-check skips
+	apply() // every later pass is all version-check skips
 	if n := testing.AllocsPerRun(20, apply); n != 0 {
 		t.Errorf("applyRedo over %d candidates: %v allocations per pass, want 0", len(cands), n)
 	}
 }
 
-// TestRecoverySectionsAgainstCrashes: an undo install and a redo run work
+// TestRecoverySectionsAgainstCrashes: an undo install and a redo apply work
 // beside crash sweeps of a bystander (a sweep takes every stripe, a section
 // keeps one between steps), and then a transition-fault hook takes their own
 // node down inside them — at the migration the record line's acquisition
@@ -203,10 +217,12 @@ func TestRecoverySectionsAgainstCrashes(t *testing.T) {
 			rid := heap.RID{Page: run[0].rec.Page, Slot: run[0].rec.Slot}
 			return db.installImage(nd, rid, run[0].rec.After, wal.MakeTxnID(2, 0))
 		},
-		"redo-run": func(db *DB, nd machine.NodeID, run []redoCand) error {
-			line, _, _ := db.Store.LineOf(heap.RID{Page: run[0].rec.Page, Slot: run[0].rec.Slot})
+		"redo-apply": func(db *DB, nd machine.NodeID, run []redoCand) error {
+			for i := range run {
+				run[i].onto = nd
+			}
 			var rep RecoveryReport
-			return db.applyRedoRun(run, nd, line, &rep, new(progressBatch))
+			return db.applyRedo(run, &rep)
 		},
 	}
 	for name, step := range steps {

@@ -40,10 +40,10 @@ func readsSince(db *recovery.DB, base []int64) []int64 {
 //
 // The baseline case also pins what a whole-machine reboot replays and what it
 // costs the simulated machine: the reboot redoes the redo scan's down-node
-// candidates through the batched apply every IFA protocol uses, one line
-// section per same-line run (a skipped candidate that forms its own run takes
-// its line's lock too), so a change to that scan's filter or to the apply
-// that moves the baseline shows here and not only in the E5 table.
+// candidates through the two-pass apply every IFA protocol uses (a line is
+// read in one section and, if a candidate on it applies, written in one
+// more), so a change to that scan's filter or to the apply that moves the
+// baseline shows here and not only in the E5 table.
 //
 // Config.RecoveryWorkers is inert; the scenario runs at 0 and 3 workers so a
 // worker count that came to select a different read pattern would show here.
@@ -121,7 +121,7 @@ func TestRecoveryReadsEachStableLogOnce(t *testing.T) {
 						t.Errorf("the reboot replayed %s, want redo=1/1 undo=1", got)
 					}
 					wantOps := machine.Stats{Reads: 68, Writes: 3, LocalHits: 71, Installs: 80,
-						LineLockAcquires: 68, Crashes: 3, LinesLost: 76}
+						LineLockAcquires: 69, Crashes: 3, LinesLost: 76}
 					if ops != wantOps {
 						t.Errorf("the reboot's machine operations = %+v, want %+v", ops, wantOps)
 					}

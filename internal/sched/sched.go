@@ -112,6 +112,10 @@ type RunSpec struct {
 	MinAlive        int     `json:"minAlive,omitempty"`
 	IOErrorBurst    int     `json:"ioErrorBurst,omitempty"`
 	PIOError        float64 `json:"pioError,omitempty"`
+	// AblateInstallGate records a run with the machine's install gate
+	// removed (the lost-write race back in): a replay or shrink of the
+	// schedule removes it too.
+	AblateInstallGate bool `json:"ablateInstallGate,omitempty"`
 }
 
 // Schedule is a serialized chaos run: everything needed to re-execute it

@@ -124,18 +124,19 @@ func RunChaosSession(db *recovery.DB, inj *fault.Injector, spec Spec, episodes i
 		ds.setDefaults()
 		plan := inj.Plan()
 		sess.SetSpec(sched.RunSpec{
-			TxnsPerNode:     ds.TxnsPerNode,
-			OpsPerTxn:       ds.OpsPerTxn,
-			ReadFraction:    ds.ReadFraction,
-			SharingFraction: ds.SharingFraction,
-			HotSpot:         ds.HotSpot,
-			HotProb:         ds.HotProb,
-			AbortFraction:   ds.AbortFraction,
-			HeapPages:       ds.HeapPages,
-			MaxCrashes:      plan.MaxCrashes,
-			MinAlive:        plan.MinAlive,
-			IOErrorBurst:    plan.IOErrorBurst,
-			PIOError:        plan.PIOError,
+			TxnsPerNode:       ds.TxnsPerNode,
+			OpsPerTxn:         ds.OpsPerTxn,
+			ReadFraction:      ds.ReadFraction,
+			SharingFraction:   ds.SharingFraction,
+			HotSpot:           ds.HotSpot,
+			HotProb:           ds.HotProb,
+			AbortFraction:     ds.AbortFraction,
+			HeapPages:         ds.HeapPages,
+			MaxCrashes:        plan.MaxCrashes,
+			MinAlive:          plan.MinAlive,
+			IOErrorBurst:      plan.IOErrorBurst,
+			PIOError:          plan.PIOError,
+			AblateInstallGate: !db.M.InstallGated(),
 		})
 		db.AttachSched(sess)
 		defer db.AttachSched(nil)

@@ -17,8 +17,13 @@ import (
 // dirty committed copy of its target line, and the survivor's fetch
 // reinstalls the stale disk image — so its stranded-rollback abort later
 // restores a stale before-image over a committed write. It was recorded
-// with `smdb-chaos -record -ablate-install-gate` at the standard chaos
-// sweep fault mix and minimized with `smdb-chaos -shrink`.
+// with `smdb-chaos -protocol stable-eager -seeds 200 -ablate-install-gate
+// -record dir` (seed 137 lost the write) at the standard chaos sweep fault
+// mix and minimized with `smdb-chaos -shrink`. Its spec says
+// ablateInstallGate, so -replay and -shrink of it ablate the gate without
+// the flag. A change to what recovery does on the simulated machine can
+// move the engine off a schedule (the replay then diverges); re-capture it
+// the same way.
 
 // lostWriteSchedule loads the committed schedule and rebuilds its replay
 // environment exactly as cmd/smdb-chaos does: everything from the file.
