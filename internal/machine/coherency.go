@@ -9,7 +9,6 @@ package machine
 // consultFault in crash.go).
 
 import (
-	"sort"
 	"sync/atomic"
 
 	"smdb/internal/obs"
@@ -396,27 +395,17 @@ func (m *Machine) ExclusiveHolder(l LineID) NodeID {
 	return m.lines[l].excl
 }
 
-// CachedLines returns, in ascending order, every allocated line with a valid
-// copy in node nd's cache. Selective Redo's undo phase performs its
-// "sequential search of all cache lines" with this. The snapshot is taken
-// stripe by stripe: it is internally consistent per stripe but, unlike under
-// the old global mutex, not a single point-in-time picture of the whole
-// machine — recovery only calls it on a quiesced (frozen) machine, where the
-// distinction vanishes.
-func (m *Machine) CachedLines(nd NodeID) []LineID {
-	frontier := m.frontier()
-	var out []LineID
-	stripes := m.stripesOver(int(frontier))
-	for si := range stripes {
-		s := &stripes[si]
-		s.mu.Lock()
-		for l := LineID(si); l < frontier; l += stripeCount {
-			if m.lines[l].valid.Load() && m.lines[l].holders.has(nd) {
-				out = append(out, l)
-			}
-		}
-		s.mu.Unlock()
+// Caches reports whether node nd's cache holds a valid copy of line l,
+// checked under l's stripe like Holders but allocating nothing. Selective
+// Redo's undo phase performs its "sequential search of all cache lines" by
+// asking it of each database line in turn; recovery only does so on a
+// quiesced (frozen) machine.
+func (m *Machine) Caches(nd NodeID, l LineID) bool {
+	if l < 0 || int(l) >= len(m.lines) {
+		return false
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	s := m.stripeOf(l)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return m.lines[l].valid.Load() && m.lines[l].holders.has(nd)
 }

@@ -336,7 +336,7 @@ type Machine struct {
 
 	allocMu sync.Mutex
 	// next is the bump-allocator frontier: lines 0..next-1 are allocated.
-	// Atomic so sweeps (Crash, CachedLines, DiscardAll) read it lock-free.
+	// Atomic so sweeps (Crash, DiscardAll) read it lock-free.
 	next atomic.Int64
 
 	// nodes holds each node's simulated clock and transition counters on

@@ -526,7 +526,7 @@ func TestDiscard(t *testing.T) {
 	}
 }
 
-func TestCachedLines(t *testing.T) {
+func TestCaches(t *testing.T) {
 	m := newTestMachine(t, 2)
 	a := m.Alloc(1)
 	b := m.Alloc(1)
@@ -537,9 +537,23 @@ func TestCachedLines(t *testing.T) {
 	if _, err := m.Read(1, b, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	got := m.CachedLines(1)
-	if len(got) != 2 || got[0] != b || got[1] != c {
-		t.Errorf("CachedLines(1) = %v, want [%d %d]", got, b, c)
+	for _, tc := range []struct {
+		nd   NodeID
+		l    LineID
+		want bool
+	}{{1, a, false}, {1, b, true}, {1, c, true}, {0, a, true}, {0, c, false}, {1, -1, false}, {1, c + 1, false}} {
+		if got := m.Caches(tc.nd, tc.l); got != tc.want {
+			t.Errorf("Caches(%d, %d) = %v, want %v", tc.nd, tc.l, got, tc.want)
+		}
+	}
+	if err := m.Discard(1, b); err != nil {
+		t.Fatal(err)
+	}
+	if m.Caches(1, b) || !m.Caches(0, b) {
+		t.Errorf("after node 1 discards line %d: Caches(1) = %v, Caches(0) = %v; want false, true", b, m.Caches(1, b), m.Caches(0, b))
+	}
+	if n := testing.AllocsPerRun(10, func() { m.Caches(1, c) }); n != 0 {
+		t.Errorf("Caches allocates %v times a call, want 0", n)
 	}
 }
 

@@ -155,14 +155,20 @@ const (
 	// PhaseLockRebuild releases crashed transactions' lock entries and
 	// replays the survivors' logical lock logs.
 	PhaseLockRebuild
-	// PhaseRedoScan builds the recovery-visible log views and collects the
-	// redo candidate set.
+	// PhaseRedoScan settles the redo candidate list (under Redo All, after
+	// the survivors discard their caches). The log views and the candidates
+	// themselves are built by the attempt's log walks before directory
+	// repair, so a host-time stamp of the phases charges the walks to
+	// PhaseDirectoryRepair, not here.
 	PhaseRedoScan
-	// PhaseProbe is Selective Redo's residency probing: the "cache miss
-	// with I/O disabled" test, plus reinstalling lost lines from the
-	// stable database.
+	// PhaseProbe is no longer emitted: Selective Redo's residency probe
+	// (the "cache miss with I/O disabled" test, plus reinstalling lost
+	// lines from the stable database) is made by PhaseRedoApply's first
+	// pass, at each line's first candidate. The value keeps its place so
+	// the later phases keep theirs.
 	PhaseProbe
-	// PhaseRedoApply applies the redo candidates whose effects are missing.
+	// PhaseRedoApply applies the redo candidates whose effects are missing,
+	// probing each line's residency as it first reads it.
 	PhaseRedoApply
 	// PhaseUndo rolls back crashed transactions from their stable logs.
 	PhaseUndo

@@ -158,6 +158,13 @@ func (st *txnState) stat() TxnStatus { return TxnStatus(st.status.Load()) }
 // TxnActive once and never returns, and crashed is only ever set.
 func (st *txnState) live() bool { return st.stat() == TxnActive && !st.crashed.Load() }
 
+// dead reports whether the transaction aborted, or its node crashed under it
+// and it did not settle as committed. A transaction dies only from live.
+func (st *txnState) dead() bool {
+	s := st.stat()
+	return s == TxnAborted || st.crashed.Load() && s != TxnCommitted
+}
+
 // Stats aggregates protocol-level counters (beyond machine/buffer/lock
 // stats).
 type Stats struct {

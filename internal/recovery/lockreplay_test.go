@@ -195,7 +195,7 @@ func TestLockReplayOnlyLiveTransactions(t *testing.T) {
 			}
 			// Replaying again re-grants what is already held: nothing in the
 			// table changes, and with logging suppressed nothing is logged.
-			v := db.view(1, false)
+			v := db.view(1, 1, &redoList{})
 			db.Locks.SetLogSuppressed(true)
 			allocs = append(allocs, testing.AllocsPerRun(5, func() {
 				if n, err := db.replayNodeLocks(v); err != nil || n != 4 {

@@ -13,12 +13,14 @@ import (
 // many candidates it carries.
 //
 // Pass 1 decides and writes nothing. It walks the list in list order (log
-// order, so the records are read sequentially), and at a line's first
-// candidate runs the residency probe (fetching the page if the line or its
-// header was lost) and reads the whole line in one section, entered by that
-// candidate's replaying node. From there each of the line's slots has a
-// running version, starting at the one on the line: a candidate applies iff
-// its version is higher, the per-record rule, and becomes the slot's winner.
+// order), reading at each candidate the slot index and version it carries,
+// and at a line's first candidate runs the residency probe (fetching the page
+// if the line or its header was lost) and reads the whole line in one
+// section, entered by that candidate's replaying node. So it reads a record
+// only there and for an applied candidate (its image's length, for
+// progress). From there each of the line's slots has a running version,
+// starting at the one on the line: a candidate applies iff its version is
+// higher, the per-record rule, and becomes the slot's winner.
 // Pass 2 goes through the lines pass 1 read, in the order it read them, and
 // gives each line with a winner one section, entered by the node of its last
 // winner in list order: it writes every winning slot's after image with its
@@ -75,20 +77,20 @@ func (db *DB) decideRedo(cands []redoCand, rep *RecoveryReport) error {
 	var pb progressBatch
 	defer db.flushProgress(&pb, obs.PhaseRedoApply)
 	for i, c := range cands {
-		slot, err := db.Store.SlotIndex(heap.RID{Page: c.rec.Page, Slot: c.rec.Slot})
-		if err != nil {
+		if c.slot < 0 {
+			_, err := db.Store.SlotIndex(heap.RID{Page: c.rec.Page, Slot: c.rec.Slot})
 			return err
 		}
-		e := &db.redo[slot]
+		e := &db.redo[c.slot]
 		if !e.read {
-			if err := db.readRedoLine(c, slot); err != nil {
+			if err := db.readRedoLine(c); err != nil {
 				return err
 			}
 		}
 		// Skips consume planned candidates too: progress counts toward the
 		// planned total either way, keeping the ETA honest.
-		if c.rec.Version > e.ver {
-			e.ver, e.win = c.rec.Version, int32(i+1)
+		if c.ver > e.ver {
+			e.ver, e.win = c.ver, int32(i+1)
 			rep.RedoApplied++
 			db.noteProgress(&pb, obs.PhaseRedoApply, 1, len(c.rec.After))
 		} else {
@@ -99,13 +101,12 @@ func (db *DB) decideRedo(cands []redoCand, rep *RecoveryReport) error {
 	return nil
 }
 
-// readRedoLine is pass 1's one visit to a line, at its first candidate c,
-// whose slot is at table index slot: Selective Redo's residency probe (the
-// "cache miss with I/O disabled" test) — if the line was lost, the page
-// fetch reinstalls exactly the missing lines from the stable database — and
-// one read of the whole line, whose slot versions start the running
-// versions.
-func (db *DB) readRedoLine(c redoCand, slot int) error {
+// readRedoLine is pass 1's one visit to a line, at its first candidate c:
+// Selective Redo's residency probe (the "cache miss with I/O disabled" test)
+// — if the line or its page's header was lost, the page fetch reinstalls
+// exactly the missing lines from the stable database — and one read of the
+// whole line, whose slot versions start the running versions.
+func (db *DB) readRedoLine(c redoCand) error {
 	line, _, err := db.Store.LineOf(heap.RID{Page: c.rec.Page, Slot: c.rec.Slot})
 	if err != nil {
 		return err
@@ -125,7 +126,7 @@ func (db *DB) readRedoLine(c redoCand, slot int) error {
 	if err != nil {
 		return err
 	}
-	first := slot - int(c.rec.Slot)%db.Store.Layout.RecsPerLine
+	first := int(c.slot) - int(c.rec.Slot)%db.Store.Layout.RecsPerLine
 	for j := range db.Store.Layout.RecsPerLine {
 		db.redo[first+j] = redoSlot{ver: heap.DecodeSlotFromLine(db.Store.Layout, img, j).Version, read: true}
 	}

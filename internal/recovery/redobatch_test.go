@@ -149,7 +149,7 @@ func redoScene(t *testing.T, proto Protocol, seed int64) (*DB, []redoCand) {
 		if rng.Intn(5) == 0 {
 			rec.NTA = uint64(1 + rng.Intn(3))
 		}
-		cands[i] = redoCand{onto: machine.NodeID(rng.Intn(3)), rec: rec}
+		cands[i] = db.candidate(machine.NodeID(rng.Intn(3)), rec)
 	}
 	return db, cands
 }

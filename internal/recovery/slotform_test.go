@@ -58,10 +58,10 @@ func redoRunOver(t *testing.T, db *DB, onto machine.NodeID, rids []heap.RID) ([]
 		if i > 0 {
 			version = db.NextVersion()
 		}
-		run[i] = redoCand{onto: onto, rec: &wal.Record{
+		run[i] = db.candidate(onto, &wal.Record{
 			Type: wal.TypeUpdate, Txn: wal.MakeTxnID(onto, 1), Page: rid.Page, Slot: rid.Slot,
 			Version: version, After: SlotImage(db.Store.Layout, heap.FlagOccupied, []byte{2, byte(i)}),
-		}}
+		})
 	}
 	return run, line
 }

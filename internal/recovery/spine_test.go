@@ -80,10 +80,10 @@ func TestStalledAbortClosesItsBracket(t *testing.T) {
 }
 
 // Restart recovery reports progress in batches: a Redo All recovery of a
-// few thousand candidates — every one probed and applied — records at most
-// one progress event per 256 candidates plus a fixed few (the run's start
-// and attempt, two plans, per-node scans, each phase's remainder), and the
-// batches add up to every candidate in both phases.
+// few thousand candidates — every one applied — records at most one progress
+// event per 256 candidates plus a fixed few (the run's start and attempt,
+// the apply phase's plan, per-node scans, each phase's remainder), and the
+// apply phase's batches add up to every candidate.
 func TestRecoveryProgressIsBatched(t *testing.T) {
 	db, mgr := newDB(t, recovery.VolatileRedoAll, 4)
 	o, wf := obs.New(), waterfall.New(waterfall.Config{Nodes: 4})
@@ -118,7 +118,7 @@ func TestRecoveryProgressIsBatched(t *testing.T) {
 		t.Errorf("%d progress events for %d candidates, want <= %d", got, cands, bound)
 	}
 	for _, ph := range wf.Progress().Snapshot() {
-		if (ph.Phase == "probe" || ph.Phase == "redo-apply") && (ph.Records != cands || ph.Planned != cands) {
+		if ph.Phase == "redo-apply" && (ph.Records != cands || ph.Planned != cands) {
 			t.Errorf("%s progress %d of %d planned, want %d", ph.Phase, ph.Records, ph.Planned, cands)
 		}
 	}

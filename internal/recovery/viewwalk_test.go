@@ -237,10 +237,12 @@ func TestRecoveryAllocationVolume(t *testing.T) {
 	}
 	perRecord := float64(after.TotalAlloc-before.TotalAlloc) / float64(records)
 	t.Logf("%d records retained, %d B allocated by Recover, %.2f B per record", records, after.TotalAlloc-before.TotalAlloc, perRecord)
-	// 27.7 B since the redo apply phase carves its runs as it walks the
-	// candidates (39.8 B with a slab of one run per candidate; 86.1 B when the
-	// crashed log was copied off its device and decoded whole, and survivors'
-	// lists were sized by their logs' length). The bound is that plus 12 %.
+	// 28.5 B since the log walks emit 24-byte redo candidates carrying slot
+	// index and version, with no pointer list per survivor beside them (27.7 B
+	// with 16-byte candidates and those lists; 39.8 B with a slab of one run
+	// per candidate; 86.1 B when the crashed log was copied off its device and
+	// decoded whole, and survivors' lists were sized by their logs' length).
+	// The bound is 27.7 B plus 12 %.
 	const bound = 31.0
 	if perRecord > bound {
 		t.Errorf("Recover allocates %.2f B per retained record, want at most %v", perRecord, bound)
