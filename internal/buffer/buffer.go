@@ -66,9 +66,10 @@ type Manager struct {
 	// Logs holds each node's write-ahead log, indexed by node ID, for WAL
 	// enforcement on flush.
 	Logs []*wal.Log
-	// NVRAMLog selects the NVRAM log-force cost instead of rotational
-	// disk (section 7's discussion of making stable logging cheap).
-	NVRAMLog bool
+	// logForceCost prices one physical log force (the DB's price: NVRAM or
+	// rotational disk, section 7's discussion of making stable logging
+	// cheap).
+	logForceCost func() int64
 
 	// mu guards stats and serializes each page's clean-to-dirty and
 	// dirty-to-clean transitions with their observer events, so a page
@@ -149,8 +150,8 @@ func (b *Manager) SetFetchHook(f func(machine.NodeID, storage.PageID)) {
 func (b *Manager) SetHooks(o *obs.Observer) { b.obs.Store(o) }
 
 // NewManager creates a buffer manager over the given store, disk, and
-// per-node logs.
-func NewManager(store *heap.Store, disk *storage.Disk, logs []*wal.Log) *Manager {
+// per-node logs; logForceCost prices the log forces the WAL rule makes.
+func NewManager(store *heap.Store, disk *storage.Disk, logs []*wal.Log, logForceCost func() int64) *Manager {
 	if disk.PageSize() < store.Layout.PageBytes() {
 		panic(fmt.Sprintf("buffer: disk page size %d < heap page size %d", disk.PageSize(), store.Layout.PageBytes()))
 	}
@@ -160,6 +161,8 @@ func NewManager(store *heap.Store, disk *storage.Disk, logs []*wal.Log) *Manager
 		Logs:  logs,
 		dirty: make([]atomic.Bool, store.NPages),
 		cols:  newCols(store.M.Nodes(), store.NPages),
+
+		logForceCost: logForceCost,
 	}
 	for i := range b.scratch {
 		b.scratch[i] = make([]byte, disk.PageSize())
@@ -278,15 +281,6 @@ func (b *Manager) NoteUpdate(p storage.PageID, nd machine.NodeID, lsn wal.LSN) {
 			return
 		}
 	}
-}
-
-// logForceCost returns the simulated cost of one physical log force.
-func (b *Manager) logForceCost() int64 {
-	c := b.Store.M.Config().Cost
-	if b.NVRAMLog {
-		return c.LogForceNVRAM
-	}
-	return c.LogForce
 }
 
 // FlushPage writes page p to the stable database on behalf of node nd,

@@ -36,7 +36,7 @@ func newFixture(t *testing.T, nodes int) *fixture {
 			t.Fatal(err)
 		}
 	}
-	return &fixture{m: m, disk: disk, logs: logs, bm: NewManager(store, disk, logs)}
+	return &fixture{m: m, disk: disk, logs: logs, bm: NewManager(store, disk, logs, func() int64 { return m.Config().Cost.LogForce })}
 }
 
 // inSlotSection runs step inside a line section of node nd on rid's line:
@@ -322,7 +322,7 @@ func TestUpdatePathLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, pages := range []int{1, 7, 8, 64} {
-			bm := NewManager(heap.NewStore(m, layout, pages), storage.NewDisk(layout.PageBytes()), make([]*wal.Log, nodes))
+			bm := NewManager(heap.NewStore(m, layout, pages), storage.NewDisk(layout.PageBytes()), make([]*wal.Log, nodes), nil)
 			if len(bm.cols) != nodes {
 				t.Fatalf("%d nodes: %d columns", nodes, len(bm.cols))
 			}

@@ -49,7 +49,7 @@ func unloggedViolations(t *testing.T, a *audit.Auditor, txs []*txn.Txn) map[expo
 			t.Fatalf("no trail for %v", tx.ID())
 		}
 		if trail.DroppedSteps != 0 {
-			t.Fatalf("%s dropped %d trail steps; raise TrailSteps", trail.Name, trail.DroppedSteps)
+			t.Fatalf("%s dropped %d trail steps; raise the auditor's trail-step cap", trail.Name, trail.DroppedSteps)
 		}
 		for _, s := range trail.Steps {
 			if s.Kind == "violation" && s.Note == audit.ViolationUnlogged {
@@ -91,8 +91,7 @@ func TestJudgesAgree(t *testing.T) {
 			}
 			tr := deps.New(nil)
 			a := audit.New(tr, audit.Config{
-				Stable:     tc.proto.StableLBM() && db.M.Config().Coherency == machine.WriteInvalidate,
-				TrailSteps: 256,
+				Stable: tc.proto.StableLBM() && db.M.Config().Coherency == machine.WriteInvalidate,
 			})
 			db.Attach(hooks.Set{Observer: obs.NewWithCapacity(8192), Deps: tr, Audit: a})
 			mgr := txn.NewManager(db)

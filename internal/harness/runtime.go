@@ -59,12 +59,7 @@ func RunRuntime(nodes int, sharing float64, seed int64) (*RuntimeResult, error) 
 		if err != nil {
 			return nil, err
 		}
-		db.BM.NVRAMLog = c.nvram
-		if c.nvram {
-			// Rebuild with the NVRAM cost model for protocol-level
-			// forces too.
-			db.Cfg.NVRAMLog = true
-		}
+		db.Cfg.NVRAMLog = c.nvram
 		forces0 := totalLogForces(db)
 		start := db.M.MaxClock()
 		r := workload.NewRunner(db, spec)

@@ -22,7 +22,7 @@ func TestLineWaitNamesItsHolder(t *testing.T) {
 		install(t, m, 0, l)
 	}
 	o := obs.New()
-	wf := waterfall.New(waterfall.Config{SampleN: 1, Nodes: 2})
+	wf := waterfall.New(waterfall.Config{Nodes: 2})
 	o.SetSink(wf)
 	m.SetHooks(o)
 	const ta, tb = 1, 2

@@ -35,12 +35,21 @@ import (
 	"smdb/internal/obs/deps"
 )
 
-// Defaults for Config's zero values.
+// DefaultWindowNS is the time-series window width a zero Config.WindowNS
+// selects: 1ms of simulated time.
+const DefaultWindowNS = int64(1e6)
+
+// The auditor's bounds.
 const (
-	DefaultWindowNS   = int64(1e6) // 1ms of simulated time per window
-	DefaultTrailSteps = 64
-	DefaultTrailRing  = 128
-	DefaultWindows    = 128
+	// trailSteps caps the steps retained per transaction trail; later steps
+	// are counted in Trail.DroppedSteps. The judges' cross-checks read whole
+	// trails: E17's schedule needs 256 steps, deps' seeded random stream
+	// 450.
+	trailSteps = 512
+	// trailRing caps the ring of recently completed trails.
+	trailRing = 128
+	// windows is how many time-series windows stay resident.
+	windows = 128
 )
 
 // maxViolations caps retained Violation records (the total keeps counting
@@ -58,7 +67,7 @@ const (
 	ViolationUnforced = "unforced-exposure"
 )
 
-// Config parameterizes an Auditor. Zero values select the defaults above.
+// Config parameterizes an Auditor.
 type Config struct {
 	// Stable requires *stable* log coverage at exposure time (the
 	// StableEager / StableTriggered discipline under write-invalidate
@@ -67,30 +76,9 @@ type Config struct {
 	// the check — the Volatile LBM policies, the baseline, and the claimed
 	// discipline of the ablated control.
 	Stable bool
-	// WindowNS is the time-series window width in simulated nanoseconds.
+	// WindowNS is the time-series window width in simulated nanoseconds
+	// (<= 0 selects DefaultWindowNS).
 	WindowNS int64
-	// TrailSteps caps the steps retained per transaction trail; later steps
-	// are counted in Trail.DroppedSteps.
-	TrailSteps int
-	// TrailRing caps the ring of recently completed trails.
-	TrailRing int
-	// Windows caps the time-series ring (see timeseries.go).
-	Windows int
-}
-
-func (c *Config) setDefaults() {
-	if c.WindowNS <= 0 {
-		c.WindowNS = DefaultWindowNS
-	}
-	if c.TrailSteps <= 0 {
-		c.TrailSteps = DefaultTrailSteps
-	}
-	if c.TrailRing <= 0 {
-		c.TrailRing = DefaultTrailRing
-	}
-	if c.Windows <= 0 {
-		c.Windows = DefaultWindows
-	}
 }
 
 // Step is one entry of a transaction's audit trail. From/To are node ids
@@ -186,21 +174,23 @@ type Auditor struct {
 	violTotal  int
 	violByKind map[string]int
 
-	ts timeSeries
+	ts *timeSeries
 }
 
 // New creates an auditor reading model, which must have no other reader.
 // Feed the model (events through its OnEvent, the recovery layer's
 // write/crash/recovered calls through its Note* hooks); the auditor follows.
 func New(model *deps.Tracker, cfg Config) *Auditor {
-	cfg.setDefaults()
+	if cfg.WindowNS <= 0 {
+		cfg.WindowNS = DefaultWindowNS
+	}
 	a := &Auditor{
 		cfg:        cfg,
 		model:      model,
 		live:       make(map[int64]*trailState),
 		violByKind: make(map[string]int),
+		ts:         newTimeSeries(cfg.WindowNS),
 	}
-	a.ts.init(cfg)
 	model.Narrate(a)
 	return a
 }
@@ -218,7 +208,7 @@ func (a *Auditor) Model() *deps.Tracker {
 }
 
 func (a *Auditor) stepLocked(ts *trailState, s Step) {
-	if len(ts.t.Steps) >= a.cfg.TrailSteps {
+	if len(ts.t.Steps) >= trailSteps {
 		ts.t.DroppedSteps++
 		return
 	}
@@ -226,13 +216,15 @@ func (a *Auditor) stepLocked(ts *trailState, s Step) {
 }
 
 // Event is the deps.Reader hook for raw engine events: all of them feed the
-// time-series windows.
+// time-series windows (a straggler whose window was evicted is dropped).
 func (a *Auditor) Event(e obs.Event) {
 	if a == nil {
 		return
 	}
 	a.mu.Lock()
-	a.ts.tick(e.Sim).count(e)
+	if w := a.ts.ring.At(e.Sim); w != nil {
+		w.count(e)
+	}
 	a.mu.Unlock()
 }
 
@@ -247,7 +239,7 @@ func (a *Auditor) Note(n deps.Note) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	w := a.ts.tick(n.Sim)
+	w := a.ts.ring.At(n.Sim) // nil for a straggler whose window was evicted
 	if n.Class == deps.Episode {
 		a.recovering = n.Kind == deps.NoteCrash
 		return
@@ -269,7 +261,9 @@ func (a *Auditor) Note(n deps.Note) {
 	a.stepLocked(ts, Step{Sim: n.Sim, Kind: n.Kind, Line: n.Line, From: n.From, To: n.To, LSN: n.LSN})
 	switch {
 	case n.Kind == deps.NoteUpdate:
-		w.Updates++
+		if w != nil {
+			w.Updates++
+		}
 		ts.t.Updates++
 	case n.Kind == deps.NoteCrash:
 		// The trail stays open until recovery settles the victim.
@@ -280,11 +274,11 @@ func (a *Auditor) Note(n deps.Note) {
 		ts.t.Outcome = n.Kind
 		ts.t.EndSim = n.Sim
 		delete(a.live, n.Txn)
-		if len(a.done) < a.cfg.TrailRing {
+		if len(a.done) < trailRing {
 			a.done = append(a.done, ts.t)
 		} else {
 			a.done[a.doneNext] = ts.t
-			a.doneNext = (a.doneNext + 1) % a.cfg.TrailRing
+			a.doneNext = (a.doneNext + 1) % trailRing
 		}
 		a.doneTotal++
 	}
@@ -316,9 +310,11 @@ func (a *Auditor) checkLocked(w *windowCounters, ts *trailState, n deps.Note) {
 	ts.t.Violations++
 	a.violTotal++
 	a.violByKind[vkind]++
-	w.Violations++
-	if vkind == ViolationUnlogged {
-		w.UnloggedExposures++
+	if w != nil {
+		w.Violations++
+		if vkind == ViolationUnlogged {
+			w.UnloggedExposures++
+		}
 	}
 	a.stepLocked(ts, Step{Sim: n.Sim, Kind: "violation", Line: n.Line, From: n.From, To: n.To, Note: vkind})
 	if len(a.viols) < maxViolations {
@@ -423,7 +419,7 @@ func (a *Auditor) Summary() Summary {
 		Completed:        a.doneTotal,
 		Violations:       a.violTotal,
 		ViolationsByKind: byKind,
-		Windows:          a.ts.windowCount(),
-		Anomalies:        a.ts.anomTotal,
+		Windows:          a.ts.ring.Len(),
+		Anomalies:        a.ts.anomalies.Total(),
 	}
 }

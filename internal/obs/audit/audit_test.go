@@ -226,8 +226,9 @@ func TestCrashVictimKnownOnlyFromTheCensus(t *testing.T) {
 }
 
 func TestTrailRingBound(t *testing.T) {
-	m, a := audited(Config{TrailRing: 2})
-	for seq := int64(1); seq <= 3; seq++ {
+	m, a := audited(Config{})
+	const n = trailRing + 1
+	for seq := int64(1); seq <= n; seq++ {
 		id := txnID(0, seq)
 		m.OnEvent(ev(obs.KindTxnBegin, 0, seq*10, id, 0))
 		m.OnEvent(ev(obs.KindTxnCommit, 0, seq*10+5, id, 100))
@@ -235,40 +236,44 @@ func TestTrailRingBound(t *testing.T) {
 	if _, ok := a.Trail(txnID(0, 1)); ok {
 		t.Error("oldest trail survived a full ring")
 	}
-	if _, ok := a.Trail(txnID(0, 3)); !ok {
+	if _, ok := a.Trail(txnID(0, n)); !ok {
 		t.Error("newest trail missing")
 	}
 	a.mu.Lock()
 	recent := a.recentTrailsLocked()
 	a.mu.Unlock()
-	if len(recent) != 2 || recent[0].Txn != txnID(0, 3) || recent[1].Txn != txnID(0, 2) {
-		t.Errorf("recent ring = %+v, want newest-first [t0.3 t0.2]", recent)
+	if len(recent) != trailRing || recent[0].Txn != txnID(0, n) || recent[trailRing-1].Txn != txnID(0, 2) {
+		t.Errorf("recent ring holds %d trails, %v..%v, want %d newest-first t0.%d..t0.2",
+			len(recent), recent[0].Name, recent[len(recent)-1].Name, trailRing, n)
 	}
-	if sum := a.Summary(); sum.Completed != 3 {
-		t.Errorf("completed total = %d, want 3 (ring bounds retention, not the count)", sum.Completed)
+	if sum := a.Summary(); sum.Completed != n {
+		t.Errorf("completed total = %d, want %d (ring bounds retention, not the count)", sum.Completed, n)
 	}
 }
 
 func TestTrailStepCap(t *testing.T) {
-	m, a := audited(Config{TrailSteps: 4})
+	m, a := audited(Config{})
 	id := txnID(0, 1)
+	const updates = trailSteps + 2
 	m.OnEvent(ev(obs.KindTxnBegin, 0, 10, id, 0))
-	for i := 0; i < 6; i++ {
+	for i := 0; i < updates; i++ {
 		m.NoteWrite(id, 0, int32(i), 0, int64(i+1), int64(20+i))
 	}
-	m.OnEvent(ev(obs.KindTxnCommit, 0, 100, id, 50))
+	m.OnEvent(ev(obs.KindTxnCommit, 0, 1000, id, 50))
 	tr, ok := a.Trail(id)
 	if !ok {
 		t.Fatal("trail not found")
 	}
-	if len(tr.Steps) != 4 {
-		t.Errorf("steps = %d, want capped at 4", len(tr.Steps))
+	if len(tr.Steps) != trailSteps {
+		t.Errorf("steps = %d, want capped at %d", len(tr.Steps), trailSteps)
 	}
-	if tr.DroppedSteps == 0 {
-		t.Error("dropped steps not counted")
+	// The begin step and trailSteps-1 updates fit; the last 3 updates and
+	// the commit step are dropped.
+	if tr.DroppedSteps != 4 {
+		t.Errorf("dropped steps = %d, want 4", tr.DroppedSteps)
 	}
-	if tr.Updates != 6 {
-		t.Errorf("updates = %d, want 6 (counter is exact even when steps drop)", tr.Updates)
+	if tr.Updates != updates {
+		t.Errorf("updates = %d, want %d (counter is exact even when steps drop)", tr.Updates, updates)
 	}
 }
 

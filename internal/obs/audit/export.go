@@ -6,6 +6,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"smdb/internal/obs"
 )
 
 // The exporters behind the introspection server's /audit/txn/{id},
@@ -130,11 +132,11 @@ func (a *Auditor) WriteTimeSeries(w io.Writer) error {
 }
 
 // Anomalies returns a copy of the retained watchdog findings.
-func (a *Auditor) Anomalies() []Anomaly {
+func (a *Auditor) Anomalies() []obs.Anomaly {
 	if a == nil {
 		return nil
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return append([]Anomaly(nil), a.ts.anomalies...)
+	return a.ts.anomalies.List()
 }

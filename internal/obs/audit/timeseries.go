@@ -8,11 +8,11 @@ import (
 	"smdb/internal/obs"
 )
 
-// The windowed time-series: a fixed-size ring of per-window counter
-// snapshots, bucketed by simulated time, so a long-running workload keeps a
-// bounded, recent view of its own shape — log forces, coherency traffic,
-// lock stalls, commit-latency quantiles, recovery makespan — instead of one
-// unbounded cumulative counter set. An anomaly watchdog evaluates each
+// The windowed time-series: a ring of 128 windows' counter snapshots
+// (obs.WindowRing), bucketed by simulated time, so a long-running workload
+// keeps a bounded, recent view of its own shape — log forces, coherency
+// traffic, lock stalls, commit-latency quantiles, recovery makespan —
+// instead of one unbounded cumulative counter set. An anomaly watchdog evaluates each
 // window as it closes (when events for a later window arrive) against
 // threshold and ratio rules; see evalWindow for the rule table, which
 // DESIGN.md §8 documents.
@@ -34,9 +34,6 @@ const (
 	// trailing median.
 	migrationSpikeFloor  = 32
 	migrationSpikeFactor = 8
-	// maxAnomalies bounds retained anomaly records (the total keeps
-	// counting).
-	maxAnomalies = 64
 )
 
 // windowCounters is one window's live counter set. The commit-latency
@@ -154,102 +151,30 @@ type WindowSnapshot struct {
 	CommitMean        int64 `json:"commit_mean_ns"`
 }
 
-// Anomaly is one watchdog finding.
-type Anomaly struct {
-	Window int64  `json:"window"`
-	Sim    int64  `json:"sim"` // window start, simulated ns
-	Kind   string `json:"kind"`
-	Detail string `json:"detail"`
-}
-
 // TimeSeries is the exported snapshot of the whole ring.
 type TimeSeries struct {
 	Enabled      bool             `json:"enabled"`
 	WindowNS     int64            `json:"window_ns"`
 	Windows      []WindowSnapshot `json:"windows"`
-	Anomalies    []Anomaly        `json:"anomalies"`
+	Anomalies    []obs.Anomaly    `json:"anomalies"`
 	AnomalyTotal int              `json:"anomaly_total"`
-}
-
-type winSlot struct {
-	id   int64
-	used bool
-	c    windowCounters
 }
 
 // timeSeries is the ring + watchdog state, guarded by the Auditor's mutex.
 type timeSeries struct {
 	width int64
-	wins  []winSlot
-
-	started   bool
-	maxID     int64
-	evaluated int64 // highest window id the watchdog has judged
+	ring  *obs.WindowRing[windowCounters]
 
 	p99Trail []int64
 	migTrail []int64
 
-	anomalies []Anomaly
-	anomTotal int
-
-	// scratch absorbs counters for events older than the ring's horizon
-	// (possible because per-node simulated clocks are only loosely aligned).
-	scratch windowCounters
+	anomalies obs.AnomalyLog
 }
 
-func (t *timeSeries) init(cfg Config) {
-	t.width = cfg.WindowNS
-	t.wins = make([]winSlot, cfg.Windows)
-}
-
-// tick returns the live counter set for the window containing sim,
-// evaluating any windows that just closed.
-func (t *timeSeries) tick(sim int64) *windowCounters {
-	if sim < 0 {
-		sim = 0
-	}
-	id := sim / t.width
-	if !t.started {
-		t.started = true
-		t.maxID = id
-		t.evaluated = id - 1
-	} else if id > t.maxID {
-		t.evalThrough(id - 1)
-		t.maxID = id
-	}
-	s := &t.wins[id%int64(len(t.wins))]
-	if s.used && s.id == id {
-		return &s.c
-	}
-	if s.used && s.id > id {
-		// A straggler event for a window the ring already evicted.
-		return &t.scratch
-	}
-	if s.used && s.id > t.evaluated {
-		t.evalWindow(s)
-	}
-	s.id = id
-	s.used = true
-	s.c = windowCounters{}
-	return &s.c
-}
-
-// evalThrough runs the watchdog over every closed, still-resident window up
-// to and including upTo.
-func (t *timeSeries) evalThrough(upTo int64) {
-	lo := t.evaluated + 1
-	if floor := upTo - int64(len(t.wins)) + 1; lo < floor {
-		lo = floor
-	}
-	for id := lo; id <= upTo; id++ {
-		s := &t.wins[id%int64(len(t.wins))]
-		if s.used && s.id == id {
-			t.evalWindow(s)
-		}
-	}
-	if upTo > t.evaluated {
-		t.evaluated = upTo
-	}
+func newTimeSeries(width int64) *timeSeries {
+	t := &timeSeries{width: width}
+	t.ring = obs.NewWindowRing(width, windows, t.evalWindow)
+	return t
 }
 
 func pushTrail(trail []int64, v int64) []int64 {
@@ -275,21 +200,20 @@ func median(vs []int64) int64 {
 //	                    minTrailWindows qualifying windows of history
 //	migration-spike     Migrations > migrationSpikeFactor x trailing
 //	                    median, above migrationSpikeFloor, same history gate
-func (t *timeSeries) evalWindow(s *winSlot) {
-	c := &s.c
+func (t *timeSeries) evalWindow(id int64, c *windowCounters) {
 	if c.UnloggedExposures > 0 {
-		t.anomaly(s, "unlogged-exposure",
+		t.anomaly(id, "unlogged-exposure",
 			fmt.Sprintf("%d exposure(s) of unlogged updates left their failure domain", c.UnloggedExposures))
 	}
 	if c.Violations > 0 {
-		t.anomaly(s, "lbm-violation",
+		t.anomaly(id, "lbm-violation",
 			fmt.Sprintf("%d LBM violation(s) raised in this window", c.Violations))
 	}
 	if c.commitCount >= minCommitSamples {
 		p99 := c.quantile(0.99)
 		if len(t.p99Trail) >= minTrailWindows {
 			if med := median(t.p99Trail); med > 0 && float64(p99) > p99Factor*float64(med) {
-				t.anomaly(s, "commit-latency",
+				t.anomaly(id, "commit-latency",
 					fmt.Sprintf("commit p99 %dns > %.0fx trailing median %dns", p99, p99Factor, med))
 			}
 		}
@@ -297,7 +221,7 @@ func (t *timeSeries) evalWindow(s *winSlot) {
 	}
 	if c.Migrations >= migrationSpikeFloor && len(t.migTrail) >= minTrailWindows {
 		if med := median(t.migTrail); med > 0 && c.Migrations > migrationSpikeFactor*med {
-			t.anomaly(s, "migration-spike",
+			t.anomaly(id, "migration-spike",
 				fmt.Sprintf("%d migrations > %dx trailing median %d", c.Migrations, migrationSpikeFactor, med))
 		}
 	}
@@ -306,23 +230,8 @@ func (t *timeSeries) evalWindow(s *winSlot) {
 	}
 }
 
-func (t *timeSeries) anomaly(s *winSlot, kind, detail string) {
-	t.anomTotal++
-	if len(t.anomalies) < maxAnomalies {
-		t.anomalies = append(t.anomalies, Anomaly{
-			Window: s.id, Sim: s.id * t.width, Kind: kind, Detail: detail,
-		})
-	}
-}
-
-func (t *timeSeries) windowCount() int {
-	n := 0
-	for i := range t.wins {
-		if t.wins[i].used {
-			n++
-		}
-	}
-	return n
+func (t *timeSeries) anomaly(id int64, kind, detail string) {
+	t.anomalies.Add(obs.Anomaly{Window: id, Sim: id * t.width, Kind: kind, Detail: detail})
 }
 
 // snapshotLocked exports the resident windows in time order plus the
@@ -331,36 +240,31 @@ func (t *timeSeries) snapshotLocked() TimeSeries {
 	out := TimeSeries{
 		Enabled:      true,
 		WindowNS:     t.width,
-		Anomalies:    append([]Anomaly(nil), t.anomalies...),
-		AnomalyTotal: t.anomTotal,
+		Anomalies:    t.anomalies.List(),
+		AnomalyTotal: t.anomalies.Total(),
 	}
-	for i := range t.wins {
-		s := &t.wins[i]
-		if !s.used {
-			continue
-		}
+	t.ring.Each(func(id int64, c *windowCounters) {
 		out.Windows = append(out.Windows, WindowSnapshot{
-			Window:            s.id,
-			StartSim:          s.id * t.width,
-			Updates:           s.c.Updates,
-			Migrations:        s.c.Migrations,
-			Replications:      s.c.Replications,
-			Downgrades:        s.c.Downgrades,
-			Invalidations:     s.c.Invalidations,
-			LogForces:         s.c.LogForces,
-			LockStalls:        s.c.LockStalls,
-			Commits:           s.c.Commits,
-			Aborts:            s.c.Aborts,
-			Crashes:           s.c.Crashes,
-			Violations:        s.c.Violations,
-			UnloggedExposures: s.c.UnloggedExposures,
-			RecoveryNS:        s.c.RecoveryNS,
-			CommitP50:         s.c.quantile(0.50),
-			CommitP99:         s.c.quantile(0.99),
-			CommitMean:        meanOf(s.c.commitSum, s.c.commitCount),
+			Window:            id,
+			StartSim:          id * t.width,
+			Updates:           c.Updates,
+			Migrations:        c.Migrations,
+			Replications:      c.Replications,
+			Downgrades:        c.Downgrades,
+			Invalidations:     c.Invalidations,
+			LogForces:         c.LogForces,
+			LockStalls:        c.LockStalls,
+			Commits:           c.Commits,
+			Aborts:            c.Aborts,
+			Crashes:           c.Crashes,
+			Violations:        c.Violations,
+			UnloggedExposures: c.UnloggedExposures,
+			RecoveryNS:        c.RecoveryNS,
+			CommitP50:         c.quantile(0.50),
+			CommitP99:         c.quantile(0.99),
+			CommitMean:        meanOf(c.commitSum, c.commitCount),
 		})
-	}
-	sort.Slice(out.Windows, func(i, j int) bool { return out.Windows[i].Window < out.Windows[j].Window })
+	})
 	return out
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 func TestTimeSeriesWindowBucketing(t *testing.T) {
-	m, a := audited(Config{WindowNS: 100, Windows: 4})
+	m, a := audited(Config{WindowNS: 100})
 	// Commits land in windows 0, 0, 2 (unknown txns: only the counters move).
 	m.OnEvent(ev(obs.KindTxnCommit, 0, 10, 900, 50))
 	m.OnEvent(ev(obs.KindTxnCommit, 0, 90, 901, 70))
@@ -39,54 +39,54 @@ func TestTimeSeriesWindowBucketing(t *testing.T) {
 }
 
 func TestTimeSeriesRingEvictionAndStragglers(t *testing.T) {
-	m, a := audited(Config{WindowNS: 100, Windows: 4})
-	for w := int64(0); w <= 5; w++ {
+	m, a := audited(Config{WindowNS: 100})
+	// One migration in each of windows+2 windows: the newest `windows`
+	// stay resident.
+	for w := int64(0); w <= windows+1; w++ {
 		m.OnEvent(ev(obs.KindMigrate, 1, w*100+10, 50, 0))
 	}
 	a.mu.Lock()
 	snap := a.ts.snapshotLocked()
 	a.mu.Unlock()
-	if len(snap.Windows) != 4 {
-		t.Fatalf("resident windows = %d, want ring size 4", len(snap.Windows))
+	if len(snap.Windows) != windows {
+		t.Fatalf("resident windows = %d, want ring size %d", len(snap.Windows), windows)
 	}
-	if snap.Windows[0].Window != 2 || snap.Windows[3].Window != 5 {
-		t.Errorf("resident range = %d..%d, want 2..5", snap.Windows[0].Window, snap.Windows[3].Window)
+	if first, last := snap.Windows[0].Window, snap.Windows[windows-1].Window; first != 2 || last != windows+1 {
+		t.Errorf("resident range = %d..%d, want 2..%d", first, last, windows+1)
 	}
 
-	// A straggler event for the evicted window 0 must not corrupt the ring.
+	// A straggler event for the evicted window 0 is dropped; one for a
+	// resident window counts there.
 	m.OnEvent(ev(obs.KindMigrate, 1, 10, 50, 0))
+	m.OnEvent(ev(obs.KindMigrate, 1, 310, 50, 0))
 	a.mu.Lock()
-	scratch := a.ts.scratch.Migrations
 	snap = a.ts.snapshotLocked()
 	a.mu.Unlock()
-	if scratch != 1 {
-		t.Errorf("straggler migrations = %d, want absorbed into scratch", scratch)
+	if len(snap.Windows) != windows || snap.Windows[0].Window != 2 {
+		t.Errorf("ring disturbed by straggler: %d windows from %d", len(snap.Windows), snap.Windows[0].Window)
 	}
-	if len(snap.Windows) != 4 || snap.Windows[0].Window != 2 {
-		t.Errorf("ring disturbed by straggler: %+v", snap.Windows)
+	var total int64
+	for _, w := range snap.Windows {
+		total += w.Migrations
+	}
+	if snap.Windows[1].Migrations != 2 || total != windows+1 {
+		t.Errorf("window 3 migrations = %d, total %d; want 2 and %d", snap.Windows[1].Migrations, total, windows+1)
 	}
 }
 
 func tickN(ts *timeSeries, window int64, fill func(*windowCounters)) {
-	c := ts.tick(window * 100)
+	c := ts.ring.At(window * 100)
 	if fill != nil {
 		fill(c)
 	}
 }
 
-func newTestSeries() *timeSeries {
-	ts := &timeSeries{}
-	cfg := Config{WindowNS: 100, Windows: 16}
-	cfg.setDefaults()
-	cfg.WindowNS = 100
-	cfg.Windows = 16
-	ts.init(cfg)
-	return ts
-}
+func newTestSeries() *timeSeries { return newTimeSeries(100) }
 
 func anomalyKinds(ts *timeSeries) []string {
-	out := make([]string, len(ts.anomalies))
-	for i, an := range ts.anomalies {
+	list := ts.anomalies.List()
+	out := make([]string, len(list))
+	for i, an := range list {
 		out[i] = an.Kind
 	}
 	return out
@@ -103,11 +103,11 @@ func TestWatchdogThresholdRules(t *testing.T) {
 	if len(kinds) != 2 || kinds[0] != "unlogged-exposure" || kinds[1] != "lbm-violation" {
 		t.Errorf("anomalies = %v, want [unlogged-exposure lbm-violation]", kinds)
 	}
-	if ts.anomTotal != 2 {
-		t.Errorf("anomaly total = %d", ts.anomTotal)
+	if ts.anomalies.Total() != 2 {
+		t.Errorf("anomaly total = %d", ts.anomalies.Total())
 	}
-	if ts.anomalies[0].Window != 0 || ts.anomalies[0].Sim != 0 {
-		t.Errorf("anomaly provenance = %+v", ts.anomalies[0])
+	if an := ts.anomalies.List()[0]; an.Window != 0 || an.Sim != 0 {
+		t.Errorf("anomaly provenance = %+v", an)
 	}
 }
 
@@ -139,7 +139,7 @@ func TestWatchdogCommitLatencyRule(t *testing.T) {
 		tickN(ts2, w, func(c *windowCounters) { c.observeCommit(1 << 30) })
 	}
 	tickN(ts2, 6, nil)
-	if len(ts2.anomalies) != 0 {
+	if ts2.anomalies.Total() != 0 {
 		t.Errorf("sparse windows raised %v", anomalyKinds(ts2))
 	}
 }
@@ -163,7 +163,7 @@ func TestWatchdogMigrationSpikeRule(t *testing.T) {
 	}
 	tickN(ts2, 5, func(c *windowCounters) { c.Migrations = 20 }) // 20x median but < floor
 	tickN(ts2, 6, nil)
-	if len(ts2.anomalies) != 0 {
+	if ts2.anomalies.Total() != 0 {
 		t.Errorf("sub-floor spike raised %v", anomalyKinds(ts2))
 	}
 }

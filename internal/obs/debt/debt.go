@@ -66,14 +66,13 @@ const (
 	maxRecordType   = 16
 )
 
-// Defaults for Config zero values.
+// The tracker's windows and watchdog.
 const (
-	// DefaultWindowNS is the windowed time-series width in simulated time.
-	DefaultWindowNS = int64(time.Millisecond)
-	// maxWindows bounds the closed-window ring retained for the JSON doc.
-	maxWindows = 64
-	// maxAnomalies bounds the watchdog's anomaly log.
-	maxAnomalies = 64
+	// windowNS is the windowed time-series width in simulated time.
+	windowNS = int64(time.Millisecond)
+	// windows sizes the window ring the JSON doc reads (obs.WindowRing):
+	// the live window and the 64 ids before it.
+	windows = 65
 	// growthWindows is how many consecutive closed windows of strictly
 	// rising debt with no safe-point advance trip the unbounded-growth
 	// watchdog.
@@ -91,9 +90,6 @@ const (
 // unforced logs, in parallel; the rest costs microseconds against those
 // milliseconds and is left out (DESIGN.md §13, E24).
 type Config struct {
-	// WindowNS is the time-series window width in simulated nanoseconds
-	// (<= 0 uses DefaultWindowNS).
-	WindowNS int64
 	// DiskReadNS is the price of reading one page from the stable database
 	// (machine.CostModel.DiskRead).
 	DiskReadNS int64
@@ -187,20 +183,12 @@ func (n *nodeState) debtLocked() (records, bytes int64) {
 
 // window is one closed (or live) time-series window.
 type window struct {
-	ID      int64 `json:"id"`       // sim / width
+	ID      int64 `json:"id"`       // sim / windowNS, filled in on export
 	Appends int64 `json:"appends"`  // records appended in the window
 	Bytes   int64 `json:"bytes"`    // bytes appended in the window
 	Forces  int64 `json:"forces"`   // physical log forces
 	SafeAdv int64 `json:"safe_adv"` // safe-point advances (ckpt, discard, recovery)
 	EndDebt int64 `json:"end_debt"` // global debt records at window close
-}
-
-// Anomaly is one watchdog finding.
-type Anomaly struct {
-	Window int64  `json:"window"`
-	Sim    int64  `json:"sim"`
-	Kind   string `json:"kind"`
-	Detail string `json:"detail"`
 }
 
 // recoverySample is one completed (or failed) recovery's accounting.
@@ -224,12 +212,10 @@ type Tracker struct {
 	dirty map[int64]struct{}
 
 	// Windowed series + watchdog.
-	win       *window
-	closed    []window
+	series    *obs.WindowRing[window]
 	streak    int
 	prevDebt  int64
-	anomalies []Anomaly
-	dropped   int64 // anomalies beyond the bound
+	anomalies obs.AnomalyLog
 
 	// Recovery / MTTR accounting.
 	recovering    bool
@@ -246,10 +232,9 @@ type Tracker struct {
 
 // New creates a tracker.
 func New(cfg Config) *Tracker {
-	if cfg.WindowNS <= 0 {
-		cfg.WindowNS = DefaultWindowNS
-	}
-	return &Tracker{cfg: cfg, start: time.Now(), dirty: make(map[int64]struct{})}
+	t := &Tracker{cfg: cfg, start: time.Now(), dirty: make(map[int64]struct{})}
+	t.series = obs.NewWindowRing[window](windowNS, windows, nil)
+	return t
 }
 
 // now returns monotonic wall nanoseconds since New.
@@ -273,34 +258,26 @@ func (t *Tracker) globalDebtLocked() int64 {
 	return total
 }
 
-// tickLocked rolls the time-series window forward to the one containing sim,
-// closing (and watchdog-evaluating) any window left behind. Sim clocks from
-// different nodes are not globally monotonic; a sim behind the live window
-// is attributed to the live window rather than rolling backwards.
-func (t *Tracker) tickLocked(sim int64) *window {
-	id := sim / t.cfg.WindowNS
-	if t.win == nil {
-		t.win = &window{ID: id}
-		return t.win
+// windowLocked returns the window an event at sim counts in. Sim clocks
+// from different nodes are not globally monotonic; a sim behind the live
+// (newest) window counts in the live window rather than rolling backwards.
+// A sim past it closes the live window, however far past: debt windows only
+// move forward, and each one's closing debt feeds the watchdog.
+func (t *Tracker) windowLocked(sim int64) *window {
+	if id, w := t.series.Newest(); w != nil {
+		if sim/windowNS <= id {
+			return w
+		}
+		t.closeWindowLocked(id, w)
 	}
-	if id <= t.win.ID {
-		return t.win
-	}
-	t.closeWindowLocked(sim)
-	t.win = &window{ID: id}
-	return t.win
+	return t.series.At(sim)
 }
 
-// closeWindowLocked finalises the live window into the ring and evaluates
-// the unbounded-growth watchdog: debt strictly rising across growthWindows
+// closeWindowLocked records a window's closing debt and evaluates the
+// unbounded-growth watchdog: debt strictly rising across growthWindows
 // consecutive windows with no safe-point advance, above the floor.
-func (t *Tracker) closeWindowLocked(sim int64) {
-	w := t.win
+func (t *Tracker) closeWindowLocked(id int64, w *window) {
 	w.EndDebt = t.globalDebtLocked()
-	t.closed = append(t.closed, *w)
-	if len(t.closed) > maxWindows {
-		t.closed = t.closed[len(t.closed)-maxWindows:]
-	}
 	if w.EndDebt > t.prevDebt && w.SafeAdv == 0 {
 		t.streak++
 	} else {
@@ -308,19 +285,10 @@ func (t *Tracker) closeWindowLocked(sim int64) {
 	}
 	t.prevDebt = w.EndDebt
 	if t.streak == growthWindows && w.EndDebt >= growthFloor {
-		t.noteAnomalyLocked(w.ID, sim, "unbounded-debt-growth",
-			fmt.Sprintf("global debt rose for %d consecutive windows with no safe-point advance (now %d records)",
-				growthWindows, w.EndDebt))
+		t.anomalies.Add(obs.Anomaly{Window: id, Sim: id * windowNS, Kind: "unbounded-debt-growth",
+			Detail: fmt.Sprintf("global debt rose for %d consecutive windows with no safe-point advance (now %d records)",
+				growthWindows, w.EndDebt)})
 	}
-}
-
-// noteAnomalyLocked appends a watchdog finding, bounded.
-func (t *Tracker) noteAnomalyLocked(winID, sim int64, kind, detail string) {
-	if len(t.anomalies) >= maxAnomalies {
-		t.dropped++
-		return
-	}
-	t.anomalies = append(t.anomalies, Anomaly{Window: winID, Sim: sim, Kind: kind, Detail: detail})
 }
 
 // syncLocked re-bases a node whose append stream starts (or resumes) at an
@@ -352,7 +320,7 @@ func (t *Tracker) OnEvent(e obs.Event) {
 			n.forced = e.B
 		}
 		n.forces++
-		t.tickLocked(e.Sim).Forces++
+		t.windowLocked(e.Sim).Forces++
 	case obs.KindWALDiscard:
 		t.discardLocked(e.Node, e.A)
 	case obs.KindCrash:
@@ -390,7 +358,7 @@ func (t *Tracker) appendLocked(node int32, lsn int64, typ uint8, txn uint64, byt
 		n.typeCount[typ]++
 		n.typeBytes[typ] += bytes
 	}
-	w := t.tickLocked(sim)
+	w := t.windowLocked(sim)
 	w.Appends++
 	w.Bytes += bytes
 	switch {
@@ -466,8 +434,8 @@ func (t *Tracker) discardLocked(node int32, newFirst int64) {
 			n.last = newFirst - 1
 		}
 		n.drops += drop
-		if t.win != nil {
-			t.win.SafeAdv++
+		if _, w := t.series.Newest(); w != nil {
+			w.SafeAdv++
 		}
 	}
 }
@@ -518,8 +486,8 @@ func (t *Tracker) recoveryEndLocked(ok bool, replayed, simNS int64) {
 			n.safeOverride = n.last
 		}
 	}
-	if t.win != nil {
-		t.win.SafeAdv++
+	if _, w := t.series.Newest(); w != nil {
+		w.SafeAdv++
 	}
 	t.prevDebt = t.globalDebtLocked()
 	t.streak = 0
@@ -593,7 +561,7 @@ func (t *Tracker) snapshotLocked() Snapshot {
 		Recovering: t.recovering,
 		Recoveries: t.recoveries,
 		Failures:   t.failures,
-		Anomalies:  len(t.anomalies) + int(t.dropped),
+		Anomalies:  t.anomalies.Total(),
 	}
 	if t.haveRecovery {
 		s.LastWallNS = t.lastRecovery.WallNS
@@ -673,7 +641,7 @@ type debtDoc struct {
 	WindowNS     int64           `json:"window_ns"`
 	LastRecovery *recoverySample `json:"last_recovery,omitempty"`
 	Windows      []window        `json:"windows,omitempty"`
-	AnomalyList  []Anomaly       `json:"anomaly_list,omitempty"`
+	AnomalyList  []obs.Anomaly   `json:"anomaly_list,omitempty"`
 }
 
 // WriteDebtJSON writes the full debt document ({"enabled": false} on a nil
@@ -685,17 +653,20 @@ func (t *Tracker) WriteDebtJSON(w io.Writer) error {
 	}
 	t.mu.Lock()
 	doc := debtDoc{
-		Enabled:  true,
-		Snapshot: t.snapshotLocked(),
-		WindowNS: t.cfg.WindowNS,
-		Windows:  append([]window(nil), t.closed...),
+		Enabled:     true,
+		Snapshot:    t.snapshotLocked(),
+		WindowNS:    windowNS,
+		AnomalyList: t.anomalies.List(),
 	}
-	if t.win != nil {
-		live := *t.win
-		live.EndDebt = t.globalDebtLocked()
-		doc.Windows = append(doc.Windows, live)
-	}
-	doc.AnomalyList = append([]Anomaly(nil), t.anomalies...)
+	live, _ := t.series.Newest()
+	t.series.Each(func(id int64, w *window) {
+		c := *w
+		c.ID = id
+		if id == live {
+			c.EndDebt = t.globalDebtLocked()
+		}
+		doc.Windows = append(doc.Windows, c)
+	})
 	if t.haveRecovery {
 		lr := t.lastRecovery
 		doc.LastRecovery = &lr
@@ -753,13 +724,13 @@ func (t *Tracker) WriteDebtProm(w io.Writer) error {
 }
 
 // Anomalies returns a copy of the watchdog findings.
-func (t *Tracker) Anomalies() []Anomaly {
+func (t *Tracker) Anomalies() []obs.Anomaly {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]Anomaly(nil), t.anomalies...)
+	return t.anomalies.List()
 }
 
 // TypeAttribution returns the per-record-type lifetime counts summed over

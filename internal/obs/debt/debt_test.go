@@ -259,13 +259,13 @@ func TestFailedRecoveryDoesNotReset(t *testing.T) {
 }
 
 func TestGrowthWatchdogFires(t *testing.T) {
-	tr := New(Config{WindowNS: 1000})
+	tr := New(Config{})
 	lsn := int64(1)
 	// Seed enough debt to clear the floor, then keep growing across windows
 	// with no force/checkpoint/discard.
 	for w := int64(0); w < growthWindows+3; w++ {
 		for i := 0; i < growthFloor; i++ {
-			feedAppend(tr, 0, lsn, 1, 3, 60, w*1000)
+			feedAppend(tr, 0, lsn, 1, 3, 60, w*windowNS)
 			lsn++
 		}
 	}
@@ -279,15 +279,15 @@ func TestGrowthWatchdogFires(t *testing.T) {
 }
 
 func TestGrowthWatchdogQuietWhenSafePointAdvances(t *testing.T) {
-	tr := New(Config{WindowNS: 1000})
+	tr := New(Config{})
 	lsn := int64(1)
 	for w := int64(0); w < growthWindows+4; w++ {
 		for i := 0; i < growthFloor; i++ {
-			feedAppend(tr, 0, lsn, 1, 3, 60, w*1000)
+			feedAppend(tr, 0, lsn, 1, 3, 60, w*windowNS)
 			lsn++
 		}
 		// A checkpoint in every window keeps the safe point moving.
-		feedAppend(tr, 0, lsn, typeCheckpoint, 0, 60, w*1000)
+		feedAppend(tr, 0, lsn, typeCheckpoint, 0, 60, w*windowNS)
 		lsn++
 	}
 	if an := tr.Anomalies(); len(an) != 0 {
@@ -413,5 +413,32 @@ func TestMidRunAttachResyncs(t *testing.T) {
 	s := tr.Snapshot().Nodes[0]
 	if s.FirstLSN != 100 || s.LastLSN != 101 || s.DebtRecords != 2 {
 		t.Fatalf("resync wrong: %+v", s)
+	}
+}
+
+// Debt windows only move forward: a sim behind the live window counts in
+// it, and a sim past it closes it with the debt at that moment, however far
+// past it lies.
+func TestDebtWindowsMoveForward(t *testing.T) {
+	tr := New(Config{})
+	feedAppend(tr, 0, 1, 1, 3, 60, 5*windowNS)
+	feedAppend(tr, 0, 2, 1, 3, 60, 2*windowNS) // behind: counts in window 5
+	feedAppend(tr, 0, 3, 1, 3, 60, 900*windowNS)
+	var buf bytes.Buffer
+	if err := tr.WriteDebtJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Windows []window `json:"windows"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	want := []window{
+		{ID: 5, Appends: 2, Bytes: 120, EndDebt: 3}, // closed by the third append, counted in its debt
+		{ID: 900, Appends: 1, Bytes: 60, EndDebt: 3},
+	}
+	if !reflect.DeepEqual(doc.Windows, want) {
+		t.Fatalf("windows = %+v, want %+v", doc.Windows, want)
 	}
 }

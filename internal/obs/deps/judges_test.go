@@ -21,7 +21,7 @@ func TestJudgesReadOneModel(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tr := deps.New(nil)
-		a := audit.New(tr, audit.Config{TrailSteps: 1 << 12})
+		a := audit.New(tr, audit.Config{})
 		checked, flagged := 0, 0
 		check := func(id int64) {
 			t.Helper()

@@ -79,28 +79,21 @@ type Sources struct {
 // DefaultFlightEvents is the per-node event tail retained in a dump.
 const DefaultFlightEvents = 256
 
-// maxDumps is the default dump budget, so a crash loop cannot fill the
-// disk; later dumps are counted but skipped. SetBudget overrides it.
+// maxDumps is the dump budget, so a crash loop cannot fill the disk: the
+// first 64 dumps are kept, later ones skipped.
 const maxDumps = 64
 
 // FlightRecorder writes crash dumps. A nil recorder is inert (all methods
 // are nil-receiver safe), so the engine hooks cost one pointer test when
 // disabled.
 type FlightRecorder struct {
-	mu       sync.Mutex
-	dir      string
-	lastN    int
-	seq      int
-	skipped  int
-	rotated  int
-	maxDumps int
-	maxBytes int64
-	rotate   bool
-	bytes    int64
-	src      Sources
-	aux      map[string]func(io.Writer) error
-	dumps    []string
-	sizes    []int64
+	mu    sync.Mutex
+	dir   string
+	lastN int
+	seq   int
+	src   Sources
+	aux   map[string]func(io.Writer) error
+	dumps []string
 }
 
 // NewFlightRecorder creates a recorder dumping into subdirectories of dir
@@ -110,7 +103,7 @@ func NewFlightRecorder(dir string, lastN int) *FlightRecorder {
 	if lastN <= 0 {
 		lastN = DefaultFlightEvents
 	}
-	return &FlightRecorder{dir: dir, lastN: lastN, maxDumps: maxDumps}
+	return &FlightRecorder{dir: dir, lastN: lastN}
 }
 
 // SetSources replaces what the recorder dumps: the observer whose event
@@ -142,24 +135,6 @@ func (r *FlightRecorder) SetAux(name string, fn func(io.Writer) error) {
 	} else {
 		r.aux[name] = fn
 	}
-	r.mu.Unlock()
-}
-
-// SetBudget overrides the recorder's dump budget. dumps bounds how many
-// dump directories may exist (0 = none: every Dump is skipped); bytes, when
-// > 0, bounds the total on-disk size — a dump that would exceed it is
-// written, measured, and removed (so even a lone dump larger than the
-// budget, MANIFEST included, leaves nothing behind). With rotate set, the
-// recorder deletes the oldest dump instead of skipping new ones once the
-// dump budget is full.
-func (r *FlightRecorder) SetBudget(dumps int, bytes int64, rotate bool) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.maxDumps = dumps
-	r.maxBytes = bytes
-	r.rotate = rotate
 	r.mu.Unlock()
 }
 
@@ -203,28 +178,15 @@ type flightEvent struct {
 }
 
 // Dump writes one post-mortem directory named <seq>-<reason>-<stamp> and
-// returns its path. Dumps beyond the recorder's budget are skipped (counted
-// in MANIFEST of later dumps); a nil recorder returns ("", nil).
+// returns its path. Dumps beyond the budget are skipped and, like a nil
+// recorder's, return ("", nil).
 func (r *FlightRecorder) Dump(reason string) (string, error) {
 	if r == nil {
 		return "", nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.rotate {
-		for len(r.dumps) > 0 && len(r.dumps) >= r.maxDumps {
-			os.RemoveAll(r.dumps[0])
-			r.bytes -= r.sizes[0]
-			r.dumps = r.dumps[1:]
-			r.sizes = r.sizes[1:]
-			r.rotated++
-		}
-		if r.maxDumps <= 0 {
-			r.skipped++
-			return "", nil
-		}
-	} else if r.seq >= r.maxDumps {
-		r.skipped++
+	if r.seq >= maxDumps {
 		return "", nil
 	}
 	r.seq++
@@ -244,13 +206,7 @@ func (r *FlightRecorder) Dump(reason string) (string, error) {
 		}
 		byNode[e.Node] = append(byNode[e.Node], e)
 	}
-	for i := 0; i < len(nodes); i++ {
-		for j := i + 1; j < len(nodes); j++ {
-			if nodes[j] < nodes[i] {
-				nodes[i], nodes[j] = nodes[j], nodes[i]
-			}
-		}
-	}
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
 	for n, evs := range byNode {
 		if len(evs) > r.lastN {
 			byNode[n] = evs[len(evs)-r.lastN:]
@@ -335,10 +291,9 @@ func (r *FlightRecorder) Dump(reason string) (string, error) {
 		files = append(files, dumpFile{name, r.aux[name]})
 	}
 
-	var written int64
-	if err := r.writeFile(dir, "MANIFEST.txt", &written, func(w io.Writer) error {
-		fmt.Fprintf(w, "reason: %s\nwall: %s\nevents-per-node: %d\nskipped-dumps: %d\nrotated-dumps: %d\n",
-			reason, time.Now().UTC().Format(time.RFC3339Nano), r.lastN, r.skipped, r.rotated)
+	if err := writeFile(dir, "MANIFEST.txt", func(w io.Writer) error {
+		fmt.Fprintf(w, "reason: %s\nwall: %s\nevents-per-node: %d\n",
+			reason, time.Now().UTC().Format(time.RFC3339Nano), r.lastN)
 		fmt.Fprintf(w, "files: MANIFEST.txt")
 		for _, f := range files {
 			fmt.Fprintf(w, " %s", f.name)
@@ -353,45 +308,22 @@ func (r *FlightRecorder) Dump(reason string) (string, error) {
 		return "", err
 	}
 	for _, f := range files {
-		if err := r.writeFile(dir, f.name, &written, f.write); err != nil {
+		if err := writeFile(dir, f.name, f.write); err != nil {
 			return "", err
 		}
 	}
-	if r.maxBytes > 0 && r.bytes+written > r.maxBytes {
-		// The dump itself blew the byte budget (possibly on its own — even
-		// the MANIFEST counts); leave nothing behind.
-		os.RemoveAll(dir)
-		r.skipped++
-		return "", nil
-	}
-	r.bytes += written
 	r.dumps = append(r.dumps, dir)
-	r.sizes = append(r.sizes, written)
 	return dir, nil
 }
 
-// countWriter tallies bytes for the recorder's byte budget.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func (r *FlightRecorder) writeFile(dir, name string, total *int64, fn func(io.Writer) error) error {
+func writeFile(dir, name string, fn func(io.Writer) error) error {
 	f, err := os.Create(filepath.Join(dir, name))
 	if err != nil {
 		return err
 	}
-	cw := &countWriter{w: f}
-	if err := fn(cw); err != nil {
+	if err := fn(f); err != nil {
 		f.Close()
 		return err
 	}
-	*total += cw.n
 	return f.Close()
 }

@@ -187,95 +187,6 @@ func TestFlightRecorderAuditFiles(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderZeroBudget(t *testing.T) {
-	root := t.TempDir()
-	r := NewFlightRecorder(root, 4)
-	r.SetSources(Sources{Observer: NewWithCapacity(8)})
-	r.SetBudget(0, 0, false)
-	dir, err := r.Dump("crash")
-	if err != nil || dir != "" {
-		t.Errorf("Dump with zero budget = %q, %v", dir, err)
-	}
-	r.SetBudget(0, 0, true) // rotate mode with a zero budget is also "none"
-	if dir, err := r.Dump("crash"); err != nil || dir != "" {
-		t.Errorf("rotate Dump with zero budget = %q, %v", dir, err)
-	}
-	entries, err := os.ReadDir(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Errorf("zero budget left %d dirs behind", len(entries))
-	}
-	if r.Dumps() != nil {
-		t.Errorf("Dumps() = %v, want none", r.Dumps())
-	}
-}
-
-func TestFlightRecorderByteBudgetSmallerThanManifest(t *testing.T) {
-	root := t.TempDir()
-	r := NewFlightRecorder(root, 4)
-	r.SetSources(Sources{Observer: NewWithCapacity(8)})
-	// Even a lone MANIFEST.txt exceeds 10 bytes: the dump must be written,
-	// measured, and removed without leaving a partial directory.
-	r.SetBudget(64, 10, false)
-	dir, err := r.Dump("crash")
-	if err != nil || dir != "" {
-		t.Errorf("over-budget Dump = %q, %v", dir, err)
-	}
-	entries, err := os.ReadDir(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Errorf("over-budget dump left %d dirs behind", len(entries))
-	}
-}
-
-func TestFlightRecorderRotation(t *testing.T) {
-	root := t.TempDir()
-	r := NewFlightRecorder(root, 4)
-	r.SetSources(Sources{Observer: NewWithCapacity(8)})
-	r.SetBudget(3, 0, true)
-	// Fill the directory to its dump budget, then keep dumping: rotation
-	// must evict the oldest instead of skipping the newest.
-	var dirs []string
-	for i := 0; i < 5; i++ {
-		dir, err := r.Dump(fmt.Sprintf("crash-%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dir == "" {
-			t.Fatalf("rotating Dump %d skipped", i)
-		}
-		dirs = append(dirs, dir)
-	}
-	entries, err := os.ReadDir(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 3 {
-		t.Fatalf("rotation kept %d dirs, budget is 3", len(entries))
-	}
-	for _, old := range dirs[:2] {
-		if _, err := os.Stat(old); !os.IsNotExist(err) {
-			t.Errorf("oldest dump %s not evicted", old)
-		}
-	}
-	got := r.Dumps()
-	if len(got) != 3 || got[0] != dirs[2] || got[2] != dirs[4] {
-		t.Errorf("Dumps() = %v, want the newest three", got)
-	}
-	// The next MANIFEST records how many were rotated away.
-	manifest, err := os.ReadFile(filepath.Join(got[2], "MANIFEST.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(manifest), "rotated-dumps: 2") {
-		t.Errorf("MANIFEST rotated count:\n%s", manifest)
-	}
-}
-
 func TestFlightRecorderNil(t *testing.T) {
 	var r *FlightRecorder
 	r.SetSources(Sources{})

@@ -33,8 +33,8 @@ func NewHistogram(name string) *Histogram {
 // Name returns the histogram's metric name.
 func (h *Histogram) Name() string { return h.name }
 
-// bucketOf maps a value onto its log2 bucket.
-func bucketOf(v int64) int {
+// BucketOf maps a value onto its log2 bucket.
+func BucketOf(v int64) int {
 	if v <= 1 {
 		return 0
 	}
@@ -58,7 +58,7 @@ func (h *Histogram) Observe(v int64) {
 		v = 0
 	}
 	h.mu.Lock()
-	h.buckets[bucketOf(v)]++
+	h.buckets[BucketOf(v)]++
 	h.count++
 	h.sum += v
 	if h.min < 0 || v < h.min {

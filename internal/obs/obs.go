@@ -161,14 +161,10 @@ const (
 	// repair, so a host-time stamp of the phases charges the walks to
 	// PhaseDirectoryRepair, not here.
 	PhaseRedoScan
-	// PhaseProbe is no longer emitted: Selective Redo's residency probe
-	// (the "cache miss with I/O disabled" test, plus reinstalling lost
-	// lines from the stable database) is made by PhaseRedoApply's first
-	// pass, at each line's first candidate. The value keeps its place so
-	// the later phases keep theirs.
-	PhaseProbe
 	// PhaseRedoApply applies the redo candidates whose effects are missing,
-	// probing each line's residency as it first reads it.
+	// probing each line's residency as it first reads it (Selective Redo's
+	// "cache miss with I/O disabled" test, plus reinstalling lost lines
+	// from the stable database).
 	PhaseRedoApply
 	// PhaseUndo rolls back crashed transactions from their stable logs.
 	PhaseUndo
@@ -184,7 +180,7 @@ const (
 
 var phaseNames = [numPhases]string{
 	"none", "freeze", "directory-repair", "lock-rebuild", "redo-scan",
-	"probe", "redo-apply", "undo", "undo-tag-scan", "settle",
+	"redo-apply", "undo", "undo-tag-scan", "settle",
 }
 
 func (p Phase) String() string {

@@ -14,12 +14,12 @@ func TestBucketOf(t *testing.T) {
 		{1024, 10}, {1025, 11},
 	}
 	for _, c := range cases {
-		if got := bucketOf(c.v); got != c.want {
-			t.Errorf("bucketOf(%d) = %d, want %d", c.v, got, c.want)
+		if got := BucketOf(c.v); got != c.want {
+			t.Errorf("BucketOf(%d) = %d, want %d", c.v, got, c.want)
 		}
 	}
 	for i := 0; i < histBuckets; i++ {
-		if got := bucketOf(bucketUpper(i)); got > i {
+		if got := BucketOf(bucketUpper(i)); got > i {
 			t.Errorf("bucketUpper(%d) = %d lands in bucket %d", i, bucketUpper(i), got)
 		}
 	}

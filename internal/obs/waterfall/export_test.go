@@ -13,8 +13,11 @@ var update = flag.Bool("update", false, "rewrite the export golden files")
 
 // goldenRecorder is the deterministic recorder behind the golden files:
 // fixed config, fixed scenario, no wall-clock inputs in the exported docs.
+// Its reservoir keeps every transaction, so each file shows one beyond the
+// top-K.
 func goldenRecorder() *Recorder {
-	r := New(Config{TopK: 2, WindowNS: 1000, SampleN: 1, Nodes: 2})
+	r := New(Config{TopK: 2, Nodes: 2})
+	r.sampleN = 1
 	feedScenario(r)
 	return r
 }

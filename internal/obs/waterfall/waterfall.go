@@ -19,7 +19,6 @@
 package waterfall
 
 import (
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,8 +98,16 @@ func (w *Waterfall) Attributed() int64 {
 const (
 	// retain caps the reservoir length (FIFO eviction).
 	retain = 256
-	// maxWindows caps live top-K windows; older windows are evicted whole.
-	maxWindows = 64
+	// windowNS is the tail sampler's window width: 1ms of simulated time.
+	windowNS = 1_000_000
+	// windows sizes the top-K windows' ring (obs.WindowRing); older
+	// windows are evicted whole. Windows whose ids differ by a multiple of
+	// it share a slot, so sparse ids keep fewer windows than slots: 128
+	// keep every window of E22's schedule.
+	windows = 128
+	// sampleN: the reservoir keeps every transaction whose id hashes to 0
+	// mod sampleN — 1 in 64, deterministic across replays by construction.
+	sampleN = 64
 	// maxSegments caps one transaction's recorded segments (ByCause keeps
 	// counting past the cap; Dropped counts the overflow).
 	maxSegments = 96
@@ -110,11 +117,6 @@ const (
 type Config struct {
 	// TopK is the number of slowest completed waterfalls kept per window.
 	TopK int
-	// WindowNS is the sampler's sim-time window width.
-	WindowNS int64
-	// SampleN keeps every transaction whose id hashes to 0 mod SampleN in
-	// the reservoir — deterministic across replays by construction.
-	SampleN int
 	// Nodes sizes the per-node current/last-transaction tables (default 64).
 	Nodes int
 }
@@ -122,12 +124,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.TopK <= 0 {
 		c.TopK = 8
-	}
-	if c.WindowNS <= 0 {
-		c.WindowNS = 1_000_000 // 1ms of sim time
-	}
-	if c.SampleN <= 0 {
-		c.SampleN = 64
 	}
 	if c.Nodes <= 0 {
 		c.Nodes = 64
@@ -150,13 +146,6 @@ type liveTxn struct {
 // txnSpan is a transaction's life on a node: Begin to its latest bracket's end.
 type txnSpan struct{ txn, begin, end int64 }
 
-// window is one sim-time window's K-slowest completed waterfalls, sorted by
-// latency descending (ties broken by ascending txn id, for determinism).
-type window struct {
-	idx  int64
-	slow []*Waterfall
-}
-
 // Recorder accumulates per-transaction waterfalls and tail-samples the
 // completed ones. A nil *Recorder is the disabled recorder: every method
 // no-ops without allocating.
@@ -167,12 +156,17 @@ type Recorder struct {
 	// cur[node] is the txn running an instrumented operation on that node —
 	// how events, which carry only a node id, resolve onto a transaction;
 	// last[node] the txn that last closed one there (see holderLocked).
-	cur     []int64
-	last    []txnSpan
-	live    map[int64]*liveTxn
-	windows []*window // ascending window index
-	maxWin  int64
+	cur  []int64
+	last []txnSpan
+	live map[int64]*liveTxn
+	// slowest holds, per sim-time window, its K slowest completed
+	// waterfalls, latency descending (ties broken by ascending txn id, for
+	// determinism).
+	slowest *obs.WindowRing[[]*Waterfall]
 	reserve []*Waterfall // deterministic 1-in-N reservoir, FIFO-bounded
+	// sampleN is the reservoir's N: the constant sampleN, except in the
+	// golden fixtures, which keep every transaction.
+	sampleN uint64
 
 	// exemplars links the commit-latency histogram's log2 buckets to recent
 	// slow-sampled txn ids (same bucketing as obs.Histogram).
@@ -198,6 +192,8 @@ func New(cfg Config) *Recorder {
 		cur:      make([]int64, cfg.Nodes),
 		last:     make([]txnSpan, cfg.Nodes),
 		live:     make(map[int64]*liveTxn),
+		slowest:  obs.NewWindowRing[[]*Waterfall](windowNS, windows, nil),
+		sampleN:  sampleN,
 		progress: newProgress(),
 	}
 }
@@ -430,7 +426,7 @@ func reservoirHash(txn int64) uint64 {
 // sampleLocked feeds one completed waterfall to the tail sampler.
 func (r *Recorder) sampleLocked(w *Waterfall) {
 	// Deterministic reservoir: membership depends only on the txn id.
-	if reservoirHash(w.Txn)%uint64(r.cfg.SampleN) == 0 {
+	if reservoirHash(w.Txn)%r.sampleN == 0 {
 		w.Reservoir = true
 		r.reserve = append(r.reserve, w)
 		if len(r.reserve) > retain {
@@ -439,44 +435,14 @@ func (r *Recorder) sampleLocked(w *Waterfall) {
 	}
 
 	// Per-window top-K slowest.
-	wi := int64(0)
-	if r.cfg.WindowNS > 0 {
-		wi = w.EndSim / r.cfg.WindowNS
-	}
-	if wi > r.maxWin {
-		r.maxWin = wi
-	}
-	var win *window
-	for _, c := range r.windows {
-		if c.idx == wi {
-			win = c
-			break
-		}
-	}
+	win := r.slowest.At(w.EndSim)
 	if win == nil {
-		if min := r.maxWin - maxWindows + 1; wi < min {
-			return // window already evicted; late completion is dropped
-		}
-		win = &window{idx: wi}
-		// Insert keeping ascending window order.
-		at := len(r.windows)
-		for i, c := range r.windows {
-			if c.idx > wi {
-				at = i
-				break
-			}
-		}
-		r.windows = append(r.windows, nil)
-		copy(r.windows[at+1:], r.windows[at:])
-		r.windows[at] = win
-		for len(r.windows) > maxWindows {
-			r.windows = r.windows[1:]
-		}
+		return // window already evicted; late completion is dropped
 	}
 	// Insert sorted: latency desc, txn asc (deterministic under replay).
 	lat := w.Latency()
-	at := len(win.slow)
-	for i, s := range win.slow {
+	at := len(*win)
+	for i, s := range *win {
 		if lat > s.Latency() || (lat == s.Latency() && w.Txn < s.Txn) {
 			at = i
 			break
@@ -485,19 +451,14 @@ func (r *Recorder) sampleLocked(w *Waterfall) {
 	if at >= r.cfg.TopK {
 		return
 	}
-	win.slow = append(win.slow, nil)
-	copy(win.slow[at+1:], win.slow[at:])
-	win.slow[at] = w
-	if len(win.slow) > r.cfg.TopK {
-		win.slow = win.slow[:r.cfg.TopK]
+	*win = append(*win, nil)
+	copy((*win)[at+1:], (*win)[at:])
+	(*win)[at] = w
+	if len(*win) > r.cfg.TopK {
+		*win = (*win)[:r.cfg.TopK]
 	}
-	// Exemplar: link this slow sample from its commit-latency log2 bucket
-	// (same bucketing as obs.Histogram: bucket 0 is v <= 1, else
-	// bits.Len64(v-1)).
-	b := 0
-	if lat > 1 {
-		b = bits.Len64(uint64(lat) - 1)
-	}
+	// Exemplar: link this slow sample from its commit-latency log2 bucket.
+	b := obs.BucketOf(lat)
 	n := r.exemplarN[b] % len(r.exemplars[b])
 	r.exemplars[b][n] = w.Txn
 	r.exemplarN[b]++
@@ -561,14 +522,14 @@ func (r *Recorder) Slow(max int) []*Waterfall {
 	defer r.mu.Unlock()
 	var out []*Waterfall
 	seen := map[int64]bool{}
-	for _, win := range r.windows {
-		for _, w := range win.slow {
+	r.slowest.Each(func(_ int64, win *[]*Waterfall) {
+		for _, w := range *win {
 			if !seen[w.Txn] {
 				seen[w.Txn] = true
 				out = append(out, w)
 			}
 		}
-	}
+	})
 	for _, w := range r.reserve {
 		if !seen[w.Txn] {
 			seen[w.Txn] = true
@@ -588,12 +549,16 @@ func (r *Recorder) Lookup(txn int64) *Waterfall {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, win := range r.windows {
-		for _, w := range win.slow {
-			if w.Txn == txn {
-				return w
+	var found *Waterfall
+	r.slowest.Each(func(_ int64, win *[]*Waterfall) {
+		for _, w := range *win {
+			if found == nil && w.Txn == txn {
+				found = w
 			}
 		}
+	})
+	if found != nil {
+		return found
 	}
 	for _, w := range r.reserve {
 		if w.Txn == txn {

@@ -74,7 +74,7 @@ func feedScenario(r *Recorder) {
 }
 
 func TestWaterfallAttribution(t *testing.T) {
-	r := New(Config{TopK: 2, WindowNS: 1000, SampleN: 1, Nodes: 2})
+	r := New(Config{TopK: 2, Nodes: 2})
 	feedScenario(r)
 
 	if got := r.Completed(); got != 3 {
@@ -123,7 +123,7 @@ func TestCoverage(t *testing.T) {
 	if cov, _, _ := nilR.Coverage(); cov != 1 {
 		t.Fatalf("nil coverage = %v, want 1", cov)
 	}
-	r := New(Config{SampleN: 1, Nodes: 2})
+	r := New(Config{Nodes: 2})
 	feedScenario(r)
 	cov, attr, total := r.Coverage()
 	// txn1: 80/100 attributed; txn2: 40/90; txn3: 10/20.
@@ -140,7 +140,7 @@ func TestCoverage(t *testing.T) {
 // bracket open there, nested brackets included, and nobody's once the
 // outermost closes.
 func TestCurrentTxnRegister(t *testing.T) {
-	r := New(Config{Nodes: 2, SampleN: 1})
+	r := New(Config{Nodes: 2})
 	nodeWait := func(sim int64) obs.Event {
 		return obs.Event{Kind: obs.KindTxnWait, Node: 0, Sim: sim, Dur: 1, B: int64(obs.CauseLogForce)}
 	}
@@ -195,7 +195,7 @@ func TestCrashNodeDropsLive(t *testing.T) {
 // A commit or abort closes a bracket still open at that instant, charging
 // its residue there, and frees the node's register.
 func TestEndClosesOpenBracket(t *testing.T) {
-	r := New(Config{Nodes: 1, SampleN: 1})
+	r := New(Config{Nodes: 1})
 	feed(r, begin(1, 0, 0), opStart(1, 0, 10, obs.CauseUndo), abort(1, 0, 40), opEnd(1, 0, 60))
 	w := r.Lookup(1)
 	if w == nil || w.ByCause[obs.CauseUndo] != 30 || len(w.Segments) != 1 {
@@ -208,7 +208,8 @@ func TestEndClosesOpenBracket(t *testing.T) {
 
 func TestTailSamplerDeterminism(t *testing.T) {
 	slowIDs := func() []int64 {
-		r := New(Config{TopK: 2, WindowNS: 1000, SampleN: 4, Nodes: 2})
+		r := New(Config{TopK: 2, Nodes: 2})
+		r.sampleN = 4
 		feedScenario(r)
 		var ids []int64
 		for _, w := range r.Slow(0) {
@@ -223,7 +224,7 @@ func TestTailSamplerDeterminism(t *testing.T) {
 }
 
 func TestTopKTieBreak(t *testing.T) {
-	r := New(Config{TopK: 2, WindowNS: 1_000_000, SampleN: 1 << 30, Nodes: 1})
+	r := New(Config{TopK: 2, Nodes: 1})
 	// Three completions with identical latency: the two lowest txn ids win.
 	for _, id := range []int64{30, 10, 20} {
 		feed(r, begin(id, 0, 0), commit(id, 0, 50))
@@ -238,7 +239,7 @@ func TestTopKTieBreak(t *testing.T) {
 }
 
 func TestExemplars(t *testing.T) {
-	r := New(Config{TopK: 4, SampleN: 1, Nodes: 1})
+	r := New(Config{TopK: 4, Nodes: 1})
 	feed(r, begin(1, 0, 0), commit(1, 0, 100)) // latency 100 -> bucket 7 (le 128)
 	ex := r.Exemplars()
 	ids, ok := ex[7]
@@ -272,7 +273,7 @@ func TestSummary(t *testing.T) {
 	if nilR.Summary() != "waterfall disabled" {
 		t.Fatal("nil summary")
 	}
-	r := New(Config{SampleN: 1, Nodes: 2})
+	r := New(Config{Nodes: 2})
 	feedScenario(r)
 	s := r.Summary()
 	for _, want := range []string{"3 txns", "compute=", "line-wait=", "undo="} {

@@ -322,14 +322,13 @@ func New(cfg Config) (*DB, error) {
 		M:     m,
 		Store: store,
 		Disk:  disk,
-		BM:    buffer.NewManager(store, disk, logs),
 		Logs:  logs,
 		Locks: locks,
 		nodes: make([]nodeCtl, m.Nodes()),
 		redo:  make([]redoSlot, cfg.Pages*layout.SlotsPerPage()),
 	}
 	db.redoLines = make([]int, 0, cfg.Pages*(layout.LinesPerPage-1))
-	db.BM.NVRAMLog = cfg.NVRAMLog
+	db.BM = buffer.NewManager(store, disk, logs, db.LogForceCost)
 	db.hk.Store(new(hooks.Set))
 	if cfg.Protocol == StableTriggered {
 		m.SetPreTransition(db.lbmTrigger)

@@ -23,7 +23,7 @@ func TestStalledAbortClosesItsBracket(t *testing.T) {
 	db, mgr := newDB(t, recovery.VolatileSelectiveRedo, 2)
 	mine, theirs := heap.RID{Page: 0, Slot: 0}, heap.RID{Page: 0, Slot: 1}
 	seed(t, mgr, []heap.RID{mine, theirs}, 1)
-	wf := waterfall.New(waterfall.Config{Nodes: 2, SampleN: 1})
+	wf := waterfall.New(waterfall.Config{Nodes: 2})
 	db.Attach(hooks.Set{Observer: obs.New(), Waterfall: wf})
 
 	tx, err := mgr.Begin(0)
