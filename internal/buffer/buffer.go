@@ -423,6 +423,45 @@ func (b *Manager) FlushAll(nd machine.NodeID) error {
 	return nil
 }
 
+// ForgetLostPages clears the dirty bit of every page no cache holds a line
+// of. A crash destroyed such a page's memory image, and restart recovery has
+// reinstalled every line a committed effect needs, so what is left of the page
+// is its disk image, which the next fetch reads back: no flush is owed. Call
+// it only at the end of restart recovery, with no crash since its redo:
+// until then a lost line may still owe a redo, and the dirty bit keeps a
+// checkpoint from passing over it.
+//
+// The page turns clean as a flush would, under mu and with a page-flush
+// event. Its bit is cleared before the page is looked at again, so a fetch
+// and update racing the call either find the bit clear and set it, or are
+// seen and have it set back.
+func (b *Manager) ForgetLostPages() {
+	for p := range b.dirty {
+		if !b.dirty[p].Load() || b.anyResident(storage.PageID(p)) {
+			continue
+		}
+		b.mu.Lock()
+		b.dirty[p].Store(false)
+		if b.anyResident(storage.PageID(p)) {
+			b.dirty[p].Store(true)
+		} else if o := b.obs.Load(); o != nil {
+			o.Instant(obs.KindPageFlush, obs.SystemNode, b.Store.M.MaxClock(), int64(p), 0)
+		}
+		b.mu.Unlock()
+	}
+}
+
+// anyResident reports whether some cache holds a line of page p.
+func (b *Manager) anyResident(p storage.PageID) bool {
+	base := b.Store.PageBase(p)
+	for i := 0; i < b.Store.Layout.LinesPerPage; i++ {
+		if b.Store.M.Resident(base + machine.LineID(i)) {
+			return true
+		}
+	}
+	return false
+}
+
 // DropNode re-initializes the crashed node's column of the (page, LSN)
 // table: its volatile log tail is gone, so there is nothing left to force.
 // (Its stable records remain on its log device for recovery.)

@@ -395,3 +395,64 @@ func TestConcurrentFirstFetchFormatsOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestForgetLostPages: after a crash, a dirty page no cache holds a line of
+// turns clean; a dirty page one of whose lines survived stays dirty, and so
+// does a dirty page nothing lost.
+func TestForgetLostPages(t *testing.T) {
+	f := newFixture(t, 2)
+	for p := storage.PageID(0); p < 3; p++ {
+		if err := f.bm.Fetch(0, p); err != nil {
+			t.Fatal(err)
+		}
+		f.bm.MarkDirty(p)
+	}
+	// Page 1's first data line moves to node 1, and page 2 is node 1's alone.
+	f.putSlot(t, 1, heap.RID{Page: 1, Slot: 0}, heap.SlotData{Tag: machine.NoNode, Flags: heap.FlagOccupied, Version: 1, Data: []byte("s")})
+	f.bm.Store.M.Crash(0)
+	if err := f.bm.Fetch(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	f.bm.ForgetLostPages()
+	if got, want := f.bm.DirtyPages(), []storage.PageID{1, 2}; len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Errorf("dirty pages = %v, want %v", got, want)
+	}
+}
+
+// TestForgetLostPagesRacesAFetch: a page fetched and updated while
+// ForgetLostPages runs ends dirty whichever ran first; the pages all start
+// dirty with every line lost.
+func TestForgetLostPagesRacesAFetch(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		f := newFixture(t, 2)
+		for p := 0; p < f.bm.Store.NPages; p++ {
+			if err := f.bm.Fetch(0, storage.PageID(p)); err != nil {
+				t.Fatal(err)
+			}
+			f.bm.MarkDirty(storage.PageID(p))
+		}
+		f.bm.Store.M.Crash(0)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				f.bm.ForgetLostPages()
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for p := 0; p < f.bm.Store.NPages; p++ {
+				if err := f.bm.Fetch(1, storage.PageID(p)); err != nil {
+					t.Errorf("fetch of page %d: %v", p, err)
+					return
+				}
+				f.bm.MarkDirty(storage.PageID(p))
+			}
+		}()
+		wg.Wait()
+		if got := len(f.bm.DirtyPages()); got != f.bm.Store.NPages {
+			t.Fatalf("round %d: %d of %d fetched and updated pages are dirty", round, got, f.bm.Store.NPages)
+		}
+	}
+}

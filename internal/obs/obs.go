@@ -63,7 +63,9 @@ const (
 	KindTxnAbort
 	// Buffer manager (internal/buffer): A = page; B = 1 for a disk read
 	// (fetch) or a steal (flush), 0 otherwise; a fetch's Dur is the disk
-	// read's simulated cost.
+	// read's simulated cost. A page-flush is a dirty page turning clean: a
+	// flush, or, on the SystemNode track, a page whose every line a crash
+	// destroyed, which recovery leaves to its disk image.
 	KindPageFetch
 	KindPageFlush
 	// KindCrash is a node failure (A = lines destroyed machine-wide,

@@ -1,6 +1,10 @@
 package obs
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // The sim-time window series the observability consumers keep a bounded
 // recent history in — the auditor's time series, the debt tracker's windows,
@@ -15,22 +19,29 @@ import "sort"
 // whose slot holds a newer one is dropped (At returns nil): the nodes'
 // simulated clocks are only loosely aligned, so stragglers happen.
 //
-// When a newer id arrives, the close hook runs once on the window that was
-// the newest, before the new one opens, so windows close in id order —
-// unless the newer id is more than n ids ahead, which leaves the old window
-// outside the recent series unjudged. A window a straggler opens behind the
-// newest is never closed. A WindowRing is not safe for concurrent use: its
+// When a newer id arrives, the close hook runs on every resident window
+// older than it that it has not yet run on, in id order, before the new one
+// opens: the window that was the newest, one a straggler opened behind it,
+// and — however far ahead the newer id is — one whose slot the newer id is
+// about to take. So every window is closed exactly once, unless it is still
+// the newest or a straggler opened it behind the newest id and no newer id
+// has come since; a straggler's event in a window already closed counts but
+// does not close it again. A WindowRing is not safe for concurrent use: its
 // consumer holds it under its own lock.
 type WindowRing[T any] struct {
 	width   int64
 	slots   []windowSlot[T]
 	newest  int64 // -1 before the first event
 	onClose func(id int64, w *T)
+	// due is the scratch list of the slots an advance closes, sorted by id,
+	// kept from one advance to the next.
+	due []int
 }
 
 type windowSlot[T any] struct {
-	id int64 // -1 while unused
-	w  T
+	id     int64 // -1 while unused
+	closed bool  // the close hook has run on this window
+	w      T
 }
 
 // NewWindowRing returns an empty series of n windows width simulated ns
@@ -49,8 +60,8 @@ func (r *WindowRing[T]) At(sim int64) *T {
 	id := max(sim, 0) / r.width
 	n := int64(len(r.slots))
 	if id > r.newest {
-		if r.newest >= 0 && id-r.newest <= n && r.onClose != nil {
-			r.onClose(r.newest, &r.slots[r.newest%n].w)
+		if r.onClose != nil {
+			r.closeBefore(id)
 		}
 		r.newest = id
 	}
@@ -62,6 +73,24 @@ func (r *WindowRing[T]) At(sim int64) *T {
 		*s = windowSlot[T]{id: id}
 	}
 	return &s.w
+}
+
+// closeBefore runs the close hook on every resident window older than id it
+// has not yet run on, in id order.
+func (r *WindowRing[T]) closeBefore(id int64) {
+	due := r.due[:0]
+	for i := range r.slots {
+		if s := &r.slots[i]; s.id >= 0 && s.id < id && !s.closed {
+			due = append(due, i)
+		}
+	}
+	slices.SortFunc(due, func(a, b int) int { return cmp.Compare(r.slots[a].id, r.slots[b].id) })
+	for _, i := range due {
+		s := &r.slots[i]
+		s.closed = true
+		r.onClose(s.id, &s.w)
+	}
+	r.due = due
 }
 
 // Newest returns the newest window and its id (nil and -1 before the first

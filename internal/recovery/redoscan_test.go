@@ -150,9 +150,6 @@ func scanScene(t *testing.T, proto Protocol, seed int64, cov map[string]int) (*D
 		must(db.Commit(nd, id))
 	}
 	live := map[machine.NodeID]wal.TxnID{}
-	// After BaselineFA's reboot a checkpoint can find a dirty page with no
-	// resident line and fail (ROADMAP item 22); that history takes none.
-	checkpoints := true
 	// write gives t one to three updates on nd's pages, now and then inside
 	// a structural change, completed or (open is set) left open.
 	write := func(nd machine.NodeID, t wal.TxnID, open bool) {
@@ -177,7 +174,7 @@ func scanScene(t *testing.T, proto Protocol, seed int64, cov map[string]int) (*D
 			alive := db.M.AliveNodes()
 			nd := alive[rng.Intn(len(alive))]
 			switch k := rng.Intn(12); {
-			case k == 0 && checkpoints:
+			case k == 0:
 				must(db.Checkpoint(nd))
 				if len(live) > 0 {
 					cov["checkpoint-while-live"]++
@@ -233,7 +230,6 @@ func scanScene(t *testing.T, proto Protocol, seed int64, cov map[string]int) (*D
 	delete(live, r)
 	if proto == BaselineFA {
 		clear(live) // the reboot aborted every transaction
-		checkpoints = false
 	}
 	history(10 + rng.Intn(30))
 

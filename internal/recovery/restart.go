@@ -131,6 +131,7 @@ func (db *DB) Recover(crashed []machine.NodeID) (*RecoveryReport, error) {
 		if db.flightPending.Swap(false) {
 			_, _ = db.DumpFlight("crash")
 		}
+		db.BM.ForgetLostPages()
 		end(true)
 		db.noteRecovered(hk, rep)
 		return rep, nil
@@ -172,6 +173,9 @@ func (db *DB) Recover(crashed []machine.NodeID) (*RecoveryReport, error) {
 	db.recStats.LockEntriesReleased += int64(rep.LockEntriesReleased)
 	db.mu.Unlock()
 	db.crashSim.Store(0) // mid-recovery crashes were handled in-line
+	// A dirty page whose every line died and that redo did not reinstall
+	// is its disk image now: forget it, so a checkpoint can pass it over.
+	db.BM.ForgetLostPages()
 	end(true)
 	db.noteRecovered(hk, rep)
 	return rep, nil

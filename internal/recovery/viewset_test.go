@@ -32,8 +32,9 @@ func readsSince(db *recovery.DB, base []int64) []int64 {
 
 // TestRecoveryReadsEachStableLogOnce: one recovery attempt reads a down
 // node's log device exactly once — every phase works from the attempt's view
-// set — never reads a survivor's, and RestartNode reads the restarted node's
-// once more (the torn-tail check). The scenario makes every phase that used to
+// set — never reads a survivor's, and RestartNode reads none: the torn-tail
+// check reuses what the attempt's walk found, as nothing wrote the device
+// since (TestRestartRereadsAWrittenLog has a write between). The scenario makes every phase that used to
 // re-read the device do real work: the crashed node has a stolen update to
 // undo from its stable log, and, under Selective Redo, one that migrated to a
 // survivor and is found by the tag scan.
@@ -134,8 +135,8 @@ func TestRecoveryReadsEachStableLogOnce(t *testing.T) {
 					if err := db.RestartNode(3); err != nil {
 						t.Fatal(err)
 					}
-					if got := readsSince(db, base); fmt.Sprint(got) != "[0 0 0 1]" {
-						t.Errorf("device reads during RestartNode = %v, want [0 0 0 1]", got)
+					if got := readsSince(db, base); fmt.Sprint(got) != "[0 0 0 0]" {
+						t.Errorf("device reads during RestartNode = %v, want [0 0 0 0]", got)
 					}
 				}
 				for _, rid := range []heap.RID{stolen, migrated} {
@@ -151,6 +152,46 @@ func TestRecoveryReadsEachStableLogOnce(t *testing.T) {
 				mustCheckIFA(t, db, 0)
 			})
 		}
+	}
+}
+
+// TestRestartRereadsAWrittenLog: a write to the down node's device after
+// Recover's walk — here a torn frame appended behind the log's back — moves
+// the device's generation, so RestartNode reads the device once more and cuts
+// the torn bytes away, as a restart with no recovery before it would.
+func TestRestartRereadsAWrittenLog(t *testing.T) {
+	for _, write := range []bool{false, true} {
+		t.Run(fmt.Sprintf("write=%v", write), func(t *testing.T) {
+			db, mgr := newDB(t, recovery.VolatileSelectiveRedo, 4)
+			rid := heap.RID{Page: 3, Slot: 0}
+			seed(t, mgr, []heap.RID{rid}, 1)
+			db.Crash(3)
+			if _, err := db.Recover([]machine.NodeID{3}); err != nil {
+				t.Fatal(err)
+			}
+			dev := db.Logs[3].Device()
+			size := dev.Size()
+			want := "[0 0 0 0]"
+			if write {
+				if _, err := dev.Append([]byte{9, 0, 0, 0, 1, 2}); err != nil {
+					t.Fatal(err)
+				}
+				want = "[0 0 0 1]"
+			}
+			base := deviceReads(db)
+			if err := db.RestartNode(3); err != nil {
+				t.Fatal(err)
+			}
+			if got := readsSince(db, base); fmt.Sprint(got) != want {
+				t.Errorf("device reads during RestartNode = %v, want %s", got, want)
+			}
+			if got := dev.Size(); got != size {
+				t.Errorf("device holds %d bytes after RestartNode, want the %d Recover read", got, size)
+			}
+			if got, err := db.Read(0, rid); err != nil || got.Data[0] != 1 {
+				t.Errorf("%v = %v, %v; want the seeded 1", rid, got.Data, err)
+			}
+		})
 	}
 }
 

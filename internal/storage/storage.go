@@ -201,6 +201,10 @@ type LogDevice struct {
 	size   int64
 	forces int64
 	reads  int64
+	// gen is the write generation: every write, Truncate and Cut that
+	// changes the contents bumps it, so a reader that walked the device at
+	// generation g knows the bytes are the ones it read while Gen is g.
+	gen uint64
 	// fault is read on every append and written almost never, and the hook
 	// must run outside mu (it takes its own lock): an atomic pointer lets
 	// Append take mu once.
@@ -244,6 +248,7 @@ func (d *LogDevice) write(data []byte) {
 	if len(data) == 0 {
 		return
 	}
+	d.gen++
 	d.size += int64(len(data))
 	last := len(d.chunks) - 1
 	if last < 0 || cap(d.chunks[last])-len(d.chunks[last]) < len(data) {
@@ -284,15 +289,26 @@ func (d *LogDevice) Contents() []byte {
 }
 
 // Walk reads the entire stable log in place: it calls fn once with the
-// chunks, whose contents back to back are the log, and counts one read. fn
-// runs under the device mutex, so it must not call into d; it must not write
-// to the chunks or keep the list, but it may keep slices of the chunks'
-// bytes, which are never written again.
-func (d *LogDevice) Walk(fn func(chunks [][]byte)) {
+// chunks, whose contents back to back are the log, counts one read and
+// returns the write generation the chunks belong to (see Gen). fn runs under
+// the device mutex, so it must not call into d; it must not write to the
+// chunks or keep the list, but it may keep slices of the chunks' bytes,
+// which are never written again.
+func (d *LogDevice) Walk(fn func(chunks [][]byte)) uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.reads++
 	fn(d.chunks)
+	return d.gen
+}
+
+// Gen returns the device's write generation, which every write, Truncate
+// and Cut that changes the contents advances: while it reads what a Walk
+// returned, the contents are the bytes that walk read.
+func (d *LogDevice) Gen() uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.gen
 }
 
 // Truncate replaces the device contents with keep — log-space reclamation
@@ -302,6 +318,7 @@ func (d *LogDevice) Truncate(keep []byte) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.chunks, d.size = nil, 0
+	d.gen++
 	d.write(keep)
 }
 
@@ -315,6 +332,7 @@ func (d *LogDevice) Cut(size int64) {
 	if size >= d.size {
 		return
 	}
+	d.gen++
 	d.size = max(size, 0)
 	left := d.size
 	for i, c := range d.chunks {

@@ -389,3 +389,38 @@ func TestLogDeviceCutAndTruncateLeaveReadBytesAlone(t *testing.T) {
 		t.Errorf("Forces = %d, want 5 (Cut and Truncate are not forces)", d.Forces())
 	}
 }
+
+// TestLogDeviceGeneration: every append, Truncate and Cut that changes the
+// contents advances the write generation, Walk returns the generation of
+// the chunks it handed out, and nothing else moves it.
+func TestLogDeviceGeneration(t *testing.T) {
+	d := NewLogDevice()
+	gen := d.Gen()
+	step := func(name string, moves bool, op func()) {
+		t.Helper()
+		op()
+		if got := d.Gen(); (got != gen) != moves {
+			t.Errorf("%s: generation %d -> %d, want it to move: %v", name, gen, got, moves)
+		}
+		gen = d.Gen()
+		if w := d.Walk(func([][]byte) {}); w != gen {
+			t.Errorf("after %s: Walk returns generation %d, Gen %d", name, w, gen)
+		}
+	}
+	appendBytes := func(b []byte) func() {
+		return func() {
+			if _, err := d.Append(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	step("an empty append", false, appendBytes(nil))
+	step("an append", true, appendBytes([]byte{1, 2, 3, 4}))
+	step("a Cut at the end", false, func() { d.Cut(4) })
+	step("a Cut past the end", false, func() { d.Cut(9) })
+	step("a Cut", true, func() { d.Cut(2) })
+	step("Contents", false, func() { d.Contents() })
+	step("Size", false, func() { d.Size() })
+	step("a Truncate", true, func() { d.Truncate([]byte{5}) })
+	step("an empty Truncate", true, func() { d.Truncate(nil) })
+}

@@ -48,6 +48,14 @@ type Log struct {
 	tornBytes int
 	// ioRetries counts transient device errors retried inside Force.
 	ioRetries int
+	// walkGen and walkSize are what the last walk of the device to the end
+	// of its valid prefix found (StableRecords, repairTail): the device's
+	// write generation it read and the prefix's byte length. While the
+	// device is still at walkGen, those bytes are the ones that walk checked,
+	// so Reopen cuts to walkSize without walking again. The zero pair is
+	// true of a device never written: generation 0 is empty.
+	walkGen  uint64
+	walkSize int64
 
 	// clock is the owning node's simulated clock, fixed at construction. It
 	// must be lock-free: Force can run inside a machine pre-transition
@@ -62,7 +70,7 @@ type Log struct {
 	// pad the struct to whole 64-byte lines: the allocator then starts each
 	// node's Log on a line boundary, so one node's appends (mu, n, the
 	// block list) never write a line another node's Log sits on.
-	_ [32]byte
+	_ [16]byte
 }
 
 // blockLen is the number of records in one block of a Log (about 60 KiB).
@@ -141,7 +149,7 @@ func NewLog(n machine.NodeID, dev *storage.LogDevice) (*Log, error) {
 func NewClockedLog(n machine.NodeID, dev *storage.LogDevice, clock func() int64) (*Log, error) {
 	l := &Log{node: n, dev: dev, first: 1, clock: clock}
 	if dev.Size() > 0 {
-		l.forced, l.tornBytes = repairTail(dev, l)
+		l.forced, l.tornBytes = l.repairTail(true)
 	}
 	return l, nil
 }
@@ -345,50 +353,64 @@ func (l *Log) Crash() int {
 	l.redo -= l.redoIn(l.forced, l.n)
 	l.n = l.forced
 	l.blocks = l.blocks[:(l.off+l.n+blockLen-1)/blockLen]
-	// Find the checkpoint marker again among what survived.
-	l.lastCkpt = 0
-	l.span(0, l.n, func(run []Record) bool {
-		for i := range run {
-			if run[i].Type == TypeCheckpoint {
-				l.lastCkpt = run[i].LSN
+	// The checkpoint mark stands if its record was stable (0, no mark, is
+	// below every LSN). Otherwise the newest checkpoint record that survived
+	// is the mark, found from the end of the stable prefix back.
+	if l.lastCkpt >= l.first+LSN(l.n) {
+		l.lastCkpt = 0
+		for i := l.n - 1; i >= 0; i-- {
+			if r := l.at(i); r.Type == TypeCheckpoint {
+				l.lastCkpt = r.LSN
+				break
 			}
 		}
-		return true
-	})
+	}
 	return lost
 }
 
 // Reopen re-enables the log for the node's restarted incarnation. If the
 // crash tore a force mid-write, the partial record left on the device is cut
-// away here (the in-memory state never counted it as stable).
+// away here (the in-memory state never counted it as stable). A device
+// nothing has written since the last walk to the end of its valid prefix
+// (see walkGen) — restart recovery's read of the down node's log — is cut
+// where that walk found the prefix's end, and not read again.
 func (l *Log) Reopen() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.down = false
-	repairTail(l.dev, nil)
+	if l.dev.Gen() == l.walkGen {
+		l.dev.Cut(l.walkSize)
+		return
+	}
+	l.repairTail(false)
 }
 
-// repairTail reads dev in place (see stableWalk) and cuts it where its valid
-// prefix ends, copying nothing. With into non-nil — a log being opened on dev
-// — it also stores the prefix's records in into, LSNs from 1. It returns the
-// number of records in the prefix and the torn bytes cut off.
-func repairTail(dev *storage.LogDevice, into *Log) (n, torn int) {
+// repairTail reads the device in place (see stableWalk), notes what it found
+// (walkGen, walkSize) and cuts the device where its valid prefix ends,
+// copying nothing. With load set — a log being opened on the device — it
+// also stores the prefix's records, LSNs from 1. It returns the number of
+// records in the prefix and the torn bytes cut off. Caller holds l.mu or
+// has not yet shared l.
+func (l *Log) repairTail(load bool) (n, torn int) {
 	var w stableWalk
-	dev.Walk(func(chunks [][]byte) {
+	l.walkGen = l.dev.Walk(func(chunks [][]byte) {
 		w = newStableWalk(chunks, 0)
 		var r Record
 		for w.next(&r) {
-			if into == nil {
+			if !load {
 				continue
 			}
-			into.push(&r)
+			l.push(&r)
 			if r.Type == TypeCheckpoint {
-				into.lastCkpt = r.LSN
+				l.lastCkpt = r.LSN
 			}
 		}
 	})
+	l.walkSize = w.size
 	if w.left > 0 {
-		dev.Cut(w.size)
+		// The cut advances the generation past walkGen, so the next Reopen
+		// walks again.
+		l.dev.Cut(w.size)
 	}
 	return w.n, int(w.left)
 }
@@ -539,13 +561,15 @@ func (l *Log) DiscardThrough(upto LSN) int {
 // only, but its images — and a kept record's — alias the device's bytes,
 // which are never written again (storage.LogDevice), so they stay valid
 // whatever the log and the device do later. keep runs under the log and
-// device mutexes and must not call back into either.
+// device mutexes and must not call back into either. The walk reads to the
+// end of the valid prefix, so Reopen may rely on it (see walkGen).
 func (l *Log) StableRecords(hint int, keep func(*Record) bool) []*Record {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	out := make([]*Record, 0, hint)
-	l.dev.Walk(func(chunks [][]byte) {
-		w := newStableWalk(chunks, l.first-1)
+	var w stableWalk
+	l.walkGen = l.dev.Walk(func(chunks [][]byte) {
+		w = newStableWalk(chunks, l.first-1)
 		// Each record is decoded into the slab's next free slot, which a
 		// kept record then takes: one slot past hint is the scratch of the
 		// records that follow the last kept one.
@@ -564,5 +588,6 @@ func (l *Log) StableRecords(hint int, keep func(*Record) bool) []*Record {
 			}
 		}
 	})
+	l.walkSize = w.size
 	return out
 }
